@@ -77,7 +77,7 @@ func main() {
 		engineName   = flag.String("store", "btree", "per-partition store engine: "+strings.Join(store.Names(), ", "))
 		levels       = flag.Int("levels", 0, "structure height cap (0 = engine default; the B+ tree derives height from fan-out and ignores it)")
 		mailbox      = flag.Int("mailbox", 64, "per-partition mailbox depth")
-		window       = flag.Int("window", 16, "per-connection request coalescing window (ApplyBatch size)")
+		window       = flag.Int("window", 16, "per-connection request coalescing window (Batcher.Apply size)")
 		inflight     = flag.Int("inflight", 0, "per-connection in-flight response budget (default 4x window)")
 		maxConns     = flag.Int("maxconns", 0, "max concurrent connections (0 = unlimited)")
 		scanLimit    = flag.Int("scan-limit", 1024, "max pairs returned by one SCAN")

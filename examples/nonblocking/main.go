@@ -1,5 +1,5 @@
 // Non-blocking NMP calls on real hardware: measures how pipelining calls
-// through the native hybrid map's futures (§3.5) compares to blocking
+// through the native hybrid map's Batcher (§3.5) compares to blocking
 // calls, on your actual machine rather than the simulator.
 //
 //	go run ./examples/nonblocking [-ops 200000] [-window 4]
@@ -18,7 +18,7 @@ import (
 
 func main() {
 	ops := flag.Int("ops", 200000, "operations per goroutine")
-	window := flag.Int("window", 4, "in-flight futures per goroutine")
+	window := flag.Int("window", 4, "in-flight operations per goroutine")
 	flag.Parse()
 
 	const threads = 4
@@ -60,17 +60,14 @@ func main() {
 
 	bench("non-blocking", func(h *core.Hybrid, th int) {
 		rng := prng.New(uint64(th) + 1)
-		futs := make([]*core.Future, 0, *window)
-		issued, completed := 0, 0
-		for completed < *ops {
-			if issued < *ops && len(futs) < *window {
-				futs = append(futs, h.Async(hds.Read, uint64(rng.Intn(100000))+1, 0))
-				issued++
-				continue
+		b := h.NewBatcher(*window)
+		batch := make([]hds.Request, 256)
+		for left := *ops; left > 0; left -= len(batch) {
+			batch = batch[:min(left, len(batch))]
+			for i := range batch {
+				batch[i] = hds.Request{Kind: hds.Read, Key: uint64(rng.Intn(100000)) + 1}
 			}
-			futs[0].Wait()
-			futs = futs[1:]
-			completed++
+			b.Apply(batch, nil)
 		}
 	})
 }

@@ -2,7 +2,7 @@
 //
 // The paper's programming model on plain hardware: a partitioned ordered
 // map where each partition is owned by a combiner goroutine (the software
-// stand-in for an NMP core), with blocking and non-blocking (future-based)
+// stand-in for an NMP core), with blocking and non-blocking (batched)
 // calls.
 //
 //	go run ./examples/quickstart
@@ -32,14 +32,16 @@ func main() {
 	h.Update(500, 42)
 	h.Delete(300)
 
-	// Non-blocking calls (§3.5): pipeline a window of operations and
-	// harvest the futures later.
-	futs := make([]*core.Future, 0, 4)
+	// Non-blocking calls (§3.5): a Batcher keeps a window of operations
+	// in flight and reports each one's outcome.
+	var ops []hds.Request
 	for k := uint64(11); k <= 14; k++ {
-		futs = append(futs, h.Async(hds.Insert, k*100, k))
+		ops = append(ops, hds.Request{Kind: hds.Insert, Key: k * 100, Value: k})
 	}
-	for i, f := range futs {
-		if _, ok := f.Wait(); !ok {
+	out := make([]core.Outcome, len(ops))
+	h.NewBatcher(4).Apply(ops, out)
+	for i, o := range out {
+		if !o.Result.OK {
 			fmt.Printf("pipelined put %d failed\n", i)
 		}
 	}

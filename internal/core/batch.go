@@ -1,145 +1,10 @@
 package core
 
 import (
-	"runtime"
+	"sync/atomic"
 
 	"hybrids/internal/hds"
 )
-
-// natPort adapts one partition's mailbox + pooled futures to the shared
-// hds.Port contract, so the native non-blocking path runs through exactly
-// the same in-flight Window as the simulator's §3.5 implementation. Each
-// ApplyBatch call owns a private set of ports (slot state is per-call),
-// so callers on different goroutines can never collide on a slot.
-type natPort struct {
-	h    *Hybrid
-	part int
-	futs []*Future
-	// rejected marks slots whose publish was refused by a concurrent
-	// Close (the future completes as ok=false without reaching a store),
-	// so the batch loop can tell rejections apart from applied
-	// operations that legitimately failed (e.g. a read miss).
-	rejected []bool
-}
-
-// Slots returns the port's slot capacity (the batch window size).
-func (p *natPort) Slots() int { return len(p.futs) }
-
-// Post publishes req through slot without waiting for completion.
-func (p *natPort) Post(_ struct{}, slot int, req hds.Request) {
-	fut := newFuture()
-	p.futs[slot] = fut
-	p.rejected[slot] = !p.h.publish(p.part, request{req: req, fut: fut})
-}
-
-// Done reports whether the request in slot has completed.
-func (p *natPort) Done(_ struct{}, slot int) bool { return p.futs[slot].peek() }
-
-// ReadResponse consumes the completed slot's future and returns its
-// result.
-func (p *natPort) ReadResponse(_ struct{}, slot int) hds.Result {
-	fut := p.futs[slot]
-	p.futs[slot] = nil
-	value, ok := fut.take()
-	return hds.Result{Value: value, OK: ok}
-}
-
-// Watch is a no-op (trivially idempotent, as the Port contract requires):
-// the native window parks by yielding the processor and re-polling rather
-// than registering wakeups.
-func (p *natPort) Watch(_ struct{}, slot int) {}
-
-// natPark yields the processor between window poll rounds.
-func natPark(struct{}) { runtime.Gosched() }
-
-// ApplyBatch executes ops with non-blocking calls (§3.5), keeping up to
-// window operations in flight through the shared hds.Window and
-// harvesting completions out of order. It returns the number of
-// operations a combiner actually applied and, of those, the number whose
-// result was ok — so legitimate misses (applied but not succeeded, e.g. a
-// read of an absent key) are distinguishable from publishes rejected by a
-// concurrent Close (not applied at all). window <= 1 keeps one call in
-// flight (blocking behaviour through the same windowed path).
-func (h *Hybrid) ApplyBatch(ops []hds.Request, window int) (applied, succeeded int) {
-	return h.ApplyBatchResults(ops, window, nil)
-}
-
-// Batcher is the reusable state behind windowed batch execution: the
-// per-partition ports, the generic in-flight hds.Window, and a table of
-// pre-boxed harvest tags. ApplyBatchResults builds one per call; callers
-// with a steady stream of batches (the serving layer keeps one per
-// connection) construct it once with NewBatcher and call Apply
-// repeatedly, which makes the steady-state batch path allocation-free. A
-// Batcher belongs to one goroutine; it is not safe for concurrent use.
-type Batcher struct {
-	h    *Hybrid
-	nats []*natPort
-	w    *hds.Window[struct{}, hds.Request, hds.Result]
-	tags []any
-}
-
-// NewBatcher returns a Batcher whose Apply keeps up to window operations
-// in flight. window <= 1 keeps one call in flight (blocking behaviour
-// through the same windowed path).
-func (h *Hybrid) NewBatcher(window int) *Batcher {
-	if window <= 0 {
-		window = 1
-	}
-	ports := make([]hds.Port[struct{}, hds.Request, hds.Result], len(h.parts))
-	nats := make([]*natPort, len(h.parts))
-	for p := range h.parts {
-		np := &natPort{h: h, part: p, futs: make([]*Future, window), rejected: make([]bool, window)}
-		nats[p] = np
-		ports[p] = np
-	}
-	return &Batcher{h: h, nats: nats, w: hds.NewWindow(0, window, ports, natPark)}
-}
-
-// tag returns idx boxed into an interface, memoized so repeated Apply
-// calls never re-box window tags (boxing an int above the runtime's
-// small-value cache allocates).
-func (b *Batcher) tag(idx int) any {
-	for len(b.tags) <= idx {
-		b.tags = append(b.tags, len(b.tags))
-	}
-	return b.tags[idx]
-}
-
-// Apply executes ops through the batcher's window with ApplyBatchResults
-// semantics: when out is non-nil it must hold len(ops) entries and
-// out[i] receives ops[i]'s Outcome. It returns the applied/succeeded
-// accounting of ApplyBatch. Steady-state calls perform no allocation.
-func (b *Batcher) Apply(ops []hds.Request, out []Outcome) (applied, succeeded int) {
-	if out != nil && len(out) != len(ops) {
-		panic("core: Batcher.Apply out length does not match ops")
-	}
-	h := b.h
-	next := 0
-	for next < len(ops) || !b.w.Empty() {
-		if next < len(ops) && !b.w.Full() {
-			op := ops[next]
-			b.w.Post(struct{}{}, h.Partition(op.Key), op, b.tag(next))
-			next++
-			continue
-		}
-		tag, res, pos := b.w.Harvest(struct{}{})
-		idx := tag.(int)
-		// Window position i of thread 0 is slot i of the target
-		// partition's port.
-		rejected := b.nats[h.Partition(ops[idx].Key)].rejected[pos]
-		if out != nil {
-			out[idx] = Outcome{Result: res, Rejected: rejected}
-		}
-		if rejected {
-			continue
-		}
-		applied++
-		if res.OK {
-			succeeded++
-		}
-	}
-	return applied, succeeded
-}
 
 // Outcome is one batched operation's result plus whether it reached a
 // combiner at all: Rejected marks publishes refused by a concurrent Close
@@ -152,14 +17,128 @@ type Outcome struct {
 	Rejected bool
 }
 
-// ApplyBatchResults is ApplyBatch with per-operation outcomes: when out is
-// non-nil it must hold len(ops) entries, and out[i] receives ops[i]'s
-// Outcome regardless of the order completions are harvested in. The
-// serving layer uses it to answer pipelined client requests in request
-// order while the window overlaps their executions.
-func (h *Hybrid) ApplyBatchResults(ops []hds.Request, window int, out []Outcome) (applied, succeeded int) {
-	if out != nil && len(out) != len(ops) {
-		panic("core: ApplyBatchResults out length does not match ops")
+// Batcher executes operations with non-blocking calls (§3.5): it keeps up
+// to window operations in flight by publishing them in rounds, one
+// mailbox entry per (round, partition), and parking once per round on a
+// countdown that the last combiner to finish completes. The serving layer
+// keeps one per connection. All of its state is reused, so steady-state
+// Apply calls perform no allocation. A Batcher belongs to one goroutine;
+// it is not safe for concurrent use.
+type Batcher struct {
+	h      *Hybrid
+	window int
+
+	// The round in flight, read by the combiners between the publish and
+	// their done: the caller's operations and outcome slots, and per
+	// partition the indices of the operations it owns, in index order.
+	ops []hds.Request
+	out []Outcome
+	idx [][]int32
+
+	// touched lists the partitions the round has an entry for; scratch
+	// receives outcomes when the caller passes no out.
+	touched []int
+	scratch []Outcome
+
+	// pending counts the round's entries not yet applied; the combiner
+	// that brings it to zero sends the one wake of the round.
+	pending atomic.Int32
+	wake    chan struct{}
+}
+
+// NewBatcher returns a Batcher whose Apply keeps up to window operations
+// in flight. window <= 1 keeps one call in flight (blocking behaviour
+// through the same path).
+func (h *Hybrid) NewBatcher(window int) *Batcher {
+	if window <= 0 {
+		window = 1
 	}
-	return h.NewBatcher(window).Apply(ops, out)
+	b := &Batcher{
+		h:       h,
+		window:  window,
+		idx:     make([][]int32, len(h.parts)),
+		touched: make([]int, 0, len(h.parts)),
+		scratch: make([]Outcome, window),
+		wake:    make(chan struct{}, 1),
+	}
+	for p := range b.idx {
+		b.idx[p] = make([]int32, 0, window)
+	}
+	return b
+}
+
+// Apply executes ops in rounds of at most window operations. Operations
+// on one key apply in index order; operations on different partitions
+// overlap. When out is non-nil it must hold len(ops) entries and out[i]
+// receives ops[i]'s Outcome. Apply returns the number of operations a
+// combiner actually applied and, of those, the number whose result was ok
+// — so legitimate misses (applied but not succeeded, e.g. a read of an
+// absent key) are distinguishable from rounds refused by a concurrent
+// Close (not applied at all). A key outside the key space panics before
+// anything of its round is published.
+func (b *Batcher) Apply(ops []hds.Request, out []Outcome) (applied, succeeded int) {
+	if out != nil && len(out) != len(ops) {
+		panic("core: Batcher.Apply out length does not match ops")
+	}
+	for lo := 0; lo < len(ops); lo += b.window {
+		hi := min(lo+b.window, len(ops))
+		res := b.scratch[:hi-lo]
+		if out != nil {
+			res = out[lo:hi]
+		}
+		if !b.round(ops[lo:hi], res) {
+			continue
+		}
+		applied += hi - lo
+		for i := range res {
+			if res[i].Result.OK {
+				succeeded++
+			}
+		}
+	}
+	return applied, succeeded
+}
+
+// round routes ops, publishes one entry per partition touched and parks
+// until every entry is applied, reporting true; after Close it marks
+// every op Rejected and reports false, with no store touched.
+func (b *Batcher) round(ops []hds.Request, out []Outcome) bool {
+	h := b.h
+	// Route the whole round before publishing any of it. The lists are
+	// reset here, not after the wake, so a panic on an invalid key leaves
+	// nothing behind for the next call.
+	for _, p := range b.touched {
+		b.idx[p] = b.idx[p][:0]
+	}
+	b.touched = b.touched[:0]
+	for i := range ops {
+		p := h.Partition(ops[i].Key)
+		if len(b.idx[p]) == 0 {
+			b.touched = append(b.touched, p)
+		}
+		b.idx[p] = append(b.idx[p], int32(i))
+	}
+	b.ops, b.out = ops, out
+	b.pending.Store(int32(len(b.touched)))
+	h.mu.RLock()
+	if h.closed {
+		h.mu.RUnlock()
+		for i := range out {
+			out[i] = Outcome{Rejected: true}
+		}
+		return false
+	}
+	for _, p := range b.touched {
+		h.parts[p].reqs <- request{grp: b}
+	}
+	h.mu.RUnlock()
+	<-b.wake
+	return true
+}
+
+// done is called by a combiner after applying its entry of the round.
+func (b *Batcher) done() {
+	if b.pending.Add(-1) == 0 {
+		b.wake <- struct{}{}
+	}
 }

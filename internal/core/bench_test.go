@@ -27,23 +27,6 @@ func BenchmarkHybridGetBlocking(b *testing.B) {
 	}
 }
 
-func BenchmarkHybridGetPipelined4(b *testing.B) {
-	h := benchMap(b, 8)
-	rng := prng.New(2)
-	b.ResetTimer()
-	futs := make([]*Future, 0, 4)
-	for i := 0; i < b.N; i++ {
-		if len(futs) == 4 {
-			futs[0].Wait()
-			futs = futs[1:]
-		}
-		futs = append(futs, h.Async(hds.Read, uint64(rng.Intn(1<<16))+1, 0))
-	}
-	for _, f := range futs {
-		f.Wait()
-	}
-}
-
 func BenchmarkHybridGetParallel(b *testing.B) {
 	h := benchMap(b, 8)
 	var seed atomic.Uint64
@@ -82,18 +65,28 @@ func TestFutureAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkHybridApplyBatch4 measures the windowed non-blocking path
-// through the shared hds.Window.
-func BenchmarkHybridApplyBatch4(b *testing.B) {
+// benchApplyBatch measures uniform reads through one Batcher at the given
+// window.
+func benchApplyBatch(b *testing.B, window int) {
 	h := benchMap(b, 8)
 	rng := prng.New(4)
 	const chunk = 256
 	ops := make([]hds.Request, chunk)
+	bt := h.NewBatcher(window)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += chunk {
 		for j := range ops {
 			ops[j] = hds.Request{Kind: hds.Read, Key: uint64(rng.Intn(1<<16)) + 1}
 		}
-		h.ApplyBatch(ops, 4)
+		bt.Apply(ops, nil)
 	}
 }
+
+// BenchmarkHybridApplyBatch4 measures the non-blocking batch path at the
+// paper's window of 4 calls in flight.
+func BenchmarkHybridApplyBatch4(b *testing.B) { benchApplyBatch(b, 4) }
+
+// BenchmarkHybridApplyBatch16 is the in-package twin of the benchmark's
+// core.batch16_ns_per_op rung: the serve loop's default 16-op window.
+func BenchmarkHybridApplyBatch16(b *testing.B) { benchApplyBatch(b, 16) }

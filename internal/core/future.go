@@ -14,14 +14,12 @@ const (
 	futDone
 )
 
-// Future is a non-blocking call handle (§3.5's operation ID): Wait blocks
+// future is one blocking call's completion handle (§3.2): wait blocks
 // until the combiner has applied the operation and returns its results.
 //
-// Futures are pooled: the call that observes completion (Wait, or the
-// TryWait that returns done=true) consumes the handle and recycles it, so
-// the request hot path performs no per-operation allocation. A consumed
-// Future must not be touched again.
-type Future struct {
+// Futures are pooled: wait consumes the handle and recycles it, so the
+// blocking hot path performs no per-operation allocation.
+type future struct {
 	value uint64
 	ok    bool
 	state atomic.Uint32
@@ -29,23 +27,27 @@ type Future struct {
 	// operations; it holds at most one permit (sent only on the
 	// parked -> done transition).
 	wake chan struct{}
+	// snap, when set, makes the mailbox entry a barrier: the combiner
+	// takes it and runs it on the partition's store in request order
+	// instead of applying an operation.
+	snap func(s Store)
 }
 
-// futPool recycles Futures across operations. Instances leave the pool in
-// the pending state with an empty wake channel.
+// futPool recycles futures across operations. Instances leave the pool in
+// the pending state with an empty wake channel and no barrier closure.
 var futPool = sync.Pool{New: func() any {
-	return &Future{wake: make(chan struct{}, 1)}
+	return &future{wake: make(chan struct{}, 1)}
 }}
 
 // newFuture draws a pending future from the pool.
-func newFuture() *Future {
-	return futPool.Get().(*Future)
+func newFuture() *future {
+	return futPool.Get().(*future)
 }
 
 // complete publishes the operation's results and wakes a parked waiter.
 // Called exactly once, by the owning combiner (or by the publisher itself
 // for a rejected late publish).
-func (f *Future) complete(value uint64, ok bool) {
+func (f *future) complete(value uint64, ok bool) {
 	f.value = value
 	f.ok = ok
 	if f.state.Swap(futDone) == futParked {
@@ -53,54 +55,15 @@ func (f *Future) complete(value uint64, ok bool) {
 	}
 }
 
-// release returns a consumed future to the pool.
-func (f *Future) release() {
-	f.state.Store(futPending)
-	futPool.Put(f)
-}
-
-// Wait blocks until completion, consumes the future, and returns the read
+// wait blocks until completion, consumes the future, and returns the read
 // value (Get) and the operation's success flag. At most one goroutine may
 // wait on a future.
-func (f *Future) Wait() (uint64, bool) {
-	for {
-		switch f.state.Load() {
-		case futDone:
-			value, ok := f.value, f.ok
-			f.release()
-			return value, ok
-		default:
-			if f.state.CompareAndSwap(futPending, futParked) {
-				<-f.wake
-				value, ok := f.value, f.ok
-				f.release()
-				return value, ok
-			}
-		}
+func (f *future) wait() (uint64, bool) {
+	if f.state.Load() != futDone && f.state.CompareAndSwap(futPending, futParked) {
+		<-f.wake
 	}
-}
-
-// TryWait reports completion without blocking, matching the paper's
-// "separate function that takes the operation ID ... to check on the
-// operation's status". When done it consumes the future and returns the
-// results; until then the future stays live and TryWait may be called
-// again.
-func (f *Future) TryWait() (value uint64, ok, done bool) {
-	if f.state.Load() != futDone {
-		return 0, false, false
-	}
-	value, ok = f.value, f.ok
-	f.release()
-	return value, ok, true
-}
-
-// peek reports completion without consuming the future (the windowed
-// batch path separates the done poll from the response read).
-func (f *Future) peek() bool { return f.state.Load() == futDone }
-
-// take reads a completed future's results and consumes it.
-func (f *Future) take() (uint64, bool) {
 	value, ok := f.value, f.ok
-	f.release()
+	f.state.Store(futPending)
+	futPool.Put(f)
 	return value, ok
 }

@@ -5,9 +5,10 @@
 // cores. Requests are published to a partition's mailbox (the publication
 // list), the combiner drains the mailbox in batches and applies requests
 // against its single-threaded store (flat combining), and callers either
-// wait (blocking NMP calls, §3.2) or hold multiple calls in flight
-// (non-blocking NMP calls, §3.5) through pooled Futures and the shared
-// internal/hds window.
+// wait on one call (blocking NMP calls, §3.2, through pooled futures) or
+// hold a window of calls in flight (non-blocking NMP calls, §3.5) through
+// a Batcher, which publishes one mailbox entry per (round, partition) and
+// parks once per round on a single countdown.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
@@ -64,9 +65,10 @@ type Config struct {
 	// KeyMax bounds the key space; keys are 1..KeyMax-1 and partitions
 	// own equal ranges.
 	KeyMax uint64
-	// MailboxDepth is each partition's request queue capacity — the
-	// aggregate in-flight budget across callers — and the cap on one
-	// combine round's batch.
+	// MailboxDepth is each partition's mailbox capacity in entries — a
+	// blocking call or barrier is one entry, a Batcher round is one entry
+	// per partition it touches — and the cap on the entries one combine
+	// round drains.
 	MailboxDepth int
 	// NewStore builds each partition's store; nil defaults to cds.NewBTree.
 	NewStore func(partition int) Store
@@ -87,12 +89,14 @@ type KV struct {
 	Value uint64
 }
 
-// request is one mailbox entry: an hds request plus its completion
-// handle, or an in-order barrier closure (Len, Dump).
+// request is one mailbox entry, in one of three shapes: a blocking call
+// (req and its completion handle fut), an in-order barrier (fut alone,
+// carrying the closure in fut.snap), or one Batcher round's operations
+// for this partition (grp alone).
 type request struct {
-	req  hds.Request
-	fut  *Future
-	snap func(s Store)
+	req hds.Request
+	fut *future
+	grp *Batcher
 }
 
 // Hybrid is a concurrent ordered map with partition-per-combiner
@@ -114,6 +118,7 @@ type Hybrid struct {
 // its per-partition instruments (touched only by the combiner after
 // start; see Config.Metrics).
 type partition struct {
+	id    int
 	store Store
 	reqs  chan request
 
@@ -148,6 +153,7 @@ func New(cfg Config) *Hybrid {
 	}
 	for p := 0; p < cfg.Partitions; p++ {
 		part := &partition{
+			id:       p,
 			store:    cfg.NewStore(p),
 			reqs:     make(chan request, cfg.MailboxDepth),
 			cOps:     reg.Counter(fmt.Sprintf("core/p%d/ops", p)),
@@ -169,32 +175,24 @@ func New(cfg Config) *Hybrid {
 // it only at quiescence (see Config.Metrics).
 func (h *Hybrid) Metrics() *metrics.Registry { return h.reg }
 
-// apply executes one request against the partition's store and completes
-// its future.
-func (p *partition) apply(r request) {
-	if r.snap != nil {
-		r.snap(p.store)
-		r.fut.complete(0, true)
-		return
-	}
-	var value uint64
-	var ok bool
-	switch r.req.Kind {
+// exec executes one operation against the partition's store.
+func (p *partition) exec(req hds.Request) (value uint64, ok bool) {
+	switch req.Kind {
 	case hds.Read:
-		value, ok = p.store.Get(r.req.Key)
+		value, ok = p.store.Get(req.Key)
 	case hds.Insert:
-		ok = p.store.Put(r.req.Key, r.req.Value)
+		ok = p.store.Put(req.Key, req.Value)
 	case hds.Update:
-		ok = p.store.Update(r.req.Key, r.req.Value)
+		ok = p.store.Update(req.Key, req.Value)
 	case hds.Remove:
-		ok = p.store.Delete(r.req.Key)
+		ok = p.store.Delete(req.Key)
 	case hds.Scan:
 		// Per-partition range read: count pairs with key >= Key, at most
 		// Value of them. Cross-partition scans that need the pairs
 		// themselves go through Hybrid.Scan instead.
 		var n uint64
-		p.store.Ascend(r.req.Key, func(uint64, uint64) bool {
-			if n >= r.req.Value {
+		p.store.Ascend(req.Key, func(uint64, uint64) bool {
+			if n >= req.Value {
 				return false
 			}
 			n++
@@ -202,16 +200,40 @@ func (p *partition) apply(r request) {
 		})
 		value, ok = n, true
 	}
-	r.fut.complete(value, ok)
+	return value, ok
+}
+
+// apply runs one mailbox entry and completes it, counting its operations
+// in cOps first.
+func (p *partition) apply(r request) {
+	if b := r.grp; b != nil {
+		idx, ops, out := b.idx[p.id], b.ops, b.out
+		p.cOps.Add(uint64(len(idx)))
+		for _, i := range idx {
+			value, ok := p.exec(ops[i])
+			out[i] = Outcome{Result: hds.Result{Value: value, OK: ok}}
+		}
+		b.done()
+		return
+	}
+	if fn := r.fut.snap; fn != nil {
+		r.fut.snap = nil
+		fn(p.store)
+		r.fut.complete(0, true)
+		return
+	}
+	p.cOps.Inc()
+	r.fut.complete(p.exec(r.req))
 }
 
 // combine is the partition's combiner loop: the software NMP core. Each
-// round blocks for one request, drains whatever else the mailbox holds
-// (up to MailboxDepth) into a local batch — the native analogue of a
+// round blocks for one entry, drains whatever else the mailbox holds (up
+// to MailboxDepth entries) into a local batch — the native analogue of a
 // flat-combining scan over the publication list — and then applies the
-// batch. Instruments are recorded before any future in the round
-// completes, so a caller that has consumed every published future can
-// snapshot the registry without racing the combiner.
+// batch in mailbox order. Every instrument write that covers an entry
+// happens before that entry completes, so a caller that has consumed
+// everything it published can snapshot the registry without racing the
+// combiner.
 func (h *Hybrid) combine(p *partition) {
 	defer h.wg.Done()
 	batch := make([]request, 0, h.cfg.MailboxDepth)
@@ -236,14 +258,15 @@ func (h *Hybrid) combine(p *partition) {
 				break drain
 			}
 		}
-		p.hBatch.Observe(uint64(len(batch)))
-		ops := uint64(0)
+		n := 0
 		for _, r := range batch {
-			if r.snap == nil {
-				ops++
+			if r.grp != nil {
+				n += len(r.grp.idx[p.id])
+			} else {
+				n++
 			}
 		}
-		p.cOps.Add(ops)
+		p.hBatch.Observe(uint64(n))
 		for _, r := range batch {
 			p.apply(r)
 		}
@@ -253,27 +276,12 @@ func (h *Hybrid) combine(p *partition) {
 	}
 }
 
-// publish sends r to partition part's mailbox and reports true, or — after
-// Close — completes the future as a deterministic rejection (ok=false)
-// without touching any store and reports false, so callers can tell a
-// rejected publish apart from an applied operation that failed.
-func (h *Hybrid) publish(part int, r request) bool {
-	h.mu.RLock()
-	if h.closed {
-		h.mu.RUnlock()
-		r.fut.complete(0, false)
-		return false
-	}
-	h.parts[part].reqs <- r
-	h.mu.RUnlock()
-	return true
-}
-
-// Close drains every mailbox and shuts the combiners down: requests
-// published before Close are fully applied and their futures completed;
-// publishes that happen after Close return futures already rejected with
-// ok=false. Close is idempotent, and read-only accessors (Len, Dump)
-// keep working on the quiescent stores afterwards.
+// Close drains every mailbox and shuts the combiners down: entries
+// published before Close are fully applied and completed; a publish that
+// happens after Close is refused without touching a store (a blocking
+// call returns ok=false, a Batcher round marks every op Rejected). Close
+// is idempotent, and read-only accessors (Len, Dump, Scan) keep working on
+// the quiescent stores afterwards.
 func (h *Hybrid) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -310,65 +318,77 @@ func (h *Hybrid) Partitions() int { return len(h.parts) }
 // 1..KeyMax-1 (key 0 is the -inf sentinel).
 func (h *Hybrid) KeyMax() uint64 { return h.cfg.KeyMax }
 
-// Async publishes an operation and returns its Future immediately (a
-// non-blocking NMP call). Callers pipeline by holding several futures;
-// the future must be consumed exactly once via Wait or a successful
-// TryWait.
-func (h *Hybrid) Async(kind hds.Kind, key, value uint64) *Future {
-	return h.AsyncReq(hds.Request{Kind: kind, Key: key, Value: value})
-}
-
-// AsyncReq is Async over an assembled hds.Request.
-func (h *Hybrid) AsyncReq(req hds.Request) *Future {
+// async publishes req to its partition's mailbox and returns the call's
+// future, or — after Close — a future already completed as a rejection
+// (ok=false) with no store touched.
+func (h *Hybrid) async(req hds.Request) *future {
+	part := h.Partition(req.Key)
 	fut := newFuture()
-	h.publish(h.Partition(req.Key), request{req: req, fut: fut})
+	h.mu.RLock()
+	if h.closed {
+		h.mu.RUnlock()
+		fut.complete(0, false)
+		return fut
+	}
+	h.parts[part].reqs <- request{req: req, fut: fut}
+	h.mu.RUnlock()
 	return fut
 }
 
 // Apply executes one request as a blocking NMP call (§3.2) and returns
 // its result.
 func (h *Hybrid) Apply(req hds.Request) hds.Result {
-	value, ok := h.AsyncReq(req).Wait()
+	value, ok := h.async(req).wait()
 	return hds.Result{Value: value, OK: ok}
 }
 
 // Get returns the value stored under key (blocking call).
 func (h *Hybrid) Get(key uint64) (uint64, bool) {
-	return h.Async(hds.Read, key, 0).Wait()
+	r := h.Apply(hds.Request{Kind: hds.Read, Key: key})
+	return r.Value, r.OK
 }
 
 // Put inserts key -> value, returning false if the key exists.
 func (h *Hybrid) Put(key, value uint64) bool {
-	_, ok := h.Async(hds.Insert, key, value).Wait()
-	return ok
+	return h.Apply(hds.Request{Kind: hds.Insert, Key: key, Value: value}).OK
 }
 
 // Update overwrites an existing key's value, returning false if absent.
 func (h *Hybrid) Update(key, value uint64) bool {
-	_, ok := h.Async(hds.Update, key, value).Wait()
-	return ok
+	return h.Apply(hds.Request{Kind: hds.Update, Key: key, Value: value}).OK
 }
 
 // Delete removes key, returning false if absent.
 func (h *Hybrid) Delete(key uint64) bool {
-	_, ok := h.Async(hds.Remove, key, 0).Wait()
-	return ok
+	return h.Apply(hds.Request{Kind: hds.Remove, Key: key}).OK
 }
 
-// barrier runs fn on partition p's store in request order (after every
-// operation published before it) and waits for it. After Close it runs
-// fn directly on the quiescent store.
-func (h *Hybrid) barrier(p int, fn func(s Store)) {
+// barrier runs fn on partition p's store on the combiner, in request
+// order (after every entry published before it), waits for it and reports
+// true. After Close it reports false without running fn: closed-ness is
+// decided under the same lock as the publish, so a Close can never slip
+// between the check and the send.
+func (h *Hybrid) barrier(p int, fn func(s Store)) bool {
 	h.mu.RLock()
 	if h.closed {
-		defer h.mu.RUnlock()
-		fn(h.parts[p].store)
-		return
+		h.mu.RUnlock()
+		return false
 	}
 	fut := newFuture()
-	h.parts[p].reqs <- request{fut: fut, snap: fn}
+	fut.snap = fn
+	h.parts[p].reqs <- request{fut: fut}
 	h.mu.RUnlock()
-	fut.Wait()
+	fut.wait()
+	return true
+}
+
+// read is barrier for read-only closures: after Close it runs fn directly
+// on the store, once the combiners have drained and exited.
+func (h *Hybrid) read(p int, fn func(s Store)) {
+	if !h.barrier(p, fn) {
+		h.wg.Wait()
+		fn(h.parts[p].store)
+	}
 }
 
 // Rebalance swaps every partition's store for a fresh one built by
@@ -381,15 +401,14 @@ func (h *Hybrid) barrier(p int, fn func(s Store)) {
 // atomically, exactly like Dump's visibility. Structural instruments of
 // the new store re-register under the partition's existing metric names
 // (registration is idempotent), so counters stay monotone across the
-// swap. Rebalance fails after Close.
+// swap. Rebalance fails after Close, and a Close that lands mid-way
+// fails it at the first partition not yet migrated (the ones before it
+// stay migrated); it never swaps a store behind a closed map.
 func (h *Hybrid) Rebalance(factory func(partition int) Store) error {
-	if h.Closed() {
-		return fmt.Errorf("core: rebalance after Close")
-	}
 	for p := range h.parts {
 		part := h.parts[p]
 		next := factory(p)
-		h.barrier(p, func(old Store) {
+		live := h.barrier(p, func(old Store) {
 			old.Ascend(0, func(k, v uint64) bool {
 				next.Put(k, v)
 				return true
@@ -399,6 +418,9 @@ func (h *Hybrid) Rebalance(factory func(partition int) Store) error {
 				ins.Instrument(h.reg, fmt.Sprintf("core/p%d/store", p))
 			}
 		})
+		if !live {
+			return fmt.Errorf("core: rebalance after Close")
+		}
 	}
 	return nil
 }
@@ -409,7 +431,7 @@ func (h *Hybrid) Rebalance(factory func(partition int) Store) error {
 func (h *Hybrid) Len() int {
 	total := 0
 	for p := range h.parts {
-		h.barrier(p, func(s Store) { total += s.Len() })
+		h.read(p, func(s Store) { total += s.Len() })
 	}
 	return total
 }
@@ -421,7 +443,7 @@ func (h *Hybrid) Len() int {
 func (h *Hybrid) Dump() []KV {
 	var out []KV
 	for p := range h.parts {
-		h.barrier(p, func(s Store) {
+		h.read(p, func(s Store) {
 			s.Ascend(0, func(k, v uint64) bool {
 				out = append(out, KV{Key: k, Value: v})
 				return true
@@ -455,7 +477,7 @@ func (h *Hybrid) ScanAppend(dst []KV, from uint64, limit int) []KV {
 		if hi := uint64(p+1) * h.span; from >= hi {
 			continue // partition's whole key range lies below from
 		}
-		h.barrier(p, func(s Store) {
+		h.read(p, func(s Store) {
 			s.Ascend(from, func(k, v uint64) bool {
 				if len(dst)-base >= limit {
 					return false

@@ -117,44 +117,20 @@ func TestHybridConcurrentContended(t *testing.T) {
 }
 
 func TestHybridNonBlockingPipeline(t *testing.T) {
-	// The §3.5 pattern: keep a window of futures in flight.
+	// The §3.5 pattern: keep a window of calls in flight.
 	h := newTest(8)
 	defer h.Close()
 	const total = 5000
 	const window = 4
-	futs := make([]*Future, 0, window)
-	issued, completed := 0, 0
-	for completed < total {
-		if issued < total && len(futs) < window {
-			futs = append(futs, h.Async(hds.Insert, uint64(issued)+1, uint64(issued)))
-			issued++
-			continue
-		}
-		if _, ok := futs[0].Wait(); !ok {
-			t.Fatal("pipelined Put failed")
-		}
-		futs = futs[1:]
-		completed++
+	ops := make([]hds.Request, total)
+	for i := range ops {
+		ops[i] = hds.Request{Kind: hds.Insert, Key: uint64(i) + 1, Value: uint64(i)}
+	}
+	if applied, succeeded := h.NewBatcher(window).Apply(ops, nil); applied != total || succeeded != total {
+		t.Fatalf("pipelined Puts applied/succeeded = %d/%d, want %d/%d", applied, succeeded, total, total)
 	}
 	if h.Len() != total {
 		t.Fatalf("Len = %d", h.Len())
-	}
-}
-
-func TestHybridTryWait(t *testing.T) {
-	h := newTest(2)
-	defer h.Close()
-	fut := h.Async(hds.Insert, 5, 50)
-	for {
-		if _, ok, done := fut.TryWait(); done {
-			if !ok {
-				t.Fatal("Put failed")
-			}
-			break
-		}
-	}
-	if v, ok := h.Get(5); !ok || v != 50 {
-		t.Fatal("value missing after TryWait completion")
 	}
 }
 

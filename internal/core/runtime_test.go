@@ -15,13 +15,13 @@ import (
 func TestHybridCloseDrainsPublished(t *testing.T) {
 	h := New(Config{Partitions: 4, KeyMax: 1 << 20, MailboxDepth: 128})
 	const n = 500
-	futs := make([]*Future, 0, n)
+	futs := make([]*future, 0, n)
 	for i := uint64(1); i <= n; i++ {
-		futs = append(futs, h.Async(hds.Insert, i, i*2))
+		futs = append(futs, h.async(hds.Request{Kind: hds.Insert, Key: i, Value: i * 2}))
 	}
 	h.Close()
 	for i, f := range futs {
-		if _, ok := f.Wait(); !ok {
+		if _, ok := f.wait(); !ok {
 			t.Fatalf("pre-Close insert %d rejected", i+1)
 		}
 	}
@@ -43,13 +43,15 @@ func TestHybridLatePublishRejected(t *testing.T) {
 	h := New(Config{Partitions: 2, KeyMax: 1 << 16})
 	h.Put(7, 70)
 	h.Close()
-	if _, ok := h.Async(hds.Insert, 9, 90).Wait(); ok {
+	if _, ok := h.async(hds.Request{Kind: hds.Insert, Key: 9, Value: 90}).wait(); ok {
 		t.Fatal("late Insert succeeded")
 	}
 	if ok := h.Put(10, 100); ok {
 		t.Fatal("late Put succeeded")
 	}
-	if v, ok, done := h.Async(hds.Read, 7, 0).TryWait(); !done || ok || v != 0 {
+	f := h.async(hds.Request{Kind: hds.Read, Key: 7})
+	done := f.state.Load() == futDone
+	if v, ok := f.wait(); !done || ok || v != 0 {
 		t.Fatalf("late Read = (%d,%v,%v), want immediate rejection", v, ok, done)
 	}
 	if !h.Closed() {
@@ -64,8 +66,8 @@ func TestHybridLatePublishRejected(t *testing.T) {
 	}
 }
 
-// TestHybridApplyBatchWindow drives the shared hds.Window through the
-// native ports: all operations complete, results are exact.
+// TestHybridApplyBatchWindow drives batches at several window sizes: all
+// operations complete, results are exact.
 func TestHybridApplyBatchWindow(t *testing.T) {
 	for _, window := range []int{1, 4, 16} {
 		h := New(Config{Partitions: 4, KeyMax: 1 << 20, MailboxDepth: 64})
@@ -78,11 +80,11 @@ func TestHybridApplyBatchWindow(t *testing.T) {
 		for i := uint64(1); i <= n; i++ {
 			ops = append(ops, hds.Request{Kind: hds.Read, Key: i})
 		}
-		if applied, succeeded := h.ApplyBatch(ops, window); applied != 2*n || succeeded != 2*n {
+		if applied, succeeded := h.NewBatcher(window).Apply(ops, nil); applied != 2*n || succeeded != 2*n {
 			t.Fatalf("window %d: applied/succeeded = %d/%d, want %d/%d", window, applied, succeeded, 2*n, 2*n)
 		}
 		misses := []hds.Request{{Kind: hds.Read, Key: n + 1}, {Kind: hds.Remove, Key: n + 2}}
-		if applied, succeeded := h.ApplyBatch(misses, window); applied != 2 || succeeded != 0 {
+		if applied, succeeded := h.NewBatcher(window).Apply(misses, nil); applied != 2 || succeeded != 0 {
 			t.Fatalf("window %d: misses applied/succeeded = %d/%d, want 2/0", window, applied, succeeded)
 		}
 		if got := h.Len(); got != n {
@@ -93,7 +95,7 @@ func TestHybridApplyBatchWindow(t *testing.T) {
 }
 
 // TestHybridApplyBatchConcurrent runs batch callers on several goroutines
-// over disjoint key ranges: per-call ports must never interfere.
+// over disjoint key ranges: per-caller Batchers must never interfere.
 func TestHybridApplyBatchConcurrent(t *testing.T) {
 	h := New(Config{Partitions: 8, KeyMax: 1 << 20, MailboxDepth: 64})
 	defer h.Close()
@@ -109,7 +111,7 @@ func TestHybridApplyBatchConcurrent(t *testing.T) {
 			for i := range ops {
 				ops[i] = hds.Request{Kind: hds.Insert, Key: base + uint64(i), Value: base}
 			}
-			if _, succeeded := h.ApplyBatch(ops, 4); succeeded != perThread {
+			if _, succeeded := h.NewBatcher(4).Apply(ops, nil); succeeded != perThread {
 				t.Errorf("thread %d: succeeded = %d, want %d", th, succeeded, perThread)
 			}
 		}(th)
@@ -167,7 +169,7 @@ func TestHybridMetrics(t *testing.T) {
 	for i := uint64(1); i <= n; i++ {
 		ops = append(ops, hds.Request{Kind: hds.Read, Key: i})
 	}
-	h.ApplyBatch(ops, 8)
+	h.NewBatcher(8).Apply(ops, nil)
 	h.Close()
 	snap := reg.Snapshot()
 	var opsApplied, rounds, batchSum, leafSplits uint64
@@ -209,7 +211,7 @@ func TestHybridApplyBatchAccounting(t *testing.T) {
 		ops = append(ops, hds.Request{Kind: hds.Read, Key: 1<<19 + i})
 	}
 	out := make([]Outcome, len(ops))
-	applied, succeeded := h.ApplyBatchResults(ops, 8, out)
+	applied, succeeded := h.NewBatcher(8).Apply(ops, out)
 	if applied != len(ops) {
 		t.Errorf("applied = %d, want %d (misses are still applied)", applied, len(ops))
 	}
@@ -234,7 +236,7 @@ func TestHybridApplyBatchAccounting(t *testing.T) {
 	h.Close()
 	late := []hds.Request{{Kind: hds.Read, Key: 1}, {Kind: hds.Insert, Key: 99, Value: 1}}
 	lateOut := make([]Outcome, len(late))
-	applied, succeeded = h.ApplyBatchResults(late, 4, lateOut)
+	applied, succeeded = h.NewBatcher(4).Apply(late, lateOut)
 	if applied != 0 || succeeded != 0 {
 		t.Errorf("post-Close applied/succeeded = %d/%d, want 0/0", applied, succeeded)
 	}

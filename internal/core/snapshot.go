@@ -18,15 +18,17 @@ type PartitionStats struct {
 	Ops uint64 `json:"ops"`
 	// Built counts pairs loaded by Build (bypassing the mailbox).
 	Built uint64 `json:"built"`
-	// Batches counts combine rounds; BatchOps sums their sizes, so mean
-	// combine batch = BatchOps/Batches.
+	// Batches counts combine rounds; BatchOps sums the operations and
+	// barriers they applied, so mean combine batch = BatchOps/Batches.
 	Batches uint64 `json:"batches"`
-	// BatchOps sums combine-round batch sizes.
+	// BatchOps sums the operations and barriers of every combine round.
 	BatchOps uint64 `json:"batch_ops"`
-	// MailboxSum sums observed mailbox depths at combine-round starts
-	// (mean depth = MailboxSum/Batches); the saturation signal.
+	// MailboxSum sums observed mailbox depths, in entries, at
+	// combine-round starts (mean depth = MailboxSum/Batches); the
+	// saturation signal.
 	MailboxSum uint64 `json:"mailbox_sum"`
-	// QueueLen is the mailbox's queued request count at the snapshot.
+	// QueueLen is the mailbox's queued entry count at the snapshot (a
+	// Batcher round is one entry per partition, whatever it carries).
 	QueueLen int `json:"queue_len"`
 	// StoreLen is the partition store's pair count.
 	StoreLen int `json:"store_len"`
@@ -45,7 +47,7 @@ func (h *Hybrid) PartitionStats(p int) PartitionStats {
 	part := h.parts[p]
 	storePrefix := fmt.Sprintf("core/p%d/store/", p)
 	var out PartitionStats
-	h.barrier(p, func(s Store) {
+	h.read(p, func(s Store) {
 		out = PartitionStats{
 			Partition:  p,
 			Ops:        part.cOps.Value(),
@@ -83,7 +85,7 @@ func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 	var hists []metrics.HistSnapshot
 	for p := range h.parts {
 		prefix := fmt.Sprintf("core/p%d/", p)
-		h.barrier(p, func(Store) {
+		h.read(p, func(Store) {
 			for _, name := range names {
 				if !strings.HasPrefix(name, prefix) || h.reg.IsHistComponent(name) {
 					continue

@@ -70,8 +70,8 @@ func FindNative(id string) (Experiment, bool) {
 }
 
 // nativeVariant names one evaluated call discipline: blocking issues one
-// Apply per op (§3.2); batch pipelines through core.ApplyBatch and the
-// shared hds window (§3.5) at the variant's window size, whatever it is —
+// Apply per op (§3.2); batch pipelines through a core.Batcher (§3.5) at
+// the variant's window size, whatever it is —
 // the discipline is selected by the flag, never inferred from the window
 // value.
 type nativeVariant struct {
@@ -107,12 +107,12 @@ func nativeRequests(ops []kv.Op) []hds.Request {
 }
 
 // runNativeOps executes one thread's slice under the variant's call
-// discipline: the batch flag routes through ApplyBatch even at window 1,
+// discipline: the batch flag routes through a Batcher even at window 1,
 // so a nonblocking variant can never silently fall back to the blocking
 // path.
 func runNativeOps(h *core.Hybrid, v nativeVariant, ops []hds.Request) {
 	if v.batch {
-		h.ApplyBatch(ops, v.window)
+		h.NewBatcher(v.window).Apply(ops, nil)
 		return
 	}
 	for _, op := range ops {

@@ -60,7 +60,7 @@ func TestServePathAllocs(t *testing.T) {
 		}
 	}
 	// Warm every pool and scratch buffer on both sides (future pools,
-	// batcher tags, coalescing slices, arena, client scratch).
+	// batcher index lists, coalescing slices, arena, client scratch).
 	for i := 0; i < 64; i++ {
 		round()
 	}

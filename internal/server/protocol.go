@@ -4,7 +4,7 @@
 // (GET/PUT/UPDATE/DELETE/SCAN), plus a STATS introspection request.
 //
 // Each connection is served by a reader goroutine — which coalesces
-// pipelined client requests into core.ApplyBatch windows, the paper's
+// pipelined client requests into core.Batcher windows, the paper's
 // §3.5 non-blocking admission primitive — and a writer goroutine that
 // streams responses back in request order under a slow-client write
 // deadline. Backpressure is explicit at every level: the per-connection

@@ -22,7 +22,7 @@ type Config struct {
 	// structure they are measuring. Empty omits the line.
 	Store string
 	// Window is the maximum number of pipelined scalar requests one
-	// connection coalesces into a single core.ApplyBatchResults call (the
+	// connection coalesces into a single core.Batcher.Apply call (the
 	// §3.5 non-blocking window). Defaults to 16.
 	Window int
 	// Inflight is the per-connection in-flight budget: the number of

@@ -19,7 +19,7 @@ import (
 // (b) converge to identical final contents on the native runtime and the
 // cycle-level simulator for the same operation streams under every call
 // discipline — the registry's semantic contract — and (c) keep its native
-// Get path within the core.Future allocation discipline. A new engine
+// Get path within the core blocking-call allocation discipline. A new engine
 // passes this suite by being registered; nothing here names a structure.
 
 const (
@@ -134,7 +134,7 @@ func nativeDump(t *testing.T, e Engine, window int) []core.KV {
 		go func() {
 			defer wg.Done()
 			if window > 1 {
-				h.ApplyBatch(ops, window)
+				h.NewBatcher(window).Apply(ops, nil)
 				return
 			}
 			for _, req := range ops {
@@ -385,7 +385,7 @@ func TestEngineMigrationUnderLoad(t *testing.T) {
 }
 
 // TestEngineGetAllocs bounds every engine's native Get-path allocations at
-// one per operation, matching the core runtime's one-Future-per-call
+// one per operation, matching the core runtime's one-future-per-call
 // discipline (the B-skiplist's fat-node descent allocates nothing).
 func TestEngineGetAllocs(t *testing.T) {
 	for _, e := range Engines() {
