@@ -15,7 +15,7 @@
 //     goroutines standing in for NMP cores;
 //   - internal/ycsb: YCSB-compatible workload generation;
 //   - internal/exp: one reproducible experiment per paper table/figure,
-//     driven by cmd/hybrids and the root bench_test.go.
+//     driven by cmd/hybrids.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

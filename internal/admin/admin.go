@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -28,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/core"
 	"hybrids/internal/metrics"
 	"hybrids/internal/server"
@@ -42,18 +42,9 @@ type Config struct {
 	// Hybrid is the partition runtime under the server (required):
 	// per-partition metrics and snapshots.
 	Hybrid *core.Hybrid
-	// Boundary is the live host/NMP boundary manager (optional): it backs
-	// GET/POST /boundary and contributes the boundary/* metric family to
-	// the merged export. When nil the boundary endpoints answer 404.
-	Boundary *boundary.Manager
-	// Rebalance applies a boundary change to the running store (required
-	// for POST /boundary): it validates levels against the engine,
-	// migrates the partition stores and publishes the new plan.
-	Rebalance func(levels int) error
-	// Token, when set, is the bearer token every mutating endpoint (POST
-	// /config, POST /boundary) requires via "Authorization: Bearer
-	// <token>". Empty leaves the plane unauthenticated — acceptable only
-	// on localhost binds.
+	// Token, when set, is the bearer token the mutating endpoint (POST
+	// /config) requires via "Authorization: Bearer <token>". Empty leaves
+	// the plane unauthenticated — acceptable only on localhost binds.
 	Token string
 	// Static carries immutable startup facts (store engine, partitions,
 	// data-plane address, ...) echoed by GET /config so an operator sees
@@ -76,13 +67,11 @@ type Server struct {
 // New builds the management plane over cfg.
 func New(cfg Config) *Server {
 	a := &Server{cfg: cfg, mux: http.NewServeMux()}
-	a.mux.HandleFunc("GET /", a.handleIndex)
+	a.mux.HandleFunc("GET /{$}", a.handleIndex)
 	a.mux.HandleFunc("GET /metrics", a.handleProm)
 	a.mux.HandleFunc("GET /metrics.json", a.handleMetricsJSON)
 	a.mux.HandleFunc("GET /config", a.handleConfigGet)
 	a.mux.HandleFunc("POST /config", a.auth(a.handleConfigPost))
-	a.mux.HandleFunc("GET /boundary", a.handleBoundaryGet)
-	a.mux.HandleFunc("POST /boundary", a.auth(a.handleBoundaryPost))
 	a.mux.HandleFunc("GET /conns", a.handleConns)
 	a.mux.HandleFunc("GET /partitions", a.handlePartitions)
 	return a
@@ -157,9 +146,8 @@ func (a *Server) Close() error {
 	return srv.Close()
 }
 
-// export merges the server-plane, core-plane and boundary metric exports
-// into one namespace: every counter and histogram a hybridsd registry
-// carries.
+// export merges the server-plane and core-plane metric exports into one
+// namespace: every counter and histogram a hybridsd registry carries.
 func (a *Server) export() (metrics.Snapshot, []metrics.HistSnapshot) {
 	counters, hists := a.cfg.Server.ExportMetrics()
 	coreCounters, coreHists := a.cfg.Hybrid.ExportMetrics()
@@ -167,31 +155,18 @@ func (a *Server) export() (metrics.Snapshot, []metrics.HistSnapshot) {
 		counters[name] = v
 	}
 	hists = append(hists, coreHists...)
-	if a.cfg.Boundary != nil {
-		bCounters, bHists := a.cfg.Boundary.Export()
-		for name, v := range bCounters {
-			counters[name] = v
-		}
-		hists = append(hists, bHists...)
-	}
 	sort.Slice(hists, func(i, j int) bool { return hists[i].Name < hists[j].Name })
 	return counters, hists
 }
 
 // handleIndex lists the plane's endpoints.
-func (a *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
+func (a *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "hybridsd management plane (docs/ADMIN.md)\n\n"+
 		"GET  /metrics       Prometheus text exposition\n"+
 		"GET  /metrics.json  full registry as JSON\n"+
 		"GET  /config        live + static configuration\n"+
 		"POST /config        live reconfiguration (partial JSON)\n"+
-		"GET  /boundary      live host/NMP boundary plan\n"+
-		"POST /boundary      migrate the boundary without restart\n"+
 		"GET  /conns         per-connection introspection\n"+
 		"GET  /partitions    per-partition introspection\n")
 }
@@ -311,6 +286,10 @@ func (a *Server) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "config: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		http.Error(w, "config: trailing data after the JSON value", http.StatusBadRequest)
+		return
+	}
 	t := a.cfg.Server.Tunables()
 	if req.Window != nil {
 		t.Window = *req.Window
@@ -344,74 +323,6 @@ func (a *Server) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, a.configResponse())
-}
-
-// boundaryDoc is the GET /boundary and POST /boundary response body.
-type boundaryDoc struct {
-	// Policy is the boundary policy name ("static", "adaptive").
-	Policy string `json:"policy"`
-	// Epoch counts boundary publications (0 = the startup plan).
-	Epoch uint64 `json:"epoch"`
-	// Migrations counts publications that moved a split.
-	Migrations uint64 `json:"migrations"`
-	// Splits maps engine name to its live host/NMP split.
-	Splits map[string]boundary.Split `json:"splits"`
-}
-
-// boundaryResponse renders the live boundary plan.
-func (a *Server) boundaryResponse() boundaryDoc {
-	plan := a.cfg.Boundary.Plan()
-	return boundaryDoc{
-		Policy:     a.cfg.Boundary.Policy().Name(),
-		Epoch:      plan.Epoch,
-		Migrations: a.cfg.Boundary.Migrations(),
-		Splits:     plan.Splits,
-	}
-}
-
-// handleBoundaryGet serves the live boundary plan.
-func (a *Server) handleBoundaryGet(w http.ResponseWriter, _ *http.Request) {
-	if a.cfg.Boundary == nil {
-		http.Error(w, "boundary: not enabled", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, a.boundaryResponse())
-}
-
-// boundaryPostDoc is the POST /boundary request body.
-type boundaryPostDoc struct {
-	// Levels is the requested total level count for the serving engine;
-	// the engine's NMP floor stays pinned, so raising levels grows the
-	// host portion.
-	Levels *int `json:"levels"`
-}
-
-// handleBoundaryPost migrates the host/NMP boundary of the running store
-// without restart: the configured Rebalance hook validates the level
-// count against the engine, migrates every partition through its
-// combiner barrier and publishes the new plan. The response is the plan
-// of record after the move.
-func (a *Server) handleBoundaryPost(w http.ResponseWriter, r *http.Request) {
-	if a.cfg.Boundary == nil || a.cfg.Rebalance == nil {
-		http.Error(w, "boundary: not enabled", http.StatusNotFound)
-		return
-	}
-	var req boundaryPostDoc
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "boundary: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Levels == nil {
-		http.Error(w, "boundary: levels is required", http.StatusBadRequest)
-		return
-	}
-	if err := a.cfg.Rebalance(*req.Levels); err != nil {
-		http.Error(w, "boundary: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, a.boundaryResponse())
 }
 
 // handleConns serves the live connection table.

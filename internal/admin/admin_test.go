@@ -33,6 +33,12 @@ type harness struct {
 // (data plane, map, admin last).
 func newHarness(t *testing.T, cfg server.Config, hcfg core.Config) *harness {
 	t.Helper()
+	return newTokenHarness(t, cfg, hcfg, "")
+}
+
+// newTokenHarness is newHarness with the admin plane's bearer token set.
+func newTokenHarness(t *testing.T, cfg server.Config, hcfg core.Config, token string) *harness {
+	t.Helper()
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -47,6 +53,7 @@ func newHarness(t *testing.T, cfg server.Config, hcfg core.Config) *harness {
 	adm := admin.New(admin.Config{
 		Server: srv,
 		Hybrid: h,
+		Token:  token,
 		Static: map[string]string{"addr": ln.Addr().String()},
 	})
 	web := httptest.NewServer(adm.Handler())
@@ -87,9 +94,24 @@ func (ha *harness) getJSON(t *testing.T, path string, out any) {
 // postConfig POSTs body to /config and returns status code and body.
 func (ha *harness) postConfig(t *testing.T, body string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(ha.web.URL+"/config", "application/json", strings.NewReader(body))
+	return ha.post(t, "/config", body, "")
+}
+
+// post POSTs body to path with an optional bearer token, returning the
+// status code and body.
+func (ha *harness) post(t *testing.T, path, body, token string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, ha.web.URL+path, strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /config: %v", err)
+		t.Fatalf("request: %v", err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
@@ -407,12 +429,70 @@ func TestConfigRoundTrip(t *testing.T) {
 	if code, _ := ha.postConfig(t, `{"bogus": 1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field accepted: %d", code)
 	}
+	if code, _ := ha.postConfig(t, `{"window": 4} {"bogus": 1} trailing`); code != http.StatusBadRequest {
+		t.Fatalf("trailing bytes after the JSON value accepted: %d", code)
+	}
 	var final struct {
 		ConfigEpoch uint64 `json:"config_epoch"`
 	}
 	ha.getJSON(t, "/config", &final)
 	if final.ConfigEpoch != after.ConfigEpoch {
 		t.Fatalf("epoch moved on rejected POST: %d -> %d", after.ConfigEpoch, final.ConfigEpoch)
+	}
+}
+
+// TestBoundaryNotEnabled pins that the native stack has no host/NMP
+// boundary to manage: /boundary answers 404 to both methods, and no
+// boundary/ key reaches the merged metrics export.
+func TestBoundaryNotEnabled(t *testing.T) {
+	ha := newHarness(t, server.Config{Window: 4},
+		core.Config{Partitions: 2, KeyMax: 1 << 12})
+	resp, err := http.Get(ha.web.URL + "/boundary")
+	if err != nil {
+		t.Fatalf("GET /boundary: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /boundary: %d, want 404", resp.StatusCode)
+	}
+	if code, _ := ha.post(t, "/boundary", `{"levels": 8}`, ""); code != http.StatusNotFound {
+		t.Fatalf("POST /boundary: %d, want 404", code)
+	}
+	var md metricsDoc
+	ha.getJSON(t, "/metrics.json", &md)
+	for name := range md.Counters {
+		if strings.HasPrefix(name, "boundary/") {
+			t.Errorf("/metrics.json carries %s", name)
+		}
+	}
+	for name := range md.Histograms {
+		if strings.HasPrefix(name, "boundary/") {
+			t.Errorf("/metrics.json carries histogram %s", name)
+		}
+	}
+}
+
+// TestAdminBearerToken checks the token gate: reads stay open, POST
+// /config without the right bearer token is refused and changes nothing,
+// and the right token unlocks it.
+func TestAdminBearerToken(t *testing.T) {
+	ha := newTokenHarness(t, server.Config{Window: 4},
+		core.Config{Partitions: 2, KeyMax: 1 << 12}, "s3cret")
+	var doc struct {
+		Window      int    `json:"window"`
+		ConfigEpoch uint64 `json:"config_epoch"`
+	}
+	for _, tok := range []string{"", "wrong"} {
+		if code, _ := ha.post(t, "/config", `{"window": 2}`, tok); code != http.StatusUnauthorized {
+			t.Fatalf("POST /config token %q: %d, want 401", tok, code)
+		}
+	}
+	ha.getJSON(t, "/config", &doc)
+	if doc.Window != 4 || doc.ConfigEpoch != 0 {
+		t.Fatalf("unauthorized POST changed the config: %+v", doc)
+	}
+	if code, body := ha.post(t, "/config", `{"window": 2}`, "s3cret"); code != http.StatusOK {
+		t.Fatalf("authorized POST /config: %d\n%s", code, body)
 	}
 }
 

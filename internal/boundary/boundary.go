@@ -1,11 +1,11 @@
 // Package boundary owns the host/NMP boundary decision the paper fixes
 // statically at LLC size (§4): how many of a hybrid structure's levels
 // stay in the host-managed (LLC-resident) portion and how many are pushed
-// NMP-side. Every layer that used to hard-code its own split constant —
-// the simulated hybrids of internal/dsim, the native runtime behind
-// internal/store, the daemon's -levels flag — resolves it through a Plan
-// published here instead, so the split is one tunable, observable value
-// rather than a constant copied per structure.
+// NMP-side. It is a simulator concept: the simulated hybrids of
+// internal/dsim take their Split from here instead of hard-coding a
+// constant per structure, and can move it at a drained epoch. The native
+// runtime has no host portion to size — a partition is key / span — so
+// nothing native consumes this package.
 //
 // A Policy decides when the boundary should move. Static never moves it
 // (the paper's configuration). Adaptive closes the ROADMAP's feedback
@@ -28,9 +28,9 @@ import (
 type Split struct {
 	// Total is the structure's full level count (0 = derived by the
 	// engine, e.g. from B+ tree fan-out).
-	Total int `json:"total"`
+	Total int
 	// NMP is the number of bottom levels placed NMP-side.
-	NMP int `json:"nmp"`
+	NMP int
 }
 
 // Host returns the host-managed level count, Total-NMP (meaningful only
@@ -55,35 +55,9 @@ func (s Split) Validate() error {
 	return nil
 }
 
-// Plan is one published boundary decision: the per-engine splits every
-// consumer resolves, stamped with the epoch that produced it. Plans are
-// immutable once published — movers build a new Plan and republish.
-type Plan struct {
-	// Epoch counts boundary publications (0 = the startup plan).
-	Epoch uint64 `json:"epoch"`
-	// Splits maps engine name to its boundary split.
-	Splits map[string]Split `json:"splits"`
-}
-
-// Split returns engine's split in the plan (zero Split when absent).
-func (p *Plan) Split(engine string) Split { return p.Splits[engine] }
-
-// Next returns a copy of the plan with engine's split replaced and the
-// epoch advanced.
-func (p *Plan) Next(engine string, s Split) Plan {
-	out := Plan{Epoch: p.Epoch + 1, Splits: make(map[string]Split, len(p.Splits)+1)}
-	for k, v := range p.Splits {
-		out.Splits[k] = v
-	}
-	out.Splits[engine] = s
-	return out
-}
-
 // Sample is one observation window's boundary-relevant signals, fed to a
 // Policy. The attribution shares are fractions of measured cycles in
-// [0,1] (the simulator's attr/* vocabulary); natively, layers that cannot
-// attribute at cycle level feed the queueing proxies they do have and
-// leave the rest zero.
+// [0,1] (the simulator's attr/* vocabulary).
 type Sample struct {
 	// Engine names the structure the sample describes.
 	Engine string
@@ -97,8 +71,8 @@ type Sample struct {
 	OffloadWait float64
 	// NMPSerial is the share of cycles serialized behind NMP combiners.
 	NMPSerial float64
-	// RTT is the mean offload round-trip (virtual cycles in simulation,
-	// nanoseconds natively); informational, smoothed for export.
+	// RTT is the mean offload round-trip in virtual cycles; informational,
+	// smoothed for reporting.
 	RTT float64
 	// Ops is the number of operations the window observed; windows with
 	// too few operations are ignored.

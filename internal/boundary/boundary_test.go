@@ -31,26 +31,6 @@ func TestSplitValidate(t *testing.T) {
 	}
 }
 
-func TestPlanNext(t *testing.T) {
-	p := Plan{Splits: map[string]Split{"skiplist": {Total: 16, NMP: 4}}}
-	next := p.Next("skiplist", Split{Total: 16, NMP: 5})
-	if next.Epoch != 1 {
-		t.Fatalf("epoch = %d, want 1", next.Epoch)
-	}
-	if got := next.Split("skiplist"); got != (Split{Total: 16, NMP: 5}) {
-		t.Fatalf("next split = %+v", got)
-	}
-	// The original plan is untouched (plans are immutable).
-	if got := p.Split("skiplist"); got != (Split{Total: 16, NMP: 4}) {
-		t.Fatalf("original plan mutated: %+v", got)
-	}
-	// Next on a fresh engine adds it without dropping others.
-	two := next.Next("btree", Split{NMP: 2})
-	if two.Epoch != 2 || len(two.Splits) != 2 {
-		t.Fatalf("two-engine plan: %+v", two)
-	}
-}
-
 func TestStaticNeverMoves(t *testing.T) {
 	pol := Static{}
 	cur := Split{Total: 16, NMP: 4}
@@ -139,54 +119,5 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("chaotic"); err == nil {
 		t.Fatal("unknown policy accepted")
-	}
-}
-
-func TestManagerPublishObserveExport(t *testing.T) {
-	mgr := NewManager(NewAdaptive(), Plan{Splits: map[string]Split{
-		"skiplist": {Total: 16, NMP: 4},
-	}}, nil)
-	if got := mgr.Plan(); got.Epoch != 0 || got.Split("skiplist").NMP != 4 {
-		t.Fatalf("initial plan: %+v", got)
-	}
-
-	// A DRAM-pressured observation proposes a move; Publish records it.
-	next, move := mgr.Observe(Sample{Engine: "skiplist", DRAM: 0.6, Ops: 1 << 12})
-	if !move || next.NMP != 5 {
-		t.Fatalf("Observe: %+v move=%v", next, move)
-	}
-	plan := mgr.Publish("skiplist", next)
-	if plan.Epoch != 1 || mgr.Plan().Split("skiplist").NMP != 5 {
-		t.Fatalf("after publish: %+v", mgr.Plan())
-	}
-	if mgr.Migrations() != 1 {
-		t.Fatalf("Migrations() = %d, want 1", mgr.Migrations())
-	}
-
-	counters, hists := mgr.Export()
-	if counters["boundary/epoch"] != 1 || counters["boundary/migrations"] != 1 {
-		t.Fatalf("exported counters: %v", counters)
-	}
-	byName := map[string]bool{}
-	for _, h := range hists {
-		byName[h.Name] = true
-	}
-	for _, want := range []string{"boundary/host_levels", "boundary/input/host_cache",
-		"boundary/input/offload_wait", "boundary/input/rtt"} {
-		if !byName[want] {
-			t.Fatalf("exported hists missing %s (got %v)", want, byName)
-		}
-	}
-}
-
-func TestPerMilleClamps(t *testing.T) {
-	if perMille(-0.5) != 0 || perMille(0) != 0 {
-		t.Fatal("negative/zero share")
-	}
-	if perMille(2.0) != 1000 || perMille(1.0) != 1000 {
-		t.Fatal("overflow share")
-	}
-	if got := perMille(0.25); got != 250 {
-		t.Fatalf("perMille(0.25) = %d", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 	"unsafe"
 
-	"hybrids/internal/cds"
 	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
 )
@@ -144,28 +143,5 @@ func TestBatcherInvalidKeyPublishesNothing(t *testing.T) {
 			t.Errorf("key %d: Len = %d after the retry, want %d", bad, got, len(ops))
 		}
 		h.Close()
-	}
-}
-
-// TestHybridRebalanceRacingClose lands a Close between Rebalance's entry
-// and its first barrier (the factory runs exactly there): Rebalance must
-// fail and must not swap a store behind the closed map.
-func TestHybridRebalanceRacingClose(t *testing.T) {
-	h := newTest(2)
-	h.Put(1, 10)
-	err := h.Rebalance(func(int) Store {
-		h.Close()
-		return cds.NewBSkipList(8)
-	})
-	if err == nil {
-		t.Fatal("Rebalance racing Close returned nil")
-	}
-	for p, part := range h.parts {
-		if _, ok := part.store.(*cds.BTree); !ok {
-			t.Errorf("partition %d store swapped to %T behind a closed map", p, part.store)
-		}
-	}
-	if d := h.Dump(); len(d) != 1 || d[0] != (KV{Key: 1, Value: 10}) {
-		t.Fatalf("Dump after the failed Rebalance = %v", d)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"hybrids/internal/cds"
 	"hybrids/internal/hds"
 	"hybrids/internal/prng"
 )
@@ -160,10 +159,30 @@ func checkHistory(evs []histEvent, init map[uint64]regState) []string {
 	return bad
 }
 
+// dumpReads turns one Dump into a read of every key in keys, all stamped
+// with the Dump's invocation and response clocks: a key the Dump holds
+// reads its value, an absent key reads a miss. Dump snapshots partitions
+// one after another between those stamps, which is exactly what a read
+// spanning [inv, resp] may see — so per-partition snapshot visibility is
+// checked by the same search as every other read.
+func dumpReads(caller int, inv, resp int64, keys []uint64, dump []KV) []histEvent {
+	held := make(map[uint64]uint64, len(dump))
+	for _, kv := range dump {
+		held[kv.Key] = kv.Value
+	}
+	evs := make([]histEvent, len(keys))
+	for i, k := range keys {
+		v, ok := held[k]
+		evs[i] = histEvent{caller: caller, seq: i, inv: inv, resp: resp,
+			req: hds.Request{Kind: hds.Read, Key: k}, res: hds.Result{Value: v, OK: ok}}
+	}
+	return evs
+}
+
 // TestHistoryCheckerAcceptsAndRejects is the checker's self-test: it
 // accepts a real sequential history and legal concurrent ones, and fails
-// on a swapped outcome, a stale read and a rejected operation that was
-// applied after all.
+// on a swapped outcome, a stale read, a stale Dump and a rejected
+// operation that was applied after all.
 func TestHistoryCheckerAcceptsAndRejects(t *testing.T) {
 	// A real history: one Batcher, one key, every kind, stamped per op.
 	h := newTest(2)
@@ -220,6 +239,9 @@ func TestHistoryCheckerAcceptsAndRejects(t *testing.T) {
 			{caller: 0, seq: 0, inv: 0, resp: 1, req: hds.Request{Kind: hds.Read, Key: 1}, res: hds.Result{Value: 3, OK: true}},
 			{caller: 0, seq: 1, inv: 0, resp: 1, req: hds.Request{Kind: hds.Insert, Key: 1, Value: 3}, res: ok},
 		}, regState{}, false},
+		{"a Dump that misses an insert that returned before it began", append([]histEvent{
+			{caller: 0, inv: 0, resp: 1, req: hds.Request{Kind: hds.Insert, Key: 1, Value: 5}, res: ok},
+		}, dumpReads(1, 2, 3, []uint64{1}, nil)...), regState{}, false},
 		{"a rejected insert (left out) that a later read sees", []histEvent{
 			{caller: 1, inv: 2, resp: 3, req: hds.Request{Kind: hds.Read, Key: 1}, res: hds.Result{Value: 6, OK: true}},
 		}, regState{}, false},
@@ -249,17 +271,17 @@ func (r *histRecorder) record(inv, resp int64, req hds.Request, res hds.Result, 
 
 // TestHistoryLinearizable records what concurrent Batcher.Apply callers
 // and blocking Apply callers observe on a small set of shared keys while
-// a Rebalance and then a Close land mid-stream, and checks every key's
-// history. On top of linearizability it pins the close contract: nothing
-// that returned before Close began is refused, everything issued after
-// Close returned is, and the drained stores hold exactly what the applied
-// operations explain.
+// a Dump and then a Close land mid-stream, and checks every key's
+// history, the Dump's pairs included as reads. On top of linearizability
+// it pins the close contract: nothing that returned before Close began is
+// refused, everything issued after Close returned is, and the drained
+// stores hold exactly what the applied operations explain.
 func TestHistoryLinearizable(t *testing.T) {
 	const (
 		partitions = 4
 		keyMax     = 1 << 10
 		nKeys      = 48
-		rebalance  = 600  // operations issued before Rebalance starts
+		dumpAt     = 600  // operations issued before the mid-stream Dump starts
 		closeAt    = 1800 // operations issued before Close may start
 		tail       = 16   // operations a caller still issues after seeing the map closed
 	)
@@ -277,14 +299,14 @@ func TestHistoryLinearizable(t *testing.T) {
 	h.Build(load)
 
 	var clock, issued atomic.Int64
-	startRebalance, startClose := make(chan struct{}), make(chan struct{})
-	var onceRebalance, onceClose sync.Once
+	startDump, startClose := make(chan struct{}), make(chan struct{})
+	var onceDump, onceClose sync.Once
 	// count trips the mid-stream events off the number of operations
 	// issued, so they land inside the run whatever the scheduling.
 	count := func(n int) {
 		total := issued.Add(int64(n))
-		if total >= rebalance {
-			onceRebalance.Do(func() { close(startRebalance) })
+		if total >= dumpAt {
+			onceDump.Do(func() { close(startDump) })
 		}
 		if total >= closeAt {
 			onceClose.Do(func() { close(startClose) })
@@ -357,33 +379,32 @@ func TestHistoryLinearizable(t *testing.T) {
 			}
 		}()
 	}
-	var rebalanceErr error
+	var dumpEvs []histEvent
 	var closeInv, closeResp int64
-	migrated := make(chan struct{})
+	dumped := make(chan struct{})
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		defer close(migrated)
-		<-startRebalance
-		rebalanceErr = h.Rebalance(func(int) Store { return cds.NewBSkipList(8) })
+		defer close(dumped)
+		<-startDump
+		inv := clock.Add(1)
+		dump := h.Dump()
+		dumpEvs = dumpReads(len(recs), inv, clock.Add(1), keys, dump)
 	}()
 	go func() {
 		defer wg.Done()
-		// The callers run until they see the map closed, so the migration
-		// and then the Close both land mid-stream however late they are
-		// scheduled. (Close overtaking Rebalance has its own test.)
-		<-migrated
+		// The callers run until they see the map closed, so the Dump and
+		// then the Close both land mid-stream however late they are
+		// scheduled.
+		<-dumped
 		<-startClose
 		closeInv = clock.Add(1)
 		h.Close()
 		closeResp = clock.Add(1)
 	}()
 	wg.Wait()
-	if rebalanceErr != nil {
-		t.Errorf("Rebalance: %v", rebalanceErr)
-	}
 
-	var evs []histEvent
+	evs := dumpEvs
 	applied, refused := 0, 0
 	for _, rec := range recs {
 		for _, e := range rec.evs {
@@ -415,17 +436,8 @@ func TestHistoryLinearizable(t *testing.T) {
 		t.Fatalf("applied = %d, refused = %d: Close did not land mid-stream", applied, refused)
 	}
 	// The drained stores are every key's last read.
-	final := make(map[uint64]uint64)
-	for _, kv := range h.Dump() {
-		final[kv.Key] = kv.Value
-	}
-	for i, k := range keys {
-		v, present := final[k]
-		evs = append(evs, histEvent{
-			caller: -1, seq: i, inv: math.MaxInt64 - 1, resp: math.MaxInt64,
-			req: hds.Request{Kind: hds.Read, Key: k}, res: hds.Result{Value: v, OK: present},
-		})
-	}
+	final := h.Dump()
+	evs = append(evs, dumpReads(-1, math.MaxInt64-1, math.MaxInt64, keys, final)...)
 	if len(final) > nKeys {
 		t.Errorf("Dump holds %d keys, more than the %d ever written", len(final), nKeys)
 	}

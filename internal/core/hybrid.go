@@ -391,40 +391,6 @@ func (h *Hybrid) read(p int, fn func(s Store)) {
 	}
 }
 
-// Rebalance swaps every partition's store for a fresh one built by
-// factory, migrating the live contents — the native mirror of the
-// simulated hybrids' boundary rebalance. Each partition's swap runs as a
-// combiner barrier: it executes on the combiner goroutine in request
-// order, so operations published before the swap apply to the old store
-// and operations published after apply to the new one, with no request
-// lost or reordered. Partitions migrate one after another, not
-// atomically, exactly like Dump's visibility. Structural instruments of
-// the new store re-register under the partition's existing metric names
-// (registration is idempotent), so counters stay monotone across the
-// swap. Rebalance fails after Close, and a Close that lands mid-way
-// fails it at the first partition not yet migrated (the ones before it
-// stay migrated); it never swaps a store behind a closed map.
-func (h *Hybrid) Rebalance(factory func(partition int) Store) error {
-	for p := range h.parts {
-		part := h.parts[p]
-		next := factory(p)
-		live := h.barrier(p, func(old Store) {
-			old.Ascend(0, func(k, v uint64) bool {
-				next.Put(k, v)
-				return true
-			})
-			part.store = next
-			if ins, ok := next.(Instrumented); ok {
-				ins.Instrument(h.reg, fmt.Sprintf("core/p%d/store", p))
-			}
-		})
-		if !live {
-			return fmt.Errorf("core: rebalance after Close")
-		}
-	}
-	return nil
-}
-
 // Len sums the partition store sizes. Each partition's count is read by
 // its combiner in request order, so the result is a per-partition
 // linearizable size (exact at quiescence).

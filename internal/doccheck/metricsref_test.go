@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/core"
 	"hybrids/internal/dsim/offload"
 	"hybrids/internal/metrics"
@@ -54,9 +53,9 @@ func documentedKeys(t *testing.T) map[string]bool {
 // collects the full set of keys they register: the serving stack once
 // per store engine (server/, core/p*/, core/p*/store/), and the
 // simulator with attribution and the offload runtime enabled (engine/,
-// mem/, attr/, offload/, offload/p*/), and the boundary manager
-// (boundary/). The returned histSet marks histogram names, whose /sum
-// and /count components are documented implicitly.
+// mem/, attr/, offload/, offload/p*/). The returned histSet marks
+// histogram names, whose /sum and /count components are documented
+// implicitly.
 func emittedRegistryKeys(t *testing.T) (names, histSet map[string]bool) {
 	t.Helper()
 	names, histSet = make(map[string]bool), make(map[string]bool)
@@ -91,12 +90,6 @@ func emittedRegistryKeys(t *testing.T) (names, histSet map[string]bool) {
 	m.EnableAttribution()
 	offload.New(m, offload.Config{Window: 2})
 	collect(m.Metrics)
-
-	breg := metrics.NewRegistry()
-	boundary.NewManager(boundary.Static{}, boundary.Plan{Splits: map[string]boundary.Split{
-		"skiplist": {Total: 16, NMP: 4},
-	}}, breg)
-	collect(breg)
 	return names, histSet
 }
 

@@ -21,8 +21,8 @@ type Result struct {
 	Notes  []string   `json:"notes,omitempty"`
 	Cells  []Cell     `json:"cells,omitempty"`
 	// Meta carries run provenance (vcs revision, Go version, GOMAXPROCS,
-	// ...) for archived artifacts like BENCH_server.json. Experiments
-	// leave it nil so simulator outputs stay byte-stable.
+	// ...) for hybridsload reports. Experiments leave it nil so simulator
+	// outputs stay byte-stable.
 	Meta map[string]string `json:"meta,omitempty"`
 }
 

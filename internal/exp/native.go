@@ -162,7 +162,7 @@ func runNativeCell(sc Scale, e store.Engine, v nativeVariant, load []ycsb.Pair, 
 	h := core.New(core.Config{
 		Partitions: sc.Machine.Mem.NMPVaults,
 		KeyMax:     uint64(sc.KeyMax),
-		NewStore:   e.NewNative(e.SimTuning(simParams(sc, v.window))),
+		NewStore:   e.NewNative(store.Tuning{}),
 	})
 	defer h.Close()
 	pairs := make([]core.KV, len(load))

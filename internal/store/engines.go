@@ -12,8 +12,8 @@ import (
 	"hybrids/internal/ycsb"
 )
 
-// defaultSkipLevels is the native skiplist height cap when Tuning.Levels
-// is unset — tall enough for any daemon-scale key population.
+// defaultSkipLevels is the native skiplist height cap — tall enough for
+// any daemon-scale key population.
 const defaultSkipLevels = 16
 
 // skipStore adapts cds.SkipList to the core.Store interface (Insert vs
@@ -70,7 +70,6 @@ func btreeEngine() Engine {
 		NewNative: func(Tuning) func(int) core.Store {
 			return func(int) core.Store { return cds.NewBTree() }
 		},
-		SimTuning: func(SimParams) Tuning { return Tuning{} },
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			h := btree.NewHybrid(m, btree.HybridBTreeConfig{
 				Split: btreeEngine().SimSplit(p), Window: p.Window,
@@ -79,7 +78,6 @@ func btreeEngine() Engine {
 		},
 		SimRecords: func(p SimParams) int { return p.BTreeRecords },
 		SimSplit:   func(p SimParams) boundary.Split { return boundary.Split{NMP: p.BTreeNMPLevels} },
-		NMPFloor:   1,
 	}
 }
 
@@ -115,14 +113,9 @@ func skiplistEngine() Engine {
 	return Engine{
 		Name: "skiplist",
 		Desc: "skiplist",
-		NewNative: func(t Tuning) func(int) core.Store {
-			levels := t.Levels
-			if levels <= 0 {
-				levels = defaultSkipLevels
-			}
-			return func(int) core.Store { return skipStore{cds.NewSkipList(levels)} }
+		NewNative: func(Tuning) func(int) core.Store {
+			return func(int) core.Store { return skipStore{cds.NewSkipList(defaultSkipLevels)} }
 		},
-		SimTuning: func(p SimParams) Tuning { return Tuning{Levels: p.SkiplistLevels} },
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			h := skiplist.NewHybrid(m, skiplist.HybridConfig{
 				Split:  skiplistEngine().SimSplit(p),
@@ -134,9 +127,6 @@ func skiplistEngine() Engine {
 		SimSplit: func(p SimParams) boundary.Split {
 			return boundary.Split{Total: p.SkiplistLevels, NMP: p.SkiplistNMPLevels}
 		},
-		MinLevels:     5,
-		DefaultLevels: defaultSkipLevels,
-		NMPFloor:      4,
 	}
 }
 
@@ -170,10 +160,9 @@ func bskiplistEngine() Engine {
 	return Engine{
 		Name: "bskiplist",
 		Desc: "cache-conscious B-skiplist",
-		NewNative: func(t Tuning) func(int) core.Store {
-			return func(int) core.Store { return cds.NewBSkipList(t.Levels) }
+		NewNative: func(Tuning) func(int) core.Store {
+			return func(int) core.Store { return cds.NewBSkipList(0) }
 		},
-		SimTuning: func(p SimParams) Tuning { return Tuning{Levels: p.BSkiplistLevels} },
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			h := bskiplist.NewHybrid(m, bskiplist.Config{
 				Split: bskiplistEngine().SimSplit(p),
@@ -185,8 +174,5 @@ func bskiplistEngine() Engine {
 		SimSplit: func(p SimParams) boundary.Split {
 			return boundary.Split{Total: p.BSkiplistLevels, NMP: p.BSkiplistNMPLevels}
 		},
-		MinLevels:     3,
-		DefaultLevels: 16,
-		NMPFloor:      2,
 	}
 }

@@ -22,13 +22,9 @@ import (
 	"hybrids/internal/ycsb"
 )
 
-// Tuning carries the per-engine knobs a daemon flag maps onto uniformly.
-type Tuning struct {
-	// Levels caps the native structure height (skiplist tower levels,
-	// B-skiplist list levels); 0 picks the engine's default. Engines
-	// whose height follows from fan-out (the B+ tree) ignore it.
-	Levels int
-}
+// Tuning is empty: it stays only because bench/ (frozen in this PR) writes
+// NewNative(store.Tuning{}); the next benchmark PR drops the parameter.
+type Tuning struct{}
 
 // SimParams fixes every engine's simulated sizing in one value, mirroring
 // the exp.Scale fields experiment grids sweep. Engines read only their
@@ -108,9 +104,6 @@ type Engine struct {
 	// NewNative returns the per-partition store factory the native
 	// runtime (internal/core) consumes.
 	NewNative func(t Tuning) func(partition int) core.Store
-	// SimTuning maps simulated sizing onto the native Tuning knobs, so
-	// native grids derive per-engine tuning from an experiment Scale.
-	SimTuning func(p SimParams) Tuning
 	// NewSimHybrid builds the engine's simulated hybrid on m, sized by p.
 	// The result is not yet loaded or started.
 	NewSimHybrid func(m *machine.Machine, p SimParams) SimHybrid
@@ -120,27 +113,6 @@ type Engine struct {
 	// split NewSimHybrid starts from, for consumers that plan boundary
 	// moves.
 	SimSplit func(p SimParams) boundary.Split
-	// MinLevels is the smallest -levels value the engine accepts (0 = the
-	// engine derives its height from fan-out and ignores -levels). It is
-	// NMPFloor plus at least one host level.
-	MinLevels int
-	// DefaultLevels is the level cap used when Tuning.Levels is unset
-	// (0 = height derived from fan-out).
-	DefaultLevels int
-	// NMPFloor is the number of bottom levels that must stay NMP-side,
-	// the floor a daemon boundary plan's NMP component is pinned to.
-	NMPFloor int
-}
-
-// NativeSplit maps a native Tuning onto the engine's boundary split:
-// Total from the level cap (engine default when unset), NMP pinned at the
-// engine's floor.
-func (e Engine) NativeSplit(t Tuning) boundary.Split {
-	levels := t.Levels
-	if levels <= 0 {
-		levels = e.DefaultLevels
-	}
-	return boundary.Split{Total: levels, NMP: e.NMPFloor}
 }
 
 // Engines returns every registered engine in registration order (the
