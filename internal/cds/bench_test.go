@@ -1,7 +1,6 @@
 package cds
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"hybrids/internal/prng"
@@ -11,81 +10,37 @@ import (
 // real hardware, complementing the simulated-machine experiments at the
 // repository root.
 
-func BenchmarkSkipListGet(b *testing.B) {
-	s := NewSkipList(20)
+// benchGet times uniform random hits over 2^16 sequentially loaded keys;
+// the three engines' Get benchmarks share it (same keys, same PRNG
+// stream), so their ns/op read side by side.
+func benchGet(b *testing.B, m interface {
+	Put(key, value uint64) bool
+	Get(key uint64) (uint64, bool)
+}) {
 	const n = 1 << 16
 	for i := uint64(1); i <= n; i++ {
-		s.Insert(i, i)
+		m.Put(i, i)
 	}
 	rng := prng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Get(uint64(rng.Intn(n)) + 1)
+		m.Get(uint64(rng.Intn(n)) + 1)
 	}
 }
 
+func BenchmarkSkipListGet(b *testing.B)  { benchGet(b, NewSkipList()) }
+func BenchmarkBTreeGet(b *testing.B)     { benchGet(b, NewBTree()) }
+func BenchmarkBSkipListGet(b *testing.B) { benchGet(b, NewBSkipList(0)) }
+
 func BenchmarkSkipListInsertDelete(b *testing.B) {
-	s := NewSkipList(20)
+	s := NewSkipList()
 	rng := prng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := uint64(rng.Intn(1<<16)) + 1
-		if !s.Insert(k, k) {
+		if !s.Put(k, k) {
 			s.Delete(k)
 		}
-	}
-}
-
-func BenchmarkSkipListGetParallel(b *testing.B) {
-	s := NewSkipList(20)
-	const n = 1 << 16
-	for i := uint64(1); i <= n; i++ {
-		s.Insert(i, i)
-	}
-	var seed atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := prng.New(seed.Add(1))
-		for pb.Next() {
-			s.Get(uint64(rng.Intn(n)) + 1)
-		}
-	})
-}
-
-func BenchmarkSkipListMixedParallel(b *testing.B) {
-	s := NewSkipList(20)
-	const n = 1 << 16
-	for i := uint64(1); i <= n; i++ {
-		s.Insert(i, i)
-	}
-	var seed atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := prng.New(seed.Add(1))
-		for pb.Next() {
-			k := uint64(rng.Intn(n)) + 1
-			switch rng.Intn(10) {
-			case 0:
-				s.Insert(k, k)
-			case 1:
-				s.Delete(k)
-			default:
-				s.Get(k)
-			}
-		}
-	})
-}
-
-func BenchmarkBTreeGet(b *testing.B) {
-	t := NewBTree()
-	const n = 1 << 16
-	for i := uint64(1); i <= n; i++ {
-		t.Put(i, i)
-	}
-	rng := prng.New(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Get(uint64(rng.Intn(n)) + 1)
 	}
 }
 

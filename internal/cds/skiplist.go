@@ -1,338 +1,327 @@
-// Package cds provides native (non-simulated) concurrent data structures
-// used by the hybrid runtime in internal/core and usable standalone: a
-// lock-free skiplist in the Herlihy-Lev-Shavit style and a single-threaded
-// B+ tree suitable as a partition-owned store.
+// Package cds provides the native (non-simulated) ordered maps the hybrid
+// runtime in internal/core uses as partition stores, each usable
+// standalone: a pointer-free arena skiplist with foresight keys, a B+ tree
+// and a fat-node B-skiplist. All three are sequential — one goroutine (in
+// the runtime, the partition's combiner) owns each instance.
 package cds
 
-import (
-	"sync/atomic"
+import "math/bits"
 
-	"hybrids/internal/metrics"
+// Skiplist geometry. A node is a run of words in the arena:
+//
+//	word 0       key
+//	word 1       value
+//	word 2+2l    key of the level-l successor (slNoKey when there is none)
+//	word 3+2l    index of the level-l successor (slNil when there is none)
+//
+// Word 3's high half also holds the node's height; a free-listed node
+// has height 0 there and the next free node's index in the low half.
+// Sizes round up to half a cache line (4 words), so a node's key, value
+// and level-0 slot share a line and every two heights share a free list.
+const (
+	// slMaxHeight caps towers; the descent starts at the level in use, so
+	// the cap costs nothing until 2^slMaxHeight keys.
+	slMaxHeight = 24
+	// slChunkBits sizes a chunk at 2^16 words (512 KiB).
+	slChunkBits  = 16
+	slChunkWords = 1 << slChunkBits
+	// slNil is the "no successor" index. It is the head's own index,
+	// which nothing links to.
+	slNil = 0
+	// slNoKey is the foresight key beside slNil: it compares above every
+	// storable key, so a descent stops there without a nil test.
+	slNoKey = ^uint64(0)
 )
 
-// MaxHeight bounds skiplist towers; 2^32 elements need no more.
-const MaxHeight = 32
+// slChunk is one fixed-size, pointer-free piece of the arena.
+type slChunk [slChunkWords]uint64
 
-// succ pairs a successor pointer with the logical-deletion mark, so mark
-// and pointer change together under a single CAS (the Go equivalent of a
-// mark bit stolen from the pointer).
-type succ struct {
-	next   *slNode
-	marked bool
-}
+// slWords returns the size in words of a node of height h; a quarter of
+// it indexes the node's free list.
+func slWords(h int) uint32 { return uint32(4+2*h) &^ 3 }
 
-type slNode struct {
-	key    uint64
-	value  atomic.Uint64
-	height int
-	next   []atomic.Pointer[succ]
-}
-
-func newSLNode(key, value uint64, height int) *slNode {
-	n := &slNode{key: key, height: height, next: make([]atomic.Pointer[succ], height)}
-	n.value.Store(value)
-	return n
-}
-
-// SkipList is a lock-free concurrent ordered map from uint64 keys to
-// uint64 values. All methods are safe for concurrent use. Deleted nodes
-// are unlinked cooperatively and reclaimed by the garbage collector.
+// SkipList is a sequential ordered map from uint64 keys to uint64 values
+// built for one owner and for the cache: nodes are runs of words carved
+// from fixed-size pointer-free chunks and named by a 32-bit word index
+// (growth never copies, the garbage collector never scans a node), each
+// node's tower is inline behind its key and value (a hop lands on one
+// line), and every forward slot carries its successor's key beside the
+// successor's index (the foresight key: a comparison that does not
+// advance never touches the successor). Removed nodes go to per-size
+// free lists and are reused by later inserts, so churn at a constant
+// population does not grow the arena. What the design gives up: chunks
+// are never returned to the runtime while the list lives.
+//
+// Keys 0 and MaxUint64 are reserved: Put panics on them and every other
+// method reports them absent. Methods are not safe for concurrent use.
 type SkipList struct {
-	head   *slNode
-	tail   *slNode
-	levels int
-	length atomic.Int64
-	seed   atomic.Uint64
-
-	// Structural-event counters, nil until Instrument.
-	cRestarts *metrics.Counter
-	cSnips    *metrics.Counter
+	chunks []*slChunk
+	used   uint32                    // words carved from the last chunk
+	free   [slMaxHeight/2 + 2]uint32 // free[w/4] heads the list of removed w-word nodes
+	height int                       // levels in use (>= 1): the head links nothing at or above it
+	length int
+	seed   uint64
 }
 
-// Instrument registers the list's structural-event counters — traversal
-// restarts forced by contention and physical unlinks of deleted nodes —
-// in reg under prefix (as "<prefix>/restarts" and "<prefix>/snips").
-// Unlike the list itself the instruments are NOT synchronized: call
-// Instrument only when a single goroutine owns the list, which is exactly
-// the per-partition combiner discipline of the native hybrid runtime.
-func (s *SkipList) Instrument(reg *metrics.Registry, prefix string) {
-	s.cRestarts = reg.Counter(prefix + "/restarts")
-	s.cSnips = reg.Counter(prefix + "/snips")
-}
-
-// NewSkipList creates an empty skiplist with the given level count
-// (typically log2 of the expected size; values outside [1, MaxHeight] are
-// clamped).
-func NewSkipList(levels int) *SkipList {
-	if levels < 1 {
-		levels = 1
+// NewSkipList returns an empty list.
+func NewSkipList() *SkipList {
+	s := &SkipList{height: 1, seed: 0x9e3779b97f4a7c15}
+	s.alloc(slMaxHeight) // the head: the arena's first node, at index slNil
+	head := s.chunks[0]
+	for l := 0; l < slMaxHeight; l++ {
+		head[2+2*l] = slNoKey
 	}
-	if levels > MaxHeight {
-		levels = MaxHeight
-	}
-	s := &SkipList{levels: levels}
-	s.tail = newSLNode(^uint64(0), 0, levels)
-	s.head = newSLNode(0, 0, levels)
-	for i := 0; i < levels; i++ {
-		s.tail.next[i].Store(&succ{}) // terminal, never followed
-		s.head.next[i].Store(&succ{next: s.tail})
-	}
-	s.seed.Store(0x9e3779b97f4a7c15)
 	return s
 }
 
-// Len returns the number of live keys.
-func (s *SkipList) Len() int { return int(s.length.Load()) }
+// Len returns the number of stored pairs.
+func (s *SkipList) Len() int { return s.length }
+
+// slReserved reports whether key is one of the two sentinel keys.
+func slReserved(key uint64) bool { return key-1 >= slNoKey-1 }
+
+// node returns the chunk holding node x and x's offset in it. Nodes never
+// straddle chunks, so offsets up to the node's size stay inside.
+func (s *SkipList) node(x uint32) (*slChunk, uint32) {
+	return s.chunks[x>>slChunkBits], x & (slChunkWords - 1)
+}
+
+// alloc returns a node of height h with its words unspecified: a reused
+// node of that size, else fresh words.
+func (s *SkipList) alloc(h int) uint32 {
+	n := slWords(h)
+	if x := s.free[n/4]; x != slNil {
+		c, o := s.node(x)
+		s.free[n/4] = uint32(c[o+3])
+		return x
+	}
+	if len(s.chunks) == 0 || s.used+n > slChunkWords {
+		// The tail of the last chunk is too short for this node: leave it.
+		if len(s.chunks) == 1<<(32-slChunkBits) {
+			panic("cds: skiplist arena exhausted")
+		}
+		s.chunks = append(s.chunks, new(slChunk))
+		s.used = 0
+	}
+	x := uint32(len(s.chunks)-1)<<slChunkBits | s.used
+	s.used += n
+	return x
+}
+
+// release puts the unlinked node x of height h on its free list.
+func (s *SkipList) release(x uint32, h int) {
+	c, o := s.node(x)
+	c[o+3] = uint64(s.free[slWords(h)/4])
+	s.free[slWords(h)/4] = x
+}
 
 func (s *SkipList) randomHeight() int {
-	// A tiny lock-free xorshift; contention on the seed is harmless
-	// (lost updates only skew the stream, not the distribution).
-	x := s.seed.Load()
+	x := s.seed
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	s.seed.Store(x)
-	h := 1
-	for h < s.levels && x&1 == 1 {
-		h++
-		x >>= 1
-	}
-	return h
+	s.seed = x
+	// One more level per trailing one bit: P(height > h) = 2^-h.
+	return min(1+bits.TrailingZeros64(^x), slMaxHeight)
 }
 
-// find locates key, filling preds/succs and snipping marked nodes.
-func (s *SkipList) find(key uint64, preds, succs []*slNode) bool {
-retry:
-	for {
-		pred := s.head
-		for level := s.levels - 1; level >= 0; level-- {
-			curr := pred.next[level].Load().next
-			for {
-				sc := curr.next[level].Load()
-				for sc.marked {
-					// curr is logically deleted: snip it out;
-					// restart from the head on interference.
-					if !s.snip(pred, curr, sc.next, level) {
-						inc(s.cRestarts)
-						continue retry
-					}
-					inc(s.cSnips)
-					curr = pred.next[level].Load().next
-					sc = curr.next[level].Load()
-				}
-				if curr.key < key {
-					pred = curr
-					curr = sc.next
-				} else {
-					break
-				}
-			}
-			preds[level] = pred
-			succs[level] = curr
+// find descends to key, recording in preds the last node before key at
+// every level in use, and returns the node holding key, or slNil.
+func (s *SkipList) find(key uint64, preds *[slMaxHeight]uint32) uint32 {
+	x := uint32(slNil)
+	c, o := s.node(x)
+	var slot uint32
+	for l := s.height - 1; l >= 0; l-- {
+		slot = o + 2 + 2*uint32(l)
+		for c[slot] < key {
+			x = uint32(c[slot+1])
+			c, o = s.node(x)
+			slot = o + 2 + 2*uint32(l)
 		}
-		return succs[0].key == key
+		preds[l] = x
 	}
+	if c[slot] != key {
+		return slNil
+	}
+	return uint32(c[slot+1])
 }
 
-// snip CASes pred.next[level] from curr to next, provided pred's link is
-// unmarked and still points at curr.
-func (s *SkipList) snip(pred, curr, next *slNode, level int) bool {
-	old := pred.next[level].Load()
-	if old.marked || old.next != curr {
-		return false
+// seek returns the first node with a key >= key (slNil when there is
+// none) and, from the slot that names it, that node's key: the caller
+// learns whether key is present without touching the node. It is find
+// without the predecessor record, and stops at the first level whose
+// foresight key matches.
+func (s *SkipList) seek(key uint64) (uint64, uint32) {
+	c, o := s.node(slNil)
+	var slot uint32
+	for l := s.height - 1; l >= 0; l-- {
+		slot = o + 2 + 2*uint32(l)
+		for c[slot] < key {
+			c, o = s.node(uint32(c[slot+1]))
+			slot = o + 2 + 2*uint32(l)
+		}
+		if c[slot] == key {
+			break
+		}
 	}
-	return pred.next[level].CompareAndSwap(old, &succ{next: next})
+	return c[slot], uint32(c[slot+1])
 }
 
 // Get returns the value stored under key.
 func (s *SkipList) Get(key uint64) (uint64, bool) {
-	pred := s.head
-	var curr *slNode
-	for level := s.levels - 1; level >= 0; level-- {
-		curr = pred.next[level].Load().next
-		for {
-			sc := curr.next[level].Load()
-			for sc.marked {
-				curr = sc.next
-				sc = curr.next[level].Load()
-			}
-			if curr.key < key {
-				pred = curr
-				curr = sc.next
-			} else {
-				break
-			}
-		}
-	}
-	if curr.key == key {
-		return curr.value.Load(), true
+	if k, x := s.seek(key); k == key && !slReserved(key) {
+		c, o := s.node(x)
+		return c[o+1], true
 	}
 	return 0, false
 }
 
-// Insert adds key -> value; it returns false (without modifying the map)
+// Put adds key -> value; it returns false (without modifying the map)
 // when the key is already present.
-func (s *SkipList) Insert(key, value uint64) bool {
-	if key == 0 || key == ^uint64(0) {
+func (s *SkipList) Put(key, value uint64) bool {
+	if slReserved(key) {
 		panic("cds: keys 0 and MaxUint64 are reserved sentinels")
 	}
-	preds := make([]*slNode, s.levels)
-	succs := make([]*slNode, s.levels)
-	for {
-		if s.find(key, preds, succs) {
-			return false
-		}
-		h := s.randomHeight()
-		node := newSLNode(key, value, h)
-		for l := 0; l < h; l++ {
-			node.next[l].Store(&succ{next: succs[l]})
-		}
-		// Bottom-level link is the linearization point.
-		if !preds[0].next[0].CompareAndSwap(unmarkedTo(preds[0], 0, succs[0]), &succ{next: node}) {
-			continue
-		}
-		s.length.Add(1)
-		s.linkUpper(node, key, h, preds, succs)
-		return true
+	var preds [slMaxHeight]uint32
+	if s.find(key, &preds) != slNil {
+		return false
 	}
-}
-
-// unmarkedTo returns pred's current succ at level if it is the unmarked
-// link to want, else a sentinel that can never match.
-func unmarkedTo(pred *slNode, level int, want *slNode) *succ {
-	sc := pred.next[level].Load()
-	if !sc.marked && sc.next == want {
-		return sc
+	h := s.randomHeight()
+	for ; s.height < h; s.height++ {
+		preds[s.height] = slNil // the head precedes everything at a new level
 	}
-	return &succ{} // fresh pointer: CAS will fail
-}
-
-func (s *SkipList) linkUpper(node *slNode, key uint64, h int, preds, succs []*slNode) {
-	for l := 1; l < h; l++ {
-		for {
-			raw := node.next[l].Load()
-			if raw.marked {
-				return // concurrently removed
-			}
-			if raw.next != succs[l] {
-				if !node.next[l].CompareAndSwap(raw, &succ{next: succs[l]}) {
-					continue
-				}
-			}
-			if preds[l].next[l].CompareAndSwap(unmarkedTo(preds[l], l, succs[l]), &succ{next: node}) {
-				break
-			}
-			if !s.find(key, preds, succs) {
-				return
-			}
-			if succs[0] != node {
-				return
-			}
-		}
+	x := s.alloc(h)
+	c, o := s.node(x)
+	c[o] = key
+	c[o+1] = value
+	for l := 0; l < h; l++ {
+		pc, po := s.node(preds[l])
+		pslot := po + 2 + 2*uint32(l)
+		slot := o + 2 + 2*uint32(l)
+		c[slot], c[slot+1] = pc[pslot], uint64(uint32(pc[pslot+1]))
+		// A predecessor's height (level 0's high half) stays put.
+		pc[pslot], pc[pslot+1] = key, pc[pslot+1]>>32<<32|uint64(x)
 	}
+	c[o+3] |= uint64(h) << 32
+	s.length++
+	return true
 }
 
 // Update stores value under an existing key, returning false if absent.
 func (s *SkipList) Update(key, value uint64) bool {
-	preds := make([]*slNode, s.levels)
-	succs := make([]*slNode, s.levels)
-	if !s.find(key, preds, succs) {
+	if k, x := s.seek(key); k == key && !slReserved(key) {
+		c, o := s.node(x)
+		c[o+1] = value
+		return true
+	}
+	return false
+}
+
+// Delete removes key, returning false if absent.
+func (s *SkipList) Delete(key uint64) bool {
+	if slReserved(key) {
 		return false
 	}
-	succs[0].value.Store(value)
+	var preds [slMaxHeight]uint32
+	x := s.find(key, &preds)
+	if x == slNil {
+		return false
+	}
+	c, o := s.node(x)
+	h := int(c[o+3] >> 32)
+	for l := 0; l < h; l++ {
+		pc, po := s.node(preds[l])
+		pslot := po + 2 + 2*uint32(l)
+		slot := o + 2 + 2*uint32(l)
+		pc[pslot], pc[pslot+1] = c[slot], pc[pslot+1]>>32<<32|uint64(uint32(c[slot+1]))
+	}
+	s.release(x, h)
+	head := s.chunks[0]
+	for s.height > 1 && head[2+2*(s.height-1)] == slNoKey {
+		s.height--
+	}
+	s.length--
 	return true
 }
 
-// Delete removes key, returning false if absent or if a concurrent Delete
-// won the removal.
-func (s *SkipList) Delete(key uint64) bool {
-	preds := make([]*slNode, s.levels)
-	succs := make([]*slNode, s.levels)
-	if !s.find(key, preds, succs) {
-		return false
-	}
-	node := succs[0]
-	// Mark upper levels top-down.
-	for l := node.height - 1; l >= 1; l-- {
-		sc := node.next[l].Load()
-		for !sc.marked {
-			node.next[l].CompareAndSwap(sc, &succ{next: sc.next, marked: true})
-			sc = node.next[l].Load()
-		}
-	}
-	// Bottom-level mark is the linearization point.
-	for {
-		sc := node.next[0].Load()
-		if sc.marked {
-			return false
-		}
-		if node.next[0].CompareAndSwap(sc, &succ{next: sc.next, marked: true}) {
-			s.length.Add(-1)
-			s.find(key, preds, succs) // physical cleanup
-			return true
-		}
-	}
-}
-
-// Ascend calls fn for each live key >= from in ascending order until fn
-// returns false. It is a weakly consistent snapshot-free iteration.
+// Ascend calls fn for each key >= from in ascending order until fn
+// returns false. fn must not modify the list.
 func (s *SkipList) Ascend(from uint64, fn func(key, value uint64) bool) {
-	preds := make([]*slNode, s.levels)
-	succs := make([]*slNode, s.levels)
-	s.find(from, preds, succs)
-	curr := succs[0]
-	for curr != s.tail {
-		sc := curr.next[0].Load()
-		if !sc.marked {
-			if !fn(curr.key, curr.value.Load()) {
-				return
-			}
+	for _, x := s.seek(from); x != slNil; {
+		c, o := s.node(x)
+		if !fn(c[o], c[o+1]) {
+			return
 		}
-		curr = sc.next
+		x = uint32(c[o+3])
 	}
 }
 
-// CheckInvariants validates structural invariants (for tests) on a
-// quiescent list: strictly increasing keys per level, upper-level
-// membership restricted to nodes reachable at the bottom level, tower
-// heights within each node's allocation, and an unmarked-node count
-// matching Len. It must not race with mutators.
+// CheckInvariants validates the structure (for tests): at every level
+// keys strictly increase, each slot's foresight key is the key of the node
+// its index names and a nil index carries MaxUint64; a node linked at
+// level l has height > l and is linked at level 0; no level at or above
+// the height in use links anything and the top level in use does; no
+// free-listed node is reachable; and level 0 holds Len nodes.
 func (s *SkipList) CheckInvariants() error {
-	live := 0
-	bottom := make(map[*slNode]bool)
-	prev := s.head.key
-	for curr := s.head.next[0].Load().next; curr != s.tail; {
-		sc := curr.next[0].Load()
-		if curr.key <= prev {
-			return errf("skiplist: level 0 key %d after %d", curr.key, prev)
+	freed := make(map[uint32]bool)
+	for i := range s.free {
+		for x := s.free[i]; x != slNil; {
+			if freed[x] {
+				return errf("skiplist: free list %d revisits node %d", i, x)
+			}
+			freed[x] = true
+			c, o := s.node(x)
+			w := c[o+3]
+			if w>>32 != 0 {
+				return errf("skiplist: free node %d records height %d", x, w>>32)
+			}
+			x = uint32(w)
 		}
-		if curr.height < 1 || curr.height > s.levels || len(curr.next) != curr.height {
-			return errf("skiplist: node %d with height %d of %d levels", curr.key, curr.height, s.levels)
-		}
-		if !sc.marked {
-			live++
-		}
-		bottom[curr] = true
-		prev = curr.key
-		curr = sc.next
 	}
-	if live != s.Len() {
-		return errf("skiplist: length %d but %d unmarked nodes found", s.Len(), live)
+	if s.height < 1 || s.height > slMaxHeight {
+		return errf("skiplist: %d levels in use of %d", s.height, slMaxHeight)
 	}
-	for level := 1; level < s.levels; level++ {
-		prev := s.head.key
-		for curr := s.head.next[level].Load().next; curr != s.tail; {
-			if !bottom[curr] {
-				return errf("skiplist: level %d node %d not linked at level 0", level, curr.key)
+	bottom := make(map[uint32]bool)
+	for l := 0; l < slMaxHeight; l++ {
+		prev, n := uint64(0), 0
+		c, o := s.node(slNil)
+		for {
+			k, x := c[o+2+2*uint32(l)], uint32(c[o+3+2*uint32(l)])
+			if x == slNil {
+				if k != slNoKey {
+					return errf("skiplist: level %d nil link carries key %d", l, k)
+				}
+				break
 			}
-			if curr.height <= level {
-				return errf("skiplist: node %d of height %d linked at level %d", curr.key, curr.height, level)
+			if freed[x] {
+				return errf("skiplist: level %d reaches free node %d", l, x)
 			}
-			if curr.key <= prev {
-				return errf("skiplist: level %d key %d after %d", level, curr.key, prev)
+			c, o = s.node(x)
+			if c[o] != k {
+				return errf("skiplist: level %d foresight key %d names node with key %d", l, k, c[o])
 			}
-			prev = curr.key
-			curr = curr.next[level].Load().next
+			if k <= prev || k == slNoKey {
+				return errf("skiplist: level %d key %d after %d", l, k, prev)
+			}
+			if h := int(c[o+3] >> 32); h <= l || h > slMaxHeight {
+				return errf("skiplist: node %d of height %d linked at level %d", k, h, l)
+			}
+			if l == 0 {
+				bottom[x] = true
+			} else if !bottom[x] {
+				return errf("skiplist: level %d node %d not linked at level 0", l, k)
+			}
+			prev = k
+			n++
+		}
+		if l == 0 && n != s.length {
+			return errf("skiplist: length %d but %d nodes linked", s.length, n)
+		}
+		if l >= s.height && n != 0 {
+			return errf("skiplist: level %d links %d nodes above the %d in use", l, n, s.height)
+		}
+		if l == s.height-1 && l > 0 && n == 0 {
+			return errf("skiplist: top level %d in use is empty", l)
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package cds
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -9,14 +8,14 @@ import (
 )
 
 func TestSkipListBasicOps(t *testing.T) {
-	s := NewSkipList(16)
+	s := NewSkipList()
 	if _, ok := s.Get(42); ok {
 		t.Fatal("empty list returned a value")
 	}
-	if !s.Insert(42, 100) {
+	if !s.Put(42, 100) {
 		t.Fatal("insert failed")
 	}
-	if s.Insert(42, 200) {
+	if s.Put(42, 200) {
 		t.Fatal("duplicate insert succeeded")
 	}
 	if v, ok := s.Get(42); !ok || v != 100 {
@@ -46,7 +45,7 @@ func TestSkipListBasicOps(t *testing.T) {
 }
 
 func TestSkipListSequentialOracle(t *testing.T) {
-	s := NewSkipList(16)
+	s := NewSkipList()
 	oracle := map[uint64]uint64{}
 	rng := prng.New(7)
 	for i := 0; i < 20000; i++ {
@@ -61,7 +60,7 @@ func TestSkipListSequentialOracle(t *testing.T) {
 		case 1:
 			v := rng.Next()
 			_, exists := oracle[k]
-			if s.Insert(k, v) != !exists {
+			if s.Put(k, v) != !exists {
 				t.Fatalf("Insert(%d) disagreed with oracle", k)
 			}
 			if !exists {
@@ -90,9 +89,9 @@ func TestSkipListSequentialOracle(t *testing.T) {
 }
 
 func TestSkipListAscendSorted(t *testing.T) {
-	s := NewSkipList(12)
+	s := NewSkipList()
 	for _, k := range []uint64{5, 1, 9, 3, 7} {
-		s.Insert(k, k*10)
+		s.Put(k, k*10)
 	}
 	var got []uint64
 	s.Ascend(1, func(k, v uint64) bool {
@@ -122,102 +121,9 @@ func TestSkipListAscendSorted(t *testing.T) {
 	}
 }
 
-func TestSkipListConcurrentDisjoint(t *testing.T) {
-	s := NewSkipList(18)
-	const threads = 8
-	const perThread = 3000
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		th := th
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			base := uint64(th*perThread) + 1
-			for i := uint64(0); i < perThread; i++ {
-				if !s.Insert(base+i, base+i) {
-					t.Errorf("insert %d failed", base+i)
-					return
-				}
-			}
-			for i := uint64(0); i < perThread; i += 2 {
-				if !s.Delete(base + i) {
-					t.Errorf("delete %d failed", base+i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Len() != threads*perThread/2 {
-		t.Fatalf("Len = %d, want %d", s.Len(), threads*perThread/2)
-	}
-	for th := 0; th < threads; th++ {
-		base := uint64(th*perThread) + 1
-		for i := uint64(0); i < perThread; i++ {
-			v, ok := s.Get(base + i)
-			wantOK := i%2 == 1
-			if ok != wantOK || (ok && v != base+i) {
-				t.Fatalf("Get(%d) = (%d,%v)", base+i, v, ok)
-			}
-		}
-	}
-}
-
-func TestSkipListConcurrentContention(t *testing.T) {
-	// All goroutines fight over the same small key range; exactly one
-	// Insert/Delete per key transition must win.
-	s := NewSkipList(12)
-	const threads = 8
-	const keys = 32
-	wins := make([]int64, threads)
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		th := th
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := prng.New(uint64(th) + 1)
-			for i := 0; i < 5000; i++ {
-				k := uint64(rng.Intn(keys)) + 1
-				if rng.Intn(2) == 0 {
-					if s.Insert(k, uint64(th)) {
-						wins[th]++
-					}
-				} else {
-					if s.Delete(k) {
-						wins[th]--
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Net successful inserts minus deletes must equal the live count.
-	net := int64(0)
-	for _, w := range wins {
-		net += w
-	}
-	if net != int64(s.Len()) {
-		t.Fatalf("net wins %d != Len %d", net, s.Len())
-	}
-	// And the live keys must be consistent under iteration.
-	count := 0
-	prev := uint64(0)
-	s.Ascend(1, func(k, v uint64) bool {
-		if k <= prev {
-			t.Fatalf("iteration out of order: %d after %d", k, prev)
-		}
-		prev = k
-		count++
-		return true
-	})
-	if count != s.Len() {
-		t.Fatalf("iterated %d, Len %d", count, s.Len())
-	}
-}
-
 func TestSkipListReservedKeysPanic(t *testing.T) {
-	s := NewSkipList(8)
+	s := NewSkipList()
+	s.Put(7, 70)
 	for _, k := range []uint64{0, ^uint64(0)} {
 		func() {
 			defer func() {
@@ -225,18 +131,73 @@ func TestSkipListReservedKeysPanic(t *testing.T) {
 					t.Errorf("key %d did not panic", k)
 				}
 			}()
-			s.Insert(k, 1)
+			s.Put(k, 1)
 		}()
+		// The sentinels are never stored, so every other method reports
+		// them absent and leaves the list alone.
+		if v, ok := s.Get(k); ok || v != 0 {
+			t.Errorf("Get(%d) = (%d,%v), want (0,false)", k, v, ok)
+		}
+		if s.Update(k, 9) {
+			t.Errorf("Update(%d) succeeded", k)
+		}
+		if s.Delete(k) {
+			t.Errorf("Delete(%d) succeeded", k)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get(7); !ok || v != 70 || s.Len() != 1 {
+		t.Fatalf("after reserved-key calls: Get(7) = (%d,%v), Len %d", v, ok, s.Len())
+	}
+}
+
+// TestSkipListChurnBounded holds the population constant while deleting
+// and inserting a million keys: the churn allocates nothing and the arena
+// does not grow, because an insert reuses a freed node of its size. (The
+// sizes' populations each wander a few percent above where the load left
+// them, and that much is carved fresh; the load leaves a third of its last
+// chunk for it. Without reuse the churn would carve 50 more chunks.)
+func TestSkipListChurnBounded(t *testing.T) {
+	const n = 1 << 16
+	s := NewSkipList()
+	for k := uint64(1); k <= n; k++ {
+		s.Put(k, k)
+	}
+	loaded := len(s.chunks)
+	const runs = 1000
+	oldest, next := uint64(1), uint64(n+1)
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < 1_000_000/runs/2; i++ {
+			if !s.Delete(oldest) || !s.Put(next, next) {
+				t.Fatalf("churn lost track at delete %d, insert %d", oldest, next)
+			}
+			oldest++
+			next++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("churn allocates %.1f objects per %d ops, want 0", allocs, 1_000_000/runs)
+	}
+	if got := len(s.chunks); got != loaded {
+		t.Errorf("arena grew from %d to %d chunks under constant-population churn", loaded, got)
+	}
+	if s.Len() != n {
+		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSkipListPropertyInsertDeleteRoundTrip(t *testing.T) {
 	f := func(keys []uint64) bool {
-		s := NewSkipList(14)
+		s := NewSkipList()
 		inserted := map[uint64]bool{}
 		for _, k := range keys {
 			k = k%1000000 + 1
-			s.Insert(k, k)
+			s.Put(k, k)
 			inserted[k] = true
 		}
 		for k := range inserted {

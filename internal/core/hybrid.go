@@ -48,7 +48,7 @@ type Store interface {
 }
 
 // Instrumented is implemented by stores that expose structural-event
-// counters (cds.BTree, cds.SkipList, cds.BSkipList all do). New registers
+// counters (cds.BTree and cds.BSkipList do). New registers
 // each partition store that implements it under "core/p<i>/store", so
 // per-partition structural metrics are engine-uniform without the runtime
 // knowing any concrete store type.

@@ -155,7 +155,7 @@ func TestHybridCustomStore(t *testing.T) {
 func TestHybridSkipListAsStore(t *testing.T) {
 	h := New(Config{
 		Partitions: 2, KeyMax: 1 << 16,
-		NewStore: func(p int) Store { return skipStore{cds.NewSkipList(14)} },
+		NewStore: func(p int) Store { return cds.NewSkipList() },
 	})
 	defer h.Close()
 	for k := uint64(1); k <= 500; k++ {
@@ -168,18 +168,6 @@ func TestHybridSkipListAsStore(t *testing.T) {
 			t.Fatalf("Get(%d) = (%d,%v)", k, v, ok)
 		}
 	}
-}
-
-// skipStore adapts cds.SkipList to the Store interface.
-type skipStore struct{ s *cds.SkipList }
-
-func (s skipStore) Get(k uint64) (uint64, bool) { return s.s.Get(k) }
-func (s skipStore) Put(k, v uint64) bool        { return s.s.Insert(k, v) }
-func (s skipStore) Update(k, v uint64) bool     { return s.s.Update(k, v) }
-func (s skipStore) Delete(k uint64) bool        { return s.s.Delete(k) }
-func (s skipStore) Len() int                    { return s.s.Len() }
-func (s skipStore) Ascend(from uint64, fn func(k, v uint64) bool) {
-	s.s.Ascend(from, fn)
 }
 
 func TestHybridKeyBoundsPanic(t *testing.T) {

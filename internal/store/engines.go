@@ -7,34 +7,9 @@ import (
 	"hybrids/internal/dsim/bskiplist"
 	"hybrids/internal/dsim/btree"
 	"hybrids/internal/dsim/skiplist"
-	"hybrids/internal/metrics"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/ycsb"
 )
-
-// defaultSkipLevels is the native skiplist height cap — tall enough for
-// any daemon-scale key population.
-const defaultSkipLevels = 16
-
-// skipStore adapts cds.SkipList to the core.Store interface (Insert vs
-// Put naming).
-type skipStore struct{ s *cds.SkipList }
-
-func (s skipStore) Get(k uint64) (uint64, bool)                   { return s.s.Get(k) }
-func (s skipStore) Put(k, v uint64) bool                          { return s.s.Insert(k, v) }
-func (s skipStore) Update(k, v uint64) bool                       { return s.s.Update(k, v) }
-func (s skipStore) Delete(k uint64) bool                          { return s.s.Delete(k) }
-func (s skipStore) Len() int                                      { return s.s.Len() }
-func (s skipStore) Ascend(from uint64, fn func(k, v uint64) bool) { s.s.Ascend(from, fn) }
-
-// Instrument forwards to the underlying skiplist's structural counters,
-// so skiplist partitions register under core/p<i>/store like any other
-// engine (core.Instrumented).
-func (s skipStore) Instrument(reg *metrics.Registry, prefix string) { s.s.Instrument(reg, prefix) }
-
-// CheckInvariants forwards the skiplist's quiescent structural check, so
-// the conformance suite sees it through the core.Store value.
-func (s skipStore) CheckInvariants() error { return s.s.CheckInvariants() }
 
 // --- B+ tree --------------------------------------------------------------
 
@@ -114,7 +89,7 @@ func skiplistEngine() Engine {
 		Name: "skiplist",
 		Desc: "skiplist",
 		NewNative: func(Tuning) func(int) core.Store {
-			return func(int) core.Store { return skipStore{cds.NewSkipList(defaultSkipLevels)} }
+			return func(int) core.Store { return cds.NewSkipList() }
 		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			h := skiplist.NewHybrid(m, skiplist.HybridConfig{
