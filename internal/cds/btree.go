@@ -6,14 +6,86 @@ import (
 	"hybrids/internal/metrics"
 )
 
-// BTree is a single-threaded in-memory B+ tree with the paper's node
-// geometry (up to 14 key-value pairs per leaf, 15 children per inner node,
-// ~one cache block per node) and relaxed deletion (leaves may underflow;
-// nodes are never merged). It is the partition-owned store used by the
-// native hybrid runtime, where one combiner goroutine owns each partition,
-// and is also usable standalone as an ordered map.
+// B+ tree geometry: a leaf holds up to 15 pairs, an inner node up to 21
+// children, and both are exactly 256 bytes (DESIGN.md §5.8 has the byte
+// offsets). The count leads each node, so a search reads it from the line
+// it scans first.
+const (
+	btLeafMax  = 15
+	btInnerMax = 21
+	// btChunkBits sizes an arena chunk at 2^10 nodes (256 KiB).
+	btChunkBits  = 10
+	btChunkNodes = 1 << btChunkBits
+	// btNil is the "no leaf to the right" index. It is the first leaf's
+	// own index, and that leaf stays leftmost for the tree's life (a split
+	// only ever adds a right sibling), so no chain link names it.
+	btNil = 0
+	// btMaxHeight bounds the path Put records. Only the rightmost node of
+	// a level can hold fewer than (btInnerMax+1)/2 children, so a tree of
+	// height 12 would need 11^10 leaves, more than 32 bits can name.
+	btMaxHeight = 12
+)
+
+// btLeaf is a level-0 node: n sorted pairs and the leaf to its right.
+type btLeaf struct {
+	n    uint32
+	next uint32
+	keys [btLeafMax]uint64
+	vals [btLeafMax]uint64
+	_    uint64
+}
+
+// btInner is a node above the leaves: kids[i] covers keys <= keys[i], the
+// last of its n children everything above the last divider.
+type btInner struct {
+	n    uint32
+	kids [btInnerMax]uint32
+	keys [btInnerMax - 1]uint64
+	_    uint64
+}
+
+// btArena is an append-only pool of nodes in fixed-size pointer-free
+// chunks, named by a 32-bit index: growth never moves a node and the
+// garbage collector never scans one.
+type btArena[T any] struct {
+	chunks []*[btChunkNodes]T
+	n      int // nodes handed out
+}
+
+// at returns node x.
+func (a *btArena[T]) at(x uint32) *T {
+	return &a.chunks[x>>btChunkBits][x&(btChunkNodes-1)]
+}
+
+// alloc hands out a zeroed node.
+func (a *btArena[T]) alloc() uint32 {
+	if a.n == len(a.chunks)<<btChunkBits {
+		if len(a.chunks) == 1<<(32-btChunkBits) {
+			panic("cds: btree arena exhausted")
+		}
+		a.chunks = append(a.chunks, new([btChunkNodes]T))
+	}
+	a.n++
+	return uint32(a.n - 1)
+}
+
+// BTree is a sequential in-memory B+ tree built for one owner and for the
+// cache. Leaves (chained left to right) and inner nodes are separate
+// 256-byte types, so a leaf carries no child slots and an inner node no
+// values; each kind has its own arena, and which kind an index names is
+// decided by the descent's level counter, not by a flag. An insert past
+// the last key of the rightmost leaf starts a fresh right sibling instead
+// of halving the full leaf, so an ascending load leaves every node full.
+// Deletion is relaxed: leaves may underflow, even to empty, and nodes are
+// never merged — what the design gives up is that chunks are never
+// returned to the runtime while the tree lives. It is the partition-owned
+// store of the native hybrid runtime, where one combiner goroutine owns
+// each partition, and is usable standalone as an ordered map. Methods are
+// not safe for concurrent use.
 type BTree struct {
-	root   *bNode
+	leaves btArena[btLeaf]
+	inners btArena[btInner]
+	root   uint32 // a leaf index at height 1, else an inner index
 	height int
 	length int
 
@@ -41,23 +113,11 @@ func inc(c *metrics.Counter) {
 	}
 }
 
-// Node geometry mirroring the simulated trees.
-const (
-	btLeafMax  = 14
-	btInnerMax = 15
-)
-
-type bNode struct {
-	leaf bool
-	n    int // leaf: key-value pairs; inner: children
-	keys [btInnerMax - 1]uint64
-	vals [btLeafMax]uint64
-	kids [btInnerMax]*bNode
-}
-
 // NewBTree returns an empty tree.
 func NewBTree() *BTree {
-	return &BTree{root: &bNode{leaf: true}, height: 1}
+	t := &BTree{height: 1}
+	t.root = t.leaves.alloc() // index btNil: the head of the leaf chain
+	return t
 }
 
 // Len returns the number of stored pairs.
@@ -66,54 +126,50 @@ func (t *BTree) Len() int { return t.length }
 // Height returns the number of levels.
 func (t *BTree) Height() int { return t.height }
 
-// childIdx returns the child covering key: child i covers keys <= keys[i].
-func (n *bNode) childIdx(key uint64) int {
-	i := 0
-	for i < n.n-1 && key > n.keys[i] {
-		i++
-	}
-	return i
-}
-
-// leafSlot returns key's slot in a leaf, or -1.
-func (n *bNode) leafSlot(key uint64) int {
-	for i := 0; i < n.n; i++ {
-		if n.keys[i] == key {
+// childIdx returns the position of the child covering key.
+func (n *btInner) childIdx(key uint64) int {
+	for i, d := range n.keys[:n.n-1] {
+		if key <= d {
 			return i
 		}
-		if n.keys[i] > key {
-			return -1
+	}
+	return int(n.n - 1)
+}
+
+// slot returns the first position whose key is >= key (n when there is
+// none) and whether that position holds key itself.
+func (l *btLeaf) slot(key uint64) (int, bool) {
+	for i, k := range l.keys[:l.n] {
+		if k >= key {
+			return i, k == key
 		}
 	}
-	return -1
+	return int(l.n), false
 }
 
-func (t *BTree) descend(key uint64) (leaf *bNode, path []*bNode, idxs []int) {
-	curr := t.root
-	for !curr.leaf {
-		i := curr.childIdx(key)
-		path = append(path, curr)
-		idxs = append(idxs, i)
-		curr = curr.kids[i]
-	}
-	return curr, path, idxs
+// insertAt opens position pos of a leaf with room and stores the pair.
+func (l *btLeaf) insertAt(pos int, key, value uint64) {
+	copy(l.keys[pos+1:l.n+1], l.keys[pos:l.n])
+	copy(l.vals[pos+1:l.n+1], l.vals[pos:l.n])
+	l.keys[pos], l.vals[pos] = key, value
+	l.n++
 }
 
-// find descends to the leaf covering key without recording the path, so
-// read-only operations allocate nothing.
-func (t *BTree) find(key uint64) *bNode {
-	curr := t.root
-	for !curr.leaf {
-		curr = curr.kids[curr.childIdx(key)]
+// find descends to the leaf covering key without recording the path.
+func (t *BTree) find(key uint64) *btLeaf {
+	x := t.root
+	for level := t.height - 1; level > 0; level-- {
+		n := t.inners.at(x)
+		x = n.kids[n.childIdx(key)]
 	}
-	return curr
+	return t.leaves.at(x)
 }
 
 // Get returns the value stored under key.
 func (t *BTree) Get(key uint64) (uint64, bool) {
-	leaf := t.find(key)
-	if i := leaf.leafSlot(key); i >= 0 {
-		return leaf.vals[i], true
+	l := t.find(key)
+	if i, ok := l.slot(key); ok {
+		return l.vals[i], true
 	}
 	return 0, false
 }
@@ -121,207 +177,221 @@ func (t *BTree) Get(key uint64) (uint64, bool) {
 // Update overwrites the value of an existing key, returning false if
 // absent.
 func (t *BTree) Update(key, value uint64) bool {
-	leaf := t.find(key)
-	if i := leaf.leafSlot(key); i >= 0 {
-		leaf.vals[i] = value
+	l := t.find(key)
+	if i, ok := l.slot(key); ok {
+		l.vals[i] = value
 		return true
 	}
 	return false
 }
 
+// btPath is a recorded descent: per level above the leaves, the inner
+// node visited and the child position taken in it.
+type btPath [btMaxHeight]struct{ node, idx uint32 }
+
 // Put inserts key -> value, returning false (without modifying the tree)
 // when the key already exists.
 func (t *BTree) Put(key, value uint64) bool {
-	leaf, path, idxs := t.descend(key)
-	if leaf.leafSlot(key) >= 0 {
+	var path btPath
+	x := t.root
+	for level := t.height - 1; level > 0; level-- {
+		n := t.inners.at(x)
+		i := n.childIdx(key)
+		path[level].node, path[level].idx = x, uint32(i)
+		x = n.kids[i]
+	}
+	l := t.leaves.at(x)
+	pos, found := l.slot(key)
+	if found {
 		return false
 	}
 	t.length++
-	if leaf.n < btLeafMax {
-		leaf.insertKV(key, value)
+	if l.n < btLeafMax {
+		l.insertAt(pos, key, value)
 		return true
 	}
-	right, divider := leaf.splitLeafInsert(key, value)
+	// Split. With tail set key lies past the last key of the rightmost
+	// leaf: the full leaf stays full (an append split), and every node on
+	// the path is the last child of its parent.
+	tail := pos == btLeafMax && l.next == btNil
+	keep := btLeafMax
+	if !tail {
+		keep = (btLeafMax + 1) / 2
+	}
+	rx := t.leaves.alloc()
+	r := t.leaves.at(rx)
+	into, at := r, pos-keep
+	if pos < keep {
+		keep--
+		into, at = l, pos
+	}
+	r.n = uint32(copy(r.keys[:], l.keys[keep:]))
+	copy(r.vals[:], l.vals[keep:])
+	l.n = uint32(keep)
+	into.insertAt(at, key, value)
+	r.next, l.next = l.next, rx
 	inc(t.cLeafSplits)
-	t.insertUp(path, idxs, divider, right)
+	t.insertUp(&path, l.keys[l.n-1], rx, tail)
 	return true
 }
 
-func (n *bNode) insertKV(key, value uint64) {
-	pos := 0
-	for pos < n.n && n.keys[pos] < key {
-		pos++
-	}
-	copy(n.keys[pos+1:n.n+1], n.keys[pos:n.n])
-	copy(n.vals[pos+1:n.n+1], n.vals[pos:n.n])
-	n.keys[pos] = key
-	n.vals[pos] = value
-	n.n++
-}
-
-func (n *bNode) splitLeafInsert(key, value uint64) (right *bNode, divider uint64) {
-	var keys [btLeafMax + 1]uint64
-	var vals [btLeafMax + 1]uint64
-	pos := 0
-	for pos < n.n && n.keys[pos] < key {
-		pos++
-	}
-	copy(keys[:pos], n.keys[:pos])
-	copy(vals[:pos], n.vals[:pos])
-	keys[pos], vals[pos] = key, value
-	copy(keys[pos+1:], n.keys[pos:n.n])
-	copy(vals[pos+1:], n.vals[pos:n.n])
-	total := n.n + 1
-	leftN := (total + 1) / 2
-	right = &bNode{leaf: true, n: total - leftN}
-	copy(right.keys[:right.n], keys[leftN:total])
-	copy(right.vals[:right.n], vals[leftN:total])
-	n.n = leftN
-	copy(n.keys[:leftN], keys[:leftN])
-	copy(n.vals[:leftN], vals[:leftN])
-	return right, keys[leftN-1]
-}
-
 // insertUp inserts (divider, right) into the parents recorded on path,
-// splitting upward and growing the root as needed.
-func (t *BTree) insertUp(path []*bNode, idxs []int, divider uint64, right *bNode) {
-	for level := len(path) - 1; level >= 0; level-- {
-		node, idx := path[level], idxs[level]
-		if node.n < btInnerMax {
-			copy(node.keys[idx+1:node.n], node.keys[idx:node.n-1])
-			copy(node.kids[idx+2:node.n+1], node.kids[idx+1:node.n])
-			node.keys[idx] = divider
-			node.kids[idx+1] = right
-			node.n++
+// splitting upward and growing the root as needed. With tail set a full
+// parent is split by append too: it keeps all its children and its fresh
+// right sibling starts with the new one.
+func (t *BTree) insertUp(path *btPath, divider uint64, right uint32, tail bool) {
+	for level := 1; level < t.height; level++ {
+		n, idx := t.inners.at(path[level].node), int(path[level].idx)
+		if n.n < btInnerMax {
+			copy(n.keys[idx+1:n.n], n.keys[idx:n.n-1])
+			copy(n.kids[idx+2:n.n+1], n.kids[idx+1:n.n])
+			n.keys[idx], n.kids[idx+1] = divider, right
+			n.n++
 			return
 		}
-		divider, right = node.splitInnerInsert(idx, divider, right)
+		keep := (btInnerMax + 2) / 2
+		if tail {
+			keep = btInnerMax
+		}
+		rx := t.inners.alloc()
+		divider = n.splitInsert(t.inners.at(rx), keep, idx, divider, right)
+		right = rx
 		inc(t.cInnerSplits)
 	}
-	newRoot := &bNode{n: 2}
-	newRoot.kids[0] = t.root
-	newRoot.kids[1] = right
-	newRoot.keys[0] = divider
-	t.root = newRoot
+	rx := t.inners.alloc()
+	r := t.inners.at(rx)
+	r.kids[0], r.kids[1], r.keys[0], r.n = t.root, right, divider, 2
+	t.root = rx
 	t.height++
 	inc(t.cRootGrowths)
 }
 
-func (n *bNode) splitInnerInsert(idx int, d uint64, child *bNode) (uint64, *bNode) {
+// splitInsert inserts (d, child) after position idx of the full node n,
+// leaving the first keep children in n and the rest in the empty node r,
+// and returns the divider between the two.
+func (n *btInner) splitInsert(r *btInner, keep, idx int, d uint64, child uint32) uint64 {
 	var keys [btInnerMax]uint64
-	var kids [btInnerMax + 1]*bNode
+	var kids [btInnerMax + 1]uint32
 	copy(keys[:idx], n.keys[:idx])
 	keys[idx] = d
-	copy(keys[idx+1:], n.keys[idx:n.n-1])
+	copy(keys[idx+1:], n.keys[idx:])
 	copy(kids[:idx+1], n.kids[:idx+1])
 	kids[idx+1] = child
-	copy(kids[idx+2:], n.kids[idx+1:n.n])
-	totalKids := n.n + 1
-	leftN := (totalKids + 1) / 2
-	divider := keys[leftN-1]
-	right := &bNode{n: totalKids - leftN}
-	copy(right.kids[:right.n], kids[leftN:totalKids])
-	copy(right.keys[:right.n-1], keys[leftN:totalKids-1])
-	n.n = leftN
-	copy(n.kids[:leftN], kids[:leftN])
-	copy(n.keys[:leftN-1], keys[:leftN-1])
-	// Clear stale tails so dangling references do not pin memory.
-	for i := leftN; i < btInnerMax; i++ {
-		n.kids[i] = nil
-	}
-	return divider, right
+	copy(kids[idx+2:], n.kids[idx+1:])
+	n.n = uint32(copy(n.kids[:], kids[:keep]))
+	copy(n.keys[:], keys[:keep-1])
+	r.n = uint32(copy(r.kids[:], kids[keep:]))
+	copy(r.keys[:], keys[keep:])
+	return keys[keep-1]
 }
 
 // Delete removes key, returning false if absent. Leaves may underflow
 // (relaxed invariant) and are never merged.
 func (t *BTree) Delete(key uint64) bool {
-	leaf, _, _ := t.descend(key)
-	i := leaf.leafSlot(key)
-	if i < 0 {
+	l := t.find(key)
+	i, ok := l.slot(key)
+	if !ok {
 		return false
 	}
-	copy(leaf.keys[i:leaf.n-1], leaf.keys[i+1:leaf.n])
-	copy(leaf.vals[i:leaf.n-1], leaf.vals[i+1:leaf.n])
-	leaf.n--
+	copy(l.keys[i:l.n-1], l.keys[i+1:l.n])
+	copy(l.vals[i:l.n-1], l.vals[i+1:l.n])
+	l.n--
 	t.length--
 	return true
 }
 
 // Ascend calls fn for each pair with key >= from in ascending order until
-// fn returns false.
+// fn returns false: one descent, then a walk of the leaf chain. fn must
+// not modify the tree.
 func (t *BTree) Ascend(from uint64, fn func(key, value uint64) bool) {
-	t.ascend(t.root, from, fn)
+	l := t.find(from)
+	i, _ := l.slot(from)
+	for {
+		for ; i < int(l.n); i++ {
+			if !fn(l.keys[i], l.vals[i]) {
+				return
+			}
+		}
+		if l.next == btNil {
+			return
+		}
+		l, i = t.leaves.at(l.next), 0
+	}
 }
 
-func (t *BTree) ascend(n *bNode, from uint64, fn func(uint64, uint64) bool) bool {
-	if n.leaf {
-		for i := 0; i < n.n; i++ {
-			if n.keys[i] >= from {
-				if !fn(n.keys[i], n.vals[i]) {
-					return false
+// CheckInvariants validates the structure (for tests): keys strictly
+// increase within and across leaves and lie inside the bounds their
+// parents' dividers give them; dividers strictly increase inside those
+// bounds; no node exceeds its capacity, every inner node has a child and
+// an inner root two; every child index names an allocated node and every
+// allocated node is reached; the leaf chain starts at leaf 0, visits
+// exactly the leaves of the in-order walk and ends in btNil; and the
+// leaves hold Len pairs.
+func (t *BTree) CheckInvariants() error {
+	if t.height < 1 || t.height > btMaxHeight || t.height > 1 && t.inners.at(t.root).n < 2 {
+		return errf("btree: height %d or a root with one child", t.height)
+	}
+	var order []uint32 // the leaves in key order
+	pairs, inners := 0, 0
+	var check func(x uint32, level int, lo, hi uint64) error
+	check = func(x uint32, level int, lo, hi uint64) error { // keys in (lo, hi]
+		if level == 0 {
+			if int(x) >= t.leaves.n {
+				return errf("btree: leaf index %d of %d allocated", x, t.leaves.n)
+			}
+			l := t.leaves.at(x)
+			if l.n > btLeafMax {
+				return errf("btree: leaf %d holds %d pairs", x, l.n)
+			}
+			for _, k := range l.keys[:l.n] {
+				if k <= lo || k > hi {
+					return errf("btree: leaf %d key %d outside (%d,%d]", x, k, lo, hi)
+				}
+				lo = k
+			}
+			order = append(order, x)
+			pairs += int(l.n)
+			return nil
+		}
+		if int(x) >= t.inners.n {
+			return errf("btree: inner index %d of %d allocated", x, t.inners.n)
+		}
+		inners++
+		n := t.inners.at(x)
+		if n.n < 1 || n.n > btInnerMax {
+			return errf("btree: inner node %d with %d children", x, n.n)
+		}
+		for i, kid := range n.kids[:n.n] {
+			kidHi := hi
+			if i < int(n.n)-1 {
+				kidHi = n.keys[i]
+				if kidHi <= lo || kidHi >= hi {
+					return errf("btree: inner node %d divider %d outside (%d,%d)", x, kidHi, lo, hi)
 				}
 			}
-		}
-		return true
-	}
-	start := n.childIdx(from)
-	for i := start; i < n.n; i++ {
-		if !t.ascend(n.kids[i], from, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// CheckInvariants validates structural invariants (for tests): sorted keys,
-// bounded occupancy, consistent depth, and divider bounds.
-func (t *BTree) CheckInvariants() error {
-	count := 0
-	err := t.check(t.root, t.height-1, 0, ^uint64(0), &count)
-	if err != nil {
-		return err
-	}
-	if count != t.length {
-		return errf("length %d but %d pairs found", t.length, count)
-	}
-	return nil
-}
-
-func (t *BTree) check(n *bNode, depth int, lo, hi uint64, count *int) error {
-	if n.leaf {
-		if depth != 0 {
-			return errf("leaf at depth %d", depth)
-		}
-		if n.n > btLeafMax {
-			return errf("leaf overfull")
-		}
-		prev := lo
-		for i := 0; i < n.n; i++ {
-			k := n.keys[i]
-			if k <= prev {
-				return errf("leaf keys not increasing: %d after %d", k, prev)
+			if err := check(kid, level-1, lo, kidHi); err != nil {
+				return err
 			}
-			if k <= lo || k > hi {
-				return errf("leaf key %d outside (%d,%d]", k, lo, hi)
-			}
-			prev = k
-			*count++
+			lo = kidHi
 		}
 		return nil
 	}
-	if n.n < 1 || n.n > btInnerMax {
-		return errf("inner node with %d children", n.n)
+	if err := check(t.root, t.height-1, 0, ^uint64(0)); err != nil {
+		return err
 	}
-	childLo := lo
-	for i := 0; i < n.n; i++ {
-		childHi := hi
-		if i < n.n-1 {
-			childHi = n.keys[i]
+	if pairs != t.length || len(order) != t.leaves.n || inners != t.inners.n {
+		return errf("btree: walk found %d pairs in %d leaves under %d inner nodes; Len %d, allocated %d and %d",
+			pairs, len(order), inners, t.length, t.leaves.n, t.inners.n)
+	}
+	x := uint32(btNil)
+	for i, want := range order {
+		if x != want {
+			return errf("btree: leaf chain position %d is leaf %d, in-order walk has %d", i, x, want)
 		}
-		if err := t.check(n.kids[i], depth-1, childLo, childHi, count); err != nil {
-			return err
-		}
-		childLo = childHi
+		x = t.leaves.at(x).next
+	}
+	if x != btNil {
+		return errf("btree: leaf chain continues to leaf %d past the last leaf", x)
 	}
 	return nil
 }

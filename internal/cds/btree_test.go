@@ -3,6 +3,7 @@ package cds
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hybrids/internal/prng"
 )
@@ -230,4 +231,137 @@ func TestBTreePropertyMatchesMap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestBTreeNodeSizes(t *testing.T) {
+	if got := unsafe.Sizeof(btLeaf{}); got != 256 {
+		t.Errorf("leaf is %d bytes, want 256", got)
+	}
+	if got := unsafe.Sizeof(btInner{}); got != 256 {
+		t.Errorf("inner node is %d bytes, want 256", got)
+	}
+}
+
+// leafFill returns the mean occupancy of the tree's leaves.
+func leafFill(bt *BTree) float64 {
+	return float64(bt.Len()) / float64(bt.leaves.n*btLeafMax)
+}
+
+// TestBTreeBulkLoadShape loads ascending keys — every split an append
+// split, so leaves end full and the tree short — then churns the loaded
+// tree at random, which takes full leaves through the mid split.
+func TestBTreeBulkLoadShape(t *testing.T) {
+	const n = 100000
+	bt := NewBTree()
+	oracle := make(map[uint64]uint64, n)
+	for i := uint64(1); i <= n; i++ {
+		k := 2 * i // odd keys stay free for the churn
+		if !bt.Put(k, k+1) {
+			t.Fatalf("Put(%d) failed", k)
+		}
+		oracle[k] = k + 1
+	}
+	if err := bt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if fill := leafFill(bt); fill < 0.95 {
+		t.Fatalf("leaf fill %.3f after an ascending load, want >= 0.95", fill)
+	}
+	if bt.Height() > 4 {
+		t.Fatalf("height %d after an ascending load of %d keys, want <= 4", bt.Height(), n)
+	}
+	rng := prng.New(5)
+	for i := 1; i <= n; i++ {
+		k := uint64(rng.Intn(2*n+2)) + 1
+		want, exists := oracle[k]
+		switch rng.Intn(3) {
+		case 0:
+			v := rng.Next()
+			if bt.Put(k, v) != !exists {
+				t.Fatalf("step %d: Put(%d) disagreed", i, k)
+			}
+			if !exists {
+				oracle[k] = v
+			}
+		case 1:
+			if bt.Delete(k) != exists {
+				t.Fatalf("step %d: Delete(%d) disagreed", i, k)
+			}
+			delete(oracle, k)
+		default:
+			if v, ok := bt.Get(k); ok != exists || v != want {
+				t.Fatalf("step %d: Get(%d) = (%d,%v), want (%d,%v)", i, k, v, ok, want, exists)
+			}
+		}
+		if i%10000 == 0 {
+			if err := bt.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+	}
+	if bt.Len() != len(oracle) {
+		t.Fatalf("Len = %d, oracle %d", bt.Len(), len(oracle))
+	}
+	bt.Ascend(0, func(k, v uint64) bool {
+		if want, ok := oracle[k]; !ok || v != want {
+			t.Fatalf("Ascend yields (%d,%d), oracle has (%d,%v)", k, v, want, ok)
+		}
+		delete(oracle, k)
+		return true
+	})
+	if len(oracle) != 0 {
+		t.Fatalf("Ascend missed %d pairs", len(oracle))
+	}
+}
+
+func TestBTreeAscendCrossesLeaves(t *testing.T) {
+	bt := NewBTree()
+	for k := uint64(1); k <= 10*btLeafMax; k++ {
+		bt.Put(k, k*2)
+	}
+	// Empty the third and fourth leaves: the chain still links them.
+	for k := uint64(2*btLeafMax + 1); k <= 4*btLeafMax; k++ {
+		bt.Delete(k)
+	}
+	if err := bt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Stop in the middle of the second leaf, then resume from the key the
+	// walk stopped at.
+	stop := uint64(btLeafMax + 7)
+	var got []uint64
+	collect := func(until uint64) func(k, v uint64) bool {
+		return func(k, v uint64) bool {
+			if v != k*2 {
+				t.Fatalf("Ascend yields (%d,%d)", k, v)
+			}
+			got = append(got, k)
+			return k != until
+		}
+	}
+	bt.Ascend(3, collect(stop))
+	if last := got[len(got)-1]; last != stop || len(got) != int(stop)-2 {
+		t.Fatalf("first walk ended at %d after %d pairs", last, len(got))
+	}
+	got = got[:len(got)-1]
+	bt.Ascend(stop, collect(0))
+	want := uint64(3)
+	for _, k := range got {
+		if k != want {
+			t.Fatalf("walk yields %d, want %d", k, want)
+		}
+		if want++; want == 2*btLeafMax+1 {
+			want = 4*btLeafMax + 1
+		}
+	}
+	if want != 10*btLeafMax+1 {
+		t.Fatalf("walk ended before %d", want)
+	}
+	// A start inside the emptied range lands on the first key after it.
+	bt.Ascend(3*btLeafMax, func(k, _ uint64) bool {
+		if k != 4*btLeafMax+1 {
+			t.Fatalf("Ascend from the emptied range starts at %d", k)
+		}
+		return false
+	})
 }

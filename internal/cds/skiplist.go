@@ -1,8 +1,9 @@
 // Package cds provides the native (non-simulated) ordered maps the hybrid
 // runtime in internal/core uses as partition stores, each usable
-// standalone: a pointer-free arena skiplist with foresight keys, a B+ tree
-// and a fat-node B-skiplist. All three are sequential — one goroutine (in
-// the runtime, the partition's combiner) owns each instance.
+// standalone: a pointer-free arena skiplist with foresight keys, a
+// pointer-free arena B+ tree and a fat-node B-skiplist. All three are
+// sequential — one goroutine (in the runtime, the partition's combiner)
+// owns each instance.
 package cds
 
 import "math/bits"

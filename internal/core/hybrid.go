@@ -25,6 +25,7 @@ import (
 	"hybrids/internal/cds"
 	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
+	"hybrids/internal/radix"
 )
 
 // Store is a single-threaded ordered map owned by one partition. The
@@ -458,29 +459,51 @@ func (h *Hybrid) ScanAppend(dst []KV, from uint64, limit int) []KV {
 
 // Build populates the partition stores directly — in parallel, one
 // goroutine per partition, bypassing the mailboxes — for untimed workload
-// loading before concurrent use. It must not run concurrently with any
-// operation. Duplicate keys keep the first pair.
+// loading before concurrent use. It is a bulk load: each partition's pairs
+// are copied out of pairs (the caller's slice is left untouched), sorted
+// by key and inserted in ascending order, which is the order every engine
+// packs densest. The sort is stable, so of duplicate keys the first pair
+// in pairs is the one kept. It must not run concurrently with any
+// operation.
 func (h *Hybrid) Build(pairs []KV) {
-	byPart := make([][]KV, len(h.parts))
+	// One counting pass sizes every partition's run of one shared copy.
+	ends := make([]int, len(h.parts))
+	for _, kv := range pairs {
+		ends[h.Partition(kv.Key)]++
+	}
+	sum := 0
+	for p, n := range ends {
+		ends[p], sum = sum, sum+n
+	}
+	sorted := make([]KV, len(pairs))
 	for _, kv := range pairs {
 		p := h.Partition(kv.Key)
-		byPart[p] = append(byPart[p], kv)
+		sorted[ends[p]] = kv
+		ends[p]++
 	}
 	var wg sync.WaitGroup
-	for p := range h.parts {
-		if len(byPart[p]) == 0 {
+	start := 0
+	for p, end := range ends {
+		run := sorted[start:end]
+		start = end
+		if len(run) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(p int) {
+		go func(part *partition) {
 			defer wg.Done()
-			part := h.parts[p]
-			for _, kv := range byPart[p] {
+			// Two stable passes, low half first, sort by the whole key;
+			// keys below 2^32 have no high half to sort by.
+			radix.SortFunc(run, func(kv KV) uint32 { return uint32(kv.Key) })
+			if h.cfg.KeyMax > 1<<32 {
+				radix.SortFunc(run, func(kv KV) uint32 { return uint32(kv.Key >> 32) })
+			}
+			for _, kv := range run {
 				if part.store.Put(kv.Key, kv.Value) {
 					part.cBuilt.Inc()
 				}
 			}
-		}(p)
+		}(h.parts[p])
 	}
 	wg.Wait()
 }

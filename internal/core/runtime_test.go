@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"hybrids/internal/cds"
 	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
+	"hybrids/internal/prng"
 )
 
 // TestHybridCloseDrainsPublished publishes a burst of asynchronous
@@ -151,6 +153,72 @@ func TestHybridBuildDump(t *testing.T) {
 	for _, kv := range d {
 		if kv.Value != kv.Key*3 {
 			t.Fatalf("Dump pair %v corrupted", kv)
+		}
+	}
+}
+
+// TestHybridBuildDuplicatesKeepFirst pins Build's contract under its
+// sort, on every engine and on both sides of the 2^32 key bound (above it
+// keys are sorted by both halves): shuffled input with repeated keys ends
+// as the first occurrence of each key, core/p*/built counts only the
+// accepted pairs, the caller's slice is left as it was, and the stores
+// really are fed in key order.
+func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
+	engines := map[string]func(int) Store{
+		"btree":     func(int) Store { return cds.NewBTree() },
+		"skiplist":  func(int) Store { return cds.NewSkipList() },
+		"bskiplist": func(int) Store { return cds.NewBSkipList(0) },
+	}
+	for name, newStore := range engines {
+		for _, keyMax := range []uint64{1 << 16, 1 << 62} {
+			reg := metrics.NewRegistry()
+			h := New(Config{Partitions: 4, KeyMax: keyMax, NewStore: newStore, Metrics: reg})
+			rng := prng.New(17)
+			first := map[uint64]uint64{}
+			pairs := make([]KV, 20000)
+			for i := range pairs {
+				// 5000 distinct keys spread over the whole key space, so
+				// every key repeats about four times.
+				k := (uint64(rng.Intn(5000))+1)*(keyMax/5001) + 1
+				pairs[i] = KV{Key: k, Value: uint64(i)}
+				if _, seen := first[k]; !seen {
+					first[k] = uint64(i)
+				}
+			}
+			input := append([]KV(nil), pairs...)
+			h.Build(pairs)
+			for i := range pairs {
+				if pairs[i] != input[i] {
+					t.Fatalf("%s keyMax=%d: Build moved the caller's pair %d", name, keyMax, i)
+				}
+			}
+			d := h.Dump()
+			h.Close()
+			if len(d) != len(first) {
+				t.Fatalf("%s keyMax=%d: Dump holds %d pairs, want %d", name, keyMax, len(d), len(first))
+			}
+			for i, kv := range d {
+				if i > 0 && d[i-1].Key >= kv.Key {
+					t.Fatalf("%s keyMax=%d: Dump not in key order at %d", name, keyMax, i)
+				}
+				if want := first[kv.Key]; kv.Value != want {
+					t.Fatalf("%s keyMax=%d: key %d kept value %d, first pair had %d", name, keyMax, kv.Key, kv.Value, want)
+				}
+			}
+			var built, leafSplits uint64
+			snap := reg.Snapshot()
+			for p := 0; p < 4; p++ {
+				built += snap.Get(fmt.Sprintf("core/p%d/built", p))
+				leafSplits += snap.Get(fmt.Sprintf("core/p%d/store/leaf_splits", p))
+			}
+			if built != uint64(len(first)) {
+				t.Fatalf("%s keyMax=%d: core/p*/built = %d, want %d accepted pairs", name, keyMax, built, len(first))
+			}
+			// Ascending inserts leave the B+ tree's 15-pair leaves full;
+			// any other order halves them and splits more often.
+			if name == "btree" && leafSplits > built/15 {
+				t.Fatalf("btree keyMax=%d: %d leaf splits for %d pairs: Build did not insert in key order", keyMax, leafSplits, built)
+			}
 		}
 	}
 }

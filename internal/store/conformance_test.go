@@ -394,10 +394,11 @@ func TestEngineMigrationUnderLoad(t *testing.T) {
 	}
 }
 
-// TestEngineGetAllocs bounds every engine's native Get-path allocations at
-// one per operation, matching the core runtime's one-future-per-call
-// discipline (the B-skiplist's fat-node descent allocates nothing), and
-// the skiplist's at none: its descent touches only the arena.
+// TestEngineGetAllocs bounds every engine's native Get-path allocations:
+// none for the B+ tree and the skiplist, whose descents touch only their
+// arenas, and at most one per operation, the core runtime's
+// one-future-per-call discipline, for the B-skiplist (whose fat-node
+// descent allocates nothing either).
 func TestEngineGetAllocs(t *testing.T) {
 	for _, e := range Engines() {
 		e := e
@@ -411,12 +412,44 @@ func TestEngineGetAllocs(t *testing.T) {
 				s.Get(key)
 				key = key%4096 + 1
 			})
-			limit := 1.0
-			if e.Name == "skiplist" {
-				limit = 0
+			limit := 0.0
+			if e.Name == "bskiplist" {
+				limit = 1
 			}
 			if allocs > limit {
 				t.Fatalf("Get allocates %.1f objects/op, want <= %.0f", allocs, limit)
+			}
+		})
+	}
+}
+
+// TestEngineWriteAllocs holds the arena engines' steady-state writes at
+// zero allocations: an Update, and a Delete followed by a Put of the same
+// key, on a loaded store (the B+ tree records its descent in a stack
+// array and the emptied slot takes the key back; the skiplist reuses the
+// freed tower).
+func TestEngineWriteAllocs(t *testing.T) {
+	for _, name := range []string{"btree", "skiplist"} {
+		e := MustEngine(name)
+		t.Run(name, func(t *testing.T) {
+			s := e.NewNative(Tuning{})(0)
+			for k := uint64(1); k <= 4096; k++ {
+				s.Put(k, k*3)
+			}
+			key := uint64(1)
+			if allocs := testing.AllocsPerRun(1000, func() {
+				s.Update(key, key)
+				key = key%4096 + 1
+			}); allocs != 0 {
+				t.Errorf("Update allocates %.1f objects/op, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(1000, func() {
+				if !s.Delete(key) || !s.Put(key, key) {
+					t.Fatalf("Delete+Put of stored key %d failed", key)
+				}
+				key = key%4096 + 1
+			}); allocs != 0 {
+				t.Errorf("Delete+Put allocates %.1f objects/op, want 0", allocs)
 			}
 		})
 	}

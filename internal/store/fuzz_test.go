@@ -5,18 +5,40 @@ import (
 	"testing"
 )
 
-// fuzzKeys is the key range FuzzEngineOps draws from: small, so a short
-// input collides, re-inserts keys it removed and makes a store reuse
+// fuzzKeys is the number of keys FuzzEngineOps draws from: small, so a
+// short input collides, re-inserts keys it removed and makes a store reuse
 // whatever it recycles (the skiplist's freed towers, tall and short).
 const fuzzKeys = 48
+
+// fuzzPreload is the number of keys — the multiples of fuzzStride, in
+// ascending order — every store and the oracle hold before the fuzzed
+// operations start: enough that the B+ tree is three levels of full nodes
+// and the other two engines several levels tall, so a few dozen fuzzed
+// operations reach leaf, inner and root splits.
+const (
+	fuzzPreload = 4096
+	fuzzStride  = 64
+)
+
+// fuzzKey maps an input byte to one of the fuzzKeys fuzzed keys, all of
+// them in gaps of the preload: the first half spread over its whole range
+// (each in a different full B+ tree leaf), the second half adjacent in
+// its middle gap (enough of them to split a half-full B-skiplist leaf).
+func fuzzKey(b byte) uint64 {
+	j := uint64(b % fuzzKeys)
+	if j < fuzzKeys/2 {
+		return j*(fuzzPreload/(fuzzKeys/2))*fuzzStride + 1
+	}
+	return fuzzPreload/2*fuzzStride + j
+}
 
 // FuzzEngineOps decodes its input two bytes per operation — kind in the
 // low three bits and an argument above them, then key — into a
 // Put/Get/Update/Delete/Ascend(from, limit) sequence, applies it to every
-// engine's bare native store and to a map oracle (sorted on demand for
-// Ascend), and compares every result and Len; structural invariants are
-// checked every 64 operations and at the end. The seed corpus runs as a
-// plain test.
+// engine's bare native store (preloaded, see fuzzPreload) and to a map
+// oracle (merged with the preload and sorted on demand for Ascend), and
+// compares every result and Len; structural invariants are checked every
+// 64 operations and at the end. The seed corpus runs as a plain test.
 func FuzzEngineOps(f *testing.F) {
 	var asc, desc, reinsert, oneKey []byte
 	for k := byte(0); k < fuzzKeys; k++ {
@@ -37,10 +59,15 @@ func FuzzEngineOps(f *testing.F) {
 			if !ok {
 				t.Fatalf("%s native store exposes no CheckInvariants", e.Name)
 			}
+			// The oracle holds the fuzzed keys only: no operation names a
+			// preloaded key, so the preload stays k*fuzzStride -> k.
 			oracle := map[uint64]uint64{}
+			for k := uint64(1); k <= fuzzPreload; k++ {
+				s.Put(k*fuzzStride, k)
+			}
 			for i := 0; i+1 < len(data); i += 2 {
 				kind, arg := data[i]&7%5, int(data[i]>>3)
-				key := uint64(data[i+1]%fuzzKeys) + 1
+				key := fuzzKey(data[i+1])
 				val := uint64(i)<<8 | uint64(arg)
 				wantV, exists := oracle[key]
 				switch kind {
@@ -74,13 +101,22 @@ func FuzzEngineOps(f *testing.F) {
 							want = append(want, k)
 						}
 					}
+					// The limit never reaches past arg preloaded keys.
+					first := (key + fuzzStride - 1) / fuzzStride
+					for k := first; k <= fuzzPreload && k < first+uint64(arg); k++ {
+						want = append(want, k*fuzzStride)
+					}
 					sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
 					n := 0
 					s.Ascend(key, func(k, v uint64) bool {
 						if n == arg {
 							return false
 						}
-						if n == len(want) || k != want[n] || v != oracle[k] {
+						pairV := oracle[k]
+						if k%fuzzStride == 0 {
+							pairV = k / fuzzStride
+						}
+						if n == len(want) || k != want[n] || v != pairV {
 							t.Fatalf("%s op %d: Ascend(%d) pair %d = (%d,%d), oracle has %v from there", e.Name, i/2, key, n, k, v, want)
 						}
 						n++
@@ -90,8 +126,8 @@ func FuzzEngineOps(f *testing.F) {
 						t.Fatalf("%s op %d: Ascend(%d, limit %d) yielded %d pairs of %v", e.Name, i/2, key, arg, n, want)
 					}
 				}
-				if s.Len() != len(oracle) {
-					t.Fatalf("%s op %d: Len = %d, oracle %d", e.Name, i/2, s.Len(), len(oracle))
+				if s.Len() != fuzzPreload+len(oracle) {
+					t.Fatalf("%s op %d: Len = %d, oracle %d", e.Name, i/2, s.Len(), fuzzPreload+len(oracle))
 				}
 				if i/2%64 == 63 {
 					if err := inv.CheckInvariants(); err != nil {
