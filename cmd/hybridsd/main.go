@@ -18,10 +18,9 @@
 // Usage:
 //
 //	hybridsd [-addr :7070] [-partitions 8] [-keymax 4194304]
-//	         [-store btree] [-window 16] [-inflight 64]
-//	         [-maxconns 0] [-scan-limit 1024] [-write-timeout 10s]
-//	         [-mailbox 64] [-admin-addr 127.0.0.1:7071]
-//	         [-admin-token ""] [-slow-op 0]
+//	         [-store btree] [-window 16] [-maxconns 0]
+//	         [-scan-limit 1024] [-write-timeout 10s] [-mailbox 64]
+//	         [-admin-addr 127.0.0.1:7071] [-admin-token ""] [-slow-op 0]
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting,
 // answers every request already read from every connection, then closes
@@ -69,7 +68,6 @@ func main() {
 		engineName   = flag.String("store", "btree", "per-partition store engine: "+strings.Join(store.Names(), ", "))
 		mailbox      = flag.Int("mailbox", 64, "per-partition mailbox depth")
 		window       = flag.Int("window", 16, "per-connection request coalescing window (Batcher.Apply size)")
-		inflight     = flag.Int("inflight", 0, "per-connection in-flight response budget (default 4x window)")
 		maxConns     = flag.Int("maxconns", 0, "max concurrent connections (0 = unlimited)")
 		scanLimit    = flag.Int("scan-limit", 1024, "max pairs returned by one SCAN")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "slow-client write deadline (negative disables write deadlines)")
@@ -106,7 +104,6 @@ func main() {
 	srv := server.New(h, server.Config{
 		Store:        eng.Name,
 		Window:       *window,
-		Inflight:     *inflight,
 		MaxConns:     *maxConns,
 		ScanLimit:    *scanLimit,
 		WriteTimeout: *writeTimeout,

@@ -403,28 +403,25 @@ func parseWorkloads(list string, records int, keyMax uint32, read, insert, remov
 }
 
 // preload PUTs the workload's load-phase pairs through one pipelined
-// connection, in chunks that respect the server's in-flight budget.
+// connection.
 func preload(addr string, pairs []ycsb.Pair) error {
+	reqs := make([]server.Request, len(pairs))
+	for i, p := range pairs {
+		reqs[i] = server.Request{Op: server.OpPut, Key: uint64(p.Key), Value: uint64(p.Value)}
+	}
+	return pipeline(addr, reqs)
+}
+
+// pipeline runs reqs through one fresh connection, discarding the
+// responses.
+func pipeline(addr string, reqs []server.Request) error {
 	c, err := server.Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	const chunk = 64
-	for lo := 0; lo < len(pairs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		reqs := make([]server.Request, 0, hi-lo)
-		for _, p := range pairs[lo:hi] {
-			reqs = append(reqs, server.Request{Op: server.OpPut, Key: uint64(p.Key), Value: uint64(p.Value)})
-		}
-		if _, err := c.Pipeline(reqs); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = c.Pipeline(reqs)
+	return err
 }
 
 // cleanupInserts deletes the keys a workload's streams minted (Insert
@@ -433,37 +430,18 @@ func preload(addr string, pairs []ycsb.Pair) error {
 // in this process or a later -noload invocation against the same server —
 // would re-insert the same keys and count spurious misses.
 func cleanupInserts(addr string, streams [][]kv.Op) error {
-	var keys []uint64
+	var reqs []server.Request
 	for _, ops := range streams {
 		for _, op := range ops {
 			if op.Kind == kv.Insert {
-				keys = append(keys, uint64(op.Key))
+				reqs = append(reqs, server.Request{Op: server.OpDelete, Key: uint64(op.Key)})
 			}
 		}
 	}
-	if len(keys) == 0 {
+	if len(reqs) == 0 {
 		return nil
 	}
-	c, err := server.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	const chunk = 64
-	for lo := 0; lo < len(keys); lo += chunk {
-		hi := lo + chunk
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		reqs := make([]server.Request, 0, hi-lo)
-		for _, k := range keys[lo:hi] {
-			reqs = append(reqs, server.Request{Op: server.OpDelete, Key: k})
-		}
-		if _, err := c.Pipeline(reqs); err != nil {
-			return err
-		}
-	}
-	return nil
+	return pipeline(addr, reqs)
 }
 
 // scrapeCounters pulls the server's counter snapshot from a hybridsd

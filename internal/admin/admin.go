@@ -235,8 +235,6 @@ func (a *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 type configDoc struct {
 	// Window is the per-connection request coalescing window.
 	Window *int `json:"window,omitempty"`
-	// Inflight is the per-connection in-flight response budget.
-	Inflight *int `json:"inflight,omitempty"`
 	// MaxConns caps concurrently served connections (0 = unlimited).
 	MaxConns *int `json:"maxconns,omitempty"`
 	// WriteTimeout is the slow-client write deadline.
@@ -258,7 +256,6 @@ func (a *Server) configResponse() configDoc {
 	epoch := counters["server/config_epoch"]
 	return configDoc{
 		Window:       &t.Window,
-		Inflight:     &t.Inflight,
 		MaxConns:     &t.MaxConns,
 		WriteTimeout: &wt,
 		SlowOp:       &so,
@@ -293,11 +290,6 @@ func (a *Server) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 	t := a.cfg.Server.Tunables()
 	if req.Window != nil {
 		t.Window = *req.Window
-	}
-	if req.Inflight != nil {
-		t.Inflight = *req.Inflight
-	} else if req.Window != nil {
-		t.Inflight = 0 // re-derive the default budget from the new window
 	}
 	if req.MaxConns != nil {
 		t.MaxConns = *req.MaxConns

@@ -380,7 +380,6 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 	var after struct {
 		Window      int    `json:"window"`
-		Inflight    int    `json:"inflight"`
 		ConfigEpoch uint64 `json:"config_epoch"`
 	}
 	if err := json.Unmarshal(body, &after); err != nil {
@@ -389,9 +388,6 @@ func TestConfigRoundTrip(t *testing.T) {
 	if after.Window != 1 || after.ConfigEpoch != before.ConfigEpoch+1 {
 		t.Fatalf("after POST: window %d epoch %d, want 1 and %d",
 			after.Window, after.ConfigEpoch, before.ConfigEpoch+1)
-	}
-	if after.Inflight != 4 {
-		t.Fatalf("inflight = %d, want 4 (re-derived from new window)", after.Inflight)
 	}
 
 	// A connection dialed after the POST runs with the new window: eight
@@ -438,6 +434,33 @@ func TestConfigRoundTrip(t *testing.T) {
 	ha.getJSON(t, "/config", &final)
 	if final.ConfigEpoch != after.ConfigEpoch {
 		t.Fatalf("epoch moved on rejected POST: %d -> %d", after.ConfigEpoch, final.ConfigEpoch)
+	}
+}
+
+// TestInflightKnobGone pins that the per-connection in-flight budget is
+// gone, not defaulted: a connection is one goroutine with no response
+// queue to size, so POST /config refuses the field like any unknown one
+// and neither /config nor /conns reports it.
+func TestInflightKnobGone(t *testing.T) {
+	ha := newHarness(t, server.Config{Window: 4},
+		core.Config{Partitions: 2, KeyMax: 1 << 12})
+	if code, body := ha.postConfig(t, `{"inflight": 64}`); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "unknown field") {
+		t.Fatalf("POST /config {inflight}: %d %q, want 400 unknown field", code, body)
+	}
+	c, err := server.Dial(ha.addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Put(1, 1); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	for _, path := range []string{"/config", "/conns"} {
+		body := ha.get(t, path)
+		if !bytes.Contains(body, []byte(`"window"`)) || bytes.Contains(body, []byte("inflight")) {
+			t.Errorf("GET %s: want window and no inflight, got\n%s", path, body)
+		}
 	}
 }
 

@@ -123,8 +123,7 @@ func bitLen(v uint64) int {
 // building block for per-connection (or per-core) metric accumulators
 // that fold into shared registry Counters only when the owner retires —
 // the data path then performs no shared-memory read-modify-write beyond
-// its own cacheline. Group Locals with Pad so independent writers never
-// share a line.
+// its own cacheline.
 type Local struct{ v atomic.Uint64 }
 
 // Inc adds one to the cell.
@@ -135,10 +134,6 @@ func (l *Local) Add(n uint64) { l.v.Add(n) }
 
 // Load returns the cell's current value. Safe from any goroutine.
 func (l *Local) Load() uint64 { return l.v.Load() }
-
-// Pad is one cache line of padding. Interleave it between groups of
-// Locals owned by different goroutines to prevent false sharing.
-type Pad [64]byte
 
 // Registry is a flat namespace of counters and histograms. Registration is
 // idempotent: asking for an existing name returns the same instrument, so

@@ -9,9 +9,9 @@ import (
 
 // TestServePathAllocs pins the data plane's zero-allocation contract: a
 // steady-state pipelined scalar operation performs no heap allocation
-// anywhere on the path — client encode, server reader (frame decode,
-// coalescing, batcher window, combiner, arena encode), server writer
-// (span drain, socket write) and client decode. testing.AllocsPerRun
+// anywhere on the path — client encode, the server's connection loop
+// (frame decode, coalescing, batcher window, combiner, response encode,
+// socket write) and client decode. testing.AllocsPerRun
 // counts mallocs process-wide, so the server's goroutines are inside the
 // measurement, not just the client's.
 func TestServePathAllocs(t *testing.T) {
@@ -60,7 +60,7 @@ func TestServePathAllocs(t *testing.T) {
 		}
 	}
 	// Warm every pool and scratch buffer on both sides (future pools,
-	// batcher index lists, coalescing slices, arena, client scratch).
+	// batcher index lists, coalescing slices, output buffer, client scratch).
 	for i := 0; i < 64; i++ {
 		round()
 	}

@@ -102,8 +102,8 @@ func benchPreload(b *testing.B, cl *Client, n int) {
 }
 
 // BenchmarkServeLoopback measures the end-to-end serving path — client
-// encode, socket, reader coalescing, batcher window, arena encode,
-// writer drain, client decode — over a real TCP loopback socket and an
+// encode, socket, request coalescing, batcher window, response encode,
+// socket write, client decode — over a real TCP loopback socket and an
 // in-memory pipe, with a blocking client (depth 1) and a pipelined one
 // (depth = window). b.N counts operations (GET over 4096 resident
 // keys).

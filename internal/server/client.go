@@ -87,20 +87,31 @@ func (c *Client) Recv() (Response, error) {
 // Pending returns the number of requests awaiting a Recv.
 func (c *Client) Pending() int { return len(c.sent) - c.sentHead }
 
-// Pipeline sends all reqs, then collects all their responses in request
-// order. On error the returned slice holds the responses received
+// pipelineChunk is how many requests Pipeline keeps in flight: few enough
+// that a chunk's requests and its responses always fit the socket
+// buffers (and, over a synchronous in-memory pipe, the server's read
+// buffer), so neither side can block writing while the other is too.
+const pipelineChunk = 256
+
+// Pipeline sends reqs and collects their responses in request order,
+// pipelineChunk requests at a time, so a pipeline of any length
+// completes. On error the returned slice holds the responses received
 // before it.
 func (c *Client) Pipeline(reqs []Request) ([]Response, error) {
-	if err := c.Send(reqs...); err != nil {
-		return nil, err
-	}
 	out := make([]Response, 0, len(reqs))
-	for range reqs {
-		resp, err := c.Recv()
-		if err != nil {
+	for len(reqs) > 0 {
+		chunk := reqs[:min(len(reqs), pipelineChunk)]
+		reqs = reqs[len(chunk):]
+		if err := c.Send(chunk...); err != nil {
 			return out, err
 		}
-		out = append(out, resp)
+		for range chunk {
+			resp, err := c.Recv()
+			if err != nil {
+				return out, err
+			}
+			out = append(out, resp)
+		}
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"net"
 	"sync"
 	"time"
@@ -12,17 +11,15 @@ import (
 	"hybrids/internal/metrics"
 )
 
-// connStats is a connection's metric accumulators: single-writer atomic
-// cells the hot path bumps instead of taking the server mutex. The
-// reader-owned and writer-owned groups are separated by cacheline
-// padding so the two goroutines never false-share. Totals are folded
-// into the server's registry when the connection closes; a live STATS
-// snapshot sums the registry base with Load over every open connection.
+// connStats is a connection's metric accumulators: atomic cells only the
+// connection's goroutine writes, which the hot path bumps instead of
+// taking the server mutex. Totals are folded into the server's registry
+// when the connection closes; a live STATS snapshot sums the registry
+// base with Load over every open connection.
 type connStats struct {
-	_ metrics.Pad
-
-	// Reader-owned.
 	requests   metrics.Local
+	responses  metrics.Local
+	timeouts   metrics.Local
 	rejected   metrics.Local
 	badReq     metrics.Local
 	scanned    metrics.Local
@@ -30,25 +27,16 @@ type connStats struct {
 	batchSum   metrics.Local
 	batchCount metrics.Local
 	ops        [OpStats + 1]metrics.Local
-	// batchBuckets shapes the batch-size histogram: Local cells written
-	// only by the reader (one Inc per coalesced batch, on reader-owned
-	// lines) so the management plane can fold a live histogram across
-	// open connections without racing the data path.
+	// batchBuckets shapes the batch-size histogram: Local cells (one Inc
+	// per coalesced batch) so the management plane can fold a live
+	// histogram across open connections without racing the data path.
 	batchBuckets [metrics.NumBuckets]metrics.Local
-
-	_ metrics.Pad
-
-	// Writer-owned.
-	responses metrics.Local
-	timeouts  metrics.Local
-
-	_ metrics.Pad
 }
 
 // serveTallies accumulates one serve call's counter deltas in plain
 // locals; they land in the connection's atomic cells in a single burst
 // at the end of the batch, so a STATS request coalesced into the batch
-// snapshots the state as of the batch's start (the pre-ring behaviour).
+// snapshots the state as of the batch's start.
 type serveTallies struct {
 	bad        uint64
 	rejected   uint64
@@ -64,14 +52,20 @@ type serveTallies struct {
 	offloadNanos time.Duration
 }
 
-// conn is one served connection: a reader goroutine (run) that decodes,
-// coalesces and executes requests, encoding responses straight into the
-// connection's byte arena, and a writer goroutine that drains the span
-// ring with batched socket writes. The ring's capacity is the in-flight
-// budget — when the writer falls behind, the reader blocks pushing a
-// span and stops reading the socket. A steady-state scalar operation
-// touches no shared mutex and performs no heap allocation anywhere on
-// this path.
+// flushBytes is the staged-response cap: once a connection's output
+// buffer holds this much the loop writes it out even though more requests
+// are waiting, so staged memory per connection is bounded by flushBytes
+// plus one maximal response frame.
+const flushBytes = 64 << 10
+
+// conn is one served connection, owned by one goroutine (run): it reads
+// whatever the client has pipelined, coalesces and executes it, appends
+// the encoded responses to out, and writes out in a single socket write
+// before it would block on the socket for more requests. A loop blocked
+// in that write is not reading, so a client that stops draining its
+// responses is pushed back on through TCP flow control (and cut by the
+// write deadline). A steady-state scalar operation touches no shared
+// mutex and performs no heap allocation anywhere on this path.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -82,26 +76,33 @@ type conn struct {
 	tun     *Tunables
 	remote  string
 	opened  time.Time
-	ring    *respRing
-	arena   *byteArena
 	batcher *core.Batcher
 	stop    chan struct{}
-	// drainOnce makes beginDrain idempotent (Shutdown may race the
-	// connection's own exit).
+	// drainOnce makes beginDrain idempotent (Shutdown may be called more
+	// than once).
 	drainOnce sync.Once
 
-	// Reader-goroutine scratch, reused across batches.
+	// Loop scratch, reused across batches (hdr is the frame-decode
+	// scratch: a stack array would escape through the io.Reader and
+	// allocate per request).
 	hdr      [reqFrame]byte
 	reqs     []Request
 	ops      []hds.Request
 	outcomes []core.Outcome
+	// out stages encoded response frames awaiting the next socket write;
+	// staged counts them. dead is set by a failed write: the rest of the
+	// batch in hand is still executed, its responses discarded, and the
+	// loop exits.
+	out    []byte
+	staged uint64
+	dead   bool
 
 	stats connStats
 }
 
 // beginDrain tells the connection to stop reading new requests. The
 // read deadline kick makes any blocked or future socket read fail
-// immediately; the closed stop channel tells the reader that the failure
+// immediately; the closed stop channel tells the loop that the failure
 // is a drain, not a client error. Requests already read are still served
 // and their responses flushed.
 func (c *conn) beginDrain() {
@@ -111,29 +112,25 @@ func (c *conn) beginDrain() {
 	})
 }
 
-// run is the connection's reader loop and lifecycle owner: it spawns the
-// writer, reads and serves request batches until the client disconnects
-// or a drain begins, then closes the span ring, waits for the writer to
-// drain it, and deregisters the connection.
+// run is the connection's loop and lifecycle owner: it reads and serves
+// request batches until the client disconnects, a framing error poisons
+// the stream, a write fails or a drain begins, then flushes what is
+// staged, closes the socket and deregisters the connection.
 func (c *conn) run() {
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		c.writeLoop()
-	}()
-	c.readLoop()
-	c.ring.close()
-	<-writerDone
+	c.loop()
+	c.flush()
 	c.nc.Close()
 	c.srv.connClosed(c)
 }
 
-// readLoop reads and serves batches until the client disconnects, a
-// framing error poisons the stream, or a drain begins.
-func (c *conn) readLoop() {
+// loop serves batches until the connection has to end. It writes what
+// is staged whenever its next read would block on the socket — the
+// client has nothing more in flight and is waiting — and otherwise lets
+// consecutive batches share one write, up to flushBytes.
+func (c *conn) loop() {
 	br := bufio.NewReaderSize(c.nc, 32<<10)
 	window := c.tun.Window
-	for {
+	for !c.dead {
 		// A drain may have been signalled while serving the previous
 		// batch; the deadline kick only fails *reads*, so check before
 		// blocking on the next one.
@@ -142,7 +139,10 @@ func (c *conn) readLoop() {
 			return
 		default:
 		}
-		req, err := c.readRequest(br)
+		if br.Buffered() < reqFrame {
+			c.flush()
+		}
+		req, err := readRequestInto(br, &c.hdr)
 		if err != nil {
 			return
 		}
@@ -152,7 +152,7 @@ func (c *conn) readLoop() {
 		// of buffered bytes cannot fail with an I/O error, so err here
 		// can only be a framing error.
 		for len(c.reqs) < window && br.Buffered() >= reqFrame {
-			req, err = c.readRequest(br)
+			req, err = readRequestInto(br, &c.hdr)
 			if err != nil {
 				break
 			}
@@ -165,14 +165,39 @@ func (c *conn) readLoop() {
 	}
 }
 
-// readRequest decodes one request frame through the connection's header
-// scratch (a stack array would escape through the io.Reader and allocate
-// per call).
-func (c *conn) readRequest(br *bufio.Reader) (Request, error) {
-	return readRequestInto(br, &c.hdr)
+// flush writes the staged responses in one socket write under the
+// slow-client deadline. A failed write marks the connection dead and
+// counts a deadline expiry as a slow-client timeout.
+func (c *conn) flush() {
+	if len(c.out) == 0 {
+		return
+	}
+	if !c.dead {
+		if c.tun.WriteTimeout > 0 {
+			c.nc.SetWriteDeadline(time.Now().Add(c.tun.WriteTimeout))
+		}
+		if _, err := c.nc.Write(c.out); err == nil {
+			c.stats.responses.Add(c.staged)
+		} else {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				c.stats.timeouts.Inc()
+			}
+			c.dead = true
+		}
+	}
+	c.out, c.staged = c.out[:0], 0
 }
 
-// serve executes one coalesced batch and queues its responses in request
+// frameStaged accounts one response frame appended to out and enforces
+// the staging cap.
+func (c *conn) frameStaged() {
+	c.staged++
+	if len(c.out) >= flushBytes {
+		c.flush()
+	}
+}
+
+// serve executes one coalesced batch and stages its responses in request
 // order. Runs of scalar operations go through a single window of the
 // connection's core.Batcher; SCAN and STATS act as batch boundaries (a
 // scan is a combiner barrier, a stats snapshot is server-local).
@@ -197,7 +222,7 @@ func (c *conn) serve(reqs []Request) {
 			if r.Key == 0 || r.Key >= s.h.KeyMax() {
 				c.flushOps(&t)
 				t.bad++
-				c.pushScalar(StatusBadRequest, 0)
+				c.stageScalar(StatusBadRequest, 0)
 				continue
 			}
 			c.ops = append(c.ops, hds.Request{Kind: kind, Key: r.Key, Value: r.Value})
@@ -208,10 +233,11 @@ func (c *conn) serve(reqs []Request) {
 		case OpScan:
 			c.serveScan(r, &t)
 		case OpStats:
-			c.pushExt(AppendStatsResponse(nil, StatusOK, s.StatsText()))
+			c.out = AppendStatsResponse(c.out, StatusOK, s.StatsText())
+			c.frameStaged()
 		default:
 			t.bad++
-			c.pushScalar(StatusBadRequest, 0)
+			c.stageScalar(StatusBadRequest, 0)
 		}
 	}
 	c.flushOps(&t)
@@ -250,9 +276,7 @@ func (c *conn) serve(reqs []Request) {
 }
 
 // flushOps runs the pending scalar operations through the batcher's
-// window, then encodes the whole run of fixed-size response frames into
-// the arena in chunked passes — one alloc per chunk, one span per
-// response so the in-flight budget still counts responses.
+// window and stages their fixed-size response frames.
 func (c *conn) flushOps(t *serveTallies) {
 	n := len(c.ops)
 	if n == 0 {
@@ -269,33 +293,16 @@ func (c *conn) flushOps(t *serveTallies) {
 	} else {
 		c.batcher.Apply(c.ops, out)
 	}
-	for i := 0; i < n; {
-		chunk := n - i
-		if chunk > c.srv.chunkFrames {
-			chunk = c.srv.chunkFrames
+	for _, o := range out {
+		status := StatusOK
+		switch {
+		case o.Rejected:
+			status = StatusRejected
+			t.rejected++
+		case !o.Result.OK:
+			status = StatusMiss
 		}
-		buf, end := c.arena.alloc(chunk * scalarRespFrame)
-		base := end - uint64(chunk*scalarRespFrame)
-		for j := 0; j < chunk; j++ {
-			o := out[i+j]
-			status := StatusOK
-			switch {
-			case o.Rejected:
-				status = StatusRejected
-				t.rejected++
-			case !o.Result.OK:
-				status = StatusMiss
-			}
-			putScalarResponse(buf[j*scalarRespFrame:(j+1)*scalarRespFrame], status, o.Result.Value)
-		}
-		for j := 0; j < chunk; j++ {
-			c.ring.push(span{
-				off: uint32((base + uint64(j*scalarRespFrame)) & c.arena.mask),
-				n:   scalarRespFrame,
-				end: base + uint64((j+1)*scalarRespFrame),
-			})
-		}
-		i += chunk
+		c.stageScalar(status, o.Result.Value)
 	}
 	t.batchSum += uint64(n)
 	t.batchCount++
@@ -303,135 +310,30 @@ func (c *conn) flushOps(t *serveTallies) {
 	c.ops = c.ops[:0]
 }
 
-// pushScalar encodes one scalar response frame into the arena and queues
-// its span.
-func (c *conn) pushScalar(status uint8, value uint64) {
-	buf, end := c.arena.alloc(scalarRespFrame)
-	putScalarResponse(buf, status, value)
-	c.ring.push(span{off: uint32((end - scalarRespFrame) & c.arena.mask), n: scalarRespFrame, end: end})
+// stageScalar stages one scalar response frame.
+func (c *conn) stageScalar(status uint8, value uint64) {
+	c.out = AppendScalarResponse(c.out, status, value)
+	c.frameStaged()
 }
 
-// pushExt queues an out-of-arena frame (STATS, oversized SCAN). The span
-// carries the current arena mark so the writer's release position stays
-// monotonic.
-func (c *conn) pushExt(frame []byte) {
-	c.ring.push(span{ext: frame, end: c.arena.mark()})
-}
-
-// serveScan answers one SCAN request: the result is staged in a pooled
-// KV buffer, encoded into the arena when the frame fits (anything up to
-// half the arena), and into a heap frame otherwise.
+// serveScan answers one SCAN request: the result is collected in a
+// pooled pair buffer and encoded onto the staged output.
 func (c *conn) serveScan(r Request, t *serveTallies) {
 	s := c.srv
 	limit := uint64(s.cfg.ScanLimit)
 	if r.Value < limit {
 		limit = r.Value
 	}
-	var kvs []core.KV
+	var kvs []Pair
 	if t.timed {
 		scanStart := time.Now()
-		kvs = s.h.ScanAppend(kvPool.get(int(limit)), r.Key, int(limit))
+		kvs = s.h.ScanAppend(pairPool.get(int(limit)), r.Key, int(limit))
 		t.offloadNanos += time.Since(scanStart)
 	} else {
-		kvs = s.h.ScanAppend(kvPool.get(int(limit)), r.Key, int(limit))
+		kvs = s.h.ScanAppend(pairPool.get(int(limit)), r.Key, int(limit))
 	}
 	t.scanned += uint64(len(kvs))
-	frame := lenBytes + 1 + 4 + 16*len(kvs)
-	if frame <= s.maxArenaFrame {
-		buf, end := c.arena.alloc(frame)
-		encodeScanKVs(buf, StatusOK, kvs)
-		c.ring.push(span{off: uint32((end - uint64(frame)) & c.arena.mask), n: uint32(frame), end: end})
-	} else {
-		ext := make([]byte, frame)
-		encodeScanKVs(ext, StatusOK, kvs)
-		c.pushExt(ext)
-	}
-	kvPool.put(kvs)
-}
-
-// encodeScanKVs encodes a SCAN response frame into dst, which must be
-// exactly lenBytes+1+4+16*len(kvs) long.
-func encodeScanKVs(dst []byte, status uint8, kvs []core.KV) {
-	binary.BigEndian.PutUint32(dst, uint32(1+4+16*len(kvs)))
-	dst[lenBytes] = status
-	binary.BigEndian.PutUint32(dst[lenBytes+1:], uint32(len(kvs)))
-	p := dst[lenBytes+5:]
-	for i, kv := range kvs {
-		binary.BigEndian.PutUint64(p[16*i:], kv.Key)
-		binary.BigEndian.PutUint64(p[16*i+8:], kv.Value)
-	}
-}
-
-// writeLoop drains the span ring: contiguous arena spans merge into
-// single socket writes, the write deadline is armed once per drained
-// batch (not per frame), and a failed connection keeps consuming and
-// releasing spans without writing so the reader never blocks on a dead
-// peer.
-func (c *conn) writeLoop() {
-	r := c.ring
-	a := c.arena
-	failed := false
-	for {
-		lo, hi, ok := r.wait()
-		if !ok {
-			return
-		}
-		if !failed && c.tun.WriteTimeout > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(c.tun.WriteTimeout))
-		}
-		var written uint64
-		for i := lo; i < hi; {
-			sp := r.at(i)
-			if failed {
-				sp.ext = nil
-				i++
-				continue
-			}
-			if sp.ext != nil {
-				if _, err := c.nc.Write(sp.ext); err != nil {
-					failed = true
-					c.writeFailed(err)
-				} else {
-					written++
-				}
-				sp.ext = nil
-				i++
-				continue
-			}
-			// Merge the run of physically adjacent arena spans into one
-			// write (a wrap skip or an ext span breaks the run).
-			off, n := sp.off, sp.n
-			cnt := uint64(1)
-			for j := i + 1; j < hi; j++ {
-				nx := r.at(j)
-				if nx.ext != nil || nx.off != off+n {
-					break
-				}
-				n += nx.n
-				cnt++
-			}
-			if _, err := c.nc.Write(a.buf[off : off+n]); err != nil {
-				failed = true
-				c.writeFailed(err)
-			} else {
-				written += cnt
-			}
-			i += cnt
-		}
-		a.release(r.at(hi-1).end)
-		r.release(hi)
-		if written != 0 {
-			c.stats.responses.Add(written)
-		}
-	}
-}
-
-// writeFailed records a write error, counts deadline expiries as
-// slow-client timeouts, and closes the socket so the reader's next read
-// fails too.
-func (c *conn) writeFailed(err error) {
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		c.stats.timeouts.Inc()
-	}
-	c.nc.Close()
+	c.out = AppendScanResponse(c.out, StatusOK, kvs)
+	c.frameStaged()
+	pairPool.put(kvs)
 }

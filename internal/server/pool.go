@@ -3,14 +3,12 @@ package server
 import (
 	"math/bits"
 	"sync"
-
-	"hybrids/internal/core"
 )
 
-// Size-classed slice pools for SCAN buffers: the server stages scan
-// results in pooled []core.KV buffers and the client decodes pairs into
-// pooled []Pair buffers, so repeated scans recycle their backing arrays
-// instead of allocating fresh ones per response. Classes are power-of-two
+// Size-classed slice pool for SCAN buffers: the server collects scan
+// results and the client decodes pairs into pooled []Pair buffers, so
+// repeated scans recycle their backing arrays instead of allocating
+// fresh ones per response. Classes are power-of-two
 // capacities from poolMinShift up; a request beyond the largest class
 // falls through to a plain allocation.
 const (
@@ -18,11 +16,11 @@ const (
 	poolClasses  = 16 // largest class: 32 << 15 = 1M elements
 )
 
-// slicePool is a size-classed free list of slices of T. get returns a
+// slicePool is a size-classed free list of pair slices. get returns a
 // zero-length slice with at least the requested capacity; put files a
 // slice back under its capacity's class (non-class capacities are
 // dropped, so only slices that came from get recycle).
-type slicePool[T any] struct {
+type slicePool struct {
 	classes [poolClasses]sync.Pool
 }
 
@@ -43,20 +41,20 @@ func classFor(n int) int {
 }
 
 // get returns a zero-length slice with capacity >= n.
-func (p *slicePool[T]) get(n int) []T {
+func (p *slicePool) get(n int) []Pair {
 	c := classFor(n)
 	if c < 0 {
-		return make([]T, 0, n)
+		return make([]Pair, 0, n)
 	}
 	if v := p.classes[c].Get(); v != nil {
-		return (*(v.(*[]T)))[:0]
+		return (*(v.(*[]Pair)))[:0]
 	}
-	return make([]T, 0, 1<<(poolMinShift+c))
+	return make([]Pair, 0, 1<<(poolMinShift+c))
 }
 
 // put recycles s for a future get. Slices whose capacity is not an exact
 // class size are dropped.
-func (p *slicePool[T]) put(s []T) {
+func (p *slicePool) put(s []Pair) {
 	c := cap(s)
 	if c == 0 || c&(c-1) != 0 {
 		return
@@ -69,12 +67,9 @@ func (p *slicePool[T]) put(s []T) {
 	p.classes[i].Put(&s)
 }
 
-var (
-	// kvPool recycles the server-side scan staging buffers.
-	kvPool slicePool[core.KV]
-	// pairPool recycles client-side decoded SCAN pair slices.
-	pairPool slicePool[Pair]
-)
+// pairPool recycles the server's scan result buffers and the client's
+// decoded SCAN pair slices.
+var pairPool slicePool
 
 // PutPairs returns a SCAN result slice to the decode pool. Responses
 // decoded by ReadResponse, ReadResponseBuf and Client.Scan carry pooled

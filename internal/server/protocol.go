@@ -3,15 +3,15 @@
 // length-prefixed binary protocol whose operations map 1:1 onto hds.Kind
 // (GET/PUT/UPDATE/DELETE/SCAN), plus a STATS introspection request.
 //
-// Each connection is served by a reader goroutine — which coalesces
-// pipelined client requests into core.Batcher windows, the paper's
-// §3.5 non-blocking admission primitive — and a writer goroutine that
-// streams responses back in request order under a slow-client write
-// deadline. Backpressure is explicit at every level: the per-connection
-// in-flight budget bounds responses awaiting the writer (a full budget
-// stops the reader, which stops reading the socket, which pushes back on
-// the client through TCP flow control), and the accept cap bounds
-// concurrent connections. Graceful shutdown stops reading new requests
+// Each connection is served by one goroutine, which coalesces pipelined
+// client requests into core.Batcher windows — the paper's §3.5
+// non-blocking admission primitive — stages the responses in request
+// order and writes them back, under a slow-client write deadline, before
+// it would block reading for more. Backpressure needs no mechanism of
+// its own: a loop blocked writing to a client that is not draining its
+// responses is not reading the socket, which pushes back on the client
+// through TCP flow control, and the accept cap bounds concurrent
+// connections. Graceful shutdown stops reading new requests
 // but answers every request fully read before it, so a draining server
 // never loses an in-flight response. See docs/SERVING.md for the
 // protocol specification and the backpressure model.
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 
+	"hybrids/internal/core"
 	"hybrids/internal/hds"
 )
 
@@ -63,13 +64,9 @@ type Request struct {
 	Value uint64
 }
 
-// Pair is one key-value pair of a SCAN response.
-type Pair struct {
-	// Key is the pair's key.
-	Key uint64
-	// Value is the pair's value.
-	Value uint64
-}
+// Pair is one key-value pair of a SCAN response: the core runtime's own
+// pair type, so a scan result is encoded without a copy.
+type Pair = core.KV
 
 // Response is one decoded server response frame. Which payload fields are
 // meaningful depends on the request's op: scalar operations carry Value,
@@ -87,14 +84,12 @@ type Response struct {
 }
 
 // Wire geometry. Every frame is a big-endian uint32 byte length followed
-// by that many payload bytes; request payloads are exactly reqBody bytes
-// and scalar response frames are exactly scalarRespFrame bytes.
+// by that many payload bytes; request payloads are exactly reqBody bytes.
 const (
-	lenBytes        = 4
-	reqBody         = 1 + 8 + 8 // op, key, value
-	reqFrame        = lenBytes + reqBody
-	scalarRespFrame = lenBytes + 1 + 8 // length, status, value
-	maxRespFrame    = 1 << 26 // decoder sanity bound, far above any real response
+	lenBytes     = 4
+	reqBody      = 1 + 8 + 8 // op, key, value
+	reqFrame     = lenBytes + reqBody
+	maxRespFrame = 1 << 26 // decoder sanity bound, far above any real response
 )
 
 // kindOf maps a data operation code to its hds.Kind. ok is false for
@@ -156,15 +151,6 @@ func AppendScalarResponse(buf []byte, status uint8, value uint64) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, 1+8)
 	buf = append(buf, status)
 	return binary.BigEndian.AppendUint64(buf, value)
-}
-
-// putScalarResponse encodes a scalar response frame into dst, which must
-// be exactly scalarRespFrame bytes (the serving path pre-allocates whole
-// runs of them in the arena).
-func putScalarResponse(dst []byte, status uint8, value uint64) {
-	binary.BigEndian.PutUint32(dst, 1+8)
-	dst[lenBytes] = status
-	binary.BigEndian.PutUint64(dst[lenBytes+1:], value)
 }
 
 // AppendScanResponse appends a SCAN response frame: status byte, a uint32

@@ -81,7 +81,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		t.Fatalf("scalar round trip = %+v, %v", resp, err)
 	}
 
-	pairs := []Pair{{1, 10}, {2, 20}, {300, 3000}}
+	pairs := []Pair{{Key: 1, Value: 10}, {Key: 2, Value: 20}, {Key: 300, Value: 3000}}
 	buf = AppendScanResponse(buf[:0], StatusOK, pairs)
 	resp, err = ReadResponse(bytes.NewReader(buf), OpScan)
 	if err != nil || resp.Status != StatusOK || len(resp.Pairs) != 3 {
@@ -159,7 +159,7 @@ func FuzzReadRequest(f *testing.F) {
 // accepted decode must re-encode to the consumed frame.
 func FuzzReadResponse(f *testing.F) {
 	f.Add(uint8(OpGet), AppendScalarResponse(nil, StatusOK, 7))
-	f.Add(uint8(OpScan), AppendScanResponse(nil, StatusOK, []Pair{{1, 2}, {3, 4}}))
+	f.Add(uint8(OpScan), AppendScanResponse(nil, StatusOK, []Pair{{Key: 1, Value: 2}, {Key: 3, Value: 4}}))
 	f.Add(uint8(OpScan), AppendScanResponse(nil, StatusOK, nil))
 	f.Add(uint8(OpStats), AppendStatsResponse(nil, StatusOK, []byte("a 1\n")))
 	f.Add(uint8(OpGet), []byte{0, 0, 0, 2, 1})

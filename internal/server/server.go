@@ -25,18 +25,11 @@ type Config struct {
 	// connection coalesces into a single core.Batcher.Apply call (the
 	// §3.5 non-blocking window). Defaults to 16.
 	Window int
-	// Inflight is the per-connection in-flight budget: the number of
-	// completed responses that may await the writer goroutine before the
-	// reader stops reading the socket (backpressure propagates to the
-	// client through TCP flow control). It is the capacity of the
-	// connection's response span ring and is rounded up to a power of
-	// two. Defaults to 4x Window.
-	Inflight int
 	// MaxConns caps concurrently served connections; connections accepted
 	// beyond the cap are closed immediately and counted in
 	// server/conns_refused. 0 means unlimited.
 	MaxConns int
-	// WriteTimeout is the deadline armed once per writer drain batch. A
+	// WriteTimeout is the deadline armed once per socket write. A
 	// client that does not drain its responses within it is disconnected
 	// and counted in server/write_timeouts. 0 defaults to 10s; a negative
 	// value disables write deadlines entirely (useful over in-memory
@@ -44,14 +37,12 @@ type Config struct {
 	WriteTimeout time.Duration
 	// ScanLimit caps the pairs returned by one SCAN request (the client's
 	// requested count is clamped to it), bounding response frames and the
-	// time a scan barrier occupies combiners. It also sizes the
-	// per-connection response arena so a maximal scan frame stages there
-	// without falling back to the heap. Defaults to 1024.
+	// time a scan barrier occupies combiners. Defaults to 1024.
 	ScanLimit int
 	// Metrics receives the server's instruments (server/...); nil creates
 	// a private registry. Connections accumulate per-op counts in their
-	// own cacheline-padded atomic cells and fold them into these
-	// instruments under the server's mutex when they close; a STATS
+	// own atomic cells and fold them into these instruments under the
+	// server's mutex when they close; a STATS
 	// snapshot sums the folded base with the live connections' cells, so
 	// the data path itself never takes the mutex.
 	Metrics *metrics.Registry
@@ -81,16 +72,6 @@ type Server struct {
 	// atomic pointer, swapped whole by SetTunables, captured whole by
 	// each connection at accept.
 	tun atomic.Pointer[Tunables]
-
-	// Derived data-plane geometry, fixed at construction (the arena is
-	// pooled server-wide, so its size cannot follow live reconfiguration;
-	// ScanLimit is therefore not a Tunable).
-	arenaCap      int // response arena bytes (power of two)
-	maxArenaFrame int // largest frame staged in the arena: arenaCap/2
-	chunkFrames   int // scalar frames encoded per arena alloc
-
-	// arenaPool recycles connection arenas (all sized arenaCap).
-	arenaPool sync.Pool
 
 	// logMu serializes slow-op log line writes (never held together with
 	// mu).
@@ -131,7 +112,6 @@ type Server struct {
 func New(h *core.Hybrid, cfg Config) *Server {
 	tun, err := Tunables{
 		Window:       cfg.Window,
-		Inflight:     cfg.Inflight,
 		MaxConns:     cfg.MaxConns,
 		WriteTimeout: cfg.WriteTimeout,
 		SlowOp:       cfg.SlowOp,
@@ -139,8 +119,7 @@ func New(h *core.Hybrid, cfg Config) *Server {
 	if err != nil {
 		tun, _ = Tunables{}.normalize()
 	}
-	cfg.Window, cfg.Inflight = tun.Window, tun.Inflight
-	cfg.MaxConns, cfg.WriteTimeout, cfg.SlowOp = tun.MaxConns, tun.WriteTimeout, tun.SlowOp
+	cfg.Window, cfg.MaxConns, cfg.WriteTimeout, cfg.SlowOp = tun.Window, tun.MaxConns, tun.WriteTimeout, tun.SlowOp
 	if cfg.ScanLimit <= 0 {
 		cfg.ScanLimit = 1024
 	}
@@ -174,29 +153,7 @@ func New(h *core.Hybrid, cfg Config) *Server {
 	for op, name := range opNames {
 		s.cOps[op] = reg.Counter("server/ops/" + name)
 	}
-	// Data-plane geometry: the arena is sized so a maximal SCAN frame
-	// (and, for headroom, two of them) stages in place, and no staged
-	// frame may exceed half the arena — that caps any wrap skip below the
-	// frame size, so an allocation always fits once earlier frames are
-	// drained. (Each connection's span ring is sized at accept from the
-	// live Inflight tunable.)
-	scanFrame := lenBytes + 1 + 4 + 16*cfg.ScanLimit
-	s.arenaCap = nextPow2(max(64<<10, 2*scanFrame))
-	if s.arenaCap > 1<<20 {
-		s.arenaCap = 1 << 20
-	}
-	s.maxArenaFrame = s.arenaCap / 2
-	s.chunkFrames = s.maxArenaFrame / scalarRespFrame
 	return s
-}
-
-// nextPow2 returns the smallest power of two >= n (and at least 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // ListenAndServe listens on the TCP address addr and serves until
@@ -247,8 +204,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			tun:     tun,
 			remote:  nc.RemoteAddr().String(),
 			opened:  time.Now(),
-			ring:    newRespRing(nextPow2(tun.Inflight)),
-			arena:   s.getArena(),
 			batcher: s.h.NewBatcher(tun.Window),
 			stop:    make(chan struct{}),
 		}
@@ -294,21 +249,10 @@ func (s *Server) Shutdown() {
 	s.wg.Wait()
 }
 
-// getArena returns a pooled (reset) or freshly built connection arena.
-func (s *Server) getArena() *byteArena {
-	if v := s.arenaPool.Get(); v != nil {
-		a := v.(*byteArena)
-		a.reset()
-		return a
-	}
-	return newByteArena(s.arenaCap)
-}
-
 // connClosed deregisters a finished connection: its locally accumulated
 // metrics fold into the registry base under the server mutex (the only
-// place the mutex and per-op counts ever meet) and its arena returns to
-// the pool. Called by the connection's own reader goroutine after the
-// writer has exited, so every cell is final.
+// place the mutex and per-op counts ever meet). Called by the
+// connection's own goroutine on its way out, so every cell is final.
 func (s *Server) connClosed(c *conn) {
 	st := &c.stats
 	s.mu.Lock()
@@ -330,7 +274,6 @@ func (s *Server) connClosed(c *conn) {
 		s.cOps[op].Add(st.ops[op].Load())
 	}
 	s.mu.Unlock()
-	s.arenaPool.Put(c.arena)
 	s.wg.Done()
 }
 
@@ -443,7 +386,7 @@ func (s *Server) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 
 // ConnInfo is one live connection's management-plane snapshot: identity,
 // the tunables it captured at accept, and its per-connection counters
-// (loaded from the same padded cells the data path accumulates into).
+// (loaded from the same cells the data path accumulates into).
 type ConnInfo struct {
 	// Remote is the connection's remote address.
 	Remote string `json:"remote"`
@@ -451,8 +394,6 @@ type ConnInfo struct {
 	AgeSeconds float64 `json:"age_seconds"`
 	// Window is the coalescing window captured at accept.
 	Window int `json:"window"`
-	// Inflight is the in-flight response budget captured at accept.
-	Inflight int `json:"inflight"`
 	// Requests counts requests fully read from the socket.
 	Requests uint64 `json:"requests"`
 	// Responses counts response frames written.
@@ -496,7 +437,6 @@ func (s *Server) ConnsInfo() []ConnInfo {
 			Remote:        c.remote,
 			AgeSeconds:    now.Sub(c.opened).Seconds(),
 			Window:        c.tun.Window,
-			Inflight:      c.tun.Inflight,
 			Requests:      st.requests.Load(),
 			Responses:     st.responses.Load(),
 			Rejected:      st.rejected.Load(),

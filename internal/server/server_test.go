@@ -18,12 +18,18 @@ import (
 // (Shutdown is idempotent, so tests may also drain explicitly).
 func newTestServer(t *testing.T, cfg Config, hcfg core.Config) (*Server, *core.Hybrid, string) {
 	t.Helper()
-	h := core.New(hcfg)
-	s := New(h, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
+	return serveTestListener(t, ln, cfg, hcfg)
+}
+
+// serveTestListener is newTestServer over a caller-made listener.
+func serveTestListener(t *testing.T, ln net.Listener, cfg Config, hcfg core.Config) (*Server, *core.Hybrid, string) {
+	t.Helper()
+	h := core.New(hcfg)
+	s := New(h, cfg)
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()
 	t.Cleanup(func() {
@@ -295,7 +301,7 @@ func TestServerConcurrentClientEquivalence(t *testing.T) {
 // the responses are still streaming, and requires exactly one response
 // per request followed by a clean connection close.
 func TestServerGracefulShutdownDrain(t *testing.T) {
-	s, h, addr := newTestServer(t, Config{Window: 8, Inflight: 16},
+	s, h, addr := newTestServer(t, Config{Window: 8},
 		core.Config{Partitions: 4, KeyMax: 1 << 16})
 	// The Client type is single-goroutine by contract, and this test must
 	// send and receive concurrently — so it speaks the wire format
@@ -392,7 +398,7 @@ func TestServerRejectedAfterMapClose(t *testing.T) {
 // keeps working throughout).
 func TestServerSlowClientDeadline(t *testing.T) {
 	s, h, addr := newTestServer(t,
-		Config{Window: 4, Inflight: 8, WriteTimeout: 200 * time.Millisecond, ScanLimit: 1024},
+		Config{Window: 4, WriteTimeout: 200 * time.Millisecond, ScanLimit: 1024},
 		core.Config{Partitions: 4, KeyMax: 1 << 20})
 	pairs := make([]core.KV, 1<<14)
 	for i := range pairs {

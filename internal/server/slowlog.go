@@ -20,10 +20,11 @@ import (
 //
 // Natively only the offload boundary is observable: offload_wait is the
 // time spent blocked on the core runtime (batcher windows and scan
-// barriers), host_compute is the residual (decode, encode, arena
-// staging), and the cache/coherence/DRAM/serialization buckets — which
-// need the simulator's cycle-level instrumentation — report 0. This runs
-// on the reader goroutine but only for batches that already blew the
+// barriers), host_compute is the residual (decode, encode, and a write
+// of staged responses if the batch crossed the staging cap), and the
+// cache/coherence/DRAM/serialization buckets — which need the
+// simulator's cycle-level instrumentation — report 0. This runs on the
+// connection's goroutine but only for batches that already blew the
 // threshold, so its allocations and the log mutex are off the
 // steady-state path.
 func (s *Server) logSlowOp(c *conn, ops int, t *serveTallies, total time.Duration) {

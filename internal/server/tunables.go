@@ -18,10 +18,6 @@ type Tunables struct {
 	// Window is the per-connection request coalescing window (see
 	// Config.Window). Normalized to 16 when <= 0.
 	Window int
-	// Inflight is the per-connection in-flight response budget (see
-	// Config.Inflight). Normalized to 4x Window when <= 0; the span ring
-	// capacity is the next power of two.
-	Inflight int
 	// MaxConns caps concurrently served connections (see
 	// Config.MaxConns); 0 means unlimited. Applied at accept time, so
 	// lowering it never disconnects existing clients.
@@ -43,17 +39,11 @@ func (t Tunables) normalize() (Tunables, error) {
 	if t.Window <= 0 {
 		t.Window = 16
 	}
-	if t.Inflight <= 0 {
-		t.Inflight = 4 * t.Window
-	}
 	if t.WriteTimeout == 0 {
 		t.WriteTimeout = 10 * time.Second
 	}
 	if t.Window > maxWindow {
 		return t, fmt.Errorf("server: window %d exceeds maximum %d", t.Window, maxWindow)
-	}
-	if t.Inflight > maxInflight {
-		return t, fmt.Errorf("server: inflight %d exceeds maximum %d", t.Inflight, maxInflight)
 	}
 	if t.MaxConns < 0 {
 		return t, fmt.Errorf("server: maxconns %d is negative", t.MaxConns)
@@ -64,13 +54,10 @@ func (t Tunables) normalize() (Tunables, error) {
 	return t, nil
 }
 
-// Sanity bounds on reconfigurable sizes: large enough for any sane
-// deployment, small enough that a fat-fingered POST /config cannot make
-// every new connection allocate a gigantic ring.
-const (
-	maxWindow   = 1 << 16
-	maxInflight = 1 << 20
-)
+// maxWindow is the sanity bound on the coalescing window: large enough
+// for any sane deployment, small enough that a fat-fingered POST /config
+// cannot make every new connection allocate gigantic batch scratch.
+const maxWindow = 1 << 16
 
 // Tunables returns the server's current live configuration.
 func (s *Server) Tunables() Tunables {
