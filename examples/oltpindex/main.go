@@ -27,11 +27,7 @@ func main() {
 	levels := int(math.Ceil(math.Log2(float64(*records))))
 	const keyMax = 1 << 28
 	gen := ycsb.New(ycsb.YCSBC(*records, keyMax, 1))
-	load := gen.Load()
-	pairs := make([]skiplist.KV, len(load))
-	for i, p := range load {
-		pairs[i] = skiplist.KV{Key: p.Key, Value: p.Value}
-	}
+	pairs := gen.Load()
 
 	fmt.Printf("YCSB-C over %d records, %d threads x %d lookups, %d-level skiplist\n\n",
 		*records, *threads, *ops, levels)

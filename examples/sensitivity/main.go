@@ -29,15 +29,10 @@ func main() {
 	cfg.Inserts = ycsb.PartitionTail
 	cfg.Partitions = 8
 	gen := ycsb.New(cfg)
-	load := gen.Load()
-	pairs := make([]btree.KV, len(load))
-	for i, p := range load {
-		pairs[i] = btree.KV{Key: p.Key, Value: p.Value}
-	}
 
 	m := machine.New(machine.Default())
-	t := btree.NewHybrid(m, btree.HybridBTreeConfig{Split: boundary.Split{NMP: 3}, Window: 1})
-	t.Build(pairs, 8)
+	t := btree.NewHybrid(m, btree.HybridBTreeConfig{Split: boundary.Split{NMP: 3}, Fill: 8, Window: 1})
+	t.Build(gen.Load())
 	t.Start()
 
 	streams := gen.Streams(threads, *ops)

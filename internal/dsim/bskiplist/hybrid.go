@@ -10,7 +10,6 @@ import (
 	"hybrids/internal/dsim/offload"
 	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
-	"hybrids/internal/radix"
 	"hybrids/internal/sim/machine"
 )
 
@@ -127,14 +126,7 @@ func (t *Hybrid) Rebalance(next boundary.Split) error {
 // packed Fill entries per node, then the host router levels are packed
 // over the NMP portion's top-level nodes.
 func (t *Hybrid) Build(pairs []KV) {
-	sorted := append([]KV(nil), pairs...)
-	radix.SortFunc(sorted, func(p KV) uint32 { return p.Key })
-	uniq := sorted[:0]
-	for i, p := range sorted {
-		if i == 0 || p.Key != sorted[i-1].Key {
-			uniq = append(uniq, p)
-		}
-	}
+	uniq := kv.SortedUnique(pairs)
 	ram := t.m.Mem.RAM
 	start := 0
 	for p := range t.lists {

@@ -18,6 +18,7 @@
 package bskiplist
 
 import (
+	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
 )
@@ -43,11 +44,11 @@ const (
 	offPay  = 68 // uint32 payload[14]
 )
 
-func loAddr(n uint32) memsys.Addr          { return memsys.Addr(n) + offLo }
-func nAddr(n uint32) memsys.Addr           { return memsys.Addr(n) + offN }
-func nextAddr(n uint32) memsys.Addr        { return memsys.Addr(n) + offNext }
-func keyAddr(n uint32, i int) memsys.Addr  { return memsys.Addr(n) + offKeys + memsys.Addr(4*i) }
-func payAddr(n uint32, i int) memsys.Addr  { return memsys.Addr(n) + offPay + memsys.Addr(4*i) }
+func loAddr(n uint32) memsys.Addr         { return memsys.Addr(n) + offLo }
+func nAddr(n uint32) memsys.Addr          { return memsys.Addr(n) + offN }
+func nextAddr(n uint32) memsys.Addr       { return memsys.Addr(n) + offNext }
+func keyAddr(n uint32, i int) memsys.Addr { return memsys.Addr(n) + offKeys + memsys.Addr(4*i) }
+func payAddr(n uint32, i int) memsys.Addr { return memsys.Addr(n) + offPay + memsys.Addr(4*i) }
 
 // allocFat carves a fresh node with timed header stores (operation path;
 // allocation bookkeeping itself is free, matching a per-core free list).
@@ -117,7 +118,5 @@ func leafSlot(c *machine.Ctx, leaf, key uint32) int {
 	return -1
 }
 
-// KV is a key-value pair produced by verification walks.
-type KV struct {
-	Key, Value uint32
-}
+// KV is a key-value pair: bulk-build input and verification-walk output.
+type KV = kv.Pair

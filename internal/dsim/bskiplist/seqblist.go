@@ -249,7 +249,7 @@ func (s *seqBList) dump(ram *memsys.RAM) []KV {
 	for n := s.heads[0]; n != 0; n = ram.Load32(nextAddr(n)) {
 		nn := int(ram.Load32(nAddr(n)))
 		for i := 0; i < nn; i++ {
-			out = append(out, KV{ram.Load32(keyAddr(n, i)), ram.Load32(payAddr(n, i))})
+			out = append(out, KV{Key: ram.Load32(keyAddr(n, i)), Value: ram.Load32(payAddr(n, i))})
 		}
 	}
 	return out

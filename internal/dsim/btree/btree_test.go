@@ -74,7 +74,7 @@ func (o oracle) apply(op kv.Op) (uint32, bool) {
 func (o oracle) dump() []KV {
 	var out []KV
 	for k, v := range o {
-		out = append(out, KV{k, v})
+		out = append(out, KV{Key: k, Value: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -133,8 +133,8 @@ func buildStore(t *testing.T, name string, m *machine.Machine, pairs []KV) testS
 		s.Build(pairs, testFill)
 		return s
 	case "hybrid":
-		s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Window: 1})
-		s.Build(pairs, testFill)
+		s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+		s.Build(pairs)
 		s.Start()
 		return s
 	default:
@@ -372,8 +372,8 @@ func TestConcurrentTailInsertsExerciseBoundarySplits(t *testing.T) {
 	// LOCK_PATH conversations racing with each other.
 	pairs := initialPairs(500)
 	m := testMachine()
-	s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Window: 1})
-	s.Build(pairs, testFill)
+	s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	s.Build(pairs)
 	s.Start()
 	o := oracle{}
 	for _, p := range pairs {
@@ -443,8 +443,8 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 		}
 	}
 	m := testMachine()
-	s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Window: 4})
-	s.Build(pairs, testFill)
+	s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 4})
+	s.Build(pairs)
 	s.Start()
 	got := 0
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
@@ -465,8 +465,8 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 func TestHybridAsyncConcurrentWithSplits(t *testing.T) {
 	pairs := initialPairs(800)
 	m := testMachine()
-	s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Window: 4})
-	s.Build(pairs, testFill)
+	s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 4})
+	s.Build(pairs)
 	s.Start()
 	const threads = 8
 	for th := 0; th < threads; th++ {

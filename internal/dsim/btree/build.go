@@ -1,9 +1,6 @@
 package btree
 
-import (
-	"hybrids/internal/radix"
-	"hybrids/internal/sim/memsys"
-)
+import "hybrids/internal/sim/memsys"
 
 // buildHooks let the hybrid tree steer node placement during bulk build.
 type buildHooks struct {
@@ -31,20 +28,13 @@ func levelCounts(n, fill int) []int {
 	return counts
 }
 
-// bulkBuild constructs a B+ tree from pairs (sorted and deduplicated
-// internally) with `fill` entries per node, writing nodes untimed through
-// hooks. It returns the root node and tree height (number of levels).
-func bulkBuild(ram *memsys.RAM, pairs []KV, fill int, hooks buildHooks) (root uint32, height int) {
+// bulkBuild constructs a B+ tree from uniq — sorted, duplicate-free pairs
+// (kv.SortedUnique) — with `fill` entries per node, writing nodes untimed
+// through hooks. It returns the root node and tree height (number of
+// levels).
+func bulkBuild(ram *memsys.RAM, uniq []KV, fill int, hooks buildHooks) (root uint32, height int) {
 	if fill < 2 || fill > LeafMax {
 		panic("btree: build fill must be in [2, LeafMax]")
-	}
-	sorted := append([]KV(nil), pairs...)
-	radix.SortFunc(sorted, func(p KV) uint32 { return p.Key })
-	uniq := sorted[:0]
-	for i, p := range sorted {
-		if i == 0 || p.Key != sorted[i-1].Key {
-			uniq = append(uniq, p)
-		}
 	}
 
 	// Leaves.
@@ -52,14 +42,11 @@ func bulkBuild(ram *memsys.RAM, pairs []KV, fill int, hooks buildHooks) (root ui
 		addr    uint32
 		lastKey uint32
 	}
-	var level []nodeInfo
 	counts := levelCounts(len(uniq), fill)
-	for i := 0; i < counts[0]; i++ {
+	level := make([]nodeInfo, counts[0])
+	for i := range level {
 		lo := i * fill
-		hi := lo + fill
-		if hi > len(uniq) {
-			hi = len(uniq)
-		}
+		hi := min(lo+fill, len(uniq))
 		n := buildNode(ram, hooks.allocFor(0, i), 0, hi-lo)
 		last := uint32(0)
 		for j := lo; j < hi; j++ {
@@ -67,18 +54,15 @@ func bulkBuild(ram *memsys.RAM, pairs []KV, fill int, hooks buildHooks) (root ui
 			ram.Store32(ptrAddr(n, j-lo), uniq[j].Value)
 			last = uniq[j].Key
 		}
-		level = append(level, nodeInfo{addr: n, lastKey: last})
+		level[i] = nodeInfo{addr: n, lastKey: last}
 	}
 
 	// Inner levels.
 	for lv := 1; lv < len(counts); lv++ {
-		var next []nodeInfo
-		for i := 0; i < counts[lv]; i++ {
+		next := make([]nodeInfo, counts[lv])
+		for i := range next {
 			lo := i * fill
-			hi := lo + fill
-			if hi > len(level) {
-				hi = len(level)
-			}
+			hi := min(lo+fill, len(level))
 			n := buildNode(ram, hooks.allocFor(lv, i), lv, hi-lo)
 			for j := lo; j < hi; j++ {
 				ptr := level[j].addr | hooks.childTag(lv-1, j)
@@ -89,7 +73,7 @@ func bulkBuild(ram *memsys.RAM, pairs []KV, fill int, hooks buildHooks) (root ui
 					ram.Store32(keyAddr(n, j-lo-1), level[j-1].lastKey)
 				}
 			}
-			next = append(next, nodeInfo{addr: n, lastKey: level[hi-1].lastKey})
+			next[i] = nodeInfo{addr: n, lastKey: level[hi-1].lastKey}
 		}
 		level = next
 	}

@@ -38,8 +38,8 @@ func boundaryTarget(m *machine.Machine, h *Hybrid, key uint32) (begin, parent ui
 func TestHybridParentSeqnumAheadForcesRetryThenSucceeds(t *testing.T) {
 	pairs := initialPairs(2000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Window: 1})
-	h.Build(pairs, testFill)
+	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	h.Build(pairs)
 	h.Start()
 
 	key := pairs[500].Key
@@ -68,8 +68,8 @@ func TestHybridParentSeqnumAheadForcesRetryThenSucceeds(t *testing.T) {
 func TestHybridSiblingSplitRefreshesRecordedParentSeqnum(t *testing.T) {
 	pairs := initialPairs(2000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Window: 1})
-	h.Build(pairs, testFill)
+	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	h.Build(pairs)
 	h.Start()
 
 	key := pairs[700].Key
@@ -96,8 +96,8 @@ func TestHybridSiblingSplitRefreshesRecordedParentSeqnum(t *testing.T) {
 func TestHybridRemoveRetriesWhileLeafLocked(t *testing.T) {
 	pairs := initialPairs(2000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Window: 1})
-	h.Build(pairs, testFill)
+	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	h.Build(pairs)
 	h.Start()
 
 	key := pairs[300].Key
@@ -139,8 +139,8 @@ func TestHybridRemoveRetriesWhileLeafLocked(t *testing.T) {
 func TestHybridBoundaryPointerTagsMatchPartitions(t *testing.T) {
 	pairs := initialPairs(3000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Window: 1})
-	h.Build(pairs, testFill)
+	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	h.Build(pairs)
 	ram := m.Mem.RAM
 	root, height := h.host.rootInfo(ram)
 	var walk func(node uint32, level int)

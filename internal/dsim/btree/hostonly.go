@@ -24,7 +24,7 @@ func NewHostOnly(m *machine.Machine) *HostOnly {
 // in sorted order, yielding ~half-full nodes; fill 8 of 14/15 mirrors
 // that).
 func (t *HostOnly) Build(pairs []KV, fill int) {
-	root, height := bulkBuild(t.m.Mem.RAM, pairs, fill, hostOnlyHooks(t.m.Mem.HostAlloc))
+	root, height := bulkBuild(t.m.Mem.RAM, kv.SortedUnique(pairs), fill, hostOnlyHooks(t.m.Mem.HostAlloc))
 	t.core.setRoot(root, height)
 }
 

@@ -24,7 +24,7 @@ type Hybrid struct {
 	rt    *offload.Runtime
 
 	split boundary.Split
-	fill  int
+	fill  int // bulk-load entries per node
 }
 
 // HybridBTreeConfig parameterizes the hybrid B+ tree.
@@ -34,6 +34,9 @@ type HybridBTreeConfig struct {
 	// fit the LLC. The tree's total height follows from fan-out, so
 	// Split.Total is 0 (derived).
 	Split boundary.Split
+	// Fill is the bulk-load entry count per node, for Build and for the
+	// rebuild a Rebalance performs.
+	Fill int
 	// Window is the in-flight NMP call budget per host thread for
 	// ApplyBatch (1 = blocking behaviour).
 	Window int
@@ -45,8 +48,9 @@ func NewHybrid(m *machine.Machine, cfg HybridBTreeConfig) *Hybrid {
 		panic("btree: split must place >= 1 NMP level and derive the total from fan-out")
 	}
 	t := &Hybrid{
-		m:  m,
-		rt: offload.New(m, offload.Config{Window: cfg.Window}),
+		m:    m,
+		rt:   offload.New(m, offload.Config{Window: cfg.Window}),
+		fill: cfg.Fill,
 	}
 	t.layout(cfg.Split)
 	return t
@@ -79,16 +83,12 @@ func (t *Hybrid) Rebalance(next boundary.Split) error {
 	if next.NMP < 1 {
 		return fmt.Errorf("btree: NMP levels must be >= 1 (got %d)", next.NMP)
 	}
-	if t.fill == 0 {
-		return fmt.Errorf("btree: rebalance requires a prior Build")
-	}
 	if next == t.split {
 		return nil
 	}
 	pairs := t.Dump()
-	fill := t.fill
 	t.layout(next)
-	t.Build(pairs, fill)
+	t.Build(pairs)
 	for p := range t.trees {
 		t.rt.Republish(p, t.trees[p].handler())
 	}
@@ -98,25 +98,13 @@ func (t *Hybrid) Rebalance(next boundary.Split) error {
 // Build bulk-loads pairs (§3.4: "the initial B+ tree is constructed over
 // an existing database table"), pushing the bottom Split.NMP levels down
 // into partition memory and tagging boundary pointers with partition IDs.
-func (t *Hybrid) Build(pairs []KV, fill int) {
-	hooks := hybridHooks(t.m.Mem.HostAlloc, t.m.Mem.NMPAlloc, t.split.NMP, fill, len(dedupCount(pairs)))
-	root, height := bulkBuild(t.m.Mem.RAM, pairs, fill, hooks)
+// It touches only simulated RAM and the bump allocators, so a built
+// machine is fully described by its memsys.Image.
+func (t *Hybrid) Build(pairs []KV) {
+	uniq := kv.SortedUnique(pairs)
+	hooks := hybridHooks(t.m.Mem.HostAlloc, t.m.Mem.NMPAlloc, t.split.NMP, t.fill, len(uniq))
+	root, height := bulkBuild(t.m.Mem.RAM, uniq, t.fill, hooks)
 	t.host.setRoot(root, height)
-	t.fill = fill
-}
-
-// dedupCount returns pairs deduplicated by key (build sizing must match
-// bulkBuild's dedup).
-func dedupCount(pairs []KV) []KV {
-	seen := make(map[uint32]bool, len(pairs))
-	out := pairs[:0:0]
-	for _, p := range pairs {
-		if !seen[p.Key] {
-			seen[p.Key] = true
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Start spawns the NMP combiner daemons. Call once before Machine.Run.

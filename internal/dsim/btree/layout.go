@@ -17,6 +17,7 @@
 package btree
 
 import (
+	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
 )
@@ -89,10 +90,8 @@ func buildNode(ram *memsys.RAM, al *memsys.Allocator, level, slotuse int) uint32
 	return n
 }
 
-// KV is a key-value pair produced by verification walks.
-type KV struct {
-	Key, Value uint32
-}
+// KV is a key-value pair: bulk-build input and verification-walk output.
+type KV = kv.Pair
 
 // findChildIdx scans an inner node's dividing keys (timed) and returns the
 // child slot for key: child i covers keys <= keys[i], the last child

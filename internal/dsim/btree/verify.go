@@ -17,7 +17,7 @@ func dumpTree(m *machine.Machine, core *hostCore, trees []*nmpTree, nmpLevels in
 		slots := metaSlots(ram.Load32(metaAddr(node)))
 		if level == 0 {
 			for i := 0; i < slots; i++ {
-				out = append(out, KV{ram.Load32(keyAddr(node, i)), ram.Load32(ptrAddr(node, i))})
+				out = append(out, KV{Key: ram.Load32(keyAddr(node, i)), Value: ram.Load32(ptrAddr(node, i))})
 			}
 			return
 		}

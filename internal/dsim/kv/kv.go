@@ -6,6 +6,7 @@ package kv
 
 import (
 	"hybrids/internal/hds"
+	"hybrids/internal/radix"
 	"hybrids/internal/sim/machine"
 )
 
@@ -32,6 +33,29 @@ type Op struct {
 	Kind  Kind
 	Key   uint32
 	Value uint32
+}
+
+// Pair is one key-value record, the simulator side's only pair type:
+// ycsb.Pair (load sets), every structure's KV (bulk-build input, Dump
+// output) and store.KV alias it, so a load set reaches a bulk build and a
+// Dump reaches its caller without a copy.
+type Pair struct {
+	Key, Value uint32
+}
+
+// SortedUnique returns pairs sorted ascending by key in a fresh slice,
+// keeping the first of any run of pairs that share a key: the form every
+// bulk build starts from.
+func SortedUnique(pairs []Pair) []Pair {
+	sorted := append([]Pair(nil), pairs...)
+	radix.SortFunc(sorted, func(p Pair) uint32 { return p.Key })
+	uniq := sorted[:0]
+	for i, p := range sorted {
+		if i == 0 || p.Key != sorted[i-1].Key {
+			uniq = append(uniq, p)
+		}
+	}
+	return uniq
 }
 
 // Store is a simulated concurrent key-value index executing operations

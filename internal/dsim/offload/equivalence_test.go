@@ -107,12 +107,12 @@ func btreeDump(t *testing.T, window int, async bool) []btree.KV {
 	t.Helper()
 	pairs, streams := eqData()
 	m := eqMachine()
-	s := btree.NewHybrid(m, btree.HybridBTreeConfig{Split: boundary.Split{NMP: 2}, Window: window})
+	s := btree.NewHybrid(m, btree.HybridBTreeConfig{Split: boundary.Split{NMP: 2}, Fill: 8, Window: window})
 	btp := make([]btree.KV, len(pairs))
 	for i, p := range pairs {
 		btp[i] = btree.KV{Key: p.k, Value: p.v}
 	}
-	s.Build(btp, 8)
+	s.Build(btp)
 	s.Start()
 	driveStreams(m, streams, func(c *machine.Ctx, th int, ops []kv.Op) {
 		if async {

@@ -13,6 +13,7 @@
 package skiplist
 
 import (
+	"hybrids/internal/dsim/kv"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
@@ -117,10 +118,8 @@ func initNode(ram *memsys.RAM, n uint32, key, value uint32, h int, aux uint32) {
 	}
 }
 
-// KV is a key-value pair produced by verification walks.
-type KV struct {
-	Key, Value uint32
-}
+// KV is a key-value pair: bulk-build input and verification-walk output.
+type KV = kv.Pair
 
 // keyInfinity is the tail sentinel key: ordinary keys must be below it.
 const keyInfinity = ^uint32(0)

@@ -211,7 +211,7 @@ func (s *lfCore) dump(ram *memsys.RAM) []KV {
 	n := ref(ram.Load32(nextAddr(s.head, 0)))
 	for n != s.tail {
 		if !marked(ram.Load32(nextAddr(n, 0))) {
-			out = append(out, KV{ram.Load32(keyAddr(n)), ram.Load32(valueAddr(n))})
+			out = append(out, KV{Key: ram.Load32(keyAddr(n)), Value: ram.Load32(valueAddr(n))})
 		}
 		n = ref(ram.Load32(nextAddr(n, 0)))
 	}

@@ -6,7 +6,6 @@ import (
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/metrics"
 	"hybrids/internal/prng"
-	"hybrids/internal/radix"
 	"hybrids/internal/sim/machine"
 )
 
@@ -39,18 +38,12 @@ func NewLockFree(m *machine.Machine, levels int, seed uint64) *LockFree {
 // Build populates the skiplist untimed (the load phase). Keys are
 // deduplicated; heights are drawn deterministically from the build seed.
 func (s *LockFree) Build(pairs []KV, seed uint64) {
-	sorted := append([]KV(nil), pairs...)
-	radix.SortFunc(sorted, func(p KV) uint32 { return p.Key })
+	uniq := kv.SortedUnique(pairs)
 	rng := prng.New(seed)
 	ram := s.m.Mem.RAM
-	uniq := sorted[:0]
-	var heights []int
-	for i, p := range sorted {
-		if i > 0 && len(uniq) > 0 && p.Key == uniq[len(uniq)-1].Key {
-			continue
-		}
-		uniq = append(uniq, p)
-		heights = append(heights, rng.GeometricHeight(s.levels))
+	heights := make([]int, len(uniq))
+	for i := range heights {
+		heights[i] = rng.GeometricHeight(s.levels)
 	}
 	addrs := shuffledNodeAlloc(s.m.Mem.HostAlloc, heights, seed^0x55)
 	// Sorted bulk link: keep the most recent node at each level and

@@ -9,7 +9,6 @@ import (
 	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
 	"hybrids/internal/prng"
-	"hybrids/internal/radix"
 	"hybrids/internal/sim/machine"
 )
 
@@ -140,29 +139,26 @@ func (s *NMPFC) Metrics() *metrics.Registry { return s.m.Metrics }
 // deterministically per key.
 func buildPartitioned(m *machine.Machine, part kv.RangePartitioner, lists []*seqList, levels int,
 	pairs []KV, seed uint64, onNode func(p int, pair KV, height int, node uint32)) {
-	sorted := append([]KV(nil), pairs...)
-	radix.SortFunc(sorted, func(p KV) uint32 { return p.Key })
+	uniq := kv.SortedUnique(pairs)
 	rng := prng.New(seed)
-	byPart := make([][]KV, len(lists))
-	heights := make([][]int, len(lists))
-	var prevKey uint32
-	for i, pr := range sorted {
-		if i > 0 && pr.Key == prevKey {
-			continue
-		}
-		prevKey = pr.Key
-		h := rng.GeometricHeight(levels)
-		p := part.Part(pr.Key)
-		byPart[p] = append(byPart[p], pr)
-		heights[p] = append(heights[p], h)
+	heights := make([]int, len(uniq))
+	for i := range heights {
+		heights[i] = rng.GeometricHeight(levels)
 	}
+	// Sorted keys make each partition's share one contiguous run.
+	start := 0
 	for p, list := range lists {
-		nodes := list.buildSorted(m.Mem.RAM, byPart[p], heights[p])
+		end := start
+		for end < len(uniq) && part.Part(uniq[end].Key) == p {
+			end++
+		}
+		nodes := list.buildSorted(m.Mem.RAM, uniq[start:end], heights[start:end])
 		if onNode != nil {
 			for i, n := range nodes {
-				onNode(p, byPart[p][i], heights[p][i], n)
+				onNode(p, uniq[start+i], heights[start+i], n)
 			}
 		}
+		start = end
 	}
 }
 

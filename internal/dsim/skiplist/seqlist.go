@@ -138,7 +138,7 @@ func (s *seqList) dump(ram *memsys.RAM) []KV {
 	var out []KV
 	n := ram.Load32(nextAddr(s.head, 0))
 	for n != 0 {
-		out = append(out, KV{ram.Load32(keyAddr(n)), ram.Load32(valueAddr(n))})
+		out = append(out, KV{Key: ram.Load32(keyAddr(n)), Value: ram.Load32(valueAddr(n))})
 		n = ram.Load32(nextAddr(n, 0))
 	}
 	return out

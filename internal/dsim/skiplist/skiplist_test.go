@@ -78,7 +78,7 @@ func (o oracle) apply(op kv.Op) (uint32, bool) {
 func (o oracle) dump() []KV {
 	var out []KV
 	for k, v := range o {
-		out = append(out, KV{k, v})
+		out = append(out, KV{Key: k, Value: v})
 	}
 	sortKVs(out)
 	return out

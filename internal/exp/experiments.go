@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hybrids/internal/boundary"
+	"hybrids/internal/dsim/kv"
 	"hybrids/internal/store"
 	"hybrids/internal/ycsb"
 )
@@ -90,36 +91,79 @@ func runTable1(sc Scale, _ io.Writer) Result {
 	return Result{ID: "table1", Title: "Table 1 (scale: " + sc.Name + ")", Header: []string{"component", "configuration"}, Rows: rows}
 }
 
+// --- The grid helper -------------------------------------------------------
+
+// workload is one point of a grid's axis: the preloaded keys and the
+// per-thread streams every variant sees there.
+type workload struct {
+	label   string // Cell.Label ("" on thread sweeps, whose axis is Cell.Threads)
+	load    []ycsb.Pair
+	streams [][]kv.Op
+}
+
+// threadSweep is cfg's workload at each thread count, over one shared load
+// set — which is what makes a variant's cells across the sweep one image
+// group (see runCells).
+func threadSweep(sc Scale, cfg ycsb.Config, threadCounts []int) []workload {
+	gen := ycsb.New(cfg)
+	load := gen.Load()
+	var ws []workload
+	for _, th := range threadCounts {
+		ws = append(ws, workload{load: load, streams: gen.Streams(th, sc.WarmupPerThread+sc.OpsPerThread)})
+	}
+	return ws
+}
+
+// onePoint is cfg's workload at the scale's single-point thread count,
+// over its own load set.
+func onePoint(sc Scale, label string, cfg ycsb.Config) workload {
+	gen := ycsb.New(cfg)
+	return workload{label: label, load: gen.Load(), streams: gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)}
+}
+
+// runGrid measures every variant on every workload. Cells are declared
+// workload-major, so the traced cell is the first variant on the first
+// workload, and returned per variant name in workload order.
+func runGrid(sc Scale, progress io.Writer, tag string, variants []*variant, ws []workload) map[string][]Cell {
+	var jobs []cellJob
+	for _, w := range ws {
+		at := tag
+		if w.label != "" {
+			at += " " + w.label
+		}
+		for _, v := range variants {
+			jobs = append(jobs, cellJob{
+				sc: sc, v: v, load: w.load, streams: w.streams, label: w.label,
+				progress: fmt.Sprintf("%s %s threads=%d", at, v.name, len(w.streams)),
+			})
+		}
+	}
+	grid := map[string][]Cell{}
+	for i, c := range runCells(sc, progress, jobs) {
+		name := variants[i%len(variants)].name
+		grid[name] = append(grid[name], c)
+	}
+	return grid
+}
+
 // --- Figures 5a/5b: skiplist baseline (YCSB-C) ---------------------------
 
-func skiplistYCSBCGrid(sc Scale, threadCounts []int, progress io.Writer) map[string]map[int]Cell {
-	gen := ycsb.New(ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
-	load := gen.Load()
-	type point struct {
-		name string
-		th   int
-	}
-	var jobs []cellJob
-	var points []point
-	for _, th := range threadCounts {
-		streams := gen.Streams(th, sc.WarmupPerThread+sc.OpsPerThread)
-		for _, v := range skiplistVariants(sc) {
-			jobs = append(jobs, cellJob{
-				sc: sc, v: v, load: load, streams: streams,
-				progress: fmt.Sprintf("fig5 %s threads=%d", v.name, th),
-			})
-			points = append(points, point{v.name, th})
+func skiplistYCSBCGrid(sc Scale, threadCounts []int, progress io.Writer) map[string][]Cell {
+	return runGrid(sc, progress, "fig5", skiplistVariants(sc),
+		threadSweep(sc, ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed), threadCounts))
+}
+
+// sweepRows appends a thread-sweep grid's rows and cells, variant-major,
+// each throughput also relative to the base variant's at the same count.
+func (res *Result) sweepRows(sc Scale, grid map[string][]Cell, variants []*variant, base string) {
+	for _, v := range variants {
+		for i, th := range sc.ThreadCounts {
+			c := grid[v.name][i]
+			rel := c.MOpsPerSec / grid[base][i].MOpsPerSec
+			res.Rows = append(res.Rows, []string{v.name, fmt.Sprint(th), f2(c.MOpsPerSec), f2(rel) + "x"})
+			res.Cells = append(res.Cells, c)
 		}
 	}
-	cells := runCells(sc, progress, jobs)
-	out := map[string]map[int]Cell{}
-	for i, p := range points {
-		if out[p.name] == nil {
-			out[p.name] = map[int]Cell{}
-		}
-		out[p.name][p.th] = cells[i]
-	}
-	return out
 }
 
 func runFig5a(sc Scale, progress io.Writer) Result {
@@ -128,19 +172,12 @@ func runFig5a(sc Scale, progress io.Writer) Result {
 		ID: "fig5a", Title: "Figure 5a (skiplist, YCSB-C, scale " + sc.Name + ")",
 		Header: []string{"implementation", "threads", "Mops/s", "vs lock-free@same"},
 	}
-	for _, v := range skiplistVariants(sc) {
-		for _, th := range sc.ThreadCounts {
-			c := grid[v.name][th]
-			rel := c.MOpsPerSec / grid["lock-free"][th].MOpsPerSec
-			res.Rows = append(res.Rows, []string{v.name, fmt.Sprint(th), f2(c.MOpsPerSec), f2(rel) + "x"})
-			res.Cells = append(res.Cells, c)
-		}
-	}
-	top := sc.ThreadCounts[len(sc.ThreadCounts)-1]
+	res.sweepRows(sc, grid, skiplistVariants(sc), "lock-free")
+	top := len(sc.ThreadCounts) - 1
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("paper (8 threads): hybrid-blocking +46%% over lock-free, +99%% over NMP-based; hybrid-nonblocking4 = 2.46x lock-free"),
 		fmt.Sprintf("measured (%d threads): hybrid-blocking %.2fx lock-free, %.2fx NMP-based; hybrid-nonblocking%d %.2fx lock-free",
-			top,
+			sc.ThreadCounts[top],
 			grid["hybrid-blocking"][top].MOpsPerSec/grid["lock-free"][top].MOpsPerSec,
 			grid["hybrid-blocking"][top].MOpsPerSec/grid["NMP-based"][top].MOpsPerSec,
 			sc.Window,
@@ -154,9 +191,9 @@ func runFig5b(sc Scale, progress io.Writer) Result {
 		ID: "fig5b", Title: "Figure 5b (skiplist DRAM reads/op, YCSB-C, scale " + sc.Name + ")",
 		Header: []string{"implementation", "DRAM reads/op", "vs lock-free"},
 	}
-	lf := grid["lock-free"][sc.MaxThreads].ReadsPerOp
+	lf := grid["lock-free"][0].ReadsPerOp
 	for _, v := range skiplistVariants(sc) {
-		c := grid[v.name][sc.MaxThreads]
+		c := grid[v.name][0]
 		res.Rows = append(res.Rows, []string{v.name, f2(c.ReadsPerOp), f2(c.ReadsPerOp / lf)})
 		res.Cells = append(res.Cells, c)
 	}
@@ -166,34 +203,9 @@ func runFig5b(sc Scale, progress io.Writer) Result {
 
 // --- Figures 6a/6b: B+ tree baseline (YCSB-C) ----------------------------
 
-func btreeYCSBCGrid(sc Scale, threadCounts []int, progress io.Writer) map[string]map[int]Cell {
-	gen := ycsb.New(ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed))
-	load := gen.Load()
-	type point struct {
-		name string
-		th   int
-	}
-	var jobs []cellJob
-	var points []point
-	for _, th := range threadCounts {
-		streams := gen.Streams(th, sc.WarmupPerThread+sc.OpsPerThread)
-		for _, v := range btreeVariants(sc) {
-			jobs = append(jobs, cellJob{
-				sc: sc, v: v, load: load, streams: streams,
-				progress: fmt.Sprintf("fig6 %s threads=%d", v.name, th),
-			})
-			points = append(points, point{v.name, th})
-		}
-	}
-	cells := runCells(sc, progress, jobs)
-	out := map[string]map[int]Cell{}
-	for i, p := range points {
-		if out[p.name] == nil {
-			out[p.name] = map[int]Cell{}
-		}
-		out[p.name][p.th] = cells[i]
-	}
-	return out
+func btreeYCSBCGrid(sc Scale, threadCounts []int, progress io.Writer) map[string][]Cell {
+	return runGrid(sc, progress, "fig6", btreeVariants(sc),
+		threadSweep(sc, ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed), threadCounts))
 }
 
 func runFig6a(sc Scale, progress io.Writer) Result {
@@ -202,19 +214,12 @@ func runFig6a(sc Scale, progress io.Writer) Result {
 		ID: "fig6a", Title: "Figure 6a (B+ tree, YCSB-C, scale " + sc.Name + ")",
 		Header: []string{"implementation", "threads", "Mops/s", "vs host-only@same"},
 	}
-	for _, v := range btreeVariants(sc) {
-		for _, th := range sc.ThreadCounts {
-			c := grid[v.name][th]
-			rel := c.MOpsPerSec / grid["host-only"][th].MOpsPerSec
-			res.Rows = append(res.Rows, []string{v.name, fmt.Sprint(th), f2(c.MOpsPerSec), f2(rel) + "x"})
-			res.Cells = append(res.Cells, c)
-		}
-	}
-	top := sc.ThreadCounts[len(sc.ThreadCounts)-1]
+	res.sweepRows(sc, grid, btreeVariants(sc), "host-only")
+	top := len(sc.ThreadCounts) - 1
 	res.Notes = append(res.Notes,
 		"paper (8 threads): hybrid-blocking +18% over host-only; hybrid-nonblocking4 = 2.11x host-only",
 		fmt.Sprintf("measured (%d threads): hybrid-blocking %.2fx host-only; hybrid-nonblocking%d %.2fx host-only",
-			top,
+			sc.ThreadCounts[top],
 			grid["hybrid-blocking"][top].MOpsPerSec/grid["host-only"][top].MOpsPerSec,
 			sc.Window,
 			grid[fmt.Sprintf("hybrid-nonblocking%d", sc.Window)][top].MOpsPerSec/grid["host-only"][top].MOpsPerSec))
@@ -227,9 +232,9 @@ func runFig6b(sc Scale, progress io.Writer) Result {
 		ID: "fig6b", Title: "Figure 6b (B+ tree DRAM reads/op, YCSB-C, scale " + sc.Name + ")",
 		Header: []string{"implementation", "DRAM reads/op", "vs host-only"},
 	}
-	ho := grid["host-only"][sc.MaxThreads].ReadsPerOp
+	ho := grid["host-only"][0].ReadsPerOp
 	for _, v := range btreeVariants(sc) {
-		c := grid[v.name][sc.MaxThreads]
+		c := grid[v.name][0]
 		res.Rows = append(res.Rows, []string{v.name, f2(c.ReadsPerOp), f2(c.ReadsPerOp / ho)})
 		res.Cells = append(res.Cells, c)
 	}
@@ -243,13 +248,8 @@ func runTable2(sc Scale, progress io.Writer) Result {
 	// Single-threaded blocking hybrid B+ tree, read-only: isolates the
 	// offload path exactly as the paper measures it (same initial tree,
 	// same host levels, one offload at a time).
-	gen := ycsb.New(ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed))
-	load := gen.Load()
-	streams := gen.Streams(1, sc.WarmupPerThread+sc.OpsPerThread)
-	cell := runCells(sc, progress, []cellJob{{
-		sc: sc, v: btreeHybrid(sc, 1, false), load: load, streams: streams,
-		progress: "table2 single-offload measurement",
-	}})[0]
+	cell := runGrid(sc, progress, "table2", []*variant{btreeHybrid(sc, 1, false)},
+		threadSweep(sc, ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed), []int{1}))["hybrid-blocking"][0]
 
 	mc := sc.Machine.Mem
 	reqWrite := mc.MMIOWriteLatency + 6*mc.MMIOWordExtra
@@ -309,33 +309,18 @@ func runFig7(sc Scale, progress io.Writer) Result {
 		ID: "fig7", Title: "Figure 7 (skiplist sensitivity, 8 threads, normalized to lock-free 100-0-0, scale " + sc.Name + ")",
 		Header: []string{"workload", "implementation", "Mops/s", "normalized"},
 	}
-	type point struct {
-		mix, name string
-	}
-	var jobs []cellJob
-	var points []point
+	var ws []workload
 	for _, mx := range sensitivityMixes() {
-		gen := ycsb.New(ycsb.Mix(sc.SkiplistRecords, sc.KeyMax, mx.read, mx.insert, mx.remove, sc.Seed))
-		load := gen.Load()
-		streams := gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
-		for _, v := range skiplistVariants(sc) {
-			jobs = append(jobs, cellJob{
-				sc: sc, v: v, load: load, streams: streams,
-				progress: fmt.Sprintf("fig7 %s %s", mx.label, v.name),
-				label:    mx.label,
-			})
-			points = append(points, point{mx.label, v.name})
-		}
+		ws = append(ws, onePoint(sc, mx.label, ycsb.Mix(sc.SkiplistRecords, sc.KeyMax, mx.read, mx.insert, mx.remove, sc.Seed)))
 	}
-	cells := runCells(sc, progress, jobs)
-	var base float64
-	for i, p := range points {
-		c := cells[i]
-		if p.mix == "100-0-0" && p.name == "lock-free" {
-			base = c.MOpsPerSec
+	grid := runGrid(sc, progress, "fig7", skiplistVariants(sc), ws)
+	base := grid["lock-free"][0].MOpsPerSec // 100-0-0 is the first mix
+	for i, mx := range sensitivityMixes() {
+		for _, v := range skiplistVariants(sc) {
+			c := grid[v.name][i]
+			res.Rows = append(res.Rows, []string{mx.label, v.name, f2(c.MOpsPerSec), f2(c.MOpsPerSec / base)})
+			res.Cells = append(res.Cells, c)
 		}
-		res.Rows = append(res.Rows, []string{p.mix, p.name, f2(c.MOpsPerSec), f2(c.MOpsPerSec / base)})
-		res.Cells = append(res.Cells, c)
 	}
 	res.Notes = append(res.Notes,
 		"paper: at 50-25-25, hybrid-blocking = 1.61x and hybrid-nonblocking4 = 3.12x lock-free;",
@@ -361,40 +346,20 @@ func btreeSensitivityMixes() []mix {
 
 // btreeSensitivityMemo caches the shared fig8/fig9 grid per scale so that
 // "-exp all" measures it once.
-var btreeSensitivityMemo = map[string]map[string]map[string]Cell{}
+var btreeSensitivityMemo = map[string]map[string][]Cell{}
 
-func runBTreeSensitivity(sc Scale, progress io.Writer) map[string]map[string]Cell {
+func runBTreeSensitivity(sc Scale, progress io.Writer) map[string][]Cell {
 	memoKey := fmt.Sprintf("%s/%d/%d", sc.Name, sc.OpsPerThread, sc.BTreeRecords)
 	if grid, ok := btreeSensitivityMemo[memoKey]; ok {
 		return grid
 	}
-	type point struct {
-		mix, name string
-	}
-	var jobs []cellJob
-	var points []point
+	var ws []workload
 	for _, mx := range btreeSensitivityMixes() {
-		gen := ycsb.New(btreeMixConfig(sc, mx))
-		load := gen.Load()
-		streams := gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
-		for _, v := range btreeVariants(sc) {
-			jobs = append(jobs, cellJob{
-				sc: sc, v: v, load: load, streams: streams,
-				progress: fmt.Sprintf("fig8/9 %s %s", mx.label, v.name),
-			})
-			points = append(points, point{mx.label, v.name})
-		}
+		ws = append(ws, onePoint(sc, mx.label, btreeMixConfig(sc, mx)))
 	}
-	cells := runCells(sc, progress, jobs)
-	out := map[string]map[string]Cell{}
-	for i, p := range points {
-		if out[p.mix] == nil {
-			out[p.mix] = map[string]Cell{}
-		}
-		out[p.mix][p.name] = cells[i]
-	}
-	btreeSensitivityMemo[memoKey] = out
-	return out
+	grid := runGrid(sc, progress, "fig8/9", btreeVariants(sc), ws)
+	btreeSensitivityMemo[memoKey] = grid
+	return grid
 }
 
 func runFig8(sc Scale, progress io.Writer) Result {
@@ -403,12 +368,11 @@ func runFig8(sc Scale, progress io.Writer) Result {
 		ID: "fig8", Title: "Figure 8 (B+ tree sensitivity, 8 threads, normalized to host-only 100-0-0, scale " + sc.Name + ")",
 		Header: []string{"workload", "implementation", "Mops/s", "normalized"},
 	}
-	base := grid["100-0-0"]["host-only"].MOpsPerSec
-	for _, mx := range btreeSensitivityMixes() {
+	base := grid["host-only"][0].MOpsPerSec // 100-0-0 is the first mix
+	for i, mx := range btreeSensitivityMixes() {
 		for _, v := range btreeVariants(sc) {
-			c := grid[mx.label][v.name]
+			c := grid[v.name][i]
 			res.Rows = append(res.Rows, []string{mx.label, v.name, f2(c.MOpsPerSec), f2(c.MOpsPerSec / base)})
-			c.Label = mx.label
 			res.Cells = append(res.Cells, c)
 		}
 	}
@@ -424,11 +388,10 @@ func runFig9(sc Scale, progress io.Writer) Result {
 		ID: "fig9", Title: "Figure 9 (B+ tree DRAM reads/op across mixes, 8 threads, scale " + sc.Name + ")",
 		Header: []string{"workload", "implementation", "DRAM reads/op"},
 	}
-	for _, mx := range btreeSensitivityMixes() {
+	for i, mx := range btreeSensitivityMixes() {
 		for _, v := range btreeVariants(sc) {
-			c := grid[mx.label][v.name]
+			c := grid[v.name][i]
 			res.Rows = append(res.Rows, []string{mx.label, v.name, f2(c.ReadsPerOp)})
-			c.Label = mx.label
 			res.Cells = append(res.Cells, c)
 		}
 	}
@@ -445,23 +408,19 @@ func runAblateWindow(sc Scale, progress io.Writer) Result {
 		ID: "ablate-window", Title: "Ablation: in-flight window depth (YCSB-C, 8 threads, scale " + sc.Name + ")",
 		Header: []string{"structure", "window", "Mops/s"},
 	}
-	skGen := ycsb.New(ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
-	skLoad := skGen.Load()
-	skStreams := skGen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
-	btGen := ycsb.New(ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed))
-	btLoad := btGen.Load()
-	btStreams := btGen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
+	sk := onePoint(sc, "skiplist", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
+	bt := onePoint(sc, "btree", ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed))
 	windows := []int{1, 2, 4}
 	var jobs []cellJob
 	for _, w := range windows {
 		jobs = append(jobs,
 			cellJob{
-				sc: sc, v: skiplistHybrid(sc, w, true), load: skLoad, streams: skStreams,
-				progress: fmt.Sprintf("window=%d skiplist", w), label: "skiplist",
+				sc: sc, v: skiplistHybrid(sc, w, true), load: sk.load, streams: sk.streams,
+				progress: fmt.Sprintf("window=%d skiplist", w), label: sk.label,
 			},
 			cellJob{
-				sc: sc, v: btreeHybrid(sc, w, true), load: btLoad, streams: btStreams,
-				progress: fmt.Sprintf("window=%d btree", w), label: "btree",
+				sc: sc, v: btreeHybrid(sc, w, true), load: bt.load, streams: bt.streams,
+				progress: fmt.Sprintf("window=%d btree", w), label: bt.label,
 			})
 	}
 	cells := runCells(sc, progress, jobs)
@@ -490,29 +449,18 @@ func runAblateSkew(sc Scale, progress io.Writer) Result {
 		{"zipf-0.80", ycsb.Zipfian, 0.80},
 		{"zipf-0.99", ycsb.Zipfian, 0.99},
 	}
-	var jobs []cellJob
+	var ws []workload
 	for _, d := range dists {
 		cfg := ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed)
 		cfg.Dist = d.dist
 		if d.theta != 0 {
 			cfg.ZipfTheta = d.theta
 		}
-		gen := ycsb.New(cfg)
-		load := gen.Load()
-		streams := gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
-		jobs = append(jobs,
-			cellJob{
-				sc: sc, v: skiplistLockFree(sc), load: load, streams: streams,
-				progress: fmt.Sprintf("skew %s lock-free", d.label), label: d.label,
-			},
-			cellJob{
-				sc: sc, v: skiplistHybrid(sc, 1, false), load: load, streams: streams,
-				progress: fmt.Sprintf("skew %s hybrid-blocking", d.label), label: d.label,
-			})
+		ws = append(ws, onePoint(sc, d.label, cfg))
 	}
-	cells := runCells(sc, progress, jobs)
+	grid := runGrid(sc, progress, "skew", []*variant{skiplistLockFree(sc), skiplistHybrid(sc, 1, false)}, ws)
 	for i, d := range dists {
-		lf, hy := cells[2*i], cells[2*i+1]
+		lf, hy := grid["lock-free"][i], grid["hybrid-blocking"][i]
 		res.Rows = append(res.Rows, []string{
 			d.label, f2(lf.MOpsPerSec), f2(hy.MOpsPerSec),
 			f2(hy.MOpsPerSec / lf.MOpsPerSec), f2(lf.ReadsPerOp), f2(hy.ReadsPerOp),
@@ -530,9 +478,7 @@ func runAblateSplit(sc Scale, progress io.Writer) Result {
 		ID: "ablate-split", Title: "Ablation: skiplist NMP level count (YCSB-C, 8 threads, blocking, scale " + sc.Name + ")",
 		Header: []string{"NMP levels", "host levels", "Mops/s", "DRAM reads/op"},
 	}
-	gen := ycsb.New(ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
-	load := gen.Load()
-	streams := gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
+	w := onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
 	var (
 		jobs   []cellJob
 		levels []int
@@ -545,7 +491,7 @@ func runAblateSplit(sc Scale, progress io.Writer) Result {
 		scv.SkiplistNMPLevels = nl
 		levels = append(levels, nl)
 		jobs = append(jobs, cellJob{
-			sc: scv, v: skiplistHybrid(scv, 1, false), load: load, streams: streams,
+			sc: scv, v: skiplistHybrid(scv, 1, false), load: w.load, streams: w.streams,
 			progress: fmt.Sprintf("split nmp=%d", nl), label: fmt.Sprintf("nmp-levels=%d", nl),
 		})
 	}
@@ -581,10 +527,7 @@ type boundaryRound struct {
 // policy's EWMAs carry across them). The loop stops after two
 // consecutive holds (converged) or maxRounds.
 func adaptSkiplistBoundary(sc Scale, progress io.Writer, maxRounds int) ([]boundaryRound, boundary.Split, *boundary.Adaptive) {
-	gen := ycsb.New(ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
-	load := gen.Load()
-	streams := gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
-
+	w := onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
 	pol := boundary.NewAdaptive()
 	cur := store.MustEngine("skiplist").SimSplit(simParams(sc, 1))
 	var rounds []boundaryRound
@@ -594,7 +537,7 @@ func adaptSkiplistBoundary(sc Scale, progress io.Writer, maxRounds int) ([]bound
 		scv.SkiplistNMPLevels = cur.NMP
 		scv.Attr = true
 		progressf(progress, "  boundary round %d: nmp=%d host=%d\n", round, cur.NMP, cur.Host())
-		cell := runCell(scv, skiplistHybrid(scv, 1, false), load, streams, nil)
+		cell := runCell(scv, skiplistHybrid(scv, 1, false), w.load, w.streams, nil, nil)
 		cell.Label = fmt.Sprintf("round=%d,nmp-levels=%d", round, cur.NMP)
 
 		s := boundary.Sample{Engine: "skiplist", Ops: uint64(cell.Ops)}
@@ -662,9 +605,7 @@ func runAblateMMIO(sc Scale, progress io.Writer) Result {
 		ID: "ablate-mmio", Title: "Ablation: offload latency sensitivity (skiplist YCSB-C, 8 threads, scale " + sc.Name + ")",
 		Header: []string{"MMIO scale", "hybrid-blocking Mops/s", "hybrid-nonblocking Mops/s"},
 	}
-	gen := ycsb.New(ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
-	load := gen.Load()
-	streams := gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
+	w := onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
 	factors := []float64{0.5, 1, 2, 4}
 	var jobs []cellJob
 	for _, f := range factors {
@@ -674,11 +615,11 @@ func runAblateMMIO(sc Scale, progress io.Writer) Result {
 		label := fmt.Sprintf("mmio=%.1fx", f)
 		jobs = append(jobs,
 			cellJob{
-				sc: scv, v: skiplistHybrid(scv, 1, false), load: load, streams: streams,
+				sc: scv, v: skiplistHybrid(scv, 1, false), load: w.load, streams: w.streams,
 				progress: fmt.Sprintf("mmio x%.1f blocking", f), label: label,
 			},
 			cellJob{
-				sc: scv, v: skiplistHybrid(scv, scv.Window, true), load: load, streams: streams,
+				sc: scv, v: skiplistHybrid(scv, scv.Window, true), load: w.load, streams: w.streams,
 				progress: fmt.Sprintf("mmio x%.1f non-blocking", f), label: label,
 			})
 	}
@@ -702,12 +643,10 @@ func runAblatePartitions(sc Scale, progress io.Writer) Result {
 	for _, parts := range partCounts {
 		scv := sc
 		scv.Machine.Mem.NMPVaults = parts
-		gen := ycsb.New(ycsb.YCSBC(scv.SkiplistRecords, scv.KeyMax, scv.Seed))
-		load := gen.Load()
-		streams := gen.Streams(scv.MaxThreads, scv.WarmupPerThread+scv.OpsPerThread)
+		w := onePoint(scv, fmt.Sprintf("partitions=%d", parts), ycsb.YCSBC(scv.SkiplistRecords, scv.KeyMax, scv.Seed))
 		jobs = append(jobs, cellJob{
-			sc: scv, v: skiplistHybrid(scv, scv.Window, true), load: load, streams: streams,
-			progress: fmt.Sprintf("partitions=%d", parts), label: fmt.Sprintf("partitions=%d", parts),
+			sc: scv, v: skiplistHybrid(scv, scv.Window, true), load: w.load, streams: w.streams,
+			progress: w.label, label: w.label,
 		})
 	}
 	cells := runCells(sc, progress, jobs)
@@ -725,8 +664,8 @@ func runAblatePartitions(sc Scale, progress io.Writer) Result {
 // engine: the blocking discipline plus the scale's non-blocking window.
 // Unlike the figure-specific variant lists above, nothing here names a
 // concrete structure — any registered engine grids identically.
-func engineVariants(e store.Engine, sc Scale) []variant {
-	return []variant{
+func engineVariants(e store.Engine, sc Scale) []*variant {
+	return []*variant{
 		engineHybrid(e, sc, 1, false),
 		engineHybrid(e, sc, sc.Window, true),
 	}
@@ -736,45 +675,15 @@ func engineVariants(e store.Engine, sc Scale) []variant {
 // sweep, entirely through the registry: load size, hybrid construction and
 // variants all come from the Engine value.
 func runEngineGrid(e store.Engine, sc Scale, progress io.Writer) Result {
-	gen := ycsb.New(ycsb.YCSBC(e.SimRecords(simParams(sc, sc.Window)), sc.KeyMax, sc.Seed))
-	load := gen.Load()
-	type point struct {
-		name string
-		th   int
-	}
-	var jobs []cellJob
-	var points []point
-	for _, th := range sc.ThreadCounts {
-		streams := gen.Streams(th, sc.WarmupPerThread+sc.OpsPerThread)
-		for _, v := range engineVariants(e, sc) {
-			jobs = append(jobs, cellJob{
-				sc: sc, v: v, load: load, streams: streams,
-				progress: fmt.Sprintf("engine-%s %s threads=%d", e.Name, v.name, th),
-			})
-			points = append(points, point{v.name, th})
-		}
-	}
-	cells := runCells(sc, progress, jobs)
-	grid := map[string]map[int]Cell{}
-	for i, p := range points {
-		if grid[p.name] == nil {
-			grid[p.name] = map[int]Cell{}
-		}
-		grid[p.name][p.th] = cells[i]
-	}
+	variants := engineVariants(e, sc)
+	grid := runGrid(sc, progress, "engine-"+e.Name, variants,
+		threadSweep(sc, ycsb.YCSBC(e.SimRecords(simParams(sc, sc.Window)), sc.KeyMax, sc.Seed), sc.ThreadCounts))
 	res := Result{
 		ID:     "engine-" + e.Name,
 		Title:  fmt.Sprintf("Engine %s (%s, YCSB-C, scale %s)", e.Name, e.Desc, sc.Name),
 		Header: []string{"implementation", "threads", "Mops/s", "vs blocking@same"},
 	}
-	for _, v := range engineVariants(e, sc) {
-		for _, th := range sc.ThreadCounts {
-			c := grid[v.name][th]
-			rel := c.MOpsPerSec / grid["hybrid-blocking"][th].MOpsPerSec
-			res.Rows = append(res.Rows, []string{v.name, fmt.Sprint(th), f2(c.MOpsPerSec), f2(rel) + "x"})
-			res.Cells = append(res.Cells, c)
-		}
-	}
+	res.sweepRows(sc, grid, variants, "hybrid-blocking")
 	res.Notes = append(res.Notes,
 		"registry-driven grid: the harness resolves the engine by name and never touches a concrete structure type")
 	return res

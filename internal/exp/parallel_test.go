@@ -12,19 +12,22 @@ import (
 // TestParallelMatchesSerialQuickScale is the determinism contract behind
 // Scale.Parallel: every grid cell simulates on a private machine, so a
 // parallel run must reproduce the serial run bit for bit — formatted tables
-// and the full per-cell metric dump alike. fig5a covers the thread-sweep
-// grid shape; ablate-window covers a per-cell-axis grid with labels. (fig8
-// and fig9 are deliberately excluded: their shared memo would make the two
-// runs trivially identical.)
+// and the full per-cell metric dump alike. fig5a and fig6a cover the
+// thread-sweep shape at three thread counts, where four workers share
+// three-cell image groups (one builds and keeps running while two restore);
+// ablate-window covers a per-cell-axis grid with labels and groups of one.
+// (fig8 and fig9 are deliberately excluded: their shared memo would make
+// the two runs trivially identical.) CI runs this under -race.
 func TestParallelMatchesSerialQuickScale(t *testing.T) {
-	for _, id := range []string{"fig5a", "ablate-window"} {
+	for _, id := range []string{"fig5a", "fig6a", "ablate-window"} {
 		e, ok := Find(id)
 		if !ok {
 			t.Fatalf("unknown experiment %q", id)
 		}
 		serial := QuickScale()
+		serial.ThreadCounts = []int{1, 2, 4}
 		serial.Parallel = 1
-		parallel := QuickScale()
+		parallel := serial
 		parallel.Parallel = 4
 
 		rs := e.Run(serial, nil)

@@ -68,11 +68,27 @@ func (r Runner) RunThread(c *machine.Ctx, thread int, ops []kv.Op) {
 	}
 }
 
-// variant names one evaluated implementation and how to build it on a
-// fresh machine.
+// variant names one evaluated implementation and how to put it on a fresh
+// machine. Grids compare variants by pointer: cells naming the same
+// *variant (and load set) form one image group, see runCells.
 type variant struct {
-	name  string
-	build func(m *machine.Machine, load []ycsb.Pair) Runner
+	name string
+	// open constructs the variant's empty structure on m. It must be cheap
+	// and deterministic: the same allocations and stores on every fresh
+	// machine, because a cell that restores another cell's built image
+	// still runs open for the Go-side handles (heads, slots) it yields.
+	open func(m *machine.Machine) instance
+}
+
+// instance is one variant constructed on one machine.
+type instance struct {
+	// build bulk-loads the structure, untimed. It may touch only simulated
+	// RAM and the machine's bump allocators, which is what lets a
+	// memsys.Image stand in for it.
+	build func(load []ycsb.Pair)
+	// start spawns the structure's NMP daemons (nil: it has none).
+	start func()
+	Runner
 }
 
 // Cell is one measured grid point.
@@ -109,9 +125,10 @@ type Cell struct {
 // Throughput returns operations per kilocycle (clock-independent).
 func (c Cell) Throughput() float64 { return float64(c.Ops) / float64(c.Cycles) * 1000 }
 
-// runCell builds the variant on a fresh machine and measures steady-state
-// throughput and DRAM reads per operation: every thread runs its warmup
-// slice, all threads rendezvous, and the measured slices run to
+// runCell puts the variant on a fresh machine — bulk-building it from load,
+// or through g when the cell belongs to an image group — and measures
+// steady-state throughput and DRAM reads per operation: every thread runs
+// its warmup slice, all threads rendezvous, and the measured slices run to
 // completion. Reported cycles span rendezvous to last completion. The same
 // load set and streams must be passed for every variant of a grid point so
 // variants see identical work. The measured phase is a snapshot/delta over
@@ -124,7 +141,7 @@ func (c Cell) Throughput() float64 { return float64(c.Ops) / float64(c.Cycles) *
 // enabled and the capture is written after the run. Both are
 // observationally transparent, so enabling them cannot change Cycles, Ops
 // or any other measurement.
-func runCell(sc Scale, v variant, load []ycsb.Pair, streams [][]kv.Op, ts *TraceSpec) Cell {
+func runCell(sc Scale, v *variant, load []ycsb.Pair, streams [][]kv.Op, ts *TraceSpec, g *imageGroup) Cell {
 	threads := len(streams)
 	m := machine.New(sc.Machine)
 	var tracer *trace.Tracer
@@ -134,7 +151,11 @@ func runCell(sc Scale, v variant, load []ycsb.Pair, streams [][]kv.Op, ts *Trace
 	if sc.Attr {
 		m.EnableAttribution()
 	}
-	r := v.build(m, load)
+	r := v.open(m)
+	g.load(m, func() { r.build(load) })
+	if r.start != nil {
+		r.start()
+	}
 	reg := r.Store.Metrics()
 
 	arrived := 0
@@ -189,71 +210,56 @@ func runCell(sc Scale, v variant, load []ycsb.Pair, streams [][]kv.Op, ts *Trace
 	}
 }
 
-// Load conversion helpers.
-
-func skiplistPairs(load []ycsb.Pair) []skiplist.KV {
-	out := make([]skiplist.KV, len(load))
-	for i, p := range load {
-		out[i] = skiplist.KV{Key: p.Key, Value: p.Value}
-	}
-	return out
-}
-
-func btreePairs(load []ycsb.Pair) []btree.KV {
-	out := make([]btree.KV, len(load))
-	for i, p := range load {
-		out[i] = btree.KV{Key: p.Key, Value: p.Value}
-	}
-	return out
-}
-
 // Skiplist variants evaluated in §5 (Figure 5, Figure 7).
 
-func skiplistLockFree(sc Scale) variant {
-	return variant{name: "lock-free", build: func(m *machine.Machine, load []ycsb.Pair) Runner {
+func skiplistLockFree(sc Scale) *variant {
+	return &variant{name: "lock-free", open: func(m *machine.Machine) instance {
 		s := skiplist.NewLockFree(m, sc.SkiplistLevels, sc.Seed)
-		s.Build(skiplistPairs(load), sc.Seed+1)
-		return Runner{Store: s}
+		return instance{
+			build:  func(load []ycsb.Pair) { s.Build(load, sc.Seed+1) },
+			Runner: Runner{Store: s},
+		}
 	}}
 }
 
-func skiplistNMPBased(sc Scale) variant {
-	return variant{name: "NMP-based", build: func(m *machine.Machine, load []ycsb.Pair) Runner {
+func skiplistNMPBased(sc Scale) *variant {
+	return &variant{name: "NMP-based", open: func(m *machine.Machine) instance {
 		s := skiplist.NewNMPFC(m, skiplist.NMPFCConfig{
 			Levels: sc.SkiplistLevels, KeyMax: sc.KeyMax,
 			SlotsPerPartition: m.Cfg.Mem.HostCores, Seed: sc.Seed,
 		})
-		s.Build(skiplistPairs(load), sc.Seed+1)
-		s.Start()
-		return Runner{Store: s}
+		return instance{
+			build:  func(load []ycsb.Pair) { s.Build(load, sc.Seed+1) },
+			start:  s.Start,
+			Runner: Runner{Store: s},
+		}
 	}}
 }
 
 // engineHybrid builds any registered engine's simulated hybrid as a grid
 // variant: the one generic builder every HybriDS hybrid goes through, so
 // experiments never construct a hybrid by concrete type.
-func engineHybrid(e store.Engine, sc Scale, window int, async bool) variant {
+func engineHybrid(e store.Engine, sc Scale, window int, async bool) *variant {
 	name := "hybrid-blocking"
 	if async {
 		name = fmt.Sprintf("hybrid-nonblocking%d", window)
 	}
-	return variant{name: name, build: func(m *machine.Machine, load []ycsb.Pair) Runner {
+	return &variant{name: name, open: func(m *machine.Machine) instance {
 		s := e.NewSimHybrid(m, simParams(sc, window))
-		s.Build(load)
-		s.Start()
+		in := instance{build: s.Build, start: s.Start, Runner: Runner{Store: s}}
 		if async {
-			return Runner{Store: s, Batch: s}
+			in.Batch = s
 		}
-		return Runner{Store: s}
+		return in
 	}}
 }
 
-func skiplistHybrid(sc Scale, window int, async bool) variant {
+func skiplistHybrid(sc Scale, window int, async bool) *variant {
 	return engineHybrid(store.MustEngine("skiplist"), sc, window, async)
 }
 
-func skiplistVariants(sc Scale) []variant {
-	return []variant{
+func skiplistVariants(sc Scale) []*variant {
+	return []*variant{
 		skiplistLockFree(sc),
 		skiplistNMPBased(sc),
 		skiplistHybrid(sc, 1, false),
@@ -263,20 +269,22 @@ func skiplistVariants(sc Scale) []variant {
 
 // B+ tree variants evaluated in §5 (Figure 6, Figure 8).
 
-func btreeHostOnly(sc Scale) variant {
-	return variant{name: "host-only", build: func(m *machine.Machine, load []ycsb.Pair) Runner {
+func btreeHostOnly(sc Scale) *variant {
+	return &variant{name: "host-only", open: func(m *machine.Machine) instance {
 		t := btree.NewHostOnly(m)
-		t.Build(btreePairs(load), sc.BTreeFill)
-		return Runner{Store: t}
+		return instance{
+			build:  func(load []ycsb.Pair) { t.Build(load, sc.BTreeFill) },
+			Runner: Runner{Store: t},
+		}
 	}}
 }
 
-func btreeHybrid(sc Scale, window int, async bool) variant {
+func btreeHybrid(sc Scale, window int, async bool) *variant {
 	return engineHybrid(store.MustEngine("btree"), sc, window, async)
 }
 
-func btreeVariants(sc Scale) []variant {
-	return []variant{
+func btreeVariants(sc Scale) []*variant {
+	return []*variant{
 		btreeHostOnly(sc),
 		btreeHybrid(sc, 1, false),
 		btreeHybrid(sc, sc.Window, true),

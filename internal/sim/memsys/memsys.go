@@ -698,3 +698,49 @@ func (m *MemSys) FlushCaches() {
 		t.Flush()
 	}
 }
+
+// Image is an immutable snapshot of a machine's functional state — RAM
+// contents and the HostAlloc/NMPAlloc marks — which is everything an
+// untimed bulk build leaves behind: timing state (caches, directory,
+// vaults, TLBs) is untouched by one. Any number of same-shaped machines
+// may Restore one image, concurrently; each shares its 64 KiB pages and
+// copies a page on its first store to it.
+type Image struct {
+	pages  []*[pageSize]byte
+	size   Addr
+	allocs []Allocator // HostAlloc then NMPAlloc[p]: region and mark
+}
+
+func (m *MemSys) allocators() []*Allocator {
+	return append([]*Allocator{m.HostAlloc}, m.NMPAlloc...)
+}
+
+// Snapshot captures m's functional state. m stays usable: it now shares
+// its pages with the image and copies on write like any restorer.
+func (m *MemSys) Snapshot() *Image {
+	img := &Image{pages: m.RAM.share(), size: m.RAM.size}
+	for _, al := range m.allocators() {
+		img.allocs = append(img.allocs, *al)
+	}
+	return img
+}
+
+// Restore replaces m's functional state with img's. m must have img's
+// memory layout and must have allocated nothing the image's machine had
+// not — the state of a fresh machine after the same deterministic
+// constructor calls that preceded the build; anything else panics.
+func (m *MemSys) Restore(img *Image) {
+	als := m.allocators()
+	if img.size != m.RAM.size || len(img.allocs) != len(als) {
+		panic(fmt.Sprintf("memsys: image of %#x bytes and %d allocators restored into a machine of %#x bytes and %d",
+			img.size, len(img.allocs), m.RAM.size, len(als)))
+	}
+	for i, al := range als {
+		if from := img.allocs[i]; from.base != al.base || from.end != al.end || from.next < al.next {
+			panic(fmt.Sprintf("memsys: image allocator %q [%#x,%#x) at %#x does not extend this machine's [%#x,%#x) at %#x",
+				from.name, from.base, from.end, from.next, al.base, al.end, al.next))
+		}
+		*al = img.allocs[i]
+	}
+	m.RAM.adopt(img.pages)
+}

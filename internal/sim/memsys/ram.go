@@ -15,6 +15,7 @@ package memsys
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Addr is a simulated physical byte address.
@@ -27,66 +28,97 @@ const pageBits = 16
 
 const pageSize = 1 << pageBits
 
+// zeroPage backs every page no store has reached yet. It is shared by all
+// RAMs and never written: a page is written only once its RAM owns it.
+var zeroPage [pageSize]byte
+
 // RAM holds simulated physical memory contents, allocated sparsely by page
-// so that a 2 GiB simulated address space costs only what is touched.
+// so that a 2 GiB simulated address space costs only what is stored to.
+// Pages are copy-on-write: a RAM reads through pages it may share — the
+// zero page, or the pages of an Image taken from or restored into it — and
+// copies one the first time it stores to it.
 type RAM struct {
 	pages []*[pageSize]byte
+	owned []bool // owned[i]: pages[i] is private to this RAM and may be written
 	size  Addr
 }
 
 // NewRAM creates simulated memory covering addresses [0, size).
 func NewRAM(size Addr) *RAM {
 	n := (uint64(size) + pageSize - 1) / pageSize
-	return &RAM{pages: make([]*[pageSize]byte, n), size: size}
+	r := &RAM{pages: make([]*[pageSize]byte, n), owned: make([]bool, n), size: size}
+	for i := range r.pages {
+		r.pages[i] = &zeroPage
+	}
+	return r
 }
 
 // Size returns the simulated physical memory size in bytes.
 func (r *RAM) Size() Addr { return r.size }
 
-func (r *RAM) page(a Addr) *[pageSize]byte {
-	idx := a >> pageBits
+// span returns the n-byte slice at a, which must not cross a page boundary.
+// A load span (write false) may alias shared memory and must not be
+// written; a store span is private to r.
+func (r *RAM) span(a Addr, n int, write bool) []byte {
 	if uint64(a) >= uint64(r.size) {
 		panic(fmt.Sprintf("memsys: address %#x out of simulated memory (size %#x)", a, r.size))
 	}
-	p := r.pages[idx]
-	if p == nil {
-		p = new([pageSize]byte)
-		r.pages[idx] = p
-	}
-	return p
-}
-
-// span returns the n-byte slice at a, which must not cross a page boundary.
-func (r *RAM) span(a Addr, n int) []byte {
 	off := int(a & (pageSize - 1))
 	if off+n > pageSize {
 		panic(fmt.Sprintf("memsys: %d-byte access at %#x crosses page boundary", n, a))
 	}
-	return r.page(a)[off : off+n]
+	idx := a >> pageBits
+	if write && !r.owned[idx] {
+		r.own(idx)
+	}
+	return r.pages[idx][off : off+n]
+}
+
+// own gives r a private copy of page idx ahead of its first store there.
+func (r *RAM) own(idx Addr) {
+	p := new([pageSize]byte)
+	if shared := r.pages[idx]; shared != &zeroPage {
+		*p = *shared
+	}
+	r.pages[idx], r.owned[idx] = p, true
+}
+
+// share gives up r's ownership of every page and returns its page table:
+// the contents of r at this instant, which r itself now copies on write.
+func (r *RAM) share() []*[pageSize]byte {
+	clear(r.owned)
+	return slices.Clone(r.pages)
+}
+
+// adopt replaces r's contents with a page table share returned, for a RAM
+// of the same size.
+func (r *RAM) adopt(pages []*[pageSize]byte) {
+	copy(r.pages, pages)
+	clear(r.owned)
 }
 
 // Load32 reads the 32-bit word at a (a must be 4-byte aligned).
 func (r *RAM) Load32(a Addr) uint32 {
 	checkAlign(a, 4)
-	return binary.LittleEndian.Uint32(r.span(a, 4))
+	return binary.LittleEndian.Uint32(r.span(a, 4, false))
 }
 
 // Store32 writes the 32-bit word at a.
 func (r *RAM) Store32(a Addr, v uint32) {
 	checkAlign(a, 4)
-	binary.LittleEndian.PutUint32(r.span(a, 4), v)
+	binary.LittleEndian.PutUint32(r.span(a, 4, true), v)
 }
 
 // Load64 reads the 64-bit word at a (8-byte aligned).
 func (r *RAM) Load64(a Addr) uint64 {
 	checkAlign(a, 8)
-	return binary.LittleEndian.Uint64(r.span(a, 8))
+	return binary.LittleEndian.Uint64(r.span(a, 8, false))
 }
 
 // Store64 writes the 64-bit word at a.
 func (r *RAM) Store64(a Addr, v uint64) {
 	checkAlign(a, 8)
-	binary.LittleEndian.PutUint64(r.span(a, 8), v)
+	binary.LittleEndian.PutUint64(r.span(a, 8, true), v)
 }
 
 func checkAlign(a Addr, n Addr) {

@@ -8,35 +8,9 @@ import (
 	"hybrids/internal/dsim/btree"
 	"hybrids/internal/dsim/skiplist"
 	"hybrids/internal/sim/machine"
-	"hybrids/internal/ycsb"
 )
 
 // --- B+ tree --------------------------------------------------------------
-
-// simBTree wraps the simulated hybrid B+ tree as a SimHybrid: Build
-// captures the engine's bulk-load fill, Dump converts to registry pairs.
-type simBTree struct {
-	*btree.Hybrid
-	fill int
-}
-
-// Build bulk-loads the initial pairs at the configured fill (untimed).
-func (s simBTree) Build(load []ycsb.Pair) {
-	pairs := make([]btree.KV, len(load))
-	for i, p := range load {
-		pairs[i] = btree.KV{Key: p.Key, Value: p.Value}
-	}
-	s.Hybrid.Build(pairs, s.fill)
-}
-
-// Dump returns the final contents in ascending key order (untimed).
-func (s simBTree) Dump() []KV {
-	var out []KV
-	for _, p := range s.Hybrid.Dump() {
-		out = append(out, KV{Key: p.Key, Value: p.Value})
-	}
-	return out
-}
 
 func btreeEngine() Engine {
 	return Engine{
@@ -46,10 +20,9 @@ func btreeEngine() Engine {
 			return func(int) core.Store { return cds.NewBTree() }
 		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
-			h := btree.NewHybrid(m, btree.HybridBTreeConfig{
-				Split: btreeEngine().SimSplit(p), Window: p.Window,
+			return btree.NewHybrid(m, btree.HybridBTreeConfig{
+				Split: btreeEngine().SimSplit(p), Fill: p.BTreeFill, Window: p.Window,
 			})
-			return simBTree{Hybrid: h, fill: p.BTreeFill}
 		},
 		SimRecords: func(p SimParams) int { return p.BTreeRecords },
 		SimSplit:   func(p SimParams) boundary.Split { return boundary.Split{NMP: p.BTreeNMPLevels} },
@@ -67,22 +40,7 @@ type simSkiplist struct {
 
 // Build bulk-loads the initial pairs (untimed), deriving tower heights
 // from the load-phase seed.
-func (s simSkiplist) Build(load []ycsb.Pair) {
-	pairs := make([]skiplist.KV, len(load))
-	for i, p := range load {
-		pairs[i] = skiplist.KV{Key: p.Key, Value: p.Value}
-	}
-	s.Hybrid.Build(pairs, s.seed+1)
-}
-
-// Dump returns the final contents in ascending key order (untimed).
-func (s simSkiplist) Dump() []KV {
-	var out []KV
-	for _, p := range s.Hybrid.Dump() {
-		out = append(out, KV{Key: p.Key, Value: p.Value})
-	}
-	return out
-}
+func (s simSkiplist) Build(load []KV) { s.Hybrid.Build(load, s.seed+1) }
 
 func skiplistEngine() Engine {
 	return Engine{
@@ -107,30 +65,6 @@ func skiplistEngine() Engine {
 
 // --- B-skiplist -----------------------------------------------------------
 
-// simBSkiplist wraps the simulated hybrid B-skiplist as a SimHybrid; its
-// Dump already returns registry-shaped pairs, so only Build adapts.
-type simBSkiplist struct {
-	*bskiplist.Hybrid
-}
-
-// Build bulk-loads the initial pairs (untimed).
-func (s simBSkiplist) Build(load []ycsb.Pair) {
-	pairs := make([]bskiplist.KV, len(load))
-	for i, p := range load {
-		pairs[i] = bskiplist.KV{Key: p.Key, Value: p.Value}
-	}
-	s.Hybrid.Build(pairs)
-}
-
-// Dump returns the final contents in ascending key order (untimed).
-func (s simBSkiplist) Dump() []KV {
-	var out []KV
-	for _, p := range s.Hybrid.Dump() {
-		out = append(out, KV{Key: p.Key, Value: p.Value})
-	}
-	return out
-}
-
 func bskiplistEngine() Engine {
 	return Engine{
 		Name: "bskiplist",
@@ -139,11 +73,10 @@ func bskiplistEngine() Engine {
 			return func(int) core.Store { return cds.NewBSkipList(0) }
 		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
-			h := bskiplist.NewHybrid(m, bskiplist.Config{
+			return bskiplist.NewHybrid(m, bskiplist.Config{
 				Split: bskiplistEngine().SimSplit(p),
 				Fill:  p.BSkiplistFill, KeyMax: p.KeyMax, Window: p.Window,
 			})
-			return simBSkiplist{Hybrid: h}
 		},
 		SimRecords: func(p SimParams) int { return p.BSkiplistRecords },
 		SimSplit: func(p SimParams) boundary.Split {

@@ -19,7 +19,6 @@ import (
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/metrics"
 	"hybrids/internal/sim/machine"
-	"hybrids/internal/ycsb"
 )
 
 // Tuning is empty: it stays only because bench/ (frozen in this PR) writes
@@ -60,13 +59,8 @@ type SimParams struct {
 	Seed uint64
 }
 
-// KV is one key-value pair of a simulated hybrid's contents.
-type KV struct {
-	// Key is the pair's key.
-	Key uint32
-	// Value is the pair's value.
-	Value uint32
-}
+// KV is one key-value pair of a simulated hybrid's load set or contents.
+type KV = kv.Pair
 
 // SimHybrid is the simulated face of an engine: a HybriDS hybrid on the
 // cycle-level machine, driveable by the experiment harness and the
@@ -75,7 +69,7 @@ type SimHybrid interface {
 	kv.Store
 	kv.AsyncStore
 	// Build bulk-loads the initial pairs (untimed). Call before Start.
-	Build(load []ycsb.Pair)
+	Build(load []KV)
 	// Start spawns the NMP combiner daemons. Call once before Machine.Run.
 	Start()
 	// Dump returns the final contents in ascending key order (untimed).

@@ -64,9 +64,7 @@ const (
 )
 
 // Pair is a load-phase record.
-type Pair struct {
-	Key, Value uint32
-}
+type Pair = kv.Pair
 
 // Config parameterizes a workload.
 type Config struct {
