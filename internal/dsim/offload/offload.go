@@ -104,10 +104,6 @@ func (rt *Runtime) Window() int { return rt.window }
 // Partitions returns the number of NMP partitions served.
 func (rt *Runtime) Partitions() int { return len(rt.pubs) }
 
-// Pub returns partition p's publication list (for white-box tests and
-// structure-specific instrumentation).
-func (rt *Runtime) Pub(p int) *fc.PubList { return rt.pubs[p] }
-
 // Start spawns partition p's flat-combining combiner daemon serving
 // handle. Call once per partition before Machine.Run. The daemon resolves
 // the handler through the runtime on every request, so Republish can

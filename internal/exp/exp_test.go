@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"hybrids/internal/dsim/kv"
+	"hybrids/internal/sim/machine"
+	"hybrids/internal/ycsb"
 )
 
 func TestRegistryIDsUniqueAndFindable(t *testing.T) {
@@ -146,4 +150,45 @@ func TestNativeVariantsDegenerateWindow(t *testing.T) {
 	if len(vs) != 2 || vs[1].name != "nonblocking4" || !vs[1].batch || vs[1].window != 4 {
 		t.Fatalf("window 4: variants = %+v", vs)
 	}
+}
+
+// faultyStore panics inside a simulated body: on thread 1's fifth call.
+type faultyStore struct {
+	Store
+	calls int
+}
+
+func (f *faultyStore) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
+	if thread == 1 {
+		if f.calls++; f.calls == 5 {
+			panic("store bug")
+		}
+	}
+	return f.Store.Apply(c, thread, op)
+}
+
+// TestFailingCellNamesItself: a panic in one cell's simulated body reaches
+// the grid's caller (it used to kill the process from an actor goroutine)
+// carrying the cell's grid tag, workload label, variant and thread count,
+// and under it the engine's account of which actor failed and when.
+func TestFailingCellNamesItself(t *testing.T) {
+	sc := QuickScale()
+	sc.Parallel = 1
+	good := skiplistLockFree(sc)
+	faulty := &variant{name: "faulty", open: func(m *machine.Machine) instance {
+		in := good.open(m)
+		in.Store = &faultyStore{Store: in.Store}
+		return in
+	}}
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{`cell "figX C-100 faulty threads=2"`, "variant faulty, 2 threads, scale quick", `actor "driver1"`, "store bug"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic lacks %q:\n%s", want, msg)
+			}
+		}
+	}()
+	runGrid(sc, nil, "figX", []*variant{good, faulty},
+		[]workload{onePoint(sc, "C-100", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))})
+	t.Fatal("the grid returned")
 }

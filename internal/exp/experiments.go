@@ -537,7 +537,10 @@ func adaptSkiplistBoundary(sc Scale, progress io.Writer, maxRounds int) ([]bound
 		scv.SkiplistNMPLevels = cur.NMP
 		scv.Attr = true
 		progressf(progress, "  boundary round %d: nmp=%d host=%d\n", round, cur.NMP, cur.Host())
-		cell := runCell(scv, skiplistHybrid(scv, 1, false), w.load, w.streams, nil, nil)
+		cell := runCell(cellJob{
+			sc: scv, v: skiplistHybrid(scv, 1, false), load: w.load, streams: w.streams,
+			progress: fmt.Sprintf("boundary round %d nmp=%d", round, cur.NMP),
+		}, nil, nil)
 		cell.Label = fmt.Sprintf("round=%d,nmp-levels=%d", round, cur.NMP)
 
 		s := boundary.Sample{Engine: "skiplist", Ops: uint64(cell.Ops)}

@@ -146,7 +146,7 @@ func runCells(sc Scale, progress io.Writer, jobs []cellJob) []Cell {
 			if i == traced {
 				ts = sc.Trace
 			}
-			out[i] = runCell(j.sc, j.v, j.load, j.streams, ts, groups[i])
+			out[i] = runCell(j, ts, groups[i])
 			out[i].Label = j.label
 		}
 	}

@@ -122,9 +122,6 @@ type Cell struct {
 	LatP99Nanos uint64 `json:"lat_p99_ns,omitempty"`
 }
 
-// Throughput returns operations per kilocycle (clock-independent).
-func (c Cell) Throughput() float64 { return float64(c.Ops) / float64(c.Cycles) * 1000 }
-
 // runCell puts the variant on a fresh machine — bulk-building it from load,
 // or through g when the cell belongs to an image group — and measures
 // steady-state throughput and DRAM reads per operation: every thread runs
@@ -141,8 +138,18 @@ func (c Cell) Throughput() float64 { return float64(c.Ops) / float64(c.Cycles) *
 // enabled and the capture is written after the run. Both are
 // observationally transparent, so enabling them cannot change Cycles, Ops
 // or any other measurement.
-func runCell(sc Scale, v *variant, load []ycsb.Pair, streams [][]kv.Op, ts *TraceSpec, g *imageGroup) Cell {
+//
+// A failure inside the cell — a panic in a simulated body or a deadlock,
+// both of which engine.Run raises here — is re-raised naming the cell, so
+// one bad cell among a parallel grid's identifies itself.
+func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
+	sc, v, load, streams := j.sc, j.v, j.load, j.streams
 	threads := len(streams)
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("exp: cell %q (variant %s, %d threads, scale %s): %v", j.progress, v.name, threads, sc.Name, r))
+		}
+	}()
 	m := machine.New(sc.Machine)
 	var tracer *trace.Tracer
 	if ts != nil {

@@ -2,23 +2,32 @@
 // engine for architecture simulation.
 //
 // Simulated hardware agents (host threads, near-memory cores) are Actors:
-// goroutines that run ordinary Go code but advance a virtual cycle clock
+// coroutines that run ordinary Go code but advance a virtual cycle clock
 // through explicit Advance calls. Exactly one actor makes progress at any
 // real-time instant and actors are dispatched in virtual-time order with
 // deterministic FIFO tie-breaking, so a simulation with fixed inputs always
 // produces identical interleavings and identical results — host garbage
 // collection or OS scheduling can never perturb simulated time.
 //
-// Control transfers between actors by a single resume-permit handoff: the
-// actor that parks (or finishes) pops the next event itself and posts the
-// permit directly to that actor's buffered wake channel. There is no
-// scheduler goroutine in the dispatch loop, so a context switch costs one
-// goroutine handoff rather than the two (actor -> scheduler -> actor) of a
-// centralized design.
+// Run is the one dispatch loop: on its caller's goroutine it pops the
+// earliest event and resumes that actor's coroutine (iter.Pull over the
+// actor body), which runs until it parks by yielding back. A context switch
+// between two actors is therefore two coroutine switches — direct
+// goroutine-to-goroutine transfers on one thread that never enter the Go
+// scheduler — where a permit passed over a channel costs a send, a park
+// and a scheduler pass that may wake another thread (DESIGN §5.1 has the
+// numbers). Nothing here is concurrent: the package uses no channel, no go
+// statement and no lock.
+//
+// Every exit has a defined end. A panic in an actor body, and the deadlock
+// panic, surface on Run's caller; and whether Run returns or panics, every
+// coroutine it created has been unwound and released before it does.
 package engine
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 
 	"hybrids/internal/metrics"
@@ -26,8 +35,8 @@ import (
 )
 
 // Actor is a simulated execution agent with its own virtual clock.
-// All methods must be called only from the actor's own goroutine, while
-// that actor is the one dispatched by the engine.
+// All methods must be called only from the actor's own body, while that
+// actor is the one dispatched by the engine.
 type Actor struct {
 	// ID is the engine-assigned index, unique per engine.
 	ID int
@@ -40,9 +49,13 @@ type Actor struct {
 
 	eng *Engine
 	now uint64
-	// wake carries this actor's resume permit (capacity 1: a parked actor
-	// has at most one pending event, hence at most one outstanding permit).
-	wake        chan struct{}
+	// The actor's coroutine, created by Run at the actor's first dispatch:
+	// resume runs the body until it next parks (or ends), yield is the
+	// body's side of that switch, and release ends a coroutine that is
+	// still parked when Run is over.
+	resume      func() (struct{}, bool)
+	release     func()
+	yield       func(struct{}) bool
 	finished    bool
 	blocked     bool
 	wakePending bool
@@ -50,7 +63,7 @@ type Actor struct {
 
 	// Tracing state (engine tracer only): the trace track carrying this
 	// actor's dispatch spans (-1 until first used) and the virtual time
-	// the actor last received the resume permit.
+	// the actor was last dispatched.
 	track        int
 	dispatchedAt uint64
 
@@ -61,22 +74,19 @@ type Actor struct {
 // Now returns the actor's current virtual time in cycles.
 func (a *Actor) Now() uint64 { return a.now }
 
-// Engine returns the engine that owns this actor.
-func (a *Actor) Engine() *Engine { return a.eng }
-
 // Advance moves the actor's virtual clock forward by c cycles, yielding to
 // any other actor whose next event is earlier. Advance(0) is a pure yield:
 // it lets same-cycle actors queued earlier run first.
 //
 // Fast path: if this actor would still be dispatched first — strictly
 // earlier than every pending event (ties go to the earlier-queued event,
-// so equality must park) — the park/handoff round trip is skipped
-// entirely. The body below is kept small enough to inline into the
+// so equality must park) — the round trip through the dispatch loop is
+// skipped entirely. The body below is kept small enough to inline into the
 // machine layer's Step and memory-access call sites, so the common
 // uncontended case (single runnable actor: build phases, 1-thread cells,
 // an unblocker racing ahead of the actor it just woke) costs a heap-top
-// comparison and no channel operations. Dispatch order is identical to
-// the slow path.
+// comparison and no coroutine switch. Dispatch order is identical to the
+// slow path.
 func (a *Actor) Advance(c uint64) {
 	a.now += c
 	a.Cycles += c
@@ -88,22 +98,36 @@ func (a *Actor) Advance(c uint64) {
 	a.repark()
 }
 
-// repark is Advance's slow path: queue the actor's continuation, hand the
-// resume permit to the next runnable actor, and wait for the permit to
-// come back. Split from Advance so the fast path stays inlinable.
+// repark is Advance's slow path: queue the actor's continuation and park
+// until the dispatch loop reaches it. Split from Advance so the fast path
+// stays inlinable.
 func (a *Actor) repark() {
 	e := a.eng
 	if e.tr != nil {
 		a.noteRun()
 	}
 	e.push(a)
-	e.dispatchNext()
-	<-a.wake
+	a.park()
+}
+
+// unwind is the private panic value that ends a parked actor's body when
+// Run is over: see Engine.releaseAll.
+type unwind struct{}
+
+// park switches back to the dispatch loop and returns when the loop
+// dispatches this actor's next event. If Run ended instead (yield reports
+// the coroutine was released), the body must not execute another line:
+// park panics with unwind, which runs the body's deferred calls on the way
+// up and is recovered in Actor.run.
+func (a *Actor) park() {
+	if !a.yield(struct{}{}) {
+		panic(unwind{})
+	}
 }
 
 // noteRun records the dispatch span that ends now: the actor's continuous
-// run from its last resume permit to this park/finish. Called only when the
-// engine tracer is set, on the actor's own goroutine.
+// run from its last dispatch to this park/finish. Called only when the
+// engine tracer is set, from the actor's own body.
 func (a *Actor) noteRun() {
 	e := a.eng
 	if a.track < 0 {
@@ -111,19 +135,6 @@ func (a *Actor) noteRun() {
 	}
 	e.tr.Span(a.track, trace.KindRun, a.dispatchedAt, a.now-a.dispatchedAt, uint32(a.ID))
 }
-
-// AdvanceTo moves the actor's clock to absolute virtual time t. It panics
-// if t is in the actor's past.
-func (a *Actor) AdvanceTo(t uint64) {
-	if t < a.now {
-		panic(fmt.Sprintf("engine: actor %q AdvanceTo(%d) before now=%d", a.Name, t, a.now))
-	}
-	a.Advance(t - a.now)
-}
-
-// Yield cedes control without consuming virtual time; actors scheduled for
-// the same cycle run in FIFO order.
-func (a *Actor) Yield() { a.Advance(0) }
 
 // Stopping reports whether every non-daemon actor has finished. Daemon
 // actors must poll it and return once it reports true.
@@ -152,8 +163,7 @@ func (a *Actor) Block() {
 		a.noteRun()
 	}
 	a.blocked = true
-	e.dispatchNext()
-	<-a.wake
+	a.park()
 }
 
 // Unblock schedules blocked actor b to resume delay cycles after the
@@ -178,13 +188,10 @@ func (a *Actor) Unblock(b *Actor, delay uint64) {
 // Engine schedules actors in virtual-time order.
 // The zero value is not usable; call New.
 type Engine struct {
-	now    uint64
-	seq    uint64
-	pq     eventHeap
-	actors []*Actor
-	// done receives one token when the last actor finishes (capacity 1:
-	// the final handoff must not block the finishing actor's goroutine).
-	done     chan struct{}
+	now      uint64
+	seq      uint64
+	pq       eventHeap
+	actors   []*Actor
 	live     int // unfinished non-daemon actors
 	liveAll  int // unfinished actors of any kind
 	stopping bool
@@ -204,7 +211,7 @@ type Engine struct {
 // private registry (replace it with AttachMetrics to share a machine-wide
 // one).
 func New() *Engine {
-	e := &Engine{done: make(chan struct{}, 1)}
+	e := new(Engine)
 	e.AttachMetrics(metrics.NewRegistry())
 	return e
 }
@@ -229,9 +236,6 @@ func (e *Engine) SetTracer(t *trace.Tracer) { e.tr = t }
 // most recent event).
 func (e *Engine) Now() uint64 { return e.now }
 
-// Actors returns all actors ever spawned on the engine.
-func (e *Engine) Actors() []*Actor { return e.actors }
-
 // Spawn registers a new actor whose body runs starting at the spawner's
 // current virtual time (or cycle 0 when called before Run). Spawn may be
 // called before Run or from a running actor, never from outside while the
@@ -242,7 +246,6 @@ func (e *Engine) Spawn(name string, daemon bool, body func(*Actor)) *Actor {
 		Name:   name,
 		Daemon: daemon,
 		eng:    e,
-		wake:   make(chan struct{}, 1),
 		body:   body,
 		track:  -1,
 	}
@@ -256,13 +259,23 @@ func (e *Engine) Spawn(name string, daemon bool, body func(*Actor)) *Actor {
 	if !daemon {
 		e.live++
 	}
-	go a.run()
 	e.push(a)
 	return a
 }
 
-func (a *Actor) run() {
-	<-a.wake
+// run is the actor's coroutine: the body, then the bookkeeping of a
+// finished actor. A body that panics re-panics here with the actor named
+// and the body's stack attached (the coroutine switch would otherwise drop
+// it), and iter.Pull carries that to the resume call in Run.
+func (a *Actor) run(yield func(struct{}) bool) {
+	a.yield = yield
+	defer func() {
+		switch r := recover().(type) {
+		case nil, unwind:
+		default:
+			panic(fmt.Sprintf("engine: actor %q panicked at cycle %d: %v\n%s", a.Name, a.now, r, debug.Stack()))
+		}
+	}()
 	a.body(a)
 	a.finished = true
 	e := a.eng
@@ -287,42 +300,15 @@ func (a *Actor) run() {
 			}
 		}
 	}
-	e.dispatchNext()
 }
 
-// dispatchNext pops the next runnable event and hands its actor the
-// resume permit, or signals completion when no actors remain. It runs on
-// the goroutine of the actor that is parking or finishing (and once in
-// Run, to start the simulation), so a deadlock panics on that actor's
-// goroutine with its stack in view.
-func (e *Engine) dispatchNext() {
-	for {
-		if e.liveAll == 0 {
-			e.done <- struct{}{}
-			return
-		}
-		if len(e.pq) == 0 {
-			panic("engine: deadlock: live actors but no pending events: " + e.liveNames())
-		}
-		ev := e.pop()
-		if ev.a.finished {
-			continue
-		}
-		e.now = ev.at
-		e.stDispatches.Inc()
-		if e.tr != nil {
-			ev.a.dispatchedAt = ev.at
-		}
-		ev.a.wake <- struct{}{}
-		return
-	}
-}
-
-// Run dispatches the first event and waits until every actor (daemons
-// included) has finished; thereafter actors hand control to each other
-// directly. A deadlock — unfinished actors but no pending events, meaning
-// an actor waits on a condition no other actor can ever satisfy — panics
-// on the goroutine of the last parking actor.
+// Run is the dispatch loop: until every actor (daemons included) has
+// finished, it pops the earliest event and resumes that actor, which runs
+// until it parks or ends. A deadlock — unfinished actors but no pending
+// events, meaning an actor waits on a condition no other actor can ever
+// satisfy — panics here, on the caller's goroutine, naming the live
+// actors; so does a panic in an actor body. On every way out, actors still
+// parked are unwound first (releaseAll).
 func (e *Engine) Run() {
 	if e.running {
 		panic("engine: Run called twice")
@@ -331,11 +317,35 @@ func (e *Engine) Run() {
 	if e.live == 0 {
 		e.stopping = true
 	}
-	if e.liveAll == 0 {
-		return
+	defer e.releaseAll()
+	for e.liveAll > 0 {
+		if len(e.pq) == 0 {
+			panic("engine: deadlock: live actors but no pending events: " + e.liveNames())
+		}
+		ev := e.pq.pop()
+		a := ev.a
+		e.now = ev.at
+		e.stDispatches.Inc()
+		if e.tr != nil {
+			a.dispatchedAt = ev.at
+		}
+		if a.resume == nil {
+			a.resume, a.release = iter.Pull(a.run)
+		}
+		a.resume()
 	}
-	e.dispatchNext()
-	<-e.done
+}
+
+// releaseAll ends every coroutine Run left parked (none after a normal
+// end; the blocked actors after a deadlock; every other started actor
+// after a body panic): the parked yield reports false and park unwinds the
+// body. Releasing a coroutine that already ended does nothing.
+func (e *Engine) releaseAll() {
+	for _, a := range e.actors {
+		if a.release != nil {
+			a.release()
+		}
+	}
 }
 
 func (e *Engine) liveNames() string {
@@ -359,8 +369,6 @@ func (e *Engine) push(a *Actor) {
 	e.seq++
 	e.pq.push(event{at: a.now, seq: e.seq, a: a})
 }
-
-func (e *Engine) pop() event { return e.pq.pop() }
 
 // eventHeap is a binary min-heap ordered by (at, seq). A hand-rolled heap
 // avoids container/heap interface dispatch on the hottest path in the

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -78,12 +80,12 @@ func TestYieldRotatesSameCycleActors(t *testing.T) {
 	var order []string
 	e.Spawn("x", false, func(a *Actor) {
 		order = append(order, "x1")
-		a.Yield()
+		a.Advance(0)
 		order = append(order, "x2")
 	})
 	e.Spawn("y", false, func(a *Actor) {
 		order = append(order, "y1")
-		a.Yield()
+		a.Advance(0)
 		order = append(order, "y2")
 	})
 	e.Run()
@@ -114,35 +116,6 @@ func TestDaemonStopsAfterNonDaemons(t *testing.T) {
 	if daemonTicks > 30 {
 		t.Fatalf("daemon ran %d ticks after stop, want prompt exit", daemonTicks)
 	}
-}
-
-func TestAdvanceToAbsoluteTime(t *testing.T) {
-	e := New()
-	e.Spawn("a", false, func(a *Actor) {
-		a.AdvanceTo(42)
-		if a.Now() != 42 {
-			t.Errorf("Now = %d, want 42", a.Now())
-		}
-		a.AdvanceTo(42) // no-op is allowed
-		if a.Cycles != 42 {
-			t.Errorf("Cycles = %d, want 42", a.Cycles)
-		}
-	})
-	e.Run()
-}
-
-func TestAdvanceToPastPanics(t *testing.T) {
-	e := New()
-	e.Spawn("a", false, func(a *Actor) {
-		defer func() {
-			if recover() == nil {
-				t.Error("AdvanceTo into the past did not panic")
-			}
-		}()
-		a.Advance(10)
-		a.AdvanceTo(5)
-	})
-	e.Run()
 }
 
 func TestSpawnDuringRunInheritsTime(t *testing.T) {
@@ -360,3 +333,174 @@ func TestUnblockClampsToTargetClock(t *testing.T) {
 }
 
 func waiterBlocked(a *Actor) bool { return a.blocked }
+
+// runPanic runs e and returns what Run panicked with (nil: it returned).
+func runPanic(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+func TestDeadlockPanicsFromRun(t *testing.T) {
+	e := New()
+	unwound := 0
+	for _, name := range []string{"zed", "amy"} {
+		e.Spawn(name, false, func(a *Actor) {
+			defer func() { unwound++ }()
+			a.Advance(5)
+			a.Block() // nobody ever unblocks
+			t.Errorf("%s ran past a Block nobody released", a.Name)
+		})
+	}
+	e.Spawn("done", false, func(a *Actor) { a.Advance(1) })
+	msg, _ := runPanic(e).(string)
+	if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "[amy zed]") {
+		t.Fatalf("Run panicked with %q, want the deadlock naming [amy zed]", msg)
+	}
+	if unwound != 2 {
+		t.Fatalf("%d blocked bodies ran their deferred calls, want 2", unwound)
+	}
+}
+
+func TestActorPanicReachesRunCaller(t *testing.T) {
+	e := New()
+	released := false
+	e.Spawn("bystander", false, func(a *Actor) {
+		defer func() { released = true }()
+		for {
+			a.Advance(10)
+		}
+	})
+	e.Spawn("faulty", false, func(a *Actor) {
+		a.Advance(25)
+		e.Spawn("never-started", false, func(*Actor) { t.Error("ran after the panic") })
+		var m map[int]int
+		m[0] = 1
+	})
+	msg, _ := runPanic(e).(string)
+	for _, want := range []string{`actor "faulty"`, "cycle 25", "assignment to entry in nil map", "engine_test.go"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic message lacks %q:\n%s", want, msg)
+		}
+	}
+	if !released {
+		t.Error("the parked bystander was not unwound")
+	}
+}
+
+// TestNoGoroutineOutlivesRun: whichever way Run ends, every coroutine it
+// created is gone when it does.
+func TestNoGoroutineOutlivesRun(t *testing.T) {
+	cases := map[string]func(e *Engine){
+		"normal end": func(e *Engine) {
+			for i := 0; i < 4; i++ {
+				e.Spawn("w", false, func(a *Actor) { a.Advance(7); a.Advance(0) })
+			}
+		},
+		"deadlock": func(e *Engine) {
+			for i := 0; i < 4; i++ {
+				e.Spawn("w", false, func(a *Actor) { a.Advance(3); a.Block() })
+			}
+		},
+		"body panic": func(e *Engine) {
+			for i := 0; i < 4; i++ {
+				e.Spawn("w", false, func(a *Actor) {
+					for {
+						a.Advance(3)
+					}
+				})
+			}
+			e.Spawn("faulty", false, func(a *Actor) { a.Advance(10); panic("boom") })
+		},
+		"daemon blocked at stop": func(e *Engine) {
+			for i := 0; i < 4; i++ {
+				e.Spawn("d", true, func(a *Actor) {
+					for !a.Stopping() {
+						a.Block()
+					}
+				})
+			}
+			e.Spawn("w", false, func(a *Actor) { a.Advance(30) })
+		},
+	}
+	for name, spawn := range cases {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New()
+			spawn(e)
+			r := runPanic(e)
+			if after := runtime.NumGoroutine(); after != before {
+				t.Fatalf("%d goroutines before Run, %d after (Run ended with %v)", before, after, r)
+			}
+		})
+	}
+	// An engine that is populated and never run owns no goroutine either:
+	// coroutines are created by Run, at an actor's first dispatch.
+	before := runtime.NumGoroutine()
+	New().Spawn("idle", false, func(a *Actor) { a.Block() })
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("Spawn alone took the goroutine count from %d to %d", before, after)
+	}
+}
+
+// TestUnwoundBodyCannotContinue: a body released while parked that
+// swallows the unwind and tries to carry on is unwound again at its next
+// park, and an engine call that does not park does not revive it.
+func TestUnwoundBodyCannotContinue(t *testing.T) {
+	e := New()
+	parks := 0
+	e.Spawn("stubborn", false, func(a *Actor) {
+		for i := 0; i < 3; i++ {
+			func() {
+				defer func() { recover() }()
+				parks++
+				a.Block()
+				t.Error("Block returned in a released actor")
+			}()
+		}
+	})
+	if r := runPanic(e); r == nil {
+		t.Fatal("Run returned, want the deadlock panic")
+	}
+	if parks != 3 {
+		t.Fatalf("body reached Block %d times, want 3 (each one unwinding)", parks)
+	}
+}
+
+func TestSpawnFromRunningActor(t *testing.T) {
+	e := New()
+	var log []string
+	var grandchildren int
+	e.Spawn("parent", false, func(a *Actor) {
+		a.Advance(100)
+		for i := 0; i < 3; i++ {
+			i := i
+			e.Spawn(fmt.Sprintf("child%d", i), false, func(c *Actor) {
+				log = append(log, fmt.Sprintf("%s@%d", c.Name, c.Now()))
+				c.Advance(uint64(10 * (3 - i)))
+				e.Spawn("grandchild", i == 0, func(g *Actor) {
+					grandchildren++
+					log = append(log, fmt.Sprintf("%s@%d", g.Name, g.Now()))
+				})
+			})
+		}
+		// The children queue behind the parent's own continuation only if
+		// it parks at their cycle: Advance(0) lets them start first.
+		a.Advance(0)
+		log = append(log, fmt.Sprintf("parent@%d", a.Now()))
+	})
+	e.Run()
+	want := []string{
+		"child0@100", "child1@100", "child2@100", "parent@100",
+		"grandchild@110", "grandchild@120", "grandchild@130",
+	}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %v\nwant  %v", log, want)
+	}
+	if got := e.stSpawns.Value(); got != 7 {
+		t.Fatalf("spawns = %d, want 7", got)
+	}
+	if e.liveAll != 0 || e.live != 0 {
+		t.Fatalf("live = %d, liveAll = %d after Run, want 0", e.live, e.liveAll)
+	}
+}

@@ -164,9 +164,6 @@ func (m *Machine) Run() uint64 {
 // Core returns the context's core (host) or partition (NMP) index.
 func (c *Ctx) Core() int { return c.core }
 
-// IsNMP reports whether this context is an NMP core.
-func (c *Ctx) IsNMP() bool { return c.kind == nmpCore }
-
 // Now returns the context's current virtual time.
 func (c *Ctx) Now() uint64 { return c.A.Now() }
 
@@ -263,18 +260,6 @@ func (c *Ctx) Write32(a memsys.Addr, v uint32) {
 	c.M.Mem.RAM.Store32(a, v)
 }
 
-// Read64 performs a timed 64-bit load.
-func (c *Ctx) Read64(a memsys.Addr) uint64 {
-	c.access(a, false)
-	return c.M.Mem.RAM.Load64(a)
-}
-
-// Write64 performs a timed 64-bit store.
-func (c *Ctx) Write64(a memsys.Addr, v uint64) {
-	c.access(a, true)
-	c.M.Mem.RAM.Store64(a, v)
-}
-
 // CAS32 performs a timed compare-and-swap on a 32-bit word. The latency is
 // charged first and the data effect applies atomically at arrival time, so
 // concurrent CASes linearize in virtual-time order. Only host cores issue
@@ -285,16 +270,6 @@ func (c *Ctx) CAS32(a memsys.Addr, old, new uint32) bool {
 		return false
 	}
 	c.M.Mem.RAM.Store32(a, new)
-	return true
-}
-
-// CAS64 is CAS32 for 64-bit words.
-func (c *Ctx) CAS64(a memsys.Addr, old, new uint64) bool {
-	c.atomicAccess(a)
-	if c.M.Mem.RAM.Load64(a) != old {
-		return false
-	}
-	c.M.Mem.RAM.Store64(a, new)
 	return true
 }
 

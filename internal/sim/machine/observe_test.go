@@ -20,17 +20,17 @@ func TestAttributionBucketsSumToMeasuredCycles(t *testing.T) {
 	m.SpawnHost(0, "t", func(c *Ctx) {
 		// Prefix outside the measured interval: AttrReset must keep these
 		// cycles out of the sample.
-		c.Read64(a)
+		c.Read32(a)
 		c.Step(3)
 		c.AttrReset()
 
 		opStart = c.Now()
 		c.Step(5)
 		for i := 1; i < 8; i++ { // cold blocks: LLC misses to DRAM
-			c.Read64(a + memsys.Addr(i*64))
+			c.Read32(a + memsys.Addr(i*64))
 		}
-		c.Read64(a) // warmed by the prefix: on-chip hit
-		c.Write64(a, 1)
+		c.Read32(a) // warmed by the prefix: on-chip hit
+		c.Write32(a, 1)
 		opEnd = c.Now()
 		c.OpDone()
 	})
@@ -71,8 +71,8 @@ func TestTracingRecordsHostEvents(t *testing.T) {
 	a := m.Mem.HostAlloc.Alloc(64, 64)
 	var done uint64
 	m.SpawnHost(0, "t", func(c *Ctx) {
-		c.Read64(a) // cold: DRAM read span
-		c.Read64(a) // warm: L1 hit span
+		c.Read32(a) // cold: DRAM read span
+		c.Read32(a) // warm: L1 hit span
 		done = c.Now()
 		c.OpDone()
 	})

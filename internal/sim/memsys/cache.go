@@ -157,30 +157,51 @@ func (c *Cache) Flush() {
 // private L1, so stores can invalidate remote copies (MESI-style ownership
 // without modelling the full protocol state machine).
 //
-// The sharer masks live in a dense slice indexed by block number within
-// the host-memory range: host cores can only cache host main memory, that
-// range is fixed at configuration time, and the map this replaces was the
-// hottest allocating lookup in experiment profiles. Untouched entries cost
-// only zero pages, so the slice's resident footprint tracks the touched
-// working set just as the map's did.
+// The sharer masks live in a table indexed by block number within the
+// host-memory range (host cores can only cache host main memory, and that
+// range is fixed at configuration time), held as pages of dirPageBlocks
+// entries allocated on a page's first add. A flat slice would be 8 MB per
+// machine at a 256 MB host range, and the runtime clears it on every
+// allocation once it reuses a dead span, which an experiment grid of
+// short-lived machines makes it do; paged, a machine pays for the block
+// ranges its cores actually cache.
 type directory struct {
-	sharers []uint32 // block -> bitmask of core IDs
+	pages [][]uint32 // block/dirPageBlocks -> block%dirPageBlocks -> bitmask of core IDs
 }
 
-// newDirectory sizes the sharer table for the given number of cacheable
+// dirPageBlocks is the number of blocks one directory page covers (16 KB
+// of masks; 512 KB of host memory at Table 1's 128 B blocks).
+const dirPageBlocks = 1 << 12
+
+// newDirectory sizes the page table for the given number of cacheable
 // host-memory blocks.
 func newDirectory(blocks uint32) directory {
-	return directory{sharers: make([]uint32, blocks)}
+	return directory{pages: make([][]uint32, (blocks+dirPageBlocks-1)/dirPageBlocks)}
 }
 
-// reset drops all sharer state (a fresh zero-page allocation is cheaper
-// than clearing a mostly-untouched table in place).
-func (d *directory) reset() { d.sharers = make([]uint32, len(d.sharers)) }
+// reset drops all sharer state.
+func (d *directory) reset() { clear(d.pages) }
 
-func (d *directory) add(block uint32, core int)  { d.sharers[block] |= 1 << uint(core) }
-func (d *directory) drop(block uint32, core int) { d.sharers[block] &^= 1 << uint(core) }
+func (d *directory) add(block uint32, core int) {
+	pg := d.pages[block/dirPageBlocks]
+	if pg == nil {
+		pg = make([]uint32, dirPageBlocks)
+		d.pages[block/dirPageBlocks] = pg
+	}
+	pg[block%dirPageBlocks] |= 1 << uint(core)
+}
+
+func (d *directory) drop(block uint32, core int) {
+	if pg := d.pages[block/dirPageBlocks]; pg != nil {
+		pg[block%dirPageBlocks] &^= 1 << uint(core)
+	}
+}
 
 // others returns the sharer bitmask excluding core.
 func (d *directory) others(block uint32, core int) uint32 {
-	return d.sharers[block] &^ (1 << uint(core))
+	pg := d.pages[block/dirPageBlocks]
+	if pg == nil {
+		return 0
+	}
+	return pg[block%dirPageBlocks] &^ (1 << uint(core))
 }

@@ -132,19 +132,19 @@ func TestRestoreMismatchPanics(t *testing.T) {
 func TestImageSharedAcrossGoroutines(t *testing.T) {
 	a := New(testConfig())
 	for i := Addr(0); i < 32; i++ {
-		a.RAM.Store64(i*pageSize+16, uint64(i)+1)
+		a.RAM.Store32(i*pageSize+16, uint32(i)+1)
 	}
 	img := a.Snapshot()
-	run := func(m *MemSys, salt uint64) {
+	run := func(m *MemSys, salt uint32) {
 		for i := Addr(0); i < 32; i++ {
-			if got := m.RAM.Load64(i*pageSize + 16); got != uint64(i)+1 {
+			if got := m.RAM.Load32(i*pageSize + 16); got != uint32(i)+1 {
 				t.Errorf("page %d reads %d", i, got)
 			}
-			m.RAM.Store64(i*pageSize+16, salt)
+			m.RAM.Store32(i*pageSize+16, salt)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := uint64(0); w < 4; w++ {
+	for w := uint32(0); w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

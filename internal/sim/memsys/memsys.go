@@ -268,6 +268,9 @@ func NewWithMetrics(cfg Config, reg *metrics.Registry) *MemSys {
 	if cfg.HostCores <= 0 || cfg.HostVaults <= 0 || cfg.NMPVaults <= 0 {
 		panic("memsys: config must have positive core and vault counts")
 	}
+	if cfg.HostCores > 32 {
+		panic("memsys: at most 32 host cores (the directory's sharer mask is 32 bits)")
+	}
 	if cfg.L1.BlockSize != cfg.L2.BlockSize {
 		panic("memsys: L1 and L2 block sizes must match")
 	}

@@ -23,10 +23,6 @@ func TestRAMRoundTrip(t *testing.T) {
 	if got := r.Load32(0x100); got != 0xdeadbeef {
 		t.Fatalf("Load32 = %#x", got)
 	}
-	r.Store64(0x200, 0x1122334455667788)
-	if got := r.Load64(0x200); got != 0x1122334455667788 {
-		t.Fatalf("Load64 = %#x", got)
-	}
 	// Adjacent words do not clobber each other.
 	r.Store32(0x104, 7)
 	if got := r.Load32(0x100); got != 0xdeadbeef {
@@ -497,5 +493,82 @@ func TestDirectoryMultipleSharers(t *testing.T) {
 	m.HostAccess(0, a, true, 5000) // writer invalidates the other three
 	if got := m.Stats().Sub(base).Invalidations; got != 3 {
 		t.Fatalf("invalidations = %d, want 3", got)
+	}
+}
+
+// TestMemSysRejectsMoreCoresThanMaskBits: the directory's sharer mask is a
+// uint32, so core 32's bit would shift to zero and the core would never be
+// invalidated; New refuses the configuration instead.
+func TestMemSysRejectsMoreCoresThanMaskBits(t *testing.T) {
+	cfg := testConfig()
+	cfg.HostCores = 32
+	New(cfg) // the last representable count is accepted
+	cfg.HostCores = 33
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted 33 host cores")
+		}
+	}()
+	New(cfg)
+}
+
+// TestDirectoryMatchesDenseTable drives the paged directory and a dense
+// slice (what it replaced) with the same random add/drop/others/reset
+// sequence; they must agree on every others() answer and on the final
+// masks, and a page no add touched must never be allocated.
+func TestDirectoryMatchesDenseTable(t *testing.T) {
+	const blocks = 4*dirPageBlocks + 17 // a partial last page
+	rng := rand.New(rand.NewSource(23))
+	d := newDirectory(blocks)
+	dense := make([]uint32, blocks)
+	// Pages 0 and 1 fill, their shared edge and the short last page are
+	// hit often, page 3 only by drop and others, page 2 by nothing.
+	pick := func() uint32 {
+		switch rng.Intn(4) {
+		case 0:
+			return uint32(dirPageBlocks - 2 + rng.Intn(4))
+		case 1:
+			return uint32(blocks - 1 - rng.Intn(17))
+		}
+		return uint32(rng.Intn(2 * dirPageBlocks))
+	}
+	for i := 0; i < 200000; i++ {
+		blk, core := pick(), rng.Intn(32)
+		switch r := rng.Intn(100); {
+		case i%50000 == 25000:
+			d.reset()
+			clear(dense)
+		case r < 40:
+			d.add(blk, core)
+			dense[blk] |= 1 << uint(core)
+		case r < 60:
+			d.drop(blk, core)
+			dense[blk] &^= 1 << uint(core)
+			d.drop(blk%dirPageBlocks+3*dirPageBlocks, core)
+		default:
+			if got, want := d.others(blk, core), dense[blk]&^(1<<uint(core)); got != want {
+				t.Fatalf("step %d: others(%d, %d) = %#x, dense table says %#x", i, blk, core, got, want)
+			}
+			if got := d.others(blk%dirPageBlocks+3*dirPageBlocks, core); got != 0 {
+				t.Fatalf("step %d: others on a never-added block = %#x", i, got)
+			}
+		}
+	}
+	sharers := 0
+	for blk, want := range dense {
+		if got := d.others(uint32(blk), 0) | d.others(uint32(blk), 1); got != want {
+			t.Fatalf("block %d: final mask %#x, dense table says %#x", blk, got, want)
+		}
+		if want != 0 {
+			sharers++
+		}
+	}
+	if sharers < 1000 {
+		t.Fatalf("only %d blocks end with sharers: the sequence exercises nothing", sharers)
+	}
+	for pg, want := range []bool{true, true, false, false, true} {
+		if got := d.pages[pg] != nil; got != want {
+			t.Errorf("page %d allocated = %v, want %v", pg, got, want)
+		}
 	}
 }

@@ -109,18 +109,6 @@ func (r *RAM) Store32(a Addr, v uint32) {
 	binary.LittleEndian.PutUint32(r.span(a, 4, true), v)
 }
 
-// Load64 reads the 64-bit word at a (8-byte aligned).
-func (r *RAM) Load64(a Addr) uint64 {
-	checkAlign(a, 8)
-	return binary.LittleEndian.Uint64(r.span(a, 8, false))
-}
-
-// Store64 writes the 64-bit word at a.
-func (r *RAM) Store64(a Addr, v uint64) {
-	checkAlign(a, 8)
-	binary.LittleEndian.PutUint64(r.span(a, 8, true), v)
-}
-
 func checkAlign(a Addr, n Addr) {
 	if a%n != 0 {
 		panic(fmt.Sprintf("memsys: unaligned %d-byte access at %#x", n, a))
@@ -162,9 +150,6 @@ func (al *Allocator) Alloc(n, align Addr) Addr {
 // Used reports how many bytes have been consumed, including alignment
 // padding.
 func (al *Allocator) Used() Addr { return al.next - al.base }
-
-// Base returns the first address of the region.
-func (al *Allocator) Base() Addr { return al.base }
 
 // Remaining reports how many bytes are still available.
 func (al *Allocator) Remaining() Addr { return al.end - al.next }
