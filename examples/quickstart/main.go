@@ -1,9 +1,9 @@
 // Quickstart: the native hybrid map from internal/core.
 //
 // The paper's programming model on plain hardware: a partitioned ordered
-// map where each partition is owned by a combiner goroutine (the software
-// stand-in for an NMP core), with blocking and non-blocking (batched)
-// calls.
+// map where each partition is combined by one caller at a time (the
+// software stand-in for an NMP core, elected from the callers), with
+// blocking and non-blocking (batched) calls.
 //
 //	go run ./examples/quickstart
 package main

@@ -327,7 +327,7 @@ func (a *Server) handleConns(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handlePartitions serves every partition's snapshot, in partition
-// order (each read through its combiner barrier — see
+// order (each read through the partition's barrier — see
 // core.Hybrid.PartitionStats).
 func (a *Server) handlePartitions(w http.ResponseWriter, _ *http.Request) {
 	h := a.cfg.Hybrid

@@ -79,7 +79,7 @@ func (a *btArena[T]) alloc() uint32 {
 // Deletion is relaxed: leaves may underflow, even to empty, and nodes are
 // never merged — what the design gives up is that chunks are never
 // returned to the runtime while the tree lives. It is the partition-owned
-// store of the native hybrid runtime, where one combiner goroutine owns
+// store of the native hybrid runtime, where one caller at a time holds
 // each partition, and is usable standalone as an ordered map. Methods are
 // not safe for concurrent use.
 type BTree struct {

@@ -19,18 +19,20 @@ type Outcome struct {
 
 // Batcher executes operations with non-blocking calls (§3.5): it keeps up
 // to window operations in flight by publishing them in rounds, one
-// mailbox entry per (round, partition), and parking once per round on a
-// countdown that the last combiner to finish completes. The serving layer
-// keeps one per connection. All of its state is reused, so steady-state
-// Apply calls perform no allocation. A Batcher belongs to one goroutine;
-// it is not safe for concurrent use.
+// mailbox entry per (round, partition), and waiting once per round on a
+// countdown that the last holder to apply an entry completes — itself,
+// without parking, when every partition it touched was free. The serving
+// layer keeps one per connection. All of its state is reused, so
+// steady-state Apply calls perform no allocation. A Batcher belongs to
+// one goroutine; it is not safe for concurrent use.
 type Batcher struct {
 	h      *Hybrid
 	window int
 
-	// The round in flight, read by the combiners between the publish and
-	// their done: the caller's operations and outcome slots, and per
-	// partition the indices of the operations it owns, in index order.
+	// The round in flight, read by the partitions' holders between the
+	// publish and their done: the caller's operations and outcome slots,
+	// and per partition the indices of the operations it owns, in index
+	// order.
 	ops []hds.Request
 	out []Outcome
 	idx [][]int32
@@ -40,7 +42,7 @@ type Batcher struct {
 	touched []int
 	scratch []Outcome
 
-	// pending counts the round's entries not yet applied; the combiner
+	// pending counts the round's entries not yet applied; the holder
 	// that brings it to zero sends the one wake of the round.
 	pending atomic.Int32
 	wake    chan struct{}
@@ -99,9 +101,11 @@ func (b *Batcher) Apply(ops []hds.Request, out []Outcome) (applied, succeeded in
 	return applied, succeeded
 }
 
-// round routes ops, publishes one entry per partition touched and parks
-// until every entry is applied, reporting true; after Close it marks
-// every op Rejected and reports false, with no store touched.
+// round routes ops, publishes one entry per partition touched — serving
+// each partition before publishing to the next, so it never blocks on a
+// send while an entry of its own waits for it — and waits until every
+// entry is applied, reporting true; after Close it marks every op
+// Rejected and reports false, with no store touched.
 func (b *Batcher) round(ops []hds.Request, out []Outcome) bool {
 	h := b.h
 	// Route the whole round before publishing any of it. The lists are
@@ -129,14 +133,15 @@ func (b *Batcher) round(ops []hds.Request, out []Outcome) bool {
 		return false
 	}
 	for _, p := range b.touched {
-		h.parts[p].reqs <- request{grp: b}
+		h.parts[p].publish(request{grp: b})
 	}
 	h.mu.RUnlock()
 	<-b.wake
 	return true
 }
 
-// done is called by a combiner after applying its entry of the round.
+// done is called by a partition's holder after applying its entry of the
+// round.
 func (b *Batcher) done() {
 	if b.pending.Add(-1) == 0 {
 		b.wake <- struct{}{}

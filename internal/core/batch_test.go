@@ -47,15 +47,18 @@ func TestRequestSize(t *testing.T) {
 
 // TestBatcherOneEntryPerPartition checks the entry granularity: a 16-op
 // batch over 4 partitions is 4 mailbox entries, one per partition, and
-// one wake. Partition 0's combiner is held inside a barrier until the
+// one wake. Partition 0's holder is kept inside a barrier until the
 // other three entries are applied — so the whole round is published —
 // and then reads its queue length the way PartitionStats does: it must
-// find exactly one entry. The histograms must show every other combiner
-// woken once, by one entry, for a round of 4 operations.
+// find exactly one entry. The histograms must show every other partition
+// combined once, for one entry, a round of 4 operations. They are read at
+// quiescence (every published entry consumed) and before Close, whose
+// own barrier is one more combine round on each partition.
 func TestBatcherOneEntryPerPartition(t *testing.T) {
 	const partitions = 4
 	reg := metrics.NewRegistry()
 	h := New(Config{Partitions: partitions, KeyMax: 1 << 20, Metrics: reg})
+	defer h.Close()
 	entered, release := make(chan struct{}), make(chan struct{})
 	queued := make(chan int, 1)
 	go h.barrier(0, func(Store) {
@@ -87,7 +90,6 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	if len(b.wake) != 0 || b.pending.Load() != 0 {
 		t.Errorf("after the round: %d wake tokens left, pending = %d; want one wake, consumed", len(b.wake), b.pending.Load())
 	}
-	h.Close()
 	snap := reg.Snapshot()
 	get := func(p int, name string) uint64 { return snap.Get(fmt.Sprintf("core/p%d/%s", p, name)) }
 	var opsApplied uint64

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -90,3 +91,31 @@ func BenchmarkHybridApplyBatch4(b *testing.B) { benchApplyBatch(b, 4) }
 // BenchmarkHybridApplyBatch16 is the in-package twin of the benchmark's
 // core.batch16_ns_per_op rung: the serve loop's default 16-op window.
 func BenchmarkHybridApplyBatch16(b *testing.B) { benchApplyBatch(b, 16) }
+
+// BenchmarkHybridApplyBatch16Contended is the contended path's number: 8
+// goroutines, each with its own 16-op Batcher, over 2 partitions, so a
+// publisher regularly finds its partition held and leaves its entry to
+// the holder.
+func BenchmarkHybridApplyBatch16Contended(b *testing.B) {
+	h := benchMap(b, 2)
+	const callers, chunk = 8, 256
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := prng.New(uint64(c) + 5)
+			ops := make([]hds.Request, chunk)
+			bt := h.NewBatcher(16)
+			for i := c * chunk; i < b.N; i += callers * chunk {
+				for j := range ops {
+					ops[j] = hds.Request{Kind: hds.Read, Key: uint64(rng.Intn(1<<16)) + 1}
+				}
+				bt.Apply(ops, nil)
+			}
+		}()
+	}
+	wg.Wait()
+}

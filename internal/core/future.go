@@ -6,7 +6,7 @@ import (
 )
 
 // Future states. A future starts pending, moves to parked when a waiter
-// blocks on it, and to done when the combiner completes it; parked -> done
+// blocks on it, and to done when the holder completes it; parked -> done
 // carries a wake send.
 const (
 	futPending uint32 = iota
@@ -15,7 +15,8 @@ const (
 )
 
 // future is one blocking call's completion handle (§3.2): wait blocks
-// until the combiner has applied the operation and returns its results.
+// until the partition's holder — often the caller itself, before it gets
+// here — has applied the operation, and returns its results.
 //
 // Futures are pooled: wait consumes the handle and recycles it, so the
 // blocking hot path performs no per-operation allocation.
@@ -27,8 +28,8 @@ type future struct {
 	// operations; it holds at most one permit (sent only on the
 	// parked -> done transition).
 	wake chan struct{}
-	// snap, when set, makes the mailbox entry a barrier: the combiner
-	// takes it and runs it on the partition's store in request order
+	// snap, when set, makes the mailbox entry a barrier: the holder
+	// takes it and runs it on the partition's store in mailbox order
 	// instead of applying an operation.
 	snap func(s Store)
 }
@@ -45,8 +46,8 @@ func newFuture() *future {
 }
 
 // complete publishes the operation's results and wakes a parked waiter.
-// Called exactly once, by the owning combiner (or by the publisher itself
-// for a rejected late publish).
+// Called exactly once, by the partition's holder (or by the publisher
+// itself for a rejected late publish).
 func (f *future) complete(value uint64, ok bool) {
 	f.value = value
 	f.ok = ok

@@ -275,8 +275,17 @@ func (r *histRecorder) record(inv, resp int64, req hds.Request, res hds.Result, 
 // history, the Dump's pairs included as reads. On top of linearizability
 // it pins the close contract: nothing that returned before Close began is
 // refused, everything issued after Close returned is, and the drained
-// stores hold exactly what the applied operations explain.
+// stores hold exactly what the applied operations explain. It runs at
+// MailboxDepth 1, where publishers block on full mailboxes and nearly
+// every entry meets a held partition, and at the default 64.
 func TestHistoryLinearizable(t *testing.T) {
+	for _, depth := range []int{1, 64} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { historyLinearizable(t, depth) })
+	}
+}
+
+// historyLinearizable is one run of the test at the given MailboxDepth.
+func historyLinearizable(t *testing.T, depth int) {
 	const (
 		partitions = 4
 		keyMax     = 1 << 10
@@ -285,7 +294,7 @@ func TestHistoryLinearizable(t *testing.T) {
 		closeAt    = 1800 // operations issued before Close may start
 		tail       = 16   // operations a caller still issues after seeing the map closed
 	)
-	h := New(Config{Partitions: partitions, KeyMax: keyMax, MailboxDepth: 8})
+	h := New(Config{Partitions: partitions, KeyMax: keyMax, MailboxDepth: depth})
 	keys := make([]uint64, nKeys)
 	init := make(map[uint64]regState)
 	var load []KV

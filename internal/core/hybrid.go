@@ -1,19 +1,22 @@
 // Package core realizes the HybriDS programming model on real hardware:
 // a concurrent ordered map split into a host-managed routing layer and a
-// set of partition-owned stores, each served by a dedicated combiner
-// goroutine — the software stand-in for the paper's per-partition NMP
-// cores. Requests are published to a partition's mailbox (the publication
-// list), the combiner drains the mailbox in batches and applies requests
-// against its single-threaded store (flat combining), and callers either
-// wait on one call (blocking NMP calls, §3.2, through pooled futures) or
-// hold a window of calls in flight (non-blocking NMP calls, §3.5) through
-// a Batcher, which publishes one mailbox entry per (round, partition) and
-// parks once per round on a single countdown.
+// set of partition-owned stores, each served by flat combining — the
+// software stand-in for the paper's per-partition NMP cores. A caller
+// publishes its request to the partition's mailbox (the publication list)
+// and then tries to become the partition's combiner: if the partition is
+// free it drains the mailbox in batches and applies the entries, its own
+// and other callers', against the single-threaded store; if another
+// caller holds the partition, that holder applies the entry. Callers
+// either wait on one call (blocking NMP calls, §3.2, through pooled
+// futures) or hold a window of calls in flight (non-blocking NMP calls,
+// §3.5) through a Batcher, which publishes one mailbox entry per (round,
+// partition) and waits once per round on a single countdown. The package
+// starts no goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
-// stack. On a machine with actual near-memory hardware, the combiner
-// goroutines are replaced by NMP cores and the mailboxes by memory-mapped
+// stack. On a machine with actual near-memory hardware, the elected
+// combiner is replaced by an NMP core and the mailboxes by memory-mapped
 // publication lists; the simulated version of exactly that system lives
 // in internal/dsim.
 package core
@@ -21,15 +24,15 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"hybrids/internal/cds"
 	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
-	"hybrids/internal/radix"
 )
 
-// Store is a single-threaded ordered map owned by one partition. The
-// combiner goroutine is its only user after the hybrid map starts.
+// Store is a single-threaded ordered map owned by one partition. After
+// Build, only the caller currently holding the partition uses it.
 // cds.BTree implements it; any ordered map can be plugged in.
 type Store interface {
 	// Get returns the value stored under key.
@@ -60,25 +63,25 @@ type Instrumented interface {
 
 // Config parameterizes a hybrid map.
 type Config struct {
-	// Partitions is the number of partition stores and combiner
-	// goroutines (the paper uses 8 NMP vaults).
+	// Partitions is the number of partition stores, each combined by one
+	// caller at a time (the paper uses 8 NMP vaults).
 	Partitions int
 	// KeyMax bounds the key space; keys are 1..KeyMax-1 and partitions
 	// own equal ranges.
 	KeyMax uint64
 	// MailboxDepth is each partition's mailbox capacity in entries — a
 	// blocking call or barrier is one entry, a Batcher round is one entry
-	// per partition it touches — and the cap on the entries one combine
-	// round drains.
+	// per partition it touches — and the cap on the entries a holder
+	// takes in one drain before it applies them.
 	MailboxDepth int
 	// NewStore builds each partition's store; nil defaults to cds.NewBTree.
 	NewStore func(partition int) Store
 	// Metrics receives the runtime's per-partition instruments
 	// (core/p<i>/...); nil creates a private registry reachable through
 	// Hybrid.Metrics. The registry is unsynchronized: each instrument is
-	// touched only by its owning combiner goroutine, so snapshots are
-	// consistent only at quiescence (all published futures consumed, or
-	// after Close).
+	// touched only by the partition's current holder, ordered by the
+	// holder flag, so snapshots are consistent only at quiescence (all
+	// published futures consumed, or after Close).
 	Metrics *metrics.Registry
 }
 
@@ -100,28 +103,39 @@ type request struct {
 	grp *Batcher
 }
 
-// Hybrid is a concurrent ordered map with partition-per-combiner
-// parallelism. All exported methods are safe for concurrent use.
+// Hybrid is a concurrent ordered map with one combiner at a time per
+// partition. All exported methods are safe for concurrent use.
 type Hybrid struct {
 	cfg   Config
 	reg   *metrics.Registry
 	parts []*partition
 	span  uint64
-	wg    sync.WaitGroup
-	// mu guards the closed flag: publishers hold it shared around the
-	// mailbox send, Close holds it exclusively while closing mailboxes,
-	// so no send can race a close.
+	// mu guards the closed flag: data publishers hold it shared around
+	// the mailbox send, Close holds it exclusively while setting the
+	// flag, so every data entry is either in its mailbox ahead of Close's
+	// barriers or refused.
 	mu     sync.RWMutex
 	closed bool
 }
 
-// partition is one combiner's domain: the store it owns, its mailbox and
-// its per-partition instruments (touched only by the combiner after
-// start; see Config.Metrics).
+// partition is one combining domain: the store, its mailbox, the election
+// state and the per-partition instruments. Store, batch and instruments
+// belong to whichever caller holds the partition (see Config.Metrics).
 type partition struct {
 	id    int
 	store Store
 	reqs  chan request
+
+	// held is the holder flag: the caller that swaps it to true is the
+	// partition's combiner until it stores false. undrained counts the
+	// entries announced (after their send) and not yet drained; it dips
+	// below zero while a drained entry's announce is still on its way.
+	// Both are sequentially consistent atomics, which is what makes a
+	// publisher's announce visible to the holder's re-check after its
+	// release (DESIGN §5.5).
+	held      atomic.Bool
+	undrained atomic.Int32
+	batch     []request
 
 	cOps     *metrics.Counter
 	cBuilt   *metrics.Counter
@@ -129,7 +143,7 @@ type partition struct {
 	hMailbox *metrics.Histogram
 }
 
-// New creates and starts a hybrid map.
+// New creates a hybrid map. It starts no goroutine.
 func New(cfg Config) *Hybrid {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 8
@@ -157,6 +171,7 @@ func New(cfg Config) *Hybrid {
 			id:       p,
 			store:    cfg.NewStore(p),
 			reqs:     make(chan request, cfg.MailboxDepth),
+			batch:    make([]request, 0, cfg.MailboxDepth),
 			cOps:     reg.Counter(fmt.Sprintf("core/p%d/ops", p)),
 			cBuilt:   reg.Counter(fmt.Sprintf("core/p%d/built", p)),
 			hBatch:   reg.Histogram(fmt.Sprintf("core/p%d/batch", p)),
@@ -166,8 +181,6 @@ func New(cfg Config) *Hybrid {
 			ins.Instrument(reg, fmt.Sprintf("core/p%d/store", p))
 		}
 		h.parts = append(h.parts, part)
-		h.wg.Add(1)
-		go h.combine(part)
 	}
 	return h
 }
@@ -227,74 +240,74 @@ func (p *partition) apply(r request) {
 	r.fut.complete(p.exec(r.req))
 }
 
-// combine is the partition's combiner loop: the software NMP core. Each
-// round blocks for one entry, drains whatever else the mailbox holds (up
-// to MailboxDepth entries) into a local batch — the native analogue of a
-// flat-combining scan over the publication list — and then applies the
-// batch in mailbox order. Every instrument write that covers an entry
-// happens before that entry completes, so a caller that has consumed
-// everything it published can snapshot the registry without racing the
-// combiner.
-func (h *Hybrid) combine(p *partition) {
-	defer h.wg.Done()
-	batch := make([]request, 0, h.cfg.MailboxDepth)
-	for {
-		r, ok := <-p.reqs
-		if !ok {
-			return
-		}
-		p.hMailbox.Observe(uint64(len(p.reqs) + 1))
-		batch = append(batch[:0], r)
-		closed := false
-	drain:
-		for len(batch) < h.cfg.MailboxDepth {
-			select {
-			case r, ok := <-p.reqs:
-				if !ok {
-					closed = true
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		n := 0
-		for _, r := range batch {
-			if r.grp != nil {
-				n += len(r.grp.idx[p.id])
-			} else {
-				n++
-			}
-		}
-		p.hBatch.Observe(uint64(n))
-		for _, r := range batch {
-			p.apply(r)
-		}
-		if closed {
-			return
-		}
+// publish sends r to the mailbox, announces it and serves the partition:
+// when it returns, r is applied or left to a holder that will find it.
+// The send blocks while the mailbox is full, which is safe because
+// nothing between an entry's send and its publisher's serve can block, so
+// every entry in a full mailbox is about to be drained (DESIGN §5.5).
+func (p *partition) publish(r request) {
+	p.reqs <- r
+	p.undrained.Add(1)
+	p.serve()
+}
+
+// serve is the election. While entries are announced and the partition is
+// free, the caller takes it and combines; a caller that loses the swap
+// leaves its entry to the winner, which re-checks the count after every
+// release — so an announce that lost the race is seen by that re-check.
+func (p *partition) serve() {
+	for p.undrained.Load() > 0 && p.held.CompareAndSwap(false, true) {
+		p.combine()
+		p.held.Store(false)
 	}
 }
 
-// Close drains every mailbox and shuts the combiners down: entries
-// published before Close are fully applied and completed; a publish that
-// happens after Close is refused without touching a store (a blocking
-// call returns ok=false, a Batcher round marks every op Rejected). Close
-// is idempotent, and read-only accessors (Len, Dump, Scan) keep working on
-// the quiescent stores afterwards.
+// combine is one combine round, run while holding the partition: it
+// takes the entries the mailbox holds (at most MailboxDepth, its capacity)
+// into the partition's batch — the native analogue of a flat-combining
+// scan over the publication list — and applies them in mailbox order.
+// Every instrument write that covers an entry happens before that entry
+// completes, so a caller that has consumed everything it published can
+// snapshot the registry without racing a holder.
+func (p *partition) combine() {
+	// Only the holder receives, so the entries counted here stay until
+	// taken; later arrivals are left to serve's re-check.
+	batch := p.batch[:len(p.reqs)]
+	if len(batch) == 0 {
+		return // drained by the previous holder between our load and swap
+	}
+	p.hMailbox.Observe(uint64(len(batch)))
+	n := 0
+	for i := range batch {
+		r := <-p.reqs
+		batch[i] = r
+		if r.grp != nil {
+			n += len(r.grp.idx[p.id])
+		} else {
+			n++
+		}
+	}
+	p.undrained.Add(-int32(len(batch)))
+	p.hBatch.Observe(uint64(n))
+	for _, r := range batch {
+		p.apply(r)
+	}
+}
+
+// Close refuses further data operations and drains every mailbox: entries
+// published before Close are fully applied and completed when it returns;
+// a publish that happens after Close is refused without touching a store
+// (a blocking call returns ok=false, a Batcher round marks every op
+// Rejected). Close is idempotent, and read-only accessors (Len, Dump,
+// Scan) keep working afterwards: the mailboxes stay open, the closed flag
+// refuses data operations only.
 func (h *Hybrid) Close() {
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
 	h.closed = true
-	for _, p := range h.parts {
-		close(p.reqs)
-	}
 	h.mu.Unlock()
-	h.wg.Wait()
+	for p := range h.parts {
+		h.barrier(p, func(Store) {})
+	}
 }
 
 // Closed reports whether Close has begun.
@@ -319,19 +332,18 @@ func (h *Hybrid) Partitions() int { return len(h.parts) }
 // 1..KeyMax-1 (key 0 is the -inf sentinel).
 func (h *Hybrid) KeyMax() uint64 { return h.cfg.KeyMax }
 
-// async publishes req to its partition's mailbox and returns the call's
-// future, or — after Close — a future already completed as a rejection
-// (ok=false) with no store touched.
+// async publishes req to its partition and returns the call's future, or
+// — after Close — a future already completed as a rejection (ok=false)
+// with no store touched.
 func (h *Hybrid) async(req hds.Request) *future {
 	part := h.Partition(req.Key)
 	fut := newFuture()
 	h.mu.RLock()
 	if h.closed {
-		h.mu.RUnlock()
 		fut.complete(0, false)
-		return fut
+	} else {
+		h.parts[part].publish(request{req: req, fut: fut})
 	}
-	h.parts[part].reqs <- request{req: req, fut: fut}
 	h.mu.RUnlock()
 	return fut
 }
@@ -364,53 +376,35 @@ func (h *Hybrid) Delete(key uint64) bool {
 	return h.Apply(hds.Request{Kind: hds.Remove, Key: key}).OK
 }
 
-// barrier runs fn on partition p's store on the combiner, in request
-// order (after every entry published before it), waits for it and reports
-// true. After Close it reports false without running fn: closed-ness is
-// decided under the same lock as the publish, so a Close can never slip
-// between the check and the send.
-func (h *Hybrid) barrier(p int, fn func(s Store)) bool {
-	h.mu.RLock()
-	if h.closed {
-		h.mu.RUnlock()
-		return false
-	}
+// barrier runs fn on partition p's store while holding the partition, in
+// mailbox order (after every entry published before it), and waits for
+// it. Barriers are not data operations: they work after Close too.
+func (h *Hybrid) barrier(p int, fn func(s Store)) {
 	fut := newFuture()
 	fut.snap = fn
-	h.parts[p].reqs <- request{fut: fut}
-	h.mu.RUnlock()
+	h.parts[p].publish(request{fut: fut})
 	fut.wait()
-	return true
 }
 
-// read is barrier for read-only closures: after Close it runs fn directly
-// on the store, once the combiners have drained and exited.
-func (h *Hybrid) read(p int, fn func(s Store)) {
-	if !h.barrier(p, fn) {
-		h.wg.Wait()
-		fn(h.parts[p].store)
-	}
-}
-
-// Len sums the partition store sizes. Each partition's count is read by
-// its combiner in request order, so the result is a per-partition
-// linearizable size (exact at quiescence).
+// Len sums the partition store sizes. Each partition's count is read
+// while holding the partition, in mailbox order, so the result is a
+// per-partition linearizable size (exact at quiescence).
 func (h *Hybrid) Len() int {
 	total := 0
 	for p := range h.parts {
-		h.read(p, func(s Store) { total += s.Len() })
+		h.barrier(p, func(s Store) { total += s.Len() })
 	}
 	return total
 }
 
 // Dump returns every stored pair in ascending key order. Partitions own
 // contiguous key ranges, so concatenating per-partition ascents in
-// partition order yields the global order. Each partition is read by its
-// combiner in request order (exact at quiescence, e.g. after Close).
+// partition order yields the global order. Each partition is read while
+// holding it, in mailbox order (exact at quiescence, e.g. after Close).
 func (h *Hybrid) Dump() []KV {
 	var out []KV
 	for p := range h.parts {
-		h.read(p, func(s Store) {
+		h.barrier(p, func(s Store) {
 			s.Ascend(0, func(k, v uint64) bool {
 				out = append(out, KV{Key: k, Value: v})
 				return true
@@ -423,8 +417,8 @@ func (h *Hybrid) Dump() []KV {
 // Scan returns up to limit pairs with keys >= from, in ascending key
 // order. Partitions own contiguous key ranges, so the walk visits them in
 // partition order and stops as soon as limit pairs are collected. Each
-// partition is read by its combiner in request order (a barrier), so the
-// result is per-partition linearizable: it observes every operation
+// partition is read while holding it, in mailbox order (a barrier), so
+// the result is per-partition linearizable: it observes every operation
 // published to a partition before the scan reached it, but partitions are
 // visited one after another, not atomically. from may be 0 (scan from the
 // smallest key).
@@ -444,7 +438,7 @@ func (h *Hybrid) ScanAppend(dst []KV, from uint64, limit int) []KV {
 		if hi := uint64(p+1) * h.span; from >= hi {
 			continue // partition's whole key range lies below from
 		}
-		h.read(p, func(s Store) {
+		h.barrier(p, func(s Store) {
 			s.Ascend(from, func(k, v uint64) bool {
 				if len(dst)-base >= limit {
 					return false
@@ -455,55 +449,4 @@ func (h *Hybrid) ScanAppend(dst []KV, from uint64, limit int) []KV {
 		})
 	}
 	return dst
-}
-
-// Build populates the partition stores directly — in parallel, one
-// goroutine per partition, bypassing the mailboxes — for untimed workload
-// loading before concurrent use. It is a bulk load: each partition's pairs
-// are copied out of pairs (the caller's slice is left untouched), sorted
-// by key and inserted in ascending order, which is the order every engine
-// packs densest. The sort is stable, so of duplicate keys the first pair
-// in pairs is the one kept. It must not run concurrently with any
-// operation.
-func (h *Hybrid) Build(pairs []KV) {
-	// One counting pass sizes every partition's run of one shared copy.
-	ends := make([]int, len(h.parts))
-	for _, kv := range pairs {
-		ends[h.Partition(kv.Key)]++
-	}
-	sum := 0
-	for p, n := range ends {
-		ends[p], sum = sum, sum+n
-	}
-	sorted := make([]KV, len(pairs))
-	for _, kv := range pairs {
-		p := h.Partition(kv.Key)
-		sorted[ends[p]] = kv
-		ends[p]++
-	}
-	var wg sync.WaitGroup
-	start := 0
-	for p, end := range ends {
-		run := sorted[start:end]
-		start = end
-		if len(run) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(part *partition) {
-			defer wg.Done()
-			// Two stable passes, low half first, sort by the whole key;
-			// keys below 2^32 have no high half to sort by.
-			radix.SortFunc(run, func(kv KV) uint32 { return uint32(kv.Key) })
-			if h.cfg.KeyMax > 1<<32 {
-				radix.SortFunc(run, func(kv KV) uint32 { return uint32(kv.Key >> 32) })
-			}
-			for _, kv := range run {
-				if part.store.Put(kv.Key, kv.Value) {
-					part.cBuilt.Inc()
-				}
-			}
-		}(h.parts[p])
-	}
-	wg.Wait()
 }

@@ -224,11 +224,13 @@ func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
 }
 
 // TestHybridMetrics checks the per-partition instruments: op counts sum
-// to the operations applied through combiners, batch rounds and mailbox
-// occupancy are observed, and the default B+ tree store reports splits.
+// to the operations applied, batch rounds and mailbox occupancy are
+// observed, and the default B+ tree store reports splits. The registry is
+// read before Close, whose barriers are combine rounds too.
 func TestHybridMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	h := New(Config{Partitions: 2, KeyMax: 1 << 20, MailboxDepth: 32, Metrics: reg})
+	defer h.Close()
 	const n = 4000
 	for i := uint64(1); i <= n; i++ {
 		h.Put(i, i)
@@ -238,7 +240,6 @@ func TestHybridMetrics(t *testing.T) {
 		ops = append(ops, hds.Request{Kind: hds.Read, Key: i})
 	}
 	h.NewBatcher(8).Apply(ops, nil)
-	h.Close()
 	snap := reg.Snapshot()
 	var opsApplied, rounds, batchSum, leafSplits uint64
 	for p := 0; p < 2; p++ {

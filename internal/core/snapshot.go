@@ -7,14 +7,14 @@ import (
 	"hybrids/internal/metrics"
 )
 
-// PartitionStats is one partition's management-plane snapshot, read by
-// the partition's own combiner through the barrier path — so every field
-// is consistent with each other and with request order, even while
-// traffic flows. After Close the quiescent stores are read directly.
+// PartitionStats is one partition's management-plane snapshot, read
+// while holding the partition through the barrier path — so every field
+// is consistent with each other and with mailbox order, even while
+// traffic flows, and after Close.
 type PartitionStats struct {
 	// Partition is the partition index.
 	Partition int `json:"partition"`
-	// Ops counts data operations the combiner has applied.
+	// Ops counts data operations applied to the partition.
 	Ops uint64 `json:"ops"`
 	// Built counts pairs loaded by Build (bypassing the mailbox).
 	Built uint64 `json:"built"`
@@ -38,16 +38,16 @@ type PartitionStats struct {
 	Store map[string]uint64 `json:"store,omitempty"`
 }
 
-// PartitionStats snapshots partition p in request order: the read runs
-// on p's combiner after every operation published before it (the same
+// PartitionStats snapshots partition p in mailbox order: the read runs
+// while holding p, after every operation published before it (the same
 // barrier Len and Dump use), which is also what makes it race-free —
-// the combiner is the only writer of its instruments. Safe to call
+// only the holder writes the partition's instruments. Safe to call
 // concurrently with traffic and after Close.
 func (h *Hybrid) PartitionStats(p int) PartitionStats {
 	part := h.parts[p]
 	storePrefix := fmt.Sprintf("core/p%d/store/", p)
 	var out PartitionStats
-	h.read(p, func(s Store) {
+	h.barrier(p, func(s Store) {
 		out = PartitionStats{
 			Partition:  p,
 			Ops:        part.cOps.Value(),
@@ -74,8 +74,8 @@ func (h *Hybrid) PartitionStats(p int) PartitionStats {
 // ExportMetrics captures every core/p<i>/ instrument in the runtime's
 // registry — counters (histogram sum/count components excluded) and
 // histograms with their shape buckets — partition by partition through
-// the barrier path, so each partition's values are read by its own
-// combiner and the export never races the data path. Partitions are
+// the barrier path, so each partition's values are read while holding
+// the partition and the export never races the data path. Partitions are
 // visited one after another, not atomically (the same contract as Len
 // and Scan). Safe during traffic and after Close.
 func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
@@ -85,7 +85,7 @@ func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 	var hists []metrics.HistSnapshot
 	for p := range h.parts {
 		prefix := fmt.Sprintf("core/p%d/", p)
-		h.read(p, func(Store) {
+		h.barrier(p, func(Store) {
 			for _, name := range names {
 				if !strings.HasPrefix(name, prefix) || h.reg.IsHistComponent(name) {
 					continue

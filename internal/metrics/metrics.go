@@ -268,37 +268,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return HistSnapshot{Name: h.name, Sum: h.Sum(), Count: h.Count(), Buckets: h.buckets}
 }
 
-// Export is a typed point-in-time copy of a whole registry: plain
-// counters (histogram /sum and /count components excluded) plus every
-// histogram with its shape. Unlike Snapshot, an Export carries enough
-// type information to map instruments onto exposition formats that
-// distinguish counters from histograms.
-type Export struct {
-	// Counters holds every free-standing counter's value.
-	Counters Snapshot
-	// Hists holds every histogram's snapshot, sorted by name.
-	Hists []HistSnapshot
-}
-
-// Export captures the registry's typed state. Like Snapshot it must not
-// race instrument writers: call it from the owning goroutine, or from a
-// context that has synchronized with every writer (the serving layers
-// export through their own synchronized wrappers instead).
-func (r *Registry) Export() Export {
-	out := Export{Counters: make(Snapshot, len(r.counters))}
-	for name, c := range r.counters {
-		if r.IsHistComponent(name) {
-			continue
-		}
-		out.Counters[name] = c.v
-	}
-	out.Hists = make([]HistSnapshot, 0, len(r.hists))
-	for _, name := range r.HistNames() {
-		out.Hists = append(out.Hists, r.hists[name].Snapshot())
-	}
-	return out
-}
-
 // Snapshot captures every counter's current value.
 func (r *Registry) Snapshot() Snapshot {
 	out := make(Snapshot, len(r.counters))
