@@ -1,8 +1,8 @@
 // Command hybridsd serves a native HybriDS map over TCP: it builds a
-// core.Hybrid (goroutine combiners over per-partition stores, the
-// software stand-in for the paper's NMP hardware) and exposes it through
-// the internal/server binary protocol (GET/PUT/UPDATE/DELETE/SCAN/STATS;
-// see docs/SERVING.md).
+// core.Hybrid (per-partition stores combined by the caller holding the
+// partition, the stand-in for the paper's NMP hardware) and exposes it
+// through the internal/server binary protocol (GET/PUT/UPDATE/DELETE/
+// SCAN/STATS; see docs/SERVING.md).
 //
 // The -store flag selects any engine registered in internal/store
 // (btree, skiplist, bskiplist, ...).
@@ -19,7 +19,7 @@
 //
 //	hybridsd [-addr :7070] [-partitions 8] [-keymax 4194304]
 //	         [-store btree] [-window 16] [-maxconns 0]
-//	         [-scan-limit 1024] [-write-timeout 10s] [-mailbox 64]
+//	         [-scan-limit 1024] [-write-timeout 10s]
 //	         [-admin-addr 127.0.0.1:7071] [-admin-token ""] [-slow-op 0]
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting,
@@ -66,7 +66,6 @@ func main() {
 		partitions   = flag.Int("partitions", 8, "partition/combiner count (the paper's NMP vaults)")
 		keyMax       = flag.Uint64("keymax", 1<<22, "exclusive key-space bound; valid keys are 1..keymax-1")
 		engineName   = flag.String("store", "btree", "per-partition store engine: "+strings.Join(store.Names(), ", "))
-		mailbox      = flag.Int("mailbox", 64, "per-partition mailbox depth")
 		window       = flag.Int("window", 16, "per-connection request coalescing window (Batcher.Apply size)")
 		maxConns     = flag.Int("maxconns", 0, "max concurrent connections (0 = unlimited)")
 		scanLimit    = flag.Int("scan-limit", 1024, "max pairs returned by one SCAN")
@@ -83,9 +82,9 @@ func main() {
 			*engineName, strings.Join(store.Names(), ", "))
 		os.Exit(2)
 	}
-	if *partitions <= 0 || *mailbox <= 0 || *window <= 0 || *keyMax == 0 {
-		fmt.Fprintf(os.Stderr, "-partitions, -mailbox, -window and -keymax must be positive (got %d, %d, %d, %d)\n",
-			*partitions, *mailbox, *window, *keyMax)
+	if *partitions <= 0 || *window <= 0 || *keyMax == 0 {
+		fmt.Fprintf(os.Stderr, "-partitions, -window and -keymax must be positive (got %d, %d, %d)\n",
+			*partitions, *window, *keyMax)
 		os.Exit(2)
 	}
 	if *adminAddr != "" && *adminToken == "" && !loopbackAddr(*adminAddr) {
@@ -96,10 +95,9 @@ func main() {
 
 	reg := metrics.NewRegistry()
 	h := core.New(core.Config{
-		Partitions:   *partitions,
-		KeyMax:       *keyMax,
-		MailboxDepth: *mailbox,
-		NewStore:     eng.NewNative(store.Tuning{}),
+		Partitions: *partitions,
+		KeyMax:     *keyMax,
+		NewStore:   eng.NewNative(store.Tuning{}),
 	})
 	srv := server.New(h, server.Config{
 		Store:        eng.Name,
@@ -132,7 +130,6 @@ func main() {
 				"store":      eng.Name,
 				"partitions": fmt.Sprint(*partitions),
 				"keymax":     fmt.Sprint(*keyMax),
-				"mailbox":    fmt.Sprint(*mailbox),
 				"scan_limit": fmt.Sprint(*scanLimit),
 			},
 		})

@@ -25,7 +25,7 @@ func main() {
 	const keyMax = 1 << 24
 
 	setup := func() *core.Hybrid {
-		h := core.New(core.Config{Partitions: 8, KeyMax: keyMax, MailboxDepth: 256})
+		h := core.New(core.Config{Partitions: 8, KeyMax: keyMax})
 		for k := uint64(1); k <= 100000; k++ {
 			h.Put(k, k)
 		}

@@ -17,14 +17,24 @@ type Outcome struct {
 	Rejected bool
 }
 
+const (
+	// spinLoads is how many plain loads of its countdown a waiting round
+	// makes before it parks: about 10 µs on a 2-vCPU x86 host, longer than
+	// a contended round's wait and shorter than the runnable delay of a
+	// wake from another P (DESIGN §5.5). No yield: loads only.
+	spinLoads = 30000
+	// parked is the bit a round sets in pending before it parks.
+	parked = 1 << 30
+)
+
 // Batcher executes operations with non-blocking calls (§3.5): it keeps up
-// to window operations in flight by publishing them in rounds, one
-// mailbox entry per (round, partition), and waiting once per round on a
-// countdown that the last holder to apply an entry completes — itself,
-// without parking, when every partition it touched was free. The serving
-// layer keeps one per connection. All of its state is reused, so
-// steady-state Apply calls perform no allocation. A Batcher belongs to
-// one goroutine; it is not safe for concurrent use.
+// to window operations in flight by publishing them in rounds, one list
+// entry per (round, partition), and waiting once per round on a countdown
+// that the last holder to apply an entry completes — itself, without
+// waiting, when every partition it touched was free. The serving layer
+// keeps one per connection. All of its state is reused, so steady-state
+// Apply calls perform no allocation. A Batcher belongs to one goroutine;
+// it is not safe for concurrent use.
 type Batcher struct {
 	h      *Hybrid
 	window int
@@ -37,13 +47,16 @@ type Batcher struct {
 	out []Outcome
 	idx [][]int32
 
-	// touched lists the partitions the round has an entry for; scratch
-	// receives outcomes when the caller passes no out.
+	// nodes holds the Batcher's list entry for each partition, reused
+	// every round. touched lists the partitions the round has an entry
+	// for; scratch receives outcomes when the caller passes no out.
+	nodes   []request
 	touched []int
 	scratch []Outcome
 
-	// pending counts the round's entries not yet applied; the holder
-	// that brings it to zero sends the one wake of the round.
+	// pending counts the round's entries not yet applied, plus the parked
+	// bit once the caller has stopped spinning; the holder that brings the
+	// count to zero with the bit set sends the round's one wake.
 	pending atomic.Int32
 	wake    chan struct{}
 }
@@ -59,12 +72,14 @@ func (h *Hybrid) NewBatcher(window int) *Batcher {
 		h:       h,
 		window:  window,
 		idx:     make([][]int32, len(h.parts)),
+		nodes:   make([]request, len(h.parts)),
 		touched: make([]int, 0, len(h.parts)),
 		scratch: make([]Outcome, window),
 		wake:    make(chan struct{}, 1),
 	}
 	for p := range b.idx {
 		b.idx[p] = make([]int32, 0, window)
+		b.nodes[p].grp = b
 	}
 	return b
 }
@@ -75,8 +90,9 @@ func (h *Hybrid) NewBatcher(window int) *Batcher {
 // receives ops[i]'s Outcome. Apply returns the number of operations a
 // combiner actually applied and, of those, the number whose result was ok
 // — so legitimate misses (applied but not succeeded, e.g. a read of an
-// absent key) are distinguishable from rounds refused by a concurrent
-// Close (not applied at all). A key outside the key space panics before
+// absent key) are distinguishable from operations refused by a concurrent
+// Close (not applied at all; a round that straddles Close may be refused
+// on some partitions only). A key outside the key space panics before
 // anything of its round is published.
 func (b *Batcher) Apply(ops []hds.Request, out []Outcome) (applied, succeeded int) {
 	if out != nil && len(out) != len(ops) {
@@ -88,11 +104,11 @@ func (b *Batcher) Apply(ops []hds.Request, out []Outcome) (applied, succeeded in
 		if out != nil {
 			res = out[lo:hi]
 		}
-		if !b.round(ops[lo:hi], res) {
-			continue
-		}
-		applied += hi - lo
+		b.round(ops[lo:hi], res)
 		for i := range res {
+			if !res[i].Rejected {
+				applied++
+			}
 			if res[i].Result.OK {
 				succeeded++
 			}
@@ -101,12 +117,11 @@ func (b *Batcher) Apply(ops []hds.Request, out []Outcome) (applied, succeeded in
 	return applied, succeeded
 }
 
-// round routes ops, publishes one entry per partition touched — serving
-// each partition before publishing to the next, so it never blocks on a
-// send while an entry of its own waits for it — and waits until every
-// entry is applied, reporting true; after Close it marks every op
-// Rejected and reports false, with no store touched.
-func (b *Batcher) round(ops []hds.Request, out []Outcome) bool {
+// round routes ops, publishes one entry per partition touched, serving
+// each before publishing to the next, and waits — a spin, then a park —
+// until every entry is applied or refused; after Close it marks every op
+// Rejected without publishing.
+func (b *Batcher) round(ops []hds.Request, out []Outcome) {
 	h := b.h
 	// Route the whole round before publishing any of it. The lists are
 	// reset here, not after the wake, so a panic on an invalid key leaves
@@ -122,28 +137,37 @@ func (b *Batcher) round(ops []hds.Request, out []Outcome) bool {
 		}
 		b.idx[p] = append(b.idx[p], int32(i))
 	}
-	b.ops, b.out = ops, out
-	b.pending.Store(int32(len(b.touched)))
-	h.mu.RLock()
-	if h.closed {
-		h.mu.RUnlock()
+	if h.closed.Load() {
 		for i := range out {
 			out[i] = Outcome{Rejected: true}
 		}
-		return false
+		return
 	}
-	for _, p := range b.touched {
-		h.parts[p].publish(request{grp: b})
+	b.ops, b.out = ops, out
+	b.pending.Store(int32(len(b.touched)))
+	// Publish to a free partition while one is left: a held one may be
+	// free by then, and this caller applies its own entry.
+	for i := range b.touched {
+		for j := i + 1; j < len(b.touched) && h.parts[b.touched[i]].held.Load(); j++ {
+			b.touched[i], b.touched[j] = b.touched[j], b.touched[i]
+		}
+		p := b.touched[i]
+		h.parts[p].publish(&b.nodes[p])
 	}
-	h.mu.RUnlock()
-	<-b.wake
-	return true
+	for i := 0; i < spinLoads; i++ {
+		if b.pending.Load() == 0 {
+			return
+		}
+	}
+	if b.pending.Add(parked) != parked {
+		<-b.wake
+	}
 }
 
-// done is called by a partition's holder after applying its entry of the
-// round.
+// done is called by a partition's holder after applying (or refusing) its
+// entry of the round.
 func (b *Batcher) done() {
-	if b.pending.Add(-1) == 0 {
+	if b.pending.Add(-1) == parked {
 		b.wake <- struct{}{}
 	}
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"hybrids/internal/cds"
 	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
 )
@@ -37,19 +40,48 @@ func TestBatcherApplyAllocs(t *testing.T) {
 	}
 }
 
-// TestRequestSize keeps the mailbox element the blocking path shares with
-// the batch path at the size it had before batch groups existed.
+// TestRequestSize keeps the list node the blocking path shares with the
+// batch path at the size it had before batch groups existed plus the one
+// link pointer the publication list threads through it.
 func TestRequestSize(t *testing.T) {
-	if got := unsafe.Sizeof(request{}); got > 40 {
-		t.Fatalf("mailbox entry is %d bytes, want <= 40", got)
+	if got := unsafe.Sizeof(request{}); got > 48 {
+		t.Fatalf("list entry is %d bytes, want <= 48", got)
+	}
+}
+
+// holdPartition keeps partition p held inside a barrier closure until
+// the returned release is called; release waits for the barrier to
+// return and reports what fn read while still holding the partition.
+func holdPartition(h *Hybrid, p int, fn func() int) (release func() int) {
+	entered, rel, out := make(chan struct{}), make(chan struct{}), make(chan int, 1)
+	go h.barrier(p, func(Store) {
+		close(entered)
+		<-rel
+		out <- fn()
+	})
+	<-entered
+	return func() int {
+		close(rel)
+		return <-out
+	}
+}
+
+// waitFor polls cond for up to 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 
 // TestBatcherOneEntryPerPartition checks the entry granularity: a 16-op
-// batch over 4 partitions is 4 mailbox entries, one per partition, and
-// one wake. Partition 0's holder is kept inside a barrier until the
+// batch over 4 partitions is 4 list entries, one per partition, and at
+// most one wake. Partition 0's holder is kept inside a barrier until the
 // other three entries are applied — so the whole round is published —
-// and then reads its queue length the way PartitionStats does: it must
+// and then counts the list behind it the way PartitionStats does: it must
 // find exactly one entry. The histograms must show every other partition
 // combined once, for one entry, a round of 4 operations. They are read at
 // quiescence (every published entry consumed) and before Close, whose
@@ -59,14 +91,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	reg := metrics.NewRegistry()
 	h := New(Config{Partitions: partitions, KeyMax: 1 << 20, Metrics: reg})
 	defer h.Close()
-	entered, release := make(chan struct{}), make(chan struct{})
-	queued := make(chan int, 1)
-	go h.barrier(0, func(Store) {
-		close(entered)
-		<-release
-		queued <- len(h.parts[0].reqs)
-	})
-	<-entered
+	release := holdPartition(h, 0, h.parts[0].queued)
 	b := h.NewBatcher(16)
 	ops := spread(16, partitions, 1<<20)
 	applied := make(chan int)
@@ -74,21 +99,16 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 		n, _ := b.Apply(ops, nil)
 		applied <- n
 	}()
-	for deadline := time.Now().Add(10 * time.Second); b.pending.Load() != 1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("round did not come down to partition 0's entry: pending = %d", b.pending.Load())
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	close(release)
-	if n := <-queued; n != 1 {
-		t.Errorf("queue length behind the barrier = %d, want 1 (the batch's one entry)", n)
+	// The count is the low bits; the waiter may have set the parked bit.
+	waitFor(t, "the round to come down to partition 0's entry", func() bool { return b.pending.Load()&^parked == 1 })
+	if n := release(); n != 1 {
+		t.Errorf("list length behind the barrier = %d, want 1 (the batch's one entry)", n)
 	}
 	if n := <-applied; n != len(ops) {
 		t.Errorf("applied = %d, want %d", n, len(ops))
 	}
-	if len(b.wake) != 0 || b.pending.Load() != 0 {
-		t.Errorf("after the round: %d wake tokens left, pending = %d; want one wake, consumed", len(b.wake), b.pending.Load())
+	if len(b.wake) != 0 || b.pending.Load()&^parked != 0 {
+		t.Errorf("after the round: %d wake tokens left, count = %d; want none left, 0", len(b.wake), b.pending.Load()&^parked)
 	}
 	snap := reg.Snapshot()
 	get := func(p int, name string) uint64 { return snap.Get(fmt.Sprintf("core/p%d/%s", p, name)) }
@@ -100,7 +120,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 			extra = 1
 		}
 		if rounds, depth, sum := get(p, "mailbox/count"), get(p, "mailbox/sum"), get(p, "batch/sum"); rounds != 1+extra || depth != 1+extra || sum != 4+extra {
-			t.Errorf("p%d: rounds = %d, mailbox sum = %d, batch sum = %d; want %d, %d, %d", p, rounds, depth, sum, 1+extra, 1+extra, 4+extra)
+			t.Errorf("p%d: rounds = %d, entries taken = %d, batch sum = %d; want %d, %d, %d", p, rounds, depth, sum, 1+extra, 1+extra, 4+extra)
 		}
 		opsApplied += get(p, "ops")
 	}
@@ -109,9 +129,93 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	}
 }
 
+// TestBatcherParksPastSpin holds partition 0 past the spin bound: the
+// round must give up spinning and set the parked bit, be woken exactly
+// once by the holder's release — a second wake would block the holder on
+// the one-slot channel or be left behind as a token — and leave the next,
+// uncontended round to finish without parking.
+func TestBatcherParksPastSpin(t *testing.T) {
+	h := New(Config{Partitions: 2, KeyMax: 1 << 20})
+	defer h.Close()
+	release := holdPartition(h, 0, func() int { return 0 })
+	b := h.NewBatcher(16)
+	ops := spread(16, 2, 1<<20)
+	applied := make(chan int)
+	go func() {
+		n, _ := b.Apply(ops, nil)
+		applied <- n
+	}()
+	waitFor(t, "the round to park", func() bool { return b.pending.Load() == parked|1 })
+	release() // the holder's re-check after its release applies the entry and wakes the round
+	if n := <-applied; n != len(ops) {
+		t.Fatalf("applied = %d, want %d", n, len(ops))
+	}
+	if len(b.wake) != 0 || b.pending.Load() != parked {
+		t.Fatalf("after the parked round: %d wake tokens, pending = %#x; want 0, %#x", len(b.wake), b.pending.Load(), parked)
+	}
+	if n, _ := b.Apply(ops, nil); n != len(ops) || len(b.wake) != 0 || b.pending.Load() != 0 {
+		t.Fatalf("uncontended round: applied = %d, %d wake tokens, pending = %#x; want %d, 0, 0", n, len(b.wake), b.pending.Load(), len(ops))
+	}
+}
+
+// yieldingStore yields the processor inside every Get, so a holder is
+// descheduled while it holds its partition.
+type yieldingStore struct{ Store }
+
+func (s yieldingStore) Get(key uint64) (uint64, bool) {
+	runtime.Gosched()
+	return s.Store.Get(key)
+}
+
+// TestBatcherContendedOneP runs contended rounds on one P, where the spin
+// cannot help: every holder yields inside its combine, so the other
+// callers find the partition held while its holder cannot run, spin their
+// spinLoads loads (about 10 µs) for nothing and park. Every round must
+// still complete, and the spin costs at most one bound per round: 4
+// callers × 250 rounds are 1000 rounds, a worst case of about 10 ms of
+// spinning. The test allows 20 s.
+func TestBatcherContendedOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const callers, rounds = 4, 250
+	h := New(Config{Partitions: 2, KeyMax: 1 << 20, NewStore: func(int) Store { return yieldingStore{cds.NewBTree()} }})
+	defer h.Close()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := h.NewBatcher(16)
+			ops := spread(16, 2, 1<<20)
+			for i := range ops {
+				ops[i].Key += uint64(c) << 12
+				ops[i].Kind, ops[i].Value = hds.Insert, ops[i].Key
+			}
+			for r := 0; r < rounds; r++ {
+				if n, _ := b.Apply(ops, nil); n != len(ops) {
+					t.Errorf("caller %d round %d: applied %d of %d", c, r, n, len(ops))
+					return
+				}
+				for i := range ops {
+					ops[i].Kind = hds.Read
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	el := time.Since(start)
+	if el > 20*time.Second {
+		t.Fatalf("%d contended rounds on one P took %v, want under 20 s", callers*rounds, el)
+	}
+	t.Logf("%d contended rounds on one P in %v", callers*rounds, el)
+	if got := h.Len(); got != callers*16 {
+		t.Fatalf("Len = %d, want %d", got, callers*16)
+	}
+}
+
 // TestBatcherInvalidKeyPublishesNothing is the partial-publish
 // regression: a batch whose op k has a key outside the key space panics
-// before any of its round reaches a mailbox, and the Batcher stays
+// before any of its round reaches a list, and the Batcher stays
 // usable.
 func TestBatcherInvalidKeyPublishesNothing(t *testing.T) {
 	for _, bad := range []uint64{0, 1 << 20} {

@@ -11,7 +11,7 @@ import (
 
 func benchMap(b *testing.B, parts int) *Hybrid {
 	b.Helper()
-	h := New(Config{Partitions: parts, KeyMax: 1 << 24, MailboxDepth: 256})
+	h := New(Config{Partitions: parts, KeyMax: 1 << 24})
 	for i := uint64(1); i <= 1<<16; i++ {
 		h.Put(i, i)
 	}
@@ -55,7 +55,7 @@ func BenchmarkFuture(b *testing.B) {
 // TestFutureAllocs asserts the pooled-future hot path stays allocation
 // free (at most one allocation per operation, tolerating pool refills).
 func TestFutureAllocs(t *testing.T) {
-	h := New(Config{Partitions: 4, KeyMax: 1 << 20, MailboxDepth: 64})
+	h := New(Config{Partitions: 4, KeyMax: 1 << 20})
 	defer h.Close()
 	h.Put(1, 1)
 	allocs := testing.AllocsPerRun(2000, func() {
@@ -92,13 +92,10 @@ func BenchmarkHybridApplyBatch4(b *testing.B) { benchApplyBatch(b, 4) }
 // core.batch16_ns_per_op rung: the serve loop's default 16-op window.
 func BenchmarkHybridApplyBatch16(b *testing.B) { benchApplyBatch(b, 16) }
 
-// BenchmarkHybridApplyBatch16Contended is the contended path's number: 8
-// goroutines, each with its own 16-op Batcher, over 2 partitions, so a
-// publisher regularly finds its partition held and leaves its entry to
-// the holder.
-func BenchmarkHybridApplyBatch16Contended(b *testing.B) {
-	h := benchMap(b, 2)
-	const callers, chunk = 8, 256
+// benchCallers measures uniform reads of the keys key draws from several
+// goroutines, each with its own 16-op Batcher.
+func benchCallers(b *testing.B, h *Hybrid, callers int, key func(*prng.Source) uint64) {
+	const chunk = 256
 	var wg sync.WaitGroup
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -111,11 +108,36 @@ func BenchmarkHybridApplyBatch16Contended(b *testing.B) {
 			bt := h.NewBatcher(16)
 			for i := c * chunk; i < b.N; i += callers * chunk {
 				for j := range ops {
-					ops[j] = hds.Request{Kind: hds.Read, Key: uint64(rng.Intn(1<<16)) + 1}
+					ops[j] = hds.Request{Kind: hds.Read, Key: key(rng)}
 				}
 				bt.Apply(ops, nil)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkHybridApplyBatch16Contended is the contended path's number: 8
+// goroutines over 2 partitions, so a publisher regularly finds its
+// partition held and leaves its entry to the holder.
+func BenchmarkHybridApplyBatch16Contended(b *testing.B) {
+	benchCallers(b, benchMap(b, 2), 8, func(rng *prng.Source) uint64 { return uint64(rng.Intn(1<<16)) + 1 })
+}
+
+// BenchmarkHybridApplyBatch16TwoCallers is embedded-read's shape: 2
+// goroutines over 4 partitions holding 2^20 keys in a 2^26 key space,
+// where a round that finds a partition held by the other caller waits on
+// its countdown.
+func BenchmarkHybridApplyBatch16TwoCallers(b *testing.B) {
+	const records, keyMax = 1 << 20, 1 << 26
+	h := New(Config{Partitions: 4, KeyMax: keyMax})
+	b.Cleanup(h.Close)
+	keys := make([]uint64, records)
+	pairs := make([]KV, records)
+	for i := range pairs {
+		keys[i] = uint64(i)*(keyMax/records) + 1
+		pairs[i] = KV{Key: keys[i], Value: keys[i]}
+	}
+	h.Build(pairs)
+	benchCallers(b, h, 2, func(rng *prng.Source) uint64 { return keys[rng.Intn(records)] })
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hybrids/internal/cds"
 	"hybrids/internal/hds"
 )
 
@@ -87,15 +89,10 @@ func TestHybridContendedEntryServedByHolder(t *testing.T) {
 		applied <- n
 	}()
 	// The publisher has given up on the held partition once its entry is
-	// announced and it is parked on the round's countdown.
-	for deadline := time.Now().Add(10 * time.Second); h.parts[0].undrained.Load() != 1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("the round's entry was not announced: undrained = %d", h.parts[0].undrained.Load())
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	if !h.parts[0].held.Load() || b.pending.Load() != 1 {
-		t.Fatalf("held = %v, pending = %d while the holder is inside its barrier; want true, 1", h.parts[0].held.Load(), b.pending.Load())
+	// on the list and it waits on the round's countdown.
+	waitFor(t, "the round's entry to be published", func() bool { return h.parts[0].queued() == 1 })
+	if !h.parts[0].held.Load() || b.pending.Load()&^parked != 1 {
+		t.Fatalf("held = %v, count = %d while the holder is inside its barrier; want true, 1", h.parts[0].held.Load(), b.pending.Load()&^parked)
 	}
 	close(release)
 	select {
@@ -113,27 +110,126 @@ func TestHybridContendedEntryServedByHolder(t *testing.T) {
 	if !appliedByHolder {
 		t.Error("the round's entry was not applied by the partition's holder before it returned")
 	}
-	if h.parts[0].held.Load() || h.parts[0].undrained.Load() != 0 {
-		t.Errorf("after the round: held = %v, undrained = %d; want false, 0", h.parts[0].held.Load(), h.parts[0].undrained.Load())
+	if h.parts[0].held.Load() || h.parts[0].head.Load() != nil {
+		t.Errorf("after the round: held = %v, list empty = %v; want false, true", h.parts[0].held.Load(), h.parts[0].head.Load() == nil)
 	}
 }
 
-// TestHybridElectionSmallMailbox is the liveness test of the election at
-// its tightest: one-entry mailboxes, 2 partitions, 8 Batcher callers
-// (windows 1, 4 and 16) whose rounds span both partitions, 8 blocking
-// callers, a Scan/Len loop and a Close in mid-stream. Nothing drains a
-// mailbox but the callers themselves, so a publisher that blocked on a
-// full mailbox while an entry of its own sat unserved in another would
-// deadlock the lot (DESIGN §5.5, hazard b); a watchdog dumps every
-// goroutine if the run does not finish. No entry may be lost either:
-// every insert reported applied is in the final Dump, and nothing else.
-func TestHybridElectionSmallMailbox(t *testing.T) {
+// gatedStore counts the Gets and Puts it sees and blocks a Get of key
+// gate until the open channel is closed.
+type gatedStore struct {
+	Store
+	gate    uint64
+	entered chan struct{}
+	open    chan struct{}
+	touched *atomic.Int32
+}
+
+func (s gatedStore) Get(key uint64) (uint64, bool) {
+	s.touched.Add(1)
+	if key == s.gate {
+		close(s.entered)
+		<-s.open
+	}
+	return s.Store.Get(key)
+}
+
+func (s gatedStore) Put(key, value uint64) bool {
+	s.touched.Add(1)
+	return s.Store.Put(key, value)
+}
+
+// TestCloseRacingRound is a round that straddles Close: it reads the map
+// open, is applied on partition 1 ahead of Close's barrier there, and
+// reaches partition 0 behind Close's barrier. The ops on partition 1 must
+// be applied and the ops on partition 0 Rejected, with partition 0's store
+// never touched; Apply counts only the applied ops. Dump after Close is
+// final: later calls and rounds change nothing.
+func TestCloseRacingRound(t *testing.T) {
+	const keyMax = 1 << 20
+	const gate = keyMax/2 + 7
+	entered, open := make(chan struct{}), make(chan struct{})
+	touched := make([]atomic.Int32, 2)
+	h := New(Config{Partitions: 2, KeyMax: keyMax, NewStore: func(p int) Store {
+		return gatedStore{Store: cds.NewBTree(), gate: gate, entered: entered, open: open, touched: &touched[p]}
+	}})
+	h.Build([]KV{{Key: gate, Value: 70}})
+	// Partition 0 is held, so the round publishes to the free partition 1
+	// first and stalls there applying its own entry, inside the gated Get.
+	release := holdPartition(h, 0, func() int { return 0 })
+	b := h.NewBatcher(16)
+	ops := []hds.Request{
+		{Kind: hds.Insert, Key: 1, Value: 1},
+		{Kind: hds.Insert, Key: keyMax/2 + 1, Value: 2},
+		{Kind: hds.Read, Key: gate},
+		{Kind: hds.Insert, Key: 2, Value: 3},
+	}
+	out := make([]Outcome, len(ops))
+	applied := make(chan int)
+	go func() {
+		n, _ := b.Apply(ops, out)
+		applied <- n
+	}()
+	<-entered
+	// Close's barrier queues on held partition 0 ...
+	closed := make(chan struct{})
+	go func() {
+		h.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close's barrier on partition 0", func() bool { return h.parts[0].queued() == 1 })
+	// ... and the round's entry for partition 0 queues behind it.
+	close(open)
+	waitFor(t, "the round's entry on partition 0", func() bool { return h.parts[0].queued() == 2 })
+	release()
+	if n := <-applied; n != 2 {
+		t.Errorf("applied = %d, want 2 (partition 1's ops only)", n)
+	}
+	<-closed
+	for i, want := range []Outcome{
+		{Rejected: true},
+		{Result: hds.Result{OK: true}},
+		{Result: hds.Result{Value: 70, OK: true}},
+		{Rejected: true},
+	} {
+		if out[i] != want {
+			t.Errorf("op %d (%v key %d): outcome %+v, want %+v", i, ops[i].Kind, ops[i].Key, out[i], want)
+		}
+	}
+	if n := touched[0].Load(); n != 0 {
+		t.Errorf("partition 0's store saw %d data operations, want 0", n)
+	}
+	final := h.Dump()
+	if want := []KV{{Key: keyMax/2 + 1, Value: 2}, {Key: gate, Value: 70}}; fmt.Sprint(final) != fmt.Sprint(want) {
+		t.Fatalf("Dump after Close = %v, want %v", final, want)
+	}
+	if h.Put(3, 3) || h.Delete(gate) {
+		t.Error("a call after Close returned was applied")
+	}
+	if n, _ := b.Apply(ops, out); n != 0 {
+		t.Errorf("a round after Close returned applied %d ops", n)
+	}
+	if got := h.Dump(); fmt.Sprint(got) != fmt.Sprint(final) {
+		t.Errorf("Dump changed after Close: %v, then %v", final, got)
+	}
+}
+
+// TestHybridElectionStress is the list's stress test: 2 partitions, 8
+// Batcher callers (windows 1, 4 and 16) whose rounds span both
+// partitions, 8 blocking callers, a Scan/Len loop and a Close in
+// mid-stream. Nothing applies an entry but the callers themselves, so an
+// entry pushed just as its holder let go and left on the list (DESIGN
+// §5.5, hazard a) would leave its caller waiting for ever; a watchdog
+// dumps every goroutine if the run does not finish. No entry may be lost
+// or applied twice either: every insert reported applied is in the final
+// Dump, and nothing else.
+func TestHybridElectionStress(t *testing.T) {
 	const (
 		keyMax  = 1 << 20
 		closeAt = 20000 // operations issued before Close starts
 		tail    = 8     // refusals a caller sees before it stops
 	)
-	h := New(Config{Partitions: 2, KeyMax: keyMax, MailboxDepth: 1})
+	h := New(Config{Partitions: 2, KeyMax: keyMax})
 	var issued atomic.Int64
 	startClose := make(chan struct{})
 	var onceClose sync.Once
@@ -143,9 +239,8 @@ func TestHybridElectionSmallMailbox(t *testing.T) {
 		}
 	}
 	// Caller c inserts fresh keys of its own, alternating partitions so a
-	// round of two or more touches both — even callers publish to
-	// partition 0 first, odd ones to partition 1, the two orders a cycle
-	// needs. key(c, i) is unique.
+	// round of two or more touches both — even callers route to partition
+	// 0 first, odd ones to partition 1. key(c, i) is unique.
 	key := func(c, i int) uint64 {
 		return uint64((i+c)%2)*(keyMax/2) + uint64(c)<<15 + uint64(i/2) + 1
 	}
@@ -241,8 +336,8 @@ func TestHybridElectionSmallMailbox(t *testing.T) {
 		}
 	}
 	for p, part := range h.parts {
-		if part.held.Load() || part.undrained.Load() != 0 || len(part.reqs) != 0 {
-			t.Errorf("p%d at rest: held = %v, undrained = %d, %d entries queued; want false, 0, 0", p, part.held.Load(), part.undrained.Load(), len(part.reqs))
+		if part.held.Load() || part.head.Load() != nil {
+			t.Errorf("p%d at rest: held = %v, list empty = %v; want false, true", p, part.held.Load(), part.head.Load() == nil)
 		}
 	}
 	t.Logf("%d inserts applied of %d operations issued", len(want), issued.Load())

@@ -16,11 +16,13 @@ const (
 
 // future is one blocking call's completion handle (§3.2): wait blocks
 // until the partition's holder — often the caller itself, before it gets
-// here — has applied the operation, and returns its results.
+// here — has applied the operation, and returns its results. It parks
+// without spinning (DESIGN §5.5).
 //
 // Futures are pooled: wait consumes the handle and recycles it, so the
 // blocking hot path performs no per-operation allocation.
 type future struct {
+	node  request // the call's list entry; node.fut points back here
 	value uint64
 	ok    bool
 	state atomic.Uint32
@@ -28,16 +30,18 @@ type future struct {
 	// operations; it holds at most one permit (sent only on the
 	// parked -> done transition).
 	wake chan struct{}
-	// snap, when set, makes the mailbox entry a barrier: the holder
-	// takes it and runs it on the partition's store in mailbox order
-	// instead of applying an operation.
+	// snap, when set, makes the entry a barrier: the holder takes it and
+	// runs it on the partition's store in list order instead of applying
+	// an operation.
 	snap func(s Store)
 }
 
 // futPool recycles futures across operations. Instances leave the pool in
 // the pending state with an empty wake channel and no barrier closure.
 var futPool = sync.Pool{New: func() any {
-	return &future{wake: make(chan struct{}, 1)}
+	f := &future{wake: make(chan struct{}, 1)}
+	f.node.fut = f
+	return f
 }}
 
 // newFuture draws a pending future from the pool.

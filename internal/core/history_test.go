@@ -275,26 +275,31 @@ func (r *histRecorder) record(inv, resp int64, req hds.Request, res hds.Result, 
 // history, the Dump's pairs included as reads. On top of linearizability
 // it pins the close contract: nothing that returned before Close began is
 // refused, everything issued after Close returned is, and the drained
-// stores hold exactly what the applied operations explain. It runs at
-// MailboxDepth 1, where publishers block on full mailboxes and nearly
-// every entry meets a held partition, and at the default 64.
+// stores hold exactly what the applied operations explain. Twice as many
+// blocking callers as Batchers share 24 keys, so most entries meet a held
+// partition and are applied by another caller's combine. The subtest names
+// the first Batcher's round depth: at 1 each of its rounds is one entry on
+// one partition, at 64 each of its calls is one round across the
+// partitions, so a round can straddle Close.
 func TestHistoryLinearizable(t *testing.T) {
 	for _, depth := range []int{1, 64} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { historyLinearizable(t, depth) })
 	}
 }
 
-// historyLinearizable is one run of the test at the given MailboxDepth.
+// historyLinearizable is one run of the test with the first Batcher's
+// window at depth.
 func historyLinearizable(t *testing.T, depth int) {
 	const (
 		partitions = 4
 		keyMax     = 1 << 10
-		nKeys      = 48
+		nKeys      = 24
+		blocking   = 6
 		dumpAt     = 600  // operations issued before the mid-stream Dump starts
 		closeAt    = 1800 // operations issued before Close may start
 		tail       = 16   // operations a caller still issues after seeing the map closed
 	)
-	h := New(Config{Partitions: partitions, KeyMax: keyMax, MailboxDepth: depth})
+	h := New(Config{Partitions: partitions, KeyMax: keyMax})
 	keys := make([]uint64, nKeys)
 	init := make(map[uint64]regState)
 	var load []KV
@@ -341,8 +346,8 @@ func historyLinearizable(t *testing.T, depth int) {
 		return req
 	}
 
-	windows := []int{1, 4, 16}
-	recs := make([]*histRecorder, 2*len(windows))
+	windows := []int{depth, 4, 16}
+	recs := make([]*histRecorder, len(windows)+blocking)
 	var wg sync.WaitGroup
 	for c := range recs {
 		rec := &histRecorder{caller: c}

@@ -2,23 +2,22 @@
 // a concurrent ordered map split into a host-managed routing layer and a
 // set of partition-owned stores, each served by flat combining — the
 // software stand-in for the paper's per-partition NMP cores. A caller
-// publishes its request to the partition's mailbox (the publication list)
-// and then tries to become the partition's combiner: if the partition is
-// free it drains the mailbox in batches and applies the entries, its own
-// and other callers', against the single-threaded store; if another
-// caller holds the partition, that holder applies the entry. Callers
-// either wait on one call (blocking NMP calls, §3.2, through pooled
-// futures) or hold a window of calls in flight (non-blocking NMP calls,
-// §3.5) through a Batcher, which publishes one mailbox entry per (round,
-// partition) and waits once per round on a single countdown. The package
-// starts no goroutine of its own.
+// pushes its request onto the partition's publication list (§3.2) and
+// then tries to become the partition's combiner: if the partition is
+// free it takes the whole list and applies the entries, its own and
+// other callers', oldest first against the single-threaded store; if
+// another caller holds the partition, that holder applies the entry.
+// Callers either wait on one call (blocking NMP calls, §3.2, through
+// pooled futures) or hold a window of calls in flight (non-blocking NMP
+// calls, §3.5) through a Batcher, which publishes one list entry per
+// (round, partition) and waits once per round on a single countdown. The
+// package starts no goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
 // stack. On a machine with actual near-memory hardware, the elected
-// combiner is replaced by an NMP core and the mailboxes by memory-mapped
-// publication lists; the simulated version of exactly that system lives
-// in internal/dsim.
+// combiner is replaced by an NMP core and the lists by memory-mapped
+// ones, which is the system internal/dsim simulates.
 package core
 
 import (
@@ -69,11 +68,6 @@ type Config struct {
 	// KeyMax bounds the key space; keys are 1..KeyMax-1 and partitions
 	// own equal ranges.
 	KeyMax uint64
-	// MailboxDepth is each partition's mailbox capacity in entries — a
-	// blocking call or barrier is one entry, a Batcher round is one entry
-	// per partition it touches — and the cap on the entries a holder
-	// takes in one drain before it applies them.
-	MailboxDepth int
 	// NewStore builds each partition's store; nil defaults to cds.NewBTree.
 	NewStore func(partition int) Store
 	// Metrics receives the runtime's per-partition instruments
@@ -93,14 +87,16 @@ type KV struct {
 	Value uint64
 }
 
-// request is one mailbox entry, in one of three shapes: a blocking call
-// (req and its completion handle fut), an in-order barrier (fut alone,
-// carrying the closure in fut.snap), or one Batcher round's operations
-// for this partition (grp alone).
+// request is one publication-list node, in one of three shapes: a
+// blocking call (req and its completion handle fut), an in-order barrier
+// (fut alone, carrying the closure in fut.snap), or one Batcher round's
+// operations for this partition (grp alone). Its publisher owns it (a
+// future embeds one, a Batcher keeps one per partition) and reuses it.
 type request struct {
-	req hds.Request
-	fut *future
-	grp *Batcher
+	req  hds.Request
+	fut  *future
+	grp  *Batcher
+	next *request
 }
 
 // Hybrid is a concurrent ordered map with one combiner at a time per
@@ -110,32 +106,26 @@ type Hybrid struct {
 	reg   *metrics.Registry
 	parts []*partition
 	span  uint64
-	// mu guards the closed flag: data publishers hold it shared around
-	// the mailbox send, Close holds it exclusively while setting the
-	// flag, so every data entry is either in its mailbox ahead of Close's
-	// barriers or refused.
-	mu     sync.RWMutex
-	closed bool
+	// closed refuses data calls and rounds before they publish; Close's
+	// barriers refuse the ones that raced it (partition.refusing).
+	closed atomic.Bool
 }
 
-// partition is one combining domain: the store, its mailbox, the election
-// state and the per-partition instruments. Store, batch and instruments
-// belong to whichever caller holds the partition (see Config.Metrics).
+// partition is one combining domain: the store, its publication list, the
+// election state and the per-partition instruments. Store, refusing and
+// instruments belong to whichever caller holds the partition.
 type partition struct {
 	id    int
 	store Store
-	reqs  chan request
 
-	// held is the holder flag: the caller that swaps it to true is the
-	// partition's combiner until it stores false. undrained counts the
-	// entries announced (after their send) and not yet drained; it dips
-	// below zero while a drained entry's announce is still on its way.
-	// Both are sequentially consistent atomics, which is what makes a
-	// publisher's announce visible to the holder's re-check after its
-	// release (DESIGN §5.5).
-	held      atomic.Bool
-	undrained atomic.Int32
-	batch     []request
+	// head is the publication list, newest entry first; held is the
+	// holder flag. Both are sequentially consistent atomics, which is what
+	// makes a push visible to the holder's re-check after its release
+	// (DESIGN §5.5). refusing is set by Close's barrier: every data entry
+	// taken after it completes as refused, with no store touched.
+	head     atomic.Pointer[request]
+	held     atomic.Bool
+	refusing bool
 
 	cOps     *metrics.Counter
 	cBuilt   *metrics.Counter
@@ -150,9 +140,6 @@ func New(cfg Config) *Hybrid {
 	}
 	if cfg.KeyMax == 0 {
 		cfg.KeyMax = 1 << 62
-	}
-	if cfg.MailboxDepth <= 0 {
-		cfg.MailboxDepth = 64
 	}
 	if cfg.NewStore == nil {
 		cfg.NewStore = func(int) Store { return cds.NewBTree() }
@@ -170,8 +157,6 @@ func New(cfg Config) *Hybrid {
 		part := &partition{
 			id:       p,
 			store:    cfg.NewStore(p),
-			reqs:     make(chan request, cfg.MailboxDepth),
-			batch:    make([]request, 0, cfg.MailboxDepth),
 			cOps:     reg.Counter(fmt.Sprintf("core/p%d/ops", p)),
 			cBuilt:   reg.Counter(fmt.Sprintf("core/p%d/built", p)),
 			hBatch:   reg.Histogram(fmt.Sprintf("core/p%d/batch", p)),
@@ -217,105 +202,120 @@ func (p *partition) exec(req hds.Request) (value uint64, ok bool) {
 	return value, ok
 }
 
-// apply runs one mailbox entry and completes it, counting its operations
-// in cOps first.
-func (p *partition) apply(r request) {
+// apply runs one list entry and completes it, counting its operations in
+// cOps first. Behind Close's barrier a data entry completes as refused
+// (Rejected, or ok=false) without touching the store; barriers still run.
+func (p *partition) apply(r *request) {
 	if b := r.grp; b != nil {
 		idx, ops, out := b.idx[p.id], b.ops, b.out
-		p.cOps.Add(uint64(len(idx)))
-		for _, i := range idx {
-			value, ok := p.exec(ops[i])
-			out[i] = Outcome{Result: hds.Result{Value: value, OK: ok}}
+		if p.refusing {
+			for _, i := range idx {
+				out[i] = Outcome{Rejected: true}
+			}
+		} else {
+			p.cOps.Add(uint64(len(idx)))
+			for _, i := range idx {
+				value, ok := p.exec(ops[i])
+				out[i] = Outcome{Result: hds.Result{Value: value, OK: ok}}
+			}
 		}
 		b.done()
 		return
 	}
-	if fn := r.fut.snap; fn != nil {
+	switch fn := r.fut.snap; {
+	case fn != nil:
 		r.fut.snap = nil
 		fn(p.store)
 		r.fut.complete(0, true)
-		return
+	case p.refusing:
+		r.fut.complete(0, false)
+	default:
+		p.cOps.Inc()
+		r.fut.complete(p.exec(r.req))
 	}
-	p.cOps.Inc()
-	r.fut.complete(p.exec(r.req))
 }
 
-// publish sends r to the mailbox, announces it and serves the partition:
-// when it returns, r is applied or left to a holder that will find it.
-// The send blocks while the mailbox is full, which is safe because
-// nothing between an entry's send and its publisher's serve can block, so
-// every entry in a full mailbox is about to be drained (DESIGN §5.5).
-func (p *partition) publish(r request) {
-	p.reqs <- r
-	p.undrained.Add(1)
+// publish pushes r onto the partition's list, which never waits, and
+// serves the partition: when it returns, r is applied or left to a holder
+// that will find it.
+func (p *partition) publish(r *request) {
+	for {
+		r.next = p.head.Load()
+		if p.head.CompareAndSwap(r.next, r) {
+			break
+		}
+	}
 	p.serve()
 }
 
-// serve is the election. While entries are announced and the partition is
+// serve is the election. While the list is non-empty and the partition is
 // free, the caller takes it and combines; a caller that loses the swap
-// leaves its entry to the winner, which re-checks the count after every
-// release — so an announce that lost the race is seen by that re-check.
+// leaves its entry to the winner, which re-checks the list after every
+// release — so a push that lost the race is seen by that re-check.
 func (p *partition) serve() {
-	for p.undrained.Load() > 0 && p.held.CompareAndSwap(false, true) {
+	for p.head.Load() != nil && p.held.CompareAndSwap(false, true) {
 		p.combine()
 		p.held.Store(false)
 	}
 }
 
 // combine is one combine round, run while holding the partition: it
-// takes the entries the mailbox holds (at most MailboxDepth, its capacity)
-// into the partition's batch — the native analogue of a flat-combining
-// scan over the publication list — and applies them in mailbox order.
-// Every instrument write that covers an entry happens before that entry
-// completes, so a caller that has consumed everything it published can
-// snapshot the registry without racing a holder.
+// takes the whole list with one swap, reverses it in place and applies it
+// oldest first. Every instrument write that covers an entry happens
+// before that entry completes, so a caller that has consumed everything
+// it published can snapshot the registry without racing a holder.
 func (p *partition) combine() {
-	// Only the holder receives, so the entries counted here stay until
-	// taken; later arrivals are left to serve's re-check.
-	batch := p.batch[:len(p.reqs)]
-	if len(batch) == 0 {
-		return // drained by the previous holder between our load and swap
+	r := p.head.Swap(nil)
+	if r == nil {
+		return // taken by the previous holder between our load and swap
 	}
-	p.hMailbox.Observe(uint64(len(batch)))
-	n := 0
-	for i := range batch {
-		r := <-p.reqs
-		batch[i] = r
-		if r.grp != nil {
-			n += len(r.grp.idx[p.id])
+	var oldest *request
+	entries, n := 0, 0
+	for r != nil {
+		next := r.next
+		r.next, oldest = oldest, r
+		r = next
+		entries++
+		if oldest.grp != nil {
+			n += len(oldest.grp.idx[p.id])
 		} else {
 			n++
 		}
 	}
-	p.undrained.Add(-int32(len(batch)))
+	p.hMailbox.Observe(uint64(entries))
 	p.hBatch.Observe(uint64(n))
-	for _, r := range batch {
+	for r := oldest; r != nil; {
+		next := r.next // a completed node is its publisher's again at once
 		p.apply(r)
+		r = next
 	}
 }
 
-// Close refuses further data operations and drains every mailbox: entries
-// published before Close are fully applied and completed when it returns;
-// a publish that happens after Close is refused without touching a store
-// (a blocking call returns ok=false, a Batcher round marks every op
-// Rejected). Close is idempotent, and read-only accessors (Len, Dump,
-// Scan) keep working afterwards: the mailboxes stay open, the closed flag
-// refuses data operations only.
+// queued counts the entries on the list. Only the holder takes entries
+// off it, so a holder may walk it while others push.
+func (p *partition) queued() int {
+	n := 0
+	for r := p.head.Load(); r != nil; r = r.next {
+		n++
+	}
+	return n
+}
+
+// Close refuses further data operations and runs one barrier per
+// partition: an entry ahead of a partition's barrier is applied by the
+// time Close returns, an entry behind it is refused without touching the
+// store (ok=false, or Rejected), so a round that straddles Close may be
+// applied on some partitions and refused on others. Close is idempotent,
+// and read-only accessors (Len, Dump, Scan) keep working afterwards.
 func (h *Hybrid) Close() {
-	h.mu.Lock()
-	h.closed = true
-	h.mu.Unlock()
-	for p := range h.parts {
-		h.barrier(p, func(Store) {})
+	h.closed.Store(true)
+	for _, part := range h.parts {
+		h.barrier(part.id, func(Store) { part.refusing = true })
 	}
 }
 
 // Closed reports whether Close has begun.
-func (h *Hybrid) Closed() bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.closed
-}
+func (h *Hybrid) Closed() bool { return h.closed.Load() }
 
 // Partition returns the partition owning key.
 func (h *Hybrid) Partition(key uint64) int {
@@ -338,13 +338,12 @@ func (h *Hybrid) KeyMax() uint64 { return h.cfg.KeyMax }
 func (h *Hybrid) async(req hds.Request) *future {
 	part := h.Partition(req.Key)
 	fut := newFuture()
-	h.mu.RLock()
-	if h.closed {
+	if h.closed.Load() {
 		fut.complete(0, false)
 	} else {
-		h.parts[part].publish(request{req: req, fut: fut})
+		fut.node.req = req
+		h.parts[part].publish(&fut.node)
 	}
-	h.mu.RUnlock()
 	return fut
 }
 
@@ -377,17 +376,17 @@ func (h *Hybrid) Delete(key uint64) bool {
 }
 
 // barrier runs fn on partition p's store while holding the partition, in
-// mailbox order (after every entry published before it), and waits for
-// it. Barriers are not data operations: they work after Close too.
+// list order (after every entry published before it), and waits for it.
+// Barriers are not data operations: they work after Close too.
 func (h *Hybrid) barrier(p int, fn func(s Store)) {
 	fut := newFuture()
 	fut.snap = fn
-	h.parts[p].publish(request{fut: fut})
+	h.parts[p].publish(&fut.node)
 	fut.wait()
 }
 
 // Len sums the partition store sizes. Each partition's count is read
-// while holding the partition, in mailbox order, so the result is a
+// while holding the partition, in list order, so the result is a
 // per-partition linearizable size (exact at quiescence).
 func (h *Hybrid) Len() int {
 	total := 0
@@ -400,7 +399,7 @@ func (h *Hybrid) Len() int {
 // Dump returns every stored pair in ascending key order. Partitions own
 // contiguous key ranges, so concatenating per-partition ascents in
 // partition order yields the global order. Each partition is read while
-// holding it, in mailbox order (exact at quiescence, e.g. after Close).
+// holding it, in list order (exact at quiescence, e.g. after Close).
 func (h *Hybrid) Dump() []KV {
 	var out []KV
 	for p := range h.parts {
@@ -417,8 +416,8 @@ func (h *Hybrid) Dump() []KV {
 // Scan returns up to limit pairs with keys >= from, in ascending key
 // order. Partitions own contiguous key ranges, so the walk visits them in
 // partition order and stops as soon as limit pairs are collected. Each
-// partition is read while holding it, in mailbox order (a barrier), so
-// the result is per-partition linearizable: it observes every operation
+// partition is read while holding it, in list order (a barrier), so the
+// result is per-partition linearizable: it observes every operation
 // published to a partition before the scan reached it, but partitions are
 // visited one after another, not atomically. from may be 0 (scan from the
 // smallest key).
@@ -427,26 +426,43 @@ func (h *Hybrid) Scan(from uint64, limit int) []KV {
 }
 
 // ScanAppend is Scan appending into dst (which may be nil), returning the
-// extended slice. Callers with a reusable buffer avoid Scan's per-call
-// allocation; the pairs are appended after dst's existing contents.
+// extended slice. With a reusable buffer of sufficient capacity a scan
+// performs no allocation; the pairs are appended after dst's existing
+// contents.
 func (h *Hybrid) ScanAppend(dst []KV, from uint64, limit int) []KV {
 	if limit <= 0 {
 		return dst
 	}
-	base := len(dst)
-	for p := 0; p < len(h.parts) && len(dst)-base < limit; p++ {
+	c := cursorPool.Get().(*scanCursor)
+	c.dst, c.from, c.base, c.limit = dst, from, len(dst), limit
+	for p := 0; p < len(h.parts) && len(c.dst)-c.base < limit; p++ {
 		if hi := uint64(p+1) * h.span; from >= hi {
 			continue // partition's whole key range lies below from
 		}
-		h.barrier(p, func(s Store) {
-			s.Ascend(from, func(k, v uint64) bool {
-				if len(dst)-base >= limit {
-					return false
-				}
-				dst = append(dst, KV{Key: k, Value: v})
-				return true
-			})
-		})
+		h.barrier(p, c.ascend)
 	}
+	dst = c.dst
+	c.dst = nil
+	cursorPool.Put(c)
 	return dst
 }
+
+// scanCursor is one ScanAppend's state, pooled with its callbacks bound
+// once: closures made per scan would escape and allocate.
+type scanCursor struct {
+	dst         []KV
+	from        uint64
+	base, limit int
+	ascend      func(s Store)
+	visit       func(k, v uint64) bool
+}
+
+var cursorPool = sync.Pool{New: func() any {
+	c := new(scanCursor)
+	c.ascend = func(s Store) { s.Ascend(c.from, c.visit) }
+	c.visit = func(k, v uint64) bool { // a barrier runs only while there is room
+		c.dst = append(c.dst, KV{Key: k, Value: v})
+		return len(c.dst)-c.base < c.limit
+	}
+	return c
+}}

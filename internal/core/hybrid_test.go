@@ -10,7 +10,7 @@ import (
 )
 
 func newTest(parts int) *Hybrid {
-	return New(Config{Partitions: parts, KeyMax: 1 << 20, MailboxDepth: 32})
+	return New(Config{Partitions: parts, KeyMax: 1 << 20})
 }
 
 func TestHybridBasicOps(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // operations and closes immediately: every future published before Close
 // must complete with its operation applied.
 func TestHybridCloseDrainsPublished(t *testing.T) {
-	h := New(Config{Partitions: 4, KeyMax: 1 << 20, MailboxDepth: 128})
+	h := New(Config{Partitions: 4, KeyMax: 1 << 20})
 	const n = 500
 	futs := make([]*future, 0, n)
 	for i := uint64(1); i <= n; i++ {
@@ -72,7 +72,7 @@ func TestHybridLatePublishRejected(t *testing.T) {
 // operations complete, results are exact.
 func TestHybridApplyBatchWindow(t *testing.T) {
 	for _, window := range []int{1, 4, 16} {
-		h := New(Config{Partitions: 4, KeyMax: 1 << 20, MailboxDepth: 64})
+		h := New(Config{Partitions: 4, KeyMax: 1 << 20})
 		const n = 2000
 		ops := make([]hds.Request, 0, 2*n)
 		for i := uint64(1); i <= n; i++ {
@@ -99,7 +99,7 @@ func TestHybridApplyBatchWindow(t *testing.T) {
 // TestHybridApplyBatchConcurrent runs batch callers on several goroutines
 // over disjoint key ranges: per-caller Batchers must never interfere.
 func TestHybridApplyBatchConcurrent(t *testing.T) {
-	h := New(Config{Partitions: 8, KeyMax: 1 << 20, MailboxDepth: 64})
+	h := New(Config{Partitions: 8, KeyMax: 1 << 20})
 	defer h.Close()
 	const threads = 6
 	const perThread = 1500
@@ -224,12 +224,12 @@ func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
 }
 
 // TestHybridMetrics checks the per-partition instruments: op counts sum
-// to the operations applied, batch rounds and mailbox occupancy are
+// to the operations applied, batch rounds and list depths are
 // observed, and the default B+ tree store reports splits. The registry is
 // read before Close, whose barriers are combine rounds too.
 func TestHybridMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	h := New(Config{Partitions: 2, KeyMax: 1 << 20, MailboxDepth: 32, Metrics: reg})
+	h := New(Config{Partitions: 2, KeyMax: 1 << 20, Metrics: reg})
 	defer h.Close()
 	const n = 4000
 	for i := uint64(1); i <= n; i++ {
@@ -343,10 +343,10 @@ func TestHybridScan(t *testing.T) {
 	if h.Scan(1, 0) != nil {
 		t.Error("limit 0 scan returned pairs")
 	}
-	// The mailbox Scan kind counts pairs per partition.
+	// The Scan kind of a data call counts pairs per partition.
 	res := h.Apply(hds.Request{Kind: hds.Scan, Key: pairs[0].Key, Value: 3})
 	if !res.OK || res.Value != 3 {
-		t.Fatalf("mailbox scan = %+v, want OK count 3", res)
+		t.Fatalf("Scan call = %+v, want OK count 3", res)
 	}
 	h.Close()
 	if got := h.Scan(0, 3); len(got) != 3 || got[0] != pairs[0] {

@@ -9,26 +9,26 @@ import (
 
 // PartitionStats is one partition's management-plane snapshot, read
 // while holding the partition through the barrier path — so every field
-// is consistent with each other and with mailbox order, even while
-// traffic flows, and after Close.
+// is consistent with each other and with list order, even while traffic
+// flows, and after Close.
 type PartitionStats struct {
 	// Partition is the partition index.
 	Partition int `json:"partition"`
 	// Ops counts data operations applied to the partition.
 	Ops uint64 `json:"ops"`
-	// Built counts pairs loaded by Build (bypassing the mailbox).
+	// Built counts pairs loaded by Build (bypassing the list).
 	Built uint64 `json:"built"`
 	// Batches counts combine rounds; BatchOps sums the operations and
 	// barriers they applied, so mean combine batch = BatchOps/Batches.
 	Batches uint64 `json:"batches"`
 	// BatchOps sums the operations and barriers of every combine round.
 	BatchOps uint64 `json:"batch_ops"`
-	// MailboxSum sums observed mailbox depths, in entries, at
-	// combine-round starts (mean depth = MailboxSum/Batches); the
-	// saturation signal.
+	// MailboxSum sums the entries each combine round took off the list
+	// (mean depth = MailboxSum/Batches); the saturation signal.
 	MailboxSum uint64 `json:"mailbox_sum"`
-	// QueueLen is the mailbox's queued entry count at the snapshot (a
-	// Batcher round is one entry per partition, whatever it carries).
+	// QueueLen counts the entries published behind the snapshot's
+	// barrier and not yet taken (a Batcher round is one entry per
+	// partition, whatever it carries).
 	QueueLen int `json:"queue_len"`
 	// StoreLen is the partition store's pair count.
 	StoreLen int `json:"store_len"`
@@ -38,7 +38,7 @@ type PartitionStats struct {
 	Store map[string]uint64 `json:"store,omitempty"`
 }
 
-// PartitionStats snapshots partition p in mailbox order: the read runs
+// PartitionStats snapshots partition p in list order: the read runs
 // while holding p, after every operation published before it (the same
 // barrier Len and Dump use), which is also what makes it race-free —
 // only the holder writes the partition's instruments. Safe to call
@@ -55,7 +55,7 @@ func (h *Hybrid) PartitionStats(p int) PartitionStats {
 			Batches:    part.hBatch.Count(),
 			BatchOps:   part.hBatch.Sum(),
 			MailboxSum: part.hMailbox.Sum(),
-			QueueLen:   len(part.reqs),
+			QueueLen:   part.queued(),
 			StoreLen:   s.Len(),
 		}
 		for _, name := range h.reg.Names() {

@@ -6,9 +6,9 @@
 // the in-flight Window that realizes non-blocking NMP calls (§3.5 of the
 // paper). Everything here is deliberately free of simulator and runtime
 // dependencies — the simulator instantiates the generics with its
-// virtual-time context and MMIO publication lists, the native runtime
-// with real goroutine mailboxes — so the two stacks cannot drift apart
-// on protocol semantics.
+// virtual-time context and MMIO publication lists, while the native
+// runtime speaks the vocabulary over its own lock-free publication lists
+// — so the two stacks cannot drift apart on protocol semantics.
 package hds
 
 // Kind is a data structure operation type.

@@ -5,8 +5,8 @@ import "fmt"
 // Port is the slice of a partition's publication list a window posts
 // through: slot-addressed request publication and completion polling.
 // The simulator's fc.PubList implements Port over MMIO with virtual-time
-// costs; the native runtime implements it over goroutine mailboxes and
-// pooled futures.
+// costs; the native runtime needs none, since a round's operations for
+// one partition travel as one list entry.
 type Port[Ctx, Req, Resp any] interface {
 	// Slots returns the publication-list capacity in slots.
 	Slots() int

@@ -8,12 +8,13 @@ import (
 )
 
 // TestServePathAllocs pins the data plane's zero-allocation contract: a
-// steady-state pipelined scalar operation performs no heap allocation
-// anywhere on the path — client encode, the server's connection loop
-// (frame decode, coalescing, batcher window, combiner, response encode,
-// socket write) and client decode. testing.AllocsPerRun
-// counts mallocs process-wide, so the server's goroutines are inside the
-// measurement, not just the client's.
+// steady-state pipelined scalar operation, and a pipelined SCAN that
+// crosses a partition boundary, perform no heap allocation anywhere on
+// the path — client encode, the server's connection loop (frame decode,
+// coalescing, batcher window or scan barriers, combiner, response
+// encode, socket write) and client decode into pooled pairs handed back
+// with PutPairs. testing.AllocsPerRun counts mallocs process-wide, so the
+// server's goroutines are inside the measurement, not just the client's.
 func TestServePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -33,8 +34,15 @@ func TestServePathAllocs(t *testing.T) {
 	}
 	defer cl.Close()
 
-	const resident = 128
+	// 128 resident keys at the bottom of partition 0 and 8 on each side
+	// of the boundary between partitions 0 and 1.
+	const resident, span = 128, 1 << 14
 	for k := uint64(1); k <= resident; k++ {
+		if ok, err := cl.Put(k, k*3); err != nil || !ok {
+			t.Fatalf("preload Put(%d) = %v, %v", k, ok, err)
+		}
+	}
+	for k := uint64(span - 8); k < span+8; k++ {
 		if ok, err := cl.Put(k, k*3); err != nil || !ok {
 			t.Fatalf("preload Put(%d) = %v, %v", k, ok, err)
 		}
@@ -59,12 +67,36 @@ func TestServePathAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Warm every pool and scratch buffer on both sides (future pools,
-	// batcher index lists, coalescing slices, output buffer, client scratch).
+	scans := make([]Request, depth)
+	for i := range scans {
+		scans[i] = Request{Op: OpScan, Key: span - 4, Value: 8}
+	}
+	scanRound := func() {
+		if err := cl.Send(scans...); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		for range scans {
+			resp, err := cl.Recv()
+			if err != nil {
+				t.Fatalf("recv: %v", err)
+			}
+			if resp.Status != StatusOK || len(resp.Pairs) != 8 || resp.Pairs[0].Key != span-4 || resp.Pairs[7].Key != span+3 {
+				t.Fatalf("scan across the boundary -> %+v", resp)
+			}
+			PutPairs(resp.Pairs)
+		}
+	}
+	// Warm every pool and scratch buffer on both sides (future and scan
+	// cursor pools, batcher index lists, coalescing slices, pair pools,
+	// output buffer, client scratch).
 	for i := 0; i < 64; i++ {
 		round()
+		scanRound()
 	}
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
 		t.Errorf("pipelined scalar round allocated %v times, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, scanRound); avg != 0 {
+		t.Errorf("pipelined SCAN round across a partition boundary allocated %v times, want 0", avg)
 	}
 }

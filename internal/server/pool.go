@@ -3,6 +3,7 @@ package server
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Size-classed slice pool for SCAN buffers: the server collects scan
@@ -19,7 +20,10 @@ const (
 // slicePool is a size-classed free list of pair slices. get returns a
 // zero-length slice with at least the requested capacity; put files a
 // slice back under its capacity's class (non-class capacities are
-// dropped, so only slices that came from get recycle).
+// dropped, so only slices that came from get recycle). A class holds a
+// pointer to each array's first pair, not a *[]Pair: boxing a slice
+// header would allocate on every put, and the class already fixes the
+// capacity get rebuilds the slice with.
 type slicePool struct {
 	classes [poolClasses]sync.Pool
 }
@@ -47,7 +51,7 @@ func (p *slicePool) get(n int) []Pair {
 		return make([]Pair, 0, n)
 	}
 	if v := p.classes[c].Get(); v != nil {
-		return (*(v.(*[]Pair)))[:0]
+		return unsafe.Slice(v.(*Pair), 1<<(poolMinShift+c))[:0]
 	}
 	return make([]Pair, 0, 1<<(poolMinShift+c))
 }
@@ -63,8 +67,7 @@ func (p *slicePool) put(s []Pair) {
 	if i < 0 || i >= poolClasses {
 		return
 	}
-	s = s[:0]
-	p.classes[i].Put(&s)
+	p.classes[i].Put(&s[:1][0])
 }
 
 // pairPool recycles the server's scan result buffers and the client's

@@ -74,8 +74,8 @@ type Pair = core.KV
 type Response struct {
 	// Status is the response status code.
 	Status uint8
-	// Value is the read value (GET) or visited-pair count (mailbox
-	// scans); zero otherwise.
+	// Value is the read value (GET) or visited-pair count (per-partition
+	// Scan calls); zero otherwise.
 	Value uint64
 	// Pairs is the SCAN result in ascending key order.
 	Pairs []Pair

@@ -191,7 +191,7 @@ func TestServerPipelinedBatch(t *testing.T) {
 // the direct core API.
 func TestServerConcurrentClientEquivalence(t *testing.T) {
 	s, h, addr := newTestServer(t, Config{Window: 8},
-		core.Config{Partitions: 4, KeyMax: 1 << 16, MailboxDepth: 64})
+		core.Config{Partitions: 4, KeyMax: 1 << 16})
 	const clients = 4
 	const span = 8192
 	const rounds = 60

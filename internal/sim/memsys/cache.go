@@ -143,16 +143,6 @@ func (c *Cache) Invalidate(block uint32) (present, dirty bool) {
 	return false, false
 }
 
-// Flush invalidates every line. Used between experiment phases.
-func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
-	c.mru = nil
-}
-
 // directory tracks, per block, which host cores hold the block in their
 // private L1, so stores can invalidate remote copies (MESI-style ownership
 // without modelling the full protocol state machine).
@@ -178,9 +168,6 @@ const dirPageBlocks = 1 << 12
 func newDirectory(blocks uint32) directory {
 	return directory{pages: make([][]uint32, (blocks+dirPageBlocks-1)/dirPageBlocks)}
 }
-
-// reset drops all sharer state.
-func (d *directory) reset() { clear(d.pages) }
 
 func (d *directory) add(block uint32, core int) {
 	pg := d.pages[block/dirPageBlocks]

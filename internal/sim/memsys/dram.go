@@ -107,11 +107,3 @@ func (v *Vault) AccessEx(a Addr, blockShift uint, now uint64) (done uint64, outc
 	b.busyUntil = start + lat
 	return start + lat, outcome
 }
-
-// Drain resets all bank state (used between experiment phases so timing
-// does not leak across measurements).
-func (v *Vault) Drain() {
-	for i := range v.banks {
-		v.banks[i] = bank{}
-	}
-}

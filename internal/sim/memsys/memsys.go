@@ -679,29 +679,6 @@ func (m *MemSys) NMPAccess(p int, a Addr, write bool, now uint64) uint64 {
 	return done - now
 }
 
-// FlushCaches empties all host caches, the directory, NMP buffers and DRAM
-// bank state. Experiments call it between the load phase and the measured
-// phase so construction traffic cannot leak into measurements.
-func (m *MemSys) FlushCaches() {
-	for _, c := range m.l1 {
-		c.Flush()
-	}
-	m.l2.Flush()
-	m.dir.reset()
-	for i := range m.nmpBufs {
-		m.nmpBufs[i] = nmpBuf{}
-	}
-	for _, v := range m.hostVaults {
-		v.Drain()
-	}
-	for _, v := range m.nmpVaults {
-		v.Drain()
-	}
-	for _, t := range m.tlbs {
-		t.Flush()
-	}
-}
-
 // Image is an immutable snapshot of a machine's functional state — RAM
 // contents and the HostAlloc/NMPAlloc marks — which is everything an
 // untimed bulk build leaves behind: timing state (caches, directory,

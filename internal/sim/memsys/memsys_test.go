@@ -354,18 +354,6 @@ func TestMemSysRegionClassification(t *testing.T) {
 	}
 }
 
-func TestMemSysFlushCaches(t *testing.T) {
-	m := New(testConfig())
-	a := m.HostAlloc.Alloc(64, 64)
-	m.HostAccess(0, a, false, 0)
-	m.FlushCaches()
-	base := m.Stats()
-	m.HostAccess(0, a, false, 0)
-	if m.Stats().Sub(base).HostDRAMReads != 1 {
-		t.Fatal("flush did not clear caches")
-	}
-}
-
 func TestMemSysLLCCapacityPressure(t *testing.T) {
 	// Touch far more blocks than L2 capacity; re-touching the first ones
 	// must miss again (the pollution effect the paper's design targets).
@@ -513,7 +501,7 @@ func TestMemSysRejectsMoreCoresThanMaskBits(t *testing.T) {
 }
 
 // TestDirectoryMatchesDenseTable drives the paged directory and a dense
-// slice (what it replaced) with the same random add/drop/others/reset
+// slice (what it replaced) with the same random add/drop/others/clear
 // sequence; they must agree on every others() answer and on the final
 // masks, and a page no add touched must never be allocated.
 func TestDirectoryMatchesDenseTable(t *testing.T) {
@@ -536,7 +524,7 @@ func TestDirectoryMatchesDenseTable(t *testing.T) {
 		blk, core := pick(), rng.Intn(32)
 		switch r := rng.Intn(100); {
 		case i%50000 == 25000:
-			d.reset()
+			clear(d.pages)
 			clear(dense)
 		case r < 40:
 			d.add(blk, core)
