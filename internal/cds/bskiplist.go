@@ -2,42 +2,53 @@ package cds
 
 import "hybrids/internal/metrics"
 
-// B-skiplist geometry: fat nodes holding up to 14 entries, so a node's key
-// block (14 x 8B) fills one 112B span of a cache line pair — searching
-// within a node is a sequential scan over contiguous keys instead of the
-// classic skiplist's per-key pointer chase.
+// B-skiplist geometry: leaves are the shared 15-pair leaf of arena.go,
+// inner nodes hold up to 20 routing entries, and both are exactly 256
+// bytes (DESIGN.md §5.8 has the byte offsets).
 const (
-	bsMax       = 14
-	bsMaxLevels = 16
+	bsInnerMax = 20
+	// bsMaxLevels caps the height. Only a level's rightmost node can hold
+	// fewer than bsInnerMax/2 entries, and a level exists only once the
+	// one below has split at the top, so 12 levels would need 10^10
+	// leaves, more than 32 bits can name: the leaf arena runs out first.
+	bsMaxLevels = btMaxHeight
 )
 
-// bsNode is one fat node. lo is the node's immutable lower bound: every
-// key stored in (or below) the node is >= lo, and < next.lo when next is
-// non-nil. Leaves carry key-value pairs; inner nodes carry (key, down)
-// routing entries where keys[i] == down[i].lo.
-type bsNode struct {
+// bsInner is a node above the leaves: n routing entries (keys[i],
+// down[i]), where keys[i] is the lower bound of node down[i] one level
+// down, so keys[0] == lo; and the node to its right on its level.
+type bsInner struct {
+	n    uint32
+	next uint32
 	lo   uint64
-	n    int
-	next *bsNode
-	keys [bsMax]uint64
-	vals [bsMax]uint64
-	down [bsMax]*bsNode
+	keys [bsInnerMax]uint64
+	down [bsInnerMax]uint32
 }
 
-// BSkipList is a single-threaded cache-conscious B-skiplist: a skiplist
-// whose every level is a linked list of fat multi-key nodes (the
+// BSkipList is a sequential cache-conscious B-skiplist: a skiplist whose
+// every level is a linked list of fat multi-key nodes (the
 // locality-optimized layout of the B-skiplist paper), with deterministic
 // promote-on-split instead of coin flips — splitting a level-l node always
 // inserts a routing entry for the new node at level l+1, growing a new top
-// level when the current top first splits. Deletion is relaxed in the same
-// way as BTree: nodes may underflow (even to empty) and are never merged
-// or unlinked, so lower-bound dividers stay immutable. It implements the
-// same ordered-map surface as BTree and is the third partition-owned store
-// of the native hybrid runtime.
+// level when the top node itself splits. Every node has an immutable
+// lower bound lo: the keys stored in or below it are >= lo and below its
+// right neighbour's lo. So the top level is one node, every lower level
+// is exactly the nodes its upper level routes to, and a search is a
+// descent that never walks sideways. Nodes live in the same pointer-free
+// arenas as the B+ tree's, named by 32-bit indices; the level-0 chain
+// starts at leaf 0 and every level's at its own head, whose lo is 0. An
+// insert past the last key of the rightmost leaf starts a fresh right
+// sibling (the B+ tree's append split), so an ascending load leaves every
+// node full. Deletion is relaxed: leaves may underflow, even to empty,
+// and nodes are never merged or unlinked, so lower bounds stay valid
+// without restructuring. It is the partition-owned store behind both the
+// skiplist and the B-skiplist engines of the native hybrid runtime.
+// Methods are not safe for concurrent use.
 type BSkipList struct {
-	heads  [bsMaxLevels]*bsNode
-	top    int // index of the highest active level
-	cap    int // maximum level count; promotions above it are dropped
+	leaves arena[leaf]
+	inners arena[bsInner]
+	root   uint32 // leaf 0 at height 1, else the top level's inner node
+	height int
 	length int
 
 	// Structural-event counters, nil until Instrument.
@@ -46,17 +57,10 @@ type BSkipList struct {
 	cLevelGrowths *metrics.Counter
 }
 
-// NewBSkipList returns an empty list. levels caps the height (values
-// outside [1, 16] select the maximum); with ~7-14 entries per node the cap
-// is only reached at astronomical sizes, where promotions are dropped and
-// top-level searches degrade to longer forward walks, never to incorrect
-// results.
-func NewBSkipList(levels int) *BSkipList {
-	if levels < 1 || levels > bsMaxLevels {
-		levels = bsMaxLevels
-	}
-	t := &BSkipList{cap: levels}
-	t.heads[0] = &bsNode{}
+// NewBSkipList returns an empty list.
+func NewBSkipList() *BSkipList {
+	t := &BSkipList{height: 1}
+	t.root = t.leaves.alloc() // index nilNode: the head of the leaf chain
 	return t
 }
 
@@ -73,73 +77,49 @@ func (t *BSkipList) Instrument(reg *metrics.Registry, prefix string) {
 // Len returns the number of stored pairs.
 func (t *BSkipList) Len() int { return t.length }
 
-// Height returns the number of active levels.
-func (t *BSkipList) Height() int { return t.top + 1 }
+// Height returns the number of levels.
+func (t *BSkipList) Height() int { return t.height }
 
-// entryIdx returns the greatest i with keys[i] <= key. Valid on inner
-// nodes reached by a descent: the head's sentinel entry (key 0) or the
-// node's own lower bound guarantees i >= 0.
-func (n *bsNode) entryIdx(key uint64) int {
-	i := 0
-	for i < n.n-1 && n.keys[i+1] <= key {
-		i++
-	}
-	return i
-}
-
-// leafSlot returns key's slot in a leaf, or -1.
-func (n *bsNode) leafSlot(key uint64) int {
-	for i := 0; i < n.n; i++ {
-		if n.keys[i] == key {
+// entryIdx returns the greatest i with keys[i] <= key; a descent only
+// reaches a node whose lo (keys[0]) is <= key.
+func (n *bsInner) entryIdx(key uint64) int {
+	for i, k := range n.keys[1:n.n] {
+		if k > key {
 			return i
 		}
-		if n.keys[i] > key {
-			return -1
-		}
 	}
-	return -1
+	return int(n.n - 1)
 }
 
-// search descends to the leaf whose range covers key. It allocates
-// nothing, which is what keeps the hybrid runtime's Get path at the
-// pooled-Future allocation budget.
-func (t *BSkipList) search(key uint64) *bsNode {
-	curr := t.heads[t.top]
-	for l := t.top; l > 0; l-- {
-		for curr.next != nil && curr.next.lo <= key {
-			curr = curr.next
-		}
-		curr = curr.down[curr.entryIdx(key)]
-	}
-	for curr.next != nil && curr.next.lo <= key {
-		curr = curr.next
-	}
-	return curr
+// insertAt opens position pos of an inner node with room and stores the
+// routing entry.
+func (n *bsInner) insertAt(pos int, key uint64, x uint32) {
+	copy(n.keys[pos+1:n.n+1], n.keys[pos:n.n])
+	copy(n.down[pos+1:n.n+1], n.down[pos:n.n])
+	n.keys[pos], n.down[pos] = key, x
+	n.n++
 }
 
-// descend is search with the per-level position recorded for promotions:
-// path[l] is the level-l node whose range covers key.
-func (t *BSkipList) descend(key uint64, path *[bsMaxLevels]*bsNode) *bsNode {
-	curr := t.heads[t.top]
-	for l := t.top; l > 0; l-- {
-		for curr.next != nil && curr.next.lo <= key {
-			curr = curr.next
+// find descends to the leaf covering key, recording each inner node and
+// the entry taken in it when path is non-nil. It allocates nothing.
+func (t *BSkipList) find(key uint64, path *btPath) *leaf {
+	x := t.root
+	for level := t.height - 1; level > 0; level-- {
+		n := t.inners.at(x)
+		i := n.entryIdx(key)
+		if path != nil {
+			path[level].node, path[level].idx = x, uint32(i)
 		}
-		path[l] = curr
-		curr = curr.down[curr.entryIdx(key)]
+		x = n.down[i]
 	}
-	for curr.next != nil && curr.next.lo <= key {
-		curr = curr.next
-	}
-	path[0] = curr
-	return curr
+	return t.leaves.at(x)
 }
 
 // Get returns the value stored under key.
 func (t *BSkipList) Get(key uint64) (uint64, bool) {
-	leaf := t.search(key)
-	if i := leaf.leafSlot(key); i >= 0 {
-		return leaf.vals[i], true
+	l := t.find(key, nil)
+	if i, ok := l.slot(key); ok {
+		return l.vals[i], true
 	}
 	return 0, false
 }
@@ -147,9 +127,9 @@ func (t *BSkipList) Get(key uint64) (uint64, bool) {
 // Update overwrites the value of an existing key, returning false if
 // absent.
 func (t *BSkipList) Update(key, value uint64) bool {
-	leaf := t.search(key)
-	if i := leaf.leafSlot(key); i >= 0 {
-		leaf.vals[i] = value
+	l := t.find(key, nil)
+	if i, ok := l.slot(key); ok {
+		l.vals[i] = value
 		return true
 	}
 	return false
@@ -158,235 +138,163 @@ func (t *BSkipList) Update(key, value uint64) bool {
 // Put inserts key -> value, returning false (without modifying the list)
 // when the key already exists.
 func (t *BSkipList) Put(key, value uint64) bool {
-	var path [bsMaxLevels]*bsNode
-	leaf := t.descend(key, &path)
-	if leaf.leafSlot(key) >= 0 {
+	var path btPath
+	l := t.find(key, &path)
+	pos, found := l.slot(key)
+	if found {
 		return false
 	}
 	t.length++
-	if leaf.n < bsMax {
-		leaf.insertKV(key, value)
+	if l.n < leafMax {
+		l.insertAt(pos, key, value)
 		return true
 	}
-	right := leaf.splitLeafInsert(key, value)
+	rx, tail := splitLeaf(&t.leaves, l, pos, key, value)
+	r := t.leaves.at(rx)
+	r.lo = r.keys[0]
 	inc(t.cLeafSplits)
-	t.promote(&path, right)
+	t.promote(&path, r.lo, rx, tail)
 	return true
 }
 
-func (n *bsNode) insertKV(key, value uint64) {
-	pos := 0
-	for pos < n.n && n.keys[pos] < key {
-		pos++
-	}
-	copy(n.keys[pos+1:n.n+1], n.keys[pos:n.n])
-	copy(n.vals[pos+1:n.n+1], n.vals[pos:n.n])
-	n.keys[pos] = key
-	n.vals[pos] = value
-	n.n++
-}
-
-// splitLeafInsert splits a full leaf around the insertion of (key, value),
-// links the new right sibling into the level-0 chain and returns it. The
-// right node's lo is its first key, the divider promoted upward.
-func (n *bsNode) splitLeafInsert(key, value uint64) *bsNode {
-	var keys [bsMax + 1]uint64
-	var vals [bsMax + 1]uint64
-	pos := 0
-	for pos < n.n && n.keys[pos] < key {
-		pos++
-	}
-	copy(keys[:pos], n.keys[:pos])
-	copy(vals[:pos], n.vals[:pos])
-	keys[pos], vals[pos] = key, value
-	copy(keys[pos+1:], n.keys[pos:n.n])
-	copy(vals[pos+1:], n.vals[pos:n.n])
-	total := n.n + 1
-	leftN := (total + 1) / 2
-	right := &bsNode{lo: keys[leftN], n: total - leftN, next: n.next}
-	copy(right.keys[:right.n], keys[leftN:total])
-	copy(right.vals[:right.n], vals[leftN:total])
-	n.n = leftN
-	copy(n.keys[:leftN], keys[:leftN])
-	copy(n.vals[:leftN], vals[:leftN])
-	n.next = right
-	return right
-}
-
-// insertEntry adds the routing entry (child.lo, child) to an inner node
-// with room. The child is already linked into its own level's chain.
-func (n *bsNode) insertEntry(child *bsNode) {
-	key := child.lo
-	pos := 0
-	for pos < n.n && n.keys[pos] < key {
-		pos++
-	}
-	copy(n.keys[pos+1:n.n+1], n.keys[pos:n.n])
-	copy(n.down[pos+1:n.n+1], n.down[pos:n.n])
-	n.keys[pos] = key
-	n.down[pos] = child
-	n.n++
-}
-
-// splitInnerInsert splits a full inner node around the insertion of
-// child's routing entry, links the right sibling into the level chain and
-// returns it for promotion one level up.
-func (n *bsNode) splitInnerInsert(child *bsNode) *bsNode {
-	var keys [bsMax + 1]uint64
-	var down [bsMax + 1]*bsNode
-	key := child.lo
-	pos := 0
-	for pos < n.n && n.keys[pos] < key {
-		pos++
-	}
-	copy(keys[:pos], n.keys[:pos])
-	copy(down[:pos], n.down[:pos])
-	keys[pos], down[pos] = key, child
-	copy(keys[pos+1:], n.keys[pos:n.n])
-	copy(down[pos+1:], n.down[pos:n.n])
-	total := n.n + 1
-	leftN := (total + 1) / 2
-	right := &bsNode{lo: keys[leftN], n: total - leftN, next: n.next}
-	copy(right.keys[:right.n], keys[leftN:total])
-	copy(right.down[:right.n], down[leftN:total])
-	n.n = leftN
-	copy(n.keys[:leftN], keys[:leftN])
-	copy(n.down[:leftN], down[:leftN])
-	// Clear stale tails so dangling references do not pin memory.
-	for i := leftN; i < bsMax; i++ {
-		n.down[i] = nil
-	}
-	n.next = right
-	return right
-}
-
-// promote inserts right's routing entry at level 1 and walks upward
-// through the recorded descent path as inner nodes split, growing a new
-// top level when the current top itself splits (unless the height cap is
-// reached, in which case the shortcut is dropped — forward walks along the
-// top chain still find every node).
-func (t *BSkipList) promote(path *[bsMaxLevels]*bsNode, right *bsNode) {
-	for l := 1; l <= t.top; l++ {
-		node := path[l]
-		if node.n < bsMax {
-			node.insertEntry(right)
+// promote inserts the routing entry (lo, right) for a new level-0 node
+// into the level-1 node recorded on path, splitting upward while nodes
+// are full, and grows a new top level when the top node itself splits.
+// With tail set every node on the path is its level's rightmost, and a
+// full one is split by append: it keeps all its entries.
+func (t *BSkipList) promote(path *btPath, lo uint64, right uint32, tail bool) {
+	for level := 1; level < t.height; level++ {
+		x, pos := path[level].node, int(path[level].idx)+1
+		n := t.inners.at(x)
+		if n.n < bsInnerMax {
+			n.insertAt(pos, lo, right)
 			return
 		}
-		right = node.splitInnerInsert(right)
+		keep := bsInnerMax
+		if !tail {
+			keep = bsInnerMax / 2
+		}
+		rx := t.inners.alloc()
+		r := t.inners.at(rx)
+		into, at := r, pos-keep
+		if pos < keep {
+			keep--
+			into, at = n, pos
+		}
+		r.n = uint32(copy(r.keys[:], n.keys[keep:]))
+		copy(r.down[:], n.down[keep:])
+		n.n = uint32(keep)
+		into.insertAt(at, lo, right)
+		r.lo, r.next, n.next = r.keys[0], n.next, rx
+		lo, right = r.lo, rx
 		inc(t.cInnerSplits)
 	}
-	if t.top+1 >= t.cap {
-		return
-	}
-	head := &bsNode{n: 2}
-	head.keys[0], head.down[0] = 0, t.heads[t.top]
-	head.keys[1], head.down[1] = right.lo, right
-	t.top++
-	t.heads[t.top] = head
+	rx := t.inners.alloc()
+	r := t.inners.at(rx)
+	r.n, r.down[0], r.keys[1], r.down[1] = 2, t.root, lo, right
+	t.root = rx
+	t.height++
 	inc(t.cLevelGrowths)
 }
 
 // Delete removes key, returning false if absent. Leaves may underflow
-// (relaxed invariant) and are never merged or unlinked, so routing entries
-// and lower bounds stay valid without restructuring.
+// (relaxed invariant) and are never merged or unlinked, so routing
+// entries and lower bounds stay valid without restructuring.
 func (t *BSkipList) Delete(key uint64) bool {
-	leaf := t.search(key)
-	i := leaf.leafSlot(key)
-	if i < 0 {
+	l := t.find(key, nil)
+	i, ok := l.slot(key)
+	if !ok {
 		return false
 	}
-	copy(leaf.keys[i:leaf.n-1], leaf.keys[i+1:leaf.n])
-	copy(leaf.vals[i:leaf.n-1], leaf.vals[i+1:leaf.n])
-	leaf.n--
+	l.removeAt(i)
 	t.length--
 	return true
 }
 
 // Ascend calls fn for each pair with key >= from in ascending order until
-// fn returns false.
+// fn returns false: one descent, then a walk of the leaf chain. fn must
+// not modify the list.
 func (t *BSkipList) Ascend(from uint64, fn func(key, value uint64) bool) {
-	for n := t.search(from); n != nil; n = n.next {
-		for i := 0; i < n.n; i++ {
-			if n.keys[i] >= from {
-				if !fn(n.keys[i], n.vals[i]) {
-					return
-				}
-			}
-		}
-	}
+	ascend(&t.leaves, t.find(from, nil), from, fn)
 }
 
-// CheckInvariants validates structural invariants (for tests): per-level
-// sorted fat nodes respecting their lower bounds, routing entries that
-// point one level down at nodes whose lo matches the entry key, head
-// sentinels chained by their first entry, and a level-0 pair count
-// matching Len.
+// CheckInvariants validates the structure (for tests), level by level
+// from the top: the top level is the root alone; each level's chain, from
+// its head, is exactly the nodes the level above routes to, in entry
+// order, each with the lo its entry gives it; only a head is node 0 of
+// its arena, and the level-0 head is leaf 0; keys strictly increase
+// inside each node and lie in [lo, next lo); an inner node holds 1 to
+// bsInnerMax entries, the first at its lo; every allocated node is
+// reached; and the leaves hold Len pairs.
 func (t *BSkipList) CheckInvariants() error {
-	if t.top >= t.cap || t.heads[0] == nil {
-		return errf("bskiplist: %d levels exceed cap %d", t.top+1, t.cap)
+	if t.height < 1 || t.height > bsMaxLevels || t.height == 1 && t.root != nilNode {
+		return errf("bskiplist: height %d with root %d", t.height, t.root)
 	}
-	// Collect per-level membership so entry targets can be checked.
-	members := make([]map[*bsNode]bool, t.top+1)
-	for l := 0; l <= t.top; l++ {
-		members[l] = make(map[*bsNode]bool)
-		if t.heads[l] == nil {
-			return errf("bskiplist: nil head at level %d", l)
-		}
-		if t.heads[l].lo != 0 {
-			return errf("bskiplist: head at level %d has lo %d", l, t.heads[l].lo)
-		}
-		prevLo := uint64(0)
-		for n := t.heads[l]; n != nil; n = n.next {
-			if n != t.heads[l] && n.lo <= prevLo {
-				return errf("bskiplist: level %d lo %d after %d", l, n.lo, prevLo)
-			}
-			if n.n < 0 || n.n > bsMax {
-				return errf("bskiplist: level %d node with %d entries", l, n.n)
-			}
-			if l > 0 && n.n < 1 {
-				return errf("bskiplist: empty inner node at level %d", l)
-			}
-			members[l][n] = true
-			prevLo = n.lo
-		}
+	type entry struct {
+		lo uint64
+		x  uint32
 	}
-	count := 0
-	for l := 0; l <= t.top; l++ {
-		var prev uint64
-		first := true
-		for n := t.heads[l]; n != nil; n = n.next {
-			hi := ^uint64(0)
-			if n.next != nil {
-				hi = n.next.lo
-			}
-			for i := 0; i < n.n; i++ {
-				k := n.keys[i]
-				if !first && k <= prev {
-					return errf("bskiplist: level %d key %d after %d", l, k, prev)
-				}
-				if k < n.lo || k >= hi {
-					return errf("bskiplist: level %d key %d outside [%d,%d)", l, k, n.lo, hi)
-				}
-				if l > 0 {
-					child := n.down[i]
-					if child == nil || !members[l-1][child] {
-						return errf("bskiplist: level %d entry %d points outside level %d", l, k, l-1)
-					}
-					if child.lo != k {
-						return errf("bskiplist: level %d entry %d at child with lo %d", l, k, child.lo)
-					}
-				} else {
-					count++
-				}
-				prev, first = k, false
+	level := []entry{{0, t.root}}
+	pairs, inners := 0, 0
+	// node checks one node against its entry (level[i]) and chain link.
+	node := func(h, i int, lo uint64, next uint32, keys []uint64) error {
+		w := level[i]
+		if lo != w.lo || i > 0 && w.x == nilNode {
+			return errf("bskiplist: level %d node %d has lo %d, routed as %d", h, w.x, lo, w.lo)
+		}
+		hi, last := ^uint64(0), i == len(level)-1
+		if !last {
+			hi = level[i+1].lo
+		}
+		if last && next != nilNode || !last && next != level[i+1].x {
+			return errf("bskiplist: level %d node %d links to %d, not the next routed node", h, w.x, next)
+		}
+		for j, k := range keys {
+			if k < lo || !last && k >= hi || j > 0 && k <= keys[j-1] {
+				return errf("bskiplist: level %d node %d key %d out of order or outside [%d,%d)", h, w.x, k, lo, hi)
 			}
 		}
-		if l > 0 && (t.heads[l].keys[0] != 0 || t.heads[l].down[0] != t.heads[l-1]) {
-			return errf("bskiplist: head at level %d does not anchor level %d", l, l-1)
-		}
+		return nil
 	}
-	if count != t.length {
-		return errf("bskiplist: length %d but %d pairs found", t.length, count)
+	for h := t.height - 1; h > 0; h-- {
+		var below []entry
+		for i, w := range level {
+			if int(w.x) >= t.inners.n {
+				return errf("bskiplist: inner index %d of %d allocated", w.x, t.inners.n)
+			}
+			n := t.inners.at(w.x)
+			if n.n < 1 || n.n > bsInnerMax || n.keys[0] != n.lo {
+				return errf("bskiplist: level %d node %d with %d entries, first %d, lo %d", h, w.x, n.n, n.keys[0], n.lo)
+			}
+			if err := node(h, i, n.lo, n.next, n.keys[:n.n]); err != nil {
+				return err
+			}
+			for j, k := range n.keys[:n.n] {
+				below = append(below, entry{k, n.down[j]})
+			}
+			inners++
+		}
+		level = below
+	}
+	if level[0].x != nilNode {
+		return errf("bskiplist: leaf chain starts at leaf %d", level[0].x)
+	}
+	for i, w := range level {
+		if int(w.x) >= t.leaves.n {
+			return errf("bskiplist: leaf index %d of %d allocated", w.x, t.leaves.n)
+		}
+		l := t.leaves.at(w.x)
+		if l.n > leafMax {
+			return errf("bskiplist: leaf %d holds %d pairs", w.x, l.n)
+		}
+		if err := node(0, i, l.lo, l.next, l.keys[:l.n]); err != nil {
+			return err
+		}
+		pairs += int(l.n)
+	}
+	if pairs != t.length || len(level) != t.leaves.n || inners != t.inners.n {
+		return errf("bskiplist: walk found %d pairs in %d leaves under %d inner nodes; Len %d, allocated %d and %d",
+			pairs, len(level), inners, t.length, t.leaves.n, t.inners.n)
 	}
 	return nil
 }

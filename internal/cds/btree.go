@@ -1,39 +1,17 @@
 package cds
 
-import (
-	"fmt"
+import "hybrids/internal/metrics"
 
-	"hybrids/internal/metrics"
-)
-
-// B+ tree geometry: a leaf holds up to 15 pairs, an inner node up to 21
-// children, and both are exactly 256 bytes (DESIGN.md §5.8 has the byte
-// offsets). The count leads each node, so a search reads it from the line
-// it scans first.
+// B+ tree geometry: a leaf holds up to 15 pairs (the shared leaf of
+// arena.go), an inner node up to 21 children, and both are exactly 256
+// bytes (DESIGN.md §5.8 has the byte offsets).
 const (
-	btLeafMax  = 15
 	btInnerMax = 21
-	// btChunkBits sizes an arena chunk at 2^10 nodes (256 KiB).
-	btChunkBits  = 10
-	btChunkNodes = 1 << btChunkBits
-	// btNil is the "no leaf to the right" index. It is the first leaf's
-	// own index, and that leaf stays leftmost for the tree's life (a split
-	// only ever adds a right sibling), so no chain link names it.
-	btNil = 0
 	// btMaxHeight bounds the path Put records. Only the rightmost node of
 	// a level can hold fewer than (btInnerMax+1)/2 children, so a tree of
 	// height 12 would need 11^10 leaves, more than 32 bits can name.
 	btMaxHeight = 12
 )
-
-// btLeaf is a level-0 node: n sorted pairs and the leaf to its right.
-type btLeaf struct {
-	n    uint32
-	next uint32
-	keys [btLeafMax]uint64
-	vals [btLeafMax]uint64
-	_    uint64
-}
 
 // btInner is a node above the leaves: kids[i] covers keys <= keys[i], the
 // last of its n children everything above the last divider.
@@ -42,31 +20,6 @@ type btInner struct {
 	kids [btInnerMax]uint32
 	keys [btInnerMax - 1]uint64
 	_    uint64
-}
-
-// btArena is an append-only pool of nodes in fixed-size pointer-free
-// chunks, named by a 32-bit index: growth never moves a node and the
-// garbage collector never scans one.
-type btArena[T any] struct {
-	chunks []*[btChunkNodes]T
-	n      int // nodes handed out
-}
-
-// at returns node x.
-func (a *btArena[T]) at(x uint32) *T {
-	return &a.chunks[x>>btChunkBits][x&(btChunkNodes-1)]
-}
-
-// alloc hands out a zeroed node.
-func (a *btArena[T]) alloc() uint32 {
-	if a.n == len(a.chunks)<<btChunkBits {
-		if len(a.chunks) == 1<<(32-btChunkBits) {
-			panic("cds: btree arena exhausted")
-		}
-		a.chunks = append(a.chunks, new([btChunkNodes]T))
-	}
-	a.n++
-	return uint32(a.n - 1)
 }
 
 // BTree is a sequential in-memory B+ tree built for one owner and for the
@@ -83,8 +36,8 @@ func (a *btArena[T]) alloc() uint32 {
 // each partition, and is usable standalone as an ordered map. Methods are
 // not safe for concurrent use.
 type BTree struct {
-	leaves btArena[btLeaf]
-	inners btArena[btInner]
+	leaves arena[leaf]
+	inners arena[btInner]
 	root   uint32 // a leaf index at height 1, else an inner index
 	height int
 	length int
@@ -106,17 +59,10 @@ func (t *BTree) Instrument(reg *metrics.Registry, prefix string) {
 	t.cRootGrowths = reg.Counter(prefix + "/root_growths")
 }
 
-// inc bumps an instrumentation counter when Instrument has been called.
-func inc(c *metrics.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
 // NewBTree returns an empty tree.
 func NewBTree() *BTree {
 	t := &BTree{height: 1}
-	t.root = t.leaves.alloc() // index btNil: the head of the leaf chain
+	t.root = t.leaves.alloc() // index nilNode: the head of the leaf chain
 	return t
 }
 
@@ -136,27 +82,8 @@ func (n *btInner) childIdx(key uint64) int {
 	return int(n.n - 1)
 }
 
-// slot returns the first position whose key is >= key (n when there is
-// none) and whether that position holds key itself.
-func (l *btLeaf) slot(key uint64) (int, bool) {
-	for i, k := range l.keys[:l.n] {
-		if k >= key {
-			return i, k == key
-		}
-	}
-	return int(l.n), false
-}
-
-// insertAt opens position pos of a leaf with room and stores the pair.
-func (l *btLeaf) insertAt(pos int, key, value uint64) {
-	copy(l.keys[pos+1:l.n+1], l.keys[pos:l.n])
-	copy(l.vals[pos+1:l.n+1], l.vals[pos:l.n])
-	l.keys[pos], l.vals[pos] = key, value
-	l.n++
-}
-
 // find descends to the leaf covering key without recording the path.
-func (t *BTree) find(key uint64) *btLeaf {
+func (t *BTree) find(key uint64) *leaf {
 	x := t.root
 	for level := t.height - 1; level > 0; level-- {
 		n := t.inners.at(x)
@@ -206,30 +133,13 @@ func (t *BTree) Put(key, value uint64) bool {
 		return false
 	}
 	t.length++
-	if l.n < btLeafMax {
+	if l.n < leafMax {
 		l.insertAt(pos, key, value)
 		return true
 	}
-	// Split. With tail set key lies past the last key of the rightmost
-	// leaf: the full leaf stays full (an append split), and every node on
-	// the path is the last child of its parent.
-	tail := pos == btLeafMax && l.next == btNil
-	keep := btLeafMax
-	if !tail {
-		keep = (btLeafMax + 1) / 2
-	}
-	rx := t.leaves.alloc()
-	r := t.leaves.at(rx)
-	into, at := r, pos-keep
-	if pos < keep {
-		keep--
-		into, at = l, pos
-	}
-	r.n = uint32(copy(r.keys[:], l.keys[keep:]))
-	copy(r.vals[:], l.vals[keep:])
-	l.n = uint32(keep)
-	into.insertAt(at, key, value)
-	r.next, l.next = l.next, rx
+	// With tail set every node on the path is the last child of its
+	// parent.
+	rx, tail := splitLeaf(&t.leaves, l, pos, key, value)
 	inc(t.cLeafSplits)
 	t.insertUp(&path, l.keys[l.n-1], rx, tail)
 	return true
@@ -293,9 +203,7 @@ func (t *BTree) Delete(key uint64) bool {
 	if !ok {
 		return false
 	}
-	copy(l.keys[i:l.n-1], l.keys[i+1:l.n])
-	copy(l.vals[i:l.n-1], l.vals[i+1:l.n])
-	l.n--
+	l.removeAt(i)
 	t.length--
 	return true
 }
@@ -304,19 +212,7 @@ func (t *BTree) Delete(key uint64) bool {
 // fn returns false: one descent, then a walk of the leaf chain. fn must
 // not modify the tree.
 func (t *BTree) Ascend(from uint64, fn func(key, value uint64) bool) {
-	l := t.find(from)
-	i, _ := l.slot(from)
-	for {
-		for ; i < int(l.n); i++ {
-			if !fn(l.keys[i], l.vals[i]) {
-				return
-			}
-		}
-		if l.next == btNil {
-			return
-		}
-		l, i = t.leaves.at(l.next), 0
-	}
+	ascend(&t.leaves, t.find(from), from, fn)
 }
 
 // CheckInvariants validates the structure (for tests): keys strictly
@@ -325,7 +221,7 @@ func (t *BTree) Ascend(from uint64, fn func(key, value uint64) bool) {
 // bounds; no node exceeds its capacity, every inner node has a child and
 // an inner root two; every child index names an allocated node and every
 // allocated node is reached; the leaf chain starts at leaf 0, visits
-// exactly the leaves of the in-order walk and ends in btNil; and the
+// exactly the leaves of the in-order walk and ends in nilNode; and the
 // leaves hold Len pairs.
 func (t *BTree) CheckInvariants() error {
 	if t.height < 1 || t.height > btMaxHeight || t.height > 1 && t.inners.at(t.root).n < 2 {
@@ -340,7 +236,7 @@ func (t *BTree) CheckInvariants() error {
 				return errf("btree: leaf index %d of %d allocated", x, t.leaves.n)
 			}
 			l := t.leaves.at(x)
-			if l.n > btLeafMax {
+			if l.n > leafMax {
 				return errf("btree: leaf %d holds %d pairs", x, l.n)
 			}
 			for _, k := range l.keys[:l.n] {
@@ -383,19 +279,15 @@ func (t *BTree) CheckInvariants() error {
 		return errf("btree: walk found %d pairs in %d leaves under %d inner nodes; Len %d, allocated %d and %d",
 			pairs, len(order), inners, t.length, t.leaves.n, t.inners.n)
 	}
-	x := uint32(btNil)
+	x := uint32(nilNode)
 	for i, want := range order {
 		if x != want {
 			return errf("btree: leaf chain position %d is leaf %d, in-order walk has %d", i, x, want)
 		}
 		x = t.leaves.at(x).next
 	}
-	if x != btNil {
+	if x != nilNode {
 		return errf("btree: leaf chain continues to leaf %d past the last leaf", x)
 	}
 	return nil
-}
-
-func errf(format string, args ...any) error {
-	return fmt.Errorf("cds: "+format, args...)
 }

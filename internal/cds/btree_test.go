@@ -234,7 +234,7 @@ func TestBTreePropertyMatchesMap(t *testing.T) {
 }
 
 func TestBTreeNodeSizes(t *testing.T) {
-	if got := unsafe.Sizeof(btLeaf{}); got != 256 {
+	if got := unsafe.Sizeof(leaf{}); got != 256 {
 		t.Errorf("leaf is %d bytes, want 256", got)
 	}
 	if got := unsafe.Sizeof(btInner{}); got != 256 {
@@ -244,7 +244,7 @@ func TestBTreeNodeSizes(t *testing.T) {
 
 // leafFill returns the mean occupancy of the tree's leaves.
 func leafFill(bt *BTree) float64 {
-	return float64(bt.Len()) / float64(bt.leaves.n*btLeafMax)
+	return float64(bt.Len()) / float64(bt.leaves.n*leafMax)
 }
 
 // TestBTreeBulkLoadShape loads ascending keys — every split an append
@@ -316,11 +316,11 @@ func TestBTreeBulkLoadShape(t *testing.T) {
 
 func TestBTreeAscendCrossesLeaves(t *testing.T) {
 	bt := NewBTree()
-	for k := uint64(1); k <= 10*btLeafMax; k++ {
+	for k := uint64(1); k <= 10*leafMax; k++ {
 		bt.Put(k, k*2)
 	}
 	// Empty the third and fourth leaves: the chain still links them.
-	for k := uint64(2*btLeafMax + 1); k <= 4*btLeafMax; k++ {
+	for k := uint64(2*leafMax + 1); k <= 4*leafMax; k++ {
 		bt.Delete(k)
 	}
 	if err := bt.CheckInvariants(); err != nil {
@@ -328,7 +328,7 @@ func TestBTreeAscendCrossesLeaves(t *testing.T) {
 	}
 	// Stop in the middle of the second leaf, then resume from the key the
 	// walk stopped at.
-	stop := uint64(btLeafMax + 7)
+	stop := uint64(leafMax + 7)
 	var got []uint64
 	collect := func(until uint64) func(k, v uint64) bool {
 		return func(k, v uint64) bool {
@@ -350,16 +350,16 @@ func TestBTreeAscendCrossesLeaves(t *testing.T) {
 		if k != want {
 			t.Fatalf("walk yields %d, want %d", k, want)
 		}
-		if want++; want == 2*btLeafMax+1 {
-			want = 4*btLeafMax + 1
+		if want++; want == 2*leafMax+1 {
+			want = 4*leafMax + 1
 		}
 	}
-	if want != 10*btLeafMax+1 {
+	if want != 10*leafMax+1 {
 		t.Fatalf("walk ended before %d", want)
 	}
 	// A start inside the emptied range lands on the first key after it.
-	bt.Ascend(3*btLeafMax, func(k, _ uint64) bool {
-		if k != 4*btLeafMax+1 {
+	bt.Ascend(3*leafMax, func(k, _ uint64) bool {
+		if k != 4*leafMax+1 {
 			t.Fatalf("Ascend from the emptied range starts at %d", k)
 		}
 		return false

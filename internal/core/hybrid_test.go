@@ -155,7 +155,7 @@ func TestHybridCustomStore(t *testing.T) {
 func TestHybridSkipListAsStore(t *testing.T) {
 	h := New(Config{
 		Partitions: 2, KeyMax: 1 << 16,
-		NewStore: func(p int) Store { return cds.NewSkipList() },
+		NewStore: func(p int) Store { return cds.NewBSkipList() },
 	})
 	defer h.Close()
 	for k := uint64(1); k <= 500; k++ {

@@ -191,8 +191,8 @@ func TestEngineNativeSequentialOracle(t *testing.T) {
 					delete(oracle, key)
 				}
 			}
-			// Keys 0 and MaxUint64 lie outside every engine's key space
-			// (the skiplist's sentinels): absent, and asking changes nothing.
+			// Keys 0 and MaxUint64 lie outside the oracle's key space:
+			// absent, and asking changes nothing.
 			for _, k := range []uint64{0, ^uint64(0)} {
 				if v, ok := s.Get(k); ok || v != 0 {
 					t.Errorf("Get(%d) = (%d,%v), want (0,false)", k, v, ok)
@@ -394,11 +394,8 @@ func TestEngineMigrationUnderLoad(t *testing.T) {
 	}
 }
 
-// TestEngineGetAllocs bounds every engine's native Get-path allocations:
-// none for the B+ tree and the skiplist, whose descents touch only their
-// arenas, and at most one per operation, the core runtime's
-// one-future-per-call discipline, for the B-skiplist (whose fat-node
-// descent allocates nothing either).
+// TestEngineGetAllocs holds every engine's native Get path at zero
+// allocations: each descent touches only its store's arenas.
 func TestEngineGetAllocs(t *testing.T) {
 	for _, e := range Engines() {
 		e := e
@@ -412,26 +409,20 @@ func TestEngineGetAllocs(t *testing.T) {
 				s.Get(key)
 				key = key%4096 + 1
 			})
-			limit := 0.0
-			if e.Name == "bskiplist" {
-				limit = 1
-			}
-			if allocs > limit {
-				t.Fatalf("Get allocates %.1f objects/op, want <= %.0f", allocs, limit)
+			if allocs != 0 {
+				t.Fatalf("Get allocates %.1f objects/op, want 0", allocs)
 			}
 		})
 	}
 }
 
-// TestEngineWriteAllocs holds the arena engines' steady-state writes at
-// zero allocations: an Update, and a Delete followed by a Put of the same
-// key, on a loaded store (the B+ tree records its descent in a stack
-// array and the emptied slot takes the key back; the skiplist reuses the
-// freed tower).
+// TestEngineWriteAllocs holds every engine's steady-state writes at zero
+// allocations: an Update, and a Delete followed by a Put of the same key,
+// on a loaded store (each store records its descent in a stack array and
+// the emptied leaf slot takes the key back).
 func TestEngineWriteAllocs(t *testing.T) {
-	for _, name := range []string{"btree", "skiplist"} {
-		e := MustEngine(name)
-		t.Run(name, func(t *testing.T) {
+	for _, e := range Engines() {
+		t.Run(e.Name, func(t *testing.T) {
 			s := e.NewNative(Tuning{})(0)
 			for k := uint64(1); k <= 4096; k++ {
 				s.Put(k, k*3)

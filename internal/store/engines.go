@@ -42,12 +42,14 @@ type simSkiplist struct {
 // from the load-phase seed.
 func (s simSkiplist) Build(load []KV) { s.Hybrid.Build(load, s.seed+1) }
 
+// skiplistEngine shares its native store, the B-skiplist, with
+// bskiplistEngine; only the simulated hybrids differ.
 func skiplistEngine() Engine {
 	return Engine{
 		Name: "skiplist",
 		Desc: "skiplist",
 		NewNative: func(Tuning) func(int) core.Store {
-			return func(int) core.Store { return cds.NewSkipList() }
+			return func(int) core.Store { return cds.NewBSkipList() }
 		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			h := skiplist.NewHybrid(m, skiplist.HybridConfig{
@@ -70,7 +72,7 @@ func bskiplistEngine() Engine {
 		Name: "bskiplist",
 		Desc: "cache-conscious B-skiplist",
 		NewNative: func(Tuning) func(int) core.Store {
-			return func(int) core.Store { return cds.NewBSkipList(0) }
+			return func(int) core.Store { return cds.NewBSkipList() }
 		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			return bskiplist.NewHybrid(m, bskiplist.Config{
