@@ -7,14 +7,6 @@
 //	hybrids -exp fig5a [-scale quick|small|paper|tiny] [-parallel N] [-ops N] [-markdown|-json]
 //	hybrids -exp fig5a -attr -trace trace.json
 //	hybrids -exp all
-//	hybrids -native [-exp native-btree] [-scale quick] [-markdown|-json]
-//
-// -native switches from the cycle-level simulator to the real internal/core
-// runtime (goroutine combiners over internal/cds stores) and measures
-// wall-clock throughput with the same YCSB workloads and output formats.
-// Without -exp it runs every native experiment; -list with -native lists
-// them. Native cells always run serially (-parallel is ignored), and -attr
-// and -trace are simulator-only.
 //
 // -parallel N measures up to N grid cells of an experiment concurrently
 // (default GOMAXPROCS). Every cell simulates on a private machine, so the
@@ -53,7 +45,6 @@ func main() {
 		warmup       = flag.Int("warmup", -1, "override warmup ops per thread")
 		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "grid cells to measure concurrently (results are identical at any setting)")
 		quiet        = flag.Bool("q", false, "suppress progress output")
-		native       = flag.Bool("native", false, "run the native (wall-clock) benchmarks instead of the simulator")
 		attr         = flag.Bool("attr", false, "print per-operation latency attribution tables (buckets also land in -json cells)")
 		boundaryMode = flag.String("boundary", "static", "host/NMP boundary policy: static (the paper's fixed splits) or adaptive (grids run at the split the feedback policy converges to)")
 		traceOut     = flag.String("trace", "", "write a Chrome trace_event JSON capture of the first measured cell to this file (open in Perfetto)")
@@ -62,9 +53,6 @@ func main() {
 	flag.Parse()
 
 	registry := exp.Registry()
-	if *native {
-		registry = exp.NativeRegistry()
-	}
 	if *list {
 		for _, e := range registry {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)
@@ -72,11 +60,8 @@ func main() {
 		return
 	}
 	if *expID == "" {
-		if !*native {
-			flag.Usage()
-			os.Exit(2)
-		}
-		*expID = "all"
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	var sc exp.Scale
@@ -116,7 +101,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
-	if *boundaryMode == "adaptive" && !*native {
+	if *boundaryMode == "adaptive" {
 		// Converge the feedback policy first, then run the requested
 		// grids at the split it lands on instead of the paper's static
 		// crossover. With -boundary static (the default) nothing here
@@ -146,11 +131,7 @@ func main() {
 			run(e)
 		}
 	} else {
-		find := exp.Find
-		if *native {
-			find = exp.FindNative
-		}
-		e, ok := find(*expID)
+		e, ok := exp.Find(*expID)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *expID)
 			os.Exit(2)

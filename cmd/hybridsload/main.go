@@ -346,6 +346,18 @@ func validateKeyMax(v uint64, records int) error {
 	return nil
 }
 
+// validateSizes rejects non-positive -conns, -depth and -ops, hybridsd's
+// "must be positive" rule: zero connections or operations used to divide
+// by zero in the allocs/op average, a negative -conns panicked inside the
+// stream generator, and -depth 0 hung the replay waiting for a response
+// to a request it never sent.
+func validateSizes(conns, depth, ops int) error {
+	if conns <= 0 || depth <= 0 || ops <= 0 {
+		return fmt.Errorf("-conns, -depth and -ops must be positive (got %d, %d, %d)", conns, depth, ops)
+	}
+	return nil
+}
+
 // mergeServerDeltas merges the measured phase's server/* counter deltas
 // (post − pre) into metrics. If any counter regressed (post < pre: the
 // server restarted between the two scrapes, resetting its registry) the
@@ -685,6 +697,9 @@ func main() {
 	}
 	if *warmup < 0 {
 		*warmup = 0
+	}
+	if err := validateSizes(*conns, *depth, *ops); err != nil {
+		usage("%v", err)
 	}
 	if err := validateKeyMax(uint64(*keyMax), *records); err != nil {
 		usage("%v", err)

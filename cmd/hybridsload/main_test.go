@@ -41,6 +41,34 @@ func TestValidateKeyMax(t *testing.T) {
 	}
 }
 
+func TestValidateSizes(t *testing.T) {
+	cases := []struct {
+		name              string
+		conns, depth, ops int
+		wantErr           bool
+	}{
+		// Regressions: -conns 0 and -ops 0 divided by zero computing
+		// allocs/op, -conns -1 panicked in ycsb Streams, and -depth 0 hung
+		// replay forever.
+		{"zero-conns", 0, 16, 20000, true},
+		{"negative-conns", -1, 16, 20000, true},
+		{"zero-depth", 4, 0, 20000, true},
+		{"negative-depth", 4, -3, 20000, true},
+		{"zero-ops", 4, 16, 0, true},
+		{"negative-ops", 4, 16, -1, true},
+		{"default", 4, 16, 20000, false},
+		{"minimum", 1, 1, 1, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := validateSizes(c.conns, c.depth, c.ops)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("validateSizes(%d, %d, %d) = %v, wantErr %v", c.conns, c.depth, c.ops, err, c.wantErr)
+			}
+		})
+	}
+}
+
 func TestMergeServerDeltasMergesMonotoneCounters(t *testing.T) {
 	metrics := map[string]uint64{"load/ok": 7}
 	pre := map[string]uint64{"server/requests": 100, "server/ops/scan": 10, "other/x": 5}

@@ -2,10 +2,10 @@
 // statically at LLC size (§4): how many of a hybrid structure's levels
 // stay in the host-managed (LLC-resident) portion and how many are pushed
 // NMP-side. It is a simulator concept: the simulated hybrids of
-// internal/dsim take their Split from here instead of hard-coding a
-// constant per structure, and can move it at a drained epoch. The native
-// runtime has no host portion to size — a partition is key / span — so
-// nothing native consumes this package.
+// internal/dsim take their Split from here at construction instead of
+// hard-coding a constant per structure. The native runtime has no host
+// portion to size — a partition is key / span — so nothing native
+// consumes this package.
 //
 // A Policy decides when the boundary should move. Static never moves it
 // (the paper's configuration). Adaptive closes the ROADMAP's feedback

@@ -59,29 +59,23 @@ func NewHybrid(m *machine.Machine, cfg Config) *Hybrid {
 		panic("bskiplist: build fill must be in [2, EntryMax]")
 	}
 	t := &Hybrid{
-		m:    m,
-		part: kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
-		rt:   offload.New(m, offload.Config{Window: cfg.Window}),
-		fill: cfg.Fill,
+		m:     m,
+		part:  kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
+		rt:    offload.New(m, offload.Config{Window: cfg.Window}),
+		split: cfg.Split,
+		fill:  cfg.Fill,
 	}
-	t.layout(cfg.Split)
-	return t
-}
-
-// layout (re)creates the empty per-partition NMP levels and the host
-// router heads at split, from fresh allocations.
-func (t *Hybrid) layout(split boundary.Split) {
-	ram := t.m.Mem.RAM
-	host := split.Host()
-	t.lists = t.lists[:0]
-	t.hostHeads = t.hostHeads[:0]
-	for p := 0; p < t.m.Cfg.Mem.NMPVaults; p++ {
-		l := newSeqBList(ram, t.m.Mem.NMPAlloc[p], split.NMP)
+	// Each partition's empty NMP levels, then its host router heads: one
+	// single-entry fat node per host level, chained down to the NMP
+	// portion's top-level head.
+	ram := m.Mem.RAM
+	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
+		l := newSeqBList(ram, m.Mem.NMPAlloc[p], cfg.Split.NMP)
 		t.lists = append(t.lists, l)
-		heads := make([]uint32, host)
-		below := l.heads[split.NMP-1]
-		for j := 0; j < host; j++ {
-			h := buildFat(ram, t.m.Mem.HostAlloc, 0, 1)
+		heads := make([]uint32, cfg.Split.Host())
+		below := l.heads[cfg.Split.NMP-1]
+		for j := range heads {
+			h := buildFat(ram, m.Mem.HostAlloc, 0, 1)
 			ram.Store32(keyAddr(h, 0), 0)
 			ram.Store32(payAddr(h, 0), below)
 			heads[j] = h
@@ -89,37 +83,7 @@ func (t *Hybrid) layout(split boundary.Split) {
 		}
 		t.hostHeads = append(t.hostHeads, heads)
 	}
-	t.split = split
-}
-
-// Split returns the current host/NMP boundary.
-func (t *Hybrid) Split() boundary.Split { return t.split }
-
-// Rebalance moves the host/NMP boundary to next: a drained-epoch
-// transition executed at quiescence (no requests posted or in flight).
-// Live pairs are dumped from the authoritative leaves, the NMP levels
-// and host router are rebuilt at the new split from fresh allocations
-// (the old portions' bump-allocated memory is abandoned), and the
-// running combiner daemons are retargeted through the offload runtime's
-// handler indirection. Total levels cannot change, only the boundary
-// moves.
-func (t *Hybrid) Rebalance(next boundary.Split) error {
-	if next.Total != t.split.Total {
-		return fmt.Errorf("bskiplist: rebalance cannot change total levels (%d -> %d)", t.split.Total, next.Total)
-	}
-	if err := next.Validate(); err != nil {
-		return err
-	}
-	if next == t.split {
-		return nil
-	}
-	pairs := t.Dump()
-	t.layout(next)
-	t.Build(pairs)
-	for p := range t.lists {
-		t.rt.Republish(p, t.lists[p].handler())
-	}
-	return nil
+	return t
 }
 
 // Build bulk-loads pairs (untimed): each partition's NMP levels are

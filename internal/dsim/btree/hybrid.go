@@ -1,8 +1,6 @@
 package btree
 
 import (
-	"fmt"
-
 	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
@@ -34,8 +32,7 @@ type HybridBTreeConfig struct {
 	// fit the LLC. The tree's total height follows from fan-out, so
 	// Split.Total is 0 (derived).
 	Split boundary.Split
-	// Fill is the bulk-load entry count per node, for Build and for the
-	// rebuild a Rebalance performs.
+	// Fill is the bulk-load entry count per node.
 	Fill int
 	// Window is the in-flight NMP call budget per host thread for
 	// ApplyBatch (1 = blocking behaviour).
@@ -48,51 +45,16 @@ func NewHybrid(m *machine.Machine, cfg HybridBTreeConfig) *Hybrid {
 		panic("btree: split must place >= 1 NMP level and derive the total from fan-out")
 	}
 	t := &Hybrid{
-		m:    m,
-		rt:   offload.New(m, offload.Config{Window: cfg.Window}),
-		fill: cfg.Fill,
+		m:     m,
+		rt:    offload.New(m, offload.Config{Window: cfg.Window}),
+		split: cfg.Split,
+		fill:  cfg.Fill,
 	}
-	t.layout(cfg.Split)
+	t.host = newHostCore(m, cfg.Split.NMP)
+	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
+		t.trees = append(t.trees, newNMPTree(cfg.Split.NMP, m.Mem.NMPAlloc[p]))
+	}
 	return t
-}
-
-// layout (re)creates the host core and empty per-partition NMP trees at
-// split, from fresh allocations.
-func (t *Hybrid) layout(split boundary.Split) {
-	t.host = newHostCore(t.m, split.NMP)
-	t.trees = t.trees[:0]
-	for p := 0; p < t.m.Cfg.Mem.NMPVaults; p++ {
-		t.trees = append(t.trees, newNMPTree(split.NMP, t.m.Mem.NMPAlloc[p]))
-	}
-	t.split = split
-}
-
-// Split returns the current host/NMP boundary.
-func (t *Hybrid) Split() boundary.Split { return t.split }
-
-// Rebalance moves the host/NMP boundary to next: a drained-epoch
-// transition executed at quiescence (no requests posted or in flight).
-// Live pairs are dumped, the tree is rebuilt at the new split with the
-// original bulk-load fill (the old tree's bump-allocated memory is
-// abandoned), and the running combiner daemons are retargeted through
-// the offload runtime's handler indirection.
-func (t *Hybrid) Rebalance(next boundary.Split) error {
-	if next.Total != 0 {
-		return fmt.Errorf("btree: total height is derived from fan-out (got total %d)", next.Total)
-	}
-	if next.NMP < 1 {
-		return fmt.Errorf("btree: NMP levels must be >= 1 (got %d)", next.NMP)
-	}
-	if next == t.split {
-		return nil
-	}
-	pairs := t.Dump()
-	t.layout(next)
-	t.Build(pairs)
-	for p := range t.trees {
-		t.rt.Republish(p, t.trees[p].handler())
-	}
-	return nil
 }
 
 // Build bulk-loads pairs (§3.4: "the initial B+ tree is constructed over

@@ -52,12 +52,6 @@ type Runtime struct {
 	pubs   []*fc.PubList
 	ports  []hds.Port[*machine.Ctx, fc.Request, fc.Response]
 	window int
-	// handlers holds each partition's live handler behind one level of
-	// indirection: the combiner daemon dereferences it per request, so a
-	// boundary rebalance can swap a partition's NMP portion (Republish)
-	// without respawning the daemon. Handler swaps are pure Go-side state
-	// and consume no virtual time.
-	handlers []fc.Handler
 
 	cPosted    *metrics.Counter
 	cRetries   *metrics.Counter
@@ -77,11 +71,7 @@ func New(m *machine.Machine, cfg Config) *Runtime {
 	if slots <= 0 {
 		slots = m.Cfg.Mem.HostCores * cfg.Window
 	}
-	rt := &Runtime{
-		m:        m,
-		window:   cfg.Window,
-		handlers: make([]fc.Handler, m.Cfg.Mem.NMPVaults),
-	}
+	rt := &Runtime{m: m, window: cfg.Window}
 	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
 		pub := fc.NewPubList(m, p, slots)
 		rt.pubs = append(rt.pubs, pub)
@@ -105,26 +95,10 @@ func (rt *Runtime) Window() int { return rt.window }
 func (rt *Runtime) Partitions() int { return len(rt.pubs) }
 
 // Start spawns partition p's flat-combining combiner daemon serving
-// handle. Call once per partition before Machine.Run. The daemon resolves
-// the handler through the runtime on every request, so Republish can
-// retarget it later.
+// handle. Call once per partition before Machine.Run.
 func (rt *Runtime) Start(p int, handle fc.Handler) {
-	rt.handlers[p] = handle
 	pub := rt.pubs[p]
-	rt.m.SpawnNMP(p, func(c *machine.Ctx) {
-		fc.Serve(c, pub, func(c *machine.Ctx, slot int, req fc.Request) fc.Response {
-			return rt.handlers[p](c, slot, req)
-		})
-	})
-}
-
-// Republish swaps partition p's live handler — the final step of a
-// boundary rebalance, after the new NMP portion is built. The caller must
-// guarantee quiescence for the partition (no requests posted or in
-// flight); the engine runs exactly one actor at a time, so any point with
-// an empty window satisfies that.
-func (rt *Runtime) Republish(p int, handle fc.Handler) {
-	rt.handlers[p] = handle
+	rt.m.SpawnNMP(p, func(c *machine.Ctx) { fc.Serve(c, pub, handle) })
 }
 
 // Delays aggregates Table 2 offload delay instrumentation across

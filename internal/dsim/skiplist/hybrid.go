@@ -1,7 +1,6 @@
 package skiplist
 
 import (
-	"fmt"
 	"sort"
 
 	"hybrids/internal/boundary"
@@ -40,8 +39,6 @@ type Hybrid struct {
 	rt    *offload.Runtime
 
 	split boundary.Split
-	seed  uint64
-	epoch uint64
 	rngs  []*prng.Source
 }
 
@@ -67,59 +64,19 @@ func NewHybrid(m *machine.Machine, cfg HybridConfig) *Hybrid {
 		panic("skiplist: split must partition the structure")
 	}
 	s := &Hybrid{
-		m:    m,
-		part: kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
-		rt:   offload.New(m, offload.Config{Window: cfg.Window}),
-		seed: cfg.Seed,
+		m:     m,
+		part:  kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
+		rt:    offload.New(m, offload.Config{Window: cfg.Window}),
+		split: cfg.Split,
 	}
-	s.layout(cfg.Split)
+	s.host = newLFCore(m.Mem.RAM, m.Mem.HostAlloc, cfg.Split.Host())
+	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
+		s.lists = append(s.lists, newSeqList(m.Mem.RAM, m.Mem.NMPAlloc[p], cfg.Split.NMP))
+	}
 	for i := 0; i < m.Cfg.Mem.HostCores; i++ {
 		s.rngs = append(s.rngs, prng.New(cfg.Seed^prng.Mix64(uint64(i)+211)))
 	}
 	return s
-}
-
-// layout (re)creates the empty host portion and per-partition NMP
-// portions at split, from fresh allocations.
-func (s *Hybrid) layout(split boundary.Split) {
-	s.host = newLFCore(s.m.Mem.RAM, s.m.Mem.HostAlloc, split.Host())
-	s.lists = s.lists[:0]
-	for p := 0; p < s.m.Cfg.Mem.NMPVaults; p++ {
-		s.lists = append(s.lists, newSeqList(s.m.Mem.RAM, s.m.Mem.NMPAlloc[p], split.NMP))
-	}
-	s.split = split
-}
-
-// Split returns the current host/NMP boundary.
-func (s *Hybrid) Split() boundary.Split { return s.split }
-
-// Rebalance moves the host/NMP boundary to next: a drained-epoch
-// transition executed at quiescence (no requests posted or in flight).
-// The live pairs are dumped from the authoritative NMP bottom level, the
-// host portion and per-partition NMP portions are rebuilt at the new
-// split from fresh allocations (the old portions' bump-allocated memory
-// is abandoned), and the running combiner daemons are retargeted through
-// the offload runtime's handler indirection. Total levels cannot change,
-// so the per-core height RNGs draw from the same distribution across the
-// transition.
-func (s *Hybrid) Rebalance(next boundary.Split) error {
-	if next.Total != s.split.Total {
-		return fmt.Errorf("skiplist: rebalance cannot change total levels (%d -> %d)", s.split.Total, next.Total)
-	}
-	if err := next.Validate(); err != nil {
-		return err
-	}
-	if next == s.split {
-		return nil
-	}
-	pairs := s.Dump()
-	s.epoch++
-	s.layout(next)
-	s.Build(pairs, s.seed^prng.Mix64(s.epoch+0x517c))
-	for p := range s.lists {
-		s.rt.Republish(p, s.lists[p].handler())
-	}
-	return nil
 }
 
 // Start spawns the NMP combiner daemons. Call once before Machine.Run.

@@ -133,25 +133,6 @@ func metricOf(t *testing.T, s string) float64 {
 	return v
 }
 
-// TestNativeVariantsDegenerateWindow pins the variant set: a window that
-// degenerates to one in-flight call must not emit a duplicate blocking
-// row under a nonblocking label.
-func TestNativeVariantsDegenerateWindow(t *testing.T) {
-	sc := TinyScale()
-	for _, w := range []int{0, 1} {
-		sc.Window = w
-		vs := nativeVariants(sc)
-		if len(vs) != 1 || vs[0].name != "blocking" || vs[0].batch {
-			t.Fatalf("window %d: variants = %+v, want blocking only", w, vs)
-		}
-	}
-	sc.Window = 4
-	vs := nativeVariants(sc)
-	if len(vs) != 2 || vs[1].name != "nonblocking4" || !vs[1].batch || vs[1].window != 4 {
-		t.Fatalf("window 4: variants = %+v", vs)
-	}
-}
-
 // faultyStore panics inside a simulated body: on thread 1's fifth call.
 type faultyStore struct {
 	Store

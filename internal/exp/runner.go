@@ -104,22 +104,13 @@ type Cell struct {
 	// Attr is the cell's per-operation latency attribution (nil unless the
 	// cell was measured with Scale.Attr enabled).
 	Attr *AttrSummary `json:"attr,omitempty"`
-	// WallNanos is the measured-phase wall-clock duration. Only native
-	// cells set it (simulated cells report virtual Cycles instead), so it
-	// is omitted from simulator JSON.
+	// WallNanos is the measured-phase wall-clock duration. Only
+	// cmd/hybridsload sets it (simulated cells report virtual Cycles
+	// instead), so it is omitted from simulator JSON.
 	WallNanos uint64 `json:"wall_ns,omitempty"`
-	// Metrics carries the measured phase's non-zero counter deltas from the
-	// native runtime's registry (core/p<i>/... instruments). Nil for
-	// simulated cells.
+	// Metrics carries cmd/hybridsload's load/* tallies and scraped server/*
+	// counter deltas for the measured phase. Nil for simulated cells.
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
-	// LatP50Nanos, LatP95Nanos and LatP99Nanos are the measured phase's
-	// per-operation wall-clock latency percentiles. Only native blocking
-	// cells set them (per-op latency is undefined with several calls in
-	// flight, and simulated cells report virtual time), so they are
-	// omitted from other cells' JSON.
-	LatP50Nanos uint64 `json:"lat_p50_ns,omitempty"`
-	LatP95Nanos uint64 `json:"lat_p95_ns,omitempty"`
-	LatP99Nanos uint64 `json:"lat_p99_ns,omitempty"`
 }
 
 // runCell puts the variant on a fresh machine — bulk-building it from load,

@@ -1,11 +1,9 @@
 package store
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/core"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/hds"
@@ -257,136 +255,6 @@ func TestEngineSimWindowEquivalence(t *testing.T) {
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("window %d: pair %d = %+v, want %+v", w, i, got[i], want[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// migrationSplits returns an engine's forced boundary trajectory: push a
-// level NMP-side, pull back below the base split, then return to base —
-// two to three live migrations bracketing the configured boundary.
-func migrationSplits(base boundary.Split) []boundary.Split {
-	lower := base.NMP - 1
-	if lower < 1 {
-		lower = 1
-	}
-	if base.Total <= 0 {
-		// Derived-height engines: the conformance-scale tree is only one
-		// level taller than its NMP portion, so exercise the
-		// down-and-back arc instead of growing the NMP side.
-		return []boundary.Split{{NMP: lower}, base}
-	}
-	return []boundary.Split{
-		{Total: base.Total, NMP: base.NMP + 1},
-		{Total: base.Total, NMP: lower},
-		base,
-	}
-}
-
-// migrationDump drives confData's streams against an engine's simulated
-// hybrid with a forced Rebalance between each stream segment, and
-// returns the drained final contents. Each boundary move runs as a
-// drained epoch inside the single Machine.Run: every driver finishes its
-// segment's calls and parks at a rendezvous, so no request is posted or
-// in flight when thread 0 — the last to pass the arrival barrier —
-// relinks the structure and releases the others.
-func migrationDump(t *testing.T, e Engine, window int, async bool) []KV {
-	t.Helper()
-	pairs, streams := confData()
-	m := confMachine()
-	p := confParams(window)
-	s := e.NewSimHybrid(m, p)
-	s.Build(pairs)
-	s.Start()
-
-	splits := migrationSplits(e.SimSplit(p))
-	for _, sp := range splits {
-		if sp.Total > 0 {
-			if err := sp.Validate(); err != nil {
-				t.Fatalf("%s migration split %+v: %v", e.Name, sp, err)
-			}
-		}
-	}
-	phases := len(splits)
-	seg := confPerThread / (phases + 1)
-	arrived := make([]int, phases)
-	released := make([]bool, phases)
-	var rebErr error
-	for th := range streams {
-		th := th
-		m.SpawnHost(th, "drv", func(c *machine.Ctx) {
-			for b := 0; b <= phases; b++ {
-				lo := b * seg
-				hi := lo + seg
-				if b == phases {
-					hi = len(streams[th])
-				}
-				if async {
-					s.ApplyBatch(c, th, streams[th][lo:hi])
-				} else {
-					for _, op := range streams[th][lo:hi] {
-						s.Apply(c, th, op)
-					}
-				}
-				if b == phases {
-					return
-				}
-				arrived[b]++
-				if th == 0 {
-					for arrived[b] < len(streams) {
-						c.Step(64)
-					}
-					// Quiescent: every driver has completed its segment's
-					// calls and is spinning below; move the boundary.
-					if err := s.Rebalance(splits[b]); err != nil && rebErr == nil {
-						rebErr = fmt.Errorf("rebalance %d to %+v: %w", b, splits[b], err)
-					}
-					released[b] = true
-				} else {
-					for !released[b] {
-						c.Step(64)
-					}
-				}
-			}
-		})
-	}
-	m.Run()
-	if rebErr != nil {
-		t.Fatalf("%s: %v", e.Name, rebErr)
-	}
-	if got := s.Split(); got != splits[phases-1] {
-		t.Fatalf("%s final split %+v, want %+v", e.Name, got, splits[phases-1])
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatalf("%s invariants after migration (window=%d async=%v): %v", e.Name, window, async, err)
-	}
-	return s.Dump()
-}
-
-// TestEngineMigrationUnderLoad forces several live boundary migrations
-// into the middle of each engine's mixed operation streams, at both call
-// disciplines, and requires the final contents to be byte-identical to
-// the single-split run of the same streams — a boundary move must never
-// lose, duplicate or corrupt a pair — with structural invariants intact
-// at the final split.
-func TestEngineMigrationUnderLoad(t *testing.T) {
-	for _, e := range Engines() {
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			for _, d := range []struct {
-				window int
-				async  bool
-			}{{1, false}, {4, true}} {
-				want := simDump(t, e, d.window, d.async)
-				got := migrationDump(t, e, d.window, d.async)
-				if len(got) != len(want) {
-					t.Fatalf("window=%d async=%v: %d pairs after migration, want %d", d.window, d.async, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("window=%d async=%v: pair %d = %+v, want %+v", d.window, d.async, i, got[i], want[i])
 					}
 				}
 			}

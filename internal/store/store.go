@@ -4,11 +4,11 @@
 // (a core.Store factory for the goroutine-combiner runtime) and how to
 // build its simulated HybriDS hybrid (host portion + NMP portion behind
 // the shared offload runtime). Every consumer — cmd/hybridsd's -store
-// flag, the native benchmark grids, the simulated experiment grids and
-// the cross-stack conformance suite — resolves engines only through
-// Engines/Lookup, so adding a structure is a one-package change: implement
-// the structure, append an Engine here, and it appears in the daemon, both
-// benchmark stacks and the conformance tests with no per-consumer code.
+// flag, bench/, the simulated experiment grids and the cross-stack
+// conformance suite — resolves engines only through Engines/Lookup, so
+// adding a structure is a one-package change: implement the structure,
+// append an Engine here, and the daemon and the conformance tests pick it
+// up with no per-consumer code.
 package store
 
 import (
@@ -78,13 +78,6 @@ type SimHybrid interface {
 	CheckInvariants() error
 	// Metrics returns the owning machine's metrics registry.
 	Metrics() *metrics.Registry
-	// Split returns the hybrid's current host/NMP boundary.
-	Split() boundary.Split
-	// Rebalance moves the host/NMP boundary to next at quiescence: a
-	// drained-epoch rebuild that relinks the structure at the new split
-	// and retargets the running combiner daemons. Callers must guarantee
-	// no requests are posted or in flight.
-	Rebalance(next boundary.Split) error
 }
 
 // Engine is one registered structure: everything a consumer needs to
@@ -104,8 +97,7 @@ type Engine struct {
 	// SimRecords returns the engine's simulated load-set size under p.
 	SimRecords func(p SimParams) int
 	// SimSplit returns the engine's host/NMP boundary under p — the same
-	// split NewSimHybrid starts from, for consumers that plan boundary
-	// moves.
+	// split NewSimHybrid builds at.
 	SimSplit func(p SimParams) boundary.Split
 }
 
