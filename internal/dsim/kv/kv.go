@@ -43,10 +43,19 @@ type Pair struct {
 	Key, Value uint32
 }
 
-// SortedUnique returns pairs sorted ascending by key in a fresh slice,
-// keeping the first of any run of pairs that share a key: the form every
-// bulk build starts from.
+// SortedUnique returns pairs sorted ascending by key, keeping the first of
+// any run of pairs that share a key: the form every bulk build starts
+// from. Input that is already strictly ascending is returned as is, after
+// one pass over it; anything else is sorted into a fresh slice. pairs is
+// never modified, and callers must not write to the result.
 func SortedUnique(pairs []Pair) []Pair {
+	i := 1
+	for i < len(pairs) && pairs[i-1].Key < pairs[i].Key {
+		i++
+	}
+	if i >= len(pairs) {
+		return pairs
+	}
 	sorted := append([]Pair(nil), pairs...)
 	radix.SortFunc(sorted, func(p Pair) uint32 { return p.Key })
 	uniq := sorted[:0]

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -14,6 +15,34 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(99).String() != "unknown" {
 		t.Error("unknown kind string wrong")
+	}
+}
+
+// TestSortedUnique: strictly ascending input comes back as the same slice;
+// anything else (out of order, or a repeated key) comes back sorted and
+// deduplicated, first pair of a run kept, in a fresh slice that leaves the
+// input as it was.
+func TestSortedUnique(t *testing.T) {
+	asc := []Pair{{1, 10}, {2, 20}, {5, 50}}
+	if got := SortedUnique(asc); &got[0] != &asc[0] || !slices.Equal(got, asc) {
+		t.Errorf("ascending input: got %v at a new address, want the input itself", got)
+	}
+	if got := SortedUnique(nil); len(got) != 0 {
+		t.Errorf("nil input: got %v", got)
+	}
+	for _, in := range [][]Pair{
+		{{5, 50}, {1, 10}, {2, 20}},
+		{{1, 10}, {2, 20}, {2, 21}, {5, 50}},
+		{{2, 20}, {5, 50}, {1, 10}, {5, 51}},
+	} {
+		orig := slices.Clone(in)
+		got := SortedUnique(in)
+		if want := asc; !slices.Equal(got, want) {
+			t.Errorf("SortedUnique(%v) = %v, want %v", orig, got, want)
+		}
+		if !slices.Equal(in, orig) || &got[0] == &in[0] {
+			t.Errorf("SortedUnique(%v) wrote to or returned its input (now %v)", orig, in)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -170,6 +172,107 @@ func TestFailingCellNamesItself(t *testing.T) {
 		}
 	}()
 	runGrid(sc, nil, "figX", []*variant{good, faulty},
-		[]workload{onePoint(sc, "C-100", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))})
+		[]workload{loadSets{}.onePoint(sc, "C-100", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))})
 	t.Fatal("the grid returned")
+}
+
+// TestFailingBuildSurfaces: a bulk build that panics reaches runCells'
+// caller at any worker count, naming the building cell, and a group member
+// that was to restore the failed build's image says so instead of
+// dereferencing a nil image.
+func TestFailingBuildSurfaces(t *testing.T) {
+	sc := QuickScale()
+	sc.ThreadCounts = []int{1, 2, 4}
+	good := skiplistLockFree(sc)
+	boom := &variant{name: "boom", open: func(m *machine.Machine) instance {
+		in := good.open(m)
+		in.build = func([]ycsb.Pair) { panic("build bug") }
+		return in
+	}}
+	ws := threadSweep(sc, ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed), sc.ThreadCounts)
+	for _, parallel := range []int{1, 3} {
+		sc.Parallel = parallel
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `cell "figX boom threads=`) || !strings.Contains(msg, "build bug") {
+					t.Errorf("parallel %d: panic does not name the failed build:\n%s", parallel, msg)
+				}
+			}()
+			runGrid(sc, nil, "figX", []*variant{boom}, ws)
+			t.Errorf("parallel %d: the grid returned", parallel)
+		}()
+	}
+
+	g := new(imageGroup)
+	g.left.Store(2)
+	cell := func(name string) (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		runCell(cellJob{sc: sc, v: boom, load: ws[0].load, streams: ws[0].streams, progress: name}, nil, g)
+		return ""
+	}
+	if msg := cell("builder"); !strings.Contains(msg, "build bug") {
+		t.Errorf("building cell's panic: %s", msg)
+	}
+	if msg := cell("sibling"); !strings.Contains(msg, `cell "sibling"`) ||
+		!strings.Contains(msg, `image group build failed in cell "builder": build bug`) {
+		t.Errorf("sibling's panic: %s", msg)
+	}
+}
+
+// TestBTreeSensitivityMemoKeysOnScale: the fig8/fig9 memo serves a repeat
+// of the same scale without building, and a scale that differs in any
+// field a cell sees (seed, attribution) is measured afresh.
+func TestBTreeSensitivityMemoKeysOnScale(t *testing.T) {
+	clear(btreeSensitivityMemo)
+	defer clear(btreeSensitivityMemo)
+	sc := QuickScale()
+	seed42 := runFig8(sc, nil).Cells
+	builds.Store(0)
+	runFig9(sc, nil)
+	if n := builds.Load(); n != 0 {
+		t.Errorf("fig9 after fig8 at one scale built %d times, want the memo", n)
+	}
+	sc.Seed = 43
+	if reflect.DeepEqual(runFig8(sc, nil).Cells, seed42) {
+		t.Error("fig8 at seed 43 returned the seed-42 cells")
+	}
+	sc.Attr = true
+	for i, c := range runFig8(sc, nil).Cells {
+		if c.Attr == nil {
+			t.Fatalf("fig8 with Attr: cell %d (%s) has no attribution", i, c.Label)
+		}
+	}
+}
+
+// TestLoadSetsShareOnlyEqualLoads: loadSets hands every mix of a sensitivity
+// grid and every skew one slice, on the grounds that a ycsb load depends only
+// on Records, KeyMax and Seed. Check that a generator of each such config
+// really loads exactly that slice, and that another seed gets its own.
+func TestLoadSetsShareOnlyEqualLoads(t *testing.T) {
+	sc := QuickScale()
+	var cfgs []ycsb.Config
+	for _, mx := range btreeSensitivityMixes() {
+		cfgs = append(cfgs, btreeMixConfig(sc, mx))
+	}
+	for _, theta := range []float64{0.5, 0.99} {
+		cfg := ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed)
+		cfg.ZipfTheta = theta
+		cfgs = append(cfgs, cfg)
+	}
+	loads := loadSets{}
+	for _, cfg := range cfgs {
+		got := loads.onePoint(sc, "", cfg).load
+		if want := kv.SortedUnique(ycsb.New(cfg).Load()); !slices.Equal(got, want) {
+			t.Fatalf("config %+v: the shared load set is not the one its generator loads", cfg)
+		}
+	}
+	if len(loads) != 1 {
+		t.Fatalf("%d load sets for %d configs of one Records/KeyMax/Seed", len(loads), len(cfgs))
+	}
+	cfg := cfgs[0]
+	cfg.Seed++
+	if got := loads.onePoint(sc, "", cfg).load; len(loads) != 2 || slices.Equal(got, loads[ycsb.Config{Records: cfg.Records, KeyMax: cfg.KeyMax, Seed: sc.Seed}]) {
+		t.Fatal("another seed shared the first seed's load set")
+	}
 }

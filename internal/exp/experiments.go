@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/kv"
@@ -102,11 +101,11 @@ type workload struct {
 }
 
 // threadSweep is cfg's workload at each thread count, over one shared load
-// set — which is what makes a variant's cells across the sweep one image
-// group (see runCells).
+// set. Load sets are handed out sorted (kv.SortedUnique), so the sort runs
+// once per load set and every bulk build from it only checks the order.
 func threadSweep(sc Scale, cfg ycsb.Config, threadCounts []int) []workload {
 	gen := ycsb.New(cfg)
-	load := gen.Load()
+	load := kv.SortedUnique(gen.Load())
 	var ws []workload
 	for _, th := range threadCounts {
 		ws = append(ws, workload{load: load, streams: gen.Streams(th, sc.WarmupPerThread+sc.OpsPerThread)})
@@ -114,11 +113,24 @@ func threadSweep(sc Scale, cfg ycsb.Config, threadCounts []int) []workload {
 	return ws
 }
 
-// onePoint is cfg's workload at the scale's single-point thread count,
-// over its own load set.
-func onePoint(sc Scale, label string, cfg ycsb.Config) workload {
+// loadSets generates and sorts each distinct load set of a grid once. A
+// ycsb load depends only on Records, KeyMax and Seed, so every mix of a
+// sensitivity grid and every skew of ablate-skew preloads one slice.
+type loadSets map[ycsb.Config][]ycsb.Pair
+
+// onePoint is cfg's workload at the scale's single-point thread count.
+func (ls loadSets) onePoint(sc Scale, label string, cfg ycsb.Config) workload {
 	gen := ycsb.New(cfg)
-	return workload{label: label, load: gen.Load(), streams: gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)}
+	k := ycsb.Config{Records: cfg.Records, KeyMax: cfg.KeyMax, Seed: cfg.Seed}
+	if ls[k] == nil {
+		ls[k] = kv.SortedUnique(gen.Load())
+	}
+	return workload{label: label, load: ls[k], streams: gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)}
+}
+
+// job is v measured on w at scale sc.
+func (w workload) job(sc Scale, v *variant, progress, label string) cellJob {
+	return cellJob{sc: sc, v: v, load: w.load, streams: w.streams, progress: progress, label: label}
 }
 
 // runGrid measures every variant on every workload. Cells are declared
@@ -132,10 +144,7 @@ func runGrid(sc Scale, progress io.Writer, tag string, variants []*variant, ws [
 			at += " " + w.label
 		}
 		for _, v := range variants {
-			jobs = append(jobs, cellJob{
-				sc: sc, v: v, load: w.load, streams: w.streams, label: w.label,
-				progress: fmt.Sprintf("%s %s threads=%d", at, v.name, len(w.streams)),
-			})
+			jobs = append(jobs, w.job(sc, v, fmt.Sprintf("%s %s threads=%d", at, v.name, len(w.streams)), w.label))
 		}
 	}
 	grid := map[string][]Cell{}
@@ -248,7 +257,7 @@ func runTable2(sc Scale, progress io.Writer) Result {
 	// Single-threaded blocking hybrid B+ tree, read-only: isolates the
 	// offload path exactly as the paper measures it (same initial tree,
 	// same host levels, one offload at a time).
-	cell := runGrid(sc, progress, "table2", []*variant{btreeHybrid(sc, 1, false)},
+	cell := runGrid(sc, progress, "table2", []*variant{engineHybrid("btree", sc, 1, false)},
 		threadSweep(sc, ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed), []int{1}))["hybrid-blocking"][0]
 
 	mc := sc.Machine.Mem
@@ -260,9 +269,9 @@ func runTable2(sc Scale, progress io.Writer) Result {
 	d := cell.Delays
 	rows := [][]string{
 		{"operation request write (host->scratchpad burst)", fmt.Sprint(reqWrite)},
-		{"post -> combiner pickup (doorbell + scan)", fmt.Sprint(d.PostToScan / max64(d.Count, 1))},
-		{"NMP-side service (traversal + execution)", fmt.Sprint(d.Service / max64(d.Count, 1))},
-		{"completion -> host observes (poll)", fmt.Sprint(d.CompleteToObserve / max64(d.ObserveCount, 1))},
+		{"post -> combiner pickup (doorbell + scan)", fmt.Sprint(d.PostToScan / max(d.Count, 1))},
+		{"NMP-side service (traversal + execution)", fmt.Sprint(d.Service / max(d.Count, 1))},
+		{"completion -> host observes (poll)", fmt.Sprint(d.CompleteToObserve / max(d.ObserveCount, 1))},
 		{"response read (host<-scratchpad burst)", fmt.Sprint(respRead)},
 		{"reference: one LLC-miss DRAM access", fmt.Sprint(llcMiss)},
 	}
@@ -274,17 +283,10 @@ func runTable2(sc Scale, progress io.Writer) Result {
 		Notes: []string{
 			"paper: communication delays to and from the NMP core sum to ~1-2 LLC miss delays",
 			fmt.Sprintf("measured: request+observe+response = %d cycles vs LLC miss %d cycles (%.2fx)",
-				reqWrite+d.CompleteToObserve/max64(d.ObserveCount, 1)+respRead, llcMiss,
-				float64(reqWrite+d.CompleteToObserve/max64(d.ObserveCount, 1)+respRead)/float64(llcMiss)),
+				reqWrite+d.CompleteToObserve/max(d.ObserveCount, 1)+respRead, llcMiss,
+				float64(reqWrite+d.CompleteToObserve/max(d.ObserveCount, 1)+respRead)/float64(llcMiss)),
 		},
 	}
-}
-
-func max64(v, floor uint64) uint64 {
-	if v < floor {
-		return floor
-	}
-	return v
 }
 
 // --- Figures 7-9: sensitivity analysis -----------------------------------
@@ -304,24 +306,33 @@ func sensitivityMixes() []mix {
 	}
 }
 
+// mixRows appends a sensitivity grid's rows and cells, mix-major: each
+// row is the mix, the variant and what row makes of the cell.
+func (res *Result) mixRows(grid map[string][]Cell, mixes []mix, variants []*variant, row func(Cell) []string) {
+	for i, mx := range mixes {
+		for _, v := range variants {
+			c := grid[v.name][i]
+			res.Rows = append(res.Rows, append([]string{mx.label, v.name}, row(c)...))
+			res.Cells = append(res.Cells, c)
+		}
+	}
+}
+
 func runFig7(sc Scale, progress io.Writer) Result {
 	res := Result{
 		ID: "fig7", Title: "Figure 7 (skiplist sensitivity, 8 threads, normalized to lock-free 100-0-0, scale " + sc.Name + ")",
 		Header: []string{"workload", "implementation", "Mops/s", "normalized"},
 	}
 	var ws []workload
+	loads := loadSets{}
 	for _, mx := range sensitivityMixes() {
-		ws = append(ws, onePoint(sc, mx.label, ycsb.Mix(sc.SkiplistRecords, sc.KeyMax, mx.read, mx.insert, mx.remove, sc.Seed)))
+		ws = append(ws, loads.onePoint(sc, mx.label, ycsb.Mix(sc.SkiplistRecords, sc.KeyMax, mx.read, mx.insert, mx.remove, sc.Seed)))
 	}
 	grid := runGrid(sc, progress, "fig7", skiplistVariants(sc), ws)
 	base := grid["lock-free"][0].MOpsPerSec // 100-0-0 is the first mix
-	for i, mx := range sensitivityMixes() {
-		for _, v := range skiplistVariants(sc) {
-			c := grid[v.name][i]
-			res.Rows = append(res.Rows, []string{mx.label, v.name, f2(c.MOpsPerSec), f2(c.MOpsPerSec / base)})
-			res.Cells = append(res.Cells, c)
-		}
-	}
+	res.mixRows(grid, sensitivityMixes(), skiplistVariants(sc), func(c Cell) []string {
+		return []string{f2(c.MOpsPerSec), f2(c.MOpsPerSec / base)}
+	})
 	res.Notes = append(res.Notes,
 		"paper: at 50-25-25, hybrid-blocking = 1.61x and hybrid-nonblocking4 = 3.12x lock-free;",
 		"hybrids retain 90-93% of their read-only throughput vs lock-free's 80%")
@@ -344,18 +355,22 @@ func btreeSensitivityMixes() []mix {
 		mix{label: "50-25-25-uniform", read: 50, insert: 25, remove: 25, fullyUniform: true})
 }
 
-// btreeSensitivityMemo caches the shared fig8/fig9 grid per scale so that
-// "-exp all" measures it once.
+// btreeSensitivityMemo caches the shared fig8/fig9 grid so that "-exp all"
+// measures it once. It is keyed on the whole Scale but Trace, which only
+// claims a cell to capture.
 var btreeSensitivityMemo = map[string]map[string][]Cell{}
 
 func runBTreeSensitivity(sc Scale, progress io.Writer) map[string][]Cell {
-	memoKey := fmt.Sprintf("%s/%d/%d", sc.Name, sc.OpsPerThread, sc.BTreeRecords)
+	untraced := sc
+	untraced.Trace = nil
+	memoKey := fmt.Sprintf("%+v", untraced)
 	if grid, ok := btreeSensitivityMemo[memoKey]; ok {
 		return grid
 	}
 	var ws []workload
+	loads := loadSets{}
 	for _, mx := range btreeSensitivityMixes() {
-		ws = append(ws, onePoint(sc, mx.label, btreeMixConfig(sc, mx)))
+		ws = append(ws, loads.onePoint(sc, mx.label, btreeMixConfig(sc, mx)))
 	}
 	grid := runGrid(sc, progress, "fig8/9", btreeVariants(sc), ws)
 	btreeSensitivityMemo[memoKey] = grid
@@ -369,13 +384,9 @@ func runFig8(sc Scale, progress io.Writer) Result {
 		Header: []string{"workload", "implementation", "Mops/s", "normalized"},
 	}
 	base := grid["host-only"][0].MOpsPerSec // 100-0-0 is the first mix
-	for i, mx := range btreeSensitivityMixes() {
-		for _, v := range btreeVariants(sc) {
-			c := grid[v.name][i]
-			res.Rows = append(res.Rows, []string{mx.label, v.name, f2(c.MOpsPerSec), f2(c.MOpsPerSec / base)})
-			res.Cells = append(res.Cells, c)
-		}
-	}
+	res.mixRows(grid, btreeSensitivityMixes(), btreeVariants(sc), func(c Cell) []string {
+		return []string{f2(c.MOpsPerSec), f2(c.MOpsPerSec / base)}
+	})
 	res.Notes = append(res.Notes,
 		"paper: hybrid-blocking stays within ~93.5-100% of host-only across mixes;",
 		"hybrid-nonblocking4 is ~1.46-1.60x host-only on every mix")
@@ -388,13 +399,7 @@ func runFig9(sc Scale, progress io.Writer) Result {
 		ID: "fig9", Title: "Figure 9 (B+ tree DRAM reads/op across mixes, 8 threads, scale " + sc.Name + ")",
 		Header: []string{"workload", "implementation", "DRAM reads/op"},
 	}
-	for i, mx := range btreeSensitivityMixes() {
-		for _, v := range btreeVariants(sc) {
-			c := grid[v.name][i]
-			res.Rows = append(res.Rows, []string{mx.label, v.name, f2(c.ReadsPerOp)})
-			res.Cells = append(res.Cells, c)
-		}
-	}
+	res.mixRows(grid, btreeSensitivityMixes(), btreeVariants(sc), func(c Cell) []string { return []string{f2(c.ReadsPerOp)} })
 	res.Notes = append(res.Notes,
 		"paper: host-only's reads/op DROP as targeted insert ratio grows (split-path locality)",
 		"and rise again under 50-25-25-uniform; hybrid stays ~flat near the NMP level count")
@@ -408,29 +413,24 @@ func runAblateWindow(sc Scale, progress io.Writer) Result {
 		ID: "ablate-window", Title: "Ablation: in-flight window depth (YCSB-C, 8 threads, scale " + sc.Name + ")",
 		Header: []string{"structure", "window", "Mops/s"},
 	}
-	sk := onePoint(sc, "skiplist", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
-	bt := onePoint(sc, "btree", ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed))
+	sk := loadSets{}.onePoint(sc, "skiplist", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
+	bt := loadSets{}.onePoint(sc, "btree", ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed))
 	windows := []int{1, 2, 4}
 	var jobs []cellJob
 	for _, w := range windows {
 		jobs = append(jobs,
-			cellJob{
-				sc: sc, v: skiplistHybrid(sc, w, true), load: sk.load, streams: sk.streams,
-				progress: fmt.Sprintf("window=%d skiplist", w), label: sk.label,
-			},
-			cellJob{
-				sc: sc, v: btreeHybrid(sc, w, true), load: bt.load, streams: bt.streams,
-				progress: fmt.Sprintf("window=%d btree", w), label: bt.label,
-			})
+			sk.job(sc, engineHybrid("skiplist", sc, w, true), fmt.Sprintf("window=%d skiplist", w), sk.label),
+			bt.job(sc, engineHybrid("btree", sc, w, true), fmt.Sprintf("window=%d btree", w), bt.label))
 	}
 	cells := runCells(sc, progress, jobs)
-	for i, w := range windows {
-		res.Rows = append(res.Rows, []string{"hybrid skiplist", fmt.Sprint(w), f2(cells[2*i].MOpsPerSec)})
-		res.Rows = append(res.Rows, []string{"hybrid B+ tree", fmt.Sprint(w), f2(cells[2*i+1].MOpsPerSec)})
+	structures := []string{"hybrid skiplist", "hybrid B+ tree"} // cells alternate them; rows list the B+ tree first
+	for _, st := range []int{1, 0} {
+		for i, w := range windows {
+			res.Rows = append(res.Rows, []string{structures[st], fmt.Sprint(w), f2(cells[2*i+st].MOpsPerSec)})
+		}
 	}
 	res.Cells = append(res.Cells, cells...)
 	res.Notes = append(res.Notes, "deeper windows hide offload latency until NMP cores or the host issue path saturate (§3.5)")
-	sortRows(res.Rows)
 	return res
 }
 
@@ -450,15 +450,13 @@ func runAblateSkew(sc Scale, progress io.Writer) Result {
 		{"zipf-0.99", ycsb.Zipfian, 0.99},
 	}
 	var ws []workload
+	loads := loadSets{}
 	for _, d := range dists {
 		cfg := ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed)
-		cfg.Dist = d.dist
-		if d.theta != 0 {
-			cfg.ZipfTheta = d.theta
-		}
-		ws = append(ws, onePoint(sc, d.label, cfg))
+		cfg.Dist, cfg.ZipfTheta = d.dist, d.theta // 0: ycsb's default theta, which uniform ignores
+		ws = append(ws, loads.onePoint(sc, d.label, cfg))
 	}
-	grid := runGrid(sc, progress, "skew", []*variant{skiplistLockFree(sc), skiplistHybrid(sc, 1, false)}, ws)
+	grid := runGrid(sc, progress, "skew", []*variant{skiplistLockFree(sc), engineHybrid("skiplist", sc, 1, false)}, ws)
 	for i, d := range dists {
 		lf, hy := grid["lock-free"][i], grid["hybrid-blocking"][i]
 		res.Rows = append(res.Rows, []string{
@@ -478,11 +476,9 @@ func runAblateSplit(sc Scale, progress io.Writer) Result {
 		ID: "ablate-split", Title: "Ablation: skiplist NMP level count (YCSB-C, 8 threads, blocking, scale " + sc.Name + ")",
 		Header: []string{"NMP levels", "host levels", "Mops/s", "DRAM reads/op"},
 	}
-	w := onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
-	var (
-		jobs   []cellJob
-		levels []int
-	)
+	w := loadSets{}.onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
+	var jobs []cellJob
+	var levels []int
 	for _, nl := range []int{sc.SkiplistNMPLevels - 2, sc.SkiplistNMPLevels, sc.SkiplistNMPLevels + 2, sc.SkiplistNMPLevels + 4} {
 		if nl <= 0 || nl >= sc.SkiplistLevels {
 			continue
@@ -490,10 +486,7 @@ func runAblateSplit(sc Scale, progress io.Writer) Result {
 		scv := sc
 		scv.SkiplistNMPLevels = nl
 		levels = append(levels, nl)
-		jobs = append(jobs, cellJob{
-			sc: scv, v: skiplistHybrid(scv, 1, false), load: w.load, streams: w.streams,
-			progress: fmt.Sprintf("split nmp=%d", nl), label: fmt.Sprintf("nmp-levels=%d", nl),
-		})
+		jobs = append(jobs, w.job(scv, engineHybrid("skiplist", scv, 1, false), fmt.Sprintf("split nmp=%d", nl), fmt.Sprintf("nmp-levels=%d", nl)))
 	}
 	cells := runCells(sc, progress, jobs)
 	for i, nl := range levels {
@@ -527,7 +520,7 @@ type boundaryRound struct {
 // policy's EWMAs carry across them). The loop stops after two
 // consecutive holds (converged) or maxRounds.
 func adaptSkiplistBoundary(sc Scale, progress io.Writer, maxRounds int) ([]boundaryRound, boundary.Split, *boundary.Adaptive) {
-	w := onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
+	w := loadSets{}.onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
 	pol := boundary.NewAdaptive()
 	cur := store.MustEngine("skiplist").SimSplit(simParams(sc, 1))
 	var rounds []boundaryRound
@@ -537,23 +530,18 @@ func adaptSkiplistBoundary(sc Scale, progress io.Writer, maxRounds int) ([]bound
 		scv.SkiplistNMPLevels = cur.NMP
 		scv.Attr = true
 		progressf(progress, "  boundary round %d: nmp=%d host=%d\n", round, cur.NMP, cur.Host())
-		cell := runCell(cellJob{
-			sc: scv, v: skiplistHybrid(scv, 1, false), load: w.load, streams: w.streams,
-			progress: fmt.Sprintf("boundary round %d nmp=%d", round, cur.NMP),
-		}, nil, nil)
+		cell := runCell(w.job(scv, engineHybrid("skiplist", scv, 1, false), fmt.Sprintf("boundary round %d nmp=%d", round, cur.NMP), ""), nil, nil)
 		cell.Label = fmt.Sprintf("round=%d,nmp-levels=%d", round, cur.NMP)
 
 		s := boundary.Sample{Engine: "skiplist", Ops: uint64(cell.Ops)}
-		var dramShare, waitShare float64
 		if a := cell.Attr; a != nil && a.Total > 0 {
 			tot := float64(a.Total)
 			s.HostCache = float64(a.HostCache) / tot
 			s.DRAM = float64(a.DRAM) / tot
 			s.OffloadWait = float64(a.OffloadWait) / tot
 			s.NMPSerial = float64(a.NMPSerial) / tot
-			dramShare = s.DRAM
-			waitShare = s.OffloadWait + s.NMPSerial
 		}
+		dramShare, waitShare := s.DRAM, s.OffloadWait+s.NMPSerial
 		if cell.Delays.Count > 0 {
 			s.RTT = float64(cell.Delays.PostToScan+cell.Delays.Service) / float64(cell.Delays.Count)
 		}
@@ -608,7 +596,7 @@ func runAblateMMIO(sc Scale, progress io.Writer) Result {
 		ID: "ablate-mmio", Title: "Ablation: offload latency sensitivity (skiplist YCSB-C, 8 threads, scale " + sc.Name + ")",
 		Header: []string{"MMIO scale", "hybrid-blocking Mops/s", "hybrid-nonblocking Mops/s"},
 	}
-	w := onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
+	w := loadSets{}.onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
 	factors := []float64{0.5, 1, 2, 4}
 	var jobs []cellJob
 	for _, f := range factors {
@@ -617,14 +605,8 @@ func runAblateMMIO(sc Scale, progress io.Writer) Result {
 		scv.Machine.Mem.MMIOReadLatency = uint64(float64(sc.Machine.Mem.MMIOReadLatency) * f)
 		label := fmt.Sprintf("mmio=%.1fx", f)
 		jobs = append(jobs,
-			cellJob{
-				sc: scv, v: skiplistHybrid(scv, 1, false), load: w.load, streams: w.streams,
-				progress: fmt.Sprintf("mmio x%.1f blocking", f), label: label,
-			},
-			cellJob{
-				sc: scv, v: skiplistHybrid(scv, scv.Window, true), load: w.load, streams: w.streams,
-				progress: fmt.Sprintf("mmio x%.1f non-blocking", f), label: label,
-			})
+			w.job(scv, engineHybrid("skiplist", scv, 1, false), fmt.Sprintf("mmio x%.1f blocking", f), label),
+			w.job(scv, engineHybrid("skiplist", scv, scv.Window, true), fmt.Sprintf("mmio x%.1f non-blocking", f), label))
 	}
 	cells := runCells(sc, progress, jobs)
 	for i, f := range factors {
@@ -643,14 +625,12 @@ func runAblatePartitions(sc Scale, progress io.Writer) Result {
 	}
 	partCounts := []int{1, 2, 4, 8}
 	var jobs []cellJob
+	loads := loadSets{}
 	for _, parts := range partCounts {
 		scv := sc
 		scv.Machine.Mem.NMPVaults = parts
-		w := onePoint(scv, fmt.Sprintf("partitions=%d", parts), ycsb.YCSBC(scv.SkiplistRecords, scv.KeyMax, scv.Seed))
-		jobs = append(jobs, cellJob{
-			sc: scv, v: skiplistHybrid(scv, scv.Window, true), load: w.load, streams: w.streams,
-			progress: w.label, label: w.label,
-		})
+		w := loads.onePoint(scv, fmt.Sprintf("partitions=%d", parts), ycsb.YCSBC(scv.SkiplistRecords, scv.KeyMax, scv.Seed))
+		jobs = append(jobs, w.job(scv, engineHybrid("skiplist", scv, scv.Window, true), w.label, w.label))
 	}
 	cells := runCells(sc, progress, jobs)
 	for i, parts := range partCounts {
@@ -668,10 +648,7 @@ func runAblatePartitions(sc Scale, progress io.Writer) Result {
 // Unlike the figure-specific variant lists above, nothing here names a
 // concrete structure — any registered engine grids identically.
 func engineVariants(e store.Engine, sc Scale) []*variant {
-	return []*variant{
-		engineHybrid(e, sc, 1, false),
-		engineHybrid(e, sc, sc.Window, true),
-	}
+	return []*variant{engineHybrid(e.Name, sc, 1, false), engineHybrid(e.Name, sc, sc.Window, true)}
 }
 
 // runEngineGrid measures one registered engine's hybrid across the thread
@@ -694,13 +671,4 @@ func runEngineGrid(e store.Engine, sc Scale, progress io.Writer) Result {
 
 func runEngineBSkiplist(sc Scale, progress io.Writer) Result {
 	return runEngineGrid(store.MustEngine("bskiplist"), sc, progress)
-}
-
-func sortRows(rows [][]string) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i][0] != rows[j][0] {
-			return rows[i][0] < rows[j][0]
-		}
-		return rows[i][1] < rows[j][1]
-	})
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hybrids/internal/sim/trace"
@@ -45,12 +46,7 @@ func renderTable(b *strings.Builder, header []string, rows [][]string) {
 // cycles per operation in each attribution bucket plus the total. Rows is
 // empty when no cell carries attribution.
 func (r Result) attrTable() (header []string, rows [][]string) {
-	hasLabel := false
-	for _, c := range r.Cells {
-		if c.Attr != nil && c.Label != "" {
-			hasLabel = true
-		}
-	}
+	hasLabel := slices.ContainsFunc(r.Cells, func(c Cell) bool { return c.Attr != nil && c.Label != "" })
 	header = []string{"variant"}
 	if hasLabel {
 		header = append(header, "label")

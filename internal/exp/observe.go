@@ -3,6 +3,7 @@ package exp
 import (
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"hybrids/internal/metrics"
 	"hybrids/internal/sim/trace"
@@ -26,25 +27,14 @@ type TraceSpec struct {
 	// older events fall off first.
 	Events int
 
-	mu   sync.Mutex
-	used bool
+	used atomic.Bool
+	mu   sync.Mutex // guards err
 	err  error
 }
 
 // claim reserves the capture for the calling grid; it returns true exactly
 // once per spec (nil-safe).
-func (t *TraceSpec) claim() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.used {
-		return false
-	}
-	t.used = true
-	return true
-}
+func (t *TraceSpec) claim() bool { return t != nil && t.used.CompareAndSwap(false, true) }
 
 func (t *TraceSpec) events() int {
 	if t.Events > 0 {

@@ -15,11 +15,10 @@ import (
 // and the full per-cell metric dump alike. fig5a and fig6a cover the
 // thread-sweep shape at three thread counts, where four workers share
 // three-cell image groups (one builds and keeps running while two restore);
-// ablate-window covers a per-cell-axis grid with labels and groups of one.
-// (fig8 and fig9 are deliberately excluded: their shared memo would make
-// the two runs trivially identical.) CI runs this under -race.
+// ablate-window covers a per-cell-axis grid with labels whose groups span
+// windows; fig8 covers groups that span mixes. CI runs this under -race.
 func TestParallelMatchesSerialQuickScale(t *testing.T) {
-	for _, id := range []string{"fig5a", "fig6a", "ablate-window"} {
+	for _, id := range []string{"fig5a", "fig6a", "ablate-window", "fig8"} {
 		e, ok := Find(id)
 		if !ok {
 			t.Fatalf("unknown experiment %q", id)
@@ -60,8 +59,8 @@ func TestRunCellsOrderAndLabels(t *testing.T) {
 	streams := gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
 	jobs := []cellJob{
 		{sc: sc, v: skiplistLockFree(sc), load: load, streams: streams, progress: "a", label: "first"},
-		{sc: sc, v: skiplistHybrid(sc, 1, false), load: load, streams: streams, progress: "b", label: "second"},
-		{sc: sc, v: skiplistHybrid(sc, sc.Window, true), load: load, streams: streams, progress: "c", label: "third"},
+		{sc: sc, v: engineHybrid("skiplist", sc, 1, false), load: load, streams: streams, progress: "b", label: "second"},
+		{sc: sc, v: engineHybrid("skiplist", sc, sc.Window, true), load: load, streams: streams, progress: "c", label: "third"},
 	}
 
 	sc.Parallel = 1
@@ -78,6 +77,33 @@ func TestRunCellsOrderAndLabels(t *testing.T) {
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i], conc[i]) {
 			t.Errorf("cell %d differs between serial and parallel runs", i)
+		}
+	}
+}
+
+// TestBuildsPerExperiment pins how many bulk builds each registered
+// experiment takes at quick scale: one per distinct (build key, load set,
+// machine). A key made too fine, or an open that starts depending on the
+// window, fails here instead of only costing time. boundary-adapt is left
+// out: it builds once per policy round, and the round count is the policy's.
+func TestBuildsPerExperiment(t *testing.T) {
+	want := map[string]int64{
+		"table1": 0, "fig5a": 3, "fig5b": 3, "fig6a": 2, "fig6b": 2, "table2": 1,
+		"fig7": 3, "fig8": 2, "fig9": 2, "ablate-window": 2, "ablate-skew": 2,
+		"ablate-split": 4, "ablate-mmio": 4, "ablate-partitions": 4, "engine-bskiplist": 1,
+	}
+	clear(btreeSensitivityMemo)
+	defer clear(btreeSensitivityMemo)
+	for _, e := range Registry() {
+		w, ok := want[e.ID]
+		if !ok {
+			continue
+		}
+		clear(btreeSensitivityMemo)
+		builds.Store(0)
+		e.Run(QuickScale(), nil)
+		if got := builds.Load(); got != w {
+			t.Errorf("%s: %d bulk builds, want %d", e.ID, got, w)
 		}
 	}
 }

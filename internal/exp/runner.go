@@ -69,15 +69,28 @@ func (r Runner) RunThread(c *machine.Ctx, thread int, ops []kv.Op) {
 }
 
 // variant names one evaluated implementation and how to put it on a fresh
-// machine. Grids compare variants by pointer: cells naming the same
-// *variant (and load set) form one image group, see runCells.
+// machine.
 type variant struct {
 	name string
+	// build is everything open and build read besides the machine and the
+	// load set. Cells whose variants declare one build key, over equal load
+	// sets on one machine configuration, leave byte-identical built
+	// machines and form one image group (see runCells). The zero key (a
+	// test's ad hoc variant) groups by *variant instead.
+	build buildKey
 	// open constructs the variant's empty structure on m. It must be cheap
 	// and deterministic: the same allocations and stores on every fresh
 	// machine, because a cell that restores another cell's built image
 	// still runs open for the Go-side handles (heads, slots) it yields.
 	open func(m *machine.Machine) instance
+}
+
+// buildKey names a built structure and the sizing and seed its open and
+// build read. Fields they do not read stay zero, so they cannot split a
+// group; the non-blocking window is never one of them.
+type buildKey struct {
+	structure string
+	store.SimParams
 }
 
 // instance is one variant constructed on one machine.
@@ -150,19 +163,16 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 		m.EnableAttribution()
 	}
 	r := v.open(m)
-	g.load(m, func() { r.build(load) })
+	g.load(m, j.progress, func() { r.build(load) })
 	if r.start != nil {
 		r.start()
 	}
 	reg := r.Store.Metrics()
 
-	arrived := 0
-	finished := 0
-	var startCycle uint64
+	var arrived, finished int
+	var startCycle, endCycle uint64
 	var start, end metrics.Snapshot
-	endCycle := uint64(0)
-	for th := 0; th < threads; th++ {
-		th := th
+	for th := range threads {
 		m.SpawnHost(th, fmt.Sprintf("driver%d", th), func(c *machine.Ctx) {
 			r.RunThread(c, th, streams[th][:sc.WarmupPerThread])
 			arrived++
@@ -179,9 +189,7 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 			c.AttrReset()
 			r.RunThread(c, th, streams[th][sc.WarmupPerThread:])
 			finished++
-			if c.Now() > endCycle {
-				endCycle = c.Now()
-			}
+			endCycle = max(endCycle, c.Now())
 			if finished == threads {
 				end = reg.Snapshot()
 			}
@@ -211,7 +219,8 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 // Skiplist variants evaluated in §5 (Figure 5, Figure 7).
 
 func skiplistLockFree(sc Scale) *variant {
-	return &variant{name: "lock-free", open: func(m *machine.Machine) instance {
+	key := buildKey{"lock-free", store.SimParams{SkiplistLevels: sc.SkiplistLevels, Seed: sc.Seed}}
+	return &variant{name: "lock-free", build: key, open: func(m *machine.Machine) instance {
 		s := skiplist.NewLockFree(m, sc.SkiplistLevels, sc.Seed)
 		return instance{
 			build:  func(load []ycsb.Pair) { s.Build(load, sc.Seed+1) },
@@ -221,7 +230,8 @@ func skiplistLockFree(sc Scale) *variant {
 }
 
 func skiplistNMPBased(sc Scale) *variant {
-	return &variant{name: "NMP-based", open: func(m *machine.Machine) instance {
+	key := buildKey{"NMP-based", store.SimParams{SkiplistLevels: sc.SkiplistLevels, KeyMax: sc.KeyMax, Seed: sc.Seed}}
+	return &variant{name: "NMP-based", build: key, open: func(m *machine.Machine) instance {
 		s := skiplist.NewNMPFC(m, skiplist.NMPFCConfig{
 			Levels: sc.SkiplistLevels, KeyMax: sc.KeyMax,
 			SlotsPerPartition: m.Cfg.Mem.HostCores, Seed: sc.Seed,
@@ -234,15 +244,18 @@ func skiplistNMPBased(sc Scale) *variant {
 	}}
 }
 
-// engineHybrid builds any registered engine's simulated hybrid as a grid
-// variant: the one generic builder every HybriDS hybrid goes through, so
-// experiments never construct a hybrid by concrete type.
-func engineHybrid(e store.Engine, sc Scale, window int, async bool) *variant {
+// engineHybrid builds the named registered engine's simulated hybrid as a
+// grid variant: the one generic builder every HybriDS hybrid goes through,
+// so experiments never construct a hybrid by concrete type. The window
+// sizes only the scratchpad publication lists, which open lays out without
+// writing, so blocking and every non-blocking window share one build.
+func engineHybrid(engine string, sc Scale, window int, async bool) *variant {
+	e := store.MustEngine(engine)
 	name := "hybrid-blocking"
 	if async {
 		name = fmt.Sprintf("hybrid-nonblocking%d", window)
 	}
-	return &variant{name: name, open: func(m *machine.Machine) instance {
+	return &variant{name: name, build: buildKey{engine, simParams(sc, 0)}, open: func(m *machine.Machine) instance {
 		s := e.NewSimHybrid(m, simParams(sc, window))
 		in := instance{build: s.Build, start: s.Start, Runner: Runner{Store: s}}
 		if async {
@@ -252,23 +265,15 @@ func engineHybrid(e store.Engine, sc Scale, window int, async bool) *variant {
 	}}
 }
 
-func skiplistHybrid(sc Scale, window int, async bool) *variant {
-	return engineHybrid(store.MustEngine("skiplist"), sc, window, async)
-}
-
 func skiplistVariants(sc Scale) []*variant {
-	return []*variant{
-		skiplistLockFree(sc),
-		skiplistNMPBased(sc),
-		skiplistHybrid(sc, 1, false),
-		skiplistHybrid(sc, sc.Window, true),
-	}
+	return append([]*variant{skiplistLockFree(sc), skiplistNMPBased(sc)}, engineVariants(store.MustEngine("skiplist"), sc)...)
 }
 
 // B+ tree variants evaluated in §5 (Figure 6, Figure 8).
 
 func btreeHostOnly(sc Scale) *variant {
-	return &variant{name: "host-only", open: func(m *machine.Machine) instance {
+	key := buildKey{"host-only", store.SimParams{BTreeFill: sc.BTreeFill}}
+	return &variant{name: "host-only", build: key, open: func(m *machine.Machine) instance {
 		t := btree.NewHostOnly(m)
 		return instance{
 			build:  func(load []ycsb.Pair) { t.Build(load, sc.BTreeFill) },
@@ -277,14 +282,6 @@ func btreeHostOnly(sc Scale) *variant {
 	}}
 }
 
-func btreeHybrid(sc Scale, window int, async bool) *variant {
-	return engineHybrid(store.MustEngine("btree"), sc, window, async)
-}
-
 func btreeVariants(sc Scale) []*variant {
-	return []*variant{
-		btreeHostOnly(sc),
-		btreeHybrid(sc, 1, false),
-		btreeHybrid(sc, sc.Window, true),
-	}
+	return append([]*variant{btreeHostOnly(sc)}, engineVariants(store.MustEngine("btree"), sc)...)
 }
