@@ -13,6 +13,7 @@ import (
 
 	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/btree"
+	"hybrids/internal/dsim/fc"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/ycsb"
 )
@@ -52,7 +53,7 @@ func main() {
 	fmt.Printf("DRAM reads/op:   %.2f\n", float64(m.Mem.Stats().DRAMReads())/float64(totalOps))
 	fmt.Printf("TLB misses/op:   %.2f\n", float64(m.Mem.Stats().TLBMisses)/float64(totalOps))
 
-	d := t.Delays()
+	d := fc.DelaysFrom(m.Metrics.Snapshot())
 	if d.Count > 0 {
 		fmt.Printf("\noffload delays (Table 2 decomposition, mean cycles over %d offloads):\n", d.Count)
 		fmt.Printf("  post -> combiner pickup:  %d\n", d.PostToScan/d.Count)

@@ -88,7 +88,7 @@ func emittedRegistryKeys(t *testing.T) (names, histSet map[string]bool) {
 	cfg := machine.Default()
 	m := machine.New(cfg)
 	m.EnableAttribution()
-	offload.New(m, offload.Config{Window: 2})
+	offload.New(m, 2)
 	collect(m.Metrics)
 	return names, histSet
 }

@@ -8,7 +8,6 @@ import (
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
-	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
 	"hybrids/internal/sim/machine"
 )
@@ -61,7 +60,7 @@ func NewHybrid(m *machine.Machine, cfg Config) *Hybrid {
 	t := &Hybrid{
 		m:     m,
 		part:  kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
-		rt:    offload.New(m, offload.Config{Window: cfg.Window}),
+		rt:    offload.New(m, cfg.Window),
 		split: cfg.Split,
 		fill:  cfg.Fill,
 	}
@@ -134,26 +133,14 @@ type bsAdapter struct{ t *Hybrid }
 
 func (ad bsAdapter) Begin(c *machine.Ctx, op kv.Op) struct{} { return struct{}{} }
 
-func (ad bsAdapter) Prepare(c *machine.Ctx, op kv.Op, st *struct{}, attempt int, batch bool) (fc.Request, int, hds.PrepareCtl, bool) {
+func (ad bsAdapter) Prepare(c *machine.Ctx, op kv.Op, st *struct{}, attempt int, batch bool) (fc.Request, int, offload.PrepareCtl, bool) {
 	part, begin := ad.t.route(c, op.Key)
-	req := fc.Request{Key: op.Key, Value: op.Value, NMPPtr: begin}
-	switch op.Kind {
-	case kv.Read:
-		req.Op = fc.OpRead
-	case kv.Update:
-		req.Op = fc.OpUpdate
-	case kv.Insert:
-		req.Op = fc.OpInsert
-	case kv.Remove:
-		req.Op = fc.OpRemove
-	default:
-		panic("bskiplist: unknown op kind")
-	}
-	return req, part, hds.PrepareOffload, false
+	req := fc.Request{Op: fc.OpFor(op.Kind), Key: op.Key, Value: op.Value, NMPPtr: begin}
+	return req, part, offload.PrepareOffload, false
 }
 
-func (ad bsAdapter) Finish(c *machine.Ctx, op kv.Op, st *struct{}, resp fc.Response) hds.Verdict[fc.Request] {
-	return hds.Verdict[fc.Request]{Kind: hds.OpDone, OK: resp.Success, Value: uint64(resp.Value)}
+func (ad bsAdapter) Finish(c *machine.Ctx, op kv.Op, st *struct{}, resp fc.Response) offload.Verdict {
+	return offload.Verdict{Kind: offload.OpDone, OK: resp.Success, Value: uint64(resp.Value)}
 }
 
 // Apply implements kv.Store with blocking NMP calls.
@@ -213,9 +200,6 @@ func (t *Hybrid) CheckInvariants() error {
 	}
 	return nil
 }
-
-// Delays aggregates offload delay instrumentation across partitions.
-func (t *Hybrid) Delays() fc.Delays { return t.rt.Delays() }
 
 // Metrics returns the owning machine's unified instrumentation registry.
 func (t *Hybrid) Metrics() *metrics.Registry { return t.m.Metrics }

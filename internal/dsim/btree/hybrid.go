@@ -5,7 +5,6 @@ import (
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
-	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
 	"hybrids/internal/sim/machine"
 )
@@ -46,7 +45,7 @@ func NewHybrid(m *machine.Machine, cfg HybridBTreeConfig) *Hybrid {
 	}
 	t := &Hybrid{
 		m:     m,
-		rt:    offload.New(m, offload.Config{Window: cfg.Window}),
+		rt:    offload.New(m, cfg.Window),
 		split: cfg.Split,
 		fill:  cfg.Fill,
 	}
@@ -110,7 +109,7 @@ type btAdapter struct{ t *Hybrid }
 
 func (ad btAdapter) Begin(c *machine.Ctx, op kv.Op) btState { return btState{} }
 
-func (ad btAdapter) Prepare(c *machine.Ctx, op kv.Op, st *btState, attempt int, batch bool) (fc.Request, int, hds.PrepareCtl, bool) {
+func (ad btAdapter) Prepare(c *machine.Ctx, op kv.Op, st *btState, attempt int, batch bool) (fc.Request, int, offload.PrepareCtl, bool) {
 	t := ad.t
 	if batch {
 		// Non-blocking issue: brief fixed backoff after a failed
@@ -125,26 +124,14 @@ func (ad btAdapter) Prepare(c *machine.Ctx, op kv.Op, st *btState, attempt int, 
 	}
 	p, part, begin, ok := t.route(c, op.Key)
 	if !ok {
-		return fc.Request{}, 0, hds.PrepareRestart, false
+		return fc.Request{}, 0, offload.PrepareRestart, false
 	}
 	st.p, st.part, st.phase = p, part, 0
-	req := fc.Request{Key: op.Key, Value: op.Value, NMPPtr: begin, Aux: p.seqs[t.split.NMP]}
-	switch op.Kind {
-	case kv.Read:
-		req.Op = fc.OpRead
-	case kv.Update:
-		req.Op = fc.OpUpdate
-	case kv.Insert:
-		req.Op = fc.OpInsert
-	case kv.Remove:
-		req.Op = fc.OpRemove
-	default:
-		panic("btree: unknown op kind")
-	}
-	return req, part, hds.PrepareOffload, false
+	req := fc.Request{Op: fc.OpFor(op.Kind), Key: op.Key, Value: op.Value, NMPPtr: begin, Aux: p.seqs[t.split.NMP]}
+	return req, part, offload.PrepareOffload, false
 }
 
-func (ad btAdapter) Finish(c *machine.Ctx, op kv.Op, st *btState, resp fc.Response) hds.Verdict[fc.Request] {
+func (ad btAdapter) Finish(c *machine.Ctx, op kv.Op, st *btState, resp fc.Response) offload.Verdict {
 	t := ad.t
 	switch st.phase {
 	case 1: // RESUME_INSERT completed
@@ -153,12 +140,12 @@ func (ad btAdapter) Finish(c *machine.Ctx, op kv.Op, st *btState, resp fc.Respon
 		}
 		t.host.insertChain(c, &st.p, t.split.NMP, resp.Value, taggedPtr(resp.Ptr, st.part), &st.ls)
 		t.host.unlock(c, st.ls)
-		return hds.Verdict[fc.Request]{Kind: hds.OpDone, OK: true, Gate: hds.GateRelease}
+		return offload.Verdict{Kind: offload.OpDone, OK: true, Gate: offload.GateRelease}
 	case 2: // UNLOCK_PATH acknowledged: restart the whole insert
-		return hds.Verdict[fc.Request]{Kind: hds.OpRetry}
+		return offload.Verdict{Kind: offload.OpRetry}
 	}
 	if resp.Retry {
-		return hds.Verdict[fc.Request]{Kind: hds.OpRetry}
+		return offload.Verdict{Kind: offload.OpRetry}
 	}
 	if op.Kind == kv.Insert && resp.LockPath {
 		// LOCK_PATH: lock the host-side path and resume the insert
@@ -166,17 +153,17 @@ func (ad btAdapter) Finish(c *machine.Ctx, op kv.Op, st *btState, resp fc.Respon
 		ls, _, ok := t.host.lockPath(c, &st.p)
 		if !ok {
 			st.phase = 2
-			return hds.Verdict[fc.Request]{Kind: hds.OpFollowUp, Next: fc.Request{Op: fc.OpUnlockPath}}
+			return offload.Verdict{Kind: offload.OpFollowUp, Next: fc.Request{Op: fc.OpUnlockPath}}
 		}
 		st.ls = ls
 		st.phase = 1
-		return hds.Verdict[fc.Request]{
-			Kind: hds.OpFollowUp,
+		return offload.Verdict{
+			Kind: offload.OpFollowUp,
 			Next: fc.Request{Op: fc.OpResumeInsert},
-			Gate: hds.GateAcquire,
+			Gate: offload.GateAcquire,
 		}
 	}
-	return hds.Verdict[fc.Request]{Kind: hds.OpDone, OK: resp.Success, Value: uint64(resp.Value)}
+	return offload.Verdict{Kind: offload.OpDone, OK: resp.Success, Value: uint64(resp.Value)}
 }
 
 // Apply implements kv.Store with blocking NMP calls.
@@ -198,9 +185,6 @@ func (t *Hybrid) Dump() []KV { return dumpTree(t.m, t.host, t.trees, t.split.NMP
 // CheckInvariants validates host and NMP structural invariants, partition
 // placement, and boundary-pointer tags (untimed).
 func (t *Hybrid) CheckInvariants() error { return checkTree(t.m, t.host, t.trees, t.split.NMP) }
-
-// Delays aggregates offload delay instrumentation across partitions.
-func (t *Hybrid) Delays() fc.Delays { return t.rt.Delays() }
 
 // Metrics returns the owning machine's unified instrumentation registry.
 func (t *Hybrid) Metrics() *metrics.Registry { return t.m.Metrics }

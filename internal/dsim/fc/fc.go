@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hybrids/internal/dsim/kv"
 	"hybrids/internal/metrics"
 	"hybrids/internal/sim/engine"
 	"hybrids/internal/sim/machine"
@@ -55,6 +56,23 @@ func (o OpType) String() string {
 	default:
 		return fmt.Sprintf("op(%d)", uint32(o))
 	}
+}
+
+// OpFor maps a data operation kind to its publication-slot code. The
+// simulated structures serve no Scan, so any other kind panics here, on
+// the calling thread, before anything is posted.
+func OpFor(k kv.Kind) OpType {
+	switch k {
+	case kv.Read:
+		return OpRead
+	case kv.Update:
+		return OpUpdate
+	case kv.Insert:
+		return OpInsert
+	case kv.Remove:
+		return OpRemove
+	}
+	panic(fmt.Sprintf("fc: no publication-slot op for kind %v", k))
 }
 
 // Request is the host-to-NMP half of a publication slot.
@@ -129,15 +147,6 @@ type Delays struct {
 	ObserveCount      uint64
 }
 
-// Add accumulates other into d (for aggregating across partitions).
-func (d *Delays) Add(other Delays) {
-	d.PostToScan += other.PostToScan
-	d.Service += other.Service
-	d.Count += other.Count
-	d.CompleteToObserve += other.CompleteToObserve
-	d.ObserveCount += other.ObserveCount
-}
-
 // Per-partition delay histogram names registered in the machine's metrics
 // registry: offload/p<i>/post_to_scan, offload/p<i>/service and
 // offload/p<i>/observe.
@@ -173,7 +182,6 @@ func DelaysFrom(s metrics.Snapshot) Delays {
 // PubList is one partition's publication list.
 type PubList struct {
 	m     *machine.Machine
-	part  int
 	base  memsys.Addr
 	slots int
 
@@ -216,7 +224,6 @@ func NewPubList(m *machine.Machine, part, slots int) *PubList {
 	}
 	return &PubList{
 		m:           m,
-		part:        part,
 		base:        m.Mem.ScratchAddr(part),
 		slots:       slots,
 		postedAt:    make([]uint64, slots),
@@ -229,23 +236,8 @@ func NewPubList(m *machine.Machine, part, slots int) *PubList {
 	}
 }
 
-// Delays returns this list's accumulated Table 2 delay decomposition as a
-// struct view over the registry histograms.
-func (p *PubList) Delays() Delays {
-	return Delays{
-		PostToScan:        p.hPostToScan.Sum(),
-		Service:           p.hService.Sum(),
-		Count:             p.hService.Count(),
-		CompleteToObserve: p.hObserve.Sum(),
-		ObserveCount:      p.hObserve.Count(),
-	}
-}
-
 // Slots returns the number of publication slots.
 func (p *PubList) Slots() int { return p.slots }
-
-// Partition returns the NMP partition this list belongs to.
-func (p *PubList) Partition() int { return p.part }
 
 func (p *PubList) slotAddr(slot int) memsys.Addr {
 	if slot < 0 || slot >= p.slots {
@@ -385,14 +377,14 @@ func (p *PubList) Complete(c *machine.Ctx, slot int, resp Response) {
 // Registration is Go-side bookkeeping (the hardware analogue is the host
 // thread's monitor/mwait on the slot's flag word).
 //
-// Watch is idempotent, as the hds.Port contract requires: waiters holds at
-// most one actor per slot, so the re-registration hds.Window.Harvest
-// performs on every in-flight slot before each park round overwrites the
-// same entry instead of accumulating waiter state. Wake permits cannot
-// accumulate either — a completion observed while the watcher is awake
-// records a single engine wake permit (a flag, not a count), consumed by
-// the watcher's next Block, whose surrounding poll loop tolerates the
-// early return.
+// Watch is idempotent, as offload's in-flight window requires: waiters
+// holds at most one actor per slot, so the re-registration the window's
+// harvest performs on every in-flight slot before each park round
+// overwrites the same entry instead of accumulating waiter state. Wake
+// permits cannot accumulate either — a completion observed while the
+// watcher is awake records a single engine wake permit (a flag, not a
+// count), consumed by the watcher's next Block, whose surrounding poll
+// loop tolerates the early return.
 func (p *PubList) Watch(c *machine.Ctx, slot int) {
 	p.waiters[slot] = c.A
 }

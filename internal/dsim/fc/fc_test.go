@@ -3,7 +3,7 @@ package fc
 import (
 	"testing"
 
-	"hybrids/internal/hds"
+	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/machine"
 )
 
@@ -63,8 +63,8 @@ func TestConcurrentBlockingCallsAllServed(t *testing.T) {
 			}
 		}
 	}
-	if p.Delays().Count != 4*perThread {
-		t.Fatalf("served count = %d", p.Delays().Count)
+	if d := DelaysFrom(m.Metrics.Snapshot()); d.Count != 4*perThread {
+		t.Fatalf("served count = %d", d.Count)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestDelaysInstrumentation(t *testing.T) {
 		}
 	})
 	m.Run()
-	d := p.Delays()
+	d := DelaysFrom(m.Metrics.Snapshot())
 	if d.Count != 5 || d.ObserveCount != 5 {
 		t.Fatalf("counts = %d/%d", d.Count, d.ObserveCount)
 	}
@@ -162,58 +162,19 @@ func TestOpTypeStrings(t *testing.T) {
 	}
 }
 
-// TestWatchReRegistrationAcrossParkRounds pins the Watch idempotency
-// contract hds.Window.Harvest relies on: every park round re-calls Watch
-// on all in-flight slots, so repeated registrations by the same host actor
-// must not accumulate waiter entries or wake permits. The slow combiner
-// forces each of the two completions into its own park round (two full
-// register-poll-park cycles over the same slots), and the trailing
-// blocking Call proves that any wake permit left by completions observed
-// while the host was awake cannot corrupt a later monitored wait.
-func TestWatchReRegistrationAcrossParkRounds(t *testing.T) {
-	m := testMachine()
-	p := NewPubList(m, 0, 8)
-	m.SpawnNMP(0, func(c *machine.Ctx) {
-		Serve(c, p, func(c *machine.Ctx, slot int, req Request) Response {
-			c.Step(5000) // slow service: one completion per park round
-			return Response{Success: true, Value: req.Key + 1}
-		})
-	})
-	var harvested []uint32
-	var tail Response
-	m.SpawnHost(0, "h", func(c *machine.Ctx) {
-		w := hds.NewWindow(0, 2, []hds.Port[*machine.Ctx, Request, Response]{p},
-			func(c *machine.Ctx) { c.Block() })
-		w.Post(c, 0, Request{Op: OpRead, Key: 10}, nil)
-		w.Post(c, 0, Request{Op: OpRead, Key: 20}, nil)
-		for !w.Empty() {
-			_, resp, _ := w.Harvest(c)
-			harvested = append(harvested, resp.Value)
+// TestOpFor checks the kind-to-slot-code mapping every adapter encodes
+// with, and that an unsupported kind panics instead of posting OpNone.
+func TestOpFor(t *testing.T) {
+	want := map[kv.Kind]OpType{kv.Read: OpRead, kv.Update: OpUpdate, kv.Insert: OpInsert, kv.Remove: OpRemove}
+	for k, op := range want {
+		if got := OpFor(k); got != op {
+			t.Errorf("OpFor(%v) = %v, want %v", k, got, op)
 		}
-		// Busy-completion scenario: both ops complete while the host is
-		// stepping, so their Unblocks land as (collapsed) wake permits
-		// rather than real wakes.
-		w.Post(c, 0, Request{Op: OpRead, Key: 30}, nil)
-		w.Post(c, 0, Request{Op: OpRead, Key: 40}, nil)
-		c.Step(40_000)
-		for !w.Empty() {
-			_, resp, _ := w.Harvest(c)
-			harvested = append(harvested, resp.Value)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("OpFor(Scan) did not panic")
 		}
-		// A stale permit at most makes Call's first Block return early;
-		// its poll loop must still park and complete exactly once.
-		tail = p.Call(c, 0, Request{Op: OpRead, Key: 50})
-	})
-	m.Run()
-	if want := []uint32{11, 21, 31, 41}; len(harvested) != 4 ||
-		harvested[0] != want[0] || harvested[1] != want[1] ||
-		harvested[2] != want[2] || harvested[3] != want[3] {
-		t.Fatalf("harvested = %v, want %v", harvested, want)
-	}
-	if !tail.Success || tail.Value != 51 {
-		t.Fatalf("trailing blocking call = %+v, want Success value 51", tail)
-	}
-	if got := p.Delays().Count; got != 5 {
-		t.Fatalf("served count = %d, want 5 (no request served twice)", got)
-	}
+	}()
+	OpFor(kv.Scan)
 }

@@ -1,7 +1,9 @@
 // Package kv defines the key-value operation vocabulary shared by all
-// simulated data structures and the experiment drivers. The operation
-// kinds themselves live in internal/hds, shared with the native runtime;
-// this package narrows them to the simulator's 32-bit wire format.
+// simulated data structures, the offload runtime (internal/dsim/offload,
+// whose adapters take an Op) and the experiment drivers. The operation
+// kinds themselves live in internal/hds, the one contract shared with the
+// native runtime; this package narrows them to the simulator's 32-bit
+// wire format, and fc.OpFor encodes a kind as a publication-slot op code.
 package kv
 
 import (

@@ -1,56 +1,112 @@
-// Package offload is the structure-agnostic NMP offload runtime shared by
-// every hybrid data structure. It owns the machinery of §3.2–§3.5 that is
+// Package offload is the NMP offload protocol of §3.2–§3.5, written once
+// for every simulated hybrid data structure. It owns the machinery that is
 // identical across structures — publication-list setup and combiner
 // spawning, blocking calls, the non-blocking in-flight window, the
-// retry/restart loop and offload instrumentation — while each structure
-// contributes only an internal/hds Adapter: the host-side pre-work that
+// retry/restart/follow-up loop and offload instrumentation — while each
+// structure contributes only an Adapter: the host-side pre-work that
 // routes an operation and encodes its request, and the host-side
 // post-work that interprets the response. Apply and ApplyBatch therefore
-// exist in exactly one place; the hybrid skiplist (§3.3) and hybrid B+
-// tree (§3.4) are small adapters over this runtime.
+// exist in exactly one place; the hybrid skiplist (§3.3), the hybrid B+
+// tree (§3.4), the hybrid B-skiplist and the NMP-based skiplist are small
+// adapters over this runtime.
 //
-// The protocol vocabulary (PrepareCtl, Verdict, Adapter) and the
-// in-flight Window live in internal/hds, shared with the native runtime
-// (internal/core); this package instantiates them with the simulator's
-// virtual-time context and MMIO publication lists.
+// The protocol is typed directly on the simulator's virtual-time context
+// (*machine.Ctx), its 32-bit operations (kv.Op) and the publication-slot
+// wire pair (fc.Request, fc.Response). The native runtime (internal/core)
+// shares only the request vocabulary of internal/hds with it.
 package offload
 
 import (
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
-	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
 	"hybrids/internal/sim/machine"
-	"hybrids/internal/sim/trace"
 )
 
-// Config parameterizes a Runtime.
-type Config struct {
-	// Window is the number of in-flight NMP calls per host thread used by
-	// ApplyBatch (1 = blocking behaviour). Each thread owns Window
-	// publication slots per partition: blocking calls use the first,
-	// window position i maps to slot thread*Window+i.
-	Window int
-	// SlotsPerPartition overrides the publication-list size (default
-	// HostCores*Window). It must cover (thread+1)*Window for every
-	// calling thread.
-	SlotsPerPartition int
+// PrepareCtl is an Adapter.Prepare directive.
+type PrepareCtl uint8
+
+const (
+	// PrepareOffload posts the returned request to the returned partition.
+	PrepareOffload PrepareCtl = iota
+	// PrepareLocal reports the operation completed host-side without an
+	// NMP call (e.g. a remove that lost its host-side race); the ok result
+	// is the operation's outcome.
+	PrepareLocal
+	// PrepareRestart asks the runtime to call Prepare again with the next
+	// attempt number (a failed optimistic host traversal).
+	PrepareRestart
+)
+
+// VerdictKind classifies an Adapter.Finish outcome.
+type VerdictKind uint8
+
+const (
+	// OpDone: the operation completed with Verdict.Value/OK.
+	OpDone VerdictKind = iota
+	// OpRetry: restart the whole operation from Prepare (the adapter has
+	// already done any cleanup, e.g. unlinking a stale shortcut).
+	OpRetry
+	// OpFollowUp: post Verdict.Next on the same publication slot — a
+	// multi-phase exchange like the B+ tree's LOCK_PATH / RESUME_INSERT
+	// conversation, which the combiner keys by slot.
+	OpFollowUp
+)
+
+// Gate adjusts the runtime's deferral gate. While the gate is held
+// (acquires exceed releases), the non-blocking loop stops issuing new
+// traversals: a host descend could otherwise spin on the calling thread's
+// own host-side locks, deadlocking the single actor.
+type Gate uint8
+
+// Gate adjustments a Verdict can request.
+const (
+	GateNone    Gate = iota // leave the gate unchanged
+	GateAcquire             // hold the gate: defer new traversals
+	GateRelease             // release one hold
+)
+
+// Verdict is Adapter.Finish's decision for one response.
+type Verdict struct {
+	// Kind classifies the outcome.
+	Kind VerdictKind
+	// OK is the operation's success flag when Kind is OpDone.
+	OK bool
+	// Value is the operation's result value when Kind is OpDone.
+	Value uint64
+	// Next is the follow-up request when Kind is OpFollowUp.
+	Next fc.Request
+	// Gate adjusts the deferral gate (B+ tree path locks).
+	Gate Gate
 }
 
-// Adapter is the simulator's instantiation of the shared hds.Adapter
-// contract: virtual-time context, 32-bit kv operations and the fc wire
-// pair. S carries one operation's host-side state across the runtime's
-// retry loop.
+// Adapter supplies the structure-specific hooks of the offload protocol.
+// S is one operation's host-side state (pre-allocated nodes, the locked
+// path, protocol phase) carried across the runtime's retry loop.
 type Adapter[S any] interface {
-	hds.Adapter[*machine.Ctx, kv.Op, fc.Request, fc.Response, S]
+	// Begin performs once-per-operation host pre-work (e.g. drawing an
+	// insert height and pre-allocating the host node) and returns the
+	// operation's initial state.
+	Begin(c *machine.Ctx, op kv.Op) S
+	// Prepare performs the host-side traversal for one attempt: it routes
+	// op to a partition and encodes the request, charging any host-side
+	// work (including per-attempt backoff) on c. attempt counts Prepare
+	// calls for this operation since the last successful Finish; batch
+	// reports whether the caller is the non-blocking path.
+	Prepare(c *machine.Ctx, op kv.Op, st *S, attempt int, batch bool) (req fc.Request, part int, ctl PrepareCtl, ok bool)
+	// Finish interprets a response, performing host-side post-work (e.g.
+	// linking host levels, locking the path), and decides what happens
+	// next.
+	Finish(c *machine.Ctx, op kv.Op, st *S, resp fc.Response) Verdict
 }
 
 // Runtime owns the per-partition publication lists and the offload
 // protocol loops for one data structure instance.
 type Runtime struct {
-	m      *machine.Machine
-	pubs   []*fc.PubList
-	ports  []hds.Port[*machine.Ctx, fc.Request, fc.Response]
+	m    *machine.Machine
+	pubs []*fc.PubList
+	// window is the number of in-flight NMP calls per host thread used by
+	// ApplyBatch (1 = blocking behaviour).
 	window int
 
 	cPosted    *metrics.Counter
@@ -60,22 +116,17 @@ type Runtime struct {
 }
 
 // New lays out one publication list per NMP partition and returns the
-// runtime. Offload counters (offload/posted, offload/retries,
-// offload/local, offload/followups) register in the machine's metrics
-// registry.
-func New(m *machine.Machine, cfg Config) *Runtime {
-	if cfg.Window <= 0 {
-		cfg.Window = 1
-	}
-	slots := cfg.SlotsPerPartition
-	if slots <= 0 {
-		slots = m.Cfg.Mem.HostCores * cfg.Window
-	}
-	rt := &Runtime{m: m, window: cfg.Window}
+// runtime. window is the number of in-flight NMP calls per host thread
+// used by ApplyBatch (values below 1 mean 1, blocking behaviour). Each
+// list has HostCores × window slots: blocking calls use a thread's first,
+// and window position i of thread t maps to slot t*window+i. Offload
+// counters (offload/posted, offload/retries, offload/local,
+// offload/followups) register in the machine's metrics registry.
+func New(m *machine.Machine, window int) *Runtime {
+	window = max(window, 1)
+	rt := &Runtime{m: m, window: window}
 	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
-		pub := fc.NewPubList(m, p, slots)
-		rt.pubs = append(rt.pubs, pub)
-		rt.ports = append(rt.ports, pub)
+		rt.pubs = append(rt.pubs, fc.NewPubList(m, p, m.Cfg.Mem.HostCores*window))
 	}
 	reg := m.Metrics
 	if reg == nil {
@@ -88,9 +139,6 @@ func New(m *machine.Machine, cfg Config) *Runtime {
 	return rt
 }
 
-// Window returns the per-thread in-flight call budget.
-func (rt *Runtime) Window() int { return rt.window }
-
 // Partitions returns the number of NMP partitions served.
 func (rt *Runtime) Partitions() int { return len(rt.pubs) }
 
@@ -99,31 +147,6 @@ func (rt *Runtime) Partitions() int { return len(rt.pubs) }
 func (rt *Runtime) Start(p int, handle fc.Handler) {
 	pub := rt.pubs[p]
 	rt.m.SpawnNMP(p, func(c *machine.Ctx) { fc.Serve(c, pub, handle) })
-}
-
-// Delays aggregates Table 2 offload delay instrumentation across
-// partitions.
-func (rt *Runtime) Delays() fc.Delays {
-	var d fc.Delays
-	for _, p := range rt.pubs {
-		d.Add(p.Delays())
-	}
-	return d
-}
-
-// simPark is the simulator's Window park hook: cycles parked waiting for
-// any in-flight completion are offload wait; fc.Done carves out each
-// request's serialization share when it observes the completion.
-func simPark(c *machine.Ctx) {
-	parked := c.Now()
-	c.Block()
-	c.AttrAdd(trace.BucketOffloadWait, c.Now()-parked)
-}
-
-// newWindow builds the shared in-flight window over the runtime's
-// publication lists with the simulator's park hook.
-func newWindow(thread, k int, ports []hds.Port[*machine.Ctx, fc.Request, fc.Response]) *hds.Window[*machine.Ctx, fc.Request, fc.Response] {
-	return hds.NewWindow(thread, k, ports, simPark)
 }
 
 // Apply runs one operation with blocking NMP calls (§3.2): host pre-work,
@@ -135,10 +158,10 @@ func Apply[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, op kv.
 	for attempt := 0; ; attempt++ {
 		req, part, ctl, ok := ad.Prepare(c, op, &st, attempt, false)
 		switch ctl {
-		case hds.PrepareLocal:
+		case PrepareLocal:
 			rt.cLocal.Inc()
 			return 0, ok
-		case hds.PrepareRestart:
+		case PrepareRestart:
 			continue
 		}
 		rt.cPosted.Inc()
@@ -146,22 +169,15 @@ func Apply[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, op kv.
 	finish:
 		v := ad.Finish(c, op, &st, resp)
 		switch v.Kind {
-		case hds.OpDone:
+		case OpDone:
 			return uint32(v.Value), v.OK
-		case hds.OpFollowUp:
+		case OpFollowUp:
 			rt.cFollowUps.Inc()
 			resp = rt.pubs[part].Call(c, slot, v.Next)
 			goto finish
 		}
 		rt.cRetries.Inc()
 	}
-}
-
-// inflight carries one non-blocking operation through the window.
-type inflight[S any] struct {
-	op   kv.Op
-	part int
-	st   S
 }
 
 // ApplyBatch runs ops with non-blocking NMP calls (§3.5), keeping up to
@@ -177,7 +193,7 @@ type inflight[S any] struct {
 // its measured cycles. Blocking drivers (one Apply per op) record OpDone
 // themselves.
 func ApplyBatch[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, ops []kv.Op) int {
-	w := newWindow(thread, rt.window, rt.ports)
+	w := openWindow[S](rt.pubs, thread, rt.window)
 	succeeded := 0
 	gate := 0
 	var deferred []*inflight[S]
@@ -186,19 +202,19 @@ func ApplyBatch[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, o
 		for attempt := 0; ; attempt++ {
 			req, part, ctl, ok := ad.Prepare(c, a.op, &a.st, attempt, true)
 			switch ctl {
-			case hds.PrepareLocal:
+			case PrepareLocal:
 				rt.cLocal.Inc()
 				if ok {
 					succeeded++
 				}
 				c.OpDone()
 				return
-			case hds.PrepareRestart:
+			case PrepareRestart:
 				continue
 			}
 			a.part = part
 			rt.cPosted.Inc()
-			w.Post(c, part, req, a)
+			w.post(c, a, req)
 			return
 		}
 	}
@@ -211,38 +227,37 @@ func ApplyBatch[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, o
 		}
 	}
 	harvest := func() {
-		tag, resp, pos := w.Harvest(c)
-		a := tag.(*inflight[S])
+		a, resp, pos := w.harvest(c)
 		v := ad.Finish(c, a.op, &a.st, resp)
 		switch v.Gate {
-		case hds.GateAcquire:
+		case GateAcquire:
 			gate++
-		case hds.GateRelease:
+		case GateRelease:
 			gate--
 		}
 		switch v.Kind {
-		case hds.OpDone:
+		case OpDone:
 			if v.OK {
 				succeeded++
 			}
 			c.OpDone()
-		case hds.OpRetry:
+		case OpRetry:
 			reissue(a)
-		case hds.OpFollowUp:
+		case OpFollowUp:
 			rt.cFollowUps.Inc()
-			w.PostAt(c, pos, a.part, v.Next, a)
+			w.postAt(c, pos, a, v.Next)
 		}
 	}
 
 	next := 0
-	for next < len(ops) || !w.Empty() || len(deferred) > 0 {
-		if gate == 0 && len(deferred) > 0 && !w.Full() {
+	for next < len(ops) || !w.empty() || len(deferred) > 0 {
+		if gate == 0 && len(deferred) > 0 && !w.full() {
 			a := deferred[0]
 			deferred = deferred[1:]
 			issue(a)
 			continue
 		}
-		if gate == 0 && next < len(ops) && !w.Full() {
+		if gate == 0 && next < len(ops) && !w.full() {
 			a := &inflight[S]{op: ops[next]}
 			next++
 			a.st = ad.Begin(c, a.op)

@@ -7,7 +7,6 @@ import (
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
-	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
@@ -66,7 +65,7 @@ func NewHybrid(m *machine.Machine, cfg HybridConfig) *Hybrid {
 	s := &Hybrid{
 		m:     m,
 		part:  kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
-		rt:    offload.New(m, offload.Config{Window: cfg.Window}),
+		rt:    offload.New(m, cfg.Window),
 		split: cfg.Split,
 	}
 	s.host = newLFCore(m.Mem.RAM, m.Mem.HostAlloc, cfg.Split.Host())
@@ -147,18 +146,12 @@ func (s *Hybrid) shortcut(c *machine.Ctx, key uint32, p int) (hostNode, pred, be
 func (s *Hybrid) request(c *machine.Ctx, op kv.Op, hostNode uint32, height int) (req fc.Request, pred uint32, done, ok bool) {
 	p := s.part.Part(op.Key)
 	found, pred, begin := s.shortcut(c, op.Key, p)
-	req = fc.Request{Key: op.Key, Value: op.Value, NMPPtr: begin}
+	req = fc.Request{Op: fc.OpFor(op.Kind), Key: op.Key, Value: op.Value, NMPPtr: begin}
 	switch op.Kind {
-	case kv.Read:
-		req.Op = fc.OpRead
-	case kv.Update:
-		req.Op = fc.OpUpdate
 	case kv.Insert:
-		req.Op = fc.OpInsert
 		req.Aux = uint32(height)
 		req.HostPtr = hostNode
 	case kv.Remove:
-		req.Op = fc.OpRemove
 		if found != 0 {
 			// §3.3: removals apply host-side first, NMP-side second.
 			if !s.host.removeNode(c, found, op.Key) {
@@ -237,22 +230,22 @@ func (ad slAdapter) Begin(c *machine.Ctx, op kv.Op) slState {
 	return st
 }
 
-func (ad slAdapter) Prepare(c *machine.Ctx, op kv.Op, st *slState, attempt int, batch bool) (fc.Request, int, hds.PrepareCtl, bool) {
+func (ad slAdapter) Prepare(c *machine.Ctx, op kv.Op, st *slState, attempt int, batch bool) (fc.Request, int, offload.PrepareCtl, bool) {
 	req, pred, done, ok := ad.s.request(c, op, st.hostNode, st.height)
 	st.pred = pred
 	if done {
-		return fc.Request{}, 0, hds.PrepareLocal, ok
+		return fc.Request{}, 0, offload.PrepareLocal, ok
 	}
-	return req, ad.s.part.Part(op.Key), hds.PrepareOffload, false
+	return req, ad.s.part.Part(op.Key), offload.PrepareOffload, false
 }
 
-func (ad slAdapter) Finish(c *machine.Ctx, op kv.Op, st *slState, resp fc.Response) hds.Verdict[fc.Request] {
+func (ad slAdapter) Finish(c *machine.Ctx, op kv.Op, st *slState, resp fc.Response) offload.Verdict {
 	if resp.Retry {
 		ad.s.cleanupStaleShortcut(c, st.pred)
-		return hds.Verdict[fc.Request]{Kind: hds.OpRetry}
+		return offload.Verdict{Kind: offload.OpRetry}
 	}
 	value, ok := ad.s.finish(c, op, st.hostNode, resp)
-	return hds.Verdict[fc.Request]{Kind: hds.OpDone, OK: ok, Value: uint64(value)}
+	return offload.Verdict{Kind: offload.OpDone, OK: ok, Value: uint64(value)}
 }
 
 // Apply implements kv.Store with blocking NMP calls.
@@ -335,9 +328,6 @@ func (s *Hybrid) StaleShortcuts() int {
 	}
 	return count
 }
-
-// Delays aggregates offload delay instrumentation across partitions.
-func (s *Hybrid) Delays() fc.Delays { return s.rt.Delays() }
 
 // Metrics returns the owning machine's unified instrumentation registry.
 func (s *Hybrid) Metrics() *metrics.Registry { return s.m.Metrics }

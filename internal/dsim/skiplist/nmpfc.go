@@ -6,7 +6,6 @@ import (
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
-	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
@@ -31,10 +30,7 @@ type NMPFCConfig struct {
 	Levels int
 	// KeyMax bounds the key space for range partitioning.
 	KeyMax uint32
-	// SlotsPerPartition sizes each publication list; it must cover
-	// hostThreads (blocking calls use slot = thread index).
-	SlotsPerPartition int
-	Seed              uint64
+	Seed   uint64
 }
 
 // NewNMPFC creates the structure and spawns one combiner per partition.
@@ -43,7 +39,7 @@ func NewNMPFC(m *machine.Machine, cfg NMPFCConfig) *NMPFC {
 	s := &NMPFC{
 		m:      m,
 		part:   kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: parts},
-		rt:     offload.New(m, offload.Config{Window: 1, SlotsPerPartition: cfg.SlotsPerPartition}),
+		rt:     offload.New(m, 1),
 		levels: cfg.Levels,
 	}
 	for p := 0; p < parts; p++ {
@@ -74,25 +70,17 @@ type nmpfcAdapter struct{ s *NMPFC }
 
 func (ad nmpfcAdapter) Begin(c *machine.Ctx, op kv.Op) struct{} { return struct{}{} }
 
-func (ad nmpfcAdapter) Prepare(c *machine.Ctx, op kv.Op, st *struct{}, attempt int, batch bool) (fc.Request, int, hds.PrepareCtl, bool) {
+func (ad nmpfcAdapter) Prepare(c *machine.Ctx, op kv.Op, st *struct{}, attempt int, batch bool) (fc.Request, int, offload.PrepareCtl, bool) {
 	s := ad.s
-	req := fc.Request{Key: op.Key, Value: op.Value}
-	switch op.Kind {
-	case kv.Read:
-		req.Op = fc.OpRead
-	case kv.Update:
-		req.Op = fc.OpUpdate
-	case kv.Insert:
-		req.Op = fc.OpInsert
+	req := fc.Request{Op: fc.OpFor(op.Kind), Key: op.Key, Value: op.Value}
+	if op.Kind == kv.Insert {
 		req.Aux = uint32(s.rngs[c.Core()].GeometricHeight(s.levels))
-	case kv.Remove:
-		req.Op = fc.OpRemove
 	}
-	return req, s.part.Part(op.Key), hds.PrepareOffload, false
+	return req, s.part.Part(op.Key), offload.PrepareOffload, false
 }
 
-func (ad nmpfcAdapter) Finish(c *machine.Ctx, op kv.Op, st *struct{}, resp fc.Response) hds.Verdict[fc.Request] {
-	return hds.Verdict[fc.Request]{Kind: hds.OpDone, OK: resp.Success, Value: uint64(resp.Value)}
+func (ad nmpfcAdapter) Finish(c *machine.Ctx, op kv.Op, st *struct{}, resp fc.Response) offload.Verdict {
+	return offload.Verdict{Kind: offload.OpDone, OK: resp.Success, Value: uint64(resp.Value)}
 }
 
 // Apply implements kv.Store: the whole operation is offloaded.
@@ -126,9 +114,6 @@ func (s *NMPFC) CheckInvariants() error {
 	}
 	return nil
 }
-
-// Delays aggregates offload delay instrumentation across partitions.
-func (s *NMPFC) Delays() fc.Delays { return s.rt.Delays() }
 
 // Metrics returns the owning machine's unified instrumentation registry.
 func (s *NMPFC) Metrics() *metrics.Registry { return s.m.Metrics }

@@ -2,9 +2,11 @@ package skiplist
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"hybrids/internal/boundary"
+	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
@@ -152,7 +154,7 @@ func buildStore(t *testing.T, name string, m *machine.Machine, pairs []KV) testS
 		s.Build(pairs, 99)
 		return s
 	case "nmpfc":
-		s := NewNMPFC(m, NMPFCConfig{Levels: testLevels, KeyMax: testKeyMax, SlotsPerPartition: m.Cfg.Mem.HostCores, Seed: 7})
+		s := NewNMPFC(m, NMPFCConfig{Levels: testLevels, KeyMax: testKeyMax, Seed: 7})
 		s.Build(pairs, 99)
 		s.Start()
 		return s
@@ -496,12 +498,36 @@ func TestHybridDelaysPopulated(t *testing.T) {
 		}
 	})
 	m.Run()
-	d := s.Delays()
+	d := fc.DelaysFrom(m.Metrics.Snapshot())
 	if d.Count != 64 {
 		t.Fatalf("offload count = %d, want 64", d.Count)
 	}
 	if d.Service == 0 || d.PostToScan == 0 || d.CompleteToObserve == 0 {
 		t.Fatalf("delay decomposition empty: %+v", d)
+	}
+}
+
+// TestNMPFCScanPanicsBeforePost pins where an unsupported kind fails: in
+// the adapter's Prepare, on the calling host thread, with nothing posted.
+// It used to travel as OpNone and panic later on the partition's combiner.
+func TestNMPFCScanPanicsBeforePost(t *testing.T) {
+	m := testMachine()
+	s := buildStore(t, "nmpfc", m, initialPairs(64))
+	var recovered any
+	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
+		defer func() { recovered = recover() }()
+		s.Apply(c, 0, kv.Op{Kind: kv.Scan, Key: 1, Value: 10})
+	})
+	m.Run()
+	if msg, ok := recovered.(string); !ok || !strings.Contains(msg, "scan") {
+		t.Fatalf("Apply(Scan) recovered %v, want the op-mapping panic naming scan", recovered)
+	}
+	snap := m.Metrics.Snapshot()
+	if got := snap.Get("offload/posted"); got != 0 {
+		t.Errorf("offload/posted = %d after a refused Scan, want 0", got)
+	}
+	if d := fc.DelaysFrom(snap); d.Count != 0 {
+		t.Errorf("combiners served %d requests after a refused Scan, want 0", d.Count)
 	}
 }
 

@@ -232,10 +232,7 @@ func skiplistLockFree(sc Scale) *variant {
 func skiplistNMPBased(sc Scale) *variant {
 	key := buildKey{"NMP-based", store.SimParams{SkiplistLevels: sc.SkiplistLevels, KeyMax: sc.KeyMax, Seed: sc.Seed}}
 	return &variant{name: "NMP-based", build: key, open: func(m *machine.Machine) instance {
-		s := skiplist.NewNMPFC(m, skiplist.NMPFCConfig{
-			Levels: sc.SkiplistLevels, KeyMax: sc.KeyMax,
-			SlotsPerPartition: m.Cfg.Mem.HostCores, Seed: sc.Seed,
-		})
+		s := skiplist.NewNMPFC(m, skiplist.NMPFCConfig{Levels: sc.SkiplistLevels, KeyMax: sc.KeyMax, Seed: sc.Seed})
 		return instance{
 			build:  func(load []ycsb.Pair) { s.Build(load, sc.Seed+1) },
 			start:  s.Start,

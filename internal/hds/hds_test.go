@@ -1,63 +1,6 @@
 package hds
 
-import (
-	"strings"
-	"testing"
-)
-
-// fakePort is a pure-Go Port: Post records the request per slot, the test
-// marks completions explicitly, ReadResponse echoes the request key back.
-type fakePort struct {
-	slots   int
-	req     []uint64
-	posted  []bool
-	done    []bool
-	watches int
-}
-
-func newFakePort(slots int) *fakePort {
-	return &fakePort{
-		slots:  slots,
-		req:    make([]uint64, slots),
-		posted: make([]bool, slots),
-		done:   make([]bool, slots),
-	}
-}
-
-func (p *fakePort) Slots() int { return p.slots }
-
-func (p *fakePort) Post(_ struct{}, slot int, req uint64) {
-	if p.posted[slot] {
-		panic("fakePort: double post")
-	}
-	p.posted[slot] = true
-	p.req[slot] = req
-}
-
-func (p *fakePort) Done(_ struct{}, slot int) bool { return p.done[slot] }
-
-func (p *fakePort) ReadResponse(_ struct{}, slot int) uint64 {
-	p.posted[slot] = false
-	p.done[slot] = false
-	return p.req[slot] + 1000
-}
-
-func (p *fakePort) Watch(_ struct{}, slot int) { p.watches++ }
-
-func (p *fakePort) complete(slot int) {
-	if !p.posted[slot] {
-		panic("fakePort: complete on empty slot")
-	}
-	p.done[slot] = true
-}
-
-func ports(ps ...*fakePort) []Port[struct{}, uint64, uint64] {
-	out := make([]Port[struct{}, uint64, uint64], len(ps))
-	for i, p := range ps {
-		out[i] = p
-	}
-	return out
-}
+import "testing"
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
@@ -73,131 +16,4 @@ func TestKindString(t *testing.T) {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
 		}
 	}
-}
-
-func TestWindowPostHarvestRoundTrip(t *testing.T) {
-	p := newFakePort(8)
-	w := NewWindow(0, 4, ports(p), nil)
-	if !w.Empty() || w.Full() || w.Len() != 0 {
-		t.Fatalf("fresh window: Empty=%v Full=%v Len=%d", w.Empty(), w.Full(), w.Len())
-	}
-	pos := w.Post(struct{}{}, 0, 7, "a")
-	if pos != 0 {
-		t.Fatalf("first Post used position %d, want 0", pos)
-	}
-	if w.Len() != 1 {
-		t.Fatalf("Len = %d after one Post, want 1", w.Len())
-	}
-	if _, _, _, ok := w.TryHarvest(struct{}{}); ok {
-		t.Fatal("TryHarvest succeeded before completion")
-	}
-	p.complete(w.SlotFor(pos))
-	tag, resp, hpos, ok := w.TryHarvest(struct{}{})
-	if !ok || tag != "a" || resp != 1007 || hpos != pos {
-		t.Fatalf("TryHarvest = (%v, %d, %d, %v), want (a, 1007, %d, true)", tag, resp, hpos, ok, pos)
-	}
-	if !w.Empty() {
-		t.Fatal("window not empty after harvest")
-	}
-}
-
-func TestWindowRoundRobinCursor(t *testing.T) {
-	p := newFakePort(8)
-	w := NewWindow(0, 4, ports(p), nil)
-	for i := uint64(0); i < 4; i++ {
-		w.Post(struct{}{}, 0, i, i)
-	}
-	if !w.Full() {
-		t.Fatal("window not full after k posts")
-	}
-	// Complete all; harvest order must follow the round-robin cursor.
-	for i := 0; i < 4; i++ {
-		p.complete(w.SlotFor(i))
-	}
-	for i := uint64(0); i < 4; i++ {
-		tag, _, _, ok := w.TryHarvest(struct{}{})
-		if !ok || tag != i {
-			t.Fatalf("harvest %d = (%v, %v), want in round-robin order", i, tag, ok)
-		}
-	}
-}
-
-func TestWindowHarvestParksUntilCompletion(t *testing.T) {
-	p := newFakePort(8)
-	w := NewWindow(0, 2, ports(p), func(struct{}) {
-		// The park hook stands in for blocking: complete slot 1 so the
-		// next poll round finds it.
-		p.complete(1)
-	})
-	w.Post(struct{}{}, 0, 10, "x")
-	w.Post(struct{}{}, 0, 11, "y")
-	tag, _, _ := w.Harvest(struct{}{})
-	if tag != "y" {
-		t.Fatalf("Harvest tag = %v, want y (slot 1 completed)", tag)
-	}
-	if p.watches == 0 {
-		t.Fatal("Harvest registered no watchers before parking")
-	}
-}
-
-func TestWindowPostAtKeepsSlot(t *testing.T) {
-	p0, p1 := newFakePort(8), newFakePort(8)
-	w := NewWindow(1, 2, ports(p0, p1), nil)
-	pos := w.Post(struct{}{}, 0, 5, "op")
-	p0.complete(w.SlotFor(pos))
-	_, _, hpos, ok := w.TryHarvest(struct{}{})
-	if !ok || hpos != pos {
-		t.Fatalf("harvest pos = %d ok=%v, want %d", hpos, ok, pos)
-	}
-	// Follow-up reuses the same window position on another partition.
-	w.PostAt(struct{}{}, pos, 1, 6, "op2")
-	if got := w.SlotFor(pos); !p1.posted[got] {
-		t.Fatalf("follow-up not posted at slot %d of partition 1", got)
-	}
-}
-
-func TestWindowPanics(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	p := newFakePort(4)
-	expectPanic("zero window", func() { NewWindow(0, 0, ports(p), nil) })
-	expectPanic("slots exceeded", func() { NewWindow(1, 4, ports(p), nil) })
-	w := NewWindow(0, 2, ports(p), nil)
-	w.Post(struct{}{}, 0, 1, nil)
-	w.Post(struct{}{}, 0, 2, nil)
-	expectPanic("post on full", func() { w.Post(struct{}{}, 0, 3, nil) })
-	expectPanic("harvest on empty", func() {
-		NewWindow(0, 2, ports(newFakePort(4)), nil).Harvest(struct{}{})
-	})
-	expectPanic("postat occupied", func() { w.PostAt(struct{}{}, 0, 0, 4, nil) })
-}
-
-// TestWindowPostDesyncDiagnostic corrupts the count/used invariant the way
-// a hypothetical bookkeeping bug would and checks that Post fails with the
-// explicit desync diagnostic instead of an opaque index-out-of-range from
-// PostAt.
-func TestWindowPostDesyncDiagnostic(t *testing.T) {
-	p := newFakePort(4)
-	w := NewWindow(0, 2, ports(p), nil)
-	w.Post(struct{}{}, 0, 1, nil)
-	w.Post(struct{}{}, 0, 2, nil)
-	// Desync: every slot is occupied but count claims one is free.
-	w.count--
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Post on desynced window did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "window accounting desync") {
-			t.Fatalf("panic = %v, want the desync diagnostic", r)
-		}
-	}()
-	w.Post(struct{}{}, 0, 3, nil)
 }
