@@ -82,9 +82,18 @@ func main() {
 			*engineName, strings.Join(store.Names(), ", "))
 		os.Exit(2)
 	}
-	if *partitions <= 0 || *window <= 0 || *keyMax == 0 {
-		fmt.Fprintf(os.Stderr, "-partitions, -window and -keymax must be positive (got %d, %d, %d)\n",
-			*partitions, *window, *keyMax)
+	// Values server.New or core.New would silently replace by a default
+	// are refused, so the banner and GET /config report what runs.
+	switch {
+	case *partitions <= 0 || *window <= 0 || *keyMax == 0 || *scanLimit <= 0:
+		fmt.Fprintf(os.Stderr, "-partitions, -window, -keymax and -scan-limit must be positive (got %d, %d, %d, %d)\n",
+			*partitions, *window, *keyMax, *scanLimit)
+		os.Exit(2)
+	case *window > server.MaxWindow:
+		fmt.Fprintf(os.Stderr, "-window %d exceeds the maximum %d\n", *window, server.MaxWindow)
+		os.Exit(2)
+	case *maxConns < 0 || *slowOp < 0:
+		fmt.Fprintf(os.Stderr, "-maxconns and -slow-op must not be negative (got %d, %v)\n", *maxConns, *slowOp)
 		os.Exit(2)
 	}
 	if *adminAddr != "" && *adminToken == "" && !loopbackAddr(*adminAddr) {

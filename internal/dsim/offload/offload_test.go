@@ -8,6 +8,7 @@ import (
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/machine"
+	"hybrids/internal/sim/memsys"
 )
 
 func testMachine() *machine.Machine {
@@ -291,12 +292,13 @@ func TestWindowHarvestParksUntilCompletion(t *testing.T) {
 		w := openWindow[int](lists, 0, 2)
 		w.post(c, tagged(0, 10), fc.Request{Op: fc.OpRead, Key: 10})
 		w.post(c, tagged(0, 11), fc.Request{Op: fc.OpRead, Key: 11})
-		start, reads := c.Now(), m.Mem.Stats().MMIOReads
+		mmio, _ := m.Metrics.LookupCounter(memsys.MetricMMIOReads)
+		start, reads := c.Now(), mmio.Value()
 		for !w.empty() {
 			a, _, _ := w.harvest(c)
 			got = append(got, a.st)
 		}
-		elapsed, polls = c.Now()-start, m.Mem.Stats().MMIOReads-reads
+		elapsed, polls = c.Now()-start, mmio.Value()-reads
 	})
 	m.Run()
 	if !slices.Equal(got, []int{10, 11}) {

@@ -203,14 +203,14 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 	ops := threads * sc.OpsPerThread
 	cycles := endCycle - startCycle
 	delta := end.Sub(start)
-	stats := memsys.StatsFrom(delta)
+	dramReads := delta.Get(memsys.MetricHostDRAMReads) + delta.Get(memsys.MetricNMPDRAMReads)
 	return Cell{
 		Variant:    v.name,
 		Threads:    threads,
 		Cycles:     cycles,
 		Ops:        ops,
 		MOpsPerSec: float64(ops) / float64(cycles) * 2e9 / 1e6, // 2 GHz clock
-		ReadsPerOp: float64(stats.DRAMReads()) / float64(ops),
+		ReadsPerOp: float64(dramReads) / float64(ops),
 		Delays:     fc.DelaysFrom(delta),
 		Attr:       attrFrom(delta),
 	}

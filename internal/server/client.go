@@ -17,10 +17,10 @@ type Client struct {
 	br *bufio.Reader
 	bw *bufio.Writer
 	// sent[sentHead:] holds the op codes of requests written but not yet
-	// answered, consumed FIFO by Recv. The head index (rather than
-	// re-slicing) lets the backing array reset and be reused once the
-	// pipeline drains, so a steady request/response rhythm never
-	// reallocates it.
+	// answered, consumed FIFO by Recv. Send drops the answered prefix
+	// before it appends, so the list never holds more than the requests
+	// in flight and a steady rhythm reuses one backing array, whether or
+	// not the pipeline ever drains.
 	sent     []uint8
 	sentHead int
 	buf      []byte
@@ -60,6 +60,8 @@ func (c *Client) Send(reqs ...Request) error {
 	if _, err := c.bw.Write(c.buf); err != nil {
 		return err
 	}
+	c.sent = c.sent[:copy(c.sent, c.sent[c.sentHead:])]
+	c.sentHead = 0
 	for _, r := range reqs {
 		c.sent = append(c.sent, r.Op)
 	}
@@ -75,10 +77,6 @@ func (c *Client) Recv() (Response, error) {
 	}
 	op := c.sent[c.sentHead]
 	c.sentHead++
-	if c.sentHead == len(c.sent) {
-		c.sent = c.sent[:0]
-		c.sentHead = 0
-	}
 	resp, body, err := ReadResponseBuf(c.br, op, c.body)
 	c.body = body
 	return resp, err

@@ -11,39 +11,12 @@ import (
 	"hybrids/internal/metrics"
 )
 
-// connStats is a connection's metric accumulators: atomic cells only the
-// connection's goroutine writes, which the hot path bumps instead of
-// taking the server mutex. Totals are folded into the server's registry
-// when the connection closes; a live STATS snapshot sums the registry
-// base with Load over every open connection.
-type connStats struct {
-	requests   metrics.Local
-	responses  metrics.Local
-	timeouts   metrics.Local
-	rejected   metrics.Local
-	badReq     metrics.Local
-	scanned    metrics.Local
-	slowOps    metrics.Local
-	batchSum   metrics.Local
-	batchCount metrics.Local
-	ops        [OpStats + 1]metrics.Local
-	// batchBuckets shapes the batch-size histogram: Local cells (one Inc
-	// per coalesced batch) so the management plane can fold a live
-	// histogram across open connections without racing the data path.
-	batchBuckets [metrics.NumBuckets]metrics.Local
-}
-
 // serveTallies accumulates one serve call's counter deltas in plain
 // locals; they land in the connection's atomic cells in a single burst
 // at the end of the batch, so a STATS request coalesced into the batch
 // snapshots the state as of the batch's start.
 type serveTallies struct {
-	bad        uint64
-	rejected   uint64
-	scanned    uint64
-	batchSum   uint64
-	batchCount uint64
-	ops        [OpStats + 1]uint64
+	n [numStats]uint64
 	// timed is set when slow-op sampling is armed for this serve call;
 	// offloadNanos then accumulates the time spent waiting on the core
 	// runtime (batcher windows and scan barriers) — the native analogue
@@ -177,10 +150,10 @@ func (c *conn) flush() {
 			c.nc.SetWriteDeadline(time.Now().Add(c.tun.WriteTimeout))
 		}
 		if _, err := c.nc.Write(c.out); err == nil {
-			c.stats.responses.Add(c.staged)
+			c.stats.cells[statResponses].Add(c.staged)
 		} else {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				c.stats.timeouts.Inc()
+				c.stats.cells[statWriteTimeouts].Inc()
 			}
 			c.dead = true
 		}
@@ -221,7 +194,7 @@ func (c *conn) serve(reqs []Request) {
 		if known && r.Op != OpScan {
 			if r.Key == 0 || r.Key >= s.h.KeyMax() {
 				c.flushOps(&t)
-				t.bad++
+				t.n[statBadRequests]++
 				c.stageScalar(StatusBadRequest, 0)
 				continue
 			}
@@ -236,41 +209,27 @@ func (c *conn) serve(reqs []Request) {
 			c.out = AppendStatsResponse(c.out, StatusOK, s.StatsText())
 			c.frameStaged()
 		default:
-			t.bad++
+			t.n[statBadRequests]++
 			c.stageScalar(StatusBadRequest, 0)
 		}
 	}
 	c.flushOps(&t)
 
+	t.n[statRequests] = uint64(len(reqs))
 	for _, r := range reqs {
 		if r.Op >= 1 && r.Op <= OpStats {
-			t.ops[r.Op]++
+			t.n[opStat[r.Op]]++
 		}
-	}
-	st := &c.stats
-	st.requests.Add(uint64(len(reqs)))
-	for op := 1; op <= int(OpStats); op++ {
-		if t.ops[op] != 0 {
-			st.ops[op].Add(t.ops[op])
-		}
-	}
-	if t.batchCount != 0 {
-		st.batchSum.Add(t.batchSum)
-		st.batchCount.Add(t.batchCount)
-	}
-	if t.bad != 0 {
-		st.badReq.Add(t.bad)
-	}
-	if t.rejected != 0 {
-		st.rejected.Add(t.rejected)
-	}
-	if t.scanned != 0 {
-		st.scanned.Add(t.scanned)
 	}
 	if t.timed {
 		if total := time.Since(start); total >= slow {
-			st.slowOps.Inc()
+			t.n[statSlowOps]++
 			s.logSlowOp(c, len(reqs), &t, total)
+		}
+	}
+	for i, v := range &t.n {
+		if v != 0 {
+			c.stats.cells[i].Add(v)
 		}
 	}
 }
@@ -298,14 +257,14 @@ func (c *conn) flushOps(t *serveTallies) {
 		switch {
 		case o.Rejected:
 			status = StatusRejected
-			t.rejected++
+			t.n[statRejected]++
 		case !o.Result.OK:
 			status = StatusMiss
 		}
 		c.stageScalar(status, o.Result.Value)
 	}
-	t.batchSum += uint64(n)
-	t.batchCount++
+	t.n[statBatchSum] += uint64(n)
+	t.n[statBatchCount]++
 	c.stats.batchBuckets[metrics.BucketIndex(uint64(n))].Inc()
 	c.ops = c.ops[:0]
 }
@@ -332,7 +291,7 @@ func (c *conn) serveScan(r Request, t *serveTallies) {
 	} else {
 		kvs = s.h.ScanAppend(pairPool.get(int(limit)), r.Key, int(limit))
 	}
-	t.scanned += uint64(len(kvs))
+	t.n[statScanPairs] += uint64(len(kvs))
 	c.out = AppendScanResponse(c.out, StatusOK, kvs)
 	c.frameStaged()
 	pairPool.put(kvs)

@@ -112,3 +112,41 @@ func TestServerMixedPipelineBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestClientSentListBounded keeps a sliding window of 64 requests in
+// flight that never drains, and requires the client's list of unanswered
+// ops to stay at the requests in flight rather than grow by one per
+// request.
+func TestClientSentListBounded(t *testing.T) {
+	_, _, addr := newTestServer(t, Config{}, core.Config{Partitions: 2, KeyMax: 1 << 12})
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	const window, inFlight, total = 16, 64, 1 << 14
+	reqs := make([]Request, window)
+	for i := range reqs {
+		reqs[i] = Request{Op: OpGet, Key: uint64(i) + 1}
+	}
+	for sent := 0; sent < total; sent += window {
+		if cl.Pending() == inFlight {
+			for range window {
+				if _, err := cl.Recv(); err != nil {
+					t.Fatalf("recv: %v", err)
+				}
+			}
+		}
+		if err := cl.Send(reqs...); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		if len(cl.sent) > inFlight {
+			t.Fatalf("after %d requests, %d in flight, the sent list holds %d ops", sent+window, cl.Pending(), len(cl.sent))
+		}
+	}
+	for cl.Pending() > 0 {
+		if _, err := cl.Recv(); err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,37 +89,24 @@ type Server struct {
 	draining bool
 	wg       sync.WaitGroup // one per live connection
 
-	cAccepted   *metrics.Counter
-	cRefused    *metrics.Counter
-	cClosed     *metrics.Counter
-	cRequests   *metrics.Counter
-	cResponse   *metrics.Counter
-	cRejected   *metrics.Counter
-	cBadReq     *metrics.Counter
-	cTimeouts   *metrics.Counter
-	cScanned    *metrics.Counter
-	cSlowOps    *metrics.Counter
-	cEpoch      *metrics.Counter
-	hBatch      *metrics.Histogram
-	cBatchSum   *metrics.Counter
-	cBatchCount *metrics.Counter
-	cOps        [OpStats + 1]*metrics.Counter
+	// counters holds each stat's registry counter: the base folded from
+	// closed connections, plus the server's own counts.
+	counters [numStats]*metrics.Counter
+	hBatch   *metrics.Histogram
 }
 
 // New returns a server over h. The hybrid map must outlive the server
-// (Shutdown before h.Close for a loss-free drain). Reconfigurable fields
-// outside their bounds are clamped to the defaults rather than rejected,
-// matching the zero-value-usable Config contract.
+// (Shutdown before h.Close for a loss-free drain). A reconfigurable field
+// outside its bounds is replaced by its default rather than rejected,
+// matching the zero-value-usable Config contract; the other fields keep
+// their values.
 func New(h *core.Hybrid, cfg Config) *Server {
-	tun, err := Tunables{
+	tun, _ := Tunables{
 		Window:       cfg.Window,
 		MaxConns:     cfg.MaxConns,
 		WriteTimeout: cfg.WriteTimeout,
 		SlowOp:       cfg.SlowOp,
 	}.normalize()
-	if err != nil {
-		tun, _ = Tunables{}.normalize()
-	}
 	cfg.Window, cfg.MaxConns, cfg.WriteTimeout, cfg.SlowOp = tun.Window, tun.MaxConns, tun.WriteTimeout, tun.SlowOp
 	if cfg.ScanLimit <= 0 {
 		cfg.ScanLimit = 1024
@@ -128,30 +116,16 @@ func New(h *core.Hybrid, cfg Config) *Server {
 		reg = metrics.NewRegistry()
 	}
 	s := &Server{
-		h:         h,
-		cfg:       cfg,
-		conns:     make(map[*conn]struct{}),
-		cAccepted: reg.Counter("server/conns_accepted"),
-		cRefused:  reg.Counter("server/conns_refused"),
-		cClosed:   reg.Counter("server/conns_closed"),
-		cRequests: reg.Counter("server/requests"),
-		cResponse: reg.Counter("server/responses"),
-		cRejected: reg.Counter("server/rejected"),
-		cBadReq:   reg.Counter("server/bad_requests"),
-		cTimeouts: reg.Counter("server/write_timeouts"),
-		cScanned:  reg.Counter("server/scan_pairs"),
-		cSlowOps:  reg.Counter("server/slow_ops"),
-		cEpoch:    reg.Counter("server/config_epoch"),
-		hBatch:    reg.Histogram("server/batch"),
+		h:      h,
+		cfg:    cfg,
+		conns:  make(map[*conn]struct{}),
+		hBatch: reg.Histogram(batchHist),
 	}
 	s.tun.Store(&tun)
-	// Histogram registers its backing counters in the registry; fetching
-	// them by name here (registration is idempotent) lets STATS read
-	// sum/count without reaching back into the registry per request.
-	s.cBatchSum = reg.Counter("server/batch/sum")
-	s.cBatchCount = reg.Counter("server/batch/count")
-	for op, name := range opNames {
-		s.cOps[op] = reg.Counter("server/ops/" + name)
+	// Registration is idempotent, so the batch sum and count stats are
+	// the histogram's own backing counters.
+	for i, name := range statNames {
+		s.counters[i] = reg.Counter(name)
 	}
 	return s
 }
@@ -193,7 +167,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		tun := s.tun.Load()
 		s.mu.Lock()
 		if s.draining || (tun.MaxConns > 0 && len(s.conns) >= tun.MaxConns) {
-			s.cRefused.Inc()
+			s.counters[statConnsRefused].Inc()
 			s.mu.Unlock()
 			nc.Close()
 			continue
@@ -208,7 +182,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			stop:    make(chan struct{}),
 		}
 		s.conns[c] = struct{}{}
-		s.cAccepted.Inc()
+		s.counters[statConnsAccepted].Inc()
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go c.run()
@@ -257,22 +231,17 @@ func (s *Server) connClosed(c *conn) {
 	st := &c.stats
 	s.mu.Lock()
 	delete(s.conns, c)
-	s.cClosed.Inc()
-	s.cRequests.Add(st.requests.Load())
-	s.cResponse.Add(st.responses.Load())
-	s.cRejected.Add(st.rejected.Load())
-	s.cBadReq.Add(st.badReq.Load())
-	s.cTimeouts.Add(st.timeouts.Load())
-	s.cScanned.Add(st.scanned.Load())
-	s.cSlowOps.Add(st.slowOps.Load())
+	s.counters[statConnsClosed].Inc()
+	for i, ctr := range s.counters {
+		ctr.Add(st.cells[i].Load())
+	}
+	// The batch sum and count are stats, folded above; only the shape is
+	// left.
 	var buckets [metrics.NumBuckets]uint64
 	for i := range st.batchBuckets {
 		buckets[i] = st.batchBuckets[i].Load()
 	}
-	s.hBatch.Fold(st.batchSum.Load(), st.batchCount.Load(), &buckets)
-	for op := 1; op <= int(OpStats); op++ {
-		s.cOps[op].Add(st.ops[op].Load())
-	}
+	s.hBatch.Fold(0, 0, &buckets)
 	s.mu.Unlock()
 	s.wg.Done()
 }
@@ -285,48 +254,12 @@ func (s *Server) StatsText() []byte {
 	return s.statsLocked()
 }
 
-// statRow pairs a registry counter with the accessor for its live
-// per-connection cell (nil for counters maintained centrally).
-type statRow struct {
-	c    *metrics.Counter
-	live func(*connStats) *metrics.Local
-}
-
-// statRows returns the server's counter rows in sorted-name order. The
-// table is rebuilt per snapshot (snapshots are rare); the data path
-// never touches it.
-func (s *Server) statRows() []statRow {
-	return []statRow{
-		{s.cBadReq, func(st *connStats) *metrics.Local { return &st.badReq }},
-		{s.cBatchCount, func(st *connStats) *metrics.Local { return &st.batchCount }},
-		{s.cBatchSum, func(st *connStats) *metrics.Local { return &st.batchSum }},
-		{s.cEpoch, nil},
-		{s.cAccepted, nil},
-		{s.cClosed, nil},
-		{s.cRefused, nil},
-		{s.cOps[OpDelete], func(st *connStats) *metrics.Local { return &st.ops[OpDelete] }},
-		{s.cOps[OpGet], func(st *connStats) *metrics.Local { return &st.ops[OpGet] }},
-		{s.cOps[OpPut], func(st *connStats) *metrics.Local { return &st.ops[OpPut] }},
-		{s.cOps[OpScan], func(st *connStats) *metrics.Local { return &st.ops[OpScan] }},
-		{s.cOps[OpStats], func(st *connStats) *metrics.Local { return &st.ops[OpStats] }},
-		{s.cOps[OpUpdate], func(st *connStats) *metrics.Local { return &st.ops[OpUpdate] }},
-		{s.cRejected, func(st *connStats) *metrics.Local { return &st.rejected }},
-		{s.cRequests, func(st *connStats) *metrics.Local { return &st.requests }},
-		{s.cResponse, func(st *connStats) *metrics.Local { return &st.responses }},
-		{s.cScanned, func(st *connStats) *metrics.Local { return &st.scanned }},
-		{s.cSlowOps, func(st *connStats) *metrics.Local { return &st.slowOps }},
-		{s.cTimeouts, func(st *connStats) *metrics.Local { return &st.timeouts }},
-	}
-}
-
-// liveValueLocked sums one row's registry base with every open
-// connection's local cell; callers hold s.mu.
-func (s *Server) liveValueLocked(r statRow) uint64 {
-	v := r.c.Value()
-	if r.live != nil {
-		for c := range s.conns {
-			v += r.live(&c.stats).Load()
-		}
+// liveLocked sums one stat's registry base with every open connection's
+// cell; callers hold s.mu.
+func (s *Server) liveLocked(i stat) uint64 {
+	v := s.counters[i].Value()
+	for c := range s.conns {
+		v += c.stats.cells[i].Load()
 	}
 	return v
 }
@@ -342,8 +275,8 @@ func (s *Server) statsLocked() []byte {
 	if s.cfg.Store != "" {
 		out = fmt.Appendf(out, "server/store %s\n", s.cfg.Store)
 	}
-	for _, r := range s.statRows() {
-		out = fmt.Appendf(out, "%s %d\n", r.c.Name(), s.liveValueLocked(r))
+	for i, name := range statNames {
+		out = fmt.Appendf(out, "%s %d\n", name, s.liveLocked(stat(i)))
 	}
 	return out
 }
@@ -359,22 +292,21 @@ func (s *Server) Store() string { return s.cfg.Store }
 func (s *Server) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	counters := make(metrics.Snapshot)
-	var batch metrics.HistSnapshot
-	for _, r := range s.statRows() {
-		v := s.liveValueLocked(r)
-		switch r.c {
-		case s.cBatchSum:
+	counters := make(metrics.Snapshot, numStats)
+	batch := metrics.HistSnapshot{Name: batchHist}
+	for i, name := range statNames {
+		v := s.liveLocked(stat(i))
+		switch stat(i) {
+		case statBatchSum:
 			batch.Sum = v
-		case s.cBatchCount:
+		case statBatchCount:
 			batch.Count = v
 		default:
-			counters[r.c.Name()] = v
+			counters[name] = v
 		}
 	}
 	// Histogram shape: registry base (folds happen under s.mu, so the
 	// read is consistent) plus the live connections' atomic bucket cells.
-	batch.Name = s.hBatch.Name()
 	for i := range batch.Buckets {
 		batch.Buckets[i] = s.hBatch.Bucket(i)
 		for c := range s.conns {
@@ -418,12 +350,6 @@ type ConnInfo struct {
 	Ops map[string]uint64 `json:"ops"`
 }
 
-// opNames maps protocol op codes to their lowercase wire names.
-var opNames = map[uint8]string{
-	OpGet: "get", OpPut: "put", OpUpdate: "update",
-	OpDelete: "delete", OpScan: "scan", OpStats: "stats",
-}
-
 // ConnsInfo snapshots every live connection for the management plane,
 // sorted by age (oldest first) then remote address.
 func (s *Server) ConnsInfo() []ConnInfo {
@@ -432,24 +358,25 @@ func (s *Server) ConnsInfo() []ConnInfo {
 	now := time.Now()
 	out := make([]ConnInfo, 0, len(s.conns))
 	for c := range s.conns {
-		st := &c.stats
+		cell := func(i stat) uint64 { return c.stats.cells[i].Load() }
 		info := ConnInfo{
 			Remote:        c.remote,
 			AgeSeconds:    now.Sub(c.opened).Seconds(),
 			Window:        c.tun.Window,
-			Requests:      st.requests.Load(),
-			Responses:     st.responses.Load(),
-			Rejected:      st.rejected.Load(),
-			BadRequests:   st.badReq.Load(),
-			ScanPairs:     st.scanned.Load(),
-			SlowOps:       st.slowOps.Load(),
-			WriteTimeouts: st.timeouts.Load(),
-			Batches:       st.batchCount.Load(),
-			BatchOps:      st.batchSum.Load(),
-			Ops:           make(map[string]uint64, len(opNames)),
+			Requests:      cell(statRequests),
+			Responses:     cell(statResponses),
+			Rejected:      cell(statRejected),
+			BadRequests:   cell(statBadRequests),
+			ScanPairs:     cell(statScanPairs),
+			SlowOps:       cell(statSlowOps),
+			WriteTimeouts: cell(statWriteTimeouts),
+			Batches:       cell(statBatchCount),
+			BatchOps:      cell(statBatchSum),
+			Ops:           make(map[string]uint64, OpStats),
 		}
-		for op, name := range opNames {
-			info.Ops[name] = st.ops[op].Load()
+		// An op's wire name is the last segment of its stat's name.
+		for _, i := range opStat[OpGet:] {
+			info.Ops[path.Base(statNames[i])] = cell(i)
 		}
 		out = append(out, info)
 	}

@@ -498,3 +498,25 @@ func TestServerMaxConns(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestNewDefaultsOnlyOutOfRangeFields checks that New replaces an
+// out-of-range tunable by its default and keeps the others as given.
+func TestNewDefaultsOnlyOutOfRangeFields(t *testing.T) {
+	h := core.New(core.Config{Partitions: 1, KeyMax: 1 << 10})
+	defer h.Close()
+	for _, tc := range []struct {
+		cfg  Config
+		want Tunables
+	}{
+		{Config{Window: 1 << 20, MaxConns: 4, WriteTimeout: -1},
+			Tunables{Window: 16, MaxConns: 4, WriteTimeout: -1}},
+		{Config{Window: 8, MaxConns: -1, SlowOp: time.Millisecond},
+			Tunables{Window: 8, WriteTimeout: 10 * time.Second, SlowOp: time.Millisecond}},
+		{Config{Window: 8, MaxConns: 2, WriteTimeout: time.Second, SlowOp: -1},
+			Tunables{Window: 8, MaxConns: 2, WriteTimeout: time.Second}},
+	} {
+		if got := New(h, tc.cfg).Tunables(); got != tc.want {
+			t.Errorf("New(%+v) runs with %+v, want %+v", tc.cfg, got, tc.want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
@@ -33,31 +34,35 @@ type Tunables struct {
 	SlowOp time.Duration
 }
 
-// normalize applies the documented defaults and bounds-checks the
-// result.
+// normalize applies the documented defaults, replacing each field that is
+// out of bounds by its default, and reports every such field.
 func (t Tunables) normalize() (Tunables, error) {
+	var errs []error
+	if t.Window > MaxWindow {
+		errs = append(errs, fmt.Errorf("server: window %d exceeds maximum %d", t.Window, MaxWindow))
+		t.Window = 0
+	}
+	if t.MaxConns < 0 {
+		errs = append(errs, fmt.Errorf("server: maxconns %d is negative", t.MaxConns))
+		t.MaxConns = 0
+	}
+	if t.SlowOp < 0 {
+		errs = append(errs, fmt.Errorf("server: slow-op threshold %v is negative", t.SlowOp))
+		t.SlowOp = 0
+	}
 	if t.Window <= 0 {
 		t.Window = 16
 	}
 	if t.WriteTimeout == 0 {
 		t.WriteTimeout = 10 * time.Second
 	}
-	if t.Window > maxWindow {
-		return t, fmt.Errorf("server: window %d exceeds maximum %d", t.Window, maxWindow)
-	}
-	if t.MaxConns < 0 {
-		return t, fmt.Errorf("server: maxconns %d is negative", t.MaxConns)
-	}
-	if t.SlowOp < 0 {
-		return t, fmt.Errorf("server: slow-op threshold %v is negative", t.SlowOp)
-	}
-	return t, nil
+	return t, errors.Join(errs...)
 }
 
-// maxWindow is the sanity bound on the coalescing window: large enough
+// MaxWindow is the sanity bound on the coalescing window: large enough
 // for any sane deployment, small enough that a fat-fingered POST /config
 // cannot make every new connection allocate gigantic batch scratch.
-const maxWindow = 1 << 16
+const MaxWindow = 1 << 16
 
 // Tunables returns the server's current live configuration.
 func (s *Server) Tunables() Tunables {
@@ -77,7 +82,7 @@ func (s *Server) SetTunables(t Tunables) (Tunables, error) {
 	}
 	s.mu.Lock()
 	s.tun.Store(&t)
-	s.cEpoch.Inc()
+	s.counters[statConfigEpoch].Inc()
 	s.mu.Unlock()
 	return t, nil
 }

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"maps"
 	"testing"
 
+	"hybrids/internal/metrics"
 	"hybrids/internal/sim/memsys"
 )
 
@@ -124,7 +126,7 @@ func TestNMPAtomicsPanic(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	run := func() (uint64, memsys.Stats) {
+	run := func() (uint64, metrics.Snapshot) {
 		m := New(testConfig())
 		addrs := make([]memsys.Addr, 64)
 		for i := range addrs {
@@ -144,12 +146,12 @@ func TestDeterministicRuns(t *testing.T) {
 			})
 		}
 		cycles := m.Run()
-		return cycles, m.Mem.Stats()
+		return cycles, m.Metrics.Snapshot()
 	}
 	c1, s1 := run()
 	c2, s2 := run()
-	if c1 != c2 || s1 != s2 {
-		t.Fatalf("non-deterministic: %d/%d %+v %+v", c1, c2, s1, s2)
+	if c1 != c2 || !maps.Equal(s1, s2) {
+		t.Fatalf("non-deterministic: %d/%d %v %v", c1, c2, s1, s2)
 	}
 }
 

@@ -100,8 +100,9 @@ func DefaultConfig() Config {
 }
 
 // Registered metric names for every memory-system event counter. The
-// backing counts live in the machine's unified metrics.Registry; Stats is
-// the struct view assembled from them.
+// counts live in the machine's unified metrics.Registry, and a phase is
+// measured by the delta of two registry snapshots; DRAM reads, host plus
+// NMP, are the quantity the paper reports in Figures 5b, 6b and 9.
 const (
 	MetricL1Hits        = "mem/l1_hits"
 	MetricL2Hits        = "mem/l2_hits"
@@ -116,63 +117,6 @@ const (
 	MetricScratchOps    = "mem/scratch_ops"
 	MetricTLBMisses     = "mem/tlb_misses"
 )
-
-// Stats counts memory-system events. DRAM read counts are the quantity the
-// paper reports in Figures 5b, 6b and 9.
-type Stats struct {
-	L1Hits        uint64
-	L2Hits        uint64
-	HostDRAMReads uint64
-	DRAMWrites    uint64
-	NMPBufHits    uint64
-	NMPDRAMReads  uint64
-	MMIOReads     uint64
-	MMIOWrites    uint64
-	Invalidations uint64
-	Atomics       uint64
-	ScratchOps    uint64
-	TLBMisses     uint64
-}
-
-// DRAMReads returns total DRAM block reads across host and NMP paths.
-func (s Stats) DRAMReads() uint64 { return s.HostDRAMReads + s.NMPDRAMReads }
-
-// Sub returns s - t field-wise, for measuring a phase between snapshots.
-func (s Stats) Sub(t Stats) Stats {
-	return Stats{
-		L1Hits:        s.L1Hits - t.L1Hits,
-		L2Hits:        s.L2Hits - t.L2Hits,
-		HostDRAMReads: s.HostDRAMReads - t.HostDRAMReads,
-		DRAMWrites:    s.DRAMWrites - t.DRAMWrites,
-		NMPBufHits:    s.NMPBufHits - t.NMPBufHits,
-		NMPDRAMReads:  s.NMPDRAMReads - t.NMPDRAMReads,
-		MMIOReads:     s.MMIOReads - t.MMIOReads,
-		MMIOWrites:    s.MMIOWrites - t.MMIOWrites,
-		Invalidations: s.Invalidations - t.Invalidations,
-		Atomics:       s.Atomics - t.Atomics,
-		ScratchOps:    s.ScratchOps - t.ScratchOps,
-		TLBMisses:     s.TLBMisses - t.TLBMisses,
-	}
-}
-
-// StatsFrom assembles the Stats view from a registry snapshot (or a
-// snapshot delta).
-func StatsFrom(s metrics.Snapshot) Stats {
-	return Stats{
-		L1Hits:        s.Get(MetricL1Hits),
-		L2Hits:        s.Get(MetricL2Hits),
-		HostDRAMReads: s.Get(MetricHostDRAMReads),
-		DRAMWrites:    s.Get(MetricDRAMWrites),
-		NMPBufHits:    s.Get(MetricNMPBufHits),
-		NMPDRAMReads:  s.Get(MetricNMPDRAMReads),
-		MMIOReads:     s.Get(MetricMMIOReads),
-		MMIOWrites:    s.Get(MetricMMIOWrites),
-		Invalidations: s.Get(MetricInvalidations),
-		Atomics:       s.Get(MetricAtomics),
-		ScratchOps:    s.Get(MetricScratchOps),
-		TLBMisses:     s.Get(MetricTLBMisses),
-	}
-}
 
 // statCounters holds the registry counter handles on the access hot path.
 type statCounters struct {
@@ -321,25 +265,6 @@ func NewWithMetrics(cfg Config, reg *metrics.Registry) *MemSys {
 		m.ptL1Base = m.HostAlloc.Alloc((pages>>10+1)*4, bs)
 	}
 	return m
-}
-
-// Stats returns the current memory-system event counts as a struct view
-// over the registry counters.
-func (m *MemSys) Stats() Stats {
-	return Stats{
-		L1Hits:        m.st.l1Hits.Value(),
-		L2Hits:        m.st.l2Hits.Value(),
-		HostDRAMReads: m.st.hostDRAMReads.Value(),
-		DRAMWrites:    m.st.dramWrites.Value(),
-		NMPBufHits:    m.st.nmpBufHits.Value(),
-		NMPDRAMReads:  m.st.nmpDRAMReads.Value(),
-		MMIOReads:     m.st.mmioReads.Value(),
-		MMIOWrites:    m.st.mmioWrites.Value(),
-		Invalidations: m.st.invalidations.Value(),
-		Atomics:       m.st.atomics.Value(),
-		ScratchOps:    m.st.scratchOps.Value(),
-		TLBMisses:     m.st.tlbMisses.Value(),
-	}
 }
 
 // SetTracer attaches t as the memory system's event tracer, registering one

@@ -17,6 +17,9 @@ func testConfig() Config {
 	return cfg
 }
 
+// count reads one mem/ counter from m's registry.
+func count(m *MemSys, name string) uint64 { return m.Metrics.Snapshot().Get(name) }
+
 func TestRAMRoundTrip(t *testing.T) {
 	r := NewRAM(1 << 20)
 	r.Store32(0x100, 0xdeadbeef)
@@ -214,15 +217,15 @@ func TestMemSysHostHitMissPath(t *testing.T) {
 	m := New(testConfig())
 	a := m.HostAlloc.Alloc(64, 64)
 	lat1 := m.HostAccess(0, a, false, 0)
-	if m.Stats().HostDRAMReads != 1 {
-		t.Fatalf("cold read DRAMReads = %d", m.Stats().HostDRAMReads)
+	if count(m, MetricHostDRAMReads) != 1 {
+		t.Fatalf("cold read DRAMReads = %d", count(m, MetricHostDRAMReads))
 	}
 	lat2 := m.HostAccess(0, a, false, lat1)
 	if lat2 != m.Cfg.L1.Latency {
 		t.Fatalf("warm read latency = %d, want L1 %d", lat2, m.Cfg.L1.Latency)
 	}
-	if m.Stats().L1Hits != 1 {
-		t.Fatalf("L1Hits = %d", m.Stats().L1Hits)
+	if count(m, MetricL1Hits) != 1 {
+		t.Fatalf("L1Hits = %d", count(m, MetricL1Hits))
 	}
 	if lat1 <= lat2 {
 		t.Fatalf("miss (%d) not slower than hit (%d)", lat1, lat2)
@@ -233,11 +236,11 @@ func TestMemSysL2SharedAcrossCores(t *testing.T) {
 	m := New(testConfig())
 	a := m.HostAlloc.Alloc(64, 64)
 	m.HostAccess(0, a, false, 0)
-	base := m.Stats()
+	base := m.Metrics.Snapshot()
 	m.HostAccess(1, a, false, 1000)
-	d := m.Stats().Sub(base)
-	if d.HostDRAMReads != 0 || d.L2Hits != 1 {
-		t.Fatalf("core 1 after core 0: dram=%d l2hits=%d, want 0/1", d.HostDRAMReads, d.L2Hits)
+	d := m.Metrics.Snapshot().Sub(base)
+	if d.Get(MetricHostDRAMReads) != 0 || d.Get(MetricL2Hits) != 1 {
+		t.Fatalf("core 1 after core 0: dram=%d l2hits=%d, want 0/1", d.Get(MetricHostDRAMReads), d.Get(MetricL2Hits))
 	}
 }
 
@@ -246,16 +249,16 @@ func TestMemSysWriteInvalidatesRemoteL1(t *testing.T) {
 	a := m.HostAlloc.Alloc(64, 64)
 	m.HostAccess(0, a, false, 0) // core 0 caches it
 	m.HostAccess(1, a, false, 0) // core 1 caches it
-	base := m.Stats()
+	base := m.Metrics.Snapshot()
 	m.HostAccess(1, a, true, 100) // core 1 writes: must invalidate core 0
-	if m.Stats().Sub(base).Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1", m.Stats().Sub(base).Invalidations)
+	if m.Metrics.Snapshot().Sub(base).Get(MetricInvalidations) != 1 {
+		t.Fatalf("invalidations = %d, want 1", m.Metrics.Snapshot().Sub(base).Get(MetricInvalidations))
 	}
-	base = m.Stats()
+	base = m.Metrics.Snapshot()
 	m.HostAccess(0, a, false, 200) // core 0 re-reads: L1 miss, L2 hit
-	d := m.Stats().Sub(base)
-	if d.L1Hits != 0 || d.L2Hits != 1 {
-		t.Fatalf("after invalidation: l1=%d l2=%d, want 0/1", d.L1Hits, d.L2Hits)
+	d := m.Metrics.Snapshot().Sub(base)
+	if d.Get(MetricL1Hits) != 0 || d.Get(MetricL2Hits) != 1 {
+		t.Fatalf("after invalidation: l1=%d l2=%d, want 0/1", d.Get(MetricL1Hits), d.Get(MetricL2Hits))
 	}
 }
 
@@ -263,9 +266,9 @@ func TestMemSysAtomicCountsAndCosts(t *testing.T) {
 	m := New(testConfig())
 	a := m.HostAlloc.Alloc(64, 64)
 	m.HostAccess(0, a, false, 0)
-	base := m.Stats()
+	base := m.Metrics.Snapshot()
 	lat := m.HostAtomic(0, a, 10)
-	if m.Stats().Sub(base).Atomics != 1 {
+	if m.Metrics.Snapshot().Sub(base).Get(MetricAtomics) != 1 {
 		t.Fatal("atomic not counted")
 	}
 	if lat < m.Cfg.L1.Latency+m.Cfg.AtomicExtra {
@@ -299,17 +302,17 @@ func TestMemSysNMPBufferActsAsSingleBlockCache(t *testing.T) {
 	m := New(testConfig())
 	a := m.NMPAlloc[0].Alloc(256, 128)
 	lat1 := m.NMPAccess(0, a, false, 0)
-	if m.Stats().NMPDRAMReads != 1 {
-		t.Fatalf("cold NMP read: dram=%d", m.Stats().NMPDRAMReads)
+	if count(m, MetricNMPDRAMReads) != 1 {
+		t.Fatalf("cold NMP read: dram=%d", count(m, MetricNMPDRAMReads))
 	}
 	lat2 := m.NMPAccess(0, a+64, false, lat1) // same block
-	if lat2 != m.Cfg.NMPBufLatency || m.Stats().NMPBufHits != 1 {
-		t.Fatalf("buffered read lat=%d hits=%d", lat2, m.Stats().NMPBufHits)
+	if lat2 != m.Cfg.NMPBufLatency || count(m, MetricNMPBufHits) != 1 {
+		t.Fatalf("buffered read lat=%d hits=%d", lat2, count(m, MetricNMPBufHits))
 	}
 	m.NMPAccess(0, a+128, false, lat1+lat2) // next block evicts buffer
-	base := m.Stats()
+	base := m.Metrics.Snapshot()
 	m.NMPAccess(0, a, false, 1000)
-	if m.Stats().Sub(base).NMPDRAMReads != 1 {
+	if m.Metrics.Snapshot().Sub(base).Get(MetricNMPDRAMReads) != 1 {
 		t.Fatal("buffer retained stale block")
 	}
 }
@@ -326,8 +329,8 @@ func TestMemSysScratchpadMMIO(t *testing.T) {
 	if lat := m.NMPAccess(3, sp, false, 0); lat != m.Cfg.NMPScratchLatency {
 		t.Fatalf("NMP scratch latency = %d", lat)
 	}
-	if m.Stats().MMIOWrites != 1 || m.Stats().MMIOReads != 1 || m.Stats().ScratchOps != 1 {
-		t.Fatalf("MMIO stats %+v", m.Stats())
+	if count(m, MetricMMIOWrites) != 1 || count(m, MetricMMIOReads) != 1 || count(m, MetricScratchOps) != 1 {
+		t.Fatalf("MMIO stats %v", m.Metrics.Snapshot())
 	}
 }
 
@@ -368,11 +371,11 @@ func TestMemSysLLCCapacityPressure(t *testing.T) {
 	for _, a := range addrs {
 		now += m.HostAccess(0, a, false, now)
 	}
-	base := m.Stats()
+	base := m.Metrics.Snapshot()
 	for _, a := range addrs[:16] {
 		now += m.HostAccess(0, a, false, now)
 	}
-	if got := m.Stats().Sub(base).HostDRAMReads; got != 16 {
+	if got := m.Metrics.Snapshot().Sub(base).Get(MetricHostDRAMReads); got != 16 {
 		t.Fatalf("re-touch after pollution: dram=%d, want 16", got)
 	}
 }
@@ -384,15 +387,25 @@ func TestNilBlockNeverAllocated(t *testing.T) {
 	}
 }
 
-func TestStatsSub(t *testing.T) {
-	a := Stats{L1Hits: 10, HostDRAMReads: 5, NMPDRAMReads: 2}
-	b := Stats{L1Hits: 4, HostDRAMReads: 1, NMPDRAMReads: 2}
-	d := a.Sub(b)
-	if d.L1Hits != 6 || d.HostDRAMReads != 4 || d.NMPDRAMReads != 0 {
-		t.Fatalf("Sub = %+v", d)
+// TestSnapshotSubDRAMReads measures a phase the way exp.runCell does: the
+// delta of two registry snapshots, DRAM reads being host plus NMP reads.
+func TestSnapshotSubDRAMReads(t *testing.T) {
+	m := New(testConfig())
+	host := m.HostAlloc.Alloc(64, 64)
+	nmp := m.NMPAlloc[0].Alloc(256, 128)
+	m.HostAccess(0, host, false, 0)
+	base := m.Metrics.Snapshot()
+	m.HostAccess(0, host, false, 1000)                        // L1 hit
+	m.HostAccess(1, host, false, 1000)                        // L2 hit
+	m.NMPAccess(0, nmp, false, 1000)                          // NMP DRAM read
+	m.NMPAccess(0, nmp+128, false, 2000)                      // NMP DRAM read
+	m.HostAccess(0, m.HostAlloc.Alloc(128, 128), false, 3000) // host DRAM read
+	d := m.Metrics.Snapshot().Sub(base)
+	if got := d.Get(MetricHostDRAMReads) + d.Get(MetricNMPDRAMReads); got != 3 {
+		t.Fatalf("DRAM reads over the phase = %d, want 3 (%v)", got, d)
 	}
-	if a.DRAMReads() != 7 {
-		t.Fatalf("DRAMReads = %d", a.DRAMReads())
+	if d.Get(MetricL1Hits) != 1 || d.Get(MetricL2Hits) != 1 {
+		t.Fatalf("phase hits l1=%d l2=%d, want 1/1", d.Get(MetricL1Hits), d.Get(MetricL2Hits))
 	}
 }
 
@@ -402,19 +415,19 @@ func TestTLBMissTriggersPageWalk(t *testing.T) {
 	m := New(cfg)
 	m.HostAlloc.Alloc(4096, 4096) // spacer: keep the test block away from the page tables
 	a := m.HostAlloc.Alloc(64, 64)
-	base := m.Stats()
+	base := m.Metrics.Snapshot()
 	latCold := m.HostAccess(0, a, false, 0)
-	d := m.Stats().Sub(base)
-	if d.TLBMisses != 1 {
-		t.Fatalf("TLB misses = %d, want 1", d.TLBMisses)
+	d := m.Metrics.Snapshot().Sub(base)
+	if d.Get(MetricTLBMisses) != 1 {
+		t.Fatalf("TLB misses = %d, want 1", d.Get(MetricTLBMisses))
 	}
 	// Cold walk: 2 PTE reads from DRAM plus the data read.
-	if d.HostDRAMReads != 3 {
-		t.Fatalf("cold translated read DRAM = %d, want 3 (2 PTE + data)", d.HostDRAMReads)
+	if d.Get(MetricHostDRAMReads) != 3 {
+		t.Fatalf("cold translated read DRAM = %d, want 3 (2 PTE + data)", d.Get(MetricHostDRAMReads))
 	}
-	base = m.Stats()
+	base = m.Metrics.Snapshot()
 	latWarm := m.HostAccess(0, a, false, latCold)
-	if m.Stats().Sub(base).TLBMisses != 0 {
+	if m.Metrics.Snapshot().Sub(base).Get(MetricTLBMisses) != 0 {
 		t.Fatal("second access to same page missed TLB")
 	}
 	if latWarm >= latCold {
@@ -426,9 +439,9 @@ func TestTLBMissTriggersPageWalk(t *testing.T) {
 		p := m.HostAlloc.Alloc(4096, 4096)
 		now += m.HostAccess(0, p, false, now)
 	}
-	base = m.Stats()
+	base = m.Metrics.Snapshot()
 	m.HostAccess(0, a, false, now)
-	if m.Stats().Sub(base).TLBMisses != 1 {
+	if m.Metrics.Snapshot().Sub(base).Get(MetricTLBMisses) != 1 {
 		t.Fatal("TLB capacity eviction not modelled")
 	}
 }
@@ -437,8 +450,8 @@ func TestTLBDisabledHasNoWalks(t *testing.T) {
 	m := New(testConfig()) // Entries = 0
 	a := m.HostAlloc.Alloc(64, 64)
 	m.HostAccess(0, a, false, 0)
-	if m.Stats().TLBMisses != 0 || m.Stats().HostDRAMReads != 1 {
-		t.Fatalf("disabled TLB produced walks: %+v", m.Stats())
+	if count(m, MetricTLBMisses) != 0 || count(m, MetricHostDRAMReads) != 1 {
+		t.Fatalf("disabled TLB produced walks: %v", m.Metrics.Snapshot())
 	}
 }
 
@@ -477,9 +490,9 @@ func TestDirectoryMultipleSharers(t *testing.T) {
 	for core := 0; core < 4; core++ {
 		m.HostAccess(core, a, false, uint64(core)*1000)
 	}
-	base := m.Stats()
+	base := m.Metrics.Snapshot()
 	m.HostAccess(0, a, true, 5000) // writer invalidates the other three
-	if got := m.Stats().Sub(base).Invalidations; got != 3 {
+	if got := m.Metrics.Snapshot().Sub(base).Get(MetricInvalidations); got != 3 {
 		t.Fatalf("invalidations = %d, want 3", got)
 	}
 }
