@@ -30,9 +30,28 @@ import (
 	"os"
 	"runtime"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/exp"
 )
+
+// checkFlags refuses out-of-range sizes and an unknown -boundary policy,
+// naming the flag. The defaults are in range: -ops 0 and -warmup -1 keep
+// the scale's counts, -parallel 0 measures serially, and -trace-events 0
+// keeps the default ring capacity.
+func checkFlags(ops, warmup, parallel, traceEvents int, boundary string) error {
+	switch {
+	case ops < 0:
+		return fmt.Errorf("-ops %d must be >= 0 (0 keeps the scale's count)", ops)
+	case warmup < -1:
+		return fmt.Errorf("-warmup %d must be >= 0 (-1 keeps the scale's count)", warmup)
+	case parallel < 0:
+		return fmt.Errorf("-parallel %d must be >= 0 (0 measures serially)", parallel)
+	case traceEvents < 0:
+		return fmt.Errorf("-trace-events %d must be >= 0 (0 keeps the default capacity)", traceEvents)
+	case boundary != "static" && boundary != "adaptive":
+		return fmt.Errorf("-boundary %q is not a policy (want static or adaptive)", boundary)
+	}
+	return nil
+}
 
 func main() {
 	var (
@@ -51,6 +70,10 @@ func main() {
 		traceCap     = flag.Int("trace-events", 0, "per-track trace ring capacity (default 65536; older events fall off first)")
 	)
 	flag.Parse()
+	if err := checkFlags(*ops, *warmup, *parallel, *traceCap, *boundaryMode); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	registry := exp.Registry()
 	if *list {
@@ -97,19 +120,14 @@ func main() {
 		progress = nil
 	}
 
-	if _, err := boundary.ParsePolicy(*boundaryMode); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
-	}
 	if *boundaryMode == "adaptive" {
 		// Converge the feedback policy first, then run the requested
 		// grids at the split it lands on instead of the paper's static
 		// crossover. With -boundary static (the default) nothing here
 		// runs and outputs stay byte-identical.
 		fmt.Fprintf(os.Stderr, "converging adaptive boundary (static crossover: nmp=%d)...\n", sc.SkiplistNMPLevels)
-		conv := exp.AdaptBoundary(sc, progress)
-		fmt.Fprintf(os.Stderr, "adaptive boundary converged at nmp=%d\n", conv.NMP)
-		sc.SkiplistNMPLevels = conv.NMP
+		sc.SkiplistNMPLevels = exp.AdaptBoundary(sc, progress)
+		fmt.Fprintf(os.Stderr, "adaptive boundary converged at nmp=%d\n", sc.SkiplistNMPLevels)
 	}
 
 	var results []exp.Result

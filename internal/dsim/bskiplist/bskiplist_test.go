@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
@@ -29,7 +28,7 @@ func testMachine() *machine.Machine {
 
 func buildHybrid(m *machine.Machine, pairs []KV, window int) *Hybrid {
 	s := NewHybrid(m, Config{
-		Split: boundary.Split{Total: testLevels, NMP: testNMPLevels}, Fill: testFill,
+		Levels: testLevels, NMPLevels: testNMPLevels, Fill: testFill,
 		KeyMax: testKeyMax, Window: window,
 	})
 	s.Build(pairs)

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
-	"hybrids/internal/metrics"
 	"hybrids/internal/sim/machine"
 )
 
@@ -28,17 +26,18 @@ type Hybrid struct {
 	rt        *offload.Runtime
 	hostHeads [][]uint32 // hostHeads[p][j]: router head of host level j
 
-	split boundary.Split
-	fill  int
+	nmpLevels int
+	fill      int
 }
 
 // Config parameterizes the hybrid B-skiplist.
 type Config struct {
-	// Split is the host/NMP boundary: Split.Total is the per-partition
-	// level count (leaves plus routing levels), Split.NMP how many
-	// bottom levels live NMP-side; the remaining Split.Host() top
-	// levels form the host router, sized to fit the LLC.
-	Split boundary.Split
+	// Levels is the per-partition level count (leaves plus routing
+	// levels) and NMPLevels how many bottom levels live NMP-side; the
+	// remaining Levels-NMPLevels top levels form the host router, sized
+	// to fit the LLC.
+	Levels    int
+	NMPLevels int
 	// Fill is the bulk-load entry count per fat node (of EntryMax
 	// slots); the slack absorbs post-build inserts.
 	Fill int
@@ -51,28 +50,28 @@ type Config struct {
 
 // NewHybrid creates the structure; Build must run before Start.
 func NewHybrid(m *machine.Machine, cfg Config) *Hybrid {
-	if cfg.Split.Total <= 0 || cfg.Split.Validate() != nil {
+	if cfg.NMPLevels < 1 || cfg.NMPLevels >= cfg.Levels {
 		panic("bskiplist: split must partition the structure")
 	}
 	if cfg.Fill < 2 || cfg.Fill > EntryMax {
 		panic("bskiplist: build fill must be in [2, EntryMax]")
 	}
 	t := &Hybrid{
-		m:     m,
-		part:  kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
-		rt:    offload.New(m, cfg.Window),
-		split: cfg.Split,
-		fill:  cfg.Fill,
+		m:         m,
+		part:      kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
+		rt:        offload.New(m, cfg.Window),
+		nmpLevels: cfg.NMPLevels,
+		fill:      cfg.Fill,
 	}
 	// Each partition's empty NMP levels, then its host router heads: one
 	// single-entry fat node per host level, chained down to the NMP
 	// portion's top-level head.
 	ram := m.Mem.RAM
 	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
-		l := newSeqBList(ram, m.Mem.NMPAlloc[p], cfg.Split.NMP)
+		l := newSeqBList(ram, m.Mem.NMPAlloc[p], cfg.NMPLevels)
 		t.lists = append(t.lists, l)
-		heads := make([]uint32, cfg.Split.Host())
-		below := l.heads[cfg.Split.NMP-1]
+		heads := make([]uint32, cfg.Levels-cfg.NMPLevels)
+		below := l.heads[cfg.NMPLevels-1]
 		for j := range heads {
 			h := buildFat(ram, m.Mem.HostAlloc, 0, 1)
 			ram.Store32(keyAddr(h, 0), 0)
@@ -179,7 +178,7 @@ func (t *Hybrid) CheckInvariants() error {
 				return errf("partition %d holds out-of-range key %d", p, pair.Key)
 			}
 		}
-		below, err := checkLevel(ram, l.heads[t.split.NMP-1], t.split.NMP-1, false)
+		below, err := checkLevel(ram, l.heads[t.nmpLevels-1], t.nmpLevels-1, false)
 		if err != nil {
 			return fmt.Errorf("partition %d: %w", p, err)
 		}
@@ -188,11 +187,11 @@ func (t *Hybrid) CheckInvariants() error {
 			for _, n := range below {
 				members[n.addr] = true
 			}
-			nodes, err := checkLevel(ram, head, t.split.NMP+j, true)
+			nodes, err := checkLevel(ram, head, t.nmpLevels+j, true)
 			if err != nil {
 				return fmt.Errorf("partition %d router: %w", p, err)
 			}
-			if err := checkRouting(ram, nodes, t.split.NMP+j, members); err != nil {
+			if err := checkRouting(ram, nodes, t.nmpLevels+j, members); err != nil {
 				return fmt.Errorf("partition %d router: %w", p, err)
 			}
 			below = nodes
@@ -200,9 +199,6 @@ func (t *Hybrid) CheckInvariants() error {
 	}
 	return nil
 }
-
-// Metrics returns the owning machine's unified instrumentation registry.
-func (t *Hybrid) Metrics() *metrics.Registry { return t.m.Metrics }
 
 func errf(format string, args ...any) error {
 	return fmt.Errorf("bskiplist: "+format, args...)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
@@ -133,7 +132,7 @@ func buildStore(t *testing.T, name string, m *machine.Machine, pairs []KV) testS
 		s.Build(pairs, testFill)
 		return s
 	case "hybrid":
-		s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+		s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
 		s.Build(pairs)
 		s.Start()
 		return s
@@ -372,7 +371,7 @@ func TestConcurrentTailInsertsExerciseBoundarySplits(t *testing.T) {
 	// LOCK_PATH conversations racing with each other.
 	pairs := initialPairs(500)
 	m := testMachine()
-	s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
 	s.Build(pairs)
 	s.Start()
 	o := oracle{}
@@ -443,7 +442,7 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 		}
 	}
 	m := testMachine()
-	s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 4})
+	s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 4})
 	s.Build(pairs)
 	s.Start()
 	got := 0
@@ -465,7 +464,7 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 func TestHybridAsyncConcurrentWithSplits(t *testing.T) {
 	pairs := initialPairs(800)
 	m := testMachine()
-	s := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 4})
+	s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 4})
 	s.Build(pairs)
 	s.Start()
 	const threads = 8

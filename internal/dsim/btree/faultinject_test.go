@@ -3,7 +3,6 @@ package btree
 import (
 	"testing"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
@@ -18,7 +17,7 @@ func boundaryTarget(m *machine.Machine, h *Hybrid, key uint32) (begin, parent ui
 	ram := m.Mem.RAM
 	root, height := h.host.rootInfo(ram)
 	curr := root
-	for level := height - 1; level > h.split.NMP; level-- {
+	for level := height - 1; level > h.nmpLevels; level-- {
 		slots := metaSlots(ram.Load32(metaAddr(curr)))
 		i := 0
 		for i < slots-1 && key > ram.Load32(keyAddr(curr, i)) {
@@ -38,7 +37,7 @@ func boundaryTarget(m *machine.Machine, h *Hybrid, key uint32) (begin, parent ui
 func TestHybridParentSeqnumAheadForcesRetryThenSucceeds(t *testing.T) {
 	pairs := initialPairs(2000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
 	h.Build(pairs)
 	h.Start()
 
@@ -68,7 +67,7 @@ func TestHybridParentSeqnumAheadForcesRetryThenSucceeds(t *testing.T) {
 func TestHybridSiblingSplitRefreshesRecordedParentSeqnum(t *testing.T) {
 	pairs := initialPairs(2000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
 	h.Build(pairs)
 	h.Start()
 
@@ -96,7 +95,7 @@ func TestHybridSiblingSplitRefreshesRecordedParentSeqnum(t *testing.T) {
 func TestHybridRemoveRetriesWhileLeafLocked(t *testing.T) {
 	pairs := initialPairs(2000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
 	h.Build(pairs)
 	h.Start()
 
@@ -139,20 +138,20 @@ func TestHybridRemoveRetriesWhileLeafLocked(t *testing.T) {
 func TestHybridBoundaryPointerTagsMatchPartitions(t *testing.T) {
 	pairs := initialPairs(3000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{Split: boundary.Split{NMP: testNMPLevels}, Fill: testFill, Window: 1})
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
 	h.Build(pairs)
 	ram := m.Mem.RAM
 	root, height := h.host.rootInfo(ram)
 	var walk func(node uint32, level int)
 	checked := 0
 	walk = func(node uint32, level int) {
-		if level < h.split.NMP {
+		if level < h.nmpLevels {
 			return
 		}
 		slots := metaSlots(ram.Load32(metaAddr(node)))
 		for i := 0; i < slots; i++ {
 			ptr := ram.Load32(ptrAddr(node, i))
-			if level == h.split.NMP {
+			if level == h.nmpLevels {
 				n, tag := untag(ptr)
 				owner, ok := m.Mem.IsNMPMem(memsys.Addr(n))
 				if !ok || owner != tag {

@@ -2,7 +2,6 @@ package btree
 
 import (
 	"hybrids/internal/dsim/kv"
-	"hybrids/internal/metrics"
 	"hybrids/internal/sim/machine"
 )
 
@@ -113,6 +112,3 @@ func (t *HostOnly) Dump() []KV { return dumpTree(t.m, t.core, nil, 0) }
 func (t *HostOnly) CheckInvariants() error { return checkTree(t.m, t.core, nil, 0) }
 
 var _ kv.Store = (*HostOnly)(nil)
-
-// Metrics returns the owning machine's unified instrumentation registry.
-func (t *HostOnly) Metrics() *metrics.Registry { return t.m.Metrics }

@@ -1,11 +1,9 @@
 package btree
 
 import (
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
-	"hybrids/internal/metrics"
 	"hybrids/internal/sim/machine"
 )
 
@@ -20,17 +18,16 @@ type Hybrid struct {
 	trees []*nmpTree
 	rt    *offload.Runtime
 
-	split boundary.Split
-	fill  int // bulk-load entries per node
+	nmpLevels int // bottom tree levels NMP-side
+	fill      int // bulk-load entries per node
 }
 
 // HybridBTreeConfig parameterizes the hybrid B+ tree.
 type HybridBTreeConfig struct {
-	// Split is the host/NMP boundary: Split.NMP bottom tree levels are
-	// pushed to NMP partitions, the host-managed remainder is sized to
-	// fit the LLC. The tree's total height follows from fan-out, so
-	// Split.Total is 0 (derived).
-	Split boundary.Split
+	// NMPLevels bottom tree levels are pushed to NMP partitions; the
+	// host-managed remainder is sized to fit the LLC. The tree's total
+	// height follows from fan-out, so only the NMP side is sized here.
+	NMPLevels int
 	// Fill is the bulk-load entry count per node.
 	Fill int
 	// Window is the in-flight NMP call budget per host thread for
@@ -40,30 +37,30 @@ type HybridBTreeConfig struct {
 
 // NewHybrid creates the structure; Build must run before Start.
 func NewHybrid(m *machine.Machine, cfg HybridBTreeConfig) *Hybrid {
-	if cfg.Split.NMP <= 0 || cfg.Split.Total != 0 {
-		panic("btree: split must place >= 1 NMP level and derive the total from fan-out")
+	if cfg.NMPLevels <= 0 {
+		panic("btree: split must place >= 1 NMP level")
 	}
 	t := &Hybrid{
-		m:     m,
-		rt:    offload.New(m, cfg.Window),
-		split: cfg.Split,
-		fill:  cfg.Fill,
+		m:         m,
+		rt:        offload.New(m, cfg.Window),
+		nmpLevels: cfg.NMPLevels,
+		fill:      cfg.Fill,
 	}
-	t.host = newHostCore(m, cfg.Split.NMP)
+	t.host = newHostCore(m, cfg.NMPLevels)
 	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
-		t.trees = append(t.trees, newNMPTree(cfg.Split.NMP, m.Mem.NMPAlloc[p]))
+		t.trees = append(t.trees, newNMPTree(cfg.NMPLevels, m.Mem.NMPAlloc[p]))
 	}
 	return t
 }
 
 // Build bulk-loads pairs (§3.4: "the initial B+ tree is constructed over
-// an existing database table"), pushing the bottom Split.NMP levels down
+// an existing database table"), pushing the bottom NMPLevels levels down
 // into partition memory and tagging boundary pointers with partition IDs.
 // It touches only simulated RAM and the bump allocators, so a built
 // machine is fully described by its memsys.Image.
 func (t *Hybrid) Build(pairs []KV) {
 	uniq := kv.SortedUnique(pairs)
-	hooks := hybridHooks(t.m.Mem.HostAlloc, t.m.Mem.NMPAlloc, t.split.NMP, t.fill, len(uniq))
+	hooks := hybridHooks(t.m.Mem.HostAlloc, t.m.Mem.NMPAlloc, t.nmpLevels, t.fill, len(uniq))
 	root, height := bulkBuild(t.m.Mem.RAM, uniq, t.fill, hooks)
 	t.host.setRoot(root, height)
 }
@@ -127,7 +124,7 @@ func (ad btAdapter) Prepare(c *machine.Ctx, op kv.Op, st *btState, attempt int, 
 		return fc.Request{}, 0, offload.PrepareRestart, false
 	}
 	st.p, st.part, st.phase = p, part, 0
-	req := fc.Request{Op: fc.OpFor(op.Kind), Key: op.Key, Value: op.Value, NMPPtr: begin, Aux: p.seqs[t.split.NMP]}
+	req := fc.Request{Op: fc.OpFor(op.Kind), Key: op.Key, Value: op.Value, NMPPtr: begin, Aux: p.seqs[t.nmpLevels]}
 	return req, part, offload.PrepareOffload, false
 }
 
@@ -138,7 +135,7 @@ func (ad btAdapter) Finish(c *machine.Ctx, op kv.Op, st *btState, resp fc.Respon
 		if !resp.Success {
 			panic("btree: RESUME_INSERT failed")
 		}
-		t.host.insertChain(c, &st.p, t.split.NMP, resp.Value, taggedPtr(resp.Ptr, st.part), &st.ls)
+		t.host.insertChain(c, &st.p, t.nmpLevels, resp.Value, taggedPtr(resp.Ptr, st.part), &st.ls)
 		t.host.unlock(c, st.ls)
 		return offload.Verdict{Kind: offload.OpDone, OK: true, Gate: offload.GateRelease}
 	case 2: // UNLOCK_PATH acknowledged: restart the whole insert
@@ -180,14 +177,11 @@ func (t *Hybrid) ApplyBatch(c *machine.Ctx, thread int, ops []kv.Op) int {
 }
 
 // Dump returns live pairs in key order (untimed).
-func (t *Hybrid) Dump() []KV { return dumpTree(t.m, t.host, t.trees, t.split.NMP) }
+func (t *Hybrid) Dump() []KV { return dumpTree(t.m, t.host, t.trees, t.nmpLevels) }
 
 // CheckInvariants validates host and NMP structural invariants, partition
 // placement, and boundary-pointer tags (untimed).
-func (t *Hybrid) CheckInvariants() error { return checkTree(t.m, t.host, t.trees, t.split.NMP) }
-
-// Metrics returns the owning machine's unified instrumentation registry.
-func (t *Hybrid) Metrics() *metrics.Registry { return t.m.Metrics }
+func (t *Hybrid) CheckInvariants() error { return checkTree(t.m, t.host, t.trees, t.nmpLevels) }
 
 var (
 	_ kv.Store      = (*Hybrid)(nil)

@@ -218,10 +218,6 @@ func NewPubList(m *machine.Machine, part, slots int) *PubList {
 	if need := memsys.Addr(slots*SlotBytes) + 4; need > m.Cfg.Mem.ScratchSize {
 		panic(fmt.Sprintf("fc: %d slots (%d B) exceed scratchpad (%d B)", slots, need, m.Cfg.Mem.ScratchSize))
 	}
-	reg := m.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	return &PubList{
 		m:           m,
 		base:        m.Mem.ScratchAddr(part),
@@ -230,9 +226,9 @@ func NewPubList(m *machine.Machine, part, slots int) *PubList {
 		scannedAt:   make([]uint64, slots),
 		completedAt: make([]uint64, slots),
 		waiters:     make([]*engine.Actor, slots),
-		hPostToScan: reg.Histogram(delayMetricName(part, "post_to_scan")),
-		hService:    reg.Histogram(delayMetricName(part, "service")),
-		hObserve:    reg.Histogram(delayMetricName(part, "observe")),
+		hPostToScan: m.Metrics.Histogram(delayMetricName(part, "post_to_scan")),
+		hService:    m.Metrics.Histogram(delayMetricName(part, "service")),
+		hObserve:    m.Metrics.Histogram(delayMetricName(part, "observe")),
 	}
 }
 

@@ -3,7 +3,6 @@ package offload_test
 import (
 	"testing"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/btree"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/skiplist"
@@ -80,7 +79,7 @@ func skiplistDump(t *testing.T, window int, async bool) []skiplist.KV {
 	pairs, streams := eqData()
 	m := eqMachine()
 	s := skiplist.NewHybrid(m, skiplist.HybridConfig{
-		Split: boundary.Split{Total: 9, NMP: 4}, KeyMax: eqKeyMax, Window: window, Seed: 7,
+		Levels: 9, NMPLevels: 4, KeyMax: eqKeyMax, Window: window, Seed: 7,
 	})
 	skp := make([]skiplist.KV, len(pairs))
 	for i, p := range pairs {
@@ -107,7 +106,7 @@ func btreeDump(t *testing.T, window int, async bool) []btree.KV {
 	t.Helper()
 	pairs, streams := eqData()
 	m := eqMachine()
-	s := btree.NewHybrid(m, btree.HybridBTreeConfig{Split: boundary.Split{NMP: 2}, Fill: 8, Window: window})
+	s := btree.NewHybrid(m, btree.HybridBTreeConfig{NMPLevels: 2, Fill: 8, Window: window})
 	btp := make([]btree.KV, len(pairs))
 	for i, p := range pairs {
 		btp[i] = btree.KV{Key: p.k, Value: p.v}

@@ -128,14 +128,10 @@ func New(m *machine.Machine, window int) *Runtime {
 	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
 		rt.pubs = append(rt.pubs, fc.NewPubList(m, p, m.Cfg.Mem.HostCores*window))
 	}
-	reg := m.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	rt.cPosted = reg.Counter("offload/posted")
-	rt.cRetries = reg.Counter("offload/retries")
-	rt.cLocal = reg.Counter("offload/local")
-	rt.cFollowUps = reg.Counter("offload/followups")
+	rt.cPosted = m.Metrics.Counter("offload/posted")
+	rt.cRetries = m.Metrics.Counter("offload/retries")
+	rt.cLocal = m.Metrics.Counter("offload/local")
+	rt.cFollowUps = m.Metrics.Counter("offload/followups")
 	return rt
 }
 

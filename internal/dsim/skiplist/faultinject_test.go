@@ -3,7 +3,6 @@ package skiplist
 import (
 	"testing"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/machine"
 )
@@ -65,7 +64,7 @@ func tallKeys(m *machine.Machine, s *Hybrid) []uint32 {
 func TestHybridRetryOnDeletedBeginNode(t *testing.T) {
 	pairs := initialPairs(testN)
 	m := testMachine()
-	s := NewHybrid(m, HybridConfig{Split: boundary.Split{Total: testLevels, NMP: testNMPLevels}, KeyMax: testKeyMax, Window: 1, Seed: 7})
+	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
 	s.Build(pairs, 99)
 	s.Start()
 
@@ -120,7 +119,7 @@ func TestHybridRetryOnDeletedBeginNode(t *testing.T) {
 func TestHybridStaleShortcutCleanupUnlinksHostNode(t *testing.T) {
 	pairs := initialPairs(testN)
 	m := testMachine()
-	s := NewHybrid(m, HybridConfig{Split: boundary.Split{Total: testLevels, NMP: testNMPLevels}, KeyMax: testKeyMax, Window: 1, Seed: 7})
+	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
 	s.Build(pairs, 99)
 	s.Start()
 
@@ -162,7 +161,7 @@ func TestHybridStaleShortcutCleanupUnlinksHostNode(t *testing.T) {
 func TestHybridStaleShortcutCleanupNonBlocking(t *testing.T) {
 	pairs := initialPairs(testN)
 	m := testMachine()
-	s := NewHybrid(m, HybridConfig{Split: boundary.Split{Total: testLevels, NMP: testNMPLevels}, KeyMax: testKeyMax, Window: 4, Seed: 7})
+	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
 	s.Build(pairs, 99)
 	s.Start()
 

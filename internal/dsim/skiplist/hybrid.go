@@ -3,11 +3,9 @@ package skiplist
 import (
 	"sort"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
-	"hybrids/internal/metrics"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
 )
@@ -37,17 +35,19 @@ type Hybrid struct {
 	lists []*seqList
 	rt    *offload.Runtime
 
-	split boundary.Split
-	rngs  []*prng.Source
+	levels    int // full skiplist height
+	nmpLevels int // bottom levels NMP-side
+	rngs      []*prng.Source
 }
 
 // HybridConfig parameterizes the hybrid skiplist.
 type HybridConfig struct {
-	// Split is the host/NMP boundary: Split.Total is the full skiplist
-	// height (log2 N), Split.NMP how many bottom levels live NMP-side;
-	// the remaining Split.Host() top levels form the host-managed
-	// portion, sized so that it fits the LLC (§3.3).
-	Split boundary.Split
+	// Levels is the full skiplist height (log2 N) and NMPLevels how many
+	// bottom levels live NMP-side; the remaining Levels-NMPLevels top
+	// levels form the host-managed portion, sized so that it fits the
+	// LLC (§3.3).
+	Levels    int
+	NMPLevels int
 	// KeyMax bounds the key space for range partitioning.
 	KeyMax uint32
 	// Window is the number of in-flight NMP calls per host thread used
@@ -59,18 +59,19 @@ type HybridConfig struct {
 
 // NewHybrid creates the structure; call Start to spawn the NMP combiners.
 func NewHybrid(m *machine.Machine, cfg HybridConfig) *Hybrid {
-	if cfg.Split.Total <= 0 || cfg.Split.Validate() != nil {
+	if cfg.NMPLevels < 1 || cfg.NMPLevels >= cfg.Levels {
 		panic("skiplist: split must partition the structure")
 	}
 	s := &Hybrid{
-		m:     m,
-		part:  kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
-		rt:    offload.New(m, cfg.Window),
-		split: cfg.Split,
+		m:         m,
+		part:      kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
+		rt:        offload.New(m, cfg.Window),
+		levels:    cfg.Levels,
+		nmpLevels: cfg.NMPLevels,
 	}
-	s.host = newLFCore(m.Mem.RAM, m.Mem.HostAlloc, cfg.Split.Host())
+	s.host = newLFCore(m.Mem.RAM, m.Mem.HostAlloc, cfg.Levels-cfg.NMPLevels)
 	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
-		s.lists = append(s.lists, newSeqList(m.Mem.RAM, m.Mem.NMPAlloc[p], cfg.Split.NMP))
+		s.lists = append(s.lists, newSeqList(m.Mem.RAM, m.Mem.NMPAlloc[p], cfg.NMPLevels))
 	}
 	for i := 0; i < m.Cfg.Mem.HostCores; i++ {
 		s.rngs = append(s.rngs, prng.New(cfg.Seed^prng.Mix64(uint64(i)+211)))
@@ -99,19 +100,19 @@ func (s *Hybrid) Build(pairs []KV, seed uint64) {
 		nmpNode uint32
 	}
 	var talls []tall
-	buildPartitioned(s.m, s.part, s.lists, s.split.Total, pairs, seed,
+	buildPartitioned(s.m, s.part, s.lists, s.levels, pairs, seed,
 		func(p int, pair KV, height int, nmpNode uint32) {
-			if height <= s.split.NMP {
+			if height <= s.nmpLevels {
 				return
 			}
-			talls = append(talls, tall{pair: pair, hh: height - s.split.NMP, nmpNode: nmpNode})
+			talls = append(talls, tall{pair: pair, hh: height - s.nmpLevels, nmpNode: nmpNode})
 		})
 	heights := make([]int, len(talls))
 	for i, t := range talls {
 		heights[i] = t.hh
 	}
 	addrs := shuffledNodeAlloc(s.m.Mem.HostAlloc, heights, seed^0x405)
-	tails := make([]uint32, s.split.Host())
+	tails := make([]uint32, s.levels-s.nmpLevels)
 	for l := range tails {
 		tails[l] = s.host.head
 	}
@@ -202,9 +203,9 @@ func (s *Hybrid) cleanupStaleShortcut(c *machine.Ctx, pred uint32) {
 // prepareInsert draws the height and pre-allocates the host-side node when
 // the height crosses the split (Listing 1 lines 10-13).
 func (s *Hybrid) prepareInsert(c *machine.Ctx, op kv.Op) (hostNode uint32, height int) {
-	height = s.rngs[c.Core()].GeometricHeight(s.split.Total)
-	if height > s.split.NMP {
-		hostNode = newNode(c, s.m.Mem.HostAlloc, op.Key, op.Value, height-s.split.NMP, 0)
+	height = s.rngs[c.Core()].GeometricHeight(s.levels)
+	if height > s.nmpLevels {
+		hostNode = newNode(c, s.m.Mem.HostAlloc, op.Key, op.Value, height-s.nmpLevels, 0)
 	}
 	return hostNode, height
 }
@@ -328,9 +329,6 @@ func (s *Hybrid) StaleShortcuts() int {
 	}
 	return count
 }
-
-// Metrics returns the owning machine's unified instrumentation registry.
-func (s *Hybrid) Metrics() *metrics.Registry { return s.m.Metrics }
 
 var (
 	_ kv.Store      = (*Hybrid)(nil)

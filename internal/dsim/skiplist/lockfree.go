@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hybrids/internal/dsim/kv"
-	"hybrids/internal/metrics"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
 )
@@ -100,6 +99,3 @@ func (s *LockFree) Dump() []KV { return s.core.dump(s.m.Mem.RAM) }
 func (s *LockFree) CheckInvariants() error { return s.core.checkInvariants(s.m.Mem.RAM) }
 
 var _ kv.Store = (*LockFree)(nil)
-
-// Metrics returns the owning machine's unified instrumentation registry.
-func (s *LockFree) Metrics() *metrics.Registry { return s.m.Metrics }

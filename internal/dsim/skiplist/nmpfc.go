@@ -6,7 +6,6 @@ import (
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
-	"hybrids/internal/metrics"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
 )
@@ -114,9 +113,6 @@ func (s *NMPFC) CheckInvariants() error {
 	}
 	return nil
 }
-
-// Metrics returns the owning machine's unified instrumentation registry.
-func (s *NMPFC) Metrics() *metrics.Registry { return s.m.Metrics }
 
 // buildPartitioned splits pairs by partition, bulk-loads each partition's
 // list, and optionally reports each created node through onNode (used by

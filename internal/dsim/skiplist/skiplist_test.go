@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/prng"
@@ -159,7 +158,7 @@ func buildStore(t *testing.T, name string, m *machine.Machine, pairs []KV) testS
 		s.Start()
 		return s
 	case "hybrid":
-		s := NewHybrid(m, HybridConfig{Split: boundary.Split{Total: testLevels, NMP: testNMPLevels}, KeyMax: testKeyMax, Window: 1, Seed: 7})
+		s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
 		s.Build(pairs, 99)
 		s.Start()
 		return s
@@ -392,7 +391,7 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 		}
 	}
 	m := testMachine()
-	s := NewHybrid(m, HybridConfig{Split: boundary.Split{Total: testLevels, NMP: testNMPLevels}, KeyMax: testKeyMax, Window: 4, Seed: 7})
+	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
 	s.Build(pairs, 99)
 	s.Start()
 	got := 0
@@ -414,7 +413,7 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 func TestHybridAsyncConcurrentThreads(t *testing.T) {
 	pairs := initialPairs(testN)
 	m := testMachine()
-	s := NewHybrid(m, HybridConfig{Split: boundary.Split{Total: testLevels, NMP: testNMPLevels}, KeyMax: testKeyMax, Window: 4, Seed: 7})
+	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
 	s.Build(pairs, 99)
 	s.Start()
 	const threads = 8
@@ -465,7 +464,7 @@ func TestCrossVariantSingleThreadAgreement(t *testing.T) {
 func TestHybridSplitPlacesTallNodesHostSide(t *testing.T) {
 	pairs := initialPairs(testN)
 	m := testMachine()
-	s := NewHybrid(m, HybridConfig{Split: boundary.Split{Total: testLevels, NMP: testNMPLevels}, KeyMax: testKeyMax, Window: 1, Seed: 7})
+	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
 	s.Build(pairs, 99)
 	ram := m.Mem.RAM
 	// Count host nodes; expect roughly N / 2^NMPLevels.
@@ -489,7 +488,7 @@ func TestHybridSplitPlacesTallNodesHostSide(t *testing.T) {
 func TestHybridDelaysPopulated(t *testing.T) {
 	pairs := initialPairs(256)
 	m := testMachine()
-	s := NewHybrid(m, HybridConfig{Split: boundary.Split{Total: testLevels, NMP: testNMPLevels}, KeyMax: testKeyMax, Window: 1, Seed: 7})
+	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
 	s.Build(pairs, 99)
 	s.Start()
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {

@@ -137,7 +137,7 @@ func metricOf(t *testing.T, s string) float64 {
 
 // faultyStore panics inside a simulated body: on thread 1's fifth call.
 type faultyStore struct {
-	Store
+	kv.Store
 	calls int
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/store"
 	"hybrids/internal/ycsb"
@@ -48,7 +47,7 @@ func Registry() []Experiment {
 		{"ablate-window", "Ablation: non-blocking window depth (§3.5)", runAblateWindow},
 		{"ablate-skew", "Ablation: workload skew (the paper's §7 limitation)", runAblateSkew},
 		{"ablate-split", "Ablation: skiplist host-NMP split level (§3.3)", runAblateSplit},
-		{"boundary-adapt", "Adaptive host/NMP boundary: feedback-policy trajectory vs the static split (internal/boundary)", runBoundaryAdapt},
+		{"boundary-adapt", "Adaptive host/NMP boundary: feedback-policy trajectory vs the static split", runBoundaryAdapt},
 		{"ablate-mmio", "Ablation: NMP offload (MMIO) latency sensitivity (§3.2)", runAblateMMIO},
 		{"ablate-partitions", "Ablation: NMP partition count (§3.2)", runAblatePartitions},
 		{"engine-bskiplist", "Third engine: cache-conscious B-skiplist hybrid, YCSB-C (registry grid)", runEngineBSkiplist},
@@ -499,98 +498,6 @@ func runAblateSplit(sc Scale, progress io.Writer) Result {
 	return res
 }
 
-// --- Adaptive boundary ----------------------------------------------------
-
-// boundaryRound is one round of the adaptive feedback loop: the measured
-// cell at the round's split, the shares fed to the policy and the
-// decision it returned.
-type boundaryRound struct {
-	split     boundary.Split
-	cell      Cell
-	dramShare float64
-	waitShare float64
-	decision  string
-}
-
-// adaptSkiplistBoundary drives the internal/boundary feedback policy
-// over the hybrid skiplist: each round measures one attribution-enabled
-// cell at the policy's current split, feeds the attr/* cycle shares and
-// the offload round trip to Adaptive.Decide, and rebuilds at whatever
-// split the policy asks for next. Rounds are inherently sequential (the
-// policy's EWMAs carry across them). The loop stops after two
-// consecutive holds (converged) or maxRounds.
-func adaptSkiplistBoundary(sc Scale, progress io.Writer, maxRounds int) ([]boundaryRound, boundary.Split, *boundary.Adaptive) {
-	w := loadSets{}.onePoint(sc, "", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))
-	pol := boundary.NewAdaptive()
-	cur := store.MustEngine("skiplist").SimSplit(simParams(sc, 1))
-	var rounds []boundaryRound
-	quiet := 0
-	for round := 0; round < maxRounds && quiet < 2; round++ {
-		scv := sc
-		scv.SkiplistNMPLevels = cur.NMP
-		scv.Attr = true
-		progressf(progress, "  boundary round %d: nmp=%d host=%d\n", round, cur.NMP, cur.Host())
-		cell := runCell(w.job(scv, engineHybrid("skiplist", scv, 1, false), fmt.Sprintf("boundary round %d nmp=%d", round, cur.NMP), ""), nil, nil)
-		cell.Label = fmt.Sprintf("round=%d,nmp-levels=%d", round, cur.NMP)
-
-		s := boundary.Sample{Engine: "skiplist", Ops: uint64(cell.Ops)}
-		if a := cell.Attr; a != nil && a.Total > 0 {
-			tot := float64(a.Total)
-			s.HostCache = float64(a.HostCache) / tot
-			s.DRAM = float64(a.DRAM) / tot
-			s.OffloadWait = float64(a.OffloadWait) / tot
-			s.NMPSerial = float64(a.NMPSerial) / tot
-		}
-		dramShare, waitShare := s.DRAM, s.OffloadWait+s.NMPSerial
-		if cell.Delays.Count > 0 {
-			s.RTT = float64(cell.Delays.PostToScan+cell.Delays.Service) / float64(cell.Delays.Count)
-		}
-		next, moved := pol.Decide(cur, s)
-		decision := "hold"
-		if moved {
-			decision = fmt.Sprintf("nmp %d -> %d", cur.NMP, next.NMP)
-			quiet = 0
-		} else {
-			quiet++
-		}
-		rounds = append(rounds, boundaryRound{split: cur, cell: cell, dramShare: dramShare, waitShare: waitShare, decision: decision})
-		cur = next
-	}
-	return rounds, cur, pol
-}
-
-// AdaptBoundary runs the adaptive boundary loop at sc's scale and
-// returns the skiplist split the policy converges to — the -boundary
-// adaptive entry point of cmd/hybrids, which reruns its grids at the
-// converged split instead of the paper's static crossover.
-func AdaptBoundary(sc Scale, progress io.Writer) boundary.Split {
-	_, conv, _ := adaptSkiplistBoundary(sc, progress, 6)
-	return conv
-}
-
-// runBoundaryAdapt reports the adaptive policy's trajectory round by
-// round, against the paper's static crossover (the scale's configured
-// skiplist split, where ablate-split finds the knee).
-func runBoundaryAdapt(sc Scale, progress io.Writer) Result {
-	res := Result{
-		ID: "boundary-adapt", Title: "Adaptive host/NMP boundary: skiplist feedback-policy trajectory (YCSB-C, 8 threads, blocking, scale " + sc.Name + ")",
-		Header: []string{"round", "NMP levels", "host levels", "Mops/s", "DRAM share", "offload share", "decision"},
-	}
-	rounds, conv, pol := adaptSkiplistBoundary(sc, progress, 6)
-	for i, r := range rounds {
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(i), fmt.Sprint(r.split.NMP), fmt.Sprint(r.split.Host()),
-			f2(r.cell.MOpsPerSec), f2(r.dramShare), f2(r.waitShare), r.decision,
-		})
-		res.Cells = append(res.Cells, r.cell)
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("policy: adaptive EWMA over attr/* cycle shares + offload round trip; started at the paper's static split nmp=%d, converged at nmp=%d after %d move(s)",
-			sc.SkiplistNMPLevels, conv.NMP, pol.Moves()),
-		"each round measures one attribution-enabled cell at the policy's current split; convergence = two consecutive holds (compare the knee ablate-split finds)")
-	return res
-}
-
 func runAblateMMIO(sc Scale, progress io.Writer) Result {
 	res := Result{
 		ID: "ablate-mmio", Title: "Ablation: offload latency sensitivity (skiplist YCSB-C, 8 threads, scale " + sc.Name + ")",
@@ -657,7 +564,7 @@ func engineVariants(e store.Engine, sc Scale) []*variant {
 func runEngineGrid(e store.Engine, sc Scale, progress io.Writer) Result {
 	variants := engineVariants(e, sc)
 	grid := runGrid(sc, progress, "engine-"+e.Name, variants,
-		threadSweep(sc, ycsb.YCSBC(e.SimRecords(simParams(sc, sc.Window)), sc.KeyMax, sc.Seed), sc.ThreadCounts))
+		threadSweep(sc, ycsb.YCSBC(e.SimRecords(sc.SimParams), sc.KeyMax, sc.Seed), sc.ThreadCounts))
 	res := Result{
 		ID:     "engine-" + e.Name,
 		Title:  fmt.Sprintf("Engine %s (%s, YCSB-C, scale %s)", e.Name, e.Desc, sc.Name),

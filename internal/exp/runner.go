@@ -15,40 +15,11 @@ import (
 	"hybrids/internal/ycsb"
 )
 
-// simParams maps a Scale onto the registry's engine sizing, with the
-// variant's window substituted (blocking variants run window 1 whatever
-// the scale's non-blocking budget is).
-func simParams(sc Scale, window int) store.SimParams {
-	return store.SimParams{
-		SkiplistRecords:    sc.SkiplistRecords,
-		SkiplistLevels:     sc.SkiplistLevels,
-		SkiplistNMPLevels:  sc.SkiplistNMPLevels,
-		BTreeRecords:       sc.BTreeRecords,
-		BTreeFill:          sc.BTreeFill,
-		BTreeNMPLevels:     sc.BTreeNMPLevels,
-		BSkiplistRecords:   sc.BSkiplistRecords,
-		BSkiplistLevels:    sc.BSkiplistLevels,
-		BSkiplistNMPLevels: sc.BSkiplistNMPLevels,
-		BSkiplistFill:      sc.BSkiplistFill,
-		KeyMax:             sc.KeyMax,
-		Window:             window,
-		Seed:               sc.Seed,
-	}
-}
-
-// Store is the typed interface every evaluated structure implements: the
-// operation entry point plus access to the machine-wide metrics registry
-// the harness measures phases against.
-type Store interface {
-	kv.Store
-	Metrics() *metrics.Registry
-}
-
 // Runner executes one host thread's operation stream against a structure:
 // blocking one-at-a-time calls through Store, or the non-blocking window
 // path when Batch is set.
 type Runner struct {
-	Store Store
+	Store kv.Store
 	Batch kv.AsyncStore // non-nil selects the non-blocking path
 }
 
@@ -167,7 +138,7 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 	if r.start != nil {
 		r.start()
 	}
-	reg := r.Store.Metrics()
+	reg := m.Metrics
 
 	var arrived, finished int
 	var startCycle, endCycle uint64
@@ -252,8 +223,10 @@ func engineHybrid(engine string, sc Scale, window int, async bool) *variant {
 	if async {
 		name = fmt.Sprintf("hybrid-nonblocking%d", window)
 	}
-	return &variant{name: name, build: buildKey{engine, simParams(sc, 0)}, open: func(m *machine.Machine) instance {
-		s := e.NewSimHybrid(m, simParams(sc, window))
+	built, p := sc.SimParams, sc.SimParams
+	built.Window, p.Window = 0, window
+	return &variant{name: name, build: buildKey{engine, built}, open: func(m *machine.Machine) instance {
+		s := e.NewSimHybrid(m, p)
 		in := instance{build: s.Build, start: s.Start, Runner: Runner{Store: s}}
 		if async {
 			in.Batch = s

@@ -6,6 +6,7 @@ package exp
 
 import (
 	"hybrids/internal/sim/machine"
+	"hybrids/internal/store"
 )
 
 // Scale fixes every size parameter of an experiment run. Simulation cost
@@ -23,29 +24,11 @@ type Scale struct {
 	// Machine is the simulated hardware configuration.
 	Machine machine.Config
 
-	// Skiplist parameters: total records (2^22 in the paper), level
-	// count (log2 records) and the number of bottom levels placed
-	// NMP-side (total - host split).
-	SkiplistRecords   int
-	SkiplistLevels    int
-	SkiplistNMPLevels int
-
-	// BTree parameters: records, bulk-load fill (the paper's sorted
-	// insertion yields ~8 of 14 slots) and NMP-side level count.
-	BTreeRecords   int
-	BTreeFill      int
-	BTreeNMPLevels int
-
-	// BSkiplist parameters: records, list level count, NMP-side bottom
-	// levels (the top Levels-NMPLevels form the LLC-resident host
-	// router) and bulk-load entries per fat node.
-	BSkiplistRecords   int
-	BSkiplistLevels    int
-	BSkiplistNMPLevels int
-	BSkiplistFill      int
-
-	// KeyMax bounds the key space.
-	KeyMax uint32
+	// SimParams sizes every simulated structure and carries the key
+	// space and the seed. Its Window is the scale's non-blocking in-flight
+	// budget ("hybrid-nonblocking4" uses 4 in the paper); each variant
+	// substitutes its own window.
+	store.SimParams
 
 	// OpsPerThread is the measured operation count per host thread;
 	// WarmupPerThread runs first to reach cache steady state.
@@ -56,12 +39,6 @@ type Scale struct {
 	ThreadCounts []int
 	// MaxThreads is the thread count for single-point experiments.
 	MaxThreads int
-
-	// Window is the non-blocking in-flight budget ("hybrid-nonblocking4"
-	// uses 4 in the paper).
-	Window int
-
-	Seed uint64
 
 	// Parallel is the number of grid cells an experiment measures
 	// concurrently (0 or 1: serial). Every cell simulates on a private
@@ -90,25 +67,27 @@ type Scale struct {
 // shrinks only the measured operation counts.
 func SmallScale() Scale {
 	return Scale{
-		Name:               "small",
-		Machine:            machine.Default(),
-		SkiplistRecords:    1 << 22,
-		SkiplistLevels:     22,
-		SkiplistNMPLevels:  9, // host top 13 levels ~ 2^13 nodes ~ LLC (paper's split)
-		BTreeRecords:       30_000_000,
-		BTreeFill:          8,
-		BTreeNMPLevels:     3, // host top 6 of 9 levels ~ 1 MB ~ LLC (paper's split)
-		BSkiplistRecords:   1 << 22,
-		BSkiplistLevels:    8, // 2^22 records / fill 8 -> ~8-level hierarchy
-		BSkiplistNMPLevels: 4, // host top 4 levels ~ 1.2k fat nodes ~ 150 KB << LLC
-		BSkiplistFill:      8,
-		KeyMax:             1 << 30,
-		OpsPerThread:       2000,
-		WarmupPerThread:    1000,
-		ThreadCounts:       []int{1, 2, 4, 8},
-		MaxThreads:         8,
-		Window:             4,
-		Seed:               42,
+		Name:    "small",
+		Machine: machine.Default(),
+		SimParams: store.SimParams{
+			SkiplistRecords:    1 << 22,
+			SkiplistLevels:     22,
+			SkiplistNMPLevels:  9, // host top 13 levels ~ 2^13 nodes ~ LLC (paper's split)
+			BTreeRecords:       30_000_000,
+			BTreeFill:          8,
+			BTreeNMPLevels:     3, // host top 6 of 9 levels ~ 1 MB ~ LLC (paper's split)
+			BSkiplistRecords:   1 << 22,
+			BSkiplistLevels:    8, // 2^22 records / fill 8 -> ~8-level hierarchy
+			BSkiplistNMPLevels: 4, // host top 4 levels ~ 1.2k fat nodes ~ 150 KB << LLC
+			BSkiplistFill:      8,
+			KeyMax:             1 << 30,
+			Window:             4,
+			Seed:               42,
+		},
+		OpsPerThread:    2000,
+		WarmupPerThread: 1000,
+		ThreadCounts:    []int{1, 2, 4, 8},
+		MaxThreads:      8,
 	}
 }
 

@@ -42,11 +42,6 @@ type Machine struct {
 	// every subsystem.
 	Metrics *metrics.Registry
 
-	// Ops counts completed data structure operations, incremented by
-	// workload drivers via Ctx.OpDone; the experiment harness divides by
-	// elapsed virtual cycles for throughput.
-	Ops uint64
-
 	// Attribution state (EnableAttribution): the registry histograms each
 	// per-operation bucket sample is observed into at OpDone.
 	attrHists [trace.NumBuckets]*metrics.Histogram
@@ -176,13 +171,12 @@ func (c *Ctx) Step(n uint64) {
 	}
 }
 
-// OpDone records one completed data structure operation. With attribution
-// enabled (EnableAttribution), it also flushes the calling host core's
-// interval since its previous completion into the attribution histograms —
-// each operation's bucket samples sum exactly to its interval's elapsed
-// cycles — and, when tracing, marks the completion on the core's track.
+// OpDone marks one completed data structure operation. With attribution
+// enabled (EnableAttribution), it flushes the calling host core's interval
+// since its previous completion into the attribution histograms — each
+// operation's bucket samples sum exactly to its interval's elapsed cycles
+// — and, when tracing, marks the completion on the core's track.
 func (c *Ctx) OpDone() {
-	c.M.Ops++
 	if c.attr != nil {
 		sample, total := c.attr.Flush(c.A.Now())
 		for b := trace.Bucket(0); b < trace.NumBuckets; b++ {

@@ -262,6 +262,33 @@ func TestEngineSimWindowEquivalence(t *testing.T) {
 	}
 }
 
+// TestSimHybridRejectsBadSplit: every engine's simulated hybrid refuses a
+// split with no NMP level, and every engine with a fixed level count
+// refuses one that leaves no host level. The B+ tree derives its height
+// from fan-out, so it has no host floor to refuse.
+func TestSimHybridRejectsBadSplit(t *testing.T) {
+	noNMP := confParams(1)
+	noNMP.SkiplistNMPLevels, noNMP.BTreeNMPLevels, noNMP.BSkiplistNMPLevels = 0, 0, 0
+	noHost := confParams(1)
+	noHost.SkiplistNMPLevels, noHost.BSkiplistNMPLevels = noHost.SkiplistLevels, noHost.BSkiplistLevels
+	for _, e := range Engines() {
+		refuses := func(p SimParams) (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			e.NewSimHybrid(confMachine(), p)
+			return false
+		}
+		if !refuses(noNMP) {
+			t.Errorf("%s: built a hybrid with no NMP level", e.Name)
+		}
+		if e.Name != "btree" && !refuses(noHost) {
+			t.Errorf("%s: built a hybrid with no host level", e.Name)
+		}
+		if refuses(confParams(1)) {
+			t.Errorf("%s: refused the conformance split", e.Name)
+		}
+	}
+}
+
 // TestEngineGetAllocs holds every engine's native Get path at zero
 // allocations: each descent touches only its store's arenas.
 func TestEngineGetAllocs(t *testing.T) {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"hybrids/internal/boundary"
 	"hybrids/internal/cds"
 	"hybrids/internal/core"
 	"hybrids/internal/dsim/bskiplist"
@@ -21,11 +20,10 @@ func btreeEngine() Engine {
 		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			return btree.NewHybrid(m, btree.HybridBTreeConfig{
-				Split: btreeEngine().SimSplit(p), Fill: p.BTreeFill, Window: p.Window,
+				NMPLevels: p.BTreeNMPLevels, Fill: p.BTreeFill, Window: p.Window,
 			})
 		},
 		SimRecords: func(p SimParams) int { return p.BTreeRecords },
-		SimSplit:   func(p SimParams) boundary.Split { return boundary.Split{NMP: p.BTreeNMPLevels} },
 	}
 }
 
@@ -53,15 +51,12 @@ func skiplistEngine() Engine {
 		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			h := skiplist.NewHybrid(m, skiplist.HybridConfig{
-				Split:  skiplistEngine().SimSplit(p),
+				Levels: p.SkiplistLevels, NMPLevels: p.SkiplistNMPLevels,
 				KeyMax: p.KeyMax, Window: p.Window, Seed: p.Seed,
 			})
 			return simSkiplist{Hybrid: h, seed: p.Seed}
 		},
 		SimRecords: func(p SimParams) int { return p.SkiplistRecords },
-		SimSplit: func(p SimParams) boundary.Split {
-			return boundary.Split{Total: p.SkiplistLevels, NMP: p.SkiplistNMPLevels}
-		},
 	}
 }
 
@@ -76,13 +71,10 @@ func bskiplistEngine() Engine {
 		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			return bskiplist.NewHybrid(m, bskiplist.Config{
-				Split: bskiplistEngine().SimSplit(p),
-				Fill:  p.BSkiplistFill, KeyMax: p.KeyMax, Window: p.Window,
+				Levels: p.BSkiplistLevels, NMPLevels: p.BSkiplistNMPLevels,
+				Fill: p.BSkiplistFill, KeyMax: p.KeyMax, Window: p.Window,
 			})
 		},
 		SimRecords: func(p SimParams) int { return p.BSkiplistRecords },
-		SimSplit: func(p SimParams) boundary.Split {
-			return boundary.Split{Total: p.BSkiplistLevels, NMP: p.BSkiplistNMPLevels}
-		},
 	}
 }

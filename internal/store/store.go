@@ -14,10 +14,8 @@ package store
 import (
 	"sort"
 
-	"hybrids/internal/boundary"
 	"hybrids/internal/core"
 	"hybrids/internal/dsim/kv"
-	"hybrids/internal/metrics"
 	"hybrids/internal/sim/machine"
 )
 
@@ -25,9 +23,10 @@ import (
 // NewNative(store.Tuning{}); the next benchmark PR drops the parameter.
 type Tuning struct{}
 
-// SimParams fixes every engine's simulated sizing in one value, mirroring
-// the exp.Scale fields experiment grids sweep. Engines read only their
-// own fields, so one SimParams parameterizes any engine's hybrid.
+// SimParams fixes every engine's simulated sizing in one value; exp.Scale
+// embeds it, so these are the fields experiment grids sweep. Engines read
+// only their own fields, so one SimParams parameterizes any engine's
+// hybrid.
 type SimParams struct {
 	// SkiplistRecords, SkiplistLevels and SkiplistNMPLevels size the
 	// hybrid skiplist (records, tower levels, NMP-side bottom levels).
@@ -76,8 +75,6 @@ type SimHybrid interface {
 	Dump() []KV
 	// CheckInvariants validates structural invariants at quiescence.
 	CheckInvariants() error
-	// Metrics returns the owning machine's metrics registry.
-	Metrics() *metrics.Registry
 }
 
 // Engine is one registered structure: everything a consumer needs to
@@ -96,9 +93,6 @@ type Engine struct {
 	NewSimHybrid func(m *machine.Machine, p SimParams) SimHybrid
 	// SimRecords returns the engine's simulated load-set size under p.
 	SimRecords func(p SimParams) int
-	// SimSplit returns the engine's host/NMP boundary under p — the same
-	// split NewSimHybrid builds at.
-	SimSplit func(p SimParams) boundary.Split
 }
 
 // Engines returns every registered engine in registration order (the

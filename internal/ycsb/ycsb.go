@@ -91,12 +91,6 @@ type Config struct {
 	Dist Dist
 	// ZipfTheta is the zipfian skew (YCSB default 0.99).
 	ZipfTheta float64
-	// ChurnEvery, when positive, rotates the zipfian hot set every
-	// ChurnEvery generated operations: the drawn rank is shifted by a
-	// stride that advances per interval, modeling time-varying skew
-	// (hot-key churn) instead of a popularity ranking frozen at load
-	// time. Ignored for Uniform and Latest.
-	ChurnEvery int
 	// Inserts selects the insert key pattern.
 	Inserts InsertPattern
 	// Partitions is required by PartitionTail: the NMP partition count
@@ -200,7 +194,6 @@ type Generator struct {
 	permBits uint   // Feistel domain width (even)
 	keyBits  uint   // log2(KeyMax)
 	fresh    uint64 // next fresh record index for FreshUniform inserts
-	ops      uint64 // generated logical operations (drives ChurnEvery)
 }
 
 // New builds a generator.
@@ -302,7 +295,6 @@ func (g *Generator) Streams(threads, opsPerThread int) [][]kv.Op {
 // dst, never growing it past limit (an RMW clipped at the stream end
 // keeps only its read half).
 func (g *Generator) appendOp(dst []kv.Op, p *picker, tail *tailCursors, limit int) []kv.Op {
-	g.ops++
 	c := &g.cfg
 	r := p.rng.Intn(100)
 	switch {
@@ -368,14 +360,6 @@ func (p *picker) existing() uint32 {
 		// items over the key space (YCSB's ScrambledZipfian), keeping
 		// partitions balanced.
 		idx = p.zipf.next()
-		if ce := p.g.cfg.ChurnEvery; ce > 0 {
-			// Time-varying skew: rotate the popularity ranking by a
-			// stride per churn interval, so which records are hot
-			// drifts over the run while the skew shape stays zipfian.
-			records := uint64(p.g.cfg.Records)
-			shift := (p.g.ops / uint64(ce)) * (records/7 + 1)
-			idx = (idx + shift) % records
-		}
 	default:
 		idx = uint64(p.rng.Intn(p.g.cfg.Records))
 	}

@@ -461,52 +461,6 @@ func TestWorkloadDReadsFollowInserts(t *testing.T) {
 	}
 }
 
-func TestChurnRotatesHotSet(t *testing.T) {
-	base, _ := Workload("c", 50000, 1<<24, 7)
-	hot := func(cfg Config, lo, hi int) map[uint32]int {
-		g := New(cfg)
-		counts := map[uint32]int{}
-		stream := g.Streams(1, hi)[0]
-		for _, op := range stream[lo:] {
-			counts[op.Key]++
-		}
-		return counts
-	}
-	// Static zipfian: the early hot set stays hot late.
-	static := base
-	early := hot(static, 0, 5000)
-	late := hot(static, 15000, 20000)
-	topOverlap := func(a, b map[uint32]int) int {
-		top := func(m map[uint32]int) map[uint32]bool {
-			out := map[uint32]bool{}
-			for k, c := range m {
-				if c >= 20 {
-					out[k] = true
-				}
-			}
-			return out
-		}
-		ta, tb := top(a), top(b)
-		n := 0
-		for k := range ta {
-			if tb[k] {
-				n++
-			}
-		}
-		return n
-	}
-	if topOverlap(early, late) == 0 {
-		t.Fatal("static zipfian hot set unexpectedly rotated")
-	}
-	churned := base
-	churned.ChurnEvery = 5000
-	cEarly := hot(churned, 0, 5000)
-	cLate := hot(churned, 15000, 20000)
-	if n := topOverlap(cEarly, cLate); n != 0 {
-		t.Fatalf("churned hot sets still share %d hot keys", n)
-	}
-}
-
 func TestKeysStayInStripeLowerPortion(t *testing.T) {
 	g := New(YCSBC(50000, 1<<24, 9))
 	stripe := uint32(1 << 21) // KeyMax/8
