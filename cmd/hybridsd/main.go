@@ -1,11 +1,8 @@
 // Command hybridsd serves a native HybriDS map over TCP: it builds a
-// core.Hybrid (per-partition stores combined by the caller holding the
+// core.Hybrid (per-partition B+ trees combined by the caller holding the
 // partition, the stand-in for the paper's NMP hardware) and exposes it
 // through the internal/server binary protocol (GET/PUT/UPDATE/DELETE/
 // SCAN/STATS; see docs/SERVING.md).
-//
-// The -store flag selects any engine registered in internal/store
-// (btree, skiplist, bskiplist, ...).
 //
 // The -admin-addr flag (off by default) starts the HTTP management
 // plane of internal/admin on a second listener: Prometheus /metrics,
@@ -18,7 +15,7 @@
 // Usage:
 //
 //	hybridsd [-addr :7070] [-partitions 8] [-keymax 4194304]
-//	         [-store btree] [-window 16] [-maxconns 0]
+//	         [-window 16] [-maxconns 0]
 //	         [-scan-limit 1024] [-write-timeout 10s]
 //	         [-admin-addr 127.0.0.1:7071] [-admin-token ""] [-slow-op 0]
 //
@@ -35,7 +32,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -43,7 +39,6 @@ import (
 	"hybrids/internal/core"
 	"hybrids/internal/metrics"
 	"hybrids/internal/server"
-	"hybrids/internal/store"
 )
 
 // loopbackAddr reports whether addr binds only a loopback interface, the
@@ -65,7 +60,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
 		partitions   = flag.Int("partitions", 8, "partition/combiner count (the paper's NMP vaults)")
 		keyMax       = flag.Uint64("keymax", 1<<22, "exclusive key-space bound; valid keys are 1..keymax-1")
-		engineName   = flag.String("store", "btree", "per-partition store engine: "+strings.Join(store.Names(), ", "))
 		window       = flag.Int("window", 16, "per-connection request coalescing window (Batcher.Apply size)")
 		maxConns     = flag.Int("maxconns", 0, "max concurrent connections (0 = unlimited)")
 		scanLimit    = flag.Int("scan-limit", 1024, "max pairs returned by one SCAN")
@@ -76,12 +70,6 @@ func main() {
 	)
 	flag.Parse()
 
-	eng, ok := store.Lookup(*engineName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown store %q (valid engines: %s)\n",
-			*engineName, strings.Join(store.Names(), ", "))
-		os.Exit(2)
-	}
 	// Values server.New or core.New would silently replace by a default
 	// are refused, so the banner and GET /config report what runs.
 	switch {
@@ -103,13 +91,8 @@ func main() {
 	}
 
 	reg := metrics.NewRegistry()
-	h := core.New(core.Config{
-		Partitions: *partitions,
-		KeyMax:     *keyMax,
-		NewStore:   eng.NewNative(store.Tuning{}),
-	})
+	h := core.New(core.Config{Partitions: *partitions, KeyMax: *keyMax})
 	srv := server.New(h, server.Config{
-		Store:        eng.Name,
 		Window:       *window,
 		MaxConns:     *maxConns,
 		ScanLimit:    *scanLimit,
@@ -124,8 +107,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "listen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "hybridsd: serving %s/%d partitions on %s (window %d)\n",
-		eng.Name, *partitions, ln.Addr(), *window)
+	fmt.Fprintf(os.Stderr, "hybridsd: serving %d partitions on %s (window %d)\n",
+		*partitions, ln.Addr(), *window)
 
 	var adm *admin.Server
 	admErrCh := make(chan error, 1)
@@ -136,7 +119,6 @@ func main() {
 			Token:  *adminToken,
 			Static: map[string]string{
 				"addr":       ln.Addr().String(),
-				"store":      eng.Name,
 				"partitions": fmt.Sprint(*partitions),
 				"keymax":     fmt.Sprint(*keyMax),
 				"scan_limit": fmt.Sprint(*scanLimit),

@@ -346,14 +346,19 @@ func validateKeyMax(v uint64, records int) error {
 	return nil
 }
 
-// validateSizes rejects non-positive -conns, -depth and -ops, hybridsd's
-// "must be positive" rule: zero connections or operations used to divide
-// by zero in the allocs/op average, a negative -conns panicked inside the
-// stream generator, and -depth 0 hung the replay waiting for a response
-// to a request it never sent.
-func validateSizes(conns, depth, ops int) error {
-	if conns <= 0 || depth <= 0 || ops <= 0 {
-		return fmt.Errorf("-conns, -depth and -ops must be positive (got %d, %d, %d)", conns, depth, ops)
+// validateSizes rejects non-positive -conns, -depth, -ops and -records,
+// hybridsd's "must be positive" rule, and a negative -warmup: zero
+// connections or operations used to divide by zero in the allocs/op
+// average, a negative -conns panicked inside the stream generator, -depth
+// 0 hung the replay waiting for a response to a request it never sent,
+// -records 0 preloaded nothing and drew keys over zero items, and a
+// negative -warmup was quietly run as 0.
+func validateSizes(conns, depth, ops, records, warmup int) error {
+	if conns <= 0 || depth <= 0 || ops <= 0 || records <= 0 {
+		return fmt.Errorf("-conns, -depth, -ops and -records must be positive (got %d, %d, %d, %d)", conns, depth, ops, records)
+	}
+	if warmup < 0 {
+		return fmt.Errorf("-warmup %d must not be negative", warmup)
 	}
 	return nil
 }
@@ -695,10 +700,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hybridsload: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *warmup < 0 {
-		*warmup = 0
-	}
-	if err := validateSizes(*conns, *depth, *ops); err != nil {
+	if err := validateSizes(*conns, *depth, *ops, *records, *warmup); err != nil {
 		usage("%v", err)
 	}
 	if err := validateKeyMax(uint64(*keyMax), *records); err != nil {

@@ -43,27 +43,33 @@ func TestValidateKeyMax(t *testing.T) {
 
 func TestValidateSizes(t *testing.T) {
 	cases := []struct {
-		name              string
-		conns, depth, ops int
-		wantErr           bool
+		name                               string
+		conns, depth, ops, records, warmup int
+		wantErr                            bool
 	}{
 		// Regressions: -conns 0 and -ops 0 divided by zero computing
-		// allocs/op, -conns -1 panicked in ycsb Streams, and -depth 0 hung
-		// replay forever.
-		{"zero-conns", 0, 16, 20000, true},
-		{"negative-conns", -1, 16, 20000, true},
-		{"zero-depth", 4, 0, 20000, true},
-		{"negative-depth", 4, -3, 20000, true},
-		{"zero-ops", 4, 16, 0, true},
-		{"negative-ops", 4, 16, -1, true},
-		{"default", 4, 16, 20000, false},
-		{"minimum", 1, 1, 1, false},
+		// allocs/op, -conns -1 panicked in ycsb Streams, -depth 0 hung
+		// replay forever, -records 0 ran a zipfian picker over zero items
+		// and -warmup -5 silently became 0.
+		{"zero-conns", 0, 16, 20000, 16384, 2048, true},
+		{"negative-conns", -1, 16, 20000, 16384, 2048, true},
+		{"zero-depth", 4, 0, 20000, 16384, 2048, true},
+		{"negative-depth", 4, -3, 20000, 16384, 2048, true},
+		{"zero-ops", 4, 16, 0, 16384, 2048, true},
+		{"negative-ops", 4, 16, -1, 16384, 2048, true},
+		{"zero-records", 4, 16, 20000, 0, 2048, true},
+		{"negative-records", 4, 16, 20000, -1, 2048, true},
+		{"negative-warmup", 4, 16, 20000, 16384, -5, true},
+		{"zero-warmup", 4, 16, 20000, 16384, 0, false},
+		{"default", 4, 16, 20000, 16384, 2048, false},
+		{"minimum", 1, 1, 1, 1, 0, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateSizes(c.conns, c.depth, c.ops)
+			err := validateSizes(c.conns, c.depth, c.ops, c.records, c.warmup)
 			if (err != nil) != c.wantErr {
-				t.Fatalf("validateSizes(%d, %d, %d) = %v, wantErr %v", c.conns, c.depth, c.ops, err, c.wantErr)
+				t.Fatalf("validateSizes(%d, %d, %d, %d, %d) = %v, wantErr %v",
+					c.conns, c.depth, c.ops, c.records, c.warmup, err, c.wantErr)
 			}
 		})
 	}

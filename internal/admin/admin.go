@@ -46,8 +46,8 @@ type Config struct {
 	// /config) requires via "Authorization: Bearer <token>". Empty leaves
 	// the plane unauthenticated — acceptable only on localhost binds.
 	Token string
-	// Static carries immutable startup facts (store engine, partitions,
-	// data-plane address, ...) echoed by GET /config so an operator sees
+	// Static carries immutable startup facts (partitions, data-plane
+	// address, ...) echoed by GET /config so an operator sees
 	// the whole effective configuration in one place.
 	Static map[string]string
 }

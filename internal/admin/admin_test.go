@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hybrids/internal/admin"
 	"hybrids/internal/core"
@@ -267,20 +268,27 @@ func parseProm(t *testing.T, text []byte) map[string]*promFamily {
 }
 
 // load runs n pipelined PUT+GET pairs through a fresh data-plane
-// connection so counters and histograms are non-trivial.
+// connection so counters and histograms are non-trivial, then closes it
+// and waits until the server has folded its tallies, so the server/*
+// counters hold still for exact comparisons.
 func (ha *harness) load(t *testing.T, n int) {
 	t.Helper()
 	c, err := server.Dial(ha.addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer c.Close()
 	for i := 1; i <= n; i++ {
 		if _, err := c.Put(uint64(i), uint64(i*10)); err != nil {
 			t.Fatalf("Put(%d): %v", i, err)
 		}
 		if _, _, err := c.Get(uint64(i)); err != nil {
 			t.Fatalf("Get(%d): %v", i, err)
+		}
+	}
+	c.Close()
+	for deadline := time.Now().Add(5 * time.Second); len(ha.srv.ConnsInfo()) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the server still lists the connection 5s after it closed")
 		}
 	}
 }
@@ -304,8 +312,8 @@ func TestPromExposition(t *testing.T) {
 	}
 
 	fams := parseProm(t, ha.get(t, "/metrics"))
-	if _, ok := fams["hybrids_server_info"]; !ok {
-		t.Fatalf("missing hybrids_server_info gauge")
+	if info, ok := fams["hybrids_server_info"]; !ok || info.samples[`hybrids_server_info{store="btree"}`] != 1 {
+		t.Fatalf("missing hybrids_server_info{store=\"btree\"} gauge")
 	}
 	mangle := func(name string) string {
 		return "hybrids_" + strings.Map(func(r rune) rune {
@@ -353,6 +361,23 @@ func TestPromExposition(t *testing.T) {
 	}
 	if _, ok := fams[mangle("server/batch")]; !ok {
 		t.Fatalf("server/batch histogram missing from exposition")
+	}
+}
+
+// TestNoStoreLabelWhenUnset: a server configured without an engine name
+// (hybridsd's) carries no empty store label in /metrics.json or in
+// hybrids_server_info.
+func TestNoStoreLabelWhenUnset(t *testing.T) {
+	ha := newHarness(t, server.Config{Window: 4},
+		core.Config{Partitions: 2, KeyMax: 1 << 12})
+	var doc map[string]json.RawMessage
+	ha.getJSON(t, "/metrics.json", &doc)
+	if _, ok := doc["store"]; ok {
+		t.Fatalf("/metrics.json carries a store key: %s", doc["store"])
+	}
+	info := parseProm(t, ha.get(t, "/metrics"))["hybrids_server_info"]
+	if info == nil || len(info.samples) != 1 || info.samples["hybrids_server_info"] != 1 {
+		t.Fatalf("hybrids_server_info samples = %v, want one unlabelled 1", info)
 	}
 }
 

@@ -38,12 +38,16 @@ func promName(name string) string {
 }
 
 // writeProm writes the full exposition: a build-info style gauge naming
-// the store engine, every counter as a counter family, every histogram
-// as a histogram family.
+// the store engine when one is configured, every counter as a counter
+// family, every histogram as a histogram family.
 func writeProm(w io.Writer, store string, counters metrics.Snapshot, hists []metrics.HistSnapshot) {
 	fmt.Fprintf(w, "# HELP hybrids_server_info Static server facts as labels.\n")
 	fmt.Fprintf(w, "# TYPE hybrids_server_info gauge\n")
-	fmt.Fprintf(w, "hybrids_server_info{store=%q} 1\n", store)
+	if store == "" {
+		fmt.Fprintf(w, "hybrids_server_info 1\n")
+	} else {
+		fmt.Fprintf(w, "hybrids_server_info{store=%q} 1\n", store)
+	}
 
 	names := make([]string, 0, len(counters))
 	for name := range counters {

@@ -1,8 +1,8 @@
-// Package cds provides the native (non-simulated) ordered maps the hybrid
-// runtime in internal/core uses as partition stores, each usable
-// standalone: a B+ tree and a B-skiplist, both of pointer-free 256-byte
-// nodes in chunked arenas. Both are sequential — one goroutine (in the
-// runtime, the caller combining the partition) owns each instance.
+// Package cds provides the native (non-simulated) ordered map the hybrid
+// runtime in internal/core uses as its partition store, usable
+// standalone: a B+ tree of pointer-free 256-byte nodes in chunked arenas.
+// It is sequential — one goroutine (in the runtime, the caller combining
+// the partition) owns each instance.
 package cds
 
 import (
@@ -49,16 +49,15 @@ func (a *arena[T]) alloc() uint32 {
 	return uint32(a.n - 1)
 }
 
-// leaf is the level-0 node of both structures: n sorted pairs and the
-// leaf to its right, then the B-skiplist's immutable lower bound lo (the
-// B+ tree leaves it zero). It is 256 bytes, the count leading so a search
-// reads it from the line it scans first.
+// leaf is the level-0 node: n sorted pairs and the leaf to its right,
+// padded to 256 bytes, the count leading so a search reads it from the
+// line it scans first.
 type leaf struct {
 	n    uint32
 	next uint32
 	keys [leafMax]uint64
 	vals [leafMax]uint64
-	lo   uint64
+	_    uint64
 }
 
 // slot returns the first position whose key is >= key (n when there is
@@ -81,7 +80,7 @@ func (l *leaf) insertAt(pos int, key, value uint64) {
 }
 
 // removeAt closes position pos. Leaves may underflow, even to empty, and
-// are never merged: the relaxed delete both structures share.
+// are never merged: the relaxed delete.
 func (l *leaf) removeAt(pos int) {
 	copy(l.keys[pos:l.n-1], l.keys[pos+1:l.n])
 	copy(l.vals[pos:l.n-1], l.vals[pos+1:l.n])

@@ -6,9 +6,8 @@ import (
 	"hybrids/internal/prng"
 )
 
-// Native micro-benchmarks for the non-simulated structures: these measure
-// real hardware, complementing the simulated-machine experiments at the
-// repository root.
+// Native micro-benchmarks for the B+ tree: these measure real hardware,
+// complementing the simulated-machine experiments at the repository root.
 
 // benchKeys is the key count the Get and Ascend benchmarks load; the
 // Get1M rows load benchKeysLarge, past the last-level cache.
@@ -17,16 +16,9 @@ const (
 	benchKeysLarge = 1 << 20
 )
 
-// orderedMap is the surface the benchmarks drive.
-type orderedMap interface {
-	Put(key, value uint64) bool
-	Get(key uint64) (uint64, bool)
-	Delete(key uint64) bool
-}
-
-// benchLoad puts keys 1..n into m, in ascending order or (shuffled) in a
+// benchLoad puts keys 1..n into t, in ascending order or (shuffled) in a
 // PRNG-shuffled one.
-func benchLoad(m orderedMap, n int, shuffled bool) {
+func benchLoad(t *BTree, n int, shuffled bool) {
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = uint64(i) + 1
@@ -39,30 +31,28 @@ func benchLoad(m orderedMap, n int, shuffled bool) {
 		}
 	}
 	for _, k := range keys {
-		m.Put(k, k)
+		t.Put(k, k)
 	}
 }
 
-// benchGet times uniform random hits over benchLoad's n keys; the
-// engines' Get benchmarks share it (same keys, same PRNG stream), so
-// their ns/op read side by side.
-func benchGet(b *testing.B, n int, shuffled bool, m orderedMap) {
-	benchLoad(m, n, shuffled)
+// benchGet times uniform random hits over benchLoad's n keys; the Get
+// rows share it (same PRNG stream), so their ns/op read side by side.
+func benchGet(b *testing.B, n int, shuffled bool) {
+	t := NewBTree()
+	benchLoad(t, n, shuffled)
 	rng := prng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Get(uint64(rng.Intn(n)) + 1)
+		t.Get(uint64(rng.Intn(n)) + 1)
 	}
 }
 
-func BenchmarkBTreeGet(b *testing.B)       { benchGet(b, benchKeys, false, NewBTree()) }
-func BenchmarkBSkipListGet(b *testing.B)   { benchGet(b, benchKeys, false, NewBSkipList()) }
-func BenchmarkBTreeGet1M(b *testing.B)     { benchGet(b, benchKeysLarge, false, NewBTree()) }
-func BenchmarkBSkipListGet1M(b *testing.B) { benchGet(b, benchKeysLarge, false, NewBSkipList()) }
+func BenchmarkBTreeGet(b *testing.B)   { benchGet(b, benchKeys, false) }
+func BenchmarkBTreeGet1M(b *testing.B) { benchGet(b, benchKeysLarge, false) }
 
 // BenchmarkBTreeGetRandomLoad is BenchmarkBTreeGet over a tree whose
 // leaves were filled by mid splits (~70% full) instead of append splits.
-func BenchmarkBTreeGetRandomLoad(b *testing.B) { benchGet(b, benchKeys, true, NewBTree()) }
+func BenchmarkBTreeGetRandomLoad(b *testing.B) { benchGet(b, benchKeys, true) }
 
 // BenchmarkBTreeAscend100 times a 100-pair scan from a uniform random
 // start: one descent and about seven leaves of the chain.
@@ -86,28 +76,26 @@ func BenchmarkBTreeAscend100(b *testing.B) {
 // benchSink keeps a benchmark's result live.
 var benchSink uint64
 
-// benchPut times inserts of fresh uniform random keys into a growing map;
-// the engines share it like benchGet.
-func benchPut(b *testing.B, m orderedMap) {
+// BenchmarkBTreePut times inserts of fresh uniform random keys into a
+// growing tree.
+func BenchmarkBTreePut(b *testing.B) {
+	t := NewBTree()
 	rng := prng.New(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Put(rng.Next()>>1+1, 1)
+		t.Put(rng.Next()>>1+1, 1)
 	}
 }
 
-func BenchmarkBTreePut(b *testing.B)     { benchPut(b, NewBTree()) }
-func BenchmarkBSkipListPut(b *testing.B) { benchPut(b, NewBSkipList()) }
-
-// benchMix is the embedded-mix workload's store-level shape: four stores
-// of 2^18 keys each, loaded in ascending order one key in 64 of a 2^24
-// span, then uniform 50-25-25 gets, puts and deletes over random stores
-// and keys of that span.
-func benchMix(b *testing.B, newMap func() orderedMap) {
+// BenchmarkMixBTree is the embedded-mix workload's store-level shape: four
+// stores of 2^18 keys each, loaded in ascending order one key in 64 of a
+// 2^24 span, then uniform 50-25-25 gets, puts and deletes over random
+// stores and keys of that span.
+func BenchmarkMixBTree(b *testing.B) {
 	const perStore, span = 1 << 18, 1 << 24
-	var stores [4]orderedMap
+	var stores [4]*BTree
 	for i := range stores {
-		stores[i] = newMap()
+		stores[i] = NewBTree()
 		for k := uint64(1); k <= perStore; k++ {
 			stores[i].Put(k*(span/perStore), k)
 		}
@@ -127,6 +115,3 @@ func benchMix(b *testing.B, newMap func() orderedMap) {
 		}
 	}
 }
-
-func BenchmarkMixBTree(b *testing.B)     { benchMix(b, func() orderedMap { return NewBTree() }) }
-func BenchmarkMixBSkipList(b *testing.B) { benchMix(b, func() orderedMap { return NewBSkipList() }) }

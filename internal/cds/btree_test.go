@@ -165,6 +165,10 @@ func TestBTreeAscendFromMidpoint(t *testing.T) {
 			t.Fatalf("Ascend(35) = %v", got)
 		}
 	}
+	bt.Ascend(101, func(k, _ uint64) bool {
+		t.Fatalf("Ascend past the last key yielded %d", k)
+		return false
+	})
 }
 
 func TestBTreeEmptyLeafTolerated(t *testing.T) {

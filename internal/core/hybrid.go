@@ -51,7 +51,7 @@ type Store interface {
 }
 
 // Instrumented is implemented by stores that expose structural-event
-// counters (cds.BTree and cds.BSkipList do). New registers
+// counters (cds.BTree does). New registers
 // each partition store that implements it under "core/p<i>/store", so
 // per-partition structural metrics are engine-uniform without the runtime
 // knowing any concrete store type.
@@ -148,10 +148,11 @@ func New(cfg Config) *Hybrid {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
+	// span is ceil(KeyMax/Partitions), written so that it cannot wrap.
 	h := &Hybrid{
 		cfg:  cfg,
 		reg:  reg,
-		span: (cfg.KeyMax + uint64(cfg.Partitions) - 1) / uint64(cfg.Partitions),
+		span: (cfg.KeyMax-1)/uint64(cfg.Partitions) + 1,
 	}
 	for p := 0; p < cfg.Partitions; p++ {
 		part := &partition{
@@ -436,7 +437,7 @@ func (h *Hybrid) ScanAppend(dst []KV, from uint64, limit int) []KV {
 	c := cursorPool.Get().(*scanCursor)
 	c.dst, c.from, c.base, c.limit = dst, from, len(dst), limit
 	for p := 0; p < len(h.parts) && len(c.dst)-c.base < limit; p++ {
-		if hi := uint64(p+1) * h.span; from >= hi {
+		if from/h.span > uint64(p) {
 			continue // partition's whole key range lies below from
 		}
 		h.barrier(p, c.ascend)

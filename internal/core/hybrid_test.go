@@ -50,6 +50,32 @@ func TestHybridPartitionRouting(t *testing.T) {
 	}
 }
 
+// TestHybridFullKeySpace runs the whole 64-bit key space, where summing
+// KeyMax and Partitions wraps: the first and last keys route to the first
+// and last partitions, and a scan reaches the last one.
+func TestHybridFullKeySpace(t *testing.T) {
+	h := New(Config{Partitions: 8, KeyMax: ^uint64(0)})
+	defer h.Close()
+	first, last := KV{Key: 1, Value: 10}, KV{Key: ^uint64(0) - 1, Value: 20}
+	if p, q := h.Partition(first.Key), h.Partition(last.Key); p != 0 || q != 7 {
+		t.Fatalf("first and last keys in partitions %d and %d, want 0 and 7", p, q)
+	}
+	for _, kv := range []KV{first, last} {
+		if !h.Put(kv.Key, kv.Value) {
+			t.Fatalf("Put(%d) failed", kv.Key)
+		}
+		if v, ok := h.Get(kv.Key); !ok || v != kv.Value {
+			t.Fatalf("Get(%d) = (%d,%v), want %d", kv.Key, v, ok, kv.Value)
+		}
+	}
+	if got := h.Scan(last.Key-1, 4); len(got) != 1 || got[0] != last {
+		t.Fatalf("Scan from just below the last key = %v, want [%v]", got, last)
+	}
+	if got := h.Dump(); len(got) != 2 || got[0] != first || got[1] != last {
+		t.Fatalf("Dump = %v, want [%v %v]", got, first, last)
+	}
+}
+
 func TestHybridConcurrentDisjoint(t *testing.T) {
 	h := newTest(8)
 	defer h.Close()
@@ -149,24 +175,6 @@ func TestHybridCustomStore(t *testing.T) {
 	}
 	if !h.Put(42, 1) {
 		t.Fatal("Put through custom store failed")
-	}
-}
-
-func TestHybridSkipListAsStore(t *testing.T) {
-	h := New(Config{
-		Partitions: 2, KeyMax: 1 << 16,
-		NewStore: func(p int) Store { return cds.NewBSkipList() },
-	})
-	defer h.Close()
-	for k := uint64(1); k <= 500; k++ {
-		if !h.Put(k, k*3) {
-			t.Fatalf("Put(%d) failed", k)
-		}
-	}
-	for k := uint64(1); k <= 500; k++ {
-		if v, ok := h.Get(k); !ok || v != k*3 {
-			t.Fatalf("Get(%d) = (%d,%v)", k, v, ok)
-		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"hybrids/internal/metrics"
 	"hybrids/internal/server"
 	"hybrids/internal/sim/machine"
-	"hybrids/internal/store"
 )
 
 // metricKeyRe matches a backtick-quoted metric key in docs/METRICS.md:
@@ -50,8 +49,8 @@ func documentedKeys(t *testing.T) map[string]bool {
 }
 
 // emittedRegistryKeys instantiates every registry-backed subsystem and
-// collects the full set of keys they register: the serving stack once
-// per store engine (server/, core/p*/, core/p*/store/), and the
+// collects the full set of keys they register: the serving stack as
+// hybridsd builds it (server/, core/p*/, core/p*/store/), and the
 // simulator with attribution and the offload runtime enabled (engine/,
 // mem/, attr/, offload/, offload/p*/). The returned histSet marks
 // histogram names, whose /sum and /count components are documented
@@ -68,22 +67,11 @@ func emittedRegistryKeys(t *testing.T) (names, histSet map[string]bool) {
 		}
 	}
 
-	for _, name := range store.Names() {
-		eng, ok := store.Lookup(name)
-		if !ok {
-			t.Fatalf("store %q vanished from the registry", name)
-		}
-		reg := metrics.NewRegistry()
-		h := core.New(core.Config{
-			Partitions: 2,
-			KeyMax:     1 << 10,
-			Metrics:    reg,
-			NewStore:   eng.NewNative(store.Tuning{}),
-		})
-		server.New(h, server.Config{Store: eng.Name, Metrics: reg})
-		collect(reg)
-		h.Close()
-	}
+	reg := metrics.NewRegistry()
+	h := core.New(core.Config{Partitions: 2, KeyMax: 1 << 10, Metrics: reg})
+	server.New(h, server.Config{Metrics: reg})
+	collect(reg)
+	h.Close()
 
 	cfg := machine.Default()
 	m := machine.New(cfg)

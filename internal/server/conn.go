@@ -18,11 +18,10 @@ import (
 type serveTallies struct {
 	n [numStats]uint64
 	// timed is set when slow-op sampling is armed for this serve call;
-	// offloadNanos then accumulates the time spent waiting on the core
-	// runtime (batcher windows and scan barriers) — the native analogue
-	// of the simulator's offload-wait attribution bucket.
-	timed        bool
-	offloadNanos time.Duration
+	// coreWait then accumulates the time spent blocked in the core
+	// runtime (batcher windows and scan barriers).
+	timed    bool
+	coreWait time.Duration
 }
 
 // flushBytes is the staged-response cap: once a connection's output
@@ -248,7 +247,7 @@ func (c *conn) flushOps(t *serveTallies) {
 	if t.timed {
 		applyStart := time.Now()
 		c.batcher.Apply(c.ops, out)
-		t.offloadNanos += time.Since(applyStart)
+		t.coreWait += time.Since(applyStart)
 	} else {
 		c.batcher.Apply(c.ops, out)
 	}
@@ -287,7 +286,7 @@ func (c *conn) serveScan(r Request, t *serveTallies) {
 	if t.timed {
 		scanStart := time.Now()
 		kvs = s.h.ScanAppend(pairPool.get(int(limit)), r.Key, int(limit))
-		t.offloadNanos += time.Since(scanStart)
+		t.coreWait += time.Since(scanStart)
 	} else {
 		kvs = s.h.ScanAppend(pairPool.get(int(limit)), r.Key, int(limit))
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hybrids/internal/core"
-	"hybrids/internal/sim/trace"
 )
 
 // syncBuffer lets the test read the slow-op stream while the reader
@@ -33,19 +32,20 @@ func (b *syncBuffer) Bytes() []byte {
 
 // slowOpLine mirrors the documented slow-op record schema.
 type slowOpLine struct {
-	T       string            `json:"t"`
-	TS      time.Time         `json:"ts"`
-	Conn    string            `json:"conn"`
-	Ops     int               `json:"ops"`
-	TotalNS int64             `json:"total_ns"`
-	Attr    map[string]uint64 `json:"attr"`
+	T          string    `json:"t"`
+	TS         time.Time `json:"ts"`
+	Conn       string    `json:"conn"`
+	Ops        int       `json:"ops"`
+	TotalNS    int64     `json:"total_ns"`
+	CoreWaitNS int64     `json:"core_wait_ns"`
+	SelfNS     int64     `json:"self_ns"`
 }
 
 // TestSlowOpLog drives traffic with a 1ns threshold (every batch is
 // slow) and checks each emitted line parses as the documented JSON
-// schema: type tag, RFC3339 timestamp, remote address, op count, total,
-// and an attribution map carrying exactly the simulator's six bucket
-// names whose observable components sum to the total.
+// schema, with no field beyond it: type tag, RFC3339 timestamp, remote
+// address, op count, total, and the core-wait and self times, which sum
+// to the total.
 func TestSlowOpLog(t *testing.T) {
 	var log syncBuffer
 	s, _, addr := newTestServer(t,
@@ -64,33 +64,21 @@ func TestSlowOpLog(t *testing.T) {
 	c.Close()
 	s.Shutdown()
 
-	names := make(map[string]bool, trace.NumBuckets)
-	for b := trace.Bucket(0); b < trace.NumBuckets; b++ {
-		names[b.String()] = true
-	}
 	lines := 0
 	sc := bufio.NewScanner(bytes.NewReader(log.Bytes()))
 	for sc.Scan() {
 		lines++
 		var rec slowOpLine
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&rec); err != nil {
 			t.Fatalf("line %d: %v\n%s", lines, err, sc.Bytes())
 		}
 		if rec.T != "slow_op" || rec.Conn == "" || rec.Ops <= 0 || rec.TotalNS <= 0 || rec.TS.IsZero() {
 			t.Fatalf("line %d: bad record %+v", lines, rec)
 		}
-		if len(rec.Attr) != int(trace.NumBuckets) {
-			t.Fatalf("line %d: %d attr buckets, want %d", lines, len(rec.Attr), trace.NumBuckets)
-		}
-		var sum uint64
-		for name, v := range rec.Attr {
-			if !names[name] {
-				t.Fatalf("line %d: unknown attr bucket %q", lines, name)
-			}
-			sum += v
-		}
-		if sum != uint64(rec.TotalNS) {
-			t.Fatalf("line %d: attr sum %d != total_ns %d", lines, sum, rec.TotalNS)
+		if rec.CoreWaitNS < 0 || rec.SelfNS < 0 || rec.CoreWaitNS+rec.SelfNS != rec.TotalNS {
+			t.Fatalf("line %d: core_wait_ns %d + self_ns %d != total_ns %d", lines, rec.CoreWaitNS, rec.SelfNS, rec.TotalNS)
 		}
 	}
 	if lines == 0 {

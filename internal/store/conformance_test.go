@@ -17,8 +17,14 @@ import (
 // (b) converge to identical final contents on the native runtime and the
 // cycle-level simulator for the same operation streams under every call
 // discipline — the registry's semantic contract — and (c) keep its native
-// Get path within the core blocking-call allocation discipline. A new engine
-// passes this suite by being registered; nothing here names a structure.
+// Get and write paths within the core blocking-call allocation discipline.
+// Every engine's native store is the same cds.BTree, so the native dumps
+// and the fuzz target build it once. A new engine passes this suite by
+// being registered; nothing here names a structure.
+
+// newNative is the per-partition store factory every engine's native
+// side uses.
+var newNative = Engine{}.NewNative(Tuning{})
 
 const (
 	confThreads   = 2
@@ -110,12 +116,11 @@ func simDump(t *testing.T, e Engine, window int, async bool) []KV {
 // nativeDump runs the same streams against the real runtime — one
 // goroutine per stream, blocking (window<=1) or windowed non-blocking —
 // and returns the drained final contents.
-func nativeDump(t *testing.T, e Engine, window int) []core.KV {
-	t.Helper()
+func nativeDump(window int) []core.KV {
 	pairs, streams := confData()
 	h := core.New(core.Config{
 		Partitions: 4, KeyMax: confKeyMax,
-		NewStore: e.NewNative(Tuning{}),
+		NewStore: newNative,
 	})
 	load := make([]core.KV, len(pairs))
 	for i, p := range pairs {
@@ -147,7 +152,7 @@ func nativeDump(t *testing.T, e Engine, window int) []core.KV {
 
 // TestEngineNativeSequentialOracle drives a deterministic mixed stream
 // against each engine's bare native store and a map oracle, then checks
-// structural invariants where the store exposes them.
+// its structural invariants.
 func TestEngineNativeSequentialOracle(t *testing.T) {
 	for _, e := range Engines() {
 		e := e
@@ -189,8 +194,8 @@ func TestEngineNativeSequentialOracle(t *testing.T) {
 					delete(oracle, key)
 				}
 			}
-			// Keys 0 and MaxUint64 lie outside the oracle's key space:
-			// absent, and asking changes nothing.
+			// Keys 0 and MaxUint64 lie outside the oracle's key space: absent, and
+			// asking changes nothing.
 			for _, k := range []uint64{0, ^uint64(0)} {
 				if v, ok := s.Get(k); ok || v != 0 {
 					t.Errorf("Get(%d) = (%d,%v), want (0,false)", k, v, ok)
@@ -202,22 +207,20 @@ func TestEngineNativeSequentialOracle(t *testing.T) {
 			if s.Len() != len(oracle) {
 				t.Fatalf("Len = %d, oracle %d", s.Len(), len(oracle))
 			}
-			if inv, ok := s.(interface{ CheckInvariants() error }); ok {
-				if err := inv.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				t.Errorf("%s native store exposes no CheckInvariants", e.Name)
+			if err := s.(interface{ CheckInvariants() error }).CheckInvariants(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 }
 
 // TestEngineCrossStackEquivalence runs the same operation streams through
-// each engine's simulated hybrid (blocking) and its native runtime at
+// each engine's simulated hybrid (blocking) and the native runtime at
 // blocking and windowed disciplines; all final contents must match pair
-// for pair.
+// for pair. The native side is one store for every engine, so its dumps
+// are taken once.
 func TestEngineCrossStackEquivalence(t *testing.T) {
+	native := map[int][]core.KV{1: nativeDump(1), 4: nativeDump(4)}
 	for _, e := range Engines() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
@@ -225,8 +228,7 @@ func TestEngineCrossStackEquivalence(t *testing.T) {
 			if len(sim) == 0 {
 				t.Fatal("empty simulated dump")
 			}
-			for _, window := range []int{1, 4} {
-				got := nativeDump(t, e, window)
+			for window, got := range native {
 				if len(got) != len(sim) {
 					t.Fatalf("window %d: native %d pairs, sim %d", window, len(got), len(sim))
 				}
@@ -290,7 +292,7 @@ func TestSimHybridRejectsBadSplit(t *testing.T) {
 }
 
 // TestEngineGetAllocs holds every engine's native Get path at zero
-// allocations: each descent touches only its store's arenas.
+// allocations: a descent touches only the store's arenas.
 func TestEngineGetAllocs(t *testing.T) {
 	for _, e := range Engines() {
 		e := e
@@ -311,12 +313,13 @@ func TestEngineGetAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineWriteAllocs holds every engine's steady-state writes at zero
-// allocations: an Update, and a Delete followed by a Put of the same key,
-// on a loaded store (each store records its descent in a stack array and
-// the emptied leaf slot takes the key back).
+// TestEngineWriteAllocs holds every engine's native steady-state writes
+// at zero allocations: an Update, and a Delete followed by a Put of the
+// same key, on a loaded store (Put records its descent in a stack array
+// and the emptied leaf slot takes the key back).
 func TestEngineWriteAllocs(t *testing.T) {
 	for _, e := range Engines() {
+		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			s := e.NewNative(Tuning{})(0)
 			for k := uint64(1); k <= 4096; k++ {

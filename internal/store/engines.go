@@ -1,8 +1,6 @@
 package store
 
 import (
-	"hybrids/internal/cds"
-	"hybrids/internal/core"
 	"hybrids/internal/dsim/bskiplist"
 	"hybrids/internal/dsim/btree"
 	"hybrids/internal/dsim/skiplist"
@@ -15,9 +13,6 @@ func btreeEngine() Engine {
 	return Engine{
 		Name: "btree",
 		Desc: "B+ tree",
-		NewNative: func(Tuning) func(int) core.Store {
-			return func(int) core.Store { return cds.NewBTree() }
-		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			return btree.NewHybrid(m, btree.HybridBTreeConfig{
 				NMPLevels: p.BTreeNMPLevels, Fill: p.BTreeFill, Window: p.Window,
@@ -40,15 +35,10 @@ type simSkiplist struct {
 // from the load-phase seed.
 func (s simSkiplist) Build(load []KV) { s.Hybrid.Build(load, s.seed+1) }
 
-// skiplistEngine shares its native store, the B-skiplist, with
-// bskiplistEngine; only the simulated hybrids differ.
 func skiplistEngine() Engine {
 	return Engine{
 		Name: "skiplist",
 		Desc: "skiplist",
-		NewNative: func(Tuning) func(int) core.Store {
-			return func(int) core.Store { return cds.NewBSkipList() }
-		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			h := skiplist.NewHybrid(m, skiplist.HybridConfig{
 				Levels: p.SkiplistLevels, NMPLevels: p.SkiplistNMPLevels,
@@ -66,9 +56,6 @@ func bskiplistEngine() Engine {
 	return Engine{
 		Name: "bskiplist",
 		Desc: "cache-conscious B-skiplist",
-		NewNative: func(Tuning) func(int) core.Store {
-			return func(int) core.Store { return cds.NewBSkipList() }
-		},
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			return bskiplist.NewHybrid(m, bskiplist.Config{
 				Levels: p.BSkiplistLevels, NMPLevels: p.BSkiplistNMPLevels,

@@ -1,26 +1,25 @@
-// Package store is the engine registry: the single place a concurrent
-// ordered-map implementation is wired into the repository's two stacks.
-// Each Engine names one structure and declares how to build it natively
-// (a core.Store factory for the goroutine-combiner runtime) and how to
-// build its simulated HybriDS hybrid (host portion + NMP portion behind
-// the shared offload runtime). Every consumer — cmd/hybridsd's -store
-// flag, bench/, the simulated experiment grids and the cross-stack
-// conformance suite — resolves engines only through Engines/Lookup, so
-// adding a structure is a one-package change: implement the structure,
-// append an Engine here, and the daemon and the conformance tests pick it
-// up with no per-consumer code.
+// Package store is the engine registry: the single place a simulated
+// HybriDS hybrid (host portion + NMP portion behind the shared offload
+// runtime) is wired into the repository's two stacks. An engine name
+// chooses the simulated hybrid only; natively every engine runs on the
+// one partition store, cds.BTree. Every consumer — bench/, the simulated
+// experiment grids and the cross-stack conformance suite — resolves
+// engines only through Engines/MustEngine, so adding a structure is a
+// one-package change: implement the structure, append an Engine here, and
+// the grids and the conformance tests pick it up with no per-consumer
+// code.
 package store
 
 import (
-	"sort"
-
+	"hybrids/internal/cds"
 	"hybrids/internal/core"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/machine"
 )
 
-// Tuning is empty: it stays only because bench/ (frozen in this PR) writes
-// NewNative(store.Tuning{}); the next benchmark PR drops the parameter.
+// Tuning is empty: it stays only because bench/ writes
+// NewNative(store.Tuning{}); the next benchmark change drops the
+// parameter.
 type Tuning struct{}
 
 // SimParams fixes every engine's simulated sizing in one value; exp.Scale
@@ -80,14 +79,11 @@ type SimHybrid interface {
 // Engine is one registered structure: everything a consumer needs to
 // build it on either stack.
 type Engine struct {
-	// Name is the engine's registry key (-store flag value, experiment
-	// ID suffix, STATS label).
+	// Name is the engine's registry key (experiment ID suffix, STATS
+	// label).
 	Name string
 	// Desc is a short human label ("B+ tree") for titles and help text.
 	Desc string
-	// NewNative returns the per-partition store factory the native
-	// runtime (internal/core) consumes.
-	NewNative func(t Tuning) func(partition int) core.Store
 	// NewSimHybrid builds the engine's simulated hybrid on m, sized by p.
 	// The result is not yet loaded or started.
 	NewSimHybrid func(m *machine.Machine, p SimParams) SimHybrid
@@ -95,39 +91,27 @@ type Engine struct {
 	SimRecords func(p SimParams) int
 }
 
+// NewNative returns the per-partition store factory the native runtime
+// (internal/core) consumes. It is the same for every engine: a partition
+// has one holder at a time, so its store is sequential, and cds.BTree is
+// the one such store (DESIGN §5.7).
+func (Engine) NewNative(Tuning) func(partition int) core.Store {
+	return func(int) core.Store { return cds.NewBTree() }
+}
+
 // Engines returns every registered engine in registration order (the
-// presentation order of grids and help text).
+// presentation order of grids).
 func Engines() []Engine {
 	return []Engine{btreeEngine(), skiplistEngine(), bskiplistEngine()}
 }
 
-// Names returns the registered engine names in sorted order, for flag
-// help and error messages.
-func Names() []string {
-	var out []string
-	for _, e := range Engines() {
-		out = append(out, e.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Lookup returns the engine registered under name.
-func Lookup(name string) (Engine, bool) {
+// MustEngine returns the engine registered under name, panicking on an
+// unknown name — every caller's names are compiled in.
+func MustEngine(name string) Engine {
 	for _, e := range Engines() {
 		if e.Name == name {
-			return e, true
+			return e
 		}
 	}
-	return Engine{}, false
-}
-
-// MustEngine returns the engine registered under name, panicking on an
-// unknown name — for callers whose names are compiled in.
-func MustEngine(name string) Engine {
-	e, ok := Lookup(name)
-	if !ok {
-		panic("store: unknown engine " + name)
-	}
-	return e
+	panic("store: unknown engine " + name)
 }
