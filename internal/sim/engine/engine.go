@@ -27,6 +27,7 @@ package engine
 import (
 	"fmt"
 	"iter"
+	"math"
 	"runtime/debug"
 	"sort"
 
@@ -66,9 +67,6 @@ type Actor struct {
 	// the actor was last dispatched.
 	track        int
 	dispatchedAt uint64
-
-	// Cycles accumulates the total virtual cycles this actor advanced.
-	Cycles uint64
 }
 
 // Now returns the actor's current virtual time in cycles.
@@ -81,21 +79,17 @@ func (a *Actor) Now() uint64 { return a.now }
 // Fast path: if this actor would still be dispatched first — strictly
 // earlier than every pending event (ties go to the earlier-queued event,
 // so equality must park) — the round trip through the dispatch loop is
-// skipped entirely. The body below is kept small enough to inline into the
-// machine layer's Step and memory-access call sites, so the common
+// skipped entirely. Advance inlines into the machine layer's Step and
+// memory-access call sites (CI checks it still does), so the common
 // uncontended case (single runnable actor: build phases, 1-thread cells,
-// an unblocker racing ahead of the actor it just woke) costs a heap-top
-// comparison and no coroutine switch. Dispatch order is identical to the
-// slow path.
+// an unblocker racing ahead of the actor it just woke) costs one
+// comparison against Engine.nextAt and no coroutine switch. Dispatch order
+// is identical to the slow path.
 func (a *Actor) Advance(c uint64) {
 	a.now += c
-	a.Cycles += c
-	e := a.eng
-	if len(e.pq) == 0 || a.now < e.pq[0].at {
-		e.now = a.now
-		return
+	if a.now >= a.eng.nextAt {
+		a.repark()
 	}
-	a.repark()
 }
 
 // repark is Advance's slow path: queue the actor's continuation and park
@@ -188,9 +182,14 @@ func (a *Actor) Unblock(b *Actor, delay uint64) {
 // Engine schedules actors in virtual-time order.
 // The zero value is not usable; call New.
 type Engine struct {
-	now      uint64
-	seq      uint64
-	pq       eventHeap
+	// cur is the actor dispatched last. Its clock is the engine's: Advance
+	// moves only the actor's.
+	cur *Actor
+	seq uint64
+	pq  eventHeap
+	// nextAt is pq's earliest event time, or MaxUint64 when pq is empty:
+	// the one field Advance's fast path reads.
+	nextAt   uint64
 	actors   []*Actor
 	live     int // unfinished non-daemon actors
 	liveAll  int // unfinished actors of any kind
@@ -211,7 +210,7 @@ type Engine struct {
 // private registry (replace it with AttachMetrics to share a machine-wide
 // one).
 func New() *Engine {
-	e := new(Engine)
+	e := &Engine{nextAt: math.MaxUint64}
 	e.AttachMetrics(metrics.NewRegistry())
 	return e
 }
@@ -232,9 +231,14 @@ func (e *Engine) AttachMetrics(reg *metrics.Registry) {
 // tracing. Call before Run.
 func (e *Engine) SetTracer(t *trace.Tracer) { e.tr = t }
 
-// Now returns the engine's current virtual time (the dispatch time of the
-// most recent event).
-func (e *Engine) Now() uint64 { return e.now }
+// Now returns the engine's current virtual time: the clock of the actor
+// running or, after Run, of the last to run (zero before Run).
+func (e *Engine) Now() uint64 {
+	if e.cur == nil {
+		return 0
+	}
+	return e.cur.now
+}
 
 // Spawn registers a new actor whose body runs starting at the spawner's
 // current virtual time (or cycle 0 when called before Run). Spawn may be
@@ -251,7 +255,7 @@ func (e *Engine) Spawn(name string, daemon bool, body func(*Actor)) *Actor {
 	}
 	if e.running {
 		// Inherit the current virtual time so causality is preserved.
-		a.now = e.now
+		a.now = e.Now()
 	}
 	e.stSpawns.Inc()
 	e.actors = append(e.actors, a)
@@ -292,8 +296,8 @@ func (a *Actor) run(yield func(struct{}) bool) {
 			for _, b := range e.actors {
 				if b.blocked && !b.finished {
 					b.blocked = false
-					if b.now < e.now {
-						b.now = e.now
+					if b.now < a.now {
+						b.now = a.now
 					}
 					e.push(b)
 				}
@@ -323,8 +327,12 @@ func (e *Engine) Run() {
 			panic("engine: deadlock: live actors but no pending events: " + e.liveNames())
 		}
 		ev := e.pq.pop()
+		e.nextAt = math.MaxUint64
+		if len(e.pq) > 0 {
+			e.nextAt = e.pq[0].at
+		}
 		a := ev.a
-		e.now = ev.at
+		e.cur = a
 		e.stDispatches.Inc()
 		if e.tr != nil {
 			a.dispatchedAt = ev.at
@@ -368,6 +376,7 @@ type event struct {
 func (e *Engine) push(a *Actor) {
 	e.seq++
 	e.pq.push(event{at: a.now, seq: e.seq, a: a})
+	e.nextAt = e.pq[0].at
 }
 
 // eventHeap is a binary min-heap ordered by (at, seq). A hand-rolled heap

@@ -171,25 +171,6 @@ func TestRunTwicePanics(t *testing.T) {
 	e.Run()
 }
 
-func TestCyclesAccounting(t *testing.T) {
-	e := New()
-	var a1, a2 *Actor
-	a1 = e.Spawn("a1", false, func(a *Actor) {
-		a.Advance(30)
-		a.Advance(12)
-	})
-	a2 = e.Spawn("a2", false, func(a *Actor) {
-		a.Advance(5)
-	})
-	e.Run()
-	if a1.Cycles != 42 {
-		t.Errorf("a1.Cycles = %d, want 42", a1.Cycles)
-	}
-	if a2.Cycles != 5 {
-		t.Errorf("a2.Cycles = %d, want 5", a2.Cycles)
-	}
-}
-
 // TestEngineTimeMonotonic property: with arbitrary positive advance
 // sequences across several actors, the dispatch order observed by a probe
 // is monotone in virtual time.

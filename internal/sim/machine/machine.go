@@ -106,7 +106,8 @@ type Ctx struct {
 	M    *Machine
 	A    *engine.Actor
 	kind coreKind
-	core int // host core index, or NMP partition index
+	core int    // host core index, or NMP partition index
+	step uint64 // cycles per simple instruction: Config.HostStep or NMPStep
 
 	// Observability bindings, fixed at spawn: the core's tracer and trace
 	// track (nil / -1 when tracing is off) and the core's attribution
@@ -126,7 +127,7 @@ func (m *Machine) SpawnHost(core int, name string, body func(*Ctx)) *engine.Acto
 	}
 	return m.Eng.Spawn(name, false, func(a *engine.Actor) {
 		body(&Ctx{
-			M: m, A: a, kind: hostCore, core: core,
+			M: m, A: a, kind: hostCore, core: core, step: m.Cfg.HostStep,
 			tr:    m.Mem.Tracer(),
 			track: m.Mem.HostTrack(core),
 			attr:  m.Mem.Attr(core),
@@ -142,7 +143,7 @@ func (m *Machine) SpawnNMP(p int, body func(*Ctx)) *engine.Actor {
 	}
 	return m.Eng.Spawn(fmt.Sprintf("nmp%d", p), true, func(a *engine.Actor) {
 		body(&Ctx{
-			M: m, A: a, kind: nmpCore, core: p,
+			M: m, A: a, kind: nmpCore, core: p, step: m.Cfg.NMPStep,
 			tr:    m.Mem.Tracer(),
 			track: m.Mem.NMPTrack(p),
 		})
@@ -163,13 +164,7 @@ func (c *Ctx) Core() int { return c.core }
 func (c *Ctx) Now() uint64 { return c.A.Now() }
 
 // Step charges n simple-instruction cycles of compute.
-func (c *Ctx) Step(n uint64) {
-	if c.kind == hostCore {
-		c.A.Advance(n * c.M.Cfg.HostStep)
-	} else {
-		c.A.Advance(n * c.M.Cfg.NMPStep)
-	}
-}
+func (c *Ctx) Step(n uint64) { c.A.Advance(n * c.step) }
 
 // OpDone marks one completed data structure operation. With attribution
 // enabled (EnableAttribution), it flushes the calling host core's interval
@@ -232,25 +227,23 @@ func (c *Ctx) Unblock(a *engine.Actor, delay uint64) { c.A.Unblock(a, delay) }
 // NMP core loops to shut down).
 func (c *Ctx) Stopping() bool { return c.A.Stopping() }
 
-func (c *Ctx) access(a memsys.Addr, write bool) {
-	var lat uint64
+// latency is the modelled cost of this core's access to a, starting now.
+func (c *Ctx) latency(a memsys.Addr, write bool) uint64 {
 	if c.kind == hostCore {
-		lat = c.M.Mem.HostAccess(c.core, a, write, c.A.Now())
-	} else {
-		lat = c.M.Mem.NMPAccess(c.core, a, write, c.A.Now())
+		return c.M.Mem.HostAccess(c.core, a, write, c.A.Now())
 	}
-	c.A.Advance(lat)
+	return c.M.Mem.NMPAccess(c.core, a, write, c.A.Now())
 }
 
 // Read32 performs a timed 32-bit load.
 func (c *Ctx) Read32(a memsys.Addr) uint32 {
-	c.access(a, false)
+	c.A.Advance(c.latency(a, false))
 	return c.M.Mem.RAM.Load32(a)
 }
 
 // Write32 performs a timed 32-bit store.
 func (c *Ctx) Write32(a memsys.Addr, v uint32) {
-	c.access(a, true)
+	c.A.Advance(c.latency(a, true))
 	c.M.Mem.RAM.Store32(a, v)
 }
 

@@ -611,7 +611,7 @@ func (m *MemSys) NMPAccess(p int, a Addr, write bool, now uint64) uint64 {
 // may Restore one image, concurrently; each shares its 64 KiB pages and
 // copies a page on its first store to it.
 type Image struct {
-	pages  []*[pageSize]byte
+	pages  []*page
 	size   Addr
 	allocs []Allocator // HostAlloc then NMPAlloc[p]: region and mark
 }

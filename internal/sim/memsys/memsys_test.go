@@ -1,7 +1,9 @@
 package memsys
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -45,24 +47,46 @@ func TestRAMPropertyStoreLoad(t *testing.T) {
 	}
 }
 
-func TestRAMUnalignedPanics(t *testing.T) {
-	r := NewRAM(1 << 16)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unaligned access did not panic")
-		}
-	}()
-	r.Load32(2)
-}
-
-func TestRAMOutOfRangePanics(t *testing.T) {
-	r := NewRAM(1 << 16)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range access did not panic")
-		}
-	}()
-	r.Load32(1 << 16)
+// TestRAMFaults checks that every unaligned or out-of-range access panics
+// with a message naming the address, for loads and stores alike.
+func TestRAMFaults(t *testing.T) {
+	const size = 2 * pageSize
+	cases := []struct {
+		name  string
+		size  Addr // RAM size
+		a     Addr
+		store bool
+	}{
+		{"unaligned-load", size, 0x1002, false},
+		{"unaligned-store", size, 0x2006, true},
+		{"at-size", size, size, false},
+		{"at-size-store", size, size, true},
+		{"above-size", size, size + 0x40, false},
+		{"above-size-store", size, size + 0x40, true},
+		// The last page is only partly inside the RAM: the page table has
+		// a slot for it, so only the size check can refuse the address.
+		{"partial-page-beyond-size", pageSize + 0x100, pageSize + 0x200, false},
+		{"partial-page-beyond-size-store", pageSize + 0x100, pageSize + 0x200, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRAM(tc.size)
+			defer func() {
+				rec := recover()
+				if rec == nil {
+					t.Fatalf("access at %#x did not panic", tc.a)
+				}
+				if msg, want := fmt.Sprint(rec), fmt.Sprintf("%#x", tc.a); !strings.Contains(msg, want) {
+					t.Fatalf("panic %q does not name the address %s", msg, want)
+				}
+			}()
+			if tc.store {
+				r.Store32(tc.a, 1)
+			} else {
+				r.Load32(tc.a)
+			}
+		})
+	}
 }
 
 func TestAllocatorAlignmentAndExhaustion(t *testing.T) {

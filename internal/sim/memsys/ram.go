@@ -13,7 +13,6 @@
 package memsys
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -28,9 +27,13 @@ const pageBits = 16
 
 const pageSize = 1 << pageBits
 
+// page is one page of simulated memory as 32-bit words: every access is an
+// aligned Load32 or Store32, so a word never straddles two elements.
+type page [pageSize / 4]uint32
+
 // zeroPage backs every page no store has reached yet. It is shared by all
 // RAMs and never written: a page is written only once its RAM owns it.
-var zeroPage [pageSize]byte
+var zeroPage page
 
 // RAM holds simulated physical memory contents, allocated sparsely by page
 // so that a 2 GiB simulated address space costs only what is stored to.
@@ -38,7 +41,7 @@ var zeroPage [pageSize]byte
 // zero page, or the pages of an Image taken from or restored into it — and
 // copies one the first time it stores to it.
 type RAM struct {
-	pages []*[pageSize]byte
+	pages []*page
 	owned []bool // owned[i]: pages[i] is private to this RAM and may be written
 	size  Addr
 }
@@ -46,7 +49,7 @@ type RAM struct {
 // NewRAM creates simulated memory covering addresses [0, size).
 func NewRAM(size Addr) *RAM {
 	n := (uint64(size) + pageSize - 1) / pageSize
-	r := &RAM{pages: make([]*[pageSize]byte, n), owned: make([]bool, n), size: size}
+	r := &RAM{pages: make([]*page, n), owned: make([]bool, n), size: size}
 	for i := range r.pages {
 		r.pages[i] = &zeroPage
 	}
@@ -56,63 +59,55 @@ func NewRAM(size Addr) *RAM {
 // Size returns the simulated physical memory size in bytes.
 func (r *RAM) Size() Addr { return r.size }
 
-// span returns the n-byte slice at a, which must not cross a page boundary.
-// A load span (write false) may alias shared memory and must not be
-// written; a store span is private to r.
-func (r *RAM) span(a Addr, n int, write bool) []byte {
-	if uint64(a) >= uint64(r.size) {
-		panic(fmt.Sprintf("memsys: address %#x out of simulated memory (size %#x)", a, r.size))
+// fault is the panic value of an unaligned or out-of-range access. It is
+// formatted only when read: a Sprintf would stop Load32 and Store32 inlining.
+type fault struct{ a, size Addr }
+
+func (f fault) Error() string {
+	if f.a%4 != 0 {
+		return fmt.Sprintf("memsys: unaligned 4-byte access at %#x", f.a)
 	}
-	off := int(a & (pageSize - 1))
-	if off+n > pageSize {
-		panic(fmt.Sprintf("memsys: %d-byte access at %#x crosses page boundary", n, a))
+	return fmt.Sprintf("memsys: address %#x out of simulated memory (size %#x)", f.a, f.size)
+}
+
+// Load32 reads the 32-bit word at a (a must be 4-byte aligned).
+func (r *RAM) Load32(a Addr) uint32 {
+	if a%4 != 0 || a >= r.size {
+		panic(fault{a, r.size})
+	}
+	return r.pages[a>>pageBits][a%pageSize/4]
+}
+
+// Store32 writes the 32-bit word at a, copying its page first if r shares it.
+func (r *RAM) Store32(a Addr, v uint32) {
+	if a%4 != 0 || a >= r.size {
+		panic(fault{a, r.size})
 	}
 	idx := a >> pageBits
-	if write && !r.owned[idx] {
+	if !r.owned[idx] {
 		r.own(idx)
 	}
-	return r.pages[idx][off : off+n]
+	r.pages[idx][a%pageSize/4] = v
 }
 
 // own gives r a private copy of page idx ahead of its first store there.
 func (r *RAM) own(idx Addr) {
-	p := new([pageSize]byte)
-	if shared := r.pages[idx]; shared != &zeroPage {
-		*p = *shared
-	}
-	r.pages[idx], r.owned[idx] = p, true
+	p := *r.pages[idx]
+	r.pages[idx], r.owned[idx] = &p, true
 }
 
 // share gives up r's ownership of every page and returns its page table:
 // the contents of r at this instant, which r itself now copies on write.
-func (r *RAM) share() []*[pageSize]byte {
+func (r *RAM) share() []*page {
 	clear(r.owned)
 	return slices.Clone(r.pages)
 }
 
 // adopt replaces r's contents with a page table share returned, for a RAM
 // of the same size.
-func (r *RAM) adopt(pages []*[pageSize]byte) {
+func (r *RAM) adopt(pages []*page) {
 	copy(r.pages, pages)
 	clear(r.owned)
-}
-
-// Load32 reads the 32-bit word at a (a must be 4-byte aligned).
-func (r *RAM) Load32(a Addr) uint32 {
-	checkAlign(a, 4)
-	return binary.LittleEndian.Uint32(r.span(a, 4, false))
-}
-
-// Store32 writes the 32-bit word at a.
-func (r *RAM) Store32(a Addr, v uint32) {
-	checkAlign(a, 4)
-	binary.LittleEndian.PutUint32(r.span(a, 4, true), v)
-}
-
-func checkAlign(a Addr, n Addr) {
-	if a%n != 0 {
-		panic(fmt.Sprintf("memsys: unaligned %d-byte access at %#x", n, a))
-	}
 }
 
 // Allocator is a bump allocator over a contiguous region of simulated
