@@ -87,6 +87,15 @@ func BenchmarkBTreePut(b *testing.B) {
 	}
 }
 
+// BenchmarkBTreePutAscending times inserts of ascending keys into a
+// growing tree, the order a bulk load inserts in.
+func BenchmarkBTreePutAscending(b *testing.B) {
+	t := NewBTree()
+	for i := range b.N {
+		t.Put(uint64(i)+1, 1)
+	}
+}
+
 // BenchmarkMixBTree is the embedded-mix workload's store-level shape: four
 // stores of 2^18 keys each, loaded in ascending order one key in 64 of a
 // 2^24 span, then uniform 50-25-25 gets, puts and deletes over random

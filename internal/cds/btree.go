@@ -27,8 +27,9 @@ type btInner struct {
 // 256-byte types, so a leaf carries no child slots and an inner node no
 // values; each kind has its own arena, and which kind an index names is
 // decided by the descent's level counter, not by a flag. An insert past
-// the last key of the rightmost leaf starts a fresh right sibling instead
-// of halving the full leaf, so an ascending load leaves every node full.
+// the last key of the rightmost leaf is appended there without a descent
+// when the leaf has room, and starts a fresh right sibling instead of
+// halving it when it is full, so an ascending load leaves every node full.
 // Deletion is relaxed: leaves may underflow, even to empty, and nodes are
 // never merged — what the design gives up is that chunks are never
 // returned to the runtime while the tree lives. It is the partition-owned
@@ -39,6 +40,7 @@ type BTree struct {
 	leaves arena[leaf]
 	inners arena[btInner]
 	root   uint32 // a leaf index at height 1, else an inner index
+	last   uint32 // the rightmost leaf
 	height int
 	length int
 
@@ -68,9 +70,6 @@ func NewBTree() *BTree {
 
 // Len returns the number of stored pairs.
 func (t *BTree) Len() int { return t.length }
-
-// Height returns the number of levels.
-func (t *BTree) Height() int { return t.height }
 
 // childIdx returns the position of the child covering key.
 func (n *btInner) childIdx(key uint64) int {
@@ -117,8 +116,22 @@ func (t *BTree) Update(key, value uint64) bool {
 type btPath [btMaxHeight]struct{ node, idx uint32 }
 
 // Put inserts key -> value, returning false (without modifying the tree)
-// when the key already exists.
+// when the key already exists. A key above every stored key is appended
+// to the rightmost leaf without a descent when that leaf is neither empty
+// nor full: no other leaf can hold it, and put's descent would insert it
+// at the end of this same leaf, so the tree is the one put would leave.
 func (t *BTree) Put(key, value uint64) bool {
+	l := t.leaves.at(t.last)
+	if l.n == 0 || l.n == leafMax || key <= l.keys[l.n-1] {
+		return t.put(key, value)
+	}
+	l.insertAt(int(l.n), key, value)
+	t.length++
+	return true
+}
+
+// put is Put by a descent from the root.
+func (t *BTree) put(key, value uint64) bool {
 	var path btPath
 	x := t.root
 	for level := t.height - 1; level > 0; level-- {
@@ -140,6 +153,9 @@ func (t *BTree) Put(key, value uint64) bool {
 	// With tail set every node on the path is the last child of its
 	// parent.
 	rx, tail := splitLeaf(&t.leaves, l, pos, key, value)
+	if t.leaves.at(rx).next == nilNode {
+		t.last = rx
+	}
 	inc(t.cLeafSplits)
 	t.insertUp(&path, l.keys[l.n-1], rx, tail)
 	return true
@@ -221,8 +237,8 @@ func (t *BTree) Ascend(from uint64, fn func(key, value uint64) bool) {
 // bounds; no node exceeds its capacity, every inner node has a child and
 // an inner root two; every child index names an allocated node and every
 // allocated node is reached; the leaf chain starts at leaf 0, visits
-// exactly the leaves of the in-order walk and ends in nilNode; and the
-// leaves hold Len pairs.
+// exactly the leaves of the in-order walk and ends in nilNode at the leaf
+// the tree keeps as its last; and the leaves hold Len pairs.
 func (t *BTree) CheckInvariants() error {
 	if t.height < 1 || t.height > btMaxHeight || t.height > 1 && t.inners.at(t.root).n < 2 {
 		return errf("btree: height %d or a root with one child", t.height)
@@ -286,8 +302,8 @@ func (t *BTree) CheckInvariants() error {
 		}
 		x = t.leaves.at(x).next
 	}
-	if x != nilNode {
-		return errf("btree: leaf chain continues to leaf %d past the last leaf", x)
+	if x != nilNode || t.last != order[len(order)-1] {
+		return errf("btree: leaf chain goes on to %d after leaf %d; the tree's last leaf is %d", x, order[len(order)-1], t.last)
 	}
 	return nil
 }

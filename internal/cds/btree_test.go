@@ -1,6 +1,7 @@
 package cds
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -87,14 +88,14 @@ func TestBTreeSequentialOracle(t *testing.T) {
 
 func TestBTreeSequentialInsertGrowsHeight(t *testing.T) {
 	bt := NewBTree()
-	h0 := bt.Height()
+	h0 := bt.height
 	for i := uint64(1); i <= 5000; i++ {
 		if !bt.Put(i, i) {
 			t.Fatalf("Put(%d) failed", i)
 		}
 	}
-	if bt.Height() <= h0 {
-		t.Fatalf("height did not grow: %d", bt.Height())
+	if bt.height <= h0 {
+		t.Fatalf("height did not grow: %d", bt.height)
 	}
 	if err := bt.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -271,8 +272,8 @@ func TestBTreeBulkLoadShape(t *testing.T) {
 	if fill := leafFill(bt); fill < 0.95 {
 		t.Fatalf("leaf fill %.3f after an ascending load, want >= 0.95", fill)
 	}
-	if bt.Height() > 4 {
-		t.Fatalf("height %d after an ascending load of %d keys, want <= 4", bt.Height(), n)
+	if bt.height > 4 {
+		t.Fatalf("height %d after an ascending load of %d keys, want <= 4", bt.height, n)
 	}
 	rng := prng.New(5)
 	for i := 1; i <= n; i++ {
@@ -368,4 +369,83 @@ func TestBTreeAscendCrossesLeaves(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// TestBTreeAppendMatchesDescent drives two trees through the same
+// operations, one through Put and one through put's descent alone, and
+// requires them equal node for node: the right-edge append is a shortcut
+// to the tree the descent builds, not a different tree. The sequences
+// cover ascending, descending and random keys, and deletes that empty the
+// rightmost leaf, which the append must leave to the descent.
+func TestBTreeAppendMatchesDescent(t *testing.T) {
+	type op struct {
+		key uint64
+		del bool
+	}
+	rng := prng.New(19)
+	seqs := map[string][]op{}
+	for k := uint64(1); k <= 5000; k++ {
+		seqs["ascending"] = append(seqs["ascending"], op{key: 3 * k})
+		seqs["descending"] = append(seqs["descending"], op{key: 5001 - k})
+		seqs["random"] = append(seqs["random"], op{key: uint64(rng.Intn(8000)) + 1})
+		// Ascending inserts, each followed one time in three by the
+		// delete of a recent key, which often empties the last leaf.
+		seqs["ascending-deletes"] = append(seqs["ascending-deletes"], op{key: 2 * k})
+		if rng.Intn(3) == 0 {
+			seqs["ascending-deletes"] = append(seqs["ascending-deletes"], op{key: 2 * (k - uint64(rng.Intn(4))), del: true})
+		}
+	}
+	// An ascending load whose top 40 keys go, then inserts above, between
+	// and below what is left.
+	var drain []op
+	for k := uint64(1); k <= 1000; k++ {
+		drain = append(drain, op{key: 2 * k})
+	}
+	for k := uint64(961); k <= 1000; k++ {
+		drain = append(drain, op{key: 2 * k, del: true})
+	}
+	for k := uint64(1); k <= 1000; k++ {
+		drain = append(drain, op{key: 2000 + k}, op{key: 2*k - 1})
+	}
+	seqs["drain-then-refill"] = drain
+	for name, seq := range seqs {
+		fast, slow := NewBTree(), NewBTree()
+		for i, o := range seq {
+			if o.del {
+				if fast.Delete(o.key) != slow.Delete(o.key) {
+					t.Fatalf("%s, op %d: Delete(%d) disagreed", name, i, o.key)
+				}
+			} else if fast.Put(o.key, o.key+1) != slow.put(o.key, o.key+1) {
+				t.Fatalf("%s, op %d: Put(%d) disagreed", name, i, o.key)
+			}
+		}
+		if err := sameTree(fast, slow); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := fast.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// sameTree reports the first difference between two trees' arenas, root,
+// last leaf, height and length.
+func sameTree(a, b *BTree) error {
+	if a.root != b.root || a.last != b.last || a.height != b.height || a.length != b.length ||
+		a.leaves.n != b.leaves.n || a.inners.n != b.inners.n {
+		return fmt.Errorf("root %d/%d, last %d/%d, height %d/%d, length %d/%d, leaves %d/%d, inners %d/%d",
+			a.root, b.root, a.last, b.last, a.height, b.height, a.length, b.length,
+			a.leaves.n, b.leaves.n, a.inners.n, b.inners.n)
+	}
+	for x := range uint32(a.leaves.n) {
+		if *a.leaves.at(x) != *b.leaves.at(x) {
+			return fmt.Errorf("leaf %d differs: %+v, %+v", x, *a.leaves.at(x), *b.leaves.at(x))
+		}
+	}
+	for x := range uint32(a.inners.n) {
+		if *a.inners.at(x) != *b.inners.at(x) {
+			return fmt.Errorf("inner node %d differs: %+v, %+v", x, *a.inners.at(x), *b.inners.at(x))
+		}
+	}
+	return nil
 }

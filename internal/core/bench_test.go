@@ -7,6 +7,7 @@ import (
 
 	"hybrids/internal/hds"
 	"hybrids/internal/prng"
+	"hybrids/internal/ycsb"
 )
 
 func benchMap(b *testing.B, parts int) *Hybrid {
@@ -17,6 +18,24 @@ func benchMap(b *testing.B, parts int) *Hybrid {
 	}
 	b.Cleanup(h.Close)
 	return h
+}
+
+// BenchmarkHybridBuild times the native workloads' bulk load: Build of
+// their 2^20 YCSB load pairs over a 2^26 key space into 4 partitions.
+func BenchmarkHybridBuild(b *testing.B) {
+	load := ycsb.New(ycsb.YCSBC(1<<20, 1<<26, 1)).Load()
+	pairs := make([]KV, len(load))
+	for i, p := range load {
+		pairs[i] = KV{Key: uint64(p.Key), Value: uint64(p.Value)}
+	}
+	b.ResetTimer()
+	for range b.N {
+		h := New(Config{Partitions: 4, KeyMax: 1 << 26})
+		h.Build(pairs)
+		b.StopTimer()
+		h.Close()
+		b.StartTimer()
+	}
 }
 
 func BenchmarkHybridGetBlocking(b *testing.B) {

@@ -298,7 +298,7 @@ func TestHybridElectionStress(t *testing.T) {
 			if got := h.Scan(0, 64); len(got) > 64 {
 				t.Errorf("Scan(limit 64) returned %d pairs", len(got))
 			}
-			if h.Closed() {
+			if h.closed.Load() {
 				return
 			}
 		}

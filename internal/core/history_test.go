@@ -358,7 +358,7 @@ func historyLinearizable(t *testing.T, depth int) {
 			rng := prng.New(uint64(c) + 11)
 			if c >= len(windows) { // blocking callers
 				for i, after := 0, 0; after < tail; i++ {
-					if h.Closed() {
+					if h.closed.Load() {
 						after++
 					}
 					req := draw(rng, c, i)

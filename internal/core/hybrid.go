@@ -315,9 +315,6 @@ func (h *Hybrid) Close() {
 	}
 }
 
-// Closed reports whether Close has begun.
-func (h *Hybrid) Closed() bool { return h.closed.Load() }
-
 // Partition returns the partition owning key.
 func (h *Hybrid) Partition(key uint64) int {
 	if key == 0 || key >= h.cfg.KeyMax {

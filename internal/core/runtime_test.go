@@ -55,8 +55,8 @@ func TestHybridLatePublishRejected(t *testing.T) {
 	if v, ok := f.wait(); !done || ok || v != 0 {
 		t.Fatalf("late Read = (%d,%v,%v), want immediate rejection", v, ok, done)
 	}
-	if !h.Closed() {
-		t.Fatal("Closed() = false after Close")
+	if !h.closed.Load() {
+		t.Fatal("closed is false after Close")
 	}
 	// Quiescent read-only accessors still serve the drained state.
 	if got := h.Len(); got != 1 {

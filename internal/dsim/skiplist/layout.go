@@ -73,14 +73,7 @@ func newNode(c *machine.Ctx, al *memsys.Allocator, key, value uint32, h int, aux
 // phase: construction is not part of any measurement).
 func buildNode(ram *memsys.RAM, al *memsys.Allocator, key, value uint32, h int, aux uint32) uint32 {
 	n := uint32(al.Alloc(nodeBytes(h), nodeAlign))
-	ram.Store32(keyAddr(n), key)
-	ram.Store32(valueAddr(n), value)
-	ram.Store32(heightAddr(n), uint32(h))
-	ram.Store32(auxAddr(n), aux)
-	ram.Store32(flagsAddr(n), 0)
-	for l := 0; l < h; l++ {
-		ram.Store32(nextAddr(n, l), 0)
-	}
+	initNode(ram, n, key, value, h, aux)
 	return n
 }
 
@@ -116,6 +109,28 @@ func initNode(ram *memsys.RAM, n uint32, key, value uint32, h int, aux uint32) {
 	for l := 0; l < h; l++ {
 		ram.Store32(nextAddr(n, l), 0)
 	}
+}
+
+// linkSorted bulk-links sorted unique pairs with the given heights into
+// the list at head (untimed load phase): each node is spliced after the
+// most recent node of each of its levels. The nodes come from
+// shuffledNodeAlloc(al, heights, seed); it returns them in pair order.
+func linkSorted(ram *memsys.RAM, al *memsys.Allocator, head uint32, levels int, pairs []KV, heights []int, seed uint64) []uint32 {
+	nodes := shuffledNodeAlloc(al, heights, seed)
+	tails := make([]uint32, levels)
+	for l := range tails {
+		tails[l] = head
+	}
+	for i, p := range pairs {
+		n, h := nodes[i], heights[i]
+		initNode(ram, n, p.Key, p.Value, h, 0)
+		for l := 0; l < h; l++ {
+			ram.Store32(nextAddr(n, l), ram.Load32(nextAddr(tails[l], l)))
+			ram.Store32(nextAddr(tails[l], l), n)
+			tails[l] = n
+		}
+	}
+	return nodes
 }
 
 // KV is a key-value pair: bulk-build input and verification-walk output.

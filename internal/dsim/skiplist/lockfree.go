@@ -39,28 +39,11 @@ func NewLockFree(m *machine.Machine, levels int, seed uint64) *LockFree {
 func (s *LockFree) Build(pairs []KV, seed uint64) {
 	uniq := kv.SortedUnique(pairs)
 	rng := prng.New(seed)
-	ram := s.m.Mem.RAM
 	heights := make([]int, len(uniq))
 	for i := range heights {
 		heights[i] = rng.GeometricHeight(s.levels)
 	}
-	addrs := shuffledNodeAlloc(s.m.Mem.HostAlloc, heights, seed^0x55)
-	// Sorted bulk link: keep the most recent node at each level and
-	// splice each new node after those tails.
-	tails := make([]uint32, s.levels)
-	for l := range tails {
-		tails[l] = s.core.head
-	}
-	for i, p := range uniq {
-		h := heights[i]
-		n := addrs[i]
-		initNode(ram, n, p.Key, p.Value, h, 0)
-		for l := 0; l < h; l++ {
-			ram.Store32(nextAddr(n, l), ram.Load32(nextAddr(tails[l], l)))
-			ram.Store32(nextAddr(tails[l], l), n)
-			tails[l] = n
-		}
-	}
+	linkSorted(s.m.Mem.RAM, s.m.Mem.HostAlloc, s.core.head, s.levels, uniq, heights, seed^0x55)
 }
 
 // Apply implements kv.Store.

@@ -188,20 +188,5 @@ func (s *seqList) buildSorted(ram *memsys.RAM, pairs []KV, heights []int) []uint
 		}
 		capped[i] = h
 	}
-	nodes := shuffledNodeAlloc(s.alloc, capped, uint64(s.head)^0xa11c)
-	tails := make([]uint32, s.levels)
-	for l := range tails {
-		tails[l] = s.head
-	}
-	for i, p := range pairs {
-		h := capped[i]
-		n := nodes[i]
-		initNode(ram, n, p.Key, p.Value, h, 0)
-		for l := 0; l < h; l++ {
-			ram.Store32(nextAddr(n, l), ram.Load32(nextAddr(tails[l], l)))
-			ram.Store32(nextAddr(tails[l], l), n)
-			tails[l] = n
-		}
-	}
-	return nodes
+	return linkSorted(ram, s.alloc, s.head, s.levels, pairs, capped, uint64(s.head)^0xa11c)
 }

@@ -174,6 +174,16 @@ func (res *Result) sweepRows(sc Scale, grid map[string][]Cell, variants []*varia
 	}
 }
 
+// readsRows appends each variant's DRAM reads per op at a one-count grid
+// and its ratio to the base variant's, with the cells.
+func (res *Result) readsRows(grid map[string][]Cell, variants []*variant, base string) {
+	for _, v := range variants {
+		c := grid[v.name][0]
+		res.Rows = append(res.Rows, []string{v.name, f2(c.ReadsPerOp), f2(c.ReadsPerOp / grid[base][0].ReadsPerOp)})
+		res.Cells = append(res.Cells, c)
+	}
+}
+
 func runFig5a(sc Scale, progress io.Writer) Result {
 	grid := skiplistYCSBCGrid(sc, sc.ThreadCounts, progress)
 	res := Result{
@@ -199,12 +209,7 @@ func runFig5b(sc Scale, progress io.Writer) Result {
 		ID: "fig5b", Title: "Figure 5b (skiplist DRAM reads/op, YCSB-C, scale " + sc.Name + ")",
 		Header: []string{"implementation", "DRAM reads/op", "vs lock-free"},
 	}
-	lf := grid["lock-free"][0].ReadsPerOp
-	for _, v := range skiplistVariants(sc) {
-		c := grid[v.name][0]
-		res.Rows = append(res.Rows, []string{v.name, f2(c.ReadsPerOp), f2(c.ReadsPerOp / lf)})
-		res.Cells = append(res.Cells, c)
-	}
+	res.readsRows(grid, skiplistVariants(sc), "lock-free")
 	res.Notes = append(res.Notes, "paper: lock-free 36, hybrid 24 (2/3 of lock-free), NMP-based ~60 (hybrid = 40% of it)")
 	return res
 }
@@ -240,12 +245,7 @@ func runFig6b(sc Scale, progress io.Writer) Result {
 		ID: "fig6b", Title: "Figure 6b (B+ tree DRAM reads/op, YCSB-C, scale " + sc.Name + ")",
 		Header: []string{"implementation", "DRAM reads/op", "vs host-only"},
 	}
-	ho := grid["host-only"][0].ReadsPerOp
-	for _, v := range btreeVariants(sc) {
-		c := grid[v.name][0]
-		res.Rows = append(res.Rows, []string{v.name, f2(c.ReadsPerOp), f2(c.ReadsPerOp / ho)})
-		res.Cells = append(res.Cells, c)
-	}
+	res.readsRows(grid, btreeVariants(sc), "host-only")
 	res.Notes = append(res.Notes, "paper: host-only ~9 reads/op, hybrid ~3 (the NMP levels)")
 	return res
 }

@@ -24,7 +24,7 @@ type Client struct {
 	sent     []uint8
 	sentHead int
 	buf      []byte
-	// body is ReadResponseBuf's frame scratch, reused across responses.
+	// body is the decoder's frame scratch, reused across responses.
 	body []byte
 }
 
@@ -77,7 +77,7 @@ func (c *Client) Recv() (Response, error) {
 	}
 	op := c.sent[c.sentHead]
 	c.sentHead++
-	resp, body, err := ReadResponseBuf(c.br, op, c.body)
+	resp, body, _, err := ReadResponseReuse(c.br, op, c.body, nil)
 	c.body = body
 	return resp, err
 }

@@ -75,7 +75,7 @@ func (p *slicePool) put(s []Pair) {
 var pairPool slicePool
 
 // PutPairs returns a SCAN result slice to the decode pool. Responses
-// decoded by ReadResponse, ReadResponseBuf and Client.Scan carry pooled
+// decoded by ReadResponseReuse with nil pairs and by Client carry pooled
 // Pairs slices the caller owns; callers done with one may hand it back
 // here so the next scan decode reuses the array. Releasing is optional —
 // a slice that is never returned is simply collected — but a released

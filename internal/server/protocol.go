@@ -120,17 +120,10 @@ func AppendRequest(buf []byte, r Request) []byte {
 	return buf
 }
 
-// ReadRequest reads one request frame. A frame whose length field is not
-// exactly the request body size is a framing error (the stream cannot be
-// resynchronized) and closes the connection.
-func ReadRequest(r io.Reader) (Request, error) {
-	var hdr [reqFrame]byte
-	return readRequestInto(r, &hdr)
-}
-
-// readRequestInto is ReadRequest through caller-owned header scratch, so
-// the serving hot path reads frames without the stack array escaping
-// through the io.Reader interface (which would allocate per call).
+// readRequestInto reads one request frame into caller-owned header scratch,
+// which keeps it allocation-free through the io.Reader interface. A length
+// field other than the request body size is a framing error: the stream
+// cannot be resynchronized, so the connection closes.
 func readRequestInto(r io.Reader, hdr *[reqFrame]byte) (Request, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Request{}, err
@@ -174,33 +167,23 @@ func AppendStatsResponse(buf []byte, status uint8, text []byte) []byte {
 	return append(buf, text...)
 }
 
-// ReadResponse reads one response frame, decoding the payload by the op
-// of the request it answers (responses arrive strictly in request order,
-// so pipelining clients replay their sent ops FIFO). A SCAN response's
-// Pairs slice comes from the decode pool; the caller owns it and may
-// release it with PutPairs.
-func ReadResponse(r io.Reader, op uint8) (Response, error) {
-	resp, _, err := ReadResponseBuf(r, op, nil)
-	return resp, err
-}
-
-// ReadResponseBuf is ReadResponse with frame scratch reuse: scratch (may
-// be nil) holds the frame payload during decoding and is returned, grown
-// as needed, for the next call — so scalar responses are decoded with no
-// allocation at all. Payloads that outlive the call are still copied out
-// of the scratch: SCAN pairs into a pooled slice the caller owns (see
-// PutPairs) and STATS text into a fresh slice.
+// ReadResponseBuf is ReadResponseReuse with SCAN pairs from the pool.
 func ReadResponseBuf(r io.Reader, op uint8, scratch []byte) (Response, []byte, error) {
 	resp, scratch, _, err := ReadResponseReuse(r, op, scratch, nil)
 	return resp, scratch, err
 }
 
-// ReadResponseReuse is ReadResponseBuf with caller-owned SCAN pair reuse:
-// when pairs is non-nil it backs the decoded Response.Pairs (grown as
-// needed and returned for the next call), bypassing the decode pool — a
-// load generator replaying a scan-heavy stream through one buffer decodes
-// every response with zero steady-state allocations. With pairs nil, SCAN
-// results come from the pool exactly as in ReadResponseBuf.
+// ReadResponseReuse reads one response frame, decoding the payload by the
+// op of the request it answers (responses arrive strictly in request
+// order, so pipelining clients replay their sent ops FIFO). scratch (may
+// be nil) holds the frame payload during decoding and is returned, grown
+// as needed, for the next call, so scalar responses decode with no
+// allocation. SCAN pairs land in pairs when it is non-nil (grown as
+// needed and returned for the next call), so a load generator replaying a
+// scan-heavy stream through one buffer decodes with zero steady-state
+// allocations; with pairs nil they come from the decode pool, and the
+// caller owns them and may release them with PutPairs. STATS text is
+// copied into a fresh slice.
 func ReadResponseReuse(r io.Reader, op uint8, scratch []byte, pairs []Pair) (Response, []byte, []Pair, error) {
 	if cap(scratch) < lenBytes {
 		scratch = make([]byte, 0, 512)

@@ -3,8 +3,22 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 )
+
+// readRequest decodes one request frame.
+func readRequest(r io.Reader) (Request, error) {
+	var hdr [reqFrame]byte
+	return readRequestInto(r, &hdr)
+}
+
+// readResponse decodes one response frame with no scratch to reuse and
+// SCAN pairs from the pool.
+func readResponse(r io.Reader, op uint8) (Response, error) {
+	resp, _, _, err := ReadResponseReuse(r, op, nil, nil)
+	return resp, err
+}
 
 // TestRequestRoundTrip encodes and re-decodes request frames, including
 // the extremes of the key and value domains.
@@ -24,9 +38,9 @@ func TestRequestRoundTrip(t *testing.T) {
 		if len(buf) != reqFrame {
 			t.Fatalf("frame size %d, want %d", len(buf), reqFrame)
 		}
-		got, err := ReadRequest(bytes.NewReader(buf))
+		got, err := readRequest(bytes.NewReader(buf))
 		if err != nil {
-			t.Fatalf("ReadRequest(%+v): %v", want, err)
+			t.Fatalf("readRequest(%+v): %v", want, err)
 		}
 		if got != want {
 			t.Fatalf("round trip %+v -> %+v", want, got)
@@ -46,7 +60,7 @@ func TestRequestPipelinedDecode(t *testing.T) {
 	}
 	rd := bytes.NewReader(buf)
 	for i, w := range want {
-		got, err := ReadRequest(rd)
+		got, err := readRequest(rd)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -65,7 +79,7 @@ func TestReadRequestRejectsBadFraming(t *testing.T) {
 	for _, n := range []uint32{0, 16, 18, 1 << 30} {
 		buf := binary.BigEndian.AppendUint32(nil, n)
 		buf = append(buf, make([]byte, reqBody)...)
-		if _, err := ReadRequest(bytes.NewReader(buf)); err == nil {
+		if _, err := readRequest(bytes.NewReader(buf)); err == nil {
 			t.Errorf("length %d accepted", n)
 		}
 	}
@@ -76,14 +90,14 @@ func TestResponseRoundTrip(t *testing.T) {
 	var buf []byte
 
 	buf = AppendScalarResponse(buf[:0], StatusMiss, 123)
-	resp, err := ReadResponse(bytes.NewReader(buf), OpGet)
+	resp, err := readResponse(bytes.NewReader(buf), OpGet)
 	if err != nil || resp.Status != StatusMiss || resp.Value != 123 {
 		t.Fatalf("scalar round trip = %+v, %v", resp, err)
 	}
 
 	pairs := []Pair{{Key: 1, Value: 10}, {Key: 2, Value: 20}, {Key: 300, Value: 3000}}
 	buf = AppendScanResponse(buf[:0], StatusOK, pairs)
-	resp, err = ReadResponse(bytes.NewReader(buf), OpScan)
+	resp, err = readResponse(bytes.NewReader(buf), OpScan)
 	if err != nil || resp.Status != StatusOK || len(resp.Pairs) != 3 {
 		t.Fatalf("scan round trip = %+v, %v", resp, err)
 	}
@@ -93,13 +107,13 @@ func TestResponseRoundTrip(t *testing.T) {
 		}
 	}
 	buf = AppendScanResponse(buf[:0], StatusOK, nil)
-	if resp, err = ReadResponse(bytes.NewReader(buf), OpScan); err != nil || len(resp.Pairs) != 0 {
+	if resp, err = readResponse(bytes.NewReader(buf), OpScan); err != nil || len(resp.Pairs) != 0 {
 		t.Fatalf("empty scan round trip = %+v, %v", resp, err)
 	}
 
 	text := []byte("server/requests 7\nserver/responses 7\n")
 	buf = AppendStatsResponse(buf[:0], StatusOK, text)
-	resp, err = ReadResponse(bytes.NewReader(buf), OpStats)
+	resp, err = readResponse(bytes.NewReader(buf), OpStats)
 	if err != nil || !bytes.Equal(resp.Stats, text) {
 		t.Fatalf("stats round trip = %+v, %v", resp, err)
 	}
@@ -111,7 +125,7 @@ func TestResponseRoundTrip(t *testing.T) {
 func TestReadResponseRejectsMalformed(t *testing.T) {
 	scalar := binary.BigEndian.AppendUint32(nil, 5) // status + 4 bytes: too short
 	scalar = append(scalar, StatusOK, 1, 2, 3, 4)
-	if _, err := ReadResponse(bytes.NewReader(scalar), OpGet); err == nil {
+	if _, err := readResponse(bytes.NewReader(scalar), OpGet); err == nil {
 		t.Error("short scalar body accepted")
 	}
 
@@ -119,16 +133,16 @@ func TestReadResponseRejectsMalformed(t *testing.T) {
 	scan = append(scan, StatusOK)
 	scan = binary.BigEndian.AppendUint32(scan, 2)
 	scan = append(scan, make([]byte, 8)...)
-	if _, err := ReadResponse(bytes.NewReader(scan), OpScan); err == nil {
+	if _, err := readResponse(bytes.NewReader(scan), OpScan); err == nil {
 		t.Error("scan count/payload mismatch accepted")
 	}
 
 	huge := binary.BigEndian.AppendUint32(nil, maxRespFrame+1)
-	if _, err := ReadResponse(bytes.NewReader(huge), OpGet); err == nil {
+	if _, err := readResponse(bytes.NewReader(huge), OpGet); err == nil {
 		t.Error("oversized frame length accepted")
 	}
 	empty := binary.BigEndian.AppendUint32(nil, 0)
-	if _, err := ReadResponse(bytes.NewReader(empty), OpGet); err == nil {
+	if _, err := readResponse(bytes.NewReader(empty), OpGet); err == nil {
 		t.Error("zero-length frame accepted")
 	}
 }
@@ -144,7 +158,7 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 17})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := ReadRequest(bytes.NewReader(data))
+		r, err := readRequest(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -164,7 +178,7 @@ func FuzzReadResponse(f *testing.F) {
 	f.Add(uint8(OpStats), AppendStatsResponse(nil, StatusOK, []byte("a 1\n")))
 	f.Add(uint8(OpGet), []byte{0, 0, 0, 2, 1})
 	f.Fuzz(func(t *testing.T, op uint8, data []byte) {
-		resp, err := ReadResponse(bytes.NewReader(data), op)
+		resp, err := readResponse(bytes.NewReader(data), op)
 		if err != nil {
 			return
 		}

@@ -323,7 +323,7 @@ func TestServerGracefulShutdownDrain(t *testing.T) {
 	go func() {
 		count := 0
 		for count < n {
-			if _, err := ReadResponse(br, OpPut); err != nil {
+			if _, err := readResponse(br, OpPut); err != nil {
 				break
 			}
 			count++
@@ -354,7 +354,7 @@ func TestServerGracefulShutdownDrain(t *testing.T) {
 		t.Fatalf("Len = %d after drain, want %d", gotLen, n)
 	}
 	// And the connection is now cleanly closed: further reads fail.
-	if _, err := ReadResponse(br, OpPut); err == nil {
+	if _, err := readResponse(br, OpPut); err == nil {
 		t.Fatal("read after drain succeeded")
 	}
 }

@@ -91,9 +91,9 @@ func (r *RAM) Store32(a Addr, v uint32) {
 }
 
 // own gives r a private copy of page idx ahead of its first store there.
+// Appending to a nil slice skips the clear a new page would pay first.
 func (r *RAM) own(idx Addr) {
-	p := *r.pages[idx]
-	r.pages[idx], r.owned[idx] = &p, true
+	r.pages[idx], r.owned[idx] = (*page)(append([]uint32(nil), r.pages[idx][:]...)), true
 }
 
 // share gives up r's ownership of every page and returns its page table:

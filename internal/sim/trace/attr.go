@@ -113,6 +113,3 @@ func (a *CoreAttr) Flush(now uint64) (sample [NumBuckets]uint64, total uint64) {
 	a.mark = now
 	return sample, total
 }
-
-// Mark returns the virtual time the current interval started.
-func (a *CoreAttr) Mark() uint64 { return a.mark }

@@ -27,8 +27,8 @@ func TestFlushAttributesEveryElapsedCycle(t *testing.T) {
 	if sum(sample) != total {
 		t.Fatalf("buckets sum to %d, want total %d", sum(sample), total)
 	}
-	if a.Mark() != 100 {
-		t.Fatalf("mark = %d, want 100 after flush", a.Mark())
+	if a.mark != 100 {
+		t.Fatalf("mark = %d, want 100 after flush", a.mark)
 	}
 
 	// Next interval starts empty at the new mark: an uninstrumented stretch

@@ -104,67 +104,52 @@ type Config struct {
 
 // YCSBC returns the paper's baseline workload: read-only, zipfian.
 func YCSBC(records int, keyMax uint32, seed uint64) Config {
-	return Config{
-		Records: records, KeyMax: keyMax,
-		ReadPct: 100, Dist: Zipfian, ZipfTheta: 0.99, Seed: seed,
-	}
+	return Config{Records: records, KeyMax: keyMax, ReadPct: 100, Dist: Zipfian, ZipfTheta: 0.99, Seed: seed}
 }
 
 // Mix returns a read-insert-remove sensitivity workload with uniform key
 // popularity (§5.2: "workloads with varying ratios of insertions and
 // removals and uniform distribution of accessed keys").
 func Mix(records int, keyMax uint32, read, insert, remove int, seed uint64) Config {
-	return Config{
-		Records: records, KeyMax: keyMax,
-		ReadPct: read, InsertPct: insert, RemovePct: remove,
-		Dist: Uniform, Seed: seed,
-	}
+	return Config{Records: records, KeyMax: keyMax, ReadPct: read, InsertPct: insert, RemovePct: remove,
+		Dist: Uniform, Seed: seed}
+}
+
+// coreWorkloads are YCSB's core workloads by name: a one-line description
+// and the mix.
+var coreWorkloads = map[string]struct {
+	desc                            string
+	read, update, insert, scan, rmw int
+	dist                            Dist
+}{
+	"a": {"YCSB-A (50/50 read/update, zipfian)", 50, 50, 0, 0, 0, Zipfian},
+	"b": {"YCSB-B (95/5 read/update, zipfian)", 95, 5, 0, 0, 0, Zipfian},
+	"c": {"YCSB-C (100% zipfian reads)", 100, 0, 0, 0, 0, Zipfian},
+	"d": {"YCSB-D (95/5 read/insert, read-latest)", 95, 0, 5, 0, 0, Latest},
+	"e": {"YCSB-E (95/5 scan/insert, zipfian scan lengths)", 0, 0, 5, 95, 0, Zipfian},
+	"f": {"YCSB-F (50/50 read/read-modify-write, zipfian)", 50, 0, 0, 0, 50, Zipfian},
 }
 
 // Workload returns the named YCSB core workload over records preloaded
-// keys: "a" (50/50 read/update, zipfian), "b" (95/5 read/update,
-// zipfian), "c" (100% reads, zipfian), "d" (95/5 read/insert with the
-// read-latest popularity that follows the freshly inserted keys), "e"
-// (95/5 scan/insert, zipfian start keys and scan lengths) or "f" (50/50
-// read/read-modify-write, zipfian).
+// keys: "a" (50/50 read/update), "b" (95/5 read/update), "c" (100%
+// reads), "d" (95/5 read/insert with the read-latest popularity that
+// follows the freshly inserted keys), "e" (95/5 scan/insert, zipfian scan
+// lengths) or "f" (50/50 read/read-modify-write); all but "d" draw keys
+// zipfian.
 func Workload(name string, records int, keyMax uint32, seed uint64) (Config, error) {
-	base := Config{Records: records, KeyMax: keyMax, Dist: Zipfian, Seed: seed}
-	switch name {
-	case "a":
-		base.ReadPct, base.UpdatePct = 50, 50
-	case "b":
-		base.ReadPct, base.UpdatePct = 95, 5
-	case "c":
-		base.ReadPct = 100
-	case "d":
-		base.ReadPct, base.InsertPct = 95, 5
-		base.Dist = Latest
-	case "e":
-		base.ScanPct, base.InsertPct = 95, 5
-	case "f":
-		base.ReadPct, base.RMWPct = 50, 50
-	default:
+	w, ok := coreWorkloads[name]
+	if !ok {
 		return Config{}, fmt.Errorf("ycsb: unknown workload %q (want a-f)", name)
 	}
-	return base, nil
+	return Config{Records: records, KeyMax: keyMax, ReadPct: w.read, UpdatePct: w.update,
+		InsertPct: w.insert, ScanPct: w.scan, RMWPct: w.rmw, Dist: w.dist, Seed: seed}, nil
 }
 
 // WorkloadDesc returns the one-line description of a core workload for
 // report titles; unknown names return the name itself.
 func WorkloadDesc(name string) string {
-	switch name {
-	case "a":
-		return "YCSB-A (50/50 read/update, zipfian)"
-	case "b":
-		return "YCSB-B (95/5 read/update, zipfian)"
-	case "c":
-		return "YCSB-C (100% zipfian reads)"
-	case "d":
-		return "YCSB-D (95/5 read/insert, read-latest)"
-	case "e":
-		return "YCSB-E (95/5 scan/insert, zipfian scan lengths)"
-	case "f":
-		return "YCSB-F (50/50 read/read-modify-write, zipfian)"
+	if w, ok := coreWorkloads[name]; ok {
+		return w.desc
 	}
 	return name
 }
@@ -254,14 +239,48 @@ func (g *Generator) key(idx uint64) uint32 {
 	return uint32(stripe<<(g.keyBits-3)|off) + 1
 }
 
-// Load returns the load-phase records (values derived from keys).
+// Load returns the load-phase records (values derived from keys), each
+// computed from its index alone, so in parallel.
 func (g *Generator) Load() []Pair {
 	out := make([]Pair, g.cfg.Records)
-	for i := range out {
-		k := g.key(uint64(i))
-		out[i] = Pair{Key: k, Value: uint32(prng.Mix64(uint64(k)))}
-	}
+	inWaves(len(out), func(first int, dst []Pair) {
+		for j := range dst {
+			k := g.key(uint64(first + j))
+			dst[j] = Pair{Key: k, Value: uint32(prng.Mix64(uint64(k)))}
+		}
+	}, func(first int, wave []Pair) { copy(out[first:], wave) })
 	return out
+}
+
+// waveBlock is how many values each P computes per wave: 64 KiB of terms.
+const waveBlock = 8192
+
+// inWaves covers [0, n) in waves: fill writes GOMAXPROCS blocks of one
+// buffer on as many goroutines, then use reads it on the caller, in index
+// order. The workers never hold what use writes to, so a stale word on a
+// dead worker's stack keeps only the buffer alive (DESIGN §5.10).
+func inWaves[T any](n int, fill, use func(first int, wave []T)) {
+	buf := make([]T, min(n, runtime.GOMAXPROCS(0)*waveBlock))
+	for first := 0; first < n; first += len(buf) {
+		wave := buf[:min(len(buf), n-first)]
+		fanOut(len(wave), func(lo, hi int) { fill(first+lo, wave[lo:hi]) })
+		use(first, wave)
+	}
+}
+
+// fanOut splits [0, n) into GOMAXPROCS contiguous ranges, calls fn on
+// each on its own goroutine and returns when every call has.
+func fanOut(n int, fn func(lo, hi int)) {
+	parts := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(n*p/parts, n*(p+1)/parts)
+		}()
+	}
+	wg.Wait()
 }
 
 // Streams generates op streams for the given number of threads,
@@ -270,27 +289,24 @@ func (g *Generator) Load() []Pair {
 //
 // The output is that of drawing round-robin, one logical draw per thread
 // per round in thread order, which balances PartitionTail keys across
-// threads. A thread's draws depend only on its own picker, so each thread
-// draws its stream on its own goroutine, at most GOMAXPROCS at once, and
-// fill then resolves the keys that depend on state shared across threads
-// in that order (DESIGN §5.10).
+// threads. A thread's draws depend only on its own picker, so the threads
+// draw their streams in GOMAXPROCS parallel chunks, and fill then
+// resolves the keys that depend on state shared across threads in that
+// order (DESIGN §5.10).
 func (g *Generator) Streams(threads, opsPerThread int) [][]kv.Op {
 	work := make([][]kv.Op, threads)
 	for t := range work {
 		work[t] = make([]kv.Op, 0, opsPerThread)
 	}
 	tail := g.newTailCursors()
-	var wg sync.WaitGroup
-	running := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for t := range work {
-		wg.Add(1)
-		running <- struct{}{}
-		go func() {
-			defer func() { <-running; wg.Done() }()
+	// Picker 0, built here, computes the zeta sums on this goroutine: from a
+	// draw goroutine, their workers left the streams a stale stack word (§5.10).
+	g.newPicker(0)
+	fanOut(threads, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
 			work[t] = g.newPicker(uint64(t)).draw(work[t], opsPerThread)
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	g.fill(work, tail)
 	// The goroutines' closures and fill's frames leave words pointing at
 	// work on stacks that a GC may later scan conservatively (an
@@ -513,6 +529,8 @@ var (
 	zetaCache = map[[2]uint64]float64{}
 )
 
+// zetaStatic returns the sum over i in [1, n] of 1/i^theta, once per (n,
+// theta); the terms are added in index order: the plain loop's sum, bit for bit.
 func zetaStatic(n uint64, theta float64) float64 {
 	zetaMu.Lock()
 	defer zetaMu.Unlock()
@@ -521,9 +539,15 @@ func zetaStatic(n uint64, theta float64) float64 {
 		return v
 	}
 	sum := 0.0
-	for i := uint64(0); i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), theta)
-	}
+	inWaves(int(n), func(first int, dst []float64) {
+		for j := range dst {
+			dst[j] = 1 / math.Pow(float64(first+j+1), theta)
+		}
+	}, func(_ int, wave []float64) {
+		for _, x := range wave {
+			sum += x
+		}
+	})
 	zetaCache[ck] = sum
 	return sum
 }

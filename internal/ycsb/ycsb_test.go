@@ -101,6 +101,83 @@ func BenchmarkStreams(b *testing.B) {
 	}
 }
 
+// TestLoadGolden pins Load's output, computed in parallel waves, as an
+// FNV-64a hash of every record at GOMAXPROCS 1 and the default, over
+// record counts that no worker count divides evenly. The hashes are those
+// of the sequential fill.
+func TestLoadGolden(t *testing.T) {
+	cases := []struct {
+		cfg  Config
+		hash uint64
+	}{
+		{YCSBC(4000, 1<<20, 41), 0x69f85c398e6cf2e2},
+		{YCSBC(100_003, 1<<24, 43), 0x98feb8b1b9383012},
+		{Mix(1<<18+1, 1<<26, 50, 25, 25, 47), 0x70da0df19faeab16},
+	}
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			h := fnv.New64a()
+			var b [8]byte
+			for _, p := range New(c.cfg).Load() {
+				binary.LittleEndian.PutUint32(b[:], p.Key)
+				binary.LittleEndian.PutUint32(b[4:], p.Value)
+				h.Write(b[:])
+			}
+			if got := h.Sum64(); got != c.hash {
+				t.Errorf("GOMAXPROCS %d, %d records: load hash %#x, want %#x", procs, c.cfg.Records, got, c.hash)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestZetaSumMatchesLoop checks the parallel zeta sum against the plain
+// loop to the bit, at n around the block and wave boundaries. It empties
+// the cache first, so each -cpu value computes the sums anew.
+func TestZetaSumMatchesLoop(t *testing.T) {
+	zetaMu.Lock()
+	clear(zetaCache)
+	zetaMu.Unlock()
+	wave := uint64(runtime.GOMAXPROCS(0) * waveBlock)
+	for _, theta := range []float64{0.5, 0.99} {
+		for _, n := range []uint64{0, 1, waveBlock - 1, waveBlock, waveBlock + 1, wave, wave + 1, 3*wave + 7} {
+			want := 0.0
+			for i := uint64(0); i < n; i++ {
+				want += 1 / math.Pow(float64(i+1), theta)
+			}
+			if got := zetaStatic(n, theta); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("zetaStatic(%d, %v) = %v, the loop gives %v", n, theta, got, want)
+			}
+		}
+	}
+}
+
+var (
+	zetaSink float64
+	loadSink []Pair
+)
+
+// BenchmarkZeta times the zipfian constant of the native workloads'
+// 2^20 records, uncached.
+func BenchmarkZeta(b *testing.B) {
+	for range b.N {
+		zetaMu.Lock()
+		clear(zetaCache)
+		zetaMu.Unlock()
+		zetaSink = zetaStatic(1<<20, 0.99)
+	}
+}
+
+// BenchmarkLoad times the native workloads' load set: 2^20 records over
+// a 2^26 key space.
+func BenchmarkLoad(b *testing.B) {
+	g := New(YCSBC(1<<20, 1<<26, 1))
+	for range b.N {
+		loadSink = g.Load()
+	}
+}
+
 func TestLoadKeysUniqueAndBounded(t *testing.T) {
 	g := New(YCSBC(10000, 1<<24, 1))
 	load := g.Load()
