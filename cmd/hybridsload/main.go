@@ -25,8 +25,10 @@
 //
 //   - Closed loop (default): each connection keeps -depth requests in
 //     flight — every response received triggers the next send, so
-//     concurrency is conns x depth. Latency is measured send-to-receive.
-//     A closed loop coordinates with the server: when the server stalls,
+//     concurrency is conns x depth. Requests are buffered and written
+//     out only before the loop would block on a response, and latency
+//     is measured from when an op enters the connection's buffer. A
+//     closed loop coordinates with the server: when the server stalls,
 //     the client stops sending, so the operations that would have queued
 //     behind the stall are never measured (coordinated omission).
 //
@@ -105,28 +107,6 @@ func (st *connStats) tally(op kv.Op, resp server.Response) {
 	}
 }
 
-// opCode maps a YCSB op kind to its protocol operation code.
-func opCode(k kv.Kind) uint8 {
-	switch k {
-	case kv.Read:
-		return server.OpGet
-	case kv.Update:
-		return server.OpUpdate
-	case kv.Insert:
-		return server.OpPut
-	case kv.Scan:
-		return server.OpScan
-	default:
-		return server.OpDelete
-	}
-}
-
-// toRequest maps one YCSB op to its protocol request (for SCAN, Op.Value
-// carries the pair limit).
-func toRequest(op kv.Op) server.Request {
-	return server.Request{Op: opCode(op.Kind), Key: uint64(op.Key), Value: uint64(op.Value)}
-}
-
 // wire is one raw protocol connection with caller-owned decode buffers.
 // Unlike server.Client it has no sent-op FIFO — the replay knows its op
 // stream, so responses are decoded against the stream directly — and its
@@ -161,11 +141,11 @@ func dialWire(addr string) (*wire, error) {
 	}, nil
 }
 
-func (w *wire) close() error { return w.nc.Close() }
-
-// send encodes op into the write buffer (the caller flushes).
+// send encodes op into the write buffer (the caller decides when to
+// write it out); for SCAN, Op.Value carries the pair limit.
 func (w *wire) send(op kv.Op) error {
-	w.reqBuf = server.AppendRequest(w.reqBuf[:0], toRequest(op))
+	req := server.Request{Op: server.OpOf(op.Kind), Key: uint64(op.Key), Value: uint64(op.Value)}
+	w.reqBuf = server.AppendRequest(w.reqBuf[:0], req)
 	_, err := w.bw.Write(w.reqBuf)
 	return err
 }
@@ -174,32 +154,31 @@ func (w *wire) send(op kv.Op) error {
 // The returned Response's Pairs alias the wire's buffer and are only
 // valid until the next recv.
 func (w *wire) recv(op kv.Op) (server.Response, error) {
-	resp, scratch, pairs, err := server.ReadResponseReuse(w.br, opCode(op.Kind), w.scratch, w.pairs)
+	resp, scratch, pairs, err := server.ReadResponseReuse(w.br, server.OpOf(op.Kind), w.scratch, w.pairs)
 	w.scratch, w.pairs = scratch, pairs
 	return resp, err
 }
 
 // replay runs ops through w as a closed loop with depth requests in
-// flight. When st is nil the phase is untimed warmup (statuses and
-// latencies are discarded); otherwise send times come from sendTimes
-// (pre-sized by the caller so the measured phase does not grow it).
+// flight, writing out what it has sent only before a recv would wait
+// (server.FlushBeforeBlock). When st is nil the phase is untimed warmup
+// (statuses and latencies are discarded); otherwise send times come from
+// sendTimes (pre-sized by the caller so the measured phase does not grow
+// it).
 func replay(w *wire, ops []kv.Op, depth int, sendTimes []time.Time, st *connStats) error {
-	if depth > len(ops) {
-		depth = len(ops)
-	}
 	next := 0
-	for ; next < depth; next++ {
-		if st != nil {
-			sendTimes = append(sendTimes, time.Now())
+	for done := 0; done < len(ops); done++ {
+		for ; next < len(ops) && next-done < depth; next++ {
+			if st != nil {
+				sendTimes = append(sendTimes, time.Now())
+			}
+			if err := w.send(ops[next]); err != nil {
+				return err
+			}
 		}
-		if err := w.send(ops[next]); err != nil {
+		if err := server.FlushBeforeBlock(w.br, w.bw); err != nil {
 			return err
 		}
-	}
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	for done := 0; done < len(ops); done++ {
 		resp, err := w.recv(ops[done])
 		if err != nil {
 			return err
@@ -208,18 +187,6 @@ func replay(w *wire, ops []kv.Op, depth int, sendTimes []time.Time, st *connStat
 			st.lats = append(st.lats, time.Since(sendTimes[done]))
 			st.tally(ops[done], resp)
 		}
-		if next < len(ops) {
-			if st != nil {
-				sendTimes = append(sendTimes, time.Now())
-			}
-			if err := w.send(ops[next]); err != nil {
-				return err
-			}
-			if err := w.bw.Flush(); err != nil {
-				return err
-			}
-			next++
-		}
 	}
 	return nil
 }
@@ -227,7 +194,7 @@ func replay(w *wire, ops []kv.Op, depth int, sendTimes []time.Time, st *connStat
 // runConn owns one closed-loop connection's lifecycle: untimed warmup,
 // buffer pre-sizing, then — once the start gate opens — the timed replay.
 func runConn(w *wire, warm, main []kv.Op, depth int, warmed *sync.WaitGroup, start <-chan struct{}, st *connStats) {
-	defer w.close()
+	defer w.nc.Close()
 	err := replay(w, warm, depth, nil, nil)
 	// Pre-size the measured phase's buffers before the gate so they are
 	// not counted as steady-state allocations.
@@ -252,7 +219,7 @@ func runConn(w *wire, warm, main []kv.Op, depth int, warmed *sync.WaitGroup, sta
 // the sender itself fell behind schedule — is charged to the operation
 // rather than silently omitted.
 func runOpenConn(w *wire, warm, main []kv.Op, depth int, sched []time.Duration, slo time.Duration, warmed *sync.WaitGroup, start <-chan struct{}, st *connStats) {
-	defer w.close()
+	defer w.nc.Close()
 	err := replay(w, warm, depth, nil, nil)
 	st.lats = make([]time.Duration, 0, len(main))
 	sendErr := make(chan error, 1)
@@ -268,12 +235,14 @@ func runOpenConn(w *wire, warm, main []kv.Op, depth int, sched []time.Duration, 
 			if d := time.Until(t0.Add(sched[i])); d > 0 {
 				time.Sleep(d)
 			}
-			if err := w.send(main[i]); err != nil {
-				sendErr <- err
-				w.nc.Close()
-				return
+			// Flush every op: the schedule, not the receiver, decides
+			// when an op leaves, and the receiver must not touch bw,
+			// which this goroutine owns.
+			err := w.send(main[i])
+			if err == nil {
+				err = w.bw.Flush()
 			}
-			if err := w.bw.Flush(); err != nil {
+			if err != nil {
 				sendErr <- err
 				w.nc.Close()
 				return
@@ -537,7 +506,7 @@ type workloadResult struct {
 	ok, miss, rejected, bad uint64
 	allocs, allocsPerOp     uint64
 	wall                    time.Duration
-	mops, achieved          float64
+	mops                    float64
 	p50, p95, p99, max      time.Duration
 	scrapeDropped           bool
 }
@@ -624,7 +593,6 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 	r.wall = wall
 	r.allocs = allocs
 	r.mops = float64(total) / wall.Seconds() / 1e6
-	r.achieved = float64(total) / wall.Seconds()
 	r.p50, r.p95, r.p99 = pctl(all, 0.50), pctl(all, 0.95), pctl(all, 0.99)
 	r.max = pctl(all, 1)
 	// Integer average, the same accounting testing.AllocsPerRun uses: a
@@ -659,7 +627,7 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 	}
 	if lf.rate > 0 {
 		r.cell.Metrics["load/target_rate"] = uint64(lf.rate + 0.5)
-		r.cell.Metrics["load/achieved_rate"] = uint64(r.achieved + 0.5)
+		r.cell.Metrics["load/achieved_rate"] = uint64(r.mops*1e6 + 0.5)
 		r.cell.Metrics["load/slo_violations"] = sloViol
 	}
 	if post != nil {
@@ -757,7 +725,6 @@ func main() {
 
 	us := func(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d.Nanoseconds())/1e3) }
 	var worstAllocs, totalBad uint64
-	var totalAllocs uint64
 	for _, spec := range specs {
 		// Each connection's stream is warmup + measured ops replayed in
 		// order: the warmup is simply the stream's untimed prefix, so the
@@ -780,7 +747,7 @@ func main() {
 		}
 		if openLoop {
 			res.Rows = append(res.Rows, []string{
-				spec.key, fmt.Sprint(*conns), fmt.Sprintf("%.0f", *rate), fmt.Sprintf("%.0f", r.achieved),
+				spec.key, fmt.Sprint(*conns), fmt.Sprintf("%.0f", *rate), fmt.Sprintf("%.0f", r.mops*1e6),
 				fmt.Sprint(r.cell.Ops), us(r.p50), us(r.p95), us(r.p99),
 				fmt.Sprint(r.cell.Metrics["load/slo_violations"]), fmt.Sprint(r.allocsPerOp),
 			})
@@ -798,7 +765,6 @@ func main() {
 			worstAllocs = r.allocsPerOp
 		}
 		totalBad += r.bad
-		totalAllocs += r.allocs
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("steady state: %d warmup ops/conn untimed per workload", *warmup),

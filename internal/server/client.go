@@ -47,11 +47,18 @@ func NewClient(nc net.Conn) *Client {
 	}
 }
 
-// Close closes the connection. Responses still in flight are lost.
-func (c *Client) Close() error { return c.nc.Close() }
+// Close writes out any buffered requests, ignoring a write error as the
+// serve loop does, and closes the connection. Responses still in flight
+// are lost.
+func (c *Client) Close() error {
+	c.bw.Flush()
+	return c.nc.Close()
+}
 
-// Send encodes reqs onto the connection without waiting for responses
-// (pipelining) and flushes. Each sent request owes exactly one Recv.
+// Send encodes reqs into the connection's write buffer without waiting
+// for responses (pipelining). The buffer goes out when it fills or when
+// a Recv would otherwise wait for a response, so a window of Sends costs
+// one write. Each sent request owes exactly one Recv.
 func (c *Client) Send(reqs ...Request) error {
 	c.buf = c.buf[:0]
 	for _, r := range reqs {
@@ -65,15 +72,19 @@ func (c *Client) Send(reqs ...Request) error {
 	for _, r := range reqs {
 		c.sent = append(c.sent, r.Op)
 	}
-	return c.bw.Flush()
+	return nil
 }
 
-// Recv reads the response to the oldest unanswered request. A SCAN
-// response's Pairs slice is pooled; the caller owns it and may release
-// it with PutPairs.
+// Recv reads the response to the oldest unanswered request, first
+// writing out the buffered requests unless that response has already
+// arrived (FlushBeforeBlock). A SCAN response's Pairs slice is pooled;
+// the caller owns it and may release it with PutPairs.
 func (c *Client) Recv() (Response, error) {
 	if c.sentHead == len(c.sent) {
 		return Response{}, fmt.Errorf("server: Recv with no request in flight")
+	}
+	if err := FlushBeforeBlock(c.br, c.bw); err != nil {
+		return Response{}, err
 	}
 	op := c.sent[c.sentHead]
 	c.sentHead++

@@ -18,6 +18,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -92,23 +93,25 @@ const (
 	maxRespFrame = 1 << 26 // decoder sanity bound, far above any real response
 )
 
+// opKinds and kindOps map the five data operation codes to their hds.Kind
+// and back.
+var (
+	opKinds = [...]hds.Kind{OpGet: hds.Read, OpPut: hds.Insert, OpUpdate: hds.Update, OpDelete: hds.Remove, OpScan: hds.Scan}
+	kindOps = [...]uint8{hds.Read: OpGet, hds.Update: OpUpdate, hds.Insert: OpPut, hds.Remove: OpDelete, hds.Scan: OpScan}
+)
+
 // kindOf maps a data operation code to its hds.Kind. ok is false for
 // OpStats and unknown codes, which have no hds equivalent.
 func kindOf(op uint8) (hds.Kind, bool) {
-	switch op {
-	case OpGet:
-		return hds.Read, true
-	case OpPut:
-		return hds.Insert, true
-	case OpUpdate:
-		return hds.Update, true
-	case OpDelete:
-		return hds.Remove, true
-	case OpScan:
-		return hds.Scan, true
+	if op < OpGet || op > OpScan {
+		return 0, false
 	}
-	return 0, false
+	return opKinds[op], true
 }
+
+// OpOf returns the protocol operation code of a data operation kind
+// (hds.Read through hds.Scan).
+func OpOf(k hds.Kind) uint8 { return kindOps[k] }
 
 // AppendRequest appends r's wire frame to buf and returns the extended
 // slice.
@@ -165,6 +168,21 @@ func AppendStatsResponse(buf []byte, status uint8, text []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(text)))
 	buf = append(buf, status)
 	return append(buf, text...)
+}
+
+// FlushBeforeBlock writes out bw's buffered requests unless br already
+// holds the next response frame whole: the serve loop's flush rule on the
+// client side, so a closed-loop client writes only when its next read
+// would otherwise wait. It never blocks on br. A frame longer than br's
+// buffer always flushes, which costs no syscall when bw is empty.
+func FlushBeforeBlock(br *bufio.Reader, bw *bufio.Writer) error {
+	if n := br.Buffered(); n >= lenBytes {
+		hdr, _ := br.Peek(lenBytes)
+		if uint64(n-lenBytes) >= uint64(binary.BigEndian.Uint32(hdr)) {
+			return nil
+		}
+	}
+	return bw.Flush()
 }
 
 // ReadResponseBuf is ReadResponseReuse with SCAN pairs from the pool.
