@@ -33,11 +33,10 @@ import (
 	"hybrids/internal/exp"
 )
 
-// checkFlags refuses out-of-range sizes and an unknown -boundary policy,
-// naming the flag. The defaults are in range: -ops 0 and -warmup -1 keep
-// the scale's counts, -parallel 0 measures serially, and -trace-events 0
-// keeps the default ring capacity.
-func checkFlags(ops, warmup, parallel, traceEvents int, boundary string) error {
+// checkFlags refuses out-of-range sizes, naming the flag. The defaults
+// are in range: -ops 0 and -warmup -1 keep the scale's counts, -parallel 0
+// measures serially, and -trace-events 0 keeps the default ring capacity.
+func checkFlags(ops, warmup, parallel, traceEvents int) error {
 	switch {
 	case ops < 0:
 		return fmt.Errorf("-ops %d must be >= 0 (0 keeps the scale's count)", ops)
@@ -47,30 +46,27 @@ func checkFlags(ops, warmup, parallel, traceEvents int, boundary string) error {
 		return fmt.Errorf("-parallel %d must be >= 0 (0 measures serially)", parallel)
 	case traceEvents < 0:
 		return fmt.Errorf("-trace-events %d must be >= 0 (0 keeps the default capacity)", traceEvents)
-	case boundary != "static" && boundary != "adaptive":
-		return fmt.Errorf("-boundary %q is not a policy (want static or adaptive)", boundary)
 	}
 	return nil
 }
 
 func main() {
 	var (
-		expID        = flag.String("exp", "", "experiment id (or 'all')")
-		scale        = flag.String("scale", "small", "scale: quick, tiny, small, or paper")
-		list         = flag.Bool("list", false, "list experiments")
-		markdown     = flag.Bool("markdown", false, "emit markdown tables")
-		jsonOut      = flag.Bool("json", false, "emit machine-readable JSON (per-cell metrics)")
-		ops          = flag.Int("ops", 0, "override measured ops per thread")
-		warmup       = flag.Int("warmup", -1, "override warmup ops per thread")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "grid cells to measure concurrently (results are identical at any setting)")
-		quiet        = flag.Bool("q", false, "suppress progress output")
-		attr         = flag.Bool("attr", false, "print per-operation latency attribution tables (buckets also land in -json cells)")
-		boundaryMode = flag.String("boundary", "static", "host/NMP boundary policy: static (the paper's fixed splits) or adaptive (grids run at the split the feedback policy converges to)")
-		traceOut     = flag.String("trace", "", "write a Chrome trace_event JSON capture of the first measured cell to this file (open in Perfetto)")
-		traceCap     = flag.Int("trace-events", 0, "per-track trace ring capacity (default 65536; older events fall off first)")
+		expID    = flag.String("exp", "", "experiment id (or 'all')")
+		scale    = flag.String("scale", "small", "scale: quick, tiny, small, or paper")
+		list     = flag.Bool("list", false, "list experiments")
+		markdown = flag.Bool("markdown", false, "emit markdown tables")
+		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON (per-cell metrics)")
+		ops      = flag.Int("ops", 0, "override measured ops per thread")
+		warmup   = flag.Int("warmup", -1, "override warmup ops per thread")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "grid cells to measure concurrently (results are identical at any setting)")
+		quiet    = flag.Bool("q", false, "suppress progress output")
+		attr     = flag.Bool("attr", false, "print per-operation latency attribution tables (buckets also land in -json cells)")
+		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON capture of the first measured cell to this file (open in Perfetto)")
+		traceCap = flag.Int("trace-events", 0, "per-track trace ring capacity (default 65536; older events fall off first)")
 	)
 	flag.Parse()
-	if err := checkFlags(*ops, *warmup, *parallel, *traceCap, *boundaryMode); err != nil {
+	if err := checkFlags(*ops, *warmup, *parallel, *traceCap); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -118,16 +114,6 @@ func main() {
 	var progress io.Writer = os.Stderr
 	if *quiet {
 		progress = nil
-	}
-
-	if *boundaryMode == "adaptive" {
-		// Converge the feedback policy first, then run the requested
-		// grids at the split it lands on instead of the paper's static
-		// crossover. With -boundary static (the default) nothing here
-		// runs and outputs stay byte-identical.
-		fmt.Fprintf(os.Stderr, "converging adaptive boundary (static crossover: nmp=%d)...\n", sc.SkiplistNMPLevels)
-		sc.SkiplistNMPLevels = exp.AdaptBoundary(sc, progress)
-		fmt.Fprintf(os.Stderr, "adaptive boundary converged at nmp=%d\n", sc.SkiplistNMPLevels)
 	}
 
 	var results []exp.Result

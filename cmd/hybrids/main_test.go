@@ -9,23 +9,21 @@ func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		name                               string
 		ops, warmup, parallel, traceEvents int
-		boundary                           string
 		wantFlag                           string // "" = accepted
 	}{
-		{"defaults", 0, -1, 2, 0, "static", ""},
-		{"overrides", 500, 0, 4, 1024, "adaptive", ""},
-		{"serial", 0, -1, 0, 0, "static", ""},
+		{"defaults", 0, -1, 2, 0, ""},
+		{"overrides", 500, 0, 4, 1024, ""},
+		{"serial", 0, -1, 0, 0, ""},
 		// Regressions: each of these used to run the scale's default
 		// without a word.
-		{"negative-ops", -5, -1, 2, 0, "static", "-ops"},
-		{"negative-warmup", 0, -2, 2, 0, "static", "-warmup"},
-		{"negative-parallel", 0, -1, -1, 0, "static", "-parallel"},
-		{"negative-trace-events", 0, -1, 2, -1, "static", "-trace-events"},
-		{"unknown-boundary", 0, -1, 2, 0, "chaotic", "-boundary"},
+		{"negative-ops", -5, -1, 2, 0, "-ops"},
+		{"negative-warmup", 0, -2, 2, 0, "-warmup"},
+		{"negative-parallel", 0, -1, -1, 0, "-parallel"},
+		{"negative-trace-events", 0, -1, 2, -1, "-trace-events"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := checkFlags(c.ops, c.warmup, c.parallel, c.traceEvents, c.boundary)
+			err := checkFlags(c.ops, c.warmup, c.parallel, c.traceEvents)
 			switch {
 			case c.wantFlag == "" && err != nil:
 				t.Fatalf("refused: %v", err)

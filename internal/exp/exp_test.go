@@ -276,3 +276,32 @@ func TestLoadSetsShareOnlyEqualLoads(t *testing.T) {
 		t.Fatal("another seed shared the first seed's load set")
 	}
 }
+
+// TestSplitNoteNamesBest checks that ablate-split's note names the cell
+// with the highest throughput, inside the sweep or at either end of it,
+// and the configured split's throughput beside it.
+func TestSplitNoteNamesBest(t *testing.T) {
+	cases := []struct {
+		mops []float64
+		want string
+	}{
+		{[]float64{3.81, 4.12, 4.74, 4.68, 4.10},
+			"best split: nmp=3 at 4.74 Mops/s, inside the sweep; the paper's split nmp=4: 4.68 Mops/s"},
+		{[]float64{5.50, 4.12, 4.42, 4.20, 4.10},
+			"best split: nmp=1 at 5.50 Mops/s, at the edge of the sweep; the paper's split nmp=4: 4.20 Mops/s"},
+		{[]float64{3.81, 4.12, 4.42, 4.62, 4.74},
+			"best split: nmp=5 at 4.74 Mops/s, at the edge of the sweep; the paper's split nmp=4: 4.62 Mops/s"},
+		// A tie names the first (fewest NMP levels).
+		{[]float64{4.00, 4.74, 4.74, 4.62, 4.10},
+			"best split: nmp=2 at 4.74 Mops/s, inside the sweep; the paper's split nmp=4: 4.62 Mops/s"},
+	}
+	for _, c := range cases {
+		cells := make([]Cell, len(c.mops))
+		for i, m := range c.mops {
+			cells[i].MOpsPerSec = m
+		}
+		if got := splitNote(cells, 4); got != c.want {
+			t.Errorf("splitNote(%v) =\n  %q\nwant\n  %q", c.mops, got, c.want)
+		}
+	}
+}

@@ -84,19 +84,19 @@ func TestRunCellsOrderAndLabels(t *testing.T) {
 // TestBuildsPerExperiment pins how many bulk builds each registered
 // experiment takes at quick scale: one per distinct (build key, load set,
 // machine). A key made too fine, or an open that starts depending on the
-// window, fails here instead of only costing time. boundary-adapt is left
-// out: it builds once per policy round, and the round count is the policy's.
+// window, fails here instead of only costing time.
 func TestBuildsPerExperiment(t *testing.T) {
 	want := map[string]int64{
 		"table1": 0, "fig5a": 3, "fig5b": 3, "fig6a": 2, "fig6b": 2, "table2": 1,
 		"fig7": 3, "fig8": 2, "fig9": 2, "ablate-window": 2, "ablate-skew": 2,
-		"ablate-split": 4, "ablate-mmio": 4, "ablate-partitions": 4, "engine-bskiplist": 1,
+		"ablate-split": 9, "ablate-mmio": 4, "ablate-partitions": 4, "engine-bskiplist": 1,
 	}
 	clear(btreeSensitivityMemo)
 	defer clear(btreeSensitivityMemo)
 	for _, e := range Registry() {
 		w, ok := want[e.ID]
 		if !ok {
+			t.Errorf("%s: no pinned build count", e.ID)
 			continue
 		}
 		clear(btreeSensitivityMemo)
