@@ -7,38 +7,37 @@
 // Usage:
 //
 //	hybridsload [-addr 127.0.0.1:7070] [-conns 4] [-depth 16]
-//	            [-workload a,b,c,d,e,f] [-ops 20000] [-records 16384]
-//	            [-keymax 1048576] [-read 100 -insert 0 -remove 0]
-//	            [-seed 1] [-warmup 2048] [-max-allocs-per-op -1]
+//	            [-workload c] [-ops 20000] [-records 16384]
+//	            [-keymax 1048576] [-seed 1] [-warmup 2048] [-max-allocs-per-op -1]
 //	            [-rate 0 -ramp 2s -slo 0]
 //	            [-noload] [-markdown|-json] [-stats]
 //	            [-scrape http://127.0.0.1:7071]
 //
-// -workload selects YCSB core workloads by letter (comma-separated; each
-// runs as its own measured phase and report row). Without it the legacy
-// flags apply: YCSB-C, or the uniform read-insert-remove mix when
-// -insert/-remove are set. Workload E drives SCAN requests end-to-end;
-// the pair payloads are decoded into a per-connection reusable buffer so
-// the hot path stays allocation-free.
+// -workload selects YCSB core workloads by letter (comma-separated, "c"
+// by default; each runs as its own measured phase and report row, and
+// the keys a workload inserts are deleted after it). Workload E drives
+// SCAN requests end-to-end; each response's decoded pairs go back to the
+// server package's pool, so the hot path stays allocation-free.
 //
 // Two load modes:
 //
-//   - Closed loop (default): each connection keeps -depth requests in
-//     flight — every response received triggers the next send, so
-//     concurrency is conns x depth. Requests are buffered and written
-//     out only before the loop would block on a response, and latency
-//     is measured from when an op enters the connection's buffer. A
+//   - Closed loop (default): each connection is a server.Client keeping
+//     -depth requests in flight — every response received triggers the
+//     next send, so concurrency is conns x depth. Requests are written
+//     out only before Recv would block on a response, and latency is
+//     measured from when an op enters the connection's buffer. A
 //     closed loop coordinates with the server: when the server stalls,
 //     the client stops sending, so the operations that would have queued
 //     behind the stall are never measured (coordinated omission).
 //
 //   - Open loop (-rate R): operations are paced by a precomputed arrival
 //     schedule targeting R ops/s across all connections, ramping up along
-//     a TCP-CUBIC-shaped curve over -ramp. Latency is measured from each
-//     operation's *scheduled* send time, so queueing delay — including
-//     delay caused by the client falling behind schedule — is visible.
-//     -slo D counts responses slower than D (load/slo_violations), and
-//     the report carries load/target_rate and load/achieved_rate.
+//     a TCP-CUBIC-shaped curve over -ramp, and written to the socket as
+//     they fall due. Latency is measured from each operation's
+//     *scheduled* send time, so queueing delay — including delay caused
+//     by the client falling behind schedule — is visible. -slo D counts
+//     responses slower than D (load/slo_violations), and the report
+//     carries load/target_rate and load/achieved_rate.
 //
 // The measured phase is steady-state: every connection is dialed and
 // runs -warmup untimed operations first (filling pools and scratch
@@ -107,79 +106,28 @@ func (st *connStats) tally(op kv.Op, resp server.Response) {
 	}
 }
 
-// wire is one raw protocol connection with caller-owned decode buffers.
-// Unlike server.Client it has no sent-op FIFO — the replay knows its op
-// stream, so responses are decoded against the stream directly — and its
-// SCAN pair buffer is reused across responses (server.ReadResponseReuse),
-// which keeps the measured hot path allocation-free even on scan-heavy
-// workloads. The buffer fields split cleanly between a sender (bw,
-// reqBuf) and a receiver (br, scratch, pairs), so the open-loop mode can
-// run both on one wire concurrently.
-type wire struct {
-	nc      net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	reqBuf  []byte
-	scratch []byte
-	pairs   []server.Pair
+// request is op's protocol request; for SCAN, Op.Value carries the pair
+// limit.
+func request(op kv.Op) server.Request {
+	return server.Request{Op: server.OpOf(op.Kind), Key: uint64(op.Key), Value: uint64(op.Value)}
 }
 
-// dialWire connects to the server and pre-sizes the decode buffers (the
-// pair buffer covers the YCSB-E scan-length cap, so steady state never
-// grows it).
-func dialWire(addr string) (*wire, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &wire{
-		nc:      nc,
-		br:      bufio.NewReaderSize(nc, 32<<10),
-		bw:      bufio.NewWriterSize(nc, 32<<10),
-		scratch: make([]byte, 0, 4<<10),
-		pairs:   make([]server.Pair, 0, 256),
-	}, nil
-}
-
-// send encodes op into the write buffer (the caller decides when to
-// write it out); for SCAN, Op.Value carries the pair limit.
-func (w *wire) send(op kv.Op) error {
-	req := server.Request{Op: server.OpOf(op.Kind), Key: uint64(op.Key), Value: uint64(op.Value)}
-	w.reqBuf = server.AppendRequest(w.reqBuf[:0], req)
-	_, err := w.bw.Write(w.reqBuf)
-	return err
-}
-
-// recv reads op's response, reusing the wire's scratch and pair buffers.
-// The returned Response's Pairs alias the wire's buffer and are only
-// valid until the next recv.
-func (w *wire) recv(op kv.Op) (server.Response, error) {
-	resp, scratch, pairs, err := server.ReadResponseReuse(w.br, server.OpOf(op.Kind), w.scratch, w.pairs)
-	w.scratch, w.pairs = scratch, pairs
-	return resp, err
-}
-
-// replay runs ops through w as a closed loop with depth requests in
-// flight, writing out what it has sent only before a recv would wait
-// (server.FlushBeforeBlock). When st is nil the phase is untimed warmup
-// (statuses and latencies are discarded); otherwise send times come from
-// sendTimes (pre-sized by the caller so the measured phase does not grow
-// it).
-func replay(w *wire, ops []kv.Op, depth int, sendTimes []time.Time, st *connStats) error {
+// replay runs ops through c as a closed loop with depth requests in
+// flight. When st is nil the phase is untimed warmup (statuses and
+// latencies are discarded); otherwise send times come from sendTimes
+// (pre-sized by the caller so the measured phase does not grow it).
+func replay(c *server.Client, ops []kv.Op, depth int, sendTimes []time.Time, st *connStats) error {
 	next := 0
 	for done := 0; done < len(ops); done++ {
 		for ; next < len(ops) && next-done < depth; next++ {
 			if st != nil {
 				sendTimes = append(sendTimes, time.Now())
 			}
-			if err := w.send(ops[next]); err != nil {
+			if err := c.Send(request(ops[next])); err != nil {
 				return err
 			}
 		}
-		if err := server.FlushBeforeBlock(w.br, w.bw); err != nil {
-			return err
-		}
-		resp, err := w.recv(ops[done])
+		resp, err := c.Recv()
 		if err != nil {
 			return err
 		}
@@ -187,15 +135,17 @@ func replay(w *wire, ops []kv.Op, depth int, sendTimes []time.Time, st *connStat
 			st.lats = append(st.lats, time.Since(sendTimes[done]))
 			st.tally(ops[done], resp)
 		}
+		server.PutPairs(resp.Pairs)
 	}
 	return nil
 }
 
 // runConn owns one closed-loop connection's lifecycle: untimed warmup,
 // buffer pre-sizing, then — once the start gate opens — the timed replay.
-func runConn(w *wire, warm, main []kv.Op, depth int, warmed *sync.WaitGroup, start <-chan struct{}, st *connStats) {
-	defer w.nc.Close()
-	err := replay(w, warm, depth, nil, nil)
+func runConn(nc net.Conn, warm, main []kv.Op, depth int, warmed *sync.WaitGroup, start <-chan struct{}, st *connStats) {
+	c := server.NewClient(nc)
+	defer c.Close()
+	err := replay(c, warm, depth, nil, nil)
 	// Pre-size the measured phase's buffers before the gate so they are
 	// not counted as steady-state allocations.
 	sendTimes := make([]time.Time, 0, len(main))
@@ -206,21 +156,26 @@ func runConn(w *wire, warm, main []kv.Op, depth int, warmed *sync.WaitGroup, sta
 		return
 	}
 	<-start
-	if err := replay(w, main, depth, sendTimes, st); err != nil {
+	if err := replay(c, main, depth, sendTimes, st); err != nil {
 		st.err = err
 	}
 }
 
 // runOpenConn owns one open-loop connection's lifecycle. After a
-// closed-loop warmup, a sender goroutine paces ops by the precomputed
-// schedule (offsets from the gate's open) while this goroutine receives;
-// each response's latency is measured from the op's *scheduled* send
-// time, so time spent queued — on the server, in the kernel, or because
-// the sender itself fell behind schedule — is charged to the operation
-// rather than silently omitted.
-func runOpenConn(w *wire, warm, main []kv.Op, depth int, sched []time.Duration, slo time.Duration, warmed *sync.WaitGroup, start <-chan struct{}, st *connStats) {
-	defer w.nc.Close()
-	err := replay(w, warm, depth, nil, nil)
+// closed-loop warmup, a sender goroutine writes each op to the socket as
+// its precomputed schedule (offsets from the gate's open) falls due while
+// this goroutine receives; each response's latency is measured from the
+// op's *scheduled* send time, so time spent queued — on the server, in
+// the kernel, or because the sender itself fell behind schedule — is
+// charged to the operation rather than silently omitted.
+func runOpenConn(nc net.Conn, warm, main []kv.Op, depth int, sched []time.Duration, slo time.Duration, warmed *sync.WaitGroup, start <-chan struct{}, st *connStats) {
+	defer nc.Close()
+	err := replay(server.NewClient(nc), warm, depth, nil, nil)
+	// The warmup received every response it asked for and the server
+	// sends nothing unasked, so this reader starts on a clean stream.
+	br := bufio.NewReaderSize(nc, 32<<10)
+	scratch := make([]byte, 0, 4<<10)
+	frame := make([]byte, 0, 64)
 	st.lats = make([]time.Duration, 0, len(main))
 	sendErr := make(chan error, 1)
 	warmed.Done()
@@ -235,22 +190,17 @@ func runOpenConn(w *wire, warm, main []kv.Op, depth int, sched []time.Duration, 
 			if d := time.Until(t0.Add(sched[i])); d > 0 {
 				time.Sleep(d)
 			}
-			// Flush every op: the schedule, not the receiver, decides
-			// when an op leaves, and the receiver must not touch bw,
-			// which this goroutine owns.
-			err := w.send(main[i])
-			if err == nil {
-				err = w.bw.Flush()
-			}
-			if err != nil {
+			frame = server.AppendRequest(frame[:0], request(main[i]))
+			if _, err := nc.Write(frame); err != nil {
 				sendErr <- err
-				w.nc.Close()
+				nc.Close()
 				return
 			}
 		}
 	}()
 	for i := range main {
-		resp, err := w.recv(main[i])
+		var resp server.Response
+		resp, scratch, err = server.ReadResponseBuf(br, server.OpOf(main[i].Kind), scratch)
 		if err != nil {
 			// A send failure surfaces here as a read error on the closed
 			// connection; report the root cause.
@@ -271,6 +221,7 @@ func runOpenConn(w *wire, warm, main []kv.Op, depth int, sched []time.Duration, 
 			st.sloViolations++
 		}
 		st.tally(main[i], resp)
+		server.PutPairs(resp.Pairs)
 	}
 }
 
@@ -358,24 +309,17 @@ func mergeServerDeltas(metrics, pre, post map[string]uint64) bool {
 
 // workloadSpec is one measured workload: a report row and exp.Cell.
 type workloadSpec struct {
-	key   string // the -workload letter, or "c"/"mix" under the legacy flags
+	key   string // the -workload letter
 	title string
 	cfg   ycsb.Config
 }
 
-// parseWorkloads resolves the -workload flag (comma-separated YCSB core
-// letters) or, when empty, the legacy single-workload flags.
-func parseWorkloads(list string, records int, keyMax uint32, read, insert, remove int, seed uint64) ([]workloadSpec, error) {
-	if list == "" {
-		if insert > 0 || remove > 0 {
-			return []workloadSpec{{
-				key:   "mix",
-				title: fmt.Sprintf("uniform mix %d-%d-%d (read-insert-remove)", read, insert, remove),
-				cfg:   ycsb.Mix(records, keyMax, read, insert, remove, seed),
-			}}, nil
-		}
-		return []workloadSpec{{key: "c", title: ycsb.WorkloadDesc("c"), cfg: ycsb.YCSBC(records, keyMax, seed)}}, nil
-	}
+// defaultWorkload is -workload's default: YCSB-C, the paper's baseline.
+const defaultWorkload = "c"
+
+// parseWorkloads resolves the -workload flag: comma-separated YCSB core
+// letters.
+func parseWorkloads(list string, records int, keyMax uint32, seed uint64) ([]workloadSpec, error) {
 	var out []workloadSpec
 	for _, w := range strings.Split(list, ",") {
 		w = strings.TrimSpace(strings.ToLower(w))
@@ -515,13 +459,16 @@ type workloadResult struct {
 // aggregate. streams is the per-connection op sequence (warmup prefix
 // included).
 func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadResult, error) {
-	wires := make([]*wire, lf.conns)
-	for i := range wires {
-		w, err := dialWire(lf.addr)
+	ncs := make([]net.Conn, lf.conns)
+	for i := range ncs {
+		nc, err := net.Dial("tcp", lf.addr)
 		if err != nil {
+			for _, prev := range ncs[:i] {
+				prev.Close()
+			}
 			return workloadResult{}, fmt.Errorf("dial conn %d: %w", i, err)
 		}
-		wires[i] = w
+		ncs[i] = nc
 	}
 	var sched []time.Duration
 	if lf.rate > 0 {
@@ -540,9 +487,9 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 			defer wg.Done()
 			warm, main := streams[i][:lf.warmup], streams[i][lf.warmup:]
 			if lf.rate > 0 {
-				runOpenConn(wires[i], warm, main, lf.depth, sched, lf.slo, &warmed, start, &sts[i])
+				runOpenConn(ncs[i], warm, main, lf.depth, sched, lf.slo, &warmed, start, &sts[i])
 			} else {
-				runConn(wires[i], warm, main, lf.depth, &warmed, start, &sts[i])
+				runConn(ncs[i], warm, main, lf.depth, &warmed, start, &sts[i])
 			}
 		}(i)
 	}
@@ -644,13 +591,10 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7070", "hybridsd address")
 		conns     = flag.Int("conns", 4, "concurrent client connections")
 		depth     = flag.Int("depth", 16, "pipelined requests in flight per connection (closed loop)")
-		workloads = flag.String("workload", "", "comma-separated YCSB core workloads (a|b|c|d|e|f), one measured phase each; empty keeps the legacy -read/-insert/-remove flags")
+		workloads = flag.String("workload", defaultWorkload, "comma-separated YCSB core workloads (a|b|c|d|e|f), one measured phase each")
 		ops       = flag.Int("ops", 20000, "measured operations per connection (per workload)")
 		records   = flag.Int("records", 16384, "preloaded records")
 		keyMax    = flag.Uint("keymax", 1<<20, "workload key-space bound (power of two, <= server -keymax)")
-		read      = flag.Int("read", 100, "read percentage")
-		insert    = flag.Int("insert", 0, "insert percentage (with -remove switches to the uniform mix)")
-		remove    = flag.Int("remove", 0, "remove percentage")
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		warmup    = flag.Int("warmup", 2048, "untimed warmup operations per connection before the measured phase")
 		rate      = flag.Float64("rate", 0, "open-loop target arrival rate, ops/s across all connections (0 = closed loop)")
@@ -683,7 +627,7 @@ func main() {
 	if *slo != 0 && *rate == 0 {
 		usage("-slo is only meaningful in the open-loop mode; set -rate")
 	}
-	specs, err := parseWorkloads(*workloads, *records, uint32(*keyMax), *read, *insert, *remove, *seed)
+	specs, err := parseWorkloads(*workloads, *records, uint32(*keyMax), *seed)
 	if err != nil {
 		usage("%v", err)
 	}
@@ -735,12 +679,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hybridsload: workload %s: %v\n", spec.key, err)
 			os.Exit(1)
 		}
-		if *workloads != "" {
-			// Suite workloads restore the preloaded state so rows (and
-			// later -noload invocations) are independent.
-			if err := cleanupInserts(*addr, streams); err != nil {
-				fmt.Fprintf(os.Stderr, "hybridsload: cleanup after workload %s: %v\n", spec.key, err)
-			}
+		// Restore the preloaded state so rows (and later -noload
+		// invocations) are independent.
+		if err := cleanupInserts(*addr, streams); err != nil {
+			fmt.Fprintf(os.Stderr, "hybridsload: cleanup after workload %s: %v\n", spec.key, err)
 		}
 		if r.scrapeDropped {
 			fmt.Fprintf(os.Stderr, "hybridsload: server counters regressed between scrapes (hybridsd restarted?); dropping server/* deltas for workload %s\n", spec.key)
@@ -797,12 +739,15 @@ func main() {
 
 	if *stats {
 		c, err := server.Dial(*addr)
+		var text []byte
 		if err == nil {
-			if text, err := c.Stats(); err == nil {
-				fmt.Fprintf(os.Stderr, "%s", text)
-			}
+			text, err = c.Stats()
 			c.Close()
 		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hybridsload: stats: %v\n", err)
+		}
+		os.Stderr.Write(text)
 	}
 
 	if *maxAllocs >= 0 && worstAllocs > uint64(*maxAllocs) {

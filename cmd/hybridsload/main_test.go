@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"math"
 	"net"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"hybrids/internal/core"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/server"
+	"hybrids/internal/ycsb"
 )
 
 func TestValidateKeyMax(t *testing.T) {
@@ -154,8 +157,8 @@ func TestCubicScheduleFlatAndRamped(t *testing.T) {
 	}
 }
 
-func TestParseWorkloadsSuiteAndLegacy(t *testing.T) {
-	specs, err := parseWorkloads("a, E,f", 1024, 1<<20, 100, 0, 0, 1)
+func TestParseWorkloads(t *testing.T) {
+	specs, err := parseWorkloads("a, E,f", 1024, 1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,22 +168,29 @@ func TestParseWorkloadsSuiteAndLegacy(t *testing.T) {
 	if specs[1].cfg.ScanPct != 95 {
 		t.Fatalf("workload e ScanPct = %d, want 95", specs[1].cfg.ScanPct)
 	}
-	if _, err := parseWorkloads("a,z", 1024, 1<<20, 100, 0, 0, 1); err == nil {
+	if _, err := parseWorkloads("a,z", 1024, 1<<20, 1); err == nil {
 		t.Fatal("unknown workload letter accepted")
 	}
-	legacy, err := parseWorkloads("", 1024, 1<<20, 90, 5, 5, 1)
+}
+
+// The -workload default replays what the run without -workload always
+// did: YCSB-C, with the same load set and the same per-connection
+// streams, element for element.
+func TestDefaultWorkloadIsYCSBC(t *testing.T) {
+	const records, keyMax, seed, conns, ops = 1024, 1 << 14, 7, 3, 500
+	specs, err := parseWorkloads(defaultWorkload, records, keyMax, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy) != 1 || legacy[0].key != "mix" {
-		t.Fatalf("legacy mix = %+v", legacy)
+	if len(specs) != 1 || specs[0].key != "c" {
+		t.Fatalf("default -workload %q parses to %+v, want one spec with key c", defaultWorkload, specs)
 	}
-	plainC, err := parseWorkloads("", 1024, 1<<20, 100, 0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
+	got, want := ycsb.New(specs[0].cfg), ycsb.New(ycsb.YCSBC(records, keyMax, seed))
+	if !reflect.DeepEqual(got.Load(), want.Load()) {
+		t.Error("default workload's load set differs from YCSB-C's")
 	}
-	if len(plainC) != 1 || plainC[0].key != "c" {
-		t.Fatalf("legacy default = %+v", plainC)
+	if !reflect.DeepEqual(got.Streams(conns, ops), want.Streams(conns, ops)) {
+		t.Error("default workload's streams differ from YCSB-C's")
 	}
 }
 
@@ -264,7 +274,7 @@ func TestCoordinatedOmissionClosedVsOpenLoop(t *testing.T) {
 	run := func(open bool) *connStats {
 		addr, stop := stallServer(t, stall, after)
 		defer stop()
-		w, err := dialWire(addr)
+		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,9 +284,9 @@ func TestCoordinatedOmissionClosedVsOpenLoop(t *testing.T) {
 		start := make(chan struct{})
 		close(start) // no rendezvous needed with one connection
 		if open {
-			runOpenConn(w, nil, ops, depth, cubicSchedule(nOps, rate, 0), 0, &warmed, start, st)
+			runOpenConn(nc, nil, ops, depth, cubicSchedule(nOps, rate, 0), 0, &warmed, start, st)
 		} else {
-			runConn(w, nil, ops, depth, &warmed, start, st)
+			runConn(nc, nil, ops, depth, &warmed, start, st)
 		}
 		if st.err != nil {
 			t.Fatal(st.err)
@@ -319,7 +329,7 @@ func TestOpenLoopSLOViolationsCounted(t *testing.T) {
 	}
 	addr, stop := stallServer(t, stall, after)
 	defer stop()
-	w, err := dialWire(addr)
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +338,7 @@ func TestOpenLoopSLOViolationsCounted(t *testing.T) {
 	warmed.Add(1)
 	start := make(chan struct{})
 	close(start)
-	runOpenConn(w, nil, ops, 4, cubicSchedule(nOps, rate, 0), slo, &warmed, start, st)
+	runOpenConn(nc, nil, ops, 4, cubicSchedule(nOps, rate, 0), slo, &warmed, start, st)
 	if st.err != nil {
 		t.Fatal(st.err)
 	}
@@ -352,5 +362,100 @@ func TestCubicScheduleNoNaN(t *testing.T) {
 				t.Fatalf("ramp %v sched[%d] = %v", ramp, i, d)
 			}
 		}
+	}
+}
+
+// Both loops decode SCAN responses end to end: against a real server
+// replaying a YCSB-E stream after a read-only warmup, every response is
+// well formed, every op is answered, and the pairs each loop decodes are
+// exactly the pairs the server sent.
+func TestScanDecodingBothLoops(t *testing.T) {
+	const (
+		records = 1024
+		keyMax  = 1 << 14
+		seed    = 3
+		warmup  = 64
+		nOps    = 600
+		depth   = 8
+	)
+	h := core.New(core.Config{Partitions: 4, KeyMax: keyMax})
+	srv := server.New(h, server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Shutdown()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+		h.Close()
+	})
+	addr := ln.Addr().String()
+	cfg, err := ycsb.Workload("e", records, keyMax, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := ycsb.New(cfg)
+	if err := preload(addr, gen.Load()); err != nil {
+		t.Fatal(err)
+	}
+	// One stream per loop, so the second loop's inserts mint fresh keys.
+	// The warmup reads only, so every scan pair the server counts belongs
+	// to a measured phase.
+	streams := gen.Streams(2, nOps)
+	warms := ycsb.New(ycsb.YCSBC(records, keyMax, seed)).Streams(2, warmup)
+
+	// scanPairs reads server/scan_pairs once every connection opened so
+	// far has closed and folded its counts into the server's registry.
+	conns := uint64(1) // preload's connection
+	scanPairs := func() uint64 {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			m, _ := srv.ExportMetrics()
+			if m.Get("server/conns_closed") == conns {
+				return m.Get("server/scan_pairs")
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("server/conns_closed = %d, want %d", m.Get("server/conns_closed"), conns)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	sent := uint64(0)
+	for i, open := range []bool{false, true} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &connStats{}
+		var warmed sync.WaitGroup
+		warmed.Add(1)
+		start := make(chan struct{})
+		close(start)
+		if open {
+			runOpenConn(nc, warms[i], streams[i], depth, cubicSchedule(nOps, 50000, 0), 0, &warmed, start, st)
+		} else {
+			runConn(nc, warms[i], streams[i], depth, &warmed, start, st)
+		}
+		conns++
+		if st.err != nil {
+			t.Fatalf("open=%v: %v", open, st.err)
+		}
+		if st.bad != 0 {
+			t.Errorf("open=%v: %d bad responses", open, st.bad)
+		}
+		if st.ok+st.miss != nOps {
+			t.Errorf("open=%v: ok %d + miss %d, want %d", open, st.ok, st.miss, nOps)
+		}
+		total := scanPairs()
+		if st.scanPairs == 0 || st.scanPairs != total-sent {
+			t.Errorf("open=%v: decoded %d scan pairs, server sent %d", open, st.scanPairs, total-sent)
+		}
+		sent = total
 	}
 }

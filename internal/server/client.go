@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 )
@@ -77,20 +78,35 @@ func (c *Client) Send(reqs ...Request) error {
 
 // Recv reads the response to the oldest unanswered request, first
 // writing out the buffered requests unless that response has already
-// arrived (FlushBeforeBlock). A SCAN response's Pairs slice is pooled;
-// the caller owns it and may release it with PutPairs.
+// arrived whole (flushBeforeBlock). A SCAN response's Pairs slice is
+// pooled; the caller owns it and may release it with PutPairs.
 func (c *Client) Recv() (Response, error) {
 	if c.sentHead == len(c.sent) {
 		return Response{}, fmt.Errorf("server: Recv with no request in flight")
 	}
-	if err := FlushBeforeBlock(c.br, c.bw); err != nil {
+	if err := flushBeforeBlock(c.br, c.bw); err != nil {
 		return Response{}, err
 	}
 	op := c.sent[c.sentHead]
 	c.sentHead++
-	resp, body, _, err := ReadResponseReuse(c.br, op, c.body, nil)
+	resp, body, err := ReadResponseBuf(c.br, op, c.body)
 	c.body = body
 	return resp, err
+}
+
+// flushBeforeBlock writes out bw's buffered requests unless br already
+// holds the next response frame whole: the serve loop's flush rule on the
+// client side, so the client writes only when its next read would
+// otherwise wait. It never blocks on br. A frame longer than br's buffer
+// always flushes, which costs no syscall when bw is empty.
+func flushBeforeBlock(br *bufio.Reader, bw *bufio.Writer) error {
+	if n := br.Buffered(); n >= lenBytes {
+		hdr, _ := br.Peek(lenBytes)
+		if uint64(n-lenBytes) >= uint64(binary.BigEndian.Uint32(hdr)) {
+			return nil
+		}
+	}
+	return bw.Flush()
 }
 
 // Pending returns the number of requests awaiting a Recv.

@@ -35,9 +35,10 @@ func dialCounting(t *testing.T, addr string) (*Client, *countingConn) {
 	return cl, cc
 }
 
-// TestFlushBeforeBlockFrameCheck pins the frame check: the writer is
-// flushed unless the reader already holds the next frame whole, header
-// and body, and always when the frame is longer than the reader's buffer.
+// TestFlushBeforeBlockFrameCheck pins flushBeforeBlock's frame check: the
+// writer is flushed unless the reader already holds the next frame whole,
+// header and body, and always when the frame is longer than the reader's
+// buffer.
 func TestFlushBeforeBlockFrameCheck(t *testing.T) {
 	frame := AppendScalarResponse(nil, StatusOK, 7) // 4 + 9 bytes
 	long := AppendStatsResponse(nil, StatusOK, make([]byte, 40))
@@ -61,7 +62,7 @@ func TestFlushBeforeBlockFrameCheck(t *testing.T) {
 		var out bytes.Buffer
 		bw := bufio.NewWriter(&out)
 		bw.WriteString("request")
-		if err := FlushBeforeBlock(br, bw); err != nil {
+		if err := flushBeforeBlock(br, bw); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if flushed := out.Len() > 0; flushed != tc.flush {

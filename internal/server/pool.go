@@ -75,9 +75,9 @@ func (p *slicePool) put(s []Pair) {
 var pairPool slicePool
 
 // PutPairs returns a SCAN result slice to the decode pool. Responses
-// decoded by ReadResponseReuse with nil pairs and by Client carry pooled
-// Pairs slices the caller owns; callers done with one may hand it back
-// here so the next scan decode reuses the array. Releasing is optional —
-// a slice that is never returned is simply collected — but a released
-// slice must not be used afterwards.
+// decoded by ReadResponseBuf, and so by Client, carry pooled Pairs
+// slices the caller owns; hybridsload hands each back here so the next
+// scan decode reuses the array and workload E allocates nothing.
+// Releasing is optional — a slice that is never returned is simply
+// collected — but a released slice must not be used afterwards.
 func PutPairs(p []Pair) { pairPool.put(p) }

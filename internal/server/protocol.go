@@ -18,7 +18,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -170,79 +169,44 @@ func AppendStatsResponse(buf []byte, status uint8, text []byte) []byte {
 	return append(buf, text...)
 }
 
-// FlushBeforeBlock writes out bw's buffered requests unless br already
-// holds the next response frame whole: the serve loop's flush rule on the
-// client side, so a closed-loop client writes only when its next read
-// would otherwise wait. It never blocks on br. A frame longer than br's
-// buffer always flushes, which costs no syscall when bw is empty.
-func FlushBeforeBlock(br *bufio.Reader, bw *bufio.Writer) error {
-	if n := br.Buffered(); n >= lenBytes {
-		hdr, _ := br.Peek(lenBytes)
-		if uint64(n-lenBytes) >= uint64(binary.BigEndian.Uint32(hdr)) {
-			return nil
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadResponseBuf is ReadResponseReuse with SCAN pairs from the pool.
+// ReadResponseBuf reads one response frame, decoding the payload by op,
+// the code of the request it answers (responses arrive in request order).
+// scratch (may be nil) holds the frame payload and is returned, grown as
+// needed, for the next call, so scalar responses decode with no
+// allocation. SCAN pairs come from the decode pool: the caller owns them
+// and may release them with PutPairs. STATS text is copied.
 func ReadResponseBuf(r io.Reader, op uint8, scratch []byte) (Response, []byte, error) {
-	resp, scratch, _, err := ReadResponseReuse(r, op, scratch, nil)
-	return resp, scratch, err
-}
-
-// ReadResponseReuse reads one response frame, decoding the payload by the
-// op of the request it answers (responses arrive strictly in request
-// order, so pipelining clients replay their sent ops FIFO). scratch (may
-// be nil) holds the frame payload during decoding and is returned, grown
-// as needed, for the next call, so scalar responses decode with no
-// allocation. SCAN pairs land in pairs when it is non-nil (grown as
-// needed and returned for the next call), so a load generator replaying a
-// scan-heavy stream through one buffer decodes with zero steady-state
-// allocations; with pairs nil they come from the decode pool, and the
-// caller owns them and may release them with PutPairs. STATS text is
-// copied into a fresh slice.
-func ReadResponseReuse(r io.Reader, op uint8, scratch []byte, pairs []Pair) (Response, []byte, []Pair, error) {
 	if cap(scratch) < lenBytes {
 		scratch = make([]byte, 0, 512)
 	}
 	hdr := scratch[:lenBytes]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Response{}, scratch, pairs, err
+		return Response{}, scratch, err
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	if n < 1 || n > maxRespFrame {
-		return Response{}, scratch, pairs, fmt.Errorf("server: response frame length %d out of range", n)
+		return Response{}, scratch, fmt.Errorf("server: response frame length %d out of range", n)
 	}
 	if uint32(cap(scratch)) < n {
 		scratch = make([]byte, 0, n)
 	}
 	body := scratch[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return Response{}, scratch, pairs, err
+		return Response{}, scratch, err
 	}
 	resp := Response{Status: body[0]}
 	body = body[1:]
 	switch op {
 	case OpScan:
 		if len(body) < 4 {
-			return Response{}, scratch, pairs, fmt.Errorf("server: scan response truncated (%d bytes)", len(body))
+			return Response{}, scratch, fmt.Errorf("server: scan response truncated (%d bytes)", len(body))
 		}
 		count := binary.BigEndian.Uint32(body)
 		body = body[4:]
 		if uint64(len(body)) != uint64(count)*16 {
-			return Response{}, scratch, pairs, fmt.Errorf("server: scan response %d pairs but %d payload bytes", count, len(body))
+			return Response{}, scratch, fmt.Errorf("server: scan response %d pairs but %d payload bytes", count, len(body))
 		}
-		var out []Pair
-		switch {
-		case pairs != nil && cap(pairs) >= int(count):
-			out = pairs[:count]
-		case pairs != nil:
-			pairs = make([]Pair, count)
-			out = pairs
-		default:
-			out = pairPool.get(int(count))[:count]
-		}
+		out := pairPool.get(int(count))[:count]
 		for i := range out {
 			out[i].Key = binary.BigEndian.Uint64(body[16*i:])
 			out[i].Value = binary.BigEndian.Uint64(body[16*i+8:])
@@ -252,9 +216,9 @@ func ReadResponseReuse(r io.Reader, op uint8, scratch []byte, pairs []Pair) (Res
 		resp.Stats = append([]byte(nil), body...)
 	default:
 		if len(body) != 8 {
-			return Response{}, scratch, pairs, fmt.Errorf("server: scalar response body %d bytes, want 8", len(body))
+			return Response{}, scratch, fmt.Errorf("server: scalar response body %d bytes, want 8", len(body))
 		}
 		resp.Value = binary.BigEndian.Uint64(body)
 	}
-	return resp, scratch, pairs, nil
+	return resp, scratch, nil
 }

@@ -16,7 +16,7 @@ func readRequest(r io.Reader) (Request, error) {
 // readResponse decodes one response frame with no scratch to reuse and
 // SCAN pairs from the pool.
 func readResponse(r io.Reader, op uint8) (Response, error) {
-	resp, _, _, err := ReadResponseReuse(r, op, nil, nil)
+	resp, _, err := ReadResponseBuf(r, op, nil)
 	return resp, err
 }
 
