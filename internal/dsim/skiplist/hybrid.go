@@ -22,6 +22,11 @@ import (
 // were logically deleted by operations it served earlier and asks the host
 // to retry (§3.2).
 //
+// With NMPLevels == Levels every level is NMP-side and the host portion
+// is empty: that far end of the split is the NMP-based flat-combining
+// skiplist of prior work [16, 44], whose host threads offload whole
+// operations that start at the partition sentinel.
+//
 // One deliberate deviation from Listings 1-2: host-managed nodes carry no
 // authoritative value, so reads and updates always complete NMP-side. The
 // paper lets reads complete host-side and patches host copies on update
@@ -59,8 +64,8 @@ type HybridConfig struct {
 
 // NewHybrid creates the structure; call Start to spawn the NMP combiners.
 func NewHybrid(m *machine.Machine, cfg HybridConfig) *Hybrid {
-	if cfg.NMPLevels < 1 || cfg.NMPLevels >= cfg.Levels {
-		panic("skiplist: split must partition the structure")
+	if cfg.NMPLevels < 1 || cfg.NMPLevels > cfg.Levels {
+		panic("skiplist: split needs 1..Levels NMP levels")
 	}
 	s := &Hybrid{
 		m:         m,
@@ -73,8 +78,12 @@ func NewHybrid(m *machine.Machine, cfg HybridConfig) *Hybrid {
 	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
 		s.lists = append(s.lists, newSeqList(m.Mem.RAM, m.Mem.NMPAlloc[p], cfg.NMPLevels))
 	}
+	offset := uint64(211)
+	if cfg.NMPLevels == cfg.Levels {
+		offset = 101 // the NMP-based baseline's insert-height streams
+	}
 	for i := 0; i < m.Cfg.Mem.HostCores; i++ {
-		s.rngs = append(s.rngs, prng.New(cfg.Seed^prng.Mix64(uint64(i)+211)))
+		s.rngs = append(s.rngs, prng.New(cfg.Seed^prng.Mix64(uint64(i)+offset)))
 	}
 	return s
 }
@@ -128,11 +137,41 @@ func (s *Hybrid) Build(pairs []KV, seed uint64) {
 	}
 }
 
+// buildPartitioned splits pairs by partition, bulk-loads each partition's
+// list, and reports each created node through onNode (the hybrid build
+// wires host shortcuts there). Heights are drawn from seed
+// deterministically per key.
+func buildPartitioned(m *machine.Machine, part kv.RangePartitioner, lists []*seqList, levels int,
+	pairs []KV, seed uint64, onNode func(p int, pair KV, height int, node uint32)) {
+	uniq := kv.SortedUnique(pairs)
+	rng := prng.New(seed)
+	heights := make([]int, len(uniq))
+	for i := range heights {
+		heights[i] = rng.GeometricHeight(levels)
+	}
+	// Sorted keys make each partition's share one contiguous run.
+	start := 0
+	for p, list := range lists {
+		end := start
+		for end < len(uniq) && part.Part(uniq[end].Key) == p {
+			end++
+		}
+		nodes := list.buildSorted(m.Mem.RAM, uniq[start:end], heights[start:end])
+		for i, n := range nodes {
+			onNode(p, uniq[start+i], heights[start+i], n)
+		}
+		start = end
+	}
+}
+
 // shortcut performs the host-side traversal and derives the operation's
 // begin-NMP-traversal pointer (Listing 1 lines 7, 14-15): the host-level
 // bottom predecessor's NMP counterpart, provided the predecessor falls in
 // the target partition.
 func (s *Hybrid) shortcut(c *machine.Ctx, key uint32, p int) (hostNode, pred, begin uint32) {
+	if s.nmpLevels == s.levels {
+		return 0, s.host.head, 0 // no host levels: searching would read address 0
+	}
 	hostNode, pred = s.host.search(c, key)
 	if pred != s.host.head && s.part.Part(c.Read32(keyAddr(pred))) == p {
 		begin = c.Read32(auxAddr(pred))
@@ -277,12 +316,10 @@ func (s *Hybrid) Dump() []KV {
 // an NMP node with the same key. A host node whose NMP counterpart is
 // logically deleted is a stale shortcut; those are permitted only when
 // marked host-side or not yet cleaned — they are counted, not failed,
-// as long as the authoritative NMP level does not contain the key.
+// as long as the authoritative NMP level does not contain the key. At the
+// all-NMP end only the partitions are checked.
 func (s *Hybrid) CheckInvariants() error {
 	ram := s.m.Mem.RAM
-	if err := s.host.checkInvariants(ram); err != nil {
-		return err
-	}
 	for p, l := range s.lists {
 		if err := l.checkInvariants(ram); err != nil {
 			return err
@@ -293,6 +330,12 @@ func (s *Hybrid) CheckInvariants() error {
 				return errf("partition %d holds out-of-range key %d", p, pair.Key)
 			}
 		}
+	}
+	if s.nmpLevels == s.levels {
+		return nil // a height-0 head has no next[0]: a walk would never reach the tail
+	}
+	if err := s.host.checkInvariants(ram); err != nil {
+		return err
 	}
 	// Cross-boundary: walk live host nodes.
 	n := ref(ram.Load32(nextAddr(s.host.head, 0)))

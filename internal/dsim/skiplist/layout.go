@@ -1,15 +1,16 @@
-// Package skiplist implements the three skiplist variants evaluated in the
-// HybriDS paper, all running on the simulated NMP machine:
+// Package skiplist implements the skiplists evaluated in the HybriDS
+// paper, all running on the simulated NMP machine:
 //
 //   - LockFree: the state-of-the-art lock-free skiplist [Fraser 04;
 //     Herlihy-Lev-Shavit 07] executed entirely by host cores (the paper's
 //     non-NMP reference).
-//   - NMPFC: the NMP-based flat-combining skiplist of prior work [16, 44]:
-//     the whole structure lives in NMP partitions and host threads offload
-//     entire operations.
 //   - Hybrid: the paper's contribution (§3.3): lock-free host-managed
 //     upper levels acting as traversal shortcuts over per-partition
 //     NMP-managed lower levels, with blocking and non-blocking NMP calls.
+//     Its far end, every level NMP-side (NMPLevels == Levels), is the
+//     NMP-based flat-combining skiplist of prior work [16, 44]: the whole
+//     structure lives in NMP partitions and host threads offload entire
+//     operations.
 package skiplist
 
 import (

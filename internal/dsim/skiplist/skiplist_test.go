@@ -9,6 +9,7 @@ import (
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
+	"hybrids/internal/sim/memsys"
 )
 
 const (
@@ -153,7 +154,8 @@ func buildStore(t *testing.T, name string, m *machine.Machine, pairs []KV) testS
 		s.Build(pairs, 99)
 		return s
 	case "nmpfc":
-		s := NewNMPFC(m, NMPFCConfig{Levels: testLevels, KeyMax: testKeyMax, Seed: 7})
+		// The NMP-based baseline: the hybrid with every level NMP-side.
+		s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
 		s.Build(pairs, 99)
 		s.Start()
 		return s
@@ -349,6 +351,13 @@ func TestConcurrentOverlappingKeysInvariants(t *testing.T) {
 	}
 }
 
+// asyncSplits are the splits the non-blocking tests run: the test split,
+// and the far end with every level NMP-side (the NMP-based baseline).
+var asyncSplits = []struct {
+	name      string
+	nmpLevels int
+}{{"hybrid", testNMPLevels}, {"nmpfc", testLevels}}
+
 func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 	pairs := initialPairs(testN)
 	// Ops touch distinct keys so in-window reordering cannot change
@@ -390,52 +399,63 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 			wantSucceeded++
 		}
 	}
-	m := testMachine()
-	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
-	s.Build(pairs, 99)
-	s.Start()
-	got := 0
-	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
-		got = s.ApplyBatch(c, 0, ops)
-	})
-	m.Run()
-	if got != wantSucceeded {
-		t.Fatalf("ApplyBatch succeeded=%d, want %d", got, wantSucceeded)
-	}
-	if !kvsEqual(s.Dump(), o.dump()) {
-		t.Fatal("async batch final contents diverge from oracle")
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, split := range asyncSplits {
+		t.Run(split.name, func(t *testing.T) {
+			m := testMachine()
+			s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: split.nmpLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
+			s.Build(pairs, 99)
+			s.Start()
+			got := 0
+			m.SpawnHost(0, "driver", func(c *machine.Ctx) {
+				got = s.ApplyBatch(c, 0, ops)
+			})
+			m.Run()
+			if got != wantSucceeded {
+				t.Fatalf("ApplyBatch succeeded=%d, want %d", got, wantSucceeded)
+			}
+			if !kvsEqual(s.Dump(), o.dump()) {
+				t.Fatal("async batch final contents diverge from oracle")
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 func TestHybridAsyncConcurrentThreads(t *testing.T) {
 	pairs := initialPairs(testN)
-	m := testMachine()
-	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
-	s.Build(pairs, 99)
-	s.Start()
-	const threads = 8
-	for th := 0; th < threads; th++ {
-		th := th
-		var mine []KV
-		for i, p := range pairs {
-			if i%threads == th {
-				mine = append(mine, p)
+	for _, split := range asyncSplits {
+		t.Run(split.name, func(t *testing.T) {
+			m := testMachine()
+			s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: split.nmpLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
+			s.Build(pairs, 99)
+			s.Start()
+			const threads = 8
+			for th := 0; th < threads; th++ {
+				th := th
+				var mine []KV
+				for i, p := range pairs {
+					if i%threads == th {
+						mine = append(mine, p)
+					}
+				}
+				ops := mixedOps(uint64(300+th), 300, mine, freshBlock(th))
+				m.SpawnHost(th, fmt.Sprintf("driver%d", th), func(c *machine.Ctx) {
+					s.ApplyBatch(c, th, ops)
+				})
 			}
-		}
-		ops := mixedOps(uint64(300+th), 300, mine, freshBlock(th))
-		m.SpawnHost(th, fmt.Sprintf("driver%d", th), func(c *machine.Ctx) {
-			s.ApplyBatch(c, th, ops)
+			m.Run()
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			// Only a split with host levels has shortcuts to go stale.
+			if split.nmpLevels < testLevels {
+				if n := staleShortcuts(s); n > len(pairs)/10 {
+					t.Fatalf("excessive stale shortcuts: %d", n)
+				}
+			}
 		})
-	}
-	m.Run()
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if n := staleShortcuts(s); n > len(pairs)/10 {
-		t.Fatalf("excessive stale shortcuts: %d", n)
 	}
 }
 
@@ -503,6 +523,67 @@ func TestHybridDelaysPopulated(t *testing.T) {
 	}
 	if d.Service == 0 || d.PostToScan == 0 || d.CompleteToObserve == 0 {
 		t.Fatalf("delay decomposition empty: %+v", d)
+	}
+}
+
+// TestAllNMPEndStaysNMPSide: with every level NMP-side the hybrid is the
+// NMP-based baseline, so every operation is one whole-operation offload
+// that starts at the partition sentinel. No host DRAM is read, nothing
+// retries and nothing completes host-side; the result is the sequential
+// oracle's.
+func TestAllNMPEndStaysNMPSide(t *testing.T) {
+	const threads, perThread = 4, 200
+	pairs := initialPairs(testN)
+	m := testMachine()
+	s := buildStore(t, "nmpfc", m, pairs)
+	o := oracle{}
+	for _, p := range pairs {
+		o[p.Key] = p.Value
+	}
+	for th := 0; th < threads; th++ {
+		th := th
+		// Threads own disjoint keys, so the oracle applied thread by
+		// thread predicts the final state of any interleaving.
+		rng := prng.New(uint64(500 + th))
+		fresh := freshBlock(th)
+		ops := make([]kv.Op, perThread)
+		for i := range ops {
+			existing := pairs[(rng.Intn(testN/threads))*threads+th].Key
+			switch i % 4 {
+			case 0, 1:
+				ops[i] = kv.Op{Kind: kv.Read, Key: existing}
+			case 2:
+				fresh += uint32(rng.Intn(64) + 1)
+				ops[i] = kv.Op{Kind: kv.Insert, Key: fresh, Value: rng.Uint32()}
+			default:
+				ops[i] = kv.Op{Kind: kv.Remove, Key: existing}
+			}
+			o.apply(ops[i])
+		}
+		m.SpawnHost(th, fmt.Sprintf("driver%d", th), func(c *machine.Ctx) {
+			for _, op := range ops {
+				s.Apply(c, th, op)
+			}
+		})
+	}
+	before := m.Metrics.Snapshot()
+	m.Run()
+	delta := m.Metrics.Snapshot().Sub(before)
+	for name, want := range map[string]uint64{
+		memsys.MetricHostDRAMReads: 0,
+		"offload/retries":          0,
+		"offload/local":            0,
+		"offload/posted":           threads * perThread,
+	} {
+		if got := delta.Get(name); got != want {
+			t.Errorf("%s = %d over the ops phase, want %d", name, got, want)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !kvsEqual(s.Dump(), o.dump()) {
+		t.Fatal("final contents diverge from the sequential oracle")
 	}
 }
 

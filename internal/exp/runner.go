@@ -200,16 +200,13 @@ func skiplistLockFree(sc Scale) *variant {
 	}}
 }
 
+// skiplistNMPBased is prior work's NMP-based flat-combining skiplist
+// [16, 44]: the hybrid skiplist's far end, with every level NMP-side.
 func skiplistNMPBased(sc Scale) *variant {
-	key := buildKey{"NMP-based", store.SimParams{SkiplistLevels: sc.SkiplistLevels, KeyMax: sc.KeyMax, Seed: sc.Seed}}
-	return &variant{name: "NMP-based", build: key, open: func(m *machine.Machine) instance {
-		s := skiplist.NewNMPFC(m, skiplist.NMPFCConfig{Levels: sc.SkiplistLevels, KeyMax: sc.KeyMax, Seed: sc.Seed})
-		return instance{
-			build:  func(load []ycsb.Pair) { s.Build(load, sc.Seed+1) },
-			start:  s.Start,
-			Runner: Runner{Store: s},
-		}
-	}}
+	sc.SkiplistNMPLevels = sc.SkiplistLevels
+	v := engineHybrid("skiplist", sc, 1, false)
+	v.name = "NMP-based"
+	return v
 }
 
 // engineHybrid builds the named registered engine's simulated hybrid as a

@@ -265,14 +265,18 @@ func TestEngineSimWindowEquivalence(t *testing.T) {
 }
 
 // TestSimHybridRejectsBadSplit: every engine's simulated hybrid refuses a
-// split with no NMP level, and every engine with a fixed level count
-// refuses one that leaves no host level. The B+ tree derives its height
-// from fan-out, so it has no host floor to refuse.
+// split with no NMP level. The skiplist's far end, every level NMP-side,
+// is the NMP-based baseline, so it accepts NMPLevels == Levels and refuses
+// one level more. The B-skiplist refuses a split that leaves no host
+// level. The B+ tree derives its height from fan-out, so it has no host
+// floor to refuse.
 func TestSimHybridRejectsBadSplit(t *testing.T) {
 	noNMP := confParams(1)
 	noNMP.SkiplistNMPLevels, noNMP.BTreeNMPLevels, noNMP.BSkiplistNMPLevels = 0, 0, 0
-	noHost := confParams(1)
-	noHost.SkiplistNMPLevels, noHost.BSkiplistNMPLevels = noHost.SkiplistLevels, noHost.BSkiplistLevels
+	allNMP := confParams(1)
+	allNMP.SkiplistNMPLevels, allNMP.BSkiplistNMPLevels = allNMP.SkiplistLevels, allNMP.BSkiplistLevels
+	pastAll := confParams(1)
+	pastAll.SkiplistNMPLevels = pastAll.SkiplistLevels + 1
 	for _, e := range Engines() {
 		refuses := func(p SimParams) (panicked bool) {
 			defer func() { panicked = recover() != nil }()
@@ -282,8 +286,18 @@ func TestSimHybridRejectsBadSplit(t *testing.T) {
 		if !refuses(noNMP) {
 			t.Errorf("%s: built a hybrid with no NMP level", e.Name)
 		}
-		if e.Name != "btree" && !refuses(noHost) {
-			t.Errorf("%s: built a hybrid with no host level", e.Name)
+		switch e.Name {
+		case "skiplist":
+			if refuses(allNMP) {
+				t.Errorf("skiplist: refused the all-NMP end (the NMP-based baseline)")
+			}
+			if !refuses(pastAll) {
+				t.Errorf("skiplist: built a hybrid with more NMP levels than levels")
+			}
+		case "bskiplist":
+			if !refuses(allNMP) {
+				t.Errorf("bskiplist: built a hybrid with no host level")
+			}
 		}
 		if refuses(confParams(1)) {
 			t.Errorf("%s: refused the conformance split", e.Name)
