@@ -83,6 +83,9 @@ func main() {
 	case *maxConns < 0 || *slowOp < 0:
 		fmt.Fprintf(os.Stderr, "-maxconns and -slow-op must not be negative (got %d, %v)\n", *maxConns, *slowOp)
 		os.Exit(2)
+	case *writeTimeout == 0:
+		fmt.Fprintln(os.Stderr, "-write-timeout must not be 0 (a negative value disables write deadlines)")
+		os.Exit(2)
 	}
 	if *adminAddr != "" && *adminToken == "" && !loopbackAddr(*adminAddr) {
 		fmt.Fprintf(os.Stderr, "refusing non-localhost -admin-addr %q without -admin-token (the mutating admin endpoints would be open; set a token or bind to localhost)\n",

@@ -12,7 +12,6 @@ import (
 const (
 	testLevels    = 5
 	testNMPLevels = 2
-	testFill      = 8
 	testKeyMax    = 1 << 20
 	testN         = 2000
 )
@@ -21,14 +20,14 @@ func testMachine() *machine.Machine {
 	cfg := machine.Default()
 	cfg.Mem.HostMemSize = 32 << 20
 	cfg.Mem.NMPMemSize = 32 << 20
-	cfg.Mem.L2.Size = 128 << 10
-	cfg.Mem.L1.Size = 8 << 10
+	cfg.Mem.L2Size = 128 << 10
+	cfg.Mem.L1Size = 8 << 10
 	return machine.New(cfg)
 }
 
 func buildHybrid(m *machine.Machine, pairs []KV, window int) *Hybrid {
 	s := NewHybrid(m, Config{
-		Levels: testLevels, NMPLevels: testNMPLevels, Fill: testFill,
+		Levels: testLevels, NMPLevels: testNMPLevels,
 		KeyMax: testKeyMax, Window: window,
 	})
 	s.Build(pairs)

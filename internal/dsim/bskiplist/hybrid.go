@@ -27,7 +27,6 @@ type Hybrid struct {
 	hostHeads [][]uint32 // hostHeads[p][j]: router head of host level j
 
 	nmpLevels int
-	fill      int
 }
 
 // Config parameterizes the hybrid B-skiplist.
@@ -38,9 +37,6 @@ type Config struct {
 	// to fit the LLC.
 	Levels    int
 	NMPLevels int
-	// Fill is the bulk-load entry count per fat node (of EntryMax
-	// slots); the slack absorbs post-build inserts.
-	Fill int
 	// KeyMax bounds the key space for range partitioning.
 	KeyMax uint32
 	// Window is the number of in-flight NMP calls per host thread used
@@ -53,15 +49,11 @@ func NewHybrid(m *machine.Machine, cfg Config) *Hybrid {
 	if cfg.NMPLevels < 1 || cfg.NMPLevels >= cfg.Levels {
 		panic("bskiplist: split must partition the structure")
 	}
-	if cfg.Fill < 2 || cfg.Fill > EntryMax {
-		panic("bskiplist: build fill must be in [2, EntryMax]")
-	}
 	t := &Hybrid{
 		m:         m,
 		part:      kv.RangePartitioner{KeyMax: cfg.KeyMax, Parts: m.Cfg.Mem.NMPVaults},
 		rt:        offload.New(m, cfg.Window),
 		nmpLevels: cfg.NMPLevels,
-		fill:      cfg.Fill,
 	}
 	// Each partition's empty NMP levels, then its host router heads: one
 	// single-entry fat node per host level, chained down to the NMP
@@ -85,7 +77,7 @@ func NewHybrid(m *machine.Machine, cfg Config) *Hybrid {
 }
 
 // Build bulk-loads pairs (untimed): each partition's NMP levels are
-// packed Fill entries per node, then the host router levels are packed
+// packed buildFill entries per node, then the host router levels are packed
 // over the NMP portion's top-level nodes.
 func (t *Hybrid) Build(pairs []KV) {
 	uniq := kv.SortedUnique(pairs)
@@ -96,9 +88,9 @@ func (t *Hybrid) Build(pairs []KV) {
 		for end < len(uniq) && t.part.Part(uniq[end].Key) == p {
 			end++
 		}
-		level := t.lists[p].buildSorted(ram, uniq[start:end], t.fill)
+		level := t.lists[p].buildSorted(ram, uniq[start:end])
 		for _, head := range t.hostHeads[p] {
-			level = packLevel(ram, t.m.Mem.HostAlloc, head, level, t.fill)
+			level = packLevel(ram, t.m.Mem.HostAlloc, head, level)
 		}
 		start = end
 	}

@@ -192,15 +192,19 @@ type nodeInfo struct {
 	lo   uint32
 }
 
+// buildFill is the bulk-load entry count per fat node (of EntryMax slots);
+// the slack absorbs post-build inserts.
+const buildFill = 8
+
 // packLevel builds one level's chain (untimed) over children entries,
-// `fill` per node, appending the new nodes after head. Children is the
+// buildFill per node, appending the new nodes after head. Children is the
 // (lo, addr) list excluding the level-below head, which the head's
 // sentinel entry already anchors.
-func packLevel(ram *memsys.RAM, al *memsys.Allocator, head uint32, children []nodeInfo, fill int) []nodeInfo {
+func packLevel(ram *memsys.RAM, al *memsys.Allocator, head uint32, children []nodeInfo) []nodeInfo {
 	var out []nodeInfo
 	tail := head
-	for lo := 0; lo < len(children); lo += fill {
-		hi := lo + fill
+	for lo := 0; lo < len(children); lo += buildFill {
+		hi := lo + buildFill
 		if hi > len(children) {
 			hi = len(children)
 		}
@@ -216,14 +220,14 @@ func packLevel(ram *memsys.RAM, al *memsys.Allocator, head uint32, children []no
 	return out
 }
 
-// buildSorted bulk-loads sorted unique pairs (untimed), `fill` entries
+// buildSorted bulk-loads sorted unique pairs (untimed), buildFill entries
 // per fat node, and returns the portion's top-level non-head nodes — the
 // children of the host router's boundary level.
-func (s *seqBList) buildSorted(ram *memsys.RAM, pairs []KV, fill int) []nodeInfo {
+func (s *seqBList) buildSorted(ram *memsys.RAM, pairs []KV) []nodeInfo {
 	var level []nodeInfo
 	tail := s.heads[0]
-	for lo := 0; lo < len(pairs); lo += fill {
-		hi := lo + fill
+	for lo := 0; lo < len(pairs); lo += buildFill {
+		hi := lo + buildFill
 		if hi > len(pairs) {
 			hi = len(pairs)
 		}
@@ -237,7 +241,7 @@ func (s *seqBList) buildSorted(ram *memsys.RAM, pairs []KV, fill int) []nodeInfo
 		level = append(level, nodeInfo{addr: n, lo: pairs[lo].Key})
 	}
 	for l := 1; l < s.levels; l++ {
-		level = packLevel(ram, s.alloc, s.heads[l], level, fill)
+		level = packLevel(ram, s.alloc, s.heads[l], level)
 	}
 	return level
 }

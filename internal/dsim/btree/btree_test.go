@@ -14,15 +14,14 @@ const (
 	testKeyMax    = 1 << 24
 	testN         = 3000
 	testNMPLevels = 2
-	testFill      = 8
 )
 
 func testMachine() *machine.Machine {
 	cfg := machine.Default()
 	cfg.Mem.HostMemSize = 32 << 20
 	cfg.Mem.NMPMemSize = 32 << 20
-	cfg.Mem.L2.Size = 128 << 10
-	cfg.Mem.L1.Size = 8 << 10
+	cfg.Mem.L2Size = 128 << 10
+	cfg.Mem.L1Size = 8 << 10
 	return machine.New(cfg)
 }
 
@@ -129,10 +128,10 @@ func buildStore(t *testing.T, name string, m *machine.Machine, pairs []KV) testS
 	switch name {
 	case "hostonly":
 		s := NewHostOnly(m)
-		s.Build(pairs, testFill)
+		s.Build(pairs)
 		return s
 	case "hybrid":
-		s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
+		s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: 1})
 		s.Build(pairs)
 		s.Start()
 		return s
@@ -145,7 +144,7 @@ func buildStore(t *testing.T, name string, m *machine.Machine, pairs []KV) testS
 var variants = []string{"hostonly", "hybrid"}
 
 func TestLevelCounts(t *testing.T) {
-	counts := levelCounts(100, 8)
+	counts := levelCounts(100)
 	// 100 keys -> 13 leaves -> 2 inner -> 1 root.
 	want := []int{13, 2, 1}
 	if len(counts) != len(want) {
@@ -156,7 +155,7 @@ func TestLevelCounts(t *testing.T) {
 			t.Fatalf("counts = %v, want %v", counts, want)
 		}
 	}
-	if got := levelCounts(0, 8); len(got) != 1 || got[0] != 1 {
+	if got := levelCounts(0); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("empty tree counts = %v", got)
 	}
 }
@@ -257,7 +256,7 @@ func TestRootSplitGrowsTree(t *testing.T) {
 	for i := uint32(1); i <= 16; i++ {
 		pairs = append(pairs, KV{Key: i * 100, Value: i})
 	}
-	s.Build(pairs, 8)
+	s.Build(pairs)
 	_, h0 := s.core.rootInfo(m.Mem.RAM)
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
 		for i := uint32(0); i < 3000; i++ {
@@ -371,7 +370,7 @@ func TestConcurrentTailInsertsExerciseBoundarySplits(t *testing.T) {
 	// LOCK_PATH conversations racing with each other.
 	pairs := initialPairs(500)
 	m := testMachine()
-	s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
+	s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: 1})
 	s.Build(pairs)
 	s.Start()
 	o := oracle{}
@@ -442,7 +441,7 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 		}
 	}
 	m := testMachine()
-	s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 4})
+	s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: 4})
 	s.Build(pairs)
 	s.Start()
 	got := 0
@@ -464,7 +463,7 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 func TestHybridAsyncConcurrentWithSplits(t *testing.T) {
 	pairs := initialPairs(800)
 	m := testMachine()
-	s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 4})
+	s := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: 4})
 	s.Build(pairs)
 	s.Start()
 	const threads = 8
@@ -522,7 +521,7 @@ func TestEmptyLeafToleratedByReads(t *testing.T) {
 	for i := uint32(1); i <= 40; i++ {
 		pairs = append(pairs, KV{Key: i, Value: i})
 	}
-	s.Build(pairs, 8)
+	s.Build(pairs)
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
 		// Empty one leaf entirely, then read through the hole.
 		for i := uint32(1); i <= 8; i++ {

@@ -13,40 +13,40 @@ type buildHooks struct {
 	childTag func(childLevel, childIdx int) uint32
 }
 
-// levelCounts returns the node count of every level for n records with the
-// given fill, bottom-up, ending with a single root. A tree always has at
-// least one (possibly empty) leaf.
-func levelCounts(n, fill int) []int {
-	counts := []int{(n + fill - 1) / fill}
+// buildFill is the bulk-load entry count per node. The paper inserts in
+// sorted order, yielding ~half-full nodes; 8 of LeafMax's 14 mirrors that.
+const buildFill = 8
+
+// levelCounts returns the node count of every level for n records at
+// buildFill entries per node, bottom-up, ending with a single root. A tree
+// always has at least one (possibly empty) leaf.
+func levelCounts(n int) []int {
+	counts := []int{(n + buildFill - 1) / buildFill}
 	if counts[0] == 0 {
 		counts[0] = 1
 	}
 	for counts[len(counts)-1] > 1 {
 		c := counts[len(counts)-1]
-		counts = append(counts, (c+fill-1)/fill)
+		counts = append(counts, (c+buildFill-1)/buildFill)
 	}
 	return counts
 }
 
 // bulkBuild constructs a B+ tree from uniq — sorted, duplicate-free pairs
-// (kv.SortedUnique) — with `fill` entries per node, writing nodes untimed
-// through hooks. It returns the root node and tree height (number of
-// levels).
-func bulkBuild(ram *memsys.RAM, uniq []KV, fill int, hooks buildHooks) (root uint32, height int) {
-	if fill < 2 || fill > LeafMax {
-		panic("btree: build fill must be in [2, LeafMax]")
-	}
-
+// (kv.SortedUnique) — with buildFill entries per node, writing nodes
+// untimed through hooks. It returns the root node and tree height (number
+// of levels).
+func bulkBuild(ram *memsys.RAM, uniq []KV, hooks buildHooks) (root uint32, height int) {
 	// Leaves.
 	type nodeInfo struct {
 		addr    uint32
 		lastKey uint32
 	}
-	counts := levelCounts(len(uniq), fill)
+	counts := levelCounts(len(uniq))
 	level := make([]nodeInfo, counts[0])
 	for i := range level {
-		lo := i * fill
-		hi := min(lo+fill, len(uniq))
+		lo := i * buildFill
+		hi := min(lo+buildFill, len(uniq))
 		n := buildNode(ram, hooks.allocFor(0, i), 0, hi-lo)
 		last := uint32(0)
 		for j := lo; j < hi; j++ {
@@ -61,8 +61,8 @@ func bulkBuild(ram *memsys.RAM, uniq []KV, fill int, hooks buildHooks) (root uin
 	for lv := 1; lv < len(counts); lv++ {
 		next := make([]nodeInfo, counts[lv])
 		for i := range next {
-			lo := i * fill
-			hi := min(lo+fill, len(level))
+			lo := i * buildFill
+			hi := min(lo+buildFill, len(level))
 			n := buildNode(ram, hooks.allocFor(lv, i), lv, hi-lo)
 			for j := lo; j < hi; j++ {
 				ptr := level[j].addr | hooks.childTag(lv-1, j)
@@ -94,8 +94,8 @@ func hostOnlyHooks(alloc *memsys.Allocator) buildHooks {
 // boundaries "chosen based on the root's grandchildren", generalized to
 // the NMP subtree roots).
 func hybridHooks(hostAlloc *memsys.Allocator, partAllocs []*memsys.Allocator,
-	nmpLevels, fill, nRecords int) buildHooks {
-	counts := levelCounts(nRecords, fill)
+	nmpLevels, nRecords int) buildHooks {
+	counts := levelCounts(nRecords)
 	if len(counts) <= nmpLevels {
 		panic("btree: tree not taller than NMP portion; lower NMPLevels or add records")
 	}
@@ -110,10 +110,10 @@ func hybridHooks(hostAlloc *memsys.Allocator, partAllocs []*memsys.Allocator,
 		return p
 	}
 	// subtreeOf lifts a node index at any NMP level to its subtree root
-	// index: each level groups children in consecutive chunks of fill.
+	// index: each level groups children in consecutive chunks of buildFill.
 	subtreeOf := func(level, idx int) int {
 		for l := level; l < nmpLevels-1; l++ {
-			idx /= fill
+			idx /= buildFill
 		}
 		return idx
 	}

@@ -37,7 +37,7 @@ func boundaryTarget(m *machine.Machine, h *Hybrid, key uint32) (begin, parent ui
 func TestHybridParentSeqnumAheadForcesRetryThenSucceeds(t *testing.T) {
 	pairs := initialPairs(2000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: 1})
 	h.Build(pairs)
 	h.Start()
 
@@ -67,7 +67,7 @@ func TestHybridParentSeqnumAheadForcesRetryThenSucceeds(t *testing.T) {
 func TestHybridSiblingSplitRefreshesRecordedParentSeqnum(t *testing.T) {
 	pairs := initialPairs(2000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: 1})
 	h.Build(pairs)
 	h.Start()
 
@@ -95,7 +95,7 @@ func TestHybridSiblingSplitRefreshesRecordedParentSeqnum(t *testing.T) {
 func TestHybridRemoveRetriesWhileLeafLocked(t *testing.T) {
 	pairs := initialPairs(2000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: 1})
 	h.Build(pairs)
 	h.Start()
 
@@ -138,7 +138,7 @@ func TestHybridRemoveRetriesWhileLeafLocked(t *testing.T) {
 func TestHybridBoundaryPointerTagsMatchPartitions(t *testing.T) {
 	pairs := initialPairs(3000)
 	m := testMachine()
-	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Fill: testFill, Window: 1})
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: 1})
 	h.Build(pairs)
 	ram := m.Mem.RAM
 	root, height := h.host.rootInfo(ram)

@@ -19,11 +19,9 @@ func NewHostOnly(m *machine.Machine) *HostOnly {
 	return &HostOnly{m: m, core: newHostCore(m, 0)}
 }
 
-// Build bulk-loads pairs with the given per-node fill (the paper inserts
-// in sorted order, yielding ~half-full nodes; fill 8 of 14/15 mirrors
-// that).
-func (t *HostOnly) Build(pairs []KV, fill int) {
-	root, height := bulkBuild(t.m.Mem.RAM, kv.SortedUnique(pairs), fill, hostOnlyHooks(t.m.Mem.HostAlloc))
+// Build bulk-loads pairs, buildFill entries per node.
+func (t *HostOnly) Build(pairs []KV) {
+	root, height := bulkBuild(t.m.Mem.RAM, kv.SortedUnique(pairs), hostOnlyHooks(t.m.Mem.HostAlloc))
 	t.core.setRoot(root, height)
 }
 

@@ -19,7 +19,6 @@ type Hybrid struct {
 	rt    *offload.Runtime
 
 	nmpLevels int // bottom tree levels NMP-side
-	fill      int // bulk-load entries per node
 }
 
 // HybridBTreeConfig parameterizes the hybrid B+ tree.
@@ -28,8 +27,6 @@ type HybridBTreeConfig struct {
 	// host-managed remainder is sized to fit the LLC. The tree's total
 	// height follows from fan-out, so only the NMP side is sized here.
 	NMPLevels int
-	// Fill is the bulk-load entry count per node.
-	Fill int
 	// Window is the in-flight NMP call budget per host thread for
 	// ApplyBatch (1 = blocking behaviour).
 	Window int
@@ -44,7 +41,6 @@ func NewHybrid(m *machine.Machine, cfg HybridBTreeConfig) *Hybrid {
 		m:         m,
 		rt:        offload.New(m, cfg.Window),
 		nmpLevels: cfg.NMPLevels,
-		fill:      cfg.Fill,
 	}
 	t.host = newHostCore(m, cfg.NMPLevels)
 	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
@@ -60,8 +56,8 @@ func NewHybrid(m *machine.Machine, cfg HybridBTreeConfig) *Hybrid {
 // machine is fully described by its memsys.Image.
 func (t *Hybrid) Build(pairs []KV) {
 	uniq := kv.SortedUnique(pairs)
-	hooks := hybridHooks(t.m.Mem.HostAlloc, t.m.Mem.NMPAlloc, t.nmpLevels, t.fill, len(uniq))
-	root, height := bulkBuild(t.m.Mem.RAM, uniq, t.fill, hooks)
+	hooks := hybridHooks(t.m.Mem.HostAlloc, t.m.Mem.NMPAlloc, t.nmpLevels, len(uniq))
+	root, height := bulkBuild(t.m.Mem.RAM, uniq, hooks)
 	t.host.setRoot(root, height)
 }
 

@@ -215,8 +215,8 @@ func NewPubList(m *machine.Machine, part, slots int) *PubList {
 	if slots > 32 {
 		panic("fc: at most 32 slots per publication list (doorbell word width)")
 	}
-	if need := memsys.Addr(slots*SlotBytes) + 4; need > m.Cfg.Mem.ScratchSize {
-		panic(fmt.Sprintf("fc: %d slots (%d B) exceed scratchpad (%d B)", slots, need, m.Cfg.Mem.ScratchSize))
+	if need := memsys.Addr(slots*SlotBytes) + 4; need > memsys.ScratchSize {
+		panic(fmt.Sprintf("fc: %d slots (%d B) exceed scratchpad (%d B)", slots, need, memsys.ScratchSize))
 	}
 	return &PubList{
 		m:           m,

@@ -5,15 +5,16 @@ import (
 
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/machine"
+	"hybrids/internal/sim/memsys"
 )
 
 func testMachine() *machine.Machine {
 	cfg := machine.Default()
 	cfg.Mem.HostMemSize = 16 << 20
 	cfg.Mem.NMPMemSize = 16 << 20
-	cfg.Mem.L2.Size = 64 << 10
-	cfg.Mem.L1.Size = 8 << 10
-	cfg.Mem.TLB.Entries = 0 // exact-latency tests assume perfect translation
+	cfg.Mem.L2Size = 64 << 10
+	cfg.Mem.L1Size = 8 << 10
+	cfg.Mem.TLBEntries = 0 // exact-latency tests assume perfect translation
 	return machine.New(cfg)
 }
 
@@ -144,7 +145,7 @@ func TestPubListTooLargePanics(t *testing.T) {
 			t.Fatal("oversized publist did not panic")
 		}
 	}()
-	NewPubList(m, 0, int(m.Cfg.Mem.ScratchSize)/SlotBytes+1)
+	NewPubList(m, 0, int(memsys.ScratchSize)/SlotBytes+1)
 }
 
 func TestOpTypeStrings(t *testing.T) {

@@ -21,8 +21,8 @@ func eqMachine() *machine.Machine {
 	cfg := machine.Default()
 	cfg.Mem.HostMemSize = 16 << 20
 	cfg.Mem.NMPMemSize = 16 << 20
-	cfg.Mem.L2.Size = 64 << 10
-	cfg.Mem.L1.Size = 8 << 10
+	cfg.Mem.L2Size = 64 << 10
+	cfg.Mem.L1Size = 8 << 10
 	return machine.New(cfg)
 }
 
@@ -106,7 +106,7 @@ func btreeDump(t *testing.T, window int, async bool) []btree.KV {
 	t.Helper()
 	pairs, streams := eqData()
 	m := eqMachine()
-	s := btree.NewHybrid(m, btree.HybridBTreeConfig{NMPLevels: 2, Fill: 8, Window: window})
+	s := btree.NewHybrid(m, btree.HybridBTreeConfig{NMPLevels: 2, Window: window})
 	btp := make([]btree.KV, len(pairs))
 	for i, p := range pairs {
 		btp[i] = btree.KV{Key: p.k, Value: p.v}

@@ -15,9 +15,9 @@ func testMachine() *machine.Machine {
 	cfg := machine.Default()
 	cfg.Mem.HostMemSize = 16 << 20
 	cfg.Mem.NMPMemSize = 16 << 20
-	cfg.Mem.L2.Size = 64 << 10
-	cfg.Mem.L1.Size = 8 << 10
-	cfg.Mem.TLB.Entries = 0 // exact-latency tests assume perfect translation
+	cfg.Mem.L2Size = 64 << 10
+	cfg.Mem.L1Size = 8 << 10
+	cfg.Mem.TLBEntries = 0 // exact-latency tests assume perfect translation
 	return machine.New(cfg)
 }
 

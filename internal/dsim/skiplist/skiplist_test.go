@@ -23,8 +23,8 @@ func testMachine() *machine.Machine {
 	cfg := machine.Default()
 	cfg.Mem.HostMemSize = 32 << 20
 	cfg.Mem.NMPMemSize = 32 << 20
-	cfg.Mem.L2.Size = 128 << 10
-	cfg.Mem.L1.Size = 8 << 10
+	cfg.Mem.L2Size = 128 << 10
+	cfg.Mem.L1Size = 8 << 10
 	return machine.New(cfg)
 }
 

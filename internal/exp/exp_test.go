@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -33,16 +34,40 @@ func TestRegistryIDsUniqueAndFindable(t *testing.T) {
 	}
 }
 
+// TestTable1ListsConfiguration pins the Table 1 machine: the rows it
+// prints at small scale are the rows EXPERIMENTS.md quotes, and the
+// document still quotes them.
 func TestTable1ListsConfiguration(t *testing.T) {
-	res := runTable1(TinyScale(), nil)
-	if len(res.Rows) < 6 {
-		t.Fatalf("table1 rows = %d", len(res.Rows))
+	want := [][]string{
+		{"host cores", "8 out-of-order-equivalent @ 2GHz, 1 thread/core"},
+		{"L1 dcache", "64KB private, 2-way LRU, 2-cycle, 128B blocks"},
+		{"L2 cache", "1024KB shared, 8-way LRU, 20-cycle, 128B blocks"},
+		{"memory", "1024MB host + 1024MB NMP, 8+8 vaults, 8 banks/vault"},
+		{"DRAM timing", "tRP=28 tRCD=28 tCL=28 tBURST=7 cycles"},
+		{"NMP cores", "8 in-order single-cycle @ 2GHz, one 128B node buffer"},
+		{"scratchpad", "40KB per NMP core (publication lists host-mapped)"},
+		{"offload path", "MMIO write 60 / read 120 / +4 per extra word / host DRAM extra 80 cycles"},
 	}
-	text := res.Format()
-	for _, want := range []string{"L1 dcache", "DRAM timing", "NMP cores", "scratchpad"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("table1 missing %q:\n%s", want, text)
+	if got := runTable1(SmallScale(), nil).Rows; !reflect.DeepEqual(got, want) {
+		t.Fatalf("table1 rows:\n got %q\nwant %q", got, want)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range want {
+		if line := "| " + row[0] + " | " + row[1] + " |"; !strings.Contains(string(doc), line) {
+			t.Errorf("EXPERIMENTS.md does not quote table1 row %q", line)
 		}
+	}
+}
+
+// TestTable2MachineRows checks Table 2's three rows that follow from the
+// machine alone, at small scale, without simulating.
+func TestTable2MachineRows(t *testing.T) {
+	reqWrite, respRead, llcMiss := offloadCosts(SmallScale().Machine.Mem)
+	if reqWrite != 84 || respRead != 128 || llcMiss != 165 {
+		t.Fatalf("request write %d, response read %d, LLC miss %d; want 84, 128, 165", reqWrite, respRead, llcMiss)
 	}
 }
 

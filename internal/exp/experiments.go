@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/sim/memsys"
 	"hybrids/internal/store"
 	"hybrids/internal/ycsb"
 )
@@ -77,13 +78,13 @@ func runTable1(sc Scale, _ io.Writer) Result {
 	mc := sc.Machine.Mem
 	rows := [][]string{
 		{"host cores", fmt.Sprintf("%d out-of-order-equivalent @ 2GHz, 1 thread/core", mc.HostCores)},
-		{"L1 dcache", fmt.Sprintf("%dKB private, %d-way LRU, %d-cycle, %dB blocks", mc.L1.Size>>10, mc.L1.Ways, mc.L1.Latency, mc.L1.BlockSize)},
-		{"L2 cache", fmt.Sprintf("%dKB shared, %d-way LRU, %d-cycle, %dB blocks", mc.L2.Size>>10, mc.L2.Ways, mc.L2.Latency, mc.L2.BlockSize)},
-		{"memory", fmt.Sprintf("%dMB host + %dMB NMP, %d+%d vaults, %d banks/vault", mc.HostMemSize>>20, mc.NMPMemSize>>20, mc.HostVaults, mc.NMPVaults, mc.Vault.Banks)},
-		{"DRAM timing", fmt.Sprintf("tRP=%d tRCD=%d tCL=%d tBURST=%d cycles", mc.Vault.Timing.TRP, mc.Vault.Timing.TRCD, mc.Vault.Timing.TCL, mc.Vault.Timing.TBURST)},
-		{"NMP cores", fmt.Sprintf("%d in-order single-cycle @ 2GHz, one %dB node buffer", mc.NMPVaults, mc.L1.BlockSize)},
-		{"scratchpad", fmt.Sprintf("%dKB per NMP core (publication lists host-mapped)", mc.ScratchSize>>10)},
-		{"offload path", fmt.Sprintf("MMIO write %d / read %d / +%d per extra word / host DRAM extra %d cycles", mc.MMIOWriteLatency, mc.MMIOReadLatency, mc.MMIOWordExtra, mc.HostDRAMExtra)},
+		{"L1 dcache", fmt.Sprintf("%dKB private, %d-way LRU, %d-cycle, %dB blocks", mc.L1Size>>10, memsys.L1Ways, memsys.L1Latency, memsys.BlockSize)},
+		{"L2 cache", fmt.Sprintf("%dKB shared, %d-way LRU, %d-cycle, %dB blocks", mc.L2Size>>10, memsys.L2Ways, memsys.L2Latency, memsys.BlockSize)},
+		{"memory", fmt.Sprintf("%dMB host + %dMB NMP, %d+%d vaults, %d banks/vault", mc.HostMemSize>>20, mc.NMPMemSize>>20, memsys.HostVaults, mc.NMPVaults, memsys.VaultBanks)},
+		{"DRAM timing", fmt.Sprintf("tRP=%d tRCD=%d tCL=%d tBURST=%d cycles", memsys.TRP, memsys.TRCD, memsys.TCL, memsys.TBURST)},
+		{"NMP cores", fmt.Sprintf("%d in-order single-cycle @ 2GHz, one %dB node buffer", mc.NMPVaults, memsys.BlockSize)},
+		{"scratchpad", fmt.Sprintf("%dKB per NMP core (publication lists host-mapped)", memsys.ScratchSize>>10)},
+		{"offload path", fmt.Sprintf("MMIO write %d / read %d / +%d per extra word / host DRAM extra %d cycles", mc.MMIOWriteLatency, mc.MMIOReadLatency, memsys.MMIOWordExtra, memsys.HostDRAMExtra)},
 	}
 	return Result{ID: "table1", Title: "Table 1 (scale: " + sc.Name + ")", Header: []string{"component", "configuration"}, Rows: rows}
 }
@@ -258,12 +259,7 @@ func runTable2(sc Scale, progress io.Writer) Result {
 	cell := runGrid(sc, progress, "table2", []*variant{engineHybrid("btree", sc, 1, false)},
 		threadSweep(sc, ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed), []int{1}))["hybrid-blocking"][0]
 
-	mc := sc.Machine.Mem
-	reqWrite := mc.MMIOWriteLatency + 6*mc.MMIOWordExtra
-	respRead := mc.MMIOReadLatency + 2*mc.MMIOWordExtra
-	llcMiss := mc.L1.Latency + mc.L2.Latency + mc.HostDRAMExtra +
-		mc.Vault.Timing.TRCD + mc.Vault.Timing.TCL + mc.Vault.Timing.TBURST
-
+	reqWrite, respRead, llcMiss := offloadCosts(sc.Machine.Mem)
 	d := cell.Delays
 	rows := [][]string{
 		{"operation request write (host->scratchpad burst)", fmt.Sprint(reqWrite)},
@@ -285,6 +281,16 @@ func runTable2(sc Scale, progress io.Writer) Result {
 				float64(reqWrite+d.CompleteToObserve/max(d.ObserveCount, 1)+respRead)/float64(llcMiss)),
 		},
 	}
+}
+
+// offloadCosts returns Table 2's rows that follow from the machine alone:
+// the request burst (seven words), the response burst (three words) and
+// one host LLC miss to a closed DRAM bank.
+func offloadCosts(mc memsys.Config) (reqWrite, respRead, llcMiss uint64) {
+	reqWrite = mc.MMIOWriteLatency + 6*memsys.MMIOWordExtra
+	respRead = mc.MMIOReadLatency + 2*memsys.MMIOWordExtra
+	llcMiss = memsys.L1Latency + memsys.L2Latency + memsys.HostDRAMExtra + memsys.TRCD + memsys.TCL + memsys.TBURST
+	return reqWrite, respRead, llcMiss
 }
 
 // --- Figures 7-9: sensitivity analysis -----------------------------------

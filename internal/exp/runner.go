@@ -239,11 +239,11 @@ func skiplistVariants(sc Scale) []*variant {
 // B+ tree variants evaluated in §5 (Figure 6, Figure 8).
 
 func btreeHostOnly(sc Scale) *variant {
-	key := buildKey{"host-only", store.SimParams{BTreeFill: sc.BTreeFill}}
+	key := buildKey{"host-only", store.SimParams{}}
 	return &variant{name: "host-only", build: key, open: func(m *machine.Machine) instance {
 		t := btree.NewHostOnly(m)
 		return instance{
-			build:  func(load []ycsb.Pair) { t.Build(load, sc.BTreeFill) },
+			build:  func(load []ycsb.Pair) { t.Build(load) },
 			Runner: Runner{Store: t},
 		}
 	}}

@@ -74,12 +74,10 @@ func SmallScale() Scale {
 			SkiplistLevels:     22,
 			SkiplistNMPLevels:  9, // host top 13 levels ~ 2^13 nodes ~ LLC (paper's split)
 			BTreeRecords:       30_000_000,
-			BTreeFill:          8,
 			BTreeNMPLevels:     3, // host top 6 of 9 levels ~ 1 MB ~ LLC (paper's split)
 			BSkiplistRecords:   1 << 22,
 			BSkiplistLevels:    8, // 2^22 records / fill 8 -> ~8-level hierarchy
 			BSkiplistNMPLevels: 4, // host top 4 levels ~ 1.2k fat nodes ~ 150 KB << LLC
-			BSkiplistFill:      8,
 			KeyMax:             1 << 30,
 			Window:             4,
 			Seed:               42,

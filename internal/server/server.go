@@ -107,7 +107,6 @@ func New(h *core.Hybrid, cfg Config) *Server {
 		WriteTimeout: cfg.WriteTimeout,
 		SlowOp:       cfg.SlowOp,
 	}.normalize()
-	cfg.Window, cfg.MaxConns, cfg.WriteTimeout, cfg.SlowOp = tun.Window, tun.MaxConns, tun.WriteTimeout, tun.SlowOp
 	if cfg.ScanLimit <= 0 {
 		cfg.ScanLimit = 1024
 	}

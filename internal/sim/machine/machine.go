@@ -17,17 +17,11 @@ import (
 // Config parameterizes a simulated machine.
 type Config struct {
 	Mem memsys.Config
-	// HostStep and NMPStep are the per-simple-instruction compute costs
-	// charged by algorithm code between memory operations. Host cores
-	// are wide out-of-order machines that hide most non-memory work;
-	// NMP cores are in-order single-cycle (§2).
-	HostStep uint64
-	NMPStep  uint64
 }
 
 // Default returns the Table 1 machine configuration.
 func Default() Config {
-	return Config{Mem: memsys.DefaultConfig(), HostStep: 1, NMPStep: 1}
+	return Config{Mem: memsys.DefaultConfig()}
 }
 
 // Machine is an assembled simulated system.
@@ -106,8 +100,7 @@ type Ctx struct {
 	M    *Machine
 	A    *engine.Actor
 	kind coreKind
-	core int    // host core index, or NMP partition index
-	step uint64 // cycles per simple instruction: Config.HostStep or NMPStep
+	core int // host core index, or NMP partition index
 
 	// Observability bindings, fixed at spawn: the core's tracer and trace
 	// track (nil / -1 when tracing is off) and the core's attribution
@@ -127,7 +120,7 @@ func (m *Machine) SpawnHost(core int, name string, body func(*Ctx)) *engine.Acto
 	}
 	return m.Eng.Spawn(name, false, func(a *engine.Actor) {
 		body(&Ctx{
-			M: m, A: a, kind: hostCore, core: core, step: m.Cfg.HostStep,
+			M: m, A: a, kind: hostCore, core: core,
 			tr:    m.Mem.Tracer(),
 			track: m.Mem.HostTrack(core),
 			attr:  m.Mem.Attr(core),
@@ -143,7 +136,7 @@ func (m *Machine) SpawnNMP(p int, body func(*Ctx)) *engine.Actor {
 	}
 	return m.Eng.Spawn(fmt.Sprintf("nmp%d", p), true, func(a *engine.Actor) {
 		body(&Ctx{
-			M: m, A: a, kind: nmpCore, core: p, step: m.Cfg.NMPStep,
+			M: m, A: a, kind: nmpCore, core: p,
 			tr:    m.Mem.Tracer(),
 			track: m.Mem.NMPTrack(p),
 		})
@@ -163,8 +156,11 @@ func (c *Ctx) Core() int { return c.core }
 // Now returns the context's current virtual time.
 func (c *Ctx) Now() uint64 { return c.A.Now() }
 
-// Step charges n simple-instruction cycles of compute.
-func (c *Ctx) Step(n uint64) { c.A.Advance(n * c.step) }
+// Step charges n simple instructions of compute, one cycle each, the cost
+// algorithm code pays between memory operations. Host cores are wide
+// out-of-order machines that hide most non-memory work; NMP cores are
+// in-order single-cycle (§2). Either way one instruction is one cycle.
+func (c *Ctx) Step(n uint64) { c.A.Advance(n) }
 
 // OpDone marks one completed data structure operation. With attribution
 // enabled (EnableAttribution), it flushes the calling host core's interval

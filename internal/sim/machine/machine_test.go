@@ -12,9 +12,9 @@ func testConfig() Config {
 	cfg := Default()
 	cfg.Mem.HostMemSize = 16 << 20
 	cfg.Mem.NMPMemSize = 16 << 20
-	cfg.Mem.L2.Size = 64 << 10
-	cfg.Mem.L1.Size = 8 << 10
-	cfg.Mem.TLB.Entries = 0 // exact-latency tests assume perfect translation
+	cfg.Mem.L2Size = 64 << 10
+	cfg.Mem.L1Size = 8 << 10
+	cfg.Mem.TLBEntries = 0 // exact-latency tests assume perfect translation
 	return cfg
 }
 
@@ -153,10 +153,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestStepCosts(t *testing.T) {
-	cfg := testConfig()
-	cfg.HostStep = 1
-	cfg.NMPStep = 1
-	m := New(cfg)
+	m := New(testConfig())
 	var hostT, nmpT uint64
 	m.SpawnHost(0, "h", func(c *Ctx) {
 		t0 := c.Now()
@@ -193,10 +190,10 @@ func TestMMIOBurstLatencyAndData(t *testing.T) {
 	})
 	m.Run()
 	cfg := m.Cfg.Mem
-	if wLat != cfg.MMIOWriteLatency+3*cfg.MMIOWordExtra {
+	if wLat != cfg.MMIOWriteLatency+3*memsys.MMIOWordExtra {
 		t.Fatalf("write burst latency = %d", wLat)
 	}
-	if rLat != cfg.MMIOReadLatency+3*cfg.MMIOWordExtra {
+	if rLat != cfg.MMIOReadLatency+3*memsys.MMIOWordExtra {
 		t.Fatalf("read burst latency = %d", rLat)
 	}
 }

@@ -2,27 +2,6 @@ package memsys
 
 import "fmt"
 
-// CacheConfig describes one cache level.
-type CacheConfig struct {
-	// Size is the total capacity in bytes.
-	Size Addr
-	// Ways is the set associativity.
-	Ways int
-	// BlockSize is the line size in bytes (the paper uses 128 B).
-	BlockSize Addr
-	// Latency is the hit latency in cycles.
-	Latency uint64
-}
-
-func (c CacheConfig) validate(name string) {
-	if c.BlockSize == 0 || c.BlockSize&(c.BlockSize-1) != 0 {
-		panic(fmt.Sprintf("memsys: %s block size %d not a power of two", name, c.BlockSize))
-	}
-	if c.Ways <= 0 || c.Size == 0 || c.Size%(c.BlockSize*Addr(c.Ways)) != 0 {
-		panic(fmt.Sprintf("memsys: %s geometry invalid: size=%d ways=%d block=%d", name, c.Size, c.Ways, c.BlockSize))
-	}
-}
-
 type line struct {
 	tag   uint32 // block number (addr >> blockShift)
 	valid bool
@@ -34,7 +13,6 @@ type line struct {
 // replacement. It tracks which blocks are resident (timing plane only —
 // data lives in RAM).
 type Cache struct {
-	cfg     CacheConfig
 	sets    [][]line
 	setMask uint32
 	stamp   uint64
@@ -48,23 +26,23 @@ type Cache struct {
 	mru *line
 }
 
-// NewCache builds a cache from cfg.
-func NewCache(name string, cfg CacheConfig) *Cache {
-	cfg.validate(name)
-	nsets := uint32(cfg.Size / (cfg.BlockSize * Addr(cfg.Ways)))
+// NewCache builds a cache of size bytes in blocks of blockSize bytes with
+// the given associativity. The set count must be a power of two.
+func NewCache(name string, size Addr, ways int, blockSize Addr) *Cache {
+	if ways <= 0 || size == 0 || size%(blockSize*Addr(ways)) != 0 {
+		panic(fmt.Sprintf("memsys: %s geometry invalid: size=%d ways=%d block=%d", name, size, ways, blockSize))
+	}
+	nsets := uint32(size / (blockSize * Addr(ways)))
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("memsys: %s set count %d not a power of two", name, nsets))
 	}
 	sets := make([][]line, nsets)
-	backing := make([]line, int(nsets)*cfg.Ways)
+	backing := make([]line, int(nsets)*ways)
 	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: nsets - 1}
+	return &Cache{sets: sets, setMask: nsets - 1}
 }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // Lookup probes for block, updating recency on a hit and setting the dirty
 // bit when write is true. It reports whether the block was resident.

@@ -7,97 +7,113 @@ import (
 	"hybrids/internal/sim/trace"
 )
 
-// Config describes the whole memory system. DefaultConfig mirrors Table 1.
+// Config holds the memory-system parameters some caller varies: tests
+// shrink the caches and memories, experiments sweep the partition count and
+// the MMIO latencies. DefaultConfig mirrors Table 1; every other parameter
+// of the Table 1 machine is a constant below.
 type Config struct {
 	HostCores int
 
-	L1 CacheConfig // private per host core
-	L2 CacheConfig // shared LLC
+	// L1Size is each host core's private L1 dcache capacity and L2Size
+	// the shared LLC's, in bytes (Table 1: 64 KiB and 1 MiB).
+	L1Size Addr
+	L2Size Addr
 
 	// HostMemSize and NMPMemSize split DRAM into host-accessible main
 	// memory and NMP-capable memory (Table 1: 1 GiB + 1 GiB).
 	HostMemSize Addr
 	NMPMemSize  Addr
 
-	HostVaults int // main-memory vaults (8)
-	NMPVaults  int // NMP partitions, one NMP core each (8)
-
-	Vault VaultConfig
-
-	// HostDRAMExtra is the off-chip round trip a host LLC miss pays on
-	// top of vault service time (serial link + memory-controller
-	// queuing). NMP cores sit beside their vault and pay none of it —
-	// this asymmetry is the architectural premise of the paper.
-	HostDRAMExtra uint64
+	NMPVaults int // NMP partitions, one NMP core each (8)
 
 	// MMIOWriteLatency / MMIOReadLatency cost one uncached host access to
 	// an NMP scratchpad publication slot (posted write / round-trip
 	// read). The paper's Table 2 measures the delays these induce.
 	MMIOWriteLatency uint64
 	MMIOReadLatency  uint64
-	// MMIOWordExtra is the per-additional-word serialization cost of a
-	// write-combined burst to consecutive scratchpad words.
-	MMIOWordExtra uint64
 
-	// ScratchSize is per-NMP-core scratchpad capacity (Table 1: 40 KiB,
-	// of which 8 KiB is host-mapped for publication lists).
-	ScratchSize Addr
-
-	// AtomicExtra is the additional cost of a read-modify-write (CAS,
-	// atomic add) beyond a store hit.
-	AtomicExtra uint64
-	// InvalidateLatency is the stall a store pays to invalidate remote L1
-	// copies of its block.
-	InvalidateLatency uint64
-
-	// NMPBufLatency is an NMP-core access that hits the node-size buffer
-	// register; NMPScratchLatency is an NMP-core access to its own
-	// scratchpad. Both model small local SRAM.
-	NMPBufLatency     uint64
-	NMPScratchLatency uint64
-
-	// TLB models host-side address translation (the evaluation platform
-	// is a full-system simulation: host cores translate every access,
-	// while NMP cores access their partitions physically, §2). Misses
-	// pay WalkExtra cycles plus two page-table reads that traverse the
-	// cache hierarchy like ordinary data. Entries = 0 disables the TLB
-	// (perfect translation).
-	TLB TLBConfig
-}
-
-// TLBConfig describes a per-core host TLB.
-type TLBConfig struct {
-	Entries   int
-	Ways      int
-	PageBits  uint
-	WalkExtra uint64
+	// TLBEntries sizes the per-core host TLB, which models address
+	// translation (the evaluation platform is a full-system simulation:
+	// host cores translate every access, while NMP cores access their
+	// partitions physically, §2). Misses pay walkExtra cycles plus two
+	// page-table reads that traverse the cache hierarchy like ordinary
+	// data. 0 disables the TLB (perfect translation).
+	TLBEntries int
 }
 
 // DefaultConfig returns the Table 1 machine.
 func DefaultConfig() Config {
 	return Config{
-		HostCores:         8,
-		L1:                CacheConfig{Size: 64 << 10, Ways: 2, BlockSize: 128, Latency: 2},
-		L2:                CacheConfig{Size: 1 << 20, Ways: 8, BlockSize: 128, Latency: 20},
-		HostMemSize:       1 << 30,
-		NMPMemSize:        1 << 30,
-		HostVaults:        8,
-		NMPVaults:         8,
-		Vault:             VaultConfig{Banks: 8, RowShift: 13, Timing: Table1Timing()},
-		HostDRAMExtra:     80,
-		MMIOWriteLatency:  60,
-		MMIOReadLatency:   120,
-		MMIOWordExtra:     4,
-		ScratchSize:       40 << 10,
-		AtomicExtra:       8,
-		InvalidateLatency: 12,
-		NMPBufLatency:     1,
-		NMPScratchLatency: 2,
-		// Cortex-A15-class translation: 512-entry unified L2 TLB,
-		// 4 KiB pages, two-level page-table walk.
-		TLB: TLBConfig{Entries: 512, Ways: 4, PageBits: 12, WalkExtra: 8},
+		HostCores:        8,
+		L1Size:           64 << 10,
+		L2Size:           1 << 20,
+		HostMemSize:      1 << 30,
+		NMPMemSize:       1 << 30,
+		NMPVaults:        8,
+		MMIOWriteLatency: 60,
+		MMIOReadLatency:  120,
+		// Cortex-A15-class translation: a 512-entry unified L2 TLB.
+		TLBEntries: 512,
 	}
 }
+
+// The fixed parameters of the Table 1 machine: no experiment or test
+// varies them, so they are constants rather than Config fields.
+const (
+	// BlockSize is the block size of both cache levels and of each NMP
+	// core's node buffer, in bytes (Table 1: 128 B).
+	BlockSize Addr = 1 << blockShift
+	// blockShift is log2(BlockSize): an address's block number is
+	// a >> blockShift.
+	blockShift = 7
+
+	// L1Ways and L1Latency are the L1 dcache's associativity and hit
+	// latency in cycles (Table 1: 2-way, 2 cycles).
+	L1Ways           = 2
+	L1Latency uint64 = 2
+	// L2Ways and L2Latency are the shared LLC's associativity and hit
+	// latency in cycles (Table 1: 8-way, 20 cycles).
+	L2Ways           = 8
+	L2Latency uint64 = 20
+
+	// HostVaults is the number of main-memory vaults (Table 1: 8).
+	// Consecutive blocks interleave across them.
+	HostVaults = 8
+
+	// HostDRAMExtra is the off-chip round trip a host LLC miss pays on
+	// top of vault service time (serial link + memory-controller
+	// queuing). NMP cores sit beside their vault and pay none of it —
+	// this asymmetry is the architectural premise of the paper.
+	HostDRAMExtra uint64 = 80
+
+	// MMIOWordExtra is the per-additional-word serialization cost of a
+	// write-combined burst to consecutive scratchpad words.
+	MMIOWordExtra uint64 = 4
+
+	// ScratchSize is per-NMP-core scratchpad capacity (Table 1: 40 KiB,
+	// of which 8 KiB is host-mapped for publication lists).
+	ScratchSize Addr = 40 << 10
+
+	// atomicExtra is the additional cost of a read-modify-write (CAS,
+	// atomic add) beyond a store hit.
+	atomicExtra uint64 = 8
+	// invalidateLatency is the stall a store pays to invalidate remote L1
+	// copies of its block.
+	invalidateLatency uint64 = 12
+
+	// nmpBufLatency is an NMP-core access that hits the node-size buffer
+	// register; nmpScratchLatency is an NMP-core access to its own
+	// scratchpad. Both model small local SRAM.
+	nmpBufLatency     uint64 = 1
+	nmpScratchLatency uint64 = 2
+
+	// tlbWays, tlbPageBits and walkExtra complete the Cortex-A15-class
+	// host TLB: 4-way, 4 KiB pages, and a two-level page-table walk that
+	// pays 8 cycles on top of its two page-table reads.
+	tlbWays            = 4
+	tlbPageBits        = 12
+	walkExtra   uint64 = 8
+)
 
 // Registered metric names for every memory-system event counter. The
 // counts live in the machine's unified metrics.Registry, and a phase is
@@ -167,15 +183,13 @@ type MemSys struct {
 	l1         []*Cache
 	l2         *Cache
 	dir        directory
-	hostVaults []*Vault
-	nmpVaults  []*Vault
+	hostVaults [HostVaults]Vault
+	nmpVaults  []Vault
 	nmpBufs    []nmpBuf
 
 	tlbs     []*Cache // per host core, tags are virtual page numbers
 	ptL1Base Addr     // first-level page table (one 4 B entry per 4 MiB)
 	ptL2Base Addr     // second-level page table (one 4 B entry per page)
-
-	blockShift uint
 
 	// HostAlloc allocates host main-memory; NMPAlloc[p] allocates within
 	// NMP partition p.
@@ -209,40 +223,28 @@ func New(cfg Config) *MemSys {
 // NewWithMetrics assembles a memory system from cfg, registering its event
 // counters in reg.
 func NewWithMetrics(cfg Config, reg *metrics.Registry) *MemSys {
-	if cfg.HostCores <= 0 || cfg.HostVaults <= 0 || cfg.NMPVaults <= 0 {
+	if cfg.HostCores <= 0 || cfg.NMPVaults <= 0 {
 		panic("memsys: config must have positive core and vault counts")
 	}
 	if cfg.HostCores > 32 {
 		panic("memsys: at most 32 host cores (the directory's sharer mask is 32 bits)")
 	}
-	if cfg.L1.BlockSize != cfg.L2.BlockSize {
-		panic("memsys: L1 and L2 block sizes must match")
-	}
-	bs := cfg.L1.BlockSize
-	shift := uint(0)
-	for Addr(1)<<shift != bs {
-		shift++
-	}
-	total := cfg.HostMemSize + cfg.NMPMemSize + Addr(cfg.NMPVaults)*cfg.ScratchSize
+	total := cfg.HostMemSize + cfg.NMPMemSize + Addr(cfg.NMPVaults)*ScratchSize
 	m := &MemSys{
 		Cfg:         cfg,
 		RAM:         NewRAM(total),
-		l2:          NewCache("L2", cfg.L2),
-		dir:         newDirectory(uint32(cfg.HostMemSize >> shift)),
-		blockShift:  shift,
+		l2:          NewCache("L2", cfg.L2Size, L2Ways, BlockSize),
+		dir:         newDirectory(uint32(cfg.HostMemSize >> blockShift)),
+		nmpVaults:   make([]Vault, cfg.NMPVaults),
 		scratchBase: cfg.HostMemSize + cfg.NMPMemSize,
 		Metrics:     reg,
 		st:          newStatCounters(reg),
 	}
 	for i := 0; i < cfg.HostCores; i++ {
-		m.l1 = append(m.l1, NewCache(fmt.Sprintf("L1.%d", i), cfg.L1))
-	}
-	for i := 0; i < cfg.HostVaults; i++ {
-		m.hostVaults = append(m.hostVaults, NewVault(cfg.Vault))
+		m.l1 = append(m.l1, NewCache(fmt.Sprintf("L1.%d", i), cfg.L1Size, L1Ways, BlockSize))
 	}
 	partSize := cfg.NMPMemSize / Addr(cfg.NMPVaults)
 	for i := 0; i < cfg.NMPVaults; i++ {
-		m.nmpVaults = append(m.nmpVaults, NewVault(cfg.Vault))
 		base := cfg.HostMemSize + Addr(i)*partSize
 		m.NMPAlloc = append(m.NMPAlloc, NewAllocator(fmt.Sprintf("nmp%d", i), base, partSize))
 	}
@@ -250,19 +252,17 @@ func NewWithMetrics(cfg Config, reg *metrics.Registry) *MemSys {
 	m.HostAlloc = NewAllocator("host", 0, cfg.HostMemSize)
 	// Address 0 doubles as the nil simulated pointer; burn the first
 	// block so no allocation ever returns it.
-	m.HostAlloc.Alloc(bs, bs)
-	if cfg.TLB.Entries > 0 {
-		pageSize := Addr(1) << cfg.TLB.PageBits
+	m.HostAlloc.Alloc(BlockSize, BlockSize)
+	if cfg.TLBEntries > 0 {
+		const pageSize = Addr(1) << tlbPageBits
 		for i := 0; i < cfg.HostCores; i++ {
-			m.tlbs = append(m.tlbs, NewCache(fmt.Sprintf("TLB.%d", i), CacheConfig{
-				Size: Addr(cfg.TLB.Entries) * pageSize, Ways: cfg.TLB.Ways, BlockSize: pageSize,
-			}))
+			m.tlbs = append(m.tlbs, NewCache(fmt.Sprintf("TLB.%d", i), Addr(cfg.TLBEntries)*pageSize, tlbWays, pageSize))
 		}
 		// Reserve the page tables in host memory so walks occupy the
 		// caches like real PTE traffic.
-		pages := cfg.HostMemSize >> cfg.TLB.PageBits
-		m.ptL2Base = m.HostAlloc.Alloc(pages*4, bs)
-		m.ptL1Base = m.HostAlloc.Alloc((pages>>10+1)*4, bs)
+		pages := cfg.HostMemSize >> tlbPageBits
+		m.ptL2Base = m.HostAlloc.Alloc(pages*4, BlockSize)
+		m.ptL1Base = m.HostAlloc.Alloc((pages>>10+1)*4, BlockSize)
 	}
 	return m
 }
@@ -327,10 +327,7 @@ func (m *MemSys) Attr(core int) *trace.CoreAttr {
 	return m.attrs[core]
 }
 
-// BlockSize returns the cache block size in bytes.
-func (m *MemSys) BlockSize() Addr { return m.Cfg.L1.BlockSize }
-
-func (m *MemSys) block(a Addr) uint32 { return uint32(a) >> m.blockShift }
+func block(a Addr) uint32 { return uint32(a) >> blockShift }
 
 // Region classification.
 
@@ -349,7 +346,7 @@ func (m *MemSys) IsNMPMem(a Addr) (part int, ok bool) {
 
 // ScratchAddr returns the base address of NMP core p's scratchpad.
 func (m *MemSys) ScratchAddr(p int) Addr {
-	return m.scratchBase + Addr(p)*m.Cfg.ScratchSize
+	return m.scratchBase + Addr(p)*ScratchSize
 }
 
 // IsScratch reports whether a lies in a scratchpad, returning the owner.
@@ -357,7 +354,7 @@ func (m *MemSys) IsScratch(a Addr) (part int, ok bool) {
 	if a < m.scratchBase {
 		return 0, false
 	}
-	p := int((a - m.scratchBase) / m.Cfg.ScratchSize)
+	p := int((a - m.scratchBase) / ScratchSize)
 	if p >= m.Cfg.NMPVaults {
 		return 0, false
 	}
@@ -412,7 +409,7 @@ func (m *MemSys) MMIOBurst(a Addr, nwords int, write bool) uint64 {
 		m.st.mmioReads.Inc()
 		lat = m.Cfg.MMIOReadLatency
 	}
-	return lat + uint64(nwords-1)*m.Cfg.MMIOWordExtra
+	return lat + uint64(nwords-1)*MMIOWordExtra
 }
 
 // HostAtomic charges a host-core read-modify-write (CAS, fetch-add).
@@ -430,16 +427,16 @@ func (m *MemSys) HostAtomic(core int, a Addr, now uint64) uint64 {
 func (m *MemSys) hostCached(core int, a Addr, write, atomic bool, now uint64) uint64 {
 	var lat uint64
 	if m.tlbs != nil {
-		vpage := uint32(a) >> m.Cfg.TLB.PageBits
+		vpage := uint32(a) >> tlbPageBits
 		tlb := m.tlbs[core]
 		if !tlb.Lookup(vpage, false) {
 			m.st.tlbMisses.Inc()
-			lat += m.Cfg.TLB.WalkExtra
+			lat += walkExtra
 			if m.obs {
 				if m.tr != nil {
 					m.tr.Instant(m.hostTrack[core], trace.KindTLBMiss, now, uint32(vpage))
 				}
-				m.Attr(core).Add(trace.BucketHostCache, m.Cfg.TLB.WalkExtra)
+				m.Attr(core).Add(trace.BucketHostCache, walkExtra)
 			}
 			l1e := m.ptL1Base + Addr(vpage>>10)*4
 			l2e := m.ptL2Base + Addr(vpage)*4
@@ -452,11 +449,11 @@ func (m *MemSys) hostCached(core int, a Addr, write, atomic bool, now uint64) ui
 }
 
 func (m *MemSys) cachedAccess(core int, a Addr, write, atomic bool, now uint64) uint64 {
-	blk := m.block(a)
+	blk := block(a)
 	l1 := m.l1[core]
-	lat := m.Cfg.L1.Latency
+	lat := L1Latency
 	if atomic {
-		lat += m.Cfg.AtomicExtra
+		lat += atomicExtra
 	}
 	// Stores and atomics must own the block exclusively: invalidate any
 	// remote L1 copies (directory protocol).
@@ -472,8 +469,8 @@ func (m *MemSys) cachedAccess(core int, a Addr, write, atomic bool, now uint64) 
 					nInv++
 				}
 			}
-			lat += m.Cfg.InvalidateLatency
-			invLat = m.Cfg.InvalidateLatency
+			lat += invalidateLatency
+			invLat = invalidateLatency
 			if m.tr != nil {
 				m.tr.Instant(m.hostTrack[core], trace.KindInvalidate, now, nInv)
 			}
@@ -487,15 +484,15 @@ func (m *MemSys) cachedAccess(core int, a Addr, write, atomic bool, now uint64) 
 		return lat
 	}
 	// L1 miss: probe L2.
-	lat += m.Cfg.L2.Latency
+	lat += L2Latency
 	kind, arg := trace.KindL2Hit, uint32(0)
 	var dramLat uint64
 	if !m.l2.Lookup(blk, false) {
 		// L2 miss: fetch the block from its home vault over the
 		// off-chip link.
 		pre := lat
-		done, outcome := m.hostVault(a).AccessEx(a, m.blockShift, now+lat+m.Cfg.HostDRAMExtra/2)
-		lat = done - now + m.Cfg.HostDRAMExtra/2
+		done, outcome := m.hostVault(a).AccessEx(a, now+lat+HostDRAMExtra/2)
+		lat = done - now + HostDRAMExtra/2
 		dramLat = lat - pre
 		kind, arg = trace.KindDRAMRead, uint32(outcome)
 		m.st.hostDRAMReads.Inc()
@@ -542,16 +539,16 @@ func (m *MemSys) finishHost(core int, k trace.Kind, arg uint32, start, lat, invL
 	}
 }
 
-func (m *MemSys) writebackToDRAM(block uint32, now uint64) {
-	a := Addr(block) << m.blockShift
+func (m *MemSys) writebackToDRAM(blk uint32, now uint64) {
+	a := Addr(blk) << blockShift
 	if m.IsHostMem(a) {
-		m.hostVault(a).Access(a, m.blockShift, now)
+		m.hostVault(a).Access(a, now)
 		m.st.dramWrites.Inc()
 	}
 }
 
 func (m *MemSys) hostVault(a Addr) *Vault {
-	return m.hostVaults[int(m.block(a))%m.Cfg.HostVaults]
+	return &m.hostVaults[block(a)%HostVaults]
 }
 
 // NMPAccess charges NMP core p's load or store at address a. NMP cores may
@@ -564,24 +561,24 @@ func (m *MemSys) NMPAccess(p int, a Addr, write bool, now uint64) uint64 {
 		}
 		m.st.scratchOps.Inc()
 		if m.tr != nil {
-			m.tr.Span(m.nmpTrack[p], trace.KindScratchOp, now, m.Cfg.NMPScratchLatency, 0)
+			m.tr.Span(m.nmpTrack[p], trace.KindScratchOp, now, nmpScratchLatency, 0)
 		}
-		return m.Cfg.NMPScratchLatency
+		return nmpScratchLatency
 	}
 	part, ok := m.IsNMPMem(a)
 	if !ok || part != p {
 		panic(fmt.Sprintf("memsys: NMP core %d touched address %#x outside its partition", p, a))
 	}
-	blk := m.block(a)
+	blk := block(a)
 	buf := &m.nmpBufs[p]
 	if write {
 		// Write-through to the vault; refresh the buffer if it holds
 		// this block so subsequent reads stay local.
-		done, outcome := m.nmpVaults[p].AccessEx(a, m.blockShift, now)
+		done, outcome := m.nmpVaults[p].AccessEx(a, now)
 		m.st.dramWrites.Inc()
 		lat := done - now
 		if buf.valid && buf.block == blk {
-			lat = m.Cfg.NMPBufLatency
+			lat = nmpBufLatency
 		}
 		if m.tr != nil {
 			m.tr.Span(m.nmpTrack[p], trace.KindDRAMWrite, now, lat, uint32(outcome))
@@ -591,11 +588,11 @@ func (m *MemSys) NMPAccess(p int, a Addr, write bool, now uint64) uint64 {
 	if buf.valid && buf.block == blk {
 		m.st.nmpBufHits.Inc()
 		if m.tr != nil {
-			m.tr.Span(m.nmpTrack[p], trace.KindNMPBufHit, now, m.Cfg.NMPBufLatency, 0)
+			m.tr.Span(m.nmpTrack[p], trace.KindNMPBufHit, now, nmpBufLatency, 0)
 		}
-		return m.Cfg.NMPBufLatency
+		return nmpBufLatency
 	}
-	done, outcome := m.nmpVaults[p].AccessEx(a, m.blockShift, now)
+	done, outcome := m.nmpVaults[p].AccessEx(a, now)
 	m.st.nmpDRAMReads.Inc()
 	buf.block, buf.valid = blk, true
 	if m.tr != nil {

@@ -13,9 +13,9 @@ func testConfig() Config {
 	// Shrink memory so tests stay light; geometry semantics unchanged.
 	cfg.HostMemSize = 16 << 20
 	cfg.NMPMemSize = 16 << 20
-	cfg.L2.Size = 64 << 10
-	cfg.L1.Size = 8 << 10
-	cfg.TLB.Entries = 0 // exact-latency tests assume perfect translation
+	cfg.L2Size = 64 << 10
+	cfg.L1Size = 8 << 10
+	cfg.TLBEntries = 0 // exact-latency tests assume perfect translation
 	return cfg
 }
 
@@ -121,7 +121,7 @@ func contains(c *Cache, block uint32) bool {
 }
 
 func TestCacheHitAfterFill(t *testing.T) {
-	c := NewCache("t", CacheConfig{Size: 1 << 12, Ways: 2, BlockSize: 128, Latency: 1})
+	c := NewCache("t", 1<<12, 2, 128)
 	if c.Lookup(5, false) {
 		t.Fatal("hit in empty cache")
 	}
@@ -136,7 +136,7 @@ func TestCacheHitAfterFill(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// 2 ways, 4 sets: blocks with equal low 2 bits share a set.
-	c := NewCache("t", CacheConfig{Size: 1 << 10, Ways: 2, BlockSize: 128, Latency: 1})
+	c := NewCache("t", 1<<10, 2, 128)
 	c.Fill(0, false)
 	c.Fill(4, false)
 	c.Lookup(0, false) // make block 4 the LRU line
@@ -150,7 +150,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheDirtyEvictionReported(t *testing.T) {
-	c := NewCache("t", CacheConfig{Size: 256, Ways: 1, BlockSize: 128, Latency: 1})
+	c := NewCache("t", 256, 1, 128)
 	c.Fill(0, false)
 	c.Lookup(0, true) // dirty it
 	_, dirty, ok := c.Fill(2, false)
@@ -160,7 +160,7 @@ func TestCacheDirtyEvictionReported(t *testing.T) {
 }
 
 func TestCacheInvalidate(t *testing.T) {
-	c := NewCache("t", CacheConfig{Size: 1 << 10, Ways: 2, BlockSize: 128, Latency: 1})
+	c := NewCache("t", 1<<10, 2, 128)
 	c.Fill(3, true)
 	present, dirty := c.Invalidate(3)
 	if !present || !dirty {
@@ -177,9 +177,9 @@ func TestCacheInvalidate(t *testing.T) {
 
 func TestCachePropertyResidencyMatchesModel(t *testing.T) {
 	// Model each set as an LRU list and check the cache agrees.
-	cfg := CacheConfig{Size: 2048, Ways: 4, BlockSize: 128, Latency: 1}
-	c := NewCache("t", cfg)
-	nsets := uint32(cfg.Size / (cfg.BlockSize * Addr(cfg.Ways)))
+	const size, ways = 2048, 4
+	c := NewCache("t", size, ways, 128)
+	nsets := uint32(size / (128 * ways))
 	model := make(map[uint32][]uint32) // set -> blocks MRU-first
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5000; i++ {
@@ -200,8 +200,8 @@ func TestCachePropertyResidencyMatchesModel(t *testing.T) {
 			lst = append(lst[:pos], lst[pos+1:]...)
 		} else {
 			c.Fill(blk, false)
-			if len(lst) == cfg.Ways {
-				lst = lst[:cfg.Ways-1] // drop LRU
+			if len(lst) == ways {
+				lst = lst[:ways-1] // drop LRU
 			}
 		}
 		model[set] = append([]uint32{blk}, lst...)
@@ -209,39 +209,38 @@ func TestCachePropertyResidencyMatchesModel(t *testing.T) {
 }
 
 func TestVaultRowBufferTiming(t *testing.T) {
-	v := NewVault(VaultConfig{Banks: 8, RowShift: 13, Timing: Table1Timing()})
-	tm := Table1Timing()
+	v := new(Vault)
 	// First access to a closed bank: activate + CAS + burst.
-	done := v.Access(0, 7, 0)
-	if done != tm.TRCD+tm.TCL+tm.TBURST {
+	done := v.Access(0, 0)
+	if done != TRCD+TCL+TBURST {
 		t.Fatalf("closed-bank access = %d", done)
 	}
 	// Same row (same bank: bank bits are block bits 0..2, so +128B*8 keeps bank 0): row hit.
 	start := done
-	done = v.Access(1024, 7, start)
-	if done-start != tm.TCL+tm.TBURST {
-		t.Fatalf("row hit latency = %d, want %d", done-start, tm.TCL+tm.TBURST)
+	done = v.Access(1024, start)
+	if done-start != TCL+TBURST {
+		t.Fatalf("row hit latency = %d, want %d", done-start, TCL+TBURST)
 	}
 	// Different row, same bank: conflict.
 	start = done
-	done = v.Access(1<<14, 7, start)
-	if done-start != tm.TRP+tm.TRCD+tm.TCL+tm.TBURST {
+	done = v.Access(1<<14, start)
+	if done-start != TRP+TRCD+TCL+TBURST {
 		t.Fatalf("row conflict latency = %d", done-start)
 	}
 }
 
 func TestVaultBankBusySerializes(t *testing.T) {
-	v := NewVault(VaultConfig{Banks: 8, RowShift: 13, Timing: Table1Timing()})
-	d1 := v.Access(0, 7, 0)
+	v := new(Vault)
+	d1 := v.Access(0, 0)
 	// Second request to the same bank issued at time 0 must wait.
-	d2 := v.Access(1024, 7, 0)
+	d2 := v.Access(1024, 0)
 	if d2 <= d1 {
 		t.Fatalf("overlapping bank accesses: d1=%d d2=%d", d1, d2)
 	}
 	// Requests to different banks proceed in parallel.
-	v2 := NewVault(VaultConfig{Banks: 8, RowShift: 13, Timing: Table1Timing()})
-	a := v2.Access(0, 7, 0)
-	b := v2.Access(128, 7, 0) // next block -> next bank
+	v2 := new(Vault)
+	a := v2.Access(0, 0)
+	b := v2.Access(128, 0) // next block -> next bank
 	if b != a {
 		t.Fatalf("different banks serialized: %d vs %d", a, b)
 	}
@@ -255,8 +254,8 @@ func TestMemSysHostHitMissPath(t *testing.T) {
 		t.Fatalf("cold read DRAMReads = %d", count(m, MetricHostDRAMReads))
 	}
 	lat2 := m.HostAccess(0, a, false, lat1)
-	if lat2 != m.Cfg.L1.Latency {
-		t.Fatalf("warm read latency = %d, want L1 %d", lat2, m.Cfg.L1.Latency)
+	if lat2 != L1Latency {
+		t.Fatalf("warm read latency = %d, want L1 %d", lat2, L1Latency)
 	}
 	if count(m, MetricL1Hits) != 1 {
 		t.Fatalf("L1Hits = %d", count(m, MetricL1Hits))
@@ -305,7 +304,7 @@ func TestMemSysAtomicCountsAndCosts(t *testing.T) {
 	if m.Metrics.Snapshot().Sub(base).Get(MetricAtomics) != 1 {
 		t.Fatal("atomic not counted")
 	}
-	if lat < m.Cfg.L1.Latency+m.Cfg.AtomicExtra {
+	if lat < L1Latency+atomicExtra {
 		t.Fatalf("atomic latency %d below floor", lat)
 	}
 }
@@ -340,7 +339,7 @@ func TestMemSysNMPBufferActsAsSingleBlockCache(t *testing.T) {
 		t.Fatalf("cold NMP read: dram=%d", count(m, MetricNMPDRAMReads))
 	}
 	lat2 := m.NMPAccess(0, a+64, false, lat1) // same block
-	if lat2 != m.Cfg.NMPBufLatency || count(m, MetricNMPBufHits) != 1 {
+	if lat2 != nmpBufLatency || count(m, MetricNMPBufHits) != 1 {
 		t.Fatalf("buffered read lat=%d hits=%d", lat2, count(m, MetricNMPBufHits))
 	}
 	m.NMPAccess(0, a+128, false, lat1+lat2) // next block evicts buffer
@@ -360,7 +359,7 @@ func TestMemSysScratchpadMMIO(t *testing.T) {
 	if lat := m.HostAccess(0, sp, false, 0); lat != m.Cfg.MMIOReadLatency {
 		t.Fatalf("MMIO read latency = %d", lat)
 	}
-	if lat := m.NMPAccess(3, sp, false, 0); lat != m.Cfg.NMPScratchLatency {
+	if lat := m.NMPAccess(3, sp, false, 0); lat != nmpScratchLatency {
 		t.Fatalf("NMP scratch latency = %d", lat)
 	}
 	if count(m, MetricMMIOWrites) != 1 || count(m, MetricMMIOReads) != 1 || count(m, MetricScratchOps) != 1 {
@@ -396,10 +395,10 @@ func TestMemSysLLCCapacityPressure(t *testing.T) {
 	// must miss again (the pollution effect the paper's design targets).
 	cfg := testConfig()
 	m := New(cfg)
-	blocks := int(cfg.L2.Size/cfg.L2.BlockSize) * 4
+	blocks := int(cfg.L2Size/BlockSize) * 4
 	addrs := make([]Addr, blocks)
 	for i := range addrs {
-		addrs[i] = m.HostAlloc.Alloc(cfg.L2.BlockSize, cfg.L2.BlockSize)
+		addrs[i] = m.HostAlloc.Alloc(BlockSize, BlockSize)
 	}
 	now := uint64(0)
 	for _, a := range addrs {
@@ -445,7 +444,7 @@ func TestSnapshotSubDRAMReads(t *testing.T) {
 
 func TestTLBMissTriggersPageWalk(t *testing.T) {
 	cfg := testConfig()
-	cfg.TLB = TLBConfig{Entries: 16, Ways: 4, PageBits: 12, WalkExtra: 8}
+	cfg.TLBEntries = 16
 	m := New(cfg)
 	m.HostAlloc.Alloc(4096, 4096) // spacer: keep the test block away from the page tables
 	a := m.HostAlloc.Alloc(64, 64)
@@ -493,7 +492,7 @@ func TestVaultPropertyBankCompletionMonotonic(t *testing.T) {
 	// Per bank, completions must be non-decreasing when requests are
 	// issued in non-decreasing time order.
 	f := func(addrs []uint16, gaps []uint8) bool {
-		v := NewVault(VaultConfig{Banks: 8, RowShift: 13, Timing: Table1Timing()})
+		v := new(Vault)
 		lastDone := map[uint32]uint64{}
 		now := uint64(0)
 		for i, a16 := range addrs {
@@ -502,7 +501,7 @@ func TestVaultPropertyBankCompletionMonotonic(t *testing.T) {
 			}
 			a := Addr(a16) << 7 // block-aligned
 			bank := (uint32(a) >> 7) & 7
-			done := v.Access(a, 7, now)
+			done := v.Access(a, now)
 			if done < now {
 				return false
 			}

@@ -37,8 +37,8 @@ const (
 func confParams(window int) SimParams {
 	return SimParams{
 		SkiplistRecords: 1 << 10, SkiplistLevels: 9, SkiplistNMPLevels: 4,
-		BTreeRecords: 1 << 10, BTreeFill: 8, BTreeNMPLevels: 2,
-		BSkiplistRecords: 1 << 10, BSkiplistLevels: 5, BSkiplistNMPLevels: 2, BSkiplistFill: 8,
+		BTreeRecords: 1 << 10, BTreeNMPLevels: 2,
+		BSkiplistRecords: 1 << 10, BSkiplistLevels: 5, BSkiplistNMPLevels: 2,
 		KeyMax: confKeyMax, Window: window, Seed: 7,
 	}
 }
@@ -47,8 +47,8 @@ func confMachine() *machine.Machine {
 	cfg := machine.Default()
 	cfg.Mem.HostMemSize = 16 << 20
 	cfg.Mem.NMPMemSize = 16 << 20
-	cfg.Mem.L2.Size = 64 << 10
-	cfg.Mem.L1.Size = 8 << 10
+	cfg.Mem.L2Size = 64 << 10
+	cfg.Mem.L1Size = 8 << 10
 	return machine.New(cfg)
 }
 

@@ -15,7 +15,7 @@ func btreeEngine() Engine {
 		Desc: "B+ tree",
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			return btree.NewHybrid(m, btree.HybridBTreeConfig{
-				NMPLevels: p.BTreeNMPLevels, Fill: p.BTreeFill, Window: p.Window,
+				NMPLevels: p.BTreeNMPLevels, Window: p.Window,
 			})
 		},
 		SimRecords: func(p SimParams) int { return p.BTreeRecords },
@@ -59,7 +59,7 @@ func bskiplistEngine() Engine {
 		NewSimHybrid: func(m *machine.Machine, p SimParams) SimHybrid {
 			return bskiplist.NewHybrid(m, bskiplist.Config{
 				Levels: p.BSkiplistLevels, NMPLevels: p.BSkiplistNMPLevels,
-				Fill: p.BSkiplistFill, KeyMax: p.KeyMax, Window: p.Window,
+				KeyMax: p.KeyMax, Window: p.Window,
 			})
 		},
 		SimRecords: func(p SimParams) int { return p.BSkiplistRecords },

@@ -33,19 +33,16 @@ type SimParams struct {
 	SkiplistLevels    int
 	SkiplistNMPLevels int
 
-	// BTreeRecords, BTreeFill and BTreeNMPLevels size the hybrid B+ tree
-	// (records, bulk-load fill per node, NMP-side level count).
+	// BTreeRecords and BTreeNMPLevels size the hybrid B+ tree (records,
+	// NMP-side level count).
 	BTreeRecords   int
-	BTreeFill      int
 	BTreeNMPLevels int
 
-	// BSkiplistRecords, BSkiplistLevels, BSkiplistNMPLevels and
-	// BSkiplistFill size the hybrid B-skiplist (records, list levels,
-	// NMP-side bottom levels, bulk-load entries per fat node).
+	// BSkiplistRecords, BSkiplistLevels and BSkiplistNMPLevels size the
+	// hybrid B-skiplist (records, list levels, NMP-side bottom levels).
 	BSkiplistRecords   int
 	BSkiplistLevels    int
 	BSkiplistNMPLevels int
-	BSkiplistFill      int
 
 	// KeyMax bounds the key space for range partitioning.
 	KeyMax uint32
