@@ -47,24 +47,18 @@ func (t *HostOnly) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 				continue
 			}
 			return v, i >= 0
-		case kv.Update:
+		case kv.Update, kv.Remove:
+			// Lock the leaf (odd sequence), change it in place, unlock.
 			if !c.CAS32(syncAddr(leaf), p.seqs[0], p.seqs[0]+1) {
 				continue
 			}
 			slots := metaSlots(c.Read32(metaAddr(leaf)))
 			i := findLeafSlot(c, leaf, slots, op.Key)
-			if i >= 0 {
+			switch {
+			case i < 0: // absent: nothing to change
+			case op.Kind == kv.Update:
 				c.Write32(ptrAddr(leaf, i), op.Value)
-			}
-			c.AtomicAdd32(syncAddr(leaf), 1)
-			return 0, i >= 0
-		case kv.Remove:
-			if !c.CAS32(syncAddr(leaf), p.seqs[0], p.seqs[0]+1) {
-				continue
-			}
-			slots := metaSlots(c.Read32(metaAddr(leaf)))
-			i := findLeafSlot(c, leaf, slots, op.Key)
-			if i >= 0 {
+			default:
 				for j := i; j < slots-1; j++ {
 					c.Write32(keyAddr(leaf, j), c.Read32(keyAddr(leaf, j+1)))
 					c.Write32(ptrAddr(leaf, j), c.Read32(ptrAddr(leaf, j+1)))

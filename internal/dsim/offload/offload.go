@@ -135,9 +135,6 @@ func New(m *machine.Machine, window int) *Runtime {
 	return rt
 }
 
-// Partitions returns the number of NMP partitions served.
-func (rt *Runtime) Partitions() int { return len(rt.pubs) }
-
 // Start spawns partition p's flat-combining combiner daemon serving
 // handle. Call once per partition before Machine.Run.
 func (rt *Runtime) Start(p int, handle fc.Handler) {

@@ -388,7 +388,7 @@ func (a testAdapter) Finish(c *machine.Ctx, op kv.Op, st *int, resp fc.Response)
 // for each key and succeed afterwards with value key+1.
 func retryOnceRuntime(m *machine.Machine, window int) *Runtime {
 	rt := New(m, window)
-	for p := 0; p < rt.Partitions(); p++ {
+	for p := 0; p < len(rt.pubs); p++ {
 		seen := map[uint32]bool{}
 		rt.Start(p, func(c *machine.Ctx, slot int, req fc.Request) fc.Response {
 			c.Step(10)
@@ -405,7 +405,7 @@ func retryOnceRuntime(m *machine.Machine, window int) *Runtime {
 func TestRuntimeApplyRetriesUntilSuccess(t *testing.T) {
 	m := testMachine()
 	rt := retryOnceRuntime(m, 1)
-	ad := testAdapter{parts: rt.Partitions()}
+	ad := testAdapter{parts: len(rt.pubs)}
 	const n = 12
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {
 		for i := 0; i < n; i++ {
@@ -428,7 +428,7 @@ func TestRuntimeApplyRetriesUntilSuccess(t *testing.T) {
 func TestRuntimeApplyBatchRetriesCompleteAll(t *testing.T) {
 	m := testMachine()
 	rt := retryOnceRuntime(m, 4)
-	ad := testAdapter{parts: rt.Partitions()}
+	ad := testAdapter{parts: len(rt.pubs)}
 	const n = 40
 	ops := make([]kv.Op, n)
 	for i := range ops {
@@ -477,14 +477,14 @@ func TestRuntimeApplyBatchExhaustsWindow(t *testing.T) {
 	m := testMachine()
 	const window = 3
 	rt := New(m, window)
-	for p := 0; p < rt.Partitions(); p++ {
+	for p := 0; p < len(rt.pubs); p++ {
 		rt.Start(p, func(c *machine.Ctx, slot int, req fc.Request) fc.Response {
 			c.Step(200) // slow service so the issue side runs ahead
 			return fc.Response{Success: true, Value: req.Key}
 		})
 	}
 	inflight, maxDepth := 0, 0
-	ad := depthAdapter{testAdapter: testAdapter{parts: rt.Partitions()}, inflight: &inflight, max: &maxDepth}
+	ad := depthAdapter{testAdapter: testAdapter{parts: len(rt.pubs)}, inflight: &inflight, max: &maxDepth}
 	ops := make([]kv.Op, 30)
 	for i := range ops {
 		ops[i] = kv.Op{Kind: kv.Read, Key: uint32(i)}
@@ -521,14 +521,14 @@ func TestRuntimeFollowUpStaysOnSlot(t *testing.T) {
 	m := testMachine()
 	rt := New(m, 2)
 	slotsByKey := map[uint32][]int{}
-	for p := 0; p < rt.Partitions(); p++ {
+	for p := 0; p < len(rt.pubs); p++ {
 		rt.Start(p, func(c *machine.Ctx, slot int, req fc.Request) fc.Response {
 			c.Step(10)
 			slotsByKey[req.Key] = append(slotsByKey[req.Key], slot)
 			return fc.Response{Success: true, Value: req.Key + req.Value}
 		})
 	}
-	ad := followUpAdapter{testAdapter: testAdapter{parts: rt.Partitions()}, followed: map[uint32]bool{}}
+	ad := followUpAdapter{testAdapter: testAdapter{parts: len(rt.pubs)}, followed: map[uint32]bool{}}
 	const n = 10
 	ops := make([]kv.Op, n)
 	for i := range ops {
@@ -570,10 +570,10 @@ func (a localAdapter) Prepare(c *machine.Ctx, op kv.Op, st *int, attempt int, ba
 func TestRuntimeLocalCompletionSkipsOffload(t *testing.T) {
 	m := testMachine()
 	rt := New(m, 2)
-	for p := 0; p < rt.Partitions(); p++ {
+	for p := 0; p < len(rt.pubs); p++ {
 		rt.Start(p, echoHandler)
 	}
-	ad := localAdapter{testAdapter{parts: rt.Partitions()}}
+	ad := localAdapter{testAdapter{parts: len(rt.pubs)}}
 	const n = 20
 	ops := make([]kv.Op, n)
 	for i := range ops {

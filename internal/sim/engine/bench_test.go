@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// BenchmarkEngineDispatch measures the dispatch loop under contention:
-// eight actors with mutually prime step sizes, so nearly every Advance
-// re-sorts into the heap and hands off the resume permit. Reports the
-// dispatch rate (events/s) and the cost per dispatched event (ns/event).
+// BenchmarkEngineDispatch measures dispatch under contention: eight actors
+// with mutually prime step sizes, so nearly every Advance re-sorts into the
+// heap and the parking actor dispatches another. Reports the dispatch rate
+// (events/s), the cost per dispatched event (ns/event) and the coroutine
+// switches per dispatched event (switches/event).
 func BenchmarkEngineDispatch(b *testing.B) {
 	const actors = 8
 	e := New()
@@ -29,6 +30,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	if events > 0 && sec > 0 {
 		b.ReportMetric(events/sec, "events/s")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+		b.ReportMetric(float64(e.switches)/events, "switches/event")
 	}
 }
 
@@ -70,5 +72,6 @@ func BenchmarkEngineBlockUnblock(b *testing.B) {
 	sec := b.Elapsed().Seconds()
 	if events > 0 && sec > 0 {
 		b.ReportMetric(events/sec, "events/s")
+		b.ReportMetric(float64(e.switches)/events, "switches/event")
 	}
 }

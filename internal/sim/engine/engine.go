@@ -9,15 +9,17 @@
 // produces identical interleavings and identical results — host garbage
 // collection or OS scheduling can never perturb simulated time.
 //
-// Run is the one dispatch loop: on its caller's goroutine it pops the
-// earliest event and resumes that actor's coroutine (iter.Pull over the
-// actor body), which runs until it parks by yielding back. A context switch
-// between two actors is therefore two coroutine switches — direct
-// goroutine-to-goroutine transfers on one thread that never enter the Go
-// scheduler — where a permit passed over a channel costs a send, a park
-// and a scheduler pass that may wake another thread (DESIGN §5.1 has the
-// numbers). Nothing here is concurrent: the package uses no channel, no go
-// statement and no lock.
+// The parking actor is the dispatcher: when an actor parks it pops the
+// earliest event itself and, if that event is another actor's, resumes that
+// actor's coroutine (iter.Pull over the actor body) directly, becoming its
+// resumer. An actor whose next event belongs to one of its own resumers
+// yields down the chain of resumers to it. Run's caller's goroutine is the
+// bottom of that chain and runs the same loop. A dispatch to an actor
+// outside the chain is one coroutine switch, and each yield down the chain
+// pays back one earlier resume — direct goroutine-to-goroutine transfers on
+// one thread that never enter the Go scheduler (DESIGN §5.1 has the
+// numbers). Exactly one goroutine runs at a time: the package uses no
+// channel, no go statement and no lock.
 //
 // Every exit has a defined end. A panic in an actor body, and the deadlock
 // panic, surface on Run's caller; and whether Run returns or panics, every
@@ -50,17 +52,20 @@ type Actor struct {
 
 	eng *Engine
 	now uint64
-	// The actor's coroutine, created by Run at the actor's first dispatch:
-	// resume runs the body until it next parks (or ends), yield is the
-	// body's side of that switch, and release ends a coroutine that is
-	// still parked when Run is over.
+	// The actor's coroutine, created at the actor's first dispatch: resume
+	// runs the body until it next yields (or ends), yield is the body's side
+	// of that switch, and release ends a coroutine that is still parked
+	// when Run is over.
 	resume      func() (struct{}, bool)
 	release     func()
 	yield       func(struct{}) bool
 	finished    bool
 	blocked     bool
 	wakePending bool
-	body        func(*Actor)
+	// resumer: the actor is inside resume on another actor's coroutine, so
+	// it is on the running actor's chain of resumers.
+	resumer bool
+	body    func(*Actor)
 
 	// Tracing state (engine tracer only): the trace track carrying this
 	// actor's dispatch spans (-1 until first used) and the virtual time
@@ -78,13 +83,12 @@ func (a *Actor) Now() uint64 { return a.now }
 //
 // Fast path: if this actor would still be dispatched first — strictly
 // earlier than every pending event (ties go to the earlier-queued event,
-// so equality must park) — the round trip through the dispatch loop is
-// skipped entirely. Advance inlines into the machine layer's Step and
-// memory-access call sites (CI checks it still does), so the common
-// uncontended case (single runnable actor: build phases, 1-thread cells,
-// an unblocker racing ahead of the actor it just woke) costs one
-// comparison against Engine.nextAt and no coroutine switch. Dispatch order
-// is identical to the slow path.
+// so equality must park) — the heap push and pop are skipped entirely.
+// Advance inlines into the machine layer's Step and memory-access call
+// sites (CI checks it still does), so the common uncontended case (single
+// runnable actor: build phases, 1-thread cells, an unblocker racing ahead
+// of the actor it just woke) costs one comparison against Engine.nextAt
+// and no coroutine switch. Dispatch order is identical to the slow path.
 func (a *Actor) Advance(c uint64) {
 	a.now += c
 	if a.now >= a.eng.nextAt {
@@ -93,8 +97,8 @@ func (a *Actor) Advance(c uint64) {
 }
 
 // repark is Advance's slow path: queue the actor's continuation and park
-// until the dispatch loop reaches it. Split from Advance so the fast path
-// stays inlinable.
+// until it is dispatched. Split from Advance so the fast path stays
+// inlinable.
 func (a *Actor) repark() {
 	e := a.eng
 	if e.tr != nil {
@@ -108,14 +112,36 @@ func (a *Actor) repark() {
 // Run is over: see Engine.releaseAll.
 type unwind struct{}
 
-// park switches back to the dispatch loop and returns when the loop
-// dispatches this actor's next event. If Run ended instead (yield reports
-// the coroutine was released), the body must not execute another line:
-// park panics with unwind, which runs the body's deferred calls on the way
-// up and is recovered in Actor.run.
+// park pops events until one is this actor's. Another actor parked in its
+// own coroutine is resumed directly; when it yields back (or ends) the loop
+// takes the actor it left in e.pending, or pops again. An event of one of
+// this actor's resumers, or a failure, is handed down the chain: e.pending
+// names it and this actor yields, until its own event resumes it. If the
+// engine failed or Run is over (yield reports the coroutine released), the
+// body must not execute another line: park panics with unwind, which runs
+// the body's deferred calls and is recovered in Actor.run.
 func (a *Actor) park() {
-	if !a.yield(struct{}{}) {
+	e := a.eng
+	if e.failure != "" {
 		panic(unwind{})
+	}
+	b := e.dispatch()
+	for b != a {
+		if b == nil || b.resumer {
+			e.pending = b
+			e.switches++
+			if !a.yield(struct{}{}) {
+				panic(unwind{})
+			}
+			return
+		}
+		a.resumer = true
+		e.resume(b)
+		a.resumer = false
+		b, e.pending = e.pending, nil
+		if b == nil && e.failure == "" {
+			b = e.dispatch()
+		}
 	}
 }
 
@@ -196,6 +222,16 @@ type Engine struct {
 	stopping bool
 	running  bool
 
+	// pending is the actor a yielding actor handed its event to: one of
+	// its resumers, which the chain passes it down to.
+	pending *Actor
+	// failure is the panic Run raises (a body's panic or the deadlock),
+	// carried down the chain so no body can recover another actor's.
+	failure string
+	// switches counts coroutine switches, one per resume or yield (for
+	// tests; no registry counter, so outputs do not change).
+	switches uint64
+
 	// tr is the engine's event tracer; nil (the default) disables dispatch
 	// tracing at the cost of one pointer comparison per park.
 	tr *trace.Tracer
@@ -252,10 +288,7 @@ func (e *Engine) Spawn(name string, daemon bool, body func(*Actor)) *Actor {
 		eng:    e,
 		body:   body,
 		track:  -1,
-	}
-	if e.running {
-		// Inherit the current virtual time so causality is preserved.
-		a.now = e.Now()
+		now:    e.Now(), // the spawner's time, so causality is preserved
 	}
 	e.stSpawns.Inc()
 	e.actors = append(e.actors, a)
@@ -268,16 +301,18 @@ func (e *Engine) Spawn(name string, daemon bool, body func(*Actor)) *Actor {
 }
 
 // run is the actor's coroutine: the body, then the bookkeeping of a
-// finished actor. A body that panics re-panics here with the actor named
-// and the body's stack attached (the coroutine switch would otherwise drop
-// it), and iter.Pull carries that to the resume call in Run.
+// finished actor. A body that panics is recorded as the engine's failure,
+// with the actor named and the body's stack attached, and the coroutine
+// ends; its resumer carries the failure down to Run.
 func (a *Actor) run(yield func(struct{}) bool) {
 	a.yield = yield
 	defer func() {
 		switch r := recover().(type) {
 		case nil, unwind:
 		default:
-			panic(fmt.Sprintf("engine: actor %q panicked at cycle %d: %v\n%s", a.Name, a.now, r, debug.Stack()))
+			if a.eng.failure == "" {
+				a.eng.failure = fmt.Sprintf("engine: actor %q panicked at cycle %d: %v\n%s", a.Name, a.now, r, debug.Stack())
+			}
 		}
 	}()
 	a.body(a)
@@ -306,13 +341,14 @@ func (a *Actor) run(yield func(struct{}) bool) {
 	}
 }
 
-// Run is the dispatch loop: until every actor (daemons included) has
-// finished, it pops the earliest event and resumes that actor, which runs
-// until it parks or ends. A deadlock — unfinished actors but no pending
-// events, meaning an actor waits on a condition no other actor can ever
-// satisfy — panics here, on the caller's goroutine, naming the live
-// actors; so does a panic in an actor body. On every way out, actors still
-// parked are unwound first (releaseAll).
+// Run is the bottom of the dispatch chain: until every actor (daemons
+// included) has finished, it pops the earliest event and resumes that
+// actor, which runs, and dispatches in turn when it parks, until the chain
+// yields back. A deadlock — unfinished actors but no pending events,
+// meaning an actor waits on a condition no other actor can ever satisfy —
+// panics here, on the caller's goroutine, naming the live actors; so does
+// a panic in an actor body. On every way out, actors still parked are
+// unwound first (releaseAll).
 func (e *Engine) Run() {
 	if e.running {
 		panic("engine: Run called twice")
@@ -322,32 +358,53 @@ func (e *Engine) Run() {
 		e.stopping = true
 	}
 	defer e.releaseAll()
-	for e.liveAll > 0 {
-		if len(e.pq) == 0 {
-			panic("engine: deadlock: live actors but no pending events: " + e.liveNames())
+	for e.liveAll > 0 && e.failure == "" {
+		if a := e.dispatch(); a != nil {
+			e.resume(a)
 		}
-		ev := e.pq.pop()
-		e.nextAt = math.MaxUint64
-		if len(e.pq) > 0 {
-			e.nextAt = e.pq[0].at
-		}
-		a := ev.a
-		e.cur = a
-		e.stDispatches.Inc()
-		if e.tr != nil {
-			a.dispatchedAt = ev.at
-		}
-		if a.resume == nil {
-			a.resume, a.release = iter.Pull(a.run)
-		}
-		a.resume()
 	}
+	if e.failure != "" {
+		panic(e.failure)
+	}
+}
+
+// dispatch pops the earliest event and makes its actor the current one.
+// It is called only while some actor is unfinished, so an empty heap is a
+// deadlock: dispatch records it as the failure and returns nil.
+func (e *Engine) dispatch() *Actor {
+	if len(e.pq) == 0 {
+		e.failure = "engine: deadlock: live actors but no pending events: " + e.liveNames()
+		return nil
+	}
+	ev := e.pq.pop()
+	e.nextAt = math.MaxUint64
+	if len(e.pq) > 0 {
+		e.nextAt = e.pq[0].at
+	}
+	a := ev.a
+	e.cur = a
+	e.stDispatches.Inc()
+	if e.tr != nil {
+		a.dispatchedAt = ev.at
+	}
+	return a
+}
+
+// resume switches to a's coroutine, created at its first dispatch, and
+// returns when a yields or ends.
+func (e *Engine) resume(a *Actor) {
+	if a.resume == nil {
+		a.resume, a.release = iter.Pull(a.run)
+	}
+	e.switches++
+	a.resume()
 }
 
 // releaseAll ends every coroutine Run left parked (none after a normal
 // end; the blocked actors after a deadlock; every other started actor
-// after a body panic): the parked yield reports false and park unwinds the
-// body. Releasing a coroutine that already ended does nothing.
+// after a body panic, the failed actor's resumers included, since each
+// yielded the failure down): the parked yield reports false and park
+// unwinds the body. Releasing a coroutine that already ended does nothing.
 func (e *Engine) releaseAll() {
 	for _, a := range e.actors {
 		if a.release != nil {

@@ -485,3 +485,147 @@ func TestSpawnFromRunningActor(t *testing.T) {
 		t.Fatalf("live = %d, liveAll = %d after Run, want 0", e.live, e.liveAll)
 	}
 }
+
+// spawnChain spawns n actors that each Block as their first step, so each
+// one's park dispatches the next: actor i runs resumed by actor i-1, and
+// the last runs at the top of a chain of n-1 resumers. The last checks the
+// chain and then runs end; unwound counts the bodies whose deferred calls
+// ran.
+func spawnChain(t *testing.T, e *Engine, n int, end func(last *Actor, rest []*Actor), unwound *int) {
+	var rest []*Actor
+	for i := 0; i < n-1; i++ {
+		rest = append(rest, e.Spawn(fmt.Sprintf("link%d", i), false, func(a *Actor) {
+			defer func() { *unwound++ }()
+			a.Block()
+		}))
+	}
+	e.Spawn("top", false, func(a *Actor) {
+		defer func() { *unwound++ }()
+		for _, r := range rest {
+			if !r.resumer {
+				t.Errorf("%s is not on the chain under %s", r.Name, a.Name)
+			}
+		}
+		end(a, rest)
+	})
+}
+
+// TestPanicAtTopOfChainReachesRunCaller: a body panic three actors up a
+// chain of resumers surfaces on Run's caller with the actor named, and
+// every actor on the chain is unwound.
+func TestPanicAtTopOfChainReachesRunCaller(t *testing.T) {
+	e := New()
+	unwound := 0
+	spawnChain(t, e, 3, func(*Actor, []*Actor) { panic("boom") }, &unwound)
+	msg, _ := runPanic(e).(string)
+	for _, want := range []string{`engine: actor "top" panicked at cycle 0: boom`, "engine_test.go"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic message lacks %q:\n%s", want, msg)
+		}
+	}
+	if unwound != 3 {
+		t.Fatalf("%d bodies ran their deferred calls, want 3", unwound)
+	}
+}
+
+// TestRecoveringResumerCannotSwallowFailure: a resumer's body that
+// recovers every panic sees neither the panic of the actor it resumed nor
+// the deadlock found above it; both reach Run's caller. The only panic it
+// may recover is the unwind that ends it.
+func TestRecoveringResumerCannotSwallowFailure(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		top        func(*Actor)
+	}{
+		{"body panic", `engine: actor "top" panicked`, func(*Actor) { panic("boom") }},
+		{"deadlock", "engine: deadlock", func(a *Actor) { a.Block() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			var swallowed []any
+			greedy := e.Spawn("greedy", false, func(a *Actor) {
+				for i := 0; i < 3; i++ {
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								if _, ok := r.(unwind); !ok {
+									swallowed = append(swallowed, r)
+								}
+							}
+						}()
+						a.Block()
+					}()
+				}
+			})
+			e.Spawn("middle", false, func(a *Actor) { a.Block() })
+			e.Spawn("top", false, func(a *Actor) {
+				if !greedy.resumer {
+					t.Error("greedy is not on the chain")
+				}
+				c.top(a)
+			})
+			if msg, _ := runPanic(e).(string); !strings.HasPrefix(msg, c.want) {
+				t.Errorf("Run panicked with %q, want %q", msg, c.want)
+			}
+			if len(swallowed) != 0 {
+				t.Errorf("the recovering body swallowed %v", swallowed)
+			}
+		})
+	}
+}
+
+// TestNoGoroutineOutlivesChain: with three actors on one chain, Run leaves
+// the goroutine count as it found it on a normal end, a body panic and a
+// deadlock.
+func TestNoGoroutineOutlivesChain(t *testing.T) {
+	for name, end := range map[string]func(*Actor, []*Actor){
+		"normal end": func(a *Actor, rest []*Actor) {
+			for _, r := range rest {
+				a.Unblock(r, 1)
+			}
+		},
+		"body panic": func(*Actor, []*Actor) { panic("boom") },
+		"deadlock":   func(a *Actor, _ []*Actor) { a.Block() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New()
+			unwound := 0
+			spawnChain(t, e, 3, end, &unwound)
+			r := runPanic(e)
+			if after := runtime.NumGoroutine(); after != before {
+				t.Fatalf("%d goroutines before Run, %d after (Run ended with %v)", before, after, r)
+			}
+			if unwound != 3 {
+				t.Fatalf("%d bodies ran their deferred calls, want 3", unwound)
+			}
+		})
+	}
+}
+
+// TestPingPongOneSwitchPerDispatch: a Block/Unblock ping-pong between two
+// actors is a direct handoff each way, at most one coroutine switch per
+// dispatch (resuming from Run and then yielding back would be two).
+func TestPingPongOneSwitchPerDispatch(t *testing.T) {
+	const rounds = 1000
+	e := New()
+	client := e.Spawn("client", false, func(a *Actor) {
+		for i := 0; i < rounds; i++ {
+			a.Block()
+		}
+	})
+	e.Spawn("server", false, func(a *Actor) {
+		for i := 0; i < rounds; i++ {
+			a.Advance(1)
+			a.Unblock(client, 1)
+		}
+	})
+	e.Run()
+	d := e.stDispatches.Value()
+	if d < 2*rounds {
+		t.Fatalf("%d dispatches for %d round trips, want at least %d", d, rounds, 2*rounds)
+	}
+	if e.switches > d {
+		t.Fatalf("%d coroutine switches for %d dispatches, want at most one each", e.switches, d)
+	}
+}

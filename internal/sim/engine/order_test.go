@@ -24,6 +24,24 @@ const (
 	orderEnd        = 5758
 )
 
+// orderSeeds widens the golden to more programs. Each row was recorded on
+// the engine whose Run resumed every dispatched actor itself (commit
+// 2f3f113), before parking actors dispatched the next event, so a change to
+// who dispatches must leave every row as it is.
+var orderSeeds = []struct {
+	seed int64
+	want orderResult
+}{
+	{1, orderResult{0x666107a01c78e251, 3901, 2625, 474, 972, 3471}},
+	{2, orderResult{0xfa3eb510a98a40c5, 3906, 2649, 486, 961, 4096}},
+	{3, orderResult{0x51e977b330373c57, 3913, 2684, 488, 946, 3038}},
+	{77, orderResult{0x7c41b79a751f8330, 3908, 2577, 446, 972, 2985}},
+	{1000, orderResult{0x890928c2a105b73e, 3907, 2593, 493, 939, 4896}},
+	{4096, orderResult{0xfde1cdbf6b01519e, 3911, 2593, 431, 966, 3039}},
+	{31337, orderResult{0x12af11a03642133c, 3910, 2609, 475, 943, 3169}},
+	{8675309, orderResult{0xd5dfb7245dc318ae, 3907, 2636, 466, 927, 3810}},
+}
+
 type orderResult struct {
 	hash                                 uint64
 	steps                                int
@@ -144,5 +162,10 @@ func TestDispatchOrderGolden(t *testing.T) {
 	}
 	if other := orderProgram(orderSeed + 1); other.hash == got.hash {
 		t.Fatalf("hash does not depend on the program: seed %d and %d both give %#x", orderSeed, orderSeed+1, got.hash)
+	}
+	for _, row := range orderSeeds {
+		if got := orderProgram(row.seed); got != row.want {
+			t.Errorf("seed %d: dispatch order moved:\n got %+v\nwant %+v", row.seed, got, row.want)
+		}
 	}
 }

@@ -67,9 +67,6 @@ func (m *Machine) EnableTracing(capPerTrack int) *trace.Tracer {
 	return t
 }
 
-// Tracer returns the machine's event tracer (nil when tracing is off).
-func (m *Machine) Tracer() *trace.Tracer { return m.Mem.Tracer() }
-
 // EnableAttribution switches on per-operation latency attribution: every
 // host core accumulates its charged cycles into trace.Bucket categories,
 // and each Ctx.OpDone flushes the interval since the previous completion
@@ -268,13 +265,7 @@ func (c *Ctx) AtomicAdd32(a memsys.Addr, delta uint32) uint32 {
 // MMIOWriteBurst writes vs to consecutive 32-bit scratchpad words starting
 // at a in one write-combined burst (host cores only).
 func (c *Ctx) MMIOWriteBurst(a memsys.Addr, vs []uint32) {
-	if c.kind != hostCore {
-		panic("machine: MMIO bursts are a host-side path")
-	}
-	lat := c.M.Mem.MMIOBurst(a, len(vs), true)
-	c.tr.Span(c.track, trace.KindMMIOWrite, c.A.Now(), lat, uint32(len(vs)))
-	c.attr.Add(trace.BucketOffloadWait, lat)
-	c.A.Advance(lat)
+	c.mmioBurst(a, len(vs), true)
 	for i, v := range vs {
 		c.M.Mem.RAM.Store32(a+memsys.Addr(i)*4, v)
 	}
@@ -283,18 +274,24 @@ func (c *Ctx) MMIOWriteBurst(a memsys.Addr, vs []uint32) {
 // MMIOReadBurst reads n consecutive 32-bit scratchpad words starting at a
 // in one burst (host cores only).
 func (c *Ctx) MMIOReadBurst(a memsys.Addr, n int) []uint32 {
-	if c.kind != hostCore {
-		panic("machine: MMIO bursts are a host-side path")
-	}
-	lat := c.M.Mem.MMIOBurst(a, n, false)
-	c.tr.Span(c.track, trace.KindMMIORead, c.A.Now(), lat, uint32(n))
-	c.attr.Add(trace.BucketOffloadWait, lat)
-	c.A.Advance(lat)
+	c.mmioBurst(a, n, false)
 	out := make([]uint32, n)
 	for i := range out {
 		out[i] = c.M.Mem.RAM.Load32(a + memsys.Addr(i)*4)
 	}
 	return out
+}
+
+// mmioBurst charges a host core's MMIO burst of n words at a, as offload
+// wait, before its data effect.
+func (c *Ctx) mmioBurst(a memsys.Addr, n int, write bool) {
+	if c.kind != hostCore {
+		panic("machine: MMIO bursts are a host-side path")
+	}
+	lat, k := c.M.Mem.MMIOBurst(a, n, write)
+	c.tr.Span(c.track, k, c.A.Now(), lat, uint32(n))
+	c.attr.Add(trace.BucketOffloadWait, lat)
+	c.A.Advance(lat)
 }
 
 func (c *Ctx) atomicAccess(a memsys.Addr) {

@@ -96,18 +96,15 @@ func (c *Cache) Fill(block uint32, dirty bool) (evicted uint32, evictedDirty, ok
 	return evicted, evictedDirty, ok
 }
 
-// Invalidate drops block if resident, reporting whether it was present and
-// whether the dropped line was dirty.
-func (c *Cache) Invalidate(block uint32) (present, dirty bool) {
+// Invalidate drops block's line if resident, dirty or not (data lives in RAM).
+func (c *Cache) Invalidate(block uint32) {
 	set := c.sets[block&c.setMask]
 	for i := range set {
 		if set[i].valid && set[i].tag == block {
-			present, dirty = true, set[i].dirty
 			set[i] = line{}
-			return present, dirty
+			return
 		}
 	}
-	return false, false
 }
 
 // directory tracks, per block, which host cores hold the block in their

@@ -37,18 +37,6 @@ const (
 	RowConflict
 )
 
-// String returns the outcome's short name.
-func (o RowOutcome) String() string {
-	switch o {
-	case RowHit:
-		return "row-hit"
-	case RowClosed:
-		return "row-closed"
-	default:
-		return "row-conflict"
-	}
-}
-
 type bank struct {
 	openRow   uint32
 	hasOpen   bool
@@ -63,16 +51,10 @@ type Vault struct {
 }
 
 // Access services a block access beginning no earlier than now and returns
-// its completion time. Bank selection uses the block-number low bits so
+// its completion time and the row-buffer outcome of the bank access (for
+// trace emission). Bank selection uses the block-number low bits so
 // consecutive blocks in a vault spread across banks.
-func (v *Vault) Access(a Addr, now uint64) (done uint64) {
-	done, _ = v.AccessEx(a, now)
-	return done
-}
-
-// AccessEx is Access plus the row-buffer outcome of the bank access, for
-// trace emission. Timing is identical to Access.
-func (v *Vault) AccessEx(a Addr, now uint64) (done uint64, outcome RowOutcome) {
+func (v *Vault) Access(a Addr, now uint64) (done uint64, outcome RowOutcome) {
 	b := &v.banks[block(a)%VaultBanks]
 	row := uint32(a) >> rowShift
 	start := now

@@ -368,15 +368,7 @@ func (m *MemSys) IsScratch(a Addr) (part int, ok bool) {
 // attempt is an algorithm bug worth failing loudly on.
 func (m *MemSys) HostAccess(core int, a Addr, write bool, now uint64) uint64 {
 	if _, ok := m.IsScratch(a); ok {
-		var lat uint64
-		var k trace.Kind
-		if write {
-			m.st.mmioWrites.Inc()
-			lat, k = m.Cfg.MMIOWriteLatency, trace.KindMMIOWrite
-		} else {
-			m.st.mmioReads.Inc()
-			lat, k = m.Cfg.MMIOReadLatency, trace.KindMMIORead
-		}
+		lat, k := m.mmio(write)
 		if m.obs {
 			if m.tr != nil {
 				m.tr.Span(m.hostTrack[core], k, now, lat, 0)
@@ -392,24 +384,28 @@ func (m *MemSys) HostAccess(core int, a Addr, write bool, now uint64) uint64 {
 }
 
 // MMIOBurst charges a write-combined host access to nwords consecutive
-// scratchpad words, returning its latency. The first word pays the full
-// MMIO latency; subsequent words pay only serialization.
-func (m *MemSys) MMIOBurst(a Addr, nwords int, write bool) uint64 {
+// scratchpad words, returning its latency and trace kind. The first word
+// pays the full MMIO latency; subsequent words pay only serialization.
+func (m *MemSys) MMIOBurst(a Addr, nwords int, write bool) (uint64, trace.Kind) {
 	if _, ok := m.IsScratch(a); !ok {
 		panic(fmt.Sprintf("memsys: MMIO burst outside scratchpad at %#x", a))
 	}
 	if nwords <= 0 {
 		panic("memsys: empty MMIO burst")
 	}
-	var lat uint64
+	lat, k := m.mmio(write)
+	return lat + uint64(nwords-1)*MMIOWordExtra, k
+}
+
+// mmio counts one uncached host access to a scratchpad and returns its
+// latency and trace kind.
+func (m *MemSys) mmio(write bool) (uint64, trace.Kind) {
 	if write {
 		m.st.mmioWrites.Inc()
-		lat = m.Cfg.MMIOWriteLatency
-	} else {
-		m.st.mmioReads.Inc()
-		lat = m.Cfg.MMIOReadLatency
+		return m.Cfg.MMIOWriteLatency, trace.KindMMIOWrite
 	}
-	return lat + uint64(nwords-1)*MMIOWordExtra
+	m.st.mmioReads.Inc()
+	return m.Cfg.MMIOReadLatency, trace.KindMMIORead
 }
 
 // HostAtomic charges a host-core read-modify-write (CAS, fetch-add).
@@ -491,7 +487,7 @@ func (m *MemSys) cachedAccess(core int, a Addr, write, atomic bool, now uint64) 
 		// L2 miss: fetch the block from its home vault over the
 		// off-chip link.
 		pre := lat
-		done, outcome := m.hostVault(a).AccessEx(a, now+lat+HostDRAMExtra/2)
+		done, outcome := m.hostVault(a).Access(a, now+lat+HostDRAMExtra/2)
 		lat = done - now + HostDRAMExtra/2
 		dramLat = lat - pre
 		kind, arg = trace.KindDRAMRead, uint32(outcome)
@@ -574,7 +570,7 @@ func (m *MemSys) NMPAccess(p int, a Addr, write bool, now uint64) uint64 {
 	if write {
 		// Write-through to the vault; refresh the buffer if it holds
 		// this block so subsequent reads stay local.
-		done, outcome := m.nmpVaults[p].AccessEx(a, now)
+		done, outcome := m.nmpVaults[p].Access(a, now)
 		m.st.dramWrites.Inc()
 		lat := done - now
 		if buf.valid && buf.block == blk {
@@ -592,7 +588,7 @@ func (m *MemSys) NMPAccess(p int, a Addr, write bool, now uint64) uint64 {
 		}
 		return nmpBufLatency
 	}
-	done, outcome := m.nmpVaults[p].AccessEx(a, now)
+	done, outcome := m.nmpVaults[p].Access(a, now)
 	m.st.nmpDRAMReads.Inc()
 	buf.block, buf.valid = blk, true
 	if m.tr != nil {

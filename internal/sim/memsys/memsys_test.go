@@ -162,16 +162,14 @@ func TestCacheDirtyEvictionReported(t *testing.T) {
 func TestCacheInvalidate(t *testing.T) {
 	c := NewCache("t", 1<<10, 2, 128)
 	c.Fill(3, true)
-	present, dirty := c.Invalidate(3)
-	if !present || !dirty {
-		t.Fatalf("invalidate = (%v,%v), want (true,true)", present, dirty)
-	}
+	c.Fill(5, false)
+	c.Invalidate(3)
 	if contains(c, 3) {
 		t.Fatal("block resident after invalidate")
 	}
-	present, _ = c.Invalidate(3)
-	if present {
-		t.Fatal("second invalidate reported present")
+	c.Invalidate(3) // absent: a no-op
+	if contains(c, 3) || !contains(c, 5) {
+		t.Fatal("invalidating an absent block changed the cache")
 	}
 }
 
@@ -211,36 +209,36 @@ func TestCachePropertyResidencyMatchesModel(t *testing.T) {
 func TestVaultRowBufferTiming(t *testing.T) {
 	v := new(Vault)
 	// First access to a closed bank: activate + CAS + burst.
-	done := v.Access(0, 0)
-	if done != TRCD+TCL+TBURST {
-		t.Fatalf("closed-bank access = %d", done)
+	done, o := v.Access(0, 0)
+	if done != TRCD+TCL+TBURST || o != RowClosed {
+		t.Fatalf("closed-bank access = %d (outcome %d)", done, o)
 	}
 	// Same row (same bank: bank bits are block bits 0..2, so +128B*8 keeps bank 0): row hit.
 	start := done
-	done = v.Access(1024, start)
-	if done-start != TCL+TBURST {
-		t.Fatalf("row hit latency = %d, want %d", done-start, TCL+TBURST)
+	done, o = v.Access(1024, start)
+	if done-start != TCL+TBURST || o != RowHit {
+		t.Fatalf("row hit latency = %d (outcome %d), want %d", done-start, o, TCL+TBURST)
 	}
 	// Different row, same bank: conflict.
 	start = done
-	done = v.Access(1<<14, start)
-	if done-start != TRP+TRCD+TCL+TBURST {
-		t.Fatalf("row conflict latency = %d", done-start)
+	done, o = v.Access(1<<14, start)
+	if done-start != TRP+TRCD+TCL+TBURST || o != RowConflict {
+		t.Fatalf("row conflict latency = %d (outcome %d)", done-start, o)
 	}
 }
 
 func TestVaultBankBusySerializes(t *testing.T) {
 	v := new(Vault)
-	d1 := v.Access(0, 0)
+	d1, _ := v.Access(0, 0)
 	// Second request to the same bank issued at time 0 must wait.
-	d2 := v.Access(1024, 0)
+	d2, _ := v.Access(1024, 0)
 	if d2 <= d1 {
 		t.Fatalf("overlapping bank accesses: d1=%d d2=%d", d1, d2)
 	}
 	// Requests to different banks proceed in parallel.
 	v2 := new(Vault)
-	a := v2.Access(0, 0)
-	b := v2.Access(128, 0) // next block -> next bank
+	a, _ := v2.Access(0, 0)
+	b, _ := v2.Access(128, 0) // next block -> next bank
 	if b != a {
 		t.Fatalf("different banks serialized: %d vs %d", a, b)
 	}
@@ -501,7 +499,7 @@ func TestVaultPropertyBankCompletionMonotonic(t *testing.T) {
 			}
 			a := Addr(a16) << 7 // block-aligned
 			bank := (uint32(a) >> 7) & 7
-			done := v.Access(a, now)
+			done, _ := v.Access(a, now)
 			if done < now {
 				return false
 			}

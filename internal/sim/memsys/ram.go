@@ -56,9 +56,6 @@ func NewRAM(size Addr) *RAM {
 	return r
 }
 
-// Size returns the simulated physical memory size in bytes.
-func (r *RAM) Size() Addr { return r.size }
-
 // fault is the panic value of an unaligned or out-of-range access. It is
 // formatted only when read: a Sprintf would stop Load32 and Store32 inlining.
 type fault struct{ a, size Addr }

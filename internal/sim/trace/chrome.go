@@ -45,7 +45,7 @@ func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 	for tid := range t.tracks {
 		for _, ev := range t.Events(tid) {
 			name := strconv.Quote(ev.Kind.String())
-			cat := strconv.Quote(kindCats[ev.Kind])
+			cat := strconv.Quote(kindNames[ev.Kind].cat)
 			if ev.Dur > 0 {
 				emit(fmt.Sprintf(`{"ph":"X","pid":0,"tid":%d,"ts":%d,"dur":%d,"name":%s,"cat":%s,"args":{"arg":%d}}`,
 					tid, ev.TS, ev.Dur, name, cat, ev.Arg))

@@ -25,7 +25,7 @@ type Kind uint8
 // Event kinds, grouped by emitting layer.
 const (
 	// KindRun is an engine dispatch span: one actor's continuous run
-	// between receiving the resume permit and parking (Arg: actor ID).
+	// between its dispatch and its next park (Arg: actor ID).
 	KindRun Kind = iota
 	// KindL1Hit is a host access served by the core's private L1 (span).
 	KindL1Hit
@@ -78,52 +78,32 @@ const (
 	numKinds
 )
 
-// kindNames are the event names in the Chrome export.
-var kindNames = [numKinds]string{
-	KindRun:          "run",
-	KindL1Hit:        "l1-hit",
-	KindL2Hit:        "l2-hit",
-	KindDRAMRead:     "dram-read",
-	KindInvalidate:   "invalidate",
-	KindTLBMiss:      "tlb-miss",
-	KindMMIOWrite:    "mmio-write",
-	KindMMIORead:     "mmio-read",
-	KindNMPBufHit:    "nmp-buf-hit",
-	KindNMPDRAMRead:  "nmp-dram-read",
-	KindDRAMWrite:    "dram-write",
-	KindScratchOp:    "scratch-op",
-	KindOffloadPost:  "offload-post",
-	KindOffloadCall:  "offload-call",
-	KindOffloadServe: "offload-serve",
-	KindCombine:      "combine",
-	KindOpDone:       "op-done",
-}
-
-// kindCats are the category strings in the Chrome export, one per layer.
-var kindCats = [numKinds]string{
-	KindRun:          "engine",
-	KindL1Hit:        "mem",
-	KindL2Hit:        "mem",
-	KindDRAMRead:     "mem",
-	KindInvalidate:   "coherence",
-	KindTLBMiss:      "mem",
-	KindMMIOWrite:    "offload",
-	KindMMIORead:     "offload",
-	KindNMPBufHit:    "mem",
-	KindNMPDRAMRead:  "mem",
-	KindDRAMWrite:    "mem",
-	KindScratchOp:    "mem",
-	KindOffloadPost:  "offload",
-	KindOffloadCall:  "offload",
-	KindOffloadServe: "offload",
-	KindCombine:      "offload",
-	KindOpDone:       "op",
+// kindNames are each kind's event name and layer category in the Chrome
+// export.
+var kindNames = [numKinds]struct{ name, cat string }{
+	KindRun:          {"run", "engine"},
+	KindL1Hit:        {"l1-hit", "mem"},
+	KindL2Hit:        {"l2-hit", "mem"},
+	KindDRAMRead:     {"dram-read", "mem"},
+	KindInvalidate:   {"invalidate", "coherence"},
+	KindTLBMiss:      {"tlb-miss", "mem"},
+	KindMMIOWrite:    {"mmio-write", "offload"},
+	KindMMIORead:     {"mmio-read", "offload"},
+	KindNMPBufHit:    {"nmp-buf-hit", "mem"},
+	KindNMPDRAMRead:  {"nmp-dram-read", "mem"},
+	KindDRAMWrite:    {"dram-write", "mem"},
+	KindScratchOp:    {"scratch-op", "mem"},
+	KindOffloadPost:  {"offload-post", "offload"},
+	KindOffloadCall:  {"offload-call", "offload"},
+	KindOffloadServe: {"offload-serve", "offload"},
+	KindCombine:      {"combine", "offload"},
+	KindOpDone:       {"op-done", "op"},
 }
 
 // String returns the kind's name as used in the Chrome export.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
-		return kindNames[k]
+		return kindNames[k].name
 	}
 	return "unknown"
 }
