@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hybrids -list
-//	hybrids -exp fig5a [-scale quick|small|paper|tiny] [-parallel N] [-ops N] [-markdown|-json]
+//	hybrids -exp fig5a [-scale quick|small|paper|tiny] [-parallel N] [-markdown|-json]
 //	hybrids -exp fig5a -attr -trace trace.json
 //	hybrids -exp all
 //
@@ -33,19 +33,11 @@ import (
 	"hybrids/internal/exp"
 )
 
-// checkFlags refuses out-of-range sizes, naming the flag. The defaults
-// are in range: -ops 0 and -warmup -1 keep the scale's counts, -parallel 0
-// measures serially, and -trace-events 0 keeps the default ring capacity.
-func checkFlags(ops, warmup, parallel, traceEvents int) error {
-	switch {
-	case ops < 0:
-		return fmt.Errorf("-ops %d must be >= 0 (0 keeps the scale's count)", ops)
-	case warmup < -1:
-		return fmt.Errorf("-warmup %d must be >= 0 (-1 keeps the scale's count)", warmup)
-	case parallel < 0:
+// checkFlags refuses a negative -parallel, naming the flag; -parallel 0
+// measures serially.
+func checkFlags(parallel int) error {
+	if parallel < 0 {
 		return fmt.Errorf("-parallel %d must be >= 0 (0 measures serially)", parallel)
-	case traceEvents < 0:
-		return fmt.Errorf("-trace-events %d must be >= 0 (0 keeps the default capacity)", traceEvents)
 	}
 	return nil
 }
@@ -57,16 +49,13 @@ func main() {
 		list     = flag.Bool("list", false, "list experiments")
 		markdown = flag.Bool("markdown", false, "emit markdown tables")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON (per-cell metrics)")
-		ops      = flag.Int("ops", 0, "override measured ops per thread")
-		warmup   = flag.Int("warmup", -1, "override warmup ops per thread")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "grid cells to measure concurrently (results are identical at any setting)")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		attr     = flag.Bool("attr", false, "print per-operation latency attribution tables (buckets also land in -json cells)")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON capture of the first measured cell to this file (open in Perfetto)")
-		traceCap = flag.Int("trace-events", 0, "per-track trace ring capacity (default 65536; older events fall off first)")
 	)
 	flag.Parse()
-	if err := checkFlags(*ops, *warmup, *parallel, *traceCap); err != nil {
+	if err := checkFlags(*parallel); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -97,18 +86,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	if *ops > 0 {
-		sc.OpsPerThread = *ops
-	}
-	if *warmup >= 0 {
-		sc.WarmupPerThread = *warmup
-	}
 	if *parallel > 0 {
 		sc.Parallel = *parallel
 	}
 	sc.Attr = *attr
 	if *traceOut != "" {
-		sc.Trace = &exp.TraceSpec{Path: *traceOut, Events: *traceCap}
+		sc.Trace = &exp.TraceSpec{Path: *traceOut}
 	}
 
 	var progress io.Writer = os.Stderr

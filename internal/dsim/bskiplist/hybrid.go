@@ -2,7 +2,6 @@ package bskiplist
 
 import (
 	"fmt"
-	"sort"
 
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
@@ -145,13 +144,13 @@ func (t *Hybrid) ApplyBatch(c *machine.Ctx, thread int, ops []kv.Op) int {
 }
 
 // Dump returns live pairs across all partitions — the authoritative
-// leaves — in key order (untimed).
+// leaves — in key order (untimed): the partitions hold disjoint, ascending
+// key ranges, so their concatenation is already sorted.
 func (t *Hybrid) Dump() []KV {
 	var out []KV
 	for _, l := range t.lists {
 		out = append(out, l.dump(t.m.Mem.RAM)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

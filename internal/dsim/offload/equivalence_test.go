@@ -85,7 +85,7 @@ func skiplistDump(t *testing.T, window int, async bool) []skiplist.KV {
 	for i, p := range pairs {
 		skp[i] = skiplist.KV{Key: p.k, Value: p.v}
 	}
-	s.Build(skp, 99)
+	s.Build(skp)
 	s.Start()
 	driveStreams(m, streams, func(c *machine.Ctx, th int, ops []kv.Op) {
 		if async {

@@ -6,9 +6,9 @@
 // structure contributes only an Adapter: the host-side pre-work that
 // routes an operation and encodes its request, and the host-side
 // post-work that interprets the response. Apply and ApplyBatch therefore
-// exist in exactly one place; the hybrid skiplist (§3.3), the hybrid B+
-// tree (§3.4), the hybrid B-skiplist and the NMP-based skiplist are small
-// adapters over this runtime.
+// exist in exactly one place; the hybrid skiplist (§3.3, which with every
+// level NMP-side is also the NMP-based baseline), the hybrid B+ tree
+// (§3.4) and the hybrid B-skiplist are small adapters over this runtime.
 //
 // The protocol is typed directly on the simulator's virtual-time context
 // (*machine.Ctx), its 32-bit operations (kv.Op) and the publication-slot

@@ -83,7 +83,7 @@ func TestHybridRetryOnDeletedBeginNode(t *testing.T) {
 	pairs := initialPairs(testN)
 	m := testMachine()
 	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
-	s.Build(pairs, 99)
+	s.Build(pairs)
 	s.Start()
 
 	talls := tallKeys(m, s)
@@ -138,7 +138,7 @@ func TestHybridStaleShortcutCleanupUnlinksHostNode(t *testing.T) {
 	pairs := initialPairs(testN)
 	m := testMachine()
 	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
-	s.Build(pairs, 99)
+	s.Build(pairs)
 	s.Start()
 
 	talls := tallKeys(m, s)
@@ -180,7 +180,7 @@ func TestHybridStaleShortcutCleanupNonBlocking(t *testing.T) {
 	pairs := initialPairs(testN)
 	m := testMachine()
 	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
-	s.Build(pairs, 99)
+	s.Build(pairs)
 	s.Start()
 
 	talls := tallKeys(m, s)

@@ -1,8 +1,6 @@
 package skiplist
 
 import (
-	"sort"
-
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
@@ -42,6 +40,7 @@ type Hybrid struct {
 
 	levels    int // full skiplist height
 	nmpLevels int // bottom levels NMP-side
+	seed      uint64
 	rngs      []*prng.Source
 }
 
@@ -59,7 +58,8 @@ type HybridConfig struct {
 	// by ApplyBatch (1 = blocking behaviour). Publication lists are
 	// sized as hostCores*Window slots.
 	Window int
-	Seed   uint64
+	// Seed feeds the insert heights; Build draws its heights from Seed+1.
+	Seed uint64
 }
 
 // NewHybrid creates the structure; call Start to spawn the NMP combiners.
@@ -73,6 +73,7 @@ func NewHybrid(m *machine.Machine, cfg HybridConfig) *Hybrid {
 		rt:        offload.New(m, cfg.Window),
 		levels:    cfg.Levels,
 		nmpLevels: cfg.NMPLevels,
+		seed:      cfg.Seed,
 	}
 	s.host = newLFCore(m.Mem.RAM, m.Mem.HostAlloc, cfg.Levels-cfg.NMPLevels)
 	for p := 0; p < m.Cfg.Mem.NMPVaults; p++ {
@@ -97,9 +98,11 @@ func (s *Hybrid) Start() {
 
 // Build populates the structure untimed: NMP portions are bulk-loaded per
 // partition; keys whose height crosses the split get a host node holding
-// the excess levels and a shortcut to the NMP counterpart.
-func (s *Hybrid) Build(pairs []KV, seed uint64) {
+// the excess levels and a shortcut to the NMP counterpart. Heights come
+// from the load-phase seed, the structure's seed plus 1.
+func (s *Hybrid) Build(pairs []KV) {
 	ram := s.m.Mem.RAM
+	seed := s.seed + 1
 	// Collect the tall keys in key order first (partitions are visited in
 	// ascending key-range order), then allocate their host nodes in
 	// shuffled order and link them.
@@ -300,13 +303,13 @@ func (s *Hybrid) ApplyBatch(c *machine.Ctx, thread int, ops []kv.Op) int {
 }
 
 // Dump returns live pairs across all NMP partitions — the authoritative
-// bottom level — in key order (untimed).
+// bottom level — in key order (untimed): the partitions hold disjoint,
+// ascending key ranges, so their concatenation is already sorted.
 func (s *Hybrid) Dump() []KV {
 	var out []KV
 	for _, l := range s.lists {
 		out = append(out, l.dump(s.m.Mem.RAM)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

@@ -17,6 +17,7 @@ type LockFree struct {
 	m      *machine.Machine
 	core   *lfCore
 	levels int
+	seed   uint64
 	rngs   []*prng.Source // per host core, for node heights
 }
 
@@ -27,6 +28,7 @@ func NewLockFree(m *machine.Machine, levels int, seed uint64) *LockFree {
 		m:      m,
 		core:   newLFCore(m.Mem.RAM, m.Mem.HostAlloc, levels),
 		levels: levels,
+		seed:   seed,
 	}
 	for i := 0; i < m.Cfg.Mem.HostCores; i++ {
 		s.rngs = append(s.rngs, prng.New(seed^prng.Mix64(uint64(i)+1)))
@@ -35,8 +37,10 @@ func NewLockFree(m *machine.Machine, levels int, seed uint64) *LockFree {
 }
 
 // Build populates the skiplist untimed (the load phase). Keys are
-// deduplicated; heights are drawn deterministically from the build seed.
-func (s *LockFree) Build(pairs []KV, seed uint64) {
+// deduplicated; heights are drawn deterministically from the load-phase
+// seed, the structure's seed plus 1.
+func (s *LockFree) Build(pairs []KV) {
+	seed := s.seed + 1
 	uniq := kv.SortedUnique(pairs)
 	rng := prng.New(seed)
 	heights := make([]int, len(uniq))

@@ -151,17 +151,17 @@ func buildStore(t *testing.T, name string, m *machine.Machine, pairs []KV) testS
 	switch name {
 	case "lockfree":
 		s := NewLockFree(m, testLevels, 7)
-		s.Build(pairs, 99)
+		s.Build(pairs)
 		return s
 	case "nmpfc":
 		// The NMP-based baseline: the hybrid with every level NMP-side.
 		s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
-		s.Build(pairs, 99)
+		s.Build(pairs)
 		s.Start()
 		return s
 	case "hybrid":
 		s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
-		s.Build(pairs, 99)
+		s.Build(pairs)
 		s.Start()
 		return s
 	default:
@@ -403,7 +403,7 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 		t.Run(split.name, func(t *testing.T) {
 			m := testMachine()
 			s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: split.nmpLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
-			s.Build(pairs, 99)
+			s.Build(pairs)
 			s.Start()
 			got := 0
 			m.SpawnHost(0, "driver", func(c *machine.Ctx) {
@@ -429,7 +429,7 @@ func TestHybridAsyncConcurrentThreads(t *testing.T) {
 		t.Run(split.name, func(t *testing.T) {
 			m := testMachine()
 			s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: split.nmpLevels, KeyMax: testKeyMax, Window: 4, Seed: 7})
-			s.Build(pairs, 99)
+			s.Build(pairs)
 			s.Start()
 			const threads = 8
 			for th := 0; th < threads; th++ {
@@ -485,7 +485,7 @@ func TestHybridSplitPlacesTallNodesHostSide(t *testing.T) {
 	pairs := initialPairs(testN)
 	m := testMachine()
 	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
-	s.Build(pairs, 99)
+	s.Build(pairs)
 	ram := m.Mem.RAM
 	// Count host nodes; expect roughly N / 2^NMPLevels.
 	count := 0
@@ -509,7 +509,7 @@ func TestHybridDelaysPopulated(t *testing.T) {
 	pairs := initialPairs(256)
 	m := testMachine()
 	s := NewHybrid(m, HybridConfig{Levels: testLevels, NMPLevels: testNMPLevels, KeyMax: testKeyMax, Window: 1, Seed: 7})
-	s.Build(pairs, 99)
+	s.Build(pairs)
 	s.Start()
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
 		for _, p := range pairs[:64] {

@@ -162,7 +162,7 @@ func metricOf(t *testing.T, s string) float64 {
 
 // faultyStore panics inside a simulated body: on thread 1's fifth call.
 type faultyStore struct {
-	kv.Store
+	structure
 	calls int
 }
 
@@ -172,8 +172,13 @@ func (f *faultyStore) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool)
 			panic("store bug")
 		}
 	}
-	return f.Store.Apply(c, thread, op)
+	return f.structure.Apply(c, thread, op)
 }
+
+// boomStore's bulk build panics.
+type boomStore struct{ structure }
+
+func (boomStore) Build([]ycsb.Pair) { panic("build bug") }
 
 // TestFailingCellNamesItself: a panic in one cell's simulated body reaches
 // the grid's caller (it used to kill the process from an actor goroutine)
@@ -183,10 +188,8 @@ func TestFailingCellNamesItself(t *testing.T) {
 	sc := QuickScale()
 	sc.Parallel = 1
 	good := skiplistLockFree(sc)
-	faulty := &variant{name: "faulty", open: func(m *machine.Machine) instance {
-		in := good.open(m)
-		in.Store = &faultyStore{Store: in.Store}
-		return in
+	faulty := &variant{name: "faulty", open: func(m *machine.Machine) structure {
+		return &faultyStore{structure: good.open(m)}
 	}}
 	defer func() {
 		msg, _ := recover().(string)
@@ -201,6 +204,29 @@ func TestFailingCellNamesItself(t *testing.T) {
 	t.Fatal("the grid returned")
 }
 
+// TestUnstartedHybridFailsLoudly: runCell starts a structure only through
+// its Start method, so a hybrid whose Start is hidden has no NMP combiners,
+// and its first offload deadlocks the engine, which names the cell.
+func TestUnstartedHybridFailsLoudly(t *testing.T) {
+	sc := QuickScale()
+	sc.Parallel = 1
+	hybrid := engineHybrid("skiplist", sc, 1, false)
+	unstarted := &variant{name: "unstarted", open: func(m *machine.Machine) structure {
+		return struct{ structure }{hybrid.open(m)}
+	}}
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{`cell "figX C-100 unstarted threads=`, "deadlock"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic lacks %q:\n%s", want, msg)
+			}
+		}
+	}()
+	runGrid(sc, nil, "figX", []*variant{unstarted},
+		[]workload{loadSets{}.onePoint(sc, "C-100", ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed))})
+	t.Fatal("the grid returned")
+}
+
 // TestFailingBuildSurfaces: a bulk build that panics reaches runCells'
 // caller at any worker count, naming the building cell, and a group member
 // that was to restore the failed build's image says so instead of
@@ -209,10 +235,8 @@ func TestFailingBuildSurfaces(t *testing.T) {
 	sc := QuickScale()
 	sc.ThreadCounts = []int{1, 2, 4}
 	good := skiplistLockFree(sc)
-	boom := &variant{name: "boom", open: func(m *machine.Machine) instance {
-		in := good.open(m)
-		in.build = func([]ycsb.Pair) { panic("build bug") }
-		return in
+	boom := &variant{name: "boom", open: func(m *machine.Machine) structure {
+		return boomStore{good.open(m)}
 	}}
 	ws := threadSweep(sc, ycsb.YCSBC(sc.SkiplistRecords, sc.KeyMax, sc.Seed), sc.ThreadCounts)
 	for _, parallel := range []int{1, 3} {

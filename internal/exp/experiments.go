@@ -6,7 +6,6 @@ import (
 
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/memsys"
-	"hybrids/internal/store"
 	"hybrids/internal/ycsb"
 )
 
@@ -574,28 +573,23 @@ func runAblatePartitions(sc Scale, progress io.Writer) Result {
 // engine: the blocking discipline plus the scale's non-blocking window.
 // Unlike the figure-specific variant lists above, nothing here names a
 // concrete structure — any registered engine grids identically.
-func engineVariants(e store.Engine, sc Scale) []*variant {
-	return []*variant{engineHybrid(e.Name, sc, 1, false), engineHybrid(e.Name, sc, sc.Window, true)}
+func engineVariants(engine string, sc Scale) []*variant {
+	return []*variant{engineHybrid(engine, sc, 1, false), engineHybrid(engine, sc, sc.Window, true)}
 }
 
-// runEngineGrid measures one registered engine's hybrid across the thread
-// sweep, entirely through the registry: load size, hybrid construction and
-// variants all come from the Engine value.
-func runEngineGrid(e store.Engine, sc Scale, progress io.Writer) Result {
-	variants := engineVariants(e, sc)
-	grid := runGrid(sc, progress, "engine-"+e.Name, variants,
-		threadSweep(sc, ycsb.YCSBC(e.SimRecords(sc.SimParams), sc.KeyMax, sc.Seed), sc.ThreadCounts))
+// runEngineBSkiplist measures the B-skiplist engine's hybrid across the
+// thread sweep, built through the registry like every hybrid.
+func runEngineBSkiplist(sc Scale, progress io.Writer) Result {
+	variants := engineVariants("bskiplist", sc)
+	grid := runGrid(sc, progress, "engine-bskiplist", variants,
+		threadSweep(sc, ycsb.YCSBC(sc.BSkiplistRecords, sc.KeyMax, sc.Seed), sc.ThreadCounts))
 	res := Result{
-		ID:     "engine-" + e.Name,
-		Title:  fmt.Sprintf("Engine %s (%s, YCSB-C, scale %s)", e.Name, e.Desc, sc.Name),
+		ID:     "engine-bskiplist",
+		Title:  "Engine bskiplist (cache-conscious B-skiplist, YCSB-C, scale " + sc.Name + ")",
 		Header: []string{"implementation", "threads", "Mops/s", "vs blocking@same"},
 	}
 	res.sweepRows(sc, grid, variants, "hybrid-blocking")
 	res.Notes = append(res.Notes,
 		"registry-driven grid: the harness resolves the engine by name and never touches a concrete structure type")
 	return res
-}
-
-func runEngineBSkiplist(sc Scale, progress io.Writer) Result {
-	return runEngineGrid(store.MustEngine("bskiplist"), sc, progress)
 }

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"hybrids/internal/store"
 	"hybrids/internal/ycsb"
 )
 
@@ -41,7 +40,7 @@ func TestSharedImagesMatchFreshBuilds(t *testing.T) {
 	}
 	grids["mix skiplist"] = mixSweep(sc.SkiplistRecords, skiplistVariants(sc))
 	grids["mix btree"] = mixSweep(sc.BTreeRecords, btreeVariants(sc))
-	grids["mix bskiplist"] = mixSweep(sc.BSkiplistRecords, engineVariants(store.MustEngine("bskiplist"), sc))
+	grids["mix bskiplist"] = mixSweep(sc.BSkiplistRecords, engineVariants("bskiplist", sc))
 
 	run := func(grid func() []Cell, solo bool) []Cell {
 		soloGroups = solo

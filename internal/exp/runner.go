@@ -15,45 +15,34 @@ import (
 	"hybrids/internal/ycsb"
 )
 
-// Runner executes one host thread's operation stream against a structure:
-// blocking one-at-a-time calls through Store, or the non-blocking window
-// path when Batch is set.
-type Runner struct {
-	Store kv.Store
-	Batch kv.AsyncStore // non-nil selects the non-blocking path
-}
-
-// RunThread applies ops on the calling thread's context, recording one
-// Ctx.OpDone per completed operation (the non-blocking path records its
-// completions inside ApplyBatch, where they actually happen). OpDone is
-// what delimits the per-operation intervals of the latency-attribution
-// report; it consumes no virtual time.
-func (r Runner) RunThread(c *machine.Ctx, thread int, ops []kv.Op) {
-	if r.Batch != nil {
-		r.Batch.ApplyBatch(c, thread, ops)
-		return
-	}
-	for _, op := range ops {
-		r.Store.Apply(c, thread, op)
-		c.OpDone()
-	}
-}
-
 // variant names one evaluated implementation and how to put it on a fresh
 // machine.
 type variant struct {
 	name string
-	// build is everything open and build read besides the machine and the
+	// build is everything open and Build read besides the machine and the
 	// load set. Cells whose variants declare one build key, over equal load
 	// sets on one machine configuration, leave byte-identical built
 	// machines and form one image group (see runCells). The zero key (a
 	// test's ad hoc variant) groups by *variant instead.
 	build buildKey
+	// async drives the structure through kv.AsyncStore.ApplyBatch, the
+	// non-blocking path, instead of one blocking Apply at a time.
+	async bool
 	// open constructs the variant's empty structure on m. It must be cheap
 	// and deterministic: the same allocations and stores on every fresh
 	// machine, because a cell that restores another cell's built image
 	// still runs open for the Go-side handles (heads, slots) it yields.
-	open func(m *machine.Machine) instance
+	open func(m *machine.Machine) structure
+}
+
+// structure is one variant constructed on one machine. runCell calls a
+// hybrid's Start (its NMP daemons) after Build; unstarted, it deadlocks.
+type structure interface {
+	kv.Store
+	// Build bulk-loads the structure, untimed. It may touch only simulated
+	// RAM and the machine's bump allocators, which is what lets a
+	// memsys.Image stand in for it.
+	Build(load []ycsb.Pair)
 }
 
 // buildKey names a built structure and the sizing and seed its open and
@@ -62,17 +51,6 @@ type variant struct {
 type buildKey struct {
 	structure string
 	store.SimParams
-}
-
-// instance is one variant constructed on one machine.
-type instance struct {
-	// build bulk-loads the structure, untimed. It may touch only simulated
-	// RAM and the machine's bump allocators, which is what lets a
-	// memsys.Image stand in for it.
-	build func(load []ycsb.Pair)
-	// start spawns the structure's NMP daemons (nil: it has none).
-	start func()
-	Runner
 }
 
 // Cell is one measured grid point.
@@ -133,10 +111,25 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 	if sc.Attr {
 		m.EnableAttribution()
 	}
-	r := v.open(m)
-	g.load(m, j.progress, func() { r.build(load) })
-	if r.start != nil {
-		r.start()
+	s := v.open(m)
+	g.load(m, j.progress, func() { s.Build(load) })
+	if h, ok := s.(interface{ Start() }); ok {
+		h.Start()
+	}
+	// run applies one thread's ops, recording one Ctx.OpDone per completed
+	// operation (the non-blocking path records its completions inside
+	// ApplyBatch, where they actually happen). OpDone is what delimits the
+	// per-operation intervals of the latency-attribution report; it
+	// consumes no virtual time.
+	run := func(c *machine.Ctx, th int, ops []kv.Op) {
+		if v.async {
+			s.(kv.AsyncStore).ApplyBatch(c, th, ops)
+			return
+		}
+		for _, op := range ops {
+			s.Apply(c, th, op)
+			c.OpDone()
+		}
 	}
 	reg := m.Metrics
 
@@ -145,7 +138,7 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 	var start, end metrics.Snapshot
 	for th := range threads {
 		m.SpawnHost(th, fmt.Sprintf("driver%d", th), func(c *machine.Ctx) {
-			r.RunThread(c, th, streams[th][:sc.WarmupPerThread])
+			run(c, th, streams[th][:sc.WarmupPerThread])
 			arrived++
 			if arrived == threads {
 				startCycle = c.Now()
@@ -158,7 +151,7 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 			// boundary so warmup and rendezvous cycles cannot leak into
 			// the first measured operation's sample.
 			c.AttrReset()
-			r.RunThread(c, th, streams[th][sc.WarmupPerThread:])
+			run(c, th, streams[th][sc.WarmupPerThread:])
 			finished++
 			endCycle = max(endCycle, c.Now())
 			if finished == threads {
@@ -191,12 +184,8 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 
 func skiplistLockFree(sc Scale) *variant {
 	key := buildKey{"lock-free", store.SimParams{SkiplistLevels: sc.SkiplistLevels, Seed: sc.Seed}}
-	return &variant{name: "lock-free", build: key, open: func(m *machine.Machine) instance {
-		s := skiplist.NewLockFree(m, sc.SkiplistLevels, sc.Seed)
-		return instance{
-			build:  func(load []ycsb.Pair) { s.Build(load, sc.Seed+1) },
-			Runner: Runner{Store: s},
-		}
+	return &variant{name: "lock-free", build: key, open: func(m *machine.Machine) structure {
+		return skiplist.NewLockFree(m, sc.SkiplistLevels, sc.Seed)
 	}}
 }
 
@@ -222,33 +211,24 @@ func engineHybrid(engine string, sc Scale, window int, async bool) *variant {
 	}
 	built, p := sc.SimParams, sc.SimParams
 	built.Window, p.Window = 0, window
-	return &variant{name: name, build: buildKey{engine, built}, open: func(m *machine.Machine) instance {
-		s := e.NewSimHybrid(m, p)
-		in := instance{build: s.Build, start: s.Start, Runner: Runner{Store: s}}
-		if async {
-			in.Batch = s
-		}
-		return in
+	return &variant{name: name, build: buildKey{engine, built}, async: async, open: func(m *machine.Machine) structure {
+		return e.NewSimHybrid(m, p)
 	}}
 }
 
 func skiplistVariants(sc Scale) []*variant {
-	return append([]*variant{skiplistLockFree(sc), skiplistNMPBased(sc)}, engineVariants(store.MustEngine("skiplist"), sc)...)
+	return append([]*variant{skiplistLockFree(sc), skiplistNMPBased(sc)}, engineVariants("skiplist", sc)...)
 }
 
 // B+ tree variants evaluated in §5 (Figure 6, Figure 8).
 
 func btreeHostOnly(sc Scale) *variant {
 	key := buildKey{"host-only", store.SimParams{}}
-	return &variant{name: "host-only", build: key, open: func(m *machine.Machine) instance {
-		t := btree.NewHostOnly(m)
-		return instance{
-			build:  func(load []ycsb.Pair) { t.Build(load) },
-			Runner: Runner{Store: t},
-		}
+	return &variant{name: "host-only", build: key, open: func(m *machine.Machine) structure {
+		return btree.NewHostOnly(m)
 	}}
 }
 
 func btreeVariants(sc Scale) []*variant {
-	return append([]*variant{btreeHostOnly(sc)}, engineVariants(store.MustEngine("btree"), sc)...)
+	return append([]*variant{btreeHostOnly(sc)}, engineVariants("btree", sc)...)
 }

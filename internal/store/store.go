@@ -2,12 +2,12 @@
 // HybriDS hybrid (host portion + NMP portion behind the shared offload
 // runtime) is wired into the repository's two stacks. An engine name
 // chooses the simulated hybrid only; natively every engine runs on the
-// one partition store, cds.BTree. Every consumer — bench/, the simulated
-// experiment grids and the cross-stack conformance suite — resolves
-// engines only through Engines/MustEngine, so adding a structure is a
-// one-package change: implement the structure, append an Engine here, and
-// the grids and the conformance tests pick it up with no per-consumer
-// code.
+// one partition store, cds.BTree. bench/, the experiment grids and the
+// cross-stack conformance suite build every hybrid through
+// Engines/MustEngine, and the conformance suite covers each registered
+// engine with no per-engine code. The grids' non-hybrid baselines
+// (lock-free skiplist, host-only B+ tree) are not engines: exp builds
+// them directly, and an experiment names the engines it measures.
 package store
 
 import (
@@ -79,13 +79,9 @@ type Engine struct {
 	// Name is the engine's registry key (experiment ID suffix, STATS
 	// label).
 	Name string
-	// Desc is a short human label ("B+ tree") for titles and help text.
-	Desc string
 	// NewSimHybrid builds the engine's simulated hybrid on m, sized by p.
 	// The result is not yet loaded or started.
 	NewSimHybrid func(m *machine.Machine, p SimParams) SimHybrid
-	// SimRecords returns the engine's simulated load-set size under p.
-	SimRecords func(p SimParams) int
 }
 
 // NewNative returns the per-partition store factory the native runtime
