@@ -157,14 +157,12 @@ func (s *seqBList) handler() fc.Handler {
 		leaf := s.findFrom(c, begin, req.Key, path)
 		i := leafSlot(c, leaf, req.Key)
 		switch req.Op {
-		case fc.OpRead:
+		case fc.OpRead, fc.OpUpdate:
 			if i < 0 {
 				return fc.Response{}
 			}
-			return fc.Response{Success: true, Value: c.Read32(payAddr(leaf, i))}
-		case fc.OpUpdate:
-			if i < 0 {
-				return fc.Response{}
+			if req.Op == fc.OpRead {
+				return fc.Response{Success: true, Value: c.Read32(payAddr(leaf, i))}
 			}
 			c.Write32(payAddr(leaf, i), req.Value)
 			return fc.Response{Success: true}

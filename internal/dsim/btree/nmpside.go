@@ -56,18 +56,14 @@ func (t *nmpTree) handler() fc.Handler {
 		path, idxs := t.descend(c, begin, req.Key)
 		leaf := path[0]
 		switch req.Op {
-		case fc.OpRead:
+		case fc.OpRead, fc.OpUpdate:
 			slots := metaSlots(c.Read32(metaAddr(leaf)))
 			i := findLeafSlot(c, leaf, slots, req.Key)
 			if i < 0 {
 				return fc.Response{}
 			}
-			return fc.Response{Success: true, Value: c.Read32(ptrAddr(leaf, i))}
-		case fc.OpUpdate:
-			slots := metaSlots(c.Read32(metaAddr(leaf)))
-			i := findLeafSlot(c, leaf, slots, req.Key)
-			if i < 0 {
-				return fc.Response{}
+			if req.Op == fc.OpRead {
+				return fc.Response{Success: true, Value: c.Read32(ptrAddr(leaf, i))}
 			}
 			c.Write32(ptrAddr(leaf, i), req.Value)
 			return fc.Response{Success: true}

@@ -147,13 +147,6 @@ type Delays struct {
 	ObserveCount      uint64
 }
 
-// Per-partition delay histogram names registered in the machine's metrics
-// registry: offload/p<i>/post_to_scan, offload/p<i>/service and
-// offload/p<i>/observe.
-func delayMetricName(part int, kind string) string {
-	return fmt.Sprintf("offload/p%d/%s", part, kind)
-}
-
 // DelaysFrom assembles the Table 2 delay view from a registry snapshot (or
 // snapshot delta), summing the per-partition offload histograms.
 func DelaysFrom(s metrics.Snapshot) Delays {
@@ -226,9 +219,9 @@ func NewPubList(m *machine.Machine, part, slots int) *PubList {
 		scannedAt:   make([]uint64, slots),
 		completedAt: make([]uint64, slots),
 		waiters:     make([]*engine.Actor, slots),
-		hPostToScan: m.Metrics.Histogram(delayMetricName(part, "post_to_scan")),
-		hService:    m.Metrics.Histogram(delayMetricName(part, "service")),
-		hObserve:    m.Metrics.Histogram(delayMetricName(part, "observe")),
+		hPostToScan: m.Metrics.Histogram(fmt.Sprintf("offload/p%d/post_to_scan", part)),
+		hService:    m.Metrics.Histogram(fmt.Sprintf("offload/p%d/service", part)),
+		hObserve:    m.Metrics.Histogram(fmt.Sprintf("offload/p%d/observe", part)),
 	}
 }
 
@@ -265,9 +258,9 @@ func (p *PubList) Post(c *machine.Ctx, slot int, req Request) {
 	ram.Store32(p.doorbellAddr(), ram.Load32(p.doorbellAddr())|1<<uint(slot))
 	p.postedAt[slot] = c.Now()
 	p.pendingCount++
-	c.TraceInstant(trace.KindOffloadPost, c.Now(), uint32(slot))
+	c.TraceSpan(trace.KindOffloadPost, c.Now(), 0, uint32(slot)) // zero length: an instant
 	if p.combiner != nil {
-		c.Unblock(p.combiner, doorbellWake)
+		c.A.Unblock(p.combiner, doorbellWake)
 	}
 }
 
@@ -282,8 +275,9 @@ const doorbellWake = 4
 // (post to combiner pickup) from the offload-wait attribution bucket into
 // NMP-serialization.
 func (p *PubList) Done(c *machine.Ctx, slot int) bool {
-	v := c.MMIOReadBurst(p.slotAddr(slot), 1)
-	done := v[0]&validBit == 0
+	var flags [1]uint32
+	c.MMIOReadBurst(p.slotAddr(slot), flags[:])
+	done := flags[0]&validBit == 0
 	if done && p.completedAt[slot] != 0 {
 		p.hObserve.Observe(c.Now() - p.completedAt[slot])
 		p.completedAt[slot] = 0
@@ -295,7 +289,8 @@ func (p *PubList) Done(c *machine.Ctx, slot int) bool {
 
 // ReadResponse fetches the response fields of a completed slot (host side).
 func (p *PubList) ReadResponse(c *machine.Ctx, slot int) Response {
-	ws := c.MMIOReadBurst(p.slotAddr(slot)+memsys.Addr(wRespFlags*4), 3)
+	var ws [3]uint32
+	c.MMIOReadBurst(p.slotAddr(slot)+memsys.Addr(wRespFlags*4), ws[:])
 	return Response{
 		Success:  ws[0]&1 != 0,
 		Retry:    ws[0]&2 != 0,
@@ -317,35 +312,36 @@ func (p *PubList) Call(c *machine.Ctx, slot int, req Request) Response {
 		// offload wait (the serialization share is carved out when Done
 		// observes the completion).
 		parked := c.Now()
-		c.Block()
+		c.A.Block()
 		c.AttrAdd(trace.BucketOffloadWait, c.Now()-parked)
 	}
 	return p.ReadResponse(c, slot)
 }
 
-// Pending reads slot on the NMP side and returns the request if the slot
-// holds an unserved operation.
-func (p *PubList) Pending(c *machine.Ctx, slot int) (Request, bool) {
+// serve executes slot's request, if the slot holds one (NMP side), and
+// reports whether it did: read the request, run handle, write the response
+// fields, clear the valid flag last and wake the slot's watcher. Once the
+// flag reads set, the slot and the partition are the combiner's alone until
+// it clears the flag: no host writes a valid slot or reads its response
+// first, and no other core reaches the partition (memsys.NMPAccess panics).
+// So everything between the two flag accesses runs in a run-ahead section
+// (engine.BeginRunAhead, DESIGN §5.1), the one section this repository opens.
+func (p *PubList) serve(c *machine.Ctx, slot int, handle Handler) bool {
 	a := p.slotAddr(slot)
 	if c.Read32(a)&validBit == 0 {
-		return Request{}, false
+		return false
 	}
+	c.A.BeginRunAhead()
 	p.scannedAt[slot] = c.Now()
 	p.hPostToScan.Observe(c.Now() - p.postedAt[slot])
-	req := Request{
+	resp := handle(c, slot, Request{
 		Op:      OpType(c.Read32(a + wOp*4)),
 		Key:     c.Read32(a + wKey*4),
 		Value:   c.Read32(a + wValue*4),
 		NMPPtr:  c.Read32(a + wNMPPtr*4),
 		HostPtr: c.Read32(a + wHostPtr*4),
 		Aux:     c.Read32(a + wAux*4),
-	}
-	return req, true
-}
-
-// Complete writes resp into slot and clears the valid flag (NMP side).
-func (p *PubList) Complete(c *machine.Ctx, slot int, resp Response) {
-	a := p.slotAddr(slot)
+	})
 	var flags uint32
 	if resp.Success {
 		flags |= 1
@@ -359,14 +355,17 @@ func (p *PubList) Complete(c *machine.Ctx, slot int, resp Response) {
 	c.Write32(a+wRespFlags*4, flags)
 	c.Write32(a+wRespValue*4, resp.Value)
 	c.Write32(a+wRespPtr*4, resp.Ptr)
-	c.Write32(a, 0) // clear valid last
+	c.A.EndRunAhead()
+	c.Write32(a, 0)
+	p.pendingCount--
 	p.completedAt[slot] = c.Now()
 	p.hService.Observe(c.Now() - p.scannedAt[slot])
 	c.TraceSpan(trace.KindOffloadServe, p.scannedAt[slot], c.Now()-p.scannedAt[slot], uint32(slot))
 	if w := p.waiters[slot]; w != nil {
 		p.waiters[slot] = nil
-		c.Unblock(w, 0)
+		c.A.Unblock(w, 0)
 	}
+	return true
 }
 
 // Watch registers the calling host actor to be woken when slot completes.
@@ -397,11 +396,11 @@ type Handler func(c *machine.Ctx, slot int, req Request) Response
 func Serve(c *machine.Ctx, p *PubList, handle Handler) {
 	ram := p.m.Mem.RAM
 	p.combiner = c.A
-	for !c.Stopping() {
+	for !c.A.Stopping() {
 		if p.pendingCount == 0 {
 			// Nothing pending anywhere: wait on the doorbell
 			// (monitor/mwait), woken by the next post.
-			c.Block()
+			c.A.Block()
 			continue
 		}
 		bits := c.Read32(p.doorbellAddr())
@@ -419,10 +418,7 @@ func Serve(c *machine.Ctx, p *PubList, handle Handler) {
 			// after completion re-raises it.
 			c.Step(2)
 			ram.Store32(p.doorbellAddr(), ram.Load32(p.doorbellAddr())&^(1<<uint(slot)))
-			if req, ok := p.Pending(c, slot); ok {
-				resp := handle(c, slot, req)
-				p.Complete(c, slot, resp)
-				p.pendingCount--
+			if p.serve(c, slot, handle) {
 				served++
 			}
 		}

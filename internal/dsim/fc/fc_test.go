@@ -179,3 +179,37 @@ func TestOpFor(t *testing.T) {
 	}()
 	OpFor(kv.Scan)
 }
+
+// TestPollsDoNotAllocate: a host's completion poll and response read burst
+// into arrays on the caller's stack, so polling a pending slot, polling a
+// completed one and reading its response allocate nothing.
+func TestPollsDoNotAllocate(t *testing.T) {
+	m := testMachine()
+	p := NewPubList(m, 0, 2)
+	m.SpawnNMP(0, func(c *machine.Ctx) { Serve(c, p, echoHandler) })
+	m.SpawnHost(0, "h", func(c *machine.Ctx) {
+		p.Call(c, 0, Request{Op: OpRead, Key: 1})
+		if n := testing.AllocsPerRun(100, func() {
+			if !p.Done(c, 0) || p.ReadResponse(c, 0).Value != 1 {
+				t.Error("completed slot reads as pending or lost its response")
+			}
+		}); n != 0 {
+			t.Errorf("polling a completed slot and reading its response: %v allocations per run, want 0", n)
+		}
+	})
+	m.Run()
+
+	m = testMachine()
+	p = NewPubList(m, 0, 2) // no combiner: the post stays pending
+	m.SpawnHost(0, "h", func(c *machine.Ctx) {
+		p.Post(c, 1, Request{Op: OpRead})
+		if n := testing.AllocsPerRun(100, func() {
+			if p.Done(c, 1) {
+				t.Error("pending slot reads as done")
+			}
+		}); n != 0 {
+			t.Errorf("polling a pending slot: %v allocations per run, want 0", n)
+		}
+	})
+	m.Run()
+}

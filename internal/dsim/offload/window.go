@@ -116,7 +116,7 @@ func (w *window[S]) harvest(c *machine.Ctx) (*inflight[S], fc.Response, int) {
 		// wait; fc.PubList.Done carves out each request's serialization
 		// share when it observes the completion.
 		parked := c.Now()
-		c.Block()
+		c.A.Block()
 		c.AttrAdd(trace.BucketOffloadWait, c.Now()-parked)
 	}
 }

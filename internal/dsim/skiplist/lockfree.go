@@ -53,16 +53,13 @@ func (s *LockFree) Build(pairs []KV) {
 // Apply implements kv.Store.
 func (s *LockFree) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 	switch op.Kind {
-	case kv.Read:
+	case kv.Read, kv.Update:
 		node, _ := s.core.search(c, op.Key)
 		if node == 0 {
 			return 0, false
 		}
-		return c.Read32(valueAddr(node)), true
-	case kv.Update:
-		node, _ := s.core.search(c, op.Key)
-		if node == 0 {
-			return 0, false
+		if op.Kind == kv.Read {
+			return c.Read32(valueAddr(node)), true
 		}
 		c.Write32(valueAddr(node), op.Value)
 		return 0, true

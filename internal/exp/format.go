@@ -68,7 +68,7 @@ func (r Result) attrTable() (header []string, rows [][]string) {
 		for b := trace.Bucket(0); b < trace.NumBuckets; b++ {
 			row = append(row, fmt.Sprintf("%.1f", c.Attr.PerOp(b)))
 		}
-		row = append(row, fmt.Sprintf("%.1f", c.Attr.TotalPerOp()))
+		row = append(row, fmt.Sprintf("%.1f", float64(c.Attr.Total)/float64(c.Attr.Samples)))
 		rows = append(rows, row)
 	}
 	return header, rows

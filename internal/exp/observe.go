@@ -94,23 +94,7 @@ type AttrSummary struct {
 }
 
 // BucketSum returns bucket b's summed cycles.
-func (a *AttrSummary) BucketSum(b trace.Bucket) uint64 {
-	switch b {
-	case trace.BucketHostCache:
-		return a.HostCache
-	case trace.BucketCoherence:
-		return a.Coherence
-	case trace.BucketDRAM:
-		return a.DRAM
-	case trace.BucketOffloadWait:
-		return a.OffloadWait
-	case trace.BucketNMPSerial:
-		return a.NMPSerial
-	case trace.BucketHostCompute:
-		return a.HostCompute
-	}
-	return 0
-}
+func (a *AttrSummary) BucketSum(b trace.Bucket) uint64 { return *a.buckets()[b] }
 
 // PerOp returns bucket b's mean cycles per attributed operation.
 func (a *AttrSummary) PerOp(b trace.Bucket) float64 {
@@ -120,13 +104,9 @@ func (a *AttrSummary) PerOp(b trace.Bucket) float64 {
 	return float64(a.BucketSum(b)) / float64(a.Samples)
 }
 
-// TotalPerOp returns the mean total interval cycles per attributed
-// operation.
-func (a *AttrSummary) TotalPerOp() float64 {
-	if a.Samples == 0 {
-		return 0
-	}
-	return float64(a.Total) / float64(a.Samples)
+// buckets maps each trace.Bucket to its field.
+func (a *AttrSummary) buckets() [trace.NumBuckets]*uint64 {
+	return [...]*uint64{&a.HostCache, &a.Coherence, &a.DRAM, &a.OffloadWait, &a.NMPSerial, &a.HostCompute}
 }
 
 // attrFrom assembles a cell's attribution summary from a measured-phase
@@ -137,15 +117,9 @@ func attrFrom(delta metrics.Snapshot) *AttrSummary {
 	if n == 0 {
 		return nil
 	}
-	sum := func(b trace.Bucket) uint64 { return delta.Get(b.MetricName() + "/sum") }
-	return &AttrSummary{
-		Samples:     n,
-		HostCache:   sum(trace.BucketHostCache),
-		Coherence:   sum(trace.BucketCoherence),
-		DRAM:        sum(trace.BucketDRAM),
-		OffloadWait: sum(trace.BucketOffloadWait),
-		NMPSerial:   sum(trace.BucketNMPSerial),
-		HostCompute: sum(trace.BucketHostCompute),
-		Total:       delta.Get(trace.AttrTotalMetric + "/sum"),
+	a := &AttrSummary{Samples: n, Total: delta.Get(trace.AttrTotalMetric + "/sum")}
+	for b, f := range a.buckets() {
+		*f = delta.Get(trace.Bucket(b).MetricName() + "/sum")
 	}
+	return a
 }

@@ -10,15 +10,29 @@ import (
 // heap and the parking actor dispatches another. Reports the dispatch rate
 // (events/s), the cost per dispatched event (ns/event) and the coroutine
 // switches per dispatched event (switches/event).
-func BenchmarkEngineDispatch(b *testing.B) {
-	const actors = 8
+func BenchmarkEngineDispatch(b *testing.B) { benchDispatch(b, false) }
+
+// BenchmarkEngineDispatchRunAhead is BenchmarkEngineDispatch with each
+// actor's Advances run four at a time in a run-ahead section, as an NMP
+// core runs an offloaded request: the same events, most of them parks
+// replayed in dispatch with no switch.
+func BenchmarkEngineDispatchRunAhead(b *testing.B) { benchDispatch(b, true) }
+
+func benchDispatch(b *testing.B, ahead bool) {
+	const actors, chain = 8, 4
 	e := New()
 	per := b.N/actors + 1
 	for i := 0; i < actors; i++ {
 		step := uint64(2*i + 1)
 		e.Spawn(fmt.Sprintf("a%d", i), false, func(a *Actor) {
 			for j := 0; j < per; j++ {
+				if ahead && j%chain == 0 {
+					a.BeginRunAhead()
+				}
 				a.Advance(step)
+				if ahead && (j%chain == chain-1 || j == per-1) {
+					a.EndRunAhead()
+				}
 			}
 		})
 	}

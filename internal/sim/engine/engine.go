@@ -9,17 +9,12 @@
 // produces identical interleavings and identical results — host garbage
 // collection or OS scheduling can never perturb simulated time.
 //
-// The parking actor is the dispatcher: when an actor parks it pops the
-// earliest event itself and, if that event is another actor's, resumes that
-// actor's coroutine (iter.Pull over the actor body) directly, becoming its
-// resumer. An actor whose next event belongs to one of its own resumers
-// yields down the chain of resumers to it. Run's caller's goroutine is the
-// bottom of that chain and runs the same loop. A dispatch to an actor
-// outside the chain is one coroutine switch, and each yield down the chain
-// pays back one earlier resume — direct goroutine-to-goroutine transfers on
-// one thread that never enter the Go scheduler (DESIGN §5.1 has the
-// numbers). Exactly one goroutine runs at a time: the package uses no
-// channel, no go statement and no lock.
+// The parking actor is the dispatcher: it pops the earliest event itself
+// and resumes that actor's coroutine (iter.Pull over the body) directly, or
+// yields down its chain of resumers to it; Run's goroutine is the bottom of
+// the chain. The parks of a run-ahead section are replayed in dispatch with
+// no switch at all (DESIGN §5.1). Exactly one goroutine runs at a time: the
+// package uses no channel, no go statement and no lock.
 //
 // Every exit has a defined end. A panic in an actor body, and the deadlock
 // panic, surface on Run's caller; and whether Run returns or panics, every
@@ -72,6 +67,11 @@ type Actor struct {
 	// the actor was last dispatched.
 	track        int
 	dispatchedAt uint64
+
+	// ahead holds the clock readings at which the actor's last run-ahead
+	// section would have parked; dispatch replays ahead[replayed:].
+	ahead    []uint64
+	replayed int
 }
 
 // Now returns the actor's current virtual time in cycles.
@@ -101,11 +101,50 @@ func (a *Actor) Advance(c uint64) {
 // inlinable.
 func (a *Actor) repark() {
 	e := a.eng
+	if e.section == a { // record the park; nextAt 0 makes every later one record
+		a.ahead = append(a.ahead, a.now)
+		e.nextAt = 0
+		return
+	}
 	if e.tr != nil {
 		a.noteRun()
 	}
-	e.push(a)
+	e.push(a, a.now)
 	a.park()
+}
+
+// BeginRunAhead opens a run-ahead section, in which Advance records the
+// times it would park at instead of parking. EndRunAhead takes the first,
+// and dispatch replays the rest with no switch, so every event, dispatch
+// and clock is as it would have been (DESIGN §5.1), provided no other actor
+// reads or writes what the section touches before it ends. Block, Unblock,
+// Spawn, Stopping and a body's return panic in a section; with a tracer
+// none opens.
+func (a *Actor) BeginRunAhead() {
+	a.eng.outside("BeginRunAhead")
+	if a.eng.tr == nil {
+		a.eng.section = a
+	}
+}
+
+// EndRunAhead closes the actor's run-ahead section, if one is open, and
+// takes its first recorded park.
+func (a *Actor) EndRunAhead() {
+	if e := a.eng; e.section == a {
+		e.section = nil
+		if len(a.ahead) > 0 {
+			a.replayed = 1
+			e.push(a, a.ahead[0])
+			a.park()
+		}
+	}
+}
+
+// outside panics inside a run-ahead section: call's effect is not replayed.
+func (e *Engine) outside(call string) {
+	if e.section != nil {
+		panic(call + " inside a run-ahead section")
+	}
 }
 
 // unwind is the private panic value that ends a parked actor's body when
@@ -158,7 +197,7 @@ func (a *Actor) noteRun() {
 
 // Stopping reports whether every non-daemon actor has finished. Daemon
 // actors must poll it and return once it reports true.
-func (a *Actor) Stopping() bool { return a.eng.stopping }
+func (a *Actor) Stopping() bool { a.eng.outside("Stopping"); return a.eng.stopping }
 
 // Block parks the actor with no scheduled wake-up: it resumes only when
 // another actor calls Unblock on it (modelling a hardware monitor/mwait on
@@ -175,6 +214,7 @@ func (a *Actor) Block() {
 		return
 	}
 	e := a.eng
+	e.outside("Block")
 	if e.stopping {
 		return
 	}
@@ -191,6 +231,7 @@ func (a *Actor) Block() {
 // Advance), a wake permit is recorded for b's next Block instead. Must be
 // called by the currently running actor.
 func (a *Actor) Unblock(b *Actor, delay uint64) {
+	a.eng.outside("Unblock")
 	a.eng.stUnblocks.Inc()
 	if !b.blocked {
 		b.wakePending = true
@@ -202,7 +243,7 @@ func (a *Actor) Unblock(b *Actor, delay uint64) {
 		t = b.now
 	}
 	b.now = t
-	a.eng.push(b)
+	a.eng.push(b, t)
 }
 
 // Engine schedules actors in virtual-time order.
@@ -228,9 +269,12 @@ type Engine struct {
 	// failure is the panic Run raises (a body's panic or the deadlock),
 	// carried down the chain so no body can recover another actor's.
 	failure string
-	// switches counts coroutine switches, one per resume or yield (for
-	// tests; no registry counter, so outputs do not change).
-	switches uint64
+	// section is the actor whose run-ahead section is open, if any.
+	section *Actor
+	// switches counts coroutine switches, one per resume or yield, and
+	// replays the parks dispatch replayed with no switch (for tests; no
+	// registry counter, so outputs do not change).
+	switches, replays uint64
 
 	// tr is the engine's event tracer; nil (the default) disables dispatch
 	// tracing at the cost of one pointer comparison per park.
@@ -281,6 +325,7 @@ func (e *Engine) Now() uint64 {
 // called before Run or from a running actor, never from outside while the
 // engine runs.
 func (e *Engine) Spawn(name string, daemon bool, body func(*Actor)) *Actor {
+	e.outside("Spawn")
 	a := &Actor{
 		ID:     len(e.actors),
 		Name:   name,
@@ -296,7 +341,7 @@ func (e *Engine) Spawn(name string, daemon bool, body func(*Actor)) *Actor {
 	if !daemon {
 		e.live++
 	}
-	e.push(a)
+	e.push(a, a.now)
 	return a
 }
 
@@ -316,6 +361,7 @@ func (a *Actor) run(yield func(struct{}) bool) {
 		}
 	}()
 	a.body(a)
+	a.eng.outside("return")
 	a.finished = true
 	e := a.eng
 	if e.tr != nil {
@@ -334,7 +380,7 @@ func (a *Actor) run(yield func(struct{}) bool) {
 					if b.now < a.now {
 						b.now = a.now
 					}
-					e.push(b)
+					e.push(b, b.now)
 				}
 			}
 		}
@@ -368,26 +414,42 @@ func (e *Engine) Run() {
 	}
 }
 
-// dispatch pops the earliest event and makes its actor the current one.
-// It is called only while some actor is unfinished, so an empty heap is a
-// deadlock: dispatch records it as the failure and returns nil.
+// dispatch pops the earliest event, past any run-ahead parks it replays,
+// and makes its actor the current one. It is called only while some actor
+// is unfinished, so an empty heap is a deadlock: dispatch records it as the
+// failure and returns nil.
 func (e *Engine) dispatch() *Actor {
-	if len(e.pq) == 0 {
-		e.failure = "engine: deadlock: live actors but no pending events: " + e.liveNames()
-		return nil
+	for {
+		if len(e.pq) == 0 {
+			e.failure = "engine: deadlock: live actors but no pending events: " + e.liveNames()
+			return nil
+		}
+		ev := e.pq.pop()
+		e.nextAt = math.MaxUint64
+		if len(e.pq) > 0 {
+			e.nextAt = e.pq[0].at
+		}
+		a := ev.a
+		e.cur = a
+		e.stDispatches.Inc()
+		if n := len(a.ahead); n > 0 {
+			// A run-ahead park: the first recorded Advance to fail its test parks a.
+			for a.replayed < n && a.ahead[a.replayed] < e.nextAt {
+				a.replayed++
+			}
+			if a.replayed < n {
+				e.push(a, a.ahead[a.replayed])
+				a.replayed++
+				e.replays++
+				continue
+			}
+			a.ahead = a.ahead[:0]
+		}
+		if e.tr != nil {
+			a.dispatchedAt = ev.at
+		}
+		return a
 	}
-	ev := e.pq.pop()
-	e.nextAt = math.MaxUint64
-	if len(e.pq) > 0 {
-		e.nextAt = e.pq[0].at
-	}
-	a := ev.a
-	e.cur = a
-	e.stDispatches.Inc()
-	if e.tr != nil {
-		a.dispatchedAt = ev.at
-	}
-	return a
 }
 
 // resume switches to a's coroutine, created at its first dispatch, and
@@ -430,9 +492,9 @@ type event struct {
 	a   *Actor
 }
 
-func (e *Engine) push(a *Actor) {
+func (e *Engine) push(a *Actor, at uint64) {
 	e.seq++
-	e.pq.push(event{at: a.now, seq: e.seq, a: a})
+	e.pq.push(event{at: at, seq: e.seq, a: a})
 	e.nextAt = e.pq[0].at
 }
 

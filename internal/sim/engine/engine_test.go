@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"hybrids/internal/sim/trace"
 )
 
 func TestSingleActorAdvances(t *testing.T) {
@@ -586,6 +588,15 @@ func TestNoGoroutineOutlivesChain(t *testing.T) {
 		},
 		"body panic": func(*Actor, []*Actor) { panic("boom") },
 		"deadlock":   func(a *Actor, _ []*Actor) { a.Block() },
+		"body panic in a run-ahead section": func(a *Actor, rest []*Actor) {
+			for _, r := range rest {
+				a.Unblock(r, 5)
+			}
+			a.BeginRunAhead()
+			a.Advance(10) // past the wake-ups: recorded, not parked
+			a.Advance(1)
+			panic("boom")
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
@@ -595,6 +606,9 @@ func TestNoGoroutineOutlivesChain(t *testing.T) {
 			r := runPanic(e)
 			if after := runtime.NumGoroutine(); after != before {
 				t.Fatalf("%d goroutines before Run, %d after (Run ended with %v)", before, after, r)
+			}
+			if msg, _ := r.(string); strings.Contains(name, "section") && !strings.HasPrefix(msg, `engine: actor "top" panicked at cycle 11: boom`) {
+				t.Fatalf("Run ended with %v, want the top's panic at cycle 11", r)
 			}
 			if unwound != 3 {
 				t.Fatalf("%d bodies ran their deferred calls, want 3", unwound)
@@ -627,5 +641,54 @@ func TestPingPongOneSwitchPerDispatch(t *testing.T) {
 	}
 	if e.switches > d {
 		t.Fatalf("%d coroutine switches for %d dispatches, want at most one each", e.switches, d)
+	}
+}
+
+// TestRunAheadMisusePanics: an engine call whose effect a replay could not
+// reproduce, or a body returning, fails inside a run-ahead section, on
+// Run's caller, naming the actor and the call.
+func TestRunAheadMisusePanics(t *testing.T) {
+	for call, do := range map[string]func(e *Engine, a, peer *Actor){
+		"Block":         func(_ *Engine, a, _ *Actor) { a.Block() },
+		"Unblock":       func(_ *Engine, a, peer *Actor) { a.Unblock(peer, 1) },
+		"Spawn":         func(e *Engine, _, _ *Actor) { e.Spawn("child", false, func(*Actor) {}) },
+		"Stopping":      func(_ *Engine, a, _ *Actor) { a.Stopping() },
+		"BeginRunAhead": func(_ *Engine, a, _ *Actor) { a.BeginRunAhead() },
+		"return":        func(*Engine, *Actor, *Actor) {},
+	} {
+		t.Run(call, func(t *testing.T) {
+			e := New()
+			peer := e.Spawn("peer", false, func(a *Actor) { a.Advance(100) })
+			e.Spawn("core", false, func(a *Actor) {
+				a.Advance(3)
+				a.BeginRunAhead()
+				if do(e, a, peer); call != "return" {
+					t.Errorf("%s returned inside a run-ahead section", call)
+				}
+			})
+			msg, _ := runPanic(e).(string)
+			if want := `engine: actor "core" panicked at cycle 3: ` + call + " inside a run-ahead section"; !strings.HasPrefix(msg, want) {
+				t.Fatalf("Run panicked with %q, want %q", msg, want)
+			}
+		})
+	}
+}
+
+// TestRunAheadOffUnderTracer: with a tracer attached a section is not
+// opened, so every park is taken and recorded as a run span.
+func TestRunAheadOffUnderTracer(t *testing.T) {
+	e := New()
+	e.SetTracer(trace.New(64))
+	e.Spawn("peer", false, func(a *Actor) { a.Advance(1); a.Advance(1) })
+	e.Spawn("core", false, func(a *Actor) {
+		a.BeginRunAhead()
+		a.Advance(5)
+		a.Advance(5)
+		a.Stopping() // allowed: no section is open
+		a.EndRunAhead()
+	})
+	e.Run()
+	if e.replays != 0 {
+		t.Fatalf("%d parks replayed under a tracer, want 0", e.replays)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -49,7 +50,37 @@ type orderResult struct {
 }
 
 func orderProgram(seed int64) orderResult {
+	r, _, _ := runOrder(seed, plainProgram)
+	return r
+}
+
+// Program modes of runOrder.
+const (
+	// plainProgram is the golden's program.
+	plainProgram = iota
+	// privateSegments adds, before a third of a worker's steps, a segment
+	// of one to eight Advances whose clock readings only the worker sees.
+	privateSegments
+	// runAheadSegments runs each of those segments in a run-ahead section.
+	runAheadSegments
+)
+
+// runOrder runs orderProgram's program in the given mode and also returns
+// a hash of every worker's readings inside its segments, in worker order,
+// and the engine, for its switch and replay counts.
+func runOrder(seed int64, mode int) (orderResult, uint64, *Engine) {
 	e := New()
+	seen := map[*Actor][]uint64{}
+	segment := func(a *Actor, rng *rand.Rand) {
+		if mode == runAheadSegments {
+			a.BeginRunAhead()
+			defer a.EndRunAhead()
+		}
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			a.Advance(uint64(rng.Intn(30)))
+			seen[a] = append(seen[a], a.Now())
+		}
+	}
 	h := fnv.New64a()
 	steps := 0
 	var lastDispatch uint64
@@ -80,6 +111,10 @@ func orderProgram(seed int64) orderResult {
 		return func(a *Actor) {
 			note(a)
 			for i := 0; i < ops; i++ {
+				if mode != plainProgram && rng.Intn(3) == 0 {
+					segment(a, rng)
+					note(a)
+				}
 				switch r := rng.Intn(100); {
 				case r < 55:
 					a.Advance(uint64(rng.Intn(40))) // 0 is a pure yield
@@ -141,6 +176,12 @@ func orderProgram(seed int64) orderResult {
 		all = append(all, e.Spawn(fmt.Sprintf("w%d", i), false, worker(rng, 200)))
 	}
 	e.Run()
+	private := fnv.New64a()
+	for _, a := range all {
+		for _, t := range seen[a] {
+			private.Write(binary.LittleEndian.AppendUint64(nil, t))
+		}
+	}
 	return orderResult{
 		hash:       h.Sum64(),
 		steps:      steps,
@@ -148,7 +189,7 @@ func orderProgram(seed int64) orderResult {
 		blocks:     e.stBlocks.Value(),
 		unblocks:   e.stUnblocks.Value(),
 		endNow:     e.Now(),
-	}
+	}, private.Sum64(), e
 }
 
 func TestDispatchOrderGolden(t *testing.T) {
@@ -166,6 +207,24 @@ func TestDispatchOrderGolden(t *testing.T) {
 	for _, row := range orderSeeds {
 		if got := orderProgram(row.seed); got != row.want {
 			t.Errorf("seed %d: dispatch order moved:\n got %+v\nwant %+v", row.seed, got, row.want)
+		}
+	}
+}
+
+// TestRunAheadMatchesParking: the program with private segments gives the
+// same observable steps, dispatch count, end clock and in-segment clock
+// readings whether each segment parks as it goes or runs ahead in a
+// section that dispatch replays, over many seeds; and the sections do
+// replay parks and save switches.
+func TestRunAheadMatchesParking(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		want, wantSeen, parked := runOrder(seed, privateSegments)
+		got, gotSeen, ahead := runOrder(seed, runAheadSegments)
+		if got != want || gotSeen != wantSeen {
+			t.Fatalf("seed %d: run-ahead sections moved the program:\n got %+v segments %#x\nwant %+v segments %#x", seed, got, gotSeen, want, wantSeen)
+		}
+		if parked.replays != 0 || ahead.replays == 0 || ahead.switches >= parked.switches {
+			t.Fatalf("seed %d: %d replays and %d switches with sections, %d and %d without", seed, ahead.replays, ahead.switches, parked.replays, parked.switches)
 		}
 	}
 }

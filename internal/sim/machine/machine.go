@@ -202,24 +202,6 @@ func (c *Ctx) TraceSpan(k trace.Kind, start, dur uint64, arg uint32) {
 	c.tr.Span(c.track, k, start, dur, arg)
 }
 
-// TraceInstant records a point event of kind k at ts on this core's trace
-// track (no-op when tracing is off).
-func (c *Ctx) TraceInstant(k trace.Kind, ts uint64, arg uint32) {
-	c.tr.Instant(c.track, k, ts, arg)
-}
-
-// Block parks this context's actor until another actor unblocks it or the
-// simulation is stopping (a hardware monitor/mwait on a doorbell).
-func (c *Ctx) Block() { c.A.Block() }
-
-// Unblock resumes a blocked actor delay cycles from now (the doorbell
-// signal propagation latency).
-func (c *Ctx) Unblock(a *engine.Actor, delay uint64) { c.A.Unblock(a, delay) }
-
-// Stopping reports whether all non-daemon actors have finished (used by
-// NMP core loops to shut down).
-func (c *Ctx) Stopping() bool { return c.A.Stopping() }
-
 // latency is the modelled cost of this core's access to a, starting now.
 func (c *Ctx) latency(a memsys.Addr, write bool) uint64 {
 	if c.kind == hostCore {
@@ -271,15 +253,13 @@ func (c *Ctx) MMIOWriteBurst(a memsys.Addr, vs []uint32) {
 	}
 }
 
-// MMIOReadBurst reads n consecutive 32-bit scratchpad words starting at a
-// in one burst (host cores only).
-func (c *Ctx) MMIOReadBurst(a memsys.Addr, n int) []uint32 {
-	c.mmioBurst(a, n, false)
-	out := make([]uint32, n)
+// MMIOReadBurst reads len(out) consecutive 32-bit scratchpad words
+// starting at a into out in one burst (host cores only).
+func (c *Ctx) MMIOReadBurst(a memsys.Addr, out []uint32) {
+	c.mmioBurst(a, len(out), false)
 	for i := range out {
 		out[i] = c.M.Mem.RAM.Load32(a + memsys.Addr(i)*4)
 	}
-	return out
 }
 
 // mmioBurst charges a host core's MMIO burst of n words at a, as offload

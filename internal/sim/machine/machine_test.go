@@ -83,7 +83,7 @@ func TestNMPCoreServesUntilStopping(t *testing.T) {
 	flag := m.Mem.ScratchAddr(0) // one word in NMP 0's scratchpad
 	served := false
 	m.SpawnNMP(0, func(c *Ctx) {
-		for !c.Stopping() {
+		for !c.A.Stopping() {
 			if c.Read32(flag) == 1 {
 				c.Write32(flag, 2)
 				served = true
@@ -180,7 +180,8 @@ func TestMMIOBurstLatencyAndData(t *testing.T) {
 		c.MMIOWriteBurst(sp, []uint32{1, 2, 3, 4})
 		wLat = c.Now() - t0
 		t0 = c.Now()
-		got := c.MMIOReadBurst(sp, 4)
+		var got [4]uint32
+		c.MMIOReadBurst(sp, got[:])
 		rLat = c.Now() - t0
 		for i, v := range got {
 			if v != uint32(i+1) {
@@ -216,12 +217,12 @@ func TestBlockUnblockThroughCtx(t *testing.T) {
 	m := New(testConfig())
 	var wokeAt uint64
 	waiter := m.SpawnHost(0, "waiter", func(c *Ctx) {
-		c.Block()
+		c.A.Block()
 		wokeAt = c.Now()
 	})
 	m.SpawnHost(1, "waker", func(c *Ctx) {
 		c.Step(500)
-		c.Unblock(waiter, 10)
+		c.A.Unblock(waiter, 10)
 	})
 	m.Run()
 	if wokeAt != 510 {

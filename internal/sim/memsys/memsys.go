@@ -272,19 +272,15 @@ func NewWithMetrics(cfg Config, reg *metrics.Registry) *MemSys {
 // Memory events (cache hits, DRAM reads, invalidations, TLB misses, MMIO)
 // record onto these tracks; the machine and offload layers reuse them via
 // HostTrack/NMPTrack so each core's timeline is a single thread in the
-// Chrome export. Passing nil detaches the tracer.
+// Chrome export. Call once, with a non-nil t.
 func (m *MemSys) SetTracer(t *trace.Tracer) {
-	m.tr = t
-	m.hostTrack, m.nmpTrack = nil, nil
-	if t != nil {
-		for i := 0; i < m.Cfg.HostCores; i++ {
-			m.hostTrack = append(m.hostTrack, t.NewTrack(fmt.Sprintf("host/%d", i)))
-		}
-		for p := 0; p < m.Cfg.NMPVaults; p++ {
-			m.nmpTrack = append(m.nmpTrack, t.NewTrack(fmt.Sprintf("nmp/%d", p)))
-		}
+	m.tr, m.obs = t, true
+	for i := 0; i < m.Cfg.HostCores; i++ {
+		m.hostTrack = append(m.hostTrack, t.NewTrack(fmt.Sprintf("host/%d", i)))
 	}
-	m.obs = m.tr != nil || m.attrs != nil
+	for p := 0; p < m.Cfg.NMPVaults; p++ {
+		m.nmpTrack = append(m.nmpTrack, t.NewTrack(fmt.Sprintf("nmp/%d", p)))
+	}
 }
 
 // Tracer returns the attached event tracer (nil when tracing is off).
