@@ -10,6 +10,7 @@ import (
 // combiner at all: Rejected marks publishes refused by a concurrent Close
 // (the store was never touched), which would otherwise be
 // indistinguishable from an applied operation that returned ok=false.
+// Close rejects no Scan: its Result is ok with its pair count.
 type Outcome struct {
 	// Result is the operation's hds result (zero when Rejected).
 	Result hds.Result
@@ -31,7 +32,9 @@ const (
 // to window operations in flight by publishing them in rounds, one list
 // entry per (round, partition), and waiting once per round on a countdown
 // that the last holder to apply an entry completes — itself, without
-// waiting, when every partition it touched was free. The serving layer
+// waiting, when every partition it touched was free. A Scan is served in
+// the round by its start partition's holder and, if short of its limit
+// there, continued after the wait through ScanAppend. The serving layer
 // keeps one per connection. All of its state is reused, so steady-state
 // Apply calls perform no allocation. A Batcher belongs to one goroutine;
 // it is not safe for concurrent use.
@@ -39,13 +42,16 @@ type Batcher struct {
 	h      *Hybrid
 	window int
 
-	// The round in flight, read by the partitions' holders between the
-	// publish and their done: the caller's operations and outcome slots,
-	// and per partition the indices of the operations it owns, in index
-	// order.
-	ops []hds.Request
-	out []Outcome
-	idx [][]int32
+	// The Apply call, read by the partitions' holders between a round's
+	// publish and their done: ops, outcome slots, per partition the
+	// round's data ops it owns and scans starting in it (index order),
+	// scan i's region of kv (pairs[i]) and the partition's scan cursor.
+	ops       []hds.Request
+	out       []Outcome
+	idx, sidx [][]int32
+	kv        []KV
+	pairs     [][]KV
+	curs      []*scanCursor
 
 	// nodes holds the Batcher's list entry for each partition, reused
 	// every round. touched lists the partitions the round has an entry
@@ -72,14 +78,16 @@ func (h *Hybrid) NewBatcher(window int) *Batcher {
 		h:       h,
 		window:  window,
 		idx:     make([][]int32, len(h.parts)),
+		sidx:    make([][]int32, len(h.parts)),
+		curs:    make([]*scanCursor, len(h.parts)),
 		nodes:   make([]request, len(h.parts)),
 		touched: make([]int, 0, len(h.parts)),
-		scratch: make([]Outcome, window),
 		wake:    make(chan struct{}, 1),
 	}
 	for p := range b.idx {
 		b.idx[p] = make([]int32, 0, window)
 		b.nodes[p].grp = b
+		b.curs[p] = cursorPool.New().(*scanCursor)
 	}
 	return b
 }
@@ -93,57 +101,67 @@ func (h *Hybrid) NewBatcher(window int) *Batcher {
 // absent key) are distinguishable from operations refused by a concurrent
 // Close (not applied at all; a round that straddles Close may be refused
 // on some partitions only). A key outside the key space panics before
-// anything of its round is published.
+// anything of its round is published. A Scan reserves Value pairs and
+// sees the writes before it in ops, none after.
 func (b *Batcher) Apply(ops []hds.Request, out []Outcome) (applied, succeeded int) {
-	if out != nil && len(out) != len(ops) {
+	if out == nil {
+		if len(b.scratch) < len(ops) {
+			b.scratch = make([]Outcome, len(ops))
+		}
+		out = b.scratch[:len(ops)]
+	} else if len(out) != len(ops) {
 		panic("core: Batcher.Apply out length does not match ops")
 	}
-	for lo := 0; lo < len(ops); lo += b.window {
-		hi := min(lo+b.window, len(ops))
-		res := b.scratch[:hi-lo]
-		if out != nil {
-			res = out[lo:hi]
+	b.ops, b.out, b.kv = ops, out, b.kv[:0]
+	clear(b.pairs)
+	for lo := 0; lo < len(ops); {
+		lo = b.round(lo, min(lo+b.window, len(ops)))
+	}
+	for i := range out {
+		if !out[i].Rejected {
+			applied++
 		}
-		b.round(ops[lo:hi], res)
-		for i := range res {
-			if !res[i].Rejected {
-				applied++
-			}
-			if res[i].Result.OK {
-				succeeded++
-			}
+		if out[i].Result.OK {
+			succeeded++
 		}
 	}
 	return applied, succeeded
 }
 
-// round routes ops, publishes one entry per partition touched, serving
-// each before publishing to the next, and waits — a spin, then a park —
-// until every entry is applied or refused; after Close it marks every op
-// Rejected without publishing.
-func (b *Batcher) round(ops []hds.Request, out []Outcome) {
-	h := b.h
+// Pairs returns the last Apply's pairs for Scan ops[i]; valid until the next Apply.
+func (b *Batcher) Pairs(i int) []KV { return b.pairs[i] }
+
+// round routes ops[lo:hi] up to its first write at or above a scan's
+// start partition, publishes one entry per partition touched, serving
+// each before the next, waits — a spin, then a park — until all are
+// applied or refused, finishes the scans and returns where it stopped.
+func (b *Batcher) round(lo, hi int) int {
+	h, ops := b.h, b.ops
 	// Route the whole round before publishing any of it. The lists are
 	// reset here, not after the wake, so a panic on an invalid key leaves
 	// nothing behind for the next call.
-	for _, p := range b.touched {
-		b.idx[p] = b.idx[p][:0]
+	for _, p := range b.touched { // sidx is written only when it holds scans
+		if b.idx[p] = b.idx[p][:0]; len(b.sidx[p]) > 0 {
+			b.sidx[p] = b.sidx[p][:0]
+		}
 	}
 	b.touched = b.touched[:0]
-	for i := range ops {
-		p := h.Partition(ops[i].Key)
-		if len(b.idx[p]) == 0 {
+	floor := len(h.parts) // the lowest start partition of the round's scans
+	for i := lo; i < hi; i++ {
+		list, p := b.idx, 0
+		if ops[i].Kind == hds.Scan {
+			list, p = b.sidx, int(min(ops[i].Key/h.span, uint64(len(h.parts)-1)))
+			floor = min(floor, p)
+			b.reserve(i, ops[i].Value)
+		} else if p = h.Partition(ops[i].Key); p >= floor && ops[i].Kind != hds.Read {
+			hi = i
+			break
+		}
+		if len(b.idx[p]) == 0 && len(b.sidx[p]) == 0 {
 			b.touched = append(b.touched, p)
 		}
-		b.idx[p] = append(b.idx[p], int32(i))
+		list[p] = append(list[p], int32(i))
 	}
-	if h.closed.Load() {
-		for i := range out {
-			out[i] = Outcome{Rejected: true}
-		}
-		return
-	}
-	b.ops, b.out = ops, out
 	b.pending.Store(int32(len(b.touched)))
 	// Publish to a free partition while one is left: a held one may be
 	// free by then, and this caller applies its own entry.
@@ -154,14 +172,30 @@ func (b *Batcher) round(ops []hds.Request, out []Outcome) {
 		p := b.touched[i]
 		h.parts[p].publish(&b.nodes[p])
 	}
-	for i := 0; i < spinLoads; i++ {
-		if b.pending.Load() == 0 {
-			return
-		}
+	for i := 0; i < spinLoads && b.pending.Load() != 0; i++ {
 	}
-	if b.pending.Add(parked) != parked {
+	if b.pending.Load() != 0 && b.pending.Add(parked) != parked {
 		<-b.wake
 	}
+	for _, p := range b.touched {
+		for _, i := range b.sidx[p] {
+			if kv := &b.pairs[i]; p+1 < len(h.parts) {
+				*kv = h.ScanAppend(*kv, uint64(p+1)*h.span, cap(*kv)-len(*kv))
+			}
+			b.out[i] = Outcome{Result: hds.Result{Value: uint64(len(b.pairs[i])), OK: true}}
+		}
+	}
+	return hi
+}
+
+// reserve carves op i's region of limit pairs from kv, regrown when full.
+func (b *Batcher) reserve(i int, limit uint64) {
+	b.pairs = append(b.pairs, make([][]KV, max(i+1-len(b.pairs), 0))...)
+	if n := uint64(len(b.kv)); uint64(cap(b.kv))-n < limit {
+		b.kv = make([]KV, 0, n+limit)
+	}
+	n := len(b.kv)
+	b.pairs[i], b.kv = b.kv[n:n:n+int(limit)], b.kv[:n+int(limit)]
 }
 
 // done is called by a partition's holder after applying (or refusing) its

@@ -216,13 +216,13 @@ func TestCloseRacingRound(t *testing.T) {
 
 // TestHybridElectionStress is the list's stress test: 2 partitions, 8
 // Batcher callers (windows 1, 4 and 16) whose rounds span both
-// partitions, 8 blocking callers, a Scan/Len loop and a Close in
-// mid-stream. Nothing applies an entry but the callers themselves, so an
-// entry pushed just as its holder let go and left on the list (DESIGN
-// §5.5, hazard a) would leave its caller waiting for ever; a watchdog
-// dumps every goroutine if the run does not finish. No entry may be lost
-// or applied twice either: every insert reported applied is in the final
-// Dump, and nothing else.
+// partitions and open with a windowed scan, 8 blocking callers, a
+// Scan/Len loop and a Close in mid-stream. Nothing applies an entry but
+// the callers themselves, so an entry pushed just as its holder let go
+// and left on the list (DESIGN §5.5, hazard a) would leave its caller
+// waiting for ever; a watchdog dumps every goroutine if the run does not
+// finish. No entry may be lost or applied twice either: every insert
+// reported applied is in the final Dump, and nothing else.
 func TestHybridElectionStress(t *testing.T) {
 	const (
 		keyMax  = 1 << 20
@@ -271,10 +271,23 @@ func TestHybridElectionStress(t *testing.T) {
 					k := key(c, i+j)
 					ops[j] = hds.Request{Kind: hds.Insert, Key: k, Value: k}
 				}
+				// The scan starts above the caller's partition-0 keys, so
+				// it continues into partition 1 after its round.
+				ops[0] = hds.Request{Kind: hds.Scan, Key: keyMax/2 - uint64(c)<<10, Value: 16}
 				count(len(ops))
 				b.Apply(ops, out)
-				for j, o := range out {
-					switch {
+				scan := b.Pairs(0)
+				if !out[0].Result.OK || out[0].Rejected || int(out[0].Result.Value) != len(scan) || len(scan) > 16 {
+					t.Errorf("caller %d: windowed scan outcome %+v with %d pairs", c, out[0], len(scan))
+				}
+				for j := range scan {
+					if scan[j].Key < ops[0].Key || j > 0 && scan[j].Key <= scan[j-1].Key {
+						t.Errorf("caller %d: windowed scan from %d returned %v", c, ops[0].Key, scan)
+						break
+					}
+				}
+				for j := 1; j < len(out); j++ {
+					switch o := out[j]; {
 					case o.Rejected:
 						refused++
 					case o.Result.OK:

@@ -8,10 +8,10 @@
 // other callers', oldest first against the single-threaded store; if
 // another caller holds the partition, that holder applies the entry.
 // Callers either wait on one call (blocking NMP calls, §3.2, through
-// pooled futures) or hold a window of calls in flight (non-blocking NMP
-// calls, §3.5) through a Batcher, which publishes one list entry per
-// (round, partition) and waits once per round on a single countdown. The
-// package starts no goroutine of its own.
+// pooled futures) or hold a window of calls in flight, scans included
+// (non-blocking NMP calls, §3.5), through a Batcher, which publishes one
+// list entry per (round, partition) and waits once per round on a single
+// countdown. The package starts no goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
@@ -106,8 +106,8 @@ type Hybrid struct {
 	reg   *metrics.Registry
 	parts []*partition
 	span  uint64
-	// closed refuses data calls and rounds before they publish; Close's
-	// barriers refuse the ones that raced it (partition.refusing).
+	// closed refuses blocking calls before they publish; Close's barriers
+	// refuse rounds and the calls that raced it (partition.refusing).
 	closed atomic.Bool
 }
 
@@ -186,26 +186,14 @@ func (p *partition) exec(req hds.Request) (value uint64, ok bool) {
 		ok = p.store.Update(req.Key, req.Value)
 	case hds.Remove:
 		ok = p.store.Delete(req.Key)
-	case hds.Scan:
-		// Per-partition range read: count pairs with key >= Key, at most
-		// Value of them. Cross-partition scans that need the pairs
-		// themselves go through Hybrid.Scan instead.
-		var n uint64
-		p.store.Ascend(req.Key, func(uint64, uint64) bool {
-			if n >= req.Value {
-				return false
-			}
-			n++
-			return true
-		})
-		value, ok = n, true
 	}
 	return value, ok
 }
 
 // apply runs one list entry and completes it, counting its operations in
 // cOps first. Behind Close's barrier a data entry completes as refused
-// (Rejected, or ok=false) without touching the store; barriers still run.
+// (Rejected, or ok=false) without touching the store; barriers still run,
+// and so do a round's scans, after its data ops (only reads follow them).
 func (p *partition) apply(r *request) {
 	if b := r.grp; b != nil {
 		idx, ops, out := b.idx[p.id], b.ops, b.out
@@ -218,6 +206,13 @@ func (p *partition) apply(r *request) {
 			for _, i := range idx {
 				value, ok := p.exec(ops[i])
 				out[i] = Outcome{Result: hds.Result{Value: value, OK: ok}}
+			}
+		}
+		for _, i := range b.sidx[p.id] { // into the scan's region
+			if c, kv := b.curs[p.id], &b.pairs[i]; cap(*kv) > 0 {
+				c.dst, c.base, c.limit = *kv, 0, cap(*kv)
+				p.store.Ascend(ops[i].Key, c.visit)
+				*kv, c.dst = c.dst, nil
 			}
 		}
 		b.done()
@@ -278,7 +273,7 @@ func (p *partition) combine() {
 		r = next
 		entries++
 		if oldest.grp != nil {
-			n += len(oldest.grp.idx[p.id])
+			n += len(oldest.grp.idx[p.id]) + len(oldest.grp.sidx[p.id])
 		} else {
 			n++
 		}
@@ -433,14 +428,10 @@ func (h *Hybrid) ScanAppend(dst []KV, from uint64, limit int) []KV {
 	}
 	c := cursorPool.Get().(*scanCursor)
 	c.dst, c.from, c.base, c.limit = dst, from, len(dst), limit
-	for p := 0; p < len(h.parts) && len(c.dst)-c.base < limit; p++ {
-		if from/h.span > uint64(p) {
-			continue // partition's whole key range lies below from
-		}
-		h.barrier(p, c.ascend)
+	for p := from / h.span; p < uint64(len(h.parts)) && len(c.dst)-c.base < limit; p++ {
+		h.barrier(int(p), c.ascend)
 	}
-	dst = c.dst
-	c.dst = nil
+	dst, c.dst = c.dst, nil
 	cursorPool.Put(c)
 	return dst
 }
@@ -458,7 +449,7 @@ type scanCursor struct {
 var cursorPool = sync.Pool{New: func() any {
 	c := new(scanCursor)
 	c.ascend = func(s Store) { s.Ascend(c.from, c.visit) }
-	c.visit = func(k, v uint64) bool { // a barrier runs only while there is room
+	c.visit = func(k, v uint64) bool { // a cursor runs only while there is room
 		c.dst = append(c.dst, KV{Key: k, Value: v})
 		return len(c.dst)-c.base < c.limit
 	}

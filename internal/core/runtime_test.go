@@ -336,11 +336,6 @@ func TestHybridScan(t *testing.T) {
 	if h.Scan(1, 0) != nil {
 		t.Error("limit 0 scan returned pairs")
 	}
-	// The Scan kind of a data call counts pairs per partition.
-	res := h.Apply(hds.Request{Kind: hds.Scan, Key: pairs[0].Key, Value: 3})
-	if !res.OK || res.Value != 3 {
-		t.Fatalf("Scan call = %+v, want OK count 3", res)
-	}
 	h.Close()
 	if got := h.Scan(0, 3); len(got) != 3 || got[0] != pairs[0] {
 		t.Fatalf("post-Close scan = %+v", got)

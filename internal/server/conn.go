@@ -19,7 +19,7 @@ type serveTallies struct {
 	n [numStats]uint64
 	// timed is set when slow-op sampling is armed for this serve call;
 	// coreWait then accumulates the time spent blocked in the core
-	// runtime (batcher windows and scan barriers).
+	// runtime (batcher windows, scans included).
 	timed    bool
 	coreWait time.Duration
 }
@@ -56,11 +56,12 @@ type conn struct {
 
 	// Loop scratch, reused across batches (hdr is the frame-decode
 	// scratch: a stack array would escape through the io.Reader and
-	// allocate per request).
-	hdr      [reqFrame]byte
-	reqs     []Request
-	ops      []hds.Request
-	outcomes []core.Outcome
+	// allocate per request); scanPairs sums the scan limits in ops.
+	hdr       [reqFrame]byte
+	reqs      []Request
+	ops       []hds.Request
+	outcomes  []core.Outcome
+	scanPairs uint64
 	// out stages encoded response frames awaiting the next socket write;
 	// staged counts them. dead is set by a failed write: the rest of the
 	// batch in hand is still executed, its responses discarded, and the
@@ -170,9 +171,8 @@ func (c *conn) frameStaged() {
 }
 
 // serve executes one coalesced batch and stages its responses in request
-// order. Runs of scalar operations go through a single window of the
-// connection's core.Batcher; SCAN and STATS act as batch boundaries (a
-// scan is a combiner barrier, a stats snapshot is server-local).
+// order. Its data operations, SCAN included, go through one window of the
+// connection's core.Batcher; a STATS request (server-local) ends it.
 func (c *conn) serve(reqs []Request) {
 	s := c.srv
 	var t serveTallies
@@ -189,25 +189,27 @@ func (c *conn) serve(reqs []Request) {
 
 	c.ops = c.ops[:0]
 	for _, r := range reqs {
-		kind, known := kindOf(r.Op)
-		if known && r.Op != OpScan {
-			if r.Key == 0 || r.Key >= s.h.KeyMax() {
-				c.flushOps(&t)
-				t.n[statBadRequests]++
-				c.stageScalar(StatusBadRequest, 0)
-				continue
-			}
-			c.ops = append(c.ops, hds.Request{Kind: kind, Key: r.Key, Value: r.Value})
-			continue
+		if r.Op >= 1 && r.Op <= OpStats {
+			t.n[opStat[r.Op]]++
 		}
-		c.flushOps(&t)
-		switch r.Op {
-		case OpScan:
-			c.serveScan(r, &t)
-		case OpStats:
+		kind, known := kindOf(r.Op)
+		switch {
+		case r.Op == OpScan:
+			// The window's scan regions fit the staging cap, or are one scan.
+			limit := min(r.Value, uint64(s.cfg.ScanLimit))
+			if c.scanPairs > 0 && c.scanPairs+limit > flushBytes/16 {
+				c.flushOps(&t)
+			}
+			c.scanPairs += limit
+			c.ops = append(c.ops, hds.Request{Kind: hds.Scan, Key: r.Key, Value: limit})
+		case known && r.Key != 0 && r.Key < s.h.KeyMax():
+			c.ops = append(c.ops, hds.Request{Kind: kind, Key: r.Key, Value: r.Value})
+		case r.Op == OpStats:
+			c.flushOps(&t)
 			c.out = AppendStatsResponse(c.out, StatusOK, s.StatsText())
 			c.frameStaged()
-		default:
+		default: // an unknown op, or a key outside the key space
+			c.flushOps(&t)
 			t.n[statBadRequests]++
 			c.stageScalar(StatusBadRequest, 0)
 		}
@@ -215,11 +217,6 @@ func (c *conn) serve(reqs []Request) {
 	c.flushOps(&t)
 
 	t.n[statRequests] = uint64(len(reqs))
-	for _, r := range reqs {
-		if r.Op >= 1 && r.Op <= OpStats {
-			t.n[opStat[r.Op]]++
-		}
-	}
 	if t.timed {
 		if total := time.Since(start); total >= slow {
 			t.n[statSlowOps]++
@@ -233,17 +230,15 @@ func (c *conn) serve(reqs []Request) {
 	}
 }
 
-// flushOps runs the pending scalar operations through the batcher's
-// window and stages their fixed-size response frames.
+// flushOps runs the pending operations through the batcher's window and
+// stages their response frames.
 func (c *conn) flushOps(t *serveTallies) {
 	n := len(c.ops)
 	if n == 0 {
 		return
 	}
-	if cap(c.outcomes) < n {
-		c.outcomes = make([]core.Outcome, n)
-	}
-	out := c.outcomes[:n]
+	c.outcomes = append(c.outcomes[:0], make([]core.Outcome, n)...)
+	out := c.outcomes
 	if t.timed {
 		applyStart := time.Now()
 		c.batcher.Apply(c.ops, out)
@@ -251,9 +246,14 @@ func (c *conn) flushOps(t *serveTallies) {
 	} else {
 		c.batcher.Apply(c.ops, out)
 	}
-	for _, o := range out {
+	for i, o := range out {
 		status := StatusOK
 		switch {
+		case c.ops[i].Kind == hds.Scan:
+			t.n[statScanPairs] += o.Result.Value
+			c.out = AppendScanResponse(c.out, StatusOK, c.batcher.Pairs(i))
+			c.frameStaged()
+			continue
 		case o.Rejected:
 			status = StatusRejected
 			t.n[statRejected]++
@@ -265,33 +265,11 @@ func (c *conn) flushOps(t *serveTallies) {
 	t.n[statBatchSum] += uint64(n)
 	t.n[statBatchCount]++
 	c.stats.batchBuckets[metrics.BucketIndex(uint64(n))].Inc()
-	c.ops = c.ops[:0]
+	c.ops, c.scanPairs = c.ops[:0], 0
 }
 
 // stageScalar stages one scalar response frame.
 func (c *conn) stageScalar(status uint8, value uint64) {
 	c.out = AppendScalarResponse(c.out, status, value)
 	c.frameStaged()
-}
-
-// serveScan answers one SCAN request: the result is collected in a
-// pooled pair buffer and encoded onto the staged output.
-func (c *conn) serveScan(r Request, t *serveTallies) {
-	s := c.srv
-	limit := uint64(s.cfg.ScanLimit)
-	if r.Value < limit {
-		limit = r.Value
-	}
-	var kvs []Pair
-	if t.timed {
-		scanStart := time.Now()
-		kvs = s.h.ScanAppend(pairPool.get(int(limit)), r.Key, int(limit))
-		t.coreWait += time.Since(scanStart)
-	} else {
-		kvs = s.h.ScanAppend(pairPool.get(int(limit)), r.Key, int(limit))
-	}
-	t.n[statScanPairs] += uint64(len(kvs))
-	c.out = AppendScanResponse(c.out, StatusOK, kvs)
-	c.frameStaged()
-	pairPool.put(kvs)
 }

@@ -1,17 +1,19 @@
 package server
 
 import (
+	"math/bits"
 	"net"
+	"slices"
 	"testing"
 
 	"hybrids/internal/core"
 	"hybrids/internal/metrics"
 )
 
-// TestServerMixedPipelineBatches drives a pipelined burst whose SCAN and
-// STATS requests split the coalescing windows mid-pipeline, and checks
-// every response in order plus the exact batch-size histogram the splits
-// must produce. net.Pipe makes the coalescing deterministic: the whole
+// TestServerMixedPipelineBatches drives a pipelined burst whose STATS
+// request splits a coalescing window mid-pipeline while its SCAN rides in
+// a window with the other operations, and checks every response in order
+// plus the exact batch-size histogram the splits must produce. net.Pipe makes the coalescing deterministic: the whole
 // burst crosses in one write, so the server's reader sees it buffered
 // and slices it purely by window size and batch boundaries.
 func TestServerMixedPipelineBatches(t *testing.T) {
@@ -26,10 +28,11 @@ func TestServerMixedPipelineBatches(t *testing.T) {
 	defer cl.Close()
 
 	// 24 requests, window 8. The reader coalesces three windows of 8;
-	// the SCAN (request 7) and STATS (request 12) are batch boundaries:
-	//   window 1: PUT x6 | SCAN | GET      -> scalar batches 6, 1
-	//   window 2: GET x3 | STATS | GET x4  -> scalar batches 3, 4
-	//   window 3: GET x8                   -> scalar batch  8
+	// the STATS (request 12) is a batch boundary, the SCAN (request 7) is
+	// not:
+	//   window 1: PUT x6, SCAN, GET        -> batch 8
+	//   window 2: GET x3 | STATS | GET x4  -> batches 3, 4
+	//   window 3: GET x8                   -> batch 8
 	reqs := make([]Request, 0, 24)
 	for k := uint64(1); k <= 6; k++ {
 		reqs = append(reqs, Request{Op: OpPut, Key: k, Value: k * 10})
@@ -101,11 +104,11 @@ func TestServerMixedPipelineBatches(t *testing.T) {
 		t.Fatalf("Serve: %v", err)
 	}
 	hb := reg.Histogram("server/batch")
-	if hb.Sum() != 22 || hb.Count() != 5 {
-		t.Fatalf("batch histogram sum/count = %d/%d, want 22/5", hb.Sum(), hb.Count())
+	if hb.Sum() != 23 || hb.Count() != 4 {
+		t.Fatalf("batch histogram sum/count = %d/%d, want 23/4", hb.Sum(), hb.Count())
 	}
-	// Batch sizes 6,1,3,4,8 land in bit-length buckets 3,1,2,3,4.
-	wantBuckets := map[int]uint64{1: 1, 2: 1, 3: 2, 4: 1}
+	// Batch sizes 8,3,4,8 land in bit-length buckets 4,2,3,4.
+	wantBuckets := map[int]uint64{2: 1, 3: 1, 4: 2}
 	for i := 0; i < metrics.NumBuckets; i++ {
 		if got := hb.Bucket(i); got != wantBuckets[i] {
 			t.Errorf("batch bucket %d = %d, want %d", i, got, wantBuckets[i])
@@ -147,6 +150,100 @@ func TestClientSentListBounded(t *testing.T) {
 	for cl.Pending() > 0 {
 		if _, err := cl.Recv(); err != nil {
 			t.Fatalf("recv: %v", err)
+		}
+	}
+}
+
+// pipeServer serves one net.Pipe connection: the whole burst a Pipeline
+// call writes crosses in one write, so the server coalesces it purely by
+// window size and batch boundaries. stop shuts the server down, which
+// folds the connection's batch histogram into reg.
+func pipeServer(t *testing.T, cfg Config, h *core.Hybrid) (cl *Client, reg *metrics.Registry, stop func()) {
+	t.Helper()
+	reg = metrics.NewRegistry()
+	cfg.Metrics = reg
+	s := New(h, cfg)
+	sc, cc := net.Pipe()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(newOneConnListener(sc)) }()
+	cl = NewClient(cc)
+	return cl, reg, func() {
+		cl.Close()
+		s.Shutdown()
+		if err := <-serveDone; err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	}
+}
+
+// TestServerScanPipelineOrder pins pipeline order for a SCAN that runs
+// in a window with writes: a PUT pipelined before a SCAN from partition 0
+// that continues into partition 1 is visible to it, a PUT into partition
+// 1 pipelined after it is not, and a GET after both sees the second PUT.
+func TestServerScanPipelineOrder(t *testing.T) {
+	h := core.New(core.Config{Partitions: 2, KeyMax: 1 << 12})
+	defer h.Close()
+	const span = 1 << 11
+	h.Build([]core.KV{{Key: span - 2, Value: 1}, {Key: span - 1, Value: 2}})
+	cl, reg, stop := pipeServer(t, Config{Window: 16}, h)
+	resps, err := cl.Pipeline([]Request{
+		{Op: OpPut, Key: span + 1, Value: 3},
+		{Op: OpScan, Key: span - 2, Value: 10},
+		{Op: OpPut, Key: span + 2, Value: 4},
+		{Op: OpGet, Key: span + 2},
+	})
+	if err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	if resps[0].Status != StatusOK || resps[2].Status != StatusOK || resps[3].Status != StatusOK || resps[3].Value != 4 {
+		t.Fatalf("PUT, PUT, GET -> %+v, %+v, %+v", resps[0], resps[2], resps[3])
+	}
+	if want := []Pair{{Key: span - 2, Value: 1}, {Key: span - 1, Value: 2}, {Key: span + 1, Value: 3}}; resps[1].Status != StatusOK || !slices.Equal(resps[1].Pairs, want) {
+		t.Fatalf("SCAN -> status %d, pairs %v; want OK, %v", resps[1].Status, resps[1].Pairs, want)
+	}
+	stop()
+	if hb := reg.Histogram("server/batch"); hb.Count() != 1 || hb.Sum() != 4 {
+		t.Errorf("batch histogram sum/count = %d/%d, want 4/1: the SCAN shares the writes' window", hb.Sum(), hb.Count())
+	}
+}
+
+// TestServerScanWindowPairCap pipelines a window of 16 SCANs at the scan
+// limit. A window's summed scan limits stay within flushBytes/16 pairs —
+// the staged-output bound, flushBytes of pairs — so at a limit of 1024
+// the 16 scans run as 4 windows of 4; a limit above the cap still admits
+// one scan per window. Every response carries its full limit of pairs.
+func TestServerScanWindowPairCap(t *testing.T) {
+	h := core.New(core.Config{Partitions: 4, KeyMax: 1 << 16})
+	defer h.Close()
+	pairs := make([]core.KV, 1<<14)
+	for i := range pairs {
+		pairs[i] = core.KV{Key: uint64(i) + 1, Value: uint64(i)}
+	}
+	h.Build(pairs)
+	for _, tc := range []struct{ limit, batches, size int }{
+		{1024, 4, 4},
+		{flushBytes / 16, 16, 1},
+		{2 * flushBytes / 16, 16, 1},
+	} {
+		cl, reg, stop := pipeServer(t, Config{Window: 16, ScanLimit: tc.limit}, h)
+		reqs := make([]Request, 16)
+		for i := range reqs {
+			reqs[i] = Request{Op: OpScan, Key: uint64(i)*64 + 1, Value: uint64(tc.limit)}
+		}
+		resps, err := cl.Pipeline(reqs)
+		if err != nil {
+			t.Fatalf("limit %d: pipeline: %v", tc.limit, err)
+		}
+		for i, r := range resps {
+			if r.Status != StatusOK || len(r.Pairs) != tc.limit || r.Pairs[0].Key != reqs[i].Key {
+				t.Fatalf("limit %d: scan %d -> status %d, %d pairs", tc.limit, i, r.Status, len(r.Pairs))
+			}
+			PutPairs(r.Pairs)
+		}
+		stop()
+		hb := reg.Histogram("server/batch")
+		if hb.Count() != uint64(tc.batches) || hb.Sum() != 16 || hb.Bucket(bits.Len(uint(tc.size))) != uint64(tc.batches) {
+			t.Errorf("limit %d: %d windows summing to %d, want %d windows of %d", tc.limit, hb.Count(), hb.Sum(), tc.batches, tc.size)
 		}
 	}
 }

@@ -6,12 +6,10 @@ import (
 	"unsafe"
 )
 
-// Size-classed slice pool for SCAN buffers: the server collects scan
-// results and the client decodes pairs into pooled []Pair buffers, so
-// repeated scans recycle their backing arrays instead of allocating
-// fresh ones per response. Classes are power-of-two
-// capacities from poolMinShift up; a request beyond the largest class
-// falls through to a plain allocation.
+// Size-classed slice pool for decoded SCAN pairs, so repeated scans
+// recycle their arrays instead of allocating one per response. Classes
+// are power-of-two capacities from poolMinShift up; a request beyond the
+// largest class falls through to a plain allocation.
 const (
 	poolMinShift = 5  // smallest class: 32 elements
 	poolClasses  = 16 // largest class: 32 << 15 = 1M elements
@@ -70,8 +68,7 @@ func (p *slicePool) put(s []Pair) {
 	p.classes[i].Put(&s[:1][0])
 }
 
-// pairPool recycles the server's scan result buffers and the client's
-// decoded SCAN pair slices.
+// pairPool recycles the client's decoded SCAN pair slices.
 var pairPool slicePool
 
 // PutPairs returns a SCAN result slice to the decode pool. Responses

@@ -385,9 +385,17 @@ func TestServerRejectedAfterMapClose(t *testing.T) {
 	if _, _, err := c.Get(5); err == nil || !strings.Contains(err.Error(), "rejected") {
 		t.Fatalf("client Get error = %v, want rejection", err)
 	}
-	// Scans read the quiescent stores directly and still work.
+	// Scans read the quiescent stores and still work, alone and in a
+	// window with data operations, from key 0 or inside the key space.
 	if pairs, err := c.Scan(0, 10); err != nil || len(pairs) != 1 {
 		t.Fatalf("post-Close Scan = %+v, %v", pairs, err)
+	}
+	resps, err := c.Pipeline([]Request{{Op: OpGet, Key: 5}, {Op: OpScan, Key: 3, Value: 10}, {Op: OpPut, Key: 6, Value: 60}})
+	if err != nil || resps[0].Status != StatusRejected || resps[2].Status != StatusRejected {
+		t.Fatalf("post-Close GET, SCAN, PUT window -> %+v, %v; want the GET and PUT rejected", resps, err)
+	}
+	if r := resps[1]; r.Status != StatusOK || len(r.Pairs) != 1 || r.Pairs[0] != (Pair{Key: 5, Value: 50}) {
+		t.Fatalf("post-Close windowed SCAN from 3 -> %+v, want OK with (5, 50)", r)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 //	 "total_ns":T,"core_wait_ns":W,"self_ns":S}
 //
 // core_wait_ns is the time spent blocked in the core runtime (batcher
-// windows and scan barriers), self_ns the rest (decode, encode, and a
+// windows, scans included), self_ns the rest (decode, encode, and a
 // write of staged responses if the batch crossed the staging cap), and
 // W+S = T exactly. This runs on the connection's goroutine but only for
 // batches that already blew the threshold, so its allocation and the log
