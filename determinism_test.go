@@ -94,8 +94,10 @@ func TestObservabilityTransparency(t *testing.T) {
 	}
 
 	// The capture must be Perfetto-loadable Chrome trace_event JSON: a
-	// traceEvents array of records that each carry a phase, and at least one
-	// thread_name metadata record naming a track.
+	// traceEvents array of records that each carry a known phase, a pid and
+	// a tid; complete events ("X") carry a name and ts, instants ("i") a
+	// name, ts and thread scope, and at least one thread_name metadata
+	// record names a track.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read capture: %v", err)
@@ -103,7 +105,11 @@ func TestObservabilityTransparency(t *testing.T) {
 	var capture struct {
 		TraceEvents []struct {
 			Ph   string         `json:"ph"`
+			Pid  *int           `json:"pid"`
+			Tid  *int           `json:"tid"`
+			TS   *uint64        `json:"ts"`
 			Name string         `json:"name"`
+			S    string         `json:"s"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -114,14 +120,31 @@ func TestObservabilityTransparency(t *testing.T) {
 		t.Fatal("capture holds no events")
 	}
 	named := false
-	for _, ev := range capture.TraceEvents {
-		switch ev.Ph {
-		case "X", "i", "M":
-		default:
-			t.Fatalf("unexpected event phase %q", ev.Ph)
+	for i, ev := range capture.TraceEvents {
+		if ev.Pid == nil || ev.Tid == nil {
+			t.Fatalf("event %d (%s %q): missing pid/tid", i, ev.Ph, ev.Name)
 		}
-		if ev.Ph == "M" && ev.Name == "thread_name" {
-			named = true
+		switch ev.Ph {
+		case "M":
+			if ev.Name == "thread_name" {
+				if name, _ := ev.Args["name"].(string); name == "" {
+					t.Fatalf("event %d: thread_name metadata without a name", i)
+				}
+				named = true
+			}
+		case "X":
+			if ev.Name == "" || ev.TS == nil {
+				t.Fatalf("event %d (%q): complete event without name/ts", i, ev.Name)
+			}
+		case "i":
+			if ev.Name == "" || ev.TS == nil {
+				t.Fatalf("event %d: instant without name/ts", i)
+			}
+			if ev.S != "t" {
+				t.Fatalf("event %d (%q): instant scope %q, want thread scope \"t\"", i, ev.Name, ev.S)
+			}
+		default:
+			t.Fatalf("event %d: unknown phase %q", i, ev.Ph)
 		}
 	}
 	if !named {

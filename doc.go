@@ -10,12 +10,13 @@
 //     simulated machine — lock-free / NMP-based / hybrid skiplists and
 //     seqlock / hybrid B+ trees, plus the flat-combining publication-list
 //     fabric with blocking and non-blocking NMP calls;
-//   - internal/core and internal/cds: a native (non-simulated) Go library
-//     realizing the paper's hybrid programming model with combiner
-//     goroutines standing in for NMP cores;
-//   - internal/ycsb: YCSB-compatible workload generation;
-//   - internal/exp: one reproducible experiment per paper table/figure,
-//     driven by cmd/hybrids.
+//   - internal/core and internal/cds: the hybrid model as a native Go
+//     library, each partition combined by the caller holding it;
+//   - internal/server, internal/admin, cmd/hybridsd, cmd/hybridsload: a
+//     TCP server over core, its HTTP management plane, a YCSB load driver;
+//   - internal/ycsb and internal/exp: YCSB workloads, and one experiment
+//     per paper table/figure, driven by cmd/hybrids;
+//   - internal/doccheck: tests holding the docs and design rules to code.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

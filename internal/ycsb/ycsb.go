@@ -82,14 +82,12 @@ type Config struct {
 	ReadPct, UpdatePct, InsertPct, RemovePct int
 	// ScanPct is the SCAN percentage (YCSB-E): each scan op carries a
 	// start key from the popularity distribution and a zipfian-skewed
-	// length in Op.Value, at most MaxScanLen pairs.
+	// length in Op.Value, at most maxScanLen pairs.
 	ScanPct int
 	// RMWPct is the read-modify-write percentage (YCSB-F): each draw
 	// emits a Read followed by an Update of the same key, so the stream
 	// carries both halves of the RMW as adjacent operations.
 	RMWPct int
-	// MaxScanLen bounds scan lengths (0 = the YCSB default of 100).
-	MaxScanLen int
 	// Dist is the popularity distribution for read/update/remove keys.
 	Dist Dist
 	// ZipfTheta is the zipfian skew (YCSB default 0.99).
@@ -190,9 +188,6 @@ func New(cfg Config) *Generator {
 		cfg.ScanPct + cfg.RMWPct
 	if sum != 100 {
 		panic(fmt.Sprintf("ycsb: op mix sums to %d, want 100", sum))
-	}
-	if cfg.MaxScanLen <= 0 {
-		cfg.MaxScanLen = 100
 	}
 	if cfg.KeyMax&(cfg.KeyMax-1) != 0 {
 		panic("ycsb: KeyMax must be a power of two")
@@ -418,7 +413,7 @@ func (g *Generator) newPicker(salt uint64) *picker {
 		p.zipf = newZipfian(uint64(g.cfg.Records), g.cfg.ZipfTheta, prng.New(g.cfg.Seed^prng.Mix64(salt+0x2f)))
 	}
 	if g.cfg.ScanPct > 0 {
-		p.scan = newZipfian(uint64(g.cfg.MaxScanLen), g.cfg.ZipfTheta, prng.New(g.cfg.Seed^prng.Mix64(salt+0x51)))
+		p.scan = newZipfian(maxScanLen, g.cfg.ZipfTheta, prng.New(g.cfg.Seed^prng.Mix64(salt+0x51)))
 	}
 	return p
 }
@@ -441,7 +436,10 @@ func (p *picker) existing() uint32 {
 	}
 }
 
-// scanLen draws one zipfian scan length in [1, MaxScanLen].
+// maxScanLen bounds scan lengths: the YCSB default of 100 pairs.
+const maxScanLen = 100
+
+// scanLen draws one zipfian scan length in [1, maxScanLen].
 func (p *picker) scanLen() uint32 {
 	return uint32(p.scan.next()) + 1
 }
