@@ -299,7 +299,7 @@ func (a *Server) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 		}
 		t.SlowOp = d
 	}
-	if _, err := a.cfg.Server.SetTunables(t); err != nil {
+	if err := a.cfg.Server.SetTunables(t); err != nil {
 		http.Error(w, "config: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -444,8 +444,10 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 
 	// Invalid configurations are rejected without touching the epoch.
-	if code, _ := ha.postConfig(t, `{"window": 1000000}`); code != http.StatusBadRequest {
-		t.Fatalf("oversized window accepted: %d", code)
+	for _, body := range []string{`{"window": 1000000}`, `{"window": -3}`, `{"window": 0}`, `{"write_timeout": "0s"}`} {
+		if code, _ := ha.postConfig(t, body); code != http.StatusBadRequest {
+			t.Fatalf("POST %s accepted: %d", body, code)
+		}
 	}
 	if code, _ := ha.postConfig(t, `{"bogus": 1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field accepted: %d", code)

@@ -123,7 +123,7 @@ type bsAdapter struct{ t *Hybrid }
 
 func (ad bsAdapter) Begin(c *machine.Ctx, op kv.Op) struct{} { return struct{}{} }
 
-func (ad bsAdapter) Prepare(c *machine.Ctx, op kv.Op, st *struct{}, attempt int, batch bool) (fc.Request, int, offload.PrepareCtl, bool) {
+func (ad bsAdapter) Prepare(c *machine.Ctx, op kv.Op, st *struct{}, attempt int) (fc.Request, int, offload.PrepareCtl, bool) {
 	part, begin := ad.t.route(c, op.Key)
 	req := fc.Request{Op: fc.OpFor(op.Kind), Key: op.Key, Value: op.Value, NMPPtr: begin}
 	return req, part, offload.PrepareOffload, false

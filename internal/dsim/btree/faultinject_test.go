@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"slices"
 	"testing"
 
 	"hybrids/internal/dsim/kv"
@@ -166,5 +167,66 @@ func TestHybridBoundaryPointerTagsMatchPartitions(t *testing.T) {
 	walk(root, height-1)
 	if checked == 0 {
 		t.Fatal("no boundary pointers checked")
+	}
+}
+
+// TestHybridBackoffWaitsOutLockedHeader holds the tree header's seqnum odd,
+// as a root split in progress would, from a second actor that releases it
+// after a fixed delay. Every host descend fails meanwhile, so Prepare
+// restarts with growing attempts and linear backoff — a path no experiment
+// reaches. Both faces of the offload loop, the blocking Apply (window 1)
+// and a window-4 ApplyBatch, must complete every operation once the header
+// is released.
+func TestHybridBackoffWaitsOutLockedHeader(t *testing.T) {
+	const hold = 20_000
+	for _, window := range []int{1, 4} {
+		pairs := initialPairs(2000)
+		m := testMachine()
+		h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: window})
+		h.Build(pairs)
+		h.Start()
+		fresh := uint32(testKeyMax/2 + 7) // above every initial key
+		ops := []kv.Op{
+			{Kind: kv.Read, Key: pairs[100].Key},
+			{Kind: kv.Insert, Key: fresh, Value: 77},
+			{Kind: kv.Read, Key: pairs[900].Key},
+			{Kind: kv.Remove, Key: pairs[1500].Key},
+		}
+		ram := m.Mem.RAM
+		seq := memsys.Addr(h.host.header) + hdrSeq
+		ram.Store32(seq, ram.Load32(seq)+1)
+
+		var succeeded int
+		var finished uint64
+		m.SpawnHost(0, "driver", func(c *machine.Ctx) {
+			if window == 1 {
+				for _, op := range ops {
+					if _, ok := h.Apply(c, 0, op); ok {
+						succeeded++
+					}
+				}
+			} else {
+				succeeded = h.ApplyBatch(c, 0, ops)
+			}
+			finished = c.Now()
+		})
+		m.SpawnHost(1, "releaser", func(c *machine.Ctx) {
+			c.Step(hold)
+			ram.Store32(seq, ram.Load32(seq)+1)
+		})
+		m.Run()
+		if succeeded != len(ops) {
+			t.Errorf("window %d: %d of %d operations succeeded", window, succeeded, len(ops))
+		}
+		if finished < hold {
+			t.Errorf("window %d: finished at cycle %d, before the header was released at %d", window, finished, hold)
+		}
+		dump := h.Dump()
+		if i := slices.IndexFunc(dump, func(p KV) bool { return p.Key == fresh }); i < 0 || dump[i].Value != 77 {
+			t.Errorf("window %d: inserted key %d missing from the dump", window, fresh)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatalf("window %d: %v", window, err)
+		}
 	}
 }

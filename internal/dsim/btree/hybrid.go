@@ -102,19 +102,11 @@ type btAdapter struct{ t *Hybrid }
 
 func (ad btAdapter) Begin(c *machine.Ctx, op kv.Op) btState { return btState{} }
 
-func (ad btAdapter) Prepare(c *machine.Ctx, op kv.Op, st *btState, attempt int, batch bool) (fc.Request, int, offload.PrepareCtl, bool) {
+func (ad btAdapter) Prepare(c *machine.Ctx, op kv.Op, st *btState, attempt int) (fc.Request, int, offload.PrepareCtl, bool) {
 	t := ad.t
-	if batch {
-		// Non-blocking issue: brief fixed backoff after a failed
-		// optimistic descend.
-		if attempt > 0 {
-			c.Step(16)
-		}
-	} else {
-		// Blocking call: linear backoff (a Step(0) yield on the first
-		// attempt keeps same-cycle actors in FIFO order).
-		c.Step(uint64(attempt) * 8)
-	}
+	// Linear backoff after a failed optimistic descend (a Step(0) yield on
+	// the first attempt keeps same-cycle actors in FIFO order).
+	c.Step(uint64(attempt) * 8)
 	p, part, begin, ok := t.route(c, op.Key)
 	if !ok {
 		return fc.Request{}, 0, offload.PrepareRestart, false

@@ -6,9 +6,9 @@
 // assigned slot and setting the slot's valid flag; the partition's NMP
 // core — the flat-combining combiner for that partition — scans slots,
 // executes requests one at a time against its partition, writes the
-// response fields, and clears the valid flag. Host threads poll the flag
-// (blocking calls) or harvest completions from a window of in-flight slots
-// (non-blocking calls, §3.5).
+// response fields, and clears the valid flag. Host threads watch and poll
+// the flags of a window of in-flight slots (non-blocking calls, §3.5; a
+// blocking call is the window of one) and read each completed response.
 package fc
 
 import (
@@ -298,24 +298,6 @@ func (p *PubList) ReadResponse(c *machine.Ctx, slot int) Response {
 		Value:    ws[1],
 		Ptr:      ws[2],
 	}
-}
-
-// Call is the blocking NMP call of the base design (§3.2): post, wait for
-// completion, read the response. The wait models a monitored poll: the
-// host checks the flag, parks until the combiner's completion signal, and
-// pays the observing poll on wake-up.
-func (p *PubList) Call(c *machine.Ctx, slot int, req Request) Response {
-	p.Post(c, slot, req)
-	p.Watch(c, slot)
-	for !p.Done(c, slot) {
-		// Cycles parked waiting for the combiner's completion signal are
-		// offload wait (the serialization share is carved out when Done
-		// observes the completion).
-		parked := c.Now()
-		c.A.Block()
-		c.AttrAdd(trace.BucketOffloadWait, c.Now()-parked)
-	}
-	return p.ReadResponse(c, slot)
 }
 
 // serve executes slot's request, if the slot holds one (NMP side), and

@@ -24,13 +24,25 @@ func echoHandler(c *machine.Ctx, slot int, req Request) Response {
 	return Response{Success: true, Value: req.Key + req.Value, Ptr: req.NMPPtr}
 }
 
+// call is a blocking NMP call on slot: post, watch, poll the flag
+// (parking until the combiner's completion signal between polls) and
+// read the response.
+func call(c *machine.Ctx, p *PubList, slot int, req Request) Response {
+	p.Post(c, slot, req)
+	p.Watch(c, slot)
+	for !p.Done(c, slot) {
+		c.A.Block()
+	}
+	return p.ReadResponse(c, slot)
+}
+
 func TestBlockingCallRoundTrip(t *testing.T) {
 	m := testMachine()
 	p := NewPubList(m, 0, 8)
 	m.SpawnNMP(0, func(c *machine.Ctx) { Serve(c, p, echoHandler) })
 	var got Response
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {
-		got = p.Call(c, 0, Request{Op: OpRead, Key: 40, Value: 2, NMPPtr: 99})
+		got = call(c, p, 0, Request{Op: OpRead, Key: 40, Value: 2, NMPPtr: 99})
 	})
 	m.Run()
 	if !got.Success || got.Value != 42 || got.Ptr != 99 {
@@ -48,7 +60,7 @@ func TestConcurrentBlockingCallsAllServed(t *testing.T) {
 		th := th
 		m.SpawnHost(th, "h", func(c *machine.Ctx) {
 			for i := 0; i < perThread; i++ {
-				r := p.Call(c, th, Request{Op: OpRead, Key: uint32(th * 100), Value: uint32(i)})
+				r := call(c, p, th, Request{Op: OpRead, Key: uint32(th * 100), Value: uint32(i)})
 				results[th] = append(results[th], r.Value)
 			}
 		})
@@ -86,8 +98,8 @@ func TestResponseFlagBitsRoundTrip(t *testing.T) {
 	})
 	var r1, r2 Response
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {
-		r1 = p.Call(c, 0, Request{Op: OpInsert})
-		r2 = p.Call(c, 0, Request{Op: OpRemove})
+		r1 = call(c, p, 0, Request{Op: OpInsert})
+		r2 = call(c, p, 0, Request{Op: OpRemove})
 	})
 	m.Run()
 	if !r1.Success || !r1.LockPath || r1.Retry {
@@ -109,7 +121,7 @@ func TestRequestFieldsReachHandler(t *testing.T) {
 		})
 	})
 	want := Request{Op: OpUpdate, Key: 1, Value: 2, NMPPtr: 3, HostPtr: 4, Aux: 5}
-	m.SpawnHost(0, "h", func(c *machine.Ctx) { p.Call(c, 0, want) })
+	m.SpawnHost(0, "h", func(c *machine.Ctx) { call(c, p, 0, want) })
 	m.Run()
 	if seen != want {
 		t.Fatalf("handler saw %+v, want %+v", seen, want)
@@ -122,7 +134,7 @@ func TestDelaysInstrumentation(t *testing.T) {
 	m.SpawnNMP(0, func(c *machine.Ctx) { Serve(c, p, echoHandler) })
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {
 		for i := 0; i < 5; i++ {
-			p.Call(c, 0, Request{Op: OpRead, Key: uint32(i)})
+			call(c, p, 0, Request{Op: OpRead, Key: uint32(i)})
 		}
 	})
 	m.Run()
@@ -188,7 +200,7 @@ func TestPollsDoNotAllocate(t *testing.T) {
 	p := NewPubList(m, 0, 2)
 	m.SpawnNMP(0, func(c *machine.Ctx) { Serve(c, p, echoHandler) })
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {
-		p.Call(c, 0, Request{Op: OpRead, Key: 1})
+		call(c, p, 0, Request{Op: OpRead, Key: 1})
 		if n := testing.AllocsPerRun(100, func() {
 			if !p.Done(c, 0) || p.ReadResponse(c, 0).Value != 1 {
 				t.Error("completed slot reads as pending or lost its response")

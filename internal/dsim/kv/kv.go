@@ -109,11 +109,13 @@ func (r RangePartitioner) Range(p int) (lo, hi uint32) {
 	return uint32(l), uint32(h)
 }
 
-// AsyncStore is implemented by structures supporting non-blocking NMP
-// calls (§3.5): a batch of operations is executed with up to the
-// configured window of NMP offloads in flight.
+// AsyncStore is implemented by every simulated hybrid: a batch of
+// operations is executed with up to the configured window of NMP offloads
+// in flight (§3.5). A window of one is the blocking design of §3.2, so a
+// hybrid built with window 1 runs its blocking calls through ApplyBatch.
 type AsyncStore interface {
 	// ApplyBatch executes ops in order of issue, overlapping NMP-side
-	// work, and returns the number of successful operations.
+	// work, and returns the number of successful operations. It records
+	// Ctx.OpDone at each operation's completion itself.
 	ApplyBatch(c *machine.Ctx, thread int, ops []Op) (succeeded int)
 }

@@ -1,12 +1,12 @@
 // Package offload is the NMP offload protocol of §3.2–§3.5, written once
 // for every simulated hybrid data structure. It owns the machinery that is
 // identical across structures — publication-list setup and combiner
-// spawning, blocking calls, the non-blocking in-flight window, the
-// retry/restart/follow-up loop and offload instrumentation — while each
-// structure contributes only an Adapter: the host-side pre-work that
-// routes an operation and encodes its request, and the host-side
-// post-work that interprets the response. Apply and ApplyBatch therefore
-// exist in exactly one place; the hybrid skiplist (§3.3, which with every
+// spawning, one protocol loop over the in-flight window (retry, restart,
+// follow-up; a blocking call is the window of one) and offload
+// instrumentation — while each structure contributes only an Adapter: the
+// host-side pre-work that routes an operation and encodes its request,
+// and the host-side post-work that interprets the response. Apply and
+// ApplyBatch therefore exist in exactly one place; the hybrid skiplist (§3.3, which with every
 // level NMP-side is also the NMP-based baseline), the hybrid B+ tree
 // (§3.4) and the hybrid B-skiplist are small adapters over this runtime.
 //
@@ -91,9 +91,10 @@ type Adapter[S any] interface {
 	// Prepare performs the host-side traversal for one attempt: it routes
 	// op to a partition and encodes the request, charging any host-side
 	// work (including per-attempt backoff) on c. attempt counts Prepare
-	// calls for this operation since the last successful Finish; batch
-	// reports whether the caller is the non-blocking path.
-	Prepare(c *machine.Ctx, op kv.Op, st *S, attempt int, batch bool) (req fc.Request, part int, ctl PrepareCtl, ok bool)
+	// calls for this operation since it was last issued: 0 on its first
+	// call and on the first call after each OpRetry, one more after each
+	// PrepareRestart.
+	Prepare(c *machine.Ctx, op kv.Op, st *S, attempt int) (req fc.Request, part int, ctl PrepareCtl, ok bool)
 	// Finish interprets a response, performing host-side post-work (e.g.
 	// linking host levels, locking the path), and decides what happens
 	// next.
@@ -101,7 +102,7 @@ type Adapter[S any] interface {
 }
 
 // Runtime owns the per-partition publication lists and the offload
-// protocol loops for one data structure instance.
+// protocol loop for one data structure instance.
 type Runtime struct {
 	m    *machine.Machine
 	pubs []*fc.PubList
@@ -118,8 +119,8 @@ type Runtime struct {
 // New lays out one publication list per NMP partition and returns the
 // runtime. window is the number of in-flight NMP calls per host thread
 // used by ApplyBatch (values below 1 mean 1, blocking behaviour). Each
-// list has HostCores × window slots: blocking calls use a thread's first,
-// and window position i of thread t maps to slot t*window+i. Offload
+// list has HostCores × window slots: window position i of thread t maps to
+// slot t*window+i, and Apply's one operation takes position 0. Offload
 // counters (offload/posted, offload/retries, offload/local,
 // offload/followups) register in the machine's metrics registry.
 func New(m *machine.Machine, window int) *Runtime {
@@ -142,65 +143,53 @@ func (rt *Runtime) Start(p int, handle fc.Handler) {
 	rt.m.SpawnNMP(p, func(c *machine.Ctx) { fc.Serve(c, pub, handle) })
 }
 
-// Apply runs one operation with blocking NMP calls (§3.2): host pre-work,
-// post, monitored wait, host post-work, restarting on RETRY. It is the
-// kv.Store implementation shared by every hybrid structure.
-func Apply[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
-	st := ad.Begin(c, op)
-	slot := thread * rt.window
-	for attempt := 0; ; attempt++ {
-		req, part, ctl, ok := ad.Prepare(c, op, &st, attempt, false)
-		switch ctl {
-		case PrepareLocal:
-			rt.cLocal.Inc()
-			return 0, ok
-		case PrepareRestart:
-			continue
-		}
-		rt.cPosted.Inc()
-		resp := rt.pubs[part].Call(c, slot, req)
-	finish:
-		v := ad.Finish(c, op, &st, resp)
-		switch v.Kind {
-		case OpDone:
-			return uint32(v.Value), v.OK
-		case OpFollowUp:
-			rt.cFollowUps.Inc()
-			resp = rt.pubs[part].Call(c, slot, v.Next)
-			goto finish
-		}
-		rt.cRetries.Inc()
-	}
+// Apply runs one operation with blocking NMP calls (§3.2) — the window of
+// one, through ApplyBatch's loop — and returns its outcome. It is the
+// kv.Store implementation shared by every hybrid structure; the caller
+// records Ctx.OpDone.
+func Apply[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, op kv.Op) (value uint32, ok bool) {
+	run(rt, ad, c, thread, []kv.Op{op}, func(v uint32, o bool) { value, ok = v, o })
+	return value, ok
 }
 
 // ApplyBatch runs ops with non-blocking NMP calls (§3.5), keeping up to
-// the runtime's window of operations in flight and harvesting completions
-// out of order. It returns the number of operations that succeeded. It is
-// the kv.AsyncStore implementation shared by every hybrid structure.
+// the runtime's window of operations in flight (1: blocking calls) and
+// harvesting completions out of order. It returns the number of operations
+// that succeeded. It is the kv.AsyncStore implementation shared by every
+// hybrid structure.
 //
 // Because the caller cannot see individual completions inside the batch,
 // ApplyBatch records Ctx.OpDone itself at every per-operation completion
 // point (local fallback or harvested OpDone verdict) — so with attribution
 // enabled, each sample covers the interval between two successive
 // completions on the thread, and a thread's samples still sum exactly to
-// its measured cycles. Blocking drivers (one Apply per op) record OpDone
-// themselves.
+// its measured cycles.
 func ApplyBatch[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, ops []kv.Op) int {
-	w := openWindow[S](rt.pubs, thread, rt.window)
 	succeeded := 0
+	run(rt, ad, c, thread, ops, func(_ uint32, ok bool) {
+		if ok {
+			succeeded++
+		}
+		c.OpDone()
+	})
+	return succeeded
+}
+
+// run is the one offload protocol loop: issue in order through thread's
+// window, harvest, retry, post follow-ups on the same slot, and defer new
+// traversals while the gate is held. Each outcome goes to done.
+func run[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, ops []kv.Op, done func(value uint32, ok bool)) {
+	w := openWindow[S](rt.pubs, thread, rt.window)
 	gate := 0
 	var deferred []*inflight[S]
 
 	issue := func(a *inflight[S]) {
 		for attempt := 0; ; attempt++ {
-			req, part, ctl, ok := ad.Prepare(c, a.op, &a.st, attempt, true)
+			req, part, ctl, ok := ad.Prepare(c, a.op, &a.st, attempt)
 			switch ctl {
 			case PrepareLocal:
 				rt.cLocal.Inc()
-				if ok {
-					succeeded++
-				}
-				c.OpDone()
+				done(0, ok)
 				return
 			case PrepareRestart:
 				continue
@@ -209,36 +198,6 @@ func ApplyBatch[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, o
 			rt.cPosted.Inc()
 			w.post(c, a, req)
 			return
-		}
-	}
-	reissue := func(a *inflight[S]) {
-		rt.cRetries.Inc()
-		if gate > 0 {
-			deferred = append(deferred, a)
-		} else {
-			issue(a)
-		}
-	}
-	harvest := func() {
-		a, resp, pos := w.harvest(c)
-		v := ad.Finish(c, a.op, &a.st, resp)
-		switch v.Gate {
-		case GateAcquire:
-			gate++
-		case GateRelease:
-			gate--
-		}
-		switch v.Kind {
-		case OpDone:
-			if v.OK {
-				succeeded++
-			}
-			c.OpDone()
-		case OpRetry:
-			reissue(a)
-		case OpFollowUp:
-			rt.cFollowUps.Inc()
-			w.postAt(c, pos, a, v.Next)
 		}
 	}
 
@@ -257,7 +216,27 @@ func ApplyBatch[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, o
 			issue(a)
 			continue
 		}
-		harvest()
+		a, resp, pos := w.harvest(c)
+		v := ad.Finish(c, a.op, &a.st, resp)
+		switch v.Gate {
+		case GateAcquire:
+			gate++
+		case GateRelease:
+			gate--
+		}
+		switch v.Kind {
+		case OpDone:
+			done(uint32(v.Value), v.OK)
+		case OpRetry:
+			rt.cRetries.Inc()
+			if gate > 0 {
+				deferred = append(deferred, a)
+			} else {
+				issue(a)
+			}
+		case OpFollowUp:
+			rt.cFollowUps.Inc()
+			w.postAt(c, pos, a, v.Next)
+		}
 	}
-	return succeeded
 }

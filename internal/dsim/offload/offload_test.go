@@ -318,8 +318,9 @@ func TestWindowHarvestParksUntilCompletion(t *testing.T) {
 // must not accumulate waiter entries or wake permits. The slow combiner
 // forces each of the two completions into its own park round (two full
 // register-poll-park cycles over the same slots), and the trailing
-// blocking Call proves that any wake permit left by completions observed
-// while the host was awake cannot corrupt a later monitored wait.
+// blocking call (one operation in the window) proves that any wake permit
+// left by completions observed while the host was awake cannot corrupt a
+// later monitored wait.
 func TestWatchReRegistrationAcrossParkRounds(t *testing.T) {
 	m := testMachine()
 	p := fc.NewPubList(m, 0, 8)
@@ -349,9 +350,11 @@ func TestWatchReRegistrationAcrossParkRounds(t *testing.T) {
 			_, resp, _ := w.harvest(c)
 			harvested = append(harvested, resp.Value)
 		}
-		// A stale permit at most makes Call's first Block return early;
-		// its poll loop must still park and complete exactly once.
-		tail = p.Call(c, 0, fc.Request{Op: fc.OpRead, Key: 50})
+		// A stale permit at most makes the blocking call's first Block
+		// return early; its poll loop must still park and complete
+		// exactly once.
+		w.post(c, tagged(0, 0), fc.Request{Op: fc.OpRead, Key: 50})
+		_, tail, _ = w.harvest(c)
 	})
 	m.Run()
 	if want := []uint32{11, 21, 31, 41}; !slices.Equal(harvested, want) {
@@ -373,7 +376,7 @@ type testAdapter struct{ parts int }
 
 func (testAdapter) Begin(c *machine.Ctx, op kv.Op) int { return 0 }
 
-func (a testAdapter) Prepare(c *machine.Ctx, op kv.Op, st *int, attempt int, batch bool) (fc.Request, int, PrepareCtl, bool) {
+func (a testAdapter) Prepare(c *machine.Ctx, op kv.Op, st *int, attempt int) (fc.Request, int, PrepareCtl, bool) {
 	return fc.Request{Op: fc.OpRead, Key: op.Key, Value: op.Value}, int(op.Key) % a.parts, PrepareOffload, false
 }
 
@@ -457,12 +460,12 @@ type depthAdapter struct {
 	max      *int
 }
 
-func (a depthAdapter) Prepare(c *machine.Ctx, op kv.Op, st *int, attempt int, batch bool) (fc.Request, int, PrepareCtl, bool) {
+func (a depthAdapter) Prepare(c *machine.Ctx, op kv.Op, st *int, attempt int) (fc.Request, int, PrepareCtl, bool) {
 	*a.inflight++
 	if *a.inflight > *a.max {
 		*a.max = *a.inflight
 	}
-	return a.testAdapter.Prepare(c, op, st, attempt, batch)
+	return a.testAdapter.Prepare(c, op, st, attempt)
 }
 
 func (a depthAdapter) Finish(c *machine.Ctx, op kv.Op, st *int, resp fc.Response) Verdict {
@@ -560,11 +563,11 @@ func TestRuntimeFollowUpStaysOnSlot(t *testing.T) {
 // localAdapter completes odd keys host-side without an NMP call.
 type localAdapter struct{ testAdapter }
 
-func (a localAdapter) Prepare(c *machine.Ctx, op kv.Op, st *int, attempt int, batch bool) (fc.Request, int, PrepareCtl, bool) {
+func (a localAdapter) Prepare(c *machine.Ctx, op kv.Op, st *int, attempt int) (fc.Request, int, PrepareCtl, bool) {
 	if op.Key%2 == 1 {
 		return fc.Request{}, 0, PrepareLocal, true
 	}
-	return a.testAdapter.Prepare(c, op, st, attempt, batch)
+	return a.testAdapter.Prepare(c, op, st, attempt)
 }
 
 func TestRuntimeLocalCompletionSkipsOffload(t *testing.T) {

@@ -273,7 +273,7 @@ func (ad slAdapter) Begin(c *machine.Ctx, op kv.Op) slState {
 	return st
 }
 
-func (ad slAdapter) Prepare(c *machine.Ctx, op kv.Op, st *slState, attempt int, batch bool) (fc.Request, int, offload.PrepareCtl, bool) {
+func (ad slAdapter) Prepare(c *machine.Ctx, op kv.Op, st *slState, attempt int) (fc.Request, int, offload.PrepareCtl, bool) {
 	req, pred, done, ok := ad.s.request(c, op, st.hostNode, st.height)
 	st.pred = pred
 	if done {

@@ -210,7 +210,7 @@ func TestFailingCellNamesItself(t *testing.T) {
 func TestUnstartedHybridFailsLoudly(t *testing.T) {
 	sc := QuickScale()
 	sc.Parallel = 1
-	hybrid := engineHybrid("skiplist", sc, 1, false)
+	hybrid := engineHybrid("skiplist", sc, 1)
 	unstarted := &variant{name: "unstarted", open: func(m *machine.Machine) structure {
 		return struct{ structure }{hybrid.open(m)}
 	}}

@@ -255,7 +255,7 @@ func runTable2(sc Scale, progress io.Writer) Result {
 	// Single-threaded blocking hybrid B+ tree, read-only: isolates the
 	// offload path exactly as the paper measures it (same initial tree,
 	// same host levels, one offload at a time).
-	cell := runGrid(sc, progress, "table2", []*variant{engineHybrid("btree", sc, 1, false)},
+	cell := runGrid(sc, progress, "table2", []*variant{engineHybrid("btree", sc, 1)},
 		threadSweep(sc, ycsb.YCSBC(sc.BTreeRecords, sc.KeyMax, sc.Seed), []int{1}))["hybrid-blocking"][0]
 
 	reqWrite, respRead, llcMiss := offloadCosts(sc.Machine.Mem)
@@ -421,9 +421,13 @@ func runAblateWindow(sc Scale, progress io.Writer) Result {
 	windows := []int{1, 2, 4}
 	var jobs []cellJob
 	for _, w := range windows {
+		// Every depth is named by its window, 1 (blocking) included.
+		sv, bv := engineHybrid("skiplist", sc, w), engineHybrid("btree", sc, w)
+		sv.name = fmt.Sprintf("hybrid-nonblocking%d", w)
+		bv.name = sv.name
 		jobs = append(jobs,
-			sk.job(sc, engineHybrid("skiplist", sc, w, true), fmt.Sprintf("window=%d skiplist", w), sk.label),
-			bt.job(sc, engineHybrid("btree", sc, w, true), fmt.Sprintf("window=%d btree", w), bt.label))
+			sk.job(sc, sv, fmt.Sprintf("window=%d skiplist", w), sk.label),
+			bt.job(sc, bv, fmt.Sprintf("window=%d btree", w), bt.label))
 	}
 	cells := runCells(sc, progress, jobs)
 	structures := []string{"hybrid skiplist", "hybrid B+ tree"} // cells alternate them; rows list the B+ tree first
@@ -459,7 +463,7 @@ func runAblateSkew(sc Scale, progress io.Writer) Result {
 		cfg.Dist, cfg.ZipfTheta = d.dist, d.theta // 0: ycsb's default theta, which uniform ignores
 		ws = append(ws, loads.onePoint(sc, d.label, cfg))
 	}
-	grid := runGrid(sc, progress, "skew", []*variant{skiplistLockFree(sc), engineHybrid("skiplist", sc, 1, false)}, ws)
+	grid := runGrid(sc, progress, "skew", []*variant{skiplistLockFree(sc), engineHybrid("skiplist", sc, 1)}, ws)
 	for i, d := range dists {
 		lf, hy := grid["lock-free"][i], grid["hybrid-blocking"][i]
 		res.Rows = append(res.Rows, []string{
@@ -487,7 +491,7 @@ func runAblateSplit(sc Scale, progress io.Writer) Result {
 	for nl := 1; nl <= min(sc.SkiplistNMPLevels+4, sc.SkiplistLevels-1); nl++ {
 		scv := sc
 		scv.SkiplistNMPLevels = nl
-		jobs = append(jobs, w.job(scv, engineHybrid("skiplist", scv, 1, false), fmt.Sprintf("split nmp=%d", nl), fmt.Sprintf("nmp-levels=%d", nl)))
+		jobs = append(jobs, w.job(scv, engineHybrid("skiplist", scv, 1), fmt.Sprintf("split nmp=%d", nl), fmt.Sprintf("nmp-levels=%d", nl)))
 	}
 	cells := runCells(sc, progress, jobs)
 	for i, c := range cells {
@@ -531,8 +535,8 @@ func runAblateMMIO(sc Scale, progress io.Writer) Result {
 		scv.Machine.Mem.MMIOReadLatency = uint64(float64(sc.Machine.Mem.MMIOReadLatency) * f)
 		label := fmt.Sprintf("mmio=%.1fx", f)
 		jobs = append(jobs,
-			w.job(scv, engineHybrid("skiplist", scv, 1, false), fmt.Sprintf("mmio x%.1f blocking", f), label),
-			w.job(scv, engineHybrid("skiplist", scv, scv.Window, true), fmt.Sprintf("mmio x%.1f non-blocking", f), label))
+			w.job(scv, engineHybrid("skiplist", scv, 1), fmt.Sprintf("mmio x%.1f blocking", f), label),
+			w.job(scv, engineHybrid("skiplist", scv, scv.Window), fmt.Sprintf("mmio x%.1f non-blocking", f), label))
 	}
 	cells := runCells(sc, progress, jobs)
 	for i, f := range factors {
@@ -556,7 +560,7 @@ func runAblatePartitions(sc Scale, progress io.Writer) Result {
 		scv := sc
 		scv.Machine.Mem.NMPVaults = parts
 		w := loads.onePoint(scv, fmt.Sprintf("partitions=%d", parts), ycsb.YCSBC(scv.SkiplistRecords, scv.KeyMax, scv.Seed))
-		jobs = append(jobs, w.job(scv, engineHybrid("skiplist", scv, scv.Window, true), w.label, w.label))
+		jobs = append(jobs, w.job(scv, engineHybrid("skiplist", scv, scv.Window), w.label, w.label))
 	}
 	cells := runCells(sc, progress, jobs)
 	for i, parts := range partCounts {
@@ -574,7 +578,7 @@ func runAblatePartitions(sc Scale, progress io.Writer) Result {
 // Unlike the figure-specific variant lists above, nothing here names a
 // concrete structure — any registered engine grids identically.
 func engineVariants(engine string, sc Scale) []*variant {
-	return []*variant{engineHybrid(engine, sc, 1, false), engineHybrid(engine, sc, sc.Window, true)}
+	return []*variant{engineHybrid(engine, sc, 1), engineHybrid(engine, sc, sc.Window)}
 }
 
 // runEngineBSkiplist measures the B-skiplist engine's hybrid across the

@@ -59,7 +59,7 @@ func TestTracedCellsMatchUntraced(t *testing.T) {
 	for engine, records := range map[string]int{"skiplist": sc.SkiplistRecords, "btree": sc.BTreeRecords, "bskiplist": sc.BSkiplistRecords} {
 		gen := ycsb.New(ycsb.YCSBC(records, sc.KeyMax, sc.Seed))
 		load, streams := gen.Load(), gen.Streams(4, sc.WarmupPerThread+sc.OpsPerThread)
-		for _, v := range []*variant{engineHybrid(engine, sc, 1, false), engineHybrid(engine, sc, sc.Window, true)} {
+		for _, v := range []*variant{engineHybrid(engine, sc, 1), engineHybrid(engine, sc, sc.Window)} {
 			j := cellJob{sc: sc, v: v, load: load, streams: streams, progress: engine + " " + v.name}
 			untraced := runCell(j, nil, nil)
 			traced := runCell(j, &TraceSpec{Path: filepath.Join(t.TempDir(), "trace.json")}, nil)

@@ -59,8 +59,8 @@ func TestRunCellsOrderAndLabels(t *testing.T) {
 	streams := gen.Streams(sc.MaxThreads, sc.WarmupPerThread+sc.OpsPerThread)
 	jobs := []cellJob{
 		{sc: sc, v: skiplistLockFree(sc), load: load, streams: streams, progress: "a", label: "first"},
-		{sc: sc, v: engineHybrid("skiplist", sc, 1, false), load: load, streams: streams, progress: "b", label: "second"},
-		{sc: sc, v: engineHybrid("skiplist", sc, sc.Window, true), load: load, streams: streams, progress: "c", label: "third"},
+		{sc: sc, v: engineHybrid("skiplist", sc, 1), load: load, streams: streams, progress: "b", label: "second"},
+		{sc: sc, v: engineHybrid("skiplist", sc, sc.Window), load: load, streams: streams, progress: "c", label: "third"},
 	}
 
 	sc.Parallel = 1

@@ -25,9 +25,6 @@ type variant struct {
 	// machines and form one image group (see runCells). The zero key (a
 	// test's ad hoc variant) groups by *variant instead.
 	build buildKey
-	// async drives the structure through kv.AsyncStore.ApplyBatch, the
-	// non-blocking path, instead of one blocking Apply at a time.
-	async bool
 	// open constructs the variant's empty structure on m. It must be cheap
 	// and deterministic: the same allocations and stores on every fresh
 	// machine, because a cell that restores another cell's built image
@@ -117,13 +114,13 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 		h.Start()
 	}
 	// run applies one thread's ops, recording one Ctx.OpDone per completed
-	// operation (the non-blocking path records its completions inside
-	// ApplyBatch, where they actually happen). OpDone is what delimits the
-	// per-operation intervals of the latency-attribution report; it
-	// consumes no virtual time.
+	// operation: a hybrid (blocking is window 1) records them inside
+	// ApplyBatch, where they happen. OpDone delimits the per-operation
+	// intervals of the latency-attribution report; it takes no virtual time.
+	as, async := s.(kv.AsyncStore)
 	run := func(c *machine.Ctx, th int, ops []kv.Op) {
-		if v.async {
-			s.(kv.AsyncStore).ApplyBatch(c, th, ops)
+		if async {
+			as.ApplyBatch(c, th, ops)
 			return
 		}
 		for _, op := range ops {
@@ -193,7 +190,7 @@ func skiplistLockFree(sc Scale) *variant {
 // [16, 44]: the hybrid skiplist's far end, with every level NMP-side.
 func skiplistNMPBased(sc Scale) *variant {
 	sc.SkiplistNMPLevels = sc.SkiplistLevels
-	v := engineHybrid("skiplist", sc, 1, false)
+	v := engineHybrid("skiplist", sc, 1)
 	v.name = "NMP-based"
 	return v
 }
@@ -203,15 +200,16 @@ func skiplistNMPBased(sc Scale) *variant {
 // so experiments never construct a hybrid by concrete type. The window
 // sizes only the scratchpad publication lists, which open lays out without
 // writing, so blocking and every non-blocking window share one build.
-func engineHybrid(engine string, sc Scale, window int, async bool) *variant {
+// Window 1 is the blocking design and names the variant hybrid-blocking.
+func engineHybrid(engine string, sc Scale, window int) *variant {
 	e := store.MustEngine(engine)
 	name := "hybrid-blocking"
-	if async {
+	if window > 1 {
 		name = fmt.Sprintf("hybrid-nonblocking%d", window)
 	}
 	built, p := sc.SimParams, sc.SimParams
 	built.Window, p.Window = 0, window
-	return &variant{name: name, build: buildKey{engine, built}, async: async, open: func(m *machine.Machine) structure {
+	return &variant{name: name, build: buildKey{engine, built}, open: func(m *machine.Machine) structure {
 		return e.NewSimHybrid(m, p)
 	}}
 }

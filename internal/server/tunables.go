@@ -17,15 +17,16 @@ import (
 // counter.
 type Tunables struct {
 	// Window is the per-connection request coalescing window (see
-	// Config.Window). Normalized to 16 when <= 0.
+	// Config.Window), in [1, MaxWindow]. server.New replaces a value
+	// outside it by 16; SetTunables rejects it.
 	Window int
 	// MaxConns caps concurrently served connections (see
 	// Config.MaxConns); 0 means unlimited. Applied at accept time, so
 	// lowering it never disconnects existing clients.
 	MaxConns int
 	// WriteTimeout is the slow-client write deadline (see
-	// Config.WriteTimeout). Normalized to 10s when 0; negative disables
-	// write deadlines.
+	// Config.WriteTimeout); negative disables write deadlines. server.New
+	// replaces 0 by 10s; SetTunables rejects it.
 	WriteTimeout time.Duration
 	// SlowOp is the slow-operation logging threshold: a served batch
 	// whose wall-clock time reaches it emits one structured JSON line to
@@ -34,13 +35,14 @@ type Tunables struct {
 	SlowOp time.Duration
 }
 
-// normalize applies the documented defaults, replacing each field that is
-// out of bounds by its default, and reports every such field.
+// normalize replaces each field that is out of bounds by its default and
+// reports every such field: server.New keeps the result, SetTunables
+// rejects it.
 func (t Tunables) normalize() (Tunables, error) {
 	var errs []error
-	if t.Window > MaxWindow {
-		errs = append(errs, fmt.Errorf("server: window %d exceeds maximum %d", t.Window, MaxWindow))
-		t.Window = 0
+	if t.Window <= 0 || t.Window > MaxWindow {
+		errs = append(errs, fmt.Errorf("server: window %d is outside [1, %d]", t.Window, MaxWindow))
+		t.Window = 16
 	}
 	if t.MaxConns < 0 {
 		errs = append(errs, fmt.Errorf("server: maxconns %d is negative", t.MaxConns))
@@ -50,10 +52,8 @@ func (t Tunables) normalize() (Tunables, error) {
 		errs = append(errs, fmt.Errorf("server: slow-op threshold %v is negative", t.SlowOp))
 		t.SlowOp = 0
 	}
-	if t.Window <= 0 {
-		t.Window = 16
-	}
 	if t.WriteTimeout == 0 {
+		errs = append(errs, errors.New("server: write timeout must not be 0"))
 		t.WriteTimeout = 10 * time.Second
 	}
 	return t, errors.Join(errs...)
@@ -69,20 +69,20 @@ func (s *Server) Tunables() Tunables {
 	return *s.tun.Load()
 }
 
-// SetTunables validates, normalizes and atomically publishes a new live
-// configuration, returning the normalized result. New connections pick
-// the values up immediately; existing connections keep the tunables they
-// captured at accept. On success the server/config_epoch counter
-// increments (under the server mutex, like every registry fold), so
-// scrapers can tell republishes apart.
-func (s *Server) SetTunables(t Tunables) (Tunables, error) {
-	t, err := t.normalize()
-	if err != nil {
-		return t, err
+// SetTunables validates and atomically publishes a new live
+// configuration, refusing it if any field is out of bounds: a window
+// outside [1, MaxWindow], a negative MaxConns or SlowOp, or a zero
+// WriteTimeout. New connections pick the values up immediately; existing
+// connections keep the tunables they captured at accept. On success the
+// server/config_epoch counter increments (under the server mutex, like
+// every registry fold), so scrapers can tell republishes apart.
+func (s *Server) SetTunables(t Tunables) error {
+	if _, err := t.normalize(); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.tun.Store(&t)
 	s.counters[statConfigEpoch].Inc()
 	s.mu.Unlock()
-	return t, nil
+	return nil
 }
