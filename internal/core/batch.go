@@ -38,56 +38,66 @@ const (
 // keeps one per connection. All of its state is reused, so steady-state
 // Apply calls perform no allocation. A Batcher belongs to one goroutine;
 // it is not safe for concurrent use.
+//
+// A blocking call and a barrier are rounds of one on a pooled Batcher
+// (Hybrid.calls): the call's one operation, or the barrier's closure,
+// which the holder runs in place of the entry's operations.
 type Batcher struct {
-	h      *Hybrid
-	window int
-
-	// The Apply call, read by the partitions' holders between a round's
-	// publish and their done: ops, outcome slots, per partition the
-	// round's data ops it owns and scans starting in it (index order),
-	// scan i's region of kv (pairs[i]) and the partition's scan cursor.
-	ops       []hds.Request
-	out       []Outcome
-	idx, sidx [][]int32
-	kv        []KV
-	pairs     [][]KV
-	curs      []*scanCursor
-
-	// nodes holds the Batcher's list entry for each partition, reused
-	// every round. touched lists the partitions the round has an entry
-	// for; scratch receives outcomes when the caller passes no out.
-	nodes   []request
-	touched []int
-	scratch []Outcome
-
-	// pending counts the round's entries not yet applied, plus the parked
-	// bit once the caller has stopped spinning; the holder that brings the
-	// count to zero with the bit set sends the round's one wake.
+	// The call, read by the partitions' holders between a round's publish
+	// and their done: a barrier's closure, ops, outcome slots and the
+	// per-partition state. pending counts the round's entries not yet
+	// applied, plus the parked bit once the caller has stopped spinning;
+	// the holder that brings the count to zero with the bit set sends the
+	// round's one wake, on a channel made at the Batcher's first park.
+	// op1 and out1 are a pooled call's ops and out.
+	snap    func(s Store)
+	ops     []hds.Request
+	out     []Outcome
+	parts   []batchPart
 	pending atomic.Int32
 	wake    chan struct{}
+	op1     [1]hds.Request
+	out1    [1]Outcome
+
+	h      *Hybrid
+	window int
+	spin   int // loads of pending before the round parks
+
+	// kv holds the scans' pairs, scan i's region being pairs[i]. touched
+	// lists the partitions the round has an entry for; scratch receives
+	// outcomes when the caller passes no out.
+	kv      []KV
+	pairs   [][]KV
+	touched []int32
+	scratch []Outcome
+}
+
+// batchPart is a Batcher's state for one partition: its list entry,
+// reused every round, and the round's data ops it owns and the scans
+// starting in it (index order).
+type batchPart struct {
+	entry     request
+	idx, sidx []int32
 }
 
 // NewBatcher returns a Batcher whose Apply keeps up to window operations
-// in flight. window <= 1 keeps one call in flight (blocking behaviour
-// through the same path).
+// in flight (at least one). Its rounds spin spinLoads loads before they
+// park; a blocking call or a barrier parks at once (DESIGN §5.5).
 func (h *Hybrid) NewBatcher(window int) *Batcher {
-	if window <= 0 {
-		window = 1
-	}
-	b := &Batcher{
-		h:       h,
-		window:  window,
-		idx:     make([][]int32, len(h.parts)),
-		sidx:    make([][]int32, len(h.parts)),
-		curs:    make([]*scanCursor, len(h.parts)),
-		nodes:   make([]request, len(h.parts)),
-		touched: make([]int, 0, len(h.parts)),
-		wake:    make(chan struct{}, 1),
-	}
-	for p := range b.idx {
-		b.idx[p] = make([]int32, 0, window)
-		b.nodes[p].grp = b
-		b.curs[p] = cursorPool.New().(*scanCursor)
+	return h.newBatcher(max(window, 1), spinLoads)
+}
+
+// newBatcher makes a Batcher in three allocations, so a pool refill stays
+// cheap: the Batcher, its per-partition state, and one array backing
+// every partition's idx list and touched. The wake channel waits for the
+// first park, which a call on a free partition never reaches.
+func (h *Hybrid) newBatcher(window, spin int) *Batcher {
+	n := len(h.parts)
+	slots := make([]int32, n*window+min(n, window))
+	b := &Batcher{h: h, window: window, spin: spin, parts: make([]batchPart, n), touched: slots[n*window : n*window]}
+	for p := range b.parts {
+		b.parts[p].entry.grp = b
+		b.parts[p].idx = slots[p*window : p*window : (p+1)*window]
 	}
 	return b
 }
@@ -133,34 +143,40 @@ func (b *Batcher) Pairs(i int) []KV { return b.pairs[i] }
 
 // round routes ops[lo:hi] up to its first write at or above a scan's
 // start partition, publishes one entry per partition touched, serving
-// each before the next, waits — a spin, then a park — until all are
-// applied or refused, finishes the scans and returns where it stopped.
+// each before the next, waits until all are applied or refused, finishes
+// the scans and returns where it stopped.
 func (b *Batcher) round(lo, hi int) int {
-	h, ops := b.h, b.ops
+	h, ops, parts := b.h, b.ops, b.parts
 	// Route the whole round before publishing any of it. The lists are
 	// reset here, not after the wake, so a panic on an invalid key leaves
 	// nothing behind for the next call.
-	for _, p := range b.touched { // sidx is written only when it holds scans
-		if b.idx[p] = b.idx[p][:0]; len(b.sidx[p]) > 0 {
-			b.sidx[p] = b.sidx[p][:0]
+	for _, p := range b.touched {
+		bp := &parts[p]
+		if bp.idx = bp.idx[:0]; len(bp.sidx) > 0 { // sidx is written only when it holds scans
+			bp.sidx = bp.sidx[:0]
 		}
 	}
 	b.touched = b.touched[:0]
-	floor := len(h.parts) // the lowest start partition of the round's scans
+	floor := len(parts) // the lowest start partition of the round's scans
 	for i := lo; i < hi; i++ {
-		list, p := b.idx, 0
-		if ops[i].Kind == hds.Scan {
-			list, p = b.sidx, int(min(ops[i].Key/h.span, uint64(len(h.parts)-1)))
+		p, scan := 0, ops[i].Kind == hds.Scan
+		if scan {
+			p = int(min(ops[i].Key/h.span, uint64(len(parts)-1)))
 			floor = min(floor, p)
 			b.reserve(i, ops[i].Value)
 		} else if p = h.Partition(ops[i].Key); p >= floor && ops[i].Kind != hds.Read {
 			hi = i
 			break
 		}
-		if len(b.idx[p]) == 0 && len(b.sidx[p]) == 0 {
-			b.touched = append(b.touched, p)
+		bp := &parts[p]
+		if len(bp.idx) == 0 && len(bp.sidx) == 0 {
+			b.touched = append(b.touched, int32(p))
 		}
-		list[p] = append(list[p], int32(i))
+		if scan {
+			bp.sidx = append(bp.sidx, int32(i))
+		} else {
+			bp.idx = append(bp.idx, int32(i))
+		}
 	}
 	b.pending.Store(int32(len(b.touched)))
 	// Publish to a free partition while one is left: a held one may be
@@ -170,16 +186,12 @@ func (b *Batcher) round(lo, hi int) int {
 			b.touched[i], b.touched[j] = b.touched[j], b.touched[i]
 		}
 		p := b.touched[i]
-		h.parts[p].publish(&b.nodes[p])
+		h.parts[p].publish(&parts[p].entry)
 	}
-	for i := 0; i < spinLoads && b.pending.Load() != 0; i++ {
-	}
-	if b.pending.Load() != 0 && b.pending.Add(parked) != parked {
-		<-b.wake
-	}
+	b.wait()
 	for _, p := range b.touched {
-		for _, i := range b.sidx[p] {
-			if kv := &b.pairs[i]; p+1 < len(h.parts) {
+		for _, i := range parts[p].sidx {
+			if kv := &b.pairs[i]; int(p)+1 < len(parts) {
 				*kv = h.ScanAppend(*kv, uint64(p+1)*h.span, cap(*kv)-len(*kv))
 			}
 			b.out[i] = Outcome{Result: hds.Result{Value: uint64(len(b.pairs[i])), OK: true}}
@@ -196,6 +208,31 @@ func (b *Batcher) reserve(i int, limit uint64) {
 	}
 	n := len(b.kv)
 	b.pairs[i], b.kv = b.kv[n:n:n+int(limit)], b.kv[:n+int(limit)]
+}
+
+// call is a round of one entry, on partition p: it publishes that entry
+// and waits for it.
+func (b *Batcher) call(p int) {
+	b.pending.Store(1)
+	b.h.parts[p].publish(&b.parts[p].entry)
+	b.wait()
+}
+
+// wait returns once the round's entries are all applied or refused: it
+// makes up to spin plain loads of the countdown, then sets the parked bit
+// and parks until the last holder's wake.
+func (b *Batcher) wait() {
+	for i := 0; i < b.spin && b.pending.Load() != 0; i++ {
+	}
+	if b.pending.Load() == 0 {
+		return
+	}
+	if b.wake == nil {
+		b.wake = make(chan struct{}, 1)
+	}
+	if b.pending.Add(parked) != parked {
+		<-b.wake
+	}
 }
 
 // done is called by a partition's holder after applying (or refusing) its

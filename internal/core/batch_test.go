@@ -32,7 +32,7 @@ func TestBatcherApplyAllocs(t *testing.T) {
 	b := h.NewBatcher(16)
 	ops := spread(16, 4, 1<<20)
 	out := make([]Outcome, len(ops))
-	b.Apply(ops, out) // warm the combiners' futures and stacks
+	b.Apply(ops, out) // warm the Batcher and the stacks
 	for name, res := range map[string][]Outcome{"out": out, "nil": nil} {
 		if allocs := testing.AllocsPerRun(500, func() { b.Apply(ops, res) }); allocs != 0 {
 			t.Errorf("Batcher.Apply(16 ops, %s) allocates %.2f objects/call, want 0", name, allocs)
@@ -40,9 +40,8 @@ func TestBatcherApplyAllocs(t *testing.T) {
 	}
 }
 
-// TestRequestSize keeps the list node the blocking path shares with the
-// batch path at the size it had before batch groups existed plus the one
-// link pointer the publication list threads through it.
+// TestRequestSize bounds the list node that every round, blocking call
+// and barrier publishes, which a Batcher keeps one of per partition.
 func TestRequestSize(t *testing.T) {
 	if got := unsafe.Sizeof(request{}); got > 48 {
 		t.Fatalf("list entry is %d bytes, want <= 48", got)

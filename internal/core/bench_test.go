@@ -59,8 +59,9 @@ func BenchmarkHybridGetParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkFuture measures the blocking-call hot path: with pooled
-// futures the steady state performs no per-operation allocation.
+// BenchmarkFuture measures the blocking-call hot path, a round of one on
+// a pooled Batcher: the steady state performs no per-operation
+// allocation.
 func BenchmarkFuture(b *testing.B) {
 	h := benchMap(b, 8)
 	rng := prng.New(3)
@@ -71,8 +72,10 @@ func BenchmarkFuture(b *testing.B) {
 	}
 }
 
-// TestFutureAllocs asserts the pooled-future hot path stays allocation
-// free (at most one allocation per operation, tolerating pool refills).
+// TestFutureAllocs asserts the blocking-call hot path stays allocation
+// free: at most one allocation per operation, tolerating the pooled
+// Batchers' refills (the race detector drops a quarter of sync.Pool's
+// Puts, so a fresh Batcher must stay at three allocations).
 func TestFutureAllocs(t *testing.T) {
 	h := New(Config{Partitions: 4, KeyMax: 1 << 20})
 	defer h.Close()

@@ -231,6 +231,7 @@ func TestHybridElectionStress(t *testing.T) {
 	)
 	h := New(Config{Partitions: 2, KeyMax: keyMax})
 	var issued atomic.Int64
+	var closed atomic.Bool // set once Close has returned
 	startClose := make(chan struct{})
 	var onceClose sync.Once
 	count := func(n int) {
@@ -311,7 +312,7 @@ func TestHybridElectionStress(t *testing.T) {
 			if got := h.Scan(0, 64); len(got) > 64 {
 				t.Errorf("Scan(limit 64) returned %d pairs", len(got))
 			}
-			if h.closed.Load() {
+			if closed.Load() {
 				return
 			}
 		}
@@ -320,6 +321,7 @@ func TestHybridElectionStress(t *testing.T) {
 		defer wg.Done()
 		<-startClose
 		h.Close()
+		closed.Store(true)
 	}()
 	done := make(chan struct{})
 	go func() {

@@ -313,6 +313,7 @@ func historyLinearizable(t *testing.T, depth int) {
 	h.Build(load)
 
 	var clock, issued atomic.Int64
+	var closed atomic.Bool // set once Close has returned
 	startDump, startClose := make(chan struct{}), make(chan struct{})
 	var onceDump, onceClose sync.Once
 	// count trips the mid-stream events off the number of operations
@@ -358,7 +359,7 @@ func historyLinearizable(t *testing.T, depth int) {
 			rng := prng.New(uint64(c) + 11)
 			if c >= len(windows) { // blocking callers
 				for i, after := 0, 0; after < tail; i++ {
-					if h.closed.Load() {
+					if closed.Load() {
 						after++
 					}
 					req := draw(rng, c, i)
@@ -415,6 +416,7 @@ func historyLinearizable(t *testing.T, depth int) {
 		closeInv = clock.Add(1)
 		h.Close()
 		closeResp = clock.Add(1)
+		closed.Store(true)
 	}()
 	wg.Wait()
 

@@ -7,11 +7,11 @@
 // free it takes the whole list and applies the entries, its own and
 // other callers', oldest first against the single-threaded store; if
 // another caller holds the partition, that holder applies the entry.
-// Callers either wait on one call (blocking NMP calls, §3.2, through
-// pooled futures) or hold a window of calls in flight, scans included
-// (non-blocking NMP calls, §3.5), through a Batcher, which publishes one
-// list entry per (round, partition) and waits once per round on a single
-// countdown. The package starts no goroutine of its own.
+// Callers hold a window of calls in flight, scans included (non-blocking
+// NMP calls, §3.5), through a Batcher, which publishes one list entry per
+// (round, partition) and waits once per round on a single countdown. A
+// blocking call (§3.2) is a round of one on a pooled Batcher, and so is a
+// barrier. The package starts no goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
@@ -74,8 +74,8 @@ type Config struct {
 	// (core/p<i>/...); nil creates a private registry reachable through
 	// Hybrid.Metrics. The registry is unsynchronized: each instrument is
 	// touched only by the partition's current holder, ordered by the
-	// holder flag, so snapshots are consistent only at quiescence (all
-	// published futures consumed, or after Close).
+	// holder flag, so snapshots are consistent only at quiescence (every
+	// call returned, or after Close).
 	Metrics *metrics.Registry
 }
 
@@ -87,14 +87,9 @@ type KV struct {
 	Value uint64
 }
 
-// request is one publication-list node, in one of three shapes: a
-// blocking call (req and its completion handle fut), an in-order barrier
-// (fut alone, carrying the closure in fut.snap), or one Batcher round's
-// operations for this partition (grp alone). Its publisher owns it (a
-// future embeds one, a Batcher keeps one per partition) and reuses it.
+// request is one publication-list node: a Batcher round's entry for one
+// partition. The Batcher keeps one per partition and reuses it.
 type request struct {
-	req  hds.Request
-	fut  *future
 	grp  *Batcher
 	next *request
 }
@@ -106,17 +101,17 @@ type Hybrid struct {
 	reg   *metrics.Registry
 	parts []*partition
 	span  uint64
-	// closed refuses blocking calls before they publish; Close's barriers
-	// refuse rounds and the calls that raced it (partition.refusing).
-	closed atomic.Bool
+	// calls pools the one-op Batchers of blocking calls and barriers.
+	calls sync.Pool
 }
 
-// partition is one combining domain: the store, its publication list, the
-// election state and the per-partition instruments. Store, refusing and
-// instruments belong to whichever caller holds the partition.
+// partition is one combining domain: the store, the cursor rounds' scans
+// are served through, its publication list, the election state and the
+// instruments. All but list and election belong to its current holder.
 type partition struct {
 	id    int
 	store Store
+	cur   *scanCursor
 
 	// head is the publication list, newest entry first; held is the
 	// holder flag. Both are sequentially consistent atomics, which is what
@@ -154,10 +149,19 @@ func New(cfg Config) *Hybrid {
 		reg:  reg,
 		span: (cfg.KeyMax-1)/uint64(cfg.Partitions) + 1,
 	}
+	h.calls.New = func() any { // every entry of a call carries its one op
+		b := h.newBatcher(1, 0)
+		b.ops, b.out = b.op1[:], b.out1[:]
+		for p := range b.parts {
+			b.parts[p].idx = b.parts[p].idx[:1]
+		}
+		return b
+	}
 	for p := 0; p < cfg.Partitions; p++ {
 		part := &partition{
 			id:       p,
 			store:    cfg.NewStore(p),
+			cur:      cursorPool.New().(*scanCursor),
 			cOps:     reg.Counter(fmt.Sprintf("core/p%d/ops", p)),
 			cBuilt:   reg.Counter(fmt.Sprintf("core/p%d/built", p)),
 			hBatch:   reg.Histogram(fmt.Sprintf("core/p%d/batch", p)),
@@ -190,45 +194,38 @@ func (p *partition) exec(req hds.Request) (value uint64, ok bool) {
 	return value, ok
 }
 
-// apply runs one list entry and completes it, counting its operations in
-// cOps first. Behind Close's barrier a data entry completes as refused
-// (Rejected, or ok=false) without touching the store; barriers still run,
-// and so do a round's scans, after its data ops (only reads follow them).
+// apply runs one list entry and completes it: a barrier's closure, or
+// the entry's operations, counted in cOps first. Behind Close's barrier
+// the data operations complete as Rejected without touching the store;
+// barriers still run, and so do a round's scans, after its data ops (only
+// reads follow them).
 func (p *partition) apply(r *request) {
-	if b := r.grp; b != nil {
-		idx, ops, out := b.idx[p.id], b.ops, b.out
-		if p.refusing {
-			for _, i := range idx {
-				out[i] = Outcome{Rejected: true}
-			}
-		} else {
-			p.cOps.Add(uint64(len(idx)))
-			for _, i := range idx {
-				value, ok := p.exec(ops[i])
-				out[i] = Outcome{Result: hds.Result{Value: value, OK: ok}}
-			}
-		}
-		for _, i := range b.sidx[p.id] { // into the scan's region
-			if c, kv := b.curs[p.id], &b.pairs[i]; cap(*kv) > 0 {
-				c.dst, c.base, c.limit = *kv, 0, cap(*kv)
-				p.store.Ascend(ops[i].Key, c.visit)
-				*kv, c.dst = c.dst, nil
-			}
-		}
+	b := r.grp
+	if b.snap != nil {
+		b.snap(p.store)
 		b.done()
 		return
 	}
-	switch fn := r.fut.snap; {
-	case fn != nil:
-		r.fut.snap = nil
-		fn(p.store)
-		r.fut.complete(0, true)
-	case p.refusing:
-		r.fut.complete(0, false)
-	default:
-		p.cOps.Inc()
-		r.fut.complete(p.exec(r.req))
+	bp, ops, out := &b.parts[p.id], b.ops, b.out
+	if p.refusing {
+		for _, i := range bp.idx {
+			out[i] = Outcome{Rejected: true}
+		}
+	} else {
+		p.cOps.Add(uint64(len(bp.idx)))
+		for _, i := range bp.idx {
+			value, ok := p.exec(ops[i])
+			out[i] = Outcome{Result: hds.Result{Value: value, OK: ok}}
+		}
 	}
+	for _, i := range bp.sidx { // into the scan's region
+		if c, kv := p.cur, &b.pairs[i]; cap(*kv) > 0 {
+			c.dst, c.base, c.limit = *kv, 0, cap(*kv)
+			p.store.Ascend(ops[i].Key, c.visit)
+			*kv, c.dst = c.dst, nil
+		}
+	}
+	b.done()
 }
 
 // publish pushes r onto the partition's list, which never waits, and
@@ -272,10 +269,10 @@ func (p *partition) combine() {
 		r.next, oldest = oldest, r
 		r = next
 		entries++
-		if oldest.grp != nil {
-			n += len(oldest.grp.idx[p.id]) + len(oldest.grp.sidx[p.id])
-		} else {
+		if b := oldest.grp; b.snap != nil { // a barrier counts as one
 			n++
+		} else {
+			n += len(b.parts[p.id].idx) + len(b.parts[p.id].sidx)
 		}
 	}
 	p.hMailbox.Observe(uint64(entries))
@@ -304,7 +301,6 @@ func (p *partition) queued() int {
 // applied on some partitions and refused on others. Close is idempotent,
 // and read-only accessors (Len, Dump, Scan) keep working afterwards.
 func (h *Hybrid) Close() {
-	h.closed.Store(true)
 	for _, part := range h.parts {
 		h.barrier(part.id, func(Store) { part.refusing = true })
 	}
@@ -325,26 +321,22 @@ func (h *Hybrid) Partitions() int { return len(h.parts) }
 // 1..KeyMax-1 (key 0 is the -inf sentinel).
 func (h *Hybrid) KeyMax() uint64 { return h.cfg.KeyMax }
 
-// async publishes req to its partition and returns the call's future, or
-// — after Close — a future already completed as a rejection (ok=false)
-// with no store touched.
-func (h *Hybrid) async(req hds.Request) *future {
-	part := h.Partition(req.Key)
-	fut := newFuture()
-	if h.closed.Load() {
-		fut.complete(0, false)
-	} else {
-		fut.node.req = req
-		h.parts[part].publish(&fut.node)
-	}
-	return fut
-}
-
-// Apply executes one request as a blocking NMP call (§3.2) and returns
-// its result.
+// Apply executes one request as a blocking NMP call (§3.2), a round of
+// one on a pooled Batcher that parks at once, and returns its result:
+// ok=false, with no store touched, when Close refused it. A Scan or a key
+// outside the key space panics before anything is published; Scan and
+// ScanAppend serve scans.
 func (h *Hybrid) Apply(req hds.Request) hds.Result {
-	value, ok := h.async(req).wait()
-	return hds.Result{Value: value, OK: ok}
+	if req.Kind == hds.Scan {
+		panic("core: Hybrid.Apply cannot serve a Scan; use Scan or ScanAppend")
+	}
+	p := h.Partition(req.Key)
+	b := h.calls.Get().(*Batcher)
+	b.op1[0] = req
+	b.call(p)
+	res := b.out1[0].Result
+	h.calls.Put(b)
+	return res
 }
 
 // Get returns the value stored under key (blocking call).
@@ -369,13 +361,15 @@ func (h *Hybrid) Delete(key uint64) bool {
 }
 
 // barrier runs fn on partition p's store while holding the partition, in
-// list order (after every entry published before it), and waits for it.
-// Barriers are not data operations: they work after Close too.
+// list order (after every entry published before it), and waits for it:
+// a round of one on a pooled Batcher whose entry carries fn in place of
+// operations. Barriers are not data operations: they work after Close too.
 func (h *Hybrid) barrier(p int, fn func(s Store)) {
-	fut := newFuture()
-	fut.snap = fn
-	h.parts[p].publish(&fut.node)
-	fut.wait()
+	b := h.calls.Get().(*Batcher)
+	b.snap = fn
+	b.call(p)
+	b.snap = nil
+	h.calls.Put(b)
 }
 
 // Len sums the partition store sizes. Each partition's count is read

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hybrids/internal/hds"
@@ -10,60 +12,133 @@ import (
 	"hybrids/internal/prng"
 )
 
-// TestHybridCloseDrainsPublished publishes a burst of asynchronous
-// operations and closes immediately: every future published before Close
-// must complete with its operation applied.
+// opsApplied sums the core/p*/ops counters: the data operations the
+// holders applied. Read it at quiescence.
+func opsApplied(h *Hybrid) (n uint64) {
+	for p := 0; p < h.Partitions(); p++ {
+		n += h.PartitionStats(p).Ops
+	}
+	return n
+}
+
+// TestHybridCloseDrainsPublished inserts a burst of keys, then races
+// Close against a blocking caller and a Batcher inserting fresh keys:
+// everything published before Close began is applied, every racing
+// insert is applied or refused, never lost, and the store holds exactly
+// the inserts whose callers were told they were applied.
 func TestHybridCloseDrainsPublished(t *testing.T) {
 	h := New(Config{Partitions: 4, KeyMax: 1 << 20})
 	const n = 500
-	futs := make([]*future, 0, n)
 	for i := uint64(1); i <= n; i++ {
-		futs = append(futs, h.async(hds.Request{Kind: hds.Insert, Key: i, Value: i * 2}))
+		if !h.Put(i, i*2) {
+			t.Fatalf("pre-Close insert %d refused", i)
+		}
 	}
+	var applied atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for k := uint64(n + 1); k <= 2*n; k++ {
+			if h.Put(k, k*2) { // a fresh key: false is a refusal
+				applied.Add(1)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		ops := make([]hds.Request, n)
+		for i := range ops {
+			k := uint64(2*n + 1 + i)
+			ops[i] = hds.Request{Kind: hds.Insert, Key: k, Value: k * 2}
+		}
+		out := make([]Outcome, n)
+		h.NewBatcher(16).Apply(ops, out)
+		for i, o := range out {
+			if !o.Rejected && !o.Result.OK {
+				t.Errorf("insert of fresh key %d applied but failed", ops[i].Key)
+			}
+			if !o.Rejected {
+				applied.Add(1)
+			}
+		}
+	}()
 	h.Close()
-	for i, f := range futs {
-		if _, ok := f.wait(); !ok {
-			t.Fatalf("pre-Close insert %d rejected", i+1)
+	wg.Wait()
+	want := n + int(applied.Load())
+	if got := h.Len(); got != want {
+		t.Fatalf("Len = %d after the drain, want %d", got, want)
+	}
+	if got := opsApplied(h); got != uint64(want) {
+		t.Fatalf("core/p*/ops = %d, want %d", got, want)
+	}
+	for _, kv := range h.Dump() {
+		if kv.Value != kv.Key*2 {
+			t.Fatalf("Dump holds %v", kv)
 		}
 	}
-	if got := h.Len(); got != n {
-		t.Fatalf("Len = %d after drain, want %d", got, n)
-	}
-	for i := uint64(1); i <= n; i++ {
-		if v, ok := h.Get(i); ok || v != 0 {
-			t.Fatal("post-Close Get was not rejected")
-		}
-		break // one probe is enough
+	if v, ok := h.Get(1); ok || v != 0 {
+		t.Fatalf("post-Close Get = (%d, %v), want a refusal", v, ok)
 	}
 }
 
 // TestHybridLatePublishRejected checks the deterministic rejection path:
-// after Close every publish completes immediately with ok=false and no
-// store mutation.
+// after Close every blocking call returns ok=false and every round's data
+// operation is Rejected, with no store touched, while the read-only
+// accessors still serve the drained state.
 func TestHybridLatePublishRejected(t *testing.T) {
 	h := New(Config{Partitions: 2, KeyMax: 1 << 16})
 	h.Put(7, 70)
 	h.Close()
-	if _, ok := h.async(hds.Request{Kind: hds.Insert, Key: 9, Value: 90}).wait(); ok {
-		t.Fatal("late Insert succeeded")
+	for _, req := range []hds.Request{
+		{Kind: hds.Insert, Key: 9, Value: 90},
+		{Kind: hds.Read, Key: 7},
+		{Kind: hds.Update, Key: 7, Value: 71},
+		{Kind: hds.Remove, Key: 7},
+	} {
+		if res := h.Apply(req); res != (hds.Result{}) {
+			t.Fatalf("late %v = %+v, want a refusal (0, false)", req, res)
+		}
 	}
-	if ok := h.Put(10, 100); ok {
+	if h.Put(10, 100) {
 		t.Fatal("late Put succeeded")
 	}
-	f := h.async(hds.Request{Kind: hds.Read, Key: 7})
-	done := f.state.Load() == futDone
-	if v, ok := f.wait(); !done || ok || v != 0 {
-		t.Fatalf("late Read = (%d,%v,%v), want immediate rejection", v, ok, done)
+	out := make([]Outcome, 1)
+	if n, _ := h.NewBatcher(4).Apply([]hds.Request{{Kind: hds.Read, Key: 7}}, out); n != 0 || !out[0].Rejected {
+		t.Fatalf("late round applied %d, outcome %+v; want 0, Rejected", n, out[0])
 	}
-	if !h.closed.Load() {
-		t.Fatal("closed is false after Close")
+	if got := opsApplied(h); got != 1 {
+		t.Fatalf("core/p*/ops = %d after the late calls, want 1 (the Put before Close)", got)
 	}
-	// Quiescent read-only accessors still serve the drained state.
 	if got := h.Len(); got != 1 {
 		t.Fatalf("post-Close Len = %d, want 1", got)
 	}
 	if d := h.Dump(); len(d) != 1 || d[0] != (KV{Key: 7, Value: 70}) {
 		t.Fatalf("post-Close Dump = %v", d)
+	}
+}
+
+// TestHybridApplyScanPanics checks that a blocking Apply refuses a Scan
+// by panicking, naming the calls that serve one, before it publishes:
+// no holder counts an operation and the map still serves.
+func TestHybridApplyScanPanics(t *testing.T) {
+	h := New(Config{Partitions: 2, KeyMax: 1 << 16})
+	defer h.Close()
+	h.Put(7, 70)
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "Scan or ScanAppend") {
+				t.Errorf("Apply(Scan) panicked with %q, want a message naming Scan or ScanAppend", msg)
+			}
+		}()
+		h.Apply(hds.Request{Kind: hds.Scan, Key: 1, Value: 8})
+		t.Error("Apply(Scan) returned")
+	}()
+	if got := opsApplied(h); got != 1 {
+		t.Errorf("core/p*/ops = %d after Apply(Scan), want 1 (the Put)", got)
+	}
+	if v, ok := h.Get(7); !ok || v != 70 {
+		t.Errorf("Get(7) = (%d, %v) after the panic, want (70, true)", v, ok)
 	}
 }
 

@@ -54,7 +54,17 @@ var rules = []rule{
 		name:    "native-off-simulator/core-waits",
 		check:   grep(files{globs: []string{"internal/core/*.go"}}, `Gosched|chan request|MailboxDepth|sync\.RWMutex`),
 		reason:  "internal/core must not yield, use a request channel, MailboxDepth or an RWMutex",
-		violate: map[string]string{"internal/core/future.go": "package core\n\nimport \"runtime\"\n\nfunc spin() { runtime.Gosched() }\n"},
+		violate: map[string]string{"internal/core/batch.go": "package core\n\nimport \"runtime\"\n\nfunc spin() { runtime.Gosched() }\n"},
+	},
+	// A blocking call and a barrier are rounds of one on a pooled Batcher,
+	// completed by the round's countdown like any round (DESIGN §5.5); a
+	// future type, its pool or a fut field on a list entry is a second
+	// completion handle beside it.
+	{
+		name:    "core-one-completion",
+		check:   grep(files{globs: []string{"internal/core/*.go"}}, `^type[[:space:]]+future\b|futPool|^[[:space:]]+fut[[:space:]]`),
+		reason:  "internal/core must complete every call through a Batcher round's countdown, not a future",
+		violate: map[string]string{"internal/core/hybrid.go": "package core\n\ntype request struct {\n\tgrp  *Batcher\n\tfut  *future\n\tnext *request\n}\n"},
 	},
 	// Every server/ counter is one row of internal/server/stats.go's table,
 	// which every view loops over; a second spelling of a name means a view

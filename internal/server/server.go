@@ -22,9 +22,9 @@ type Config struct {
 	// "btree"); STATS reports it as server/store so clients can tell what
 	// structure they are measuring. Empty omits the line.
 	Store string
-	// Window is the maximum number of pipelined scalar requests one
-	// connection coalesces into a single core.Batcher.Apply call (the
-	// §3.5 non-blocking window). Defaults to 16.
+	// Window is the maximum number of pipelined requests, SCANs
+	// included, one connection coalesces into a single core.Batcher.Apply
+	// call (the §3.5 non-blocking window). Defaults to 16.
 	Window int
 	// MaxConns caps concurrently served connections; connections accepted
 	// beyond the cap are closed immediately and counted in
