@@ -15,7 +15,7 @@
 // Usage:
 //
 //	hybridsd [-addr :7070] [-partitions 8] [-keymax 4194304]
-//	         [-window 16] [-maxconns 0]
+//	         [-window 64] [-maxconns 0]
 //	         [-scan-limit 1024] [-write-timeout 10s]
 //	         [-admin-addr 127.0.0.1:7071] [-admin-token ""] [-slow-op 0]
 //
@@ -60,7 +60,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
 		partitions   = flag.Int("partitions", 8, "partition/combiner count (the paper's NMP vaults)")
 		keyMax       = flag.Uint64("keymax", 1<<22, "exclusive key-space bound; valid keys are 1..keymax-1")
-		window       = flag.Int("window", 16, "per-connection request coalescing window (Batcher.Apply size)")
+		window       = flag.Int("window", server.DefaultWindow, "per-connection request coalescing window: the most pipelined requests one Batcher.Apply serves")
 		maxConns     = flag.Int("maxconns", 0, "max concurrent connections (0 = unlimited)")
 		scanLimit    = flag.Int("scan-limit", 1024, "max pairs returned by one SCAN")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "slow-client write deadline (negative disables write deadlines)")

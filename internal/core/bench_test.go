@@ -111,7 +111,7 @@ func benchApplyBatch(b *testing.B, window int) {
 func BenchmarkHybridApplyBatch4(b *testing.B) { benchApplyBatch(b, 4) }
 
 // BenchmarkHybridApplyBatch16 is the in-package twin of the benchmark's
-// core.batch16_ns_per_op rung: the serve loop's default 16-op window.
+// core.batch16_ns_per_op rung: embedded-read's 16-op batches.
 func BenchmarkHybridApplyBatch16(b *testing.B) { benchApplyBatch(b, 16) }
 
 // benchCallers measures uniform reads of the keys key draws from several

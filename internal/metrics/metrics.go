@@ -20,6 +20,7 @@
 package metrics
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -68,7 +69,7 @@ func (h *Histogram) Name() string { return h.name }
 func (h *Histogram) Observe(v uint64) {
 	h.sum.Add(v)
 	h.count.Inc()
-	h.buckets[bitLen(v)]++
+	h.buckets[bits.Len64(v)]++
 }
 
 // Sum returns the total of all observed samples.
@@ -107,16 +108,7 @@ func (h *Histogram) Fold(sum, count uint64, buckets *[NumBuckets]uint64) {
 
 // BucketIndex returns the bucket a sample falls in (its bit length), so
 // local accumulators can bucket samples exactly as Observe would.
-func BucketIndex(v uint64) int { return bitLen(v) }
-
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
+func BucketIndex(v uint64) int { return bits.Len64(v) }
 
 // Local is a single-writer counter cell for hot-path accumulation
 // outside the registry: exactly one goroutine increments it, while any

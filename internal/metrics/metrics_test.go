@@ -148,3 +148,27 @@ func TestLocalConcurrentLoad(t *testing.T) {
 		t.Fatalf("Local total = %d, want 3000", got)
 	}
 }
+
+// TestBucketIndexIsBitLength checks the bucket of 0, 1, 2^k-1 and 2^k
+// for every k, and of 2^64-1: a sample's bucket is its bit length, under
+// BucketIndex and under Observe alike.
+func TestBucketIndexIsBitLength(t *testing.T) {
+	type sample struct {
+		v      uint64
+		bucket int
+	}
+	cases := []sample{{0, 0}, {1, 1}, {1<<64 - 1, 64}}
+	for k := 1; k < 64; k++ {
+		cases = append(cases, sample{1<<k - 1, k}, sample{1 << k, k + 1})
+	}
+	for _, c := range cases {
+		if got := BucketIndex(c.v); got != c.bucket {
+			t.Errorf("BucketIndex(%#x) = %d, want %d", c.v, got, c.bucket)
+		}
+		h := NewRegistry().Histogram("h")
+		h.Observe(c.v)
+		if h.Bucket(c.bucket) != 1 {
+			t.Errorf("Observe(%#x) missed bucket %d", c.v, c.bucket)
+		}
+	}
+}

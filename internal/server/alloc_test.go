@@ -19,9 +19,16 @@ func TestServePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
+	t.Run("window16", func(t *testing.T) { servePathAllocs(t, Config{Window: 16}) })
+	t.Run("default", func(t *testing.T) { servePathAllocs(t, Config{}) })
+}
+
+// servePathAllocs runs TestServePathAllocs on one server configuration,
+// with a full window of requests in flight.
+func servePathAllocs(t *testing.T, cfg Config) {
 	h := core.New(core.Config{Partitions: 4, KeyMax: 1 << 16})
 	defer h.Close()
-	s := New(h, Config{Window: 16})
+	s := New(h, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -48,7 +55,7 @@ func TestServePathAllocs(t *testing.T) {
 		}
 	}
 
-	const depth = 16
+	depth := s.Tunables().Window
 	reqs := make([]Request, depth)
 	for i := range reqs {
 		reqs[i] = Request{Op: OpGet, Key: uint64(i%resident) + 1}
@@ -67,8 +74,8 @@ func TestServePathAllocs(t *testing.T) {
 			}
 		}
 	}
-	// Fifteen scans inside partition 0 and, last, one from 4 keys below
-	// the boundary that continues into partition 1.
+	// Scans inside partition 0 and, last, one from 4 keys below the
+	// boundary that continues into partition 1.
 	scans := make([]Request, depth)
 	for i := range scans {
 		scans[i] = Request{Op: OpScan, Key: uint64(i) + 1, Value: 8}

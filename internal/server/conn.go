@@ -54,10 +54,8 @@ type conn struct {
 	// than once).
 	drainOnce sync.Once
 
-	// Loop scratch, reused across batches (hdr is the frame-decode
-	// scratch: a stack array would escape through the io.Reader and
-	// allocate per request); scanPairs sums the scan limits in ops.
-	hdr       [reqFrame]byte
+	// Loop scratch, reused across batches; scanPairs sums the scan
+	// limits in ops.
 	reqs      []Request
 	ops       []hds.Request
 	outcomes  []core.Outcome
@@ -99,7 +97,8 @@ func (c *conn) run() {
 // loop serves batches until the connection has to end. It writes what
 // is staged whenever its next read would block on the socket — the
 // client has nothing more in flight and is waiting — and otherwise lets
-// consecutive batches share one write, up to flushBytes.
+// consecutive batches share one write, up to flushBytes. A batch is
+// every whole request already read, up to the window: one client flush.
 func (c *conn) loop() {
 	br := bufio.NewReaderSize(c.nc, 32<<10)
 	window := c.tun.Window
@@ -115,25 +114,13 @@ func (c *conn) loop() {
 		if br.Buffered() < reqFrame {
 			c.flush()
 		}
-		req, err := readRequestInto(br, &c.hdr)
-		if err != nil {
-			return
+		var err error
+		c.reqs, err = readRequests(br, c.reqs[:0], window)
+		if len(c.reqs) > 0 {
+			c.serve(c.reqs)
 		}
-		c.reqs = append(c.reqs[:0], req)
-		// Coalesce whatever the client has already pipelined, up to the
-		// window — without ever blocking on the socket for more. Reads
-		// of buffered bytes cannot fail with an I/O error, so err here
-		// can only be a framing error.
-		for len(c.reqs) < window && br.Buffered() >= reqFrame {
-			req, err = readRequestInto(br, &c.hdr)
-			if err != nil {
-				break
-			}
-			c.reqs = append(c.reqs, req)
-		}
-		c.serve(c.reqs)
 		if err != nil {
-			return // framing error, after serving the intact prefix
+			return // a read error, or a framing error after the intact prefix
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/binary"
+	"io"
 	"math/bits"
 	"net"
 	"slices"
@@ -245,5 +247,63 @@ func TestServerScanWindowPairCap(t *testing.T) {
 		if hb.Count() != uint64(tc.batches) || hb.Sum() != 16 || hb.Bucket(bits.Len(uint(tc.size))) != uint64(tc.batches) {
 			t.Errorf("limit %d: %d windows summing to %d, want %d windows of %d", tc.limit, hb.Count(), hb.Sum(), tc.batches, tc.size)
 		}
+	}
+}
+
+// TestServerRoundPerFlush writes 64 pipelined GETs in one socket write
+// and counts the Batcher.Apply calls that serve them: one at the default
+// window, whose round is the whole flush, and four at a window of 16.
+func TestServerRoundPerFlush(t *testing.T) {
+	h := core.New(core.Config{Partitions: 4, KeyMax: 1 << 16})
+	defer h.Close()
+	const n = 64
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = Request{Op: OpGet, Key: uint64(i)*1000 + 1}
+	}
+	for _, tc := range []struct{ window, applies int }{{0, 1}, {16, 4}} {
+		cl, reg, stop := pipeServer(t, Config{Window: tc.window}, h)
+		// Send only buffers; the first Recv writes all 64 frames at once.
+		if err := cl.Send(reqs...); err != nil {
+			t.Fatalf("window %d: send: %v", tc.window, err)
+		}
+		for range reqs {
+			if resp, err := cl.Recv(); err != nil || resp.Status != StatusMiss {
+				t.Fatalf("window %d: GET -> %+v, %v; want a miss", tc.window, resp, err)
+			}
+		}
+		stop()
+		if hb := reg.Histogram("server/batch"); hb.Count() != uint64(tc.applies) || hb.Sum() != n {
+			t.Errorf("window %d: %d Batcher.Apply calls serving %d requests, want %d serving %d", tc.window, hb.Count(), hb.Sum(), tc.applies, n)
+		}
+	}
+}
+
+// TestServerBadFrameMidBatch writes two requests, a frame with a bad
+// length word and one more request in one write: the server answers the
+// two and then closes the connection without serving the fourth.
+func TestServerBadFrameMidBatch(t *testing.T) {
+	h := core.New(core.Config{Partitions: 4, KeyMax: 1 << 16})
+	defer h.Close()
+	cl, _, stop := pipeServer(t, Config{}, h)
+	defer stop()
+	buf := AppendRequest(nil, Request{Op: OpPut, Key: 7, Value: 70})
+	buf = AppendRequest(buf, Request{Op: OpGet, Key: 7})
+	buf = binary.BigEndian.AppendUint32(buf, reqBody-1)
+	buf = append(buf, make([]byte, reqBody)...)
+	buf = AppendRequest(buf, Request{Op: OpPut, Key: 8, Value: 80})
+	if _, err := cl.nc.Write(buf); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for _, want := range []Response{{Status: StatusOK}, {Status: StatusOK, Value: 70}} {
+		if resp, err := readResponse(cl.br, OpGet); err != nil || resp.Status != want.Status || resp.Value != want.Value {
+			t.Fatalf("response %+v, %v; want %+v", resp, err, want)
+		}
+	}
+	if _, err := readResponse(cl.br, OpGet); err != io.EOF {
+		t.Fatalf("after the intact prefix: %v, want EOF (connection closed)", err)
+	}
+	if v, ok := h.Get(8); ok {
+		t.Errorf("the request after the bad frame was served: key 8 holds %d", v)
 	}
 }

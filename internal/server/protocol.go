@@ -18,6 +18,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -122,22 +123,28 @@ func AppendRequest(buf []byte, r Request) []byte {
 	return buf
 }
 
-// readRequestInto reads one request frame into caller-owned header scratch,
-// which keeps it allocation-free through the io.Reader interface. A length
-// field other than the request body size is a framing error: the stream
-// cannot be resynchronized, so the connection closes.
-func readRequestInto(r io.Reader, hdr *[reqFrame]byte) (Request, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Request{}, err
+// readRequests waits until br holds one whole request frame, then appends
+// every whole frame br holds, up to window, to reqs, decoding each where it
+// lies in br's buffer. A length word other than the request body size is
+// a framing error: the stream cannot be resynchronized, so the frames
+// before it are returned with the error and the connection closes once
+// they are answered.
+func readRequests(br *bufio.Reader, reqs []Request, window int) ([]Request, error) {
+	if _, err := br.Peek(reqFrame); err != nil {
+		return reqs, err
 	}
-	if n := binary.BigEndian.Uint32(hdr[:lenBytes]); n != reqBody {
-		return Request{}, fmt.Errorf("server: request frame length %d, want %d", n, reqBody)
+	// Peek and Discard within the buffered bytes cannot fail.
+	buf, _ := br.Peek(min(br.Buffered()/reqFrame, window) * reqFrame)
+	for n := 0; n < len(buf); n += reqFrame {
+		if l := binary.BigEndian.Uint32(buf[n:]); l != reqBody {
+			br.Discard(n)
+			return reqs, fmt.Errorf("server: request frame length %d, want %d", l, reqBody)
+		}
+		f := buf[n+lenBytes:]
+		reqs = append(reqs, Request{Op: f[0], Key: binary.BigEndian.Uint64(f[1:]), Value: binary.BigEndian.Uint64(f[9:])})
 	}
-	return Request{
-		Op:    hdr[lenBytes],
-		Key:   binary.BigEndian.Uint64(hdr[lenBytes+1:]),
-		Value: binary.BigEndian.Uint64(hdr[lenBytes+9:]),
-	}, nil
+	br.Discard(len(buf))
+	return reqs, nil
 }
 
 // AppendScalarResponse appends a scalar (GET/PUT/UPDATE/DELETE) response

@@ -1,16 +1,21 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
+	"slices"
 	"testing"
 )
 
 // readRequest decodes one request frame.
 func readRequest(r io.Reader) (Request, error) {
-	var hdr [reqFrame]byte
-	return readRequestInto(r, &hdr)
+	reqs, err := readRequests(bufio.NewReader(r), nil, 1)
+	if len(reqs) == 0 {
+		return Request{}, err
+	}
+	return reqs[0], err
 }
 
 // readResponse decodes one response frame with no scratch to reuse and
@@ -48,8 +53,9 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestPipelinedDecode decodes several frames back to back from
-// one stream, as the server's reader does.
+// TestRequestPipelinedDecode decodes frames back to back from one
+// stream, as the serve loop does: each call takes every whole frame
+// buffered, up to the window.
 func TestRequestPipelinedDecode(t *testing.T) {
 	var buf []byte
 	var want []Request
@@ -58,18 +64,20 @@ func TestRequestPipelinedDecode(t *testing.T) {
 		want = append(want, r)
 		buf = AppendRequest(buf, r)
 	}
-	rd := bytes.NewReader(buf)
-	for i, w := range want {
-		got, err := readRequest(rd)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	br := bufio.NewReader(bytes.NewReader(buf))
+	var got []Request
+	for _, n := range []int{7, 7, 6} {
+		batch, err := readRequests(br, nil, 7)
+		if err != nil || len(batch) != n {
+			t.Fatalf("after %d frames: a batch of %d, %v; want %d", len(got), len(batch), err, n)
 		}
-		if got != w {
-			t.Fatalf("frame %d: %+v, want %+v", i, got, w)
-		}
+		got = append(got, batch...)
 	}
-	if rd.Len() != 0 {
-		t.Fatalf("%d trailing bytes", rd.Len())
+	if !slices.Equal(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	if _, err := readRequests(br, nil, 7); err != io.EOF {
+		t.Fatalf("read past the last frame: %v, want EOF", err)
 	}
 }
 
@@ -82,6 +90,20 @@ func TestReadRequestRejectsBadFraming(t *testing.T) {
 		if _, err := readRequest(bytes.NewReader(buf)); err == nil {
 			t.Errorf("length %d accepted", n)
 		}
+	}
+}
+
+// TestReadRequestsStopsAtBadFrame checks that a bad length word in the
+// middle of a buffered batch returns the whole frames before it with the
+// error.
+func TestReadRequestsStopsAtBadFrame(t *testing.T) {
+	buf := AppendRequest(AppendRequest(nil, Request{Op: OpGet, Key: 1}), Request{Op: OpPut, Key: 2, Value: 3})
+	buf = binary.BigEndian.AppendUint32(buf, reqBody+1)
+	buf = append(buf, make([]byte, reqBody)...)
+	buf = AppendRequest(buf, Request{Op: OpGet, Key: 4})
+	reqs, err := readRequests(bufio.NewReader(bytes.NewReader(buf)), nil, DefaultWindow)
+	if want := []Request{{Op: OpGet, Key: 1}, {Op: OpPut, Key: 2, Value: 3}}; err == nil || !slices.Equal(reqs, want) {
+		t.Fatalf("readRequests = %+v, %v; want %+v and a framing error", reqs, err, want)
 	}
 }
 
@@ -147,9 +169,13 @@ func TestReadResponseRejectsMalformed(t *testing.T) {
 	}
 }
 
-// FuzzReadRequest feeds arbitrary bytes to the request decoder: it must
-// never panic, and whenever it accepts a frame, re-encoding must
-// reproduce the consumed bytes exactly (the wire format is canonical).
+// FuzzReadRequest feeds arbitrary bytes to the batch decoder through a
+// 64-byte reader, which holds three frames and a byte of the fourth, so
+// frames straddle buffer refills, at windows of 1, 2 and MaxWindow. It must
+// never panic, and the frames it accepts must re-encode to the bytes they
+// were decoded from (the wire format is canonical): every whole frame
+// when it reaches the end cleanly, and otherwise every frame before the
+// first bad length word.
 func FuzzReadRequest(f *testing.F) {
 	f.Add(AppendRequest(nil, Request{Op: OpGet, Key: 1}))
 	f.Add(AppendRequest(nil, Request{Op: OpPut, Key: 77, Value: 1 << 40}))
@@ -157,15 +183,34 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add(AppendRequest(AppendRequest(nil, Request{Op: OpStats}), Request{Op: OpDelete, Key: 3}))
 	f.Add([]byte{0, 0, 0, 17})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
+	f.Add(AppendRequest(append(AppendRequest(nil, Request{Op: OpGet, Key: 5}), make([]byte, reqFrame)...), Request{Op: OpGet, Key: 6}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := readRequest(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if got := AppendRequest(nil, r); !bytes.Equal(got, data[:reqFrame]) {
-			t.Fatalf("re-encode of %+v = %x, want %x", r, got, data[:reqFrame])
+		for _, window := range []int{1, 2, MaxWindow} {
+			br := bufio.NewReaderSize(bytes.NewReader(data), 64)
+			var got []Request
+			var err error
+			for err == nil {
+				got, err = readRequests(br, got, window)
+			}
+			n := len(got) * reqFrame
+			if err == io.EOF {
+				n = len(data) - len(data)%reqFrame
+			} else if len(data) < n+reqFrame || binary.BigEndian.Uint32(data[n:]) == reqBody {
+				t.Fatalf("window %d: %v after %d frames, but the next frame is whole and well framed", window, err, len(got))
+			}
+			if enc := appendRequests(nil, got); !bytes.Equal(enc, data[:n]) {
+				t.Fatalf("window %d: re-encode of %d frames = %x, want %x", window, len(got), enc, data[:n])
+			}
 		}
 	})
+}
+
+// appendRequests appends the frames of reqs to buf.
+func appendRequests(buf []byte, reqs []Request) []byte {
+	for _, r := range reqs {
+		buf = AppendRequest(buf, r)
+	}
+	return buf
 }
 
 // FuzzReadResponse feeds arbitrary bytes to the response decoder under

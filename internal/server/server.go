@@ -24,7 +24,9 @@ type Config struct {
 	Store string
 	// Window is the maximum number of pipelined requests, SCANs
 	// included, one connection coalesces into a single core.Batcher.Apply
-	// call (the §3.5 non-blocking window). Defaults to 16.
+	// call (the §3.5 non-blocking window): every whole request already
+	// read is one call, up to Window, so the combiner hop is paid once
+	// per client flush. Defaults to DefaultWindow (64).
 	Window int
 	// MaxConns caps concurrently served connections; connections accepted
 	// beyond the cap are closed immediately and counted in

@@ -517,7 +517,7 @@ func TestNewDefaultsOnlyOutOfRangeFields(t *testing.T) {
 		want Tunables
 	}{
 		{Config{Window: 1 << 20, MaxConns: 4, WriteTimeout: -1},
-			Tunables{Window: 16, MaxConns: 4, WriteTimeout: -1}},
+			Tunables{Window: DefaultWindow, MaxConns: 4, WriteTimeout: -1}},
 		{Config{Window: 8, MaxConns: -1, SlowOp: time.Millisecond},
 			Tunables{Window: 8, WriteTimeout: 10 * time.Second, SlowOp: time.Millisecond}},
 		{Config{Window: 8, MaxConns: 2, WriteTimeout: time.Second, SlowOp: -1},

@@ -18,7 +18,7 @@ import (
 type Tunables struct {
 	// Window is the per-connection request coalescing window (see
 	// Config.Window), in [1, MaxWindow]. server.New replaces a value
-	// outside it by 16; SetTunables rejects it.
+	// outside it by DefaultWindow; SetTunables rejects it.
 	Window int
 	// MaxConns caps concurrently served connections (see
 	// Config.MaxConns); 0 means unlimited. Applied at accept time, so
@@ -42,7 +42,7 @@ func (t Tunables) normalize() (Tunables, error) {
 	var errs []error
 	if t.Window <= 0 || t.Window > MaxWindow {
 		errs = append(errs, fmt.Errorf("server: window %d is outside [1, %d]", t.Window, MaxWindow))
-		t.Window = 16
+		t.Window = DefaultWindow
 	}
 	if t.MaxConns < 0 {
 		errs = append(errs, fmt.Errorf("server: maxconns %d is negative", t.MaxConns))
@@ -58,6 +58,11 @@ func (t Tunables) normalize() (Tunables, error) {
 	}
 	return t, errors.Join(errs...)
 }
+
+// DefaultWindow is the window of a Config that sets none: a client flush
+// of 64 requests is one Batcher.Apply, about 16 operations per partition
+// at 4 partitions, so a contended round's wait stays inside its spin.
+const DefaultWindow = 64
 
 // MaxWindow is the sanity bound on the coalescing window: large enough
 // for any sane deployment, small enough that a fat-fingered POST /config
