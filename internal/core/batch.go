@@ -39,9 +39,10 @@ const (
 // Apply calls perform no allocation. A Batcher belongs to one goroutine;
 // it is not safe for concurrent use.
 //
-// A blocking call and a barrier are rounds of one on a pooled Batcher
-// (Hybrid.calls): the call's one operation, or the barrier's closure,
-// which the holder runs in place of the entry's operations.
+// A barrier, and a blocking call whose spin on the holder flag ran out,
+// is a round of one on a pooled Batcher (Hybrid.call) that parks at once:
+// its entry carries the call's one operation, or the barrier's closure,
+// which the holder runs in place of operations.
 type Batcher struct {
 	// The call, read by the partitions' holders between a round's publish
 	// and their done: a barrier's closure, ops, outcome slots and the
@@ -82,7 +83,7 @@ type batchPart struct {
 
 // NewBatcher returns a Batcher whose Apply keeps up to window operations
 // in flight (at least one). Its rounds spin spinLoads loads before they
-// park; a blocking call or a barrier parks at once (DESIGN §5.5).
+// park; a pooled round of one parks at once (DESIGN §5.5).
 func (h *Hybrid) NewBatcher(window int) *Batcher {
 	return h.newBatcher(max(window, 1), spinLoads)
 }
@@ -208,14 +209,6 @@ func (b *Batcher) reserve(i int, limit uint64) {
 	}
 	n := len(b.kv)
 	b.pairs[i], b.kv = b.kv[n:n:n+int(limit)], b.kv[:n+int(limit)]
-}
-
-// call is a round of one entry, on partition p: it publishes that entry
-// and waits for it.
-func (b *Batcher) call(p int) {
-	b.pending.Store(1)
-	b.h.parts[p].publish(&b.parts[p].entry)
-	b.wait()
 }
 
 // wait returns once the round's entries are all applied or refused: it

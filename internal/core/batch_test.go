@@ -84,7 +84,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // find exactly one entry. The histograms must show every other partition
 // combined once, for one entry, a round of 4 operations. They are read at
 // quiescence (every published entry consumed) and before Close, whose
-// own barrier is one more combine round on each partition.
+// own barrier is one more combine round on each partition. A blocking
+// call on a free partition then takes it and applies itself: one more
+// round of one entry and one op, with nothing left on the list.
 func TestBatcherOneEntryPerPartition(t *testing.T) {
 	const partitions = 4
 	reg := metrics.NewRegistry()
@@ -126,13 +128,28 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	if opsApplied != uint64(len(ops)) {
 		t.Errorf("core/p*/ops sum = %d, want %d", opsApplied, len(ops))
 	}
+	h.Get(ops[1].Key) // partition 1's key
+	after := reg.Snapshot()
+	for _, name := range []string{"mailbox/count", "mailbox/sum", "batch/count", "batch/sum", "ops"} {
+		if d := after.Get("core/p1/"+name) - get(1, name); d != 1 {
+			t.Errorf("uncontended blocking call moved core/p1/%s by %d, want 1", name, d)
+		}
+	}
+	if n := h.parts[1].queued(); n != 0 {
+		t.Errorf("uncontended blocking call left %d entries on the list, want 0", n)
+	}
 }
 
 // TestBatcherParksPastSpin holds partition 0 past the spin bound: the
 // round must give up spinning and set the parked bit, be woken exactly
 // once by the holder's release — a second wake would block the holder on
 // the one-slot channel or be left behind as a token — and leave the next,
-// uncontended round to finish without parking.
+// uncontended round to finish without parking. A blocking call held past
+// its spin on the holder flag must publish its round of one, park and be
+// woken exactly once; and one that spins while Close's barrier is queued
+// on its partition must be refused, whether it takes the partition and
+// runs the barrier first or publishes behind it, with the store
+// untouched.
 func TestBatcherParksPastSpin(t *testing.T) {
 	h := New(Config{Partitions: 2, KeyMax: 1 << 20})
 	defer h.Close()
@@ -155,6 +172,60 @@ func TestBatcherParksPastSpin(t *testing.T) {
 	if n, _ := b.Apply(ops, nil); n != len(ops) || len(b.wake) != 0 || b.pending.Load() != 0 {
 		t.Fatalf("uncontended round: applied = %d, %d wake tokens, pending = %#x; want %d, 0, 0", n, len(b.wake), b.pending.Load(), len(ops))
 	}
+
+	part := h.parts[0]
+	release = holdPartition(h, 0, part.queued)
+	got := make(chan bool)
+	go func() {
+		_, ok := h.Get(ops[0].Key)
+		got <- ok
+	}()
+	waitFor(t, "the blocking call to publish", func() bool { return part.head.Load() != nil })
+	call := part.head.Load().grp
+	waitFor(t, "the blocking call to park", func() bool { return call.pending.Load() == parked|1 })
+	if n := release(); n != 1 {
+		t.Errorf("list length behind the barrier = %d, want 1 (the call's entry)", n)
+	}
+	if <-got {
+		t.Errorf("Get of an absent key returned ok")
+	}
+	if len(call.wake) != 0 || call.pending.Load() != parked {
+		t.Fatalf("after the parked call: %d wake tokens, pending = %#x; want 0, %#x", len(call.wake), call.pending.Load(), parked)
+	}
+
+	// By hand, the moment between a holder's release and its re-check: a
+	// Close barrier queued on free partition 1. A call that takes the
+	// partition must run the barrier before its own operation.
+	before := h.PartitionStats(1).Ops
+	barrier := h.newBatcher(1, 0)
+	barrier.snap = func(Store) { h.parts[1].refusing = true }
+	barrier.pending.Store(1)
+	h.parts[1].head.Store(&barrier.parts[1].entry)
+	if h.Put(ops[1].Key, 7) || barrier.pending.Load() != 0 {
+		t.Errorf("Put taking a partition with a Close barrier queued succeeded, or left it pending")
+	}
+	if st := h.PartitionStats(1); st.Ops != before || st.StoreLen != 0 {
+		t.Errorf("after the refused Put: partition 1 applied %d more ops and holds %d pairs, want 0 and 0", st.Ops-before, st.StoreLen)
+	}
+
+	before = h.PartitionStats(0).Ops
+	release = holdPartition(h, 0, func() int { return 0 })
+	closed := make(chan struct{})
+	go func() {
+		h.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close's barrier to queue", func() bool { return part.queued() == 1 })
+	put := make(chan bool)
+	go func() { put <- h.Put(ops[0].Key, 7) }()
+	release()
+	if <-put {
+		t.Errorf("Put spinning behind a queued Close barrier succeeded")
+	}
+	<-closed
+	if st := h.PartitionStats(0); st.Ops != before || st.StoreLen != 0 {
+		t.Errorf("after the refused Put: partition 0 applied %d more ops and holds %d pairs, want 0 and 0", st.Ops-before, st.StoreLen)
+	}
 }
 
 // yieldingStore yields the processor inside every Get, so a holder is
@@ -166,21 +237,24 @@ func (s yieldingStore) Get(key uint64) (uint64, bool) {
 	return s.Store.Get(key)
 }
 
-// TestBatcherContendedOneP runs contended rounds on one P, where the spin
-// cannot help: every holder yields inside its combine, so the other
-// callers find the partition held while its holder cannot run, spin their
-// spinLoads loads (about 10 µs) for nothing and park. Every round must
-// still complete, and the spin costs at most one bound per round: 4
-// callers × 250 rounds are 1000 rounds, a worst case of about 10 ms of
-// spinning. The test allows 20 s.
+// TestBatcherContendedOneP runs contended rounds and blocking calls on
+// one P, where the spin cannot help: every holder yields inside its
+// combine, or inside its own blocking call's op, so the other callers
+// find the partition held while its holder cannot run, spin their
+// spinLoads loads (about 10 µs) for nothing and park. Every round and
+// call must still complete, and the spin costs at most one bound per
+// round or call: 4 Batchers × 250 rounds and 2 blocking callers × 32
+// calls (each key inserted, then read) are 1064 waits at most, about
+// 11 ms of spinning (the race detector makes each load some fifty times
+// dearer). The test allows 20 s.
 func TestBatcherContendedOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const callers, rounds = 4, 250
+	const callers, rounds, blocking, calls = 4, 250, 2, 32
 	h := New(Config{Partitions: 2, KeyMax: 1 << 20, NewStore: func(int) Store { return yieldingStore{cds.NewBTree()} }})
 	defer h.Close()
 	start := time.Now()
 	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
+	for c := 0; c < callers+blocking; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -190,13 +264,24 @@ func TestBatcherContendedOneP(t *testing.T) {
 				ops[i].Key += uint64(c) << 12
 				ops[i].Kind, ops[i].Value = hds.Insert, ops[i].Key
 			}
-			for r := 0; r < rounds; r++ {
-				if n, _ := b.Apply(ops, nil); n != len(ops) {
-					t.Errorf("caller %d round %d: applied %d of %d", c, r, n, len(ops))
-					return
-				}
-				for i := range ops {
-					ops[i].Kind = hds.Read
+			for r := 0; r < rounds && (c < callers || r < calls); r++ {
+				if c < callers {
+					if n, _ := b.Apply(ops, nil); n != len(ops) {
+						t.Errorf("caller %d round %d: applied %d of %d", c, r, n, len(ops))
+						return
+					}
+					for i := range ops {
+						ops[i].Kind = hds.Read
+					}
+				} else {
+					op := ops[r%len(ops)] // each key inserted once, then read
+					if r >= len(ops) {
+						op.Kind = hds.Read
+					}
+					if res := h.Apply(op); !res.OK || op.Kind == hds.Read && res.Value != op.Value {
+						t.Errorf("blocking caller %d round %d: %v returned %v", c, r, op, res)
+						return
+					}
 				}
 			}
 		}()
@@ -204,11 +289,11 @@ func TestBatcherContendedOneP(t *testing.T) {
 	wg.Wait()
 	el := time.Since(start)
 	if el > 20*time.Second {
-		t.Fatalf("%d contended rounds on one P took %v, want under 20 s", callers*rounds, el)
+		t.Fatalf("%d Batcher rounds and %d blocking calls on one P took %v, want under 20 s", callers*rounds, blocking*calls, el)
 	}
-	t.Logf("%d contended rounds on one P in %v", callers*rounds, el)
-	if got := h.Len(); got != callers*16 {
-		t.Fatalf("Len = %d, want %d", got, callers*16)
+	t.Logf("%d Batcher rounds and %d blocking calls on one P in %v", callers*rounds, blocking*calls, el)
+	if got := h.Len(); got != (callers+blocking)*16 {
+		t.Fatalf("Len = %d, want %d", got, (callers+blocking)*16)
 	}
 }
 

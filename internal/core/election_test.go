@@ -59,25 +59,44 @@ func TestHybridStartsNoGoroutine(t *testing.T) {
 }
 
 // TestHybridContendedEntryServedByHolder is the contended path: while a
-// caller holds partition 0 (kept inside a barrier closure), a round
-// published to it cannot complete; it completes once the holder lets go,
-// and it is the holder — not the publisher, which lost the election and
-// moved on — that applies it, found by the re-check after its release.
+// caller holds partition 0, a round published to it cannot complete; it
+// completes once the holder lets go, and it is the holder — not the
+// publisher, which lost the election and moved on — that applies it,
+// found by the re-check after its release. The holder is a barrier kept
+// inside its closure, or a blocking call that took the free partition
+// and is kept inside its own Get, which releases through the same
+// re-check.
 func TestHybridContendedEntryServedByHolder(t *testing.T) {
-	h := New(Config{Partitions: 2, KeyMax: 1 << 20})
-	defer h.Close()
+	for _, holder := range []string{"barrier", "blocking-call"} {
+		t.Run(holder, func(t *testing.T) { contendedEntryServedByHolder(t, holder == "blocking-call") })
+	}
+}
+
+func contendedEntryServedByHolder(t *testing.T, blocking bool) {
+	var touched atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
+	const gate = 5
+	h := New(Config{Partitions: 2, KeyMax: 1 << 20, NewStore: func(int) Store {
+		return gatedStore{Store: cds.NewBTree(), gate: gate, entered: entered, open: release, touched: &touched}
+	}})
+	defer h.Close()
 	holderDone := make(chan struct{})
 	var appliedByHolder bool
 	go func() {
 		defer close(holderDone)
-		h.barrier(0, func(Store) {
-			close(entered)
-			<-release
-		})
-		// The re-check runs before barrier returns: if the round's entry
-		// was applied by then, this goroutine applied it.
-		appliedByHolder = h.parts[0].cOps.Value() == 3
+		want := uint64(3) // the round's ops, and the holder's own call
+		if blocking {
+			h.Get(gate)
+			want++
+		} else {
+			h.barrier(0, func(Store) {
+				close(entered)
+				<-release
+			})
+		}
+		// The re-check runs before the holder returns: if the round's
+		// entry was applied by then, this goroutine applied it.
+		appliedByHolder = h.parts[0].cOps.Value() == want
 	}()
 	<-entered
 	b := h.NewBatcher(16)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -74,7 +75,11 @@ func (s regState) step(req hds.Request) (regState, hds.Result) {
 // init. It is the Wing-Gong search: repeatedly pick an event that nothing
 // still pending finished before (and that no earlier event of its own
 // caller is still pending behind), apply it to the register, and require
-// the recorded result; dead (pending-set, state) pairs are memoized.
+// the recorded result; dead (pending-set, state) pairs are memoized. evs
+// must be sorted by inv, then seq (checkHistory sorts them), so an event's
+// caller's earlier events lie before it, and the scans stop at the first
+// event invoked after the earliest pending response: no event past it is
+// a candidate, and none has an earlier response.
 func linearizable(evs []histEvent, init regState) bool {
 	done := make([]bool, len(evs))
 	dead := make(map[string]bool)
@@ -96,19 +101,24 @@ func linearizable(evs []histEvent, init regState) bool {
 		if dead[memo] {
 			return false
 		}
+		lo := 0 // every event before lo is done
+		for done[lo] {
+			lo++
+		}
 		minResp := int64(math.MaxInt64)
-		for i, e := range evs {
-			if !done[i] && e.resp < minResp {
-				minResp = e.resp
+		for i := lo; i < len(evs) && evs[i].inv <= minResp; i++ {
+			if !done[i] && evs[i].resp < minResp {
+				minResp = evs[i].resp
 			}
 		}
 	candidates:
-		for i, e := range evs {
-			if done[i] || e.inv > minResp {
+		for i := lo; i < len(evs) && evs[i].inv <= minResp; i++ {
+			e := &evs[i]
+			if done[i] {
 				continue
 			}
-			for j, f := range evs {
-				if !done[j] && f.caller == e.caller && f.seq < e.seq {
+			for j := lo; j < i; j++ {
+				if f := &evs[j]; !done[j] && f.caller == e.caller && f.seq < e.seq {
 					continue candidates
 				}
 			}
@@ -143,7 +153,9 @@ func checkHistory(evs []histEvent, init map[uint64]regState) []string {
 	var bad []string
 	for _, k := range keys {
 		h := byKey[k]
-		sort.SliceStable(h, func(i, j int) bool { return h[i].inv < h[j].inv })
+		sort.SliceStable(h, func(i, j int) bool {
+			return h[i].inv < h[j].inv || h[i].inv == h[j].inv && h[i].seq < h[j].seq
+		})
 		if linearizable(h, init[k]) {
 			continue
 		}
@@ -295,9 +307,9 @@ func historyLinearizable(t *testing.T, depth int) {
 		keyMax     = 1 << 10
 		nKeys      = 24
 		blocking   = 6
-		dumpAt     = 600  // operations issued before the mid-stream Dump starts
-		closeAt    = 1800 // operations issued before Close may start
-		tail       = 16   // operations a caller still issues after seeing the map closed
+		dumpAt     = 3300  // operations issued before the mid-stream Dump starts
+		closeAt    = 10000 // operations issued before Close may start
+		tail       = 16    // operations a caller still issues after seeing the map closed
 	)
 	h := New(Config{Partitions: partitions, KeyMax: keyMax})
 	keys := make([]uint64, nKeys)
@@ -316,15 +328,28 @@ func historyLinearizable(t *testing.T, depth int) {
 	var closed atomic.Bool // set once Close has returned
 	startDump, startClose := make(chan struct{}), make(chan struct{})
 	var onceDump, onceClose sync.Once
+	// tripped counts the mid-stream events that are due and have not
+	// returned. A caller that finds its partition free applies its own
+	// operation and rarely parks, so the woken Dump or Close would wait
+	// out the scheduler's round robin while the callers issue hundreds of
+	// thousands of operations, and the checker's cost grows with the
+	// history. So while an event is due, every caller yields after each
+	// operation.
+	var tripped atomic.Int32
+	yield := func() {
+		if tripped.Load() > 0 {
+			runtime.Gosched()
+		}
+	}
 	// count trips the mid-stream events off the number of operations
 	// issued, so they land inside the run whatever the scheduling.
 	count := func(n int) {
 		total := issued.Add(int64(n))
 		if total >= dumpAt {
-			onceDump.Do(func() { close(startDump) })
+			onceDump.Do(func() { tripped.Add(1); close(startDump) })
 		}
 		if total >= closeAt {
-			onceClose.Do(func() { close(startClose) })
+			onceClose.Do(func() { tripped.Add(1); close(startClose) })
 		}
 	}
 	// draw makes caller c's i-th operation; written values are unique, so
@@ -370,6 +395,7 @@ func historyLinearizable(t *testing.T, depth int) {
 					// plain ok=false; which failures those may be is
 					// decided below, against the close stamps.
 					rec.record(inv, clock.Add(1), req, res, false)
+					yield()
 				}
 				return
 			}
@@ -391,6 +417,7 @@ func historyLinearizable(t *testing.T, depth int) {
 						after++
 					}
 				}
+				yield()
 			}
 		}()
 	}
@@ -405,6 +432,7 @@ func historyLinearizable(t *testing.T, depth int) {
 		inv := clock.Add(1)
 		dump := h.Dump()
 		dumpEvs = dumpReads(len(recs), inv, clock.Add(1), keys, dump)
+		tripped.Add(-1)
 	}()
 	go func() {
 		defer wg.Done()
@@ -417,6 +445,7 @@ func historyLinearizable(t *testing.T, depth int) {
 		h.Close()
 		closeResp = clock.Add(1)
 		closed.Store(true)
+		tripped.Add(-1)
 	}()
 	wg.Wait()
 

@@ -10,8 +10,11 @@
 // Callers hold a window of calls in flight, scans included (non-blocking
 // NMP calls, §3.5), through a Batcher, which publishes one list entry per
 // (round, partition) and waits once per round on a single countdown. A
-// blocking call (§3.2) is a round of one on a pooled Batcher, and so is a
-// barrier. The package starts no goroutine of its own.
+// blocking call (§3.2) waits for the partition instead: the first time a
+// bounded spin finds it free, the caller takes it, combines the list and
+// applies its own operation with no entry. Past the spin it is a round of
+// one on a pooled Batcher, as a barrier always is. The package starts no
+// goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
@@ -22,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -72,8 +76,8 @@ type Config struct {
 	NewStore func(partition int) Store
 	// Metrics receives the runtime's per-partition instruments
 	// (core/p<i>/...); nil creates a private registry reachable through
-	// Hybrid.Metrics. The registry is unsynchronized: each instrument is
-	// touched only by the partition's current holder, ordered by the
+	// Hybrid.ExportMetrics. The registry is unsynchronized: each instrument
+	// is touched only by the partition's current holder, ordered by the
 	// holder flag, so snapshots are consistent only at quiescence (every
 	// call returned, or after Close).
 	Metrics *metrics.Registry
@@ -175,23 +179,19 @@ func New(cfg Config) *Hybrid {
 	return h
 }
 
-// Metrics returns the registry carrying the runtime's instruments. Read
-// it only at quiescence (see Config.Metrics).
-func (h *Hybrid) Metrics() *metrics.Registry { return h.reg }
-
 // exec executes one operation against the partition's store.
-func (p *partition) exec(req hds.Request) (value uint64, ok bool) {
+func (p *partition) exec(req hds.Request) (res hds.Result) {
 	switch req.Kind {
 	case hds.Read:
-		value, ok = p.store.Get(req.Key)
+		res.Value, res.OK = p.store.Get(req.Key)
 	case hds.Insert:
-		ok = p.store.Put(req.Key, req.Value)
+		res.OK = p.store.Put(req.Key, req.Value)
 	case hds.Update:
-		ok = p.store.Update(req.Key, req.Value)
+		res.OK = p.store.Update(req.Key, req.Value)
 	case hds.Remove:
-		ok = p.store.Delete(req.Key)
+		res.OK = p.store.Delete(req.Key)
 	}
-	return value, ok
+	return res
 }
 
 // apply runs one list entry and completes it: a barrier's closure, or
@@ -214,8 +214,7 @@ func (p *partition) apply(r *request) {
 	} else {
 		p.cOps.Add(uint64(len(bp.idx)))
 		for _, i := range bp.idx {
-			value, ok := p.exec(ops[i])
-			out[i] = Outcome{Result: hds.Result{Value: value, OK: ok}}
+			out[i] = Outcome{Result: p.exec(ops[i])}
 		}
 	}
 	for _, i := range bp.sidx { // into the scan's region
@@ -258,10 +257,10 @@ func (p *partition) serve() {
 // before that entry completes, so a caller that has consumed everything
 // it published can snapshot the registry without racing a holder.
 func (p *partition) combine() {
-	r := p.head.Swap(nil)
-	if r == nil {
-		return // taken by the previous holder between our load and swap
+	if p.head.Load() == nil { // taken by the previous holder, or empty:
+		return // a swap would still write the line held sits on
 	}
+	r := p.head.Swap(nil) // non-nil: only the holder takes entries
 	var oldest *request
 	entries, n := 0, 0
 	for r != nil {
@@ -321,22 +320,47 @@ func (h *Hybrid) Partitions() int { return len(h.parts) }
 // 1..KeyMax-1 (key 0 is the -inf sentinel).
 func (h *Hybrid) KeyMax() uint64 { return h.cfg.KeyMax }
 
-// Apply executes one request as a blocking NMP call (§3.2), a round of
-// one on a pooled Batcher that parks at once, and returns its result:
-// ok=false, with no store touched, when Close refused it. A Scan or a key
+// Apply executes one request as a blocking NMP call (§3.2) and returns
+// its result: ok=false, with no store touched, when Close refused it. The
+// call waits for its partition, not for a holder (partition.direct); only
+// past the spin is it a round of one that parks at once. A Scan or a key
 // outside the key space panics before anything is published; Scan and
 // ScanAppend serve scans.
 func (h *Hybrid) Apply(req hds.Request) hds.Result {
 	if req.Kind == hds.Scan {
 		panic("core: Hybrid.Apply cannot serve a Scan; use Scan or ScanAppend")
 	}
-	p := h.Partition(req.Key)
-	b := h.calls.Get().(*Batcher)
-	b.op1[0] = req
-	b.call(p)
-	res := b.out1[0].Result
-	h.calls.Put(b)
-	return res
+	part := h.parts[h.Partition(req.Key)]
+	if res, ok := part.direct(req); ok {
+		return res
+	}
+	return h.call(part.id, req, nil)
+}
+
+// direct makes up to spinLoads plain loads of the holder flag and takes
+// the partition, with the election's CAS, the first time it is free.
+// Holding it, the caller combines the list, so every entry published
+// before the call (a Close barrier included) comes first, then applies
+// req in place, with no list entry, counted as the round of one it
+// replaces, and releases and serves like any holder. ok is false when the
+// spin ran out with nothing applied.
+func (p *partition) direct(req hds.Request) (res hds.Result, ok bool) {
+	for i := 0; i < spinLoads; i++ {
+		if p.held.Load() || !p.held.CompareAndSwap(false, true) {
+			continue
+		}
+		p.combine()
+		p.hMailbox.Observe(1)
+		p.hBatch.Observe(1)
+		if !p.refusing {
+			p.cOps.Add(1)
+			res = p.exec(req)
+		}
+		p.held.Store(false)
+		p.serve()
+		return res, true
+	}
+	return res, false
 }
 
 // Get returns the value stored under key (blocking call).
@@ -360,17 +384,25 @@ func (h *Hybrid) Delete(key uint64) bool {
 	return h.Apply(hds.Request{Kind: hds.Remove, Key: key}).OK
 }
 
-// barrier runs fn on partition p's store while holding the partition, in
-// list order (after every entry published before it), and waits for it:
-// a round of one on a pooled Batcher whose entry carries fn in place of
-// operations. Barriers are not data operations: they work after Close too.
-func (h *Hybrid) barrier(p int, fn func(s Store)) {
+// call is a round of one on a pooled Batcher, on partition p: it
+// publishes one entry carrying req, or fn in its place, and waits for it
+// without spinning.
+func (h *Hybrid) call(p int, req hds.Request, fn func(s Store)) hds.Result {
 	b := h.calls.Get().(*Batcher)
-	b.snap = fn
-	b.call(p)
+	b.op1[0], b.snap = req, fn
+	b.pending.Store(1)
+	h.parts[p].publish(&b.parts[p].entry)
+	b.wait()
+	res := b.out1[0].Result
 	b.snap = nil
 	h.calls.Put(b)
+	return res
 }
+
+// barrier runs fn on partition p's store while holding the partition, in
+// list order (after every entry published before it), and waits for it.
+// Barriers are not data operations: they work after Close too.
+func (h *Hybrid) barrier(p int, fn func(s Store)) { h.call(p, hds.Request{}, fn) }
 
 // Len sums the partition store sizes. Each partition's count is read
 // while holding the partition, in list order, so the result is a
@@ -383,22 +415,9 @@ func (h *Hybrid) Len() int {
 	return total
 }
 
-// Dump returns every stored pair in ascending key order. Partitions own
-// contiguous key ranges, so concatenating per-partition ascents in
-// partition order yields the global order. Each partition is read while
-// holding it, in list order (exact at quiescence, e.g. after Close).
-func (h *Hybrid) Dump() []KV {
-	var out []KV
-	for p := range h.parts {
-		h.barrier(p, func(s Store) {
-			s.Ascend(0, func(k, v uint64) bool {
-				out = append(out, KV{Key: k, Value: v})
-				return true
-			})
-		})
-	}
-	return out
-}
+// Dump returns every stored pair in ascending key order: a Scan with no
+// limit, so exact at quiescence (e.g. after Close).
+func (h *Hybrid) Dump() []KV { return h.Scan(0, math.MaxInt) }
 
 // Scan returns up to limit pairs with keys >= from, in ascending key
 // order. Partitions own contiguous key ranges, so the walk visits them in

@@ -48,18 +48,20 @@ var rules = []rule{
 	},
 	// The native runtime pushes one publication-list entry per (round,
 	// partition) and waits on a countdown with a spin of plain loads, then
-	// a park; a yield, the buffered-channel mailbox, its capacity knob or
-	// the close lock creeping back in is a regression.
+	// a park; a blocking call spins the same plain loads on the holder
+	// flag before it publishes. A yield, the buffered-channel mailbox, its
+	// capacity knob or the close lock creeping back in is a regression.
 	{
 		name:    "native-off-simulator/core-waits",
 		check:   grep(files{globs: []string{"internal/core/*.go"}}, `Gosched|chan request|MailboxDepth|sync\.RWMutex`),
 		reason:  "internal/core must not yield, use a request channel, MailboxDepth or an RWMutex",
 		violate: map[string]string{"internal/core/batch.go": "package core\n\nimport \"runtime\"\n\nfunc spin() { runtime.Gosched() }\n"},
 	},
-	// A blocking call and a barrier are rounds of one on a pooled Batcher,
-	// completed by the round's countdown like any round (DESIGN §5.5); a
-	// future type, its pool or a fut field on a list entry is a second
-	// completion handle beside it.
+	// A barrier, and a blocking call whose spin ran out, is a round of one
+	// on a pooled Batcher, completed by the round's countdown like any
+	// round; a blocking call that takes its free partition applies itself
+	// and needs no handle (DESIGN §5.5). A future type, its pool or a fut
+	// field on a list entry is a second completion handle beside them.
 	{
 		name:    "core-one-completion",
 		check:   grep(files{globs: []string{"internal/core/*.go"}}, `^type[[:space:]]+future\b|futPool|^[[:space:]]+fut[[:space:]]`),
