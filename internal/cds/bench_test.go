@@ -1,9 +1,12 @@
 package cds
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"hybrids/internal/prng"
+	"hybrids/internal/ycsb"
 )
 
 // Native micro-benchmarks for the B+ tree: these measure real hardware,
@@ -49,6 +52,30 @@ func benchGet(b *testing.B, n int, shuffled bool) {
 
 func BenchmarkBTreeGet(b *testing.B)   { benchGet(b, benchKeys, false) }
 func BenchmarkBTreeGet1M(b *testing.B) { benchGet(b, benchKeysLarge, false) }
+
+// BenchmarkBTreeGetZipf times YCSB-C reads of one embedded-read
+// partition's size: a 2^18-key tree loaded in ascending order, read with
+// zipfian 0.99 keys through YCSB's scrambled rank-to-key map, so the hot
+// keys are scattered over the leaves. Beside BenchmarkBTreeGet, where
+// nothing is hot, it shows what the hot-pair table saves and what its
+// probe costs.
+func BenchmarkBTreeGetZipf(b *testing.B) {
+	g := ycsb.New(ycsb.YCSBC(1<<18, 1<<24, 7))
+	load := g.Load()
+	slices.SortFunc(load, func(x, y ycsb.Pair) int { return cmp.Compare(x.Key, y.Key) })
+	t := NewBTree()
+	for _, p := range load {
+		t.Put(uint64(p.Key), uint64(p.Value))
+	}
+	ops := g.Streams(1, 1<<20)[0]
+	var sum uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _ := t.Get(uint64(ops[i&(1<<20-1)].Key))
+		sum += v
+	}
+	benchSink = sum
+}
 
 // BenchmarkBTreeGetRandomLoad is BenchmarkBTreeGet over a tree whose
 // leaves were filled by mid splits (~70% full) instead of append splits.

@@ -43,6 +43,7 @@ type BTree struct {
 	last   uint32 // the rightmost leaf
 	height int
 	length int
+	hot    []hotPair // the hot-pair table (hot.go), nil until the first Get
 
 	// Structural-event counters, nil until Instrument.
 	cLeafSplits  *metrics.Counter
@@ -91,10 +92,19 @@ func (t *BTree) find(key uint64) *leaf {
 	return t.leaves.at(x)
 }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key: from the hot-pair table when
+// key's slot holds it, else by a descent that installs a found pair there.
 func (t *BTree) Get(key uint64) (uint64, bool) {
+	if t.hot == nil {
+		t.hot = make([]hotPair, hotSlots(t.leaves.n))
+	}
+	h := t.hotAt(key)
+	if h.key == key && key != 0 {
+		return h.val, true
+	}
 	l := t.find(key)
 	if i, ok := l.slot(key); ok {
+		*h = hotPair{key, l.vals[i]}
 		return l.vals[i], true
 	}
 	return 0, false
@@ -106,6 +116,9 @@ func (t *BTree) Update(key, value uint64) bool {
 	l := t.find(key)
 	if i, ok := l.slot(key); ok {
 		l.vals[i] = value
+		if t.hot != nil && t.hotAt(key).key == key {
+			t.hotAt(key).val = value
+		}
 		return true
 	}
 	return false
@@ -155,6 +168,9 @@ func (t *BTree) put(key, value uint64) bool {
 	rx, tail := splitLeaf(&t.leaves, l, pos, key, value)
 	if t.leaves.at(rx).next == nilNode {
 		t.last = rx
+	}
+	if t.hot != nil && len(t.hot) < hotSlots(t.leaves.n) {
+		t.hot = make([]hotPair, hotSlots(t.leaves.n)) // the leaves outgrew the table
 	}
 	inc(t.cLeafSplits)
 	t.insertUp(&path, l.keys[l.n-1], rx, tail)
@@ -221,6 +237,9 @@ func (t *BTree) Delete(key uint64) bool {
 	}
 	l.removeAt(i)
 	t.length--
+	if t.hot != nil && t.hotAt(key).key == key {
+		*t.hotAt(key) = hotPair{}
+	}
 	return true
 }
 
@@ -238,7 +257,8 @@ func (t *BTree) Ascend(from uint64, fn func(key, value uint64) bool) {
 // an inner root two; every child index names an allocated node and every
 // allocated node is reached; the leaf chain starts at leaf 0, visits
 // exactly the leaves of the in-order walk and ends in nilNode at the leaf
-// the tree keeps as its last; and the leaves hold Len pairs.
+// the tree keeps as its last; the leaves hold Len pairs; and the hot-pair
+// table holds only pairs of the tree (checkHot).
 func (t *BTree) CheckInvariants() error {
 	if t.height < 1 || t.height > btMaxHeight || t.height > 1 && t.inners.at(t.root).n < 2 {
 		return errf("btree: height %d or a root with one child", t.height)
@@ -305,5 +325,5 @@ func (t *BTree) CheckInvariants() error {
 	if x != nilNode || t.last != order[len(order)-1] {
 		return errf("btree: leaf chain goes on to %d after leaf %d; the tree's last leaf is %d", x, order[len(order)-1], t.last)
 	}
-	return nil
+	return t.checkHot()
 }

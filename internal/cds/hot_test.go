@@ -1,0 +1,133 @@
+package cds
+
+import (
+	"testing"
+
+	"hybrids/internal/prng"
+)
+
+// TestHotTableSmallTreesMatchMap drives trees of 16-63 pairs, whose
+// hot-pair tables have 1-8 slots, against a map. The reads are drawn
+// from about a hundred keys, so nearly every read evicts another key's
+// slot and every Update and Delete meets a slot that may or may not hold
+// its key. The invariants, the table's included, are checked after
+// every write.
+func TestHotTableSmallTreesMatchMap(t *testing.T) {
+	rng := prng.New(23)
+	for n := 16; n < 64; n++ {
+		bt := NewBTree()
+		oracle := map[uint64]uint64{}
+		keys := 2 * uint64(n)
+		for len(oracle) < n {
+			k := uint64(rng.Intn(int(keys))) + 1
+			if bt.Put(k, k) {
+				oracle[k] = k
+			}
+		}
+		for i := 0; i < 400; i++ {
+			k := uint64(rng.Intn(int(keys))) + 1
+			wv, exists := oracle[k]
+			switch op := rng.Intn(10); {
+			case op < 6:
+				if v, ok := bt.Get(k); ok != exists || v != wv {
+					t.Fatalf("n=%d step %d: Get(%d) = (%d,%v), want (%d,%v)", n, i, k, v, ok, wv, exists)
+				}
+				continue
+			case op < 8:
+				v := rng.Next()
+				if bt.Update(k, v) != exists {
+					t.Fatalf("n=%d step %d: Update(%d) disagreed", n, i, k)
+				}
+				if exists {
+					oracle[k] = v
+				}
+			case op == 8:
+				if bt.Delete(k) != exists {
+					t.Fatalf("n=%d step %d: Delete(%d) disagreed", n, i, k)
+				}
+				delete(oracle, k)
+			default:
+				v := rng.Next()
+				if bt.Put(k, v) != !exists {
+					t.Fatalf("n=%d step %d: Put(%d) disagreed", n, i, k)
+				}
+				if !exists {
+					oracle[k] = v
+				}
+			}
+			if err := bt.CheckInvariants(); err != nil {
+				t.Fatalf("n=%d step %d: %v", n, i, err)
+			}
+		}
+		if len(bt.hot) > 8 {
+			t.Fatalf("n=%d: %d hot slots, want 1-8", n, len(bt.hot))
+		}
+	}
+}
+
+// TestHotTableSizing checks when the table exists and how large it is:
+// no Put makes it, the first Get does, at one slot per hotPer pairs of
+// leaf room rounded to the nearest power of two, and the leaf split that
+// takes the room to 1.5 times what the table was sized for makes it anew,
+// twice as large and empty.
+func TestHotTableSizing(t *testing.T) {
+	bt := NewBTree()
+	const loaded = 1 << 14
+	for k := uint64(1); k <= loaded; k++ {
+		bt.Put(k, k)
+	}
+	if bt.hot != nil {
+		t.Fatal("Put made the hot table")
+	}
+	if v, ok := bt.Get(7); !ok || v != 7 {
+		t.Fatalf("Get(7) = (%d,%v)", v, ok)
+	}
+	if want := loaded / hotPer; len(bt.hot) != want {
+		t.Fatalf("%d pairs in full leaves got %d slots, want %d", loaded, len(bt.hot), want)
+	}
+	if *bt.hotAt(7) != (hotPair{7, 7}) {
+		t.Fatal("a read that descended did not install its pair")
+	}
+	for k := uint64(loaded + 1); len(bt.hot) == loaded/hotPer; k++ {
+		bt.Put(k, k)
+	}
+	if room := bt.leaves.n * leafMax; room < 3*loaded/2 || room >= 3*loaded/2+leafMax || len(bt.hot) != 2*loaded/hotPer {
+		t.Fatalf("the table regrew to %d slots at %d pairs of leaf room", len(bt.hot), room)
+	}
+	for _, h := range bt.hot {
+		if h != (hotPair{}) {
+			t.Fatal("a regrown table is not empty")
+		}
+	}
+	if err := bt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHotTableSpreadsHighBitKeys reads keys that differ only above bit
+// 40: a hash that dropped the high bits of the product would send them
+// all to one slot.
+func TestHotTableSpreadsHighBitKeys(t *testing.T) {
+	bt := NewBTree()
+	const n = 1 << 14
+	for i := uint64(1); i <= n; i++ {
+		bt.Put(i<<40, i)
+	}
+	for i := uint64(1); i <= n; i++ {
+		if v, ok := bt.Get(i << 40); !ok || v != i {
+			t.Fatalf("Get(%d<<40) = (%d,%v)", i, v, ok)
+		}
+	}
+	used := 0
+	for _, h := range bt.hot {
+		if h.key != 0 {
+			used++
+		}
+	}
+	if used < len(bt.hot)/2 {
+		t.Fatalf("%d keys read filled %d of %d slots", n, used, len(bt.hot))
+	}
+	if err := bt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

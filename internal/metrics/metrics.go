@@ -62,9 +62,6 @@ type Histogram struct {
 	buckets [NumBuckets]uint64 // buckets[i] counts samples of bit-length i
 }
 
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
 	h.sum.Add(v)

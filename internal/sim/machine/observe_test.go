@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"hybrids/internal/sim/memsys"
@@ -63,8 +65,9 @@ func TestAttributionBucketsSumToMeasuredCycles(t *testing.T) {
 }
 
 // TestTracingRecordsHostEvents checks the machine-level trace plumbing: a
-// host thread's memory accesses land as spans on its core track, and OpDone
-// marks completion at the correct virtual time.
+// host thread's memory accesses land as spans on its core track, which a
+// Chrome capture names host/0, and OpDone marks completion at the correct
+// virtual time.
 func TestTracingRecordsHostEvents(t *testing.T) {
 	m := New(testConfig())
 	tr := m.EnableTracing(1 << 10)
@@ -78,14 +81,29 @@ func TestTracingRecordsHostEvents(t *testing.T) {
 	})
 	m.Run()
 
-	host := -1
-	for tk := 0; tk < tr.Tracks(); tk++ {
-		if tr.TrackName(tk) == "host/0" {
-			host = tk
+	host := m.Mem.HostTrack(0)
+	var buf bytes.Buffer
+	if err := tr.WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var capture struct {
+		TraceEvents []struct {
+			Ph, Name string
+			Tid      int
+			Args     map[string]any
 		}
 	}
-	if host < 0 {
-		t.Fatal("no host/0 track registered")
+	if err := json.Unmarshal(buf.Bytes(), &capture); err != nil {
+		t.Fatal(err)
+	}
+	named := false
+	for _, ev := range capture.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" && ev.Tid == host {
+			named = ev.Args["name"] == "host/0"
+		}
+	}
+	if !named {
+		t.Fatalf("track %d is not named host/0 in the capture", host)
 	}
 	evs := tr.Events(host)
 	counts := map[trace.Kind]int{}

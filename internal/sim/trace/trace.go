@@ -184,17 +184,6 @@ func (tk *track) append(ev Event) {
 	tk.n++
 }
 
-// Tracks returns the number of registered tracks (0 on the nil tracer).
-func (t *Tracer) Tracks() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.tracks)
-}
-
-// TrackName returns the name tr was registered with.
-func (t *Tracer) TrackName(tr int) string { return t.tracks[tr].name }
-
 // Dropped returns how many events tr's ring has overwritten.
 func (t *Tracer) Dropped(tr int) uint64 {
 	tk := t.tracks[tr]

@@ -68,9 +68,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	tr.Span(-1, KindRun, 0, 5, 0) // must not panic
 	tr.Instant(-1, KindOpDone, 0, 0)
-	if n := tr.Tracks(); n != 0 {
-		t.Fatalf("nil Tracks = %d, want 0", n)
-	}
 	if evs := tr.Events(-1); evs != nil {
 		t.Fatalf("nil Events = %v, want nil", evs)
 	}
@@ -134,7 +131,7 @@ func TestWriteChromeJSONWellFormed(t *testing.T) {
 			switch ev.Name {
 			case "thread_name":
 				names++
-				want := tr.TrackName(ev.Tid)
+				want := tr.tracks[ev.Tid].name
 				if got := ev.Args["name"]; got != want {
 					t.Errorf("thread_name for tid %d = %v, want %q", ev.Tid, got, want)
 				}
@@ -162,7 +159,7 @@ func TestWriteChromeJSONWellFormed(t *testing.T) {
 		default:
 			t.Errorf("unexpected ph %q", ev.Ph)
 		}
-		if ev.Tid < 0 || ev.Tid >= tr.Tracks() {
+		if ev.Tid < 0 || ev.Tid >= len(tr.tracks) {
 			t.Errorf("event tid %d out of range", ev.Tid)
 		}
 	}

@@ -42,15 +42,21 @@ func fuzzKey(b byte) uint64 {
 // plain test.
 func FuzzEngineOps(f *testing.F) {
 	var asc, desc, reinsert, oneKey []byte
+	// A read installs its pair in the hot-pair table; the write after it
+	// must clear or overwrite that slot before the read that follows.
+	var readDelete, readUpdate, readDeletePut []byte
 	for k := byte(0); k < fuzzKeys; k++ {
 		asc = append(asc, 0, k)
 		desc = append(desc, 0, fuzzKeys-1-k)
 		reinsert = append(reinsert, 0, k, 3, k, 0, k, 1, k)
 		oneKey = append(oneKey, k%5, 7)
+		readDelete = append(readDelete, 0, k, 1, k, 3, k, 1, k)
+		readUpdate = append(readUpdate, 0, k, 1, k, 2, k, 1, k)
+		readDeletePut = append(readDeletePut, 0, k, 1, k, 3, k, 0, k, 1, k)
 	}
 	asc = append(asc, 4|5<<3, 0) // then Ascend(1, limit 5)
 	desc = append(desc, 4|31<<3, 20)
-	for _, seed := range [][]byte{asc, desc, reinsert, oneKey} {
+	for _, seed := range [][]byte{asc, desc, reinsert, oneKey, readDelete, readUpdate, readDeletePut} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
