@@ -37,18 +37,25 @@ type btInner struct {
 // each partition, and is usable standalone as an ordered map. Methods are
 // not safe for concurrent use.
 type BTree struct {
+	// Read by every operation, written only by a split or the first Get.
 	leaves arena[leaf]
 	inners arena[btInner]
 	root   uint32 // a leaf index at height 1, else an inner index
 	last   uint32 // the rightmost leaf
 	height int
-	length int
 	hot    []hotPair // the hot-pair table (hot.go), nil until the first Get
 
 	// Structural-event counters, nil until Instrument.
 	cLeafSplits  *metrics.Counter
 	cInnerSplits *metrics.Counter
 	cRootGrowths *metrics.Counter
+
+	// The line every write and every probe of the table writes: the pair
+	// count and the table's switch (hot.go). When owners alternate cores,
+	// only this line moves with the writes, not the two above.
+	length             int
+	probes, hits, idle int
+	_                  [32]byte
 }
 
 // Instrument registers the tree's structural-event counters — leaf
@@ -94,17 +101,20 @@ func (t *BTree) find(key uint64) *leaf {
 
 // Get returns the value stored under key: from the hot-pair table when
 // key's slot holds it, else by a descent that installs a found pair there.
+// While the table is off (hot.go) Get only descends.
 func (t *BTree) Get(key uint64) (uint64, bool) {
-	if t.hot == nil {
-		t.hot = make([]hotPair, hotSlots(t.leaves.n))
-	}
-	h := t.hotAt(key)
-	if h.key == key && key != 0 {
-		return h.val, true
+	var h *hotPair
+	if t.probe() {
+		if h = t.hotAt(key); h.key == key && key != 0 {
+			t.hits++
+			return h.val, true
+		}
 	}
 	l := t.find(key)
 	if i, ok := l.slot(key); ok {
-		*h = hotPair{key, l.vals[i]}
+		if h != nil {
+			*h = hotPair{key, l.vals[i]}
+		}
 		return l.vals[i], true
 	}
 	return 0, false
@@ -116,7 +126,7 @@ func (t *BTree) Update(key, value uint64) bool {
 	l := t.find(key)
 	if i, ok := l.slot(key); ok {
 		l.vals[i] = value
-		if t.hot != nil && t.hotAt(key).key == key {
+		if t.idle == 0 && t.hot != nil && t.hotAt(key).key == key {
 			t.hotAt(key).val = value
 		}
 		return true
@@ -237,7 +247,7 @@ func (t *BTree) Delete(key uint64) bool {
 	}
 	l.removeAt(i)
 	t.length--
-	if t.hot != nil && t.hotAt(key).key == key {
+	if t.idle == 0 && t.hot != nil && t.hotAt(key).key == key {
 		*t.hotAt(key) = hotPair{}
 	}
 	return true

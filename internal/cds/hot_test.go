@@ -131,3 +131,98 @@ func TestHotTableSpreadsHighBitKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHotTableSwitchesOff drives the table's switch against a map. A
+// window of uniform Gets over 16 times more keys than slots, hitting far
+// below break-even, switches it off with 64 hot keys the last pairs
+// installed. Updates and Deletes of those keys while it is off leave
+// their slots stale; the off period's end clears them. Skewed Gets then
+// keep it on through a window, among writes to the hot keys, and
+// uniform Gets switch it off again. Every Get is checked against the
+// map, and the invariants, the switch's included, after each phase.
+func TestHotTableSwitchesOff(t *testing.T) {
+	const n = 1 << 14
+	bt := NewBTree()
+	oracle := map[uint64]uint64{}
+	for k := uint64(1); k <= n; k++ {
+		bt.Put(k, k)
+		oracle[k] = k
+	}
+	rng := prng.New(29)
+	uniform := func() uint64 { return uint64(rng.Intn(n)) + 1 }
+	hot := func() uint64 { return uint64(rng.Intn(64))*97 + 1 }
+	get := func(k uint64) {
+		t.Helper()
+		wv, exists := oracle[k]
+		if v, ok := bt.Get(k); ok != exists || v != wv {
+			t.Fatalf("Get(%d) = (%d,%v), want (%d,%v)", k, v, ok, wv, exists)
+		}
+	}
+	phase := func(name string, off bool) {
+		t.Helper()
+		if err := bt.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if bt.idle > 0 != off {
+			t.Fatalf("%s: table off = %v after %d hits of %d probes, want %v", name, bt.idle > 0, bt.hits, bt.probes, off)
+		}
+	}
+
+	for range hotWindow - 64 {
+		get(uniform())
+	}
+	for i := range uint64(64) {
+		get(i*97 + 1)
+	}
+	phase("a window of uniform Gets", false)
+	get(uniform()) // the window closes
+	phase("the window closed", true)
+	slots := &bt.hot[0]
+	for i := range uint64(64) {
+		if k := i*97 + 1; i%2 == 0 {
+			bt.Delete(k)
+			delete(oracle, k)
+		} else {
+			bt.Update(k, k+n)
+			oracle[k] = k + n
+		}
+	}
+	for bt.idle > 1 {
+		get(uniform())
+	}
+	phase("writes while off", true)
+	get(uniform())
+	phase("the off period ended", false)
+	if &bt.hot[0] != slots {
+		t.Fatal("switching the table off and on replaced it")
+	}
+	for i := range 2 * hotWindow { // a window of Gets and more
+		k := hot()
+		switch {
+		case i%10 == 0:
+			get(uniform())
+		case i%10 == 1:
+			if _, ok := oracle[k]; ok {
+				bt.Delete(k)
+				delete(oracle, k)
+			} else {
+				bt.Put(k, k)
+				oracle[k] = k
+			}
+		case i%10 == 2:
+			v := rng.Next()
+			if _, ok := oracle[k]; bt.Update(k, v) != ok {
+				t.Fatalf("Update(%d) disagreed", k)
+			} else if ok {
+				oracle[k] = v
+			}
+		default:
+			get(k)
+		}
+	}
+	phase("a window of skewed Gets and writes", false)
+	for range 2 * hotWindow {
+		get(uniform())
+	}
+	phase("uniform Gets again", true)
+}

@@ -48,6 +48,18 @@ func TestRequestSize(t *testing.T) {
 	}
 }
 
+// TestPartitionLines pins the partition's two cache lines of its own: the
+// first holds everything a blocking call writes and reads, the
+// instruments start the second.
+func TestPartitionLines(t *testing.T) {
+	h := New(Config{Partitions: 2})
+	p := h.parts[1]
+	if addr := uintptr(unsafe.Pointer(p)); unsafe.Sizeof(*p) != 128 || unsafe.Offsetof(p.cOps) != 64 || addr%64 != 0 {
+		t.Fatalf("partition of %d bytes at %#x, instruments at byte %d; want 128 bytes, 64-aligned, instruments at 64",
+			unsafe.Sizeof(*p), addr, unsafe.Offsetof(p.cOps))
+	}
+}
+
 // holdPartition keeps partition p held inside a barrier closure until
 // the returned release is called; release waits for the barrier to
 // return and reports what fn read while still holding the partition.
@@ -83,8 +95,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // and then counts the list behind it the way PartitionStats does: it must
 // find exactly one entry. The histograms must show every other partition
 // combined once, for one entry, a round of 4 operations. They are read at
-// quiescence (every published entry consumed) and before Close, whose
-// own barrier is one more combine round on each partition. A blocking
+// quiescence (every published entry consumed), with the blocking calls'
+// tallies folded in, and before Close, whose own barrier is one more
+// combine round on each partition. A blocking
 // call on a free partition then takes it and applies itself: one more
 // round of one entry and one op, with nothing left on the list.
 func TestBatcherOneEntryPerPartition(t *testing.T) {
@@ -111,7 +124,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	if len(b.wake) != 0 || b.pending.Load()&^parked != 0 {
 		t.Errorf("after the round: %d wake tokens left, count = %d; want none left, 0", len(b.wake), b.pending.Load()&^parked)
 	}
-	snap := reg.Snapshot()
+	snap := folded(h, reg)
 	get := func(p int, name string) uint64 { return snap.Get(fmt.Sprintf("core/p%d/%s", p, name)) }
 	var opsApplied uint64
 	for p := 0; p < partitions; p++ {
@@ -129,7 +142,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 		t.Errorf("core/p*/ops sum = %d, want %d", opsApplied, len(ops))
 	}
 	h.Get(ops[1].Key) // partition 1's key
-	after := reg.Snapshot()
+	after := folded(h, reg)
 	for _, name := range []string{"mailbox/count", "mailbox/sum", "batch/count", "batch/sum", "ops"} {
 		if d := after.Get("core/p1/"+name) - get(1, name); d != 1 {
 			t.Errorf("uncontended blocking call moved core/p1/%s by %d, want 1", name, d)

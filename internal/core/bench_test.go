@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hybrids/internal/hds"
 	"hybrids/internal/prng"
@@ -162,4 +164,41 @@ func BenchmarkHybridApplyBatch16TwoCallers(b *testing.B) {
 	}
 	h.Build(pairs)
 	benchCallers(b, h, 2, func(rng *prng.Source) uint64 { return keys[rng.Intn(records)] })
+}
+
+// BenchmarkLenBesideBlockingCalls times a barrier behind blocking calls:
+// two goroutines keep 4 partitions busy with reads and updates while
+// each iteration runs one Len, and the median and p90 of those times are
+// reported. Run it at -cpu 2, where both Ps run callers and a parked
+// barrier's wake waits for one to be preempted (DESIGN §5.5).
+func BenchmarkLenBesideBlockingCalls(b *testing.B) {
+	h := benchMap(b, 4)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for c := range 2 {
+		wg.Add(1)
+		go func(rng *prng.Source) {
+			defer wg.Done()
+			for !stop.Load() {
+				if k := uint64(rng.Intn(1<<16)) + 1; rng.Intn(2) == 0 {
+					h.Get(k)
+				} else {
+					h.Update(k, k)
+				}
+			}
+		}(prng.New(uint64(c) + 7))
+	}
+	ns := make([]float64, 0, b.N)
+	b.ResetTimer()
+	for range b.N {
+		start := time.Now()
+		h.Len()
+		ns = append(ns, float64(time.Since(start)))
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
+	slices.Sort(ns)
+	b.ReportMetric(ns[len(ns)/2], "median-ns")
+	b.ReportMetric(ns[len(ns)*9/10], "p90-ns")
 }

@@ -78,8 +78,11 @@ type Config struct {
 	// (core/p<i>/...); nil creates a private registry reachable through
 	// Hybrid.ExportMetrics. The registry is unsynchronized: each instrument
 	// is touched only by the partition's current holder, ordered by the
-	// holder flag, so snapshots are consistent only at quiescence (every
-	// call returned, or after Close).
+	// holder flag, and a blocking call that takes its free partition
+	// tallies itself on the partition, folded into the instruments before
+	// any barrier's closure runs. So read it through a barrier
+	// (ExportMetrics, PartitionStats), or after one has run on every
+	// partition since the last call (Len, Dump, Close).
 	Metrics *metrics.Registry
 }
 
@@ -112,24 +115,29 @@ type Hybrid struct {
 // partition is one combining domain: the store, the cursor rounds' scans
 // are served through, its publication list, the election state and the
 // instruments. All but list and election belong to its current holder.
+// It fills two cache lines of its own: the first holds all a blocking
+// call writes and reads, the second the instruments.
 type partition struct {
-	id    int
-	store Store
-	cur   *scanCursor
-
 	// head is the publication list, newest entry first; held is the
 	// holder flag. Both are sequentially consistent atomics, which is what
 	// makes a push visible to the holder's re-check after its release
 	// (DESIGN §5.5). refusing is set by Close's barrier: every data entry
-	// taken after it completes as refused, with no store touched.
-	head     atomic.Pointer[request]
-	held     atomic.Bool
-	refusing bool
+	// taken after it completes as refused, with no store touched. steps
+	// counts the direct steps since the last fold, stepOps those it
+	// applied.
+	head           atomic.Pointer[request]
+	held           atomic.Bool
+	refusing       bool
+	steps, stepOps uint64
+	store          Store
+	cur            *scanCursor
+	id             int
 
 	cOps     *metrics.Counter
 	cBuilt   *metrics.Counter
 	hBatch   *metrics.Histogram
 	hMailbox *metrics.Histogram
+	_        [32]byte
 }
 
 // New creates a hybrid map. It starts no goroutine.
@@ -202,6 +210,7 @@ func (p *partition) exec(req hds.Request) (res hds.Result) {
 func (p *partition) apply(r *request) {
 	b := r.grp
 	if b.snap != nil {
+		p.fold()
 		b.snap(p.store)
 		b.done()
 		return
@@ -225,6 +234,15 @@ func (p *partition) apply(r *request) {
 		}
 	}
 	b.done()
+}
+
+// fold moves the direct steps' tallies into the instruments: each step
+// is a round of one entry and one op, and an op in cOps unless refused.
+func (p *partition) fold() {
+	p.hMailbox.ObserveN(1, p.steps)
+	p.hBatch.ObserveN(1, p.steps)
+	p.cOps.Add(p.stepOps)
+	p.steps, p.stepOps = 0, 0
 }
 
 // publish pushes r onto the partition's list, which never waits, and
@@ -341,19 +359,18 @@ func (h *Hybrid) Apply(req hds.Request) hds.Result {
 // the partition, with the election's CAS, the first time it is free.
 // Holding it, the caller combines the list, so every entry published
 // before the call (a Close barrier included) comes first, then applies
-// req in place, with no list entry, counted as the round of one it
-// replaces, and releases and serves like any holder. ok is false when the
-// spin ran out with nothing applied.
+// req in place, with no list entry, tallied as the round of one it
+// replaces (fold), and releases and serves like any holder. ok is false
+// when the spin ran out with nothing applied.
 func (p *partition) direct(req hds.Request) (res hds.Result, ok bool) {
 	for i := 0; i < spinLoads; i++ {
 		if p.held.Load() || !p.held.CompareAndSwap(false, true) {
 			continue
 		}
 		p.combine()
-		p.hMailbox.Observe(1)
-		p.hBatch.Observe(1)
+		p.steps++
 		if !p.refusing {
-			p.cOps.Add(1)
+			p.stepOps++
 			res = p.exec(req)
 		}
 		p.held.Store(false)

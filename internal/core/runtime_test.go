@@ -21,6 +21,16 @@ func opsApplied(h *Hybrid) (n uint64) {
 	return n
 }
 
+// folded folds every partition's direct-step tallies, as a barrier does
+// before its closure, and snapshots reg without a barrier's own round.
+// Call it at quiescence.
+func folded(h *Hybrid, reg *metrics.Registry) metrics.Snapshot {
+	for _, part := range h.parts {
+		part.fold()
+	}
+	return reg.Snapshot()
+}
+
 // TestHybridCloseDrainsPublished inserts a burst of keys, then races
 // Close against a blocking caller and a Batcher inserting fresh keys:
 // everything published before Close began is applied, every racing
@@ -294,7 +304,8 @@ func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
 // TestHybridMetrics checks the per-partition instruments: op counts sum
 // to the operations applied, batch rounds and list depths are
 // observed, and the default B+ tree store reports splits. The registry is
-// read before Close, whose barriers are combine rounds too.
+// read before Close, whose barriers are combine rounds too, with the
+// blocking calls' tallies folded in.
 func TestHybridMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	h := New(Config{Partitions: 2, KeyMax: 1 << 20, Metrics: reg})
@@ -308,7 +319,7 @@ func TestHybridMetrics(t *testing.T) {
 		ops = append(ops, hds.Request{Kind: hds.Read, Key: i})
 	}
 	h.NewBatcher(8).Apply(ops, nil)
-	snap := reg.Snapshot()
+	snap := folded(h, reg)
 	var opsApplied, rounds, batchSum, leafSplits uint64
 	for p := 0; p < 2; p++ {
 		opsApplied += snap.Get(fmt.Sprintf("core/p%d/ops", p))
@@ -324,6 +335,59 @@ func TestHybridMetrics(t *testing.T) {
 	}
 	if leafSplits == 0 {
 		t.Errorf("no leaf splits recorded for %d sequential inserts", n)
+	}
+}
+
+// TestBlockingCallsCountedThroughBarrier runs two concurrent blocking
+// callers, which tally their direct steps on the partition, and reads
+// the instruments through ExportMetrics, whose barrier folds the tallies
+// in before it reads: every call is one op and one round of one entry,
+// and the export's own barrier one more round on each partition.
+func TestBlockingCallsCountedThroughBarrier(t *testing.T) {
+	const partitions, calls = 4, 5000
+	h := New(Config{Partitions: partitions, KeyMax: 1 << 16})
+	defer h.Close()
+	var wg sync.WaitGroup
+	for c := range 2 {
+		wg.Add(1)
+		go func(rng *prng.Source) {
+			defer wg.Done()
+			for range calls {
+				k := uint64(rng.Intn(1<<16-1)) + 1
+				switch rng.Intn(3) {
+				case 0:
+					h.Put(k, k)
+				case 1:
+					h.Get(k)
+				default:
+					h.Delete(k)
+				}
+			}
+		}(prng.New(uint64(c) + 1))
+	}
+	wg.Wait()
+	counters, hists := h.ExportMetrics()
+	var ops uint64
+	for p := range partitions {
+		ops += counters[fmt.Sprintf("core/p%d/ops", p)]
+	}
+	if ops != 2*calls {
+		t.Errorf("core/p*/ops = %d, want the %d calls made", ops, 2*calls)
+	}
+	byName := map[string]metrics.HistSnapshot{}
+	for _, hs := range hists {
+		byName[hs.Name] = hs
+	}
+	var batchSum uint64
+	for p := range partitions {
+		batch, mailbox := byName[fmt.Sprintf("core/p%d/batch", p)], byName[fmt.Sprintf("core/p%d/mailbox", p)]
+		if batch.Count != mailbox.Count || batch.Sum != mailbox.Sum || batch.Buckets != mailbox.Buckets {
+			t.Errorf("p%d: batch %d rounds of %d, mailbox %d rounds of %d entries; want the same", p, batch.Count, batch.Sum, mailbox.Count, mailbox.Sum)
+		}
+		batchSum += batch.Sum
+	}
+	if batchSum != 2*calls+partitions {
+		t.Errorf("core/p*/batch sum = %d, want %d calls and %d barriers", batchSum, 2*calls, partitions)
 	}
 }
 

@@ -27,13 +27,7 @@ import (
 )
 
 // Counter is a monotonically increasing named event count.
-type Counter struct {
-	name string
-	v    uint64
-}
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
+type Counter struct{ v uint64 }
 
 // Inc adds one to the counter.
 func (c *Counter) Inc() { c.v++ }
@@ -63,10 +57,13 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	h.sum.Add(v)
-	h.count.Inc()
-	h.buckets[bits.Len64(v)]++
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of v.
+func (h *Histogram) ObserveN(v, n uint64) {
+	h.sum.Add(v * n)
+	h.count.Add(n)
+	h.buckets[bits.Len64(v)] += n
 }
 
 // Sum returns the total of all observed samples.
@@ -74,14 +71,6 @@ func (h *Histogram) Sum() uint64 { return h.sum.Value() }
 
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.count.Value() }
-
-// Mean returns the average sample, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.Count() == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(h.Count())
-}
 
 // Bucket returns the count of samples with bit-length i (i.e. in
 // [2^(i-1), 2^i) for i>0; bucket 0 counts zero samples).
@@ -92,14 +81,11 @@ func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
 // shape buckets. Owners of Local accumulators call it once when they
 // retire, so a distribution observed off-registry (e.g. per-connection)
 // lands in the registry exactly as if every sample had been Observed.
-// A nil buckets folds sum/count only.
 func (h *Histogram) Fold(sum, count uint64, buckets *[NumBuckets]uint64) {
 	h.sum.Add(sum)
 	h.count.Add(count)
-	if buckets != nil {
-		for i, b := range buckets {
-			h.buckets[i] += b
-		}
+	for i, b := range buckets {
+		h.buckets[i] += b
 	}
 }
 
@@ -148,7 +134,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	r.counters[name] = c
 	return c
 }
