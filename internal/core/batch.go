@@ -39,10 +39,10 @@ const (
 // Apply calls perform no allocation. A Batcher belongs to one goroutine;
 // it is not safe for concurrent use.
 //
-// A barrier, and a blocking call whose spin on the holder flag ran out,
-// is a round of one on a pooled Batcher (Hybrid.call) that parks at once:
-// its entry carries the call's one operation, or the barrier's closure,
-// which the holder runs in place of operations.
+// A call of one (a blocking call or a barrier) whose spin on the holder
+// flag ran out is a round of one on a pooled Batcher (Hybrid.call) that
+// parks at once: its entry carries the call's one operation, or the
+// barrier's closure, which the holder runs in place of operations.
 type Batcher struct {
 	// The call, read by the partitions' holders between a round's publish
 	// and their done: a barrier's closure, ops, outcome slots and the

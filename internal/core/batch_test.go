@@ -241,6 +241,35 @@ func TestBatcherParksPastSpin(t *testing.T) {
 	}
 }
 
+// TestBarrierFollowsQueuedRound queues a Batcher round carrying a Put on
+// free partition 1 by hand, the moment between a publish and its serve:
+// a barrier that takes the partition must apply the round before its
+// closure runs. Len must count the Put and complete the round, and a
+// following Close must refuse nothing queued ahead of its barrier.
+func TestBarrierFollowsQueuedRound(t *testing.T) {
+	h := New(Config{Partitions: 2, KeyMax: 1 << 20})
+	queue := func(key uint64) *Batcher {
+		b := h.NewBatcher(1)
+		b.ops, b.out = []hds.Request{{Kind: hds.Insert, Key: key, Value: key}}, make([]Outcome, 1)
+		b.parts[1].idx = append(b.parts[1].idx, 0)
+		b.pending.Store(1)
+		h.parts[1].head.Store(&b.parts[1].entry)
+		return b
+	}
+	first := queue(1<<19 + 1)
+	if n := h.Len(); n != 1 || first.pending.Load() != 0 || !first.out[0].Result.OK {
+		t.Fatalf("Len behind a queued Put = %d, countdown %d, outcome %+v; want 1, 0, applied ok", n, first.pending.Load(), first.out[0])
+	}
+	second := queue(1<<19 + 2)
+	h.Close()
+	if out := second.out[0]; out.Rejected || !out.Result.OK || second.pending.Load() != 0 {
+		t.Fatalf("Put queued ahead of Close: outcome %+v, countdown %d; want applied ok, 0", out, second.pending.Load())
+	}
+	if n := h.Len(); n != 2 {
+		t.Fatalf("Len after Close = %d, want 2", n)
+	}
+}
+
 // yieldingStore yields the processor inside every Get, so a holder is
 // descheduled while it holds its partition.
 type yieldingStore struct{ Store }

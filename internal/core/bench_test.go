@@ -40,9 +40,13 @@ func BenchmarkHybridBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkHybridGetBlocking measures the blocking-call hot path: a call
+// that finds its partition free applies itself, with no list entry and no
+// pooled Batcher, and performs no allocation.
 func BenchmarkHybridGetBlocking(b *testing.B) {
 	h := benchMap(b, 8)
 	rng := prng.New(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Get(uint64(rng.Intn(1<<16)) + 1)
@@ -61,24 +65,11 @@ func BenchmarkHybridGetParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkFuture measures the blocking-call hot path: a call that finds
-// its partition free applies itself, with no list entry and no pooled
-// Batcher, and performs no allocation.
-func BenchmarkFuture(b *testing.B) {
-	h := benchMap(b, 8)
-	rng := prng.New(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Get(uint64(rng.Intn(1<<16)) + 1)
-	}
-}
-
-// TestFutureAllocs asserts the blocking-call hot path stays allocation
+// TestBlockingCallAllocs asserts the blocking-call hot path stays allocation
 // free: an uncontended call takes its partition and applies itself,
 // touching neither the list nor the pool of one-op Batchers, so it
 // allocates nothing, under the race detector too.
-func TestFutureAllocs(t *testing.T) {
+func TestBlockingCallAllocs(t *testing.T) {
 	h := New(Config{Partitions: 4, KeyMax: 1 << 20})
 	defer h.Close()
 	h.Put(1, 1)
@@ -166,11 +157,13 @@ func BenchmarkHybridApplyBatch16TwoCallers(b *testing.B) {
 	benchCallers(b, h, 2, func(rng *prng.Source) uint64 { return keys[rng.Intn(records)] })
 }
 
-// BenchmarkLenBesideBlockingCalls times a barrier behind blocking calls:
+// BenchmarkLenBesideBlockingCalls times a barrier beside blocking calls:
 // two goroutines keep 4 partitions busy with reads and updates while
 // each iteration runs one Len, and the median and p90 of those times are
-// reported. Run it at -cpu 2, where both Ps run callers and a parked
-// barrier's wake waits for one to be preempted (DESIGN §5.5).
+// reported. Each of Len's barriers spins for its free partition as a
+// blocking call does; one whose spin runs out parks, and at -cpu 2, where
+// both Ps run callers, its wake waits for one to be preempted (DESIGN
+// §5.5). At -cpu 1 it gives the spin's cost on one P.
 func BenchmarkLenBesideBlockingCalls(b *testing.B) {
 	h := benchMap(b, 4)
 	var stop atomic.Bool

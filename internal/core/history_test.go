@@ -329,12 +329,12 @@ func historyLinearizable(t *testing.T, depth int) {
 	startDump, startClose := make(chan struct{}), make(chan struct{})
 	var onceDump, onceClose sync.Once
 	// tripped counts the mid-stream events that are due and have not
-	// returned. A caller that finds its partition free applies its own
-	// operation and rarely parks, so the woken Dump or Close would wait
-	// out the scheduler's round robin while the callers issue hundreds of
-	// thousands of operations, and the checker's cost grows with the
-	// history. So while an event is due, every caller yields after each
-	// operation.
+	// returned. Dump walks the partitions one barrier after another, each
+	// spinning for its partition beside callers that apply their own
+	// operations and rarely park; while it walks, the callers keep
+	// issuing, and the checker's cost grows with the history. So while an
+	// event is due, every caller yields after each operation, which bounds
+	// the history the walk lets in.
 	var tripped atomic.Int32
 	yield := func() {
 		if tripped.Load() > 0 {

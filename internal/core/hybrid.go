@@ -10,11 +10,11 @@
 // Callers hold a window of calls in flight, scans included (non-blocking
 // NMP calls, §3.5), through a Batcher, which publishes one list entry per
 // (round, partition) and waits once per round on a single countdown. A
-// blocking call (§3.2) waits for the partition instead: the first time a
-// bounded spin finds it free, the caller takes it, combines the list and
-// applies its own operation with no entry. Past the spin it is a round of
-// one on a pooled Batcher, as a barrier always is. The package starts no
-// goroutine of its own.
+// call of one (a blocking call, §3.2, or a barrier) waits for the
+// partition instead: the first time a bounded spin finds it free, the
+// caller takes it, combines the list and applies its own operation, or
+// runs the barrier's closure, with no entry. Past the spin it is a round
+// of one on a pooled Batcher. The package starts no goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
@@ -78,11 +78,11 @@ type Config struct {
 	// (core/p<i>/...); nil creates a private registry reachable through
 	// Hybrid.ExportMetrics. The registry is unsynchronized: each instrument
 	// is touched only by the partition's current holder, ordered by the
-	// holder flag, and a blocking call that takes its free partition
-	// tallies itself on the partition, folded into the instruments before
-	// any barrier's closure runs. So read it through a barrier
-	// (ExportMetrics, PartitionStats), or after one has run on every
-	// partition since the last call (Len, Dump, Close).
+	// holder flag, and a call that takes its free partition tallies itself
+	// on the partition, folded into the instruments before any barrier's
+	// closure runs. So read it through a barrier (ExportMetrics,
+	// PartitionStats), or after one has run on every partition since the
+	// last call (Len, Dump, Close).
 	Metrics *metrics.Registry
 }
 
@@ -123,7 +123,7 @@ type partition struct {
 	// makes a push visible to the holder's re-check after its release
 	// (DESIGN §5.5). refusing is set by Close's barrier: every data entry
 	// taken after it completes as refused, with no store touched. steps
-	// counts the direct steps since the last fold, stepOps those it
+	// counts the direct steps since the last fold, stepOps the ops they
 	// applied.
 	head           atomic.Pointer[request]
 	held           atomic.Bool
@@ -237,7 +237,8 @@ func (p *partition) apply(r *request) {
 }
 
 // fold moves the direct steps' tallies into the instruments: each step
-// is a round of one entry and one op, and an op in cOps unless refused.
+// is a round of one entry and one op or barrier, and an applied op is
+// also one in cOps.
 func (p *partition) fold() {
 	p.hMailbox.ObserveN(1, p.steps)
 	p.hBatch.ObserveN(1, p.steps)
@@ -340,44 +341,14 @@ func (h *Hybrid) KeyMax() uint64 { return h.cfg.KeyMax }
 
 // Apply executes one request as a blocking NMP call (§3.2) and returns
 // its result: ok=false, with no store touched, when Close refused it. The
-// call waits for its partition, not for a holder (partition.direct); only
-// past the spin is it a round of one that parks at once. A Scan or a key
-// outside the key space panics before anything is published; Scan and
-// ScanAppend serve scans.
+// call waits for its partition, not for a holder (Hybrid.call). A Scan or
+// a key outside the key space panics before anything is published; Scan
+// and ScanAppend serve scans.
 func (h *Hybrid) Apply(req hds.Request) hds.Result {
 	if req.Kind == hds.Scan {
 		panic("core: Hybrid.Apply cannot serve a Scan; use Scan or ScanAppend")
 	}
-	part := h.parts[h.Partition(req.Key)]
-	if res, ok := part.direct(req); ok {
-		return res
-	}
-	return h.call(part.id, req, nil)
-}
-
-// direct makes up to spinLoads plain loads of the holder flag and takes
-// the partition, with the election's CAS, the first time it is free.
-// Holding it, the caller combines the list, so every entry published
-// before the call (a Close barrier included) comes first, then applies
-// req in place, with no list entry, tallied as the round of one it
-// replaces (fold), and releases and serves like any holder. ok is false
-// when the spin ran out with nothing applied.
-func (p *partition) direct(req hds.Request) (res hds.Result, ok bool) {
-	for i := 0; i < spinLoads; i++ {
-		if p.held.Load() || !p.held.CompareAndSwap(false, true) {
-			continue
-		}
-		p.combine()
-		p.steps++
-		if !p.refusing {
-			p.stepOps++
-			res = p.exec(req)
-		}
-		p.held.Store(false)
-		p.serve()
-		return res, true
-	}
-	return res, false
+	return h.call(h.Partition(req.Key), req, nil)
 }
 
 // Get returns the value stored under key (blocking call).
@@ -401,16 +372,41 @@ func (h *Hybrid) Delete(key uint64) bool {
 	return h.Apply(hds.Request{Kind: hds.Remove, Key: key}).OK
 }
 
-// call is a round of one on a pooled Batcher, on partition p: it
-// publishes one entry carrying req, or fn in its place, and waits for it
-// without spinning.
-func (h *Hybrid) call(p int, req hds.Request, fn func(s Store)) hds.Result {
+// call is the one way a call of one enters partition p: req, or a
+// barrier's fn in its place. It makes up to spinLoads plain loads of the
+// holder flag and takes the partition, with the election's CAS, the
+// first time it is free. Holding it, the caller combines the list, so
+// every entry published before the call (a Close barrier included) comes
+// first. Then it applies req in place, or folds the direct steps' tallies
+// (its own included) and runs fn, with no list entry, tallied as the
+// round of one it replaces, and releases and serves like any holder.
+// Past the spin it publishes that round of one on a pooled Batcher and
+// waits for it without spinning.
+func (h *Hybrid) call(p int, req hds.Request, fn func(s Store)) (res hds.Result) {
+	part := h.parts[p]
+	for i := 0; i < spinLoads; i++ {
+		if part.held.Load() || !part.held.CompareAndSwap(false, true) {
+			continue
+		}
+		part.combine()
+		part.steps++
+		if fn != nil {
+			part.fold()
+			fn(part.store)
+		} else if !part.refusing {
+			part.stepOps++
+			res = part.exec(req)
+		}
+		part.held.Store(false)
+		part.serve()
+		return res
+	}
 	b := h.calls.Get().(*Batcher)
 	b.op1[0], b.snap = req, fn
 	b.pending.Store(1)
-	h.parts[p].publish(&b.parts[p].entry)
+	part.publish(&b.parts[p].entry)
 	b.wait()
-	res := b.out1[0].Result
+	res = b.out1[0].Result
 	b.snap = nil
 	h.calls.Put(b)
 	return res
