@@ -37,7 +37,6 @@ import (
 
 	"hybrids/internal/admin"
 	"hybrids/internal/core"
-	"hybrids/internal/metrics"
 	"hybrids/internal/server"
 )
 
@@ -93,7 +92,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	reg := metrics.NewRegistry()
 	h := core.New(core.Config{Partitions: *partitions, KeyMax: *keyMax})
 	srv := server.New(h, server.Config{
 		Window:       *window,
@@ -102,7 +100,6 @@ func main() {
 		WriteTimeout: *writeTimeout,
 		SlowOp:       *slowOp,
 		SlowOpLog:    os.Stderr,
-		Metrics:      reg,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -1,6 +1,6 @@
 // Package admin is the HTTP management plane of the serving stack: a
-// separate listener (never the data-plane port) exposing the full
-// metrics registry as JSON and Prometheus text exposition format, live
+// separate listener (never the data-plane port) exposing every server
+// and core instrument as JSON and Prometheus text exposition format, live
 // configuration introspection and reconfiguration, and per-connection /
 // per-partition load introspection. It is the observability surface an
 // operator (or a Prometheus scraper) reaches without speaking the binary
@@ -13,7 +13,7 @@
 // path and is safe under the race detector. The plane stays functional
 // through and after a drain: the intended shutdown order is data-plane
 // Shutdown, then Hybrid.Close, and only then Close on the admin listener,
-// so the final folded counters remain scrapeable.
+// so the final counters remain scrapeable.
 package admin
 
 import (
@@ -136,7 +136,7 @@ func (a *Server) Close() error {
 }
 
 // export merges the server-plane and core-plane metric exports into one
-// namespace: every counter and histogram a hybridsd registry carries.
+// namespace: every counter and histogram the serving stack emits.
 func (a *Server) export() (metrics.Snapshot, []metrics.HistSnapshot) {
 	counters, hists := a.cfg.Server.ExportMetrics()
 	coreCounters, coreHists := a.cfg.Hybrid.ExportMetrics()
@@ -153,7 +153,7 @@ func (a *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "hybridsd management plane (docs/ADMIN.md)\n\n"+
 		"GET  /metrics       Prometheus text exposition\n"+
-		"GET  /metrics.json  full registry as JSON\n"+
+		"GET  /metrics.json  every metric as JSON\n"+
 		"GET  /config        live + static configuration\n"+
 		"POST /config        live reconfiguration (partial JSON)\n"+
 		"GET  /conns         per-connection introspection\n"+
@@ -161,7 +161,7 @@ func (a *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleProm serves the Prometheus text exposition of the merged
-// registry export.
+// metric export.
 func (a *Server) handleProm(w http.ResponseWriter, _ *http.Request) {
 	counters, hists := a.export()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -186,14 +186,14 @@ type jsonHist struct {
 type metricsDoc struct {
 	// Store is the configured engine name (omitted when unset).
 	Store string `json:"store,omitempty"`
-	// Counters maps registry counter name to value (histogram sum/count
+	// Counters maps counter name to value (histogram sum/count
 	// components excluded — see Histograms).
 	Counters metrics.Snapshot `json:"counters"`
-	// Histograms maps registry histogram name to its state.
+	// Histograms maps histogram name to its state.
 	Histograms map[string]jsonHist `json:"histograms"`
 }
 
-// handleMetricsJSON serves the merged registry export as JSON.
+// handleMetricsJSON serves the merged metric export as JSON.
 func (a *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 	counters, hists := a.export()
 	doc := metricsDoc{

@@ -16,7 +16,6 @@ import (
 
 	"hybrids/internal/admin"
 	"hybrids/internal/core"
-	"hybrids/internal/metrics"
 	"hybrids/internal/server"
 )
 
@@ -40,9 +39,6 @@ func newHarness(t *testing.T, cfg server.Config, hcfg core.Config) *harness {
 // newTokenHarness is newHarness with the admin plane's bearer token set.
 func newTokenHarness(t *testing.T, cfg server.Config, hcfg core.Config, token string) *harness {
 	t.Helper()
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	h := core.New(hcfg)
 	srv := server.New(h, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -627,7 +623,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 // still serves the final folded totals on every endpoint.
 func TestAdminSurvivesDrain(t *testing.T) {
 	h := core.New(core.Config{Partitions: 2, KeyMax: 1 << 12})
-	srv := server.New(h, server.Config{Window: 4, Metrics: metrics.NewRegistry()})
+	srv := server.New(h, server.Config{Window: 4})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

@@ -10,7 +10,6 @@ import (
 
 	"hybrids/internal/cds"
 	"hybrids/internal/hds"
-	"hybrids/internal/metrics"
 )
 
 // spread returns n read requests dealt round-robin over the partitions of
@@ -102,8 +101,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // round of one entry and one op, with nothing left on the list.
 func TestBatcherOneEntryPerPartition(t *testing.T) {
 	const partitions = 4
-	reg := metrics.NewRegistry()
-	h := New(Config{Partitions: partitions, KeyMax: 1 << 20, Metrics: reg})
+	h := New(Config{Partitions: partitions, KeyMax: 1 << 20})
 	defer h.Close()
 	release := holdPartition(h, 0, h.parts[0].queued)
 	b := h.NewBatcher(16)
@@ -124,7 +122,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	if len(b.wake) != 0 || b.pending.Load()&^parked != 0 {
 		t.Errorf("after the round: %d wake tokens left, count = %d; want none left, 0", len(b.wake), b.pending.Load()&^parked)
 	}
-	snap := folded(h, reg)
+	snap := folded(h)
 	get := func(p int, name string) uint64 { return snap.Get(fmt.Sprintf("core/p%d/%s", p, name)) }
 	var opsApplied uint64
 	for p := 0; p < partitions; p++ {
@@ -142,7 +140,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 		t.Errorf("core/p*/ops sum = %d, want %d", opsApplied, len(ops))
 	}
 	h.Get(ops[1].Key) // partition 1's key
-	after := folded(h, reg)
+	after := folded(h)
 	for _, name := range []string{"mailbox/count", "mailbox/sum", "batch/count", "batch/sum", "ops"} {
 		if d := after.Get("core/p1/"+name) - get(1, name); d != 1 {
 			t.Errorf("uncontended blocking call moved core/p1/%s by %d, want 1", name, d)

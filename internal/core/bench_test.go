@@ -159,11 +159,12 @@ func BenchmarkHybridApplyBatch16TwoCallers(b *testing.B) {
 
 // BenchmarkLenBesideBlockingCalls times a barrier beside blocking calls:
 // two goroutines keep 4 partitions busy with reads and updates while
-// each iteration runs one Len, and the median and p90 of those times are
-// reported. Each of Len's barriers spins for its free partition as a
-// blocking call does; one whose spin runs out parks, and at -cpu 2, where
-// both Ps run callers, its wake waits for one to be preempted (DESIGN
-// §5.5). At -cpu 1 it gives the spin's cost on one P.
+// each iteration runs one Len, and the median, p90, p99 and maximum of
+// those times are reported (at -benchtime 2000x the p99 has 20 samples
+// behind it, the maximum one). Each of Len's barriers spins for its free
+// partition as a blocking call does; one whose spin runs out parks, and
+// at -cpu 2, where both Ps run callers, its wake waits for one to be
+// preempted (DESIGN §5.5). At -cpu 1 it gives the spin's cost on one P.
 func BenchmarkLenBesideBlockingCalls(b *testing.B) {
 	h := benchMap(b, 4)
 	var stop atomic.Bool
@@ -194,4 +195,6 @@ func BenchmarkLenBesideBlockingCalls(b *testing.B) {
 	slices.Sort(ns)
 	b.ReportMetric(ns[len(ns)/2], "median-ns")
 	b.ReportMetric(ns[len(ns)*9/10], "p90-ns")
+	b.ReportMetric(ns[len(ns)*99/100], "p99-ns")
+	b.ReportMetric(ns[len(ns)-1], "max-ns")
 }

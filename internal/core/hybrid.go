@@ -74,16 +74,6 @@ type Config struct {
 	KeyMax uint64
 	// NewStore builds each partition's store; nil defaults to cds.NewBTree.
 	NewStore func(partition int) Store
-	// Metrics receives the runtime's per-partition instruments
-	// (core/p<i>/...); nil creates a private registry reachable through
-	// Hybrid.ExportMetrics. The registry is unsynchronized: each instrument
-	// is touched only by the partition's current holder, ordered by the
-	// holder flag, and a call that takes its free partition tallies itself
-	// on the partition, folded into the instruments before any barrier's
-	// closure runs. So read it through a barrier (ExportMetrics,
-	// PartitionStats), or after one has run on every partition since the
-	// last call (Len, Dump, Close).
-	Metrics *metrics.Registry
 }
 
 // KV is one key-value pair (Build input, Dump output).
@@ -151,10 +141,7 @@ func New(cfg Config) *Hybrid {
 	if cfg.NewStore == nil {
 		cfg.NewStore = func(int) Store { return cds.NewBTree() }
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	// span is ceil(KeyMax/Partitions), written so that it cannot wrap.
 	h := &Hybrid{
 		cfg:  cfg,

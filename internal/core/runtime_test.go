@@ -22,13 +22,13 @@ func opsApplied(h *Hybrid) (n uint64) {
 }
 
 // folded folds every partition's direct-step tallies, as a barrier does
-// before its closure, and snapshots reg without a barrier's own round.
-// Call it at quiescence.
-func folded(h *Hybrid, reg *metrics.Registry) metrics.Snapshot {
+// before its closure, and snapshots h's registry without a barrier's own
+// round. Call it at quiescence.
+func folded(h *Hybrid) metrics.Snapshot {
 	for _, part := range h.parts {
 		part.fold()
 	}
-	return reg.Snapshot()
+	return h.reg.Snapshot()
 }
 
 // TestHybridCloseDrainsPublished inserts a burst of keys, then races
@@ -249,8 +249,7 @@ func TestHybridBuildDump(t *testing.T) {
 // key order.
 func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
 	for _, keyMax := range []uint64{1 << 16, 1 << 62} {
-		reg := metrics.NewRegistry()
-		h := New(Config{Partitions: 4, KeyMax: keyMax, Metrics: reg})
+		h := New(Config{Partitions: 4, KeyMax: keyMax})
 		rng := prng.New(17)
 		first := map[uint64]uint64{}
 		pairs := make([]KV, 20000)
@@ -284,7 +283,7 @@ func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
 			}
 		}
 		var built, leafSplits uint64
-		snap := reg.Snapshot()
+		snap := folded(h)
 		for p := 0; p < 4; p++ {
 			built += snap.Get(fmt.Sprintf("core/p%d/built", p))
 			leafSplits += snap.Get(fmt.Sprintf("core/p%d/store/leaf_splits", p))
@@ -307,8 +306,7 @@ func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
 // read before Close, whose barriers are combine rounds too, with the
 // blocking calls' tallies folded in.
 func TestHybridMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := New(Config{Partitions: 2, KeyMax: 1 << 20, Metrics: reg})
+	h := New(Config{Partitions: 2, KeyMax: 1 << 20})
 	defer h.Close()
 	const n = 4000
 	for i := uint64(1); i <= n; i++ {
@@ -319,7 +317,7 @@ func TestHybridMetrics(t *testing.T) {
 		ops = append(ops, hds.Request{Kind: hds.Read, Key: i})
 	}
 	h.NewBatcher(8).Apply(ops, nil)
-	snap := folded(h, reg)
+	snap := folded(h)
 	var opsApplied, rounds, batchSum, leafSplits uint64
 	for p := 0; p < 2; p++ {
 		opsApplied += snap.Get(fmt.Sprintf("core/p%d/ops", p))

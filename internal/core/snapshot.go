@@ -40,8 +40,11 @@ type PartitionStats struct {
 
 // PartitionStats snapshots partition p in list order: the read runs
 // while holding p, after every operation published before it (the same
-// barrier Len and Dump use), which is also what makes it race-free —
-// only the holder writes the partition's instruments. Safe to call
+// barrier Len and Dump use), which is also what makes it race-free and
+// exact. The instruments are unsynchronized and only the holder writes
+// them; a call that takes its free partition tallies itself on the
+// partition, and a barrier folds those tallies in before its closure
+// reads. It and ExportMetrics are the only readers. Safe to call
 // concurrently with traffic and after Close.
 func (h *Hybrid) PartitionStats(p int) PartitionStats {
 	part := h.parts[p]
@@ -75,9 +78,10 @@ func (h *Hybrid) PartitionStats(p int) PartitionStats {
 // registry — counters (histogram sum/count components excluded) and
 // histograms with their shape buckets — partition by partition through
 // the barrier path, so each partition's values are read while holding
-// the partition and the export never races the data path. Partitions are
-// visited one after another, not atomically (the same contract as Len
-// and Scan). Safe during traffic and after Close.
+// the partition, with the direct calls' tallies folded in (the read rule
+// PartitionStats states), and the export never races the data path.
+// Partitions are visited one after another, not atomically (the same
+// contract as Len and Scan). Safe during traffic and after Close.
 func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 	names := h.reg.Names()
 	histNames := h.reg.HistNames()

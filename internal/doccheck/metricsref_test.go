@@ -48,36 +48,41 @@ func documentedKeys(t *testing.T) map[string]bool {
 	return keys
 }
 
-// emittedRegistryKeys instantiates every registry-backed subsystem and
-// collects the full set of keys they register: the serving stack as
-// hybridsd builds it (server/, core/p*/, core/p*/store/), and the
-// simulator with attribution and the offload runtime enabled (engine/,
-// mem/, attr/, offload/, offload/p*/). The returned histSet marks
-// histogram names, whose /sum and /count components are documented
-// implicitly.
+// emittedRegistryKeys instantiates every metric-emitting subsystem and
+// collects the full set of keys it emits: the serving stack as hybridsd
+// builds it, read through the admin plane's two sources (the server's and
+// the core's ExportMetrics: server/, core/p*/, core/p*/store/), and the
+// simulator's registry with attribution and the offload runtime enabled
+// (engine/, mem/, attr/, offload/, offload/p*/). The returned histSet
+// marks histogram names, whose /sum and /count components are
+// documented implicitly.
 func emittedRegistryKeys(t *testing.T) (names, histSet map[string]bool) {
 	t.Helper()
 	names, histSet = make(map[string]bool), make(map[string]bool)
-	collect := func(reg *metrics.Registry) {
-		for _, n := range reg.Names() {
+	export := func(counters metrics.Snapshot, hists []metrics.HistSnapshot) {
+		for n := range counters {
 			names[n] = true
 		}
-		for _, n := range reg.HistNames() {
-			histSet[n] = true
+		for _, hs := range hists {
+			names[hs.Name], histSet[hs.Name] = true, true
 		}
 	}
 
-	reg := metrics.NewRegistry()
-	h := core.New(core.Config{Partitions: 2, KeyMax: 1 << 10, Metrics: reg})
-	server.New(h, server.Config{Metrics: reg})
-	collect(reg)
+	h := core.New(core.Config{Partitions: 2, KeyMax: 1 << 10})
+	export(server.New(h, server.Config{}).ExportMetrics())
+	export(h.ExportMetrics())
 	h.Close()
 
 	cfg := machine.Default()
 	m := machine.New(cfg)
 	m.EnableAttribution()
 	offload.New(m, 2)
-	collect(m.Metrics)
+	for _, n := range m.Metrics.Names() {
+		names[n] = true
+	}
+	for _, n := range m.Metrics.HistNames() {
+		histSet[n] = true
+	}
 	return names, histSet
 }
 

@@ -3,6 +3,7 @@ package doccheck
 import (
 	"errors"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -76,6 +77,23 @@ var rules = []rule{
 		check:   once(files{globs: []string{"internal/server/*.go"}}, `"server/[^"]*"`),
 		reason:  "server/ names spelled more than once in internal/server",
 		violate: map[string]string{"internal/server/server.go": "package server\n\nconst requests = \"server/requests\"\n"},
+	},
+	// Each serving layer owns its instruments and is read only through its
+	// ExportMetrics (DESIGN §5.5): the server counts in connStats cells,
+	// and the core's registry is private, exact only through a barrier. A
+	// registry instrument in the server, or a registry handed to the core
+	// to be read raw, is a second owner again.
+	{
+		name:    "serving-instruments-one-owner/server",
+		check:   grep(files{globs: []string{"internal/server/*.go"}}, `\*metrics\.(Registry|Counter|Histogram)\b|metrics\.NewRegistry`),
+		reason:  "internal/server must count in its own connStats cells, not in a metrics registry",
+		violate: map[string]string{"internal/server/server.go": "package server\n\ntype Server struct{ hBatch *metrics.Histogram }\n"},
+	},
+	{
+		name:    "serving-instruments-one-owner/core-config",
+		check:   noField(files{globs: []string{"internal/core/*.go"}}, "Config", "Metrics"),
+		reason:  "core.Config must not take a Metrics registry: read the core through ExportMetrics",
+		violate: map[string]string{"internal/core/hybrid.go": "package core\n\ntype Config struct {\n\tPartitions int\n\tMetrics    *metrics.Registry\n}\n"},
 	},
 	// mem/ counters are read from the registry by name; a struct view
 	// repeats every counter again. Test files count too.
@@ -384,6 +402,45 @@ func once(set files, pattern string) func(tree) ([]string, error) {
 		}
 		sort.Strings(dups)
 		return dups, err
+	}
+}
+
+// noField reports every field named field of a struct type typ declared
+// in set.
+func noField(set files, typ, field string) func(tree) ([]string, error) {
+	return func(t tree) ([]string, error) {
+		paths, err := set.list(t)
+		if err != nil {
+			return nil, err
+		}
+		var bad []string
+		for _, p := range paths {
+			src, err := fs.ReadFile(t, p)
+			if err != nil {
+				return nil, err
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), p, src, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.Name == typ {
+					for _, fl := range st.Fields.List {
+						for _, name := range fl.Names {
+							if name.Name == field {
+								bad = append(bad, fmt.Sprintf("%s: %s.%s", p, typ, field))
+							}
+						}
+					}
+				}
+				return false
+			})
+		}
+		return bad, nil
 	}
 }
 

@@ -10,13 +10,12 @@
 // A Registry is intended for single-goroutine use (the engine runs exactly
 // one actor at a time); it is not synchronized.
 //
-// Concurrent layers (the serving data plane) do not touch registry
-// instruments on their hot paths at all: each connection accumulates into
-// Local cells — single-writer atomics it owns — and folds the totals into
-// the shared registry only when it retires (Counter.Add plus
-// Histogram.Fold). A snapshotter that wants a live view sums the registry
-// base with Local.Load over the live owners; the fold API keeps the two
-// layers consistent without a lock anywhere near the data path.
+// The serving data plane keeps no registry at all: each connection
+// accumulates into Local cells — single-writer atomics it owns — and the
+// server adds a retiring connection's cells into cells of its own. A
+// snapshotter that wants a live view sums the server's cells with
+// Local.Load over the live owners, with no lock anywhere near the data
+// path.
 package metrics
 
 import (
@@ -40,8 +39,8 @@ func (c *Counter) Value() uint64 { return c.v }
 
 // NumBuckets is the number of shape buckets a Histogram keeps: one per
 // possible uint64 bit length (bucket 0 counts zero samples). Local
-// accumulators that are folded with Histogram.Fold size their bucket
-// arrays with it.
+// accumulators that bucket samples with BucketIndex size their bucket
+// arrays with it, so their shape exports as a HistSnapshot.
 const NumBuckets = 65
 
 // Histogram accumulates a distribution of uint64 samples: total sum and
@@ -72,23 +71,6 @@ func (h *Histogram) Sum() uint64 { return h.sum.Value() }
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.count.Value() }
 
-// Bucket returns the count of samples with bit-length i (i.e. in
-// [2^(i-1), 2^i) for i>0; bucket 0 counts zero samples).
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Fold adds a locally accumulated distribution into the histogram: sum
-// and count go to the backing counters, buckets element-wise into the
-// shape buckets. Owners of Local accumulators call it once when they
-// retire, so a distribution observed off-registry (e.g. per-connection)
-// lands in the registry exactly as if every sample had been Observed.
-func (h *Histogram) Fold(sum, count uint64, buckets *[NumBuckets]uint64) {
-	h.sum.Add(sum)
-	h.count.Add(count)
-	for i, b := range buckets {
-		h.buckets[i] += b
-	}
-}
-
 // BucketIndex returns the bucket a sample falls in (its bit length), so
 // local accumulators can bucket samples exactly as Observe would.
 func BucketIndex(v uint64) int { return bits.Len64(v) }
@@ -96,10 +78,10 @@ func BucketIndex(v uint64) int { return bits.Len64(v) }
 // Local is a single-writer counter cell for hot-path accumulation
 // outside the registry: exactly one goroutine increments it, while any
 // goroutine may Load a consistent snapshot concurrently. It is the
-// building block for per-connection (or per-core) metric accumulators
-// that fold into shared registry Counters only when the owner retires —
-// the data path then performs no shared-memory read-modify-write beyond
-// its own cacheline.
+// building block for per-connection metric accumulators, added into
+// their owner's cells only when the connection retires — the data path
+// then performs no shared-memory read-modify-write beyond its own
+// cacheline.
 type Local struct{ v atomic.Uint64 }
 
 // Inc adds one to the cell.

@@ -19,10 +19,9 @@ import (
 // burst crosses in one write, so the server's reader sees it buffered
 // and slices it purely by window size and batch boundaries.
 func TestServerMixedPipelineBatches(t *testing.T) {
-	reg := metrics.NewRegistry()
 	h := core.New(core.Config{Partitions: 4, KeyMax: 1 << 16})
 	defer h.Close()
-	s := New(h, Config{Window: 8, Metrics: reg})
+	s := New(h, Config{Window: 8})
 	sc, cc := net.Pipe()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve(newOneConnListener(sc)) }()
@@ -99,20 +98,20 @@ func TestServerMixedPipelineBatches(t *testing.T) {
 		}
 	}
 
-	// Drain so the connection folds its histogram into the registry,
-	// then check the exact batch decomposition.
+	// Drain so the connection's histogram is added into the server's
+	// base, then check the exact batch decomposition.
 	s.Shutdown()
 	if err := <-serveDone; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	hb := reg.Histogram("server/batch")
-	if hb.Sum() != 23 || hb.Count() != 4 {
-		t.Fatalf("batch histogram sum/count = %d/%d, want 23/4", hb.Sum(), hb.Count())
+	hb := batchHistOf(s)
+	if hb.Sum != 23 || hb.Count != 4 {
+		t.Fatalf("batch histogram sum/count = %d/%d, want 23/4", hb.Sum, hb.Count)
 	}
 	// Batch sizes 8,3,4,8 land in bit-length buckets 4,2,3,4.
 	wantBuckets := map[int]uint64{2: 1, 3: 1, 4: 2}
 	for i := 0; i < metrics.NumBuckets; i++ {
-		if got := hb.Bucket(i); got != wantBuckets[i] {
+		if got := hb.Buckets[i]; got != wantBuckets[i] {
 			t.Errorf("batch bucket %d = %d, want %d", i, got, wantBuckets[i])
 		}
 	}
@@ -156,20 +155,25 @@ func TestClientSentListBounded(t *testing.T) {
 	}
 }
 
+// batchHistOf reads the server/batch histogram through ExportMetrics,
+// the way the management plane does.
+func batchHistOf(s *Server) metrics.HistSnapshot {
+	_, hists := s.ExportMetrics()
+	return hists[0]
+}
+
 // pipeServer serves one net.Pipe connection: the whole burst a Pipeline
 // call writes crosses in one write, so the server coalesces it purely by
 // window size and batch boundaries. stop shuts the server down, which
-// folds the connection's batch histogram into reg.
-func pipeServer(t *testing.T, cfg Config, h *core.Hybrid) (cl *Client, reg *metrics.Registry, stop func()) {
+// adds the connection's batch histogram into the server's base.
+func pipeServer(t *testing.T, cfg Config, h *core.Hybrid) (cl *Client, s *Server, stop func()) {
 	t.Helper()
-	reg = metrics.NewRegistry()
-	cfg.Metrics = reg
-	s := New(h, cfg)
+	s = New(h, cfg)
 	sc, cc := net.Pipe()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve(newOneConnListener(sc)) }()
 	cl = NewClient(cc)
-	return cl, reg, func() {
+	return cl, s, func() {
 		cl.Close()
 		s.Shutdown()
 		if err := <-serveDone; err != nil {
@@ -187,7 +191,7 @@ func TestServerScanPipelineOrder(t *testing.T) {
 	defer h.Close()
 	const span = 1 << 11
 	h.Build([]core.KV{{Key: span - 2, Value: 1}, {Key: span - 1, Value: 2}})
-	cl, reg, stop := pipeServer(t, Config{Window: 16}, h)
+	cl, s, stop := pipeServer(t, Config{Window: 16}, h)
 	resps, err := cl.Pipeline([]Request{
 		{Op: OpPut, Key: span + 1, Value: 3},
 		{Op: OpScan, Key: span - 2, Value: 10},
@@ -204,8 +208,8 @@ func TestServerScanPipelineOrder(t *testing.T) {
 		t.Fatalf("SCAN -> status %d, pairs %v; want OK, %v", resps[1].Status, resps[1].Pairs, want)
 	}
 	stop()
-	if hb := reg.Histogram("server/batch"); hb.Count() != 1 || hb.Sum() != 4 {
-		t.Errorf("batch histogram sum/count = %d/%d, want 4/1: the SCAN shares the writes' window", hb.Sum(), hb.Count())
+	if hb := batchHistOf(s); hb.Count != 1 || hb.Sum != 4 {
+		t.Errorf("batch histogram sum/count = %d/%d, want 4/1: the SCAN shares the writes' window", hb.Sum, hb.Count)
 	}
 }
 
@@ -227,7 +231,7 @@ func TestServerScanWindowPairCap(t *testing.T) {
 		{flushBytes / 16, 16, 1},
 		{2 * flushBytes / 16, 16, 1},
 	} {
-		cl, reg, stop := pipeServer(t, Config{Window: 16, ScanLimit: tc.limit}, h)
+		cl, s, stop := pipeServer(t, Config{Window: 16, ScanLimit: tc.limit}, h)
 		reqs := make([]Request, 16)
 		for i := range reqs {
 			reqs[i] = Request{Op: OpScan, Key: uint64(i)*64 + 1, Value: uint64(tc.limit)}
@@ -243,9 +247,9 @@ func TestServerScanWindowPairCap(t *testing.T) {
 			PutPairs(r.Pairs)
 		}
 		stop()
-		hb := reg.Histogram("server/batch")
-		if hb.Count() != uint64(tc.batches) || hb.Sum() != 16 || hb.Bucket(bits.Len(uint(tc.size))) != uint64(tc.batches) {
-			t.Errorf("limit %d: %d windows summing to %d, want %d windows of %d", tc.limit, hb.Count(), hb.Sum(), tc.batches, tc.size)
+		hb := batchHistOf(s)
+		if hb.Count != uint64(tc.batches) || hb.Sum != 16 || hb.Buckets[bits.Len(uint(tc.size))] != uint64(tc.batches) {
+			t.Errorf("limit %d: %d windows summing to %d, want %d windows of %d", tc.limit, hb.Count, hb.Sum, tc.batches, tc.size)
 		}
 	}
 }
@@ -262,7 +266,7 @@ func TestServerRoundPerFlush(t *testing.T) {
 		reqs[i] = Request{Op: OpGet, Key: uint64(i)*1000 + 1}
 	}
 	for _, tc := range []struct{ window, applies int }{{0, 1}, {16, 4}} {
-		cl, reg, stop := pipeServer(t, Config{Window: tc.window}, h)
+		cl, s, stop := pipeServer(t, Config{Window: tc.window}, h)
 		// Send only buffers; the first Recv writes all 64 frames at once.
 		if err := cl.Send(reqs...); err != nil {
 			t.Fatalf("window %d: send: %v", tc.window, err)
@@ -273,8 +277,8 @@ func TestServerRoundPerFlush(t *testing.T) {
 			}
 		}
 		stop()
-		if hb := reg.Histogram("server/batch"); hb.Count() != uint64(tc.applies) || hb.Sum() != n {
-			t.Errorf("window %d: %d Batcher.Apply calls serving %d requests, want %d serving %d", tc.window, hb.Count(), hb.Sum(), tc.applies, n)
+		if hb := batchHistOf(s); hb.Count != uint64(tc.applies) || hb.Sum != n {
+			t.Errorf("window %d: %d Batcher.Apply calls serving %d requests, want %d serving %d", tc.window, hb.Count, hb.Sum, tc.applies, n)
 		}
 	}
 }

@@ -29,7 +29,7 @@ import (
 
 // Protocol operation codes (the request frame's op byte). The five data
 // operations map 1:1 onto hds.Kind; OpStats is served by the server
-// itself from its metrics registry.
+// itself from its own counters.
 const (
 	OpGet    uint8 = 1 // hds.Read: value lookup
 	OpPut    uint8 = 2 // hds.Insert: insert if absent

@@ -42,13 +42,6 @@ type Config struct {
 	// requested count is clamped to it), bounding response frames and the
 	// time a scan barrier occupies combiners. Defaults to 1024.
 	ScanLimit int
-	// Metrics receives the server's instruments (server/...); nil creates
-	// a private registry. Connections accumulate per-op counts in their
-	// own atomic cells and fold them into these instruments under the
-	// server's mutex when they close; a STATS
-	// snapshot sums the folded base with the live connections' cells, so
-	// the data path itself never takes the mutex.
-	Metrics *metrics.Registry
 	// SlowOp is the initial slow-operation logging threshold: a served
 	// batch whose wall-clock time reaches it emits one structured JSON
 	// line to SlowOpLog (schema: docs/ADMIN.md). 0 disables sampling —
@@ -80,21 +73,19 @@ type Server struct {
 	// mu).
 	logMu sync.Mutex
 
-	// mu guards the connection set, the lifecycle state and the folded
-	// base values of the server/ instruments (the registry itself is
-	// unsynchronized). The per-operation data path never takes it:
-	// connections accumulate into their own connStats cells and fold
-	// under mu only when they close.
+	// mu guards the connection set, the lifecycle state and base. The
+	// per-operation data path never takes it: connections accumulate
+	// into their own connStats cells, added into base under mu only when
+	// they close.
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[*conn]struct{}
 	draining bool
 	wg       sync.WaitGroup // one per live connection
 
-	// counters holds each stat's registry counter: the base folded from
-	// closed connections, plus the server's own counts.
-	counters [numStats]*metrics.Counter
-	hBatch   *metrics.Histogram
+	// base holds the closed connections' cells, plus the server's own
+	// counts (connections and the config epoch).
+	base connStats
 }
 
 // New returns a server over h. The hybrid map must outlive the server
@@ -112,22 +103,8 @@ func New(h *core.Hybrid, cfg Config) *Server {
 	if cfg.ScanLimit <= 0 {
 		cfg.ScanLimit = 1024
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	s := &Server{
-		h:      h,
-		cfg:    cfg,
-		conns:  make(map[*conn]struct{}),
-		hBatch: reg.Histogram(batchHist),
-	}
+	s := &Server{h: h, cfg: cfg, conns: make(map[*conn]struct{})}
 	s.tun.Store(&tun)
-	// Registration is idempotent, so the batch sum and count stats are
-	// the histogram's own backing counters.
-	for i, name := range statNames {
-		s.counters[i] = reg.Counter(name)
-	}
 	return s
 }
 
@@ -157,7 +134,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		tun := s.tun.Load()
 		s.mu.Lock()
 		if s.draining || (tun.MaxConns > 0 && len(s.conns) >= tun.MaxConns) {
-			s.counters[statConnsRefused].Inc()
+			s.base.cells[statConnsRefused].Inc()
 			s.mu.Unlock()
 			nc.Close()
 			continue
@@ -172,7 +149,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			stop:    make(chan struct{}),
 		}
 		s.conns[c] = struct{}{}
-		s.counters[statConnsAccepted].Inc()
+		s.base.cells[statConnsAccepted].Inc()
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go c.run()
@@ -213,25 +190,20 @@ func (s *Server) Shutdown() {
 	s.wg.Wait()
 }
 
-// connClosed deregisters a finished connection: its locally accumulated
-// metrics fold into the registry base under the server mutex (the only
-// place the mutex and per-op counts ever meet). Called by the
-// connection's own goroutine on its way out, so every cell is final.
+// connClosed deregisters a finished connection: its cells are added
+// into base under the server mutex (the only place the mutex and per-op
+// counts ever meet). Called by the connection's own goroutine on its way
+// out, so every cell is final.
 func (s *Server) connClosed(c *conn) {
-	st := &c.stats
 	s.mu.Lock()
 	delete(s.conns, c)
-	s.counters[statConnsClosed].Inc()
-	for i, ctr := range s.counters {
-		ctr.Add(st.cells[i].Load())
+	s.base.cells[statConnsClosed].Inc()
+	for i := range s.base.cells {
+		s.base.cells[i].Add(c.stats.cells[i].Load())
 	}
-	// The batch sum and count are stats, folded above; only the shape is
-	// left.
-	var buckets [metrics.NumBuckets]uint64
-	for i := range st.batchBuckets {
-		buckets[i] = st.batchBuckets[i].Load()
+	for i := range s.base.batchBuckets {
+		s.base.batchBuckets[i].Add(c.stats.batchBuckets[i].Load())
 	}
-	s.hBatch.Fold(0, 0, &buckets)
 	s.mu.Unlock()
 	s.wg.Done()
 }
@@ -244,10 +216,10 @@ func (s *Server) StatsText() []byte {
 	return s.statsLocked()
 }
 
-// liveLocked sums one stat's registry base with every open connection's
+// liveLocked sums one stat's base cell with every open connection's
 // cell; callers hold s.mu.
 func (s *Server) liveLocked(i stat) uint64 {
-	v := s.counters[i].Value()
+	v := s.base.cells[i].Load()
 	for c := range s.conns {
 		v += c.stats.cells[i].Load()
 	}
@@ -255,7 +227,7 @@ func (s *Server) liveLocked(i stat) uint64 {
 }
 
 // statsLocked builds the STATS payload; callers hold s.mu. Each counter
-// is the folded registry base plus the live connections' local cells
+// is the base cell plus the live connections' local cells
 // (single-writer atomics, safe to Load concurrently) — so the snapshot
 // reflects in-flight traffic without the data path ever taking the
 // mutex. The core runtime's combiner-owned counters are consistent only
@@ -276,9 +248,9 @@ func (s *Server) Store() string { return s.cfg.Store }
 
 // ExportMetrics captures every server/ instrument live: the counter map
 // (histogram sum/count components excluded) and the server/batch
-// histogram, each the folded registry base plus a sum over the open
-// connections' cells. It is the management plane's scrape hook — safe to
-// call at any time, including while serving and after Shutdown.
+// histogram, each the base cells plus a sum over the open connections'
+// cells. It is the management plane's scrape hook — safe to call at any
+// time, including while serving and after Shutdown.
 func (s *Server) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -295,10 +267,10 @@ func (s *Server) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 			counters[name] = v
 		}
 	}
-	// Histogram shape: registry base (folds happen under s.mu, so the
-	// read is consistent) plus the live connections' atomic bucket cells.
+	// Histogram shape: base (added to under s.mu, so the read is
+	// consistent) plus the live connections' atomic bucket cells.
 	for i := range batch.Buckets {
-		batch.Buckets[i] = s.hBatch.Bucket(i)
+		batch.Buckets[i] = s.base.batchBuckets[i].Load()
 		for c := range s.conns {
 			batch.Buckets[i] += c.stats.batchBuckets[i].Load()
 		}

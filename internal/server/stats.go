@@ -2,11 +2,11 @@ package server
 
 import "hybrids/internal/metrics"
 
-// stat indexes the server's counters. Each stat is one registry counter,
-// one cell per connection and one serve-call tally, and every view loops
-// over or indexes that one table: STATS, ExportMetrics, the close-time
-// fold and ConnsInfo. The stats are declared in name order, so STATS
-// lists them as declared.
+// stat indexes the server's counters. Each stat is one cell of the
+// server's base, one cell per connection and one serve-call tally, and
+// every view loops over or indexes that one table: STATS, ExportMetrics,
+// the close-time add and ConnsInfo. The stats are declared in name
+// order, so STATS lists them as declared.
 type stat uint8
 
 const (
@@ -36,7 +36,7 @@ const (
 // are the statBatchSum and statBatchCount counters.
 const batchHist = "server/batch"
 
-// statNames is the registry name of each stat.
+// statNames is the exported name of each stat.
 var statNames = [numStats]string{
 	statBadRequests:   "server/bad_requests",
 	statBatchCount:    batchHist + "/count",
@@ -67,14 +67,14 @@ var opStat = [OpStats + 1]stat{
 
 // connStats is a connection's metric accumulators: atomic cells only the
 // connection's goroutine writes, which the hot path bumps instead of
-// taking the server mutex. Totals are folded into the server's registry
-// when the connection closes; a live snapshot sums the registry base with
-// Load over every open connection. The stats the server counts itself
-// (connections and the config epoch) keep their cells at zero.
+// taking the server mutex. The server's base is one more: a closing
+// connection's totals are added into it, and the stats the server counts
+// itself (connections and the config epoch) are counted only there. A
+// live snapshot sums base with Load over every open connection.
 type connStats struct {
 	cells [numStats]metrics.Local
 	// batchBuckets shapes the batch-size histogram: Local cells (one Inc
-	// per coalesced batch) so the management plane can fold a live
+	// per coalesced batch) so the management plane can sum a live
 	// histogram across open connections without racing the data path.
 	batchBuckets [metrics.NumBuckets]metrics.Local
 }

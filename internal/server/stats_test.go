@@ -31,16 +31,28 @@ func connCounters(ci ConnInfo) map[string]uint64 {
 	return m
 }
 
+// exported merges ExportMetrics' counters with the server/batch
+// histogram's sum and count, so it holds every stat by name.
+func exported(t *testing.T, s *Server) (map[string]uint64, metrics.HistSnapshot) {
+	t.Helper()
+	counters, hists := s.ExportMetrics()
+	if len(hists) != 1 || hists[0].Name != "server/batch" {
+		t.Fatalf("ExportMetrics histograms = %+v, want server/batch alone", hists)
+	}
+	counters["server/batch/sum"], counters["server/batch/count"] = hists[0].Sum, hists[0].Count
+	return counters, hists[0]
+}
+
 // TestCounterViewsAgree drives a fixed mixed sequence over two
 // connections, closes one, and requires every server/ counter to read the
-// same in each of its views: STATS (every registered counter, in name
-// order), ExportMetrics, the folded registry base plus the open
-// connection's /conns values, and the registry after Shutdown.
+// same in each of its views: STATS (every stat, in name order),
+// ExportMetrics, the server's base cells (the closed connection's
+// counts added in) plus the open connection's /conns values, and
+// ExportMetrics after Shutdown.
 func TestCounterViewsAgree(t *testing.T) {
-	reg := metrics.NewRegistry()
 	// A 1ns threshold makes every batch slow, so server/slow_ops moves;
 	// with no log writer nothing is written.
-	s, _, addr := newTestServer(t, Config{Window: 4, SlowOp: time.Nanosecond, Metrics: reg},
+	s, _, addr := newTestServer(t, Config{Window: 4, SlowOp: time.Nanosecond},
 		core.Config{Partitions: 4, KeyMax: 1 << 16})
 	seq := func(base uint64) []Request {
 		var reqs []Request
@@ -77,8 +89,8 @@ func TestCounterViewsAgree(t *testing.T) {
 	}
 	clients[0].Close()
 
-	// The closed connection folds on its way out, and a response is
-	// counted after its write returns: wait for both.
+	// The closed connection's cells are added into base on its way out,
+	// and a response is counted after its write returns: wait for both.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		c, _ := s.ExportMetrics()
 		if c["server/conns_closed"] == 1 && c["server/responses"] == uint64(sent) {
@@ -89,11 +101,9 @@ func TestCounterViewsAgree(t *testing.T) {
 		}
 	}
 
-	var names []string
-	for _, n := range reg.Names() {
-		if strings.HasPrefix(n, "server/") {
-			names = append(names, n)
-		}
+	names := statNames[:]
+	if !slices.IsSorted(names) {
+		t.Fatalf("stats are not declared in name order: %v", names)
 	}
 	var statsNames []string
 	stats := make(map[string]uint64)
@@ -107,26 +117,22 @@ func TestCounterViewsAgree(t *testing.T) {
 		stats[name] = v
 	}
 	if !slices.Equal(statsNames, names) {
-		t.Fatalf("STATS lists\n  %v\nthe registry holds, in name order,\n  %v", statsNames, names)
+		t.Fatalf("STATS lists\n  %v\nthe stats are, in name order,\n  %v", statsNames, names)
 	}
 
-	exported, hists := s.ExportMetrics()
-	if len(hists) != 1 || hists[0].Name != "server/batch" {
-		t.Fatalf("ExportMetrics histograms = %+v, want server/batch alone", hists)
-	}
-	exported["server/batch/sum"], exported["server/batch/count"] = hists[0].Sum, hists[0].Count
+	exports, hist := exported(t, s)
 	conns := s.ConnsInfo()
 	if len(conns) != 1 {
 		t.Fatalf("%d connections open, want 1", len(conns))
 	}
 	live := connCounters(conns[0])
-	for _, name := range names {
-		c, _ := reg.LookupCounter(name)
-		if got := c.Value() + live[name]; got != stats[name] {
-			t.Errorf("%s: folded base %d + /conns %d = %d, STATS %d", name, c.Value(), live[name], got, stats[name])
+	for i, name := range names {
+		base := s.base.cells[i].Load()
+		if got := base + live[name]; got != stats[name] {
+			t.Errorf("%s: base %d + /conns %d = %d, STATS %d", name, base, live[name], got, stats[name])
 		}
-		if exported[name] != stats[name] {
-			t.Errorf("%s: ExportMetrics %d, STATS %d", name, exported[name], stats[name])
+		if exports[name] != stats[name] {
+			t.Errorf("%s: ExportMetrics %d, STATS %d", name, exports[name], stats[name])
 		}
 	}
 	for name, want := range map[string]uint64{
@@ -142,15 +148,16 @@ func TestCounterViewsAgree(t *testing.T) {
 	}
 
 	// Shutdown closes the open connection: one more close, and every
-	// other counter and the histogram's shape fold unchanged.
+	// other counter and the histogram's shape are added in unchanged.
 	s.Shutdown()
 	stats["server/conns_closed"]++
+	after, afterHist := exported(t, s)
 	for _, name := range names {
-		if c, _ := reg.LookupCounter(name); c.Value() != stats[name] {
-			t.Errorf("%s after Shutdown: registry %d, want %d", name, c.Value(), stats[name])
+		if after[name] != stats[name] {
+			t.Errorf("%s after Shutdown: ExportMetrics %d, want %d", name, after[name], stats[name])
 		}
 	}
-	if got := reg.Histogram("server/batch").Snapshot(); got != hists[0] {
-		t.Errorf("server/batch after Shutdown = %+v, ExportMetrics had %+v", got, hists[0])
+	if afterHist != hist {
+		t.Errorf("server/batch after Shutdown = %+v, before it %+v", afterHist, hist)
 	}
 }

@@ -80,14 +80,14 @@ func (s *Server) Tunables() Tunables {
 // WriteTimeout. New connections pick the values up immediately; existing
 // connections keep the tunables they captured at accept. On success the
 // server/config_epoch counter increments (under the server mutex, like
-// every registry fold), so scrapers can tell republishes apart.
+// every write to base), so scrapers can tell republishes apart.
 func (s *Server) SetTunables(t Tunables) error {
 	if _, err := t.normalize(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.tun.Store(&t)
-	s.counters[statConfigEpoch].Inc()
+	s.base.cells[statConfigEpoch].Inc()
 	s.mu.Unlock()
 	return nil
 }
