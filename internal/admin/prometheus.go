@@ -56,7 +56,7 @@ func writeProm(w io.Writer, store string, counters metrics.Snapshot, hists []met
 	sort.Strings(names)
 	for _, name := range names {
 		pn := promName(name)
-		fmt.Fprintf(w, "# HELP %s Registry counter %s (docs/METRICS.md).\n", pn, name)
+		fmt.Fprintf(w, "# HELP %s Counter %s (docs/METRICS.md).\n", pn, name)
 		fmt.Fprintf(w, "# TYPE %s counter\n", pn)
 		fmt.Fprintf(w, "%s %d\n", pn, counters[name])
 	}
@@ -65,12 +65,12 @@ func writeProm(w io.Writer, store string, counters metrics.Snapshot, hists []met
 	}
 }
 
-// writePromHist writes one registry histogram as a Prometheus histogram
+// writePromHist writes one histogram as a Prometheus histogram
 // family: cumulative le buckets at the power-of-two edges (trimmed to
 // the highest populated bucket), +Inf, then _sum and _count.
 func writePromHist(w io.Writer, h metrics.HistSnapshot) {
 	pn := promName(h.Name)
-	fmt.Fprintf(w, "# HELP %s Registry histogram %s (docs/METRICS.md).\n", pn, h.Name)
+	fmt.Fprintf(w, "# HELP %s Histogram %s (docs/METRICS.md).\n", pn, h.Name)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
 	hi := len(h.Buckets)
 	for hi > 0 && h.Buckets[hi-1] == 0 {

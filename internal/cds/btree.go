@@ -37,7 +37,8 @@ type btInner struct {
 // each partition, and is usable standalone as an ordered map. Methods are
 // not safe for concurrent use.
 type BTree struct {
-	// Read by every operation, written only by a split or the first Get.
+	// Read by every operation, written only by a split, the first Get or
+	// a window that resizes the table.
 	leaves arena[leaf]
 	inners arena[btInner]
 	root   uint32 // a leaf index at height 1, else an inner index
@@ -69,9 +70,10 @@ func (t *BTree) Instrument(reg *metrics.Registry, prefix string) {
 	t.cRootGrowths = reg.Counter(prefix + "/root_growths")
 }
 
-// NewBTree returns an empty tree.
+// NewBTree returns an empty tree. It starts at a window's end, so its
+// first Get makes the hot-pair table (hot.go).
 func NewBTree() *BTree {
-	t := &BTree{height: 1}
+	t := &BTree{height: 1, probes: hotWindow}
 	t.root = t.leaves.alloc() // index nilNode: the head of the leaf chain
 	return t
 }
@@ -175,12 +177,13 @@ func (t *BTree) put(key, value uint64) bool {
 	}
 	// With tail set every node on the path is the last child of its
 	// parent.
+	base := hotSlots(t.leaves.n)
 	rx, tail := splitLeaf(&t.leaves, l, pos, key, value)
 	if t.leaves.at(rx).next == nilNode {
 		t.last = rx
 	}
-	if t.hot != nil && len(t.hot) < hotSlots(t.leaves.n) {
-		t.hot = make([]hotPair, hotSlots(t.leaves.n)) // the leaves outgrew the table
+	if grown := hotSlots(t.leaves.n); t.hot != nil && grown > base {
+		t.hot = make([]hotPair, len(t.hot)/base*grown) // the leaves outgrew the table: anew, as big, empty
 	}
 	inc(t.cLeafSplits)
 	t.insertUp(&path, l.keys[l.n-1], rx, tail)

@@ -69,7 +69,9 @@ func TestHotTableSmallTreesMatchMap(t *testing.T) {
 // no Put makes it, the first Get does, at one slot per hotPer pairs of
 // leaf room rounded to the nearest power of two, and the leaf split that
 // takes the room to 1.5 times what the table was sized for makes it anew,
-// twice as large and empty.
+// twice as large and empty. A window that hits half its probes makes it
+// 8 times that, and the split that doubles the base size again makes the
+// big table anew, 8 times the new base and empty.
 func TestHotTableSizing(t *testing.T) {
 	bt := NewBTree()
 	const loaded = 1 << 14
@@ -102,6 +104,117 @@ func TestHotTableSizing(t *testing.T) {
 	if err := bt.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	base := len(bt.hot)
+	bt.probes, bt.hits = hotWindow, hotWindow/2
+	bt.Get(7)
+	if len(bt.hot) != 8*base || *bt.hotAt(7) != (hotPair{7, 7}) {
+		t.Fatalf("a window of half hits left %d slots, want %d, with key 7 installed", len(bt.hot), 8*base)
+	}
+	for k := uint64(bt.Len() + 1); len(bt.hot) == 8*base; k++ {
+		bt.Put(k, k)
+	}
+	if room := bt.leaves.n * leafMax; room < 3*loaded || room >= 3*loaded+leafMax || len(bt.hot) != 16*base {
+		t.Fatalf("the big table regrew to %d slots at %d pairs of leaf room, want %d at %d", len(bt.hot), room, 16*base, 3*loaded)
+	}
+	for _, h := range bt.hot {
+		if h != (hotPair{}) {
+			t.Fatal("a regrown big table is not empty")
+		}
+	}
+	if err := bt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHotTableGrowsUnderSkew drives the table's size against a map over a
+// tree of 2^14 pairs. A window of skewed Gets, 9 in 10 over 256 hot keys,
+// hits far above half, so the next Get finds the table 8 times its base
+// size, and every pair the base table held still hits there. A window of
+// uniform Gets hits below half at that size (about 43 %) and makes the
+// table base again, empty; one a quarter skewed, between 1/8 and half,
+// leaves it at base and on; and uniform Gets switch it off. Every Get is
+// checked against the map, and the invariants after each phase.
+func TestHotTableGrowsUnderSkew(t *testing.T) {
+	const n = 1 << 14
+	bt := NewBTree()
+	oracle := map[uint64]uint64{}
+	for k := uint64(1); k <= n; k++ {
+		bt.Put(k, k*3)
+		oracle[k] = k * 3
+	}
+	rng := prng.New(31)
+	uniform := func() uint64 { return uint64(rng.Intn(n)) + 1 }
+	hot := func() uint64 { return uint64(rng.Intn(256))*61 + 1 }
+	get := func(k uint64) {
+		t.Helper()
+		wv, exists := oracle[k]
+		if v, ok := bt.Get(k); ok != exists || v != wv {
+			t.Fatalf("Get(%d) = (%d,%v), want (%d,%v)", k, v, ok, wv, exists)
+		}
+	}
+	base := hotSlots(bt.leaves.n)
+	phase := func(name string, slots int, off bool) {
+		t.Helper()
+		if err := bt.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(bt.hot) != slots || bt.idle > 0 != off {
+			t.Fatalf("%s: %d slots, off = %v; want %d, %v", name, len(bt.hot), bt.idle > 0, slots, off)
+		}
+	}
+	// window runs Gets drawn by next until a window closes: the last Get
+	// is the first of the next window.
+	window := func(next func() uint64) {
+		for bt.probes < hotWindow {
+			get(next())
+		}
+		get(next())
+	}
+
+	skewed := func() uint64 {
+		if rng.Intn(10) == 0 {
+			return uniform()
+		}
+		return hot()
+	}
+	for range hotWindow {
+		get(skewed())
+	}
+	phase("a window of skewed Gets", base, false)
+	var held []uint64
+	for _, h := range bt.hot {
+		if h.key != 0 {
+			held = append(held, h.key)
+		}
+	}
+	for _, k := range held {
+		get(k)
+	}
+	phase("the window closed", 8*base, false)
+	if bt.probes != len(held) || bt.hits != len(held) {
+		t.Fatalf("%d hits of %d probes of the %d pairs the base table held", bt.hits, bt.probes, len(held))
+	}
+	window(uniform)
+	phase("a window of uniform Gets", base, false)
+	used := 0
+	for _, h := range bt.hot {
+		if h.key != 0 {
+			used++
+		}
+	}
+	if used > 1 {
+		t.Fatalf("the table made base again holds %d pairs after one Get", used)
+	}
+	window(func() uint64 {
+		if rng.Intn(4) == 0 {
+			return hot()
+		}
+		return uniform()
+	})
+	phase("a window a quarter skewed", base, false)
+	window(uniform)
+	phase("uniform Gets again", base, true)
 }
 
 // TestHotTableSpreadsHighBitKeys reads keys that differ only above bit

@@ -29,15 +29,16 @@ const (
 )
 
 // Batcher executes operations with non-blocking calls (§3.5): it keeps up
-// to window operations in flight by publishing them in rounds, one list
-// entry per (round, partition), and waiting once per round on a countdown
-// that the last holder to apply an entry completes — itself, without
-// waiting, when every partition it touched was free. A Scan is served in
-// the round by its start partition's holder and, if short of its limit
-// there, continued after the wait through ScanAppend. The serving layer
-// keeps one per connection. All of its state is reused, so steady-state
-// Apply calls perform no allocation. A Batcher belongs to one goroutine;
-// it is not safe for concurrent use.
+// to window operations in flight in rounds, one entry per (round,
+// partition), and waits once per round on a countdown that the last
+// holder to apply an entry completes. The caller applies the entries of
+// the partitions it finds free and publishes the rest to their holders,
+// so it waits for nothing when every partition it touched was free. A
+// Scan is served in the round by its start partition's holder and, if
+// short of its limit there, continued after the wait through ScanAppend.
+// The serving layer keeps one per connection. All of its state is reused,
+// so steady-state Apply calls perform no allocation. A Batcher belongs to
+// one goroutine; it is not safe for concurrent use.
 //
 // A call of one (a blocking call or a barrier) whose spin on the holder
 // flag ran out is a round of one on a pooled Batcher (Hybrid.call) that
@@ -143,9 +144,10 @@ func (b *Batcher) Apply(ops []hds.Request, out []Outcome) (applied, succeeded in
 func (b *Batcher) Pairs(i int) []KV { return b.pairs[i] }
 
 // round routes ops[lo:hi] up to its first write at or above a scan's
-// start partition, publishes one entry per partition touched, serving
-// each before the next, waits until all are applied or refused, finishes
-// the scans and returns where it stopped.
+// start partition, makes one entry per partition touched, applying it on
+// a free partition and publishing it to a held one's holder, waits until
+// all are applied or refused, finishes the scans and returns where it
+// stopped.
 func (b *Batcher) round(lo, hi int) int {
 	h, ops, parts := b.h, b.ops, b.parts
 	// Route the whole round before publishing any of it. The lists are
@@ -180,14 +182,24 @@ func (b *Batcher) round(lo, hi int) int {
 		}
 	}
 	b.pending.Store(int32(len(b.touched)))
-	// Publish to a free partition while one is left: a held one may be
-	// free by then, and this caller applies its own entry.
+	// Serve a free partition while one is left: a held one may be free by
+	// then. A free one is taken with the election's CAS, its list combined
+	// and the entry applied in place, tallied as a combine of it alone.
 	for i := range b.touched {
 		for j := i + 1; j < len(b.touched) && h.parts[b.touched[i]].held.Load(); j++ {
 			b.touched[i], b.touched[j] = b.touched[j], b.touched[i]
 		}
 		p := b.touched[i]
-		h.parts[p].publish(&parts[p].entry)
+		if part, e := h.parts[p], &parts[p].entry; part.held.Load() || !part.held.CompareAndSwap(false, true) {
+			part.publish(e)
+		} else {
+			part.combine()
+			part.hMailbox.Observe(1)
+			part.hBatch.Observe(uint64(len(parts[p].idx) + len(parts[p].sidx)))
+			part.apply(e)
+			part.held.Store(false)
+			part.serve()
+		}
 	}
 	b.wait()
 	for _, p := range b.touched {

@@ -88,10 +88,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestBatcherOneEntryPerPartition checks the entry granularity: a 16-op
-// batch over 4 partitions is 4 list entries, one per partition, and at
-// most one wake. Partition 0's holder is kept inside a barrier until the
-// other three entries are applied — so the whole round is published —
-// and then counts the list behind it the way PartitionStats does: it must
+// batch over 4 partitions is 4 entries, one per partition, and at most
+// one wake. Partition 0's holder is kept inside a barrier until the
+// other three entries are applied — so the whole round is out — and
+// then counts the list behind it the way PartitionStats does: it must
 // find exactly one entry. The histograms must show every other partition
 // combined once, for one entry, a round of 4 operations. They are read at
 // quiescence (every published entry consumed), with the blocking calls'
@@ -148,6 +148,77 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	}
 	if n := h.parts[1].queued(); n != 0 {
 		t.Errorf("uncontended blocking call left %d entries on the list, want 0", n)
+	}
+}
+
+// TestBatcherRoundTakesFreePartition checks that a round applies its own
+// entry on a free partition and publishes only to a held one. Rounds of
+// 3 reads on each of 4 free partitions tally, read through
+// ExportMetrics, one entry of 3 ops per (round, partition), beside the
+// export's own barrier. A round behind an entry queued by hand on free
+// partition 1 combines that entry first, so its read sees the queued
+// Put, and then applies its own as a second round of one entry: a
+// publish would have taken both in one combine of two. A round whose
+// partition 0 is held publishes its entry there, one on the list behind
+// the holder, and completes after the release.
+func TestBatcherRoundTakesFreePartition(t *testing.T) {
+	const partitions, rounds = 4, 5
+	h := New(Config{Partitions: partitions, KeyMax: 1 << 20})
+	defer h.Close()
+	b := h.NewBatcher(16)
+	ops := spread(3*partitions, partitions, 1<<20)
+	for range rounds {
+		if n, _ := b.Apply(ops, nil); n != len(ops) || b.wake != nil {
+			t.Fatalf("round on free partitions: applied %d of %d, parked %v", n, len(ops), b.wake != nil)
+		}
+	}
+	export := func() map[string]uint64 {
+		counters, hists := h.ExportMetrics()
+		for _, hs := range hists {
+			counters[hs.Name+"/count"], counters[hs.Name+"/sum"] = hs.Count, hs.Sum
+		}
+		return counters
+	}
+	before := export()
+	for p := range partitions {
+		get := func(name string) uint64 { return before[fmt.Sprintf("core/p%d/%s", p, name)] }
+		// The export's barrier on p is one more round of one entry.
+		if got, want := [...]uint64{get("mailbox/count"), get("mailbox/sum"), get("batch/count"), get("batch/sum"), get("ops")},
+			[...]uint64{rounds + 1, rounds + 1, rounds + 1, 3*rounds + 1, 3 * rounds}; got != want {
+			t.Errorf("p%d: mailbox count, sum, batch count, sum, ops = %v, want %v", p, got, want)
+		}
+	}
+
+	const key = 1<<19 + 1 // partition 2 of 4
+	queued := h.NewBatcher(1)
+	queued.ops, queued.out = []hds.Request{{Kind: hds.Insert, Key: key, Value: 7}}, make([]Outcome, 1)
+	queued.parts[2].idx = append(queued.parts[2].idx, 0)
+	queued.pending.Store(1)
+	h.parts[2].head.Store(&queued.parts[2].entry)
+	out := make([]Outcome, 1)
+	if b.Apply([]hds.Request{{Kind: hds.Read, Key: key}}, out); out[0].Result != (hds.Result{Value: 7, OK: true}) || queued.pending.Load() != 0 {
+		t.Fatalf("read behind a queued Put = %+v, the Put's countdown %d; want (7, ok), 0", out[0].Result, queued.pending.Load())
+	}
+	after := export()
+	for _, name := range []string{"mailbox/count", "mailbox/sum", "batch/count", "batch/sum"} {
+		// Two rounds of one entry of one op, and the export's barrier.
+		if d := after["core/p2/"+name] - before["core/p2/"+name]; d != 3 {
+			t.Errorf("a round behind a queued entry moved core/p2/%s by %d, want 3", name, d)
+		}
+	}
+
+	release := holdPartition(h, 0, h.parts[0].queued)
+	applied := make(chan int)
+	go func() {
+		n, _ := b.Apply(ops, nil)
+		applied <- n
+	}()
+	waitFor(t, "the round to come down to partition 0's entry", func() bool { return b.pending.Load()&^parked == 1 })
+	if n := release(); n != 1 {
+		t.Errorf("list length behind the held partition = %d, want 1 (the round's entry)", n)
+	}
+	if n := <-applied; n != len(ops) {
+		t.Errorf("applied = %d, want %d", n, len(ops))
 	}
 }
 

@@ -8,13 +8,15 @@
 // other callers', oldest first against the single-threaded store; if
 // another caller holds the partition, that holder applies the entry.
 // Callers hold a window of calls in flight, scans included (non-blocking
-// NMP calls, §3.5), through a Batcher, which publishes one list entry per
-// (round, partition) and waits once per round on a single countdown. A
-// call of one (a blocking call, §3.2, or a barrier) waits for the
-// partition instead: the first time a bounded spin finds it free, the
-// caller takes it, combines the list and applies its own operation, or
-// runs the barrier's closure, with no entry. Past the spin it is a round
-// of one on a pooled Batcher. The package starts no goroutine of its own.
+// NMP calls, §3.5), through a Batcher, which makes one entry per (round,
+// partition) and waits once per round on a single countdown. A round
+// publishes an entry only to a held partition: a free one it takes,
+// combines and applies its entry in place. A call of one (a blocking
+// call, §3.2, or a barrier) waits for the partition instead: the first
+// time a bounded spin finds it free, the caller takes it, combines the
+// list and applies its own operation, or runs the barrier's closure,
+// with no entry. Past the spin it is a round of one on a pooled Batcher.
+// The package starts no goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
@@ -235,7 +237,8 @@ func (p *partition) fold() {
 
 // publish pushes r onto the partition's list, which never waits, and
 // serves the partition: when it returns, r is applied or left to a holder
-// that will find it.
+// that will find it. It is the way in for an entry whose caller found the
+// partition held: a round's, or a call of one's past its spin.
 func (p *partition) publish(r *request) {
 	for {
 		r.next = p.head.Load()
