@@ -194,8 +194,7 @@ func (b *Batcher) round(lo, hi int) int {
 			part.publish(e)
 		} else {
 			part.combine()
-			part.hMailbox.Observe(1)
-			part.hBatch.Observe(uint64(len(parts[p].idx) + len(parts[p].sidx)))
+			part.round(1, len(parts[p].idx)+len(parts[p].sidx))
 			part.apply(e)
 			part.held.Store(false)
 			part.serve()

@@ -47,15 +47,22 @@ func TestRequestSize(t *testing.T) {
 	}
 }
 
-// TestPartitionLines pins the partition's two cache lines of its own: the
-// first holds everything a blocking call writes and reads, the
-// instruments start the second.
+// TestPartitionLines pins the partition's two cache lines of its own:
+// the first holds everything a blocking call writes and reads, the
+// election, its tallies and the store, and its bucket array is a
+// pointer-free allocation of its own, 64-aligned, whose pair for a round
+// of one is the one line of it a call writes.
 func TestPartitionLines(t *testing.T) {
 	h := New(Config{Partitions: 2})
 	p := h.parts[1]
-	if addr := uintptr(unsafe.Pointer(p)); unsafe.Sizeof(*p) != 128 || unsafe.Offsetof(p.cOps) != 64 || addr%64 != 0 {
-		t.Fatalf("partition of %d bytes at %#x, instruments at byte %d; want 128 bytes, 64-aligned, instruments at 64",
-			unsafe.Sizeof(*p), addr, unsafe.Offsetof(p.cOps))
+	if addr := uintptr(unsafe.Pointer(p)); unsafe.Sizeof(*p) != 128 || addr%64 != 0 {
+		t.Fatalf("partition of %d bytes at %#x; want 128 bytes, 64-aligned", unsafe.Sizeof(*p), addr)
+	}
+	if end := unsafe.Offsetof(p.store) + unsafe.Sizeof(p.store); unsafe.Offsetof(p.ops) > unsafe.Offsetof(p.store) || end != 64 {
+		t.Fatalf("ops at byte %d, store ends at byte %d; want the tallies, then the store, filling the first line", unsafe.Offsetof(p.ops), end)
+	}
+	if addr := uintptr(unsafe.Pointer(p.buckets)); addr%64 != 0 {
+		t.Fatalf("bucket array at %#x, want 64-aligned", addr)
 	}
 }
 
@@ -94,10 +101,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // then counts the list behind it the way PartitionStats does: it must
 // find exactly one entry. The histograms must show every other partition
 // combined once, for one entry, a round of 4 operations. They are read at
-// quiescence (every published entry consumed), with the blocking calls'
-// tallies folded in, and before Close, whose own barrier is one more
-// combine round on each partition. A blocking
-// call on a free partition then takes it and applies itself: one more
+// quiescence (every published entry consumed) and before Close, whose own
+// barrier is one more combine round on each partition. A blocking call on
+// a free partition then takes it and applies itself: one more
 // round of one entry and one op, with nothing left on the list.
 func TestBatcherOneEntryPerPartition(t *testing.T) {
 	const partitions = 4
@@ -122,7 +128,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	if len(b.wake) != 0 || b.pending.Load()&^parked != 0 {
 		t.Errorf("after the round: %d wake tokens left, count = %d; want none left, 0", len(b.wake), b.pending.Load()&^parked)
 	}
-	snap := folded(h)
+	snap := tallied(h)
 	get := func(p int, name string) uint64 { return snap.Get(fmt.Sprintf("core/p%d/%s", p, name)) }
 	var opsApplied uint64
 	for p := 0; p < partitions; p++ {
@@ -140,7 +146,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 		t.Errorf("core/p*/ops sum = %d, want %d", opsApplied, len(ops))
 	}
 	h.Get(ops[1].Key) // partition 1's key
-	after := folded(h)
+	after := tallied(h)
 	for _, name := range []string{"mailbox/count", "mailbox/sum", "batch/count", "batch/sum", "ops"} {
 		if d := after.Get("core/p1/"+name) - get(1, name); d != 1 {
 			t.Errorf("uncontended blocking call moved core/p1/%s by %d, want 1", name, d)

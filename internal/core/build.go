@@ -50,7 +50,7 @@ func (h *Hybrid) Build(pairs []KV) {
 			}
 			for _, kv := range run {
 				if part.store.Put(kv.Key, kv.Value) {
-					part.cBuilt.Inc()
+					part.built++
 				}
 			}
 		}(h.parts[p])

@@ -95,9 +95,8 @@ func contendedEntryServedByHolder(t *testing.T, blocking bool) {
 			})
 		}
 		// The re-check runs before the holder returns: if the round's
-		// entry was applied by then, this goroutine applied it. Its own
-		// call is still a tally on the partition, not yet folded.
-		appliedByHolder = h.parts[0].cOps.Value()+h.parts[0].stepOps == want
+		// entry was applied by then, this goroutine applied it.
+		appliedByHolder = h.parts[0].ops == want
 	}()
 	<-entered
 	b := h.NewBatcher(16)

@@ -16,7 +16,9 @@
 // time a bounded spin finds it free, the caller takes it, combines the
 // list and applies its own operation, or runs the barrier's closure,
 // with no entry. Past the spin it is a round of one on a pooled Batcher.
-// The package starts no goroutine of its own.
+// Whichever way in it took, the holder counts each round in the
+// partition's own fields, read only through a barrier. The package starts
+// no goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
@@ -96,7 +98,8 @@ type request struct {
 // Hybrid is a concurrent ordered map with one combiner at a time per
 // partition. All exported methods are safe for concurrent use.
 type Hybrid struct {
-	cfg   Config
+	cfg Config
+	// reg holds only the counters the Instrumented stores register.
 	reg   *metrics.Registry
 	parts []*partition
 	span  uint64
@@ -105,31 +108,34 @@ type Hybrid struct {
 }
 
 // partition is one combining domain: the store, the cursor rounds' scans
-// are served through, its publication list, the election state and the
-// instruments. All but list and election belong to its current holder.
+// are served through, its publication list, the election state and its
+// tallies. All but list and election belong to its current holder, which
+// stands in for the partition's NMP core and so alone counts its rounds.
 // It fills two cache lines of its own: the first holds all a blocking
-// call writes and reads, the second the instruments.
+// call writes and reads but its bucket pair, the second the rest.
 type partition struct {
 	// head is the publication list, newest entry first; held is the
 	// holder flag. Both are sequentially consistent atomics, which is what
 	// makes a push visible to the holder's re-check after its release
 	// (DESIGN §5.5). refusing is set by Close's barrier: every data entry
-	// taken after it completes as refused, with no store touched. steps
-	// counts the direct steps since the last fold, stepOps the ops they
-	// applied.
-	head           atomic.Pointer[request]
-	held           atomic.Bool
-	refusing       bool
-	steps, stepOps uint64
-	store          Store
-	cur            *scanCursor
-	id             int
-
-	cOps     *metrics.Counter
-	cBuilt   *metrics.Counter
-	hBatch   *metrics.Histogram
-	hMailbox *metrics.Histogram
-	_        [32]byte
+	// taken after it completes as refused, with no store touched. rounds
+	// counts the combine rounds (a direct step is the round of one entry
+	// it replaces), batchSum their ops and barriers, mailboxSum their
+	// entries; ops counts the data operations applied, built the pairs
+	// Build loaded. buckets[i] counts the rounds whose batch size ([0])
+	// and entry count ([1]) are i bits long: a pointer-free allocation of
+	// its own, so no malloc header moves it off a line boundary, and a
+	// pair per bucket, so a round of one writes one of its lines.
+	head                              atomic.Pointer[request]
+	held                              atomic.Bool
+	refusing                          bool
+	rounds, batchSum, mailboxSum, ops uint64
+	store                             Store
+	cur                               *scanCursor
+	id                                int
+	built                             uint64
+	buckets                           *[metrics.NumBuckets][2]uint64
+	_                                 [32]byte
 }
 
 // New creates a hybrid map. It starts no goroutine.
@@ -160,13 +166,10 @@ func New(cfg Config) *Hybrid {
 	}
 	for p := 0; p < cfg.Partitions; p++ {
 		part := &partition{
-			id:       p,
-			store:    cfg.NewStore(p),
-			cur:      cursorPool.New().(*scanCursor),
-			cOps:     reg.Counter(fmt.Sprintf("core/p%d/ops", p)),
-			cBuilt:   reg.Counter(fmt.Sprintf("core/p%d/built", p)),
-			hBatch:   reg.Histogram(fmt.Sprintf("core/p%d/batch", p)),
-			hMailbox: reg.Histogram(fmt.Sprintf("core/p%d/mailbox", p)),
+			id:      p,
+			store:   cfg.NewStore(p),
+			cur:     cursorPool.New().(*scanCursor),
+			buckets: new([metrics.NumBuckets][2]uint64),
 		}
 		if ins, ok := part.store.(Instrumented); ok {
 			ins.Instrument(reg, fmt.Sprintf("core/p%d/store", p))
@@ -192,14 +195,13 @@ func (p *partition) exec(req hds.Request) (res hds.Result) {
 }
 
 // apply runs one list entry and completes it: a barrier's closure, or
-// the entry's operations, counted in cOps first. Behind Close's barrier
+// the entry's operations, counted in ops first. Behind Close's barrier
 // the data operations complete as Rejected without touching the store;
 // barriers still run, and so do a round's scans, after its data ops (only
 // reads follow them).
 func (p *partition) apply(r *request) {
 	b := r.grp
 	if b.snap != nil {
-		p.fold()
 		b.snap(p.store)
 		b.done()
 		return
@@ -210,7 +212,7 @@ func (p *partition) apply(r *request) {
 			out[i] = Outcome{Rejected: true}
 		}
 	} else {
-		p.cOps.Add(uint64(len(bp.idx)))
+		p.ops += uint64(len(bp.idx))
 		for _, i := range bp.idx {
 			out[i] = Outcome{Result: p.exec(ops[i])}
 		}
@@ -225,14 +227,16 @@ func (p *partition) apply(r *request) {
 	b.done()
 }
 
-// fold moves the direct steps' tallies into the instruments: each step
-// is a round of one entry and one op or barrier, and an applied op is
-// also one in cOps.
-func (p *partition) fold() {
-	p.hMailbox.ObserveN(1, p.steps)
-	p.hBatch.ObserveN(1, p.steps)
-	p.cOps.Add(p.stepOps)
-	p.steps, p.stepOps = 0, 0
+// round tallies one combine round that took entries list entries
+// carrying n ops and barriers: a combine, or a direct step as the round
+// of one entry it replaces. Only the holder calls it, before the round's
+// entries complete.
+func (p *partition) round(entries, n int) {
+	p.rounds++
+	p.batchSum += uint64(n)
+	p.mailboxSum += uint64(entries)
+	p.buckets[metrics.BucketIndex(uint64(n))][0]++
+	p.buckets[metrics.BucketIndex(uint64(entries))][1]++
 }
 
 // publish pushes r onto the partition's list, which never waits, and
@@ -262,9 +266,9 @@ func (p *partition) serve() {
 
 // combine is one combine round, run while holding the partition: it
 // takes the whole list with one swap, reverses it in place and applies it
-// oldest first. Every instrument write that covers an entry happens
-// before that entry completes, so a caller that has consumed everything
-// it published can snapshot the registry without racing a holder.
+// oldest first. The round is tallied before any entry completes, so a
+// caller that has consumed everything it published reads its tallies
+// without racing a holder.
 func (p *partition) combine() {
 	if p.head.Load() == nil { // taken by the previous holder, or empty:
 		return // a swap would still write the line held sits on
@@ -283,8 +287,7 @@ func (p *partition) combine() {
 			n += len(b.parts[p.id].idx) + len(b.parts[p.id].sidx)
 		}
 	}
-	p.hMailbox.Observe(uint64(entries))
-	p.hBatch.Observe(uint64(n))
+	p.round(entries, n)
 	for r := oldest; r != nil; {
 		next := r.next // a completed node is its publisher's again at once
 		p.apply(r)
@@ -367,9 +370,9 @@ func (h *Hybrid) Delete(key uint64) bool {
 // holder flag and takes the partition, with the election's CAS, the
 // first time it is free. Holding it, the caller combines the list, so
 // every entry published before the call (a Close barrier included) comes
-// first. Then it applies req in place, or folds the direct steps' tallies
-// (its own included) and runs fn, with no list entry, tallied as the
-// round of one it replaces, and releases and serves like any holder.
+// first. Then it tallies the round of one it replaces and applies req in
+// place, or runs fn, with no list entry, and releases and serves like any
+// holder.
 // Past the spin it publishes that round of one on a pooled Batcher and
 // waits for it without spinning.
 func (h *Hybrid) call(p int, req hds.Request, fn func(s Store)) (res hds.Result) {
@@ -379,12 +382,11 @@ func (h *Hybrid) call(p int, req hds.Request, fn func(s Store)) (res hds.Result)
 			continue
 		}
 		part.combine()
-		part.steps++
+		part.round(1, 1)
 		if fn != nil {
-			part.fold()
 			fn(part.store)
 		} else if !part.refusing {
-			part.stepOps++
+			part.ops++
 			res = part.exec(req)
 		}
 		part.held.Store(false)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,14 +22,17 @@ func opsApplied(h *Hybrid) (n uint64) {
 	return n
 }
 
-// folded folds every partition's direct-step tallies, as a barrier does
-// before its closure, and snapshots h's registry without a barrier's own
-// round. Call it at quiescence.
-func folded(h *Hybrid) metrics.Snapshot {
-	for _, part := range h.parts {
-		part.fold()
+// tallied reads every partition's tallies and the stores' counters into
+// one snapshot, a histogram as its sum and count, as ExportMetrics does
+// but without a barrier's own round. Call it at quiescence.
+func tallied(h *Hybrid) metrics.Snapshot {
+	snap := metrics.Snapshot{}
+	for p := range h.parts {
+		for _, hs := range h.tally(p, snap, nil) {
+			snap[hs.Name+"/sum"], snap[hs.Name+"/count"] = hs.Sum, hs.Count
+		}
 	}
-	return h.reg.Snapshot()
+	return snap
 }
 
 // TestHybridCloseDrainsPublished inserts a burst of keys, then races
@@ -283,7 +287,7 @@ func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
 			}
 		}
 		var built, leafSplits uint64
-		snap := folded(h)
+		snap := tallied(h)
 		for p := 0; p < 4; p++ {
 			built += snap.Get(fmt.Sprintf("core/p%d/built", p))
 			leafSplits += snap.Get(fmt.Sprintf("core/p%d/store/leaf_splits", p))
@@ -302,9 +306,8 @@ func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
 
 // TestHybridMetrics checks the per-partition instruments: op counts sum
 // to the operations applied, batch rounds and list depths are
-// observed, and the default B+ tree store reports splits. The registry is
-// read before Close, whose barriers are combine rounds too, with the
-// blocking calls' tallies folded in.
+// observed, and the default B+ tree store reports splits. The tallies are
+// read before Close, whose barriers are combine rounds too.
 func TestHybridMetrics(t *testing.T) {
 	h := New(Config{Partitions: 2, KeyMax: 1 << 20})
 	defer h.Close()
@@ -317,7 +320,7 @@ func TestHybridMetrics(t *testing.T) {
 		ops = append(ops, hds.Request{Kind: hds.Read, Key: i})
 	}
 	h.NewBatcher(8).Apply(ops, nil)
-	snap := folded(h)
+	snap := tallied(h)
 	var opsApplied, rounds, batchSum, leafSplits uint64
 	for p := 0; p < 2; p++ {
 		opsApplied += snap.Get(fmt.Sprintf("core/p%d/ops", p))
@@ -337,10 +340,11 @@ func TestHybridMetrics(t *testing.T) {
 }
 
 // TestBlockingCallsCountedThroughBarrier runs two concurrent blocking
-// callers, which tally their direct steps on the partition, and reads
-// the instruments through ExportMetrics, whose barrier folds the tallies
-// in before it reads: every call is one op and one round of one entry,
-// and the export's own barrier one more round on each partition.
+// callers, which tally their direct steps on the partition alternately,
+// each while holding it, and reads the tallies through ExportMetrics,
+// whose barrier reads them while holding it too: every call is one op and
+// one round of one entry, and the export's own barrier one more round on
+// each partition.
 func TestBlockingCallsCountedThroughBarrier(t *testing.T) {
 	const partitions, calls = 4, 5000
 	h := New(Config{Partitions: partitions, KeyMax: 1 << 16})
@@ -386,6 +390,51 @@ func TestBlockingCallsCountedThroughBarrier(t *testing.T) {
 	}
 	if batchSum != 2*calls+partitions {
 		t.Errorf("core/p*/batch sum = %d, want %d calls and %d barriers", batchSum, 2*calls, partitions)
+	}
+}
+
+// TestRoundTallies pins the batch and mailbox histograms, sum, count and
+// every bucket, through ExportMetrics after one round by each way into a
+// partition: a blocking call's direct step (1 op, 1 entry), Len's barrier
+// (1, 1), a round of 3 reads and a scan on the free partition (4, 1),
+// holdPartition's barrier (1, 1), the combine of the two rounds of 2 and 3
+// reads queued behind it (5, 2), and the export's own barrier (1, 1).
+func TestRoundTallies(t *testing.T) {
+	h := New(Config{Partitions: 1, KeyMax: 1 << 10})
+	defer h.Close()
+	h.Put(1, 10)
+	h.Len()
+	reads := []hds.Request{{Kind: hds.Read, Key: 1}, {Kind: hds.Read, Key: 2}, {Kind: hds.Read, Key: 3}}
+	if n, _ := h.NewBatcher(16).Apply(append(reads, hds.Request{Kind: hds.Scan, Key: 1, Value: 4}), nil); n != 4 {
+		t.Fatalf("round of 3 reads and a scan applied %d, want 4", n)
+	}
+	release := holdPartition(h, 0, h.parts[0].queued)
+	var wg sync.WaitGroup
+	for _, ops := range [][]hds.Request{reads[:2], reads} {
+		wg.Add(1)
+		go func(b *Batcher) {
+			defer wg.Done()
+			b.Apply(ops, nil)
+		}(h.NewBatcher(16))
+	}
+	waitFor(t, "two rounds queued behind the held partition", func() bool { return h.parts[0].queued() == 2 })
+	if n := release(); n != 2 {
+		t.Fatalf("list length behind the held partition = %d, want 2", n)
+	}
+	wg.Wait()
+	counters, hists := h.ExportMetrics()
+	var batch, mailbox [metrics.NumBuckets]uint64
+	batch[1], batch[3] = 4, 2 // sizes 1, 1, 4, 1, 5, 1
+	mailbox[1], mailbox[2] = 5, 1
+	want := []metrics.HistSnapshot{
+		{Name: "core/p0/batch", Sum: 13, Count: 6, Buckets: batch},
+		{Name: "core/p0/mailbox", Sum: 7, Count: 6, Buckets: mailbox},
+	}
+	if !reflect.DeepEqual(hists, want) {
+		t.Errorf("histograms = %+v, want %+v", hists, want)
+	}
+	if ops := counters["core/p0/ops"]; ops != 9 {
+		t.Errorf("core/p0/ops = %d, want 9", ops)
 	}
 }
 

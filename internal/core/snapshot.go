@@ -41,10 +41,9 @@ type PartitionStats struct {
 // PartitionStats snapshots partition p in list order: the read runs
 // while holding p, after every operation published before it (the same
 // barrier Len and Dump use), which is also what makes it race-free and
-// exact. The instruments are unsynchronized and only the holder writes
-// them; a call that takes its free partition tallies itself on the
-// partition, and a barrier folds those tallies in before its closure
-// reads. It and ExportMetrics are the only readers. Safe to call
+// exact. The tallies are the partition's plain fields, written only by
+// its holder, whichever way in it took; the barrier's own round is among
+// them. It and ExportMetrics are the only readers. Safe to call
 // concurrently with traffic and after Close.
 func (h *Hybrid) PartitionStats(p int) PartitionStats {
 	part := h.parts[p]
@@ -53,11 +52,11 @@ func (h *Hybrid) PartitionStats(p int) PartitionStats {
 	h.barrier(p, func(s Store) {
 		out = PartitionStats{
 			Partition:  p,
-			Ops:        part.cOps.Value(),
-			Built:      part.cBuilt.Value(),
-			Batches:    part.hBatch.Count(),
-			BatchOps:   part.hBatch.Sum(),
-			MailboxSum: part.hMailbox.Sum(),
+			Ops:        part.ops,
+			Built:      part.built,
+			Batches:    part.rounds,
+			BatchOps:   part.batchSum,
+			MailboxSum: part.mailboxSum,
 			QueueLen:   part.queued(),
 			StoreLen:   s.Len(),
 		}
@@ -74,37 +73,38 @@ func (h *Hybrid) PartitionStats(p int) PartitionStats {
 	return out
 }
 
-// ExportMetrics captures every core/p<i>/ instrument in the runtime's
-// registry — counters (histogram sum/count components excluded) and
-// histograms with their shape buckets — partition by partition through
-// the barrier path, so each partition's values are read while holding
-// the partition, with the direct calls' tallies folded in (the read rule
-// PartitionStats states), and the export never races the data path.
-// Partitions are visited one after another, not atomically (the same
-// contract as Len and Scan). Safe during traffic and after Close.
+// ExportMetrics captures every core/p<i>/ instrument — the counters ops,
+// built and the store's own, and the batch and mailbox histograms with
+// their shape buckets — partition by partition through the barrier path,
+// so each partition's tallies are read while holding the partition (the
+// read rule PartitionStats states), and the export never races the data
+// path. Partitions are visited one after another, not atomically (the
+// same contract as Len and Scan). Safe during traffic and after Close.
 func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
-	names := h.reg.Names()
-	histNames := h.reg.HistNames()
 	counters := make(metrics.Snapshot)
 	var hists []metrics.HistSnapshot
 	for p := range h.parts {
-		prefix := fmt.Sprintf("core/p%d/", p)
-		h.barrier(p, func(Store) {
-			for _, name := range names {
-				if !strings.HasPrefix(name, prefix) || h.reg.IsHistComponent(name) {
-					continue
-				}
-				c, _ := h.reg.LookupCounter(name)
-				counters[name] = c.Value()
-			}
-			for _, name := range histNames {
-				if !strings.HasPrefix(name, prefix) {
-					continue
-				}
-				hist, _ := h.reg.LookupHistogram(name)
-				hists = append(hists, hist.Snapshot())
-			}
-		})
+		h.barrier(p, func(Store) { hists = h.tally(p, counters, hists) })
 	}
 	return counters, hists
+}
+
+// tally reads partition p's instruments: its counters into counters,
+// and its two histograms appended to hists. The caller holds p, or the
+// map is quiescent.
+func (h *Hybrid) tally(p int, counters metrics.Snapshot, hists []metrics.HistSnapshot) []metrics.HistSnapshot {
+	part, prefix := h.parts[p], fmt.Sprintf("core/p%d/", p)
+	counters[prefix+"ops"], counters[prefix+"built"] = part.ops, part.built
+	for _, name := range h.reg.Names() {
+		if strings.HasPrefix(name, prefix) {
+			c, _ := h.reg.LookupCounter(name)
+			counters[name] = c.Value()
+		}
+	}
+	batch := metrics.HistSnapshot{Name: prefix + "batch", Sum: part.batchSum, Count: part.rounds}
+	mailbox := metrics.HistSnapshot{Name: prefix + "mailbox", Sum: part.mailboxSum, Count: part.rounds}
+	for i, pair := range part.buckets {
+		batch.Buckets[i], mailbox.Buckets[i] = pair[0], pair[1]
+	}
+	return append(hists, batch, mailbox)
 }

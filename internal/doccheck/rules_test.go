@@ -95,6 +95,16 @@ var rules = []rule{
 		reason:  "core.Config must not take a Metrics registry: read the core through ExportMetrics",
 		violate: map[string]string{"internal/core/hybrid.go": "package core\n\ntype Config struct {\n\tPartitions int\n\tMetrics    *metrics.Registry\n}\n"},
 	},
+	// A partition's holder stands in for its NMP core and counts every
+	// round itself, in the partition's plain fields (DESIGN §5.5),
+	// whichever way in the round took. A registry instrument in the core
+	// is a second tally beside them, and with it the fold between the two.
+	{
+		name:    "core-one-tally",
+		check:   grep(files{globs: []string{"internal/core/*.go"}}, `\*metrics\.(Counter|Histogram)\b|\.ObserveN?\(`),
+		reason:  "internal/core must tally rounds in the partition's own fields, not in registry instruments",
+		violate: map[string]string{"internal/core/hybrid.go": "package core\n\nfunc (p *partition) round(n int) { p.hBatch.Observe(uint64(n)) }\n"},
+	},
 	// mem/ counters are read from the registry by name; a struct view
 	// repeats every counter again. Test files count too.
 	{

@@ -21,7 +21,6 @@ package metrics
 import (
 	"math/bits"
 	"sort"
-	"strings"
 	"sync/atomic"
 )
 
@@ -56,13 +55,10 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
-
-// ObserveN records n samples of v.
-func (h *Histogram) ObserveN(v, n uint64) {
-	h.sum.Add(v * n)
-	h.count.Add(n)
-	h.buckets[bits.Len64(v)] += n
+func (h *Histogram) Observe(v uint64) {
+	h.sum.Add(v)
+	h.count.Inc()
+	h.buckets[bits.Len64(v)]++
 }
 
 // Sum returns the total of all observed samples.
@@ -164,28 +160,6 @@ func (r *Registry) HistNames() []string {
 func (r *Registry) LookupCounter(name string) (*Counter, bool) {
 	c, ok := r.counters[name]
 	return c, ok
-}
-
-// LookupHistogram returns the histogram registered under name without
-// creating it (see LookupCounter for the concurrency contract).
-func (r *Registry) LookupHistogram(name string) (*Histogram, bool) {
-	h, ok := r.hists[name]
-	return h, ok
-}
-
-// IsHistComponent reports whether counter name is the backing /sum or
-// /count counter of a registered histogram. Exporters use it to avoid
-// double-reporting a histogram's sum and count as free-standing
-// counters.
-func (r *Registry) IsHistComponent(name string) bool {
-	for _, suffix := range [...]string{"/sum", "/count"} {
-		if base, ok := strings.CutSuffix(name, suffix); ok {
-			if _, isHist := r.hists[base]; isHist {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // HistSnapshot is a point-in-time copy of one histogram: its sum, count

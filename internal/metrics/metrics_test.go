@@ -89,20 +89,6 @@ func TestHistogramMeanEmpty(t *testing.T) {
 	}
 }
 
-// TestHistogramObserveNMatchesObserve checks that n samples of one value
-// recorded at once land as n Observes of it would.
-func TestHistogramObserveNMatchesObserve(t *testing.T) {
-	one, many := NewRegistry().Histogram("h"), NewRegistry().Histogram("h")
-	for range 5 {
-		one.Observe(100)
-	}
-	many.ObserveN(100, 5)
-	many.ObserveN(3, 0)
-	if one.Snapshot() != many.Snapshot() {
-		t.Fatalf("ObserveN(100, 5) = %+v, five Observe(100) = %+v", many.Snapshot(), one.Snapshot())
-	}
-}
-
 // TestLocalConcurrentLoad checks the Local cell's single-writer
 // contract: one goroutine increments while another loads, and the final
 // value is exact.
