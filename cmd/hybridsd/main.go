@@ -1,6 +1,6 @@
 // Command hybridsd serves a native HybriDS map over TCP: it builds a
-// core.Hybrid (per-partition B+ trees combined by the caller holding the
-// partition, the stand-in for the paper's NMP hardware) and exposes it
+// core.Hybrid (per-partition B+ trees, each served by the caller holding
+// its lock, the stand-in for the paper's NMP hardware) and exposes it
 // through the internal/server binary protocol (GET/PUT/UPDATE/DELETE/
 // SCAN/STATS; see docs/SERVING.md).
 //
@@ -57,7 +57,7 @@ func loopbackAddr(addr string) bool {
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
-		partitions   = flag.Int("partitions", 8, "partition/combiner count (the paper's NMP vaults)")
+		partitions   = flag.Int("partitions", 8, "partition count (the paper's NMP vaults)")
 		keyMax       = flag.Uint64("keymax", 1<<22, "exclusive key-space bound; valid keys are 1..keymax-1")
 		window       = flag.Int("window", server.DefaultWindow, "per-connection request coalescing window: the most pipelined requests one Batcher.Apply serves")
 		maxConns     = flag.Int("maxconns", 0, "max concurrent connections (0 = unlimited)")

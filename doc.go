@@ -11,7 +11,7 @@
 //     seqlock / hybrid B+ trees, plus the flat-combining publication-list
 //     fabric with blocking and non-blocking NMP calls;
 //   - internal/core and internal/cds: the hybrid model as a native Go
-//     library, each partition combined by the caller holding it;
+//     library, each partition served by the caller holding its lock;
 //   - internal/server, internal/admin, cmd/hybridsd, cmd/hybridsload: a
 //     TCP server over core, its HTTP management plane, a YCSB load driver;
 //   - internal/ycsb and internal/exp: YCSB workloads, and one experiment

@@ -8,7 +8,7 @@
 //
 // Every read goes through the race-free export hooks of the layers it
 // fronts — server.Server.ExportMetrics / ConnsInfo (mutex + single-writer
-// cells) and core.Hybrid.ExportMetrics / PartitionStats (combiner
+// cells) and core.Hybrid.ExportMetrics / PartitionStats (partition
 // barriers) — so scraping a loaded server perturbs nothing on the data
 // path and is safe under the race detector. The plane stays functional
 // through and after a drain: the intended shutdown order is data-plane

@@ -319,7 +319,7 @@ func TestPromExposition(t *testing.T) {
 			return '_'
 		}, name)
 	}
-	// Scraping itself runs combiner barriers, which count as combine
+	// Scraping itself runs partition barriers, which count as
 	// rounds — so core/* instruments may advance between the two
 	// endpoint reads. Exact match for the quiesced server/* metrics,
 	// monotonic (text scraped second, so >=) for core/*.
@@ -569,7 +569,7 @@ func TestPartitionsEndpoint(t *testing.T) {
 
 // TestScrapeUnderLoad races every admin endpoint against live data-plane
 // traffic; run under -race it proves the management plane never touches
-// combiner-owned or connection-owned state without synchronization.
+// holder-owned or connection-owned state without synchronization.
 func TestScrapeUnderLoad(t *testing.T) {
 	ha := newHarness(t, server.Config{Window: 4},
 		core.Config{Partitions: 2, KeyMax: 1 << 12})

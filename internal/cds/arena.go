@@ -1,8 +1,8 @@
 // Package cds provides the native (non-simulated) ordered map the hybrid
 // runtime in internal/core uses as its partition store, usable
 // standalone: a B+ tree of pointer-free 256-byte nodes in chunked arenas.
-// It is sequential — one goroutine (in the runtime, the caller combining
-// the partition) owns each instance.
+// It is sequential — one goroutine (in the runtime, the caller holding
+// the partition's lock) owns each instance.
 package cds
 
 import (

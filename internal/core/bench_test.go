@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -41,8 +42,8 @@ func BenchmarkHybridBuild(b *testing.B) {
 }
 
 // BenchmarkHybridGetBlocking measures the blocking-call hot path: a call
-// that finds its partition free applies itself, with no list entry and no
-// pooled Batcher, and performs no allocation.
+// that finds its partition free takes the lock with one CAS, applies
+// itself and performs no allocation.
 func BenchmarkHybridGetBlocking(b *testing.B) {
 	h := benchMap(b, 8)
 	rng := prng.New(1)
@@ -66,9 +67,8 @@ func BenchmarkHybridGetParallel(b *testing.B) {
 }
 
 // TestBlockingCallAllocs asserts the blocking-call hot path stays allocation
-// free: an uncontended call takes its partition and applies itself,
-// touching neither the list nor the pool of one-op Batchers, so it
-// allocates nothing, under the race detector too.
+// free: an uncontended call takes its partition's lock and applies
+// itself, so it allocates nothing, under the race detector too.
 func TestBlockingCallAllocs(t *testing.T) {
 	h := New(Config{Partitions: 4, KeyMax: 1 << 20})
 	defer h.Close()
@@ -107,9 +107,10 @@ func BenchmarkHybridApplyBatch4(b *testing.B) { benchApplyBatch(b, 4) }
 // core.batch16_ns_per_op rung: embedded-read's 16-op batches.
 func BenchmarkHybridApplyBatch16(b *testing.B) { benchApplyBatch(b, 16) }
 
-// benchCallers measures uniform reads of the keys key draws from several
-// goroutines, each with its own 16-op Batcher.
-func benchCallers(b *testing.B, h *Hybrid, callers int, key func(*prng.Source) uint64) {
+// benchCallers runs b.N ops that op draws, from callers goroutines: at
+// window 1 each op is a blocking Apply, above it each chunk goes through
+// the caller's own Batcher at that window.
+func benchCallers(b *testing.B, h *Hybrid, callers, window int, op func(*prng.Source) hds.Request) {
 	const chunk = 256
 	var wg sync.WaitGroup
 	b.ReportAllocs()
@@ -120,29 +121,40 @@ func benchCallers(b *testing.B, h *Hybrid, callers int, key func(*prng.Source) u
 			defer wg.Done()
 			rng := prng.New(uint64(c) + 5)
 			ops := make([]hds.Request, chunk)
-			bt := h.NewBatcher(16)
+			bt := h.NewBatcher(window)
 			for i := c * chunk; i < b.N; i += callers * chunk {
 				for j := range ops {
-					ops[j] = hds.Request{Kind: hds.Read, Key: key(rng)}
+					ops[j] = op(rng)
 				}
-				bt.Apply(ops, nil)
+				if window > 1 {
+					bt.Apply(ops, nil)
+					continue
+				}
+				for _, o := range ops {
+					h.Apply(o)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 }
 
+// uniformRead draws a read of one of benchMap's keys.
+func uniformRead(rng *prng.Source) hds.Request {
+	return hds.Request{Kind: hds.Read, Key: uint64(rng.Intn(1<<16)) + 1}
+}
+
 // BenchmarkHybridApplyBatch16Contended is the contended path's number: 8
-// goroutines over 2 partitions, so a publisher regularly finds its
-// partition held and leaves its entry to the holder.
+// goroutines over 2 partitions, so a round regularly finds its partition
+// held and waits for its lock.
 func BenchmarkHybridApplyBatch16Contended(b *testing.B) {
-	benchCallers(b, benchMap(b, 2), 8, func(rng *prng.Source) uint64 { return uint64(rng.Intn(1<<16)) + 1 })
+	benchCallers(b, benchMap(b, 2), 8, 16, uniformRead)
 }
 
 // BenchmarkHybridApplyBatch16TwoCallers is embedded-read's shape: 2
 // goroutines over 4 partitions holding 2^20 keys in a 2^26 key space,
-// where a round that finds a partition held by the other caller waits on
-// its countdown.
+// where a round that finds a partition held by the other caller waits for
+// its lock.
 func BenchmarkHybridApplyBatch16TwoCallers(b *testing.B) {
 	const records, keyMax = 1 << 20, 1 << 26
 	h := New(Config{Partitions: 4, KeyMax: keyMax})
@@ -154,17 +166,44 @@ func BenchmarkHybridApplyBatch16TwoCallers(b *testing.B) {
 		pairs[i] = KV{Key: keys[i], Value: keys[i]}
 	}
 	h.Build(pairs)
-	benchCallers(b, h, 2, func(rng *prng.Source) uint64 { return keys[rng.Intn(records)] })
+	benchCallers(b, h, 2, 16, func(rng *prng.Source) hds.Request {
+		return hds.Request{Kind: hds.Read, Key: keys[rng.Intn(records)]}
+	})
+}
+
+// BenchmarkHybridApplyCallers measures the regime no bench workload runs,
+// more callers than Ps: 2, 8 and 64 goroutines over 4 partitions, each
+// issuing blocking calls (window 1) or 16-op rounds, on embedded-mix's
+// uniform 50-25-25 read-insert-remove mix over benchMap's keys.
+func BenchmarkHybridApplyCallers(b *testing.B) {
+	mix := func(rng *prng.Source) hds.Request {
+		k := uint64(rng.Intn(1<<16)) + 1
+		switch rng.Intn(4) {
+		case 0:
+			return hds.Request{Kind: hds.Insert, Key: k, Value: k}
+		case 1:
+			return hds.Request{Kind: hds.Remove, Key: k}
+		}
+		return hds.Request{Kind: hds.Read, Key: k}
+	}
+	for _, callers := range []int{2, 8, 64} {
+		for _, window := range []int{1, 16} {
+			b.Run(fmt.Sprintf("callers=%d/window=%d", callers, window), func(b *testing.B) {
+				benchCallers(b, benchMap(b, 4), callers, window, mix)
+			})
+		}
+	}
 }
 
 // BenchmarkLenBesideBlockingCalls times a barrier beside blocking calls:
 // two goroutines keep 4 partitions busy with reads and updates while
 // each iteration runs one Len, and the median, p90, p99 and maximum of
 // those times are reported (at -benchtime 2000x the p99 has 20 samples
-// behind it, the maximum one). Each of Len's barriers spins for its free
-// partition as a blocking call does; one whose spin runs out parks, and
-// at -cpu 2, where both Ps run callers, its wake waits for one to be
-// preempted (DESIGN §5.5). At -cpu 1 it gives the spin's cost on one P.
+// behind it, the maximum one). Each of Len's barriers spins for its
+// partition's lock as a blocking call does; one whose spin runs out parks
+// in Lock, and at -cpu 2, where both Ps run callers, its wake waits for
+// one to be preempted (DESIGN §5.5). At -cpu 1 it gives the spin's cost
+// on one P.
 func BenchmarkLenBesideBlockingCalls(b *testing.B) {
 	h := benchMap(b, 4)
 	var stop atomic.Bool

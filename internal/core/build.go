@@ -8,7 +8,7 @@ import (
 
 // Build populates the partition stores directly — in parallel, one
 // goroutine per partition, joined before it returns (the only goroutines
-// this package starts), bypassing the lists — for untimed workload
+// this package starts), bypassing the locks — for untimed workload
 // loading before concurrent use. It is a bulk load: each partition's pairs
 // are copied out of pairs (the caller's slice is left untouched), sorted
 // by key and inserted in ascending order, which is the order every engine

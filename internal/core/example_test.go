@@ -8,9 +8,9 @@ import (
 )
 
 // The paper's programming model on plain hardware: a partitioned ordered
-// map where each partition is combined by one caller at a time (the
-// software stand-in for an NMP core, elected from the callers), with
-// blocking and non-blocking (batched) calls.
+// map where each partition serves one caller at a time under its lock
+// (the software stand-in for an NMP core), with blocking and non-blocking
+// (batched) calls.
 func Example() {
 	h := core.New(core.Config{Partitions: 8, KeyMax: 1 << 20})
 	defer h.Close()

@@ -288,11 +288,11 @@ func (r *histRecorder) record(inv, resp int64, req hds.Request, res hds.Result, 
 // it pins the close contract: nothing that returned before Close began is
 // refused, everything issued after Close returned is, and the drained
 // stores hold exactly what the applied operations explain. Twice as many
-// blocking callers as Batchers share 24 keys, so most entries meet a held
-// partition and are applied by another caller's combine. The subtest names
-// the first Batcher's round depth: at 1 each of its rounds is one entry on
-// one partition, at 64 each of its calls is one round across the
-// partitions, so a round can straddle Close.
+// blocking callers as Batchers share 24 keys, so most calls meet a held
+// partition and wait for its lock. The subtest names the first Batcher's
+// round depth: at 1 each of its rounds holds one partition, at 64 each
+// of its calls is one round across the partitions, so a round can
+// straddle Close.
 func TestHistoryLinearizable(t *testing.T) {
 	for _, depth := range []int{1, 64} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { historyLinearizable(t, depth) })
@@ -391,7 +391,7 @@ func historyLinearizable(t *testing.T, depth int) {
 					count(1)
 					inv := clock.Add(1)
 					res := h.Apply(req)
-					// Blocking Apply reports a refused publish as a
+					// Blocking Apply reports a refused call as a
 					// plain ok=false; which failures those may be is
 					// decided below, against the close stamps.
 					rec.record(inv, clock.Add(1), req, res, false)

@@ -14,7 +14,7 @@ import (
 )
 
 // opsApplied sums the core/p*/ops counters: the data operations the
-// holders applied. Read it at quiescence.
+// partitions applied. Read it at quiescence.
 func opsApplied(h *Hybrid) (n uint64) {
 	for p := 0; p < h.Partitions(); p++ {
 		n += h.PartitionStats(p).Ops
@@ -37,7 +37,7 @@ func tallied(h *Hybrid) metrics.Snapshot {
 
 // TestHybridCloseDrainsPublished inserts a burst of keys, then races
 // Close against a blocking caller and a Batcher inserting fresh keys:
-// everything published before Close began is applied, every racing
+// everything issued before Close began is applied, every racing
 // insert is applied or refused, never lost, and the store holds exactly
 // the inserts whose callers were told they were applied.
 func TestHybridCloseDrainsPublished(t *testing.T) {
@@ -133,8 +133,8 @@ func TestHybridLatePublishRejected(t *testing.T) {
 }
 
 // TestHybridApplyScanPanics checks that a blocking Apply refuses a Scan
-// by panicking, naming the calls that serve one, before it publishes:
-// no holder counts an operation and the map still serves.
+// by panicking, naming the calls that serve one, before it takes a
+// partition: no partition counts an operation and the map still serves.
 func TestHybridApplyScanPanics(t *testing.T) {
 	h := New(Config{Partitions: 2, KeyMax: 1 << 16})
 	defer h.Close()
@@ -305,9 +305,9 @@ func TestHybridBuildDuplicatesKeepFirst(t *testing.T) {
 }
 
 // TestHybridMetrics checks the per-partition instruments: op counts sum
-// to the operations applied, batch rounds and list depths are
-// observed, and the default B+ tree store reports splits. The tallies are
-// read before Close, whose barriers are combine rounds too.
+// to the operations applied, batch rounds are observed, and the default
+// B+ tree store reports splits. The tallies are read before Close, whose
+// barriers are rounds too.
 func TestHybridMetrics(t *testing.T) {
 	h := New(Config{Partitions: 2, KeyMax: 1 << 20})
 	defer h.Close()
@@ -340,11 +340,11 @@ func TestHybridMetrics(t *testing.T) {
 }
 
 // TestBlockingCallsCountedThroughBarrier runs two concurrent blocking
-// callers, which tally their direct steps on the partition alternately,
-// each while holding it, and reads the tallies through ExportMetrics,
-// whose barrier reads them while holding it too: every call is one op and
-// one round of one entry, and the export's own barrier one more round on
-// each partition.
+// callers, which tally their calls on the partition alternately, each
+// while holding it, and reads the tallies through ExportMetrics, whose
+// barrier reads them while holding it too: every call is one op and one
+// round of one, and the export's own barrier one more round on each
+// partition.
 func TestBlockingCallsCountedThroughBarrier(t *testing.T) {
 	const partitions, calls = 4, 5000
 	h := New(Config{Partitions: partitions, KeyMax: 1 << 16})
@@ -376,15 +376,10 @@ func TestBlockingCallsCountedThroughBarrier(t *testing.T) {
 	if ops != 2*calls {
 		t.Errorf("core/p*/ops = %d, want the %d calls made", ops, 2*calls)
 	}
-	byName := map[string]metrics.HistSnapshot{}
-	for _, hs := range hists {
-		byName[hs.Name] = hs
-	}
 	var batchSum uint64
-	for p := range partitions {
-		batch, mailbox := byName[fmt.Sprintf("core/p%d/batch", p)], byName[fmt.Sprintf("core/p%d/mailbox", p)]
-		if batch.Count != mailbox.Count || batch.Sum != mailbox.Sum || batch.Buckets != mailbox.Buckets {
-			t.Errorf("p%d: batch %d rounds of %d, mailbox %d rounds of %d entries; want the same", p, batch.Count, batch.Sum, mailbox.Count, mailbox.Sum)
+	for _, batch := range hists {
+		if batch.Count != batch.Sum || batch.Buckets[1] != batch.Count {
+			t.Errorf("%s: %d rounds of %d ops, %d of them of one; want every round of one", batch.Name, batch.Count, batch.Sum, batch.Buckets[1])
 		}
 		batchSum += batch.Sum
 	}
@@ -393,12 +388,12 @@ func TestBlockingCallsCountedThroughBarrier(t *testing.T) {
 	}
 }
 
-// TestRoundTallies pins the batch and mailbox histograms, sum, count and
-// every bucket, through ExportMetrics after one round by each way into a
-// partition: a blocking call's direct step (1 op, 1 entry), Len's barrier
-// (1, 1), a round of 3 reads and a scan on the free partition (4, 1),
-// holdPartition's barrier (1, 1), the combine of the two rounds of 2 and 3
-// reads queued behind it (5, 2), and the export's own barrier (1, 1).
+// TestRoundTallies pins the batch histogram, sum, count and every
+// bucket, and the ops counter, through ExportMetrics after one round by
+// each way into a partition: a blocking call (1 op), Len's barrier (1), a
+// round of 3 reads and a scan on the free partition (4), holdPartition's
+// barrier (1), the rounds of 2 and 3 reads parked behind it (2 and 3),
+// one hold each, and the export's own barrier (1).
 func TestRoundTallies(t *testing.T) {
 	h := New(Config{Partitions: 1, KeyMax: 1 << 10})
 	defer h.Close()
@@ -408,7 +403,7 @@ func TestRoundTallies(t *testing.T) {
 	if n, _ := h.NewBatcher(16).Apply(append(reads, hds.Request{Kind: hds.Scan, Key: 1, Value: 4}), nil); n != 4 {
 		t.Fatalf("round of 3 reads and a scan applied %d, want 4", n)
 	}
-	release := holdPartition(h, 0, h.parts[0].queued)
+	release := holdPartition(h, 0, func() int { return 0 })
 	var wg sync.WaitGroup
 	for _, ops := range [][]hds.Request{reads[:2], reads} {
 		wg.Add(1)
@@ -417,19 +412,13 @@ func TestRoundTallies(t *testing.T) {
 			b.Apply(ops, nil)
 		}(h.NewBatcher(16))
 	}
-	waitFor(t, "two rounds queued behind the held partition", func() bool { return h.parts[0].queued() == 2 })
-	if n := release(); n != 2 {
-		t.Fatalf("list length behind the held partition = %d, want 2", n)
-	}
+	waitFor(t, "two rounds parked behind the held partition", func() bool { return parkedInLock() == 2 })
+	release()
 	wg.Wait()
 	counters, hists := h.ExportMetrics()
-	var batch, mailbox [metrics.NumBuckets]uint64
-	batch[1], batch[3] = 4, 2 // sizes 1, 1, 4, 1, 5, 1
-	mailbox[1], mailbox[2] = 5, 1
-	want := []metrics.HistSnapshot{
-		{Name: "core/p0/batch", Sum: 13, Count: 6, Buckets: batch},
-		{Name: "core/p0/mailbox", Sum: 7, Count: 6, Buckets: mailbox},
-	}
+	var batch [metrics.NumBuckets]uint64
+	batch[1], batch[2], batch[3] = 4, 2, 1 // sizes 1, 1, 4, 1, 2, 3, 1
+	want := []metrics.HistSnapshot{{Name: "core/p0/batch", Sum: 13, Count: 7, Buckets: batch}}
 	if !reflect.DeepEqual(hists, want) {
 		t.Errorf("histograms = %+v, want %+v", hists, want)
 	}
@@ -440,8 +429,8 @@ func TestRoundTallies(t *testing.T) {
 
 // TestHybridApplyBatchAccounting pins the applied/succeeded distinction:
 // a read of an absent key is an *applied* operation that legitimately
-// failed, while a publish rejected by a concurrent Close never reaches a
-// store and must not be counted as applied.
+// failed, while an operation rejected by a concurrent Close never reaches
+// a store and must not be counted as applied.
 func TestHybridApplyBatchAccounting(t *testing.T) {
 	h := New(Config{Partitions: 4, KeyMax: 1 << 20})
 	const hits, misses = 40, 17
@@ -476,7 +465,7 @@ func TestHybridApplyBatchAccounting(t *testing.T) {
 		}
 	}
 
-	// After Close every publish is rejected: applied must drop to zero
+	// After Close every operation is rejected: applied must drop to zero
 	// and every outcome must carry the Rejected mark.
 	h.Close()
 	late := []hds.Request{{Kind: hds.Read, Key: 1}, {Kind: hds.Insert, Key: 99, Value: 1}}

@@ -153,8 +153,8 @@ func TestBatcherScanBufferBound(t *testing.T) {
 }
 
 // TestCloseRacingRoundScans is TestCloseRacingRound with scans in the
-// round: it is applied on partition 1 ahead of Close's barrier and
-// reaches partition 0 behind it. The data ops on partition 0 are
+// round: it is applied on partition 1 ahead of Close's barrier and takes
+// partition 0 after it. The data ops on partition 0 are
 // Rejected, but the scans complete OK on both partitions — the one from
 // partition 0 continuing into partition 1 after Close — and partition 0's
 // store sees no data operation.
@@ -189,10 +189,9 @@ func TestCloseRacingRoundScans(t *testing.T) {
 		h.Close()
 		close(closed)
 	}()
-	waitFor(t, "Close's barrier on partition 0", func() bool { return h.parts[0].queued() == 1 })
-	close(open)
-	waitFor(t, "the round's entry on partition 0", func() bool { return h.parts[0].queued() == 2 })
 	release()
+	waitFor(t, "Close's barrier on partition 0", func() bool { return refused(h, 0) })
+	close(open)
 	if n := <-applied; n != 4 {
 		t.Errorf("applied = %d, want 4 (partition 1's ops and both scans)", n)
 	}

@@ -9,27 +9,20 @@ import (
 
 // PartitionStats is one partition's management-plane snapshot, read
 // while holding the partition through the barrier path — so every field
-// is consistent with each other and with list order, even while traffic
-// flows, and after Close.
+// is consistent with each other, even while traffic flows, and after
+// Close.
 type PartitionStats struct {
 	// Partition is the partition index.
 	Partition int `json:"partition"`
 	// Ops counts data operations applied to the partition.
 	Ops uint64 `json:"ops"`
-	// Built counts pairs loaded by Build (bypassing the list).
+	// Built counts pairs loaded by Build (bypassing the lock).
 	Built uint64 `json:"built"`
-	// Batches counts combine rounds; BatchOps sums the operations and
-	// barriers they applied, so mean combine batch = BatchOps/Batches.
+	// Batches counts lock holds; BatchOps sums the operations, scans and
+	// barriers they applied, so mean ops per hold = BatchOps/Batches.
 	Batches uint64 `json:"batches"`
-	// BatchOps sums the operations and barriers of every combine round.
+	// BatchOps sums the operations, scans and barriers of every hold.
 	BatchOps uint64 `json:"batch_ops"`
-	// MailboxSum sums the entries each combine round took off the list
-	// (mean depth = MailboxSum/Batches); the saturation signal.
-	MailboxSum uint64 `json:"mailbox_sum"`
-	// QueueLen counts the entries published behind the snapshot's
-	// barrier and not yet taken (a Batcher round is one entry per
-	// partition, whatever it carries).
-	QueueLen int `json:"queue_len"`
 	// StoreLen is the partition store's pair count.
 	StoreLen int `json:"store_len"`
 	// Store maps the partition store's structural instrument names
@@ -38,11 +31,10 @@ type PartitionStats struct {
 	Store map[string]uint64 `json:"store,omitempty"`
 }
 
-// PartitionStats snapshots partition p in list order: the read runs
-// while holding p, after every operation published before it (the same
-// barrier Len and Dump use), which is also what makes it race-free and
-// exact. The tallies are the partition's plain fields, written only by
-// its holder, whichever way in it took; the barrier's own round is among
+// PartitionStats snapshots partition p while holding it (the same
+// barrier Len and Dump use), which is what makes it race-free and exact.
+// The tallies are the partition's plain fields, written only by its
+// holder, whichever way in it took; the barrier's own round is among
 // them. It and ExportMetrics are the only readers. Safe to call
 // concurrently with traffic and after Close.
 func (h *Hybrid) PartitionStats(p int) PartitionStats {
@@ -51,14 +43,12 @@ func (h *Hybrid) PartitionStats(p int) PartitionStats {
 	var out PartitionStats
 	h.barrier(p, func(s Store) {
 		out = PartitionStats{
-			Partition:  p,
-			Ops:        part.ops,
-			Built:      part.built,
-			Batches:    part.rounds,
-			BatchOps:   part.batchSum,
-			MailboxSum: part.mailboxSum,
-			QueueLen:   part.queued(),
-			StoreLen:   s.Len(),
+			Partition: p,
+			Ops:       part.ops,
+			Built:     part.built,
+			Batches:   part.rounds,
+			BatchOps:  part.batchSum,
+			StoreLen:  s.Len(),
 		}
 		for _, name := range h.reg.Names() {
 			if strings.HasPrefix(name, storePrefix) {
@@ -74,8 +64,8 @@ func (h *Hybrid) PartitionStats(p int) PartitionStats {
 }
 
 // ExportMetrics captures every core/p<i>/ instrument — the counters ops,
-// built and the store's own, and the batch and mailbox histograms with
-// their shape buckets — partition by partition through the barrier path,
+// built and the store's own, and the batch histogram with its shape
+// buckets — partition by partition through the barrier path,
 // so each partition's tallies are read while holding the partition (the
 // read rule PartitionStats states), and the export never races the data
 // path. Partitions are visited one after another, not atomically (the
@@ -90,7 +80,7 @@ func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 }
 
 // tally reads partition p's instruments: its counters into counters,
-// and its two histograms appended to hists. The caller holds p, or the
+// and its batch histogram appended to hists. The caller holds p, or the
 // map is quiescent.
 func (h *Hybrid) tally(p int, counters metrics.Snapshot, hists []metrics.HistSnapshot) []metrics.HistSnapshot {
 	part, prefix := h.parts[p], fmt.Sprintf("core/p%d/", p)
@@ -101,10 +91,5 @@ func (h *Hybrid) tally(p int, counters metrics.Snapshot, hists []metrics.HistSna
 			counters[name] = c.Value()
 		}
 	}
-	batch := metrics.HistSnapshot{Name: prefix + "batch", Sum: part.batchSum, Count: part.rounds}
-	mailbox := metrics.HistSnapshot{Name: prefix + "mailbox", Sum: part.mailboxSum, Count: part.rounds}
-	for i, pair := range part.buckets {
-		batch.Buckets[i], mailbox.Buckets[i] = pair[0], pair[1]
-	}
-	return append(hists, batch, mailbox)
+	return append(hists, metrics.HistSnapshot{Name: prefix + "batch", Sum: part.batchSum, Count: part.rounds, Buckets: *part.buckets})
 }

@@ -47,27 +47,29 @@ var rules = []rule{
 		reason:  "internal/core and internal/server must not depend on a dsim or sim package",
 		violate: map[string]string{"internal/hds/hds.go": "package hds\n\nimport _ \"hybrids/internal/dsim/fc\"\n"},
 	},
-	// The native runtime pushes one publication-list entry per (round,
-	// partition) and waits on a countdown with a spin of plain loads, then
-	// a park; a blocking call spins the same plain loads on the holder
-	// flag before it publishes. A yield, the buffered-channel mailbox, its
-	// capacity knob or the close lock creeping back in is a regression.
+	// A caller waits for a held partition with a spin of TryLocks on its
+	// mutex, each one load while the lock is held, and then parks in Lock
+	// (DESIGN §5.5). A yield in the spin, the buffered-channel mailbox,
+	// its capacity knob or a reader-writer lock creeping back in is a
+	// regression.
 	{
 		name:    "native-off-simulator/core-waits",
 		check:   grep(files{globs: []string{"internal/core/*.go"}}, `Gosched|chan request|MailboxDepth|sync\.RWMutex`),
-		reason:  "internal/core must not yield, use a request channel, MailboxDepth or an RWMutex",
+		reason:  "internal/core must wait for a partition by spinning TryLock and parking in Lock: no yield, request channel, MailboxDepth or RWMutex",
 		violate: map[string]string{"internal/core/batch.go": "package core\n\nimport \"runtime\"\n\nfunc spin() { runtime.Gosched() }\n"},
 	},
-	// A barrier, and a blocking call whose spin ran out, is a round of one
-	// on a pooled Batcher, completed by the round's countdown like any
-	// round; a blocking call that takes its free partition applies itself
-	// and needs no handle (DESIGN §5.5). A future type, its pool or a fut
-	// field on a list entry is a second completion handle beside them.
+	// Every call completes under its partition's lock, in its own
+	// goroutine: the caller applies its own ops and writes its own
+	// outcomes (DESIGN §5.5). A publication list (an atomic.Pointer head),
+	// a completion channel, a pending countdown or a future is a second
+	// way to complete a call, for a holder that applies other callers'
+	// ops. build.go is exempt, as in core-owns-no-goroutine.
 	{
-		name:    "core-one-completion",
-		check:   grep(files{globs: []string{"internal/core/*.go"}}, `^type[[:space:]]+future\b|futPool|^[[:space:]]+fut[[:space:]]`),
-		reason:  "internal/core must complete every call through a Batcher round's countdown, not a future",
-		violate: map[string]string{"internal/core/hybrid.go": "package core\n\ntype request struct {\n\tgrp  *Batcher\n\tfut  *future\n\tnext *request\n}\n"},
+		name: "core-one-completion",
+		check: grep(files{globs: []string{"internal/core/*.go"}, except: []string{"internal/core/build.go"}},
+			`atomic\.Pointer\[|chan struct\{\}|^[[:space:]]+pending[[:space:]]|^type[[:space:]]+future\b|futPool`),
+		reason:  "internal/core must complete every call under its partition's lock, not through a list, countdown or future",
+		violate: map[string]string{"internal/core/hybrid.go": "package core\n\ntype partition struct {\n\thead    atomic.Pointer[request]\n\tpending atomic.Int32\n}\n"},
 	},
 	// Every server/ counter is one row of internal/server/stats.go's table,
 	// which every view loops over; a second spelling of a name means a view

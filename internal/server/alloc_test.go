@@ -12,7 +12,7 @@ import (
 // SCANs one of which crosses a partition boundary, perform no heap
 // allocation anywhere on the path — client encode, the server's
 // connection loop (frame decode, coalescing, batcher window and the
-// crossing scan's barrier, combiner, response encode, socket write) and
+// crossing scan's barrier, core round, response encode, socket write) and
 // client decode into pooled pairs handed back with PutPairs. testing.AllocsPerRun counts mallocs process-wide, so the
 // server's goroutines are inside the measurement, not just the client's.
 func TestServePathAllocs(t *testing.T) {

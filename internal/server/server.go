@@ -25,7 +25,7 @@ type Config struct {
 	// Window is the maximum number of pipelined requests, SCANs
 	// included, one connection coalesces into a single core.Batcher.Apply
 	// call (the §3.5 non-blocking window): every whole request already
-	// read is one call, up to Window, so the combiner hop is paid once
+	// read is one call, up to Window, so the core hop is paid once
 	// per client flush. Defaults to DefaultWindow (64).
 	Window int
 	// MaxConns caps concurrently served connections; connections accepted
@@ -40,7 +40,7 @@ type Config struct {
 	WriteTimeout time.Duration
 	// ScanLimit caps the pairs returned by one SCAN request (the client's
 	// requested count is clamped to it), bounding response frames and the
-	// time a scan barrier occupies combiners. Defaults to 1024.
+	// time a scan barrier holds a partition. Defaults to 1024.
 	ScanLimit int
 	// SlowOp is the initial slow-operation logging threshold: a served
 	// batch whose wall-clock time reaches it emits one structured JSON
@@ -59,7 +59,7 @@ type Config struct {
 // core.Hybrid. Construct with New, start with Serve, stop with Shutdown.
 // The server never closes the hybrid map: callers Shutdown the server
 // first, then Close the map, so every request read before the drain
-// began reaches a combiner.
+// began reaches its partitions.
 type Server struct {
 	h   *core.Hybrid
 	cfg Config
@@ -230,7 +230,7 @@ func (s *Server) liveLocked(i stat) uint64 {
 // is the base cell plus the live connections' local cells
 // (single-writer atomics, safe to Load concurrently) — so the snapshot
 // reflects in-flight traffic without the data path ever taking the
-// mutex. The core runtime's combiner-owned counters are consistent only
+// mutex. The core runtime's holder-owned counters are consistent only
 // at quiescence and are deliberately excluded.
 func (s *Server) statsLocked() []byte {
 	var out []byte
