@@ -10,7 +10,7 @@ import "hybrids/internal/hds"
 type Outcome struct {
 	// Result is the operation's hds result (zero when Rejected).
 	Result hds.Result
-	// Rejected reports that the publish was refused by Close.
+	// Rejected reports that Close refused the operation: it was not applied.
 	Rejected bool
 }
 
@@ -187,10 +187,8 @@ func (b *Batcher) serve(part *partition) {
 		}
 	}
 	for _, i := range bp.sidx {
-		if c, kv := part.cur, &b.pairs[i]; cap(*kv) > 0 {
-			c.dst, c.base, c.limit = *kv, 0, cap(*kv)
-			part.store.Ascend(ops[i].Key, c.visit)
-			*kv, c.dst = c.dst, nil
+		if kv := &b.pairs[i]; cap(*kv) > 0 {
+			*kv = part.scan(*kv, ops[i].Key, cap(*kv))
 		}
 	}
 	part.mu.Unlock()

@@ -65,6 +65,8 @@ func TestPartitionLines(t *testing.T) {
 // holdPartition keeps partition p held inside a barrier closure until
 // the returned release is called; release waits for the barrier to
 // return and reports what fn read while still holding the partition.
+// release is idempotent: a caller defers it right after holdPartition, so
+// a failing test lets go of p before its earlier-deferred Close runs.
 func holdPartition(h *Hybrid, p int, fn func() int) (release func() int) {
 	entered, rel, out := make(chan struct{}), make(chan struct{}), make(chan int, 1)
 	go h.barrier(p, func(Store) {
@@ -73,10 +75,10 @@ func holdPartition(h *Hybrid, p int, fn func() int) (release func() int) {
 		out <- fn()
 	})
 	<-entered
-	return func() int {
+	return sync.OnceValue(func() int {
 		close(rel)
 		return <-out
-	}
+	})
 }
 
 // waitFor polls cond for up to 10 s.
@@ -119,6 +121,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	h := New(Config{Partitions: partitions, KeyMax: 1 << 20})
 	defer h.Close()
 	release := holdPartition(h, 0, func() int { return 0 })
+	defer release()
 	b := h.NewBatcher(16)
 	ops := spread(16, partitions, 1<<20)
 	applied := make(chan int)
@@ -184,6 +187,7 @@ func TestBatcherRoundTakesFreePartition(t *testing.T) {
 	}
 
 	release := holdPartition(h, 0, func() int { return int(h.parts[0].ops) })
+	defer release()
 	applied := make(chan int)
 	go func() {
 		n, _ := b.Apply(ops, nil)
@@ -219,6 +223,7 @@ func TestBatcherParksPastSpin(t *testing.T) {
 		func() int { h.Put(ops[0].Key, 7); return 1 },
 	} {
 		release := holdPartition(h, 0, func() int { return 0 })
+		defer release()
 		done := make(chan int)
 		go func() { done <- call() }()
 		waitFor(t, "the caller to park", func() bool { return parkedInLock() == 1 })

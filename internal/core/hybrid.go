@@ -52,10 +52,10 @@ type Store interface {
 }
 
 // Instrumented is implemented by stores that expose structural-event
-// counters (cds.BTree does). New registers
-// each partition store that implements it under "core/p<i>/store", so
-// per-partition structural metrics are engine-uniform without the runtime
-// knowing any concrete store type.
+// counters (cds.BTree does). New registers each partition store that
+// implements it in the partition's own registry under "core/p<i>/store",
+// so per-partition structural metrics are engine-uniform without the
+// runtime knowing any concrete store type.
 type Instrumented interface {
 	// Instrument registers the store's counters in reg under prefix.
 	Instrument(reg *metrics.Registry, prefix string)
@@ -84,9 +84,7 @@ type KV struct {
 // Hybrid is a concurrent ordered map with one holder at a time per
 // partition. All exported methods are safe for concurrent use.
 type Hybrid struct {
-	cfg Config
-	// reg holds only the counters the Instrumented stores register.
-	reg   *metrics.Registry
+	cfg   Config
 	parts []*partition
 	span  uint64
 }
@@ -100,10 +98,10 @@ const spinLoads = 30000
 
 // partition is one serving domain: its lock, which stands in for the
 // partition's NMP core serving one call at a time, and what only the
-// lock's holder touches — the refusal flag, the tallies, the store and
-// the cursor rounds' scans are served through. It fills two cache lines
-// of its own: the first holds all a blocking call writes and reads but
-// its bucket, the second the rest.
+// lock's holder touches — the refusal flag, the tallies, the store, the
+// scan cursor and the store's registry. It fills two cache lines of its
+// own: the first holds all a blocking call writes and reads but its
+// bucket, the second the rest.
 type partition struct {
 	// mu is held by the one caller serving the partition. refusing is set
 	// by Close's barrier: every data operation served after it completes
@@ -113,7 +111,7 @@ type partition struct {
 	// operations applied, built the pairs Build loaded. buckets[i] counts
 	// the rounds whose batch size is i bits long: a pointer-free
 	// allocation of its own, so no malloc header moves it off a line
-	// boundary.
+	// boundary. reg holds only an Instrumented store's counters.
 	mu                    sync.Mutex
 	refusing              bool
 	rounds, batchSum, ops uint64
@@ -122,7 +120,8 @@ type partition struct {
 	id                    int
 	built                 uint64
 	buckets               *[metrics.NumBuckets]uint64
-	_                     [40]byte
+	reg                   *metrics.Registry
+	_                     [32]byte
 }
 
 // New creates a hybrid map. It starts no goroutine.
@@ -136,22 +135,18 @@ func New(cfg Config) *Hybrid {
 	if cfg.NewStore == nil {
 		cfg.NewStore = func(int) Store { return cds.NewBTree() }
 	}
-	reg := metrics.NewRegistry()
 	// span is ceil(KeyMax/Partitions), written so that it cannot wrap.
-	h := &Hybrid{
-		cfg:  cfg,
-		reg:  reg,
-		span: (cfg.KeyMax-1)/uint64(cfg.Partitions) + 1,
-	}
+	h := &Hybrid{cfg: cfg, span: (cfg.KeyMax-1)/uint64(cfg.Partitions) + 1}
 	for p := 0; p < cfg.Partitions; p++ {
 		part := &partition{
 			id:      p,
 			store:   cfg.NewStore(p),
-			cur:     cursorPool.New().(*scanCursor),
+			cur:     newScanCursor(),
 			buckets: new([metrics.NumBuckets]uint64),
+			reg:     metrics.NewRegistry(),
 		}
 		if ins, ok := part.store.(Instrumented); ok {
-			ins.Instrument(reg, fmt.Sprintf("core/p%d/store", p))
+			ins.Instrument(part.reg, fmt.Sprintf("core/p%d/store", p))
 		}
 		h.parts = append(h.parts, part)
 	}
@@ -307,35 +302,38 @@ func (h *Hybrid) Scan(from uint64, limit int) []KV {
 // performs no allocation; the pairs are appended after dst's existing
 // contents.
 func (h *Hybrid) ScanAppend(dst []KV, from uint64, limit int) []KV {
-	if limit <= 0 {
-		return dst
+	base := len(dst)
+	for p := from / h.span; p < uint64(len(h.parts)) && len(dst)-base < limit; p++ {
+		part := h.parts[p]
+		h.barrier(int(p), func(Store) { dst = part.scan(dst, from, limit-(len(dst)-base)) })
 	}
-	c := cursorPool.Get().(*scanCursor)
-	c.dst, c.from, c.base, c.limit = dst, from, len(dst), limit
-	for p := from / h.span; p < uint64(len(h.parts)) && len(c.dst)-c.base < limit; p++ {
-		h.barrier(int(p), c.ascend)
-	}
-	dst, c.dst = c.dst, nil
-	cursorPool.Put(c)
 	return dst
 }
 
-// scanCursor is one ScanAppend's state, pooled with its callbacks bound
-// once: closures made per scan would escape and allocate.
+// scan appends to dst up to limit (at least one) pairs with keys >= from
+// in ascending order, through the partition's cursor. Only the holder
+// calls it.
+func (p *partition) scan(dst []KV, from uint64, limit int) []KV {
+	c := p.cur
+	c.dst, c.base, c.limit = dst, len(dst), limit
+	p.store.Ascend(from, c.visit)
+	dst, c.dst = c.dst, nil
+	return dst
+}
+
+// scanCursor is a partition's scan state, its callback bound once: a
+// closure made per scan would escape into Store.Ascend and allocate.
 type scanCursor struct {
 	dst         []KV
-	from        uint64
 	base, limit int
-	ascend      func(s Store)
 	visit       func(k, v uint64) bool
 }
 
-var cursorPool = sync.Pool{New: func() any {
+func newScanCursor() *scanCursor {
 	c := new(scanCursor)
-	c.ascend = func(s Store) { s.Ascend(c.from, c.visit) }
 	c.visit = func(k, v uint64) bool { // a cursor runs only while there is room
 		c.dst = append(c.dst, KV{Key: k, Value: v})
 		return len(c.dst)-c.base < c.limit
 	}
 	return c
-}}
+}

@@ -100,6 +100,7 @@ func TestCloseRacingRound(t *testing.T) {
 	// Partition 0 is held, so the round serves the free partition 1 first
 	// and stalls there, holding it, inside the gated Get.
 	release := holdPartition(h, 0, func() int { return 0 })
+	defer release()
 	b := h.NewBatcher(16)
 	ops := []hds.Request{
 		{Kind: hds.Insert, Key: 1, Value: 1},

@@ -27,10 +27,10 @@ func opsApplied(h *Hybrid) (n uint64) {
 // but without a barrier's own round. Call it at quiescence.
 func tallied(h *Hybrid) metrics.Snapshot {
 	snap := metrics.Snapshot{}
-	for p := range h.parts {
-		for _, hs := range h.tally(p, snap, nil) {
-			snap[hs.Name+"/sum"], snap[hs.Name+"/count"] = hs.Sum, hs.Count
-		}
+	for _, part := range h.parts {
+		st, buckets := part.stats()
+		hs := st.export(snap, buckets)
+		snap[hs.Name+"/sum"], snap[hs.Name+"/count"] = hs.Sum, hs.Count
 	}
 	return snap
 }
@@ -404,6 +404,7 @@ func TestRoundTallies(t *testing.T) {
 		t.Fatalf("round of 3 reads and a scan applied %d, want 4", n)
 	}
 	release := holdPartition(h, 0, func() int { return 0 })
+	defer release()
 	var wg sync.WaitGroup
 	for _, ops := range [][]hds.Request{reads[:2], reads} {
 		wg.Add(1)

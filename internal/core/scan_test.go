@@ -152,6 +152,43 @@ func TestBatcherScanBufferBound(t *testing.T) {
 	}
 }
 
+// TestScanAppendAllocs checks that a scan crossing partition ends
+// allocates nothing: a ScanAppend through three partitions into a reused
+// buffer, and a Batcher window whose scan continues past its start
+// partition after the round.
+func TestScanAppendAllocs(t *testing.T) {
+	const partitions, keyMax = 4, 1 << 16
+	h := New(Config{Partitions: partitions, KeyMax: keyMax})
+	defer h.Close()
+	pairs := make([]KV, keyMax/256)
+	for i := range pairs {
+		pairs[i] = KV{Key: uint64(i)*256 + 1, Value: uint64(i)}
+	}
+	h.Build(pairs)
+	perPart := len(pairs) / partitions
+	from, limit := pairs[perPart-3].Key, 3+perPart+5 // partition 0's last 3 pairs, partition 1's, 5 of partition 2's
+
+	buf := make([]KV, 0, limit)
+	buf = h.ScanAppend(buf, from, limit)
+	if want := pairs[perPart-3 : perPart-3+limit]; !slices.Equal(buf, want) {
+		t.Fatalf("ScanAppend from %d limit %d = %d pairs, want %d from key %d", from, limit, len(buf), len(want), want[0].Key)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = h.ScanAppend(buf[:0], from, limit) }); allocs != 0 {
+		t.Errorf("ScanAppend through 3 partitions allocates %.2f objects/call, want 0", allocs)
+	}
+
+	b := h.NewBatcher(16)
+	ops := []hds.Request{{Kind: hds.Read, Key: 1}, {Kind: hds.Scan, Key: from, Value: uint64(limit)}, {Kind: hds.Read, Key: keyMax - 1}}
+	out := make([]Outcome, len(ops))
+	b.Apply(ops, out)
+	if !slices.Equal(b.Pairs(1), buf) {
+		t.Fatalf("window scan = %d pairs, want the %d ScanAppend returned", len(b.Pairs(1)), len(buf))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Apply(ops, out) }); allocs != 0 {
+		t.Errorf("a window whose scan continues past its start partition allocates %.2f objects/call, want 0", allocs)
+	}
+}
+
 // TestCloseRacingRoundScans is TestCloseRacingRound with scans in the
 // round: it is applied on partition 1 ahead of Close's barrier and takes
 // partition 0 after it. The data ops on partition 0 are
@@ -169,6 +206,7 @@ func TestCloseRacingRoundScans(t *testing.T) {
 	h.Build([]KV{{Key: 2, Value: 20}, {Key: 3, Value: 30}, {Key: gate, Value: 70}})
 	touched[0].Store(0) // Build's Puts
 	release := holdPartition(h, 0, func() int { return 0 })
+	defer release()
 	b := h.NewBatcher(16)
 	ops := []hds.Request{
 		{Kind: hds.Insert, Key: 1, Value: 1},

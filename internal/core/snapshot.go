@@ -37,30 +37,10 @@ type PartitionStats struct {
 // holder, whichever way in it took; the barrier's own round is among
 // them. It and ExportMetrics are the only readers. Safe to call
 // concurrently with traffic and after Close.
-func (h *Hybrid) PartitionStats(p int) PartitionStats {
+func (h *Hybrid) PartitionStats(p int) (st PartitionStats) {
 	part := h.parts[p]
-	storePrefix := fmt.Sprintf("core/p%d/store/", p)
-	var out PartitionStats
-	h.barrier(p, func(s Store) {
-		out = PartitionStats{
-			Partition: p,
-			Ops:       part.ops,
-			Built:     part.built,
-			Batches:   part.rounds,
-			BatchOps:  part.batchSum,
-			StoreLen:  s.Len(),
-		}
-		for _, name := range h.reg.Names() {
-			if strings.HasPrefix(name, storePrefix) {
-				if out.Store == nil {
-					out.Store = make(map[string]uint64)
-				}
-				c, _ := h.reg.LookupCounter(name)
-				out.Store[strings.TrimPrefix(name, storePrefix)] = c.Value()
-			}
-		}
-	})
-	return out
+	h.barrier(p, func(Store) { st, _ = part.stats() })
+	return st
 }
 
 // ExportMetrics captures every core/p<i>/ instrument — the counters ops,
@@ -73,23 +53,43 @@ func (h *Hybrid) PartitionStats(p int) PartitionStats {
 func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 	counters := make(metrics.Snapshot)
 	var hists []metrics.HistSnapshot
-	for p := range h.parts {
-		h.barrier(p, func(Store) { hists = h.tally(p, counters, hists) })
+	for p, part := range h.parts {
+		var st PartitionStats
+		var buckets [metrics.NumBuckets]uint64
+		h.barrier(p, func(Store) { st, buckets = part.stats() })
+		hists = append(hists, st.export(counters, buckets))
 	}
 	return counters, hists
 }
 
-// tally reads partition p's instruments: its counters into counters,
-// and its batch histogram appended to hists. The caller holds p, or the
-// map is quiescent.
-func (h *Hybrid) tally(p int, counters metrics.Snapshot, hists []metrics.HistSnapshot) []metrics.HistSnapshot {
-	part, prefix := h.parts[p], fmt.Sprintf("core/p%d/", p)
-	counters[prefix+"ops"], counters[prefix+"built"] = part.ops, part.built
-	for _, name := range h.reg.Names() {
-		if strings.HasPrefix(name, prefix) {
-			c, _ := h.reg.LookupCounter(name)
-			counters[name] = c.Value()
+// stats reads the partition's tallies, its store's length and counters,
+// and the batch buckets. Only the holder calls it.
+func (p *partition) stats() (PartitionStats, [metrics.NumBuckets]uint64) {
+	st := PartitionStats{
+		Partition: p.id,
+		Ops:       p.ops,
+		Built:     p.built,
+		Batches:   p.rounds,
+		BatchOps:  p.batchSum,
+		StoreLen:  p.store.Len(),
+	}
+	if counters := p.reg.Snapshot(); len(counters) > 0 {
+		prefix := fmt.Sprintf("core/p%d/store/", p.id)
+		st.Store = make(map[string]uint64, len(counters))
+		for name, v := range counters {
+			st.Store[strings.TrimPrefix(name, prefix)] = v
 		}
 	}
-	return append(hists, metrics.HistSnapshot{Name: prefix + "batch", Sum: part.batchSum, Count: part.rounds, Buckets: *part.buckets})
+	return st, *p.buckets
+}
+
+// export adds st's counters to counters under their core/p<i>/ names and
+// returns its batch histogram, whose shape is buckets.
+func (st PartitionStats) export(counters metrics.Snapshot, buckets [metrics.NumBuckets]uint64) metrics.HistSnapshot {
+	prefix := fmt.Sprintf("core/p%d/", st.Partition)
+	counters[prefix+"ops"], counters[prefix+"built"] = st.Ops, st.Built
+	for name, v := range st.Store {
+		counters[prefix+"store/"+name] = v
+	}
+	return metrics.HistSnapshot{Name: prefix + "batch", Sum: st.BatchOps, Count: st.Batches, Buckets: buckets}
 }

@@ -71,6 +71,16 @@ var rules = []rule{
 		reason:  "internal/core must complete every call under its partition's lock, not through a list, countdown or future",
 		violate: map[string]string{"internal/core/hybrid.go": "package core\n\ntype partition struct {\n\thead    atomic.Pointer[request]\n\tpending atomic.Int32\n}\n"},
 	},
+	// Under the lock nothing a call hands its partition leaves the
+	// caller's stack or the partition (DESIGN §5.5): a scan visits
+	// through the partition's own cursor, and a barrier's closure does not
+	// escape. A sync.Pool is state that outlived a reason to share it.
+	{
+		name:    "core-no-pool",
+		check:   grep(files{globs: []string{"internal/core/*.go"}}, `sync\.Pool\b`),
+		reason:  "internal/core must not pool call state: a call's state lives on its caller's stack or in its partition",
+		violate: map[string]string{"internal/core/hybrid.go": "package core\n\nvar cursorPool = sync.Pool{New: func() any { return new(scanCursor) }}\n"},
+	},
 	// Every server/ counter is one row of internal/server/stats.go's table,
 	// which every view loops over; a second spelling of a name means a view
 	// kept by hand again.
@@ -82,9 +92,10 @@ var rules = []rule{
 	},
 	// Each serving layer owns its instruments and is read only through its
 	// ExportMetrics (DESIGN §5.5): the server counts in connStats cells,
-	// and the core's registry is private, exact only through a barrier. A
-	// registry instrument in the server, or a registry handed to the core
-	// to be read raw, is a second owner again.
+	// and each core partition's own registry holds only its store's
+	// counters, read only through a barrier. A registry instrument in the
+	// server, or a registry handed to the core to be read raw, is a second
+	// owner again.
 	{
 		name:    "serving-instruments-one-owner/server",
 		check:   grep(files{globs: []string{"internal/server/*.go"}}, `\*metrics\.(Registry|Counter|Histogram)\b|metrics\.NewRegistry`),
