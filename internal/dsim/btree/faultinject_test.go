@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
@@ -33,6 +34,22 @@ func boundaryTarget(m *machine.Machine, h *Hybrid, key uint32) (begin, parent ui
 	}
 	child, _ := untag(ram.Load32(ptrAddr(curr, i)))
 	return child, curr
+}
+
+// nmpPath descends untimed from begin toward key and returns the NMP
+// path indexed by level: the leaf first, begin last.
+func nmpPath(ram *memsys.RAM, begin, key uint32) []uint32 {
+	path := []uint32{begin}
+	for curr := begin; metaLevel(ram.Load32(metaAddr(curr))) > 0; {
+		slots := metaSlots(ram.Load32(metaAddr(curr)))
+		i := 0
+		for i < slots-1 && key > ram.Load32(keyAddr(curr, i)) {
+			i++
+		}
+		curr = ram.Load32(ptrAddr(curr, i))
+		path = append([]uint32{curr}, path...)
+	}
+	return path
 }
 
 func TestHybridParentSeqnumAheadForcesRetryThenSucceeds(t *testing.T) {
@@ -106,15 +123,7 @@ func TestHybridRemoveRetriesWhileLeafLocked(t *testing.T) {
 	// prepared split).
 	ram := m.Mem.RAM
 	begin, _ := boundaryTarget(m, h, key)
-	leaf := begin
-	for metaLevel(ram.Load32(metaAddr(leaf))) > 0 {
-		slots := metaSlots(ram.Load32(metaAddr(leaf)))
-		i := 0
-		for i < slots-1 && key > ram.Load32(keyAddr(leaf, i)) {
-			i++
-		}
-		leaf = ram.Load32(ptrAddr(leaf, i))
-	}
+	leaf := nmpPath(ram, begin, key)[0]
 	ram.Store32(lockAddr(leaf), 1)
 
 	var removed bool
@@ -133,6 +142,135 @@ func TestHybridRemoveRetriesWhileLeafLocked(t *testing.T) {
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHybridFailedLockPathUnlocksAndRetries drives an insert whose NMP
+// path is full, so the combiner locks it and answers LOCK_PATH, and makes
+// the host's lockPath fail: a second actor moves the recorded host
+// parent's seqnum by 2 between the descent and the response, as a sibling
+// split would. Finish must send UNLOCK_PATH, the combiner must release
+// every NMP lock on the path, and the insert must restart from the root
+// and be applied exactly once.
+func TestHybridFailedLockPathUnlocksAndRetries(t *testing.T) {
+	pairs := initialPairs(2000)
+	m := testMachine()
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: testNMPLevels, Window: 1})
+	h.Build(pairs)
+	// Start each combiner with a handler that records the requests the
+	// target insert sends.
+	var armed bool
+	var sent []fc.OpType
+	for p, tree := range h.trees {
+		serve := tree.handler()
+		h.rt.Start(p, func(c *machine.Ctx, slot int, req fc.Request) fc.Response {
+			if armed {
+				sent = append(sent, req.Op)
+			}
+			return serve(c, slot, req)
+		})
+	}
+
+	ram := m.Mem.RAM
+	want := make(map[uint32]uint32, len(pairs))
+	for _, p := range pairs {
+		want[p.Key] = p.Value
+	}
+	full := func(path []uint32) bool {
+		for lv, n := range path {
+			maxSlots := InnerMax
+			if lv == 0 {
+				maxSlots = LeafMax
+			}
+			if metaSlots(ram.Load32(metaAddr(n))) < maxSlots {
+				return false
+			}
+		}
+		return true
+	}
+	// Ascending inserts above every initial key fill the rightmost NMP
+	// path; the first key whose path is full is the target.
+	var path []uint32
+	var parent uint32
+	var done, moved bool
+	key := uint32(testKeyMax/2 + 1)
+	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
+		defer func() { done = true }()
+		for ; ; key++ {
+			var begin uint32
+			begin, parent = boundaryTarget(m, h, key)
+			if path = nmpPath(ram, begin, key); full(path) {
+				break
+			}
+			if _, ok := h.Apply(c, 0, kv.Op{Kind: kv.Insert, Key: key, Value: key}); !ok {
+				t.Errorf("filling insert %d failed", key)
+				return
+			}
+			want[key] = key
+		}
+		armed = true
+		if _, ok := h.Apply(c, 0, kv.Op{Kind: kv.Insert, Key: key, Value: 77}); !ok {
+			t.Errorf("insert %d into a full NMP path failed", key)
+		}
+		armed = false
+		want[key] = 77
+	})
+	m.SpawnHost(1, "mover", func(c *machine.Ctx) {
+		// The combiner holds the leaf's lock from its LOCK_PATH answer
+		// until RESUME_INSERT or UNLOCK_PATH.
+		for !done && (!armed || ram.Load32(lockAddr(path[0])) == 0) {
+			c.Step(1)
+		}
+		if done {
+			return
+		}
+		ram.Store32(syncAddr(parent), ram.Load32(syncAddr(parent))+2)
+		moved = true
+		// An NMP lock left held would make the insert retry forever.
+		for end := c.Now() + 1_000_000; !done; c.Step(64) {
+			if c.Now() > end {
+				panic("the insert still retries 10^6 cycles after its lockPath failed")
+			}
+		}
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatal(r)
+			}
+		}()
+		m.Run()
+	}()
+
+	if !moved {
+		t.Fatal("the target insert never locked its NMP path")
+	}
+	wantSent := []fc.OpType{fc.OpInsert, fc.OpUnlockPath, fc.OpInsert, fc.OpResumeInsert}
+	if !slices.Equal(sent, wantSent) {
+		t.Fatalf("target insert sent %v, want %v", sent, wantSent)
+	}
+	begin, _ := boundaryTarget(m, h, key)
+	for _, n := range append(path, nmpPath(ram, begin, key)...) {
+		if l := ram.Load32(lockAddr(n)); l != 0 {
+			t.Errorf("NMP node %#x still locked (%d)", n, l)
+		}
+	}
+	for p, tree := range h.trees {
+		if len(tree.pending) != 0 {
+			t.Errorf("partition %d: %d pending inserts left", p, len(tree.pending))
+		}
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	dump := h.Dump()
+	if len(dump) != len(want) {
+		t.Fatalf("dump holds %d pairs, want %d", len(dump), len(want))
+	}
+	for _, p := range dump {
+		if v, ok := want[p.Key]; !ok || v != p.Value {
+			t.Fatalf("dump pair (%d,%d), want (%d,%v)", p.Key, p.Value, v, ok)
+		}
 	}
 }
 

@@ -187,14 +187,9 @@ func (t *nmpTree) resume(c *machine.Ctx, slot int) fc.Response {
 		panic("btree: RESUME_INSERT with no pending state")
 	}
 	delete(t.pending, slot)
-	var right, div uint32
-	if t.levels == 1 {
-		right, div = splitLeafInsert(c, t.alloc, p.path[0], p.key, p.value)
-	} else {
-		right, div = splitLeafInsert(c, t.alloc, p.path[0], p.key, p.value)
-		for lv := 1; lv < t.levels; lv++ {
-			right, div = splitInnerInsert(c, t.alloc, p.path[lv], p.idxs[lv], div, right)
-		}
+	right, div := splitLeafInsert(c, t.alloc, p.path[0], p.key, p.value)
+	for lv := 1; lv < t.levels; lv++ {
+		right, div = splitInnerInsert(c, t.alloc, p.path[lv], p.idxs[lv], div, right)
 	}
 	c.Write32(syncAddr(p.begin), p.offSeq+2)
 	c.Write32(syncAddr(right), p.offSeq+2)

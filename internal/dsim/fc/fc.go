@@ -148,14 +148,14 @@ type Delays struct {
 }
 
 // DelaysFrom assembles the Table 2 delay view from a registry snapshot (or
-// snapshot delta), summing the per-partition offload histograms.
+// snapshot delta), summing the per-partition offload histograms. The sums
+// are integers, so the map's order does not matter.
 func DelaysFrom(s metrics.Snapshot) Delays {
 	var d Delays
-	for _, name := range s.Names() {
+	for name, v := range s {
 		if !strings.HasPrefix(name, "offload/p") {
 			continue
 		}
-		v := s.Get(name)
 		switch {
 		case strings.HasSuffix(name, "/post_to_scan/sum"):
 			d.PostToScan += v
@@ -194,9 +194,9 @@ type PubList struct {
 
 	// Table 2 instrumentation: per-partition delay histograms registered
 	// in the machine's metrics registry (virtual-cycle samples).
-	hPostToScan *metrics.Histogram
-	hService    *metrics.Histogram
-	hObserve    *metrics.Histogram
+	hPostToScan metrics.Histogram
+	hService    metrics.Histogram
+	hObserve    metrics.Histogram
 }
 
 // NewPubList lays out a publication list with the given slot count in

@@ -1,9 +1,12 @@
 // Package metrics implements the unified instrumentation registry shared
 // by every layer of the simulator: the discrete-event engine, the memory
 // system, the NMP offload runtime and the data structures all register
-// named counters and histograms in one per-machine Registry, and the
-// experiment harness measures phases by snapshot/delta over that single
-// namespace instead of ad-hoc per-subsystem stat structs.
+// named counters in one per-machine Registry, and the experiment harness
+// measures phases by snapshot/delta over that single namespace instead of
+// ad-hoc per-subsystem stat structs. A simulator histogram is nothing but
+// a pair of those counters, "<name>/sum" and "<name>/count": every reader
+// (Table 2, the attribution report) wants a per-operation mean over a
+// delta, which the pair gives exactly.
 //
 // Instrumentation is pure Go-side bookkeeping: it never advances virtual
 // time, so adding or reading metrics cannot perturb simulated behaviour.
@@ -15,7 +18,8 @@
 // server adds a retiring connection's cells into cells of its own. A
 // snapshotter that wants a live view sums the server's cells with
 // Local.Load over the live owners, with no lock anywhere near the data
-// path.
+// path. The native layers that keep a distribution's shape bucket their
+// samples with BucketIndex and export it as a HistSnapshot.
 package metrics
 
 import (
@@ -36,39 +40,25 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// NumBuckets is the number of shape buckets a Histogram keeps: one per
-// possible uint64 bit length (bucket 0 counts zero samples). Local
+// NumBuckets is the number of shape buckets a HistSnapshot carries: one
+// per possible uint64 bit length (bucket 0 counts zero samples). Local
 // accumulators that bucket samples with BucketIndex size their bucket
 // arrays with it, so their shape exports as a HistSnapshot.
 const NumBuckets = 65
 
-// Histogram accumulates a distribution of uint64 samples: total sum and
-// count (registered in the owning Registry as "<name>/sum" and
-// "<name>/count", so snapshots carry them) plus power-of-two buckets for
-// shape. Sum/count is exactly the representation the paper's Table 2
-// delay decomposition needs (mean = sum/count over a measured phase).
-type Histogram struct {
-	name    string
-	sum     *Counter
-	count   *Counter
-	buckets [NumBuckets]uint64 // buckets[i] counts samples of bit-length i
-}
+// Histogram accumulates a distribution of uint64 samples as two registry
+// counters, "<name>/sum" and "<name>/count", so snapshots carry it. Sum and
+// count are exactly the representation the paper's Table 2 delay
+// decomposition needs (mean = sum/count over a measured phase).
+type Histogram struct{ sum, count *Counter }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
+func (h Histogram) Observe(v uint64) {
 	h.sum.Add(v)
 	h.count.Inc()
-	h.buckets[bits.Len64(v)]++
 }
 
-// Sum returns the total of all observed samples.
-func (h *Histogram) Sum() uint64 { return h.sum.Value() }
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.count.Value() }
-
-// BucketIndex returns the bucket a sample falls in (its bit length), so
-// local accumulators can bucket samples exactly as Observe would.
+// BucketIndex returns the bucket a sample falls in: its bit length.
 func BucketIndex(v uint64) int { return bits.Len64(v) }
 
 // Local is a single-writer counter cell for hot-path accumulation
@@ -89,21 +79,17 @@ func (l *Local) Add(n uint64) { l.v.Add(n) }
 // Load returns the cell's current value. Safe from any goroutine.
 func (l *Local) Load() uint64 { return l.v.Load() }
 
-// Registry is a flat namespace of counters and histograms. Registration is
-// idempotent: asking for an existing name returns the same instrument, so
-// independent subsystems can share partition- or core-scoped metrics
-// without coordination.
+// Registry is a flat namespace of counters. Registration is idempotent:
+// asking for an existing name returns the same counter, so independent
+// subsystems can share partition- or core-scoped metrics without
+// coordination.
 type Registry struct {
 	counters map[string]*Counter
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -117,19 +103,10 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Histogram returns the histogram registered under name, creating it (and
-// its backing <name>/sum and <name>/count counters) on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h := &Histogram{
-		name:  name,
-		sum:   r.Counter(name + "/sum"),
-		count: r.Counter(name + "/count"),
-	}
-	r.hists[name] = h
-	return h
+// Histogram returns the histogram named name: its <name>/sum and
+// <name>/count counters, created on first use.
+func (r *Registry) Histogram(name string) Histogram {
+	return Histogram{sum: r.Counter(name + "/sum"), count: r.Counter(name + "/count")}
 }
 
 // Names returns every registered counter name in sorted order
@@ -137,16 +114,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 func (r *Registry) Names() []string {
 	out := make([]string, 0, len(r.counters))
 	for name := range r.counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// HistNames returns every registered histogram name in sorted order.
-func (r *Registry) HistNames() []string {
-	out := make([]string, 0, len(r.hists))
-	for name := range r.hists {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -162,13 +129,13 @@ func (r *Registry) LookupCounter(name string) (*Counter, bool) {
 	return c, ok
 }
 
-// HistSnapshot is a point-in-time copy of one histogram: its sum, count
-// and power-of-two shape buckets. It is the unit management-plane
-// exporters carry histogram state in (Prometheus mapping, JSON
-// introspection), keeping the type distinction between counters and
-// histograms that a flat Snapshot loses.
+// HistSnapshot is a point-in-time copy of one native histogram
+// (server/batch, core/p*/batch): its sum, count and power-of-two shape
+// buckets. It is the unit management-plane exporters carry histogram
+// state in (Prometheus mapping, JSON introspection), keeping the type
+// distinction between counters and histograms that a flat Snapshot loses.
 type HistSnapshot struct {
-	// Name is the histogram's registered name.
+	// Name is the histogram's exported name.
 	Name string
 	// Sum is the total of all observed samples.
 	Sum uint64
@@ -185,11 +152,6 @@ func (s HistSnapshot) Mean() float64 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.Count)
-}
-
-// Snapshot captures the histogram's current state.
-func (h *Histogram) Snapshot() HistSnapshot {
-	return HistSnapshot{Name: h.name, Sum: h.Sum(), Count: h.Count(), Buckets: h.buckets}
 }
 
 // Snapshot captures every counter's current value.
@@ -215,15 +177,5 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	for name, v := range s {
 		out[name] = v - prev[name]
 	}
-	return out
-}
-
-// Names returns the snapshot's counter names in sorted order.
-func (s Snapshot) Names() []string {
-	out := make([]string, 0, len(s))
-	for name := range s {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }

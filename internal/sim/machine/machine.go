@@ -32,14 +32,13 @@ type Machine struct {
 
 	// Metrics is the machine-wide instrumentation registry. The engine,
 	// memory system, offload runtime and data structures all register
-	// their counters and histograms here, so one snapshot/delta covers
-	// every subsystem.
+	// their counters here, so one snapshot/delta covers every subsystem.
 	Metrics *metrics.Registry
 
 	// Attribution state (EnableAttribution): the registry histograms each
 	// per-operation bucket sample is observed into at OpDone.
-	attrHists [trace.NumBuckets]*metrics.Histogram
-	attrTotal *metrics.Histogram
+	attrHists [trace.NumBuckets]metrics.Histogram
+	attrTotal metrics.Histogram
 }
 
 // New builds a machine from cfg with a fresh machine-wide metrics registry.
