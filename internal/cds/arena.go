@@ -5,11 +5,7 @@
 // the partition's lock) owns each instance.
 package cds
 
-import (
-	"fmt"
-
-	"hybrids/internal/metrics"
-)
+import "fmt"
 
 const (
 	// chunkBits sizes an arena chunk at 2^10 nodes (256 KiB).
@@ -128,13 +124,6 @@ func ascend(leaves *arena[leaf], l *leaf, from uint64, fn func(key, value uint64
 			return
 		}
 		l, i = leaves.at(l.next), 0
-	}
-}
-
-// inc bumps an instrumentation counter when Instrument has been called.
-func inc(c *metrics.Counter) {
-	if c != nil {
-		c.Inc()
 	}
 }
 

@@ -56,11 +56,9 @@ func BenchmarkBTreeGet1M(b *testing.B) { benchGet(b, benchKeysLarge, false) }
 // BenchmarkBTreeGetZipf times YCSB-C reads of one embedded-read
 // partition's size: a 2^18-key tree loaded in ascending order, read with
 // zipfian 0.99 keys through YCSB's scrambled rank-to-key map, so the hot
-// keys are scattered over the leaves. Beside BenchmarkBTreeGet, where
-// nothing is hot, it shows what the hot-pair table saves and what its
-// probe costs. Untimed, it then reads on to the end of the window and
-// through one more, and reports that window's hits (hit-%) and the
-// table's size (slots).
+// keys are scattered over the leaves and each read is a descent. The
+// hybrid's host portion answers most of these reads before they reach the
+// tree (BenchmarkHybridApplyBatch16Zipf in internal/core).
 func BenchmarkBTreeGetZipf(b *testing.B) {
 	g := ycsb.New(ycsb.YCSBC(1<<18, 1<<24, 7))
 	load := g.Load()
@@ -72,23 +70,11 @@ func BenchmarkBTreeGetZipf(b *testing.B) {
 	ops := g.Streams(1, 1<<20)[0]
 	var sum uint64
 	b.ResetTimer()
-	i := 0
-	for ; i < b.N; i++ {
+	for i := 0; i < b.N; i++ {
 		v, _ := t.Get(uint64(ops[i&(1<<20-1)].Key))
 		sum += v
 	}
 	benchSink = sum
-	b.StopTimer()
-	next := func() { t.Get(uint64(ops[i&(1<<20-1)].Key)); i++ }
-	for t.probes < hotWindow {
-		next()
-	}
-	next() // closes the window
-	for t.probes < hotWindow {
-		next()
-	}
-	b.ReportMetric(100*float64(t.hits)/float64(t.probes), "hit-%")
-	b.ReportMetric(float64(len(t.hot)), "slots")
 }
 
 // BenchmarkBTreeGetRandomLoad is BenchmarkBTreeGet over a tree whose

@@ -37,43 +37,38 @@ type btInner struct {
 // each partition, and is usable standalone as an ordered map. Methods are
 // not safe for concurrent use.
 type BTree struct {
-	// Read by every operation, written only by a split, the first Get or
-	// a window that resizes the table.
+	// Read by every operation, written only by a split.
 	leaves arena[leaf]
 	inners arena[btInner]
 	root   uint32 // a leaf index at height 1, else an inner index
 	last   uint32 // the rightmost leaf
 	height int
-	hot    []hotPair // the hot-pair table (hot.go), nil until the first Get
+	_      [48]byte
 
-	// Structural-event counters, nil until Instrument.
-	cLeafSplits  *metrics.Counter
-	cInnerSplits *metrics.Counter
-	cRootGrowths *metrics.Counter
-
-	// The line every write and every probe of the table writes: the pair
-	// count and the table's switch (hot.go). When owners alternate cores,
-	// only this line moves with the writes, not the two above.
-	length             int
-	probes, hits, idle int
-	_                  [32]byte
+	// The line every write stores to: the pair count, and the
+	// structural-event counters a split adds to. When owners alternate
+	// cores, only this line moves with the writes, and each tree's
+	// counters sit in its own allocation, off every other tree's lines.
+	length                               int
+	leafSplits, innerSplits, rootGrowths metrics.Counter
+	_                                    [32]byte
 }
 
 // Instrument registers the tree's structural-event counters — leaf
-// splits, inner-node splits and root growths — in reg under prefix (as
-// "<prefix>/leaf_splits" etc.). Like the tree itself, the instruments are
-// single-owner: only the goroutine mutating the tree may trigger them,
-// and reading the registry is consistent at quiescence.
+// splits, inner-node splits and root growths, counted from the tree's
+// making — in reg under prefix (as "<prefix>/leaf_splits" etc.). Like the
+// tree itself, the counters are single-owner: only the goroutine mutating
+// the tree adds to them, and reading the registry is consistent at
+// quiescence.
 func (t *BTree) Instrument(reg *metrics.Registry, prefix string) {
-	t.cLeafSplits = reg.Counter(prefix + "/leaf_splits")
-	t.cInnerSplits = reg.Counter(prefix + "/inner_splits")
-	t.cRootGrowths = reg.Counter(prefix + "/root_growths")
+	reg.Register(prefix+"/leaf_splits", &t.leafSplits)
+	reg.Register(prefix+"/inner_splits", &t.innerSplits)
+	reg.Register(prefix+"/root_growths", &t.rootGrowths)
 }
 
-// NewBTree returns an empty tree. It starts at a window's end, so its
-// first Get makes the hot-pair table (hot.go).
+// NewBTree returns an empty tree.
 func NewBTree() *BTree {
-	t := &BTree{height: 1, probes: hotWindow}
+	t := &BTree{height: 1}
 	t.root = t.leaves.alloc() // index nilNode: the head of the leaf chain
 	return t
 }
@@ -101,22 +96,10 @@ func (t *BTree) find(key uint64) *leaf {
 	return t.leaves.at(x)
 }
 
-// Get returns the value stored under key: from the hot-pair table when
-// key's slot holds it, else by a descent that installs a found pair there.
-// While the table is off (hot.go) Get only descends.
+// Get returns the value stored under key.
 func (t *BTree) Get(key uint64) (uint64, bool) {
-	var h *hotPair
-	if t.probe() {
-		if h = t.hotAt(key); h.key == key && key != 0 {
-			t.hits++
-			return h.val, true
-		}
-	}
 	l := t.find(key)
 	if i, ok := l.slot(key); ok {
-		if h != nil {
-			*h = hotPair{key, l.vals[i]}
-		}
 		return l.vals[i], true
 	}
 	return 0, false
@@ -128,9 +111,6 @@ func (t *BTree) Update(key, value uint64) bool {
 	l := t.find(key)
 	if i, ok := l.slot(key); ok {
 		l.vals[i] = value
-		if t.idle == 0 && t.hot != nil && t.hotAt(key).key == key {
-			t.hotAt(key).val = value
-		}
 		return true
 	}
 	return false
@@ -177,15 +157,11 @@ func (t *BTree) put(key, value uint64) bool {
 	}
 	// With tail set every node on the path is the last child of its
 	// parent.
-	base := hotSlots(t.leaves.n)
 	rx, tail := splitLeaf(&t.leaves, l, pos, key, value)
 	if t.leaves.at(rx).next == nilNode {
 		t.last = rx
 	}
-	if grown := hotSlots(t.leaves.n); t.hot != nil && grown > base {
-		t.hot = make([]hotPair, len(t.hot)/base*grown) // the leaves outgrew the table: anew, as big, empty
-	}
-	inc(t.cLeafSplits)
+	t.leafSplits.Inc()
 	t.insertUp(&path, l.keys[l.n-1], rx, tail)
 	return true
 }
@@ -211,14 +187,14 @@ func (t *BTree) insertUp(path *btPath, divider uint64, right uint32, tail bool) 
 		rx := t.inners.alloc()
 		divider = n.splitInsert(t.inners.at(rx), keep, idx, divider, right)
 		right = rx
-		inc(t.cInnerSplits)
+		t.innerSplits.Inc()
 	}
 	rx := t.inners.alloc()
 	r := t.inners.at(rx)
 	r.kids[0], r.kids[1], r.keys[0], r.n = t.root, right, divider, 2
 	t.root = rx
 	t.height++
-	inc(t.cRootGrowths)
+	t.rootGrowths.Inc()
 }
 
 // splitInsert inserts (d, child) after position idx of the full node n,
@@ -250,9 +226,6 @@ func (t *BTree) Delete(key uint64) bool {
 	}
 	l.removeAt(i)
 	t.length--
-	if t.idle == 0 && t.hot != nil && t.hotAt(key).key == key {
-		*t.hotAt(key) = hotPair{}
-	}
 	return true
 }
 
@@ -270,8 +243,7 @@ func (t *BTree) Ascend(from uint64, fn func(key, value uint64) bool) {
 // an inner root two; every child index names an allocated node and every
 // allocated node is reached; the leaf chain starts at leaf 0, visits
 // exactly the leaves of the in-order walk and ends in nilNode at the leaf
-// the tree keeps as its last; the leaves hold Len pairs; and the hot-pair
-// table holds only pairs of the tree (checkHot).
+// the tree keeps as its last; and the leaves hold Len pairs.
 func (t *BTree) CheckInvariants() error {
 	if t.height < 1 || t.height > btMaxHeight || t.height > 1 && t.inners.at(t.root).n < 2 {
 		return errf("btree: height %d or a root with one child", t.height)
@@ -338,5 +310,5 @@ func (t *BTree) CheckInvariants() error {
 	if x != nilNode || t.last != order[len(order)-1] {
 		return errf("btree: leaf chain goes on to %d after leaf %d; the tree's last leaf is %d", x, order[len(order)-1], t.last)
 	}
-	return t.checkHot()
+	return nil
 }

@@ -247,16 +247,17 @@ func TestBTreeNodeSizes(t *testing.T) {
 	}
 }
 
-// TestBTreeWriteLine pins the layout that keeps what every write and
-// every table probe stores (the pair count and the hot switch) on a cache
-// line of its own, off the lines every operation reads.
+// TestBTreeWriteLine pins the layout that keeps what every write stores
+// (the pair count) and what a split adds to (the structural counters) on
+// a cache line of its own, off the lines every operation reads and in the
+// tree's own allocation.
 func TestBTreeWriteLine(t *testing.T) {
 	escaped = NewBTree() // on the heap, as a partition's store is
 	bt := escaped
 	off := unsafe.Offsetof(bt.length)
-	if addr := uintptr(unsafe.Pointer(bt)); off%64 != 0 || unsafe.Offsetof(bt.idle) >= off+64 || unsafe.Sizeof(*bt) != off+64 || addr%64 != 0 {
-		t.Fatalf("length at byte %d, idle at %d, %d bytes at %#x; want a 64-aligned tree whose last line starts at length and holds idle",
-			off, unsafe.Offsetof(bt.idle), unsafe.Sizeof(*bt), addr)
+	if addr := uintptr(unsafe.Pointer(bt)); off%64 != 0 || unsafe.Offsetof(bt.rootGrowths) >= off+64 || unsafe.Sizeof(*bt) != off+64 || addr%64 != 0 {
+		t.Fatalf("length at byte %d, rootGrowths at %d, %d bytes at %#x; want a 64-aligned tree whose last line starts at length and holds the counters",
+			off, unsafe.Offsetof(bt.rootGrowths), unsafe.Sizeof(*bt), addr)
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "hybrids/internal/hds"
+import (
+	"hybrids/internal/hds"
+	"hybrids/internal/metrics"
+)
 
 // Outcome is one batched operation's result plus whether it was applied
 // at all: Rejected marks operations refused by a concurrent Close (the
@@ -16,15 +19,16 @@ type Outcome struct {
 
 // Batcher executes operations with non-blocking calls (§3.5): it keeps up
 // to window operations in flight in rounds. A round routes its ops to
-// their partitions, takes every partition it finds free and applies that
-// partition's ops there, and then takes the held ones in routing order,
-// holding one lock at a time; so it waits for nothing when every
-// partition it touched was free. A Scan is served in the round on its
-// start partition and, if short of its limit there, continued after the
-// round through ScanAppend. The serving layer keeps one per connection.
-// All of its state is reused, so steady-state Apply calls perform no
-// allocation. A Batcher belongs to one goroutine; it is not safe for
-// concurrent use.
+// their partitions, answering each read its partition's host portion
+// holds (hot.go) with no lock taken, takes every partition it finds free
+// and applies that partition's remaining ops there, and then takes the
+// held ones in routing order, holding one lock at a time; so it waits for
+// nothing when every partition it touched was free. A Scan is served in
+// the round on its start partition and, if short of its limit there,
+// continued after the round through ScanAppend. The serving layer keeps
+// one per connection and closes it with the connection. All of its state
+// is reused, so steady-state Apply calls perform no allocation. A Batcher
+// belongs to one goroutine; it is not safe for concurrent use.
 type Batcher struct {
 	// The call: ops, outcome slots and the per-partition state.
 	ops   []hds.Request
@@ -44,15 +48,21 @@ type Batcher struct {
 }
 
 // batchPart is a Batcher's state for one partition: the round's data ops
-// it owns and the scans starting in it (index order).
+// it applies under the lock and the scans starting in it (index order);
+// fresh, the round's reads the host portion answered; unjudged, the hits
+// the partition's window has not been handed; and hits, the cell counting
+// them all, which only this Batcher writes and the map's exports read.
+// It is 64 bytes.
 type batchPart struct {
-	idx, sidx []int32
+	idx, sidx       []int32
+	fresh, unjudged int32
+	hits            metrics.Local
 }
 
 // NewBatcher returns a Batcher whose Apply keeps up to window operations
-// in flight (at least one). It is made in three allocations: the Batcher,
-// its per-partition state, and one array backing every partition's idx
-// list and touched.
+// in flight (at least one), registered with the map until its Close. It
+// is made in three allocations: the Batcher, its per-partition state,
+// and one array backing every partition's idx list and touched.
 func (h *Hybrid) NewBatcher(window int) *Batcher {
 	window = max(window, 1)
 	n := len(h.parts)
@@ -61,7 +71,37 @@ func (h *Hybrid) NewBatcher(window int) *Batcher {
 	for p := range b.parts {
 		b.parts[p].idx = slots[p*window : p*window : (p+1)*window]
 	}
+	h.mu.Lock()
+	h.batchers[b] = struct{}{}
+	h.mu.Unlock()
 	return b
+}
+
+// Close retires the Batcher: the map adds its hit cells into its own
+// counts and lets it go. It is idempotent; the Batcher must not Apply
+// again.
+func (b *Batcher) Close() {
+	h := b.h
+	h.mu.Lock()
+	if _, open := h.batchers[b]; open {
+		delete(h.batchers, b)
+		for p := range b.parts {
+			h.hits[p] += b.parts[p].hits.Load()
+		}
+	}
+	h.mu.Unlock()
+}
+
+// hitsOn sums the reads partition p's host portion answered: the closed
+// Batchers' and every open one's cell.
+func (h *Hybrid) hitsOn(p int) uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := h.hits[p]
+	for b := range h.batchers {
+		n += b.parts[p].hits.Load()
+	}
+	return n
 }
 
 // Apply executes ops in rounds of at most window operations. Operations
@@ -104,9 +144,12 @@ func (b *Batcher) Apply(ops []hds.Request, out []Outcome) (applied, succeeded in
 func (b *Batcher) Pairs(i int) []KV { return b.pairs[i] }
 
 // round routes ops[lo:hi] up to its first write at or above a scan's
-// start partition, applies each touched partition's ops under its lock,
-// the free partitions first, finishes the scans and returns where it
-// stopped.
+// start partition, answering the reads the host portion holds, applies
+// each touched partition's other ops under its lock, the free partitions
+// first, finishes the scans and returns where it stopped. A read is
+// answered from the table only if no op before it in the round waits for
+// the lock on its key, and no scan at or below its partition: those it
+// must follow.
 func (b *Batcher) round(lo, hi int) int {
 	h, ops, parts := b.h, b.ops, b.parts
 	// Route the whole round before taking any partition. The lists are
@@ -120,6 +163,7 @@ func (b *Batcher) round(lo, hi int) int {
 	}
 	b.touched = b.touched[:0]
 	floor := len(parts) // the lowest start partition of the round's scans
+	hits := false
 	for i := lo; i < hi; i++ {
 		p, scan := 0, ops[i].Kind == hds.Scan
 		if scan {
@@ -131,6 +175,14 @@ func (b *Batcher) round(lo, hi int) int {
 			break
 		}
 		bp := &parts[p]
+		if ops[i].Kind == hds.Read && p < floor && !b.waits(bp, ops[i].Key) {
+			if v, ok := h.parts[p].hit(ops[i].Key); ok {
+				b.out[i] = Outcome{Result: hds.Result{Value: v, OK: true}}
+				bp.fresh++
+				hits = true
+				continue
+			}
+		}
 		if len(bp.idx) == 0 && len(bp.sidx) == 0 {
 			b.touched = append(b.touched, int32(p))
 		}
@@ -138,6 +190,15 @@ func (b *Batcher) round(lo, hi int) int {
 			bp.sidx = append(bp.sidx, int32(i))
 		} else {
 			bp.idx = append(bp.idx, int32(i))
+		}
+	}
+	if hits {
+		for p := range parts {
+			if bp := &parts[p]; bp.fresh > 0 {
+				bp.hits.Add(uint64(bp.fresh))
+				bp.unjudged = min(bp.unjudged+bp.fresh, hotWindow) // a window's worth judges as well as more
+				bp.fresh = 0
+			}
 		}
 	}
 	// Serve the free partitions, moving the held ones, in routing order,
@@ -168,11 +229,22 @@ func (b *Batcher) round(lo, hi int) int {
 	return hi
 }
 
+// waits reports whether an op the round has routed to bp's lock is on key.
+func (b *Batcher) waits(bp *batchPart, key uint64) bool {
+	for _, j := range bp.idx {
+		if b.ops[j].Key == key {
+			return true
+		}
+	}
+	return false
+}
+
 // serve applies the round's ops on part, whose lock the caller has just
-// taken, tallies the round and lets go: the data ops, counted in ops
-// first, and then the scans starting there, into their regions. Behind
-// Close's barrier the data ops complete as Rejected without touching the
-// store; the scans still run (only reads follow them).
+// taken, tallies the round and lets go: it hands the window the Batcher's
+// hits there, applies the data ops, counted in ops, and then the scans
+// starting there, into their regions. Behind Close's barrier the data ops
+// complete as Rejected without touching the store; the scans still run
+// (only reads follow them).
 func (b *Batcher) serve(part *partition) {
 	bp, ops, out := &b.parts[part.id], b.ops, b.out
 	part.round(len(bp.idx) + len(bp.sidx))
@@ -181,6 +253,8 @@ func (b *Batcher) serve(part *partition) {
 			out[i] = Outcome{Rejected: true}
 		}
 	} else {
+		part.counted(bp.unjudged)
+		bp.unjudged = 0
 		part.ops += uint64(len(bp.idx))
 		for _, i := range bp.idx {
 			out[i] = Outcome{Result: part.exec(ops[i])}

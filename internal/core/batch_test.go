@@ -42,20 +42,25 @@ func TestBatcherApplyAllocs(t *testing.T) {
 }
 
 // TestPartitionLines pins the partition's two cache lines of its own:
-// the first holds everything a blocking call writes and reads, the lock,
-// the refusal flag, the tallies and the store, and its bucket array is a
-// pointer-free allocation of its own, 64-aligned.
+// the first holds everything a holder writes, the lock, the refusal
+// flag, the table's window, the tallies and the store, and the second the
+// host portion's table pointer, which every Batcher's round reads, away
+// from the lock; its bucket array is a pointer-free allocation of its
+// own, 64-aligned.
 func TestPartitionLines(t *testing.T) {
 	h := New(Config{Partitions: 2})
 	p := h.parts[1]
 	if addr := uintptr(unsafe.Pointer(p)); unsafe.Sizeof(*p) != 128 || addr%64 != 0 {
 		t.Fatalf("partition of %d bytes at %#x; want 128 bytes, 64-aligned", unsafe.Sizeof(*p), addr)
 	}
-	if off := [...]uintptr{unsafe.Offsetof(p.mu), unsafe.Offsetof(p.refusing), unsafe.Offsetof(p.rounds), unsafe.Offsetof(p.ops), unsafe.Offsetof(p.store)}; off[0] != 0 || !slices.IsSorted(off[:]) {
-		t.Fatalf("mu, refusing, rounds, ops and store at bytes %v; want the lock first, then the flag, the tallies and the store", off)
+	if off := [...]uintptr{unsafe.Offsetof(p.mu), unsafe.Offsetof(p.refusing), unsafe.Offsetof(p.probes), unsafe.Offsetof(p.idle), unsafe.Offsetof(p.rounds), unsafe.Offsetof(p.ops), unsafe.Offsetof(p.store)}; off[0] != 0 || !slices.IsSorted(off[:]) {
+		t.Fatalf("mu, refusing, probes, idle, rounds, ops and store at bytes %v; want the lock first, then the flag, the window, the tallies and the store", off)
 	}
 	if end := unsafe.Offsetof(p.store) + unsafe.Sizeof(p.store); end > 64 {
 		t.Fatalf("store ends at byte %d, want the first line to hold it", end)
+	}
+	if off := unsafe.Offsetof(p.hot); off < 64 || off+unsafe.Sizeof(p.hot) > 128 {
+		t.Fatalf("table pointer at byte %d, want it on the second line", off)
 	}
 	if addr := uintptr(unsafe.Pointer(p.buckets)); addr%64 != 0 {
 		t.Fatalf("bucket array at %#x, want 64-aligned", addr)

@@ -171,6 +171,51 @@ func BenchmarkHybridApplyBatch16TwoCallers(b *testing.B) {
 	})
 }
 
+// BenchmarkHybridApplyBatch16Zipf is embedded-read's shape with its
+// keys: 2 goroutines over 4 partitions holding YCSB-C's 2^20 load pairs
+// in a 2^26 key space, each applying its own YCSB-C stream of zipfian
+// reads in 16-op rounds, so the host portion answers most reads with no
+// lock taken. It reports the share of reads answered that way (hit-%).
+func BenchmarkHybridApplyBatch16Zipf(b *testing.B) {
+	const callers, perCaller, chunk = 2, 1 << 18, 256
+	g := ycsb.New(ycsb.YCSBC(1<<20, 1<<26, 7))
+	load := g.Load()
+	pairs := make([]KV, len(load))
+	for i, p := range load {
+		pairs[i] = KV{Key: uint64(p.Key), Value: uint64(p.Value)}
+	}
+	h := New(Config{Partitions: 4, KeyMax: 1 << 26})
+	b.Cleanup(h.Close)
+	h.Build(pairs)
+	var streams [callers][]hds.Request
+	for c, stream := range g.Streams(callers, perCaller) {
+		for _, op := range stream {
+			streams[c] = append(streams[c], hds.Request{Kind: hds.Read, Key: uint64(op.Key)})
+		}
+	}
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bt := h.NewBatcher(16)
+			for i := c * chunk; i < b.N; i += callers * chunk {
+				at := i / callers % perCaller &^ (chunk - 1)
+				bt.Apply(streams[c][at:at+chunk], nil)
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	var hits uint64
+	for p := range h.parts {
+		hits += h.hitsOn(p)
+	}
+	b.ReportMetric(100*float64(hits)/float64(b.N), "hit-%")
+}
+
 // BenchmarkHybridApplyCallers measures the regime no bench workload runs,
 // more callers than Ps: 2, 8 and 64 goroutines over 4 partitions, each
 // issuing blocking calls (window 1) or 16-op rounds, on embedded-mix's

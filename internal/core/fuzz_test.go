@@ -39,11 +39,23 @@ func fuzzShape(h []byte) (cfg Config, window, cut, preload int, key func(b byte)
 // oracle's, and so must Dump and Len at the end. A map starts empty or
 // from at most 64 built keys. The seed corpus runs as a plain test.
 func FuzzBatcherRounds(f *testing.F) {
-	var mixed, scans, oneKey []byte
+	var mixed, scans, oneKey, readWriteRead []byte
 	for k := byte(0); k < 64; k++ {
 		mixed = append(mixed, k%4, k*5, 1, k*5)
 		scans = append(scans, 4|(k%9)<<3, k*3, 0, k*7)
 		oneKey = append(oneKey, k%5|k<<3, 9)
+	}
+	// Reads of built keys install their pairs in the host portion; then
+	// each of four keys is read, written and read again, every kind of
+	// write in turn, so a read after a write must not be answered from a
+	// pair the write left behind. With a window of 64 and 32 ops a call
+	// the writes and the reads around them share a round; with a window
+	// of 1 each is a round of its own.
+	for i := range 32 {
+		readWriteRead = append(readWriteRead, 1, byte(4*(i%16)))
+	}
+	for k := byte(0); k < 16; k += 4 {
+		readWriteRead = append(readWriteRead, 1, k, 2, k, 1, k, 3, k, 1, k, 0, k, 1, k)
 	}
 	for _, seed := range [][]byte{
 		append([]byte{3, 40, 15, 31, 0}, mixed...),    // 4 partitions, window 16, empty
@@ -55,6 +67,8 @@ func FuzzBatcherRounds(f *testing.F) {
 		append([]byte{1, 0x80, 7, 31, 0}, mixed...),   // 2 partitions over 2^62
 		append([]byte{3, 60, 5, 9, 64}, oneKey...),    // one key, every kind
 		append([]byte{7, 127, 15, 31, 16}, append(scans, mixed...)...),
+		append([]byte{0, 20, 63, 31, 16}, readWriteRead...), // one round
+		append([]byte{0, 20, 0, 0, 16}, readWriteRead...),   // across rounds
 	} {
 		f.Add(seed)
 	}

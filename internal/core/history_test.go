@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hybrids/internal/hds"
 	"hybrids/internal/prng"
@@ -299,6 +300,45 @@ func TestHistoryLinearizable(t *testing.T) {
 	}
 }
 
+// closedHistory pins the close contract on every caller's events —
+// nothing that returned before Close began is refused, everything issued
+// after Close returned is — and returns the events that belong in the
+// history and the counts applied and refused. Callers from firstBlocking
+// on issue blocking calls, which report a refusal as a plain ok=false.
+func closedHistory(t *testing.T, recs []*histRecorder, firstBlocking int, closeInv, closeResp int64) (evs []histEvent, applied, refused int) {
+	t.Helper()
+	for _, rec := range recs {
+		for _, e := range rec.evs {
+			blocking := e.caller >= firstBlocking
+			switch {
+			case e.inv > closeResp && (e.res.OK || !blocking):
+				t.Errorf("issued after Close returned but not refused: %v", e)
+			case e.resp > closeInv && !e.res.OK && blocking:
+				// A blocking call that failed at or after Close may
+				// have been refused rather than applied. Either way it
+				// changed nothing, so it leaves the history.
+				refused++
+				continue
+			}
+			evs = append(evs, e)
+			applied++
+		}
+		for _, e := range rec.rejected {
+			refused++
+			if e.resp < closeInv {
+				t.Errorf("rejected before Close began: %v", e)
+			}
+			if e.res != (hds.Result{}) {
+				t.Errorf("rejected operation carries a result: %v", e)
+			}
+		}
+	}
+	if applied == 0 || refused == 0 {
+		t.Fatalf("applied = %d, refused = %d: Close did not land mid-stream", applied, refused)
+	}
+	return evs, applied, refused
+}
+
 // historyLinearizable is one run of the test with the first Batcher's
 // window at depth.
 func historyLinearizable(t *testing.T, depth int) {
@@ -449,37 +489,8 @@ func historyLinearizable(t *testing.T, depth int) {
 	}()
 	wg.Wait()
 
-	evs := dumpEvs
-	applied, refused := 0, 0
-	for _, rec := range recs {
-		for _, e := range rec.evs {
-			blocking := e.caller >= len(windows)
-			switch {
-			case e.inv > closeResp && (e.res.OK || !blocking):
-				t.Errorf("issued after Close returned but not refused: %v", e)
-			case e.resp > closeInv && !e.res.OK && blocking:
-				// A blocking call that failed at or after Close may
-				// have been refused rather than applied. Either way it
-				// changed nothing, so it leaves the history.
-				refused++
-				continue
-			}
-			evs = append(evs, e)
-			applied++
-		}
-		for _, e := range rec.rejected {
-			refused++
-			if e.resp < closeInv {
-				t.Errorf("rejected before Close began: %v", e)
-			}
-			if e.res != (hds.Result{}) {
-				t.Errorf("rejected operation carries a result: %v", e)
-			}
-		}
-	}
-	if applied == 0 || refused == 0 {
-		t.Fatalf("applied = %d, refused = %d: Close did not land mid-stream", applied, refused)
-	}
+	evs, applied, refused := closedHistory(t, recs, len(windows), closeInv, closeResp)
+	evs = append(evs, dumpEvs...)
 	// The drained stores are every key's last read.
 	final := h.Dump()
 	evs = append(evs, dumpReads(-1, math.MaxInt64-1, math.MaxInt64, keys, final)...)
@@ -490,4 +501,160 @@ func historyLinearizable(t *testing.T, depth int) {
 		t.Error(msg)
 	}
 	t.Logf("%d applied, %d refused, %d keys", applied, refused, nKeys)
+}
+
+// TestHistoryHostPortion records Batcher readers racing writers on a hot
+// set of 16 keys, where most reads are host-portion hits, and checks
+// every key's history. The readers' rounds are mostly reads with a write
+// now and then, so a round often reads a key after writing it or after a
+// read of it that missed; the writer Batcher's rounds write as often as
+// they read, and a blocking caller only writes. A barrier loop closes
+// the partitions' windows as a holder does, with each outcome in turn —
+// grown, made base again, switched off, and on again — so tables are
+// replaced and retired under the readers, and Close lands mid-stream. On
+// top of linearizability it pins the close contract (closedHistory).
+func TestHistoryHostPortion(t *testing.T) {
+	const (
+		partitions = 4
+		keyMax     = 1 << 12
+		nKeys      = 16
+		closeAt    = 12000 // operations issued before Close starts
+		tail       = 16    // refusals a caller sees before it stops
+	)
+	h := New(Config{Partitions: partitions, KeyMax: keyMax})
+	keys := make([]uint64, nKeys)
+	init := make(map[uint64]regState)
+	hot := make(map[uint64]bool)
+	var load []KV
+	for i := range keys {
+		keys[i] = 2 + uint64(i)*(keyMax-4)/nKeys
+		hot[keys[i]] = true
+		if i%4 != 3 {
+			init[keys[i]] = regState{present: true, value: uint64(i)}
+			load = append(load, KV{Key: keys[i], Value: uint64(i)})
+		}
+	}
+	// Cold keys, never touched, size every partition's table at 4 buckets.
+	for k := uint64(1); k < keyMax; k += 4 {
+		if !hot[k] {
+			load = append(load, KV{Key: k, Value: k})
+		}
+	}
+	h.Build(load)
+
+	var clock, issued atomic.Int64
+	var closed atomic.Bool // set once Close has returned
+	startClose := make(chan struct{})
+	var onceClose sync.Once
+	count := func(n int) {
+		if issued.Add(int64(n)) >= closeAt {
+			onceClose.Do(func() { close(startClose) })
+		}
+	}
+	// draw makes caller c's i-th operation, a write one time in every
+	// writes; written values are unique, so a read names the write it saw.
+	draw := func(rng *prng.Source, c, i, writes int) hds.Request {
+		req := hds.Request{Kind: hds.Read, Key: keys[rng.Intn(nKeys)]}
+		if rng.Intn(writes) == 0 {
+			req.Kind = [...]hds.Kind{hds.Insert, hds.Update, hds.Remove}[rng.Intn(3)]
+			if req.Kind != hds.Remove {
+				req.Value = uint64(c+1)<<32 | uint64(i)
+			}
+		}
+		return req
+	}
+
+	windows := []int{16, 16, 4, 8} // readers, then the writer Batcher
+	recs := make([]*histRecorder, len(windows)+1)
+	var wg sync.WaitGroup
+	for c := range recs {
+		rec := &histRecorder{caller: c}
+		recs[c] = rec
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := prng.New(uint64(c) + 101)
+			if c == len(windows) { // the blocking writer
+				for i, after := 0, 0; after < tail; i++ {
+					if closed.Load() {
+						after++
+					}
+					req := draw(rng, c, i, 1)
+					count(1)
+					inv := clock.Add(1)
+					res := h.Apply(req)
+					rec.record(inv, clock.Add(1), req, res, false)
+				}
+				return
+			}
+			writes := 8
+			if c == len(windows)-1 {
+				writes = 2
+			}
+			b := h.NewBatcher(windows[c])
+			ops := make([]hds.Request, 0, 24)
+			out := make([]Outcome, 24)
+			for i, refused := 0, 0; refused < tail; i += len(ops) {
+				ops = ops[:1+rng.Intn(24)]
+				for j := range ops {
+					ops[j] = draw(rng, c, i+j, writes)
+				}
+				count(len(ops))
+				inv := clock.Add(1)
+				b.Apply(ops, out[:len(ops)])
+				resp := clock.Add(1)
+				for j, req := range ops {
+					rec.record(inv, resp, req, out[j].Result, out[j].Rejected)
+					if out[j].Rejected {
+						refused++
+					}
+				}
+			}
+		}()
+	}
+	var closeInv, closeResp int64
+	wg.Add(2)
+	go func() { // window outcomes under the readers, until Close returns
+		defer wg.Done()
+		for step := 0; !closed.Load(); step++ {
+			for _, part := range h.parts {
+				h.barrier(part.id, func(Store) {
+					switch step % 4 {
+					case 0, 1: // grown from base, then made base again, empty
+						part.hits = [...]int32{hotWindow, hotWindow / 4}[step%4]
+						part.judge()
+					case 2:
+						part.hits = 0
+						part.judge() // off
+					default:
+						part.idle = 0 // on: the next miss makes a table
+					}
+				})
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		<-startClose
+		closeInv = clock.Add(1)
+		h.Close()
+		closeResp = clock.Add(1)
+		closed.Store(true)
+	}()
+	wg.Wait()
+
+	evs, applied, refused := closedHistory(t, recs, len(windows), closeInv, closeResp)
+	var hits uint64
+	for p := range h.parts {
+		hits += h.hitsOn(p)
+	}
+	if hits == 0 {
+		t.Fatal("no read was a host-portion hit")
+	}
+	evs = append(evs, dumpReads(-1, math.MaxInt64-1, math.MaxInt64, keys, h.Dump())...)
+	for _, msg := range checkHistory(evs, init) {
+		t.Error(msg)
+	}
+	t.Logf("%d applied, %d of them hits, %d refused, %d keys", applied, hits, refused, nKeys)
 }

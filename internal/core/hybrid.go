@@ -8,11 +8,14 @@
 // lets go. A blocking call (§3.2) or a barrier holds its partition for
 // its one operation or closure. Callers keep a window of calls in flight,
 // scans included (non-blocking NMP calls, §3.5), through a Batcher, whose
-// round routes a window's ops to their partitions, applies the ones on
-// the partitions it finds free first and then waits for the held ones,
-// one lock at a time. Each holder counts its round in the partition's own
-// fields, read only through a barrier. The package starts no goroutine of
-// its own.
+// round routes a window's ops to their partitions, answering each read
+// its partition's host portion holds — a table of hot pairs that only the
+// holder writes and any caller reads under a seqlock (§3.3-3.4) — without
+// the lock, applies the rest on the partitions it finds free first and
+// then waits for the held ones, one lock at a time. Each holder counts
+// its round in the partition's own fields, read only through a barrier,
+// and each Batcher its hits in cells of its own. The package starts no
+// goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
@@ -87,6 +90,12 @@ type Hybrid struct {
 	cfg   Config
 	parts []*partition
 	span  uint64
+
+	// mu guards the open Batchers, whose cells count their hits, and hits,
+	// the hits of the closed ones, per partition.
+	mu       sync.Mutex
+	batchers map[*Batcher]struct{}
+	hits     []uint64
 }
 
 // spinLoads is how many TryLocks a caller makes on a held partition
@@ -97,23 +106,26 @@ type Hybrid struct {
 const spinLoads = 30000
 
 // partition is one serving domain: its lock, which stands in for the
-// partition's NMP core serving one call at a time, and what only the
-// lock's holder touches — the refusal flag, the tallies, the store, the
-// scan cursor and the store's registry. It fills two cache lines of its
-// own: the first holds all a blocking call writes and reads but its
-// bucket, the second the rest.
+// partition's NMP core serving one call at a time, what only the lock's
+// holder touches — the refusal flag, the table's window, the tallies, the
+// store, the scan cursor and the store's registry — and the pointer that
+// publishes its host portion (hot.go). It fills two cache lines of its
+// own: the first holds all a holder writes but its bucket, the second
+// what it only reads and the table pointer, which every Batcher reads.
 type partition struct {
 	// mu is held by the one caller serving the partition. refusing is set
 	// by Close's barrier: every data operation served after it completes
-	// as refused, with no store touched. rounds counts
-	// the lock holds (a blocking call or a barrier is a round of one),
+	// as refused, with no store touched. probes, hits and idle are the
+	// host portion's window and off period (hot.go). rounds counts the
+	// lock holds (a blocking call or a barrier is a round of one),
 	// batchSum their ops, scans and barriers; ops counts the data
-	// operations applied, built the pairs Build loaded. buckets[i] counts
-	// the rounds whose batch size is i bits long: a pointer-free
-	// allocation of its own, so no malloc header moves it off a line
-	// boundary. reg holds only an Instrumented store's counters.
+	// operations applied under the lock, built the pairs Build loaded.
+	// buckets[i] counts the rounds whose batch size is i bits long: a
+	// pointer-free allocation of its own, so no malloc header moves it off
+	// a line boundary. reg holds only an Instrumented store's counters.
 	mu                    sync.Mutex
 	refusing              bool
+	probes, hits, idle    int32
 	rounds, batchSum, ops uint64
 	store                 Store
 	cur                   *scanCursor
@@ -121,7 +133,8 @@ type partition struct {
 	built                 uint64
 	buckets               *[metrics.NumBuckets]uint64
 	reg                   *metrics.Registry
-	_                     [32]byte
+	hot                   hotPointer
+	_                     [16]byte
 }
 
 // New creates a hybrid map. It starts no goroutine.
@@ -136,7 +149,12 @@ func New(cfg Config) *Hybrid {
 		cfg.NewStore = func(int) Store { return cds.NewBTree() }
 	}
 	// span is ceil(KeyMax/Partitions), written so that it cannot wrap.
-	h := &Hybrid{cfg: cfg, span: (cfg.KeyMax-1)/uint64(cfg.Partitions) + 1}
+	h := &Hybrid{
+		cfg:      cfg,
+		span:     (cfg.KeyMax-1)/uint64(cfg.Partitions) + 1,
+		batchers: make(map[*Batcher]struct{}),
+		hits:     make([]uint64, cfg.Partitions),
+	}
 	for p := 0; p < cfg.Partitions; p++ {
 		part := &partition{
 			id:      p,
@@ -153,11 +171,16 @@ func New(cfg Config) *Hybrid {
 	return h
 }
 
-// exec executes one operation against the partition's store.
+// exec executes one operation against the partition's store: a read
+// through the host portion (partition.read), a write after it clears the
+// key's pair there.
 func (p *partition) exec(req hds.Request) (res hds.Result) {
+	if req.Kind != hds.Read {
+		p.evict(req.Key)
+	}
 	switch req.Kind {
 	case hds.Read:
-		res.Value, res.OK = p.store.Get(req.Key)
+		res.Value, res.OK = p.read(req.Key)
 	case hds.Insert:
 		res.OK = p.store.Put(req.Key, req.Value)
 	case hds.Update:
@@ -188,15 +211,19 @@ func (p *partition) round(n int) {
 }
 
 // Close refuses further data operations and runs one barrier per
-// partition: an operation that took a partition's lock before its barrier
-// is applied by the time Close returns, one that takes it after is
-// refused without touching the store (ok=false, or Rejected), so a round
-// that straddles Close may be applied on some partitions and refused on
-// others. Close is idempotent, and read-only accessors (Len, Dump, Scan)
-// keep working afterwards.
+// partition, which also retires its host portion: an operation that took
+// a partition's lock before its barrier, or a read its table answered
+// before it, is applied by the time Close returns, one that comes after
+// is refused without touching the store (ok=false, or Rejected), so a
+// round that straddles Close may be applied on some partitions and
+// refused on others. Close is idempotent, and read-only accessors (Len,
+// Dump, Scan) keep working afterwards.
 func (h *Hybrid) Close() {
 	for _, part := range h.parts {
-		h.barrier(part.id, func(Store) { part.refusing = true })
+		h.barrier(part.id, func(Store) {
+			part.refusing = true
+			part.hot.Store(nil)
+		})
 	}
 }
 

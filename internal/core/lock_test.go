@@ -170,7 +170,7 @@ func TestCloseRacingRound(t *testing.T) {
 // in the final Dump, and nothing else, and every lock is free at the end.
 func TestHybridLockStress(t *testing.T) {
 	const (
-		keyMax  = 1 << 20
+		keyMax  = 1 << 40
 		closeAt = 20000 // operations issued before Close starts
 		tail    = 8     // refusals a caller sees before it stops
 	)
@@ -186,9 +186,12 @@ func TestHybridLockStress(t *testing.T) {
 	}
 	// Caller c inserts fresh keys of its own, alternating partitions so a
 	// round of two or more touches both — even callers route to partition
-	// 0 first, odd ones to partition 1. key(c, i) is unique.
+	// 0 first, odd ones to partition 1. Each caller owns 2^32 keys in each
+	// partition, from c<<32 up, all below the scans' starts (keyMax/2 -
+	// c<<10), so key(c, i) is unique for any i a run reaches, however late
+	// Close lands.
 	key := func(c, i int) uint64 {
-		return uint64((i+c)%2)*(keyMax/2) + uint64(c)<<15 + uint64(i/2) + 1
+		return uint64((i+c)%2)*(keyMax/2) + uint64(c)<<32 + uint64(i/2) + 1
 	}
 	windows := []int{1, 4, 16, 1, 4, 16, 4, 16}
 	const callers = 16

@@ -22,13 +22,15 @@ func opsApplied(h *Hybrid) (n uint64) {
 	return n
 }
 
-// tallied reads every partition's tallies and the stores' counters into
-// one snapshot, a histogram as its sum and count, as ExportMetrics does
-// but without a barrier's own round. Call it at quiescence.
+// tallied reads every partition's tallies, hit cells included, and the
+// stores' counters into one snapshot, a histogram as its sum and count,
+// as ExportMetrics does but without a barrier's own round. Call it at
+// quiescence.
 func tallied(h *Hybrid) metrics.Snapshot {
 	snap := metrics.Snapshot{}
-	for _, part := range h.parts {
+	for p, part := range h.parts {
 		st, buckets := part.stats()
+		st.Ops += h.hitsOn(p)
 		hs := st.export(snap, buckets)
 		snap[hs.Name+"/sum"], snap[hs.Name+"/count"] = hs.Sum, hs.Count
 	}
@@ -391,9 +393,11 @@ func TestBlockingCallsCountedThroughBarrier(t *testing.T) {
 // TestRoundTallies pins the batch histogram, sum, count and every
 // bucket, and the ops counter, through ExportMetrics after one round by
 // each way into a partition: a blocking call (1 op), Len's barrier (1), a
-// round of 3 reads and a scan on the free partition (4), holdPartition's
-// barrier (1), the rounds of 2 and 3 reads parked behind it (2 and 3),
-// one hold each, and the export's own barrier (1).
+// round of 3 reads and a scan on the free partition (4), whose read of
+// key 1 installs its pair in the host portion, holdPartition's barrier
+// (1), the rounds of 2 and 3 reads parked behind it, whose reads of key
+// 1 are hits, so they hold it for 1 and 2, and the export's own barrier
+// (1). A hit is an applied op, counted in ops, but not a lock hold.
 func TestRoundTallies(t *testing.T) {
 	h := New(Config{Partitions: 1, KeyMax: 1 << 10})
 	defer h.Close()
@@ -418,8 +422,8 @@ func TestRoundTallies(t *testing.T) {
 	wg.Wait()
 	counters, hists := h.ExportMetrics()
 	var batch [metrics.NumBuckets]uint64
-	batch[1], batch[2], batch[3] = 4, 2, 1 // sizes 1, 1, 4, 1, 2, 3, 1
-	want := []metrics.HistSnapshot{{Name: "core/p0/batch", Sum: 13, Count: 7, Buckets: batch}}
+	batch[1], batch[2], batch[3] = 5, 1, 1 // sizes 1, 1, 4, 1, 1, 2, 1
+	want := []metrics.HistSnapshot{{Name: "core/p0/batch", Sum: 11, Count: 7, Buckets: batch}}
 	if !reflect.DeepEqual(hists, want) {
 		t.Errorf("histograms = %+v, want %+v", hists, want)
 	}

@@ -14,12 +14,14 @@ import (
 type PartitionStats struct {
 	// Partition is the partition index.
 	Partition int `json:"partition"`
-	// Ops counts data operations applied to the partition.
+	// Ops counts data operations applied to the partition, the reads its
+	// host portion answered included.
 	Ops uint64 `json:"ops"`
 	// Built counts pairs loaded by Build (bypassing the lock).
 	Built uint64 `json:"built"`
 	// Batches counts lock holds; BatchOps sums the operations, scans and
-	// barriers they applied, so mean ops per hold = BatchOps/Batches.
+	// barriers they applied, so mean ops per hold = BatchOps/Batches. A
+	// read the host portion answered is in neither.
 	Batches uint64 `json:"batches"`
 	// BatchOps sums the operations, scans and barriers of every hold.
 	BatchOps uint64 `json:"batch_ops"`
@@ -35,11 +37,13 @@ type PartitionStats struct {
 // barrier Len and Dump use), which is what makes it race-free and exact.
 // The tallies are the partition's plain fields, written only by its
 // holder, whichever way in it took; the barrier's own round is among
-// them. It and ExportMetrics are the only readers. Safe to call
+// them. Ops adds the Batchers' hit cells (hitsOn), read after the
+// barrier. It and ExportMetrics are the only readers. Safe to call
 // concurrently with traffic and after Close.
 func (h *Hybrid) PartitionStats(p int) (st PartitionStats) {
 	part := h.parts[p]
 	h.barrier(p, func(Store) { st, _ = part.stats() })
+	st.Ops += h.hitsOn(p)
 	return st
 }
 
@@ -47,9 +51,10 @@ func (h *Hybrid) PartitionStats(p int) (st PartitionStats) {
 // built and the store's own, and the batch histogram with its shape
 // buckets — partition by partition through the barrier path,
 // so each partition's tallies are read while holding the partition (the
-// read rule PartitionStats states), and the export never races the data
-// path. Partitions are visited one after another, not atomically (the
-// same contract as Len and Scan). Safe during traffic and after Close.
+// read rule PartitionStats states, ops with the hit cells added), and
+// the export never races the data path. Partitions are visited one after
+// another, not atomically (the same contract as Len and Scan). Safe
+// during traffic and after Close.
 func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 	counters := make(metrics.Snapshot)
 	var hists []metrics.HistSnapshot
@@ -57,6 +62,7 @@ func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 		var st PartitionStats
 		var buckets [metrics.NumBuckets]uint64
 		h.barrier(p, func(Store) { st, buckets = part.stats() })
+		st.Ops += h.hitsOn(p)
 		hists = append(hists, st.export(counters, buckets))
 	}
 	return counters, hists

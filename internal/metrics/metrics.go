@@ -103,6 +103,11 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// Register names c, a counter its owner keeps in its own allocation, so
+// that name reads it from then on. It replaces any counter registered
+// under name.
+func (r *Registry) Register(name string, c *Counter) { r.counters[name] = c }
+
 // Histogram returns the histogram named name: its <name>/sum and
 // <name>/count counters, created on first use.
 func (r *Registry) Histogram(name string) Histogram {

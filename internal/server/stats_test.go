@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -159,5 +160,52 @@ func TestCounterViewsAgree(t *testing.T) {
 	}
 	if afterHist != hist {
 		t.Errorf("server/batch after Shutdown = %+v, before it %+v", afterHist, hist)
+	}
+}
+
+// TestConnBatchersFolded opens connections that read one hot key, so
+// most of their reads are host-portion hits counted in their Batchers'
+// cells, and closes all but one. The core keeps the open connection's
+// Batcher alone (read through reflect: the map of open Batchers is the
+// core's own), and core/p*/ops still counts every read the connections
+// issued.
+func TestConnBatchersFolded(t *testing.T) {
+	const conns, reads = 8, 40
+	s, h, addr := newTestServer(t, Config{Window: 4}, core.Config{Partitions: 2, KeyMax: 1 << 16})
+	h.Put(7, 70)
+	var open *Client
+	for i := range conns {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		reqs := make([]Request, reads)
+		for j := range reqs {
+			reqs[j] = Request{Op: OpGet, Key: 7}
+		}
+		if _, err := c.Pipeline(reqs); err != nil {
+			t.Fatalf("pipeline: %v", err)
+		}
+		if i == 0 {
+			open = c
+			continue
+		}
+		c.Close()
+	}
+	defer open.Close()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if c, _ := s.ExportMetrics(); c["server/conns_closed"] == conns-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the closed connections never finished")
+		}
+	}
+	if n := reflect.ValueOf(h).Elem().FieldByName("batchers").Len(); n != 1 {
+		t.Errorf("the core holds %d Batchers' cells, want the open connection's alone", n)
+	}
+	counters, _ := h.ExportMetrics()
+	if ops := counters["core/p0/ops"]; ops != 1+conns*reads {
+		t.Errorf("core/p0/ops = %d, want the Put and %d reads", ops, conns*reads)
 	}
 }

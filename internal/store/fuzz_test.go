@@ -42,8 +42,8 @@ func fuzzKey(b byte) uint64 {
 // plain test.
 func FuzzEngineOps(f *testing.F) {
 	var asc, desc, reinsert, oneKey []byte
-	// A read installs its pair in the hot-pair table; the write after it
-	// must clear or overwrite that slot before the read that follows.
+	// A read, a write of the same key and a read again: the second read
+	// must find what the write left, whichever leaf the key is in.
 	var readDelete, readUpdate, readDeletePut []byte
 	for k := byte(0); k < fuzzKeys; k++ {
 		asc = append(asc, 0, k)
