@@ -19,6 +19,21 @@ func TestCounterRegistrationIdempotent(t *testing.T) {
 	}
 }
 
+// TestRegisterByAddress registers a counter its owner keeps: the name
+// reads the owner's counter, counts from before the registration
+// included, and Counter returns it.
+func TestRegisterByAddress(t *testing.T) {
+	var owned struct{ splits Counter }
+	owned.splits.Add(2)
+	r := NewRegistry()
+	r.Counter("t/splits").Inc() // replaced
+	r.Register("t/splits", &owned.splits)
+	owned.splits.Inc()
+	if c := r.Counter("t/splits"); c != &owned.splits || r.Snapshot().Get("t/splits") != 3 {
+		t.Fatalf("t/splits reads %d, want the owner's counter at 3", r.Snapshot().Get("t/splits"))
+	}
+}
+
 func TestSnapshotSubDelta(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a")
