@@ -16,7 +16,11 @@ const fuzzHeader = 5
 // either small (KeyMax 2-256, every key reachable from a byte) or the
 // default 2^62 (a byte b is key b<<54+1, spread over the whole space);
 // the window (1-64); the number of ops each Apply call takes (1-32); and
-// the number of keys (0-64) Build loads before the operations.
+// the number of keys (0-255) Build loads before the operations: key
+// i*4 + i/64 of the byte keys, so the first 64 are every fourth and up
+// to 255 are distinct. A header byte of 192 or more, over KeyMax 256 on
+// one partition, makes a table of 4 buckets, where a key's two buckets
+// differ.
 func fuzzShape(h []byte) (cfg Config, window, cut, preload int, key func(b byte) uint64) {
 	cfg.Partitions = int(h[0]%8) + 1
 	if h[1]&0x80 != 0 {
@@ -26,7 +30,7 @@ func fuzzShape(h []byte) (cfg Config, window, cut, preload int, key func(b byte)
 		cfg.KeyMax = 2 + uint64(h[1])*2
 		key = func(b byte) uint64 { return 1 + uint64(b)%(cfg.KeyMax-1) }
 	}
-	return cfg, int(h[2]%64) + 1, int(h[3]%32) + 1, int(h[4] % 65), key
+	return cfg, int(h[2]%64) + 1, int(h[3]%32) + 1, int(h[4]), key
 }
 
 // FuzzBatcherRounds drives one Batcher over a map whose shape the leading
@@ -37,9 +41,9 @@ func fuzzShape(h []byte) (cfg Config, window, cut, preload int, key func(b byte)
 // into Apply calls of a fixed length. One caller's Batcher is sequential,
 // so every outcome and every scan's pairs must equal a sorted-map
 // oracle's, and so must Dump and Len at the end. A map starts empty or
-// from at most 64 built keys. The seed corpus runs as a plain test.
+// from at most 255 built keys. The seed corpus runs as a plain test.
 func FuzzBatcherRounds(f *testing.F) {
-	var mixed, scans, oneKey, readWriteRead []byte
+	var mixed, scans, oneKey, readWriteRead, spread []byte
 	for k := byte(0); k < 64; k++ {
 		mixed = append(mixed, k%4, k*5, 1, k*5)
 		scans = append(scans, 4|(k%9)<<3, k*3, 0, k*7)
@@ -57,6 +61,16 @@ func FuzzBatcherRounds(f *testing.F) {
 	for k := byte(0); k < 16; k += 4 {
 		readWriteRead = append(readWriteRead, 1, k, 2, k, 1, k, 3, k, 1, k, 0, k, 1, k)
 	}
+	// Every key of 255 built over KeyMax 256 is read, so the 4-bucket
+	// table overflows into second buckets and evicts across both; then
+	// each key is read, updated, removed or inserted in turn, and read
+	// again, so a write must clear its key's pair from either bucket.
+	for k := range 255 {
+		spread = append(spread, 1, byte(k))
+	}
+	for k := range 255 {
+		spread = append(spread, 1, byte(k), []byte{2, 3, 0}[k%3], byte(k), 1, byte(k))
+	}
 	for _, seed := range [][]byte{
 		append([]byte{3, 40, 15, 31, 0}, mixed...),    // 4 partitions, window 16, empty
 		append([]byte{7, 127, 63, 7, 64}, mixed...),   // 8 partitions, window 64, built
@@ -69,6 +83,7 @@ func FuzzBatcherRounds(f *testing.F) {
 		append([]byte{7, 127, 15, 31, 16}, append(scans, mixed...)...),
 		append([]byte{0, 20, 63, 31, 16}, readWriteRead...), // one round
 		append([]byte{0, 20, 0, 0, 16}, readWriteRead...),   // across rounds
+		append([]byte{0, 127, 15, 31, 255}, spread...),      // 4 buckets, both hashes
 	} {
 		f.Add(seed)
 	}
@@ -83,7 +98,7 @@ func FuzzBatcherRounds(f *testing.F) {
 		oracle := map[uint64]uint64{}
 		var built []KV
 		for i := range preload {
-			kv := KV{Key: key(byte(i * 4)), Value: uint64(1000 + i)}
+			kv := KV{Key: key(byte(i*4 + i/64)), Value: uint64(1000 + i)}
 			built = append(built, kv)
 			if _, dup := oracle[kv.Key]; !dup { // Build keeps the first
 				oracle[kv.Key] = kv.Value

@@ -110,8 +110,8 @@ func (r *hotRig) pairs() []uint64 {
 
 // checkHot validates the host portion of every partition at quiescence:
 // a window in range, nothing counted and no table while off, a table of a
-// power of two buckets, every seqlock word even, and every pair at its
-// key's bucket, once, holding the store's current value.
+// power of two buckets, every seqlock word even, and every pair in one of
+// its key's two buckets, once, holding the store's current value.
 func checkHot(h *Hybrid) error {
 	for _, part := range h.parts {
 		t := part.hot.Load()
@@ -135,8 +135,8 @@ func checkHot(h *Hybrid) error {
 				if k == 0 {
 					continue
 				}
-				if sv, ok := part.store.Get(k); t.at(k) != b || seen[k] || !ok || sv != v {
-					return fmt.Errorf("p%d: bucket %d holds (%d, %d), not the store's pair once at its hash position", part.id, i, k, v)
+				if sv, ok := part.store.Get(k); t.at(k*hotMul) != b && t.at(k*hotMul2) != b || seen[k] || !ok || sv != v {
+					return fmt.Errorf("p%d: bucket %d holds (%d, %d), not the store's pair once in one of its key's buckets", part.id, i, k, v)
 				}
 				seen[k] = true
 			}
@@ -310,7 +310,7 @@ func TestHotTableGrowsUnderSkew(t *testing.T) {
 
 // TestHotTableSpreadsHighBitKeys reads keys that differ only above bit
 // 40: a hash that dropped the high bits of the product would send them
-// all to one bucket.
+// all to one bucket. Each of the two hashes must spread them.
 func TestHotTableSpreadsHighBitKeys(t *testing.T) {
 	const n = 1 << 13 // reads fewer than a window
 	var load []uint64
@@ -321,12 +321,14 @@ func TestHotTableSpreadsHighBitKeys(t *testing.T) {
 	for _, k := range load {
 		r.get(k)
 	}
-	used := map[*hotBucket]bool{}
-	for _, k := range r.pairs() {
-		used[r.table().at(k)] = true
-	}
-	if len(used) < len(r.table().b)/2 {
-		t.Fatalf("%d keys read filled %d of %d buckets", n, len(used), len(r.table().b))
+	for _, mul := range []uint64{hotMul, hotMul2} {
+		used := map[*hotBucket]bool{}
+		for _, k := range r.pairs() {
+			used[r.table().at(k*mul)] = true
+		}
+		if len(used) < len(r.table().b)/2 {
+			t.Fatalf("multiplier %#x: %d keys read hash to %d of %d buckets", mul, n, len(used), len(r.table().b))
+		}
 	}
 	if err := checkHot(r.h); err != nil {
 		t.Fatal(err)
@@ -484,20 +486,48 @@ func TestBatcherCellsDoNotAccumulate(t *testing.T) {
 }
 
 // TestHotReadsNeverTear has readers hammer one bucket that the holder
-// keeps rewriting: 6 keys, key k holding k<<32 | version, over a
-// partition whose table is one bucket of three pairs. A Batcher writer
-// updates the keys with rising versions, each update clearing its key's
-// pair, and the readers' misses install them again, each evicting
-// another key's pair. Every read must return its own key's value, which
-// a read of a pair caught between its key and its value would not, and
-// no reader may see a key's version fall.
+// keeps rewriting: 6 keys over a partition whose table is one bucket of
+// three pairs, where a key's two buckets are one, until the readers' hits
+// grow it to 8.
 func TestHotReadsNeverTear(t *testing.T) {
-	const keys, updates, readers = 6, 50000, 2
-	h := New(Config{Partitions: 1, KeyMax: 1 << 10})
-	defer h.Close()
-	for k := uint64(1); k <= keys; k++ {
-		h.Put(k, k<<32)
+	hammerHot(t, 6, []uint64{1, 2, 3, 4, 5, 6})
+}
+
+// TestHotReadsNeverTearTwoBuckets hammers 6 keys that share their first
+// bucket over a store of 2^12 pairs, whose table has 64 buckets, and
+// still share it once the readers' hits have grown the table 8 times.
+// Three of them fit there, so the others are installed in their second
+// buckets while the holder rewrites both.
+func TestHotReadsNeverTearTwoBuckets(t *testing.T) {
+	const load = 1 << 12
+	big := newHotTable(hotBig * hotBuckets(load))
+	byFirst := map[*hotBucket][]uint64{}
+	for k := uint64(1); k <= load; k++ {
+		b := big.at(k * hotMul)
+		if byFirst[b] = append(byFirst[b], k); len(byFirst[b]) == 2*hotWays {
+			hammerHot(t, load, byFirst[b])
+			return
+		}
 	}
+	t.Fatal("no bucket is the first of 6 keys")
+}
+
+// hammerHot builds keys 1..load, key k holding k<<32 | version, and has
+// Batcher readers read keys while a Batcher writer updates them with
+// rising versions, each update clearing its key's pair, and the readers'
+// misses install them again, each evicting another key's pair. Every
+// read must return its own key's value, which a read of a pair caught
+// between its key and its value would not, and no reader may see a key's
+// version fall.
+func hammerHot(t *testing.T, load uint64, keys []uint64) {
+	const updates, readers = 50000, 2
+	h := New(Config{Partitions: 1, KeyMax: 1 << 20})
+	defer h.Close()
+	var pairs []KV
+	for k := uint64(1); k <= load; k++ {
+		pairs = append(pairs, KV{Key: k, Value: k << 32})
+	}
+	h.Build(pairs)
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	for c := range readers {
@@ -508,10 +538,10 @@ func TestHotReadsNeverTear(t *testing.T) {
 			rng := prng.New(uint64(c) + 7)
 			ops := make([]hds.Request, 4)
 			out := make([]Outcome, 4)
-			var seen [keys + 1]uint64
+			seen := map[uint64]uint64{}
 			for !done.Load() {
 				for i := range ops {
-					ops[i] = hds.Request{Kind: hds.Read, Key: uint64(rng.Intn(keys)) + 1}
+					ops[i] = hds.Request{Kind: hds.Read, Key: keys[rng.Intn(len(keys))]}
 				}
 				b.Apply(ops, out)
 				for i, o := range out {
@@ -527,12 +557,116 @@ func TestHotReadsNeverTear(t *testing.T) {
 	}
 	b := h.NewBatcher(1)
 	for n := uint64(1); n <= updates; n++ {
-		k := n%keys + 1
+		k := keys[n%uint64(len(keys))]
 		b.Apply([]hds.Request{{Kind: hds.Update, Key: k, Value: k<<32 | n}}, nil)
 	}
 	done.Store(true)
 	wg.Wait()
 	if err := checkHot(h); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHotSecondBucket reads four keys of one first bucket over a store of
+// 2^12 pairs, whose table has 64 buckets: the fourth finds its first
+// bucket full and is installed in its second, where a round answers it
+// without the lock. An install of a key that either bucket holds changes
+// nothing, even with room in the first; a write clears the pair in the
+// second bucket, and the next read misses and installs the key in its
+// first bucket, which has room again.
+func TestHotSecondBucket(t *testing.T) {
+	const n = 1 << 12
+	var load []uint64
+	for k := uint64(1); k <= n; k++ {
+		load = append(load, k)
+	}
+	r := newHotRig(t, 1<<20, load)
+	r.get(n)                    // makes the table
+	r.write(hds.Update, n, 3*n) // and empties it
+	tb := r.table()
+	byFirst := map[*hotBucket][]uint64{}
+	var keys []uint64
+	for k := uint64(1); k < n && keys == nil; k++ {
+		if b := tb.at(k * hotMul); b != tb.at(k*hotMul2) {
+			if byFirst[b] = append(byFirst[b], k); len(byFirst[b]) == hotWays+1 {
+				keys = byFirst[b]
+			}
+		}
+	}
+	k := keys[hotWays]
+	first, second := tb.at(k*hotMul), tb.at(k*hotMul2)
+	hits := func() uint64 { return r.b.parts[0].hits.Load() }
+	for _, key := range keys {
+		r.get(key)
+	}
+	if first.way(k) >= 0 || second.way(k) < 0 {
+		t.Fatalf("key %d, read with its first bucket full, is not in its second bucket alone", k)
+	}
+	before := hits()
+	r.get(k)
+	if hits() != before+1 {
+		t.Fatalf("a round did not answer key %d from its second bucket", k)
+	}
+	r.write(hds.Update, keys[0], 1) // clears a way of the first bucket
+	r.part.install(k, 3*k)
+	if err := checkHot(r.h); err != nil {
+		t.Fatalf("an install of a key held in its second bucket: %v", err)
+	}
+	r.write(hds.Update, k, 5)
+	if first.way(k) >= 0 || second.way(k) >= 0 {
+		t.Fatalf("a write to key %d left its pair", k)
+	}
+	before = hits()
+	r.get(k)
+	if hits() != before || first.way(k) < 0 {
+		t.Fatalf("the read after a write: %d hits, key %d in its first bucket %v; want a miss installed there", hits()-before, k, first.way(k) >= 0)
+	}
+	if err := checkHot(r.h); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHotGrownKeepsEveryPair fills every way of a base table of 64
+// buckets, some by each hash, and grows it: every pair must land, with
+// its value, in one of the hotBig buckets its bucket covers, whichever
+// hash placed it, so none is lost.
+func TestHotGrownKeepsEveryPair(t *testing.T) {
+	const n = 1 << 12
+	var load []uint64
+	for k := uint64(1); k <= n; k++ {
+		load = append(load, k)
+	}
+	r := newHotRig(t, 1<<20, load)
+	for k := uint64(1); k <= n; k++ {
+		r.get(k)
+	}
+	tb := r.table()
+	from, second := map[uint64]int{}, 0
+	for i := range tb.b {
+		for j := range tb.b[i].pairs {
+			if k := tb.b[i].pairs[j].key.Load(); k != 0 {
+				from[k] = i
+				if tb.at(k*hotMul) != &tb.b[i] {
+					second++
+				}
+			}
+		}
+	}
+	if len(from) != hotWays*len(tb.b) || second == 0 {
+		t.Fatalf("the base table holds %d pairs, %d by the second hash; want it full, some by each", len(from), second)
+	}
+	g := tb.grown()
+	for i := range g.b {
+		for j := range g.b[i].pairs {
+			if k, v := g.b[i].pairs[j].key.Load(), g.b[i].pairs[j].val.Load(); k != 0 {
+				if at, ok := from[k]; !ok || at != i/hotBig || v != 3*k {
+					t.Fatalf("big bucket %d holds (%d, %d), from base bucket %d", i, k, v, at)
+				}
+				delete(from, k)
+			}
+		}
+	}
+	if len(from) != 0 {
+		t.Fatalf("growth lost %d pairs", len(from))
 	}
 }
