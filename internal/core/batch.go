@@ -1,8 +1,9 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"hybrids/internal/hds"
-	"hybrids/internal/metrics"
 )
 
 // Outcome is one batched operation's result plus whether it was applied
@@ -26,17 +27,18 @@ type Outcome struct {
 // nothing when every partition it touched was free. A Scan is served in
 // the round on its start partition and, if short of its limit there,
 // continued after the round through ScanAppend. The serving layer keeps
-// one per connection and closes it with the connection. All of its state
-// is reused, so steady-state Apply calls perform no allocation. A Batcher
-// belongs to one goroutine; it is not safe for concurrent use.
+// one per connection and drops it with the connection: the map holds
+// nothing of it. All of its state is reused, so steady-state Apply calls
+// perform no allocation. A Batcher belongs to one goroutine; it is not
+// safe for concurrent use.
 type Batcher struct {
 	// The call: ops, outcome slots and the per-partition state.
 	ops   []hds.Request
 	out   []Outcome
 	parts []batchPart
 
-	h      *Hybrid
-	window int
+	h              *Hybrid
+	window, stripe int
 
 	// kv holds the scans' pairs, scan i's region being pairs[i]. touched
 	// lists the partitions the round has ops for; scratch receives
@@ -49,57 +51,45 @@ type Batcher struct {
 
 // batchPart is a Batcher's state for one partition: the round's data ops
 // it applies under the lock and the scans starting in it (index order);
-// fresh, the round's reads the host portion answered; unjudged, the hits
-// the partition's window has not been handed; and hits, the cell counting
-// them all, which only this Batcher writes and the map's exports read.
-// It is 64 bytes.
+// fresh, the round's reads the host portion answered; and unjudged, the
+// hits the partition's window has not been handed.
 type batchPart struct {
 	idx, sidx       []int32
 	fresh, unjudged int32
-	hits            metrics.Local
+}
+
+// hitStripes is the number of hit cells per partition. NewBatcher hands
+// out stripes round-robin, so up to hitStripes Batchers running at once
+// count on lines of their own; more share cells, whose adds stay exact.
+const hitStripes = 8
+
+// hitCell counts reads a partition's host portion answered, on a 64-byte
+// line of its own. Batchers add to it once per round, any reader loads it.
+type hitCell struct {
+	n atomic.Uint64
+	_ [56]byte
 }
 
 // NewBatcher returns a Batcher whose Apply keeps up to window operations
-// in flight (at least one), registered with the map until its Close. It
-// is made in three allocations: the Batcher, its per-partition state,
-// and one array backing every partition's idx list and touched.
+// in flight (at least one), counting its hits in the next stripe. It is
+// made in three allocations: the Batcher, its per-partition state, and
+// one array backing every partition's idx list and touched.
 func (h *Hybrid) NewBatcher(window int) *Batcher {
 	window = max(window, 1)
 	n := len(h.parts)
 	slots := make([]int32, n*window+min(n, window))
 	b := &Batcher{h: h, window: window, parts: make([]batchPart, n), touched: slots[n*window : n*window]}
+	b.stripe = int(h.stripes.Add(1) % hitStripes)
 	for p := range b.parts {
 		b.parts[p].idx = slots[p*window : p*window : (p+1)*window]
 	}
-	h.mu.Lock()
-	h.batchers[b] = struct{}{}
-	h.mu.Unlock()
 	return b
 }
 
-// Close retires the Batcher: the map adds its hit cells into its own
-// counts and lets it go. It is idempotent; the Batcher must not Apply
-// again.
-func (b *Batcher) Close() {
-	h := b.h
-	h.mu.Lock()
-	if _, open := h.batchers[b]; open {
-		delete(h.batchers, b)
-		for p := range b.parts {
-			h.hits[p] += b.parts[p].hits.Load()
-		}
-	}
-	h.mu.Unlock()
-}
-
-// hitsOn sums the reads partition p's host portion answered: the closed
-// Batchers' and every open one's cell.
-func (h *Hybrid) hitsOn(p int) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := h.hits[p]
-	for b := range h.batchers {
-		n += b.parts[p].hits.Load()
+// hitsOn sums partition p's hit cells: the reads its host portion answered.
+func (h *Hybrid) hitsOn(p int) (n uint64) {
+	for i := range h.parts[p].hitCells {
+		n += h.parts[p].hitCells[i].n.Load()
 	}
 	return n
 }
@@ -195,7 +185,7 @@ func (b *Batcher) round(lo, hi int) int {
 	if hits {
 		for p := range parts {
 			if bp := &parts[p]; bp.fresh > 0 {
-				bp.hits.Add(uint64(bp.fresh))
+				h.parts[p].hitCells[b.stripe].n.Add(uint64(bp.fresh))
 				bp.unjudged = min(bp.unjudged+bp.fresh, hotWindow) // a window's worth judges as well as more
 				bp.fresh = 0
 			}

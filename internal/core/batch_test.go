@@ -44,9 +44,10 @@ func TestBatcherApplyAllocs(t *testing.T) {
 // TestPartitionLines pins the partition's two cache lines of its own:
 // the first holds everything a holder writes, the lock, the refusal
 // flag, the table's window, the tallies and the store, and the second the
-// host portion's table pointer, which every Batcher's round reads, away
-// from the lock; its bucket array is a pointer-free allocation of its
-// own, 64-aligned.
+// pointers to the host portion's table and the hit cells, which every
+// Batcher's round reads, away from the lock; its bucket array is a
+// pointer-free allocation of its own, 64-aligned, and so are its hit
+// cells, a line each.
 func TestPartitionLines(t *testing.T) {
 	h := New(Config{Partitions: 2})
 	p := h.parts[1]
@@ -64,6 +65,9 @@ func TestPartitionLines(t *testing.T) {
 	}
 	if addr := uintptr(unsafe.Pointer(p.buckets)); addr%64 != 0 {
 		t.Fatalf("bucket array at %#x, want 64-aligned", addr)
+	}
+	if addr := uintptr(unsafe.Pointer(p.hitCells)); addr%64 != 0 || unsafe.Sizeof(p.hitCells[0]) != 64 {
+		t.Fatalf("hit cells of %d bytes at %#x, want a line each, 64-aligned", unsafe.Sizeof(p.hitCells[0]), addr)
 	}
 }
 

@@ -452,36 +452,69 @@ func TestHitTakesNoLock(t *testing.T) {
 	}
 }
 
-// TestBatcherCellsDoNotAccumulate opens and closes Batchers as a server's
-// connections come and go: the map keeps the cells of the open ones
-// only, a closed one's hits join the map's own, so core/p*/ops stays
-// exact, and Close is idempotent.
-func TestBatcherCellsDoNotAccumulate(t *testing.T) {
+// TestHitsExactWithoutClose makes Batchers as a server's connections
+// come and go, more than hitStripes of them, uses each and drops it with
+// nothing to close: every hit stays in the partitions' cells, so hitsOn
+// and core/p*/ops are exact.
+func TestHitsExactWithoutClose(t *testing.T) {
 	h := New(Config{Partitions: 2, KeyMax: 1 << 10})
 	defer h.Close()
 	h.Build([]KV{{Key: 1, Value: 1}, {Key: 600, Value: 2}})
 	ops := []hds.Request{{Kind: hds.Read, Key: 1}, {Kind: hds.Read, Key: 600}}
-	open, issued := 0, uint64(0)
-	for i := range 20 {
+	issued := uint64(0)
+	for range 2*hitStripes + 3 {
 		b := h.NewBatcher(4)
 		b.Apply(ops, nil)
 		b.Apply(ops, nil)
 		issued += 4
-		if i%5 == 0 {
-			open++
-			continue
-		}
-		b.Close()
-		b.Close()
-	}
-	if len(h.batchers) != open {
-		t.Errorf("the map holds %d Batchers' cells, want the %d open", len(h.batchers), open)
 	}
 	if hits := h.hitsOn(0) + h.hitsOn(1); hits != issued-2 {
 		t.Errorf("%d hits counted, want every read but the first two, %d", hits, issued-2)
 	}
 	if n := opsApplied(h); n != issued {
 		t.Errorf("core/p*/ops = %d, want %d", n, issued)
+	}
+}
+
+// TestHitsSharedStripe runs the first and the last of hitStripes+1
+// Batchers, which count in one cell, on two goroutines at once, each
+// 20 000 rounds of 16 hit reads: every add to the shared cell must land,
+// so core/p0/ops is exact.
+func TestHitsSharedStripe(t *testing.T) {
+	const rounds, reads = 20000, 16
+	h := New(Config{Partitions: 1, KeyMax: 1 << 10})
+	defer h.Close()
+	h.Build([]KV{{Key: 1, Value: 1}})
+	ops := make([]hds.Request, reads)
+	for i := range ops {
+		ops[i] = hds.Request{Kind: hds.Read, Key: 1}
+	}
+	var bs []*Batcher
+	for range hitStripes + 1 {
+		bs = append(bs, h.NewBatcher(reads))
+	}
+	first, last := bs[0], bs[hitStripes]
+	if first.stripe != last.stripe {
+		t.Fatalf("Batchers %d apart count in stripes %d and %d, want one", hitStripes, first.stripe, last.stripe)
+	}
+	first.Apply(ops[:1], nil) // a miss, which installs the pair
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, b := range []*Batcher{first, last} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]Outcome, reads)
+			<-start
+			for range rounds {
+				b.Apply(ops, out)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n, want := opsApplied(h), uint64(1+2*rounds*reads); n != want {
+		t.Errorf("core/p0/ops = %d, want %d", n, want)
 	}
 }
 
@@ -595,7 +628,7 @@ func TestHotSecondBucket(t *testing.T) {
 	}
 	k := keys[hotWays]
 	first, second := tb.at(k*hotMul), tb.at(k*hotMul2)
-	hits := func() uint64 { return r.b.parts[0].hits.Load() }
+	hits := func() uint64 { return r.h.hitsOn(0) }
 	for _, key := range keys {
 		r.get(key)
 	}

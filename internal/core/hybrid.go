@@ -14,7 +14,8 @@
 // the lock, applies the rest on the partitions it finds free first and
 // then waits for the held ones, one lock at a time. Each holder counts
 // its round in the partition's own fields, read only through a barrier,
-// and each Batcher its hits in cells of its own. The package starts no
+// and each Batcher its hits in one of the partition's striped cells, so
+// a Batcher holds nothing the map must take back. The package starts no
 // goroutine of its own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"hybrids/internal/cds"
 	"hybrids/internal/hds"
@@ -90,12 +92,9 @@ type Hybrid struct {
 	cfg   Config
 	parts []*partition
 	span  uint64
-
-	// mu guards the open Batchers, whose cells count their hits, and hits,
-	// the hits of the closed ones, per partition.
-	mu       sync.Mutex
-	batchers map[*Batcher]struct{}
-	hits     []uint64
+	// stripes counts the Batchers made: the nth counts its hits in stripe
+	// n%hitStripes.
+	stripes atomic.Uint32
 }
 
 // spinLoads is how many TryLocks a caller makes on a held partition
@@ -111,7 +110,8 @@ const spinLoads = 30000
 // store, the scan cursor and the store's registry — and the pointer that
 // publishes its host portion (hot.go). It fills two cache lines of its
 // own: the first holds all a holder writes but its bucket, the second
-// what it only reads and the table pointer, which every Batcher reads.
+// what it only reads and the pointers to the table and the hit cells,
+// which every Batcher reads.
 type partition struct {
 	// mu is held by the one caller serving the partition. refusing is set
 	// by Close's barrier: every data operation served after it completes
@@ -122,7 +122,8 @@ type partition struct {
 	// operations applied under the lock, built the pairs Build loaded.
 	// buckets[i] counts the rounds whose batch size is i bits long: a
 	// pointer-free allocation of its own, so no malloc header moves it off
-	// a line boundary. reg holds only an Instrumented store's counters.
+	// a line boundary; so are hitCells, the Batchers' hits (batch.go). reg
+	// holds only an Instrumented store's counters.
 	mu                    sync.Mutex
 	refusing              bool
 	probes, hits, idle    int32
@@ -134,7 +135,8 @@ type partition struct {
 	buckets               *[metrics.NumBuckets]uint64
 	reg                   *metrics.Registry
 	hot                   hotPointer
-	_                     [16]byte
+	hitCells              *[hitStripes]hitCell
+	_                     [8]byte
 }
 
 // New creates a hybrid map. It starts no goroutine.
@@ -149,19 +151,15 @@ func New(cfg Config) *Hybrid {
 		cfg.NewStore = func(int) Store { return cds.NewBTree() }
 	}
 	// span is ceil(KeyMax/Partitions), written so that it cannot wrap.
-	h := &Hybrid{
-		cfg:      cfg,
-		span:     (cfg.KeyMax-1)/uint64(cfg.Partitions) + 1,
-		batchers: make(map[*Batcher]struct{}),
-		hits:     make([]uint64, cfg.Partitions),
-	}
+	h := &Hybrid{cfg: cfg, span: (cfg.KeyMax-1)/uint64(cfg.Partitions) + 1}
 	for p := 0; p < cfg.Partitions; p++ {
 		part := &partition{
-			id:      p,
-			store:   cfg.NewStore(p),
-			cur:     newScanCursor(),
-			buckets: new([metrics.NumBuckets]uint64),
-			reg:     metrics.NewRegistry(),
+			id:       p,
+			store:    cfg.NewStore(p),
+			cur:      newScanCursor(),
+			buckets:  new([metrics.NumBuckets]uint64),
+			hitCells: new([hitStripes]hitCell),
+			reg:      metrics.NewRegistry(),
 		}
 		if ins, ok := part.store.(Instrumented); ok {
 			ins.Instrument(part.reg, fmt.Sprintf("core/p%d/store", p))

@@ -37,7 +37,7 @@ type PartitionStats struct {
 // barrier Len and Dump use), which is what makes it race-free and exact.
 // The tallies are the partition's plain fields, written only by its
 // holder, whichever way in it took; the barrier's own round is among
-// them. Ops adds the Batchers' hit cells (hitsOn), read after the
+// them. Ops adds the partition's hit cells (hitsOn), read after the
 // barrier. It and ExportMetrics are the only readers. Safe to call
 // concurrently with traffic and after Close.
 func (h *Hybrid) PartitionStats(p int) (st PartitionStats) {
@@ -49,12 +49,12 @@ func (h *Hybrid) PartitionStats(p int) (st PartitionStats) {
 
 // ExportMetrics captures every core/p<i>/ instrument — the counters ops,
 // built and the store's own, and the batch histogram with its shape
-// buckets — partition by partition through the barrier path,
-// so each partition's tallies are read while holding the partition (the
-// read rule PartitionStats states, ops with the hit cells added), and
-// the export never races the data path. Partitions are visited one after
-// another, not atomically (the same contract as Len and Scan). Safe
-// during traffic and after Close.
+// buckets — partition by partition through the barrier path, so each
+// partition's tallies are read while holding the partition (the read
+// rule PartitionStats states, ops with the partition's hit cells added),
+// and the export never races the data path. Partitions are visited one
+// after another, not atomically (the same contract as Len and Scan).
+// Safe during traffic and after Close.
 func (h *Hybrid) ExportMetrics() (metrics.Snapshot, []metrics.HistSnapshot) {
 	counters := make(metrics.Snapshot)
 	var hists []metrics.HistSnapshot

@@ -91,6 +91,16 @@ var rules = []rule{
 		reason:  "internal/core must not pool call state: a call's state lives on its caller's stack or in its partition",
 		violate: map[string]string{"internal/core/hybrid.go": "package core\n\nvar cursorPool = sync.Pool{New: func() any { return new(scanCursor) }}\n"},
 	},
+	// A Batcher counts its host-portion hits in its partitions' striped
+	// cells (DESIGN §5.8), so the map keeps no record of its callers and a
+	// caller has nothing to hand back: a map keyed by Batcher, or a
+	// Batcher.Close, is a registry and its lifecycle contract again.
+	{
+		name:    "core-no-caller-registry",
+		check:   grep(files{globs: []string{"internal/core/*.go"}}, `map\[\*Batcher\]|func[[:space:]]*\([[:alnum:]_]*[[:space:]]*\*Batcher\)[[:space:]]*Close\(`),
+		reason:  "internal/core must not register Batchers or ask for their Close: count hits in the partitions' striped cells",
+		violate: map[string]string{"internal/core/batch.go": "package core\n\ntype Hybrid struct{ batchers map[*Batcher]struct{} }\n\nfunc (b *Batcher) Close() {}\n"},
+	},
 	// Every server/ counter is one row of internal/server/stats.go's table,
 	// which every view loops over; a second spelling of a name means a view
 	// kept by hand again.

@@ -192,11 +192,9 @@ func (s *Server) Shutdown() {
 
 // connClosed deregisters a finished connection: its cells are added
 // into base under the server mutex (the only place the mutex and per-op
-// counts ever meet), and its Batcher's hit cells into the core's own
-// (Batcher.Close). Called by the connection's own goroutine on its way
+// counts ever meet). Called by the connection's own goroutine on its way
 // out, so every cell is final.
 func (s *Server) connClosed(c *conn) {
-	c.batcher.Close()
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.base.cells[statConnsClosed].Inc()
