@@ -21,10 +21,9 @@ type Outcome struct {
 // Batcher executes operations with non-blocking calls (§3.5): it keeps up
 // to window operations in flight in rounds. A round routes its ops to
 // their partitions, answering each read its partition's host portion
-// holds (hot.go) with no lock taken, takes every partition it finds free
-// and applies that partition's remaining ops there, and then takes the
-// held ones in routing order, holding one lock at a time; so it waits for
-// nothing when every partition it touched was free. A Scan is served in
+// holds (hot.go) with no lock taken, and then takes each touched partition
+// in routing order and applies that partition's remaining ops there,
+// holding one lock at a time. A Scan is served in
 // the round on its start partition and, if short of its limit there,
 // continued after the round through ScanAppend. The serving layer keeps
 // one per connection and drops it with the connection: the map holds
@@ -135,8 +134,8 @@ func (b *Batcher) Pairs(i int) []KV { return b.pairs[i] }
 
 // round routes ops[lo:hi] up to its first write at or above a scan's
 // start partition, answering the reads the host portion holds, applies
-// each touched partition's other ops under its lock, the free partitions
-// first, finishes the scans and returns where it stopped. A read is
+// each touched partition's other ops under its lock, in routing order,
+// finishes the scans and returns where it stopped. A read is
 // answered from the table only if no op before it in the round waits for
 // the lock on its key, and no scan at or below its partition: those it
 // must follow.
@@ -191,19 +190,9 @@ func (b *Batcher) round(lo, hi int) int {
 			}
 		}
 	}
-	// Serve the free partitions, moving the held ones, in routing order,
-	// to the front; then wait for each held one in turn. One lock at a
-	// time, so no round or barrier waits on a lock held by a waiter.
-	held := 0
-	for i, p := range b.touched {
-		if part := h.parts[p]; part.mu.TryLock() {
-			b.serve(part)
-		} else {
-			b.touched[held], b.touched[i] = p, b.touched[held]
-			held++
-		}
-	}
-	for _, p := range b.touched[:held] {
+	// Take each touched partition in routing order. One lock at a time,
+	// so no round or barrier waits on a lock held by a waiter.
+	for _, p := range b.touched {
 		part := h.parts[p]
 		part.lock()
 		b.serve(part)

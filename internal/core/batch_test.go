@@ -119,8 +119,8 @@ func refused(h *Hybrid, p int) bool {
 
 // TestBatcherOneEntryPerPartition checks the round granularity: a 16-op
 // batch over 4 partitions takes each partition once and applies its 4 ops
-// in one hold. Partition 0 is held by a barrier until the round has
-// served the other three and parked on it; the tallies, read at
+// in one hold. Partition 0 is routed last and held by a barrier until the
+// round has served the other three and parked on it; the tallies, read at
 // quiescence and before Close (whose own barrier is one more round on
 // each partition), must show every partition one round of 4 ops, and
 // partition 0 one more, for the barrier. A blocking call then is one
@@ -133,6 +133,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	defer release()
 	b := h.NewBatcher(16)
 	ops := spread(16, partitions, 1<<20)
+	ops = append(ops[1:], ops[0]) // partitions 1, 2, 3 and then 0
 	applied := make(chan int)
 	go func() {
 		n, _ := b.Apply(ops, nil)
@@ -159,7 +160,7 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	if opsApplied != uint64(len(ops)) {
 		t.Errorf("core/p*/ops sum = %d, want %d", opsApplied, len(ops))
 	}
-	h.Get(ops[1].Key) // partition 1's key
+	h.Get(ops[0].Key) // partition 1's key
 	after := tallied(h)
 	for _, name := range []string{"batch/count", "batch/sum", "ops"} {
 		if d := after.Get("core/p1/"+name) - get(1, name); d != 1 {
@@ -168,19 +169,19 @@ func TestBatcherOneEntryPerPartition(t *testing.T) {
 	}
 }
 
-// TestBatcherRoundTakesFreePartition checks that a round serves the
-// partitions it finds free before it waits for a held one. Rounds of 3
-// reads on each of 4 free partitions tally, read through ExportMetrics,
-// one round of 3 ops per (round, partition), beside the export's own
-// barrier. A round whose first partition is held applies its ops on the
-// other three before it parks on the first, whose holder sees none of
-// the round's ops applied there, and completes after the release.
-func TestBatcherRoundTakesFreePartition(t *testing.T) {
+// TestBatcherRoundTakesPartitionsInRoutingOrder checks that a round
+// takes its partitions in the order it routed them. Rounds of 3 reads on
+// each of 4 free partitions tally, read through ExportMetrics, one round
+// of 3 ops per (round, partition), beside the export's own barrier. A
+// round that routes partition 0 first, while it is held, parks on it
+// with nothing applied on partition 1 or the others, and applies its ops
+// on every partition once the holder lets go.
+func TestBatcherRoundTakesPartitionsInRoutingOrder(t *testing.T) {
 	const partitions, rounds = 4, 5
 	h := New(Config{Partitions: partitions, KeyMax: 1 << 20})
 	defer h.Close()
 	b := h.NewBatcher(16)
-	ops := spread(3*partitions, partitions, 1<<20)
+	ops := spread(3*partitions, partitions, 1<<20) // partitions 0, 1, 2, 3, 0, ...
 	for range rounds {
 		if n, _ := b.Apply(ops, nil); n != len(ops) {
 			t.Fatalf("round on free partitions: applied %d of %d", n, len(ops))
@@ -202,12 +203,10 @@ func TestBatcherRoundTakesFreePartition(t *testing.T) {
 		n, _ := b.Apply(ops, nil)
 		applied <- n
 	}()
-	// Nothing else takes the free partitions, so the round has served
-	// them by the time it parks on partition 0.
 	waitFor(t, "the round to park on partition 0", func() bool { return parkedInLock() == 1 })
 	for p := 1; p < partitions; p++ {
-		if n := h.PartitionStats(p).Ops; n != 3*(rounds+1) {
-			t.Errorf("p%d applied %d ops while partition 0 was held, want %d", p, n, 3*(rounds+1))
+		if n := h.PartitionStats(p).Ops; n != 3*rounds {
+			t.Errorf("p%d applied %d ops while the round waited for partition 0, want the %d before it", p, n, 3*rounds)
 		}
 	}
 	if n := release(); n != 3*rounds {
@@ -215,6 +214,11 @@ func TestBatcherRoundTakesFreePartition(t *testing.T) {
 	}
 	if n := <-applied; n != len(ops) {
 		t.Errorf("applied = %d, want %d", n, len(ops))
+	}
+	for p := range partitions {
+		if n := h.PartitionStats(p).Ops; n != 3*(rounds+1) {
+			t.Errorf("p%d applied %d ops after the release, want %d", p, n, 3*(rounds+1))
+		}
 	}
 }
 

@@ -11,12 +11,12 @@
 // round routes a window's ops to their partitions, answering each read
 // its partition's host portion holds — a table of hot pairs that only the
 // holder writes and any caller reads under a seqlock (§3.3-3.4) — without
-// the lock, applies the rest on the partitions it finds free first and
-// then waits for the held ones, one lock at a time. Each holder counts
-// its round in the partition's own fields, read only through a barrier,
-// and each Batcher its hits in one of the partition's striped cells, so
-// a Batcher holds nothing the map must take back. The package starts no
-// goroutine of its own.
+// the lock, and then takes its partitions in routing order, one lock at a
+// time, to apply the rest. Each holder counts its round in the
+// partition's own fields, read only through a barrier, and each Batcher
+// its hits in one of the partition's striped cells, so a Batcher holds
+// nothing the map must take back. The package starts no goroutine of its
+// own.
 //
 // The request vocabulary is internal/hds — the same Kinds the simulator's
 // experiment drivers issue — so a workload runs unchanged against either
@@ -189,8 +189,8 @@ func (p *partition) exec(req hds.Request) (res hds.Result) {
 	return res
 }
 
-// lock takes the partition: up to spinLoads TryLocks, each a load and,
-// only when the lock looks free, a CAS, and then Lock, which parks.
+// lock is how every caller takes the partition: up to spinLoads TryLocks
+// (a load, and a CAS only when the lock looks free), then Lock, which parks.
 func (p *partition) lock() {
 	for range spinLoads {
 		if p.mu.TryLock() {

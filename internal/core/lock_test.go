@@ -97,15 +97,15 @@ func TestCloseRacingRound(t *testing.T) {
 		return gatedStore{Store: cds.NewBTree(), gate: gate, entered: entered, open: open, touched: &touched[p]}
 	}})
 	h.Build([]KV{{Key: gate, Value: 70}})
-	// Partition 0 is held, so the round serves the free partition 1 first
-	// and stalls there, holding it, inside the gated Get.
+	// Partition 0 is held and routed second, so the round takes partition
+	// 1 first and stalls there, holding it, inside the gated Get.
 	release := holdPartition(h, 0, func() int { return 0 })
 	defer release()
 	b := h.NewBatcher(16)
 	ops := []hds.Request{
-		{Kind: hds.Insert, Key: 1, Value: 1},
 		{Kind: hds.Insert, Key: keyMax/2 + 1, Value: 2},
 		{Kind: hds.Read, Key: gate},
+		{Kind: hds.Insert, Key: 1, Value: 1},
 		{Kind: hds.Insert, Key: 2, Value: 3},
 	}
 	out := make([]Outcome, len(ops))
@@ -131,9 +131,9 @@ func TestCloseRacingRound(t *testing.T) {
 	}
 	<-closed
 	for i, want := range []Outcome{
-		{Rejected: true},
 		{Result: hds.Result{OK: true}},
 		{Result: hds.Result{Value: 70, OK: true}},
+		{Rejected: true},
 		{Rejected: true},
 	} {
 		if out[i] != want {
@@ -177,11 +177,13 @@ func TestHybridLockStress(t *testing.T) {
 	h := New(Config{Partitions: 2, KeyMax: keyMax})
 	var issued atomic.Int64
 	var closed atomic.Bool // set once Close has returned
-	startClose := make(chan struct{})
-	var onceClose sync.Once
+	// The caller whose add crosses closeAt runs Close itself, before its
+	// own ops, so Close starts at closeAt issued however busy the rest are.
 	count := func(n int) {
-		if issued.Add(int64(n)) >= closeAt {
-			onceClose.Do(func() { close(startClose) })
+		if now := issued.Add(int64(n)); now >= closeAt && now-int64(n) < closeAt {
+			t.Logf("Close starts at %d operations issued", now)
+			h.Close()
+			closed.Store(true)
 		}
 	}
 	// Caller c inserts fresh keys of its own, alternating partitions so a
@@ -248,7 +250,7 @@ func TestHybridLockStress(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(2)
+	wg.Add(1)
 	go func() { // barriers in the middle of the traffic, and after Close
 		defer wg.Done()
 		for last := 0; ; {
@@ -264,12 +266,6 @@ func TestHybridLockStress(t *testing.T) {
 				return
 			}
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		<-startClose
-		h.Close()
-		closed.Store(true)
 	}()
 	done := make(chan struct{})
 	go func() {

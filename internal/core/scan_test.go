@@ -208,10 +208,10 @@ func TestCloseRacingRoundScans(t *testing.T) {
 	release := holdPartition(h, 0, func() int { return 0 })
 	defer release()
 	b := h.NewBatcher(16)
-	ops := []hds.Request{
-		{Kind: hds.Insert, Key: 1, Value: 1},
+	ops := []hds.Request{ // partition 1 routed first
 		{Kind: hds.Insert, Key: keyMax/2 + 1, Value: 2},
 		{Kind: hds.Read, Key: gate},
+		{Kind: hds.Insert, Key: 1, Value: 1},
 		{Kind: hds.Scan, Key: 2, Value: 3},
 		{Kind: hds.Scan, Key: keyMax / 2, Value: 2},
 	}
@@ -235,9 +235,9 @@ func TestCloseRacingRoundScans(t *testing.T) {
 	}
 	<-closed
 	for i, want := range []Outcome{
-		{Rejected: true},
 		{Result: hds.Result{OK: true}},
 		{Result: hds.Result{Value: 70, OK: true}},
+		{Rejected: true},
 		{Result: hds.Result{Value: 3, OK: true}},
 		{Result: hds.Result{Value: 2, OK: true}},
 	} {

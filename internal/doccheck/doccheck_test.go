@@ -1,7 +1,9 @@
 // Package doccheck holds the repository to what its docs and design say:
 // every exported identifier of the documented packages carries a doc
 // comment, docs/METRICS.md lists exactly the emitted metrics
-// (metricsref_test.go), and the architecture rules hold (rules_test.go).
+// (metricsref_test.go), EXPERIMENTS.md's raw tables equal the small-scale
+// golden (experiments_test.go), and the architecture rules hold
+// (rules_test.go).
 // Each is a plain test over the sources, so go test ./... runs it with no
 // external linter dependency.
 package doccheck

@@ -79,7 +79,7 @@ func emittedRegistryKeys(t *testing.T) (names, histSet map[string]bool) {
 	m := machine.New(cfg)
 	m.EnableAttribution()
 	offload.New(m, 2)
-	for _, n := range m.Metrics.Names() {
+	for n := range m.Metrics.Snapshot() {
 		names[n] = true
 		if base, ok := strings.CutSuffix(n, "/sum"); ok {
 			if _, ok := m.Metrics.LookupCounter(base + "/count"); ok {

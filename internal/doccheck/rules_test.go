@@ -101,6 +101,15 @@ var rules = []rule{
 		reason:  "internal/core must not register Batchers or ask for their Close: count hits in the partitions' striped cells",
 		violate: map[string]string{"internal/core/batch.go": "package core\n\ntype Hybrid struct{ batchers map[*Batcher]struct{} }\n\nfunc (b *Batcher) Close() {}\n"},
 	},
+	// A round takes its partitions in routing order through partition.lock,
+	// one at a time, like every other caller: a TryLock in the round is the
+	// free-first pass again, a second way in that DESIGN §5.5's table weighs.
+	{
+		name:    "core-one-pass-round",
+		check:   grep(files{globs: []string{"internal/core/batch.go"}}, `TryLock\(`),
+		reason:  "internal/core/batch.go must take a round's partitions with partition.lock in routing order: no TryLock pass",
+		violate: map[string]string{"internal/core/batch.go": "package core\n\nfunc (b *Batcher) free(p *partition) bool { return p.mu.TryLock() }\n"},
+	},
 	// Every server/ counter is one row of internal/server/stats.go's table,
 	// which every view loops over; a second spelling of a name means a view
 	// kept by hand again.
@@ -288,6 +297,7 @@ var cleanTree = map[string]string{
 	"internal/core/hybrid.go":       "package core\n\nimport \"hybrids/internal/hds\"\n\nvar _ hds.Op\n",
 	"internal/core/build.go":        "package core\n\nfunc build(done chan struct{}) {\n\tgo func() { close(done) }()\n}\n",
 	"internal/core/hot.go":          "package core\n\ntype hotPointer = atomic.Pointer[hotTable]\n",
+	"internal/core/batch.go":        "package core\n\nfunc (b *Batcher) take(p *partition) { p.lock() }\n",
 	"internal/core/hybrid_test.go":  "package core\n\nfunc stress() {\n\tgo func() {}()\n}\n",
 	"internal/hds/hds.go":           "package hds\n\ntype Op struct{}\n",
 	"internal/server/stats.go":      "package server\n\nvar names = []string{\"server/requests\", \"server/batch\"}\n",

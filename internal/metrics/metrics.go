@@ -24,7 +24,6 @@ package metrics
 
 import (
 	"math/bits"
-	"sort"
 	"sync/atomic"
 )
 
@@ -112,17 +111,6 @@ func (r *Registry) Register(name string, c *Counter) { r.counters[name] = c }
 // <name>/count counters, created on first use.
 func (r *Registry) Histogram(name string) Histogram {
 	return Histogram{sum: r.Counter(name + "/sum"), count: r.Counter(name + "/count")}
-}
-
-// Names returns every registered counter name in sorted order
-// (deterministic across runs).
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // LookupCounter returns the counter registered under name without
