@@ -1,8 +1,8 @@
 // Command hybridsload is a load generator for hybridsd: it replays
 // deterministic YCSB operation streams (the same internal/ycsb generator
 // the benchmarks use) over pipelined protocol connections and reports
-// throughput and client-observed latency percentiles through the
-// internal/exp table formatters.
+// throughput and client-observed latency percentiles as a text or
+// markdown table, or as JSON.
 //
 // Usage:
 //
@@ -73,7 +73,7 @@ import (
 	"time"
 
 	"hybrids/internal/dsim/kv"
-	"hybrids/internal/exp"
+	"hybrids/internal/hds"
 	"hybrids/internal/server"
 	"hybrids/internal/ycsb"
 )
@@ -101,7 +101,7 @@ func (st *connStats) tally(op kv.Op, resp server.Response) {
 	default:
 		st.bad++
 	}
-	if op.Kind == kv.Scan {
+	if op.Kind == hds.Scan {
 		st.scanPairs += uint64(len(resp.Pairs))
 	}
 }
@@ -307,7 +307,7 @@ func mergeServerDeltas(metrics, pre, post map[string]uint64) bool {
 	return true
 }
 
-// workloadSpec is one measured workload: a report row and exp.Cell.
+// workloadSpec is one measured workload: a report row and cell.
 type workloadSpec struct {
 	key   string // the -workload letter
 	title string
@@ -363,7 +363,7 @@ func cleanupInserts(addr string, streams [][]kv.Op) error {
 	var reqs []server.Request
 	for _, ops := range streams {
 		for _, op := range ops {
-			if op.Kind == kv.Insert {
+			if op.Kind == hds.Insert {
 				reqs = append(reqs, server.Request{Op: server.OpDelete, Key: uint64(op.Key)})
 			}
 		}
@@ -444,21 +444,10 @@ type loadFlags struct {
 	scrape string
 }
 
-// workloadResult is one workload's measured outcome.
-type workloadResult struct {
-	cell                    exp.Cell
-	ok, miss, rejected, bad uint64
-	allocs, allocsPerOp     uint64
-	wall                    time.Duration
-	mops                    float64
-	p50, p95, p99, max      time.Duration
-	scrapeDropped           bool
-}
-
 // runWorkload measures one workload: dial, warm up, gate, replay, and
-// aggregate. streams is the per-connection op sequence (warmup prefix
-// included).
-func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadResult, error) {
+// aggregate into its report cell. streams is the per-connection op
+// sequence (warmup prefix included).
+func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (cell, error) {
 	ncs := make([]net.Conn, lf.conns)
 	for i := range ncs {
 		nc, err := net.Dial("tcp", lf.addr)
@@ -466,7 +455,7 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 			for _, prev := range ncs[:i] {
 				prev.Close()
 			}
-			return workloadResult{}, fmt.Errorf("dial conn %d: %w", i, err)
+			return cell{}, fmt.Errorf("dial conn %d: %w", i, err)
 		}
 		ncs[i] = nc
 	}
@@ -501,7 +490,7 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 	if lf.scrape != "" {
 		var err error
 		if pre, err = scrapeCounters(lf.scrape); err != nil {
-			return workloadResult{}, fmt.Errorf("scrape: %w", err)
+			return cell{}, fmt.Errorf("scrape: %w", err)
 		}
 	}
 	var m0, m1 runtime.MemStats
@@ -516,74 +505,135 @@ func runWorkload(lf loadFlags, spec workloadSpec, streams [][]kv.Op) (workloadRe
 	if lf.scrape != "" {
 		var err error
 		if post, err = scrapeCounters(lf.scrape); err != nil {
-			return workloadResult{}, fmt.Errorf("scrape: %w", err)
+			return cell{}, fmt.Errorf("scrape: %w", err)
 		}
 	}
 
 	var all []time.Duration
-	var r workloadResult
-	var sloViol, scanPairs uint64
+	var sum connStats
 	for i := range sts {
 		if sts[i].err != nil {
-			return workloadResult{}, fmt.Errorf("conn %d: %w", i, sts[i].err)
+			return cell{}, fmt.Errorf("conn %d: %w", i, sts[i].err)
 		}
 		all = append(all, sts[i].lats...)
-		r.ok += sts[i].ok
-		r.miss += sts[i].miss
-		r.rejected += sts[i].rejected
-		r.bad += sts[i].bad
-		sloViol += sts[i].sloViolations
-		scanPairs += sts[i].scanPairs
+		sum.ok += sts[i].ok
+		sum.miss += sts[i].miss
+		sum.rejected += sts[i].rejected
+		sum.bad += sts[i].bad
+		sum.sloViolations += sts[i].sloViolations
+		sum.scanPairs += sts[i].scanPairs
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	ns := func(p float64) uint64 { return uint64(pctl(all, p).Nanoseconds()) }
 	total := lf.conns * lf.ops
-	r.wall = wall
-	r.allocs = allocs
-	r.mops = float64(total) / wall.Seconds() / 1e6
-	r.p50, r.p95, r.p99 = pctl(all, 0.50), pctl(all, 0.95), pctl(all, 0.99)
-	r.max = pctl(all, 1)
-	// Integer average, the same accounting testing.AllocsPerRun uses: a
-	// handful of fixed-cost allocations over a long run round to zero, a
-	// per-op allocation does not.
-	r.allocsPerOp = allocs / uint64(total)
-
 	variant := "closed-loop"
 	if lf.rate > 0 {
 		variant = "open-loop"
 	}
-	r.cell = exp.Cell{
+	c := cell{
 		Variant:    variant,
 		Label:      "ycsb-" + spec.key,
 		Threads:    lf.conns,
 		Ops:        total,
-		MOpsPerSec: r.mops,
+		MOpsPerSec: float64(total) / wall.Seconds() / 1e6,
 		WallNanos:  uint64(wall.Nanoseconds()),
 		Metrics: map[string]uint64{
-			"load/ok":            r.ok,
-			"load/miss":          r.miss,
-			"load/rejected":      r.rejected,
-			"load/bad":           r.bad,
-			"load/scan_pairs":    scanPairs,
-			"load/lat_p50ns":     uint64(r.p50.Nanoseconds()),
-			"load/lat_p95ns":     uint64(r.p95.Nanoseconds()),
-			"load/lat_p99ns":     uint64(r.p99.Nanoseconds()),
-			"load/lat_maxns":     uint64(r.max.Nanoseconds()),
-			"load/allocs":        allocs,
-			"load/allocs_per_op": r.allocsPerOp,
+			"load/ok":         sum.ok,
+			"load/miss":       sum.miss,
+			"load/rejected":   sum.rejected,
+			"load/bad":        sum.bad,
+			"load/scan_pairs": sum.scanPairs,
+			"load/lat_p50ns":  ns(0.50),
+			"load/lat_p95ns":  ns(0.95),
+			"load/lat_p99ns":  ns(0.99),
+			"load/lat_maxns":  ns(1),
+			"load/allocs":     allocs,
+			// Integer average, the same accounting testing.AllocsPerRun
+			// uses: a handful of fixed-cost allocations over a long run
+			// round to zero, a per-op allocation does not.
+			"load/allocs_per_op": allocs / uint64(total),
 		},
 	}
 	if lf.rate > 0 {
-		r.cell.Metrics["load/target_rate"] = uint64(lf.rate + 0.5)
-		r.cell.Metrics["load/achieved_rate"] = uint64(r.mops*1e6 + 0.5)
-		r.cell.Metrics["load/slo_violations"] = sloViol
+		c.Metrics["load/target_rate"] = uint64(lf.rate + 0.5)
+		c.Metrics["load/achieved_rate"] = uint64(c.MOpsPerSec*1e6 + 0.5)
+		c.Metrics["load/slo_violations"] = sum.sloViolations
 	}
-	if post != nil {
-		// Measured-phase deltas of the server's own counters, so the
-		// report pairs client-observed latency with server-side truth
-		// (requests actually served, batches coalesced, scans answered).
-		r.scrapeDropped = !mergeServerDeltas(r.cell.Metrics, pre, post)
+	// Measured-phase deltas of the server's own counters, so the report
+	// pairs client-observed latency with server-side truth (requests
+	// actually served, batches coalesced, scans answered).
+	if post != nil && !mergeServerDeltas(c.Metrics, pre, post) {
+		fmt.Fprintf(os.Stderr, "hybridsload: server counters regressed between scrapes (hybridsd restarted?); dropping server/* deltas for workload %s\n", spec.key)
 	}
-	return r, nil
+	return c, nil
+}
+
+// measure runs each workload in turn against a preloaded server, deleting
+// the keys it inserted after it, and returns the run's report.
+func measure(lf loadFlags, specs []workloadSpec) (report, error) {
+	openLoop := lf.rate > 0
+	mode, header := "closed-loop", []string{"workload", "conns", "depth", "ops", "Mops/s", "p50 µs", "p95 µs", "p99 µs", "max µs", "allocs/op"}
+	if openLoop {
+		mode, header = "open-loop", []string{"workload", "conns", "target/s", "achieved/s", "ops", "p50 µs", "p95 µs", "p99 µs", "SLO viol", "allocs/op"}
+	}
+	title := fmt.Sprintf("hybridsd %s load, %s", mode, specs[0].title)
+	if len(specs) > 1 {
+		var keys []string
+		for _, s := range specs {
+			keys = append(keys, s.key)
+		}
+		title = fmt.Sprintf("hybridsd %s load, YCSB suite %s", mode, strings.Join(keys, ","))
+	}
+	res := report{ID: "hybridsload", Title: title, Meta: provenance(), header: header}
+
+	us := func(ns uint64) string { return fmt.Sprintf("%.1f", float64(ns)/1e3) }
+	for _, spec := range specs {
+		// Each connection's stream is warmup + measured ops replayed in
+		// order: the warmup is simply the stream's untimed prefix, so the
+		// whole sequence stays deterministic for a given seed.
+		streams := ycsb.New(spec.cfg).Streams(lf.conns, lf.warmup+lf.ops)
+		c, err := runWorkload(lf, spec, streams)
+		if err != nil {
+			return report{}, fmt.Errorf("workload %s: %w", spec.key, err)
+		}
+		// Restore the preloaded state so rows (and later -noload
+		// invocations) are independent.
+		if err := cleanupInserts(lf.addr, streams); err != nil {
+			fmt.Fprintf(os.Stderr, "hybridsload: cleanup after workload %s: %v\n", spec.key, err)
+		}
+		m := c.Metrics
+		if openLoop {
+			res.rows = append(res.rows, []string{
+				spec.key, fmt.Sprint(lf.conns), fmt.Sprintf("%.0f", lf.rate), fmt.Sprintf("%.0f", c.MOpsPerSec*1e6),
+				fmt.Sprint(c.Ops), us(m["load/lat_p50ns"]), us(m["load/lat_p95ns"]), us(m["load/lat_p99ns"]),
+				fmt.Sprint(m["load/slo_violations"]), fmt.Sprint(m["load/allocs_per_op"]),
+			})
+		} else {
+			res.rows = append(res.rows, []string{
+				spec.key, fmt.Sprint(lf.conns), fmt.Sprint(lf.depth), fmt.Sprint(c.Ops),
+				fmt.Sprintf("%.2f", c.MOpsPerSec), us(m["load/lat_p50ns"]), us(m["load/lat_p95ns"]), us(m["load/lat_p99ns"]), us(m["load/lat_maxns"]),
+				fmt.Sprint(m["load/allocs_per_op"]),
+			})
+		}
+		res.Cells = append(res.Cells, c)
+		res.Notes = append(res.Notes, fmt.Sprintf("%s: %s — %d ok, %d miss, %d rejected, %d bad; %d allocs",
+			spec.key, spec.title, m["load/ok"], m["load/miss"], m["load/rejected"], m["load/bad"], m["load/allocs"]))
+	}
+	res.Notes = append(res.Notes,
+		fmt.Sprintf("steady state: %d warmup ops/conn untimed per workload", lf.warmup),
+		"client-observed latency over TCP loopback; wall-clock throughput is machine-dependent")
+	if openLoop {
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("open loop: latency measured from scheduled send time (coordinated-omission-free); CUBIC ramp %v to %.0f ops/s", lf.ramp, lf.rate))
+		if lf.slo > 0 {
+			res.Notes = append(res.Notes, fmt.Sprintf("SLO: responses slower than %v count as violations", lf.slo))
+		}
+	}
+	if lf.scrape != "" {
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("server/* metrics are measured-phase deltas scraped from %s", lf.scrape))
+	}
+	return res, nil
 }
 
 func main() {
@@ -631,7 +681,6 @@ func main() {
 	if err != nil {
 		usage("%v", err)
 	}
-	openLoop := *rate > 0
 
 	if !*noload {
 		t0 := time.Now()
@@ -644,97 +693,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hybridsload: preloaded %d records in %v\n", *records, time.Since(t0).Round(time.Millisecond))
 	}
 
-	lf := loadFlags{
+	res, err := measure(loadFlags{
 		addr: *addr, conns: *conns, depth: *depth, ops: *ops, warmup: *warmup,
 		rate: *rate, ramp: *ramp, slo: *slo, scrape: *scrape,
+	}, specs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hybridsload: %v\n", err)
+		os.Exit(1)
 	}
-	mode, header := "closed-loop", []string{"workload", "conns", "depth", "ops", "Mops/s", "p50 µs", "p95 µs", "p99 µs", "max µs", "allocs/op"}
-	if openLoop {
-		mode, header = "open-loop", []string{"workload", "conns", "target/s", "achieved/s", "ops", "p50 µs", "p95 µs", "p99 µs", "SLO viol", "allocs/op"}
-	}
-	title := fmt.Sprintf("hybridsd %s load, %s", mode, specs[0].title)
-	if len(specs) > 1 {
-		var keys []string
-		for _, s := range specs {
-			keys = append(keys, s.key)
-		}
-		title = fmt.Sprintf("hybridsd %s load, YCSB suite %s", mode, strings.Join(keys, ","))
-	}
-	res := exp.Result{
-		ID:     "hybridsload",
-		Title:  title,
-		Header: header,
-		Meta:   provenance(),
-	}
-
-	us := func(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d.Nanoseconds())/1e3) }
-	var worstAllocs, totalBad uint64
-	for _, spec := range specs {
-		// Each connection's stream is warmup + measured ops replayed in
-		// order: the warmup is simply the stream's untimed prefix, so the
-		// whole sequence stays deterministic for a given seed.
-		streams := ycsb.New(spec.cfg).Streams(*conns, *warmup+*ops)
-		r, err := runWorkload(lf, spec, streams)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybridsload: workload %s: %v\n", spec.key, err)
-			os.Exit(1)
-		}
-		// Restore the preloaded state so rows (and later -noload
-		// invocations) are independent.
-		if err := cleanupInserts(*addr, streams); err != nil {
-			fmt.Fprintf(os.Stderr, "hybridsload: cleanup after workload %s: %v\n", spec.key, err)
-		}
-		if r.scrapeDropped {
-			fmt.Fprintf(os.Stderr, "hybridsload: server counters regressed between scrapes (hybridsd restarted?); dropping server/* deltas for workload %s\n", spec.key)
-		}
-		if openLoop {
-			res.Rows = append(res.Rows, []string{
-				spec.key, fmt.Sprint(*conns), fmt.Sprintf("%.0f", *rate), fmt.Sprintf("%.0f", r.mops*1e6),
-				fmt.Sprint(r.cell.Ops), us(r.p50), us(r.p95), us(r.p99),
-				fmt.Sprint(r.cell.Metrics["load/slo_violations"]), fmt.Sprint(r.allocsPerOp),
-			})
-		} else {
-			res.Rows = append(res.Rows, []string{
-				spec.key, fmt.Sprint(*conns), fmt.Sprint(*depth), fmt.Sprint(r.cell.Ops),
-				fmt.Sprintf("%.2f", r.mops), us(r.p50), us(r.p95), us(r.p99), us(r.max),
-				fmt.Sprint(r.allocsPerOp),
-			})
-		}
-		res.Cells = append(res.Cells, r.cell)
-		res.Notes = append(res.Notes, fmt.Sprintf("%s: %s — %d ok, %d miss, %d rejected, %d bad; %d allocs",
-			spec.key, spec.title, r.ok, r.miss, r.rejected, r.bad, r.allocs))
-		if r.allocsPerOp > worstAllocs {
-			worstAllocs = r.allocsPerOp
-		}
-		totalBad += r.bad
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("steady state: %d warmup ops/conn untimed per workload", *warmup),
-		"client-observed latency over TCP loopback; wall-clock throughput is machine-dependent")
-	if openLoop {
-		res.Notes = append(res.Notes,
-			fmt.Sprintf("open loop: latency measured from scheduled send time (coordinated-omission-free); CUBIC ramp %v to %.0f ops/s", *ramp, *rate))
-		if *slo > 0 {
-			res.Notes = append(res.Notes, fmt.Sprintf("SLO: responses slower than %v count as violations", *slo))
-		}
-	}
-	if *scrape != "" {
-		res.Notes = append(res.Notes,
-			fmt.Sprintf("server/* metrics are measured-phase deltas scraped from %s", *scrape))
-	}
-
-	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-	case *markdown:
-		fmt.Print(res.Markdown())
-	default:
-		fmt.Println(res.Format())
+	if err := res.write(os.Stdout, *jsonOut, *markdown); err != nil {
+		fmt.Fprintf(os.Stderr, "hybridsload: %v\n", err)
+		os.Exit(1)
 	}
 
 	if *stats {
@@ -750,6 +719,11 @@ func main() {
 		os.Stderr.Write(text)
 	}
 
+	var worstAllocs, totalBad uint64
+	for _, c := range res.Cells {
+		worstAllocs = max(worstAllocs, c.Metrics["load/allocs_per_op"])
+		totalBad += c.Metrics["load/bad"]
+	}
 	if *maxAllocs >= 0 && worstAllocs > uint64(*maxAllocs) {
 		fmt.Fprintf(os.Stderr, "hybridsload: %d allocs/op exceeds -max-allocs-per-op %d\n", worstAllocs, *maxAllocs)
 		os.Exit(1)

@@ -12,6 +12,7 @@ import (
 
 	"hybrids/internal/core"
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/server"
 	"hybrids/internal/ycsb"
 )
@@ -268,7 +269,7 @@ func TestCoordinatedOmissionClosedVsOpenLoop(t *testing.T) {
 	)
 	ops := make([]kv.Op, nOps)
 	for i := range ops {
-		ops[i] = kv.Op{Kind: kv.Read, Key: uint32(i%1024 + 1)}
+		ops[i] = kv.Op{Kind: hds.Read, Key: uint32(i%1024 + 1)}
 	}
 
 	run := func(open bool) *connStats {
@@ -325,7 +326,7 @@ func TestOpenLoopSLOViolationsCounted(t *testing.T) {
 	)
 	ops := make([]kv.Op, nOps)
 	for i := range ops {
-		ops[i] = kv.Op{Kind: kv.Read, Key: uint32(i%1024 + 1)}
+		ops[i] = kv.Op{Kind: hds.Read, Key: uint32(i%1024 + 1)}
 	}
 	addr, stop := stallServer(t, stall, after)
 	defer stop()
@@ -365,19 +366,11 @@ func TestCubicScheduleNoNaN(t *testing.T) {
 	}
 }
 
-// Both loops decode SCAN responses end to end: against a real server
-// replaying a YCSB-E stream after a read-only warmup, every response is
-// well formed, every op is answered, and the pairs each loop decodes are
-// exactly the pairs the server sent.
-func TestScanDecodingBothLoops(t *testing.T) {
-	const (
-		records = 1024
-		keyMax  = 1 << 14
-		seed    = 3
-		warmup  = 64
-		nOps    = 600
-		depth   = 8
-	)
+// startServer serves a 4-partition runtime over keyMax on a loopback
+// port until the test ends, and returns the server, its runtime and the
+// address.
+func startServer(t *testing.T, keyMax uint64) (*server.Server, *core.Hybrid, string) {
+	t.Helper()
 	h := core.New(core.Config{Partitions: 4, KeyMax: keyMax})
 	srv := server.New(h, server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -393,7 +386,23 @@ func TestScanDecodingBothLoops(t *testing.T) {
 		}
 		h.Close()
 	})
-	addr := ln.Addr().String()
+	return srv, h, ln.Addr().String()
+}
+
+// Both loops decode SCAN responses end to end: against a real server
+// replaying a YCSB-E stream after a read-only warmup, every response is
+// well formed, every op is answered, and the pairs each loop decodes are
+// exactly the pairs the server sent.
+func TestScanDecodingBothLoops(t *testing.T) {
+	const (
+		records = 1024
+		keyMax  = 1 << 14
+		seed    = 3
+		warmup  = 64
+		nOps    = 600
+		depth   = 8
+	)
+	srv, _, addr := startServer(t, keyMax)
 	cfg, err := ycsb.Workload("e", records, keyMax, seed)
 	if err != nil {
 		t.Fatal(err)

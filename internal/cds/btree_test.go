@@ -78,11 +78,64 @@ func TestBTreeSequentialOracle(t *testing.T) {
 			}
 		}
 	}
+	// Keys 0 and MaxUint64 lie outside the oracle's key space: absent, and
+	// asking changes nothing.
+	for _, k := range []uint64{0, ^uint64(0)} {
+		if v, ok := bt.Get(k); ok || v != 0 {
+			t.Errorf("Get(%d) = (%d,%v), want (0,false)", k, v, ok)
+		}
+		if bt.Update(k, 9) || bt.Delete(k) {
+			t.Errorf("Update/Delete(%d) succeeded", k)
+		}
+	}
 	if bt.Len() != len(oracle) {
 		t.Fatalf("Len = %d, oracle %d", bt.Len(), len(oracle))
 	}
 	if err := bt.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBTreeGetAllocs holds Get at zero allocations: a descent touches
+// only the tree's arenas.
+func TestBTreeGetAllocs(t *testing.T) {
+	bt := NewBTree()
+	for k := uint64(1); k <= 4096; k++ {
+		bt.Put(k, k*3)
+	}
+	key := uint64(1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		bt.Get(key)
+		key = key%4096 + 1
+	})
+	if allocs != 0 {
+		t.Fatalf("Get allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestBTreeWriteAllocs holds steady-state writes at zero allocations: an
+// Update, and a Delete followed by a Put of the same key, on a loaded tree
+// (Put records its descent in a stack array and the emptied leaf slot
+// takes the key back).
+func TestBTreeWriteAllocs(t *testing.T) {
+	bt := NewBTree()
+	for k := uint64(1); k <= 4096; k++ {
+		bt.Put(k, k*3)
+	}
+	key := uint64(1)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		bt.Update(key, key)
+		key = key%4096 + 1
+	}); allocs != 0 {
+		t.Errorf("Update allocates %.1f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if !bt.Delete(key) || !bt.Put(key, key) {
+			t.Fatalf("Delete+Put of stored key %d failed", key)
+		}
+		key = key%4096 + 1
+	}); allocs != 0 {
+		t.Errorf("Delete+Put allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

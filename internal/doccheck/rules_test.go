@@ -37,15 +37,29 @@ type rule struct {
 // rules are the design decisions DESIGN.md argues for and no compiler
 // enforces. A name's first segment groups the rows one decision needs.
 var rules = []rule{
-	// The two stacks share hds's request vocabulary and nothing of the
-	// simulator's machinery: the offload protocol and its in-flight window
-	// live in dsim/offload, and the slow-op log reports the two durations
-	// the server measures, not the simulator's attribution buckets.
+	// The two stacks share hds's request vocabulary, dsim/kv's 32-bit ops
+	// and pairs, and nothing of the simulator's machinery: the offload
+	// protocol and its in-flight window live in dsim/offload, the grids'
+	// results in exp, the engine registry in store, and the slow-op log
+	// reports the two durations the server measures, not the simulator's
+	// attribution buckets. The native binaries and every package they
+	// link are held to it; the dsim pattern is every package but kv (RE2
+	// has no lookahead).
 	{
-		name:    "native-off-simulator/imports",
-		check:   importsNone([]string{"internal/core", "internal/server"}, `^hybrids/internal/(dsim|sim)/`),
-		reason:  "internal/core and internal/server must not depend on a dsim or sim package",
-		violate: map[string]string{"internal/hds/hds.go": "package hds\n\nimport _ \"hybrids/internal/dsim/fc\"\n"},
+		name: "native-off-simulator/imports",
+		check: importsNone([]string{"cmd/hybridsd", "cmd/hybridsload", "internal/admin", "internal/core", "internal/server", "internal/ycsb"},
+			`^hybrids/internal/(sim/|exp$|store$|dsim/([^k]|k[^v]|kv.))`),
+		reason:  "the native binaries and their packages must not depend on a sim package, exp, store or a dsim package other than kv",
+		violate: map[string]string{"cmd/hybridsload/main.go": "package main\n\nimport (\n\t_ \"hybrids/internal/dsim/kv\"\n\t_ \"hybrids/internal/exp\"\n)\n"},
+	},
+	// kv is the one dsim package the native binaries link, so it must
+	// stay vocabulary: an interface over a simulated machine brings the
+	// simulator in with it.
+	{
+		name:    "native-off-simulator/vocabulary",
+		check:   importsNone([]string{"internal/dsim/kv"}, `^hybrids/internal/sim/`),
+		reason:  "internal/dsim/kv must not depend on a sim package",
+		violate: map[string]string{"internal/dsim/kv/kv.go": "package kv\n\nimport _ \"hybrids/internal/sim/machine\"\n"},
 	},
 	// A caller waits for a held partition with a spin of TryLocks on its
 	// mutex, each one load while the lock is held, and then parks in Lock
@@ -300,6 +314,8 @@ var cleanTree = map[string]string{
 	"internal/core/batch.go":        "package core\n\nfunc (b *Batcher) take(p *partition) { p.lock() }\n",
 	"internal/core/hybrid_test.go":  "package core\n\nfunc stress() {\n\tgo func() {}()\n}\n",
 	"internal/hds/hds.go":           "package hds\n\ntype Op struct{}\n",
+	"internal/dsim/kv/kv.go":        "package kv\n\nimport \"hybrids/internal/hds\"\n\ntype Op struct{ Kind hds.Kind }\n",
+	"internal/ycsb/ycsb.go":         "package ycsb\n\nimport \"hybrids/internal/dsim/kv\"\n\nvar _ kv.Op\n",
 	"internal/server/stats.go":      "package server\n\nvar names = []string{\"server/requests\", \"server/batch\"}\n",
 	"internal/server/server.go":     "package server\n",
 	"internal/sim/memsys/memsys.go": "package memsys\n\ntype RAM struct{ Stats uint64 }\n",
@@ -309,6 +325,9 @@ var cleanTree = map[string]string{
 	"internal/cds/arena.go":         "package cds\n\ntype arena struct{ nodes []bNode }\n",
 	"internal/cds/btree.go":         "package cds\n\ntype bNode struct{ kids [4]int32 }\n",
 	"cmd/tool/main.go":              "package main\n",
+	"cmd/hybridsd/main.go":          "package main\n\nimport _ \"hybrids/internal/admin\"\n",
+	"cmd/hybridsload/main.go":       "package main\n\nimport _ \"hybrids/internal/ycsb\"\n",
+	"internal/admin/admin.go":       "package admin\n\nimport _ \"hybrids/internal/server\"\n",
 	"gcflags-m2.log": "internal/sim/engine/engine.go:10:6: can inline (*Actor).Advance with cost 70 as: method(a *Actor) func(n uint64) { }\n" +
 		"internal/sim/memsys/ram.go:20:6: can inline (*RAM).Load32 with cost 33 as: method(r *RAM) func(a uint64) uint32 { }\n" +
 		"internal/sim/memsys/ram.go:30:6: can inline (*RAM).Store32 with cost 66 as: method(r *RAM) func(a uint64, v uint32) { }\n" +

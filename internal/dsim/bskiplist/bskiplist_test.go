@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
 )
@@ -57,22 +58,22 @@ type oracle map[uint32]uint32
 
 func (o oracle) apply(op kv.Op) (uint32, bool) {
 	switch op.Kind {
-	case kv.Read:
+	case hds.Read:
 		v, ok := o[op.Key]
 		return v, ok
-	case kv.Update:
+	case hds.Update:
 		if _, ok := o[op.Key]; !ok {
 			return 0, false
 		}
 		o[op.Key] = op.Value
 		return 0, true
-	case kv.Insert:
+	case hds.Insert:
 		if _, ok := o[op.Key]; ok {
 			return 0, false
 		}
 		o[op.Key] = op.Value
 		return 0, true
-	case kv.Remove:
+	case hds.Remove:
 		if _, ok := o[op.Key]; !ok {
 			return 0, false
 		}
@@ -121,18 +122,18 @@ func mixedOps(seed uint64, n int, existing []KV, freshBase uint32) []kv.Op {
 		r := rng.Intn(100)
 		switch {
 		case r < 50:
-			ops[i] = kv.Op{Kind: kv.Read, Key: existing[rng.Intn(len(existing))].Key}
+			ops[i] = kv.Op{Kind: hds.Read, Key: existing[rng.Intn(len(existing))].Key}
 		case r < 60:
-			ops[i] = kv.Op{Kind: kv.Update, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
+			ops[i] = kv.Op{Kind: hds.Update, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
 		case r < 80:
 			if rng.Intn(4) == 0 {
-				ops[i] = kv.Op{Kind: kv.Insert, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
+				ops[i] = kv.Op{Kind: hds.Insert, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
 			} else {
 				fresh += uint32(rng.Intn(64) + 1)
-				ops[i] = kv.Op{Kind: kv.Insert, Key: fresh, Value: rng.Uint32()}
+				ops[i] = kv.Op{Kind: hds.Insert, Key: fresh, Value: rng.Uint32()}
 			}
 		default:
-			ops[i] = kv.Op{Kind: kv.Remove, Key: existing[rng.Intn(len(existing))].Key}
+			ops[i] = kv.Op{Kind: hds.Remove, Key: existing[rng.Intn(len(existing))].Key}
 		}
 	}
 	return ops
@@ -168,7 +169,7 @@ func TestSingleThreadOracle(t *testing.T) {
 		for i, op := range ops {
 			gotV, gotOK := s.Apply(c, 0, op)
 			wantV, wantOK := o.apply(op)
-			if gotOK != wantOK || (op.Kind == kv.Read && gotOK && gotV != wantV) {
+			if gotOK != wantOK || (op.Kind == hds.Read && gotOK && gotV != wantV) {
 				failures = append(failures, fmt.Sprintf("op %d %s key=%d: got (%d,%v) want (%d,%v)",
 					i, op.Kind, op.Key, gotV, gotOK, wantV, wantOK))
 			}

@@ -133,12 +133,12 @@ func (ad bsAdapter) Finish(c *machine.Ctx, op kv.Op, st *struct{}, resp fc.Respo
 	return offload.Verdict{Kind: offload.OpDone, OK: resp.Success, Value: uint64(resp.Value)}
 }
 
-// Apply implements kv.Store with blocking NMP calls.
+// Apply executes op with one blocking NMP call (§3.2).
 func (t *Hybrid) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 	return offload.Apply(t.rt, bsAdapter{t}, c, thread, op)
 }
 
-// ApplyBatch implements kv.AsyncStore: non-blocking NMP calls (§3.5).
+// ApplyBatch executes ops with non-blocking NMP calls (§3.5).
 func (t *Hybrid) ApplyBatch(c *machine.Ctx, thread int, ops []kv.Op) int {
 	return offload.ApplyBatch(t.rt, bsAdapter{t}, c, thread, ops)
 }
@@ -194,8 +194,3 @@ func (t *Hybrid) CheckInvariants() error {
 func errf(format string, args ...any) error {
 	return fmt.Errorf("bskiplist: "+format, args...)
 }
-
-var (
-	_ kv.Store      = (*Hybrid)(nil)
-	_ kv.AsyncStore = (*Hybrid)(nil)
-)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
 )
@@ -44,22 +45,22 @@ type oracle map[uint32]uint32
 
 func (o oracle) apply(op kv.Op) (uint32, bool) {
 	switch op.Kind {
-	case kv.Read:
+	case hds.Read:
 		v, ok := o[op.Key]
 		return v, ok
-	case kv.Update:
+	case hds.Update:
 		if _, ok := o[op.Key]; !ok {
 			return 0, false
 		}
 		o[op.Key] = op.Value
 		return 0, true
-	case kv.Insert:
+	case hds.Insert:
 		if _, ok := o[op.Key]; ok {
 			return 0, false
 		}
 		o[op.Key] = op.Value
 		return 0, true
-	case kv.Remove:
+	case hds.Remove:
 		if _, ok := o[op.Key]; !ok {
 			return 0, false
 		}
@@ -98,18 +99,18 @@ func mixedOps(seed uint64, n int, existing []KV, freshBase uint32) []kv.Op {
 		r := rng.Intn(100)
 		switch {
 		case r < 50:
-			ops[i] = kv.Op{Kind: kv.Read, Key: existing[rng.Intn(len(existing))].Key}
+			ops[i] = kv.Op{Kind: hds.Read, Key: existing[rng.Intn(len(existing))].Key}
 		case r < 60:
-			ops[i] = kv.Op{Kind: kv.Update, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
+			ops[i] = kv.Op{Kind: hds.Update, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
 		case r < 80:
 			if rng.Intn(4) == 0 {
-				ops[i] = kv.Op{Kind: kv.Insert, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
+				ops[i] = kv.Op{Kind: hds.Insert, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
 			} else {
 				fresh += uint32(rng.Intn(64) + 1)
-				ops[i] = kv.Op{Kind: kv.Insert, Key: fresh, Value: rng.Uint32()}
+				ops[i] = kv.Op{Kind: hds.Insert, Key: fresh, Value: rng.Uint32()}
 			}
 		default:
-			ops[i] = kv.Op{Kind: kv.Remove, Key: existing[rng.Intn(len(existing))].Key}
+			ops[i] = kv.Op{Kind: hds.Remove, Key: existing[rng.Intn(len(existing))].Key}
 		}
 	}
 	return ops
@@ -118,7 +119,7 @@ func mixedOps(seed uint64, n int, existing []KV, freshBase uint32) []kv.Op {
 func freshBlock(i int) uint32 { return testKeyMax/2 + uint32(i)<<19 }
 
 type testStore interface {
-	kv.Store
+	Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool)
 	Dump() []KV
 	CheckInvariants() error
 }
@@ -194,7 +195,7 @@ func TestSingleThreadOracle(t *testing.T) {
 				for i, op := range ops {
 					gotV, gotOK := s.Apply(c, 0, op)
 					wantV, wantOK := o.apply(op)
-					if gotOK != wantOK || (op.Kind == kv.Read && gotOK && gotV != wantV) {
+					if gotOK != wantOK || (op.Kind == hds.Read && gotOK && gotV != wantV) {
 						failures = append(failures, fmt.Sprintf("op %d %s key=%d: got (%d,%v) want (%d,%v)",
 							i, op.Kind, op.Key, gotV, gotOK, wantV, wantOK))
 					}
@@ -229,7 +230,7 @@ func TestSequentialInsertsForceDeepSplits(t *testing.T) {
 			}
 			m.SpawnHost(0, "driver", func(c *machine.Ctx) {
 				for i := 0; i < 2000; i++ {
-					op := kv.Op{Kind: kv.Insert, Key: testKeyMax/2 + uint32(i), Value: uint32(i)}
+					op := kv.Op{Kind: hds.Insert, Key: testKeyMax/2 + uint32(i), Value: uint32(i)}
 					if _, ok := s.Apply(c, 0, op); !ok {
 						t.Errorf("sequential insert %d failed", i)
 						return
@@ -260,7 +261,7 @@ func TestRootSplitGrowsTree(t *testing.T) {
 	_, h0 := s.core.rootInfo(m.Mem.RAM)
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
 		for i := uint32(0); i < 3000; i++ {
-			s.Apply(c, 0, kv.Op{Kind: kv.Insert, Key: 10000 + i, Value: i})
+			s.Apply(c, 0, kv.Op{Kind: hds.Insert, Key: 10000 + i, Value: i})
 		}
 	})
 	m.Run()
@@ -327,13 +328,13 @@ func TestConcurrentOverlappingKeysInvariants(t *testing.T) {
 					key := pairs[rng.Intn(len(pairs))].Key
 					switch rng.Intn(4) {
 					case 0:
-						s.Apply(c, th, kv.Op{Kind: kv.Read, Key: key})
+						s.Apply(c, th, kv.Op{Kind: hds.Read, Key: key})
 					case 1:
-						s.Apply(c, th, kv.Op{Kind: kv.Insert, Key: key, Value: uint32(th)<<16 | uint32(i)})
+						s.Apply(c, th, kv.Op{Kind: hds.Insert, Key: key, Value: uint32(th)<<16 | uint32(i)})
 					case 2:
-						s.Apply(c, th, kv.Op{Kind: kv.Remove, Key: key})
+						s.Apply(c, th, kv.Op{Kind: hds.Remove, Key: key})
 					default:
-						s.Apply(c, th, kv.Op{Kind: kv.Update, Key: key, Value: uint32(th)<<16 | uint32(i)})
+						s.Apply(c, th, kv.Op{Kind: hds.Update, Key: key, Value: uint32(th)<<16 | uint32(i)})
 					}
 				}
 			})
@@ -386,13 +387,13 @@ func TestConcurrentTailInsertsExerciseBoundarySplits(t *testing.T) {
 				// Distinct keys across threads but adjacent, so all
 				// threads fight over the same leaves.
 				key := testKeyMax/2 + uint32(i*threads+th)
-				s.Apply(c, th, kv.Op{Kind: kv.Insert, Key: key, Value: key})
+				s.Apply(c, th, kv.Op{Kind: hds.Insert, Key: key, Value: key})
 			}
 		})
 	}
 	for i := 0; i < perThread*threads; i++ {
 		key := testKeyMax/2 + uint32(i)
-		o.apply(kv.Op{Kind: kv.Insert, Key: key, Value: key})
+		o.apply(kv.Op{Kind: hds.Insert, Key: key, Value: key})
 	}
 	m.Run()
 	if !kvsEqual(s.Dump(), o.dump()) {
@@ -418,17 +419,17 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 	for i, p := range pairs[:1600] {
 		switch i % 4 {
 		case 0:
-			ops = append(ops, kv.Op{Kind: kv.Read, Key: p.Key})
+			ops = append(ops, kv.Op{Kind: hds.Read, Key: p.Key})
 		case 1:
-			ops = append(ops, kv.Op{Kind: kv.Remove, Key: p.Key})
+			ops = append(ops, kv.Op{Kind: hds.Remove, Key: p.Key})
 		case 2:
-			ops = append(ops, kv.Op{Kind: kv.Update, Key: p.Key, Value: rng.Uint32()})
+			ops = append(ops, kv.Op{Kind: hds.Update, Key: p.Key, Value: rng.Uint32()})
 		default:
 			for {
 				k := rng.Uint32()%(testKeyMax-1) + 1
 				if !taken[k] {
 					taken[k] = true
-					ops = append(ops, kv.Op{Kind: kv.Insert, Key: k, Value: rng.Uint32()})
+					ops = append(ops, kv.Op{Kind: hds.Insert, Key: k, Value: rng.Uint32()})
 					break
 				}
 			}
@@ -472,7 +473,7 @@ func TestHybridAsyncConcurrentWithSplits(t *testing.T) {
 		var ops []kv.Op
 		for i := 0; i < 250; i++ {
 			key := testKeyMax/2 + uint32(i*threads+th)
-			ops = append(ops, kv.Op{Kind: kv.Insert, Key: key, Value: key})
+			ops = append(ops, kv.Op{Kind: hds.Insert, Key: key, Value: key})
 		}
 		m.SpawnHost(th, fmt.Sprintf("driver%d", th), func(c *machine.Ctx) {
 			s.ApplyBatch(c, th, ops)
@@ -525,14 +526,14 @@ func TestEmptyLeafToleratedByReads(t *testing.T) {
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
 		// Empty one leaf entirely, then read through the hole.
 		for i := uint32(1); i <= 8; i++ {
-			s.Apply(c, 0, kv.Op{Kind: kv.Remove, Key: i})
+			s.Apply(c, 0, kv.Op{Kind: hds.Remove, Key: i})
 		}
 		for i := uint32(1); i <= 8; i++ {
-			if _, ok := s.Apply(c, 0, kv.Op{Kind: kv.Read, Key: i}); ok {
+			if _, ok := s.Apply(c, 0, kv.Op{Kind: hds.Read, Key: i}); ok {
 				t.Errorf("removed key %d still readable", i)
 			}
 		}
-		if v, ok := s.Apply(c, 0, kv.Op{Kind: kv.Read, Key: 20}); !ok || v != 20 {
+		if v, ok := s.Apply(c, 0, kv.Op{Kind: hds.Read, Key: 20}); !ok || v != 20 {
 			t.Errorf("key 20 = (%d,%v)", v, ok)
 		}
 	})

@@ -6,6 +6,7 @@ import (
 
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
 )
@@ -71,7 +72,7 @@ func TestHybridParentSeqnumAheadForcesRetryThenSucceeds(t *testing.T) {
 	ram.Store32(syncAddr(parent), ram.Load32(syncAddr(parent))+2)
 
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
-		v, ok := h.Apply(c, 0, kv.Op{Kind: kv.Read, Key: key})
+		v, ok := h.Apply(c, 0, kv.Op{Kind: hds.Read, Key: key})
 		if !ok || v != pairs[500].Value {
 			t.Errorf("read after parent split = (%d,%v), want (%d,true)", v, ok, pairs[500].Value)
 		}
@@ -100,7 +101,7 @@ func TestHybridSiblingSplitRefreshesRecordedParentSeqnum(t *testing.T) {
 	wantSeq := ram.Load32(syncAddr(parent))
 
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
-		if _, ok := h.Apply(c, 0, kv.Op{Kind: kv.Read, Key: key}); !ok {
+		if _, ok := h.Apply(c, 0, kv.Op{Kind: hds.Read, Key: key}); !ok {
 			t.Error("read failed after sibling split")
 		}
 	})
@@ -128,7 +129,7 @@ func TestHybridRemoveRetriesWhileLeafLocked(t *testing.T) {
 
 	var removed bool
 	m.SpawnHost(0, "remover", func(c *machine.Ctx) {
-		_, removed = h.Apply(c, 0, kv.Op{Kind: kv.Remove, Key: key})
+		_, removed = h.Apply(c, 0, kv.Op{Kind: hds.Remove, Key: key})
 	})
 	// A second actor releases the lock after a while, as the insert
 	// holding it would on RESUME/UNLOCK.
@@ -202,14 +203,14 @@ func TestHybridFailedLockPathUnlocksAndRetries(t *testing.T) {
 			if path = nmpPath(ram, begin, key); full(path) {
 				break
 			}
-			if _, ok := h.Apply(c, 0, kv.Op{Kind: kv.Insert, Key: key, Value: key}); !ok {
+			if _, ok := h.Apply(c, 0, kv.Op{Kind: hds.Insert, Key: key, Value: key}); !ok {
 				t.Errorf("filling insert %d failed", key)
 				return
 			}
 			want[key] = key
 		}
 		armed = true
-		if _, ok := h.Apply(c, 0, kv.Op{Kind: kv.Insert, Key: key, Value: 77}); !ok {
+		if _, ok := h.Apply(c, 0, kv.Op{Kind: hds.Insert, Key: key, Value: 77}); !ok {
 			t.Errorf("insert %d into a full NMP path failed", key)
 		}
 		armed = false
@@ -325,10 +326,10 @@ func TestHybridBackoffWaitsOutLockedHeader(t *testing.T) {
 		h.Start()
 		fresh := uint32(testKeyMax/2 + 7) // above every initial key
 		ops := []kv.Op{
-			{Kind: kv.Read, Key: pairs[100].Key},
-			{Kind: kv.Insert, Key: fresh, Value: 77},
-			{Kind: kv.Read, Key: pairs[900].Key},
-			{Kind: kv.Remove, Key: pairs[1500].Key},
+			{Kind: hds.Read, Key: pairs[100].Key},
+			{Kind: hds.Insert, Key: fresh, Value: 77},
+			{Kind: hds.Read, Key: pairs[900].Key},
+			{Kind: hds.Remove, Key: pairs[1500].Key},
 		}
 		ram := m.Mem.RAM
 		seq := memsys.Addr(h.host.header) + hdrSeq

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/sim/machine"
 )
 
@@ -25,7 +26,7 @@ func (t *HostOnly) Build(pairs []KV) {
 	t.core.setRoot(root, height)
 }
 
-// Apply implements kv.Store.
+// Apply executes op as host thread: the read value (Read) and success.
 func (t *HostOnly) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 	for attempt := uint64(0); ; attempt++ {
 		c.Step(attempt * 8) // deterministic backoff between retries
@@ -35,7 +36,7 @@ func (t *HostOnly) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 		}
 		leaf := p.nodes[0]
 		switch op.Kind {
-		case kv.Read:
+		case hds.Read:
 			slots := metaSlots(c.Read32(metaAddr(leaf)))
 			i := findLeafSlot(c, leaf, slots, op.Key)
 			var v uint32
@@ -47,7 +48,7 @@ func (t *HostOnly) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 				continue
 			}
 			return v, i >= 0
-		case kv.Update, kv.Remove:
+		case hds.Update, hds.Remove:
 			// Lock the leaf (odd sequence), change it in place, unlock.
 			if !c.CAS32(syncAddr(leaf), p.seqs[0], p.seqs[0]+1) {
 				continue
@@ -56,7 +57,7 @@ func (t *HostOnly) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 			i := findLeafSlot(c, leaf, slots, op.Key)
 			switch {
 			case i < 0: // absent: nothing to change
-			case op.Kind == kv.Update:
+			case op.Kind == hds.Update:
 				c.Write32(ptrAddr(leaf, i), op.Value)
 			default:
 				for j := i; j < slots-1; j++ {
@@ -67,7 +68,7 @@ func (t *HostOnly) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 			}
 			c.AtomicAdd32(syncAddr(leaf), 1)
 			return 0, i >= 0
-		case kv.Insert:
+		case hds.Insert:
 			// Presence check under seqlock validation, then lock the
 			// path and perform the (possibly splitting) insert.
 			slots := metaSlots(c.Read32(metaAddr(leaf)))
@@ -102,5 +103,3 @@ func (t *HostOnly) Dump() []KV { return dumpTree(t.m, t.core, nil, 0) }
 
 // CheckInvariants validates structural invariants (untimed).
 func (t *HostOnly) CheckInvariants() error { return checkTree(t.m, t.core, nil, 0) }
-
-var _ kv.Store = (*HostOnly)(nil)

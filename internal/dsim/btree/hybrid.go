@@ -4,6 +4,7 @@ import (
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
+	"hybrids/internal/hds"
 	"hybrids/internal/sim/machine"
 )
 
@@ -132,7 +133,7 @@ func (ad btAdapter) Finish(c *machine.Ctx, op kv.Op, st *btState, resp fc.Respon
 	if resp.Retry {
 		return offload.Verdict{Kind: offload.OpRetry}
 	}
-	if op.Kind == kv.Insert && resp.LockPath {
+	if op.Kind == hds.Insert && resp.LockPath {
 		// LOCK_PATH: lock the host-side path and resume the insert
 		// (Listing 4 lines 26-43).
 		ls, _, ok := t.host.lockPath(c, &st.p)
@@ -151,12 +152,12 @@ func (ad btAdapter) Finish(c *machine.Ctx, op kv.Op, st *btState, resp fc.Respon
 	return offload.Verdict{Kind: offload.OpDone, OK: resp.Success, Value: uint64(resp.Value)}
 }
 
-// Apply implements kv.Store with blocking NMP calls.
+// Apply executes op with one blocking NMP call (§3.2).
 func (t *Hybrid) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 	return offload.Apply(t.rt, btAdapter{t}, c, thread, op)
 }
 
-// ApplyBatch implements kv.AsyncStore: non-blocking NMP calls (§3.5).
+// ApplyBatch executes ops with non-blocking NMP calls (§3.5).
 // While any insert of this thread holds host-side locks, the runtime's
 // deferral gate pauses new traversals: a descend could otherwise spin on
 // the thread's own locks, which would deadlock a single actor.
@@ -170,8 +171,3 @@ func (t *Hybrid) Dump() []KV { return dumpTree(t.m, t.host, t.trees, t.nmpLevels
 // CheckInvariants validates host and NMP structural invariants, partition
 // placement, and boundary-pointer tags (untimed).
 func (t *Hybrid) CheckInvariants() error { return checkTree(t.m, t.host, t.trees, t.nmpLevels) }
-
-var (
-	_ kv.Store      = (*Hybrid)(nil)
-	_ kv.AsyncStore = (*Hybrid)(nil)
-)

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"strings"
 
-	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/metrics"
 	"hybrids/internal/sim/engine"
 	"hybrids/internal/sim/machine"
@@ -61,15 +61,15 @@ func (o OpType) String() string {
 // OpFor maps a data operation kind to its publication-slot code. The
 // simulated structures serve no Scan, so any other kind panics here, on
 // the calling thread, before anything is posted.
-func OpFor(k kv.Kind) OpType {
+func OpFor(k hds.Kind) OpType {
 	switch k {
-	case kv.Read:
+	case hds.Read:
 		return OpRead
-	case kv.Update:
+	case hds.Update:
 		return OpUpdate
-	case kv.Insert:
+	case hds.Insert:
 		return OpInsert
-	case kv.Remove:
+	case hds.Remove:
 		return OpRemove
 	}
 	panic(fmt.Sprintf("fc: no publication-slot op for kind %v", k))

@@ -3,7 +3,7 @@ package fc
 import (
 	"testing"
 
-	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
 )
@@ -178,7 +178,7 @@ func TestOpTypeStrings(t *testing.T) {
 // TestOpFor checks the kind-to-slot-code mapping every adapter encodes
 // with, and that an unsupported kind panics instead of posting OpNone.
 func TestOpFor(t *testing.T) {
-	want := map[kv.Kind]OpType{kv.Read: OpRead, kv.Update: OpUpdate, kv.Insert: OpInsert, kv.Remove: OpRemove}
+	want := map[hds.Kind]OpType{hds.Read: OpRead, hds.Update: OpUpdate, hds.Insert: OpInsert, hds.Remove: OpRemove}
 	for k, op := range want {
 		if got := OpFor(k); got != op {
 			t.Errorf("OpFor(%v) = %v, want %v", k, got, op)
@@ -189,7 +189,7 @@ func TestOpFor(t *testing.T) {
 			t.Error("OpFor(Scan) did not panic")
 		}
 	}()
-	OpFor(kv.Scan)
+	OpFor(hds.Scan)
 }
 
 // TestPollsDoNotAllocate: a host's completion poll and response read burst

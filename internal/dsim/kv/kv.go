@@ -1,38 +1,20 @@
-// Package kv defines the key-value operation vocabulary shared by all
-// simulated data structures, the offload runtime (internal/dsim/offload,
-// whose adapters take an Op) and the experiment drivers. The operation
-// kinds themselves live in internal/hds, the one contract shared with the
-// native runtime; this package narrows them to the simulator's 32-bit
-// wire format, and fc.OpFor encodes a kind as a publication-slot op code.
+// Package kv defines the 32-bit key-value operation vocabulary: the ops
+// and pairs the YCSB generator draws, every simulated structure and the
+// offload runtime take, and hybridsload sends. It imports only hds, whose
+// kinds an Op carries, and radix, so a native binary that speaks it links
+// none of the simulator; fc.OpFor encodes a kind as a publication-slot op
+// code.
 package kv
 
 import (
 	"hybrids/internal/hds"
 	"hybrids/internal/radix"
-	"hybrids/internal/sim/machine"
 )
 
-// Kind is a data structure operation type — an alias of the shared
-// internal/hds enum, so simulated and native stacks speak one vocabulary.
-type Kind = hds.Kind
-
-// Operation kinds, re-exported from internal/hds. They match the paper's
-// workload mixes: YCSB-C is all Read; the sensitivity workloads mix Read,
-// Insert and Remove; Update exercises the hybrid structures'
-// value-propagation path. Scan (YCSB-E's range read; Op.Value carries the
-// pair limit) is served by the native runtime only — the simulated
-// structures do not implement it, so simulator workloads must not mix it.
-const (
-	Read   = hds.Read
-	Update = hds.Update
-	Insert = hds.Insert
-	Remove = hds.Remove
-	Scan   = hds.Scan
-)
-
-// Op is one key-value operation.
+// Op is one key-value operation. For hds.Scan, which only the native
+// runtime serves, Value carries the pair limit.
 type Op struct {
-	Kind  Kind
+	Kind  hds.Kind
 	Key   uint32
 	Value uint32
 }
@@ -69,15 +51,6 @@ func SortedUnique(pairs []Pair) []Pair {
 	return uniq
 }
 
-// Store is a simulated concurrent key-value index executing operations
-// synchronously on a host hardware thread.
-type Store interface {
-	// Apply executes op on behalf of host thread (which must equal the
-	// context's core), returning the read value (for Read) and the
-	// operation's success flag.
-	Apply(c *machine.Ctx, thread int, op Op) (value uint32, ok bool)
-}
-
 // RangePartitioner maps keys to NMP partitions by predefined equal-size
 // key ranges (§3.3: "nodes in the NMP-managed portion are distributed
 // across NMP partitions based on predefined, equal-size ranges of keys").
@@ -107,15 +80,4 @@ func (r RangePartitioner) Range(p int) (lo, hi uint32) {
 		h = uint64(r.KeyMax)
 	}
 	return uint32(l), uint32(h)
-}
-
-// AsyncStore is implemented by every simulated hybrid: a batch of
-// operations is executed with up to the configured window of NMP offloads
-// in flight (§3.5). A window of one is the blocking design of §3.2, so a
-// hybrid built with window 1 runs its blocking calls through ApplyBatch.
-type AsyncStore interface {
-	// ApplyBatch executes ops in order of issue, overlapping NMP-side
-	// work, and returns the number of successful operations. It records
-	// Ctx.OpDone at each operation's completion itself.
-	ApplyBatch(c *machine.Ctx, thread int, ops []Op) (succeeded int)
 }

@@ -6,18 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestKindStrings(t *testing.T) {
-	want := map[Kind]string{Read: "read", Update: "update", Insert: "insert", Remove: "remove"}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("%v.String() = %q", k, k.String())
-		}
-	}
-	if Kind(99).String() != "unknown" {
-		t.Error("unknown kind string wrong")
-	}
-}
-
 // TestSortedUnique: strictly ascending input comes back as the same slice;
 // anything else (out of order, or a repeated key) comes back sorted and
 // deduplicated, first pair of a run kept, in a fresh slice that leaves the

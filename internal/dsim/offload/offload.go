@@ -144,9 +144,8 @@ func (rt *Runtime) Start(p int, handle fc.Handler) {
 }
 
 // Apply runs one operation with blocking NMP calls (§3.2) — the window of
-// one, through ApplyBatch's loop — and returns its outcome. It is the
-// kv.Store implementation shared by every hybrid structure; the caller
-// records Ctx.OpDone.
+// one, through ApplyBatch's loop — and returns its outcome. Every hybrid
+// structure's Apply is this; the caller records Ctx.OpDone.
 func Apply[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, op kv.Op) (value uint32, ok bool) {
 	run(rt, ad, c, thread, []kv.Op{op}, func(v uint32, o bool) { value, ok = v, o })
 	return value, ok
@@ -155,8 +154,7 @@ func Apply[S any](rt *Runtime, ad Adapter[S], c *machine.Ctx, thread int, op kv.
 // ApplyBatch runs ops with non-blocking NMP calls (§3.5), keeping up to
 // the runtime's window of operations in flight (1: blocking calls) and
 // harvesting completions out of order. It returns the number of operations
-// that succeeded. It is the kv.AsyncStore implementation shared by every
-// hybrid structure.
+// that succeeded. Every hybrid structure's ApplyBatch is this.
 //
 // Because the caller cannot see individual completions inside the batch,
 // ApplyBatch records Ctx.OpDone itself at every per-operation completion

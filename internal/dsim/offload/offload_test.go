@@ -7,6 +7,7 @@ import (
 
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
 )
@@ -413,7 +414,7 @@ func TestRuntimeApplyRetriesUntilSuccess(t *testing.T) {
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {
 		for i := 0; i < n; i++ {
 			key := uint32(i * 37)
-			v, ok := Apply(rt, ad, c, 0, kv.Op{Kind: kv.Read, Key: key})
+			v, ok := Apply(rt, ad, c, 0, kv.Op{Kind: hds.Read, Key: key})
 			if !ok || v != key+1 {
 				t.Errorf("key %d: got (%d,%v), want (%d,true)", key, v, ok, key+1)
 			}
@@ -435,7 +436,7 @@ func TestRuntimeApplyBatchRetriesCompleteAll(t *testing.T) {
 	const n = 40
 	ops := make([]kv.Op, n)
 	for i := range ops {
-		ops[i] = kv.Op{Kind: kv.Read, Key: uint32(i * 13)}
+		ops[i] = kv.Op{Kind: hds.Read, Key: uint32(i * 13)}
 	}
 	var succeeded int
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {
@@ -490,7 +491,7 @@ func TestRuntimeApplyBatchExhaustsWindow(t *testing.T) {
 	ad := depthAdapter{testAdapter: testAdapter{parts: len(rt.pubs)}, inflight: &inflight, max: &maxDepth}
 	ops := make([]kv.Op, 30)
 	for i := range ops {
-		ops[i] = kv.Op{Kind: kv.Read, Key: uint32(i)}
+		ops[i] = kv.Op{Kind: hds.Read, Key: uint32(i)}
 	}
 	var succeeded int
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {
@@ -535,7 +536,7 @@ func TestRuntimeFollowUpStaysOnSlot(t *testing.T) {
 	const n = 10
 	ops := make([]kv.Op, n)
 	for i := range ops {
-		ops[i] = kv.Op{Kind: kv.Read, Key: uint32(i * 11)}
+		ops[i] = kv.Op{Kind: hds.Read, Key: uint32(i * 11)}
 	}
 	var succeeded int
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {
@@ -580,7 +581,7 @@ func TestRuntimeLocalCompletionSkipsOffload(t *testing.T) {
 	const n = 20
 	ops := make([]kv.Op, n)
 	for i := range ops {
-		ops[i] = kv.Op{Kind: kv.Read, Key: uint32(i)}
+		ops[i] = kv.Op{Kind: hds.Read, Key: uint32(i)}
 	}
 	var succeeded int
 	m.SpawnHost(0, "h", func(c *machine.Ctx) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/sim/machine"
 )
 
@@ -114,20 +115,20 @@ func TestHybridRetryOnDeletedBeginNode(t *testing.T) {
 	}
 
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
-		v, ok := s.Apply(c, 0, kv.Op{Kind: kv.Read, Key: probe})
+		v, ok := s.Apply(c, 0, kv.Op{Kind: hds.Read, Key: probe})
 		if !ok || v != wantVal {
 			t.Errorf("read through poisoned shortcut: (%d,%v), want (%d,true)", v, ok, wantVal)
 		}
 		// The poisoned key itself must now read as absent (its NMP node
 		// is logically deleted) without hanging.
-		if _, ok := s.Apply(c, 0, kv.Op{Kind: kv.Read, Key: victim}); ok {
+		if _, ok := s.Apply(c, 0, kv.Op{Kind: hds.Read, Key: victim}); ok {
 			t.Error("logically deleted key still readable")
 		}
 		// And re-inserting it must succeed.
-		if _, ok := s.Apply(c, 0, kv.Op{Kind: kv.Insert, Key: victim, Value: 777}); !ok {
+		if _, ok := s.Apply(c, 0, kv.Op{Kind: hds.Insert, Key: victim, Value: 777}); !ok {
 			t.Error("re-insert over deleted NMP node failed")
 		}
-		if v, ok := s.Apply(c, 0, kv.Op{Kind: kv.Read, Key: victim}); !ok || v != 777 {
+		if v, ok := s.Apply(c, 0, kv.Op{Kind: hds.Read, Key: victim}); !ok || v != 777 {
 			t.Errorf("read after re-insert = (%d,%v)", v, ok)
 		}
 	})
@@ -163,7 +164,7 @@ func TestHybridStaleShortcutCleanupUnlinksHostNode(t *testing.T) {
 		// Retry + cleanup; afterwards the stale host node must be gone
 		// (marked) so later traversals no longer use it.
 		for i := 0; i < 3; i++ {
-			s.Apply(c, 0, kv.Op{Kind: kv.Read, Key: probe})
+			s.Apply(c, 0, kv.Op{Kind: hds.Read, Key: probe})
 		}
 	})
 	m.Run()
@@ -204,10 +205,10 @@ func TestHybridStaleShortcutCleanupNonBlocking(t *testing.T) {
 		}
 	}
 	ops := []kv.Op{
-		{Kind: kv.Read, Key: probe},
-		{Kind: kv.Read, Key: victim}, // logically deleted: must miss, not hang
-		{Kind: kv.Read, Key: probe},
-		{Kind: kv.Read, Key: probe},
+		{Kind: hds.Read, Key: probe},
+		{Kind: hds.Read, Key: victim}, // logically deleted: must miss, not hang
+		{Kind: hds.Read, Key: probe},
+		{Kind: hds.Read, Key: probe},
 	}
 	var succeeded int
 	var checkVal uint32
@@ -215,7 +216,7 @@ func TestHybridStaleShortcutCleanupNonBlocking(t *testing.T) {
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
 		succeeded = s.ApplyBatch(c, 0, ops)
 		// Post-cleanup blocking read verifies the probe key is intact.
-		checkVal, checkOK = s.Apply(c, 0, kv.Op{Kind: kv.Read, Key: probe})
+		checkVal, checkOK = s.Apply(c, 0, kv.Op{Kind: hds.Read, Key: probe})
 	})
 	m.Run()
 	if succeeded != len(ops)-1 {

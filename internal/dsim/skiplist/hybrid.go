@@ -4,6 +4,7 @@ import (
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
 	"hybrids/internal/dsim/offload"
+	"hybrids/internal/hds"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
 )
@@ -191,10 +192,10 @@ func (s *Hybrid) request(c *machine.Ctx, op kv.Op, hostNode uint32, height int) 
 	found, pred, begin := s.shortcut(c, op.Key, p)
 	req = fc.Request{Op: fc.OpFor(op.Kind), Key: op.Key, Value: op.Value, NMPPtr: begin}
 	switch op.Kind {
-	case kv.Insert:
+	case hds.Insert:
 		req.Aux = uint32(height)
 		req.HostPtr = hostNode
-	case kv.Remove:
+	case hds.Remove:
 		if found != 0 {
 			// §3.3: removals apply host-side first, NMP-side second.
 			if !s.host.removeNode(c, found, op.Key) {
@@ -211,11 +212,11 @@ func (s *Hybrid) request(c *machine.Ctx, op kv.Op, hostNode uint32, height int) 
 // (the caller has already routed RETRY responses back through Prepare).
 func (s *Hybrid) finish(c *machine.Ctx, op kv.Op, hostNode uint32, resp fc.Response) (value uint32, ok bool) {
 	switch op.Kind {
-	case kv.Read:
+	case hds.Read:
 		return resp.Value, resp.Success
-	case kv.Update, kv.Remove:
+	case hds.Update, hds.Remove:
 		return 0, resp.Success
-	case kv.Insert:
+	case hds.Insert:
 		if !resp.Success {
 			return 0, false // key already present
 		}
@@ -267,7 +268,7 @@ type slAdapter struct{ s *Hybrid }
 
 func (ad slAdapter) Begin(c *machine.Ctx, op kv.Op) slState {
 	var st slState
-	if op.Kind == kv.Insert {
+	if op.Kind == hds.Insert {
 		st.hostNode, st.height = ad.s.prepareInsert(c, op)
 	}
 	return st
@@ -291,13 +292,13 @@ func (ad slAdapter) Finish(c *machine.Ctx, op kv.Op, st *slState, resp fc.Respon
 	return offload.Verdict{Kind: offload.OpDone, OK: ok, Value: uint64(value)}
 }
 
-// Apply implements kv.Store with blocking NMP calls.
+// Apply executes op with one blocking NMP call (§3.2).
 func (s *Hybrid) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 	return offload.Apply(s.rt, slAdapter{s}, c, thread, op)
 }
 
-// ApplyBatch implements kv.AsyncStore: non-blocking NMP calls (§3.5) with
-// up to the configured window of operations in flight per thread.
+// ApplyBatch executes ops with non-blocking NMP calls (§3.5), up to the
+// configured window of operations in flight per thread.
 func (s *Hybrid) ApplyBatch(c *machine.Ctx, thread int, ops []kv.Op) int {
 	return offload.ApplyBatch(s.rt, slAdapter{s}, c, thread, ops)
 }
@@ -357,8 +358,3 @@ func (s *Hybrid) CheckInvariants() error {
 	}
 	return nil
 }
-
-var (
-	_ kv.Store      = (*Hybrid)(nil)
-	_ kv.AsyncStore = (*Hybrid)(nil)
-)

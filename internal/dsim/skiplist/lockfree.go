@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
 )
@@ -50,24 +51,24 @@ func (s *LockFree) Build(pairs []KV) {
 	linkSorted(s.m.Mem.RAM, s.m.Mem.HostAlloc, s.core.head, s.levels, uniq, heights, seed^0x55)
 }
 
-// Apply implements kv.Store.
+// Apply executes op as host thread: the read value (Read) and success.
 func (s *LockFree) Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool) {
 	switch op.Kind {
-	case kv.Read, kv.Update:
+	case hds.Read, hds.Update:
 		node, _ := s.core.search(c, op.Key)
 		if node == 0 {
 			return 0, false
 		}
-		if op.Kind == kv.Read {
+		if op.Kind == hds.Read {
 			return c.Read32(valueAddr(node)), true
 		}
 		c.Write32(valueAddr(node), op.Value)
 		return 0, true
-	case kv.Insert:
+	case hds.Insert:
 		h := s.rngs[c.Core()].GeometricHeight(s.levels)
 		_, ok := s.core.insert(c, op.Key, op.Value, h, 0)
 		return 0, ok
-	case kv.Remove:
+	case hds.Remove:
 		_, ok := s.core.remove(c, op.Key)
 		return 0, ok
 	default:
@@ -81,5 +82,3 @@ func (s *LockFree) Dump() []KV { return s.core.dump(s.m.Mem.RAM) }
 
 // CheckInvariants verifies the skiplist property (untimed).
 func (s *LockFree) CheckInvariants() error { return s.core.checkInvariants(s.m.Mem.RAM) }
-
-var _ kv.Store = (*LockFree)(nil)

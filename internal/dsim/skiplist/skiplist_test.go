@@ -7,6 +7,7 @@ import (
 
 	"hybrids/internal/dsim/fc"
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
@@ -52,22 +53,22 @@ type oracle map[uint32]uint32
 
 func (o oracle) apply(op kv.Op) (uint32, bool) {
 	switch op.Kind {
-	case kv.Read:
+	case hds.Read:
 		v, ok := o[op.Key]
 		return v, ok
-	case kv.Update:
+	case hds.Update:
 		if _, ok := o[op.Key]; !ok {
 			return 0, false
 		}
 		o[op.Key] = op.Value
 		return 0, true
-	case kv.Insert:
+	case hds.Insert:
 		if _, ok := o[op.Key]; ok {
 			return 0, false
 		}
 		o[op.Key] = op.Value
 		return 0, true
-	case kv.Remove:
+	case hds.Remove:
 		if _, ok := o[op.Key]; !ok {
 			return 0, false
 		}
@@ -118,19 +119,19 @@ func mixedOps(seed uint64, n int, existing []KV, freshBase uint32) []kv.Op {
 		r := rng.Intn(100)
 		switch {
 		case r < 50:
-			ops[i] = kv.Op{Kind: kv.Read, Key: existing[rng.Intn(len(existing))].Key}
+			ops[i] = kv.Op{Kind: hds.Read, Key: existing[rng.Intn(len(existing))].Key}
 		case r < 60:
-			ops[i] = kv.Op{Kind: kv.Update, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
+			ops[i] = kv.Op{Kind: hds.Update, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
 		case r < 80:
 			// Mix of fresh inserts and re-inserts of existing keys.
 			if rng.Intn(4) == 0 {
-				ops[i] = kv.Op{Kind: kv.Insert, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
+				ops[i] = kv.Op{Kind: hds.Insert, Key: existing[rng.Intn(len(existing))].Key, Value: rng.Uint32()}
 			} else {
 				fresh += uint32(rng.Intn(64) + 1)
-				ops[i] = kv.Op{Kind: kv.Insert, Key: fresh, Value: rng.Uint32()}
+				ops[i] = kv.Op{Kind: hds.Insert, Key: fresh, Value: rng.Uint32()}
 			}
 		default:
-			ops[i] = kv.Op{Kind: kv.Remove, Key: existing[rng.Intn(len(existing))].Key}
+			ops[i] = kv.Op{Kind: hds.Remove, Key: existing[rng.Intn(len(existing))].Key}
 		}
 	}
 	return ops
@@ -140,7 +141,7 @@ func mixedOps(seed uint64, n int, existing []KV, freshBase uint32) []kv.Op {
 func freshBlock(i int) uint32 { return testKeyMax/2 + uint32(i)<<16 }
 
 type testStore interface {
-	kv.Store
+	Apply(c *machine.Ctx, thread int, op kv.Op) (uint32, bool)
 	Dump() []KV
 	CheckInvariants() error
 }
@@ -206,7 +207,7 @@ func TestSingleThreadOracle(t *testing.T) {
 				for i, op := range ops {
 					gotV, gotOK := s.Apply(c, 0, op)
 					wantV, wantOK := o.apply(op)
-					if gotOK != wantOK || (op.Kind == kv.Read && gotOK && gotV != wantV) {
+					if gotOK != wantOK || (op.Kind == hds.Read && gotOK && gotV != wantV) {
 						failures = append(failures, fmt.Sprintf("op %d %s key=%d: got (%d,%v) want (%d,%v)",
 							i, op.Kind, op.Key, gotV, gotOK, wantV, wantOK))
 					}
@@ -295,16 +296,16 @@ func TestConcurrentOverlappingKeysInvariants(t *testing.T) {
 					val := uint32(th)<<16 | uint32(i)
 					switch rng.Intn(4) {
 					case 0:
-						v, ok := s.Apply(c, th, kv.Op{Kind: kv.Read, Key: key})
+						v, ok := s.Apply(c, th, kv.Op{Kind: hds.Read, Key: key})
 						if ok && !written[key][v] {
 							bad = append(bad, fmt.Sprintf("read key=%d returned never-written value %d", key, v))
 						}
 					case 1:
-						s.Apply(c, th, kv.Op{Kind: kv.Insert, Key: key, Value: val})
+						s.Apply(c, th, kv.Op{Kind: hds.Insert, Key: key, Value: val})
 					case 2:
-						s.Apply(c, th, kv.Op{Kind: kv.Remove, Key: key})
+						s.Apply(c, th, kv.Op{Kind: hds.Remove, Key: key})
 					default:
-						s.Apply(c, th, kv.Op{Kind: kv.Update, Key: key, Value: val})
+						s.Apply(c, th, kv.Op{Kind: hds.Update, Key: key, Value: val})
 					}
 				}
 			})
@@ -384,13 +385,13 @@ func TestHybridAsyncBatchMatchesOracleOnDistinctKeys(t *testing.T) {
 	for i, p := range pairs[:1200] {
 		switch i % 4 {
 		case 0:
-			ops = append(ops, kv.Op{Kind: kv.Read, Key: p.Key})
+			ops = append(ops, kv.Op{Kind: hds.Read, Key: p.Key})
 		case 1:
-			ops = append(ops, kv.Op{Kind: kv.Remove, Key: p.Key})
+			ops = append(ops, kv.Op{Kind: hds.Remove, Key: p.Key})
 		case 2:
-			ops = append(ops, kv.Op{Kind: kv.Update, Key: p.Key, Value: rng.Uint32()})
+			ops = append(ops, kv.Op{Kind: hds.Update, Key: p.Key, Value: rng.Uint32()})
 		default:
-			ops = append(ops, kv.Op{Kind: kv.Insert, Key: freshKey(), Value: rng.Uint32()})
+			ops = append(ops, kv.Op{Kind: hds.Insert, Key: freshKey(), Value: rng.Uint32()})
 		}
 	}
 	wantSucceeded := 0
@@ -513,7 +514,7 @@ func TestHybridDelaysPopulated(t *testing.T) {
 	s.Start()
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
 		for _, p := range pairs[:64] {
-			s.Apply(c, 0, kv.Op{Kind: kv.Read, Key: p.Key})
+			s.Apply(c, 0, kv.Op{Kind: hds.Read, Key: p.Key})
 		}
 	})
 	m.Run()
@@ -551,12 +552,12 @@ func TestAllNMPEndStaysNMPSide(t *testing.T) {
 			existing := pairs[(rng.Intn(testN/threads))*threads+th].Key
 			switch i % 4 {
 			case 0, 1:
-				ops[i] = kv.Op{Kind: kv.Read, Key: existing}
+				ops[i] = kv.Op{Kind: hds.Read, Key: existing}
 			case 2:
 				fresh += uint32(rng.Intn(64) + 1)
-				ops[i] = kv.Op{Kind: kv.Insert, Key: fresh, Value: rng.Uint32()}
+				ops[i] = kv.Op{Kind: hds.Insert, Key: fresh, Value: rng.Uint32()}
 			default:
-				ops[i] = kv.Op{Kind: kv.Remove, Key: existing}
+				ops[i] = kv.Op{Kind: hds.Remove, Key: existing}
 			}
 			o.apply(ops[i])
 		}
@@ -596,7 +597,7 @@ func TestNMPFCScanPanicsBeforePost(t *testing.T) {
 	var recovered any
 	m.SpawnHost(0, "driver", func(c *machine.Ctx) {
 		defer func() { recovered = recover() }()
-		s.Apply(c, 0, kv.Op{Kind: kv.Scan, Key: 1, Value: 10})
+		s.Apply(c, 0, kv.Op{Kind: hds.Scan, Key: 1, Value: 10})
 	})
 	m.Run()
 	if msg, ok := recovered.(string); !ok || !strings.Contains(msg, "scan") {

@@ -204,8 +204,8 @@ func TestFailingCellNamesItself(t *testing.T) {
 	t.Fatal("the grid returned")
 }
 
-// TestUnstartedHybridFailsLoudly: runCell starts a structure only through
-// its Start method, so a hybrid whose Start is hidden has no NMP combiners,
+// TestUnstartedHybridFailsLoudly: runCell starts a structure only when it
+// is a store.SimHybrid, so a hybrid whose Start is hidden has no NMP combiners,
 // and its first offload deadlocks the engine, which names the cell.
 func TestUnstartedHybridFailsLoudly(t *testing.T) {
 	sc := QuickScale()

@@ -19,10 +19,6 @@ type Result struct {
 	Rows   [][]string `json:"-"`
 	Notes  []string   `json:"notes,omitempty"`
 	Cells  []Cell     `json:"cells,omitempty"`
-	// Meta carries run provenance (vcs revision, Go version, GOMAXPROCS,
-	// ...) for hybridsload reports. Experiments leave it nil so simulator
-	// outputs stay byte-stable.
-	Meta map[string]string `json:"meta,omitempty"`
 }
 
 // Experiment is a runnable reproduction target.

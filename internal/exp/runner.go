@@ -32,10 +32,13 @@ type variant struct {
 	open func(m *machine.Machine) structure
 }
 
-// structure is one variant constructed on one machine. runCell calls a
-// hybrid's Start (its NMP daemons) after Build; unstarted, it deadlocks.
+// structure is one variant constructed on one machine. runCell starts a
+// store.SimHybrid's NMP daemons after Build (unstarted, it deadlocks) and
+// drives it through ApplyBatch.
 type structure interface {
-	kv.Store
+	// Apply executes op on behalf of host thread, returning the read
+	// value (for Read) and the operation's success flag.
+	Apply(c *machine.Ctx, thread int, op kv.Op) (value uint32, ok bool)
 	// Build bulk-loads the structure, untimed. It may touch only simulated
 	// RAM and the machine's bump allocators, which is what lets a
 	// memsys.Image stand in for it.
@@ -63,13 +66,6 @@ type Cell struct {
 	// Attr is the cell's per-operation latency attribution (nil unless the
 	// cell was measured with Scale.Attr enabled).
 	Attr *AttrSummary `json:"attr,omitempty"`
-	// WallNanos is the measured-phase wall-clock duration. Only
-	// cmd/hybridsload sets it (simulated cells report virtual Cycles
-	// instead), so it is omitted from simulator JSON.
-	WallNanos uint64 `json:"wall_ns,omitempty"`
-	// Metrics carries cmd/hybridsload's load/* tallies and scraped server/*
-	// counter deltas for the measured phase. Nil for simulated cells.
-	Metrics map[string]uint64 `json:"metrics,omitempty"`
 }
 
 // runCell puts the variant on a fresh machine — bulk-building it from load,
@@ -110,17 +106,17 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 	}
 	s := v.open(m)
 	g.load(m, j.progress, func() { s.Build(load) })
-	if h, ok := s.(interface{ Start() }); ok {
+	h, hybrid := s.(store.SimHybrid)
+	if hybrid {
 		h.Start()
 	}
 	// run applies one thread's ops, recording one Ctx.OpDone per completed
 	// operation: a hybrid (blocking is window 1) records them inside
 	// ApplyBatch, where they happen. OpDone delimits the per-operation
 	// intervals of the latency-attribution report; it takes no virtual time.
-	as, async := s.(kv.AsyncStore)
 	run := func(c *machine.Ctx, th int, ops []kv.Op) {
-		if async {
-			as.ApplyBatch(c, th, ops)
+		if hybrid {
+			h.ApplyBatch(c, th, ops)
 			return
 		}
 		for _, op := range ops {

@@ -71,13 +71,13 @@ func confData() (pairs []ycsb.Pair, streams [][]kv.Op) {
 			var op kv.Op
 			switch i % 4 {
 			case 0:
-				op = kv.Op{Kind: kv.Insert, Key: odd, Value: odd * 3}
+				op = kv.Op{Kind: hds.Insert, Key: odd, Value: odd * 3}
 			case 1:
-				op = kv.Op{Kind: kv.Remove, Key: even}
+				op = kv.Op{Kind: hds.Remove, Key: even}
 			case 2:
-				op = kv.Op{Kind: kv.Update, Key: even, Value: even * 5}
+				op = kv.Op{Kind: hds.Update, Key: even, Value: even * 5}
 			default:
-				op = kv.Op{Kind: kv.Read, Key: even}
+				op = kv.Op{Kind: hds.Read, Key: even}
 			}
 			streams[th] = append(streams[th], op)
 		}

@@ -61,8 +61,15 @@ type KV = kv.Pair
 // cycle-level machine, driveable by the experiment harness and the
 // conformance suite without knowing the concrete structure.
 type SimHybrid interface {
-	kv.Store
-	kv.AsyncStore
+	// Apply executes op on behalf of host thread (which must equal the
+	// context's core) as one blocking NMP call, returning the read value
+	// (for Read) and the operation's success flag.
+	Apply(c *machine.Ctx, thread int, op kv.Op) (value uint32, ok bool)
+	// ApplyBatch executes ops in order of issue with up to the configured
+	// window of NMP offloads in flight (§3.5; window 1 is the blocking
+	// design of §3.2) and returns the number that succeeded. It records
+	// Ctx.OpDone at each operation's completion itself.
+	ApplyBatch(c *machine.Ctx, thread int, ops []kv.Op) (succeeded int)
 	// Build bulk-loads the initial pairs (untimed). Call before Start.
 	Build(load []KV)
 	// Start spawns the NMP combiner daemons. Call once before Machine.Run.

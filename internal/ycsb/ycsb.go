@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/prng"
 )
 
@@ -327,23 +328,23 @@ func (p *picker) draw(dst []kv.Op, n int) []kv.Op {
 		r := p.rng.Intn(100)
 		switch {
 		case r < c.ReadPct:
-			dst = append(dst, kv.Op{Kind: kv.Read, Key: p.existing()})
+			dst = append(dst, kv.Op{Kind: hds.Read, Key: p.existing()})
 		case r < c.ReadPct+c.UpdatePct:
-			dst = append(dst, kv.Op{Kind: kv.Update, Key: p.existing(), Value: p.rng.Uint32()})
+			dst = append(dst, kv.Op{Kind: hds.Update, Key: p.existing(), Value: p.rng.Uint32()})
 		case r < c.ReadPct+c.UpdatePct+c.InsertPct:
-			dst = append(dst, kv.Op{Kind: kv.Insert, Key: j, Value: p.rng.Uint32()})
+			dst = append(dst, kv.Op{Kind: hds.Insert, Key: j, Value: p.rng.Uint32()})
 		case r < c.ReadPct+c.UpdatePct+c.InsertPct+c.RemovePct:
-			dst = append(dst, kv.Op{Kind: kv.Remove, Key: p.existing()})
+			dst = append(dst, kv.Op{Kind: hds.Remove, Key: p.existing()})
 		case r < c.ReadPct+c.UpdatePct+c.InsertPct+c.RemovePct+c.ScanPct:
-			dst = append(dst, kv.Op{Kind: kv.Scan, Key: p.existing(), Value: p.scanLen()})
+			dst = append(dst, kv.Op{Kind: hds.Scan, Key: p.existing(), Value: p.scanLen()})
 		default: // read-modify-write: read the key, then write it back
 			key := p.existing()
-			dst = append(dst, kv.Op{Kind: kv.Read, Key: key})
+			dst = append(dst, kv.Op{Kind: hds.Read, Key: key})
 			if len(dst) < n {
 				if c.Dist == Latest {
 					key = rmwHalf
 				}
-				dst = append(dst, kv.Op{Kind: kv.Update, Key: key, Value: p.rng.Uint32()})
+				dst = append(dst, kv.Op{Kind: hds.Update, Key: key, Value: p.rng.Uint32()})
 			}
 		}
 	}
@@ -367,7 +368,7 @@ func (g *Generator) fill(streams [][]kv.Op, tail *tailCursors) {
 		live = false
 		for t, s := range streams {
 			i := next[t]
-			for !latest && i < len(s) && s[i].Kind != kv.Insert {
+			for !latest && i < len(s) && s[i].Kind != hds.Insert {
 				i++
 			}
 			next[t] = i
@@ -376,14 +377,14 @@ func (g *Generator) fill(streams [][]kv.Op, tail *tailCursors) {
 			}
 			live = true
 			op := &s[i]
-			if op.Kind == kv.Insert && op.Key > j {
+			if op.Kind == hds.Insert && op.Key > j {
 				continue // this thread's next insert is a later draw
 			}
 			next[t] = i + 1
 			switch {
-			case op.Kind == kv.Insert && tail != nil:
+			case op.Kind == hds.Insert && tail != nil:
 				op.Key = tail.next()
-			case op.Kind == kv.Insert:
+			case op.Kind == hds.Insert:
 				op.Key = g.key(g.fresh)
 				g.fresh++
 			default:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/hds"
 	"hybrids/internal/prng"
 )
 
@@ -200,7 +201,7 @@ func TestYCSBCIsReadOnly(t *testing.T) {
 	g := New(YCSBC(1000, 1<<20, 2))
 	for _, stream := range g.Streams(4, 500) {
 		for _, op := range stream {
-			if op.Kind != kv.Read {
+			if op.Kind != hds.Read {
 				t.Fatalf("YCSB-C produced %s", op.Kind)
 			}
 		}
@@ -209,7 +210,7 @@ func TestYCSBCIsReadOnly(t *testing.T) {
 
 func TestMixProportions(t *testing.T) {
 	g := New(Mix(1000, 1<<20, 50, 25, 25, 3))
-	counts := map[kv.Kind]int{}
+	counts := map[hds.Kind]int{}
 	total := 0
 	for _, stream := range g.Streams(8, 2000) {
 		for _, op := range stream {
@@ -217,15 +218,15 @@ func TestMixProportions(t *testing.T) {
 			total++
 		}
 	}
-	check := func(kind kv.Kind, wantPct int) {
+	check := func(kind hds.Kind, wantPct int) {
 		got := 100 * counts[kind] / total
 		if got < wantPct-3 || got > wantPct+3 {
 			t.Errorf("%s = %d%%, want ~%d%%", kind, got, wantPct)
 		}
 	}
-	check(kv.Read, 50)
-	check(kv.Insert, 25)
-	check(kv.Remove, 25)
+	check(hds.Read, 50)
+	check(hds.Insert, 25)
+	check(hds.Remove, 25)
 }
 
 func TestStreamsDeterministic(t *testing.T) {
@@ -250,7 +251,7 @@ func TestFreshInsertKeysUniqueAcrossThreads(t *testing.T) {
 	}
 	for _, stream := range g.Streams(8, 500) {
 		for _, op := range stream {
-			if op.Kind != kv.Insert {
+			if op.Kind != hds.Insert {
 				continue
 			}
 			if seen[op.Key] {
@@ -500,7 +501,7 @@ func TestWorkloadSuiteMixes(t *testing.T) {
 			t.Fatalf("workload %s: %v", w, err)
 		}
 		g := New(cfg)
-		counts := map[kv.Kind]int{}
+		counts := map[hds.Kind]int{}
 		total := 0
 		for _, stream := range g.Streams(4, 2000) {
 			if len(stream) != 2000 {
@@ -511,32 +512,32 @@ func TestWorkloadSuiteMixes(t *testing.T) {
 				total++
 			}
 		}
-		frac := func(k kv.Kind) float64 { return float64(counts[k]) / float64(total) }
+		frac := func(k hds.Kind) float64 { return float64(counts[k]) / float64(total) }
 		switch w {
 		case "a":
-			if f := frac(kv.Update); f < 0.45 || f > 0.55 {
+			if f := frac(hds.Update); f < 0.45 || f > 0.55 {
 				t.Fatalf("A updates = %.2f", f)
 			}
 		case "b":
-			if f := frac(kv.Update); f < 0.02 || f > 0.08 {
+			if f := frac(hds.Update); f < 0.02 || f > 0.08 {
 				t.Fatalf("B updates = %.2f", f)
 			}
 		case "c":
-			if counts[kv.Read] != total {
+			if counts[hds.Read] != total {
 				t.Fatalf("C not read-only: %v", counts)
 			}
 		case "d":
-			if f := frac(kv.Insert); f < 0.02 || f > 0.08 {
+			if f := frac(hds.Insert); f < 0.02 || f > 0.08 {
 				t.Fatalf("D inserts = %.2f", f)
 			}
 		case "e":
-			if f := frac(kv.Scan); f < 0.90 || f > 0.99 {
+			if f := frac(hds.Scan); f < 0.90 || f > 0.99 {
 				t.Fatalf("E scans = %.2f", f)
 			}
 		case "f":
 			// Every RMW read is followed by an update of the same key, so
 			// updates make up ~1/3 of physical ops (50 read + 25 rmw-pairs).
-			if f := frac(kv.Update); f < 0.28 || f > 0.38 {
+			if f := frac(hds.Update); f < 0.28 || f > 0.38 {
 				t.Fatalf("F updates = %.2f", f)
 			}
 		}
@@ -552,7 +553,7 @@ func TestWorkloadEScanLengthsBoundedAndSkewed(t *testing.T) {
 	short, scans := 0, 0
 	for _, stream := range g.Streams(2, 4000) {
 		for _, op := range stream {
-			if op.Kind != kv.Scan {
+			if op.Kind != hds.Scan {
 				continue
 			}
 			scans++
@@ -579,10 +580,10 @@ func TestWorkloadFEmitsReadThenUpdatePairs(t *testing.T) {
 	g := New(cfg)
 	for _, stream := range g.Streams(3, 1000) {
 		for i, op := range stream {
-			if op.Kind != kv.Update {
+			if op.Kind != hds.Update {
 				continue
 			}
-			if i == 0 || stream[i-1].Kind != kv.Read || stream[i-1].Key != op.Key {
+			if i == 0 || stream[i-1].Kind != hds.Read || stream[i-1].Key != op.Key {
 				t.Fatalf("update of %d at %d not preceded by its read half", op.Key, i)
 			}
 		}
@@ -600,9 +601,9 @@ func TestWorkloadDReadsFollowInserts(t *testing.T) {
 	for _, stream := range g.Streams(1, 20000) {
 		for _, op := range stream {
 			switch op.Kind {
-			case kv.Insert:
+			case hds.Insert:
 				inserted[op.Key] = true
-			case kv.Read:
+			case hds.Read:
 				if !inserted[op.Key] {
 					// A read may race ahead of the insert that mints the
 					// key only under multi-thread interleaving; single
@@ -621,7 +622,7 @@ func TestWorkloadDReadsFollowInserts(t *testing.T) {
 	}
 	for _, stream := range New(cfg).Streams(1, 20000) {
 		for _, op := range stream {
-			if op.Kind == kv.Read && !initial[op.Key] {
+			if op.Kind == hds.Read && !initial[op.Key] {
 				freshReads++
 			}
 		}
