@@ -225,3 +225,47 @@ func TestPollsDoNotAllocate(t *testing.T) {
 	})
 	m.Run()
 }
+
+// TestServeSkipsClearedSlot reaches serve's early return: a slot whose
+// valid bit is clear, never posted or already served, is not served. The
+// handler does not run, the post_to_scan histogram counts nothing, and no
+// run-ahead section is left open (Stopping panics inside one).
+func TestServeSkipsClearedSlot(t *testing.T) {
+	m := testMachine()
+	p := NewPubList(m, 0, 2)
+	postToScan := func() uint64 { return m.Metrics.Snapshot().Get("offload/p0/post_to_scan/count") }
+	handled, finished := 0, false
+	handle := func(c *machine.Ctx, slot int, req Request) Response {
+		handled++
+		return Response{Success: true}
+	}
+	host := m.SpawnHost(0, "h", func(c *machine.Ctx) {
+		p.Post(c, 1, Request{Op: OpRead, Key: 7})
+		for !finished {
+			c.A.Block()
+		}
+	})
+	m.SpawnNMP(0, func(c *machine.Ctx) {
+		c.Step(1000) // the post is visible
+		for _, s := range []struct {
+			slot           int
+			served         bool
+			handled, scans uint64
+		}{{0, false, 0, 0}, {1, true, 1, 1}, {1, false, 1, 1}} {
+			if got := p.serve(c, s.slot, handle); got != s.served {
+				t.Errorf("serve(slot %d) = %v, want %v", s.slot, got, s.served)
+			}
+			c.A.Stopping()
+			if uint64(handled) != s.handled || postToScan() != s.scans {
+				t.Errorf("after serve(slot %d): handler ran %d times and post_to_scan counts %d, want %d and %d",
+					s.slot, handled, postToScan(), s.handled, s.scans)
+			}
+		}
+		finished = true
+		c.A.Unblock(host, 0)
+	})
+	m.Run()
+	if !finished {
+		t.Fatal("the combiner's checks did not run to the end")
+	}
+}

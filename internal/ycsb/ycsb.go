@@ -12,8 +12,9 @@
 // records), uniformly scattered (which doubles as YCSB's zipfian
 // scrambling), and fresh insert keys simply continue the index sequence.
 // The key space is viewed as 8 equal stripes and generated keys land in
-// the lower half of each stripe, so range partitions stay balanced for any
-// power-of-two partition count up to 8 while each stripe's upper half
+// the lowest quarter of each stripe when log2 KeyMax is even and the
+// lowest eighth when it is odd, so range partitions stay balanced for any
+// power-of-two partition count up to 8 while the rest of each stripe
 // leaves headroom for the PartitionTail pattern's incrementing keys.
 package ycsb
 
@@ -76,7 +77,8 @@ type Config struct {
 	// into skiplists and ~30M into B+ trees).
 	Records int
 	// KeyMax is the exclusive key-space bound (a power of two); load and
-	// fresh-insert keys fall in [1, KeyMax/2].
+	// fresh-insert keys sit in the lowest quarter (log2 KeyMax even) or
+	// eighth (odd) of each of its 8 stripes, up to about 0.9*KeyMax.
 	KeyMax uint32
 	// ReadPct/UpdatePct/InsertPct/RemovePct/ScanPct/RMWPct must sum to
 	// 100 (the paper's X-Y-Z mixes are read-insert-remove).
@@ -504,39 +506,64 @@ func (t *tailCursors) next() uint32 {
 // zipfian is YCSB's bounded zipfian generator (Gray et al.'s rejection
 // inversion constants): item 0 is the hottest.
 type zipfian struct {
+	*zipfTable
+	rng *prng.Source
+}
+
+// zipfTable is a bounded zipfian's constants and guide table, computed
+// once per (items, theta) and shared by every generator drawing from it.
+type zipfTable struct {
 	items             uint64
 	alpha, zetan, eta float64
 	// rank1 is 1+0.5^theta: a draw with u*zetan in [1, rank1) is rank 1.
 	rank1 float64
-	rng   *prng.Source
+	// guide[m>>(53-guideBits)] is the rank fromU gives every draw m of the
+	// bucket, or guideMiss (DESIGN §5.10).
+	guide []uint32
 }
 
+const (
+	guideBits = 16         // 2^16 buckets, 256 KiB a table
+	guideMiss = ^uint32(0) // no rank: ranks are below Records <= KeyMax/4
+	// guideMargin is how far, relatively, fromU's pow branch must stay from
+	// an integer at a bucket's edges; its rounding error is about 1e-13.
+	guideMargin = 1e-9
+)
+
 func newZipfian(items uint64, theta float64, rng *prng.Source) *zipfian {
+	return &zipfian{zipfTable: zipfTableFor(items, theta), rng: rng}
+}
+
+// zetaCache holds each (items, theta) table once; generators built on
+// different goroutines share it.
+var (
+	zetaMu    sync.Mutex
+	zetaCache = map[[2]uint64]*zipfTable{}
+)
+
+// zipfTableFor returns the (items, theta) table, built on the first call.
+func zipfTableFor(items uint64, theta float64) *zipfTable {
+	zetaMu.Lock()
+	defer zetaMu.Unlock()
+	ck := [2]uint64{items, math.Float64bits(theta)}
+	if t, ok := zetaCache[ck]; ok {
+		return t
+	}
 	zetan := zetaStatic(items, theta)
-	return &zipfian{
-		items: items, zetan: zetan, rng: rng,
+	t := &zipfTable{
+		items: items, zetan: zetan,
 		alpha: 1 / (1 - theta),
 		eta:   (1 - math.Pow(2/float64(items), 1-theta)) / (1 - zetaStatic(2, theta)/zetan),
 		rank1: 1 + math.Pow(0.5, theta),
 	}
+	t.guide = t.newGuide()
+	zetaCache[ck] = t
+	return t
 }
 
-// zetaCache holds each (n, theta) zeta sum once; generators built on
-// different goroutines share it.
-var (
-	zetaMu    sync.Mutex
-	zetaCache = map[[2]uint64]float64{}
-)
-
-// zetaStatic returns the sum over i in [1, n] of 1/i^theta, once per (n,
-// theta); the terms are added in index order: the plain loop's sum, bit for bit.
+// zetaStatic returns the sum over i in [1, n] of 1/i^theta; the terms are
+// added in index order: the plain loop's sum, bit for bit.
 func zetaStatic(n uint64, theta float64) float64 {
-	zetaMu.Lock()
-	defer zetaMu.Unlock()
-	ck := [2]uint64{n, math.Float64bits(theta)}
-	if v, ok := zetaCache[ck]; ok {
-		return v
-	}
 	sum := 0.0
 	inWaves(int(n), func(first int, dst []float64) {
 		for j := range dst {
@@ -547,12 +574,57 @@ func zetaStatic(n uint64, theta float64) float64 {
 			sum += x
 		}
 	})
-	zetaCache[ck] = sum
 	return sum
 }
 
+// newGuide builds the guide table from its 2^guideBits+1 edges, one pow
+// each; a bucket holds the draws with u in [i, i+1) / 2^guideBits. u*zetan
+// is monotone in u, so edges inside one early branch's region prove its
+// rank. For theta < 1 the pow branch is a strictly increasing function of
+// u computed to about 1e-13, so values of at least k(1+guideMargin) at the
+// left edge and at most (k+1)(1-guideMargin) at the right prove rank k; at
+// least items-1 becomes items-1, so that rank needs only the left edge.
+// The table is cached for good, so the workers may write it.
+func (t *zipfTable) newGuide() []uint32 {
+	guide := make([]uint32, 1<<guideBits)
+	edge := func(i int) (uz, c float64) {
+		u := float64(i) / (1 << guideBits)
+		return u * t.zetan, t.pow(u)
+	}
+	fanOut(len(guide), func(lo, hi int) {
+		luz, lc := edge(lo)
+		for i := lo; i < hi; i++ {
+			ruz, rc := edge(i + 1)
+			k := min(uint64(lc), t.items-1)
+			switch {
+			case ruz < 1:
+				guide[i] = 0
+			case luz >= 1 && ruz < t.rank1:
+				guide[i] = 1
+			case luz >= t.rank1 && t.alpha > 0 && lc >= float64(k)*(1+guideMargin) &&
+				(k == t.items-1 || rc <= float64(k+1)*(1-guideMargin)):
+				guide[i] = uint32(k)
+			default:
+				guide[i] = guideMiss
+			}
+			luz, lc = ruz, rc
+		}
+	})
+	return guide
+}
+
 func (z *zipfian) next() uint64 {
-	return z.fromU(z.rng.Float64())
+	return z.fromM(z.rng.Next() >> 11)
+}
+
+// fromM maps one draw m in [0, 2^53) to fromU(m/2^53)'s rank, the u
+// prng.Float64 gives for the same Next: from the guide table where it
+// holds one, else from fromU.
+func (z *zipfian) fromM(m uint64) uint64 {
+	if r := z.guide[m>>(53-guideBits)]; r != guideMiss {
+		return uint64(r)
+	}
+	return z.fromU(float64(m) / (1 << 53))
 }
 
 // fromU maps one uniform draw u in [0, 1) to a zipfian rank. Split out of
@@ -567,9 +639,14 @@ func (z *zipfian) fromU(u float64) uint64 {
 	if uz < z.rank1 {
 		return 1
 	}
-	v := uint64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	v := uint64(z.pow(u))
 	if v >= z.items {
 		v = z.items - 1
 	}
 	return v
+}
+
+// pow is fromU's pow branch before truncation.
+func (t *zipfTable) pow(u float64) float64 {
+	return float64(t.items) * math.Pow(t.eta*u-t.eta+1, t.alpha)
 }

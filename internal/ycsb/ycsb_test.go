@@ -2,6 +2,7 @@ package ycsb
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -632,14 +633,123 @@ func TestWorkloadDReadsFollowInserts(t *testing.T) {
 	}
 }
 
+// TestKeysStayInStripeLowerPortion pins where key puts the indices a
+// generator can use, those below 2^(permBits-1): in the lowest quarter of
+// each of the 8 stripes when log2 KeyMax is even and the lowest eighth
+// when it is odd, so keys reach about 0.9*KeyMax and the rest of every
+// stripe is headroom. It checks the first, the last and random usable
+// indices.
 func TestKeysStayInStripeLowerPortion(t *testing.T) {
-	g := New(YCSBC(50000, 1<<24, 9))
-	stripe := uint32(1 << 21) // KeyMax/8
-	headroom := stripe / 4    // permBits = keyBits-2 -> lower quarter
-	for _, p := range g.Load() {
-		off := (p.Key - 1) % stripe
-		if off >= headroom {
-			t.Fatalf("key %d at stripe offset %d beyond headroom %d", p.Key, off, headroom)
+	for _, bits := range []uint{20, 21, 24, 26, 27} {
+		keyMax := uint32(1) << bits
+		g := New(YCSBC(1000, keyMax, 61))
+		stripe := keyMax / 8
+		used := stripe / 4
+		if bits%2 == 1 {
+			used = stripe / 8
 		}
+		usable := uint64(1) << (g.permBits - 1)
+		rng := prng.New(uint64(bits))
+		var maxKey, maxOff uint32
+		stripes := map[uint32]bool{}
+		for i := range uint64(3 << 14) {
+			idx := i
+			switch i >> 14 {
+			case 1:
+				idx = usable - 1 - i&(1<<14-1)
+			case 2:
+				idx = rng.Next() % usable
+			}
+			k := g.key(idx)
+			off := (k - 1) % stripe
+			if k == 0 || off >= used {
+				t.Fatalf("KeyMax 2^%d: index %d maps to key %d, offset %d in its stripe, want below %d", bits, idx, k, off, used)
+			}
+			maxKey, maxOff = max(maxKey, k), max(maxOff, off)
+			stripes[(k-1)/stripe] = true
+		}
+		if len(stripes) != 8 || maxOff < used/2 {
+			t.Errorf("KeyMax 2^%d: keys reach %d stripes and offset %d of %d", bits, len(stripes), maxOff, used)
+		}
+		if f := float64(maxKey) / float64(keyMax); f < 0.85 || f > 0.91 {
+			t.Errorf("KeyMax 2^%d: the largest key is %.3f of KeyMax, want about 0.9", bits, f)
+		}
+	}
+}
+
+// guideConfigs are the (items, theta) pairs the benchmark, the experiments'
+// scales and the goldens draw zipfians over: the native records, the scan
+// lengths, sim-grid's records, the tiny/quick and small/paper records
+// (ablate-skew's thetas over the skiplist's) and the goldens' 4000.
+var guideConfigs = []struct {
+	items uint64
+	theta float64
+}{
+	{1 << 20, 0.99}, {maxScanLen, 0.99}, {1 << 18, 0.99}, {1 << 19, 0.99},
+	{1 << 12, 0.99}, {1 << 12, 0.5}, {1 << 12, 0.8}, {1 << 13, 0.99},
+	{1 << 22, 0.99}, {1 << 22, 0.5}, {1 << 22, 0.8}, {30_000_000, 0.99},
+	{4000, 0.99},
+}
+
+// TestGuideMatchesFromU checks that a draw answered by the guide table is
+// the rank fromU gives it, for every guideConfigs pair: on 10^7 random
+// draws, on the first two and last two draws of every bucket that holds a
+// rank, and on the draws next to 2^53-1, where the clamp applies. It
+// empties the cache first, so each -cpu value builds the tables anew.
+func TestGuideMatchesFromU(t *testing.T) {
+	zetaMu.Lock()
+	clear(zetaCache)
+	zetaMu.Unlock()
+	const shift = 53 - guideBits
+	for _, c := range guideConfigs {
+		t.Run(fmt.Sprintf("%d-%v", c.items, c.theta), func(t *testing.T) {
+			t.Parallel()
+			z := newZipfian(c.items, c.theta, nil)
+			check := func(m uint64) {
+				if got, want := z.fromM(m), z.fromU(float64(m)/(1<<53)); got != want {
+					t.Fatalf("draw %#x (bucket %d): the table gives rank %d, fromU %d", m, m>>shift, got, want)
+				}
+			}
+			held := 0
+			for i, r := range z.guide {
+				if r == guideMiss {
+					continue
+				}
+				held++
+				first, next := uint64(i)<<shift, uint64(i+1)<<shift
+				for _, m := range []uint64{first, first + 1, next - 2, next - 1} {
+					check(m)
+				}
+			}
+			for m := uint64(1<<53 - 1); m >= 1<<53-1<<12; m-- {
+				check(m)
+			}
+			rng := prng.New(c.items ^ math.Float64bits(c.theta))
+			for range 10_000_000 {
+				check(rng.Next() >> 11)
+			}
+			t.Logf("%d of %d buckets hold a rank (%.1f %% of draws)", held, len(z.guide), 100*float64(held)/float64(len(z.guide)))
+		})
+	}
+}
+
+var zipfSink uint64
+
+// BenchmarkZipfianNext times one draw of the native workloads' key
+// zipfian (2^20 items) and of the scan-length zipfian (maxScanLen items).
+func BenchmarkZipfianNext(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		items uint64
+	}{{"keys-2^20", 1 << 20}, {"scan-lengths", maxScanLen}} {
+		b.Run(bc.name, func(b *testing.B) {
+			z := newZipfian(bc.items, 0.99, prng.New(1))
+			b.ResetTimer()
+			s := uint64(0)
+			for range b.N {
+				s += z.next()
+			}
+			zipfSink = s
+		})
 	}
 }
