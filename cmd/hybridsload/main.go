@@ -248,20 +248,13 @@ func cubicSchedule(n int, rate float64, ramp time.Duration) []time.Duration {
 	return sched
 }
 
-// validateKeyMax rejects -keymax values the 32-bit workload generator
-// cannot represent or ycsb.New would panic on, so a misconfigured run
-// exits with a clear message instead of silently truncating (values of
-// 2³² and above used to wrap modulo 2³² — 1<<32 became 0) or panicking
-// deep inside the generator.
-func validateKeyMax(v uint64, records int) error {
+// validateKeyMax rejects -keymax values outside the 32-bit key space the
+// workload generator draws from: values of 2³² and above used to wrap
+// modulo 2³² (1<<32 became 0). Every other rule on -keymax and -records is
+// ycsb.Config.Validate's, which parseWorkloads applies.
+func validateKeyMax(v uint64) error {
 	if v == 0 || v > math.MaxUint32 {
-		return fmt.Errorf("-keymax %d does not fit the 32-bit key space (want a power of two in [4*records, 2^32))", v)
-	}
-	if v&(v-1) != 0 {
-		return fmt.Errorf("-keymax %d is not a power of two", v)
-	}
-	if v < 4*uint64(records) {
-		return fmt.Errorf("-keymax %d leaves no insert headroom for %d records (want >= %d)", v, records, 4*records)
+		return fmt.Errorf("-keymax %d does not fit the 32-bit key space (want a power of two below 2^32)", v)
 	}
 	return nil
 }
@@ -318,12 +311,15 @@ type workloadSpec struct {
 const defaultWorkload = "c"
 
 // parseWorkloads resolves the -workload flag: comma-separated YCSB core
-// letters.
+// letters, each a config ycsb.New accepts.
 func parseWorkloads(list string, records int, keyMax uint32, seed uint64) ([]workloadSpec, error) {
 	var out []workloadSpec
 	for _, w := range strings.Split(list, ",") {
 		w = strings.TrimSpace(strings.ToLower(w))
 		cfg, err := ycsb.Workload(w, records, keyMax, seed)
+		if err == nil {
+			err = cfg.Validate()
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -665,7 +661,7 @@ func main() {
 	if err := validateSizes(*conns, *depth, *ops, *records, *warmup); err != nil {
 		usage("%v", err)
 	}
-	if err := validateKeyMax(uint64(*keyMax), *records); err != nil {
+	if err := validateKeyMax(uint64(*keyMax)); err != nil {
 		usage("%v", err)
 	}
 	if *rate < 0 {

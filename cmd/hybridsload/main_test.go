@@ -17,6 +17,9 @@ import (
 	"hybrids/internal/ycsb"
 )
 
+// TestValidateKeyMax runs -keymax and -records through both checks main
+// makes before it dials: validateKeyMax's range test, then
+// ycsb.Config.Validate through parseWorkloads.
 func TestValidateKeyMax(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -31,15 +34,26 @@ func TestValidateKeyMax(t *testing.T) {
 		{"zero", 0, 16384, true},
 		{"not-power-of-two", 3 << 20, 16384, true},
 		{"no-insert-headroom", 32768, 16384, true},
-		{"minimum-headroom", 65536, 16384, false},
+		// 16384 = 2^14 records need a Feistel domain of 2^16, so KeyMax
+		// 2^18; the flag check once passed 65536 (4 x records) to a
+		// generator that panicked on it.
+		{"minimum-headroom", 1 << 18, 16384, false},
+		{"below-minimum-headroom", 1 << 17, 16384, true},
+		// Regressions: both passed the flag check and then panicked in
+		// ycsb.New ("KeyMax too small", "...insert headroom").
+		{"keymax-128-records-32", 128, 32, true},
+		{"keymax-2^20-records-200000", 1 << 20, 200000, true},
 		{"default", 1 << 20, 16384, false},
 		{"max-power-of-two", 1 << 31, 16384, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateKeyMax(c.v, c.records)
+			err := validateKeyMax(c.v)
+			if err == nil {
+				_, err = parseWorkloads(defaultWorkload, c.records, uint32(c.v), 1)
+			}
 			if (err != nil) != c.wantErr {
-				t.Fatalf("validateKeyMax(%d, %d) = %v, wantErr %v", c.v, c.records, err, c.wantErr)
+				t.Fatalf("-keymax %d -records %d: %v, wantErr %v", c.v, c.records, err, c.wantErr)
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,17 +41,35 @@ var rules = []rule{
 	// The two stacks share hds's request vocabulary, dsim/kv's 32-bit ops
 	// and pairs, and nothing of the simulator's machinery: the offload
 	// protocol and its in-flight window live in dsim/offload, the grids'
-	// results in exp, the engine registry in store, and the slow-op log
-	// reports the two durations the server measures, not the simulator's
-	// attribution buckets. The native binaries and every package they
-	// link are held to it; the dsim pattern is every package but kv (RE2
-	// has no lookahead).
+	// results and the simulated engine registry in exp, and the slow-op
+	// log reports the two durations the server measures, not the
+	// simulator's attribution buckets. The native binaries and every
+	// package they link are held to it; store, bench/'s native shim, is
+	// forbidden here only because no native binary needs it. The dsim
+	// pattern is every package but kv (RE2 has no lookahead).
 	{
 		name: "native-off-simulator/imports",
 		check: importsNone([]string{"cmd/hybridsd", "cmd/hybridsload", "internal/admin", "internal/core", "internal/server", "internal/ycsb"},
 			`^hybrids/internal/(sim/|exp$|store$|dsim/([^k]|k[^v]|kv.))`),
 		reason:  "the native binaries and their packages must not depend on a sim package, exp, store or a dsim package other than kv",
 		violate: map[string]string{"cmd/hybridsload/main.go": "package main\n\nimport (\n\t_ \"hybrids/internal/dsim/kv\"\n\t_ \"hybrids/internal/exp\"\n)\n"},
+	},
+	// The other direction: the simulator, its experiment grids and its CLI
+	// link none of the native runtime, and store, which bench/ builds the
+	// native runtime from, links none of the simulator. Each stack owns its
+	// registry: exp the simulated engines, store the native shim.
+	{
+		name: "simulator-off-native/imports",
+		check: importsNone([]string{"cmd/hybrids", "internal/exp", "internal/dsim/...", "internal/sim/..."},
+			`^hybrids/internal/(core|cds|server|admin|store)$`),
+		reason:  "the simulator, exp and cmd/hybrids must not depend on core, cds, server, admin or store",
+		violate: map[string]string{"internal/exp/runner.go": "package exp\n\nimport _ \"hybrids/internal/store\"\n"},
+	},
+	{
+		name:    "simulator-off-native/store",
+		check:   importsNone([]string{"internal/store"}, `^hybrids/internal/(sim/|dsim/|exp$)`),
+		reason:  "internal/store must not depend on a sim or dsim package or exp",
+		violate: map[string]string{"internal/store/store.go": "package store\n\nimport _ \"hybrids/internal/dsim/btree\"\n"},
 	},
 	// kv is the one dsim package the native binaries link, so it must
 	// stay vocabulary: an interface over a simulated machine brings the
@@ -169,20 +188,20 @@ var rules = []rule{
 		reason:  "internal/sim/memsys must not declare a Stats type: read mem/ counters from the registry",
 		violate: map[string]string{"internal/sim/memsys/stats_test.go": "package memsys\n\ntype Stats struct{}\n"},
 	},
-	// A hybrid's host/NMP split is sized by store.SimParams alone: the dsim
+	// A hybrid's host/NMP split is sized by exp.SimParams alone: the dsim
 	// configs take plain level counts, and the one rule that moves the
 	// split is a private type in internal/exp.
 	{
 		name:    "sizing-declared-once/no-boundary",
 		check:   absent("internal/boundary"),
-		reason:  "internal/boundary is back: size splits through store.SimParams",
+		reason:  "internal/boundary is back: size splits through exp.SimParams",
 		violate: map[string]string{"internal/boundary/boundary.go": "package boundary\n"},
 	},
 	{
 		name:    "sizing-declared-once/scale-embeds-simparams",
 		check:   grep(files{globs: []string{"internal/exp/scale.go"}}, `^[[:space:]]+(Skiplist[A-Za-z]*|BTree[A-Za-z]*|BSkiplist[A-Za-z]*|KeyMax|Window|Seed)[[:space:]]+[^=:[:space:]]`),
-		reason:  "internal/exp/scale.go re-declares a store.SimParams field: use the embedded one",
-		violate: map[string]string{"internal/exp/scale.go": "package exp\n\ntype Scale struct {\n\tstore.SimParams\n\tKeyMax uint32\n}\n"},
+		reason:  "internal/exp/scale.go re-declares an exp.SimParams field: use the embedded one",
+		violate: map[string]string{"internal/exp/scale.go": "package exp\n\ntype Scale struct {\n\tSimParams\n\tKeyMax uint32\n}\n"},
 	},
 	// A partition is combined by whichever caller holds it (DESIGN §5.5); a
 	// go statement or a WaitGroup means a resident combiner is back, a
@@ -319,7 +338,10 @@ var cleanTree = map[string]string{
 	"internal/server/stats.go":      "package server\n\nvar names = []string{\"server/requests\", \"server/batch\"}\n",
 	"internal/server/server.go":     "package server\n",
 	"internal/sim/memsys/memsys.go": "package memsys\n\ntype RAM struct{ Stats uint64 }\n",
-	"internal/exp/scale.go":         "package exp\n\ntype Scale struct {\n\tstore.SimParams\n\tAttr bool\n}\n",
+	"internal/exp/scale.go":         "package exp\n\ntype Scale struct {\n\tSimParams\n\tAttr bool\n}\n",
+	"internal/exp/runner.go":        "package exp\n\nimport _ \"hybrids/internal/dsim/fc\"\n",
+	"cmd/hybrids/main.go":           "package main\n\nimport _ \"hybrids/internal/exp\"\n",
+	"internal/store/store.go":       "package store\n\nimport _ \"hybrids/internal/core\"\n",
 	"internal/sim/engine/engine.go": "package engine\n\nfunc (a *Actor) BeginRunAhead() {}\n",
 	"internal/dsim/fc/fc.go":        "package fc\n\nfunc serve(a *engine.Actor) { a.BeginRunAhead() }\n",
 	"internal/cds/arena.go":         "package cds\n\ntype arena struct{ nodes []bNode }\n",
@@ -529,12 +551,29 @@ func absent(path string) func(tree) ([]string, error) {
 }
 
 // importsNone reports every package pkgs depend on, as go list -deps lists
-// them, whose import path forbid matches. It follows the module's own
-// imports through the non-test files (no build constraint guards one) and
-// does not descend into a forbidden package.
+// them, whose import path forbid matches. A pkgs entry "dir/..." stands for
+// every package below dir. It follows the module's own imports through the
+// non-test files (no build constraint guards one) and does not descend
+// into a forbidden package.
 func importsNone(pkgs []string, forbid string) func(tree) ([]string, error) {
 	re := regexp.MustCompile(forbid)
 	return func(t tree) ([]string, error) {
+		var dirs []string
+		for _, p := range pkgs {
+			if !strings.HasSuffix(p, "/...") {
+				dirs = append(dirs, p)
+				continue
+			}
+			paths, err := files{globs: []string{p}}.list(t)
+			if err != nil {
+				return nil, err
+			}
+			for _, f := range paths {
+				if d := f[:strings.LastIndex(f, "/")]; !slices.Contains(dirs, d) {
+					dirs = append(dirs, d)
+				}
+			}
+		}
 		var bad []string
 		seen := map[string]bool{}
 		var walk func(dir string) error
@@ -571,8 +610,8 @@ func importsNone(pkgs []string, forbid string) func(tree) ([]string, error) {
 			}
 			return nil
 		}
-		for _, p := range pkgs {
-			if err := walk(p); err != nil {
+		for _, d := range dirs {
+			if err := walk(d); err != nil {
 				return nil, err
 			}
 		}

@@ -1,6 +1,6 @@
 // Package bskiplist implements a cache-conscious B-skiplist on the
-// simulated NMP machine, the third store engine behind the shared offload
-// runtime: every level is a linked list of fat multi-key nodes sized to
+// simulated NMP machine, the third engine (exp.Engines) behind the shared
+// offload runtime: every level is a linked list of fat multi-key nodes sized to
 // exactly one 128 B cache block (the locality-optimized layout of the
 // B-skiplist literature), so traversal scans contiguous keys instead of
 // chasing one pointer per key.

@@ -369,3 +369,96 @@ func TestHybridBackoffWaitsOutLockedHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestHybridInsertSplitsInnerLevelNMPSide builds the tree with three NMP
+// levels, so an NMP path is a leaf, one inner level and the begin node,
+// and reaches chainUp's inner-split loop, which two NMP levels leave dead.
+// Ascending inserts above every initial key fill the rightmost leaf and
+// its level-1 parent while the begin node above keeps room; the next
+// insert splits the leaf and the level-1 node and completes NMP-side in
+// one INSERT, with no LOCK_PATH round trip.
+func TestHybridInsertSplitsInnerLevelNMPSide(t *testing.T) {
+	const nmpLevels = 3
+	pairs := initialPairs(testN)
+	m := testMachine()
+	h := NewHybrid(m, HybridBTreeConfig{NMPLevels: nmpLevels, Window: 1})
+	h.Build(pairs)
+	if _, height := h.host.rootInfo(m.Mem.RAM); height <= nmpLevels {
+		t.Fatalf("tree height %d leaves no host level above %d NMP levels", height, nmpLevels)
+	}
+	var armed bool
+	var sent []fc.OpType
+	for p, tree := range h.trees {
+		serve := tree.handler()
+		h.rt.Start(p, func(c *machine.Ctx, slot int, req fc.Request) fc.Response {
+			if armed {
+				sent = append(sent, req.Op)
+			}
+			return serve(c, slot, req)
+		})
+	}
+
+	ram := m.Mem.RAM
+	slots := func(n uint32) int { return metaSlots(ram.Load32(metaAddr(n))) }
+	want := make(map[uint32]uint32, len(pairs))
+	for _, p := range pairs {
+		want[p.Key] = p.Value
+	}
+	var path []uint32
+	var beginSlots int
+	key := uint32(testKeyMax/2 + 1)
+	m.SpawnHost(0, "inserter", func(c *machine.Ctx) {
+		for ; ; key++ {
+			begin, _ := boundaryTarget(m, h, key)
+			path = nmpPath(ram, begin, key)
+			if slots(path[0]) == LeafMax && slots(path[1]) == InnerMax {
+				break
+			}
+			if _, ok := h.Apply(c, 0, kv.Op{Kind: hds.Insert, Key: key, Value: key}); !ok {
+				t.Errorf("filling insert %d failed", key)
+				return
+			}
+			want[key] = key
+		}
+		if len(path) != nmpLevels {
+			t.Errorf("NMP path has %d levels, want %d", len(path), nmpLevels)
+			return
+		}
+		if beginSlots = slots(path[2]); beginSlots == InnerMax {
+			t.Error("the begin node filled before its level-1 child: no room to complete NMP-side")
+			return
+		}
+		armed = true
+		if _, ok := h.Apply(c, 0, kv.Op{Kind: hds.Insert, Key: key, Value: 77}); !ok {
+			t.Errorf("insert %d into a full leaf and level-1 node failed", key)
+		}
+		armed = false
+		want[key] = 77
+	})
+	m.Run()
+	if t.Failed() {
+		return
+	}
+
+	if !slices.Equal(sent, []fc.OpType{fc.OpInsert}) {
+		t.Fatalf("target insert sent %v, want one INSERT", sent)
+	}
+	if got := slots(path[2]); got != beginSlots+1 {
+		t.Errorf("begin node holds %d children, want %d: the level-1 split did not link its sibling", got, beginSlots+1)
+	}
+	if got := slots(path[1]); got >= InnerMax {
+		t.Errorf("level-1 node still holds %d children: it did not split", got)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	dump := h.Dump()
+	if len(dump) != len(want) {
+		t.Fatalf("dump holds %d pairs, want %d", len(dump), len(want))
+	}
+	for _, p := range dump {
+		if v, ok := want[p.Key]; !ok || v != p.Value {
+			t.Fatalf("dump pair (%d,%d), want (%d,%v)", p.Key, p.Value, v, ok)
+		}
+	}
+}

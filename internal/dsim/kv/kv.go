@@ -20,9 +20,9 @@ type Op struct {
 }
 
 // Pair is one key-value record, the simulator side's only pair type:
-// ycsb.Pair (load sets), every structure's KV (bulk-build input, Dump
-// output) and store.KV alias it, so a load set reaches a bulk build and a
-// Dump reaches its caller without a copy.
+// ycsb.Pair (load sets) and every structure's KV (bulk-build input, Dump
+// output) alias it, so a load set reaches a bulk build and a Dump reaches
+// its caller without a copy.
 type Pair struct {
 	Key, Value uint32
 }

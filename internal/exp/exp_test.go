@@ -205,7 +205,7 @@ func TestFailingCellNamesItself(t *testing.T) {
 }
 
 // TestUnstartedHybridFailsLoudly: runCell starts a structure only when it
-// is a store.SimHybrid, so a hybrid whose Start is hidden has no NMP combiners,
+// is a SimHybrid, so a hybrid whose Start is hidden has no NMP combiners,
 // and its first offload deadlocks the engine, which names the cell.
 func TestUnstartedHybridFailsLoudly(t *testing.T) {
 	sc := QuickScale()

@@ -11,7 +11,6 @@ import (
 	"hybrids/internal/sim/machine"
 	"hybrids/internal/sim/memsys"
 	"hybrids/internal/sim/trace"
-	"hybrids/internal/store"
 	"hybrids/internal/ycsb"
 )
 
@@ -33,7 +32,7 @@ type variant struct {
 }
 
 // structure is one variant constructed on one machine. runCell starts a
-// store.SimHybrid's NMP daemons after Build (unstarted, it deadlocks) and
+// SimHybrid's NMP daemons after Build (unstarted, it deadlocks) and
 // drives it through ApplyBatch.
 type structure interface {
 	// Apply executes op on behalf of host thread, returning the read
@@ -50,7 +49,7 @@ type structure interface {
 // group; the non-blocking window is never one of them.
 type buildKey struct {
 	structure string
-	store.SimParams
+	SimParams
 }
 
 // Cell is one measured grid point.
@@ -106,7 +105,7 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 	}
 	s := v.open(m)
 	g.load(m, j.progress, func() { s.Build(load) })
-	h, hybrid := s.(store.SimHybrid)
+	h, hybrid := s.(SimHybrid)
 	if hybrid {
 		h.Start()
 	}
@@ -176,7 +175,7 @@ func runCell(j cellJob, ts *TraceSpec, g *imageGroup) Cell {
 // Skiplist variants evaluated in §5 (Figure 5, Figure 7).
 
 func skiplistLockFree(sc Scale) *variant {
-	key := buildKey{"lock-free", store.SimParams{SkiplistLevels: sc.SkiplistLevels, Seed: sc.Seed}}
+	key := buildKey{"lock-free", SimParams{SkiplistLevels: sc.SkiplistLevels, Seed: sc.Seed}}
 	return &variant{name: "lock-free", build: key, open: func(m *machine.Machine) structure {
 		return skiplist.NewLockFree(m, sc.SkiplistLevels, sc.Seed)
 	}}
@@ -198,7 +197,7 @@ func skiplistNMPBased(sc Scale) *variant {
 // writing, so blocking and every non-blocking window share one build.
 // Window 1 is the blocking design and names the variant hybrid-blocking.
 func engineHybrid(engine string, sc Scale, window int) *variant {
-	e := store.MustEngine(engine)
+	e := lookupEngine(engine)
 	name := "hybrid-blocking"
 	if window > 1 {
 		name = fmt.Sprintf("hybrid-nonblocking%d", window)
@@ -217,7 +216,7 @@ func skiplistVariants(sc Scale) []*variant {
 // B+ tree variants evaluated in §5 (Figure 6, Figure 8).
 
 func btreeHostOnly(sc Scale) *variant {
-	key := buildKey{"host-only", store.SimParams{}}
+	key := buildKey{"host-only", SimParams{}}
 	return &variant{name: "host-only", build: key, open: func(m *machine.Machine) structure {
 		return btree.NewHostOnly(m)
 	}}

@@ -4,10 +4,7 @@
 // workloads, and reports the same rows/series the paper plots.
 package exp
 
-import (
-	"hybrids/internal/sim/machine"
-	"hybrids/internal/store"
-)
+import "hybrids/internal/sim/machine"
 
 // Scale fixes every size parameter of an experiment run. Simulation cost
 // scales with the number of measured operations, not with structure size,
@@ -28,7 +25,7 @@ type Scale struct {
 	// space and the seed. Its Window is the scale's non-blocking in-flight
 	// budget ("hybrid-nonblocking4" uses 4 in the paper); each variant
 	// substitutes its own window.
-	store.SimParams
+	SimParams
 
 	// OpsPerThread is the measured operation count per host thread;
 	// WarmupPerThread runs first to reach cache steady state.
@@ -69,7 +66,7 @@ func SmallScale() Scale {
 	return Scale{
 		Name:    "small",
 		Machine: machine.Default(),
-		SimParams: store.SimParams{
+		SimParams: SimParams{
 			SkiplistRecords:    1 << 22,
 			SkiplistLevels:     22,
 			SkiplistNMPLevels:  9, // host top 13 levels ~ 2^13 nodes ~ LLC (paper's split)

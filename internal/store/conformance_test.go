@@ -1,11 +1,13 @@
 package store
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"hybrids/internal/core"
 	"hybrids/internal/dsim/kv"
+	"hybrids/internal/exp"
 	"hybrids/internal/hds"
 	"hybrids/internal/prng"
 	"hybrids/internal/sim/machine"
@@ -19,8 +21,9 @@ import (
 // discipline — the registry's semantic contract — and (c) keep its native
 // Get and write paths within the core blocking-call allocation discipline.
 // Every engine's native store is the same cds.BTree, so the native dumps
-// and the fuzz target build it once. A new engine passes this suite by
-// being registered; nothing here names a structure.
+// and the fuzz target build it once; the simulated side is exp's registry,
+// imported here by the tests alone. A new engine passes this suite by
+// being registered in both; nothing here names a structure.
 
 // newNative is the per-partition store factory every engine's native
 // side uses.
@@ -34,8 +37,8 @@ const (
 
 // confParams sizes every engine small enough for simulated test machines
 // while keeping a real host/NMP split.
-func confParams(window int) SimParams {
-	return SimParams{
+func confParams(window int) exp.SimParams {
+	return exp.SimParams{
 		SkiplistRecords: 1 << 10, SkiplistLevels: 9, SkiplistNMPLevels: 4,
 		BTreeRecords: 1 << 10, BTreeNMPLevels: 2,
 		BSkiplistRecords: 1 << 10, BSkiplistLevels: 5, BSkiplistNMPLevels: 2,
@@ -87,7 +90,7 @@ func confData() (pairs []ycsb.Pair, streams [][]kv.Op) {
 
 // simDump drives confData's streams against an engine's simulated hybrid
 // (blocking or windowed) and returns the drained final contents.
-func simDump(t *testing.T, e Engine, window int, async bool) []KV {
+func simDump(t *testing.T, e exp.Engine, window int, async bool) []kv.Pair {
 	t.Helper()
 	pairs, streams := confData()
 	m := confMachine()
@@ -148,6 +151,21 @@ func nativeDump(window int) []core.KV {
 	wg.Wait()
 	h.Close()
 	return h.Dump()
+}
+
+// TestEnginesMatchSimulatedRegistry holds the native engine names equal to
+// exp.Engines', in order: bench/ and the grids name the same engines.
+func TestEnginesMatchSimulatedRegistry(t *testing.T) {
+	var native, sim []string
+	for _, e := range Engines() {
+		native = append(native, e.Name)
+	}
+	for _, e := range exp.Engines() {
+		sim = append(sim, e.Name)
+	}
+	if !slices.Equal(native, sim) {
+		t.Fatalf("store.Engines() names %v, exp.Engines() %v", native, sim)
+	}
 }
 
 // TestEngineNativeSequentialOracle drives a deterministic mixed stream
@@ -221,7 +239,7 @@ func TestEngineNativeSequentialOracle(t *testing.T) {
 // are taken once.
 func TestEngineCrossStackEquivalence(t *testing.T) {
 	native := map[int][]core.KV{1: nativeDump(1), 4: nativeDump(4)}
-	for _, e := range Engines() {
+	for _, e := range exp.Engines() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			sim := simDump(t, e, 1, false)
@@ -245,7 +263,7 @@ func TestEngineCrossStackEquivalence(t *testing.T) {
 // TestEngineSimWindowEquivalence checks that each engine's simulated
 // hybrid converges to the blocking contents at every window depth.
 func TestEngineSimWindowEquivalence(t *testing.T) {
-	for _, e := range Engines() {
+	for _, e := range exp.Engines() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			want := simDump(t, e, 1, false)
@@ -277,8 +295,8 @@ func TestSimHybridRejectsBadSplit(t *testing.T) {
 	allNMP.SkiplistNMPLevels, allNMP.BSkiplistNMPLevels = allNMP.SkiplistLevels, allNMP.BSkiplistLevels
 	pastAll := confParams(1)
 	pastAll.SkiplistNMPLevels = pastAll.SkiplistLevels + 1
-	for _, e := range Engines() {
-		refuses := func(p SimParams) (panicked bool) {
+	for _, e := range exp.Engines() {
+		refuses := func(p exp.SimParams) (panicked bool) {
 			defer func() { panicked = recover() != nil }()
 			e.NewSimHybrid(confMachine(), p)
 			return false

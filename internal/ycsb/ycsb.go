@@ -21,6 +21,7 @@ package ycsb
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -185,44 +186,58 @@ type Generator struct {
 	fresh    uint64 // next fresh record index for FreshUniform inserts
 }
 
-// New builds a generator.
-func New(cfg Config) *Generator {
+// Validate reports why New would refuse cfg, or nil: the mix must sum to
+// 100, Records be positive, KeyMax a power of two of at least 2^8 whose
+// Feistel domain holds Records with insert headroom, ZipfTheta lie in
+// (0, 1), where Gray et al.'s constants hold (0 selects 0.99), and
+// PartitionTail inserts name their Partitions.
+func (cfg Config) Validate() error {
 	sum := cfg.ReadPct + cfg.UpdatePct + cfg.InsertPct + cfg.RemovePct +
 		cfg.ScanPct + cfg.RMWPct
 	if sum != 100 {
-		panic(fmt.Sprintf("ycsb: op mix sums to %d, want 100", sum))
+		return fmt.Errorf("ycsb: op mix sums to %d, want 100", sum)
 	}
-	if cfg.KeyMax&(cfg.KeyMax-1) != 0 {
-		panic("ycsb: KeyMax must be a power of two")
+	if cfg.Records <= 0 {
+		return fmt.Errorf("ycsb: Records %d must be positive", cfg.Records)
 	}
-	if cfg.KeyMax < uint32(cfg.Records)*4 {
-		panic("ycsb: key space too small for record count")
+	if cfg.KeyMax == 0 || cfg.KeyMax&(cfg.KeyMax-1) != 0 {
+		return fmt.Errorf("ycsb: KeyMax %d must be a power of two", cfg.KeyMax)
+	}
+	keyBits := uint(bits.TrailingZeros32(cfg.KeyMax))
+	if keyBits < 8 {
+		return fmt.Errorf("ycsb: KeyMax %d too small (want at least 2^8)", cfg.KeyMax)
+	}
+	if most := uint64(1) << ((keyBits-2)&^1 - 1); uint64(cfg.Records) > most {
+		return fmt.Errorf("ycsb: KeyMax %d leaves insert headroom for at most %d records, not %d", cfg.KeyMax, most, cfg.Records)
+	}
+	if t := cfg.ZipfTheta; t != 0 && !(t > 0 && t < 1) {
+		return fmt.Errorf("ycsb: ZipfTheta %v outside (0, 1)", t)
+	}
+	if cfg.Inserts == PartitionTail && cfg.Partitions <= 0 {
+		return fmt.Errorf("ycsb: PartitionTail requires Partitions")
+	}
+	return nil
+}
+
+// New builds a generator, panicking with Validate's error on a config it
+// refuses.
+func New(cfg Config) *Generator {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.ZipfTheta == 0 {
 		cfg.ZipfTheta = 0.99
 	}
-	bits := uint(0)
-	for uint32(1)<<bits < cfg.KeyMax {
-		bits++
-	}
-	if bits < 8 {
-		panic("ycsb: KeyMax too small")
-	}
+	keyBits := uint(bits.TrailingZeros32(cfg.KeyMax))
 	// The Feistel permutation needs an even width; keys use 3 stripe bits
 	// plus the rest as intra-stripe offset, all drawn from the permuted
 	// index.
-	permBits := bits - 2
-	if permBits%2 == 1 {
-		permBits--
-	}
-	if uint64(cfg.Records) > uint64(1)<<(permBits-1) {
-		panic("ycsb: key space too small for record count plus insert headroom")
-	}
+	permBits := (keyBits - 2) &^ 1
 	return &Generator{
 		cfg:      cfg,
 		perm:     newKeyPerm(permBits, cfg.Seed^0x10ad10ad),
 		permBits: permBits,
-		keyBits:  bits,
+		keyBits:  keyBits,
 		fresh:    uint64(cfg.Records),
 	}
 }
@@ -460,9 +475,6 @@ type tailCursors struct {
 func (g *Generator) newTailCursors() *tailCursors {
 	if g.cfg.Inserts != PartitionTail {
 		return nil
-	}
-	if g.cfg.Partitions <= 0 {
-		panic("ycsb: PartitionTail requires Partitions")
 	}
 	part := kv.RangePartitioner{KeyMax: g.cfg.KeyMax, Parts: g.cfg.Partitions}
 	t := &tailCursors{}

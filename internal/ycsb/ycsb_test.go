@@ -379,6 +379,60 @@ func TestSmallKeySpacePanics(t *testing.T) {
 	New(YCSBC(1000, 1500, 1))
 }
 
+// TestValidateRules holds one case per rule Config.Validate enforces, on
+// each side of it where it has a boundary, and checks that New panics with
+// exactly Validate's error.
+func TestValidateRules(t *testing.T) {
+	with := func(edit func(*Config)) Config {
+		cfg := YCSBC(4000, 1<<20, 1)
+		edit(&cfg)
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		want string // "" for a valid config, else the error's text
+	}{
+		{"ycsb-c", YCSBC(4000, 1<<20, 1), ""},
+		{"mix-sum", with(func(c *Config) { c.ReadPct = 50 }), "ycsb: op mix sums to 50, want 100"},
+		{"zero-records", with(func(c *Config) { c.Records = 0 }), "ycsb: Records 0 must be positive"},
+		{"negative-records", with(func(c *Config) { c.Records = -1 }), "ycsb: Records -1 must be positive"},
+		{"keymax-zero", with(func(c *Config) { c.KeyMax = 0 }), "ycsb: KeyMax 0 must be a power of two"},
+		{"keymax-not-power-of-two", with(func(c *Config) { c.KeyMax = 3 << 20 }), "ycsb: KeyMax 3145728 must be a power of two"},
+		{"keymax-below-2^8", YCSBC(32, 128, 1), "ycsb: KeyMax 128 too small (want at least 2^8)"},
+		{"keymax-2^8", YCSBC(32, 256, 1), ""},
+		// KeyMax 2^20: the Feistel domain is 2^18 wide, so 2^17 records
+		// fit and one more does not, though KeyMax/4 is 2^18.
+		{"headroom-full", YCSBC(1<<17, 1<<20, 1), ""},
+		{"headroom-past", YCSBC(1<<17+1, 1<<20, 1), "ycsb: KeyMax 1048576 leaves insert headroom for at most 131072 records, not 131073"},
+		{"headroom-odd-log2", YCSBC(1<<17+1, 1<<21, 1), "ycsb: KeyMax 2097152 leaves insert headroom for at most 131072 records, not 131073"},
+		{"theta-default", with(func(c *Config) { c.ZipfTheta = 0 }), ""},
+		{"theta-one", with(func(c *Config) { c.ZipfTheta = 1 }), "ycsb: ZipfTheta 1 outside (0, 1)"},
+		{"theta-above-one", with(func(c *Config) { c.ZipfTheta = 1.1 }), "ycsb: ZipfTheta 1.1 outside (0, 1)"},
+		{"theta-negative", with(func(c *Config) { c.ZipfTheta = -0.5 }), "ycsb: ZipfTheta -0.5 outside (0, 1)"},
+		{"theta-nan", with(func(c *Config) { c.ZipfTheta = math.NaN() }), "ycsb: ZipfTheta NaN outside (0, 1)"},
+		{"partition-tail-without-partitions", with(func(c *Config) { c.Inserts = PartitionTail }), "ycsb: PartitionTail requires Partitions"},
+		{"partition-tail", with(func(c *Config) { c.Inserts, c.Partitions = PartitionTail, 8 }), ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var got string
+			if err := c.cfg.Validate(); err != nil {
+				got = err.Error()
+			}
+			if got != c.want {
+				t.Fatalf("Validate() = %q, want %q", got, c.want)
+			}
+			defer func() {
+				if r := recover(); (r == nil) != (c.want == "") || r != nil && r != c.want {
+					t.Fatalf("New panicked with %v, want %q", r, c.want)
+				}
+			}()
+			New(c.cfg)
+		})
+	}
+}
+
 func TestKeyPermIsBijective(t *testing.T) {
 	p := newKeyPerm(16, 0xfeed)
 	seen := make([]bool, 1<<16)
